@@ -21,7 +21,7 @@ LOAD_DURATION   ?= 5s
 LOAD_MAX_P99_MS ?= 250
 LOAD_MAX_LAG    ?= 10s
 
-.PHONY: build test race vet bench cover loadtest loadtest-repl
+.PHONY: build test race vet check bench cover loadtest loadtest-repl
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,16 @@ race:
 	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/...
 
 vet:
+	$(GO) vet ./...
+
+# check is the first CI step. A Go source matched by .gitignore exists on
+# the author's disk but not in git, so every local command passes while
+# a fresh clone fails to build — the list must be empty.
+check:
+	@ignored=$$(git ls-files -o -i --exclude-standard -- '*.go'); \
+	if [ -n "$$ignored" ]; then \
+		echo "Go sources matched by .gitignore (never committed):"; echo "$$ignored"; exit 1; \
+	fi
 	$(GO) vet ./...
 
 # bench runs every benchmark and writes $(BENCH_OUT): one JSON record per

@@ -472,7 +472,7 @@ func BenchmarkTopKBatchWorkers(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := idx.TopKBatch(queries, 10); err != nil {
+				if _, err := idx.SearchBatch(context.Background(), queries, graphdim.SearchOptions{K: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}

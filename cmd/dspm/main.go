@@ -7,7 +7,7 @@
 //
 // The input uses the standard text format ("t #", "v id label",
 // "e u v label"). Generate a demo database with -gen N. The index is
-// written in the compact v2 binary format; -progress reports the build
+// written as one v4 segment file; -progress reports the build
 // stages (mining, MCS matrix, DSPM, vectors), and Ctrl-C cancels a long
 // build promptly.
 package main

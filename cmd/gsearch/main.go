@@ -35,7 +35,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gsearch: ")
 	var (
-		index    = flag.String("index", "index.gdx", "index file built by dspm (v2 binary or legacy v1 JSON)")
+		index    = flag.String("index", "index.gdx", "index file built by dspm (a v4 segment)")
 		storeDir = flag.String("store", "", "store directory saved by graphdim.Store (overrides -index)")
 		collName = flag.String("collection", "default", "collection to query inside -store")
 		shards   = flag.Int("shards", 1, "with -index: split the index into this many shards and fan queries out")
@@ -44,7 +44,6 @@ func main() {
 		engine   = flag.String("engine", "mapped", "query engine: mapped, verified or exact")
 		factor   = flag.Int("factor", 0, "verified engine: candidates = factor*k (0 = default 3)")
 		maxcand  = flag.Int("maxcand", 0, "verified engine: hard cap on verified candidates (0 = uncapped)")
-		exact    = flag.Bool("exact", false, "deprecated: use -engine exact")
 	)
 	flag.Parse()
 	if *queries == "" {
@@ -54,9 +53,6 @@ func main() {
 	eng, err := graphdim.ParseEngine(*engine)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *exact {
-		eng = graphdim.EngineExact
 	}
 
 	// search abstracts over the three backends: a flat index, a sharded

@@ -296,7 +296,7 @@ func BenchmarkServedMixedLoad(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(store, "default", 10, 30*time.Second))
+	ts := httptest.NewServer(newServer(store, 10, 30*time.Second))
 	defer ts.Close()
 
 	// Percentiles from a handful of samples are noise: drive at least 400

@@ -63,17 +63,13 @@
 //	       hit ratio
 //
 // Admission control bounds the in-flight requests per collection in two
-// independent lanes — reads (search/topk) via -max-inflight-reads
+// independent lanes — reads (search/query) via -max-inflight-reads
 // (default 256) and writes (add/ingest) via -max-inflight-writes
 // (default 64; negative = unlimited). Requests beyond the lane width
 // are shed immediately with 429 and a Retry-After header, before the
 // body is read, so overload degrades into fast rejections rather than
 // queueing collapse. cmd/gload drives this surface with an open-loop
 // mixed workload and reports the latency distribution.
-//
-// Deprecated aliases from the unversioned API keep working against the
-// default collection and answer with a Deprecation header: POST /search,
-// POST /add, and the v1-shape POST /topk.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: it stops accepting
 // connections, waits up to -grace for in-flight requests, stops the
@@ -115,13 +111,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gserve: ")
 	var (
-		index     = flag.String("index", "", "seed index file built by dspm (v3/v2 binary or legacy v1 JSON); required without -data, with -data it seeds the default collection if missing")
+		index     = flag.String("index", "", "seed index file built by dspm (a v4 segment); required without -data, with -data it seeds the default collection if missing")
 		data      = flag.String("data", "", "durable store directory (opened or created): every add/remove is write-ahead logged and survives a crash; without it online writes are volatile")
 		ckpEvery  = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval for -data stores (0 = only manual /checkpoint actions and the shutdown checkpoint)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		k         = flag.Int("k", 10, "default number of results per query")
 		shards    = flag.Int("shards", 1, "shards for the default collection")
-		collName  = flag.String("collection", "default", "name of the default collection the deprecated routes hit")
+		collName  = flag.String("collection", "default", "name of the collection -index seeds")
 		workers   = flag.Int("workers", 0, "store-wide cross-shard worker budget (0 = one per CPU)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout (0 = unbounded)")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
@@ -270,7 +266,6 @@ func main() {
 		}
 	}
 	s := newServerCfg(store, serverConfig{
-		defaultColl:   *collName,
 		defaultK:      *k,
 		timeout:       *timeout,
 		maxReads:      *maxReads,
@@ -408,13 +403,12 @@ const maxBodyBytes = 32 << 20
 // the cumulative counters reported by /stats. Counters are atomics —
 // handler goroutines share no other mutable state.
 type server struct {
-	store       *graphdim.Store
-	defaultColl string
-	defaultK    int
-	timeout     time.Duration
-	started     time.Time
-	mux         *http.ServeMux
-	metrics     *serverMetrics
+	store    *graphdim.Store
+	defaultK int
+	timeout  time.Duration
+	started  time.Time
+	mux      *http.ServeMux
+	metrics  *serverMetrics
 
 	// Replication: heartbeat pacing for WAL tail streams, the follower
 	// runtime (nil on a primary), per-follower ack bookkeeping
@@ -435,7 +429,7 @@ type server struct {
 	maxWrites int
 	laneMap   sync.Map
 
-	requests  atomic.Int64 // search/topk requests answered successfully
+	requests  atomic.Int64 // search requests answered successfully
 	queries   atomic.Int64 // individual query graphs answered
 	added     atomic.Int64 // graphs added via the add endpoints
 	errors    atomic.Int64 // requests rejected (sum with requests for the total)
@@ -469,12 +463,10 @@ const (
 )
 
 // serverConfig carries the serving knobs; the zero value of any field
-// falls back to the legacy defaults, so tests can set only what they
-// exercise.
+// falls back to its default, so tests can set only what they exercise.
 type serverConfig struct {
-	defaultColl string
-	defaultK    int
-	timeout     time.Duration
+	defaultK int
+	timeout  time.Duration
 	// maxReads/maxWrites bound the in-flight requests per collection and
 	// lane; 0 means the defaults above, negative means unlimited.
 	maxReads  int
@@ -492,8 +484,8 @@ type serverConfig struct {
 	replHeartbeat time.Duration
 }
 
-func newServer(store *graphdim.Store, defaultColl string, defaultK int, timeout time.Duration) *server {
-	return newServerCfg(store, serverConfig{defaultColl: defaultColl, defaultK: defaultK, timeout: timeout})
+func newServer(store *graphdim.Store, defaultK int, timeout time.Duration) *server {
+	return newServerCfg(store, serverConfig{defaultK: defaultK, timeout: timeout})
 }
 
 func laneWidth(n, def int) int {
@@ -515,7 +507,6 @@ func newServerCfg(store *graphdim.Store, cfg serverConfig) *server {
 	}
 	s := &server{
 		store:         store,
-		defaultColl:   cfg.defaultColl,
 		defaultK:      cfg.defaultK,
 		timeout:       cfg.timeout,
 		started:       time.Now(),
@@ -540,9 +531,6 @@ func newServerCfg(store *graphdim.Store, cfg serverConfig) *server {
 	mux.HandleFunc("/v1/replication/snapshot", s.handleReplicationSnapshot)
 	mux.HandleFunc("/v1/replication/{name}/wal", s.handleReplicationWAL)
 	mux.HandleFunc("/v1/replication/{name}/ack", s.handleReplicationAck)
-	mux.HandleFunc("/search", s.deprecated(s.handleLegacySearch))
-	mux.HandleFunc("/add", s.deprecated(s.handleLegacyAdd))
-	mux.HandleFunc("/topk", s.deprecated(s.handleTopK))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -551,21 +539,6 @@ func newServerCfg(store *graphdim.Store, cfg serverConfig) *server {
 	})
 	s.mux = mux
 	return s
-}
-
-// deprecated marks the unversioned routes: they keep serving the default
-// collection but advertise their /v1 successors. /topk has no same-name
-// successor — its replacement is the search action.
-func (s *server) deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		successor := r.URL.Path
-		if successor == "/topk" {
-			successor = "/search"
-		}
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1/collections/%s%s>; rel=\"successor-version\"", s.defaultColl, successor))
-		h(w, r)
-	}
 }
 
 // clearConnDeadlines lifts the server-wide read/write deadlines off the
@@ -1050,91 +1023,6 @@ func (s *server) handleCompact(w http.ResponseWriter, r *http.Request, c *graphd
 		"compacted":    n,
 		"stale_ratios": c.StaleRatios(),
 	})
-}
-
-// ---- deprecated unversioned routes ----
-
-func (s *server) handleLegacySearch(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.collection(w, s.defaultColl)
-	if !ok {
-		return
-	}
-	s.handleSearch(w, r, c)
-}
-
-func (s *server) handleLegacyAdd(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.collection(w, s.defaultColl)
-	if !ok {
-		return
-	}
-	s.handleAdd(w, r, c)
-}
-
-// topkResponse is the v1 response shape, kept for existing clients.
-type topkResponse struct {
-	K         int              `json:"k"`
-	Queries   int              `json:"queries"`
-	ElapsedMS float64          `json:"elapsed_ms"`
-	Results   [][]searchResult `json:"results"`
-}
-
-// handleTopK is the deprecated v1 endpoint: always the mapped engine,
-// only the k knob.
-func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST a graph database in the standard text format")
-		return
-	}
-	c, ok := s.collection(w, s.defaultColl)
-	if !ok {
-		return
-	}
-	gate := s.lanes(c.Name()).read
-	if !s.admit(w, c.Name(), "read", gate) {
-		return
-	}
-	defer gate.Leave()
-	start := time.Now()
-	k := s.defaultK
-	if v := r.URL.Query().Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			s.fail(w, http.StatusBadRequest, "k must be a positive integer, got %q", v)
-			return
-		}
-		k = n
-	}
-	queries, ok := s.readGraphs(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	batch, err := c.SearchBatch(ctx, queries, graphdim.SearchOptions{K: k, Engine: graphdim.EngineMapped})
-	if err != nil {
-		s.failQuery(w, r, ctx, err)
-		return
-	}
-	resp := topkResponse{
-		K:       k,
-		Queries: len(queries),
-		Results: make([][]searchResult, len(batch)),
-	}
-	for i, res := range batch {
-		out := make([]searchResult, len(res.Results))
-		for j, r := range res.Results {
-			out[j] = searchResult{ID: r.ID, Distance: r.Distance}
-		}
-		resp.Results[i] = out
-	}
-	elapsed := time.Since(start)
-	resp.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
-
-	s.requests.Add(1)
-	s.queries.Add(int64(len(queries)))
-	s.latencyUS.Add(elapsed.Microseconds())
-	w.Header().Set(freshnessHeader, freshnessToken(c))
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // ---- health and stats ----

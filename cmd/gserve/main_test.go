@@ -55,7 +55,7 @@ func newTestServer(t *testing.T, shards int, timeout time.Duration) (*httptest.S
 	if err != nil {
 		t.Fatalf("CreateFromIndex: %v", err)
 	}
-	ts := httptest.NewServer(newServer(store, "default", 10, timeout))
+	ts := httptest.NewServer(newServer(store, 10, timeout))
 	t.Cleanup(ts.Close)
 	return ts, coll
 }
@@ -77,11 +77,11 @@ func queriesText(t *testing.T, coll *graphdim.Collection, n int) string {
 	return buf.String()
 }
 
-func TestTopKEndpoint(t *testing.T) {
+func TestSearchEndpoint(t *testing.T) {
 	ts, coll := newTestServer(t, 1, 30*time.Second)
 
 	body := queriesText(t, coll, 3)
-	resp, err := http.Post(ts.URL+"/topk?k=5", "text/plain", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/collections/default/search?k=5", "text/plain", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,15 +89,13 @@ func TestTopKEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("legacy /topk response missing the Deprecation header")
-	}
-	var out topkResponse
+	var out searchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.K != 5 || out.Queries != 3 || len(out.Results) != 3 {
-		t.Fatalf("unexpected response shape: k=%d queries=%d results=%d", out.K, out.Queries, len(out.Results))
+	// No engine knob: the mapped engine answers.
+	if out.K != 5 || out.Queries != 3 || len(out.Results) != 3 || out.Engine != "mapped" {
+		t.Fatalf("unexpected response shape: k=%d queries=%d results=%d engine=%s", out.K, out.Queries, len(out.Results), out.Engine)
 	}
 	for qi, batch := range out.Results {
 		if len(batch) != 5 {
@@ -111,7 +109,7 @@ func TestTopKEndpoint(t *testing.T) {
 	}
 }
 
-func TestTopKEndpointRejectsBadRequests(t *testing.T) {
+func TestSearchEndpointRejectsBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t, 1, 30*time.Second)
 
 	for _, tc := range []struct {
@@ -121,11 +119,11 @@ func TestTopKEndpointRejectsBadRequests(t *testing.T) {
 		body   string
 		want   int
 	}{
-		{"wrong method", http.MethodGet, "/topk", "", http.StatusMethodNotAllowed},
-		{"empty body", http.MethodPost, "/topk", "", http.StatusBadRequest},
-		{"bad k", http.MethodPost, "/topk?k=zero", "t # 0\nv 0 1\n", http.StatusBadRequest},
-		{"negative k", http.MethodPost, "/topk?k=-3", "t # 0\nv 0 1\n", http.StatusBadRequest},
-		{"garbage body", http.MethodPost, "/topk", "not a graph\n", http.StatusBadRequest},
+		{"wrong method", http.MethodGet, "/v1/collections/default/search", "", http.StatusMethodNotAllowed},
+		{"empty body", http.MethodPost, "/v1/collections/default/search", "", http.StatusBadRequest},
+		{"bad k", http.MethodPost, "/v1/collections/default/search?k=zero", "t # 0\nv 0 1\n", http.StatusBadRequest},
+		{"negative k", http.MethodPost, "/v1/collections/default/search?k=-3", "t # 0\nv 0 1\n", http.StatusBadRequest},
+		{"garbage body", http.MethodPost, "/v1/collections/default/search", "not a graph\n", http.StatusBadRequest},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.url, strings.NewReader(tc.body))
 		if err != nil {
@@ -157,8 +155,11 @@ func TestErrorsAreJSON(t *testing.T) {
 	}{
 		{"unknown route", http.MethodGet, "/nope", "", http.StatusNotFound},
 		{"root", http.MethodGet, "/", "", http.StatusNotFound},
-		{"legacy search wrong method", http.MethodGet, "/search", "", http.StatusMethodNotAllowed},
-		{"legacy add wrong method", http.MethodGet, "/add", "", http.StatusMethodNotAllowed},
+		{"unversioned search", http.MethodPost, "/search", "t # 0\nv 0 1\n", http.StatusNotFound},
+		{"unversioned add", http.MethodPost, "/add", "t # 0\nv 0 1\n", http.StatusNotFound},
+		{"unversioned topk", http.MethodPost, "/topk", "t # 0\nv 0 1\n", http.StatusNotFound},
+		{"v1 search wrong method", http.MethodGet, "/v1/collections/default/search", "", http.StatusMethodNotAllowed},
+		{"v1 add wrong method", http.MethodGet, "/v1/collections/default/add", "", http.StatusMethodNotAllowed},
 		{"v1 collections wrong method", http.MethodDelete, "/v1/collections", "", http.StatusMethodNotAllowed},
 		{"v1 create without name", http.MethodPost, "/v1/collections", "t # 0\nv 0 1\n", http.StatusBadRequest},
 		{"v1 unknown collection", http.MethodPost, "/v1/collections/ghost/search", "t # 0\nv 0 1\n", http.StatusNotFound},
@@ -212,7 +213,7 @@ func TestHealthzAndStats(t *testing.T) {
 
 	// Serve a batch, then confirm the counters moved.
 	body := queriesText(t, coll, 2)
-	if _, err := http.Post(ts.URL+"/topk", "text/plain", strings.NewReader(body)); err != nil {
+	if _, err := http.Post(ts.URL+"/v1/collections/default/search", "text/plain", strings.NewReader(body)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = http.Get(ts.URL + "/stats")
@@ -245,7 +246,7 @@ func TestSearchEndpointEngines(t *testing.T) {
 
 	body := queriesText(t, coll, 2)
 	for _, engine := range []string{"mapped", "verified", "exact"} {
-		resp, err := http.Post(ts.URL+"/search?k=4&engine="+engine+"&factor=2", "text/plain", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/collections/default/search?k=4&engine="+engine+"&factor=2", "text/plain", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,10 +274,10 @@ func TestSearchEndpointEngines(t *testing.T) {
 
 	// Bad knobs are rejected.
 	for _, url := range []string{
-		"/search?engine=warp",
-		"/search?k=0",
-		"/search?factor=-1",
-		"/search?maxcand=-2",
+		"/v1/collections/default/search?engine=warp",
+		"/v1/collections/default/search?k=0",
+		"/v1/collections/default/search?factor=-1",
+		"/v1/collections/default/search?maxcand=-2",
 	} {
 		resp, err := http.Post(ts.URL+url, "text/plain", strings.NewReader(body))
 		if err != nil {
@@ -297,9 +298,9 @@ func TestShardedSearchMatchesUnsharded(t *testing.T) {
 	sharded, _ := newTestServer(t, 3, 30*time.Second)
 
 	body := queriesText(t, coll, 3)
-	for _, q := range []string{"/search?k=7", "/search?k=7&engine=exact", "/v1/collections/default/search?k=5"} {
+	for _, q := range []string{"?k=7", "?k=7&engine=exact", "?k=5"} {
 		read := func(base string) searchResponse {
-			resp, err := http.Post(base+q, "text/plain", strings.NewReader(body))
+			resp, err := http.Post(base+"/v1/collections/default/search"+q, "text/plain", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +340,7 @@ func TestAddEndpoint(t *testing.T) {
 	if err := graphdim.WriteGraphs(&buf, newGraphs); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/add", "text/plain", &buf)
+	resp, err := http.Post(ts.URL+"/v1/collections/default/add", "text/plain", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestAddEndpoint(t *testing.T) {
 
 	// Garbage and empty bodies are rejected.
 	for _, body := range []string{"", "not a graph"} {
-		resp, err := http.Post(ts.URL+"/add", "text/plain", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/collections/default/add", "text/plain", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -719,32 +720,24 @@ func TestV1GoldenSession(t *testing.T) {
 		t.Fatalf("compaction did not move a generation: %v", st.Generations)
 	}
 
-	// 5. Deprecated-alias parity: /topk and /search against the default
-	// collection answer exactly like their /v1 successors, and carry the
-	// Deprecation + successor Link headers.
+	// 5. Default-engine parity: a search with no engine knob answers
+	// exactly like an explicit engine=mapped one.
 	defQ := queriesText(t, defColl, 2)
-	for _, alias := range []struct{ old, successor string }{
-		{"/topk?k=5", "/v1/collections/default/search?k=5&engine=mapped"},
-		{"/search?k=5&engine=verified&factor=2", "/v1/collections/default/search?k=5&engine=verified&factor=2"},
-	} {
-		respOld, bodyOld := post(alias.old, defQ)
-		if respOld.Header.Get("Deprecation") != "true" || respOld.Header.Get("Link") == "" {
-			t.Fatalf("%s: missing Deprecation/Link headers", alias.old)
-		}
-		_, bodyNew := post(alias.successor, defQ)
-		var oldResp, newResp struct {
-			K       int              `json:"k"`
-			Results [][]searchResult `json:"results"`
-		}
-		if err := json.Unmarshal(bodyOld, &oldResp); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(bodyNew, &newResp); err != nil {
-			t.Fatal(err)
-		}
-		if oldResp.K != newResp.K || !reflect.DeepEqual(oldResp.Results, newResp.Results) {
-			t.Fatalf("alias %s diverges from %s:\n%s\n%s", alias.old, alias.successor, bodyOld, bodyNew)
-		}
+	_, bodyDefault := post("/v1/collections/default/search?k=5", defQ)
+	_, bodyMapped := post("/v1/collections/default/search?k=5&engine=mapped", defQ)
+	var defResp, mappedResp struct {
+		K       int              `json:"k"`
+		Engine  string           `json:"engine"`
+		Results [][]searchResult `json:"results"`
+	}
+	if err := json.Unmarshal(bodyDefault, &defResp); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(bodyMapped, &mappedResp); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(defResp, mappedResp) {
+		t.Fatalf("default engine diverges from engine=mapped:\n%s\n%s", bodyDefault, bodyMapped)
 	}
 }
 
@@ -760,7 +753,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: newServer(store, "default", 5, 30*time.Second)}
+	srv := &http.Server{Handler: newServer(store, 5, 30*time.Second)}
 	ctx, cancel := context.WithCancel(context.Background())
 
 	served := make(chan error, 1)
@@ -797,7 +790,7 @@ func TestRequestTimeoutCancelsSearch(t *testing.T) {
 	ts, coll := newTestServer(t, 2, time.Nanosecond)
 
 	body := queriesText(t, coll, 2)
-	resp, err := http.Post(ts.URL+"/search?engine=exact", "text/plain", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/collections/default/search?engine=exact", "text/plain", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -821,7 +814,7 @@ func TestConcurrentRequests(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				url := ts.URL + "/topk"
+				url := ts.URL + "/v1/collections/default/search"
 				if w%2 == 0 {
 					url = ts.URL + "/v1/collections/default/search?k=3"
 				}
@@ -849,7 +842,7 @@ func TestConcurrentRequests(t *testing.T) {
 		}
 		payload := buf.String()
 		for i := 0; i < 3; i++ {
-			resp, err := http.Post(ts.URL+"/add", "text/plain", strings.NewReader(payload))
+			resp, err := http.Post(ts.URL+"/v1/collections/default/add", "text/plain", strings.NewReader(payload))
 			if err != nil {
 				errs <- err
 				return
@@ -880,7 +873,7 @@ func TestFailQueryClientDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(store, "default", 10, 30*time.Second)
+	s := newServer(store, 10, 30*time.Second)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client is already gone when the search starts
@@ -910,7 +903,7 @@ func TestFailQueryServerDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(store, "default", 10, time.Nanosecond) // no search can finish
+	s := newServer(store, 10, time.Nanosecond) // no search can finish
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/collections/default/search?engine=exact",
 		strings.NewReader(queriesText(t, coll, 1)))
@@ -931,7 +924,7 @@ func TestFailQueryServerDeadline(t *testing.T) {
 func TestPartialAddResponseShape(t *testing.T) {
 	store := graphdim.NewStore(graphdim.StoreOptions{})
 	defer store.Close()
-	s := newServer(store, "default", 10, 30*time.Second)
+	s := newServer(store, 10, 30*time.Second)
 	rec := httptest.NewRecorder()
 	pe := &graphdim.PartialAddError{Applied: []int{25, 27}, Total: 5, Err: fmt.Errorf("shard 1: boom")}
 	s.writePartialAdd(rec, "default", pe)
@@ -972,7 +965,7 @@ func TestDurableRestartServesAcknowledgedWrites(t *testing.T) {
 	if _, err := store.CreateFromIndex("default", buildTestIndex(t), graphdim.CollectionOptions{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(store, "default", 10, 30*time.Second))
+	ts := httptest.NewServer(newServer(store, 10, 30*time.Second))
 
 	extra := dataset.Chemical(dataset.ChemConfig{N: 4, MinVertices: 8, MaxVertices: 12, Seed: 91})
 	var buf bytes.Buffer
@@ -1006,7 +999,7 @@ func TestDurableRestartServesAcknowledgedWrites(t *testing.T) {
 		t.Fatalf("reopen after kill: %v", err)
 	}
 	defer store2.Close()
-	ts2 := httptest.NewServer(newServer(store2, "default", 10, 30*time.Second))
+	ts2 := httptest.NewServer(newServer(store2, 10, 30*time.Second))
 	defer ts2.Close()
 
 	// The recovered server must rank the added graph for its own query —
@@ -1094,7 +1087,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(store, "default", 10, 30*time.Second))
+	ts := httptest.NewServer(newServer(store, 10, 30*time.Second))
 	defer ts.Close()
 
 	extra := dataset.Chemical(dataset.ChemConfig{N: 2, MinVertices: 8, MaxVertices: 12, Seed: 92})

@@ -210,12 +210,6 @@ func endpointLabel(r *http.Request) string {
 		return "other"
 	}
 	switch r.URL.Path {
-	case "/search":
-		return "search"
-	case "/add":
-		return "add"
-	case "/topk":
-		return "topk"
 	case "/healthz":
 		return "healthz"
 	case "/stats":

@@ -38,7 +38,7 @@ func newPrimaryServer(t testing.TB, dir string) (*httptest.Server, *server, *gra
 		}
 	}
 	s := newServerCfg(store, serverConfig{
-		defaultColl: "default", defaultK: 10, timeout: 30 * time.Second,
+		defaultK: 10, timeout: 30 * time.Second,
 		replHeartbeat: replTestHeartbeat,
 	})
 	return httptest.NewServer(s), s, store
@@ -70,7 +70,7 @@ func startFollowerProc(t testing.TB, primaryURL, dir string) *followerProc {
 		t.Fatalf("loadFollowerID: %v", err)
 	}
 	s := newServerCfg(store, serverConfig{
-		defaultColl: "default", defaultK: 10, timeout: 30 * time.Second,
+		defaultK: 10, timeout: 30 * time.Second,
 		follow: primaryURL, followerID: id, replHeartbeat: replTestHeartbeat,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -288,7 +288,7 @@ func TestReplicationFreshnessGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := newServerCfg(fstore, serverConfig{
-		defaultColl: "default", defaultK: 10, timeout: 30 * time.Second,
+		defaultK: 10, timeout: 30 * time.Second,
 		follow: pts.URL, followerID: id, replHeartbeat: replTestHeartbeat,
 	})
 	fts := httptest.NewServer(fs)

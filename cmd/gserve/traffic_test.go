@@ -227,7 +227,7 @@ func TestIngestCrashRecoveryAckedPrefix(t *testing.T) {
 	if _, err := store.CreateFromIndex("default", buildTestIndex(t), graphdim.CollectionOptions{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(store, "default", 10, 30*time.Second))
+	ts := httptest.NewServer(newServer(store, 10, 30*time.Second))
 	coll, _ := store.Collection("default")
 	seed := coll.Size()
 
@@ -314,7 +314,7 @@ func TestAdmissionLanesShedIndependently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServerCfg(store, serverConfig{defaultColl: "default", defaultK: 10, timeout: 30 * time.Second, maxReads: 1, maxWrites: 1})
+	s := newServerCfg(store, serverConfig{defaultK: 10, timeout: 30 * time.Second, maxReads: 1, maxWrites: 1})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
@@ -426,7 +426,7 @@ func TestMetricsEndpointShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServerCfg(store, serverConfig{defaultColl: "default", defaultK: 10, timeout: 30 * time.Second, maxReads: 1})
+	s := newServerCfg(store, serverConfig{defaultK: 10, timeout: 30 * time.Second, maxReads: 1})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
@@ -572,7 +572,7 @@ func TestIngestMidStreamFailureReportsInBand(t *testing.T) {
 	if _, err := store.CreateFromIndex("default", buildTestIndex(t), graphdim.CollectionOptions{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(store, "default", 10, 30*time.Second))
+	ts := httptest.NewServer(newServer(store, 10, 30*time.Second))
 	t.Cleanup(ts.Close)
 
 	lines := strings.Split(strings.TrimSpace(ndjsonBody(t, extraGraphs(t, 4, 83))), "\n")
@@ -642,7 +642,7 @@ func TestMetricsWALObserverAndMethodCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newServerMetrics()
-	s := newServerCfg(store, serverConfig{defaultColl: "default", defaultK: 10, timeout: time.Second, metrics: m})
+	s := newServerCfg(store, serverConfig{defaultK: 10, timeout: time.Second, metrics: m})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 

@@ -7,7 +7,7 @@
 // and per-stage progress, and the resulting Index serves concurrent
 // Search/SearchBatch readers (per-query engine choice: mapped, verified,
 // exact), grows online via Add/Remove without re-running DSPM, and
-// persists via WriteTo/ReadIndex in a compact versioned binary format.
+// persists via WriteTo/ReadIndex as one v4 segment file.
 // Above the single index sits the Store management layer: named
 // collections sharded across parallel indexes by hashed graph placement,
 // fan-out search with a global top-k merge, background compaction that

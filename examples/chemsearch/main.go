@@ -1,6 +1,6 @@
 // Command chemsearch is a realistic compound-search workflow on the
 // graphdim public API: build an index over a chemical database, persist it
-// to disk (compact v2 binary format), reload it, and compare the mapped,
+// to disk (one v4 segment file), reload it, and compare the mapped,
 // verified and exact engines on the same queries — the scenario that
 // motivates the paper (PubChem-style similarity search without per-query
 // MCS computation) plus the accuracy/latency dial the Search API exposes.
@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("load: %v", err)
 	}
-	fmt.Printf("index round-tripped through %s (%d bytes, v2 binary)\n", path, n)
+	fmt.Printf("index round-tripped through %s (%d bytes, v4 segment)\n", path, n)
 
 	// Serve queries; compare the engines against exact MCS ground truth.
 	const k = 5

@@ -1,6 +1,7 @@
 package graphdim_test
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -20,19 +21,21 @@ func buildSmall(t *testing.T, opt graphdim.Options) (*graphdim.Index, []*graphdi
 }
 
 // TestConcurrentReaders hammers a single Index from many goroutines mixing
-// TopK and TopKBatch — the contract documented on Index, checked under
+// Search and SearchBatch — the contract documented on Index, checked under
 // -race in CI. Every goroutine must also observe the same answers a
 // sequential caller gets.
 func TestConcurrentReaders(t *testing.T) {
 	idx, db := buildSmall(t, graphdim.Options{Dimensions: 15, Tau: 0.15, MCSBudget: 2000})
 
+	ctx := context.Background()
+	opt := graphdim.SearchOptions{K: 3}
 	want := make([][]graphdim.Result, 5)
 	for i := range want {
-		r, err := idx.TopK(db[i], 3)
+		r, err := idx.Search(ctx, db[i], opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = r
+		want[i] = r.Results
 	}
 	batch := db[:5]
 
@@ -45,24 +48,24 @@ func TestConcurrentReaders(t *testing.T) {
 			for rep := 0; rep < 10; rep++ {
 				if w%2 == 0 {
 					q := (w + rep) % 5
-					got, err := idx.TopK(db[q], 3)
+					got, err := idx.Search(ctx, db[q], opt)
 					if err != nil {
 						errs <- err
 						return
 					}
-					if !reflect.DeepEqual(got, want[q]) {
-						t.Errorf("worker %d: TopK(db[%d]) diverged under concurrency", w, q)
+					if !reflect.DeepEqual(got.Results, want[q]) {
+						t.Errorf("worker %d: Search(db[%d]) diverged under concurrency", w, q)
 						return
 					}
 				} else {
-					got, err := idx.TopKBatch(batch, 3)
+					got, err := idx.SearchBatch(ctx, batch, opt)
 					if err != nil {
 						errs <- err
 						return
 					}
 					for q := range got {
-						if !reflect.DeepEqual(got[q], want[q]) {
-							t.Errorf("worker %d: TopKBatch query %d diverged under concurrency", w, q)
+						if !reflect.DeepEqual(got[q].Results, want[q]) {
+							t.Errorf("worker %d: SearchBatch query %d diverged under concurrency", w, q)
 							return
 						}
 					}
@@ -113,13 +116,16 @@ func graphsToStrings(gs []*graphdim.Graph) []string {
 	return out
 }
 
-// TestTopKBatchMatchesTopK checks batch answers equal one-at-a-time
-// answers and that validation rejects bad batches atomically.
-func TestTopKBatchMatchesTopK(t *testing.T) {
+// TestSearchBatchValidation checks mapped batch answers equal
+// one-at-a-time answers and that validation rejects bad batches
+// atomically.
+func TestSearchBatchValidation(t *testing.T) {
 	idx, db := buildSmall(t, graphdim.Options{Dimensions: 15, Tau: 0.15, MCSBudget: 2000})
+	ctx := context.Background()
+	opt := graphdim.SearchOptions{K: 4}
 
 	queries := db[:8]
-	batch, err := idx.TopKBatch(queries, 4)
+	batch, err := idx.SearchBatch(ctx, queries, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,23 +133,16 @@ func TestTopKBatchMatchesTopK(t *testing.T) {
 		t.Fatalf("got %d result lists for %d queries", len(batch), len(queries))
 	}
 	for i, q := range queries {
-		single, err := idx.TopK(q, 4)
+		single, err := idx.Search(ctx, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(batch[i], single) {
+		if !reflect.DeepEqual(batch[i].Results, single.Results) {
 			t.Fatalf("query %d: batch and single answers differ", i)
 		}
 	}
 
-	if _, err := idx.TopKBatch(queries, 0); err == nil {
-		t.Fatal("TopKBatch accepted k=0")
-	}
-	if _, err := idx.TopKBatch([]*graphdim.Graph{db[0], nil}, 3); err == nil {
-		t.Fatal("TopKBatch accepted a nil query")
-	}
-	empty, err := idx.TopKBatch(nil, 3)
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("TopKBatch(nil) = %v, %v; want empty, nil", empty, err)
+	if _, err := idx.SearchBatch(ctx, queries, graphdim.SearchOptions{K: 0}); err == nil {
+		t.Fatal("SearchBatch accepted k=0")
 	}
 }

@@ -86,10 +86,11 @@ func ExampleIndex_Add() {
 	// 0.062
 }
 
-// ExampleIndex_TopKBatch answers a batch of queries in one call, fanning
-// them across the index's worker pool. Batch answers are identical to
-// one-at-a-time TopK answers at any Options.Workers setting.
-func ExampleIndex_TopKBatch() {
+// ExampleIndex_SearchBatch answers a batch of queries in one call,
+// fanning them across the index's worker pool. Batch answers are
+// identical to one-at-a-time Search answers at any Options.Workers
+// setting.
+func ExampleIndex_SearchBatch() {
 	db := dataset.Chemical(dataset.ChemConfig{N: 30, MinVertices: 8, MaxVertices: 12, Seed: 4})
 	idx, err := graphdim.Build(db, graphdim.Options{
 		Dimensions: 15,
@@ -100,14 +101,14 @@ func ExampleIndex_TopKBatch() {
 	if err != nil {
 		panic(err)
 	}
-	batches, err := idx.TopKBatch(db[:3], 2)
+	batch, err := idx.SearchBatch(context.Background(), db[:3], graphdim.SearchOptions{K: 2})
 	if err != nil {
 		panic(err)
 	}
-	for i, batch := range batches {
+	for i, res := range batch {
 		// Each query is a database graph, so its nearest neighbour is
 		// itself at distance 0.
-		fmt.Println(i, batch[0].ID == i, batch[0].Distance)
+		fmt.Println(i, res.Results[0].ID == i, res.Results[0].Distance)
 	}
 	// Output:
 	// 0 true 0
@@ -137,9 +138,10 @@ func ExampleIndex_WriteTo() {
 
 	fmt.Println(loaded.Size() == idx.Size())
 	fmt.Println(len(loaded.Dimensions()) == len(idx.Dimensions()))
-	a, _ := idx.TopK(db[7], 3)
-	b, _ := loaded.TopK(db[7], 3)
-	fmt.Println(reflect.DeepEqual(a, b))
+	ctx := context.Background()
+	a, _ := idx.Search(ctx, db[7], graphdim.SearchOptions{K: 3})
+	b, _ := loaded.Search(ctx, db[7], graphdim.SearchOptions{K: 3})
+	fmt.Println(reflect.DeepEqual(a.Results, b.Results))
 	// Output:
 	// true
 	// true

@@ -7,12 +7,12 @@ import (
 	"repro/internal/dataset"
 )
 
-// FuzzOpenIndex throws arbitrary bytes at ReadIndex: the decoder must
-// return an error or a usable index — never panic, hang, or over-
-// allocate — for every input, including the v3 postings section,
-// truncations, and bit flips of valid files. The seed corpus covers all
-// three on-disk formats plus systematic corruptions of a valid v3 file.
-func FuzzOpenIndex(f *testing.F) {
+// FuzzReadIndex throws arbitrary bytes at ReadIndex: the decoder must
+// return an error or a usable index — never panic, hang, or allocate
+// beyond what the anti-bomb limits of internal/segment and the graph
+// codec allow — for every input. The seed corpus is a valid v4 segment
+// plus systematic truncations and bit flips of it.
+func FuzzReadIndex(f *testing.F) {
 	db := dataset.Chemical(dataset.ChemConfig{N: 10, MinVertices: 6, MaxVertices: 9, Seed: 17})
 	idx, err := Build(db, Options{Dimensions: 8, Tau: 0.25, MCSBudget: 500})
 	if err != nil {
@@ -25,37 +25,27 @@ func FuzzOpenIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	var v3, v2, v1 bytes.Buffer
-	if _, err := idx.WriteTo(&v3); err != nil {
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := idx.writeToV2(&v2); err != nil {
-		f.Fatal(err)
+	valid := buf.Bytes()
+	f.Add(valid)
+	// Truncations at structural boundaries (magic, meta, trailer) and
+	// random depths.
+	for _, cut := range []int{0, 4, 8, 9, 16, len(valid) / 3, len(valid) / 2, len(valid) - 144, len(valid) - 5, len(valid) - 1} {
+		f.Add(append([]byte(nil), valid[:cut]...))
 	}
-	if err := idx.writeToV1(&v1); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v3.Bytes())
-	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
-	// Truncations at structural boundaries and random depths.
-	valid := v3.Bytes()
-	for _, cut := range []int{0, 4, 8, 9, 16, len(valid) / 3, len(valid) / 2, len(valid) - 5, len(valid) - 1} {
-		if cut <= len(valid) {
-			f.Add(append([]byte(nil), valid[:cut]...))
-		}
-	}
-	// Bit flips across the file, including the postings section (near the
-	// end, before the checksum) and the checksum itself.
-	for _, pos := range []int{8, 12, 24, len(valid) / 2, len(valid) - 20, len(valid) - 6, len(valid) - 1} {
+	// Bit flips across the file: meta, sections, the trailer's offsets,
+	// its two checksums and its magic.
+	for _, pos := range []int{8, 12, 24, len(valid) / 2, len(valid) - 140, len(valid) - 20, len(valid) - 14, len(valid) - 1} {
 		flipped := append([]byte(nil), valid...)
 		flipped[pos] ^= 0x10
 		f.Add(flipped)
 	}
 	// Degenerate non-index inputs.
 	f.Add([]byte{})
-	f.Add([]byte("GDIMIDX3"))
-	f.Add([]byte("GDIMIDX2"))
+	f.Add([]byte("GDIMIDX4"))
 	f.Add([]byte(`{"version":1}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

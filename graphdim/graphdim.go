@@ -31,9 +31,9 @@
 // tombstones graphs, and StaleRatio tells operators when enough of the
 // database postdates the dimension selection that a full re-Build is
 // warranted. Readers are never blocked — updates swap an immutable
-// snapshot. WriteTo/ReadIndex persist an index in a compact versioned
-// binary format (v1 JSON files remain readable) so query servers
-// (cmd/gserve) can load it without re-mining or re-running DSPM.
+// snapshot. WriteTo/ReadIndex persist an index as one v4 segment file
+// (internal/segment) so query servers (cmd/gserve) can load it without
+// re-mining or re-running DSPM.
 //
 // Above the single index, Store manages named collections sharded across
 // parallel indexes: graphs place onto shards by a fixed hash of their
@@ -616,49 +616,6 @@ type Result struct {
 	// identical feature profile), the MCS dissimilarity for
 	// EngineVerified and EngineExact.
 	Distance float64
-}
-
-// TopK answers a top-k similarity query in the mapped space.
-//
-// Deprecated: TopK is the v1 entry point, kept so existing callers
-// compile. Use Search, which adds engine selection, cancellation, and
-// richer results.
-func (ix *Index) TopK(q *Graph, k int) ([]Result, error) {
-	res, err := ix.Search(context.Background(), q, SearchOptions{K: k})
-	if err != nil {
-		return nil, err
-	}
-	return res.Results, nil
-}
-
-// TopKBatch answers many top-k queries at once. Result i corresponds to
-// queries[i].
-//
-// Deprecated: TopKBatch is the v1 entry point, kept so existing callers
-// compile. Use SearchBatch.
-func (ix *Index) TopKBatch(queries []*Graph, k int) ([][]Result, error) {
-	batch, err := ix.SearchBatch(context.Background(), queries, SearchOptions{K: k})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Result, len(batch))
-	for i, res := range batch {
-		out[i] = res.Results
-	}
-	return out, nil
-}
-
-// TopKExact answers the query with the exact MCS-based engine — orders of
-// magnitude slower; intended for ground-truth comparisons.
-//
-// Deprecated: TopKExact is the v1 entry point, kept so existing callers
-// compile. Use Search with Engine: EngineExact.
-func (ix *Index) TopKExact(q *Graph, k int) ([]Result, error) {
-	res, err := ix.Search(context.Background(), q, SearchOptions{K: k, Engine: EngineExact})
-	if err != nil {
-		return nil, err
-	}
-	return res.Results, nil
 }
 
 func (ix *Index) queryWorkers() int {

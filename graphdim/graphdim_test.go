@@ -2,7 +2,7 @@ package graphdim
 
 import (
 	"bytes"
-	"strings"
+	"context"
 	"testing"
 
 	"repro/internal/dataset"
@@ -36,10 +36,11 @@ func TestBuildAndQueryDSPM(t *testing.T) {
 		t.Fatalf("Size = %d, want %d", idx.Size(), len(db))
 	}
 	// Self query: graph 7 must be its own nearest neighbour (distance 0).
-	res, err := idx.TopK(db[7], 3)
+	sr, err := idx.Search(context.Background(), db[7], SearchOptions{K: 3})
 	if err != nil {
-		t.Fatalf("TopK: %v", err)
+		t.Fatalf("Search: %v", err)
 	}
+	res := sr.Results
 	if res[0].Distance != 0 {
 		t.Errorf("self query distance %v, want 0", res[0].Distance)
 	}
@@ -56,10 +57,11 @@ func TestBuildAndQueryDSPM(t *testing.T) {
 
 func TestBuildAndQueryDSPMap(t *testing.T) {
 	idx, db := buildSmall(t, DSPMap)
-	res, err := idx.TopK(db[3], 5)
+	sr, err := idx.Search(context.Background(), db[3], SearchOptions{K: 5})
 	if err != nil {
-		t.Fatalf("TopK: %v", err)
+		t.Fatalf("Search: %v", err)
 	}
+	res := sr.Results
 	if len(res) != 5 {
 		t.Fatalf("got %d results, want 5", len(res))
 	}
@@ -70,14 +72,14 @@ func TestBuildAndQueryDSPMap(t *testing.T) {
 	}
 }
 
-func TestTopKExactAgreesOnSelf(t *testing.T) {
+func TestExactEngineAgreesOnSelf(t *testing.T) {
 	idx, db := buildSmall(t, DSPM)
-	res, err := idx.TopKExact(db[2], 2)
+	res, err := idx.Search(context.Background(), db[2], SearchOptions{K: 2, Engine: EngineExact})
 	if err != nil {
-		t.Fatalf("TopKExact: %v", err)
+		t.Fatalf("exact Search: %v", err)
 	}
-	if res[0].ID != 2 || res[0].Distance != 0 {
-		t.Errorf("exact self query should return itself first, got %v", res[0])
+	if first := res.Results[0]; first.ID != 2 || first.Distance != 0 {
+		t.Errorf("exact self query should return itself first, got %v", first)
 	}
 }
 
@@ -97,63 +99,25 @@ func TestBuildValidation(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	idx, db := buildSmall(t, DSPM)
-	if _, err := idx.TopK(nil, 3); err == nil {
+	ctx := context.Background()
+	if _, err := idx.Search(ctx, nil, SearchOptions{K: 3}); err == nil {
 		t.Errorf("nil query must error")
 	}
-	if _, err := idx.TopK(db[0], 0); err == nil {
+	if _, err := idx.Search(ctx, db[0], SearchOptions{K: 0}); err == nil {
 		t.Errorf("k=0 must error")
 	}
-	if _, err := idx.TopKExact(nil, 3); err == nil {
+	if _, err := idx.Search(ctx, nil, SearchOptions{K: 3, Engine: EngineExact}); err == nil {
 		t.Errorf("nil exact query must error")
 	}
-	if _, err := idx.TopKExact(db[0], -1); err == nil {
+	if _, err := idx.Search(ctx, db[0], SearchOptions{K: -1, Engine: EngineExact}); err == nil {
 		t.Errorf("negative k must error")
 	}
-	res, err := idx.TopK(db[0], 10_000)
+	res, err := idx.Search(ctx, db[0], SearchOptions{K: 10_000})
 	if err != nil {
 		t.Fatalf("huge k: %v", err)
 	}
-	if len(res) != idx.Size() {
+	if len(res.Results) != idx.Size() {
 		t.Errorf("huge k should clamp to database size")
-	}
-}
-
-func TestPersistenceRoundTrip(t *testing.T) {
-	idx, db := buildSmall(t, DSPM)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatalf("ReadIndex: %v", err)
-	}
-	if loaded.Size() != idx.Size() || len(loaded.Dimensions()) != len(idx.Dimensions()) {
-		t.Fatalf("round trip changed shapes")
-	}
-	// Same query must produce the same ranking.
-	a, _ := idx.TopK(db[9], 5)
-	b, _ := loaded.TopK(db[9], 5)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("round trip changed query results: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestReadIndexRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		"not json",
-		`{"version": 99}`,
-		`{"version": 1, "db": ["t # 0\nv 0 1\n"], "vectors": []}`,
-		`{"version": 1, "features": ["t # 0\nv 0 1\n"], "weights": []}`,
-		`{"version": 1, "features": ["garbage"], "weights": [1]}`,
-		`{"version": 1, "features": ["t # 0\nv 0 1\n"], "weights": [1], "db": ["t # 0\nv 0 1\n"], "vectors": [[5]]}`,
-	}
-	for i, c := range cases {
-		if _, err := ReadIndex(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: corrupt index accepted", i)
-		}
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 
 // A store persists as a directory: a store.json manifest naming every
 // collection, its shard layout, build and default-search options, and the
-// local→global id table of each shard, next to one v2 index file per shard
-// (<dir>/<collection>/shard-NNNN.gdx, the WriteTo format). Shard files
+// local→global id table of each shard, next to one v4 segment file per
+// shard (<dir>/<collection>/shard-NNNN.gdx, the WriteTo format). Shard files
 // carry no ids of their own — the manifest's tables are authoritative —
 // so the per-shard codec stays exactly the single-index format and a
 // shard file remains loadable as a plain index with ReadIndex.
@@ -480,9 +480,6 @@ func writeShardImage(cdir string, i int, img shardImage) (string, []int, error) 
 		return "", nil, err
 	}
 	name := filepath.Base(f.Name())
-	// Checkpoints always write the v4 segment layout: a mapped reopen
-	// serves the tile section in place, and legacy v3/v2/v1 files keep
-	// loading read-side (openShardIndex sniffs per file).
 	if err := img.st.idx.writeSegment(f, img.snap); err != nil {
 		f.Close()
 		os.Remove(f.Name())
@@ -633,7 +630,7 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 			// Open by path, not reader: a v4 segment shard under
 			// MemoryAuto/MemoryMap is mmapped in place rather than
 			// streamed through the heap.
-			idx, err := openShardIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), s.memory)
+			idx, err := openSegmentIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), s.memory)
 			if err != nil {
 				return err
 			}

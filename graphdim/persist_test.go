@@ -20,24 +20,41 @@ func buildForPersist(t *testing.T) (*Index, []*Graph) {
 	return idx, db
 }
 
+// sameAnswers requires a and b to rank identically under every engine.
 func sameAnswers(t *testing.T, a, b *Index, queries []*Graph) {
 	t.Helper()
-	for qi, q := range queries {
-		ra, err := a.Search(context.Background(), q, SearchOptions{K: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := b.Search(context.Background(), q, SearchOptions{K: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ra.Results, rb.Results) {
-			t.Fatalf("query %d: answers diverged after persistence:\n%v\n%v", qi, ra.Results, rb.Results)
+	for _, engine := range []Engine{EngineMapped, EngineVerified, EngineExact} {
+		opt := SearchOptions{K: 8, Engine: engine}
+		for qi, q := range queries {
+			ra, err := a.Search(context.Background(), q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := b.Search(context.Background(), q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ra.Results, rb.Results) {
+				t.Fatalf("%v query %d: answers diverged after persistence:\n%v\n%v", engine, qi, ra.Results, rb.Results)
+			}
 		}
 	}
 }
 
-func TestV2RoundTripPreservesState(t *testing.T) {
+func writeIndex(t *testing.T, idx *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := idx.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	}
+	return buf.Bytes()
+}
+
+func TestRoundTripPreservesState(t *testing.T) {
 	idx, db := buildForPersist(t)
 	extra := dataset.Chemical(dataset.ChemConfig{N: 5, MinVertices: 8, MaxVertices: 12, Seed: 14})
 	if _, err := idx.Add(extra...); err != nil {
@@ -47,15 +64,11 @@ func TestV2RoundTripPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	n, err := idx.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
+	data := writeIndex(t, idx)
+	if !bytes.HasPrefix(data, []byte("GDIMIDX4")) {
+		t.Fatalf("WriteTo wrote magic %q, want GDIMIDX4", data[:8])
 	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	loaded, err := ReadIndex(&buf)
+	loaded, err := ReadIndex(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,176 +92,66 @@ func TestV2RoundTripPreservesState(t *testing.T) {
 			t.Fatalf("dimension %d changed", i)
 		}
 	}
-	sameAnswers(t, idx, loaded, db[:5])
-}
+	// Queries include a post-Add graph, so ids past the build are ranked.
+	sameAnswers(t, idx, loaded, append(db[:5:5], extra[0]))
 
-// TestV2Deterministic pins the canonical encoding: same state, same
-// bytes. Operators can diff and checksum index files.
-func TestV2Deterministic(t *testing.T) {
-	idx, _ := buildForPersist(t)
-	var a, b bytes.Buffer
-	if _, err := idx.WriteTo(&a); err != nil {
+	// A loaded index keeps growing and re-persists.
+	if _, err := loaded.Add(extra[1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two WriteTo calls produced different bytes")
-	}
-	// And a load→save cycle reproduces them too.
-	loaded, err := ReadIndex(bytes.NewReader(a.Bytes()))
+	again, err := ReadIndex(bytes.NewReader(writeIndex(t, loaded)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c bytes.Buffer
-	if _, err := loaded.WriteTo(&c); err != nil {
+	if again.TotalGraphs() != idx.TotalGraphs()+1 {
+		t.Fatal("load→add→save lost graphs")
+	}
+}
+
+// TestWriteToDeterministic pins the canonical encoding: same state, same
+// bytes. Operators can diff and checksum index files.
+func TestWriteToDeterministic(t *testing.T) {
+	idx, _ := buildForPersist(t)
+	a, b := writeIndex(t, idx), writeIndex(t, idx)
+	if !bytes.Equal(a, b) {
+		t.Fatal("two WriteTo calls produced different bytes")
+	}
+	// And a load→save cycle reproduces them too.
+	loaded, err := ReadIndex(bytes.NewReader(a))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
+	if !bytes.Equal(a, writeIndex(t, loaded)) {
 		t.Fatal("load→save changed the encoding")
 	}
 }
 
-func TestV1FilesStillLoad(t *testing.T) {
-	idx, db := buildForPersist(t)
-	var buf bytes.Buffer
-	if err := idx.writeToV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("{")) {
-		t.Fatal("v1 fixture is not JSON")
-	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatalf("v1 file failed to load: %v", err)
-	}
-	if loaded.Size() != idx.Size() || len(loaded.Dimensions()) != len(idx.Dimensions()) {
-		t.Fatal("v1 load changed shapes")
-	}
-	if loaded.StaleRatio() != 0 || loaded.Removed() != 0 {
-		t.Fatal("v1 load invented tombstones or staleness")
-	}
-	sameAnswers(t, idx, loaded, db[:5])
-
-	// A v1 index keeps working as a v2 citizen: extendable and
-	// re-persistable in the new format.
-	extra := dataset.Chemical(dataset.ChemConfig{N: 2, MinVertices: 8, MaxVertices: 12, Seed: 15})
-	if _, err := loaded.Add(extra...); err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if _, err := loaded.WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	again, err := ReadIndex(&v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.TotalGraphs() != idx.Size()+2 {
-		t.Fatal("v1→v2 migration lost graphs")
-	}
-}
-
-// TestV2FilesStillLoad pins the legacy binary format: a GDIMIDX2 file
-// (no postings section) loads with its postings rebuilt from the
-// vectors, answers identically — pruned scans included — and re-saves
-// in the current v3 format.
-func TestV2FilesStillLoad(t *testing.T) {
-	idx, db := buildForPersist(t)
-	if err := idx.Remove(4, 11); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := idx.writeToV2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("GDIMIDX2")) {
-		t.Fatal("v2 fixture lacks the v2 magic")
-	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatalf("v2 file failed to load: %v", err)
-	}
-	if loaded.Size() != idx.Size() || loaded.Removed() != idx.Removed() {
-		t.Fatal("v2 load changed shapes")
-	}
-	sameAnswers(t, idx, loaded, db[:5])
-
-	var v3 bytes.Buffer
-	if _, err := loaded.WriteTo(&v3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(v3.Bytes(), []byte("GDIMIDX3")) {
-		t.Fatal("re-save of a v2 file is not v3")
-	}
-	// The rebuilt postings serialize to exactly what a native v3 save of
-	// the source index produces: the section is canonical.
-	var native bytes.Buffer
-	if _, err := idx.WriteTo(&native); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v3.Bytes(), native.Bytes()) {
-		t.Fatal("v2→v3 migration and native v3 save diverge")
-	}
-}
-
-// TestV3PostingsSectionMatchesRebuild pins that the decoded postings
-// section and an in-memory rebuild drive identical pruned searches:
-// the decoder's cross-check plus this equivalence is the whole safety
-// argument for trusting the serialized lists.
-func TestV3PostingsSectionMatchesRebuild(t *testing.T) {
-	idx, db := buildForPersist(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fromSection, err := ReadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if _, err := idx.writeToV2(&v2); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := ReadIndex(&v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAnswers(t, fromSection, rebuilt, db[:8])
-}
-
-func TestV2RejectsCorruption(t *testing.T) {
+// TestReadIndexRejectsCorruption flips every byte and cuts at every
+// length of a valid file: the trailer and body checksums together leave
+// no position a reader would accept.
+func TestReadIndexRejectsCorruption(t *testing.T) {
 	idx, _ := buildForPersist(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-
-	// Any single flipped payload byte must fail the checksum (or a
-	// structural check before it). Probe a spread of positions.
-	for _, pos := range []int{8, 9, 20, len(valid) / 2, len(valid) - 5, len(valid) - 1} {
-		corrupt := append([]byte(nil), valid...)
+	valid := writeIndex(t, idx)
+	corrupt := make([]byte, len(valid))
+	for pos := range valid {
+		copy(corrupt, valid)
 		corrupt[pos] ^= 0x40
 		if _, err := ReadIndex(bytes.NewReader(corrupt)); err == nil {
-			t.Errorf("flipped byte %d accepted", pos)
+			t.Fatalf("flipped byte %d of %d accepted", pos, len(valid))
 		}
 	}
-	// Truncations must fail, never hang or panic.
-	for _, cut := range []int{4, 8, 12, len(valid) / 3, len(valid) - 1} {
+	for cut := 0; cut < len(valid); cut++ {
 		if _, err := ReadIndex(bytes.NewReader(valid[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+			t.Fatalf("truncation at %d of %d accepted", cut, len(valid))
 		}
 	}
 }
 
 func TestReadIndexRejectsNonIndexInput(t *testing.T) {
 	for name, data := range map[string]string{
-		"empty":       "",
-		"text":        "hello world",
-		"bad magic":   "GDIMIDX9everything-else",
-		"json garble": `{"version": 2}`,
+		"empty":     "",
+		"text":      "hello world",
+		"bad magic": "GDIMIDX9everything-else",
 	} {
 		if _, err := ReadIndex(strings.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -256,17 +159,31 @@ func TestReadIndexRejectsNonIndexInput(t *testing.T) {
 	}
 }
 
-// TestV2MuchSmallerThanV1 documents the point of the format change.
-func TestV2MuchSmallerThanV1(t *testing.T) {
-	idx, _ := buildForPersist(t)
-	var v1, v2 bytes.Buffer
-	if err := idx.writeToV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len()*2 > v1.Len() {
-		t.Errorf("v2 (%d bytes) is not at least 2x smaller than v1 (%d bytes)", v2.Len(), v1.Len())
+// TestReadIndexNamesLegacyFormats: files of the retired generations are
+// intact, so the error names the format and the upgrade path instead of
+// calling them corrupt.
+func TestReadIndexNamesLegacyFormats(t *testing.T) {
+	for name, tc := range map[string]struct{ data, format string }{
+		"v2":         {"GDIMIDX2\x00\x10payload", "v2 binary"},
+		"v3":         {"GDIMIDX3\x00\x10payload", "v3 binary"},
+		"v3 magic":   {"GDIMIDX3", "v3 binary"},
+		"v1":         {`{"version":1,"metric":0,"features":[],"db":[]}`, "v1 JSON"},
+		"v1 indent":  {"\n {\n \"version\": 1\n}", "v1 JSON"},
+		"other json": {`{"version": 2}`, "v1 JSON"},
+	} {
+		_, err := ReadIndex(strings.NewReader(tc.data))
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		msg := err.Error()
+		for _, want := range []string{"legacy " + tc.format, "previous release", "checkpoint"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: error %q does not mention %q", name, msg, want)
+			}
+		}
+		if strings.Contains(msg, "corrupt") {
+			t.Errorf("%s: legacy file reported as corrupt: %q", name, msg)
+		}
 	}
 }

@@ -338,37 +338,6 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersDelegate keeps the v1 surface working on top of
-// Search.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	idx, db := buildSmall(t, DSPM)
-	ctx := context.Background()
-
-	v1, err := idx.TopK(db[3], 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := idx.Search(ctx, db[3], SearchOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1, v2.Results) {
-		t.Errorf("TopK diverged from Search: %v vs %v", v1, v2.Results)
-	}
-
-	e1, err := idx.TopKExact(db[3], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := idx.Search(ctx, db[3], SearchOptions{K: 3, Engine: EngineExact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(e1, e2.Results) {
-		t.Errorf("TopKExact diverged from Search: %v vs %v", e1, e2.Results)
-	}
-}
-
 func TestEngineParseAndString(t *testing.T) {
 	for _, e := range []Engine{EngineMapped, EngineVerified, EngineExact} {
 		got, err := ParseEngine(e.String())

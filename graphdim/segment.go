@@ -1,8 +1,8 @@
 package graphdim
 
 // This file bridges the collection layer to internal/segment, the v4
-// on-disk shard format: checkpoints stream a snapshot out as a segment
-// (writeSegment), and opens serve a segment back either mapped — the
+// on-disk format: WriteTo and checkpoints stream a snapshot out as a
+// segment (writeSegment), and opens serve a segment back either mapped — the
 // tile section IS the scan block, graph payloads fault in lazily — or
 // fully rehydrated onto the heap (indexFromSegment). segSource is the
 // per-open shared state a mapped snapshot chain hangs onto: the reader
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"os"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -109,30 +108,7 @@ func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
 	})
 }
 
-// openShardIndex opens one shard file by path, dispatching on its magic:
-// v4 segments honor the store's memory mode (mapped or rehydrated),
-// anything else takes the legacy ReadIndex path (v3/v2 binary, v1 JSON)
-// onto the heap.
-func openShardIndex(path string, mode MemoryMode) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var head [len(segment.Magic)]byte
-	_, rerr := io.ReadFull(f, head[:])
-	if rerr == nil && string(head[:]) == segment.Magic {
-		f.Close()
-		return openSegmentIndex(path, mode)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	defer f.Close()
-	return ReadIndex(f)
-}
-
-// openSegmentIndex opens a v4 segment file. Every mode except MemoryHeap
+// openSegmentIndex opens a shard file by path. Every mode except MemoryHeap
 // asks for the mapping; on platforms without mmap support segment.Open
 // degrades to reading the file into one heap buffer and the index still
 // serves through the same lazy segment path — mode selects the serving
@@ -148,25 +124,6 @@ func openSegmentIndex(path string, mode MemoryMode) (*Index, error) {
 		return nil, err
 	}
 	return ix, nil
-}
-
-// readIndexSegment is the io.Reader leg for v4 segments (generic
-// ReadIndex callers — replication bootstrap pipes, tests): the bytes are
-// already off disk, so it verifies the body checksum like a heap open
-// and rehydrates fully.
-func readIndexSegment(r io.Reader) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("graphdim: read index: %w", err)
-	}
-	sr, err := segment.NewReader(data, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := sr.VerifyBody(); err != nil {
-		return nil, err
-	}
-	return indexFromSegment(sr, true)
 }
 
 // indexFromSegment builds an Index over an opened segment reader. With

@@ -63,7 +63,7 @@ func TestAddMakesGraphsSearchable(t *testing.T) {
 }
 
 // TestReloadedPlusAddMatchesDirectAdd pins the acceptance criterion: an
-// index persisted in v2, reloaded, and extended via Add answers queries
+// index persisted, reloaded, and extended via Add answers queries
 // identically to the same build extended directly — same dimensions, same
 // database, same mapping.
 func TestReloadedPlusAddMatchesDirectAdd(t *testing.T) {

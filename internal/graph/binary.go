@@ -7,8 +7,8 @@ import (
 	"math"
 )
 
-// Binary codec used by the v2 index persistence format. The layout is a
-// varint stream (unsigned varints for counts and vertex ids, zigzag
+// Binary codec used by the index segment format and the WAL. The layout
+// is a varint stream (unsigned varints for counts and vertex ids, zigzag
 // varints for labels, which are int32 and may be negative):
 //
 //	n                       uvarint, |V|

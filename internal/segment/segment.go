@@ -8,8 +8,7 @@
 //
 // Layout (all integers little-endian):
 //
-//	magic     8 bytes "GDIMIDX4" — the v4 member of the GDIMIDX family,
-//	          so format sniffing stays a single 8-byte peek
+//	magic     8 bytes "GDIMIDX4"
 //	meta      metric byte, MCS budget uvarint, p uvarint, p × (weight
 //	          float64 + feature graph in internal/graph's binary codec),
 //	          n uvarint, baseN uvarint, tile width uvarint, zone span
@@ -56,8 +55,7 @@ import (
 	"repro/internal/vecspace"
 )
 
-// Magic is the v4 file magic, same length as the v2/v3 magics so format
-// sniffing needs one 8-byte peek.
+// Magic is the v4 file magic.
 const Magic = "GDIMIDX4"
 
 const (
@@ -389,6 +387,9 @@ func Open(path string, opt Options) (*Reader, error) {
 // NewReader parses a segment held in data. mapped records how the bytes
 // are backed (for Mapped()); closer, if non-nil, releases them (Close).
 func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
+	if legacy := legacyFormat(data); legacy != "" {
+		return nil, fmt.Errorf("legacy %s index file: this release reads only v4 segments (%s); open it once with the previous release and checkpoint", legacy, Magic)
+	}
 	if len(data) < len(Magic)+trailerSize {
 		return nil, fmt.Errorf("truncated segment (%d bytes)", len(data))
 	}
@@ -453,6 +454,21 @@ func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// legacyFormat names the retired index generation data starts with, ""
+// for anything else. Those files are intact, not corrupt, so the open
+// error says what they are and how to upgrade them.
+func legacyFormat(data []byte) string {
+	switch {
+	case bytes.HasPrefix(data, []byte("GDIMIDX2")):
+		return "v2 binary"
+	case bytes.HasPrefix(data, []byte("GDIMIDX3")):
+		return "v3 binary"
+	case bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")):
+		return "v1 JSON"
+	}
+	return ""
 }
 
 // decodeMeta eagerly decodes the small whole-index scalars between the
