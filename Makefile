@@ -1,14 +1,15 @@
-# Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml); `make bench` additionally records the
-# machine-readable perf trajectory the repository tracks across PRs.
+# Developer entry points. CI runs these targets (see
+# .github/workflows/ci.yml): a local `make check race` is exactly what
+# its check step and race job gate on.
 
 GO        ?= go
 # BENCHTIME controls measurement cost: 1x smoke-runs every benchmark,
 # larger values (e.g. 2s) give stable numbers.
 BENCHTIME ?= 1x
-# BENCH_OUT is where the JSON benchmark record lands; bump the suffix per
-# PR to grow the trajectory instead of overwriting it.
-BENCH_OUT ?= BENCH_pr10.json
+# BENCH_OUT is where the JSON benchmark record lands. It defaults outside
+# the repository: a one-iteration record is noise, not a trajectory (the
+# numbers changes are judged by come from bench/, see bench/README.md).
+BENCH_OUT ?= /tmp/graphdim-bench.json
 # COVER_MIN gates `make cover`: the combined statement coverage of the
 # public API package, the posting accelerator, the pipeline stage DAG,
 # the write-ahead log, the replication client, the metrics registry, and
@@ -46,8 +47,9 @@ cover:
 
 # The concurrency-heavy packages: shard fan-out, compaction swaps, the
 # worker budget, the write-ahead log, the HTTP layer on top of them, the
-# scan kernel (lazy SoA block publication, pooled scratch arenas), and
-# the mmap segment layer (shared decoded-graph caches, finalizer unmap).
+# scan kernel (copy-on-write block appends under readers, pooled scratch
+# arenas), and the mmap segment layer (shared decoded-graph caches,
+# finalizer unmap).
 race:
 	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/...
 
@@ -56,11 +58,16 @@ vet:
 
 # check is the first CI step. A Go source matched by .gitignore exists on
 # the author's disk but not in git, so every local command passes while
-# a fresh clone fails to build — the list must be empty.
+# a fresh clone fails to build — the list must be empty. Then gofmt (any
+# file it would rewrite fails the target) and go vet.
 check:
 	@ignored=$$(git ls-files -o -i --exclude-standard -- '*.go'); \
 	if [ -n "$$ignored" ]; then \
 		echo "Go sources matched by .gitignore (never committed):"; echo "$$ignored"; exit 1; \
+	fi
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
 

@@ -516,7 +516,7 @@ func BenchmarkSearchEngines(b *testing.B) {
 // query whose DimensionBits touch few dimensions — plus a dense
 // database graph for honesty (the cost model falls back to the flat
 // scan there, so the two sub-benchmarks converge). The pruned/sparse
-// over flat/sparse ratio is the speedup BENCH_pr4.json records.
+// over flat/sparse ratio is the speedup pruning buys.
 func BenchmarkSearchSparse(b *testing.B) {
 	db := dataset.Synthetic(dataset.SynthConfig{N: 3000, AvgEdges: 10, Labels: 6, Seed: 11})
 	idx, err := graphdim.Build(db, graphdim.Options{
@@ -753,7 +753,7 @@ func BenchmarkSearchAllocs(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			opt := graphdim.SearchOptions{K: 10, NoPrune: bc.noPrune}
-			if _, err := idx.Search(ctx, q, opt); err != nil { // warm the block + scratch pool
+			if _, err := idx.Search(ctx, q, opt); err != nil { // warm the scratch pool
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

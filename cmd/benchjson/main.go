@@ -1,13 +1,12 @@
 // Command benchjson converts `go test -bench` text output on stdin into a
-// machine-readable JSON document — the format the repository's perf
-// trajectory is recorded in (BENCH_prN.json at the repo root, written by
-// `make bench`). Each benchmark line becomes one record with the op name,
+// machine-readable JSON document — what `make bench` writes to
+// $(BENCH_OUT) and CI's bench-smoke job greps. Each benchmark line becomes one record with the op name,
 // iteration count, ns/op, and — when -benchmem is on — B/op and
 // allocs/op; context lines (goos, goarch, cpu, pkg) become header fields.
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | benchjson -out BENCH_pr3.json
+//	go test -bench=. -benchmem ./... | benchjson -out /tmp/graphdim-bench.json
 package main
 
 import (

@@ -369,6 +369,7 @@ func TestAdmissionLanesShedIndependently(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest under full READ lane: status %d, want 200", resp.StatusCode)
 	}
+	io.Copy(io.Discard, resp.Body) // EOF = the handler returned and left the write lane
 	resp.Body.Close()
 
 	readGate.Leave()

@@ -55,7 +55,7 @@
 // (see DESIGN.md for the full inventory and the concurrency model). The
 // benchmarks in bench_test.go regenerate every figure of the paper's
 // evaluation section plus the worker-scaling benches; `make bench`
-// records them as machine-readable JSON (BENCH_prN.json) to track the
-// perf trajectory across PRs; EXPERIMENTS.md records the measured shapes
-// against the paper's.
+// runs them into a machine-readable JSON record under /tmp, and bench/
+// is the benchmark changes are judged by; EXPERIMENTS.md records the
+// measured shapes against the paper's.
 package repro

@@ -7,9 +7,9 @@ import (
 )
 
 // TestSearchAllocsBounded pins the O(1)-allocations property of a warm
-// query on the uncached Index path: after the lazy SoA block and the
-// scratch pool have been primed, a repeated mapped Search — flat and
-// pruned — must stay under a small fixed allocation ceiling per call,
+// query on the uncached Index path: once the scratch pool is primed, a
+// repeated mapped Search — flat, pruned, and on a never-searched index
+// right after an Add — must stay under a small fixed ceiling per call,
 // independent of the database size. The ceiling covers only per-query
 // fixed costs (the query's mapped vector, the copied-out results, the
 // SearchResult, a pruned plan's slices); it fails loudly if a future
@@ -27,24 +27,30 @@ func TestSearchAllocsBounded(t *testing.T) {
 	// the scan, not the matcher (whose state is per-call by design).
 	q := NewGraph(1)
 
+	fresh, _ := equivBuild(t, rng, 500) // never searched before its Add
+	if _, err := fresh.Add(q); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
+		idx  *Index
 		opt  SearchOptions
 	}{
-		{"flat", SearchOptions{K: 10, NoPrune: true}},
-		{"pruned", SearchOptions{K: 10}},
+		{"flat", idx, SearchOptions{K: 10, NoPrune: true}},
+		{"pruned", idx, SearchOptions{K: 10}},
+		{"fresh-add", fresh, SearchOptions{K: 10, NoPrune: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Warm up: build the SoA block, grow the pooled scratch to the
-			// collection's high-water mark, and fault in the pool caches.
+			// Warm up: grow the pooled scratch to the collection's
+			// high-water mark and fault in the pool caches.
 			for i := 0; i < 5; i++ {
-				if _, err := idx.Search(ctx, q, tc.opt); err != nil {
+				if _, err := tc.idx.Search(ctx, q, tc.opt); err != nil {
 					t.Fatal(err)
 				}
 			}
 			const ceiling = 40
 			avg := testing.AllocsPerRun(50, func() {
-				if _, err := idx.Search(ctx, q, tc.opt); err != nil {
+				if _, err := tc.idx.Search(ctx, q, tc.opt); err != nil {
 					t.Fatal(err)
 				}
 			})

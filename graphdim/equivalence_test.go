@@ -90,8 +90,8 @@ func assertPrunedEqualsFlat(t *testing.T, label string, idx *Index, q *Graph, op
 	}
 	// Third leg, mapped engine only: both Search paths above ran the SoA
 	// kernel; re-derive the ranking with the scalar reference
-	// (topk.MappedContext over the snapshot's vectors — no block, no
-	// scratch, full sort) and require the kernel results bit-identical
+	// (topk.MappedContext over the block's unpacked vectors — no kernel,
+	// no scratch, full sort) and require the kernel results bit-identical
 	// to its prefix, distances included.
 	if opt.Engine == EngineMapped && opt.Predicate == nil && len(opt.Filters) == 0 {
 		s := idx.snap.Load()
@@ -99,7 +99,7 @@ func assertPrunedEqualsFlat(t *testing.T, label string, idx *Index, q *Graph, op
 		if err != nil {
 			t.Fatalf("%s: MapContext: %v", label, err)
 		}
-		ref, _, err := topk.MappedContext(ctx, s.vectors, qv, s.alive(nil), nil)
+		ref, _, err := topk.MappedContext(ctx, s.block.Unpack(), qv, s.alive(nil))
 		if err != nil {
 			t.Fatalf("%s: scalar reference: %v", label, err)
 		}

@@ -255,39 +255,47 @@ func (o Options) withDefaults(n int) Options {
 }
 
 // snapshot is the immutable state a query reads: the database graphs,
-// their binary vectors over the index dimensions, and the tombstone set.
-// Updates (Add/Remove) never mutate a published snapshot — they copy,
-// then atomically swap — so any number of readers proceed lock-free while
+// their binary vectors over the index dimensions (packed once, as the
+// SoA block the scan kernel streams), and the tombstone set. Updates
+// (Add/Remove) never mutate a published snapshot — they copy, then
+// atomically swap — so any number of readers proceed lock-free while
 // writers are serialized by Index.mu.
 type snapshot struct {
-	// db and vectors always span every id slot, but a snapshot served
-	// from a mapped segment keeps nil placeholders below seg's size:
-	// vectors live packed in the mapping (the block below), and graph
-	// payloads are faulted in on demand through graph/graphAt. Ids added
-	// after the segment was written (WAL replay, Add) overlay as ordinary
-	// heap values. Heap-mode snapshots (seg == nil) have no nils.
+	// db spans every id slot, but a snapshot served from a mapped segment
+	// keeps nil placeholders below seg's size: graph payloads are faulted
+	// in on demand through graph/graphAt. Ids added after the segment was
+	// written (WAL replay, Add) overlay as ordinary heap values. Heap-mode
+	// snapshots (seg == nil) have no nils.
 	db        []*Graph
-	vectors   []*vecspace.BitVector
 	dead      []bool
 	deadCount int
 	// seg, when non-nil, is the mapped segment the base of this snapshot
 	// is served from — shared, with its decoded-graph cache, across every
 	// snapshot descended from the same open.
 	seg *segSource
+	// block is the snapshot's vector store — the only one: vector id is
+	// lane id of the SoA block, the operand of every mapped-space scan
+	// and the tile section of every segment written. block and post are
+	// both derived from the same vectors where a snapshot is born
+	// (newSnapshot, or a segment's own sections in indexFromSegment) and
+	// share one eager copy-on-write lifecycle under the writer lock: Add
+	// extends both (Block.Append never writes a shared tile, so on a
+	// mapped snapshot the overlay is pure copy-on-write on top of the
+	// read-only mapping), Remove shares both unchanged — tombstoned ids
+	// keep their lanes and listings and every scan filters them through
+	// alive. Invariant: block.N() == post.N() == len(db).
+	block *vecspace.Block
 	// post holds the per-dimension posting lists and ones buckets over
-	// vectors — the candidate-pruning accelerator internal/posting
-	// implements. It always covers exactly the ids of vectors
-	// (tombstoned included; the scan filters those), and like the rest
-	// of the snapshot it is immutable to readers: Add extends it via
-	// posting.Append under the writer lock.
+	// block's vectors — the candidate-pruning accelerator
+	// internal/posting implements.
 	post *posting.Index
 	// labels holds the per-label inverted lists over db — the pushdown
 	// accelerator for declarative label filters (internal/pipeline).
-	// Built lazily by the first filtered query that needs it
-	// (labelIndex), because building it reads every graph — which on a
-	// mapped snapshot would fault in the whole corpus at open. Once
-	// built it is carried copy-on-write like post: Add extends it under
-	// the writer lock, an unbuilt nil just stays lazy.
+	// Unlike block and post it is built lazily, by the first filtered
+	// query that needs it (labelIndex), because building it reads every
+	// graph — which on a mapped snapshot would fault in the whole corpus
+	// at open. Once built it is carried copy-on-write: Add extends it
+	// under the writer lock, an unbuilt nil just stays lazy.
 	labels atomic.Pointer[posting.LabelIndex]
 	// baseN is how many of the graphs were part of the database the
 	// dimension selection (Build) or persisted file saw; ids >= baseN
@@ -295,29 +303,29 @@ type snapshot struct {
 	// baseN. StaleRatio derives from both.
 	baseN    int
 	baseDead int
-	// block caches the SoA form of vectors the batched scan kernel
-	// streams (vecspace.Block). It is built lazily by the first scan
-	// that needs it — soaBlock — and carried copy-on-write through
-	// Add/Remove like post and labels: Add extends an already-built
-	// block via Block.Append under the writer lock, Remove shares it
-	// unchanged (tombstones are filtered by alive, not block events).
-	// A snapshot whose block was never demanded swaps nil forward and
-	// the next scan packs from scratch.
-	block atomic.Pointer[vecspace.Block]
 }
 
-// soaBlock returns the snapshot's SoA scan block, packing the vectors
-// on first demand. Racing first readers may each pack; the content is
-// deterministic and CompareAndSwap publishes exactly one.
-func (s *snapshot) soaBlock(p int) *vecspace.Block {
-	if b := s.block.Load(); b != nil {
-		return b
+// newSnapshot is the from-vectors constructor: it packs the block and
+// builds the posting index from the same slice, so the two can never
+// disagree about which vectors the snapshot holds. db, vectors and dead
+// are aligned by id; p is the dimensionality.
+func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []bool, baseN int) *snapshot {
+	s := &snapshot{
+		db:    db,
+		dead:  dead,
+		block: vecspace.Pack(vectors, p),
+		post:  posting.FromVectors(vectors, p),
+		baseN: baseN,
 	}
-	b := vecspace.Pack(s.vectors, p)
-	if s.block.CompareAndSwap(nil, b) {
-		return b
+	for id, d := range dead {
+		if d {
+			s.deadCount++
+			if id < baseN {
+				s.baseDead++
+			}
+		}
 	}
-	return s.block.Load()
+	return s
 }
 
 // alive adapts the snapshot's tombstones plus an optional caller
@@ -359,16 +367,6 @@ func (s *snapshot) graphAt(id int) (*Graph, error) {
 		return g, nil
 	}
 	return s.seg.graphAt(id)
-}
-
-// vectorAt returns id's vector, unpacking it from the SoA block when the
-// snapshot serves vectors from a mapped segment (the block is always
-// materialized there — it IS the mapping).
-func (s *snapshot) vectorAt(id int) *vecspace.BitVector {
-	if v := s.vectors[id]; v != nil {
-		return v
-	}
-	return s.block.Load().Vector(id)
 }
 
 // labelIndex returns the label pushdown index, building it on first
@@ -431,9 +429,6 @@ func newIndex(features []*Graph, weights []float64, metric Metric, mcsOpt mcs.Op
 		metric:   metric,
 		mcsOpt:   mcsOpt,
 		workers:  workers,
-	}
-	if snap.post == nil {
-		snap.post = posting.FromVectors(snap.vectors, len(features))
 	}
 	ix.snap.Store(snap)
 	return ix
@@ -561,12 +556,8 @@ func BuildContext(ctx context.Context, db []*Graph, opt Options) (*Index, error)
 	}
 	report(StageVectors, sub.N, sub.N)
 
-	return newIndex(features, weights, opt.Metric, mcsOpt, opt.Workers, &snapshot{
-		db:      db,
-		vectors: vectors,
-		dead:    make([]bool, len(db)),
-		baseN:   len(db),
-	}), nil
+	return newIndex(features, weights, opt.Metric, mcsOpt, opt.Workers,
+		newSnapshot(db, vectors, len(features), make([]bool, len(db)), len(db))), nil
 }
 
 // Dimensions returns the selected subgraph dimensions, most informative

@@ -371,8 +371,7 @@ func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*Sear
 	)
 	switch opt.Engine {
 	case EngineMapped:
-		ranking, candidates, err = topk.MappedTopKContext(ctx, s.vectors,
-			s.soaBlock(ix.mapper.Dim()), qv, alive, opt.K, plan(opt.K), scr)
+		ranking, candidates, err = topk.MappedTopKContext(ctx, nil, s.block, qv, alive, opt.K, plan(opt.K), scr)
 	case EngineVerified:
 		factor := opt.VerifyFactor
 		if factor == 0 {
@@ -388,8 +387,7 @@ func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*Sear
 		if opt.MaxCandidates > 0 && wantEstimate > opt.MaxCandidates {
 			wantEstimate = opt.MaxCandidates
 		}
-		ranking, candidates, err = topk.VerifiedContext(ctx, s.graphAt, s.vectors,
-			s.soaBlock(ix.mapper.Dim()), q, qv,
+		ranking, candidates, err = topk.VerifiedContext(ctx, s.graphAt, s.block, q, qv,
 			opt.K, factor, opt.MaxCandidates, metric, ix.mcsOpt, alive,
 			plan(wantEstimate), scr)
 	case EngineExact:

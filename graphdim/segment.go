@@ -19,7 +19,6 @@ import (
 	"repro/internal/mcs"
 	"repro/internal/pool"
 	"repro/internal/segment"
-	"repro/internal/vecspace"
 )
 
 // segSource is the mapped segment a snapshot chain is served from. It is
@@ -60,7 +59,7 @@ func (ss *segSource) graphAt(id int) (*Graph, error) {
 // payloads are copied verbatim (graphs are immutable — no decode,
 // re-encode round trip per checkpoint).
 func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
-	blk := s.soaBlock(ix.mapper.Dim())
+	blk := s.block
 	n := len(s.db)
 
 	// Ones counts feed the per-zone min/max bounds and the posting
@@ -126,10 +125,11 @@ func openSegmentIndex(path string, mode MemoryMode) (*Index, error) {
 	return ix, nil
 }
 
-// indexFromSegment builds an Index over an opened segment reader. With
-// rehydrate false the snapshot keeps nil graph/vector placeholders and
-// serves both through the mapping (the scan block aliases the tile
-// section in place); with rehydrate true every payload is decoded onto
+// indexFromSegment builds an Index over an opened segment reader. The
+// snapshot's block and postings are the segment's own sections (aliased
+// in place when the reader is a mapping) in both modes. With rehydrate
+// false the snapshot keeps nil graph placeholders and faults payloads in
+// through the reader; with rehydrate true every graph is decoded onto
 // the heap and the reader is only kept as the backing array owner.
 func indexFromSegment(r *segment.Reader, rehydrate bool) (*Index, error) {
 	m := r.Meta()
@@ -160,9 +160,9 @@ func indexFromSegment(r *segment.Reader, rehydrate bool) (*Index, error) {
 	}
 	snap := &snapshot{
 		db:        make([]*Graph, n),
-		vectors:   make([]*vecspace.BitVector, n),
 		dead:      dead,
 		deadCount: deadCount,
+		block:     blk,
 		post:      post,
 		baseN:     m.BaseN,
 		baseDead:  baseDead,
@@ -174,12 +174,10 @@ func indexFromSegment(r *segment.Reader, rehydrate bool) (*Index, error) {
 				return nil, err
 			}
 			snap.db[i] = g
-			snap.vectors[i] = blk.Vector(i)
 		}
 	} else {
 		snap.seg = newSegSource(r)
 	}
-	snap.block.Store(blk)
 	return newIndex(m.Features, m.Weights, Metric(m.Metric),
 		mcs.Options{MaxNodes: m.MCSBudget}, pool.DefaultWorkers(0), snap), nil
 }

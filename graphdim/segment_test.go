@@ -29,6 +29,8 @@ func snapSeg(c *Collection, shard int) (*snapshot, *segSource) {
 // vectors straight out of the segment file and fault graph payloads in
 // only for final candidates. The data directory is single-owner
 // (flock), so the modes open one after another over the same files.
+// Every leg also writes, and after every write and every reopen each
+// shard must satisfy assertOneVectorStore.
 func TestMemoryModeStoreEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(equivSeed(t)))
 	idx, db := equivBuild(t, rng, 60)
@@ -43,26 +45,29 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutations before the checkpoint land in the segment base;
-	// mutations after it replay from the WAL tail as a heap overlay on
-	// the mapped base.
+	step := func(name string, cc *Collection, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for sh := range cc.shards {
+			assertOneVectorStore(t, fmt.Sprintf("%s shard %d", name, sh), cc.shards[sh].state.Load().idx)
+		}
+	}
+	// mutate writes through an open store: pre-checkpoint writes become
+	// segment base, the rest a WAL-tail heap overlay for the next open.
+	mutate := func(leg string, st *Store, cc *Collection, gs []*Graph, also ...int) {
+		t.Helper()
+		ids, err := cc.Add(ctx, gs[:len(gs)/2]...)
+		step(leg+" add", cc, err)
+		step(leg+" checkpoint", cc, st.Checkpoint())
+		_, err = cc.Add(ctx, gs[len(gs)/2:]...)
+		step(leg+" tail add", cc, err)
+		step(leg+" remove", cc, cc.Remove(append(also, ids[0])...))
+	}
 	extra := dataset.Synthetic(dataset.SynthConfig{N: 12, AvgEdges: 9, Labels: 5, Seed: rng.Int63()})
-	ids, err := c.Add(ctx, extra[:6]...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove(ids[0], 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Add(ctx, extra[6:]...); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove(5); err != nil {
-		t.Fatal(err)
-	}
+	late := dataset.Synthetic(dataset.SynthConfig{N: 9, AvgEdges: 8, Labels: 5, Seed: rng.Int63()})
+	mutate("create", s, c, extra, 3, 5)
 	s.Close()
 
 	queries := append([]*Graph{db[rng.Intn(len(db))], extra[2]},
@@ -116,6 +121,8 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 	if _, seg := snapSeg(heapC, 0); seg != nil {
 		t.Fatal("MemoryHeap open kept a segment source")
 	}
+	step("heap reopen", heapC, nil)
+	mutate("heap", heapS, heapC, late[:3])
 	want := runAll(heapC)
 	heapS.Close()
 
@@ -123,6 +130,7 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 	// bit-identical throughout.
 	mapS, mapC := open(MemoryMap)
 	if segment.CanMap() {
+		overlay := 0 // ids above the mapped bases: the boundary step() straddles
 		for sh := 0; sh < 2; sh++ {
 			snap, seg := snapSeg(mapC, sh)
 			if seg == nil {
@@ -136,6 +144,10 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 					t.Fatalf("MemoryMap shard %d: base slot %d eagerly decoded at open", sh, i)
 				}
 			}
+			overlay += len(snap.db) - len(seg.graphs)
+		}
+		if overlay == 0 {
+			t.Fatal("MemoryMap open has no heap overlay above the mapped bases")
 		}
 	}
 	// Unfiltered engines only (mapped flat/pruned + verified): after
@@ -175,15 +187,10 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 	}
 
 	// The mapped store stays writable: post-open writes overlay the
-	// mapping and the next checkpoint writes a fresh segment from it
-	// (verbatim graph copy for the unmodified base).
-	late := dataset.Synthetic(dataset.SynthConfig{N: 3, AvgEdges: 8, Labels: 5, Seed: rng.Int63()})
-	if _, err := mapC.Add(ctx, late...); err != nil {
-		t.Fatal(err)
-	}
-	if err := mapS.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint over mapped base: %v", err)
-	}
+	// mapping and the next checkpoint writes a fresh segment from it. The
+	// invariant check faults the corpus in, so it comes only now.
+	step("map reopen", mapC, nil)
+	mutate("map", mapS, mapC, late[3:6])
 	wantStats := mapC.Stats()
 	want2 := runAll(mapC)
 	mapS.Close()
@@ -198,6 +205,8 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 	if got := runAll(autoC); !reflect.DeepEqual(got, want2) {
 		t.Fatal("MemoryAuto rankings diverge from the mapped leg's post-write state")
 	}
+	step("auto reopen", autoC, nil)
+	mutate("auto", autoS, autoC, late[6:])
 }
 
 // TestOpenStoreRejectsTornSegment: a shard segment torn mid-trailer —

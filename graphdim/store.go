@@ -387,8 +387,8 @@ func (s *Store) Create(ctx context.Context, name string, db []*Graph, opt Collec
 // collection without re-mining or re-running DSPM: every graph keeps its
 // id — the global id — and lands on the shard the id hashes to; shards
 // share the index's dimension set until their first compaction. The source
-// index should not be mutated afterwards (graphs and vectors are shared,
-// not copied).
+// index should not be mutated afterwards (graphs are shared, not copied;
+// each shard packs its own vector block).
 func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) (*Collection, error) {
 	if src == nil {
 		return nil, fmt.Errorf("graphdim: nil index")
@@ -403,31 +403,24 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	nsh := opt.shards()
 	snap := src.snap.Load()
 	type acc struct {
-		db        []*Graph
-		vectors   []*vecspace.BitVector
-		dead      []bool
-		deadCount int
-		globals   []int
-		// baseN/baseDead carry the source's staleness bookkeeping into
-		// the shard: ids below the source's baseN predate its dimension
+		db      []*Graph
+		vecs    []*vecspace.BitVector
+		dead    []bool
+		globals []int
+		// baseN carries the source's staleness bookkeeping into the
+		// shard: ids below the source's baseN predate its dimension
 		// selection, and since ids append in ascending order they are
 		// exactly the part's leading entries.
-		baseN, baseDead int
+		baseN int
 	}
 	parts := make([]acc, nsh)
 	for id := range snap.db {
 		p := &parts[placeID(id, nsh)]
 		p.db = append(p.db, snap.graph(id))
-		p.vectors = append(p.vectors, snap.vectorAt(id))
+		p.vecs = append(p.vecs, snap.block.Vector(id))
 		p.dead = append(p.dead, snap.dead[id])
-		if snap.dead[id] {
-			p.deadCount++
-		}
 		if id < snap.baseN {
 			p.baseN++
-			if snap.dead[id] {
-				p.baseDead++
-			}
 		}
 		p.globals = append(p.globals, id)
 	}
@@ -452,14 +445,8 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	for i := range c.shards {
 		p := parts[i]
 		c.shards[i] = newShard(&shardState{
-			idx: newIndex(src.features, src.weights, src.metric, src.mcsOpt, shardWorkers, &snapshot{
-				db:        p.db,
-				vectors:   p.vectors,
-				dead:      p.dead,
-				deadCount: p.deadCount,
-				baseN:     p.baseN,
-				baseDead:  p.baseDead,
-			}),
+			idx: newIndex(src.features, src.weights, src.metric, src.mcsOpt, shardWorkers,
+				newSnapshot(p.db, p.vecs, len(src.features), p.dead, p.baseN)),
 			globals: p.globals,
 		})
 	}

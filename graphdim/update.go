@@ -59,14 +59,14 @@ func (ix *Index) AddContext(ctx context.Context, gs ...*Graph) ([]int, error) {
 	cur := ix.snap.Load()
 	next := &snapshot{
 		db:        append(append(make([]*Graph, 0, len(cur.db)+len(gs)), cur.db...), gs...),
-		vectors:   append(append(make([]*vecspace.BitVector, 0, len(cur.vectors)+len(gs)), cur.vectors...), newVecs...),
 		dead:      append(append(make([]bool, 0, len(cur.dead)+len(gs)), cur.dead...), make([]bool, len(gs))...),
 		deadCount: cur.deadCount,
 		seg:       cur.seg,
-		// Posting maintenance is incremental: the new ids are the highest
-		// yet, so appending keeps every per-dimension list sorted. The
-		// linear snapshot chain Append requires is exactly what ix.mu
-		// enforces.
+		// Block and posting maintenance is incremental: the new ids are the
+		// highest yet, so appending fills the next lanes and keeps every
+		// per-dimension list sorted. The linear snapshot chain both
+		// Appends require is exactly what ix.mu enforces.
+		block:    cur.block.Append(newVecs),
 		post:     cur.post.Append(newVecs),
 		baseN:    cur.baseN,
 		baseDead: cur.baseDead,
@@ -75,15 +75,6 @@ func (ix *Index) AddContext(ctx context.Context, gs ...*Graph) ([]int, error) {
 	// paid to build it; otherwise it stays nil and lazy.
 	if l := cur.labels.Load(); l != nil {
 		next.labels.Store(l.Append(gs))
-	}
-	// The SoA scan block is maintained incrementally too, but only if a
-	// scan already paid to build it — Append shares every full tile with
-	// the current block (which on a mapped snapshot aliases the segment
-	// file: Append never writes a shared tile, so the overlay is pure
-	// copy-on-write on top of the read-only mapping). A never-demanded
-	// block stays nil and the next scan packs the whole snapshot once.
-	if b := cur.block.Load(); b != nil {
-		next.block.Store(b.Append(newVecs))
 	}
 	ids := make([]int, len(gs))
 	for i := range gs {
@@ -118,23 +109,21 @@ func (ix *Index) Remove(ids ...int) error {
 		}
 		seen[id] = true
 	}
-	// db, vectors, and the posting lists are immutable and shared with
-	// the previous snapshot; only the tombstone set is copied. Removal is
-	// not a posting event — tombstoned ids stay listed and every scan
-	// (pruned or flat) filters them through the same alive predicate.
+	// db, the vector block and the posting lists are immutable and shared
+	// with the previous snapshot; only the tombstone set is copied.
+	// Removal is neither a block nor a posting event — tombstoned ids keep
+	// their lanes and listings and every scan (pruned or flat) filters
+	// them through the same alive predicate.
 	next := &snapshot{
 		db:        cur.db,
-		vectors:   cur.vectors,
 		dead:      append([]bool(nil), cur.dead...),
 		deadCount: cur.deadCount + len(ids),
 		seg:       cur.seg,
+		block:     cur.block,
 		post:      cur.post,
 		baseN:     cur.baseN,
 		baseDead:  cur.baseDead,
 	}
-	// Removal is not a block event either: the SoA lanes keep the
-	// tombstoned vectors and the scan filters the ids out.
-	next.block.Store(cur.block.Load())
 	next.labels.Store(cur.labels.Load())
 	for _, id := range ids {
 		next.dead[id] = true

@@ -13,6 +13,22 @@ import (
 	"repro/internal/dataset"
 )
 
+// assertOneVectorStore checks the invariant that replaced the scan's
+// stale-block guard: block, postings and graph slots cover the same ids,
+// and lane id holds exactly the vector the mapper gives graph id.
+func assertOneVectorStore(t *testing.T, label string, ix *Index) {
+	t.Helper()
+	s := ix.snap.Load()
+	if s.block.N() != len(s.db) || s.post.N() != len(s.db) {
+		t.Fatalf("%s: block covers %d ids, postings %d, db %d", label, s.block.N(), s.post.N(), len(s.db))
+	}
+	for id := range s.db {
+		if s.block.Vector(id).HammingDistance(ix.mapper.Map(s.graph(id))) != 0 {
+			t.Fatalf("%s: block lane %d of %d is not graph %d's mapped vector", label, id, len(s.db), id)
+		}
+	}
+}
+
 func TestAddMakesGraphsSearchable(t *testing.T) {
 	all := dataset.Chemical(dataset.ChemConfig{N: 50, MinVertices: 8, MaxVertices: 14, Seed: 5})
 	base, extra := all[:40], all[40:]
@@ -31,6 +47,7 @@ func TestAddMakesGraphsSearchable(t *testing.T) {
 	if idx.Size() != 50 || idx.TotalGraphs() != 50 {
 		t.Fatalf("Size/TotalGraphs = %d/%d, want 50/50", idx.Size(), idx.TotalGraphs())
 	}
+	assertOneVectorStore(t, "never-searched build + Add", idx)
 
 	// Each added graph must now be findable — a self query returns its
 	// new id at distance 0.
@@ -128,6 +145,7 @@ func TestRemoveTombstones(t *testing.T) {
 	if !idx.IsRemoved(3) || idx.IsRemoved(4) {
 		t.Error("IsRemoved wrong")
 	}
+	assertOneVectorStore(t, "after Remove", idx)
 	if idx.Graph(3) == nil {
 		t.Error("removed graph no longer addressable")
 	}

@@ -15,11 +15,10 @@
 // so ranking the unmatched remainder needs only each graph's ones
 // count, pre-bucketed in ascending (ones, id) order. A top-k query then
 // scores the union of the matched posting lists exactly — via the SoA
-// scan kernel's gather (vecspace.Block.HammingID) when the snapshot
-// carries a packed block, from the vectors otherwise — and merges in
-// the unmatched stream lazily — sublinear in the collection size
-// whenever the matched lists are short, and bit-identical to the flat
-// scan always (see internal/topk).
+// scan kernel's gather (vecspace.Block.HammingGather) over the
+// snapshot's block — and merges in the unmatched stream lazily —
+// sublinear in the collection size whenever the matched lists are
+// short, and bit-identical to the flat scan always (see internal/topk).
 //
 // An Index is immutable to readers. Append extends it with new ids
 // (graph ids are assigned densely ascending, so appended postings keep
@@ -61,9 +60,10 @@ func FromVectors(vectors []*vecspace.BitVector, p int) *Index {
 // FromLists assembles an index from already-decoded posting lists (the
 // persistence fast path). The caller is responsible for validity: each
 // list strictly ascending with ids in [0, n), and list r holding exactly
-// the ids whose vector has bit r — graphdim's decoder cross-checks the
-// lists against the vectors before calling. ones[id] must be the set-bit
-// count of vector id; the ones buckets are derived here.
+// the ids whose vector has bit r — segment.Reader.Postings checks the
+// structure (ascending, in range, total postings = total ones) before
+// calling. ones[id] must be the set-bit count of vector id; the ones
+// buckets are derived here.
 func FromLists(p, n int, lists [][]int32, ones []int32) *Index {
 	ix := &Index{p: p, n: n, lists: lists, byCount: make([][]int32, p+1)}
 	counts := make([]int, p+1)

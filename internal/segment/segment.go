@@ -61,6 +61,9 @@ const Magic = "GDIMIDX4"
 const (
 	trailerMagic = "GDSEG4TR"
 	trailerSize  = 144
+	// width is the one tile width the kernel runs; the header and trailer
+	// still record it so a file packed any other way is refused by name.
+	width = vecspace.DefaultBlockWidth
 	// maxElems bounds decoded counts before any allocation, shared with
 	// the graph codec's anti-bomb limit.
 	maxElems = graph.MaxBinaryElems
@@ -85,8 +88,8 @@ type Meta struct {
 	BaseN     int
 }
 
-// Payload is everything Write serializes. Block supplies n, p, width,
-// the tiles, and the zone map; Graph returns the encoded blob of graph i
+// Payload is everything Write serializes. Block supplies n, p, the
+// tiles, and the zone map; Graph returns the encoded blob of graph i
 // (a writer holding a source segment returns the raw bytes — graphs are
 // immutable, so a checkpoint never re-encodes the mapped base); List
 // returns dimension r's ascending posting list.
@@ -349,7 +352,6 @@ type Reader struct {
 
 	meta     Meta
 	n, p     int
-	width    int
 	words    int
 	zoneSpan int
 	nz       int
@@ -408,24 +410,24 @@ func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 	u64 := func(i int) int64 { return int64(binary.LittleEndian.Uint64(tr[i*8:])) }
 	r.tilesOff, r.deadOff, r.gidxOff, r.graphsOff, r.graphsLen = u64(0), u64(1), u64(2), u64(3), u64(4)
 	r.onesOff, r.postOff, r.postLen, r.zminOff, r.zsumsOff = u64(5), u64(6), u64(7), u64(8), u64(9)
-	n, p, width, baseN, zoneSpan, nz := u64(10), u64(11), u64(12), u64(13), u64(14), u64(15)
+	n, p, tileWidth, baseN, zoneSpan, nz := u64(10), u64(11), u64(12), u64(13), u64(14), u64(15)
 	if n < 0 || n > maxElems || p < 0 || p > maxElems || nz < 0 || nz > maxElems {
 		return nil, fmt.Errorf("corrupt trailer: n=%d p=%d zones=%d", n, p, nz)
 	}
-	if width != 8 && width != 16 {
-		return nil, fmt.Errorf("corrupt trailer: tile width %d", width)
+	if tileWidth != width {
+		return nil, fmt.Errorf("unsupported tile width %d (this release reads and writes only width %d)", tileWidth, width)
 	}
 	if baseN < 0 || baseN > n {
 		return nil, fmt.Errorf("corrupt trailer: baseN %d > n %d", baseN, n)
 	}
-	r.n, r.p, r.width, r.zoneSpan, r.nz = int(n), int(p), int(width), int(zoneSpan), int(nz)
+	r.n, r.p, r.zoneSpan, r.nz = int(n), int(p), int(zoneSpan), int(nz)
 	r.words = (r.p + 63) / 64
 	r.meta.BaseN = int(baseN)
 
 	// Every section must lie inside [len(Magic), trailerOff) with the
 	// size its scalars imply, so no accessor can slice out of bounds.
-	nt := (r.n + r.width - 1) / r.width
-	stride := int64(r.words * r.width * 8)
+	nt := (r.n + width - 1) / width
+	stride := int64(r.words * width * 8)
 	secs := []struct {
 		name     string
 		off, len int64
@@ -509,7 +511,7 @@ func (r *Reader) decodeMeta() error {
 		}
 		r.meta.Features = append(r.meta.Features, g)
 	}
-	for _, want := range []uint64{uint64(r.n), uint64(r.meta.BaseN), uint64(r.width), uint64(r.zoneSpan)} {
+	for _, want := range []uint64{uint64(r.n), uint64(r.meta.BaseN), width, uint64(r.zoneSpan)} {
 		got, err := binary.ReadUvarint(br)
 		if err != nil {
 			return fmt.Errorf("corrupt meta: %w", graph.NoEOF(err))
@@ -601,8 +603,8 @@ func (r *Reader) aliasI32(off, count int64) []int32 {
 // sections when their span matches the running binary's (it is derived
 // metadata — a span change just means rebuilding from the tiles).
 func (r *Reader) Block() (*vecspace.Block, error) {
-	nt := (r.n + r.width - 1) / r.width
-	words := r.aliasU64(r.tilesOff, int64(nt)*int64(r.words*r.width))
+	nt := (r.n + width - 1) / width
+	words := r.aliasU64(r.tilesOff, int64(nt)*int64(r.words*width))
 	var zones *vecspace.ZoneMap
 	if r.zoneSpan == vecspace.ZoneSpan && r.nz == (r.n+vecspace.ZoneSpan-1)/vecspace.ZoneSpan {
 		mins := r.aliasI32(r.zminOff, int64(r.nz))
@@ -615,7 +617,7 @@ func (r *Reader) Block() (*vecspace.Block, error) {
 		}
 		zones = vecspace.NewZoneMap(r.words, mins, maxs, sums)
 	}
-	return vecspace.BlockFromWords(r.n, r.p, r.width, words, zones), nil
+	return vecspace.BlockFromWords(r.n, r.p, words, zones), nil
 }
 
 // Dead decodes the tombstone bitmap into the heap (tombstones are COW

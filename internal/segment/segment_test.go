@@ -2,9 +2,12 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -12,15 +15,15 @@ import (
 )
 
 // buildFixture assembles a deterministic segment payload: n random
-// vectors of dimension p packed at the given width, one small graph per
-// id, posting lists derived from the vectors.
+// vectors of dimension p, one small graph per id, posting lists derived
+// from the vectors.
 type fixture struct {
 	pl    Payload
 	vecs  []*vecspace.BitVector
 	blobs [][]byte
 }
 
-func buildFixture(t *testing.T, n, p, width int, seed int64) *fixture {
+func buildFixture(t *testing.T, n, p int, seed int64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	vecs := make([]*vecspace.BitVector, n)
@@ -66,7 +69,7 @@ func buildFixture(t *testing.T, n, p, width int, seed int64) *fixture {
 	return &fixture{
 		pl: Payload{
 			Meta:  Meta{Metric: 2, MCSBudget: 12345, Weights: weights, Features: features, BaseN: n / 2},
-			Block: vecspace.PackWidth(vecs, p, width),
+			Block: vecspace.Pack(vecs, p),
 			Dead:  dead,
 			Graph: func(i int) ([]byte, error) { return blobs[i], nil },
 			Ones:  ones,
@@ -196,20 +199,18 @@ func checkReader(t *testing.T, fx *fixture, r *Reader) {
 
 func TestSegmentRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		n, width int
-		mmap     bool
+		name string
+		n    int
+		mmap bool
 	}{
-		{"heap-w16", 700, 16, false},
-		{"mmap-w16", 700, 16, true},
-		{"heap-w8", 300, 8, false},
-		{"mmap-w8", 300, 8, true},
-		{"empty-heap", 0, 16, false},
-		{"empty-mmap", 0, 16, true},
-		{"partial-zone", vecspace.ZoneSpan + 17, 16, true},
+		{"heap", 700, false},
+		{"mmap", 700, true},
+		{"empty-heap", 0, false},
+		{"empty-mmap", 0, true},
+		{"partial-zone", vecspace.ZoneSpan + 17, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fx := buildFixture(t, tc.n, 130, tc.width, int64(tc.n)+int64(tc.width))
+			fx := buildFixture(t, tc.n, 130, int64(tc.n))
 			path := writeFixture(t, fx)
 			r, err := Open(path, Options{Map: tc.mmap})
 			if err != nil {
@@ -227,10 +228,10 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentTornTrailer proves open-time integrity: any truncation or
-// trailer corruption is rejected before the body is trusted.
+// TestSegmentTornTrailer proves open-time integrity: truncation, trailer
+// corruption and an unsupported tile width are all refused at open.
 func TestSegmentTornTrailer(t *testing.T) {
-	fx := buildFixture(t, 200, 64, 16, 7)
+	fx := buildFixture(t, 200, 64, 7)
 	path := writeFixture(t, fx)
 	orig, err := os.ReadFile(path)
 	if err != nil {
@@ -239,25 +240,33 @@ func TestSegmentTornTrailer(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mangle func([]byte) []byte
+		want   string // substring the error must carry; "" = any error
 	}{
-		{"truncated-mid-trailer", func(b []byte) []byte { return b[:len(b)-20] }},
-		{"truncated-to-magic", func(b []byte) []byte { return b[:8] }},
-		{"empty", func(b []byte) []byte { return nil }},
+		{"truncated-mid-trailer", func(b []byte) []byte { return b[:len(b)-20] }, ""},
+		{"truncated-to-magic", func(b []byte) []byte { return b[:8] }, ""},
+		{"empty", func(b []byte) []byte { return nil }, ""},
 		{"trailer-bit-flip", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(c)-40] ^= 0x10
 			return c
-		}},
+		}, ""},
 		{"bad-magic", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[0] ^= 0xff
 			return c
-		}},
+		}, ""},
 		{"bad-trailer-magic", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(c)-1] ^= 0xff
 			return c
-		}},
+		}, ""},
+		{"tile-width-8", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			tr := c[len(c)-trailerSize:]
+			binary.LittleEndian.PutUint64(tr[12*8:], 8)
+			binary.LittleEndian.PutUint32(tr[trailerSize-12:], crc32.Checksum(tr[:trailerSize-12], crcTable))
+			return c
+		}, "unsupported tile width 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mangled := filepath.Join(t.TempDir(), "torn.gdx")
@@ -267,6 +276,8 @@ func TestSegmentTornTrailer(t *testing.T) {
 			for _, mmap := range []bool{false, true} {
 				if _, err := Open(mangled, Options{Map: mmap}); err == nil {
 					t.Fatalf("map=%v: open of torn segment succeeded", mmap)
+				} else if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("map=%v: error %q does not say %q", mmap, err, tc.want)
 				}
 			}
 		})
@@ -276,7 +287,7 @@ func TestSegmentTornTrailer(t *testing.T) {
 // TestSegmentBodyCorruption: a heap open checksums the body and rejects
 // a flipped bit; a mapped open (by design) does not read the body.
 func TestSegmentBodyCorruption(t *testing.T) {
-	fx := buildFixture(t, 200, 64, 16, 11)
+	fx := buildFixture(t, 200, 64, 11)
 	path := writeFixture(t, fx)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -305,7 +316,7 @@ func TestSegmentBodyCorruption(t *testing.T) {
 // segment are capacity-clipped, so extending the index copies instead of
 // scribbling on the file bytes.
 func TestSegmentPostingAppendCopies(t *testing.T) {
-	fx := buildFixture(t, 64, 32, 16, 3)
+	fx := buildFixture(t, 64, 32, 3)
 	path := writeFixture(t, fx)
 	before, err := os.ReadFile(path)
 	if err != nil {

@@ -2,8 +2,9 @@
 // evaluates (Section 6): the exact engine ranking by MCS-based graph
 // dissimilarity, the mapped-space engine ranking by normalized Euclidean
 // distance over binary feature vectors (a sequential scan, exactly as the
-// paper does for all algorithms), and the fingerprint/Tanimoto benchmark
-// engine.
+// paper does for all algorithms — Mapped in its scalar reference form,
+// MappedTopKContext over the SoA block for serving), and the
+// fingerprint/Tanimoto benchmark engine.
 package topk
 
 import (
@@ -132,26 +133,20 @@ type Candidates struct {
 // binary feature vectors — the paper's online query path: map the query
 // with VF2 feature matching, then scan the vector database.
 func Mapped(dbVectors []*vecspace.BitVector, qv *vecspace.BitVector) Ranking {
-	r, _, _ := MappedContext(context.Background(), dbVectors, qv, nil, nil)
+	r, _, _ := MappedContext(context.Background(), dbVectors, qv, nil)
 	return r
 }
 
-// MappedContext is Mapped restricted to the ids admitted by alive, with
-// optional posting-list pruning. With cands == nil it scans every
-// vector and returns the full admitted ranking; with a plan it scores
-// only the matched candidates plus however much of the score-ordered
-// unmatched stream the top cands.K needs — sublinear when the plan is
-// selective — and returns exactly the first cands.K entries the flat
-// ranking would have, identical scores and tie order included. The
-// second return value is the number of ids scored. The scan is pure bit
-// arithmetic, so cancellation is only checked every mappedCtxStride
-// ids — prompt enough for multi-million-graph scans without a
-// per-vector atomic load.
+// MappedContext is Mapped restricted to the ids admitted by alive: the
+// paper's sequential scan, one scalar distance per vector and a full
+// sort. It is what internal/experiments measures and the reference the
+// kernel and engine-equivalence suites compare MappedTopKContext
+// against; no Search runs it. The second return value is the number of
+// ids scored. The scan is pure bit arithmetic, so cancellation is only
+// checked every mappedCtxStride ids — prompt enough for
+// multi-million-graph scans without a per-vector atomic load.
 func MappedContext(ctx context.Context, dbVectors []*vecspace.BitVector, qv *vecspace.BitVector,
-	alive Alive, cands *Candidates) (Ranking, int, error) {
-	if cands != nil && cands.K > 0 {
-		return mappedPruned(ctx, dbVectors, nil, qv, alive, cands, nil)
-	}
+	alive Alive) (Ranking, int, error) {
 	items := make([]Item, 0, len(dbVectors))
 	for i, v := range dbVectors {
 		if i%mappedCtxStride == 0 {
@@ -168,28 +163,35 @@ func MappedContext(ctx context.Context, dbVectors []*vecspace.BitVector, qv *vec
 	return items, len(items), nil
 }
 
-// MappedTopKContext is the batched form of MappedContext for a caller
-// that wants exactly the first k entries of the flat ranking (every
-// Search does): with a plan it runs the pruned merge, without one it
-// streams the SoA block through the width-8/16 popcount kernel and
-// keeps the k best with a bounded heap — never materializing, let
-// alone sorting, the full ranking. Results are bit-identical to
-// MappedContext's first k entries, distances included: the kernel
-// computes the very same integer Hamming counts, the same
-// sqrt(hamming/p) expression scores them, and the packed-key selection
-// order (hamming, id) equals the flat sort's (score, id) order (see
-// scratch.go). blk may be nil or stale (built over a different n or p)
-// — the scan falls back to the scalar vectors, still heap-bounded. s
-// may be nil (buffers are then allocated per call); when non-nil the
-// returned Ranking aliases s and is valid only until its next use or
-// Release. The second return value is the number of ids the scan
-// actually computed a distance for — at most MappedContext's count, and
-// smaller whenever the block's zone map proved whole zones irrelevant
-// (see zoneSkips); the rankings are identical regardless.
+// MappedTopKContext is the top-k scan every Search runs: exactly the
+// first k entries of MappedContext's ranking, computed from the SoA
+// block. With a plan it runs the pruned merge; without one it streams
+// the block through the popcount kernel and keeps the k best with a
+// bounded heap — never materializing, let alone sorting, the full
+// ranking. Results are bit-identical to MappedContext's first k entries,
+// distances included: the kernel computes the very same integer Hamming
+// counts, the same sqrt(hamming/p) expression scores them, and the
+// packed-key selection order (hamming, id) equals the flat sort's
+// (score, id) order (see scratch.go).
+//
+// blk is the vector store: when non-nil it is authoritative (the scan
+// covers ids [0, blk.N())) and dbVectors is ignored. dbVectors is
+// consulted only when blk is nil, and is then packed once for this call;
+// the parameter survives for bench/trace.go, and dropping it belongs to
+// a later benchmark PR. s may be nil (buffers are then allocated per
+// call); when non-nil the returned Ranking aliases s and is valid only
+// until its next use or Release. The second return value is the number
+// of ids the scan actually computed a distance for — at most
+// MappedContext's count, and smaller whenever the block's zone map
+// proved whole zones irrelevant (see zoneSkips); the rankings are
+// identical regardless.
 func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk *vecspace.Block,
 	qv *vecspace.BitVector, alive Alive, k int, cands *Candidates, s *Scratch) (Ranking, int, error) {
+	if blk == nil {
+		blk = vecspace.Pack(dbVectors, qv.Len())
+	}
 	if cands != nil && cands.K > 0 {
-		return mappedPruned(ctx, dbVectors, blk, qv, alive, cands, s)
+		return mappedPruned(ctx, blk, qv, alive, cands, s)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -201,57 +203,42 @@ func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk
 		s.out = s.out[:0]
 		return s.out, 0, nil
 	}
-	n := len(dbVectors)
+	n := blk.N()
 	if k > n {
 		k = n
 	}
 	keys := s.keys[:0]
 	scored := 0
-	if blk != nil && blk.N() == n && blk.P() == qv.Len() {
-		// Kernel path: one zone (vecspace.ZoneSpan ids) at a time, heap
-		// live, so the zone map can prove whole zones irrelevant before a
-		// single tile is touched. The skip is exact (see zoneSkips): the
-		// results are bit-identical to a scan with no zone map — only
-		// `scored` (a diagnostic) shrinks.
-		zones := blk.Zones()
-		qw, qOnes := qv.Words(), qv.Ones()
-		dists := s.distBuf(n)
-		for lo := 0; lo < n; lo += vecspace.ZoneSpan {
-			zi := lo / vecspace.ZoneSpan
-			if zi%zoneCtxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, err
-				}
-			}
-			if zones != nil && len(keys) == k &&
-				zones.LowerBound(qOnes, qw, zi) >= int(keys[0]>>32) {
-				continue
-			}
-			hi := lo + vecspace.ZoneSpan
-			if hi > n {
-				hi = n
-			}
-			blk.HammingSlice(qv, lo, hi, dists)
-			for id := lo; id < hi; id++ {
-				if !admits(alive, id) {
-					continue
-				}
-				scored++
-				keys = pushK(keys, k, uint64(dists[id])<<32|uint64(id))
+	// One zone (vecspace.ZoneSpan ids) at a time, heap live, so the zone
+	// map can prove whole zones irrelevant before a single tile is
+	// touched. The skip is exact (see zoneSkips): the results are
+	// bit-identical to a scan with no zone map — only `scored` (a
+	// diagnostic) shrinks.
+	zones := blk.Zones()
+	qw, qOnes := qv.Words(), qv.Ones()
+	dists := s.distBuf(n)
+	for lo := 0; lo < n; lo += vecspace.ZoneSpan {
+		zi := lo / vecspace.ZoneSpan
+		if zi%zoneCtxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
 			}
 		}
-	} else {
-		for id, v := range dbVectors {
-			if id%mappedCtxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, err
-				}
-			}
+		if zones != nil && len(keys) == k &&
+			zones.LowerBound(qOnes, qw, zi) >= int(keys[0]>>32) {
+			continue
+		}
+		hi := lo + vecspace.ZoneSpan
+		if hi > n {
+			hi = n
+		}
+		blk.HammingSlice(qv, lo, hi, dists)
+		for id := lo; id < hi; id++ {
 			if !admits(alive, id) {
 				continue
 			}
 			scored++
-			keys = pushK(keys, k, uint64(qv.HammingDistance(v))<<32|uint64(id))
+			keys = pushK(keys, k, uint64(dists[id])<<32|uint64(id))
 		}
 	}
 	s.keys = keys
@@ -281,27 +268,22 @@ func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk
 // result, only the work done.
 //
 // mappedPruned evaluates the pruned plan. Equivalence to the flat scan
-// rests on three facts: (1) a matched id's distance is computed from its
-// vector by the very same expression the flat scan uses — via the SoA
-// kernel's gather when a current block is supplied, which produces the
-// identical integer Hamming count; (2) an unmatched id shares no
-// dimension with the query, so its Hamming distance is exactly
-// QueryOnes + ones(id) and distinct ones counts give distinct float64
-// scores (the gap 1/p dwarfs every rounding error for any p the codec
+// rests on three facts: (1) a matched id's distance is computed from the
+// same block by the kernel's gather, which produces the identical
+// integer Hamming count; (2) an unmatched id shares no dimension with
+// the query, so its Hamming distance is exactly QueryOnes + ones(id)
+// and distinct ones counts give distinct float64 scores (the gap 1/p dwarfs every rounding error for any p the codec
 // admits), making the (ones, id) stream order equal to the flat scan's
 // (score, id) tie order; (3) the merge emits at most K items, so only
 // the (score, id)-first K matched candidates can ever reach the output —
 // bounding the matched stage with the same heap the flat scan uses keeps
 // exactly those, and zone skips are exact per zoneSkips.
-func mappedPruned(ctx context.Context, dbVectors []*vecspace.BitVector, blk *vecspace.Block,
-	qv *vecspace.BitVector, alive Alive, cands *Candidates, s *Scratch) (Ranking, int, error) {
+func mappedPruned(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector, alive Alive,
+	cands *Candidates, s *Scratch) (Ranking, int, error) {
 	if s == nil {
 		s = &Scratch{}
 	}
 	p := qv.Len()
-	if blk != nil && (blk.N() != len(dbVectors) || blk.P() != p) {
-		blk = nil // stale block: score matched candidates from the vectors
-	}
 	ids := s.ids[:0]
 	for j, id := range cands.Matched {
 		if j%mappedCtxStride == 0 {
@@ -316,46 +298,33 @@ func mappedPruned(ctx context.Context, dbVectors []*vecspace.BitVector, blk *vec
 	s.ids = ids
 	keys := s.keys[:0]
 	scored := 0
-	if blk != nil {
-		// Kernel path: group the (ascending) candidate list by zone, let
-		// the zone map skip hopeless groups, gather the rest through the
-		// batched kernel.
-		zones := blk.Zones()
-		qw, qOnes := qv.Words(), qv.Ones()
-		dists := s.distBuf(len(ids))
-		for start, group := 0, 0; start < len(ids); group++ {
-			zi := int(ids[start]) / vecspace.ZoneSpan
-			end := start + 1
-			for end < len(ids) && int(ids[end])/vecspace.ZoneSpan == zi {
-				end++
+	// Group the (ascending) candidate list by zone, let the zone map skip
+	// hopeless groups, gather the rest through the batched kernel.
+	zones := blk.Zones()
+	qw, qOnes := qv.Words(), qv.Ones()
+	dists := s.distBuf(len(ids))
+	for start, group := 0, 0; start < len(ids); group++ {
+		zi := int(ids[start]) / vecspace.ZoneSpan
+		end := start + 1
+		for end < len(ids) && int(ids[end])/vecspace.ZoneSpan == zi {
+			end++
+		}
+		if group%zoneCtxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
 			}
-			if group%zoneCtxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, err
-				}
-			}
-			if zones != nil && len(keys) == cands.K &&
-				zones.LowerBound(qOnes, qw, zi) >= int(keys[0]>>32) {
-				start = end
-				continue
-			}
-			s.gather = blk.HammingGather(qv, ids[start:end], s.gather, dists[:end-start])
-			for i, id := range ids[start:end] {
-				keys = pushK(keys, cands.K, uint64(dists[i])<<32|uint64(id))
-			}
-			scored += end - start
+		}
+		if zones != nil && len(keys) == cands.K &&
+			zones.LowerBound(qOnes, qw, zi) >= int(keys[0]>>32) {
 			start = end
+			continue
 		}
-	} else {
-		for j, id := range ids {
-			if j%mappedCtxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, err
-				}
-			}
-			keys = pushK(keys, cands.K, uint64(qv.HammingDistance(dbVectors[id]))<<32|uint64(id))
+		s.gather = blk.HammingGather(qv, ids[start:end], s.gather, dists[:end-start])
+		for i, id := range ids[start:end] {
+			keys = pushK(keys, cands.K, uint64(dists[i])<<32|uint64(id))
 		}
-		scored = len(ids)
+		scored += end - start
+		start = end
 	}
 	s.keys = keys
 	slices.Sort(keys)

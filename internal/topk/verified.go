@@ -17,7 +17,7 @@ import (
 // EXPERIMENTS.md.
 func Verified(db []*graph.Graph, dbVectors []*vecspace.BitVector, q *graph.Graph, qv *vecspace.BitVector,
 	k, factor int, metric mcs.Metric, opt mcs.Options) Ranking {
-	r, _, _ := VerifiedContext(context.Background(), SliceGraphs(db), dbVectors, nil, q, qv, k, factor, 0, metric, opt, nil, nil, nil)
+	r, _, _ := VerifiedContext(context.Background(), SliceGraphs(db), vecspace.Pack(dbVectors, qv.Len()), q, qv, k, factor, 0, metric, opt, nil, nil, nil)
 	return r
 }
 
@@ -38,18 +38,17 @@ func SliceGraphs(db []*graph.Graph) GraphAt {
 // (maxCandidates <= 0 means uncapped), and optional posting-list
 // pruning of the retrieval stage (pruned == nil means the flat scan;
 // pruned.K is overwritten with the candidate count this call needs, so
-// callers leave it zero). blk, when it matches dbVectors, lets the
-// retrieval stage run the batched SoA kernel; s, when non-nil, is the
-// retrieval stage's scratch arena (both may be nil — see
+// callers leave it zero). blk is the vector store the retrieval stage
+// scans; s, when non-nil, is the retrieval stage's scratch arena (see
 // MappedTopKContext). The candidate count factor·k is computed in
 // 64-bit arithmetic and clamped to the admitted database size, so a
 // factor "overflowing" the database — or int range — degrades to
 // verifying every admitted graph rather than panicking. ctx is checked
 // before each MCS verification. The second return value is the number
 // of candidates verified with an MCS search.
-func VerifiedContext(ctx context.Context, graphAt GraphAt, dbVectors []*vecspace.BitVector,
-	blk *vecspace.Block, q *graph.Graph, qv *vecspace.BitVector, k, factor, maxCandidates int,
-	metric mcs.Metric, opt mcs.Options, alive Alive, pruned *Candidates, s *Scratch) (Ranking, int, error) {
+func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, q *graph.Graph,
+	qv *vecspace.BitVector, k, factor, maxCandidates int, metric mcs.Metric, opt mcs.Options,
+	alive Alive, pruned *Candidates, s *Scratch) (Ranking, int, error) {
 	if k <= 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
@@ -59,16 +58,17 @@ func VerifiedContext(ctx context.Context, graphAt GraphAt, dbVectors []*vecspace
 	if factor < 1 {
 		factor = 1
 	}
+	n := int64(blk.N())
 	want := int64(k) * int64(factor)
 	if want/int64(k) != int64(factor) {
 		// int64 overflow: both operands are huge; every candidate wins.
-		want = int64(len(dbVectors))
+		want = n
 	}
 	if maxCandidates > 0 && want > int64(maxCandidates) {
 		want = int64(maxCandidates)
 	}
-	if want > int64(len(dbVectors)) {
-		want = int64(len(dbVectors))
+	if want > n {
+		want = n
 	}
 	if pruned != nil {
 		// The retrieval stage needs exactly the top `want` mapped-space
@@ -76,7 +76,7 @@ func VerifiedContext(ctx context.Context, graphAt GraphAt, dbVectors []*vecspace
 		// every admitted id, if fewer), identical to the flat ranking.
 		pruned.K = int(want)
 	}
-	retrieved, _, err := MappedTopKContext(ctx, dbVectors, blk, qv, alive, int(want), pruned, s)
+	retrieved, _, err := MappedTopKContext(ctx, nil, blk, qv, alive, int(want), pruned, s)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,16 +2,14 @@ package vecspace
 
 import (
 	"math/rand"
-	"strconv"
 	"testing"
 )
 
 // BenchmarkKernelBatch isolates the scan kernel from the engines: one
 // query's Hamming counts against a packed 4096-vector database, scalar
 // one-vector-at-a-time (width=1, the pre-SoA shape) versus the SoA
-// tile kernel at widths 8 and 16. The width-16 over width-1 ratio is
-// the raw layout win BENCH_pr9.json records; the engine-level effect
-// shows up in BenchmarkSearchSparse/*/flat.
+// tile kernel. The width-16 over width-1 ratio is the raw layout win;
+// the engine-level effect shows up in BenchmarkSearchSparse/*/flat.
 func BenchmarkKernelBatch(b *testing.B) {
 	const n, p = 4096, 128
 	rng := rand.New(rand.NewSource(7))
@@ -27,13 +25,11 @@ func BenchmarkKernelBatch(b *testing.B) {
 			}
 		}
 	})
-	for _, width := range []int{8, 16} {
-		blk := PackWidth(vecs, p, width)
-		b.Run("width="+strconv.Itoa(width), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				blk.HammingInto(q, out)
-			}
-		})
-	}
+	blk := Pack(vecs, p)
+	b.Run("width=16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			blk.HammingInto(q, out)
+		}
+	})
 }

@@ -6,8 +6,8 @@ import "math/bits"
 // vectors — the layout the hot mapped scan streams instead of chasing
 // one *BitVector pointer per candidate.
 //
-// Vectors are grouped into tiles of Width consecutive ids (8 or 16;
-// see Pack). Inside a tile the packed words are word-major:
+// Vectors are grouped into tiles of DefaultBlockWidth consecutive ids.
+// Inside a tile the packed words are word-major:
 //
 //	tile[w*Width + j]  =  word w of vector (t*Width + j)
 //
@@ -26,7 +26,6 @@ import "math/bits"
 type Block struct {
 	n, p  int
 	words int // (p+63)/64
-	width int // vectors per tile: 8 or 16
 	tiles [][]uint64
 	// zones is the per-ZoneSpan skip metadata (ones-count min/max plus a
 	// dimension-presence bitmap) the bounded top-k scan consults before
@@ -36,27 +35,18 @@ type Block struct {
 	zones *ZoneMap
 }
 
-// DefaultBlockWidth is the tile width Pack uses: 16 graphs per inner
-// iteration. Measured against width 8 the wider tile amortizes the
-// per-word loop overhead better on every tested shape while staying
-// inside one cache line pair per word row (16 lanes × 8 bytes = 128 B);
-// see BenchmarkKernelBatch.
+// DefaultBlockWidth is the tile width: 16 graphs per inner kernel
+// iteration, one cache line pair per word row (16 lanes × 8 bytes =
+// 128 B). It is a constant of the layout — the segment format records it
+// so a reader can refuse a file packed any other way.
 const DefaultBlockWidth = 16
 
-// Pack builds the SoA block of vecs, all of dimension p, at the default
-// tile width.
-func Pack(vecs []*BitVector, p int) *Block {
-	return PackWidth(vecs, p, DefaultBlockWidth)
-}
+const width = DefaultBlockWidth
 
-// PackWidth is Pack with an explicit tile width, which must be 8 or 16.
-// Every vector must have dimension p; the block is usable (and
-// Append-able) even when vecs is empty.
-func PackWidth(vecs []*BitVector, p, width int) *Block {
-	if width != 8 && width != 16 {
-		panic("vecspace: block width must be 8 or 16")
-	}
-	b := &Block{p: p, words: (p + 63) / 64, width: width}
+// Pack builds the SoA block of vecs. Every vector must have dimension p;
+// the block is usable (and Append-able) even when vecs is empty.
+func Pack(vecs []*BitVector, p int) *Block {
+	b := &Block{p: p, words: (p + 63) / 64}
 	b.zones = deriveZones(b, nil, 0)
 	return b.Append(vecs)
 }
@@ -70,17 +60,14 @@ func PackWidth(vecs []*BitVector, p, width int) *Block {
 // (the only one Append would touch) is copied to the heap before any
 // lane is filled. zones may be nil, in which case the map is derived
 // from the tiles.
-func BlockFromWords(n, p, width int, data []uint64, zones *ZoneMap) *Block {
-	if width != 8 && width != 16 {
-		panic("vecspace: block width must be 8 or 16")
-	}
+func BlockFromWords(n, p int, data []uint64, zones *ZoneMap) *Block {
 	words := (p + 63) / 64
 	stride := words * width
 	nt := (n + width - 1) / width
 	if len(data) != nt*stride {
 		panic("vecspace: tile data length mismatch")
 	}
-	b := &Block{n: n, p: p, words: words, width: width, tiles: make([][]uint64, nt)}
+	b := &Block{n: n, p: p, words: words, tiles: make([][]uint64, nt)}
 	for t := 0; t < nt; t++ {
 		// Cap-clipped so an append can never scribble past a tile into
 		// the next one (mapped tiles are read-only).
@@ -100,7 +87,7 @@ func (b *Block) N() int { return b.n }
 func (b *Block) P() int { return b.p }
 
 // Width returns the tile width (vectors per inner kernel iteration).
-func (b *Block) Width() int { return b.width }
+func (b *Block) Width() int { return width }
 
 // Words returns the number of 64-bit words each packed vector spans.
 func (b *Block) Words() int { return b.words }
@@ -135,24 +122,23 @@ func (b *Block) Append(vecs []*BitVector) *Block {
 		n:     b.n + len(vecs),
 		p:     b.p,
 		words: b.words,
-		width: b.width,
 		tiles: append([][]uint64(nil), b.tiles...),
 	}
 	// Re-copy the trailing partial tile: its free lanes are about to be
 	// written, and the receiver's readers must never observe that.
-	if rem := b.n % b.width; rem != 0 {
+	if rem := b.n % width; rem != 0 {
 		last := len(next.tiles) - 1
 		next.tiles[last] = append([]uint64(nil), next.tiles[last]...)
 	}
 	for i, v := range vecs {
 		id := b.n + i
-		t, j := id/b.width, id%b.width
+		t, j := id/width, id%width
 		if t == len(next.tiles) {
-			next.tiles = append(next.tiles, make([]uint64, b.words*b.width))
+			next.tiles = append(next.tiles, make([]uint64, b.words*width))
 		}
 		tile := next.tiles[t]
 		for w, word := range v.bits {
-			tile[w*b.width+j] = word
+			tile[w*width+j] = word
 		}
 	}
 	// Zone metadata is maintained incrementally like the tiles: zones
@@ -166,10 +152,10 @@ func (b *Block) Append(vecs []*BitVector) *Block {
 // for one id.
 func (b *Block) Vector(id int) *BitVector {
 	v := NewBitVector(b.p)
-	tile := b.tiles[id/b.width]
-	j := id % b.width
+	tile := b.tiles[id/width]
+	j := id % width
 	for w := range v.bits {
-		v.bits[w] = tile[w*b.width+j]
+		v.bits[w] = tile[w*width+j]
 	}
 	return v
 }
@@ -188,11 +174,11 @@ func (b *Block) Unpack() []*BitVector {
 // — the gather form of the kernel, used to score the posting planner's
 // matched candidates from the same storage the flat scan streams.
 func (b *Block) HammingID(q *BitVector, id int) int {
-	tile := b.tiles[id/b.width]
-	j := id % b.width
+	tile := b.tiles[id/width]
+	j := id % width
 	c := 0
 	for w, qw := range q.bits {
-		c += bits.OnesCount64(qw ^ tile[w*b.width+j])
+		c += bits.OnesCount64(qw ^ tile[w*width+j])
 	}
 	return c
 }
@@ -211,39 +197,26 @@ func (b *Block) HammingInto(q *BitVector, out []int32) {
 // to N. It exists so a long scan can interleave cancellation checks
 // between chunks without giving up the batched inner loop.
 func (b *Block) HammingSlice(q *BitVector, lo, hi int, out []int32) {
-	if lo%b.width != 0 {
+	if lo%width != 0 {
 		panic("vecspace: HammingSlice lo must be tile-aligned")
 	}
 	if hi > b.n {
 		hi = b.n
 	}
-	if lo >= hi {
-		return
-	}
-	switch b.width {
-	case 16:
-		b.hamming16(q.bits, lo, hi, out)
-	default:
-		b.hamming8(q.bits, lo, hi, out)
-	}
-}
-
-// hamming16 is the width-16 kernel: per tile, accumulate each query
-// word against 16 contiguous lanes. The array-pointer conversion pins
-// the row length so the inner loop runs without bounds checks.
-func (b *Block) hamming16(qw []uint64, lo, hi int, out []int32) {
-	for base := lo; base < hi; base += 16 {
-		tile := b.tiles[base/16]
-		var acc [16]int32
-		for w, q := range qw {
-			row := (*[16]uint64)(tile[w*16:])
-			for j := 0; j < 16; j++ {
-				acc[j] += int32(bits.OnesCount64(q ^ row[j]))
+	for base := lo; base < hi; base += width {
+		tile := b.tiles[base/width]
+		var acc [width]int32
+		for w, qw := range q.bits {
+			// The array-pointer conversion pins the row length so the
+			// inner loop runs without bounds checks.
+			row := (*[width]uint64)(tile[w*width:])
+			for j := 0; j < width; j++ {
+				acc[j] += int32(bits.OnesCount64(qw ^ row[j]))
 			}
 		}
 		n := hi - base
-		if n > 16 {
-			n = 16
+		if n > width {
+			n = width
 		}
 		copy(out[base:base+n], acc[:n])
 	}
@@ -262,63 +235,32 @@ func (b *Block) hamming16(qw []uint64, lo, hi int, out []int32) {
 // a fresh one is allocated. The (possibly grown) scratch is returned so
 // callers can pool it.
 func (b *Block) HammingGather(q *BitVector, ids []int32, scratch []uint64, out []int32) []uint64 {
-	stride := b.words * b.width
+	stride := b.words * width
 	if cap(scratch) < stride {
 		scratch = make([]uint64, stride)
 	}
 	g := scratch[:stride]
-	for base := 0; base < len(ids); base += b.width {
+	for base := 0; base < len(ids); base += width {
 		m := len(ids) - base
-		if m > b.width {
-			m = b.width
+		if m > width {
+			m = width
 		}
 		for j := 0; j < m; j++ {
 			id := int(ids[base+j])
-			tile := b.tiles[id/b.width]
-			col := id % b.width
+			tile := b.tiles[id/width]
+			col := id % width
 			for w := 0; w < b.words; w++ {
-				g[w*b.width+j] = tile[w*b.width+col]
+				g[w*width+j] = tile[w*width+col]
 			}
 		}
-		switch b.width {
-		case 16:
-			var acc [16]int32
-			for w, qw := range q.bits {
-				row := (*[16]uint64)(g[w*16:])
-				for j := 0; j < 16; j++ {
-					acc[j] += int32(bits.OnesCount64(qw ^ row[j]))
-				}
+		var acc [width]int32
+		for w, qw := range q.bits {
+			row := (*[width]uint64)(g[w*width:])
+			for j := 0; j < width; j++ {
+				acc[j] += int32(bits.OnesCount64(qw ^ row[j]))
 			}
-			copy(out[base:base+m], acc[:m])
-		default:
-			var acc [8]int32
-			for w, qw := range q.bits {
-				row := (*[8]uint64)(g[w*8:])
-				for j := 0; j < 8; j++ {
-					acc[j] += int32(bits.OnesCount64(qw ^ row[j]))
-				}
-			}
-			copy(out[base:base+m], acc[:m])
 		}
+		copy(out[base:base+m], acc[:m])
 	}
 	return scratch
-}
-
-// hamming8 is the width-8 kernel, identical in shape to hamming16.
-func (b *Block) hamming8(qw []uint64, lo, hi int, out []int32) {
-	for base := lo; base < hi; base += 8 {
-		tile := b.tiles[base/8]
-		var acc [8]int32
-		for w, q := range qw {
-			row := (*[8]uint64)(tile[w*8:])
-			for j := 0; j < 8; j++ {
-				acc[j] += int32(bits.OnesCount64(q ^ row[j]))
-			}
-		}
-		n := hi - base
-		if n > 8 {
-			n = 8
-		}
-		copy(out[base:base+n], acc[:n])
-	}
 }

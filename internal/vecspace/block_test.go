@@ -39,23 +39,20 @@ func assertSameVectors(t *testing.T, label string, got, want []*BitVector) {
 
 // TestBlockPackUnpackRoundTrip drives Pack/Unpack through the boundary
 // shapes: n on both sides of every tile edge, p on both sides of every
-// word edge, both widths.
+// word edge.
 func TestBlockPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, width := range []int{8, 16} {
-		for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 33, 100} {
-			for _, p := range []int{0, 1, 63, 64, 65, 128, 200} {
-				vecs := randVectors(rng, n, p)
-				b := PackWidth(vecs, p, width)
-				if b.N() != n || b.P() != p || b.Width() != width {
-					t.Fatalf("PackWidth(n=%d,p=%d,w=%d): N=%d P=%d Width=%d",
-						n, p, width, b.N(), b.P(), b.Width())
-				}
-				assertSameVectors(t, "unpack", b.Unpack(), vecs)
-				for id := 0; id < n; id++ {
-					if got, want := b.Vector(id).Words(), vecs[id].Words(); len(got) > 0 && &got[0] == &want[0] {
-						t.Fatalf("Vector(%d) aliases the packed input", id)
-					}
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 33, 100} {
+		for _, p := range []int{0, 1, 63, 64, 65, 128, 200} {
+			vecs := randVectors(rng, n, p)
+			b := Pack(vecs, p)
+			if b.N() != n || b.P() != p || b.Width() != width {
+				t.Fatalf("Pack(n=%d,p=%d): N=%d P=%d Width=%d", n, p, b.N(), b.P(), b.Width())
+			}
+			assertSameVectors(t, "unpack", b.Unpack(), vecs)
+			for id := 0; id < n; id++ {
+				if got, want := b.Vector(id).Words(), vecs[id].Words(); len(got) > 0 && &got[0] == &want[0] {
+					t.Fatalf("Vector(%d) aliases the packed input", id)
 				}
 			}
 		}
@@ -70,27 +67,25 @@ func TestBlockPackUnpackRoundTrip(t *testing.T) {
 func TestBlockAppendCopyOnWrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const p = 130
-	for _, width := range []int{8, 16} {
-		for _, split := range []int{0, 1, width - 1, width, width + 3, 3 * width} {
-			all := randVectors(rng, split+2*width+5, p)
-			old := PackWidth(all[:split], p, width)
-			oldSnapshot := old.Unpack()
-			next := old.Append(all[split:])
-			assertSameVectors(t, "appended", next.Unpack(), all)
-			assertSameVectors(t, "receiver after Append", old.Unpack(), oldSnapshot)
-			// Full tiles of the receiver must be shared by reference.
-			for tidx := 0; tidx < split/width; tidx++ {
-				if &old.tiles[tidx][0] != &next.tiles[tidx][0] {
-					t.Fatalf("w=%d split=%d: full tile %d was copied, not shared", width, split, tidx)
-				}
+	for _, split := range []int{0, 1, width - 1, width, width + 3, 3 * width} {
+		all := randVectors(rng, split+2*width+5, p)
+		old := Pack(all[:split], p)
+		oldSnapshot := old.Unpack()
+		next := old.Append(all[split:])
+		assertSameVectors(t, "appended", next.Unpack(), all)
+		assertSameVectors(t, "receiver after Append", old.Unpack(), oldSnapshot)
+		// Full tiles of the receiver must be shared by reference.
+		for tidx := 0; tidx < split/width; tidx++ {
+			if &old.tiles[tidx][0] != &next.tiles[tidx][0] {
+				t.Fatalf("split=%d: full tile %d was copied, not shared", split, tidx)
 			}
-			// The trailing partial tile must NOT be shared: Append writes
-			// its free lanes.
-			if rem := split % width; rem != 0 {
-				tidx := split / width
-				if &old.tiles[tidx][0] == &next.tiles[tidx][0] {
-					t.Fatalf("w=%d split=%d: partial tile %d is shared with the receiver", width, split, tidx)
-				}
+		}
+		// The trailing partial tile must NOT be shared: Append writes
+		// its free lanes.
+		if rem := split % width; rem != 0 {
+			tidx := split / width
+			if &old.tiles[tidx][0] == &next.tiles[tidx][0] {
+				t.Fatalf("split=%d: partial tile %d is shared with the receiver", split, tidx)
 			}
 		}
 	}
@@ -101,38 +96,36 @@ func TestBlockAppendCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestBlockHammingMatchesScalar checks the kernels (both widths, the
-// gather form, and tile-aligned slices) against the scalar
-// HammingDistance on ragged shapes.
+// TestBlockHammingMatchesScalar checks the kernel (the gather form and
+// tile-aligned slices included) against the scalar HammingDistance on
+// ragged shapes.
 func TestBlockHammingMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, width := range []int{8, 16} {
-		for _, n := range []int{0, 1, width - 1, width, width + 1, 3*width + 5} {
-			for _, p := range []int{0, 1, 64, 65, 190} {
-				vecs := randVectors(rng, n, p)
-				q := randVectors(rng, 1, p)[0]
-				b := PackWidth(vecs, p, width)
-				out := make([]int32, n)
-				b.HammingInto(q, out)
-				for id, v := range vecs {
-					want := int32(q.HammingDistance(v))
-					if out[id] != want {
-						t.Fatalf("w=%d n=%d p=%d: HammingInto[%d] = %d, want %d", width, n, p, id, out[id], want)
-					}
-					if got := b.HammingID(q, id); int32(got) != want {
-						t.Fatalf("w=%d n=%d p=%d: HammingID(%d) = %d, want %d", width, n, p, id, got, want)
-					}
+	for _, n := range []int{0, 1, width - 1, width, width + 1, 3*width + 5} {
+		for _, p := range []int{0, 1, 64, 65, 190} {
+			vecs := randVectors(rng, n, p)
+			q := randVectors(rng, 1, p)[0]
+			b := Pack(vecs, p)
+			out := make([]int32, n)
+			b.HammingInto(q, out)
+			for id, v := range vecs {
+				want := int32(q.HammingDistance(v))
+				if out[id] != want {
+					t.Fatalf("n=%d p=%d: HammingInto[%d] = %d, want %d", n, p, id, out[id], want)
 				}
-				// Chunked slices must agree with the one-shot scan,
-				// including a clamped over-length hi.
-				chunked := make([]int32, n)
-				for lo := 0; lo < n; lo += width {
-					b.HammingSlice(q, lo, lo+width, chunked)
+				if got := b.HammingID(q, id); int32(got) != want {
+					t.Fatalf("n=%d p=%d: HammingID(%d) = %d, want %d", n, p, id, got, want)
 				}
-				for id := range out {
-					if chunked[id] != out[id] {
-						t.Fatalf("w=%d n=%d p=%d: chunked[%d] = %d, want %d", width, n, p, id, chunked[id], out[id])
-					}
+			}
+			// Chunked slices must agree with the one-shot scan,
+			// including a clamped over-length hi.
+			chunked := make([]int32, n)
+			for lo := 0; lo < n; lo += width {
+				b.HammingSlice(q, lo, lo+width, chunked)
+			}
+			for id := range out {
+				if chunked[id] != out[id] {
+					t.Fatalf("n=%d p=%d: chunked[%d] = %d, want %d", n, p, id, chunked[id], out[id])
 				}
 			}
 		}
@@ -149,8 +142,6 @@ func TestBlockPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	assertPanics("width 7", func() { PackWidth(nil, 8, 7) })
-	assertPanics("width 32", func() { PackWidth(nil, 8, 32) })
 	b := Pack(randVectors(rand.New(rand.NewSource(4)), 20, 64), 64)
 	assertPanics("unaligned lo", func() { b.HammingSlice(NewBitVector(64), 3, 20, make([]int32, 20)) })
 }

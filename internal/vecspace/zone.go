@@ -3,8 +3,8 @@ package vecspace
 import "math/bits"
 
 // ZoneSpan is the number of consecutive ids a zone summarizes. It is a
-// multiple of every tile width Pack admits (8 and 16), so a zone is
-// always a whole number of tiles and a zone-at-a-time scan can hand the
+// multiple of the tile width (DefaultBlockWidth), so a zone is always a
+// whole number of tiles and a zone-at-a-time scan can hand the
 // kernel tile-aligned ranges. 256 ids keeps the metadata tiny (two
 // int32s plus one bitmap per zone) while each skipped zone saves 256
 // XOR+popcount rows.
@@ -126,11 +126,11 @@ func deriveZones(b *Block, prev *ZoneMap, prevN int) *ZoneMap {
 		sum := z.sums[zi*b.words : (zi+1)*b.words]
 		mn, mx := int32(-1), int32(0)
 		for id := lo; id < hi; id++ {
-			tile := b.tiles[id/b.width]
-			j := id % b.width
+			tile := b.tiles[id/width]
+			j := id % width
 			o := int32(0)
 			for w := 0; w < b.words; w++ {
-				word := tile[w*b.width+j]
+				word := tile[w*width+j]
 				sum[w] |= word
 				o += int32(bits.OnesCount64(word))
 			}

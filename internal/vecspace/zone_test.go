@@ -25,15 +25,14 @@ func zoneRandVecs(rng *rand.Rand, n, p int) []*BitVector {
 
 // TestZoneLowerBoundIsSound: the floor LowerBound proves must never
 // exceed the true Hamming distance of any vector in the zone — on
-// random blocks, random queries, both widths, ragged tails included.
+// random blocks, random queries, ragged tails included.
 func TestZoneLowerBoundIsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for round := 0; round < 30; round++ {
 		n := 1 + rng.Intn(3*ZoneSpan)
 		p := 1 + rng.Intn(200)
-		width := 8 << rng.Intn(2)
 		vecs := zoneRandVecs(rng, n, p)
-		blk := PackWidth(vecs, p, width)
+		blk := Pack(vecs, p)
 		z := blk.Zones()
 		if z == nil || z.Zones() != (n+ZoneSpan-1)/ZoneSpan {
 			t.Fatalf("round %d: %d zones for n=%d", round, z.Zones(), n)
@@ -49,8 +48,8 @@ func TestZoneLowerBoundIsSound(t *testing.T) {
 				}
 				for id := lo; id < hi; id++ {
 					if d := q.HammingDistance(vecs[id]); d < bound {
-						t.Fatalf("round %d zone %d: bound %d exceeds true distance %d of id %d (n=%d p=%d w=%d)",
-							round, zi, bound, d, id, n, p, width)
+						t.Fatalf("round %d zone %d: bound %d exceeds true distance %d of id %d (n=%d p=%d)",
+							round, zi, bound, d, id, n, p)
 					}
 				}
 			}
@@ -70,13 +69,13 @@ func TestZoneMapMaintainedByAppend(t *testing.T) {
 		vecs := zoneRandVecs(rng, total, p)
 		// Random chain: pack a prefix, then append random-size batches.
 		cut := rng.Intn(total + 1)
-		blk := PackWidth(vecs[:cut], p, 8<<rng.Intn(2))
+		blk := Pack(vecs[:cut], p)
 		for cut < total {
 			step := 1 + rng.Intn(total-cut)
 			blk = blk.Append(vecs[cut : cut+step])
 			cut += step
 		}
-		fresh := PackWidth(vecs, p, blk.Width())
+		fresh := Pack(vecs, p)
 		got, want := blk.Zones(), fresh.Zones()
 		if got.Zones() != want.Zones() {
 			t.Fatalf("round %d: chained %d zones, fresh %d", round, got.Zones(), want.Zones())
@@ -98,14 +97,14 @@ func TestZoneMapMaintainedByAppend(t *testing.T) {
 
 // TestHammingGatherMatchesHammingID: the batched gather kernel must
 // agree with the per-id scalar path on arbitrary id subsets, in
-// arbitrary order, at both widths, with and without scratch reuse.
+// arbitrary order, with and without scratch reuse.
 func TestHammingGatherMatchesHammingID(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var scratch []uint64
 	for round := 0; round < 25; round++ {
 		n := 1 + rng.Intn(400)
 		p := 1 + rng.Intn(180)
-		blk := PackWidth(zoneRandVecs(rng, n, p), p, 8<<rng.Intn(2))
+		blk := Pack(zoneRandVecs(rng, n, p), p)
 		q := zoneRandVecs(rng, 1, p)[0]
 		m := rng.Intn(n + 1)
 		ids := make([]int32, m)
@@ -116,8 +115,8 @@ func TestHammingGatherMatchesHammingID(t *testing.T) {
 		scratch = blk.HammingGather(q, ids, scratch, out)
 		for i, id := range ids {
 			if want := blk.HammingID(q, int(id)); int(out[i]) != want {
-				t.Fatalf("round %d: gather[%d] (id %d) = %d, HammingID = %d (n=%d p=%d w=%d)",
-					round, i, id, out[i], want, n, p, blk.Width())
+				t.Fatalf("round %d: gather[%d] (id %d) = %d, HammingID = %d (n=%d p=%d)",
+					round, i, id, out[i], want, n, p)
 			}
 		}
 	}

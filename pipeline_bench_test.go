@@ -1,7 +1,7 @@
 // Benchmarks for the composable query pipeline (PR 8): declarative
 // filter pushdown versus the equivalent opaque Predicate closure, and
-// the scan/aggregate path. BENCH_pr8.json records the pushdown/predicate
-// ratio — the number the ISSUE gates on (>= 2x).
+// the scan/aggregate path. The pushdown/predicate ratio is the number
+// PR 8 gated on (>= 2x).
 package repro
 
 import (
@@ -49,8 +49,7 @@ func pipelineBenchIndex(b *testing.B) ([]*graphdim.Graph, *graphdim.Index) {
 // times) expressed as a declarative Filter — answered by the label
 // posting index, so only matching ids are ever scored — versus an
 // equivalent Predicate closure, which must visit every graph and count
-// labels at scan time. The pushdown/predicate ratio is what
-// BENCH_pr8.json records.
+// labels at scan time.
 func BenchmarkPipelineFilterPushdown(b *testing.B) {
 	db, idx := pipelineBenchIndex(b)
 	filters := []*pipeline.Filter{{

@@ -160,7 +160,7 @@ func BenchmarkZoneSkip(b *testing.B) {
 	} {
 		b.Run(fmt.Sprintf("%s/n=%d", bc.name, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := topk.MappedTopKContext(ctx, vecs, bc.blk, q, nil, 10, nil, s); err != nil {
+				if _, _, err := topk.MappedTopKContext(ctx, nil, bc.blk, q, nil, 10, nil, s); err != nil {
 					b.Fatal(err)
 				}
 			}
