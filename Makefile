@@ -48,10 +48,11 @@ cover:
 # The concurrency-heavy packages: shard fan-out, compaction swaps, the
 # worker budget, the write-ahead log, the HTTP layer on top of them, the
 # scan kernel (copy-on-write block appends under readers, pooled scratch
-# arenas), and the mmap segment layer (shared decoded-graph caches,
-# finalizer unmap).
+# arenas), the mmap segment layer (shared decoded-graph caches,
+# finalizer unmap), and the VF2 matcher (compiled patterns shared by
+# every query and Add, one scratch per caller).
 race:
-	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/...
+	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/... ./internal/subiso/...
 
 vet:
 	$(GO) vet ./...

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/graph"
 	"repro/internal/gspan"
 	"repro/internal/mcs"
 	"repro/internal/subiso"
@@ -369,17 +370,14 @@ func BenchmarkMappedQuery(b *testing.B) {
 	for i := range vecs {
 		vecs[i] = sub.Vector(i)
 	}
+	dims := make([]*graph.Graph, len(res.Selected))
+	for pos, r := range res.Selected {
+		dims[pos] = ds.Features[r].Graph
+	}
+	mapper := vecspace.NewMapper(dims)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := ds.Queries[i%len(ds.Queries)]
-		qv := vecspace.NewBitVector(len(res.Selected))
-		for pos, r := range res.Selected {
-			f := ds.Features[r].Graph
-			if f.N() <= q.N() && f.M() <= q.M() && subiso.Contains(q, f) {
-				qv.Set(pos)
-			}
-		}
-		topk.Mapped(vecs, qv)
+		topk.Mapped(vecs, mapper.Map(ds.Queries[i%len(ds.Queries)]))
 	}
 }
 

@@ -8,24 +8,34 @@ import (
 
 // TestSearchAllocsBounded pins the O(1)-allocations property of a warm
 // query on the uncached Index path: once the scratch pool is primed, a
-// repeated mapped Search — flat, pruned, and on a never-searched index
-// right after an Add — must stay under a small fixed ceiling per call,
-// independent of the database size. The ceiling covers only per-query
-// fixed costs (the query's mapped vector, the copied-out results, the
+// repeated mapped Search — flat, pruned, with a dense query that runs a
+// real VF2 search per dimension, and on a never-searched index right
+// after an Add — must stay under a small fixed ceiling per call,
+// independent of the database size and of the dimension count. The
+// ceiling covers only per-query fixed costs (the query's mapped vector
+// and the one matcher scratch behind it, the copied-out results, the
 // SearchResult, a pruned plan's slices); it fails loudly if a future
-// change reintroduces per-candidate allocation, which would scale with
-// n and blow far past it.
+// change reintroduces per-candidate or per-dimension allocation, which
+// would scale with n or p and blow far past it.
 func TestSearchAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	rng := rand.New(rand.NewSource(42))
-	idx, _ := equivBuild(t, rng, 500)
+	idx, db := equivBuild(t, rng, 500)
 	ctx := context.Background()
 	// A minimal query: the VF2 mapping's size filter rejects every
 	// multi-vertex dimension immediately, so the measurement isolates
-	// the scan, not the matcher (whose state is per-call by design).
+	// the scan. The dense case below is a database graph: every
+	// dimension it is large enough for costs a VF2 search, all of them
+	// through compiled patterns and one scratch.
 	q := NewGraph(1)
+	dense := db[0]
+	for _, g := range db {
+		if g.M() > dense.M() {
+			dense = g
+		}
+	}
 
 	fresh, _ := equivBuild(t, rng, 500) // never searched before its Add
 	if _, err := fresh.Add(q); err != nil {
@@ -34,23 +44,25 @@ func TestSearchAllocsBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		idx  *Index
+		q    *Graph
 		opt  SearchOptions
 	}{
-		{"flat", idx, SearchOptions{K: 10, NoPrune: true}},
-		{"pruned", idx, SearchOptions{K: 10}},
-		{"fresh-add", fresh, SearchOptions{K: 10, NoPrune: true}},
+		{"flat", idx, q, SearchOptions{K: 10, NoPrune: true}},
+		{"pruned", idx, q, SearchOptions{K: 10}},
+		{"dense", idx, dense, SearchOptions{K: 10, NoPrune: true}},
+		{"fresh-add", fresh, q, SearchOptions{K: 10, NoPrune: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Warm up: grow the pooled scratch to the collection's
 			// high-water mark and fault in the pool caches.
 			for i := 0; i < 5; i++ {
-				if _, err := tc.idx.Search(ctx, q, tc.opt); err != nil {
+				if _, err := tc.idx.Search(ctx, tc.q, tc.opt); err != nil {
 					t.Fatal(err)
 				}
 			}
 			const ceiling = 40
 			avg := testing.AllocsPerRun(50, func() {
-				if _, err := tc.idx.Search(ctx, q, tc.opt); err != nil {
+				if _, err := tc.idx.Search(ctx, tc.q, tc.opt); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -60,5 +72,42 @@ func TestSearchAllocsBounded(t *testing.T) {
 					"a per-candidate allocation has crept back into the scan", tc.name, avg, ceiling)
 			}
 		})
+	}
+}
+
+// TestCollectionSearchAllocsBounded is the same pin one layer up: a warm
+// predicate-free mapped search over a 2-shard collection maps the query
+// once and hands each shard its limits as data, so what it allocates is
+// the per-query fixed costs above plus a fixed amount per shard (its
+// result, the id translation, a fan-out goroutine) — nothing that grows
+// with the shard sizes or the dimension count.
+func TestCollectionSearchAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(43))
+	idx, db := equivBuild(t, rng, 500)
+	c, err := newTestStore(t).CreateFromIndex("c", idx, CollectionOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opt := SearchOptions{K: 10, NoPrune: true}
+	for i := 0; i < 5; i++ {
+		if _, err := c.Search(ctx, db[i], opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ceiling = 40
+	i := 0
+	avg := testing.AllocsPerRun(50, func() {
+		if _, err := c.Search(ctx, db[i%len(db)], opt); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("%.1f allocs per warm 2-shard query", avg)
+	if avg > ceiling {
+		t.Fatalf("warm 2-shard Collection.Search allocates %.1f objects per query, ceiling %d", avg, ceiling)
 	}
 }

@@ -55,6 +55,7 @@ package graphdim
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"sync"
@@ -67,6 +68,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/posting"
 	"repro/internal/subiso"
+	"repro/internal/topk"
 	"repro/internal/vecspace"
 )
 
@@ -283,7 +285,7 @@ type snapshot struct {
 	// mapped snapshot the overlay is pure copy-on-write on top of the
 	// read-only mapping), Remove shares both unchanged — tombstoned ids
 	// keep their lanes and listings and every scan filters them through
-	// alive. Invariant: block.N() == post.N() == len(db).
+	// its limits. Invariant: block.N() == post.N() == len(db).
 	block *vecspace.Block
 	// post holds the per-dimension posting lists and ones buckets over
 	// block's vectors — the candidate-pruning accelerator
@@ -328,17 +330,17 @@ func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []bool,
 	return s
 }
 
-// alive adapts the snapshot's tombstones plus an optional caller
-// predicate into the scan filter the query engines take. Predicates
-// resolve graphs through graph(), so on a mapped snapshot a predicate
-// faults in only the payloads of ids that survive the tombstone check.
-func (s *snapshot) alive(pred func(id int, g *Graph) bool) func(int) bool {
-	if s.deadCount == 0 && pred == nil {
-		return nil
+// limits states what a scan of this snapshot may score, as the data the
+// query engines apply inline: the caller's id bound (topk.Unbounded for
+// none), the tombstones only when there are any, and admit — whatever
+// predicate the query carries — only when it carries one. A scan under
+// limits with no predicate never resolves a graph.
+func (s *snapshot) limits(bound int, admit topk.Alive) topk.Limits {
+	lim := topk.Limits{N: bound, Pred: admit}
+	if s.deadCount > 0 {
+		lim.Dead = s.dead
 	}
-	return func(id int) bool {
-		return !s.dead[id] && (pred == nil || pred(id, s.graph(id)))
-	}
+	return lim
 }
 
 // graph returns graph id, faulting it from the mapped segment on first
@@ -408,10 +410,14 @@ func (s *snapshot) labelIndex() *posting.LabelIndex {
 type Index struct {
 	features []*Graph
 	mapper   *vecspace.Mapper
-	weights  []float64
-	metric   Metric
-	mcsOpt   mcs.Options
-	workers  int // batch fan-out bound; always >= 1
+	// dims is a content digest of the ordered dimension set: two indexes
+	// with equal dims map every graph to the same vector, so a collection
+	// maps a query once per distinct digest, not once per shard.
+	dims    [sha256.Size]byte
+	weights []float64
+	metric  Metric
+	mcsOpt  mcs.Options
+	workers int // batch fan-out bound; always >= 1
 
 	mu   sync.Mutex // serializes Add/Remove snapshot swaps
 	snap atomic.Pointer[snapshot]
@@ -425,6 +431,7 @@ func newIndex(features []*Graph, weights []float64, metric Metric, mcsOpt mcs.Op
 	ix := &Index{
 		features: features,
 		mapper:   vecspace.NewMapper(features),
+		dims:     dimsDigest(features),
 		weights:  weights,
 		metric:   metric,
 		mcsOpt:   mcsOpt,
@@ -432,6 +439,17 @@ func newIndex(features []*Graph, weights []float64, metric Metric, mcsOpt mcs.Op
 	}
 	ix.snap.Store(snap)
 	return ix
+}
+
+// dimsDigest hashes the ordered feature list in its binary encoding.
+func dimsDigest(features []*Graph) [sha256.Size]byte {
+	h := sha256.New()
+	for _, f := range features {
+		_ = graph.WriteBinary(h, f) // fails only when the writer does; a hash never does
+	}
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // Build mines frequent subgraphs from db, selects the dimension set with

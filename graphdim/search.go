@@ -2,6 +2,7 @@ package graphdim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"time"
@@ -302,12 +303,29 @@ func memberFunc(ids []int32, n int) func(int) bool {
 func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*SearchResult, error) {
 	start := time.Now()
 	if q == nil {
-		return nil, fmt.Errorf("graphdim: nil query")
+		return nil, errNilQuery
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
+	qv, err := ix.mapper.MapContext(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return ix.searchMapped(ctx, q, qv, opt, topk.Unbounded, start)
+}
 
+var errNilQuery = errors.New("graphdim: nil query")
+
+// searchMapped is Search after the map: q is non-nil, opt is valid and qv
+// is q's vector over this index's dimensions — from ix.mapper, or from the
+// mapper of an index with the same dims digest (a collection maps once
+// for all such shards). bound admits only ids below it (topk.Unbounded
+// for none): a shard passes the length of the id table it loaded, which
+// keeps the composite (index, table) read consistent even when an Add
+// publishes between the two loads.
+func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVector, opt SearchOptions,
+	bound int, start time.Time) (*SearchResult, error) {
 	metric := ix.metric
 	switch opt.Metric {
 	case MetricDelta1:
@@ -316,14 +334,12 @@ func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*Sear
 		metric = Delta2
 	}
 
-	qv, err := ix.mapper.MapContext(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-
 	s := ix.snap.Load()
 	pred := opt.Predicate
-	var filtered []int32 // pushdown ids for the pruned plan, nil = none
+	var (
+		filtered []int32        // pushdown ids for the pruned plan, nil = none
+		member   func(int) bool // pushdown ids as a predicate, nil = none
+	)
 	if len(opt.Filters) > 0 {
 		comp, cerr := pipeline.CompileFilters(opt.Filters, s.catalog())
 		if cerr != nil {
@@ -340,15 +356,23 @@ func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*Sear
 				filtered = comp.IDs
 			} else {
 				// Flat and exact paths take membership as a predicate.
-				member := memberFunc(comp.IDs, len(s.db))
-				inner := pred
-				pred = func(id int, g *Graph) bool {
-					return member(id) && (inner == nil || inner(id, g))
-				}
+				member = memberFunc(comp.IDs, len(s.db))
 			}
 		}
 	}
-	alive := s.alive(pred)
+	// admit is what the scan asks about an id that is in bound and not
+	// dead — nil unless the caller or a filter supplied something to ask.
+	// Membership is asked first; the graph is resolved last, so on a
+	// mapped snapshot only the payloads of surviving ids fault in.
+	var admit topk.Alive
+	if pred != nil {
+		admit = func(id int) bool { return pred(id, s.graph(id)) }
+	}
+	if member != nil {
+		inner := admit
+		admit = func(id int) bool { return member(id) && (inner == nil || inner(id)) }
+	}
+	lim := s.limits(bound, admit)
 	plan := func(wantK int) *topk.Candidates {
 		if filtered != nil {
 			return &topk.Candidates{
@@ -368,10 +392,11 @@ func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*Sear
 	var (
 		ranking    topk.Ranking
 		candidates int
+		err        error
 	)
 	switch opt.Engine {
 	case EngineMapped:
-		ranking, candidates, err = topk.MappedTopKContext(ctx, nil, s.block, qv, alive, opt.K, plan(opt.K), scr)
+		ranking, candidates, err = topk.MappedScan(ctx, s.block, qv, lim, opt.K, plan(opt.K), scr)
 	case EngineVerified:
 		factor := opt.VerifyFactor
 		if factor == 0 {
@@ -388,10 +413,10 @@ func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*Sear
 			wantEstimate = opt.MaxCandidates
 		}
 		ranking, candidates, err = topk.VerifiedContext(ctx, s.graphAt, s.block, q, qv,
-			opt.K, factor, opt.MaxCandidates, metric, ix.mcsOpt, alive,
+			opt.K, factor, opt.MaxCandidates, metric, ix.mcsOpt, lim,
 			plan(wantEstimate), scr)
 	case EngineExact:
-		ranking, err = topk.ExactContext(ctx, len(s.db), s.graphAt, q, metric, ix.mcsOpt, alive)
+		ranking, err = topk.ExactContext(ctx, len(s.db), s.graphAt, q, metric, ix.mcsOpt, lim)
 		candidates = len(ranking)
 	}
 	if err != nil {

@@ -638,23 +638,29 @@ func (c *Collection) overlay(opt SearchOptions) SearchOptions {
 	return opt
 }
 
-// Search answers one top-k query against the collection: the query fans
-// out to every shard in parallel (drawing workers from the store budget),
-// each shard ranks its slice of the database, and the per-shard top-k
-// lists merge into one globally ranked result with ties broken by
-// ascending global id. For a collection whose shards still share the
-// build-time dimension set — always true before the first compaction —
-// the merged mapped/exact result is exactly the one an unsharded Index
-// over the same graphs returns: identical ids and identical scores. After
-// a shard has been compacted it ranks in its own (re-selected) mapped
-// space; exact and fully verified scores remain directly comparable.
+// Search answers one top-k query against the collection: the query is
+// mapped onto the dimensions once, the scan fans out to every shard in
+// parallel (drawing workers from the store budget), each shard ranks its
+// slice of the database, and the per-shard top-k lists merge into one
+// globally ranked result with ties broken by ascending global id. For a
+// collection whose shards still share the build-time dimension set —
+// always true before the first compaction — the merged mapped/exact
+// result is exactly the one an unsharded Index over the same graphs
+// returns: identical ids and identical scores. After a shard has been
+// compacted it ranks in its own (re-selected) mapped space, and the query
+// is mapped once more for it; exact and fully verified scores remain
+// directly comparable.
 //
 // SearchOptions is the same type Index.Search takes; zero-valued fields
 // first take the collection's defaults (see CollectionOptions.Defaults).
 // The Predicate, like the returned Results, sees global ids. The result's
-// Matched bitset is the first shard's view of the query.
+// Matched bitset is the query's vector over the first shard's dimension
+// set — the one vector every shard that holds that set scanned with.
 func (c *Collection) Search(ctx context.Context, q *Graph, opt SearchOptions) (*SearchResult, error) {
 	start := time.Now()
+	if q == nil {
+		return nil, errNilQuery
+	}
 	opt = c.overlay(opt)
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -683,22 +689,43 @@ func (c *Collection) generations() []uint64 {
 	return gens
 }
 
-// searchShards is the uncached fan-out behind Search.
+// searchShards is the uncached fan-out behind Search: load every shard's
+// state, map the query once per distinct dimension set among them (once,
+// until a compaction re-selects some shard's), then scan the shards in
+// parallel with the vectors in hand.
 func (c *Collection) searchShards(ctx context.Context, q *Graph, opt SearchOptions, start time.Time) (*SearchResult, error) {
-	userPred := opt.Predicate
+	states := make([]*shardState, len(c.shards))
+	qvs := make([]*vecspace.BitVector, len(c.shards))
+	for i, sh := range c.shards {
+		st := sh.state.Load()
+		states[i] = st
+		for j := 0; j < i && qvs[i] == nil; j++ {
+			if states[j].idx.dims == st.idx.dims {
+				qvs[i] = qvs[j]
+			}
+		}
+		if qvs[i] == nil {
+			qv, err := st.idx.mapper.MapContext(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			qvs[i] = qv
+		}
+	}
 
+	userPred := opt.Predicate
 	outs := make([]shardOut, len(c.shards))
 	_ = c.store.budget.ForContext(ctx, len(c.shards), func(i int) {
-		st := c.shards[i].state.Load()
+		st := states[i]
 		sopt := opt
-		n := len(st.globals)
-		// The table bound makes the composite (index, table) read
-		// consistent even when an Add publishes between the two loads;
-		// the user predicate runs in global-id space.
-		sopt.Predicate = func(local int, g *Graph) bool {
-			return local < n && (userPred == nil || userPred(st.globals[local], g))
+		if userPred != nil {
+			// The user predicate runs in global-id space.
+			sopt.Predicate = func(local int, g *Graph) bool { return userPred(st.globals[local], g) }
 		}
-		res, err := st.idx.Search(ctx, q, sopt)
+		// The table's length bounds the scan: an index that grew past the
+		// table this state carries (an Add publishing between the two
+		// loads) is read only as far as the table translates.
+		res, err := st.idx.searchMapped(ctx, q, qvs[i], sopt, len(st.globals), start)
 		if err != nil {
 			outs[i].err = err
 			return
@@ -724,7 +751,7 @@ func (c *Collection) searchShards(ctx context.Context, q *Graph, opt SearchOptio
 	merged := &SearchResult{
 		Results: mergeTopK(outs, opt.K),
 		Engine:  opt.Engine,
-		Matched: outs[0].res.Matched,
+		Matched: outs[0].res.Matched, // qvs[0]: the first shard's dimension set
 	}
 	for i := range outs {
 		merged.Candidates += outs[i].res.Candidates

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/subiso"
 	"repro/internal/topk"
 	"repro/internal/vecspace"
 )
@@ -28,19 +27,16 @@ type QueryTiming struct {
 // Total returns end-to-end query latency.
 func (q QueryTiming) Total() time.Duration { return q.Match + q.Search }
 
-// mapQuery maps query graph q onto the selected feature subset.
-func mapQuery(ds *Dataset, sel []int, q *graph.Graph) *vecspace.BitVector {
-	v := vecspace.NewBitVector(len(sel))
+// selectionMapper builds the mapper queries enter the space restricted to
+// sel through — the same vecspace.Mapper the library serves with, its
+// features compiled once (offline, like the selection itself) so the
+// per-query Match time is the online cost alone.
+func selectionMapper(ds *Dataset, sel []int) *vecspace.Mapper {
+	fs := make([]*graph.Graph, len(sel))
 	for pos, r := range sel {
-		f := ds.Features[r].Graph
-		if f.N() > q.N() || f.M() > q.M() {
-			continue
-		}
-		if subiso.Contains(q, f) {
-			v.Set(pos)
-		}
+		fs[pos] = ds.Features[r].Graph
 	}
-	return v
+	return vecspace.NewMapper(fs)
 }
 
 // EvaluateSelection runs every query through the mapped space restricted
@@ -48,11 +44,12 @@ func mapQuery(ds *Dataset, sel []int, q *graph.Graph) *vecspace.BitVector {
 // per-query timing.
 func EvaluateSelection(ds *Dataset, sel []int, k int) (Quality, QueryTiming) {
 	dbVecs := SelectionVectors(ds, sel)
+	mapper := selectionMapper(ds, sel)
 	var q Quality
 	var timing QueryTiming
 	for qi, query := range ds.Queries {
 		t0 := time.Now()
-		qv := mapQuery(ds, sel, query)
+		qv := mapper.Map(query)
 		t1 := time.Now()
 		ranking := topk.Mapped(dbVecs, qv)
 		t2 := time.Now()

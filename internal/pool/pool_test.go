@@ -50,20 +50,31 @@ func TestForContextCancelSkipsSuffix(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		const n = 10000
+		const n, cancelAt = 10000, 8
+		// Cancellation is made observable rather than raced: the call that
+		// cancels closes `cancelled` once cancel has returned, and every
+		// call that started beside or after it waits for that. No call can
+		// therefore finish — and let its worker fetch another index —
+		// between the decision to cancel and ctx being done, however the
+		// scheduler treats the cancelling goroutine.
+		cancelled := make(chan struct{})
 		err := ForContext(ctx, workers, n, func(i int) {
-			if ran.Add(1) == 8 {
+			switch c := ran.Add(1); {
+			case c == cancelAt:
 				cancel()
+				close(cancelled)
+			case c > cancelAt:
+				<-cancelled
 			}
 		})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		// Cancellation mid-range must skip work: in-flight calls finish
-		// (up to one per worker) but the bulk of the range is never run.
-		if got := ran.Load(); got >= n {
-			t.Fatalf("workers=%d: all %d indices ran despite cancellation", workers, got)
+		// In-flight calls finish — at most one per other worker beside the
+		// cancelling call — and the rest of the range is never run.
+		if got, most := int(ran.Load()), cancelAt+workers-1; got < cancelAt || got > most {
+			t.Fatalf("workers=%d: %d calls ran, want between %d and %d", workers, got, cancelAt, most)
 		}
 	}
 }

@@ -16,17 +16,19 @@ import (
 	"repro/internal/graph"
 )
 
-// Contains reports whether pattern is subgraph-isomorphic to target.
+// Contains reports whether pattern is subgraph-isomorphic to target. A
+// caller testing one pattern against many targets should Compile it once
+// and call In — this is that path with nothing kept.
 func Contains(target, pattern *graph.Graph) bool {
-	m := newMatcher(target, pattern)
-	return m.match(0)
+	return Compile(pattern).In(target, &Scratch{})
 }
 
 // FindMapping returns one injective mapping pattern→target witnessing
 // subgraph isomorphism, or nil if none exists. mapping[i] is the target
 // vertex matched to pattern vertex i.
 func FindMapping(target, pattern *graph.Graph) []int {
-	m := newMatcher(target, pattern)
+	m := Compile(pattern).matcher(target, &Scratch{})
+	m.keep = true
 	if !m.match(0) {
 		return nil
 	}
@@ -38,90 +40,132 @@ func FindMapping(target, pattern *graph.Graph) []int {
 // used by tests comparing against brute force and by the occurrence-count
 // vector ablation.
 func CountMappings(target, pattern *graph.Graph, limit int) int {
-	m := newMatcher(target, pattern)
+	m := Compile(pattern).matcher(target, &Scratch{})
 	m.countLimit = limit
 	m.counting = true
 	m.match(0)
 	return m.found
 }
 
-// matcher carries the VF2 search state. Pattern vertices are matched in a
-// fixed connectivity-aware order; candidate target vertices are filtered by
-// label, degree, and adjacency consistency with already-mapped vertices.
-type matcher struct {
-	t, p       *graph.Graph
-	order      []int // pattern vertices in match order
-	anchor     []int // anchor[i]: index into order of an already-matched neighbour of order[i], or -1
-	anchorLbl  []graph.Label
-	core       []int  // pattern vertex -> target vertex (-1 unmatched)
-	used       []bool // target vertex used
-	counting   bool
-	countLimit int
-	found      int
-	snapshot   []int // core copied at the first full match
+// Pattern is a pattern graph compiled for repeated matching: the match
+// order and anchors depend on the pattern alone, so a feature tested
+// against every query and every added graph computes them once. A Pattern
+// is immutable and safe for concurrent use; the per-search state lives in
+// the Scratch each caller brings.
+type Pattern struct {
+	p         *graph.Graph
+	order     []int // pattern vertices in match order
+	anchor    []int // anchor[i]: index into order of an already-matched neighbour of order[i], or -1
+	anchorLbl []graph.Label
 }
 
-func newMatcher(target, pattern *graph.Graph) *matcher {
-	m := &matcher{
-		t:    target,
-		p:    pattern,
-		core: make([]int, pattern.N()),
-		used: make([]bool, target.N()),
-	}
-	for i := range m.core {
-		m.core[i] = -1
-	}
-	m.buildOrder()
-	return m
+// Scratch is the mutable state of one search — the partial mapping and
+// the used-target-vertex set — reusable across patterns and targets of
+// any size. The zero value is ready; a Scratch serves one search at a
+// time.
+type Scratch struct {
+	core []int  // pattern vertex -> target vertex (-1 unmatched)
+	used []bool // target vertex used
 }
 
-// buildOrder computes a match order that keeps the partial pattern
-// connected where possible (BFS from the highest-degree vertex of each
-// component), which lets each new vertex be constrained by an already
-// matched neighbour (its anchor).
-func (m *matcher) buildOrder() {
-	n := m.p.N()
-	m.order = make([]int, 0, n)
-	m.anchor = make([]int, n)
-	m.anchorLbl = make([]graph.Label, n)
+// Compile computes pattern's match order: one that keeps the partial
+// pattern connected where possible (BFS from the highest-degree vertex
+// of each component), which lets each new vertex be constrained by an
+// already matched neighbour (its anchor).
+func Compile(pattern *graph.Graph) *Pattern {
+	n := pattern.N()
+	pt := &Pattern{
+		p:         pattern,
+		order:     make([]int, 0, n),
+		anchor:    make([]int, n),
+		anchorLbl: make([]graph.Label, n),
+	}
 	placed := make([]bool, n)
 	posInOrder := make([]int, n)
 
-	for len(m.order) < n {
+	for len(pt.order) < n {
 		// Pick the unplaced vertex with the highest degree as the next root.
 		root, best := -1, -1
 		for v := 0; v < n; v++ {
-			if !placed[v] && m.p.Degree(v) > best {
-				root, best = v, m.p.Degree(v)
+			if !placed[v] && pattern.Degree(v) > best {
+				root, best = v, pattern.Degree(v)
 			}
 		}
-		m.anchor[len(m.order)] = -1
-		posInOrder[root] = len(m.order)
-		m.order = append(m.order, root)
+		pt.anchor[len(pt.order)] = -1
+		posInOrder[root] = len(pt.order)
+		pt.order = append(pt.order, root)
 		placed[root] = true
 		queue := []int{root}
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
 			// Sort neighbours by descending degree for tighter pruning.
-			hs := append([]graph.Half(nil), m.p.Neighbors(v)...)
+			hs := append([]graph.Half(nil), pattern.Neighbors(v)...)
 			sort.Slice(hs, func(i, j int) bool {
-				return m.p.Degree(hs[i].To) > m.p.Degree(hs[j].To)
+				return pattern.Degree(hs[i].To) > pattern.Degree(hs[j].To)
 			})
 			for _, h := range hs {
 				if placed[h.To] {
 					continue
 				}
-				idx := len(m.order)
-				m.anchor[idx] = posInOrder[v]
-				m.anchorLbl[idx] = h.Label
+				idx := len(pt.order)
+				pt.anchor[idx] = posInOrder[v]
+				pt.anchorLbl[idx] = h.Label
 				posInOrder[h.To] = idx
-				m.order = append(m.order, h.To)
+				pt.order = append(pt.order, h.To)
 				placed[h.To] = true
 				queue = append(queue, h.To)
 			}
 		}
 	}
+	return pt
+}
+
+// In reports whether the pattern is subgraph-isomorphic to target, using
+// sc for the search state. A pattern with more vertices or edges than the
+// target cannot embed (the mapping is injective on both) and is rejected
+// without a search.
+func (pt *Pattern) In(target *graph.Graph, sc *Scratch) bool {
+	if pt.p.N() > target.N() || pt.p.M() > target.M() {
+		return false
+	}
+	m := pt.matcher(target, sc)
+	return m.match(0)
+}
+
+// matcher carries the VF2 search state. Pattern vertices are matched in
+// the compiled order; candidate target vertices are filtered by label,
+// degree, and adjacency consistency with already-mapped vertices.
+type matcher struct {
+	*Pattern
+	t          *graph.Graph
+	core       []int
+	used       []bool
+	keep       bool // copy core into snapshot at the first full match
+	counting   bool
+	countLimit int
+	found      int
+	snapshot   []int
+}
+
+// matcher readies sc for a search of target: core all unmatched, used all
+// free, both regrown (doubling, so a run of growing patterns regrows
+// O(log) times) only when this pattern or target is the largest sc has
+// seen.
+func (pt *Pattern) matcher(target *graph.Graph, sc *Scratch) matcher {
+	pn, tn := pt.p.N(), target.N()
+	if cap(sc.core) < pn {
+		sc.core = make([]int, max(pn, 2*cap(sc.core)))
+	}
+	if cap(sc.used) < tn {
+		sc.used = make([]bool, max(tn, 2*cap(sc.used)))
+	}
+	core, used := sc.core[:pn], sc.used[:tn]
+	for i := range core {
+		core[i] = -1
+	}
+	clear(used)
+	return matcher{Pattern: pt, t: target, core: core, used: used}
 }
 
 // match extends the partial mapping at position depth in the order.
@@ -132,7 +176,9 @@ func (m *matcher) match(depth int) bool {
 		if m.counting {
 			return m.countLimit > 0 && m.found >= m.countLimit
 		}
-		m.snapshot = append([]int(nil), m.core...)
+		if m.keep {
+			m.snapshot = append([]int(nil), m.core...)
+		}
 		return true
 	}
 	pv := m.order[depth]

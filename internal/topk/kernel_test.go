@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/graph"
 	"repro/internal/mcs"
 	"repro/internal/posting"
 	"repro/internal/vecspace"
@@ -200,7 +201,7 @@ func TestKernelVerifiedBlockEquivalence(t *testing.T) {
 			ref[i].Score = metric.DissimilarityBudget(q, db[ref[i].ID], opt)
 		}
 		sortItems(ref)
-		got, gotN, err := VerifiedContext(ctx, SliceGraphs(db), blk, q, qv, k, factor, 0, metric, opt, nil, nil, s)
+		got, gotN, err := VerifiedContext(ctx, SliceGraphs(db), blk, q, qv, k, factor, 0, metric, opt, Limits{N: Unbounded}, nil, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,3 +211,119 @@ func TestKernelVerifiedBlockEquivalence(t *testing.T) {
 		assertRankingPrefix(t, "verified round "+strconv.Itoa(round), got, ref, k)
 	}
 }
+
+// TestScanLimits: the limits a scan takes as data — id bound, tombstone
+// slice, predicate, alone and together, flat and pruned — select exactly
+// the ids the scalar reference ranks when handed their conjunction as one
+// Alive. The bound's edges are the point: N = 0 scans nothing (an empty
+// id table is not "no bound"), N below k shortens the answer, N beyond
+// the block is the block's extent, and Unbounded is that by definition.
+func TestScanLimits(t *testing.T) {
+	rng := rand.New(rand.NewSource(kernelSeed(t)))
+	ctx := context.Background()
+	s := NewScratch()
+	defer s.Release()
+	const p = 96
+	planned := 0
+	for round := 0; round < 40; round++ {
+		n := 1 + rng.Intn(700) // up to a few zones
+		vecs := kernelRandVecs(rng, n, p)
+		// Sparse queries, so the posting index actually plans.
+		q := vecspace.NewBitVector(p)
+		for i := rng.Intn(3); i >= 0; i-- {
+			q.Set(rng.Intn(p))
+		}
+		blk := vecspace.Pack(vecs, p)
+		post := posting.FromVectors(vecs, p)
+		k := 1 + rng.Intn(12)
+
+		var dead []bool
+		if rng.Intn(2) == 0 {
+			dead = make([]bool, n)
+			for i := range dead {
+				dead[i] = rng.Intn(3) == 0
+			}
+		}
+		var pred Alive
+		if rng.Intn(2) == 0 {
+			m := 2 + rng.Intn(3)
+			pred = func(id int) bool { return id%m != 0 }
+		}
+		for _, bound := range []int{0, 1, k - 1, k, n / 2, n - 1, n, n + 1, 10 * n, Unbounded} {
+			lim := Limits{N: bound, Dead: dead, Pred: pred}
+			label := "round " + strconv.Itoa(round) + " n=" + strconv.Itoa(n) +
+				" k=" + strconv.Itoa(k) + " N=" + strconv.Itoa(bound)
+			ref, _, err := MappedContext(ctx, vecs, q, lim.Admits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bound == 0 && len(ref) != 0 {
+				t.Fatalf("%s: reference admitted %d ids under N = 0", label, len(ref))
+			}
+			got, scored, err := MappedScan(ctx, blk, q, lim, k, nil, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scored > len(ref) {
+				t.Fatalf("%s: flat scan scored %d ids, only %d admitted", label, scored, len(ref))
+			}
+			assertRankingPrefix(t, label+" flat", got, ref, k)
+
+			if pl := post.Plan(q, k); pl != nil {
+				planned++
+				cands := &Candidates{K: k, QueryOnes: pl.QueryOnes, Matched: pl.Matched, Rest: pl.Rest}
+				got, _, err := MappedScan(ctx, blk, q, lim, k, cands, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertRankingPrefix(t, label+" pruned", got, ref, k)
+			}
+
+			// The verified engine's retrieval stage takes the same limits:
+			// at factor 1 it resolves exactly the admitted top k, in order.
+			var resolved []int
+			_, verified, err := VerifiedContext(ctx, func(id int) (*graph.Graph, error) {
+				resolved = append(resolved, id)
+				return tinyGraph, nil
+			}, blk, tinyGraph, q, k, 1, 0, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim, nil, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(k, len(ref)); verified != want || len(resolved) != want {
+				t.Fatalf("%s: verified %d candidates (resolved %d graphs), want %d", label, verified, len(resolved), want)
+			}
+			for i, id := range resolved {
+				if id != ref[i].ID {
+					t.Fatalf("%s: verified candidate %d is id %d, want %d", label, i, id, ref[i].ID)
+				}
+			}
+
+			// And the exact engine's range.
+			ex, err := ExactContext(ctx, n, func(id int) (*graph.Graph, error) { return tinyGraph, nil },
+				tinyGraph, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ex) != len(ref) {
+				t.Fatalf("%s: exact ranked %d ids, %d admitted", label, len(ex), len(ref))
+			}
+			for _, it := range ex {
+				if !lim.Admits(it.ID) {
+					t.Fatalf("%s: exact ranked id %d the limits reject", label, it.ID)
+				}
+			}
+		}
+	}
+	if planned == 0 {
+		t.Error("no round produced a pruned plan; the pruned path went untested")
+	}
+	t.Logf("%d pruned plans checked", planned)
+}
+
+// tinyGraph stands in for every payload where a test only watches which
+// ids an engine resolves.
+var tinyGraph = func() *graph.Graph {
+	g := graph.New(2)
+	g.MustAddEdge(0, 1, 0)
+	return g
+}()

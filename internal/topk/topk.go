@@ -3,7 +3,7 @@
 // dissimilarity, the mapped-space engine ranking by normalized Euclidean
 // distance over binary feature vectors (a sequential scan, exactly as the
 // paper does for all algorithms — Mapped in its scalar reference form,
-// MappedTopKContext over the SoA block for serving), and the
+// MappedScan over the SoA block for serving), and the
 // fingerprint/Tanimoto benchmark engine.
 package topk
 
@@ -74,25 +74,56 @@ func sortItems(items []Item) {
 // predicates). A nil Alive admits every id.
 type Alive func(id int) bool
 
-func admits(alive Alive, id int) bool { return alive == nil || alive(id) }
+// Limits says which ids a scan may score, as data the scan applies
+// inline: an id bound and a tombstone slice cost the kernel loop a
+// comparison and a load, and only a caller's predicate costs a call — so
+// a scan with no predicate never leaves the vector store, and never
+// resolves a graph to decide to skip it.
+type Limits struct {
+	// N admits only ids below it. Unbounded admits every id the store
+	// holds; 0 admits none — the zero Limits scans nothing.
+	N int
+	// Dead, when non-nil, marks tombstoned ids; it must cover every id
+	// below N that the store holds. Leave it nil when nothing is dead.
+	Dead []bool
+	// Pred, when non-nil, is asked last, and only about ids that are in
+	// bound and not dead.
+	Pred Alive
+}
+
+// Unbounded is the Limits.N that imposes no id bound of its own.
+const Unbounded = math.MaxInt
+
+// Admits reports whether the limits admit id.
+func (l Limits) Admits(id int) bool {
+	return !l.skips(id) && (l.Pred == nil || l.Pred(id))
+}
+
+// skips is the part of Admits that is data — out of bound, or dead. It
+// is split out because it inlines, which Admits as a whole does not: the
+// scan loops test it in line and make a call only for a predicate.
+func (l Limits) skips(id int) bool {
+	return id >= l.N || (l.Dead != nil && l.Dead[id])
+}
 
 // Exact ranks the database for query q by the MCS dissimilarity metric —
 // the ground-truth engine. opt bounds each MCS search (Options{} = fully
 // exact).
 func Exact(db []*graph.Graph, q *graph.Graph, metric mcs.Metric, opt mcs.Options) Ranking {
-	r, _ := ExactContext(context.Background(), len(db), SliceGraphs(db), q, metric, opt, nil)
+	r, _ := ExactContext(context.Background(), len(db), SliceGraphs(db), q, metric, opt, Limits{N: Unbounded})
 	return r
 }
 
 // ExactContext is Exact over database ids [0, n) resolved through
 // graphAt (see GraphAt — a mapped store decodes payloads on demand),
-// restricted to the ids admitted by alive, with cancellation checked
-// before each MCS search (the expensive unit).
+// restricted to the ids lim admits, with cancellation checked before
+// each MCS search (the expensive unit).
 func ExactContext(ctx context.Context, n int, graphAt GraphAt, q *graph.Graph, metric mcs.Metric,
-	opt mcs.Options, alive Alive) (Ranking, error) {
+	opt mcs.Options, lim Limits) (Ranking, error) {
+	n = min(n, lim.N)
 	items := make([]Item, 0, n)
 	for i := 0; i < n; i++ {
-		if !admits(alive, i) {
+		if !lim.Admits(i) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -122,7 +153,8 @@ type Candidates struct {
 	// QueryOnes is the query vector's set-bit count |F(q)|.
 	QueryOnes int
 	// Matched holds, ascending, every id sharing >= 1 dimension with the
-	// query. Tombstoned ids may appear; the scan filters them via alive.
+	// query. Tombstoned ids may appear; the scan filters them through its
+	// limits.
 	Matched []int32
 	// Rest yields every id not in Matched in ascending (ones, id) order
 	// with its ones count, stopping when yield returns false.
@@ -140,8 +172,8 @@ func Mapped(dbVectors []*vecspace.BitVector, qv *vecspace.BitVector) Ranking {
 // MappedContext is Mapped restricted to the ids admitted by alive: the
 // paper's sequential scan, one scalar distance per vector and a full
 // sort. It is what internal/experiments measures and the reference the
-// kernel and engine-equivalence suites compare MappedTopKContext
-// against; no Search runs it. The second return value is the number of
+// kernel and engine-equivalence suites compare MappedScan against; no
+// Search runs it. The second return value is the number of
 // ids scored. The scan is pure bit arithmetic, so cancellation is only
 // checked every mappedCtxStride ids — prompt enough for
 // multi-million-graph scans without a per-vector atomic load.
@@ -154,7 +186,7 @@ func MappedContext(ctx context.Context, dbVectors []*vecspace.BitVector, qv *vec
 				return nil, 0, err
 			}
 		}
-		if !admits(alive, i) {
+		if alive != nil && !alive(i) {
 			continue
 		}
 		items = append(items, Item{ID: i, Score: qv.Distance(v)})
@@ -163,35 +195,41 @@ func MappedContext(ctx context.Context, dbVectors []*vecspace.BitVector, qv *vec
 	return items, len(items), nil
 }
 
-// MappedTopKContext is the top-k scan every Search runs: exactly the
-// first k entries of MappedContext's ranking, computed from the SoA
-// block. With a plan it runs the pruned merge; without one it streams
-// the block through the popcount kernel and keeps the k best with a
-// bounded heap — never materializing, let alone sorting, the full
+// MappedTopKContext is MappedScan behind the signature bench/trace.go
+// compiles against: alive becomes the limits' predicate under no id
+// bound, and dbVectors — consulted only when blk is nil, and then packed
+// once for this call — survives for that file alone; dropping both
+// belongs to a later benchmark PR.
+func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk *vecspace.Block,
+	qv *vecspace.BitVector, alive Alive, k int, cands *Candidates, s *Scratch) (Ranking, int, error) {
+	if blk == nil {
+		blk = vecspace.Pack(dbVectors, qv.Len())
+	}
+	return MappedScan(ctx, blk, qv, Limits{N: Unbounded, Pred: alive}, k, cands, s)
+}
+
+// MappedScan is the top-k scan every Search runs: exactly the first k
+// entries of MappedContext's ranking over the ids lim admits, computed
+// from the SoA block. With a plan it runs the pruned merge; without one
+// it streams the block through the popcount kernel and keeps the k best
+// with a bounded heap — never materializing, let alone sorting, the full
 // ranking. Results are bit-identical to MappedContext's first k entries,
 // distances included: the kernel computes the very same integer Hamming
 // counts, the same sqrt(hamming/p) expression scores them, and the
 // packed-key selection order (hamming, id) equals the flat sort's
 // (score, id) order (see scratch.go).
 //
-// blk is the vector store: when non-nil it is authoritative (the scan
-// covers ids [0, blk.N())) and dbVectors is ignored. dbVectors is
-// consulted only when blk is nil, and is then packed once for this call;
-// the parameter survives for bench/trace.go, and dropping it belongs to
-// a later benchmark PR. s may be nil (buffers are then allocated per
-// call); when non-nil the returned Ranking aliases s and is valid only
-// until its next use or Release. The second return value is the number
-// of ids the scan actually computed a distance for — at most
-// MappedContext's count, and smaller whenever the block's zone map
-// proved whole zones irrelevant (see zoneSkips); the rankings are
-// identical regardless.
-func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk *vecspace.Block,
-	qv *vecspace.BitVector, alive Alive, k int, cands *Candidates, s *Scratch) (Ranking, int, error) {
-	if blk == nil {
-		blk = vecspace.Pack(dbVectors, qv.Len())
-	}
+// blk is the vector store; the scan covers ids [0, min(blk.N(), lim.N)).
+// s may be nil (buffers are then allocated per call); when non-nil the
+// returned Ranking aliases s and is valid only until its next use or
+// Release. The second return value is the number of ids the scan
+// actually computed a distance for — at most MappedContext's count, and
+// smaller whenever the block's zone map proved whole zones irrelevant
+// (see zoneSkips); the rankings are identical regardless.
+func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector, lim Limits,
+	k int, cands *Candidates, s *Scratch) (Ranking, int, error) {
 	if cands != nil && cands.K > 0 {
-		return mappedPruned(ctx, blk, qv, alive, cands, s)
+		return mappedPruned(ctx, blk, qv, lim, cands, s)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -203,10 +241,11 @@ func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk
 		s.out = s.out[:0]
 		return s.out, 0, nil
 	}
-	n := blk.N()
+	n := min(blk.N(), lim.N)
 	if k > n {
 		k = n
 	}
+	dead, pred := lim.Dead, lim.Pred // the bound is the loop's own
 	keys := s.keys[:0]
 	scored := 0
 	// One zone (vecspace.ZoneSpan ids) at a time, heap live, so the zone
@@ -234,7 +273,10 @@ func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk
 		}
 		blk.HammingSlice(qv, lo, hi, dists)
 		for id := lo; id < hi; id++ {
-			if !admits(alive, id) {
+			if dead != nil && dead[id] {
+				continue
+			}
+			if pred != nil && !pred(id) {
 				continue
 			}
 			scored++
@@ -278,12 +320,12 @@ func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk
 // the (score, id)-first K matched candidates can ever reach the output —
 // bounding the matched stage with the same heap the flat scan uses keeps
 // exactly those, and zone skips are exact per zoneSkips.
-func mappedPruned(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector, alive Alive,
+func mappedPruned(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector, lim Limits,
 	cands *Candidates, s *Scratch) (Ranking, int, error) {
 	if s == nil {
 		s = &Scratch{}
 	}
-	p := qv.Len()
+	p, pred := qv.Len(), lim.Pred
 	ids := s.ids[:0]
 	for j, id := range cands.Matched {
 		if j%mappedCtxStride == 0 {
@@ -291,9 +333,10 @@ func mappedPruned(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVect
 				return nil, 0, err
 			}
 		}
-		if admits(alive, int(id)) {
-			ids = append(ids, id)
+		if lim.skips(int(id)) || (pred != nil && !pred(int(id))) {
+			continue
 		}
+		ids = append(ids, id)
 	}
 	s.ids = ids
 	keys := s.keys[:0]
@@ -352,7 +395,7 @@ func mappedPruned(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVect
 				return false
 			}
 		}
-		if !admits(alive, int(id)) {
+		if lim.skips(int(id)) || (pred != nil && !pred(int(id))) {
 			return true
 		}
 		score := math.Sqrt(float64(int(ones)+cands.QueryOnes) / float64(p))

@@ -17,7 +17,7 @@ import (
 // EXPERIMENTS.md.
 func Verified(db []*graph.Graph, dbVectors []*vecspace.BitVector, q *graph.Graph, qv *vecspace.BitVector,
 	k, factor int, metric mcs.Metric, opt mcs.Options) Ranking {
-	r, _, _ := VerifiedContext(context.Background(), SliceGraphs(db), vecspace.Pack(dbVectors, qv.Len()), q, qv, k, factor, 0, metric, opt, nil, nil, nil)
+	r, _, _ := VerifiedContext(context.Background(), SliceGraphs(db), vecspace.Pack(dbVectors, qv.Len()), q, qv, k, factor, 0, metric, opt, Limits{N: Unbounded}, nil, nil)
 	return r
 }
 
@@ -33,22 +33,22 @@ func SliceGraphs(db []*graph.Graph) GraphAt {
 	return func(id int) (*graph.Graph, error) { return db[id], nil }
 }
 
-// VerifiedContext is Verified with cancellation, an optional liveness
-// filter, an optional cap on the number of candidates verified
+// VerifiedContext is Verified with cancellation, the scan limits of the
+// retrieval stage, an optional cap on the number of candidates verified
 // (maxCandidates <= 0 means uncapped), and optional posting-list
 // pruning of the retrieval stage (pruned == nil means the flat scan;
 // pruned.K is overwritten with the candidate count this call needs, so
 // callers leave it zero). blk is the vector store the retrieval stage
 // scans; s, when non-nil, is the retrieval stage's scratch arena (see
-// MappedTopKContext). The candidate count factor·k is computed in
-// 64-bit arithmetic and clamped to the admitted database size, so a
+// MappedScan). The candidate count factor·k is computed in
+// 64-bit arithmetic and clamped to the in-bound database size, so a
 // factor "overflowing" the database — or int range — degrades to
 // verifying every admitted graph rather than panicking. ctx is checked
 // before each MCS verification. The second return value is the number
 // of candidates verified with an MCS search.
 func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, q *graph.Graph,
 	qv *vecspace.BitVector, k, factor, maxCandidates int, metric mcs.Metric, opt mcs.Options,
-	alive Alive, pruned *Candidates, s *Scratch) (Ranking, int, error) {
+	lim Limits, pruned *Candidates, s *Scratch) (Ranking, int, error) {
 	if k <= 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
@@ -58,7 +58,7 @@ func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, 
 	if factor < 1 {
 		factor = 1
 	}
-	n := int64(blk.N())
+	n := int64(min(blk.N(), lim.N))
 	want := int64(k) * int64(factor)
 	if want/int64(k) != int64(factor) {
 		// int64 overflow: both operands are huge; every candidate wins.
@@ -76,7 +76,7 @@ func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, 
 		// every admitted id, if fewer), identical to the flat ranking.
 		pruned.K = int(want)
 	}
-	retrieved, _, err := MappedTopKContext(ctx, nil, blk, qv, alive, int(want), pruned, s)
+	retrieved, _, err := MappedScan(ctx, blk, qv, lim, int(want), pruned, s)
 	if err != nil {
 		return nil, 0, err
 	}

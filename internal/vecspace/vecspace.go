@@ -101,16 +101,22 @@ func (v *BitVector) Distance(o *BitVector) float64 {
 
 // Mapper maps graphs onto a fixed feature set F = {f1..fp} by subgraph
 // isomorphism tests (φ in the paper). It is how unseen query graphs enter
-// the multidimensional space. A Mapper is immutable after construction
-// and therefore safe for concurrent use: every Map call allocates its own
-// VF2 matcher state.
+// the multidimensional space. The features are compiled once (their VF2
+// match order depends on the feature alone); a Mapper is immutable after
+// construction and therefore safe for concurrent use: every Map call
+// brings its own search scratch.
 type Mapper struct {
 	features []*graph.Graph
+	patterns []*subiso.Pattern
 }
 
 // NewMapper builds a mapper over the given ordered feature list.
 func NewMapper(features []*graph.Graph) *Mapper {
-	return &Mapper{features: features}
+	m := &Mapper{features: features, patterns: make([]*subiso.Pattern, len(features))}
+	for r, f := range features {
+		m.patterns[r] = subiso.Compile(f)
+	}
+	return m
 }
 
 // Dim returns p = |F|.
@@ -127,18 +133,15 @@ func (m *Mapper) Map(g *graph.Graph) *BitVector {
 
 // MapContext is Map with cancellation: ctx is checked before each of the
 // p subgraph-isomorphism tests (each test is the expensive unit), and a
-// cancelled call returns (nil, ctx.Err()).
+// cancelled call returns (nil, ctx.Err()). One scratch serves all p tests.
 func (m *Mapper) MapContext(ctx context.Context, g *graph.Graph) (*BitVector, error) {
-	v := NewBitVector(len(m.features))
-	for r, f := range m.features {
+	v := NewBitVector(len(m.patterns))
+	var sc subiso.Scratch
+	for r, f := range m.patterns {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Cheap size filter before the isomorphism test.
-		if f.N() > g.N() || f.M() > g.M() {
-			continue
-		}
-		if subiso.Contains(g, f) {
+		if f.In(g, &sc) {
 			v.Set(r)
 		}
 	}
