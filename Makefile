@@ -45,8 +45,8 @@ cover:
 		if ($$3 + 0 < $(COVER_MIN)) { printf "coverage %.1f%% is below the %d%% floor\n", $$3, $(COVER_MIN); exit 1 } \
 		else printf "coverage %.1f%% (floor $(COVER_MIN)%%)\n", $$3 }'
 
-# The concurrency-heavy packages: shard fan-out, compaction swaps, the
-# worker budget, the write-ahead log, the HTTP layer on top of them, the
+# The concurrency-heavy packages: shard fan-out, Compact's reclaim swap
+# (a same-dimensions repack published under readers), the worker budget, the write-ahead log, the HTTP layer on top of them, the
 # scan kernel (copy-on-write block appends under readers, pooled scratch
 # arenas), the mmap segment layer (shared decoded-graph caches,
 # finalizer unmap), and the VF2 matcher (compiled patterns shared by

@@ -291,7 +291,6 @@ func BenchmarkServedMixedLoad(b *testing.B) {
 	defer store.Close()
 	if _, err := store.CreateFromIndex("default", idx, graphdim.CollectionOptions{
 		Shards: 4,
-		Build:  graphdim.Options{Dimensions: 12, Tau: 0.2, MCSBudget: 1500},
 		Cache:  graphdim.CacheOptions{MaxEntries: 256},
 	}); err != nil {
 		b.Fatal(err)

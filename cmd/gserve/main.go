@@ -4,9 +4,9 @@
 // matrix, DSPM), gserve serves it from a graphdim.Store, optionally split
 // across -shards parallel shards, behind a versioned REST API.
 // Collections grow online (/add maps new graphs into the fixed dimension
-// space without re-mining), and a background compactor rebuilds any shard
-// whose stale ratio crosses -compact-threshold while readers keep
-// serving.
+// space without re-mining). A collection keeps the one dimension set it
+// was created with; its stats report the stale ratio, the operator's
+// signal to create a fresh collection from the current graphs.
 //
 // The production deployment runs against a -data directory: the store is
 // opened (or initialized) there, every accepted add and remove is
@@ -21,7 +21,7 @@
 //
 //	dspm -gen 200 -out index.gdx
 //	gserve -data /var/lib/gserve -index index.gdx -addr :8080 \
-//	  -shards 4 -compact-every 1m -checkpoint-every 5m
+//	  -shards 4 -checkpoint-every 5m
 //
 // The /v1 API (all request and error bodies are JSON except graph
 // payloads, which use the standard text format "t # id" / "v id label" /
@@ -51,8 +51,8 @@
 //	GET    /v1/collections/{name}/stats      per-shard sizes, stale ratios,
 //	       compaction counters, shard generations, query-cache and WAL
 //	       counters
-//	POST   /v1/collections/{name}/compact    rebuild stale shards now
-//	       (?force=true rebuilds every shard with any staleness)
+//	POST   /v1/collections/{name}/compact    reclaim tombstoned slots now
+//	       (same dimensions, same rankings; never re-selects)
 //	POST   /v1/collections/{name}/checkpoint persist the store and truncate
 //	       replayed WAL segments (-data stores only)
 //	GET    /healthz                          liveness probe
@@ -72,8 +72,8 @@
 // mixed workload and reports the latency distribution.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: it stops accepting
-// connections, waits up to -grace for in-flight requests, stops the
-// background compactor, checkpoints a -data store, then exits. -timeout
+// connections, waits up to -grace for in-flight requests, checkpoints a
+// -data store, then exits. -timeout
 // bounds each request twice over: the connection's read/write deadlines
 // cover the body transfer, and the request context cancels the underlying
 // Search — exact and verified engines return promptly. Collection
@@ -121,11 +121,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "store-wide cross-shard worker budget (0 = one per CPU)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout (0 = unbounded)")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
-		threshold = flag.Float64("compact-threshold", 0.3, "stale ratio at which a shard is rebuilt (0 = the default 0.3, negative = never)")
-		every     = flag.Duration("compact-every", 0, "background compaction scan interval (0 = manual /compact only)")
-		rbTau     = flag.Float64("rebuild-tau", 0.1, "min-support ratio for compaction rebuilds of the default collection")
-		rbAlgo    = flag.String("rebuild-algo", "dspmap", "dimension algorithm for compaction rebuilds: dspm or dspmap")
-		rbBudget  = flag.Int64("rebuild-mcs-budget", 20000, "MCS budget for compaction rebuilds")
 		cacheEnt  = flag.Int("cache-entries", 4096, "query-result cache entries for the default collection (0 = no cache)")
 		cacheByte = flag.Int64("cache-bytes", 64<<20, "approximate query-result cache size in bytes for the default collection (0 = entries-only bound)")
 		maxReads  = flag.Int("max-inflight-reads", defaultMaxInflightReads, "per-collection bound on in-flight search requests; beyond it requests get 429 + Retry-After (negative = unlimited)")
@@ -147,9 +142,6 @@ func main() {
 	if *data == "" && *index == "" {
 		log.Fatal("need -data (durable store directory) and/or -index (seed index file)")
 	}
-	if *rbAlgo != "dspm" && *rbAlgo != "dspmap" {
-		log.Fatalf("rebuild-algo must be dspm or dspmap, got %q", *rbAlgo)
-	}
 	var memMode graphdim.MemoryMode
 	switch *memory {
 	case "auto":
@@ -169,17 +161,6 @@ func main() {
 		Workers: *workers,
 		Memory:  memMode,
 		WAL:     graphdim.WALOptions{SyncObserver: m.walObserver()},
-		Compaction: graphdim.CompactionPolicy{
-			StaleThreshold: *threshold,
-			Interval:       *every,
-		},
-		OnCompaction: func(coll string, shard int, err error) {
-			if err != nil {
-				log.Printf("compaction %s/shard-%d failed: %v", coll, shard, err)
-				return
-			}
-			log.Printf("compacted %s/shard-%d", coll, shard)
-		},
 	}
 	var store *graphdim.Store
 	var err error
@@ -223,23 +204,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			// Compaction rebuilds can't recover the flags dspm was built
-			// with (the .gdx file doesn't carry them), so they are sized
-			// from the loaded index and the -rebuild-* flags: same
-			// dimension count, DSPMap by default (its cost grows linearly
-			// with the shard, where DSPM's pairwise matrix would dwarf the
-			// original per-shard build).
-			rebuild := graphdim.Options{
-				Dimensions: len(idx.Dimensions()),
-				Tau:        *rbTau,
-				MCSBudget:  *rbBudget,
-			}
-			if *rbAlgo == "dspmap" {
-				rebuild.Algorithm = graphdim.DSPMap
-			}
 			coll, err := store.CreateFromIndex(*collName, idx, graphdim.CollectionOptions{
 				Shards:   *shards,
-				Build:    rebuild,
 				Defaults: graphdim.SearchOptions{K: *k},
 				Cache:    graphdim.CacheOptions{MaxEntries: *cacheEnt, MaxBytes: *cacheByte},
 			})
@@ -344,9 +310,9 @@ func (s *server) checkpointLoop(ctx context.Context, every time.Duration) {
 
 // walDirty reports whether any collection has log records the last
 // checkpoint does not cover. Collections without a log (WAL disabled)
-// count as dirty — there is no cheap way to tell. Unpersisted compaction
-// rebuilds are deliberately not counted: skipping them costs a redundant
-// re-replay after a crash, never data.
+// count as dirty — there is no cheap way to tell. An unpersisted Compact
+// is deliberately not counted: losing it to a crash costs the reclaimed
+// slots back, never data and never a ranking.
 func (s *server) walDirty() bool {
 	for _, name := range s.store.Collections() {
 		c, ok := s.store.Collection(name)
@@ -543,9 +509,9 @@ func newServerCfg(store *graphdim.Store, cfg serverConfig) *server {
 
 // clearConnDeadlines lifts the server-wide read/write deadlines off the
 // connection for the endpoints exempt from -timeout (collection creation
-// and compaction are offline builds): without this the connection's
-// WriteTimeout, armed when the request arrived, would kill the response
-// of any build outlasting it.
+// is an offline build; compaction and checkpoints copy whole shards):
+// without this the connection's WriteTimeout, armed when the request
+// arrived, would kill the response of any run outlasting it.
 func clearConnDeadlines(w http.ResponseWriter) {
 	rc := http.NewResponseController(w)
 	// Errors mean the connection type doesn't support deadlines; then
@@ -901,8 +867,9 @@ type addResponse struct {
 	Collection string `json:"collection,omitempty"`
 	IDs        []int  `json:"ids"`
 	Size       int    `json:"size"`
-	// StaleRatio is the stalest shard's ratio — the value the compaction
-	// policy triggers on; StaleRatios lists every shard.
+	// StaleRatio is the stalest shard's ratio — the operator's signal
+	// that the collection has drifted from its dimension selection;
+	// StaleRatios lists every shard.
 	StaleRatio  float64   `json:"stale_ratio"`
 	StaleRatios []float64 `json:"stale_ratios"`
 }
@@ -988,8 +955,8 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request, c *gra
 		s.fail(w, http.StatusConflict, "store has no data directory (start gserve with -data)")
 		return
 	}
-	// A checkpoint streams every shard to disk; like creation and
-	// compaction it ignores -timeout.
+	// A checkpoint streams every shard to disk; like creation it ignores
+	// -timeout.
 	clearConnDeadlines(w)
 	if err := s.runCheckpoint(); err != nil {
 		s.fail(w, http.StatusInternalServerError, "checkpoint: %v", err)
@@ -1010,10 +977,10 @@ func (s *server) handleCompact(w http.ResponseWriter, r *http.Request, c *graphd
 		s.fail(w, http.StatusMethodNotAllowed, "POST triggers compaction")
 		return
 	}
-	force := r.URL.Query().Get("force") == "true"
-	// Compaction is a rebuild; like creation it ignores -timeout.
+	// A reclaim copies every live graph of the shards it repacks (decoding
+	// mapped payloads); like a checkpoint it ignores -timeout.
 	clearConnDeadlines(w)
-	n, err := c.Compact(r.Context(), force)
+	n, err := c.Compact(r.Context())
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, "compacted %d shards, then: %v", n, err)
 		return
@@ -1105,21 +1072,21 @@ func walStatsJSONOf(st *graphdim.WALStats) *walStatsJSON {
 
 // shardStatsJSON mirrors graphdim.ShardStats with stable JSON names.
 type shardStatsJSON struct {
-	Live                int     `json:"live"`
-	Total               int     `json:"total"`
-	Dimensions          int     `json:"dimensions"`
-	StaleRatio          float64 `json:"stale_ratio"`
-	Compactions         int64   `json:"compactions"`
-	LastCompactionError string  `json:"last_compaction_error,omitempty"`
+	Live        int     `json:"live"`
+	Total       int     `json:"total"`
+	StaleRatio  float64 `json:"stale_ratio"`
+	Compactions int64   `json:"compactions"`
 }
 
 type collectionStatsResponse struct {
-	Name   string           `json:"name"`
-	Live   int              `json:"graphs"`
-	NextID int              `json:"next_id"`
-	Shards []shardStatsJSON `json:"shards"`
+	Name   string `json:"name"`
+	Live   int    `json:"graphs"`
+	NextID int    `json:"next_id"`
+	// Dimensions is the size of the collection's one dimension set.
+	Dimensions int              `json:"dimensions"`
+	Shards     []shardStatsJSON `json:"shards"`
 	// Generations is the per-shard mutation counter the query cache
-	// fences on; it moves on every add, remove, and compaction swap.
+	// fences on; it moves on every add, remove, and compact.
 	Generations []uint64 `json:"generations"`
 	// Cache reports the query-result cache, omitted when the collection
 	// was created without one.
@@ -1136,7 +1103,7 @@ type collectionStatsResponse struct {
 
 func collectionStatsJSON(c *graphdim.Collection) collectionStatsResponse {
 	st := c.Stats()
-	out := collectionStatsResponse{Name: st.Name, Live: st.Live, NextID: st.NextID, Generations: st.Generations}
+	out := collectionStatsResponse{Name: st.Name, Live: st.Live, NextID: st.NextID, Dimensions: st.Dimensions, Generations: st.Generations}
 	if st.Cache != nil {
 		out.Cache = &cacheStatsJSON{
 			Entries:       st.Cache.Entries,
@@ -1152,12 +1119,10 @@ func collectionStatsJSON(c *graphdim.Collection) collectionStatsResponse {
 	}
 	for _, sh := range st.Shards {
 		out.Shards = append(out.Shards, shardStatsJSON{
-			Live:                sh.Live,
-			Total:               sh.Total,
-			Dimensions:          sh.Dimensions,
-			StaleRatio:          sh.StaleRatio,
-			Compactions:         sh.Compactions,
-			LastCompactionError: sh.LastCompactionError,
+			Live:        sh.Live,
+			Total:       sh.Total,
+			StaleRatio:  sh.StaleRatio,
+			Compactions: sh.Compactions,
 		})
 	}
 	return out

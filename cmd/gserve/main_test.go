@@ -43,11 +43,20 @@ func buildTestIndex(t testing.TB) *graphdim.Index {
 // collection wraps the test index across the given number of shards.
 func newTestServer(t *testing.T, shards int, timeout time.Duration) (*httptest.Server, *graphdim.Collection) {
 	t.Helper()
+	ts, store := newTestServerStore(t, shards, timeout)
+	coll, _ := store.Collection("default")
+	return ts, coll
+}
+
+// newTestServerStore is newTestServer handing back the store behind the
+// server, for tests that need an operation the HTTP surface does not
+// expose (Remove).
+func newTestServerStore(t *testing.T, shards int, timeout time.Duration) (*httptest.Server, *graphdim.Store) {
+	t.Helper()
 	store := graphdim.NewStore(graphdim.StoreOptions{})
 	t.Cleanup(store.Close)
-	coll, err := store.CreateFromIndex("default", buildTestIndex(t), graphdim.CollectionOptions{
+	_, err := store.CreateFromIndex("default", buildTestIndex(t), graphdim.CollectionOptions{
 		Shards: shards,
-		Build:  graphdim.Options{Dimensions: 12, Tau: 0.2, MCSBudget: 1500},
 		// Mirror main: the default collection serves through the
 		// query-result cache.
 		Cache: graphdim.CacheOptions{MaxEntries: 256},
@@ -57,7 +66,7 @@ func newTestServer(t *testing.T, shards int, timeout time.Duration) (*httptest.S
 	}
 	ts := httptest.NewServer(newServer(store, 10, timeout))
 	t.Cleanup(ts.Close)
-	return ts, coll
+	return ts, store
 }
 
 func queriesText(t *testing.T, coll *graphdim.Collection, n int) string {
@@ -518,12 +527,50 @@ func TestV1CollectionLifecycle(t *testing.T) {
 	}
 }
 
-// TestV1CompactEndpoint makes the default collection stale over HTTP and
-// compacts it through the API.
+// TestV1CompactEndpoint: growing a collection over HTTP drives it stale
+// but gives /compact nothing to do — it never re-selects; once graphs are
+// removed (on the store behind the server: there is no remove route) it
+// reclaims their slots, leaves every search answer byte-identical, and
+// counts in stats.
 func TestV1CompactEndpoint(t *testing.T) {
 	ts, coll := newTestServer(t, 2, 30*time.Second)
 
-	// Triple the database so both shards cross the 0.3 threshold.
+	compact := func() (compacted int, staleRatios []float64) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/collections/default/compact", "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Compacted   int       `json:"compacted"`
+			StaleRatios []float64 `json:"stale_ratios"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("compact status = %d", resp.StatusCode)
+		}
+		return out.Compacted, out.StaleRatios
+	}
+	search := func() searchResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/collections/default/search?k=20", "text/plain", strings.NewReader(queriesText(t, coll, 3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out searchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		out.ElapsedMS = 0
+		return out
+	}
+
+	// Triple the database: both shards are far past any staleness
+	// threshold, and compaction still leaves them alone.
 	extra := dataset.Chemical(dataset.ChemConfig{N: 2 * coll.Size(), MinVertices: 8, MaxVertices: 12, Seed: 321})
 	var buf bytes.Buffer
 	if err := graphdim.WriteGraphs(&buf, extra); err != nil {
@@ -533,36 +580,41 @@ func TestV1CompactEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var added addResponse
+	if err := json.NewDecoder(resp.Body).Decode(&added); err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("add status = %d", resp.StatusCode)
 	}
-
-	resp, err = http.Post(ts.URL+"/v1/collections/default/compact", "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
+	n, ratios := compact()
+	if n != 0 {
+		t.Fatalf("compacted = %d with nothing removed, want 0", n)
 	}
-	var out struct {
-		Compacted   int       `json:"compacted"`
-		StaleRatios []float64 `json:"stale_ratios"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compact status = %d", resp.StatusCode)
-	}
-	if out.Compacted != 2 {
-		t.Fatalf("compacted = %d, want 2", out.Compacted)
-	}
-	for i, r := range out.StaleRatios {
-		if r != 0 {
-			t.Fatalf("shard %d stale ratio %v after compact", i, r)
+	for i, r := range ratios {
+		if r < 0.3 {
+			t.Fatalf("shard %d stale ratio %v after a no-op compact, want the staleness still reported", i, r)
 		}
 	}
 
-	// Compaction counters surface in stats.
+	// Tombstones on both shards, then the reclaim.
+	if err := coll.Remove(added.IDs[:8]...); err != nil {
+		t.Fatal(err)
+	}
+	before := search()
+	if n, _ = compact(); n != 2 {
+		t.Fatalf("compacted = %d, want 2", n)
+	}
+	if after := search(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("compaction changed a search answer:\nbefore: %+v\nafter:  %+v", before, after)
+	}
+	if _, ok := coll.Graph(added.IDs[0]); ok {
+		t.Fatalf("reclaimed id %d still resolves", added.IDs[0])
+	}
+
+	// Compaction counters surface in stats; the dimension count is the
+	// collection's, not a shard's.
 	resp, err = http.Get(ts.URL + "/v1/collections/default/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -572,21 +624,26 @@ func TestV1CompactEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if st.Dimensions == 0 {
+		t.Fatalf("stats report no dimensions: %+v", st)
+	}
 	for i, sh := range st.Shards {
-		if sh.Compactions != 1 {
-			t.Fatalf("shard %d compactions = %d, want 1 (%+v)", i, sh.Compactions, st)
+		if sh.Compactions != 1 || sh.Live != sh.Total {
+			t.Fatalf("shard %d: compactions %d, live %d of %d slots; want 1 and no tombstones (%+v)", i, sh.Compactions, sh.Live, sh.Total, st)
 		}
 	}
 }
 
 // TestV1GoldenSession is the scripted end-to-end walk of the /v1 API:
 // create (with a cache) → search twice (miss then hit) → add
-// (generation fence invalidates) → compact (swap invalidates again) →
+// (generation fence invalidates) → remove + compact (each invalidates
+// again, the answer does not move) →
 // stats, asserting the cache hit/miss/invalidation counters and the
 // generation vector at every step, plus deprecated-alias parity at the
 // end.
 func TestV1GoldenSession(t *testing.T) {
-	ts, defColl := newTestServer(t, 1, 30*time.Second)
+	ts, store := newTestServerStore(t, 1, 30*time.Second)
+	defColl, _ := store.Collection("default")
 
 	db := dataset.Chemical(dataset.ChemConfig{N: 16, MinVertices: 8, MaxVertices: 12, Seed: 71})
 	post := func(path string, body string) (*http.Response, []byte) {
@@ -700,24 +757,55 @@ func TestV1GoldenSession(t *testing.T) {
 		t.Fatalf("post-add repeat did not invalidate: %+v", st.Cache)
 	}
 
-	// 4. Compact: the swap moves the stale shard's generation again.
-	preGens := st.Generations
-	resp, data = post("/v1/collections/golden/compact?force=true", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compact: status %d: %s", resp.StatusCode, data)
-	}
+	// 4. Compact. The add left the collection stale, but staleness alone
+	// is nothing to compact; removing the added graph (on the store — the
+	// API has no remove route) leaves one tombstone, and reclaiming it
+	// moves that shard's generation again without moving the answer.
+	_, data = post("/v1/collections/golden/compact", "")
 	var compacted struct {
 		Compacted int `json:"compacted"`
 	}
 	if err := json.Unmarshal(data, &compacted); err != nil {
 		t.Fatal(err)
 	}
-	if compacted.Compacted != 1 {
-		t.Fatalf("compacted = %d, want 1 (only one shard is stale)", compacted.Compacted)
+	if compacted.Compacted != 0 {
+		t.Fatalf("compacted = %d with nothing removed, want 0", compacted.Compacted)
 	}
+	golden, _ := store.Collection("golden")
+	if err := golden.Remove(added.IDs[0]); err != nil {
+		t.Fatal(err)
+	}
+	_, body4 := post("/v1/collections/golden/search?k=5", q)
+	st = stats()
+	preGens, preInval := st.Generations, st.Cache.Invalidations
+	resp, data = post("/v1/collections/golden/compact", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compact: status %d: %s", resp.StatusCode, data)
+	}
+	if err := json.Unmarshal(data, &compacted); err != nil {
+		t.Fatal(err)
+	}
+	if compacted.Compacted != 1 {
+		t.Fatalf("compacted = %d, want 1 (only one shard holds a tombstone)", compacted.Compacted)
+	}
+	_, body5 := post("/v1/collections/golden/search?k=5", q)
 	st = stats()
 	if reflect.DeepEqual(st.Generations, preGens) {
 		t.Fatalf("compaction did not move a generation: %v", st.Generations)
+	}
+	if st.Cache.Invalidations != preInval+1 {
+		t.Fatalf("post-compact repeat did not invalidate: %+v", st.Cache)
+	}
+	var s4, s5 searchResponse
+	if err := json.Unmarshal(body4, &s4); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body5, &s5); err != nil {
+		t.Fatal(err)
+	}
+	s4.ElapsedMS, s5.ElapsedMS = 0, 0
+	if !reflect.DeepEqual(s4, s5) {
+		t.Fatalf("compaction changed the answer:\n%s\n%s", body4, body5)
 	}
 
 	// 5. Default-engine parity: a search with no engine knob answers
@@ -848,7 +936,7 @@ func TestConcurrentRequests(t *testing.T) {
 				return
 			}
 			resp.Body.Close()
-			resp, err = http.Post(ts.URL+"/v1/collections/default/compact?force=true", "text/plain", nil)
+			resp, err = http.Post(ts.URL+"/v1/collections/default/compact", "text/plain", nil)
 			if err != nil {
 				errs <- err
 				return

@@ -10,8 +10,9 @@
 // persists via WriteTo/ReadIndex as one v4 segment file.
 // Above the single index sits the Store management layer: named
 // collections sharded across parallel indexes by hashed graph placement,
-// fan-out search with a global top-k merge, background compaction that
-// rebuilds stale shards while readers keep serving, and Save/OpenStore
+// fan-out search with a global top-k merge over the collection's one
+// dimension set, a Compact that reclaims tombstoned slots without
+// changing a ranking while readers keep serving, and Save/OpenStore
 // directory persistence with a manifest. Stores opened against a data
 // directory (OpenStore, CreateStore, OpenOrCreateStore) are durable:
 // adds and removes are write-ahead logged (internal/wal) and fsynced

@@ -1,8 +1,8 @@
 // Command store demonstrates the graphdim.Store management layer: a named
 // collection sharded across parallel indexes, fan-out search with a
-// global top-k merge, online growth that drives shards stale, an explicit
-// compaction (the online rebuild path), and Save/OpenStore persistence —
-// the serving-system shape cmd/gserve exposes over HTTP.
+// global top-k merge, online growth and removal, a Compact that reclaims
+// the removed slots without moving a ranking, and Save/OpenStore
+// persistence — the serving-system shape cmd/gserve exposes over HTTP.
 package main
 
 import (
@@ -21,16 +21,12 @@ func main() {
 	db := dataset.Chemical(dataset.ChemConfig{N: 60, Seed: 42})
 	queries := dataset.Chemical(dataset.ChemConfig{N: 2, Seed: 43})
 
-	// A store without a background compactor; Compact below runs it by
-	// hand so the output is deterministic.
-	store := graphdim.NewStore(graphdim.StoreOptions{
-		Compaction: graphdim.CompactionPolicy{StaleThreshold: 0.3},
-	})
+	store := graphdim.NewStore(graphdim.StoreOptions{})
 	defer store.Close()
 
 	// One build over the full database, split across 4 shards: every
-	// shard starts in the same dimension space, so the sharded search is
-	// exactly equivalent to an unsharded index.
+	// shard holds the same dimension set for the life of the collection,
+	// so the sharded search is exactly equivalent to an unsharded index.
 	coll, err := store.Create(ctx, "molecules", db, graphdim.CollectionOptions{
 		Shards:   4,
 		Build:    graphdim.Options{Dimensions: 40, Tau: 0.10, MCSBudget: 20000},
@@ -54,8 +50,10 @@ func main() {
 		fmt.Println()
 	}
 
-	// Grow the collection past the stale threshold: new graphs hash onto
-	// their shards and are mapped in parallel, no re-mining.
+	// Grow the collection: new graphs hash onto their shards and are
+	// mapped in parallel, no re-mining. The stale ratio is the operator's
+	// signal that it is time to Create a fresh collection — nothing
+	// re-selects dimensions on its own.
 	extra := dataset.Chemical(dataset.ChemConfig{N: 40, Seed: 77})
 	ids, err := coll.Add(ctx, extra...)
 	if err != nil {
@@ -63,14 +61,27 @@ func main() {
 	}
 	fmt.Printf("added ids %d..%d; stale ratios now %.2f\n", ids[0], ids[len(ids)-1], coll.StaleRatios())
 
-	// Compact: each stale shard is rebuilt off to the side (fresh mining +
-	// dimension selection over its live graphs) and swapped in atomically;
-	// searches keep serving throughout.
-	n, err := coll.Compact(ctx, false)
+	// Remove tombstones; Compact reclaims the tombstoned slots — same
+	// dimensions, same vectors, so the ranking cannot move — while
+	// searches keep serving.
+	if err := coll.Remove(ids[:10]...); err != nil {
+		log.Fatalf("remove: %v", err)
+	}
+	before, err := coll.Search(ctx, queries[0], graphdim.SearchOptions{})
+	if err != nil {
+		log.Fatalf("search: %v", err)
+	}
+	n, err := coll.Compact(ctx)
 	if err != nil {
 		log.Fatalf("compact: %v", err)
 	}
-	fmt.Printf("compacted %d shards; stale ratios %.2f\n", n, coll.StaleRatios())
+	after, err := coll.Search(ctx, queries[0], graphdim.SearchOptions{})
+	if err != nil {
+		log.Fatalf("search: %v", err)
+	}
+	_, resolvable := coll.Graph(ids[0])
+	fmt.Printf("removed 10, compacted %d shards; g%d still resolves: %v; top-1 g%d -> g%d\n",
+		n, ids[0], resolvable, before.Results[0].ID, after.Results[0].ID)
 
 	// Persist and reload the whole store.
 	dir := filepath.Join(os.TempDir(), "graphdim-store-example")
@@ -84,7 +95,7 @@ func main() {
 	}
 	defer loaded.Close()
 	lcoll, _ := loaded.Collection("molecules")
-	res, err := lcoll.Search(ctx, extra[0], graphdim.SearchOptions{K: 1})
+	res, err := lcoll.Search(ctx, extra[10], graphdim.SearchOptions{K: 1})
 	if err != nil {
 		log.Fatalf("search after reload: %v", err)
 	}

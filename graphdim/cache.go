@@ -17,8 +17,8 @@ import (
 // CollectionOptions.Cache): an LRU over complete Search results, keyed
 // by the canonical query bytes plus the effective SearchOptions, and
 // fenced by the collection's shard generation vector — every shard
-// carries a monotonic counter that moves when a mutation or compaction
-// swap commits, so a cached entry is served only while every shard is
+// carries a monotonic counter that moves when a mutation or Compact's
+// reclaim swap commits, so a cached entry is served only while every shard is
 // exactly as it was when the entry was computed. Invalidation is
 // therefore free: no mutation ever walks the cache; entries whose
 // generation vector no longer matches simply miss (and are dropped on

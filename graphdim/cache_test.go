@@ -150,23 +150,15 @@ func TestCacheInvalidatesOnMutationAndCompaction(t *testing.T) {
 	if st.Invalidations == 0 {
 		t.Fatalf("generation moves produced no invalidations: %+v", st)
 	}
-	// Compaction swaps bump generations too: a forced compact must not
-	// let the pre-compaction entry serve again. (The add+remove above
-	// cancelled out staleness-wise, so create some real staleness first —
-	// force still skips shards with nothing stale.)
-	if _, err := coll.Add(ctx, dataset.Chemical(dataset.ChemConfig{N: 3, MinVertices: 8, MaxVertices: 12, Seed: 43})...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coll.Search(ctx, db[0], opt); err != nil {
-		t.Fatal(err)
-	}
+	// Compact's reclaim swap bumps the generation too: the entry cached
+	// just above (over the tombstone the Remove left) must not serve again.
 	st = mustStats(t, coll)
 	pre := coll.generations()
-	if _, err := coll.Compact(ctx, true); err != nil {
-		t.Fatal(err)
+	if n, err := coll.Compact(ctx); err != nil || n != 1 {
+		t.Fatalf("Compact = (%d, %v), want the one shard holding the tombstone", n, err)
 	}
 	if reflect.DeepEqual(pre, coll.generations()) {
-		t.Fatal("forced compaction did not move any shard generation")
+		t.Fatal("compaction did not move any shard generation")
 	}
 	if _, err := coll.Search(ctx, db[0], opt); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 
 // TestCachedStoreGenerationFenceUnderConcurrency is the generation-fence
 // correctness test: concurrent Search (served through the query cache),
-// Add, Remove, and forced Compact on one cached collection, asserting
+// Add, Remove, and Compact on one cached collection, asserting
 // that no search ever returns an id whose Remove committed before the
 // search started, nor misses an id whose Add committed before the
 // search started. Meaningful under -race (the CI race job runs this
@@ -105,7 +105,8 @@ func TestCachedStoreGenerationFenceUnderConcurrency(t *testing.T) {
 		}
 	}()
 
-	// Compactor: forced compactions racing the searches and writes.
+	// Compactor: reclaims of the mutator's tombstones racing the searches
+	// and writes.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -115,7 +116,7 @@ func TestCachedStoreGenerationFenceUnderConcurrency(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := coll.Compact(ctx, true); err != nil {
+			if _, err := coll.Compact(ctx); err != nil {
 				t.Errorf("Compact: %v", err)
 				return
 			}

@@ -29,10 +29,11 @@ import (
 // — binary vectors (the VF2 mapping is deterministic), posting lists,
 // the query cache, shard generation counters — is rebuilt during replay
 // rather than logged, which keeps the log small and the update path
-// decoupled from the read-side accelerators. Compaction likewise never
-// touches the log: a rebuild changes no logical content (records address
-// graphs by global id, which compaction preserves), so a swap between an
-// append and a checkpoint strands nothing.
+// decoupled from the read-side accelerators. Compact likewise never
+// touches the log: reclaiming tombstoned slots changes no logical content
+// and no ranking (records address graphs by global id, and every live
+// graph keeps its id and its vector), so a store that lost a reclaim to a
+// crash answers exactly like one that kept it.
 
 // walDirName is the per-collection log directory under the collection's
 // directory in the store's data dir.
@@ -201,8 +202,8 @@ func OpenOrCreateStore(dir string, opt StoreOptions) (*Store, error) {
 // reopen replays only the records committed since. It fails on a store
 // without a data directory.
 //
-// Checkpoints, Saves, and background compaction may all run while the
-// store serves reads and writes; checkpoints of one store serialize with
+// Checkpoints, Saves, and Compact may all run while the store serves
+// reads and writes; checkpoints of one store serialize with
 // each other and with Save.
 func (s *Store) Checkpoint() error {
 	if s.dir == "" {

@@ -67,7 +67,8 @@ func assertSameSearch(t *testing.T, label string, got, want *Collection, queries
 }
 
 // assertSameContent requires identical membership: same NextID, same
-// live count, and id-by-id agreement on presence and tombstone state.
+// live count, and id-by-id agreement on which ids are live and what
+// graphs they hold.
 func assertSameContent(t *testing.T, label string, got, want *Collection) {
 	t.Helper()
 	gs, ws := got.Stats(), want.Stats()
@@ -78,15 +79,29 @@ func assertSameContent(t *testing.T, label string, got, want *Collection) {
 		t.Fatalf("%s: %d live graphs after recovery, replica has %d", label, gs.Live, ws.Live)
 	}
 	for id := 0; id < ws.NextID; id++ {
-		gg, gok := got.Graph(id)
-		wg, wok := want.Graph(id)
+		// Live ids must agree exactly. A tombstone may or may not still
+		// resolve: whether its slot was reclaimed is local history (a
+		// Compact the other side never ran, or one a crash reverted).
+		gg, gok := liveGraph(got, id)
+		wg, wok := liveGraph(want, id)
 		if gok != wok {
-			t.Fatalf("%s: id %d present=%v after recovery, replica present=%v", label, id, gok, wok)
+			t.Fatalf("%s: id %d live=%v after recovery, replica live=%v", label, id, gok, wok)
 		}
 		if gok && gg.String() != wg.String() {
 			t.Fatalf("%s: id %d differs after recovery:\n%s\nvs\n%s", label, id, gg, wg)
 		}
 	}
+}
+
+// liveGraph resolves id only if it is live (assigned, not tombstoned, not
+// reclaimed).
+func liveGraph(c *Collection, id int) (*Graph, bool) {
+	st := c.shards[placeID(id, len(c.shards))].state.Load()
+	local := st.localOf(id)
+	if local < 0 || st.idx.IsRemoved(local) {
+		return nil, false
+	}
+	return st.idx.Graph(local), true
 }
 
 func TestDurableAddSurvivesRestart(t *testing.T) {
@@ -190,7 +205,7 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 			next := 0
 			nOps := 6 + rng.Intn(10)
 			for op := 0; op < nOps; op++ {
-				switch k := rng.Intn(5); {
+				switch k := rng.Intn(6); {
 				case k <= 2: // add a batch
 					bs := 1 + rng.Intn(3)
 					if next+bs > len(pool) {
@@ -223,9 +238,14 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 					if err := replica.Remove(id); err != nil {
 						t.Fatalf("op %d: replica Remove(%d): %v", op, id, err)
 					}
-				default: // checkpoint
+				case k == 4: // checkpoint
 					if err := s.Checkpoint(); err != nil {
 						t.Fatalf("op %d: Checkpoint: %v", op, err)
+					}
+				default: // compact — the durable side only: the replica never
+					// reclaims, and recovery must not be able to tell
+					if _, err := c.Compact(ctx); err != nil {
+						t.Fatalf("op %d: Compact: %v", op, err)
 					}
 				}
 			}
@@ -649,22 +669,22 @@ func TestDurableDropDoesNotResurrect(t *testing.T) {
 	}
 }
 
-// TestCompactionCoordinatesWithRecovery: a compaction swap between a
-// checkpoint and a crash must strand no log records — the replayed tail
-// applies cleanly over the (uncompacted) checkpoint image, and the
-// recovered store serves the same live set and the same exact-engine
-// ranking as an uncrashed replica.
+// TestCompactionCoordinatesWithRecovery: Compact writes nothing to the log
+// and needs nothing from it. A reclaim lost to a crash (no checkpoint since)
+// and a reclaim persisted by a checkpoint both recover to a store that
+// ranks bit-identically — mapped, verified and exact — to a single-shard
+// replica that saw the same writes and never compacted or crashed.
 func TestCompactionCoordinatesWithRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	idx, db := equivBuild(t, rng, 30)
-	pool := dataset.Synthetic(dataset.SynthConfig{N: 10, AvgEdges: 9, Labels: 5, Seed: 23})
+	pool := dataset.Synthetic(dataset.SynthConfig{N: 12, AvgEdges: 9, Labels: 5, Seed: 23})
 	ctx := context.Background()
 	dir := t.TempDir()
-	s, err := CreateStore(dir, StoreOptions{Compaction: CompactionPolicy{StaleThreshold: 0.01}})
+	s, err := CreateStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := s.CreateFromIndex("c", idx, CollectionOptions{Shards: 1})
+	c, err := s.CreateFromIndex("c", idx, CollectionOptions{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,64 +694,110 @@ func TestCompactionCoordinatesWithRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	same := func(label string, got *Collection) {
+		t.Helper()
+		if g, w := got.Size(), replica.Size(); g != w {
+			t.Fatalf("%s: %d live graphs, want %d", label, g, w)
+		}
+		if g, w := got.Stats().NextID, replica.Stats().NextID; g != w {
+			t.Fatalf("%s: NextID %d, want %d", label, g, w)
+		}
+		for _, q := range []*Graph{db[3], pool[5], pool[11]} {
+			for _, sopt := range []SearchOptions{
+				{K: 8},
+				{K: 8, Engine: EngineVerified, VerifyFactor: 100},
+				{K: 8, Engine: EngineExact},
+			} {
+				g, err := got.Search(ctx, q, sopt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := replica.Search(ctx, q, sopt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(g.Results, w.Results) {
+					t.Fatalf("%s: %s ranking diverges:\ngot:     %v\nreplica: %v", label, sopt.Engine, g.Results, w.Results)
+				}
+			}
+		}
+	}
+	both := func(c *Collection, f func(*Collection) error) {
+		t.Helper()
+		for _, x := range []*Collection{c, replica} {
+			if err := f(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add := func(gs []*Graph) func(*Collection) error {
+		return func(x *Collection) error { _, err := x.Add(ctx, gs...); return err }
+	}
 
 	ids, err := c.Add(ctx, pool[:4]...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replica.Add(ctx, pool[:4]...); err != nil {
+	if err := add(pool[:4])(replica); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Post-checkpoint tail: a remove, a compaction swap (which reclaims
-	// the tombstone in memory but must not touch the log), more adds.
-	if err := c.Remove(ids[1]); err != nil {
-		t.Fatal(err)
+	// Post-checkpoint tail: a remove, a reclaim (in memory only — it must
+	// not touch the log), more adds.
+	both(c, func(x *Collection) error { return x.Remove(ids[1], 7) })
+	appends := c.Stats().WAL.Appends
+	if n, err := c.Compact(ctx); err != nil || n == 0 {
+		t.Fatalf("Compact repacked %d shards, err %v", n, err)
 	}
-	if err := replica.Remove(ids[1]); err != nil {
-		t.Fatal(err)
+	if got := c.Stats().WAL.Appends; got != appends {
+		t.Fatalf("Compact appended %d wal records", got-appends)
 	}
-	if n, err := c.Compact(ctx, true); err != nil || n != 1 {
-		t.Fatalf("Compact rebuilt %d shards, err %v", n, err)
-	}
-	if _, err := c.Add(ctx, pool[4:7]...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := replica.Add(ctx, pool[4:7]...); err != nil {
-		t.Fatal(err)
-	}
+	both(c, add(pool[4:7]))
+	same("compacted, before the crash", c)
 
-	s.Close() // crash: no checkpoint since the compaction
+	s.Close() // crash: no checkpoint since the reclaim — it is simply lost
 	re, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatalf("reopen after compact+crash: %v", err)
 	}
-	defer re.Close()
 	rc, _ := re.Collection("c")
-	if got, want := rc.Size(), replica.Size(); got != want {
-		t.Fatalf("recovered %d live graphs, want %d", got, want)
+	same("recovered after compact+crash", rc)
+	if _, ok := rc.Graph(7); !ok {
+		t.Fatal("the crash should have reverted the reclaim: id 7 is a tombstone in the checkpoint image")
 	}
-	if g := rc.Stats(); g.NextID != replica.Stats().NextID {
-		t.Fatalf("recovered NextID %d, want %d", g.NextID, replica.Stats().NextID)
+
+	// Second life: this time the reclaim is checkpointed, so the segment
+	// files hold only live graphs and the replayed tail lands on them.
+	both(rc, func(x *Collection) error { return x.Remove(ids[2], 12) })
+	if n, err := rc.Compact(ctx); err != nil || n == 0 {
+		t.Fatalf("Compact repacked %d shards, err %v", n, err)
 	}
-	// The compacted shard re-selected its dimensions before the crash,
-	// so mapped-space scores may legitimately differ from the replica's;
-	// the exact engine must agree bit-for-bit.
-	exact := SearchOptions{K: 8, Engine: EngineExact}
-	for _, q := range []*Graph{db[3], pool[5]} {
-		g, err := rc.Search(ctx, q, exact)
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	both(rc, add(pool[7:10]))
+	both(rc, func(x *Collection) error { return x.Remove(3) })
+	re.Close() // crash again
+	for _, mode := range []MemoryMode{MemoryHeap, MemoryMap} {
+		re2, err := OpenStore(dir, StoreOptions{Memory: mode})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("reopen after compact+checkpoint+crash: %v", err)
 		}
-		w, err := replica.Search(ctx, q, exact)
-		if err != nil {
-			t.Fatal(err)
+		rc2, _ := re2.Collection("c")
+		same("recovered over a compacted checkpoint", rc2)
+		for _, id := range []int{7, 12, ids[1], ids[2]} {
+			if _, ok := rc2.Graph(id); ok {
+				t.Fatalf("reclaimed id %d resolves after reopening a compacted checkpoint", id)
+			}
 		}
-		if !reflect.DeepEqual(g.Results, w.Results) {
-			t.Fatalf("exact ranking diverges after compact+crash:\nrecovered: %v\nreplica:   %v", g.Results, w.Results)
+		// A reclaim of a mapped shard faults its live graphs onto the heap.
+		if n, err := rc2.Compact(ctx); err != nil || n == 0 {
+			t.Fatalf("Compact (memory mode %d) repacked %d shards, err %v", mode, n, err)
 		}
+		same("compacted again after reopen", rc2)
+		re2.Close()
 	}
 }
 

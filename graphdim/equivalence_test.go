@@ -19,8 +19,9 @@ import (
 // on which the posting-pruned mapped and verified rankings must be
 // byte-identical — same ids, bitwise-equal distances — to the flat-scan
 // rankings (SearchOptions.NoPrune) and to the single-shard Store
-// ranking. Every run draws a fresh seed and logs it; replay a failure
-// with
+// ranking, and a sharded collection fed the same waves — compacting
+// along the way — must rank like the single-shard one. Every run draws a
+// fresh seed and logs it; replay a failure with
 //
 //	GRAPHDIM_EQUIV_SEED=<seed> go test -run TestEngineEquivalenceRandomized ./graphdim
 func equivSeed(t *testing.T) int64 {
@@ -139,23 +140,69 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 		queries := []*Graph{db[rng.Intn(n)], db[rng.Intn(n)]}
 		queries = append(queries, dataset.Synthetic(dataset.SynthConfig{N: 3, AvgEdges: 6, Labels: 7, Seed: rng.Int63()})...)
 
+		// A single-shard and a sharded collection ride the same waves as
+		// the index (ids stay aligned: all three assign densely). Only the
+		// sharded one compacts, so every comparison after the first wave
+		// is reclaimed-vs-tombstoned as well as sharded-vs-flat.
+		store := NewStore(StoreOptions{})
+		one, err := store.CreateFromIndex("one", idx, CollectionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		many, err := store.CreateFromIndex("many", idx, CollectionOptions{Shards: 2 + rng.Intn(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+
 		waves := 3
 		for wave := 0; wave < waves; wave++ {
 			k := 1 + rng.Intn(idx.TotalGraphs()+4)
 			for qi, q := range queries {
 				wl := label + " wave " + strconv.Itoa(wave) + " query " + strconv.Itoa(qi)
-				assertPrunedEqualsFlat(t, wl+" mapped", idx, q, SearchOptions{K: k})
+				mapped := assertPrunedEqualsFlat(t, wl+" mapped", idx, q, SearchOptions{K: k})
 				assertPrunedEqualsFlat(t, wl+" verified", idx, q, SearchOptions{
 					K:            k,
 					Engine:       EngineVerified,
 					VerifyFactor: 1 + rng.Intn(3),
 				})
+				// Verified is shard-count independent only once its pool
+				// covers the database; the MCS legs run on one query a
+				// wave to keep the suite quick.
+				sopts := []SearchOptions{{K: k}}
+				if qi == wave%len(queries) {
+					sopts = append(sopts,
+						SearchOptions{K: 5, Engine: EngineVerified, VerifyFactor: idx.TotalGraphs()},
+						SearchOptions{K: 5, Engine: EngineExact})
+				}
+				for _, sopt := range sopts {
+					want, err := one.Search(ctx, q, sopt)
+					if err != nil {
+						t.Fatalf("%s: single-shard Search: %v", wl, err)
+					}
+					got, err := many.Search(ctx, q, sopt)
+					if err != nil {
+						t.Fatalf("%s: sharded Search: %v", wl, err)
+					}
+					if !reflect.DeepEqual(got.Results, want.Results) {
+						t.Fatalf("%s %s: sharded (compacted) ranking diverges from single-shard:\nsharded: %v\nsingle:  %v",
+							wl, sopt.Engine, got.Results, want.Results)
+					}
+					if sopt.Engine == EngineMapped && !reflect.DeepEqual(got.Results, mapped.Results) {
+						t.Fatalf("%s: store ranking diverges from the index:\nstore: %v\nindex: %v", wl, got.Results, mapped.Results)
+					}
+				}
 			}
 			// Interleave mutations: add a few unseen graphs, remove a few
 			// random live ids (never below one live graph).
 			added := dataset.Synthetic(dataset.SynthConfig{N: 1 + rng.Intn(4), AvgEdges: 9, Labels: 5, Seed: rng.Int63()})
 			if _, err := idx.Add(added...); err != nil {
 				t.Fatalf("%s: Add: %v", label, err)
+			}
+			for _, c := range []*Collection{one, many} {
+				if _, err := c.Add(ctx, added...); err != nil {
+					t.Fatalf("%s: %s Add: %v", label, c.Name(), err)
+				}
 			}
 			removals := rng.Intn(4)
 			for i := 0; i < removals && idx.Size() > 1; i++ {
@@ -166,8 +213,17 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 				if err := idx.Remove(id); err != nil {
 					t.Fatalf("%s: Remove(%d): %v", label, id, err)
 				}
+				for _, c := range []*Collection{one, many} {
+					if err := c.Remove(id); err != nil {
+						t.Fatalf("%s: %s Remove(%d): %v", label, c.Name(), id, err)
+					}
+				}
+			}
+			if _, err := many.Compact(ctx); err != nil {
+				t.Fatalf("%s: Compact: %v", label, err)
 			}
 		}
+		store.Close()
 	}
 }
 
@@ -252,5 +308,29 @@ func TestEngineEquivalenceSingleShardStore(t *testing.T) {
 	}
 	if st, ok := cached.CacheStats(); !ok || st.Hits == 0 {
 		t.Fatalf("cached collection never hit: %+v", st)
+	}
+
+	// Reclaiming the tombstones changes nothing a query can see, cached
+	// or not.
+	for _, coll := range []*Collection{cached, plain} {
+		if _, err := coll.Compact(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for qi, q := range queries {
+		want, err := idx.Search(ctx, q, SearchOptions{K: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, coll := range []*Collection{cached, plain} {
+			got, err := coll.Search(ctx, q, SearchOptions{K: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Results, want.Results) {
+				t.Fatalf("query %d (%s): ranking moved across Compact:\nstore: %v\nindex: %v",
+					qi, coll.Name(), got.Results, want.Results)
+			}
+		}
 	}
 }

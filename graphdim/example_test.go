@@ -149,8 +149,9 @@ func ExampleIndex_WriteTo() {
 }
 
 // ExampleStore shows the management layer: a collection sharded across
-// parallel indexes answers exactly like an unsharded index, grows online,
-// and compacts stale shards in place while staying searchable.
+// parallel indexes answers exactly like an unsharded index, grows and
+// shrinks online, and reclaims removed slots in place without moving a
+// ranking.
 func ExampleStore() {
 	db := dataset.Chemical(dataset.ChemConfig{N: 30, MinVertices: 8, MaxVertices: 12, Seed: 4})
 	ctx := context.Background()
@@ -179,17 +180,26 @@ func ExampleStore() {
 	}
 	fmt.Println("sharded == unsharded:", reflect.DeepEqual(got.Results, want.Results))
 
-	// Grow the collection, then rebuild every stale shard while readers
-	// keep serving.
-	if _, err := coll.Add(ctx, dataset.Chemical(dataset.ChemConfig{N: 20, MinVertices: 8, MaxVertices: 12, Seed: 9})...); err != nil {
-		panic(err)
-	}
-	compacted, err := coll.Compact(ctx, true)
+	// Grow the collection, remove a few graphs, then reclaim their slots
+	// while readers keep serving: same dimensions, same vectors, so the
+	// ranking cannot move.
+	ids, err := coll.Add(ctx, dataset.Chemical(dataset.ChemConfig{N: 20, MinVertices: 8, MaxVertices: 12, Seed: 9})...)
 	if err != nil {
 		panic(err)
 	}
+	if err := coll.Remove(ids[:6]...); err != nil {
+		panic(err)
+	}
+	before, _ := coll.Search(ctx, db[5], graphdim.SearchOptions{})
+	compacted, err := coll.Compact(ctx)
+	if err != nil {
+		panic(err)
+	}
+	after, _ := coll.Search(ctx, db[5], graphdim.SearchOptions{})
 	fmt.Println("graphs:", coll.Size(), "shards compacted:", compacted)
+	fmt.Println("ranking unchanged:", reflect.DeepEqual(after.Results, before.Results))
 	// Output:
 	// sharded == unsharded: true
-	// graphs: 50 shards compacted: 3
+	// graphs: 44 shards compacted: 3
+	// ranking unchanged: true
 }

@@ -34,7 +34,7 @@ import (
 //
 // Methods are not safe for concurrent use with each other — one tailer
 // goroutine drives the applier — but coexist with searches, checkpoints
-// and compaction exactly as a primary's writers do (they hold the
+// and Compact exactly as a primary's writers do (they hold the
 // collection writer lock while touching state).
 type ReplicaApplier struct {
 	c       *Collection

@@ -39,9 +39,11 @@
 // parallel indexes: graphs place onto shards by a fixed hash of their
 // global id, Search fans out and merges per-shard top-k heaps into one
 // globally ranked result (exactly the unsharded ranking — see
-// Collection.Search), Add and Save/OpenStore parallelize per shard, and a
-// background compactor rebuilds any shard whose StaleRatio crosses a
-// policy threshold while readers keep serving.
+// Collection.Search), Add and Save/OpenStore parallelize per shard, and
+// Collection.Compact reclaims tombstoned slots while readers keep serving.
+// A collection has one dimension set for life: every shard holds it,
+// nothing re-selects it, and StaleRatio tells the operator when to build a
+// new collection.
 //
 // Two accelerators keep the hot path sublinear without changing any
 // ranked result: per-dimension posting lists prune the mapped-space
@@ -49,7 +51,7 @@
 // cost model falls back to the flat scan for dense queries; see
 // SearchOptions.NoPrune), and collections built with CacheOptions serve
 // repeat queries from an LRU fenced by per-shard generation counters,
-// so any committed mutation or compaction invalidates affected entries
+// so any committed mutation or Compact invalidates affected entries
 // for free (see Index.Generation).
 package graphdim
 
@@ -411,8 +413,9 @@ type Index struct {
 	features []*Graph
 	mapper   *vecspace.Mapper
 	// dims is a content digest of the ordered dimension set: two indexes
-	// with equal dims map every graph to the same vector, so a collection
-	// maps a query once per distinct digest, not once per shard.
+	// with equal dims map every graph to the same vector. Every shard of a
+	// collection must carry the same digest — OpenStore checks it — which
+	// is what lets a collection map a query once, with any shard's mapper.
 	dims    [sha256.Size]byte
 	weights []float64
 	metric  Metric
@@ -439,6 +442,24 @@ func newIndex(features []*Graph, weights []float64, metric Metric, mcsOpt mcs.Op
 	}
 	ix.snap.Store(snap)
 	return ix
+}
+
+// fork returns an index over the same dimension set as ix — features,
+// weights, compiled mapper and digest are shared, not rebuilt — serving
+// snap with the given worker bound: how a collection's shards come to hold
+// one dimension set (CreateFromIndex) and keep it (shard.reclaim).
+func (ix *Index) fork(workers int, snap *snapshot) *Index {
+	next := &Index{
+		features: ix.features,
+		mapper:   ix.mapper,
+		dims:     ix.dims,
+		weights:  ix.weights,
+		metric:   ix.metric,
+		mcsOpt:   ix.mcsOpt,
+		workers:  workers,
+	}
+	next.snap.Store(snap)
+	return next
 }
 
 // dimsDigest hashes the ordered feature list in its binary encoding.

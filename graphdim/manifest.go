@@ -13,7 +13,7 @@ import (
 )
 
 // A store persists as a directory: a store.json manifest naming every
-// collection, its shard layout, build and default-search options, and the
+// collection, its shard layout, worker bound and default-search options, and the
 // local→global id table of each shard, next to one v4 segment file per
 // shard (<dir>/<collection>/shard-NNNN.gdx, the WriteTo format). Shard files
 // carry no ids of their own — the manifest's tables are authoritative —
@@ -61,52 +61,13 @@ type collectionManifest struct {
 	WALSeq uint64 `json:"wal_seq,omitempty"`
 }
 
-// buildManifest mirrors the scalar fields of Options (Progress does not
-// persist), with zero values meaning the library defaults as usual.
+// buildManifest persists the one build option that outlives creation:
+// the worker bound shardIdxWorkers divides among the shards at open. The
+// selection parameters an earlier release wrote next to it (tau, algorithm,
+// MCS budget, ... — inputs to per-shard rebuilds that no longer exist)
+// still parse and are dropped.
 type buildManifest struct {
-	Dimensions      int     `json:"dimensions,omitempty"`
-	Tau             float64 `json:"tau,omitempty"`
-	MaxPatternEdges int     `json:"max_pattern_edges,omitempty"`
-	MaxCandidates   int     `json:"max_candidates,omitempty"`
-	Metric          int     `json:"metric,omitempty"`
-	Algorithm       int     `json:"algorithm,omitempty"`
-	PartitionSize   int     `json:"partition_size,omitempty"`
-	MCSBudget       int64   `json:"mcs_budget,omitempty"`
-	Seed            int64   `json:"seed,omitempty"`
-	Iterations      int     `json:"iterations,omitempty"`
-	Workers         int     `json:"workers,omitempty"`
-}
-
-func toBuildManifest(o Options) buildManifest {
-	return buildManifest{
-		Dimensions:      o.Dimensions,
-		Tau:             o.Tau,
-		MaxPatternEdges: o.MaxPatternEdges,
-		MaxCandidates:   o.MaxCandidates,
-		Metric:          int(o.Metric),
-		Algorithm:       int(o.Algorithm),
-		PartitionSize:   o.PartitionSize,
-		MCSBudget:       o.MCSBudget,
-		Seed:            o.Seed,
-		Iterations:      o.Iterations,
-		Workers:         o.Workers,
-	}
-}
-
-func (m buildManifest) options() Options {
-	return Options{
-		Dimensions:      m.Dimensions,
-		Tau:             m.Tau,
-		MaxPatternEdges: m.MaxPatternEdges,
-		MaxCandidates:   m.MaxCandidates,
-		Metric:          Metric(m.Metric),
-		Algorithm:       Algorithm(m.Algorithm),
-		PartitionSize:   m.PartitionSize,
-		MCSBudget:       m.MCSBudget,
-		Seed:            m.Seed,
-		Iterations:      m.Iterations,
-		Workers:         m.Workers,
-	}
+	Workers int `json:"workers,omitempty"`
 }
 
 // cacheManifest mirrors CacheOptions.
@@ -269,7 +230,7 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 		cm := collectionManifest{
 			Name:         c.name,
 			Shards:       len(c.shards),
-			Build:        toBuildManifest(c.build),
+			Build:        buildManifest{Workers: c.workers},
 			Defaults:     toDefaultsManifest(c.defaults),
 			Cache:        cacheManifest{MaxEntries: c.cacheOpt.MaxEntries, MaxBytes: c.cacheOpt.MaxBytes},
 			ShardFiles:   make([]string, len(c.shards)),
@@ -283,7 +244,7 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 		// excluded, and the WAL sequence captured here is exactly the
 		// last record the captured states reflect. The states themselves
 		// are immutable (copy-on-write), so encoding them lock-free is
-		// safe while Adds, Removes, and compactions continue.
+		// safe while Adds, Removes, and Compact continue.
 		c.addMu.Lock()
 		images := make([]shardImage, len(c.shards))
 		for i, sh := range c.shards {
@@ -511,8 +472,8 @@ func writeShardImage(cdir string, i int, img shardImage) (string, []int, error) 
 // that were committed — checkpointed or not — when the previous process
 // stopped, however it stopped. The opened store is durable: subsequent
 // writes log to dir (unless opt.WAL.Disabled). The options configure the
-// returned store exactly as NewStore does — the compaction policy and
-// worker budget are runtime settings, not persisted state.
+// returned store exactly as NewStore does — the worker budget and memory
+// mode are runtime settings, not persisted state.
 func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -602,7 +563,6 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 			return nil, fmt.Errorf("shard %d: invalid file name %q", i, f)
 		}
 	}
-	build := cm.Build.options()
 	defaults, err := cm.Defaults.options()
 	if err != nil {
 		return nil, err
@@ -610,14 +570,14 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	cacheOpt := CacheOptions{MaxEntries: cm.Cache.MaxEntries, MaxBytes: cm.Cache.MaxBytes}
 	// Same domain checks as create time, so a hand-edited manifest fails
 	// at open rather than as confusing per-query errors later.
-	if err := (CollectionOptions{Shards: cm.Shards, Build: build, Defaults: defaults, Cache: cacheOpt}).validate(); err != nil {
+	if err := (CollectionOptions{Shards: cm.Shards, Defaults: defaults, Cache: cacheOpt}).validate(); err != nil {
 		return nil, err
 	}
 
 	c := &Collection{
 		store:    s,
 		name:     cm.Name,
-		build:    build,
+		workers:  cm.Build.Workers,
 		defaults: defaults,
 		shards:   make([]*shard, cm.Shards),
 		cacheOpt: cacheOpt,
@@ -659,6 +619,16 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
+		}
+	}
+	// One dimension set per collection. Releases whose Compact re-selected
+	// dimensions per shard could checkpoint shards that rank in unrelated
+	// spaces; merging their distances is meaningless, so such a directory is
+	// refused rather than served.
+	dims := c.shards[0].state.Load().idx.dims
+	for i, sh := range c.shards[1:] {
+		if sh.state.Load().idx.dims != dims {
+			return nil, fmt.Errorf("shard %d holds a different dimension set than shard 0 — compacted by an earlier release; re-create the collection", i+1)
 		}
 	}
 	return c, nil

@@ -63,11 +63,11 @@ func mergeOfShardSearches(t *testing.T, c *Collection, q *Graph, opt SearchOptio
 	return all
 }
 
-// TestCollectionMapsOncePerDimensionSet: a 4-shard collection maps a
-// query once while its shards share the build-time dimensions, and once
-// more for a shard whose compaction re-selected them — with the merged
-// ranking equal to the merge of per-shard searches either way, and
-// Matched equal to the first shard's own view.
+// TestCollectionMapsOncePerDimensionSet: a collection has one dimension
+// set, so a 4-shard search maps its query exactly once — before a
+// Compact, after one, and after further writes — with the merged ranking
+// equal to the merge of per-shard searches and Matched equal to the
+// first shard's own view.
 func TestCollectionMapsOncePerDimensionSet(t *testing.T) {
 	db := storeTestDB(t, 48, 21)
 	s := newTestStore(t)
@@ -101,24 +101,28 @@ func TestCollectionMapsOncePerDimensionSet(t *testing.T) {
 			}
 		}
 	}
-	check("shared dimensions", p)
+	check("as built", p)
 
-	// Tombstone one graph: exactly its shard goes stale, and a forced
-	// compaction re-selects that shard's dimensions alone.
-	stale := placeID(5, len(c.shards))
+	// Tombstone one graph and reclaim it: exactly its shard repacks, over
+	// the same dimensions — digest, mapper and all.
+	dims := c.shards[0].state.Load().idx.dims
 	if err := c.Remove(5); err != nil {
 		t.Fatal(err)
 	}
 	check("one tombstone", p)
-	if n, err := c.Compact(context.Background(), true); err != nil || n != 1 {
-		t.Fatalf("Compact = %d, %v; want exactly the stale shard", n, err)
+	if n, err := c.Compact(context.Background()); err != nil || n != 1 {
+		t.Fatalf("Compact = %d, %v; want exactly the shard holding the tombstone", n, err)
 	}
-	other := (stale + 1) % len(c.shards)
-	staleIdx, otherIdx := c.shards[stale].state.Load().idx, c.shards[other].state.Load().idx
-	if staleIdx.dims == otherIdx.dims {
-		t.Fatal("the compacted shard re-selected the very same dimensions; pick another seed")
+	check("after Compact", p)
+	if _, err := c.Add(context.Background(), storeTestDB(t, 8, 23)...); err != nil {
+		t.Fatal(err)
 	}
-	check("after compacting one shard", p+len(staleIdx.Dimensions()))
+	check("Add after Compact", p)
+	for i, sh := range c.shards {
+		if sh.state.Load().idx.dims != dims {
+			t.Fatalf("shard %d left the collection's dimension set", i)
+		}
+	}
 }
 
 // TestMappedSearchDecodesNothing: on a store reopened in MemoryMap mode,

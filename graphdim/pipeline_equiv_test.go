@@ -2,6 +2,7 @@ package graphdim
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -330,6 +331,136 @@ func TestPipelineShardMergeEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("pipeline %d: %d-shard answer diverges from 1-shard:\nmany: %+v\none:  %+v",
 				pi, many.Shards(), got, want)
+		}
+	}
+}
+
+// TestPipelineDimensionFilterThroughCompaction: Collection.Query
+// range-checks and pushes down dimension predicates against shard 0's
+// dimensions, which is right only because every shard holds the same set
+// for life. A sharded collection that removes, compacts and adds again
+// must keep answering dimension-filter pipelines exactly like a
+// single-shard collection that never compacted.
+func TestPipelineDimensionFilterThroughCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(equivSeed(t)))
+	ctx := context.Background()
+	idx, db := equivBuild(t, rng, 40+rng.Intn(80))
+	p := len(idx.Dimensions())
+
+	s := NewStore(StoreOptions{})
+	defer s.Close()
+	one, err := s.CreateFromIndex("dim-one", idx, CollectionOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	many, err := s.CreateFromIndex("dim-many", idx, CollectionOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The last dimension is the one an off-by-one in a diverged shard's
+	// range check would lose first.
+	all := pipeline.Stage{Filter: &pipeline.Filter{DimsAll: []int{p - 1}}}
+	any := pipeline.Stage{Filter: &pipeline.Filter{DimsAny: []int{rng.Intn(p), rng.Intn(p)}, MinOnes: 1}}
+	search := pipeline.Stage{Search: &pipeline.Search{G: db[rng.Intn(len(db))], K: 12}}
+	pipelines := []*pipeline.Pipeline{
+		{Stages: []pipeline.Stage{all, {Count: &pipeline.Count{}}}},
+		{Stages: []pipeline.Stage{any}},
+		{Stages: []pipeline.Stage{any, {GroupBy: &pipeline.GroupBy{Key: pipeline.KeyVertexLabel}}}},
+		{Stages: []pipeline.Stage{any, search}},
+		{Stages: []pipeline.Stage{all, any, search, {TopK: &pipeline.TopK{K: 4}}}},
+	}
+	outOfRange := &pipeline.Pipeline{Stages: []pipeline.Stage{{Filter: &pipeline.Filter{DimsAll: []int{p}}}}}
+	check := func(label string) {
+		t.Helper()
+		for pi, pl := range pipelines {
+			want, err := one.Query(ctx, pl)
+			if err != nil {
+				t.Fatalf("%s: pipeline %d on 1 shard: %v", label, pi, err)
+			}
+			got, err := many.Query(ctx, pl)
+			if err != nil {
+				t.Fatalf("%s: pipeline %d on 3 shards: %v", label, pi, err)
+			}
+			want.Stats, got.Stats = pipeline.Stats{}, pipeline.Stats{}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: pipeline %d: sharded answer diverges from single-shard:\nmany: %+v\none:  %+v", label, pi, got, want)
+			}
+		}
+		for _, c := range []*Collection{one, many} {
+			var se *pipeline.StageError
+			if _, err := c.Query(ctx, outOfRange); !errors.As(err, &se) {
+				t.Fatalf("%s: dimension %d of %d on %s: err = %v, want a StageError", label, p, p, c.Name(), err)
+			}
+		}
+	}
+	both := func(f func(*Collection) error) {
+		t.Helper()
+		for _, c := range []*Collection{one, many} {
+			if err := f(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	check("as built")
+	removed := rng.Perm(len(db))[:len(db)/4]
+	both(func(c *Collection) error { return c.Remove(removed...) })
+	check("after Remove")
+	if n, err := many.Compact(ctx); err != nil || n == 0 {
+		t.Fatalf("Compact = (%d, %v), want the shards holding tombstones", n, err)
+	}
+	check("after Compact")
+	added := dataset.Synthetic(dataset.SynthConfig{N: 15, AvgEdges: 9, Labels: 5, Seed: rng.Int63()})
+	both(func(c *Collection) error { _, err := c.Add(ctx, added...); return err })
+	check("Add after Compact")
+}
+
+// TestFilterMatchingNothingOnAShard: a pushed-down filter whose posting
+// intersection is empty on some shard restricts that shard to nothing —
+// it must not fall back to ranking the shard unfiltered. The rarest
+// dimension over more shards than it has graphs guarantees such a shard.
+func TestFilterMatchingNothingOnAShard(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ctx := context.Background()
+	idx, db := equivBuild(t, rng, 40)
+	vecs := mapAll(idx)
+	rare, count := -1, len(db)+1
+	for d := range idx.Dimensions() {
+		n := 0
+		for _, v := range vecs {
+			if v.Get(d) {
+				n++
+			}
+		}
+		if n > 0 && n < count {
+			rare, count = d, n
+		}
+	}
+	shards := count + 2
+	s := NewStore(StoreOptions{})
+	defer s.Close()
+	many, err := s.CreateFromIndex("rare", idx, CollectionOptions{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := SearchOptions{K: len(db), Filters: []*pipeline.Filter{{DimsAll: []int{rare}}}}
+	for _, noPrune := range []bool{false, true} {
+		opt.NoPrune = noPrune
+		want, err := idx.Search(ctx, db[0], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := many.Search(ctx, db[0], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Results) != count {
+			t.Fatalf("noprune=%v: the index returns %d graphs for a dimension %d graphs hold", noPrune, len(want.Results), count)
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Fatalf("noprune=%v: %d shards (dimension %d is set in %d graphs) diverge from the index:\nsharded: %v\nindex:   %v",
+				noPrune, shards, rare, count, got.Results, want.Results)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func (c *Collection) AppliedSeq() uint64 { return c.applied.Load() }
 // order on every replica, so "replica at least as fresh as X" is
 // exactly applied >= X. The generation vector rides along for
 // observability; it is process-local (generations restart at zero on
-// load and advance on compaction), so it is not comparable across
+// load and advance on a local Compact), so it is not comparable across
 // processes.
 func (c *Collection) Freshness() (applied uint64, gens []uint64) {
 	return c.applied.Load(), c.generations()

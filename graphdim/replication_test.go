@@ -110,6 +110,12 @@ func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 	if err := pc.Remove(ids[1], ids[4]); err != nil {
 		t.Fatal(err)
 	}
+	// Compact the primary only. A reclaim is not a logged event and does
+	// not need to be: the follower keeps the tombstones and must rank
+	// identically all the same.
+	if n, err := pc.Compact(ctx); err != nil || n == 0 {
+		t.Fatalf("primary Compact = (%d, %v)", n, err)
+	}
 	boom := errors.New("shard down")
 	pc.failShard = func(sh int) error {
 		if sh == 1 {
@@ -136,7 +142,14 @@ func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 		t.Fatalf("follower applied %d, primary %d", got, want)
 	}
 	queries := dataset.Synthetic(dataset.SynthConfig{N: 12, AvgEdges: 6, Labels: 5, Seed: 7})
-	assertSameSearch(t, "caught-up follower", fc, pc, queries)
+	assertSameSearch(t, "caught-up follower of a compacted primary", fc, pc, queries)
+	assertSameContent(t, "caught-up follower of a compacted primary", fc, pc)
+	if _, ok := pc.Graph(ids[1]); ok {
+		t.Fatalf("primary still resolves reclaimed id %d", ids[1])
+	}
+	if _, ok := fc.Graph(ids[1]); !ok {
+		t.Fatalf("follower lost tombstoned id %d without compacting", ids[1])
+	}
 
 	// NextID converges too — voided ids burned identically on both
 	// sides, so later assignments can never collide.
@@ -166,12 +179,19 @@ func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 	}
 	assertSameSearch(t, "restarted follower", fc2, pc, queries)
 
-	// And it keeps following.
+	// And it keeps following, through another primary-only compaction.
+	if err := pc.Remove(3, ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := pc.Compact(ctx); err != nil || n == 0 {
+		t.Fatalf("primary Compact = (%d, %v)", n, err)
+	}
 	if _, err := pc.Add(ctx, queries[:3]...); err != nil {
 		t.Fatal(err)
 	}
 	pump(t, pc, rep2)
 	assertSameSearch(t, "follower after restart catch-up", fc2, pc, queries)
+	assertSameContent(t, "follower after restart catch-up", fc2, pc)
 }
 
 // TestFollowerReconcilesAmendmentAcrossRestart exercises the one replica

@@ -319,8 +319,8 @@ var errNilQuery = errors.New("graphdim: nil query")
 
 // searchMapped is Search after the map: q is non-nil, opt is valid and qv
 // is q's vector over this index's dimensions — from ix.mapper, or from the
-// mapper of an index with the same dims digest (a collection maps once
-// for all such shards). bound admits only ids below it (topk.Unbounded
+// mapper of an index with the same dims digest (a collection maps once for
+// all its shards). bound admits only ids below it (topk.Unbounded
 // for none): a shard passes the length of the id table it loaded, which
 // keeps the composite (index, table) read consistent even when an Add
 // publishes between the two loads.
@@ -337,7 +337,8 @@ func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVec
 	s := ix.snap.Load()
 	pred := opt.Predicate
 	var (
-		filtered []int32        // pushdown ids for the pruned plan, nil = none
+		filtered []int32        // pushdown ids for the pruned plan
+		pushed   bool           // filtered is in force, even when it is empty
 		member   func(int) bool // pushdown ids as a predicate, nil = none
 	)
 	if len(opt.Filters) > 0 {
@@ -352,8 +353,10 @@ func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVec
 				// score exactly these (same distance expression as the
 				// flat scan), stream nothing else. IDs may include
 				// zero-overlap ids — harmless, they are scored from
-				// their vectors like any matched id.
-				filtered = comp.IDs
+				// their vectors like any matched id. An intersection
+				// that matched nothing is still a restriction — to
+				// nothing — not a licence to scan everything.
+				filtered, pushed = comp.IDs, true
 			} else {
 				// Flat and exact paths take membership as a predicate.
 				member = memberFunc(comp.IDs, len(s.db))
@@ -374,7 +377,7 @@ func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVec
 	}
 	lim := s.limits(bound, admit)
 	plan := func(wantK int) *topk.Candidates {
-		if filtered != nil {
+		if pushed {
 			return &topk.Candidates{
 				K:         wantK,
 				QueryOnes: qv.Ones(),

@@ -6,18 +6,22 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/vecspace"
 )
 
 // A collection splits its database across shards by hashing global ids, so
-// every shard holds a near-uniform slice of the graphs and Add, Search,
-// persistence, and compaction parallelize per shard. Each shard wraps its
-// own *Index over local ids [0, n) plus the strictly ascending table
-// translating local ids back to collection-global ids.
+// every shard holds a near-uniform slice of the graphs and Add, Search and
+// persistence parallelize per shard. Each shard wraps its own *Index over
+// local ids [0, n) plus the strictly ascending table translating local ids
+// back to collection-global ids. Every shard of a collection holds the
+// collection's one dimension set, for life: nothing builds dimensions for
+// a single shard.
 //
 // Readers are lock-free: they load one shardState and work entirely off
-// it. Writers (Add, Remove, the compaction swap) serialize on shard.mu and
+// it. Writers (Add, Remove, the reclaim swap) serialize on shard.mu and
 // publish new state atomically, so a Search keeps serving the generation
-// it started on even while compaction replaces the whole index underneath.
+// it started on even while a reclaim replaces the index underneath.
 
 // placeID maps a global id to its shard. The hash is SplitMix64 — cheap,
 // well-mixed, and fixed forever for a given manifest version: the
@@ -32,7 +36,7 @@ func placeID(id, shards int) int {
 
 // shardState is one immutable generation of a shard: the index and the
 // local→global id table. globals is strictly ascending — ids are placed
-// and appended in increasing global order, and compaction preserves the
+// and appended in increasing global order, and a reclaim preserves the
 // order — which keeps per-shard tie-breaking (ascending local id)
 // consistent with the collection-level tie-break (ascending global id).
 type shardState struct {
@@ -54,11 +58,11 @@ func (st *shardState) localOf(g int) int {
 }
 
 type shard struct {
-	mu    sync.Mutex // serializes writers: add, remove, the compaction swap
+	mu    sync.Mutex // serializes writers: add, remove, the reclaim swap
 	state atomic.Pointer[shardState]
 
 	// gen is the shard's generation: a monotonic counter bumped after
-	// every committed mutation (add, remove) and every compaction swap —
+	// every committed mutation (add, remove) and every reclaim swap —
 	// always after the new state publishes and before the operation
 	// returns. That ordering is the query cache's fence: once a write
 	// returns to its caller, every later generation read observes the
@@ -69,11 +73,7 @@ type shard struct {
 	// linearizable.)
 	gen atomic.Uint64
 
-	compacting  atomic.Bool  // one compaction at a time per shard
-	compactions atomic.Int64 // completed compactions
-
-	lastErrMu sync.Mutex
-	lastErr   error // most recent compaction failure, cleared on success
+	compactions atomic.Int64 // completed reclaims
 }
 
 // generation reads the shard's mutation counter.
@@ -136,131 +136,57 @@ func (sh *shard) graph(g int) (*Graph, bool) {
 	return st.idx.Graph(local), true
 }
 
-// errShardTooSmall marks a shard compaction skipped because the live
-// database is below Build's minimum; the shard keeps serving as-is.
-var errShardTooSmall = fmt.Errorf("graphdim: shard too small to rebuild (need at least 2 live graphs)")
-
-// compact rebuilds the shard off to the side with BuildContext — a fresh
-// mining + dimension selection over the shard's live graphs — and
-// atomically swaps the new index in. Readers keep serving the old
-// generation throughout; writes that land during the (slow) rebuild are
-// replayed onto the new index under the writer lock before the swap, so
-// nothing is lost. The caller must hold the shard's compacting flag.
+// reclaim drops the shard's tombstoned slots: the live graphs, their
+// existing block vectors and their global ids are repacked into a fresh
+// snapshot over the same features, weights and mapper — no VF2, no mining,
+// no selection — and published as a new generation. It reports whether
+// there was anything to reclaim; on error (a mapped graph payload that no
+// longer decodes) the shard is left exactly as it was.
 //
-// The rebuild itself uses opt.Workers (compactions run one shard at a
-// time, so the full bound is right); the rebuilt index's steady-state
-// worker bound is then lowered to idxWorkers, the collection's per-shard
-// share, so shard-internal fan-out keeps not multiplying with the shard
-// count.
-//
-// On any error the shard is left exactly as it was.
-func (sh *shard) compact(ctx context.Context, opt Options, idxWorkers int) error {
-	// Snapshot the base generation. The lock is held only long enough to
-	// read consistent (index, table) state, not for the rebuild.
-	sh.mu.Lock()
-	base := sh.state.Load()
-	baseTotal := base.idx.TotalGraphs()
-	baseDead := make([]bool, baseTotal)
-	live := make([]*Graph, 0, baseTotal)
-	liveGlobals := make([]int, 0, baseTotal)
-	for i := 0; i < baseTotal; i++ {
-		if base.idx.IsRemoved(i) {
-			baseDead[i] = true
-			continue
-		}
-		live = append(live, base.idx.Graph(i))
-		liveGlobals = append(liveGlobals, base.globals[i])
-	}
-	sh.mu.Unlock()
-
-	if len(live) < 2 {
-		return errShardTooSmall
-	}
-	opt.Progress = nil // rebuilds run in the background; no progress sink
-	next, err := BuildContext(ctx, live, opt)
-	if err != nil {
-		return err
-	}
-	if idxWorkers > 0 {
-		next.workers = idxWorkers
-	}
-
+// The whole repack runs under the writer lock (it is a copy, not a build),
+// so no write can land between the copy and the publish; readers never
+// wait — they keep the state they loaded. Every live graph keeps its
+// vector and its rank among the shard's ascending global ids, so no
+// ranking any engine returns can change: a shard that reclaimed and one
+// that did not (a crash-recovered store, a follower) answer identically.
+func (sh *shard) reclaim() (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	cur := sh.state.Load() // same idx as base (only compaction replaces it), possibly grown
-	newGlobals := liveGlobals
-
-	// Replay graphs added while the rebuild ran.
-	curTotal := cur.idx.TotalGraphs()
-	var lateGraphs []*Graph
-	var lateGlobals []int
-	for i := baseTotal; i < curTotal; i++ {
-		if cur.idx.IsRemoved(i) {
-			continue
-		}
-		lateGraphs = append(lateGraphs, cur.idx.Graph(i))
-		lateGlobals = append(lateGlobals, cur.globals[i])
-	}
-	if len(lateGraphs) > 0 {
-		if _, err := next.AddContext(ctx, lateGraphs...); err != nil {
-			return err
-		}
-		newGlobals = append(append(make([]int, 0, len(liveGlobals)+len(lateGlobals)), liveGlobals...), lateGlobals...)
-	}
-
-	// Replay removals of base-live graphs: their position in the rebuilt
-	// index is their rank among the base-live ids.
-	var removeLocals []int
-	pos := 0
-	for i := 0; i < baseTotal; i++ {
-		if baseDead[i] {
-			continue
-		}
-		if cur.idx.IsRemoved(i) {
-			removeLocals = append(removeLocals, pos)
-		}
-		pos++
-	}
-	if len(removeLocals) > 0 {
-		if err := next.Remove(removeLocals...); err != nil {
-			return err
-		}
-	}
-
-	sh.state.Store(&shardState{idx: next, globals: newGlobals})
-	// The swap replaces the whole index (often with a re-selected
-	// dimension space), so it must fence cached results like any
-	// mutation.
-	sh.gen.Add(1)
-	sh.compactions.Add(1)
-	return nil
-}
-
-// tryCompact runs compact if no other compaction of this shard is in
-// flight, recording the outcome for stats. It reports whether a compaction
-// ran to completion.
-func (sh *shard) tryCompact(ctx context.Context, opt Options, idxWorkers int) (bool, error) {
-	if !sh.compacting.CompareAndSwap(false, true) {
+	cur := sh.state.Load()
+	snap := cur.idx.snap.Load()
+	if snap.deadCount == 0 {
 		return false, nil
 	}
-	defer sh.compacting.Store(false)
-	err := sh.compact(ctx, opt, idxWorkers)
-	// A too-small shard is a skip, not a failure: it neither clears nor
-	// sets the sticky last-error the stats report.
-	if err != errShardTooSmall {
-		sh.lastErrMu.Lock()
-		sh.lastErr = err
-		sh.lastErrMu.Unlock()
+	live := len(snap.db) - snap.deadCount
+	db := make([]*Graph, 0, live)
+	vecs := make([]*vecspace.BitVector, 0, live)
+	globals := make([]int, 0, live)
+	baseN := 0
+	for id := range snap.db {
+		if snap.dead[id] {
+			continue
+		}
+		g, err := snap.graphAt(id) // faults a mapped payload onto the heap
+		if err != nil {
+			return false, err
+		}
+		db = append(db, g)
+		vecs = append(vecs, snap.block.Vector(id))
+		globals = append(globals, cur.globals[id])
+		// Staleness bookkeeping carries over: the surviving graphs the
+		// dimension selection saw are still the leading entries.
+		if id < snap.baseN {
+			baseN++
+		}
 	}
-	return err == nil, err
+	next := cur.idx.fork(cur.idx.workers, newSnapshot(db, vecs, len(cur.idx.features), make([]bool, live), baseN))
+	sh.state.Store(&shardState{idx: next, globals: globals})
+	// Every publish moves the generation; the cache fence makes no
+	// exception for a swap that happens to preserve rankings.
+	sh.gen.Add(1)
+	sh.compactions.Add(1)
+	return true, nil
 }
 
 // staleRatio exposes the shard index's stale ratio.
 func (sh *shard) staleRatio() float64 { return sh.state.Load().idx.StaleRatio() }
-
-// lastCompactionErr returns the most recent compaction failure, if any.
-func (sh *shard) lastCompactionErr() error {
-	sh.lastErrMu.Lock()
-	defer sh.lastErrMu.Unlock()
-	return sh.lastErr
-}

@@ -20,21 +20,19 @@ import (
 // the single-Index library and a serving process. Each collection splits
 // its database across N shards by hashing global ids; Add and persistence
 // parallelize per shard, Search fans out across shards and merges the
-// per-shard top-k heaps into one globally ranked result, and a background
-// compactor rebuilds any shard whose StaleRatio crosses the store's policy
-// threshold while readers keep serving (see CompactionPolicy).
+// per-shard top-k heaps into one globally ranked result, and Compact
+// reclaims tombstoned slots while readers keep serving. A collection has
+// one dimension set, selected once by Create and held by every shard for
+// life; re-selection is what it is for an Index — build a new one.
 //
 // All methods are safe for concurrent use. Cross-shard fan-out draws
 // workers from one store-wide pool.Budget, bounding the extra goroutines
 // concurrent searches, adds, and saves spend on fan-out at
 // StoreOptions.Workers in total; a collection's per-shard index workers
 // are divided across its shards at creation so shard-internal fan-out
-// does not multiply with the shard count. Compaction rebuilds use the
-// collection's Build.Workers and run one shard at a time.
+// does not multiply with the shard count.
 type Store struct {
 	budget *pool.Budget
-	policy CompactionPolicy
-	onComp func(collection string, shard int, err error)
 
 	// dir is the data directory of a durable store ("" = in-memory only);
 	// walOpt configures the per-collection write-ahead logs under it, and
@@ -61,36 +59,7 @@ type Store struct {
 	// manifest does not reference, which would delete a concurrent save's
 	// in-flight shard files.
 	saveMu sync.Mutex
-
-	stop     chan struct{}
-	done     chan struct{}
-	bgCtx    context.Context
-	bgCancel context.CancelFunc
 }
-
-// CompactionPolicy decides when the store rebuilds a shard in the
-// background.
-type CompactionPolicy struct {
-	// StaleThreshold is the StaleRatio at or above which a shard is
-	// rebuilt. Zero means the default 0.3 (the EXPERIMENTS.md starting
-	// point); a negative value disables threshold-triggered compaction
-	// (Collection.Compact with force still works).
-	StaleThreshold float64
-	// Interval is how often the background compactor scans every shard of
-	// every collection. Zero disables the background loop entirely —
-	// compaction then runs only through Collection.Compact.
-	Interval time.Duration
-}
-
-func (p CompactionPolicy) threshold() float64 {
-	if p.StaleThreshold == 0 {
-		return 0.3
-	}
-	return p.StaleThreshold
-}
-
-// enabled reports whether threshold-triggered compaction is on.
-func (p CompactionPolicy) enabled() bool { return p.StaleThreshold >= 0 }
 
 // StoreOptions configures NewStore.
 type StoreOptions struct {
@@ -100,13 +69,6 @@ type StoreOptions struct {
 	// shard operation additionally runs on its calling goroutine, so fan-
 	// out makes progress even with the budget exhausted.
 	Workers int
-	// Compaction is the background rebuild policy.
-	Compaction CompactionPolicy
-	// OnCompaction, when non-nil, is called after every completed or
-	// failed compaction attempt with the collection, shard, and error
-	// (nil on success) — the hook serving layers log from. It must be
-	// safe for concurrent calls.
-	OnCompaction func(collection string, shard int, err error)
 	// WAL configures the write-ahead log of a durable store (OpenStore,
 	// CreateStore, OpenOrCreateStore); NewStore ignores it — a store
 	// without a data directory has nowhere to log.
@@ -139,33 +101,20 @@ const (
 	MemoryHeap
 )
 
-// NewStore returns an empty store and, if the policy has an interval,
-// starts its background compactor. Close stops it.
+// NewStore returns an empty in-memory store. It runs no goroutines of its
+// own.
 func NewStore(opt StoreOptions) *Store {
-	s := &Store{
+	return &Store{
 		budget:      pool.NewBudget(opt.Workers),
-		policy:      opt.Compaction,
-		onComp:      opt.OnCompaction,
 		walOpt:      opt.WAL,
 		memory:      opt.Memory,
 		collections: make(map[string]*Collection),
 		creating:    make(map[string]bool),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
 	}
-	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
-	if s.policy.Interval > 0 && s.policy.enabled() {
-		go s.compactLoop()
-	} else {
-		close(s.done)
-	}
-	return s
 }
 
-// Close stops the background compactor, cancelling any rebuild it has in
-// flight (the shard being rebuilt is left on its old generation), waits
-// for the loop to exit, and closes every collection's write-ahead log.
-// Close does NOT checkpoint — records already fsynced stay on disk for
+// Close closes every collection's write-ahead log and releases the data
+// directory. Close does NOT checkpoint — records already fsynced stay on disk for
 // the next open to replay, so closing without a checkpoint is exactly a
 // crash as far as the data directory is concerned (serving layers
 // checkpoint first on a graceful shutdown). The collections stay
@@ -179,9 +128,6 @@ func (s *Store) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	s.bgCancel()
-	close(s.stop)
-	<-s.done
 	for _, c := range s.snapshotCollections() {
 		if c.wal != nil {
 			c.wal.Close()
@@ -189,47 +135,6 @@ func (s *Store) Close() {
 	}
 	if s.lock != nil {
 		s.lock.Close() // releases the data directory's flock
-	}
-}
-
-func (s *Store) compactLoop() {
-	defer close(s.done)
-	t := time.NewTicker(s.policy.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.compactPass(s.bgCtx)
-		}
-	}
-}
-
-// compactPass rebuilds every shard at or above the stale threshold, one at
-// a time — compaction is a full offline build, so the pass deliberately
-// avoids stacking rebuilds on top of each other.
-func (s *Store) compactPass(ctx context.Context) {
-	for _, c := range s.snapshotCollections() {
-		for i, sh := range c.shards {
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			if sh.staleRatio() < s.policy.threshold() {
-				continue
-			}
-			ran, err := sh.tryCompact(ctx, c.build, c.shardIdxWorkers())
-			if err == errShardTooSmall || (err != nil && ctx.Err() != nil) {
-				// Too small to rebuild, or cancelled by Close: not worth
-				// reporting every scan.
-				continue
-			}
-			if (ran || err != nil) && s.onComp != nil {
-				s.onComp(c.name, i, err)
-			}
-		}
 	}
 }
 
@@ -251,15 +156,17 @@ var collectionName = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,127}$`)
 type CollectionOptions struct {
 	// Shards is the number of index shards; zero means 1.
 	Shards int
-	// Build configures the initial dimension selection (Create only) and
-	// every subsequent per-shard compaction rebuild. Zero values select
-	// the library defaults, as in Build. The Progress callback is used
-	// only by the initial build, never by background rebuilds.
+	// Build configures the collection's one dimension selection. Create
+	// only: CreateFromIndex takes its dimensions from the index, and
+	// nothing after creation re-selects. The one field that outlives
+	// creation is Workers, persisted as the bound the shards divide among
+	// themselves when the store is reopened. Zero values select the
+	// library defaults, as in Build.
 	Build Options
 	// Cache configures the collection's query-result cache: an LRU over
 	// complete Search results keyed by (canonical query, effective
 	// options) and fenced by the shard generation vector, so any
-	// committed Add/Remove/compaction invalidates affected entries for
+	// committed Add/Remove/Compact invalidates affected entries for
 	// free. The zero value disables caching. See CacheOptions.
 	Cache CacheOptions
 	// Defaults overlays zero-valued SearchOptions fields of every Search
@@ -306,17 +213,20 @@ func (o CollectionOptions) shards() int {
 }
 
 // maxShards bounds the shard count well above any sane deployment: each
-// shard is a full index with its own dimension set after compaction.
+// shard is a full index with its own block, postings and worker share.
 const maxShards = 1024
 
 // Collection is one named, sharded graph database inside a Store. Global
 // ids are assigned densely in insertion order and are stable for the life
-// of the collection, across Save/Open and across compactions; the hash
+// of the collection, across Save/Open and across Compact; the hash
 // placement of an id never changes.
 type Collection struct {
-	store    *Store
-	name     string
-	build    Options
+	store *Store
+	name  string
+	// workers is CollectionOptions.Build.Workers, the one build option
+	// that outlives creation: shardIdxWorkers divides it among the shards
+	// at every open.
+	workers  int
 	defaults SearchOptions
 	shards   []*shard
 	cacheOpt CacheOptions
@@ -332,6 +242,11 @@ type Collection struct {
 	// wal_seq below segments still on disk (which a later WAL-enabled
 	// open would then wrongly replay).
 	walBase uint64
+
+	// Everything above is what a Search loads; the words below are written
+	// by every Add and Remove. A cache line of padding keeps a writer from
+	// invalidating the line readers take shards and cache from.
+	_ [64]byte
 
 	addMu sync.Mutex // serializes writers (Add, Remove) collection-wide
 	// nextID is written under addMu; atomic so read-only paths (Stats)
@@ -385,10 +300,11 @@ func (s *Store) Create(ctx context.Context, name string, db []*Graph, opt Collec
 
 // CreateFromIndex splits an already built (or loaded) index into a sharded
 // collection without re-mining or re-running DSPM: every graph keeps its
-// id — the global id — and lands on the shard the id hashes to; shards
-// share the index's dimension set until their first compaction. The source
-// index should not be mutated afterwards (graphs are shared, not copied;
-// each shard packs its own vector block).
+// id — the global id — and lands on the shard the id hashes to; every
+// shard holds the index's dimension set (and shares its compiled mapper)
+// for the life of the collection. The source index should not be mutated
+// afterwards (graphs are shared, not copied; each shard packs its own
+// vector block).
 func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) (*Collection, error) {
 	if src == nil {
 		return nil, fmt.Errorf("graphdim: nil index")
@@ -427,7 +343,7 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	c := &Collection{
 		store:    s,
 		name:     name,
-		build:    opt.Build,
+		workers:  opt.Build.Workers,
 		defaults: opt.Defaults,
 		shards:   make([]*shard, nsh),
 		cacheOpt: opt.Cache,
@@ -445,8 +361,7 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	for i := range c.shards {
 		p := parts[i]
 		c.shards[i] = newShard(&shardState{
-			idx: newIndex(src.features, src.weights, src.metric, src.mcsOpt, shardWorkers,
-				newSnapshot(p.db, p.vecs, len(src.features), p.dead, p.baseN)),
+			idx:     src.fork(shardWorkers, newSnapshot(p.db, p.vecs, len(src.features), p.dead, p.baseN)),
 			globals: p.globals,
 		})
 	}
@@ -580,7 +495,7 @@ func (c *Collection) Defaults() SearchOptions { return c.defaults }
 // bound — the steady-state internal fan-out each shard index gets, so
 // that shard-internal parallelism does not multiply with the shard count.
 func (c *Collection) shardIdxWorkers() int {
-	w := pool.DefaultWorkers(c.build.Workers) / len(c.shards)
+	w := pool.DefaultWorkers(c.workers) / len(c.shards)
 	if w < 1 {
 		w = 1
 	}
@@ -597,9 +512,10 @@ func (c *Collection) Size() int {
 }
 
 // Graph resolves a global id. Tombstoned graphs remain addressable, as in
-// Index.Graph, until the owning shard's next compaction reclaims them
-// (a compacted shard keeps only its live graphs); ids never assigned,
-// beyond the store, or reclaimed return false.
+// Index.Graph, until Compact reclaims their slots; ids never assigned,
+// beyond the store, or reclaimed return false. Reclamation is local to a
+// process — a follower, or this store reopened from a checkpoint taken
+// before the Compact, may still resolve an id this one no longer does.
 func (c *Collection) Graph(id int) (*Graph, bool) {
 	if id < 0 {
 		return nil, false
@@ -642,20 +558,17 @@ func (c *Collection) overlay(opt SearchOptions) SearchOptions {
 // mapped onto the dimensions once, the scan fans out to every shard in
 // parallel (drawing workers from the store budget), each shard ranks its
 // slice of the database, and the per-shard top-k lists merge into one
-// globally ranked result with ties broken by ascending global id. For a
-// collection whose shards still share the build-time dimension set —
-// always true before the first compaction — the merged mapped/exact
-// result is exactly the one an unsharded Index over the same graphs
-// returns: identical ids and identical scores. After a shard has been
-// compacted it ranks in its own (re-selected) mapped space, and the query
-// is mapped once more for it; exact and fully verified scores remain
-// directly comparable.
+// globally ranked result with ties broken by ascending global id. Every
+// shard holds the collection's one dimension set, so the merged
+// mapped/exact result is exactly the one an unsharded Index over the same
+// graphs returns — identical ids and identical scores — before and after
+// any Compact.
 //
 // SearchOptions is the same type Index.Search takes; zero-valued fields
 // first take the collection's defaults (see CollectionOptions.Defaults).
 // The Predicate, like the returned Results, sees global ids. The result's
-// Matched bitset is the query's vector over the first shard's dimension
-// set — the one vector every shard that holds that set scanned with.
+// Matched bitset is the query's vector over the collection's dimensions —
+// the one vector every shard scanned with.
 func (c *Collection) Search(ctx context.Context, q *Graph, opt SearchOptions) (*SearchResult, error) {
 	start := time.Now()
 	if q == nil {
@@ -689,34 +602,19 @@ func (c *Collection) generations() []uint64 {
 	return gens
 }
 
-// searchShards is the uncached fan-out behind Search: load every shard's
-// state, map the query once per distinct dimension set among them (once,
-// until a compaction re-selects some shard's), then scan the shards in
-// parallel with the vectors in hand.
+// searchShards is the uncached fan-out behind Search: map the query once
+// — every shard holds the same dimension set, so shard 0's mapper speaks
+// for all — then scan the shards in parallel with the vector in hand.
 func (c *Collection) searchShards(ctx context.Context, q *Graph, opt SearchOptions, start time.Time) (*SearchResult, error) {
-	states := make([]*shardState, len(c.shards))
-	qvs := make([]*vecspace.BitVector, len(c.shards))
-	for i, sh := range c.shards {
-		st := sh.state.Load()
-		states[i] = st
-		for j := 0; j < i && qvs[i] == nil; j++ {
-			if states[j].idx.dims == st.idx.dims {
-				qvs[i] = qvs[j]
-			}
-		}
-		if qvs[i] == nil {
-			qv, err := st.idx.mapper.MapContext(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			qvs[i] = qv
-		}
+	qv, err := c.shards[0].state.Load().idx.mapper.MapContext(ctx, q)
+	if err != nil {
+		return nil, err
 	}
 
 	userPred := opt.Predicate
 	outs := make([]shardOut, len(c.shards))
 	_ = c.store.budget.ForContext(ctx, len(c.shards), func(i int) {
-		st := states[i]
+		st := c.shards[i].state.Load()
 		sopt := opt
 		if userPred != nil {
 			// The user predicate runs in global-id space.
@@ -725,7 +623,7 @@ func (c *Collection) searchShards(ctx context.Context, q *Graph, opt SearchOptio
 		// The table's length bounds the scan: an index that grew past the
 		// table this state carries (an Add publishing between the two
 		// loads) is read only as far as the table translates.
-		res, err := st.idx.searchMapped(ctx, q, qvs[i], sopt, len(st.globals), start)
+		res, err := st.idx.searchMapped(ctx, q, qv, sopt, len(st.globals), start)
 		if err != nil {
 			outs[i].err = err
 			return
@@ -751,7 +649,7 @@ func (c *Collection) searchShards(ctx context.Context, q *Graph, opt SearchOptio
 	merged := &SearchResult{
 		Results: mergeTopK(outs, opt.K),
 		Engine:  opt.Engine,
-		Matched: outs[0].res.Matched, // qvs[0]: the first shard's dimension set
+		Matched: outs[0].res.Matched, // qv
 	}
 	for i := range outs {
 		merged.Candidates += outs[i].res.Candidates
@@ -997,8 +895,8 @@ func (c *Collection) Remove(ids ...int) error {
 		perShard[sh] = append(perShard[sh], id)
 	}
 	// Validate everywhere before touching anything: writers are serialized
-	// by addMu and compaction preserves tombstone state, so a positive
-	// pre-check cannot be invalidated before the apply below.
+	// by addMu and a reclaim never drops a live id, so a positive pre-check
+	// cannot be invalidated before the apply below.
 	for sh, globals := range perShard {
 		st := c.shards[sh].state.Load()
 		seen := make(map[int]bool, len(globals))
@@ -1040,35 +938,30 @@ func (c *Collection) StaleRatios() []float64 {
 	return out
 }
 
-// Compact rebuilds shards synchronously: every shard whose StaleRatio is
-// at or above the store's policy threshold or — with force — every shard
-// with any staleness at all. Rebuilds run one shard at a time (each is a
-// full offline build); concurrent searches keep serving throughout. It
-// returns how many shards were rebuilt and the first error encountered,
-// having still attempted the remaining shards. Shards with fewer than two
-// live graphs are skipped silently.
-func (c *Collection) Compact(ctx context.Context, force bool) (int, error) {
-	threshold := c.store.policy.threshold()
+// Compact reclaims the tombstoned slots of every shard that has any: the
+// shard's live graphs and their existing vectors are repacked into a fresh
+// generation over the same dimensions. It never re-selects dimensions and
+// never changes a ranking — mapped, verified and exact results are
+// bit-identical before and after, which is why it needs no log record and
+// why crash recovery and followers stay identical whether or not they
+// compacted. What it frees is memory, scan width and the next
+// checkpoint's segment size; concurrent searches keep serving throughout.
+// It returns how many shards were repacked and the first error
+// encountered, having still attempted the remaining shards; it checks ctx
+// between shards.
+func (c *Collection) Compact(ctx context.Context) (int, error) {
 	compacted := 0
 	var firstErr error
 	for i, sh := range c.shards {
-		ratio := sh.staleRatio()
-		if force {
-			if ratio == 0 {
-				continue
-			}
-		} else if !c.store.policy.enabled() || ratio < threshold {
-			continue
+		if err := ctx.Err(); err != nil {
+			return compacted, err
 		}
-		ran, err := sh.tryCompact(ctx, c.build, c.shardIdxWorkers())
-		if err != nil && err != errShardTooSmall && firstErr == nil {
+		ran, err := sh.reclaim()
+		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("graphdim: compacting shard %d: %w", i, err)
 		}
 		if ran {
 			compacted++
-		}
-		if c.store.onComp != nil && (ran || (err != nil && err != errShardTooSmall)) {
-			c.store.onComp(c.name, i, err)
 		}
 	}
 	return compacted, firstErr
@@ -1088,16 +981,10 @@ type ShardStats struct {
 	// Live is the number of searchable graphs; Total counts id slots
 	// including tombstones.
 	Live, Total int
-	// Dimensions is the shard's current dimension count (it changes when
-	// a compaction re-selects dimensions).
-	Dimensions int
 	// StaleRatio is the shard index's StaleRatio.
 	StaleRatio float64
-	// Compactions counts completed rebuilds of this shard.
+	// Compactions counts the times Compact repacked this shard.
 	Compactions int64
-	// LastCompactionError is the most recent rebuild failure ("" when the
-	// last rebuild succeeded or none ran).
-	LastCompactionError string
 }
 
 // CollectionStats is the Stats snapshot of one collection.
@@ -1105,7 +992,10 @@ type CollectionStats struct {
 	Name   string
 	Live   int
 	NextID int
-	Shards []ShardStats
+	// Dimensions is the size of the collection's dimension set — one
+	// number, every shard holds the same set.
+	Dimensions int
+	Shards     []ShardStats
 	// Generations is the per-shard mutation-counter vector the query
 	// cache fences on, aligned with Shards.
 	Generations []uint64
@@ -1119,18 +1009,18 @@ type CollectionStats struct {
 
 // Stats returns a point-in-time snapshot of the collection's shards.
 func (c *Collection) Stats() CollectionStats {
-	cs := CollectionStats{Name: c.name, Shards: make([]ShardStats, len(c.shards))}
+	cs := CollectionStats{
+		Name:       c.name,
+		Dimensions: len(c.shards[0].state.Load().idx.features),
+		Shards:     make([]ShardStats, len(c.shards)),
+	}
 	for i, sh := range c.shards {
 		st := sh.state.Load()
 		s := ShardStats{
 			Live:        st.idx.Size(),
 			Total:       st.idx.TotalGraphs(),
-			Dimensions:  len(st.idx.Dimensions()),
 			StaleRatio:  st.idx.StaleRatio(),
 			Compactions: sh.compactions.Load(),
-		}
-		if err := sh.lastCompactionErr(); err != nil {
-			s.LastCompactionError = err.Error()
 		}
 		cs.Live += s.Live
 		cs.Shards[i] = s

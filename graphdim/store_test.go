@@ -24,8 +24,7 @@ func storeTestOptions() Options {
 	return Options{Dimensions: 16, Tau: 0.2, MCSBudget: 1500}
 }
 
-// newTestStore returns a store without a background compactor; tests drive
-// compaction explicitly.
+// newTestStore returns an in-memory store closed with the test.
 func newTestStore(t *testing.T) *Store {
 	t.Helper()
 	s := NewStore(StoreOptions{})
@@ -115,8 +114,9 @@ func nameForShards(n int) string {
 	return "eq-" + string(rune('a'+n))
 }
 
-// TestStoreEquivalenceAfterUpdates extends the equivalence through Add and
-// Remove applied identically to both sides.
+// TestStoreEquivalenceAfterUpdates extends the equivalence through Add,
+// Remove, Compact and a further Add applied identically to both sides (the
+// flat index has no Compact — a reclaim must be invisible to rankings).
 func TestStoreEquivalenceAfterUpdates(t *testing.T) {
 	db := storeTestDB(t, 30, 5)
 	opt := storeTestOptions()
@@ -131,20 +131,25 @@ func TestStoreEquivalenceAfterUpdates(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 
-	extra := storeTestDB(t, 8, 123)
-	flatIDs, err := flat.Add(extra...)
-	if err != nil {
-		t.Fatalf("flat Add: %v", err)
-	}
-	collIDs, err := coll.Add(ctx, extra...)
-	if err != nil {
-		t.Fatalf("collection Add: %v", err)
-	}
-	for i := range flatIDs {
-		if flatIDs[i] != collIDs[i] {
-			t.Fatalf("Add ids diverge at %d: flat %d, collection %d", i, flatIDs[i], collIDs[i])
+	addBoth := func(gs []*Graph) []int {
+		t.Helper()
+		flatIDs, err := flat.Add(gs...)
+		if err != nil {
+			t.Fatalf("flat Add: %v", err)
 		}
+		collIDs, err := coll.Add(ctx, gs...)
+		if err != nil {
+			t.Fatalf("collection Add: %v", err)
+		}
+		for i := range flatIDs {
+			if flatIDs[i] != collIDs[i] {
+				t.Fatalf("Add ids diverge at %d: flat %d, collection %d", i, flatIDs[i], collIDs[i])
+			}
+		}
+		return collIDs
 	}
+	extra := storeTestDB(t, 8, 123)
+	collIDs := addBoth(extra)
 	removed := []int{2, 9, collIDs[1], collIDs[5]}
 	if err := flat.Remove(removed...); err != nil {
 		t.Fatalf("flat Remove: %v", err)
@@ -154,31 +159,39 @@ func TestStoreEquivalenceAfterUpdates(t *testing.T) {
 	}
 
 	queries := []*Graph{db[0], extra[2], extra[5]}
-	for _, q := range queries {
-		for _, sopt := range []SearchOptions{{K: 10}, {K: 50, Engine: EngineExact}} {
-			want, err := flat.Search(ctx, q, sopt)
+	check := func(label string) {
+		t.Helper()
+		for _, q := range queries {
+			for _, sopt := range []SearchOptions{
+				{K: 10},
+				{K: 50, Engine: EngineExact},
+				{K: 10, Engine: EngineVerified, VerifyFactor: 100},
+			} {
+				want, err := flat.Search(ctx, q, sopt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := coll.Search(ctx, q, sopt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, label+"/"+got.Engine.String(), got.Results, want.Results)
+			}
+			// Removed ids never come back.
+			res, err := coll.Search(ctx, q, SearchOptions{K: coll.Size() + 10})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := coll.Search(ctx, q, sopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "after updates", got.Results, want.Results)
-		}
-		// Removed ids never come back.
-		res, err := coll.Search(ctx, q, SearchOptions{K: coll.Size() + 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range res.Results {
-			for _, dead := range removed {
-				if r.ID == dead {
-					t.Fatalf("removed id %d returned by Search", dead)
+			for _, r := range res.Results {
+				for _, dead := range removed {
+					if r.ID == dead {
+						t.Fatalf("%s: removed id %d returned by Search", label, dead)
+					}
 				}
 			}
 		}
 	}
+	check("after updates")
 
 	// Graph resolves live and tombstoned ids, and rejects unknown ones.
 	if g, ok := coll.Graph(removed[0]); !ok || g == nil {
@@ -190,10 +203,29 @@ func TestStoreEquivalenceAfterUpdates(t *testing.T) {
 	if _, ok := coll.Graph(-1); ok {
 		t.Fatal("Graph(-1) resolved")
 	}
+
+	if _, err := coll.Compact(ctx); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	check("after compact")
+	for _, id := range removed {
+		if _, ok := coll.Graph(id); ok {
+			t.Fatalf("Graph(%d) resolves after its slot was reclaimed", id)
+		}
+	}
+	if g, ok := coll.Graph(collIDs[0]); !ok || g != extra[0] {
+		t.Fatalf("live id %d lost its graph across Compact", collIDs[0])
+	}
+	more := storeTestDB(t, 6, 321)
+	queries = append(queries, more[0])
+	addBoth(more)
+	check("add after compact")
 }
 
-// TestStoreCompaction drives a shard over the stale threshold, compacts,
-// and checks ids, search behaviour, and the stats counters.
+// TestStoreCompaction checks what Compact is: it reclaims tombstoned slots
+// and nothing else — growth alone gives it nothing to do, dimensions and
+// rankings never move, reclaimed ids stop resolving, and StaleRatio is
+// afterwards live-unseen over live.
 func TestStoreCompaction(t *testing.T) {
 	db := storeTestDB(t, 16, 21)
 	s := newTestStore(t)
@@ -202,48 +234,89 @@ func TestStoreCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
+	dims := coll.Stats().Dimensions
+	if dims == 0 {
+		t.Fatal("Stats().Dimensions = 0")
+	}
 
-	// Triple the database so every shard's stale ratio passes 0.3.
+	// Triple the database: every shard is now well past any staleness
+	// threshold, and Compact still has nothing to do — it never re-selects.
 	extra := storeTestDB(t, 32, 500)
 	ids, err := coll.Add(ctx, extra...)
 	if err != nil {
 		t.Fatalf("Add: %v", err)
 	}
+	stale := coll.StaleRatios()
+	if n, err := coll.Compact(ctx); err != nil || n != 0 {
+		t.Fatalf("Compact with no tombstones = (%d, %v), want (0, nil)", n, err)
+	}
 	for i, r := range coll.StaleRatios() {
-		if r < 0.3 {
-			t.Fatalf("shard %d stale ratio %v, want >= 0.3 for this test setup", i, r)
+		if r < 0.3 || r != stale[i] {
+			t.Fatalf("shard %d stale ratio %v (was %v), want unchanged and >= 0.3", i, r, stale[i])
 		}
 	}
 
-	compacted, err := coll.Compact(ctx, false)
+	// Tombstone build-time and added graphs on both shards.
+	removed := []int{0, 1, 2, 3, ids[0], ids[1], ids[2], ids[3]}
+	if err := coll.Remove(removed...); err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	before := make([]*SearchResult, len(extra))
+	for i, q := range extra {
+		if before[i], err = coll.Search(ctx, q, SearchOptions{K: coll.Size()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gens := coll.Stats().Generations
+
+	compacted, err := coll.Compact(ctx)
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	if compacted != coll.Shards() {
 		t.Fatalf("compacted %d shards, want %d", compacted, coll.Shards())
 	}
-	for i, r := range coll.StaleRatios() {
-		if r != 0 {
-			t.Fatalf("shard %d stale ratio %v after compaction, want 0", i, r)
-		}
-	}
 	st := coll.Stats()
+	if st.Dimensions != dims {
+		t.Fatalf("dimensions %d after Compact, want %d", st.Dimensions, dims)
+	}
+	unseen := make([]int, coll.Shards()) // live graphs the selection never saw
+	for _, id := range ids[4:] {
+		unseen[placeID(id, coll.Shards())]++
+	}
 	for i, sh := range st.Shards {
 		if sh.Compactions != 1 {
 			t.Fatalf("shard %d compactions = %d, want 1", i, sh.Compactions)
 		}
-		if sh.LastCompactionError != "" {
-			t.Fatalf("shard %d compaction error: %s", i, sh.LastCompactionError)
+		if sh.Total != sh.Live {
+			t.Fatalf("shard %d holds %d slots for %d live graphs after Compact", i, sh.Total, sh.Live)
+		}
+		if want := float64(unseen[i]) / float64(sh.Live); sh.StaleRatio != want {
+			t.Fatalf("shard %d stale ratio %v after Compact, want live-unseen/live = %v", i, sh.StaleRatio, want)
+		}
+		if st.Generations[i] <= gens[i] {
+			t.Fatalf("shard %d generation %d did not move across Compact (was %d)", i, st.Generations[i], gens[i])
+		}
+	}
+	for _, id := range removed {
+		if _, ok := coll.Graph(id); ok {
+			t.Fatalf("Graph(%d) resolves after its slot was reclaimed", id)
+		}
+		if err := coll.Remove(id); err == nil {
+			t.Fatalf("Remove(%d) of a reclaimed id succeeded", id)
 		}
 	}
 
-	// Ids survive compaction: every added graph still self-matches at
-	// distance 0 under the mapped engine (a graph's vector equals its own
-	// query vector in whatever dimension set its shard now uses).
+	// Ids, vectors and therefore rankings survive: bit-identical results,
+	// and every surviving added graph still self-matches at distance 0.
 	for i, q := range extra {
 		res, err := coll.Search(ctx, q, SearchOptions{K: coll.Size()})
 		if err != nil {
 			t.Fatal(err)
+		}
+		sameResults(t, "across Compact", res.Results, before[i].Results)
+		if i < 4 {
+			continue
 		}
 		found := false
 		for _, r := range res.Results {
@@ -259,8 +332,8 @@ func TestStoreCompaction(t *testing.T) {
 		}
 	}
 
-	// A second Compact without force is a no-op at zero staleness.
-	if n, err := coll.Compact(ctx, false); err != nil || n != 0 {
+	// Nothing left to reclaim.
+	if n, err := coll.Compact(ctx); err != nil || n != 0 {
 		t.Fatalf("idle Compact = (%d, %v), want (0, nil)", n, err)
 	}
 }
@@ -318,7 +391,16 @@ func TestStoreCompactionConcurrentSearch(t *testing.T) {
 	}()
 
 	for round := 0; round < 3; round++ {
-		if _, err := coll.Compact(ctx, true); err != nil {
+		// Tombstones on both shards, so every round really swaps.
+		ids, err := coll.Add(ctx, storeTestDB(t, 6, int64(2000+round))...)
+		if err == nil {
+			err = coll.Remove(ids...)
+		}
+		if err != nil {
+			t.Errorf("round %d: preparing tombstones: %v", round, err)
+			break
+		}
+		if _, err := coll.Compact(ctx); err != nil {
 			t.Errorf("Compact round %d: %v", round, err)
 			break
 		}
@@ -335,42 +417,6 @@ func TestStoreCompactionConcurrentSearch(t *testing.T) {
 	if stats.Live < len(db) {
 		t.Fatalf("live %d < initial %d", stats.Live, len(db))
 	}
-}
-
-// TestStoreBackgroundCompaction exercises the policy loop end to end.
-func TestStoreBackgroundCompaction(t *testing.T) {
-	db := storeTestDB(t, 16, 9)
-	compacted := make(chan string, 16)
-	s := NewStore(StoreOptions{
-		Compaction: CompactionPolicy{StaleThreshold: 0.3, Interval: 20 * time.Millisecond},
-		OnCompaction: func(coll string, shard int, err error) {
-			if err == nil {
-				select {
-				case compacted <- coll:
-				default:
-				}
-			}
-		},
-	})
-	defer s.Close()
-	ctx := context.Background()
-	coll, err := s.Create(ctx, "bg", db, CollectionOptions{Shards: 2, Build: storeTestOptions()})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if _, err := coll.Add(ctx, storeTestDB(t, 32, 800)...); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	select {
-	case name := <-compacted:
-		if name != "bg" {
-			t.Fatalf("compacted collection %q, want bg", name)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("background compactor never ran")
-	}
-	s.Close()
-	s.Close() // idempotent
 }
 
 // TestStorePersistence round-trips a multi-collection store through
@@ -485,6 +531,66 @@ func TestOpenStoreRejectsCorruptManifests(t *testing.T) {
 	}
 	if _, err := OpenStore(dir, StoreOptions{}); err == nil {
 		t.Error("OpenStore succeeded with a missing shard file")
+	}
+}
+
+// TestOpenStoreRefusesMixedDimensionSets: releases whose Compact re-selected
+// dimensions per shard could checkpoint a collection whose shards rank in
+// unrelated spaces. Such a directory must be refused by name in every
+// memory mode, never served.
+func TestOpenStoreRefusesMixedDimensionSets(t *testing.T) {
+	db := storeTestDB(t, 24, 3)
+	s := newTestStore(t)
+	coll, err := s.Create(context.Background(), "c", db, CollectionOptions{Shards: 2, Build: storeTestOptions()})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := s.Save(dir); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if re, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}}); err != nil {
+		t.Fatalf("OpenStore of the untouched directory: %v", err)
+	} else {
+		re.Close()
+		re.Close() // idempotent
+	}
+
+	// What the old per-shard rebuild left behind: shard 1 replaced by a
+	// segment of exactly as many graphs, built over its own dimensions.
+	n := coll.Stats().Shards[1].Total
+	other, err := Build(storeTestDB(t, n, 77), Options{Dimensions: 9, Tau: 0.3, MCSBudget: 1500})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if other.dims == coll.shards[1].state.Load().idx.dims {
+		t.Fatal("the replacement selected the very same dimensions; pick another seed")
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "c", "shard-0001-*.gdx"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("shard file glob = %v, %v", files, err)
+	}
+	f, err := os.Create(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := `collection "c": shard 1 holds a different dimension set than shard 0 — compacted by an earlier release; re-create the collection`
+	for _, mode := range []MemoryMode{MemoryAuto, MemoryMap, MemoryHeap} {
+		re, err := OpenStore(dir, StoreOptions{Memory: mode, WAL: WALOptions{Disabled: true}})
+		if err == nil {
+			re.Close()
+			t.Fatalf("memory mode %d: OpenStore served a collection with two dimension sets", mode)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("memory mode %d: OpenStore error %q, want it to say %q", mode, err, want)
+		}
 	}
 }
 

@@ -145,7 +145,10 @@ func (ix *Index) Remove(ids ...int) error {
 // again — the live database then is exactly the one the dimensions were
 // optimized for. Accuracy degrades as the ratio grows; re-Build when it
 // crosses an operator-chosen threshold (EXPERIMENTS.md uses 0.3 as a
-// starting point).
+// starting point) — nothing re-selects on its own, the ratio is the
+// operator's signal. In a collection, Compact drops tombstoned slots, so
+// after it the gone-build-graphs term is zero and a shard's ratio is its
+// live unseen graphs over its live graphs.
 func (ix *Index) StaleRatio() float64 {
 	s := ix.snap.Load()
 	if len(s.db) == 0 {
