@@ -49,10 +49,11 @@ cover:
 # (a same-dimensions repack published under readers), the worker budget, the write-ahead log, the HTTP layer on top of them, the
 # scan kernel (copy-on-write block appends under readers, pooled scratch
 # arenas), the mmap segment layer (shared decoded-graph caches,
-# finalizer unmap), and the VF2 matcher (compiled patterns shared by
-# every query and Add, one scratch per caller).
+# finalizer unmap), the VF2 matcher (compiled patterns shared by every
+# query and Add, one scratch per caller), and the MCS solver (arenas
+# pooled across the fan-out's goroutines and the δ matrix's workers).
 race:
-	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/... ./internal/subiso/...
+	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/... ./internal/subiso/... ./internal/mcs/...
 
 vet:
 	$(GO) vet ./...

@@ -111,3 +111,47 @@ func TestCollectionSearchAllocsBounded(t *testing.T) {
 		t.Fatalf("warm 2-shard Collection.Search allocates %.1f objects per query, ceiling %d", avg, ceiling)
 	}
 }
+
+// TestVerifiedSearchAllocsBounded pins the verify stage the same way: a
+// warm K=10, factor-3 verified search runs 30 budgeted MCS searches of
+// up to 300 tree nodes each, all inside pooled solver arenas, so what it
+// allocates is the mapped search's fixed costs plus the candidate list —
+// nothing per MCS call and nothing per tree node. Before the arena
+// solver the same search allocated ~900 objects per call, ~27,000 per
+// query; doubling the factor here may add a handful, not thousands.
+func TestVerifiedSearchAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(44))
+	idx, db := equivBuild(t, rng, 500)
+	ctx := context.Background()
+	measure := func(factor int) float64 {
+		opt := SearchOptions{K: 10, Engine: EngineVerified, VerifyFactor: factor}
+		i := 0
+		search := func() {
+			res, err := idx.Search(ctx, db[i%len(db)], opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Candidates != 10*factor {
+				t.Fatalf("verified %d candidates, want %d", res.Candidates, 10*factor)
+			}
+			i++
+		}
+		for range 5 {
+			search()
+		}
+		return testing.AllocsPerRun(50, search)
+	}
+	const ceiling = 60
+	three, six := measure(3), measure(6)
+	t.Logf("%.1f allocs per warm verified query at factor 3, %.1f at factor 6", three, six)
+	if three > ceiling {
+		t.Fatalf("warm verified Search allocates %.1f objects per query, ceiling %d — "+
+			"a per-call or per-node allocation has crept back into the MCS solver", three, ceiling)
+	}
+	if six > three+10 {
+		t.Fatalf("verifying 60 candidates allocates %.1f objects against %.1f for 30: allocation scales with MCS calls", six, three)
+	}
+}

@@ -90,9 +90,12 @@ type SearchOptions struct {
 	// other engines.
 	VerifyFactor int
 	// MaxCandidates caps the number of candidates EngineVerified verifies
-	// regardless of VerifyFactor·K — a hard latency bound, since each
-	// verification is one MCS search. Zero means no cap. Ignored by the
-	// other engines.
+	// regardless of VerifyFactor·K — a latency bound, since each
+	// verification is one MCS search. Like VerifyFactor·K it applies per
+	// shard: a Collection of s shards verifies up to s·MaxCandidates
+	// graphs for one query (the shards search in parallel, so the bound
+	// on latency holds; the bound on work scales with s). Zero means no
+	// cap. Ignored by the other engines.
 	MaxCandidates int
 	// Metric overrides the dissimilarity metric for EngineVerified and
 	// EngineExact scoring; default MetricIndexDefault (the build-time
@@ -223,7 +226,9 @@ type SearchResult struct {
 	// matched candidates plus however much of the unmatched stream the
 	// top-K needed — possibly far fewer), the admitted scan size for
 	// EngineExact, and the number of MCS verifications for
-	// EngineVerified.
+	// EngineVerified. A Collection reports the sum over its shards, and
+	// each shard verifies its own min(VerifyFactor·K, MaxCandidates)
+	// candidates — 60, not 30, for K=10 at factor 3 on two shards.
 	Candidates int
 	// Matched is the query's binary vector over the index dimensions —
 	// which of Index.Dimensions() the query contains. A query matching

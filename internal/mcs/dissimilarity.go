@@ -62,8 +62,7 @@ func (m Metric) Dissimilarity(a, b *graph.Graph) float64 {
 // a budget the result upper-bounds the true dissimilarity (the matching
 // found lower-bounds |E(mcs)|).
 func (m Metric) DissimilarityBudget(a, b *graph.Graph, opt Options) float64 {
-	r := Compute(a, b, opt)
-	return m.FromMCS(r.Edges, a.M(), b.M())
+	return m.FromMCS(edges(a, b, opt), a.M(), b.M())
 }
 
 // Matrix computes the full pairwise dissimilarity matrix for a graph

@@ -101,16 +101,3 @@ func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, 
 	}
 	return items, int(want), nil
 }
-
-// Similarity ranks the database by any symmetric similarity function
-// (larger = more similar) — the adapter used for graph-kernel and
-// GED-prototype engines. Scores are stored negated so Ranking stays
-// ascending-is-better.
-func Similarity(n int, sim func(i int) float64) Ranking {
-	items := make([]Item, n)
-	for i := 0; i < n; i++ {
-		items[i] = Item{ID: i, Score: -sim(i)}
-	}
-	sortItems(items)
-	return items
-}

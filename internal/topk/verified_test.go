@@ -174,11 +174,3 @@ func TestVerifiedContextMaxCandidatesAndAlive(t *testing.T) {
 		t.Errorf("cancelled VerifiedContext err = %v, want context.Canceled", err)
 	}
 }
-
-func TestSimilarityRanking(t *testing.T) {
-	r := Similarity(4, func(i int) float64 { return float64(i) })
-	// Highest similarity (i=3) first.
-	if r[0].ID != 3 || r[3].ID != 0 {
-		t.Errorf("similarity ranking wrong: %v", r)
-	}
-}
