@@ -48,15 +48,17 @@
 //	       {"labels":[...],"edges":[[u,v,label],...]} per line, applied in
 //	       ?batch=-sized groups (default 256) at one WAL fsync per group;
 //	       the response streams one ack line per committed batch
-//	GET    /v1/collections/{name}/stats      per-shard sizes, stale ratios,
-//	       compaction counters, shard generations, query-cache and WAL
-//	       counters
+//	GET    /v1/collections/{name}/stats      graphdim.CollectionStats under
+//	       the JSON names that type declares (per-shard sizes, stale
+//	       ratios, compaction counters, shard generations, query-cache
+//	       and WAL counters) plus the replication block
 //	POST   /v1/collections/{name}/compact    reclaim tombstoned slots now
 //	       (same dimensions, same rankings; never re-selects)
 //	POST   /v1/collections/{name}/checkpoint persist the store and truncate
 //	       replayed WAL segments (-data stores only)
 //	GET    /healthz                          liveness probe
-//	GET    /stats                            process-wide counters
+//	GET    /stats                            process-wide counters and the
+//	       same per-collection stats, keyed by name
 //	GET    /metrics                          Prometheus text format:
 //	       per-endpoint latency quantiles and request counts, WAL fsync
 //	       timings, group-commit batch sizes, admission rejects, cache
@@ -752,7 +754,7 @@ func (s *server) handleCreateCollection(w http.ResponseWriter, r *http.Request) 
 		s.failQuery(w, r, r.Context(), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, collectionStatsJSON(c))
+	writeJSON(w, http.StatusCreated, c.Stats())
 }
 
 func (s *server) handleCollection(w http.ResponseWriter, r *http.Request) {
@@ -967,7 +969,7 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request, c *gra
 		"checkpoints": s.checkpoints.Load(),
 	}
 	if st := c.Stats(); st.WAL != nil {
-		resp["wal"] = walStatsJSONOf(st.WAL)
+		resp["wal"] = st.WAL
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1035,97 +1037,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// cacheStatsJSON mirrors graphdim.CacheStats with stable JSON names.
-type cacheStatsJSON struct {
-	Entries       int   `json:"entries"`
-	Bytes         int64 `json:"bytes"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-}
-
-// walStatsJSON mirrors graphdim.WALStats with stable JSON names.
-type walStatsJSON struct {
-	Appends       int64  `json:"appends"`
-	Syncs         int64  `json:"syncs"`
-	SyncNanos     int64  `json:"sync_nanos"`
-	MaxBatch      int    `json:"max_batch"`
-	LastSeq       uint64 `json:"last_seq"`
-	CheckpointSeq uint64 `json:"checkpoint_seq"`
-	Segments      int    `json:"segments"`
-	Bytes         int64  `json:"bytes"`
-}
-
-func walStatsJSONOf(st *graphdim.WALStats) *walStatsJSON {
-	return &walStatsJSON{
-		Appends:       st.Appends,
-		Syncs:         st.Syncs,
-		SyncNanos:     st.SyncNanos,
-		MaxBatch:      st.MaxBatch,
-		LastSeq:       st.LastSeq,
-		CheckpointSeq: st.CheckpointSeq,
-		Segments:      st.Segments,
-		Bytes:         st.Bytes,
-	}
-}
-
-// shardStatsJSON mirrors graphdim.ShardStats with stable JSON names.
-type shardStatsJSON struct {
-	Live        int     `json:"live"`
-	Total       int     `json:"total"`
-	StaleRatio  float64 `json:"stale_ratio"`
-	Compactions int64   `json:"compactions"`
-}
-
+// collectionStatsResponse is a collection's stats on the wire:
+// graphdim.CollectionStats under the JSON names it declares, plus the
+// collection's replication role and progress — server state, not
+// collection state, filled in by server.collectionStats and omitted on a
+// volatile store (nothing to ship).
 type collectionStatsResponse struct {
-	Name   string `json:"name"`
-	Live   int    `json:"graphs"`
-	NextID int    `json:"next_id"`
-	// Dimensions is the size of the collection's one dimension set.
-	Dimensions int              `json:"dimensions"`
-	Shards     []shardStatsJSON `json:"shards"`
-	// Generations is the per-shard mutation counter the query cache
-	// fences on; it moves on every add, remove, and compact.
-	Generations []uint64 `json:"generations"`
-	// Cache reports the query-result cache, omitted when the collection
-	// was created without one.
-	Cache *cacheStatsJSON `json:"cache,omitempty"`
-	// WAL reports the write-ahead log, omitted when the store runs
-	// without one (no -data directory).
-	WAL *walStatsJSON `json:"wal,omitempty"`
-	// Replication reports the collection's replication role and
-	// progress; omitted on a volatile store (nothing to ship). Populated
-	// by server.collectionStats, not collectionStatsJSON — the role is
-	// server state, not collection state.
+	graphdim.CollectionStats
 	Replication *replicationStatsJSON `json:"replication,omitempty"`
-}
-
-func collectionStatsJSON(c *graphdim.Collection) collectionStatsResponse {
-	st := c.Stats()
-	out := collectionStatsResponse{Name: st.Name, Live: st.Live, NextID: st.NextID, Dimensions: st.Dimensions, Generations: st.Generations}
-	if st.Cache != nil {
-		out.Cache = &cacheStatsJSON{
-			Entries:       st.Cache.Entries,
-			Bytes:         st.Cache.Bytes,
-			Hits:          st.Cache.Hits,
-			Misses:        st.Cache.Misses,
-			Evictions:     st.Cache.Evictions,
-			Invalidations: st.Cache.Invalidations,
-		}
-	}
-	if st.WAL != nil {
-		out.WAL = walStatsJSONOf(st.WAL)
-	}
-	for _, sh := range st.Shards {
-		out.Shards = append(out.Shards, shardStatsJSON{
-			Live:        sh.Live,
-			Total:       sh.Total,
-			StaleRatio:  sh.StaleRatio,
-			Compactions: sh.Compactions,
-		})
-	}
-	return out
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -594,12 +594,10 @@ func (s *server) replicationStats(c *graphdim.Collection) *replicationStatsJSON 
 	return out
 }
 
-// collectionStats is collectionStatsJSON plus the server-level
+// collectionStats is the collection's own stats plus the server-level
 // replication block.
 func (s *server) collectionStats(c *graphdim.Collection) collectionStatsResponse {
-	out := collectionStatsJSON(c)
-	out.Replication = s.replicationStats(c)
-	return out
+	return collectionStatsResponse{CollectionStats: c.Stats(), Replication: s.replicationStats(c)}
 }
 
 // registerReplicationGauges adds the replication series to /metrics.

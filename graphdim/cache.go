@@ -52,16 +52,19 @@ func (o CacheOptions) validate() error {
 func (o CacheOptions) enabled() bool { return o.MaxEntries > 0 }
 
 // CacheStats is a point-in-time snapshot of a collection's query cache.
+// The JSON names are the wire names of every stats endpoint.
 type CacheStats struct {
 	// Entries and Bytes describe the current contents.
-	Entries int
-	Bytes   int64
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 	// Hits and Misses count cache lookups; Misses includes lookups that
 	// found a generation-stale entry (also counted in Invalidations).
-	Hits, Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Evictions counts entries dropped by the LRU bounds; Invalidations
 	// counts entries dropped because a shard generation moved.
-	Evictions, Invalidations int64
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
 }
 
 // queryCache is the per-collection LRU. All state is guarded by mu —
@@ -234,7 +237,7 @@ func (c *queryCache) stats() CacheStats {
 // generation vector is read before the search runs: if a mutation
 // commits in between, the stored vector is already stale and the entry
 // ages out on first touch — the race costs a cache miss, never a stale
-// answer (see shard.bumpGen for the ordering argument).
+// answer (see Index.Generation for the ordering argument).
 func (c *queryCache) cachedSearch(key string, gens []uint64, start time.Time,
 	search func() (*SearchResult, error)) (*SearchResult, error) {
 	if res, ok := c.get(key, gens); ok {

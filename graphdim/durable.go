@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/wal"
@@ -98,29 +97,10 @@ func (o WALOptions) options() wal.Options {
 }
 
 // WALStats reports a collection's write-ahead log counters (see
-// CollectionStats.WAL).
-type WALStats struct {
-	// Appends counts committed log records since open; Syncs the fsyncs
-	// they issued. Group commit makes Appends/Syncs the achieved
-	// amortization factor.
-	Appends, Syncs int64
-	// SyncNanos is the cumulative time spent inside fsync; MaxBatch the
-	// largest record group one fsync has committed.
-	SyncNanos int64
-	MaxBatch  int
-	// LastSeq is the newest record's sequence number; CheckpointSeq is
-	// the highest sequence covered by a checkpoint. The gap between them
-	// is the tail a crash would replay.
-	LastSeq, CheckpointSeq uint64
-	// Segments and Bytes describe the log's on-disk footprint.
-	Segments int
-	Bytes    int64
-	// Retained counts registered follower retention holds; RetainSeq is
-	// the lowest acknowledged sequence among them (0 with none) — the
-	// position checkpoint truncation is clamped to.
-	Retained  int
-	RetainSeq uint64
-}
+// CollectionStats.WAL): appends and the fsyncs that committed them, the
+// newest and the checkpointed sequence — the gap between them is the tail
+// a crash would replay — and the on-disk footprint.
+type WALStats = wal.Stats
 
 // PartialAddError reports a Collection.Add that landed on some shards
 // but failed on others: the graphs whose global ids are in Applied are
@@ -259,150 +239,112 @@ func (s *Store) verifyNoWALTail(name string, seq uint64) error {
 }
 
 // replayWAL applies the log tail after seq onto the collection's
-// just-loaded checkpoint state. A TypeApplied record amends the add
-// batch directly before it (partial or aborted applies); everything
-// else applies verbatim. Replay is deterministic — the VF2 mapping
-// depends only on the graph and the dimension set — so the recovered
-// state is bit-identical to the pre-crash committed state.
+// just-loaded checkpoint state, through the applier a follower also
+// drives. Replay is deterministic — the VF2 mapping depends only on the
+// graph and the dimension set — so the recovered state is bit-identical
+// to the pre-crash committed state.
 func (c *Collection) replayWAL(seq uint64) error {
 	ctx := context.Background()
-	var pending *wal.Record
-	flush := func() error {
-		if pending == nil {
-			return nil
-		}
-		rec := pending
-		pending = nil
-		return c.replayAdd(ctx, rec.First, rec.Graphs, nil)
-	}
-	err := c.wal.Replay(seq, func(rec wal.Record) error {
-		switch rec.Type {
-		case wal.TypeAdd:
-			if err := flush(); err != nil {
-				return err
-			}
-			r := rec
-			pending = &r
-			return nil
-		case wal.TypeApplied:
-			if pending == nil || pending.First != rec.First || len(pending.Graphs) != rec.Total {
-				return fmt.Errorf("graphdim: wal record %d amends no matching add batch", rec.Seq)
-			}
-			add := pending
-			pending = nil
-			if len(rec.IDs) == 0 {
-				// The batch never landed anywhere: skip its graphs, but
-				// still burn its ids — logged ids are never reassigned
-				// (see failAdd), and replay must reproduce that.
-				if next := int64(add.First + len(add.Graphs)); next > c.nextID.Load() {
-					c.nextID.Store(next)
-				}
-				return nil
-			}
-			return c.replayAdd(ctx, add.First, add.Graphs, rec.IDs)
-		case wal.TypeRemove:
-			if err := flush(); err != nil {
-				return err
-			}
-			return c.replayRemove(rec.IDs)
-		default:
-			return fmt.Errorf("graphdim: wal record %d has unknown type %d", rec.Seq, rec.Type)
-		}
-	})
-	if err != nil {
+	a := applier{c: c}
+	if err := c.wal.Replay(seq, func(rec wal.Record) error { return a.apply(ctx, rec) }); err != nil {
 		return err
 	}
-	if err := flush(); err != nil {
+	// A trailing unamended add replays in full, matching crash semantics.
+	if err := a.flush(ctx); err != nil {
 		return err
 	}
-	// Everything in the log is now reflected in shard state (a trailing
-	// unamended add replays in full, matching crash semantics), so the
+	// Everything in the log is now reflected in shard state, so the
 	// settled watermark is the log tail.
 	c.applied.Store(c.wal.LastSeq())
 	return nil
 }
 
-// replayAdd re-applies one logged add batch: all of it, or — after a
-// partial apply — just the subset in applied. The batch's ids are
-// burned in either case, exactly as the original Add did.
-func (c *Collection) replayAdd(ctx context.Context, first int, gs []*Graph, applied []int) error {
-	ids := applied
-	if ids == nil {
-		ids = make([]int, len(gs))
-		for i := range gs {
-			ids[i] = first + i
+// applier is the one state machine that turns log records into shard
+// state — for crash replay and for a follower's stream alike. An add
+// batch needs one piece of buffering: a TypeAdd record's outcome may be
+// amended by the TypeApplied record directly after it (a partial or
+// voided batch), so a TypeAdd is held pending until the next record, or
+// the caller's flush, shows no amendment is coming. Every record it
+// settles advances the collection's applied watermark.
+type applier struct {
+	c       *Collection
+	pending *wal.Record // add batch awaiting a possible amendment
+}
+
+// errUnpairedAmendment is apply's refusal of a TypeApplied record with no
+// add batch pending. On crash replay that is log corruption; a follower
+// that crash-replayed the add in a previous life reconciles instead (see
+// ReplicaApplier.reconcileAmended).
+var errUnpairedAmendment = errors.New("amends no matching add batch")
+
+// apply advances the state machine by one record.
+func (a *applier) apply(ctx context.Context, rec wal.Record) error {
+	c := a.c
+	switch rec.Type {
+	case wal.TypeAdd:
+		if err := a.flush(ctx); err != nil {
+			return err
 		}
-	}
-	perShard := make(map[int]*shardBatch)
-	for _, id := range ids {
-		if id < first || id >= first+len(gs) {
-			return fmt.Errorf("graphdim: wal applied id %d outside batch [%d,%d)", id, first, first+len(gs))
+		a.pending = &rec // rec is this call's own copy
+		return nil
+	case wal.TypeApplied:
+		add := a.pending
+		if add == nil {
+			return fmt.Errorf("graphdim: wal record %d %w", rec.Seq, errUnpairedAmendment)
 		}
-		sh := placeID(id, len(c.shards))
-		b := perShard[sh]
-		if b == nil {
-			b = &shardBatch{}
-			perShard[sh] = b
+		if add.First != rec.First || len(add.Graphs) != rec.Total {
+			return fmt.Errorf("graphdim: wal record %d amends batch at %d/%d, pending is %d/%d",
+				rec.Seq, rec.First, rec.Total, add.First, len(add.Graphs))
 		}
-		b.gs = append(b.gs, gs[id-first])
-		b.globals = append(b.globals, id)
-	}
-	// Deterministic shard order; replay is offline, so sequential per-
-	// shard application is fine (the per-shard mapping still fans out
-	// across the index's workers).
-	order := make([]int, 0, len(perShard))
-	for sh := range perShard {
-		order = append(order, sh)
-	}
-	sort.Ints(order)
-	for _, shIdx := range order {
-		b := perShard[shIdx]
-		if err := c.shards[shIdx].add(ctx, b.gs, b.globals); err != nil {
-			return fmt.Errorf("graphdim: replaying add batch at id %d on shard %d: %w", first, shIdx, err)
+		for _, id := range rec.IDs {
+			if id < add.First || id >= add.First+rec.Total {
+				return fmt.Errorf("graphdim: wal applied id %d outside batch [%d,%d)", id, add.First, add.First+rec.Total)
+			}
 		}
+		a.pending = nil
+		// An empty id list voids the batch: no graph lands, and its ids
+		// burn all the same — replay must reproduce failAdd's rule.
+		if len(rec.IDs) > 0 {
+			if err := a.land(ctx, add, rec.IDs); err != nil {
+				return err
+			}
+		}
+		c.burn(add.First, len(add.Graphs))
+	case wal.TypeRemove:
+		if err := a.flush(ctx); err != nil {
+			return err
+		}
+		if err := c.applyRemove(rec.IDs); err != nil {
+			return fmt.Errorf("graphdim: replaying wal record %d: %w", rec.Seq, err)
+		}
+	default:
+		return fmt.Errorf("graphdim: wal record %d has unknown type %d", rec.Seq, rec.Type)
 	}
-	if next := int64(first + len(gs)); next > c.nextID.Load() {
-		c.nextID.Store(next)
-	}
+	c.applied.Store(rec.Seq)
 	return nil
 }
 
-// replayRemove re-applies one logged remove batch.
-func (c *Collection) replayRemove(ids []int) error {
-	perShard := make(map[int][]int)
-	for _, id := range ids {
-		sh := placeID(id, len(c.shards))
-		perShard[sh] = append(perShard[sh], id)
-	}
-	order := make([]int, 0, len(perShard))
-	for sh := range perShard {
-		order = append(order, sh)
-	}
-	sort.Ints(order)
-	for _, shIdx := range order {
-		if err := c.shards[shIdx].remove(perShard[shIdx]); err != nil {
-			return fmt.Errorf("graphdim: replaying remove on shard %d: %w", shIdx, err)
-		}
-	}
-	return nil
-}
-
-// walStats snapshots the collection's log counters; nil without a log.
-func (c *Collection) walStats() *WALStats {
-	if c.wal == nil {
+// flush lands the pending add batch in full: nothing amended it.
+func (a *applier) flush(ctx context.Context) error {
+	add := a.pending
+	if add == nil {
 		return nil
 	}
-	st := c.wal.Stats()
-	return &WALStats{
-		Appends:       st.Appends,
-		Syncs:         st.Syncs,
-		SyncNanos:     st.SyncNanos,
-		MaxBatch:      st.MaxBatch,
-		LastSeq:       st.LastSeq,
-		CheckpointSeq: st.CheckpointSeq,
-		Segments:      st.Segments,
-		Bytes:         st.Bytes,
-		Retained:      st.Retained,
-		RetainSeq:     st.RetainSeq,
+	a.pending = nil
+	if err := a.land(ctx, add, nil); err != nil {
+		return err
 	}
+	a.c.burn(add.First, len(add.Graphs))
+	a.c.applied.Store(add.Seq)
+	return nil
+}
+
+// land applies a logged add batch — all of it, or the subset only. A
+// replayed batch must land completely: a share that fails leaves shard
+// state behind the log, which only a restart reconciles.
+func (a *applier) land(ctx context.Context, add *wal.Record, only []int) error {
+	if _, err := a.c.applyAdd(ctx, add.First, add.Graphs, only); err != nil {
+		return fmt.Errorf("graphdim: replaying add batch at id %d: %w", add.First, err)
+	}
+	return nil
 }

@@ -96,12 +96,11 @@ func assertSameContent(t *testing.T, label string, got, want *Collection) {
 // liveGraph resolves id only if it is live (assigned, not tombstoned, not
 // reclaimed).
 func liveGraph(c *Collection, id int) (*Graph, bool) {
-	st := c.shards[placeID(id, len(c.shards))].state.Load()
-	local := st.localOf(id)
-	if local < 0 || st.idx.IsRemoved(local) {
+	s, local := c.resolve(id)
+	if local < 0 || s.dead[local] {
 		return nil, false
 	}
-	return st.idx.Graph(local), true
+	return s.graph(local), true
 }
 
 func TestDurableAddSurvivesRestart(t *testing.T) {

@@ -100,7 +100,7 @@ func assertPrunedEqualsFlat(t *testing.T, label string, idx *Index, q *Graph, op
 		if err != nil {
 			t.Fatalf("%s: MapContext: %v", label, err)
 		}
-		ref, _, err := topk.MappedContext(ctx, s.block.Unpack(), qv, s.limits(topk.Unbounded, nil).Admits)
+		ref, _, err := topk.MappedContext(ctx, s.block.Unpack(), qv, s.limits(nil).Admits)
 		if err != nil {
 			t.Fatalf("%s: scalar reference: %v", label, err)
 		}

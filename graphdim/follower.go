@@ -2,8 +2,8 @@ package graphdim
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/wal"
 )
@@ -12,7 +12,7 @@ import (
 // records a primary streams (internal/repl's Tailer feeds it), mirrors
 // them into the collection's own write-ahead log at their
 // primary-assigned sequences, and replays them into shard state through
-// the same deterministic path crash recovery uses — so a follower's
+// the very applier crash recovery runs (durable.go) — so a follower's
 // state for any acknowledged prefix is bit-identical to a primary that
 // recovered the same log.
 //
@@ -37,9 +37,8 @@ import (
 // and Compact exactly as a primary's writers do (they hold the
 // collection writer lock while touching state).
 type ReplicaApplier struct {
-	c       *Collection
-	pending *wal.Record // mirrored, unapplied add batch
-	broken  error       // first apply failure; poisons the applier
+	a      applier // its pending batch is mirrored, not yet applied
+	broken error   // first apply failure; poisons the applier
 }
 
 // Replica returns the collection's replication applier. The collection
@@ -48,7 +47,7 @@ func (c *Collection) Replica() (*ReplicaApplier, error) {
 	if c.wal == nil {
 		return nil, fmt.Errorf("graphdim: collection %q has no write-ahead log; a follower store must be opened durable", c.name)
 	}
-	return &ReplicaApplier{c: c}, nil
+	return &ReplicaApplier{a: applier{c: c}}, nil
 }
 
 // Apply mirrors recs into the local log and replays them into shard
@@ -62,7 +61,7 @@ func (r *ReplicaApplier) Apply(ctx context.Context, recs []wal.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	c := r.c
+	c := r.a.c
 	c.addMu.Lock()
 	defer c.addMu.Unlock()
 	if r.broken != nil {
@@ -73,8 +72,16 @@ func (r *ReplicaApplier) Apply(ctx context.Context, recs []wal.Record) error {
 		// the tailer may retry the same batch.
 		return fmt.Errorf("graphdim: mirroring wal records: %w", err)
 	}
-	for i := range recs {
-		if err := r.applyOne(ctx, &recs[i]); err != nil {
+	for _, rec := range recs {
+		err := r.a.apply(ctx, rec)
+		if errors.Is(err, errUnpairedAmendment) {
+			// The add this amends was mirrored in a previous process life
+			// and crash-replayed in full at startup; walk that back.
+			if err = r.reconcileAmended(&rec); err == nil {
+				c.applied.Store(rec.Seq)
+			}
+		}
+		if err != nil {
 			r.broken = err
 			return err
 		}
@@ -86,12 +93,12 @@ func (r *ReplicaApplier) Apply(ctx context.Context, recs []wal.Record) error {
 // reports itself caught up, which proves no amendment for the batch is
 // in flight.
 func (r *ReplicaApplier) Settle(ctx context.Context) error {
-	r.c.addMu.Lock()
-	defer r.c.addMu.Unlock()
+	r.a.c.addMu.Lock()
+	defer r.a.c.addMu.Unlock()
 	if r.broken != nil {
 		return fmt.Errorf("graphdim: replica needs restart after earlier failure: %w", r.broken)
 	}
-	if err := r.flushPending(ctx); err != nil {
+	if err := r.a.flush(ctx); err != nil {
 		r.broken = err
 		return err
 	}
@@ -102,77 +109,11 @@ func (r *ReplicaApplier) Settle(ctx context.Context) error {
 // sequence at or below it survives a follower restart, so it is what
 // the follower acknowledges to the primary (releasing retention) and
 // where a reconnect resumes.
-func (r *ReplicaApplier) AckSeq() uint64 { return r.c.wal.LastSeq() }
+func (r *ReplicaApplier) AckSeq() uint64 { return r.a.c.wal.LastSeq() }
 
 // AppliedSeq is the collection's settled watermark — the follower's
 // freshness position.
-func (r *ReplicaApplier) AppliedSeq() uint64 { return r.c.applied.Load() }
-
-// applyOne advances the replica state machine by one record; addMu held.
-func (r *ReplicaApplier) applyOne(ctx context.Context, rec *wal.Record) error {
-	c := r.c
-	switch rec.Type {
-	case wal.TypeAdd:
-		if err := r.flushPending(ctx); err != nil {
-			return err
-		}
-		// Copy out of the caller's batch slice, which it reuses.
-		cp := *rec
-		r.pending = &cp
-		return nil
-	case wal.TypeApplied:
-		if r.pending == nil {
-			// The add this amends was mirrored in a previous process life
-			// and crash-replayed in full at startup; walk that back.
-			if err := r.reconcileAmended(rec); err != nil {
-				return err
-			}
-			c.applied.Store(rec.Seq)
-			return nil
-		}
-		if r.pending.First != rec.First || len(r.pending.Graphs) != rec.Total {
-			return fmt.Errorf("graphdim: wal record %d amends batch at %d/%d, pending is %d/%d",
-				rec.Seq, rec.First, rec.Total, r.pending.First, len(r.pending.Graphs))
-		}
-		add := r.pending
-		r.pending = nil
-		if len(rec.IDs) == 0 {
-			// Voided batch: no graphs land, ids burn (see failAdd).
-			if next := int64(add.First + len(add.Graphs)); next > c.nextID.Load() {
-				c.nextID.Store(next)
-			}
-		} else if err := c.replayAdd(ctx, add.First, add.Graphs, rec.IDs); err != nil {
-			return err
-		}
-		c.applied.Store(rec.Seq)
-		return nil
-	case wal.TypeRemove:
-		if err := r.flushPending(ctx); err != nil {
-			return err
-		}
-		if err := c.replayRemove(rec.IDs); err != nil {
-			return err
-		}
-		c.applied.Store(rec.Seq)
-		return nil
-	default:
-		return fmt.Errorf("graphdim: wal record %d has unknown type %d", rec.Seq, rec.Type)
-	}
-}
-
-// flushPending applies the buffered add batch in full; addMu held.
-func (r *ReplicaApplier) flushPending(ctx context.Context) error {
-	if r.pending == nil {
-		return nil
-	}
-	add := r.pending
-	r.pending = nil
-	if err := r.c.replayAdd(ctx, add.First, add.Graphs, nil); err != nil {
-		return err
-	}
-	r.c.applied.Store(add.Seq)
-	return nil
-}
+func (r *ReplicaApplier) AppliedSeq() uint64 { return r.a.c.applied.Load() }
 
 // reconcileAmended settles an amendment whose add batch was already
 // applied in full by startup crash-replay (the add was the mirrored
@@ -193,11 +134,10 @@ func (r *ReplicaApplier) reconcileAmended(rec *wal.Record) error {
 			bury = append(bury, id)
 		}
 	}
-	sort.Ints(bury)
 	if len(bury) == 0 {
 		return nil
 	}
-	if err := r.c.replayRemove(bury); err != nil {
+	if err := r.a.c.applyRemove(bury); err != nil {
 		return fmt.Errorf("graphdim: reconciling amended batch at %d: %w", rec.First, err)
 	}
 	return nil

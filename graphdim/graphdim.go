@@ -60,6 +60,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -69,6 +70,7 @@ import (
 	"repro/internal/mcs"
 	"repro/internal/pool"
 	"repro/internal/posting"
+	"repro/internal/segment"
 	"repro/internal/subiso"
 	"repro/internal/topk"
 	"repro/internal/vecspace"
@@ -258,12 +260,17 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
-// snapshot is the immutable state a query reads: the database graphs,
-// their binary vectors over the index dimensions (packed once, as the
-// SoA block the scan kernel streams), and the tombstone set. Updates
-// (Add/Remove) never mutate a published snapshot — they copy, then
-// atomically swap — so any number of readers proceed lock-free while
-// writers are serialized by Index.mu.
+// snapshot is the immutable state a query reads — everything one atomic
+// publish carries: the database graphs, their binary vectors over the
+// index dimensions (packed once, as the SoA block the scan kernel
+// streams), the tombstone set and, for a shard of a collection, the table
+// naming each graph's collection-global id. Updates never mutate a
+// published snapshot: the writer, serialized by Index.mu, derives the next
+// one through a transition below (appended, tombstoned, repacked) and
+// swaps it in, so any number of readers proceed lock-free and none ever
+// sees a graph without its vector, its tombstone bit or its id. The
+// constructors and transitions in this file are the only code that names
+// the columns together.
 type snapshot struct {
 	// db spans every id slot, but a snapshot served from a mapped segment
 	// keeps nil placeholders below seg's size: graph payloads are faulted
@@ -273,6 +280,12 @@ type snapshot struct {
 	db        []*Graph
 	dead      []bool
 	deadCount int
+	// globals[id] is the collection-global id of graph id, strictly
+	// ascending — ids are placed and appended in increasing global order
+	// and a repack preserves the order — which keeps a shard's tie-break
+	// (ascending local id) consistent with the collection's (ascending
+	// global id). nil on a stand-alone Index: its ids are the only ids.
+	globals []int
 	// seg, when non-nil, is the mapped segment the base of this snapshot
 	// is served from — shared, with its decoded-graph cache, across every
 	// snapshot descended from the same open.
@@ -281,13 +294,13 @@ type snapshot struct {
 	// lane id of the SoA block, the operand of every mapped-space scan
 	// and the tile section of every segment written. block and post are
 	// both derived from the same vectors where a snapshot is born
-	// (newSnapshot, or a segment's own sections in indexFromSegment) and
-	// share one eager copy-on-write lifecycle under the writer lock: Add
-	// extends both (Block.Append never writes a shared tile, so on a
-	// mapped snapshot the overlay is pure copy-on-write on top of the
-	// read-only mapping), Remove shares both unchanged — tombstoned ids
-	// keep their lanes and listings and every scan filters them through
-	// its limits. Invariant: block.N() == post.N() == len(db).
+	// (newSnapshot, or a segment's own sections in snapshotFromSegment)
+	// and share one eager copy-on-write lifecycle: appended extends both
+	// (Block.Append never writes a shared tile, so on a mapped snapshot
+	// the overlay is pure copy-on-write on top of the read-only mapping),
+	// tombstoned shares both unchanged — tombstoned ids keep their lanes
+	// and listings and every scan filters them through its limits.
+	// Invariant: block.N() == post.N() == len(db).
 	block *vecspace.Block
 	// post holds the per-dimension posting lists and ones buckets over
 	// block's vectors — the candidate-pruning accelerator
@@ -298,8 +311,8 @@ type snapshot struct {
 	// Unlike block and post it is built lazily, by the first filtered
 	// query that needs it (labelIndex), because building it reads every
 	// graph — which on a mapped snapshot would fault in the whole corpus
-	// at open. Once built it is carried copy-on-write: Add extends it
-	// under the writer lock, an unbuilt nil just stays lazy.
+	// at open. Once built it is carried copy-on-write: appended extends
+	// it, an unbuilt nil just stays lazy.
 	labels atomic.Pointer[posting.LabelIndex]
 	// baseN is how many of the graphs were part of the database the
 	// dimension selection (Build) or persisted file saw; ids >= baseN
@@ -311,15 +324,17 @@ type snapshot struct {
 
 // newSnapshot is the from-vectors constructor: it packs the block and
 // builds the posting index from the same slice, so the two can never
-// disagree about which vectors the snapshot holds. db, vectors and dead
-// are aligned by id; p is the dimensionality.
-func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []bool, baseN int) *snapshot {
+// disagree about which vectors the snapshot holds. db, vectors, dead and
+// globals (nil on a stand-alone index) are aligned by id; p is the
+// dimensionality.
+func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []bool, baseN int, globals []int) *snapshot {
 	s := &snapshot{
-		db:    db,
-		dead:  dead,
-		block: vecspace.Pack(vectors, p),
-		post:  posting.FromVectors(vectors, p),
-		baseN: baseN,
+		db:      db,
+		dead:    dead,
+		globals: globals,
+		block:   vecspace.Pack(vectors, p),
+		post:    posting.FromVectors(vectors, p),
+		baseN:   baseN,
 	}
 	for id, d := range dead {
 		if d {
@@ -332,13 +347,174 @@ func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []bool,
 	return s
 }
 
+// snapshotFromSegment adopts an opened segment: block and postings are the
+// segment's own sections (aliased in place when the reader is a mapping).
+// With rehydrate false the snapshot keeps nil graph placeholders and faults
+// payloads in through the reader; with rehydrate true every graph is
+// decoded onto the heap and the reader is only kept as the backing array
+// owner. globals is the manifest's id table for a shard file, nil for a
+// plain index; the caller checks it against the segment's extent.
+func snapshotFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*snapshot, error) {
+	n, baseN := r.N(), r.Meta().BaseN
+	if baseN < 0 || baseN > n {
+		return nil, fmt.Errorf("graphdim: corrupt segment: baseN %d outside [0,%d]", baseN, n)
+	}
+	blk, err := r.Block()
+	if err != nil {
+		return nil, err
+	}
+	post, err := r.Postings()
+	if err != nil {
+		return nil, err
+	}
+	dead, deadCount := r.Dead()
+	s := &snapshot{
+		db:        make([]*Graph, n),
+		dead:      dead,
+		deadCount: deadCount,
+		globals:   globals,
+		block:     blk,
+		post:      post,
+		baseN:     baseN,
+	}
+	for _, d := range dead[:baseN] {
+		if d {
+			s.baseDead++
+		}
+	}
+	if !rehydrate {
+		s.seg = newSegSource(r)
+		return s, nil
+	}
+	for i := range s.db {
+		if s.db[i], err = r.GraphAt(i); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// appended is the snapshot after an Add: gs, their vectors and (on a
+// shard) their global ids take the next ids. Block and posting
+// maintenance is incremental — the new ids are the highest yet, so
+// appending fills the next lanes and keeps every per-dimension list
+// sorted — and the linear snapshot chain both Appends require is exactly
+// what Index.mu enforces. The label index is extended only if a filtered
+// query already paid to build it.
+func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []int) *snapshot {
+	next := &snapshot{
+		db:        append(append(make([]*Graph, 0, len(s.db)+len(gs)), s.db...), gs...),
+		dead:      append(append(make([]bool, 0, len(s.dead)+len(gs)), s.dead...), make([]bool, len(gs))...),
+		deadCount: s.deadCount,
+		seg:       s.seg,
+		block:     s.block.Append(vecs),
+		post:      s.post.Append(vecs),
+		baseN:     s.baseN,
+		baseDead:  s.baseDead,
+	}
+	if globals != nil {
+		next.globals = append(append(make([]int, 0, len(s.globals)+len(globals)), s.globals...), globals...)
+	}
+	if l := s.labels.Load(); l != nil {
+		next.labels.Store(l.Append(gs))
+	}
+	return next
+}
+
+// tombstoned is the snapshot after a Remove of ids (valid, live,
+// distinct). db, the id table, the vector block and the posting lists
+// are shared with s; only the tombstone set is copied. Removal is neither
+// a block nor a posting event.
+func (s *snapshot) tombstoned(ids []int) *snapshot {
+	next := &snapshot{
+		db:        s.db,
+		dead:      append([]bool(nil), s.dead...),
+		deadCount: s.deadCount + len(ids),
+		globals:   s.globals,
+		seg:       s.seg,
+		block:     s.block,
+		post:      s.post,
+		baseN:     s.baseN,
+		baseDead:  s.baseDead,
+	}
+	next.labels.Store(s.labels.Load())
+	for _, id := range ids {
+		next.dead[id] = true
+		if id < next.baseN {
+			next.baseDead++
+		}
+	}
+	return next
+}
+
+// subset is a fresh heap snapshot over exactly the given ids of s
+// (ascending): their graphs (a mapped payload is faulted onto the heap),
+// their existing block vectors, tombstone bits and global ids — no VF2, no
+// mining, no selection. Staleness bookkeeping carries over: ids below
+// s.baseN predate the dimension selection, and since ids ascend they are
+// exactly the subset's leading entries. It fails only on a mapped payload
+// that no longer decodes.
+func (s *snapshot) subset(ids []int) (*snapshot, error) {
+	db := make([]*Graph, len(ids))
+	vecs := make([]*vecspace.BitVector, len(ids))
+	dead := make([]bool, len(ids))
+	globals := make([]int, len(ids))
+	baseN := 0
+	for i, id := range ids {
+		g, err := s.graphAt(id)
+		if err != nil {
+			return nil, err
+		}
+		db[i], vecs[i], dead[i], globals[i] = g, s.block.Vector(id), s.dead[id], s.global(id)
+		if id < s.baseN {
+			baseN++
+		}
+	}
+	return newSnapshot(db, vecs, s.block.P(), dead, baseN, globals), nil
+}
+
+// repacked is s without its tombstoned slots — what Compact publishes.
+// Every live graph keeps its vector and its rank among the ascending
+// global ids, so no ranking any engine returns can change.
+func (s *snapshot) repacked() (*snapshot, error) {
+	live := make([]int, 0, len(s.db)-s.deadCount)
+	for id, d := range s.dead {
+		if !d {
+			live = append(live, id)
+		}
+	}
+	return s.subset(live)
+}
+
+// global translates an id of this snapshot to the collection-global id.
+func (s *snapshot) global(id int) int {
+	if s.globals == nil {
+		return id
+	}
+	return s.globals[id]
+}
+
+// localOf returns the id under which this snapshot holds global id g, or
+// -1.
+func (s *snapshot) localOf(g int) int {
+	if s.globals == nil {
+		if g < 0 || g >= len(s.db) {
+			return -1
+		}
+		return g
+	}
+	if i := sort.SearchInts(s.globals, g); i < len(s.globals) && s.globals[i] == g {
+		return i
+	}
+	return -1
+}
+
 // limits states what a scan of this snapshot may score, as the data the
-// query engines apply inline: the caller's id bound (topk.Unbounded for
-// none), the tombstones only when there are any, and admit — whatever
-// predicate the query carries — only when it carries one. A scan under
-// limits with no predicate never resolves a graph.
-func (s *snapshot) limits(bound int, admit topk.Alive) topk.Limits {
-	lim := topk.Limits{N: bound, Pred: admit}
+// query engines apply inline: the tombstones only when there are any, and
+// admit — whatever predicate the query carries — only when it carries
+// one. A scan under limits with no predicate never resolves a graph.
+func (s *snapshot) limits(admit topk.Alive) topk.Limits {
+	lim := topk.Limits{Pred: admit}
 	if s.deadCount > 0 {
 		lim.Dead = s.dead
 	}
@@ -346,26 +522,23 @@ func (s *snapshot) limits(bound int, admit topk.Alive) topk.Limits {
 }
 
 // graph returns graph id, faulting it from the mapped segment on first
-// demand. It is the infallible accessor for paths whose signatures
-// cannot carry an error (predicates, accessors): a payload that cannot
-// be decoded — possible only when the segment file was corrupted after
-// its checkpoint, since open validates the trailer — panics with a
-// descriptive message rather than returning nil into user code. The
-// engines use graphAt and surface the error instead.
+// demand. It is the infallible accessor behind Index.Graph and
+// Collection.Graph, whose signatures cannot carry an error: a payload
+// that cannot be decoded — possible only when the segment file was
+// corrupted after its checkpoint, since open validates the trailer —
+// panics with a descriptive message rather than returning nil into user
+// code. Every query path uses graphAt and surfaces the error instead.
 func (s *snapshot) graph(id int) *Graph {
-	if g := s.db[id]; g != nil || s.seg == nil {
-		return g
-	}
-	g, err := s.seg.graphAt(id)
+	g, err := s.graphAt(id)
 	if err != nil {
 		panic(fmt.Sprintf("graphdim: %v", err))
 	}
 	return g
 }
 
-// graphAt is graph with the decode error surfaced — the form the
-// verified and exact engines thread through topk.GraphAt so a corrupt
-// mapped payload fails the query, not the process.
+// graphAt is graph with the decode error surfaced — the form every
+// engine, predicate and scan resolves graphs through, so a corrupt mapped
+// payload fails the query, not the process.
 func (s *snapshot) graphAt(id int) (*Graph, error) {
 	if g := s.db[id]; g != nil || s.seg == nil {
 		return g, nil
@@ -378,23 +551,28 @@ func (s *snapshot) graphAt(id int) (*Graph, error) {
 // the one operation that faults in the whole corpus, which is why it is
 // deferred to the first query with a label filter rather than done at
 // open. Racing builders may duplicate work; CompareAndSwap publishes
-// exactly one, and Add keeps extending whichever one won.
-func (s *snapshot) labelIndex() *posting.LabelIndex {
+// exactly one, and Add keeps extending whichever one won. It fails only on
+// a mapped payload that no longer decodes.
+func (s *snapshot) labelIndex() (*posting.LabelIndex, error) {
 	if l := s.labels.Load(); l != nil {
-		return l
+		return l, nil
 	}
 	gs := s.db
 	if s.seg != nil {
 		gs = make([]*Graph, len(s.db))
 		for i := range gs {
-			gs[i] = s.graph(i)
+			g, err := s.graphAt(i)
+			if err != nil {
+				return nil, err
+			}
+			gs[i] = g
 		}
 	}
 	l := posting.LabelsFromGraphs(gs)
 	if s.labels.CompareAndSwap(nil, l) {
-		return l
+		return l, nil
 	}
-	return s.labels.Load()
+	return s.labels.Load(), nil
 }
 
 // Index is a built graph-dimension index over a database: the selected
@@ -422,12 +600,16 @@ type Index struct {
 	mcsOpt  mcs.Options
 	workers int // batch fan-out bound; always >= 1
 
-	mu   sync.Mutex // serializes Add/Remove snapshot swaps
+	// mu is the one writer lock: Add, Remove and a collection's reclaim
+	// derive the next snapshot and swap it in under it.
+	mu   sync.Mutex
 	snap atomic.Pointer[snapshot]
-	// gen counts committed mutations: Add and Remove bump it once, after
-	// publishing their snapshot and before returning. Generation-keyed
-	// caches use it as a fence — see Generation.
+	// gen counts publishes: Add, Remove and reclaim bump it once, after
+	// storing their snapshot and before returning. That ordering is the
+	// query cache's fence — see Generation.
 	gen atomic.Uint64
+	// compactions counts completed reclaims (Collection.Compact).
+	compactions atomic.Int64
 }
 
 func newIndex(features []*Graph, weights []float64, metric Metric, mcsOpt mcs.Options, workers int, snap *snapshot) *Index {
@@ -447,7 +629,7 @@ func newIndex(features []*Graph, weights []float64, metric Metric, mcsOpt mcs.Op
 // fork returns an index over the same dimension set as ix — features,
 // weights, compiled mapper and digest are shared, not rebuilt — serving
 // snap with the given worker bound: how a collection's shards come to hold
-// one dimension set (CreateFromIndex) and keep it (shard.reclaim).
+// one dimension set (CreateFromIndex).
 func (ix *Index) fork(workers int, snap *snapshot) *Index {
 	next := &Index{
 		features: ix.features,
@@ -596,7 +778,7 @@ func BuildContext(ctx context.Context, db []*Graph, opt Options) (*Index, error)
 	report(StageVectors, sub.N, sub.N)
 
 	return newIndex(features, weights, opt.Metric, mcsOpt, opt.Workers,
-		newSnapshot(db, vectors, len(features), make([]bool, len(db)), len(db))), nil
+		newSnapshot(db, vectors, len(features), make([]bool, len(db)), len(db), nil)), nil
 }
 
 // Dimensions returns the selected subgraph dimensions, most informative
@@ -633,8 +815,12 @@ func (ix *Index) IsRemoved(i int) bool { return ix.snap.Load().dead[i] }
 // publishes and before that call returns. Two equal Generation reads
 // with an operation between them therefore guarantee the operation saw
 // every mutation committed before the first read — the fence the
-// query-result cache keys on (see CacheOptions). The counter is not
-// persisted; a loaded index starts at 0 again.
+// query-result cache keys on (see CacheOptions): once a write returns to
+// its caller, a result cached under the old generation can never be
+// served again. (In the window between publish and bump a concurrent
+// reader may still hit the old key — indistinguishable from a search that
+// raced the write, hence linearizable.) The counter is not persisted; a
+// loaded index starts at 0 again.
 func (ix *Index) Generation() uint64 { return ix.gen.Load() }
 
 // Result is one top-k answer.

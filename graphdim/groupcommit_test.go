@@ -139,16 +139,14 @@ func TestCrashRecoveryConcurrentRandomized(t *testing.T) {
 				t.Fatalf("recovered %d live graphs, want %d (acked %d, removed %d)", st.Live, len(wantLive), len(acked), len(removed))
 			}
 			for id := 0; id < st.NextID; id++ {
-				sh := rc.shards[placeID(id, len(rc.shards))]
-				sst := sh.state.Load()
-				local := sst.localOf(id)
+				sst, local := rc.resolve(id)
 				switch {
 				case removed[id]:
-					if local < 0 || !sst.idx.IsRemoved(local) {
+					if local < 0 || !sst.dead[local] {
 						t.Fatalf("id %d: acked remove lost across recovery (local=%d)", id, local)
 					}
 				case wantLive[id] != "":
-					if local < 0 || sst.idx.IsRemoved(local) {
+					if local < 0 || sst.dead[local] {
 						t.Fatalf("id %d: acked write lost across recovery (local=%d)", id, local)
 					}
 					if g, ok := rc.Graph(id); !ok || g.String() != wantLive[id] {

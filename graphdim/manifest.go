@@ -246,14 +246,12 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 		// are immutable (copy-on-write), so encoding them lock-free is
 		// safe while Adds, Removes, and Compact continue.
 		c.addMu.Lock()
-		images := make([]shardImage, len(c.shards))
+		// Pin each shard's snapshot: the index keeps advancing after the
+		// lock is released, and the image must stay exactly the one the
+		// captured WAL sequence describes.
+		images := make([]*snapshot, len(c.shards))
 		for i, sh := range c.shards {
-			st := sh.state.Load()
-			// Pin the index snapshot too: the shard state's idx keeps
-			// advancing after the lock is released, and the image must
-			// stay exactly the one the captured id table and WAL
-			// sequence describe.
-			images[i] = shardImage{st: st, snap: st.idx.snap.Load()}
+			images[i] = sh.snap.Load()
 		}
 		cm.NextID = int(c.nextID.Load())
 		switch {
@@ -281,7 +279,10 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 		c.addMu.Unlock()
 		errs := make([]error, len(c.shards))
 		_ = s.budget.ForContext(context.Background(), len(c.shards), func(i int) {
-			cm.ShardFiles[i], cm.ShardGlobals[i], errs[i] = writeShardImage(cdir, i, images[i])
+			cm.ShardFiles[i], errs[i] = c.shards[i].writeShardImage(cdir, i, images[i])
+			// A copy, as the table always was: an empty one persists as
+			// null, a loaded one as the list it was read from.
+			cm.ShardGlobals[i] = append([]int(nil), images[i].globals...)
 		})
 		// Collect every file the fan-out created before acting on any
 		// error: the cleanup must see them all, or a failed save would
@@ -422,29 +423,20 @@ func sweepOrphans(dir string, man storeManifest, inCreation map[string]bool, exp
 	}
 }
 
-// shardImage is one shard's pinned checkpoint view: the shard state (for
-// the id table and the index's codec parameters) plus the index snapshot
-// frozen at capture time.
-type shardImage struct {
-	st   *shardState
-	snap *snapshot
-}
-
-// writeShardImage writes one captured shard image to a fresh uniquely
-// named file in cdir and returns its basename plus the id table matching
-// exactly the snapshot written. Both halves of the image are immutable,
-// so no locks are held: readers and writers proceed while the file
-// streams out. Nothing pre-existing is touched.
-func writeShardImage(cdir string, i int, img shardImage) (string, []int, error) {
+// writeShardImage writes snap, a pinned snapshot of shard i, to a fresh
+// uniquely named file in cdir and returns its basename. The snapshot is
+// immutable, so no locks are held: readers and writers proceed while the
+// file streams out. Nothing pre-existing is touched.
+func (ix *Index) writeShardImage(cdir string, i int, snap *snapshot) (string, error) {
 	f, err := os.CreateTemp(cdir, shardPattern(i))
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
 	name := filepath.Base(f.Name())
-	if err := img.st.idx.writeSegment(f, img.snap); err != nil {
+	if err := ix.writeSegment(f, snap); err != nil {
 		f.Close()
 		os.Remove(f.Name())
-		return "", nil, err
+		return "", err
 	}
 	// fsync before the manifest can reference the file: a checkpoint
 	// deletes WAL records on the strength of this snapshot, so the
@@ -452,17 +444,13 @@ func writeShardImage(cdir string, i int, img shardImage) (string, []int, error) 
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(f.Name())
-		return "", nil, err
+		return "", err
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(f.Name())
-		return "", nil, err
+		return "", err
 	}
-	// Captured under addMu with no Add in flight, the table cannot outrun
-	// the pinned snapshot; bound by the snapshot, not the live index,
-	// which may have grown since capture.
-	globals := append([]int(nil), img.st.globals[:len(img.snap.db)]...)
-	return name, globals, nil
+	return name, nil
 }
 
 // OpenStore loads a store previously written by Save or Checkpoint,
@@ -579,7 +567,7 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 		name:     cm.Name,
 		workers:  cm.Build.Workers,
 		defaults: defaults,
-		shards:   make([]*shard, cm.Shards),
+		shards:   make([]*Index, cm.Shards),
 		cacheOpt: cacheOpt,
 		cache:    newQueryCache(cacheOpt),
 	}
@@ -590,14 +578,14 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 			// Open by path, not reader: a v4 segment shard under
 			// MemoryAuto/MemoryMap is mmapped in place rather than
 			// streamed through the heap.
-			idx, err := openSegmentIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), s.memory)
+			globals := append([]int(nil), cm.ShardGlobals[i]...)
+			idx, err := openSegmentIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), s.memory, globals)
 			if err != nil {
 				return err
 			}
 			// The open hands out a full per-CPU worker bound; a shard
 			// gets its per-shard share, like CreateFromIndex's shards.
 			idx.workers = c.shardIdxWorkers()
-			globals := cm.ShardGlobals[i]
 			if len(globals) != idx.TotalGraphs() {
 				return fmt.Errorf("shard %d: %d ids in manifest for %d graphs", i, len(globals), idx.TotalGraphs())
 			}
@@ -612,7 +600,7 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 					return fmt.Errorf("shard %d: id %d places on shard %d", i, g, placeID(g, cm.Shards))
 				}
 			}
-			c.shards[i] = newShard(&shardState{idx: idx, globals: append([]int(nil), globals...)})
+			c.shards[i] = idx
 			return nil
 		}()
 	})
@@ -625,9 +613,9 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	// dimensions per shard could checkpoint shards that rank in unrelated
 	// spaces; merging their distances is meaningless, so such a directory is
 	// refused rather than served.
-	dims := c.shards[0].state.Load().idx.dims
+	dims := c.shards[0].dims
 	for i, sh := range c.shards[1:] {
-		if sh.state.Load().idx.dims != dims {
+		if sh.dims != dims {
 			return nil, fmt.Errorf("shard %d holds a different dimension set than shard 0 — compacted by an earlier release; re-create the collection", i+1)
 		}
 	}

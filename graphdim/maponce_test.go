@@ -7,9 +7,12 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/pipeline"
 	"repro/internal/segment"
 )
 
@@ -42,13 +45,12 @@ func mergeOfShardSearches(t *testing.T, c *Collection, q *Graph, opt SearchOptio
 	t.Helper()
 	var all []Result
 	for i, sh := range c.shards {
-		st := sh.state.Load()
-		res, err := st.idx.Search(context.Background(), q, opt)
+		res, err := sh.Search(context.Background(), q, opt)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 		for _, r := range res.Results {
-			all = append(all, Result{ID: st.globals[r.ID], Distance: r.Distance})
+			all = append(all, Result{ID: sh.snap.Load().globals[r.ID], Distance: r.Distance})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -75,7 +77,7 @@ func TestCollectionMapsOncePerDimensionSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := len(c.shards[0].state.Load().idx.Dimensions())
+	p := len(c.shards[0].Dimensions())
 	queries := storeTestDB(t, 6, 22)
 	opt := SearchOptions{K: 7}
 
@@ -91,7 +93,7 @@ func TestCollectionMapsOncePerDimensionSet(t *testing.T) {
 				t.Fatalf("%s query %d: MapContext checked ctx %d times, want %d (p = %d)", label, qi, got, wantChecks, p)
 			}
 			sameResults(t, label, res.Results, mergeOfShardSearches(t, c, q, opt))
-			first, err := c.shards[0].state.Load().idx.Search(context.Background(), q, opt)
+			first, err := c.shards[0].Search(context.Background(), q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +107,7 @@ func TestCollectionMapsOncePerDimensionSet(t *testing.T) {
 
 	// Tombstone one graph and reclaim it: exactly its shard repacks, over
 	// the same dimensions — digest, mapper and all.
-	dims := c.shards[0].state.Load().idx.dims
+	dims := c.shards[0].dims
 	if err := c.Remove(5); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestCollectionMapsOncePerDimensionSet(t *testing.T) {
 	}
 	check("Add after Compact", p)
 	for i, sh := range c.shards {
-		if sh.state.Load().idx.dims != dims {
+		if sh.dims != dims {
 			t.Fatalf("shard %d left the collection's dimension set", i)
 		}
 	}
@@ -221,42 +223,197 @@ func TestCollectionSearchNilQuery(t *testing.T) {
 	}
 }
 
-// TestEmptyIDTableScansNothing: a shard state whose id table is empty —
-// the table an Add has not extended yet — contributes nothing to a
-// search, for every engine and under a predicate; an empty table is a
-// bound of zero ids, not the absence of a bound.
-func TestEmptyIDTableScansNothing(t *testing.T) {
-	c, queries := cacheTestCollection(t, CacheOptions{})
-	if len(c.shards) < 2 {
-		t.Fatal("need a sharded collection")
+// TestReadersSeeOneShardState: a shard is one published snapshot, so
+// whatever a reader is shown under a global id is the graph that id names —
+// while writers Add, Remove and Compact beside it. Every (id, graph) a
+// predicate sees, and every id a search or a scan returns, must resolve
+// through Collection.Graph to that same graph; an id Compact has already
+// reclaimed is held to the writers' own record of what they added under it.
+// No id appears twice in one result, and every snapshot a reader can load
+// is coherent on its own: equal-length columns, a strictly ascending id
+// table, every id on the shard it places on. Run under -race (make race).
+func TestReadersSeeOneShardState(t *testing.T) {
+	const shards = 3
+	db := dataset.Chemical(dataset.ChemConfig{N: 24, MinVertices: 8, MaxVertices: 12, Seed: 41})
+	idx, err := Build(db, Options{Dimensions: 10, Tau: 0.2, MCSBudget: 300})
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := c.shards[0].state.Load()
-	if st.idx.Size() == 0 {
-		t.Fatal("shard 0 is empty; nothing to prove")
+	s := NewStore(StoreOptions{})
+	defer s.Close()
+	c, err := s.CreateFromIndex("c", idx, CollectionOptions{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
 	}
-	owned := make(map[int]bool, len(st.globals))
-	for _, g := range st.globals {
-		owned[g] = true
+	ctx := context.Background()
+
+	// added records, before any Remove can name it, the graph every id was
+	// assigned to; live is the writers' view of what is removable.
+	var mu sync.Mutex
+	added := make(map[int]*Graph)
+	var live []int
+	for id, g := range db {
+		added[id] = g
+		live = append(live, id)
 	}
-	c.shards[0].state.Store(&shardState{idx: st.idx, globals: nil})
-	for _, opt := range []SearchOptions{
-		{K: 1000},
-		{K: 1000, NoPrune: true},
-		{K: 5, Engine: EngineVerified},
-		{K: 1000, Engine: EngineExact},
-		{K: 1000, Predicate: func(int, *Graph) bool { return true }},
-	} {
-		res, err := c.Search(context.Background(), queries[0], opt)
+	// names holds id to g: through the collection while the id resolves,
+	// through the record once it is reclaimed.
+	names := func(who string, id int, g *Graph) {
+		if got, ok := c.Graph(id); ok {
+			if g != nil && got != g {
+				t.Errorf("%s: shown id %d with a graph that is not Graph(%d)", who, id, id)
+			}
+			return
+		}
+		mu.Lock()
+		rec, ok := added[id]
+		mu.Unlock()
+		if !ok {
+			t.Errorf("%s: id %d neither resolves nor was ever added", who, id)
+		} else if g != nil && rec != g {
+			t.Errorf("%s: shown reclaimed id %d with a graph other than the one added under it", who, id)
+		}
+	}
+	distinct := func(who string, ids []int) {
+		seen := make(map[int]bool, len(ids))
+		for _, id := range ids {
+			if seen[id] {
+				t.Errorf("%s: id %d returned twice in one result", who, id)
+			}
+			seen[id] = true
+			names(who, id, nil)
+		}
+	}
+
+	var writers, readers sync.WaitGroup
+	done, grown := make(chan struct{}), make(chan struct{})
+	var adds, compactions atomic.Int64
+	extra := dataset.Chemical(dataset.ChemConfig{N: 300, MinVertices: 8, MaxVertices: 12, Seed: 77})
+	writers.Add(2)
+	go func() { // grows the collection
+		defer writers.Done()
+		defer close(grown)
+		for len(extra) > 0 {
+			n := min(1+len(extra)%3, len(extra))
+			ids, err := c.Add(ctx, extra[:n]...)
+			if err != nil {
+				t.Errorf("Add: %v", err)
+				return
+			}
+			mu.Lock()
+			for i, id := range ids {
+				added[id] = extra[i]
+				live = append(live, id)
+			}
+			mu.Unlock()
+			extra = extra[n:]
+			adds.Add(1)
+		}
+	}()
+	go func() { // shrinks it: tombstones the oldest live id, then reclaims it
+		defer writers.Done()
+		for round := 0; ; round++ {
+			select {
+			case <-grown:
+				if round >= 50 {
+					return
+				}
+			default:
+			}
+			mu.Lock()
+			if len(live) == 0 { // outran the grower
+				mu.Unlock()
+				runtime.Gosched()
+				continue
+			}
+			victim := live[0]
+			live = live[1:]
+			mu.Unlock()
+			if err := c.Remove(victim); err != nil {
+				t.Errorf("Remove(%d): %v", victim, err)
+				return
+			}
+			n, err := c.Compact(ctx)
+			if err != nil {
+				t.Errorf("Compact: %v", err)
+				return
+			}
+			compactions.Add(int64(n))
+		}
+	}()
+
+	reader := func(body func(i int)) {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+					body(i)
+				}
+			}
+		}()
+	}
+	results := func(res *SearchResult) []int {
+		ids := make([]int, len(res.Results))
+		for i, r := range res.Results {
+			ids[i] = r.ID
+		}
+		return ids
+	}
+	reader(func(i int) {
+		res, err := c.Search(ctx, db[i%len(db)], SearchOptions{K: 1000, NoPrune: i%2 == 0,
+			Predicate: func(id int, g *Graph) bool { names("predicate", id, g); return true }})
 		if err != nil {
-			t.Fatalf("%+v: %v", opt, err)
+			t.Errorf("predicate search: %v", err)
+			return
 		}
-		if len(res.Results) == 0 {
-			t.Fatalf("%+v: the other shards returned nothing", opt)
+		distinct("predicate search", results(res))
+	})
+	reader(func(i int) {
+		res, err := c.Search(ctx, db[i%len(db)], SearchOptions{K: 5, Engine: EngineVerified})
+		if err != nil {
+			t.Errorf("verified search: %v", err)
+			return
 		}
-		for _, r := range res.Results {
-			if owned[r.ID] {
-				t.Fatalf("%+v: id %d came from the shard whose table is empty", opt, r.ID)
+		distinct("verified search", results(res))
+	})
+	reader(func(i int) {
+		res, err := c.Query(ctx, &pipeline.Pipeline{Stages: []pipeline.Stage{
+			{Filter: &pipeline.Filter{MinVertices: 1}}, {Limit: &pipeline.Limit{N: 1000}},
+		}})
+		if err != nil {
+			t.Errorf("scan: %v", err)
+			return
+		}
+		ids := make([]int, len(res.Rows))
+		for j, r := range res.Rows {
+			ids[j] = r.ID
+		}
+		distinct("scan", ids)
+	})
+	reader(func(i int) {
+		sh := i % shards
+		snap := c.shards[sh].snap.Load()
+		if n := len(snap.db); len(snap.globals) != n || len(snap.dead) != n || snap.block.N() != n || snap.post.N() != n {
+			t.Errorf("shard %d: columns of one snapshot disagree: db %d, globals %d, dead %d, block %d, postings %d",
+				sh, n, len(snap.globals), len(snap.dead), snap.block.N(), snap.post.N())
+			return
+		}
+		for local, g := range snap.globals {
+			if placeID(g, shards) != sh || (local > 0 && snap.globals[local-1] >= g) {
+				t.Errorf("shard %d: id table entry %d = %d is misplaced or out of order", sh, local, g)
+				return
 			}
 		}
+	})
+
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if adds.Load() == 0 || compactions.Load() == 0 {
+		t.Fatalf("writers did nothing to race: %d adds, %d shard compactions", adds.Load(), compactions.Load())
 	}
 }

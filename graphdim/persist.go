@@ -53,7 +53,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graphdim: read index: %w", err)
 	}
-	return indexFromSegment(sr, true)
+	return indexFromSegment(sr, true, nil)
 }
 
 type countingWriter struct {

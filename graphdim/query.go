@@ -34,7 +34,7 @@ func (c *Collection) Query(ctx context.Context, p *pipeline.Pipeline) (*pipeline
 	// build-time dimension set so the wire surface can reject them as
 	// the client's fault; the j-th filter is the j-th stage (filters are
 	// the only stages allowed before everything else).
-	dims := c.shards[0].state.Load().idx.Dimensions()
+	dims := c.shards[0].Dimensions()
 	for j, f := range pl.Filters {
 		if err := f.CheckDims(len(dims)); err != nil {
 			return nil, &pipeline.StageError{Index: j, Name: "filter", Err: err}
@@ -100,8 +100,10 @@ func (c *Collection) querySearch(ctx context.Context, pl *pipeline.Plan) (*pipel
 	for _, r := range sr.Results {
 		row := pipeline.Row{ID: r.ID, Distance: r.Distance, HasDistance: true, Engine: engine}
 		if needG {
-			if g, ok := c.Graph(r.ID); ok {
-				row.G = g
+			if s, local := c.resolve(r.ID); local >= 0 {
+				if row.G, err = s.graphAt(local); err != nil {
+					return nil, err
+				}
 			}
 		}
 		agg.Add(row)
@@ -169,65 +171,46 @@ const scanShardStride = 4096
 // aggregator. The reported candidates count is the pushdown
 // intersection size, -1 when the filters did not restrict the scan.
 func (c *Collection) scanShard(ctx context.Context, i int, pl *pipeline.Plan) (*pipeline.Aggregator, int64, error) {
-	st := c.shards[i].state.Load()
-	s := st.idx.snap.Load()
-	comp, err := pipeline.CompileFilters(pl.Filters, s.catalog())
+	s := c.shards[i].snap.Load()
+	cat, err := s.catalog()
+	if err != nil {
+		return nil, 0, err
+	}
+	comp, err := pipeline.CompileFilters(pl.Filters, cat)
 	if err != nil {
 		return nil, 0, err
 	}
 	agg := pipeline.NewAggregator(pl)
 	needG := pl.NeedsGraphs()
-	// The table bound keeps (snapshot, globals) consistent if an Add
-	// publishes between the two loads, mirroring searchShards.
-	m := len(s.db)
-	if len(st.globals) < m {
-		m = len(st.globals)
-	}
-	emit := func(id int) {
-		row := pipeline.Row{ID: st.globals[id]}
-		if needG {
-			row.G = s.graph(id)
-		}
-		agg.Add(row)
-	}
-	step := 0
-	check := func() error {
-		if step%scanShardStride == 0 {
-			return ctx.Err()
-		}
-		return nil
-	}
+	// The ids to stream: the pushdown intersection when the filters
+	// restricted the scan, every id otherwise.
+	n, idAt, candidates := len(s.db), func(i int) int { return i }, int64(-1)
 	if comp.Restricted {
-		for _, id32 := range comp.IDs {
-			if err := check(); err != nil {
+		n, idAt, candidates = len(comp.IDs), func(i int) int { return int(comp.IDs[i]) }, int64(len(comp.IDs))
+	}
+	for i := 0; i < n; i++ {
+		if i%scanShardStride == 0 {
+			if err := ctx.Err(); err != nil {
 				return nil, 0, err
 			}
-			step++
-			id := int(id32)
-			if id >= m || s.dead[id] {
-				continue
-			}
-			if comp.Residual != nil && !comp.Residual(id, s.graph(id)) {
-				continue
-			}
-			emit(id)
 		}
-		return agg, int64(len(comp.IDs)), nil
-	}
-	for id := 0; id < m; id++ {
-		if err := check(); err != nil {
-			return nil, 0, err
-		}
-		step++
+		id := idAt(i)
 		if s.dead[id] {
 			continue
 		}
-		if comp.Residual != nil && !comp.Residual(id, s.graph(id)) {
-			continue
+		// The graph is resolved — once — only when the residual or the
+		// aggregation needs it.
+		var g *Graph
+		if comp.Residual != nil || needG {
+			if g, err = s.graphAt(id); err != nil {
+				return nil, 0, err
+			}
 		}
-		emit(id)
+		if comp.Residual == nil || comp.Residual(id, g) {
+			agg.Add(pipeline.Row{ID: s.global(id), G: g})
+		}
 	}
-	return agg, -1, nil
+	return agg, candidates, nil
 }
 
 func msSince(t time.Time) float64 {

@@ -265,9 +265,10 @@ func (s *snapshot) planCandidates(qv *vecspace.BitVector, wantK int, noPrune boo
 // catalog exposes the snapshot's pushdown structures to the filter
 // compiler. It is only called on filtered paths: the label index it
 // resolves is built lazily, and on a mapped snapshot that build is the
-// one whole-corpus fault (see labelIndex).
-func (s *snapshot) catalog() pipeline.Catalog {
-	return pipeline.Catalog{N: len(s.db), Post: s.post, Labels: s.labelIndex()}
+// one whole-corpus fault (see labelIndex) — and the one way it can fail.
+func (s *snapshot) catalog() (pipeline.Catalog, error) {
+	labels, err := s.labelIndex()
+	return pipeline.Catalog{N: len(s.db), Post: s.post, Labels: labels}, err
 }
 
 // composePredicate ANDs a compiled filter residual with a caller
@@ -317,20 +318,19 @@ func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*Sear
 	if err != nil {
 		return nil, err
 	}
-	return ix.searchMapped(ctx, q, qv, opt, topk.Unbounded, start)
+	return ix.searchMapped(ctx, ix.snap.Load(), q, qv, opt, start)
 }
 
 var errNilQuery = errors.New("graphdim: nil query")
 
-// searchMapped is Search after the map: q is non-nil, opt is valid and qv
-// is q's vector over this index's dimensions — from ix.mapper, or from the
-// mapper of an index with the same dims digest (a collection maps once for
-// all its shards). bound admits only ids below it (topk.Unbounded
-// for none): a shard passes the length of the id table it loaded, which
-// keeps the composite (index, table) read consistent even when an Add
-// publishes between the two loads.
-func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVector, opt SearchOptions,
-	bound int, start time.Time) (*SearchResult, error) {
+// searchMapped is Search after the map, against s, a snapshot of ix the
+// caller loaded (a collection translates the ids it gets back through the
+// same snapshot's table): q is non-nil, opt is valid and qv is q's vector
+// over this index's dimensions — from ix.mapper, or from the mapper of an
+// index with the same dims digest (a collection maps once for all its
+// shards). Ids — the predicate's and the results' — are s's own.
+func (ix *Index) searchMapped(ctx context.Context, s *snapshot, q *Graph, qv *vecspace.BitVector,
+	opt SearchOptions, start time.Time) (*SearchResult, error) {
 	metric := ix.metric
 	switch opt.Metric {
 	case MetricDelta1:
@@ -339,7 +339,6 @@ func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVec
 		metric = Delta2
 	}
 
-	s := ix.snap.Load()
 	pred := opt.Predicate
 	var (
 		filtered []int32        // pushdown ids for the pruned plan
@@ -347,7 +346,11 @@ func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVec
 		member   func(int) bool // pushdown ids as a predicate, nil = none
 	)
 	if len(opt.Filters) > 0 {
-		comp, cerr := pipeline.CompileFilters(opt.Filters, s.catalog())
+		cat, cerr := s.catalog()
+		if cerr != nil {
+			return nil, cerr
+		}
+		comp, cerr := pipeline.CompileFilters(opt.Filters, cat)
 		if cerr != nil {
 			return nil, fmt.Errorf("graphdim: %v", cerr)
 		}
@@ -368,19 +371,34 @@ func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVec
 			}
 		}
 	}
-	// admit is what the scan asks about an id that is in bound and not
-	// dead — nil unless the caller or a filter supplied something to ask.
-	// Membership is asked first; the graph is resolved last, so on a
-	// mapped snapshot only the payloads of surviving ids fault in.
-	var admit topk.Alive
+	// admit is what the scan asks about an id that is not dead — nil unless
+	// the caller or a filter supplied something to ask. Membership is asked
+	// first; the graph is resolved last, so on a mapped snapshot only the
+	// payloads of surviving ids fault in. A payload that does not decode
+	// fails the query: admit remembers the first such error and admits
+	// nothing after it.
+	var (
+		admit    topk.Alive
+		graphErr error
+	)
 	if pred != nil {
-		admit = func(id int) bool { return pred(id, s.graph(id)) }
+		admit = func(id int) bool {
+			if graphErr != nil {
+				return false
+			}
+			g, err := s.graphAt(id)
+			if err != nil {
+				graphErr = err
+				return false
+			}
+			return pred(id, g)
+		}
 	}
 	if member != nil {
 		inner := admit
 		admit = func(id int) bool { return member(id) && (inner == nil || inner(id)) }
 	}
-	lim := s.limits(bound, admit)
+	lim := s.limits(admit)
 	plan := func(wantK int) *topk.Candidates {
 		if pushed {
 			return &topk.Candidates{
@@ -415,7 +433,7 @@ func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVec
 		// re-derives the exact clamped count itself).
 		wantEstimate := opt.K * factor
 		if wantEstimate/factor != opt.K {
-			wantEstimate = ix.TotalGraphs() // overflow: verify everything
+			wantEstimate = len(s.db) // overflow: verify everything
 		}
 		if opt.MaxCandidates > 0 && wantEstimate > opt.MaxCandidates {
 			wantEstimate = opt.MaxCandidates
@@ -426,6 +444,9 @@ func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVec
 	case EngineExact:
 		ranking, err = topk.ExactContext(ctx, len(s.db), s.graphAt, q, metric, ix.mcsOpt, lim)
 		candidates = len(ranking)
+	}
+	if graphErr != nil {
+		return nil, graphErr
 	}
 	if err != nil {
 		return nil, err

@@ -4,7 +4,7 @@ package graphdim
 // on-disk format: WriteTo and checkpoints stream a snapshot out as a
 // segment (writeSegment), and opens serve a segment back either mapped — the
 // tile section IS the scan block, graph payloads fault in lazily — or
-// fully rehydrated onto the heap (indexFromSegment). segSource is the
+// fully rehydrated onto the heap (snapshotFromSegment). segSource is the
 // per-open shared state a mapped snapshot chain hangs onto: the reader
 // plus a decode-once cache for faulted graphs.
 
@@ -107,17 +107,18 @@ func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
 	})
 }
 
-// openSegmentIndex opens a shard file by path. Every mode except MemoryHeap
+// openSegmentIndex opens a shard file by path, serving it under globals,
+// the manifest's id table for the shard. Every mode except MemoryHeap
 // asks for the mapping; on platforms without mmap support segment.Open
 // degrades to reading the file into one heap buffer and the index still
 // serves through the same lazy segment path — mode selects the serving
 // strategy, never the file format.
-func openSegmentIndex(path string, mode MemoryMode) (*Index, error) {
+func openSegmentIndex(path string, mode MemoryMode, globals []int) (*Index, error) {
 	r, err := segment.Open(path, segment.Options{Map: mode != MemoryHeap})
 	if err != nil {
 		return nil, err
 	}
-	ix, err := indexFromSegment(r, mode == MemoryHeap)
+	ix, err := indexFromSegment(r, mode == MemoryHeap, globals)
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -125,13 +126,10 @@ func openSegmentIndex(path string, mode MemoryMode) (*Index, error) {
 	return ix, nil
 }
 
-// indexFromSegment builds an Index over an opened segment reader. The
-// snapshot's block and postings are the segment's own sections (aliased
-// in place when the reader is a mapping) in both modes. With rehydrate
-// false the snapshot keeps nil graph placeholders and faults payloads in
-// through the reader; with rehydrate true every graph is decoded onto
-// the heap and the reader is only kept as the backing array owner.
-func indexFromSegment(r *segment.Reader, rehydrate bool) (*Index, error) {
+// indexFromSegment builds an Index over an opened segment reader: the
+// dimension set and codec parameters from its meta section, the snapshot
+// adopted from its data sections (see snapshotFromSegment).
+func indexFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*Index, error) {
 	m := r.Meta()
 	if m.Metric > byte(Delta2) {
 		return nil, fmt.Errorf("graphdim: corrupt segment: unknown metric %d", m.Metric)
@@ -139,44 +137,9 @@ func indexFromSegment(r *segment.Reader, rehydrate bool) (*Index, error) {
 	if m.MCSBudget < 0 {
 		return nil, fmt.Errorf("graphdim: corrupt segment: negative MCS budget %d", m.MCSBudget)
 	}
-	n := r.N()
-	if m.BaseN < 0 || m.BaseN > n {
-		return nil, fmt.Errorf("graphdim: corrupt segment: baseN %d outside [0,%d]", m.BaseN, n)
-	}
-	blk, err := r.Block()
+	snap, err := snapshotFromSegment(r, rehydrate, globals)
 	if err != nil {
 		return nil, err
-	}
-	post, err := r.Postings()
-	if err != nil {
-		return nil, err
-	}
-	dead, deadCount := r.Dead()
-	baseDead := 0
-	for i := 0; i < m.BaseN; i++ {
-		if dead[i] {
-			baseDead++
-		}
-	}
-	snap := &snapshot{
-		db:        make([]*Graph, n),
-		dead:      dead,
-		deadCount: deadCount,
-		block:     blk,
-		post:      post,
-		baseN:     m.BaseN,
-		baseDead:  baseDead,
-	}
-	if rehydrate {
-		for i := 0; i < n; i++ {
-			g, err := r.GraphAt(i)
-			if err != nil {
-				return nil, err
-			}
-			snap.db[i] = g
-		}
-	} else {
-		snap.seg = newSegSource(r)
 	}
 	return newIndex(m.Features, m.Weights, Metric(m.Metric),
 		mcs.Options{MaxNodes: m.MCSBudget}, pool.DefaultWorkers(0), snap), nil

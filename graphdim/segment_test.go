@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -18,7 +19,7 @@ import (
 // snapSeg returns the mapped segment source behind a single collection
 // shard's current snapshot, nil when the shard is served from the heap.
 func snapSeg(c *Collection, shard int) (*snapshot, *segSource) {
-	s := c.shards[shard].state.Load().idx.snap.Load()
+	s := c.shards[shard].snap.Load()
 	return s, s.seg
 }
 
@@ -51,7 +52,7 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for sh := range cc.shards {
-			assertOneVectorStore(t, fmt.Sprintf("%s shard %d", name, sh), cc.shards[sh].state.Load().idx)
+			assertOneVectorStore(t, fmt.Sprintf("%s shard %d", name, sh), cc.shards[sh])
 		}
 	}
 	// mutate writes through an open store: pre-checkpoint writes become
@@ -330,6 +331,107 @@ func TestReadIndexSegmentRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got.Results, want.Results) {
 				t.Fatalf("query %d %s: rehydrated ranking diverges:\ngot:  %v\nwant: %v", qi, fmt.Sprint(opt.Engine), got.Results, want.Results)
 			}
+		}
+	}
+}
+
+// TestCorruptMappedPayloadFailsTheQuery: VerifyBody does not run on a
+// mapped open, so a bit flipped in a graph payload after its checkpoint
+// is first seen by whichever query resolves that graph. Every query path
+// that does — a Predicate search, a search under a label filter (its
+// label-index build reads every graph), a group_by scan, and a group_by
+// over search results — must return an error naming the graph; none may
+// panic, and queries that resolve no graph keep working.
+func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
+	if !segment.CanMap() {
+		t.Skip("no mmap on this platform")
+	}
+	rng := rand.New(rand.NewSource(equivSeed(t)))
+	idx, db := equivBuild(t, rng, 30)
+	dir := t.TempDir()
+	s, err := CreateStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateFromIndex("c", idx, CollectionOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	// Overwrite the leading vertex-count varint of graph `victim` with a
+	// count no graph may have, so graph.ReadBinary refuses the payload.
+	const victim = 7
+	shards, err := filepath.Glob(filepath.Join(dir, "c", "shard-*.gdx"))
+	if err != nil || len(shards) != 1 {
+		t.Fatalf("shard files: %v %v", shards, err)
+	}
+	data, err := os.ReadFile(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := segment.NewReader(data, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := r.GraphBytes(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(blob, []byte{0xff, 0xff, 0xff, 0xff, 0x7f}) // blob aliases data
+	if err := os.WriteFile(shards[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = OpenStore(dir, StoreOptions{Memory: MemoryMap})
+	if err != nil {
+		t.Fatalf("a mapped open reads no payload, so it must succeed: %v", err)
+	}
+	defer s.Close()
+	c, _ := s.Collection("c")
+	ctx := context.Background()
+	q := db[0]
+	lab := int(db[1].VertexLabel(0))
+	labelFilter := &pipeline.Filter{VertexLabels: []pipeline.LabelCount{{Label: lab}}}
+
+	if _, err := c.Search(ctx, q, SearchOptions{K: 5}); err != nil {
+		t.Fatalf("a mapped search resolves no graph and must still work: %v", err)
+	}
+	search := &pipeline.Search{K: len(db), G: q}
+	cases := map[string]func() error{
+		"predicate search": func() error {
+			// The flat scan asks the predicate about every live id.
+			_, err := c.Search(ctx, q, SearchOptions{K: 5, NoPrune: true, Predicate: func(int, *Graph) bool { return true }})
+			return err
+		},
+		"filtered search": func() error {
+			_, err := c.Search(ctx, q, SearchOptions{K: 5, Filters: []*pipeline.Filter{labelFilter}})
+			return err
+		},
+		"residual-filtered search": func() error {
+			_, err := c.Search(ctx, q, SearchOptions{K: 5, NoPrune: true, Filters: []*pipeline.Filter{{MinVertices: 1}}})
+			return err
+		},
+		"group_by scan": func() error {
+			_, err := c.Query(ctx, &pipeline.Pipeline{Stages: []pipeline.Stage{
+				{GroupBy: &pipeline.GroupBy{Key: "vertex_label"}},
+			}})
+			return err
+		},
+		"group_by over search": func() error {
+			_, err := c.Query(ctx, &pipeline.Pipeline{Stages: []pipeline.Stage{
+				{Search: search}, {GroupBy: &pipeline.GroupBy{Key: "edge_label"}},
+			}})
+			return err
+		},
+	}
+	want := fmt.Sprintf("corrupt graph %d", victim)
+	for name, run := range cases {
+		err := run()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %q", name, err, want)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/pool"
-	"repro/internal/vecspace"
 	"repro/internal/wal"
 )
 
@@ -228,7 +227,11 @@ type Collection struct {
 	// at every open.
 	workers  int
 	defaults SearchOptions
-	shards   []*shard
+	// shards[i] is the index over the graphs whose global ids place on
+	// shard i. Each is one published snapshot (graphs, vectors,
+	// tombstones, local→global id table), one writer lock and one
+	// generation counter; all hold the collection's one dimension set.
+	shards   []*Index
 	cacheOpt CacheOptions
 	cache    *queryCache // nil when the cache is disabled
 
@@ -264,7 +267,7 @@ type Collection struct {
 	// (freshness tokens, checkpoints, stats).
 	applied atomic.Uint64
 
-	// failShard, when non-nil, injects a per-shard failure into Add's
+	// failShard, when non-nil, injects a per-shard failure into applyAdd's
 	// fan-out — test-only, for exercising partial-apply paths that
 	// otherwise need precisely timed cancellation.
 	failShard func(shard int) error
@@ -318,34 +321,16 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 
 	nsh := opt.shards()
 	snap := src.snap.Load()
-	type acc struct {
-		db      []*Graph
-		vecs    []*vecspace.BitVector
-		dead    []bool
-		globals []int
-		// baseN carries the source's staleness bookkeeping into the
-		// shard: ids below the source's baseN predate its dimension
-		// selection, and since ids append in ascending order they are
-		// exactly the part's leading entries.
-		baseN int
-	}
-	parts := make([]acc, nsh)
-	for id := range snap.db {
-		p := &parts[placeID(id, nsh)]
-		p.db = append(p.db, snap.graph(id))
-		p.vecs = append(p.vecs, snap.block.Vector(id))
-		p.dead = append(p.dead, snap.dead[id])
-		if id < snap.baseN {
-			p.baseN++
-		}
-		p.globals = append(p.globals, id)
+	all := make([]int, len(snap.db))
+	for id := range all {
+		all[id] = id
 	}
 	c := &Collection{
 		store:    s,
 		name:     name,
 		workers:  opt.Build.Workers,
 		defaults: opt.Defaults,
-		shards:   make([]*shard, nsh),
+		shards:   make([]*Index, nsh),
 		cacheOpt: opt.Cache,
 		cache:    newQueryCache(opt.Cache),
 	}
@@ -358,12 +343,12 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	if shardWorkers < 1 {
 		shardWorkers = 1
 	}
-	for i := range c.shards {
-		p := parts[i]
-		c.shards[i] = newShard(&shardState{
-			idx:     src.fork(shardWorkers, newSnapshot(p.db, p.vecs, len(src.features), p.dead, p.baseN)),
-			globals: p.globals,
-		})
+	for i, ids := range partition(all, nsh) {
+		part, err := snap.subset(ids) // empty for a shard no id places on
+		if err != nil {
+			return nil, err
+		}
+		c.shards[i] = src.fork(shardWorkers, part)
 	}
 
 	// Reserve the name before touching its wal directory — a losing
@@ -506,7 +491,7 @@ func (c *Collection) shardIdxWorkers() int {
 func (c *Collection) Size() int {
 	n := 0
 	for _, sh := range c.shards {
-		n += sh.state.Load().idx.Size()
+		n += sh.Size()
 	}
 	return n
 }
@@ -517,10 +502,22 @@ func (c *Collection) Size() int {
 // process — a follower, or this store reopened from a checkpoint taken
 // before the Compact, may still resolve an id this one no longer does.
 func (c *Collection) Graph(id int) (*Graph, bool) {
-	if id < 0 {
+	s, local := c.resolve(id)
+	if local < 0 {
 		return nil, false
 	}
-	return c.shards[placeID(id, len(c.shards))].graph(id)
+	return s.graph(local), true
+}
+
+// resolve finds global id in the current snapshot of the shard it places
+// on: the snapshot and the id's local id there, -1 when the shard does
+// not hold it.
+func (c *Collection) resolve(id int) (*snapshot, int) {
+	if id < 0 {
+		return nil, -1
+	}
+	s := c.shards[placeID(id, len(c.shards))].snap.Load()
+	return s, s.localOf(id)
 }
 
 // overlay fills zero-valued fields of opt from the collection defaults —
@@ -597,7 +594,7 @@ func (c *Collection) Search(ctx context.Context, q *Graph, opt SearchOptions) (*
 func (c *Collection) generations() []uint64 {
 	gens := make([]uint64, len(c.shards))
 	for i, sh := range c.shards {
-		gens[i] = sh.generation()
+		gens[i] = sh.Generation()
 	}
 	return gens
 }
@@ -606,7 +603,7 @@ func (c *Collection) generations() []uint64 {
 // — every shard holds the same dimension set, so shard 0's mapper speaks
 // for all — then scan the shards in parallel with the vector in hand.
 func (c *Collection) searchShards(ctx context.Context, q *Graph, opt SearchOptions, start time.Time) (*SearchResult, error) {
-	qv, err := c.shards[0].state.Load().idx.mapper.MapContext(ctx, q)
+	qv, err := c.shards[0].mapper.MapContext(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -614,25 +611,21 @@ func (c *Collection) searchShards(ctx context.Context, q *Graph, opt SearchOptio
 	userPred := opt.Predicate
 	outs := make([]shardOut, len(c.shards))
 	_ = c.store.budget.ForContext(ctx, len(c.shards), func(i int) {
-		st := c.shards[i].state.Load()
+		// One load: the snapshot scanned is the snapshot whose id table
+		// translates what the scan saw.
+		snap := c.shards[i].snap.Load()
 		sopt := opt
 		if userPred != nil {
 			// The user predicate runs in global-id space.
-			sopt.Predicate = func(local int, g *Graph) bool { return userPred(st.globals[local], g) }
+			sopt.Predicate = func(local int, g *Graph) bool { return userPred(snap.global(local), g) }
 		}
-		// The table's length bounds the scan: an index that grew past the
-		// table this state carries (an Add publishing between the two
-		// loads) is read only as far as the table translates.
-		res, err := st.idx.searchMapped(ctx, q, qv, sopt, len(st.globals), start)
-		if err != nil {
-			outs[i].err = err
-			return
+		res, err := c.shards[i].searchMapped(ctx, snap, q, qv, sopt, start)
+		if err == nil {
+			for j := range res.Results {
+				res.Results[j].ID = snap.global(res.Results[j].ID)
+			}
 		}
-		ids := make([]int, len(res.Results))
-		for j, r := range res.Results {
-			ids[j] = st.globals[r.ID]
-		}
-		outs[i] = shardOut{res: res, ids: ids}
+		outs[i] = shardOut{res: res, err: err}
 	})
 	for i := range outs {
 		if outs[i].err != nil {
@@ -674,10 +667,9 @@ func (c *Collection) SearchBatch(ctx context.Context, queries []*Graph, opt Sear
 }
 
 // shardOut is one shard's contribution to a fan-out search: the shard
-// result plus its Results translated to global ids.
+// result, its Results translated to global ids.
 type shardOut struct {
 	res *SearchResult
-	ids []int
 	err error
 }
 
@@ -692,12 +684,11 @@ type mergeHeap []shardCursor
 
 func (h mergeHeap) Len() int { return len(h) }
 func (h mergeHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	da, db := a.out.res.Results[a.pos].Distance, b.out.res.Results[b.pos].Distance
-	if da != db {
-		return da < db
+	a, b := h[i].out.res.Results[h[i].pos], h[j].out.res.Results[h[j].pos]
+	if a.Distance != b.Distance {
+		return a.Distance < b.Distance
 	}
-	return a.out.ids[a.pos] < b.out.ids[b.pos]
+	return a.ID < b.ID
 }
 func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(shardCursor)) }
@@ -717,10 +708,7 @@ func mergeTopK(outs []shardOut, k int) []Result {
 	merged := make([]Result, 0, k)
 	for len(h) > 0 && len(merged) < k {
 		cur := h[0]
-		merged = append(merged, Result{
-			ID:       cur.out.ids[cur.pos],
-			Distance: cur.out.res.Results[cur.pos].Distance,
-		})
+		merged = append(merged, cur.out.res.Results[cur.pos])
 		if cur.pos+1 < len(cur.out.res.Results) {
 			h[0].pos++
 			heap.Fix(&h, 0)
@@ -763,66 +751,121 @@ func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 	defer c.addMu.Unlock()
 	defer c.settleApplied()
 
-	ids := make([]int, len(gs))
-	perShard := make(map[int]*shardBatch)
-	var order []int
-	for i := range gs {
-		id := int(c.nextID.Load()) + i
-		ids[i] = id
-		sh := placeID(id, len(c.shards))
-		b := perShard[sh]
-		if b == nil {
-			b = &shardBatch{}
-			perShard[sh] = b
-			order = append(order, sh)
-		}
-		b.gs = append(b.gs, gs[i])
-		b.globals = append(b.globals, id)
-	}
-
+	first := int(c.nextID.Load())
 	// Write-ahead: the batch must be durable before any shard state it
 	// produces can be observed. A failed append commits nothing.
 	if c.wal != nil {
-		if _, err := c.wal.Append(wal.Record{Type: wal.TypeAdd, First: ids[0], Graphs: gs}); err != nil {
+		if _, err := c.wal.Append(wal.Record{Type: wal.TypeAdd, First: first, Graphs: gs}); err != nil {
 			return nil, fmt.Errorf("graphdim: wal append: %w", err)
 		}
 	}
+	applied, err := c.applyAdd(ctx, first, gs, nil)
+	if err != nil {
+		return nil, c.failAdd(first, len(gs), applied, err)
+	}
+	c.nextID.Add(int64(len(gs)))
+	return applied, nil
+}
 
-	errs := make([]error, len(order))
-	ran := make([]bool, len(order))
-	_ = c.store.budget.ForContext(ctx, len(order), func(i int) {
+// placeID maps a global id to its shard. The hash is SplitMix64 — cheap,
+// well-mixed, and fixed forever for a given manifest version: the
+// placement of every persisted id must survive reload.
+func placeID(id, shards int) int {
+	x := uint64(id) + 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	x ^= x >> 31
+	return int(x % uint64(shards))
+}
+
+// partition splits global ids by the shard they place on: parts[sh] holds
+// shard sh's ids in the order given, nil when it receives none.
+func partition(ids []int, shards int) [][]int {
+	parts := make([][]int, shards)
+	for _, id := range ids {
+		sh := placeID(id, shards)
+		parts[sh] = append(parts[sh], id)
+	}
+	return parts
+}
+
+// applyAdd lands one logged add batch on the shards — the one way an Add,
+// crash replay and a follower publish graphs. gs[i] carries global id
+// first+i; only, when non-nil, names the ids of the batch to land (what a
+// partial apply committed) and the rest is skipped. Each shard maps
+// and publishes its share atomically, the shares fan out under the store
+// budget, and a failure on one shard — cancellation included — leaves
+// the shares of shards that already finished in place: applied reports,
+// ascending, exactly the ids that landed, next to the first error.
+func (c *Collection) applyAdd(ctx context.Context, first int, gs []*Graph, only []int) (applied []int, err error) {
+	ids := only
+	if ids == nil {
+		ids = make([]int, len(gs))
+		for i := range ids {
+			ids[i] = first + i
+		}
+	}
+	parts := partition(ids, len(c.shards))
+	var touched []int // the shards that receive a share, ascending
+	for sh, part := range parts {
+		if len(part) > 0 {
+			touched = append(touched, sh)
+		}
+	}
+	errs := make([]error, len(touched))
+	ran := make([]bool, len(touched))
+	_ = c.store.budget.ForContext(ctx, len(touched), func(i int) {
 		ran[i] = true
+		sh := touched[i]
 		if c.failShard != nil {
-			if err := c.failShard(order[i]); err != nil {
-				errs[i] = err
+			if errs[i] = c.failShard(sh); errs[i] != nil {
 				return
 			}
 		}
-		b := perShard[order[i]]
-		errs[i] = c.shards[order[i]].add(ctx, b.gs, b.globals)
+		share := make([]*Graph, len(parts[sh]))
+		for j, id := range parts[sh] {
+			share[j] = gs[id-first]
+		}
+		_, errs[i] = c.shards[sh].add(ctx, share, parts[sh])
 	})
-	applied := 0
-	var appliedIDs []int
-	var firstErr error
-	for i := range order {
-		err := errs[i]
+	for i, sh := range touched {
+		e := errs[i]
 		if !ran[i] {
 			// The fan-out skips a suffix only on cancellation.
-			err = ctx.Err()
+			e = ctx.Err()
 		}
 		switch {
-		case err == nil && ran[i]:
-			applied++
-			appliedIDs = append(appliedIDs, perShard[order[i]].globals...)
-		case err != nil && firstErr == nil:
-			firstErr = err
+		case e == nil && ran[i]:
+			applied = append(applied, parts[sh]...)
+		case e != nil && err == nil:
+			err = e
 		}
 	}
-	if firstErr != nil {
-		return nil, c.failAdd(ids[0], len(gs), appliedIDs, firstErr)
+	sort.Ints(applied)
+	return applied, err
+}
+
+// applyRemove tombstones global ids on the shards they place on — the
+// one way a Remove, crash replay and a follower publish removals.
+func (c *Collection) applyRemove(ids []int) error {
+	for sh, part := range partition(ids, len(c.shards)) {
+		if len(part) == 0 {
+			continue
+		}
+		if err := c.shards[sh].removeGlobal(part); err != nil {
+			return fmt.Errorf("graphdim: remove on shard %d: %w", sh, err)
+		}
 	}
-	c.nextID.Add(int64(len(gs)))
-	return ids, nil
+	return nil
+}
+
+// burn marks the ids of a logged add batch as assigned for good: on a
+// durable store a global id, once logged, is never assigned again,
+// whether or not its graph landed (see failAdd).
+func (c *Collection) burn(first, total int) {
+	if next := int64(first + total); next > c.nextID.Load() {
+		c.nextID.Store(next)
+	}
 }
 
 // failAdd settles a failed Add batch: it amends the write-ahead log so
@@ -835,7 +878,6 @@ func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 // buried. Called under addMu.
 func (c *Collection) failAdd(first, total int, appliedIDs []int, cause error) error {
 	if len(appliedIDs) > 0 {
-		sort.Ints(appliedIDs)
 		// Some shards already published their slice, so the batch's
 		// global ids are burned: advancing nextID keeps every published
 		// id unique forever, at the price of id gaps for the slices that
@@ -871,11 +913,6 @@ func (c *Collection) settleApplied() {
 	}
 }
 
-type shardBatch struct {
-	gs      []*Graph
-	globals []int
-}
-
 // Remove tombstones the given global ids. Validation and application
 // happen per shard under the writer locks; an unknown or already-removed
 // id fails the whole call with no shard modified.
@@ -886,30 +923,22 @@ func (c *Collection) Remove(ids ...int) error {
 	c.addMu.Lock()
 	defer c.addMu.Unlock()
 	defer c.settleApplied()
-	perShard := make(map[int][]int)
+	// Validate everything before touching anything: writers are serialized
+	// by addMu and a reclaim never drops a live id, so a positive pre-check
+	// cannot be invalidated before the apply below.
+	seen := make(map[int]bool, len(ids))
 	for _, id := range ids {
 		if id < 0 || int64(id) >= c.nextID.Load() {
 			return fmt.Errorf("graphdim: id %d out of range [0,%d)", id, c.nextID.Load())
 		}
-		sh := placeID(id, len(c.shards))
-		perShard[sh] = append(perShard[sh], id)
-	}
-	// Validate everywhere before touching anything: writers are serialized
-	// by addMu and a reclaim never drops a live id, so a positive pre-check
-	// cannot be invalidated before the apply below.
-	for sh, globals := range perShard {
-		st := c.shards[sh].state.Load()
-		seen := make(map[int]bool, len(globals))
-		for _, g := range globals {
-			local := st.localOf(g)
-			if local < 0 {
-				return fmt.Errorf("graphdim: id %d not in store", g)
-			}
-			if st.idx.IsRemoved(local) || seen[g] {
-				return fmt.Errorf("graphdim: id %d already removed", g)
-			}
-			seen[g] = true
+		s, local := c.resolve(id)
+		if local < 0 {
+			return fmt.Errorf("graphdim: id %d not in store", id)
 		}
+		if s.dead[local] || seen[id] {
+			return fmt.Errorf("graphdim: id %d already removed", id)
+		}
+		seen[id] = true
 	}
 	// Write-ahead, after validation (a rejected batch must leave no
 	// record) and before any shard tombstones: post-validation the apply
@@ -921,26 +950,21 @@ func (c *Collection) Remove(ids ...int) error {
 			return fmt.Errorf("graphdim: wal append: %w", err)
 		}
 	}
-	for sh, globals := range perShard {
-		if err := c.shards[sh].remove(globals); err != nil {
-			return fmt.Errorf("graphdim: remove on shard %d: %w", sh, err)
-		}
-	}
-	return nil
+	return c.applyRemove(ids)
 }
 
 // StaleRatios returns each shard's StaleRatio, indexed by shard.
 func (c *Collection) StaleRatios() []float64 {
 	out := make([]float64, len(c.shards))
 	for i, sh := range c.shards {
-		out[i] = sh.staleRatio()
+		out[i] = sh.StaleRatio()
 	}
 	return out
 }
 
 // Compact reclaims the tombstoned slots of every shard that has any: the
 // shard's live graphs and their existing vectors are repacked into a fresh
-// generation over the same dimensions. It never re-selects dimensions and
+// snapshot over the same dimensions. It never re-selects dimensions and
 // never changes a ranking — mapped, verified and exact results are
 // bit-identical before and after, which is why it needs no log record and
 // why crash recovery and followers stay identical whether or not they
@@ -980,46 +1004,49 @@ func (c *Collection) CacheStats() (stats CacheStats, ok bool) {
 type ShardStats struct {
 	// Live is the number of searchable graphs; Total counts id slots
 	// including tombstones.
-	Live, Total int
+	Live  int `json:"live"`
+	Total int `json:"total"`
 	// StaleRatio is the shard index's StaleRatio.
-	StaleRatio float64
+	StaleRatio float64 `json:"stale_ratio"`
 	// Compactions counts the times Compact repacked this shard.
-	Compactions int64
+	Compactions int64 `json:"compactions"`
 }
 
-// CollectionStats is the Stats snapshot of one collection.
+// CollectionStats is the Stats snapshot of one collection. The JSON names
+// here and on ShardStats, CacheStats and WALStats are the wire names of
+// every stats endpoint — declared once, with the fields.
 type CollectionStats struct {
-	Name   string
-	Live   int
-	NextID int
+	Name   string `json:"name"`
+	Live   int    `json:"graphs"`
+	NextID int    `json:"next_id"`
 	// Dimensions is the size of the collection's dimension set — one
 	// number, every shard holds the same set.
-	Dimensions int
-	Shards     []ShardStats
+	Dimensions int          `json:"dimensions"`
+	Shards     []ShardStats `json:"shards"`
 	// Generations is the per-shard mutation-counter vector the query
-	// cache fences on, aligned with Shards.
-	Generations []uint64
+	// cache fences on, aligned with Shards: it moves on every add,
+	// remove and compact.
+	Generations []uint64 `json:"generations"`
 	// Cache holds the query cache's counters, nil when the collection
 	// has no cache.
-	Cache *CacheStats
+	Cache *CacheStats `json:"cache,omitempty"`
 	// WAL holds the write-ahead log's counters, nil when the store is
 	// not durable (or the WAL is disabled).
-	WAL *WALStats
+	WAL *WALStats `json:"wal,omitempty"`
 }
 
 // Stats returns a point-in-time snapshot of the collection's shards.
 func (c *Collection) Stats() CollectionStats {
 	cs := CollectionStats{
 		Name:       c.name,
-		Dimensions: len(c.shards[0].state.Load().idx.features),
+		Dimensions: len(c.shards[0].features),
 		Shards:     make([]ShardStats, len(c.shards)),
 	}
 	for i, sh := range c.shards {
-		st := sh.state.Load()
 		s := ShardStats{
-			Live:        st.idx.Size(),
-			Total:       st.idx.TotalGraphs(),
-			StaleRatio:  st.idx.StaleRatio(),
+			Live:        sh.Size(),
+			Total:       sh.TotalGraphs(),
+			StaleRatio:  sh.StaleRatio(),
 			Compactions: sh.compactions.Load(),
 		}
 		cs.Live += s.Live
@@ -1030,6 +1057,9 @@ func (c *Collection) Stats() CollectionStats {
 	if st, ok := c.CacheStats(); ok {
 		cs.Cache = &st
 	}
-	cs.WAL = c.walStats()
+	if c.wal != nil {
+		st := c.wal.Stats()
+		cs.WAL = &st
+	}
 	return cs
 }

@@ -563,7 +563,7 @@ func TestOpenStoreRefusesMixedDimensionSets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if other.dims == coll.shards[1].state.Load().idx.dims {
+	if other.dims == coll.shards[1].dims {
 		t.Fatal("the replacement selected the very same dimensions; pick another seed")
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "c", "shard-0001-*.gdx"))

@@ -37,52 +37,42 @@ func (ix *Index) AddContext(ctx context.Context, gs ...*Graph) ([]int, error) {
 	if len(gs) == 0 {
 		return nil, nil
 	}
+	first, err := ix.add(ctx, gs, nil)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int, len(gs))
+	for i := range ids {
+		ids[i] = first + i
+	}
+	return ids, nil
+}
 
+// add maps gs and publishes them as the next ids — with their
+// collection-global ids when ix is a shard, under globals == nil when it
+// stands alone — and returns the first id assigned.
+func (ix *Index) add(ctx context.Context, gs []*Graph, globals []int) (int, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 
 	// Map outside any reader-visible state, under the writer lock so two
 	// Adds cannot interleave id assignment.
-	newVecs := make([]*vecspace.BitVector, len(gs))
+	vecs := make([]*vecspace.BitVector, len(gs))
 	errs := make([]error, len(gs))
 	if err := pool.ForContext(ctx, ix.workers, len(gs), func(i int) {
-		newVecs[i], errs[i] = ix.mapper.MapContext(ctx, gs[i])
+		vecs[i], errs[i] = ix.mapper.MapContext(ctx, gs[i])
 	}); err != nil {
-		return nil, err
+		return 0, err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
-
 	cur := ix.snap.Load()
-	next := &snapshot{
-		db:        append(append(make([]*Graph, 0, len(cur.db)+len(gs)), cur.db...), gs...),
-		dead:      append(append(make([]bool, 0, len(cur.dead)+len(gs)), cur.dead...), make([]bool, len(gs))...),
-		deadCount: cur.deadCount,
-		seg:       cur.seg,
-		// Block and posting maintenance is incremental: the new ids are the
-		// highest yet, so appending fills the next lanes and keeps every
-		// per-dimension list sorted. The linear snapshot chain both
-		// Appends require is exactly what ix.mu enforces.
-		block:    cur.block.Append(newVecs),
-		post:     cur.post.Append(newVecs),
-		baseN:    cur.baseN,
-		baseDead: cur.baseDead,
-	}
-	// The label index is lazy: extend it only if a filtered query already
-	// paid to build it; otherwise it stays nil and lazy.
-	if l := cur.labels.Load(); l != nil {
-		next.labels.Store(l.Append(gs))
-	}
-	ids := make([]int, len(gs))
-	for i := range gs {
-		ids[i] = len(cur.db) + i
-	}
-	ix.snap.Store(next)
+	ix.snap.Store(cur.appended(gs, vecs, globals))
 	ix.gen.Add(1)
-	return ids, nil
+	return len(cur.db), nil
 }
 
 // Remove tombstones the given ids: the graphs stay addressable (Graph,
@@ -97,8 +87,28 @@ func (ix *Index) Remove(ids ...int) error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	return ix.removeLocked(ix.snap.Load(), ids)
+}
 
+// removeGlobal is Remove by collection-global id — a shard's half of
+// Collection.Remove. The translation happens under the writer lock, so no
+// reclaim can renumber the shard between the lookup and the publish.
+func (ix *Index) removeGlobal(globals []int) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	cur := ix.snap.Load()
+	ids := make([]int, len(globals))
+	for i, g := range globals {
+		if ids[i] = cur.localOf(g); ids[i] < 0 {
+			return fmt.Errorf("graphdim: id %d not in store", g)
+		}
+	}
+	return ix.removeLocked(cur, ids)
+}
+
+// removeLocked validates ids against cur, the current snapshot, and
+// publishes cur.tombstoned(ids); ix.mu is held.
+func (ix *Index) removeLocked(cur *snapshot, ids []int) error {
 	seen := make(map[int]bool, len(ids))
 	for _, id := range ids {
 		if id < 0 || id >= len(cur.db) {
@@ -109,31 +119,34 @@ func (ix *Index) Remove(ids ...int) error {
 		}
 		seen[id] = true
 	}
-	// db, the vector block and the posting lists are immutable and shared
-	// with the previous snapshot; only the tombstone set is copied.
-	// Removal is neither a block nor a posting event — tombstoned ids keep
-	// their lanes and listings and every scan (pruned or flat) filters
-	// them through the same alive predicate.
-	next := &snapshot{
-		db:        cur.db,
-		dead:      append([]bool(nil), cur.dead...),
-		deadCount: cur.deadCount + len(ids),
-		seg:       cur.seg,
-		block:     cur.block,
-		post:      cur.post,
-		baseN:     cur.baseN,
-		baseDead:  cur.baseDead,
+	ix.snap.Store(cur.tombstoned(ids))
+	ix.gen.Add(1)
+	return nil
+}
+
+// reclaim drops the tombstoned slots — Collection.Compact's per-shard
+// step. It reports whether there was anything to reclaim; on error (a
+// mapped graph payload that no longer decodes) the index is left exactly
+// as it was. The repack runs under the writer lock (it is a copy, not a
+// build), so no write can land between the copy and the publish; readers
+// never wait — they keep the snapshot they loaded. Every publish moves
+// the generation; the cache fence makes no exception for one that
+// happens to preserve rankings.
+func (ix *Index) reclaim() (bool, error) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	cur := ix.snap.Load()
+	if cur.deadCount == 0 {
+		return false, nil
 	}
-	next.labels.Store(cur.labels.Load())
-	for _, id := range ids {
-		next.dead[id] = true
-		if id < next.baseN {
-			next.baseDead++
-		}
+	next, err := cur.repacked()
+	if err != nil {
+		return false, err
 	}
 	ix.snap.Store(next)
 	ix.gen.Add(1)
-	return nil
+	ix.compactions.Add(1)
+	return true, nil
 }
 
 // StaleRatio reports how far the index has drifted from its dimension

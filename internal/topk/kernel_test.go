@@ -201,7 +201,7 @@ func TestKernelVerifiedBlockEquivalence(t *testing.T) {
 			ref[i].Score = metric.DissimilarityBudget(q, db[ref[i].ID], opt)
 		}
 		sortItems(ref)
-		got, gotN, err := VerifiedContext(ctx, SliceGraphs(db), blk, q, qv, k, factor, 0, metric, opt, Limits{N: Unbounded}, nil, s)
+		got, gotN, err := VerifiedContext(ctx, SliceGraphs(db), blk, q, qv, k, factor, 0, metric, opt, Limits{}, nil, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,12 +212,9 @@ func TestKernelVerifiedBlockEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanLimits: the limits a scan takes as data — id bound, tombstone
-// slice, predicate, alone and together, flat and pruned — select exactly
-// the ids the scalar reference ranks when handed their conjunction as one
-// Alive. The bound's edges are the point: N = 0 scans nothing (an empty
-// id table is not "no bound"), N below k shortens the answer, N beyond
-// the block is the block's extent, and Unbounded is that by definition.
+// TestScanLimits: the limits a scan takes as data — tombstone slice,
+// predicate, alone and together, flat and pruned — select exactly the ids
+// the scalar reference ranks when handed their conjunction as one Alive.
 func TestScanLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(kernelSeed(t)))
 	ctx := context.Background()
@@ -249,68 +246,62 @@ func TestScanLimits(t *testing.T) {
 			m := 2 + rng.Intn(3)
 			pred = func(id int) bool { return id%m != 0 }
 		}
-		for _, bound := range []int{0, 1, k - 1, k, n / 2, n - 1, n, n + 1, 10 * n, Unbounded} {
-			lim := Limits{N: bound, Dead: dead, Pred: pred}
-			label := "round " + strconv.Itoa(round) + " n=" + strconv.Itoa(n) +
-				" k=" + strconv.Itoa(k) + " N=" + strconv.Itoa(bound)
-			ref, _, err := MappedContext(ctx, vecs, q, lim.Admits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bound == 0 && len(ref) != 0 {
-				t.Fatalf("%s: reference admitted %d ids under N = 0", label, len(ref))
-			}
-			got, scored, err := MappedScan(ctx, blk, q, lim, k, nil, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scored > len(ref) {
-				t.Fatalf("%s: flat scan scored %d ids, only %d admitted", label, scored, len(ref))
-			}
-			assertRankingPrefix(t, label+" flat", got, ref, k)
+		lim := Limits{Dead: dead, Pred: pred}
+		label := "round " + strconv.Itoa(round) + " n=" + strconv.Itoa(n) + " k=" + strconv.Itoa(k)
+		ref, _, err := MappedContext(ctx, vecs, q, lim.Admits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, scored, err := MappedScan(ctx, blk, q, lim, k, nil, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scored > len(ref) {
+			t.Fatalf("%s: flat scan scored %d ids, only %d admitted", label, scored, len(ref))
+		}
+		assertRankingPrefix(t, label+" flat", got, ref, k)
 
-			if pl := post.Plan(q, k); pl != nil {
-				planned++
-				cands := &Candidates{K: k, QueryOnes: pl.QueryOnes, Matched: pl.Matched, Rest: pl.Rest}
-				got, _, err := MappedScan(ctx, blk, q, lim, k, cands, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertRankingPrefix(t, label+" pruned", got, ref, k)
-			}
-
-			// The verified engine's retrieval stage takes the same limits:
-			// at factor 1 it resolves exactly the admitted top k, in order.
-			var resolved []int
-			_, verified, err := VerifiedContext(ctx, func(id int) (*graph.Graph, error) {
-				resolved = append(resolved, id)
-				return tinyGraph, nil
-			}, blk, tinyGraph, q, k, 1, 0, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim, nil, s)
+		if pl := post.Plan(q, k); pl != nil {
+			planned++
+			cands := &Candidates{K: k, QueryOnes: pl.QueryOnes, Matched: pl.Matched, Rest: pl.Rest}
+			got, _, err := MappedScan(ctx, blk, q, lim, k, cands, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := min(k, len(ref)); verified != want || len(resolved) != want {
-				t.Fatalf("%s: verified %d candidates (resolved %d graphs), want %d", label, verified, len(resolved), want)
-			}
-			for i, id := range resolved {
-				if id != ref[i].ID {
-					t.Fatalf("%s: verified candidate %d is id %d, want %d", label, i, id, ref[i].ID)
-				}
-			}
+			assertRankingPrefix(t, label+" pruned", got, ref, k)
+		}
 
-			// And the exact engine's range.
-			ex, err := ExactContext(ctx, n, func(id int) (*graph.Graph, error) { return tinyGraph, nil },
-				tinyGraph, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim)
-			if err != nil {
-				t.Fatal(err)
+		// The verified engine's retrieval stage takes the same limits:
+		// at factor 1 it resolves exactly the admitted top k, in order.
+		var resolved []int
+		_, verified, err := VerifiedContext(ctx, func(id int) (*graph.Graph, error) {
+			resolved = append(resolved, id)
+			return tinyGraph, nil
+		}, blk, tinyGraph, q, k, 1, 0, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim, nil, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(k, len(ref)); verified != want || len(resolved) != want {
+			t.Fatalf("%s: verified %d candidates (resolved %d graphs), want %d", label, verified, len(resolved), want)
+		}
+		for i, id := range resolved {
+			if id != ref[i].ID {
+				t.Fatalf("%s: verified candidate %d is id %d, want %d", label, i, id, ref[i].ID)
 			}
-			if len(ex) != len(ref) {
-				t.Fatalf("%s: exact ranked %d ids, %d admitted", label, len(ex), len(ref))
-			}
-			for _, it := range ex {
-				if !lim.Admits(it.ID) {
-					t.Fatalf("%s: exact ranked id %d the limits reject", label, it.ID)
-				}
+		}
+
+		// And the exact engine's range.
+		ex, err := ExactContext(ctx, n, func(id int) (*graph.Graph, error) { return tinyGraph, nil },
+			tinyGraph, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ex) != len(ref) {
+			t.Fatalf("%s: exact ranked %d ids, %d admitted", label, len(ex), len(ref))
+		}
+		for _, it := range ex {
+			if !lim.Admits(it.ID) {
+				t.Fatalf("%s: exact ranked id %d the limits reject", label, it.ID)
 			}
 		}
 	}

@@ -75,42 +75,36 @@ func sortItems(items []Item) {
 type Alive func(id int) bool
 
 // Limits says which ids a scan may score, as data the scan applies
-// inline: an id bound and a tombstone slice cost the kernel loop a
-// comparison and a load, and only a caller's predicate costs a call — so
-// a scan with no predicate never leaves the vector store, and never
-// resolves a graph to decide to skip it.
+// inline: a tombstone slice costs the kernel loop a load, and only a
+// caller's predicate costs a call — so a scan with no predicate never
+// leaves the vector store, and never resolves a graph to decide to skip
+// it. The zero Limits admits every id the store holds.
 type Limits struct {
-	// N admits only ids below it. Unbounded admits every id the store
-	// holds; 0 admits none — the zero Limits scans nothing.
-	N int
 	// Dead, when non-nil, marks tombstoned ids; it must cover every id
-	// below N that the store holds. Leave it nil when nothing is dead.
+	// the store holds. Leave it nil when nothing is dead.
 	Dead []bool
-	// Pred, when non-nil, is asked last, and only about ids that are in
-	// bound and not dead.
+	// Pred, when non-nil, is asked last, and only about ids that are not
+	// dead.
 	Pred Alive
 }
-
-// Unbounded is the Limits.N that imposes no id bound of its own.
-const Unbounded = math.MaxInt
 
 // Admits reports whether the limits admit id.
 func (l Limits) Admits(id int) bool {
 	return !l.skips(id) && (l.Pred == nil || l.Pred(id))
 }
 
-// skips is the part of Admits that is data — out of bound, or dead. It
-// is split out because it inlines, which Admits as a whole does not: the
-// scan loops test it in line and make a call only for a predicate.
+// skips is the part of Admits that is data — dead. It is split out
+// because it inlines, which Admits as a whole does not: the scan loops
+// test it in line and make a call only for a predicate.
 func (l Limits) skips(id int) bool {
-	return id >= l.N || (l.Dead != nil && l.Dead[id])
+	return l.Dead != nil && l.Dead[id]
 }
 
 // Exact ranks the database for query q by the MCS dissimilarity metric —
 // the ground-truth engine. opt bounds each MCS search (Options{} = fully
 // exact).
 func Exact(db []*graph.Graph, q *graph.Graph, metric mcs.Metric, opt mcs.Options) Ranking {
-	r, _ := ExactContext(context.Background(), len(db), SliceGraphs(db), q, metric, opt, Limits{N: Unbounded})
+	r, _ := ExactContext(context.Background(), len(db), SliceGraphs(db), q, metric, opt, Limits{})
 	return r
 }
 
@@ -120,7 +114,6 @@ func Exact(db []*graph.Graph, q *graph.Graph, metric mcs.Metric, opt mcs.Options
 // each MCS search (the expensive unit).
 func ExactContext(ctx context.Context, n int, graphAt GraphAt, q *graph.Graph, metric mcs.Metric,
 	opt mcs.Options, lim Limits) (Ranking, error) {
-	n = min(n, lim.N)
 	items := make([]Item, 0, n)
 	for i := 0; i < n; i++ {
 		if !lim.Admits(i) {
@@ -196,8 +189,7 @@ func MappedContext(ctx context.Context, dbVectors []*vecspace.BitVector, qv *vec
 }
 
 // MappedTopKContext is MappedScan behind the signature bench/trace.go
-// compiles against: alive becomes the limits' predicate under no id
-// bound, and dbVectors — consulted only when blk is nil, and then packed
+// compiles against: alive becomes the limits' predicate, and dbVectors — consulted only when blk is nil, and then packed
 // once for this call — survives for that file alone; dropping both
 // belongs to a later benchmark PR.
 func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk *vecspace.Block,
@@ -205,7 +197,7 @@ func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk
 	if blk == nil {
 		blk = vecspace.Pack(dbVectors, qv.Len())
 	}
-	return MappedScan(ctx, blk, qv, Limits{N: Unbounded, Pred: alive}, k, cands, s)
+	return MappedScan(ctx, blk, qv, Limits{Pred: alive}, k, cands, s)
 }
 
 // MappedScan is the top-k scan every Search runs: exactly the first k
@@ -219,7 +211,7 @@ func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk
 // packed-key selection order (hamming, id) equals the flat sort's
 // (score, id) order (see scratch.go).
 //
-// blk is the vector store; the scan covers ids [0, min(blk.N(), lim.N)).
+// blk is the vector store; the scan covers ids [0, blk.N()).
 // s may be nil (buffers are then allocated per call); when non-nil the
 // returned Ranking aliases s and is valid only until its next use or
 // Release. The second return value is the number of ids the scan
@@ -241,11 +233,11 @@ func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector
 		s.out = s.out[:0]
 		return s.out, 0, nil
 	}
-	n := min(blk.N(), lim.N)
+	n := blk.N()
 	if k > n {
 		k = n
 	}
-	dead, pred := lim.Dead, lim.Pred // the bound is the loop's own
+	dead, pred := lim.Dead, lim.Pred
 	keys := s.keys[:0]
 	scored := 0
 	// One zone (vecspace.ZoneSpan ids) at a time, heap live, so the zone

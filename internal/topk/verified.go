@@ -17,7 +17,7 @@ import (
 // EXPERIMENTS.md.
 func Verified(db []*graph.Graph, dbVectors []*vecspace.BitVector, q *graph.Graph, qv *vecspace.BitVector,
 	k, factor int, metric mcs.Metric, opt mcs.Options) Ranking {
-	r, _, _ := VerifiedContext(context.Background(), SliceGraphs(db), vecspace.Pack(dbVectors, qv.Len()), q, qv, k, factor, 0, metric, opt, Limits{N: Unbounded}, nil, nil)
+	r, _, _ := VerifiedContext(context.Background(), SliceGraphs(db), vecspace.Pack(dbVectors, qv.Len()), q, qv, k, factor, 0, metric, opt, Limits{}, nil, nil)
 	return r
 }
 
@@ -58,7 +58,7 @@ func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, 
 	if factor < 1 {
 		factor = 1
 	}
-	n := int64(min(blk.N(), lim.N))
+	n := int64(blk.N())
 	want := int64(k) * int64(factor)
 	if want/int64(k) != int64(factor) {
 		// int64 overflow: both operands are huge; every candidate wins.

@@ -150,29 +150,33 @@ type Options struct {
 	FirstSeq uint64
 }
 
-// Stats is a point-in-time snapshot of a log's counters.
+// Stats is a point-in-time snapshot of a log's counters. The JSON names
+// are the wire names stats endpoints report it under (graphdim.WALStats).
 type Stats struct {
 	// Appends and Syncs count committed Append calls and the fsyncs they
 	// issued. Group commit makes Syncs <= Appends: concurrent appends
 	// coalesce into one fsync, and Appends/Syncs is the achieved
 	// amortization factor.
-	Appends, Syncs int64
+	Appends int64 `json:"appends"`
+	Syncs   int64 `json:"syncs"`
 	// SyncNanos is the cumulative time spent inside fsync, nanoseconds.
-	SyncNanos int64
+	SyncNanos int64 `json:"sync_nanos"`
 	// MaxBatch is the largest number of records one fsync has committed.
-	MaxBatch int
+	MaxBatch int `json:"max_batch"`
 	// LastSeq is the newest record's sequence number (0 = empty log);
 	// CheckpointSeq is the highest sequence a Checkpoint has covered.
-	LastSeq, CheckpointSeq uint64
+	LastSeq       uint64 `json:"last_seq"`
+	CheckpointSeq uint64 `json:"checkpoint_seq"`
 	// Segments and Bytes describe the on-disk footprint.
-	Segments int
-	Bytes    int64
+	Segments int   `json:"segments"`
+	Bytes    int64 `json:"bytes"`
 	// Retained counts registered replication holds (see Retain), and
 	// RetainSeq is the lowest acknowledged sequence among them — the
 	// position checkpoint truncation is currently clamped to. RetainSeq
-	// is meaningless when Retained is zero.
-	Retained  int
-	RetainSeq uint64
+	// is meaningless when Retained is zero. Not part of the wire form:
+	// a server reports retention with its replication state.
+	Retained  int    `json:"-"`
+	RetainSeq uint64 `json:"-"`
 }
 
 type segment struct {
