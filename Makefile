@@ -10,6 +10,8 @@ BENCHTIME ?= 1x
 # the repository: a one-iteration record is noise, not a trajectory (the
 # numbers changes are judged by come from bench/, see bench/README.md).
 BENCH_OUT ?= /tmp/graphdim-bench.json
+# FUZZTIME is how long `make fuzz` runs each native fuzz target.
+FUZZTIME ?= 10s
 # COVER_MIN gates `make cover`: the combined statement coverage of the
 # public API package, the posting accelerator, the pipeline stage DAG,
 # the write-ahead log, the replication client, the metrics registry, and
@@ -22,7 +24,7 @@ LOAD_DURATION   ?= 5s
 LOAD_MAX_P99_MS ?= 250
 LOAD_MAX_LAG    ?= 10s
 
-.PHONY: build test race vet check lines bench cover loadtest loadtest-repl
+.PHONY: build test race fuzz vet check lines bench cover loadtest loadtest-repl
 
 build:
 	$(GO) build ./...
@@ -57,6 +59,18 @@ cover:
 # pooled across the fan-out's goroutines and the δ matrix's workers).
 race:
 	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/... ./internal/subiso/... ./internal/mcs/...
+
+# fuzz runs each native fuzz target for $(FUZZTIME), one at a time (go
+# test -fuzz takes one target per package run): the segment reader, the
+# compiled VF2 pattern against brute force, the SoA pack round trip, the
+# graph text format, and the mapper's label-count precheck against VF2.
+# `go test` alone runs only their seed corpora.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime $(FUZZTIME) ./graphdim
+	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPattern$$' -fuzztime $(FUZZTIME) ./internal/subiso
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/vecspace
+	$(GO) test -run '^$$' -fuzz '^FuzzTextRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzMapperMatchesContains$$' -fuzztime $(FUZZTIME) ./internal/vecspace
 
 vet:
 	$(GO) vet ./...

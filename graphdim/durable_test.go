@@ -100,7 +100,8 @@ func liveGraph(c *Collection, id int) (*Graph, bool) {
 	if local < 0 || s.dead[local] {
 		return nil, false
 	}
-	return s.graph(local), true
+	g, err := s.graphAt(local)
+	return g, err == nil
 }
 
 func TestDurableAddSurvivesRestart(t *testing.T) {

@@ -521,24 +521,12 @@ func (s *snapshot) limits(admit topk.Alive) topk.Limits {
 	return lim
 }
 
-// graph returns graph id, faulting it from the mapped segment on first
-// demand. It is the infallible accessor behind Index.Graph and
-// Collection.Graph, whose signatures cannot carry an error: a payload
-// that cannot be decoded — possible only when the segment file was
-// corrupted after its checkpoint, since open validates the trailer —
-// panics with a descriptive message rather than returning nil into user
-// code. Every query path uses graphAt and surfaces the error instead.
-func (s *snapshot) graph(id int) *Graph {
-	g, err := s.graphAt(id)
-	if err != nil {
-		panic(fmt.Sprintf("graphdim: %v", err))
-	}
-	return g
-}
-
-// graphAt is graph with the decode error surfaced — the form every
-// engine, predicate and scan resolves graphs through, so a corrupt mapped
-// payload fails the query, not the process.
+// graphAt returns graph id, faulting it from the mapped segment on first
+// demand — the one accessor every engine, predicate, scan and
+// Index.Graph/Collection.Graph resolves graphs through. It fails only on a
+// mapped payload that no longer decodes (the segment file was corrupted
+// after its checkpoint; open validates the trailer), so a corrupt payload
+// fails the query, not the process.
 func (s *snapshot) graphAt(id int) (*Graph, error) {
 	if g := s.db[id]; g != nil || s.seg == nil {
 		return g, nil
@@ -804,8 +792,12 @@ func (ix *Index) TotalGraphs() int { return len(ix.snap.Load().db) }
 // Graph returns the graph with id i. Removed graphs remain addressable so
 // historical results can still be resolved; use IsRemoved to check. On a
 // memory-mapped index the payload is decoded from the segment on first
-// access.
-func (ix *Index) Graph(i int) *Graph { return ix.snap.Load().graph(i) }
+// access, and Graph returns nil if it no longer decodes (the file was
+// corrupted after its checkpoint; queries that reach it return an error).
+func (ix *Index) Graph(i int) *Graph {
+	g, _ := ix.snap.Load().graphAt(i)
+	return g
+}
 
 // IsRemoved reports whether id i has been tombstoned by Remove.
 func (ix *Index) IsRemoved(i int) bool { return ix.snap.Load().dead[i] }

@@ -434,4 +434,15 @@ func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
 			t.Errorf("%s: err = %v, want one naming %q", name, err, want)
 		}
 	}
+	// The accessors cannot carry an error: they report the corrupt graph
+	// as unresolvable instead of panicking, and the others still resolve.
+	if g, ok := c.Graph(victim); g != nil || ok {
+		t.Errorf("Collection.Graph(%d) = %v, %v; want nil, false", victim, g, ok)
+	}
+	if g := c.shards[0].Graph(victim); g != nil {
+		t.Errorf("Index.Graph(%d) = %v, want nil", victim, g)
+	}
+	if g, ok := c.Graph(victim + 1); g == nil || !ok {
+		t.Errorf("Collection.Graph(%d) = %v, %v; an intact graph must resolve", victim+1, g, ok)
+	}
 }

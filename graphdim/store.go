@@ -501,12 +501,15 @@ func (c *Collection) Size() int {
 // beyond the store, or reclaimed return false. Reclamation is local to a
 // process — a follower, or this store reopened from a checkpoint taken
 // before the Compact, may still resolve an id this one no longer does.
+// On a memory-mapped store a payload that no longer decodes also returns
+// (nil, false); queries that reach it return an error naming it.
 func (c *Collection) Graph(id int) (*Graph, bool) {
 	s, local := c.resolve(id)
 	if local < 0 {
 		return nil, false
 	}
-	return s.graph(local), true
+	g, err := s.graphAt(local)
+	return g, err == nil
 }
 
 // resolve finds global id in the current snapshot of the shard it places

@@ -10,8 +10,9 @@ import (
 
 // Add maps new graphs into the existing dimension space and makes them
 // searchable. This is the operation the DS-preserved mapping was designed
-// to make cheap: placing an unseen graph costs p subgraph-isomorphism
-// tests (the same VF2 pass queries pay), not a re-run of mining or DSPM.
+// to make cheap: placing an unseen graph costs at most p
+// subgraph-isomorphism tests (the same VF2 pass queries pay, behind the
+// same label-count precheck), not a re-run of mining or DSPM.
 // The returned slice holds the id assigned to each graph, aligned with
 // gs.
 //

@@ -23,7 +23,11 @@ func assertOneVectorStore(t *testing.T, label string, ix *Index) {
 		t.Fatalf("%s: block covers %d ids, postings %d, db %d", label, s.block.N(), s.post.N(), len(s.db))
 	}
 	for id := range s.db {
-		if s.block.Vector(id).HammingDistance(ix.mapper.Map(s.graph(id))) != 0 {
+		g, err := s.graphAt(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.block.Vector(id).HammingDistance(ix.mapper.Map(g)) != 0 {
 			t.Fatalf("%s: block lane %d of %d is not graph %d's mapped vector", label, id, len(s.db), id)
 		}
 	}

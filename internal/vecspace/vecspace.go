@@ -6,9 +6,11 @@
 package vecspace
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -105,18 +107,129 @@ func (v *BitVector) Distance(o *BitVector) float64 {
 // match order depends on the feature alone); a Mapper is immutable after
 // construction and therefore safe for concurrent use: every Map call
 // brings its own search scratch.
+//
+// A Mapper asks VF2 only what counting cannot answer. Every vertex label
+// and every edge type — (smaller endpoint label, larger endpoint label,
+// edge label) — that occurs in some feature owns a slot, and each feature
+// lists how many of which slots it needs. An embedding is injective on
+// vertices and on edges and preserves labels, so a feature's counts are
+// lower bounds on those of any graph containing it: a graph short of one
+// need cannot contain the feature, and its bit is 0 without a search.
 type Mapper struct {
 	features []*graph.Graph
 	patterns []*subiso.Pattern
+	etypes   []etype       // sorted; slot j counts edge type etypes[j]
+	vlabels  []graph.Label // sorted; slot len(etypes)+i counts vertex label vlabels[i]
+	needs    []need        // feature r needs needs[needAt[r]:needAt[r+1]], by slot
+	needAt   []int32
 }
+
+// etype is an edge type: both endpoint labels, the smaller one in the high
+// half of ends (as uint32 bit patterns), and the edge label.
+type etype struct {
+	ends uint64
+	l    graph.Label
+}
+
+func edgeType(a, b, l graph.Label) etype {
+	if a > b {
+		a, b = b, a
+	}
+	return etype{ends: uint64(uint32(a))<<32 | uint64(uint32(b)), l: l}
+}
+
+func (x etype) cmp(y etype) int {
+	if c := cmp.Compare(x.ends, y.ends); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.l, y.l)
+}
+
+// need is one lower bound of a feature: at least count of slot.
+type need struct{ slot, count int32 }
 
 // NewMapper builds a mapper over the given ordered feature list.
 func NewMapper(features []*graph.Graph) *Mapper {
-	m := &Mapper{features: features, patterns: make([]*subiso.Pattern, len(features))}
+	m := &Mapper{
+		features: features,
+		patterns: make([]*subiso.Pattern, len(features)),
+		needAt:   make([]int32, 1, len(features)+1),
+	}
 	for r, f := range features {
 		m.patterns[r] = subiso.Compile(f)
+		for v := 0; v < f.N(); v++ {
+			m.vlabels = append(m.vlabels, f.VertexLabel(v))
+		}
+		for _, e := range f.Edges() {
+			m.etypes = append(m.etypes, edgeType(f.VertexLabel(e.U), f.VertexLabel(e.V), e.Label))
+		}
+	}
+	slices.SortFunc(m.etypes, etype.cmp)
+	m.etypes = slices.Compact(m.etypes)
+	slices.Sort(m.vlabels)
+	m.vlabels = slices.Compact(m.vlabels)
+	for _, f := range features {
+		count := map[int32]int32{}
+		for v := 0; v < f.N(); v++ {
+			count[m.vertexSlot(f.VertexLabel(v))]++
+		}
+		for _, e := range f.Edges() {
+			count[m.edgeSlot(edgeType(f.VertexLabel(e.U), f.VertexLabel(e.V), e.Label))]++
+		}
+		first := len(m.needs)
+		for s, c := range count {
+			m.needs = append(m.needs, need{slot: s, count: c})
+		}
+		slices.SortFunc(m.needs[first:], func(x, y need) int { return cmp.Compare(x.slot, y.slot) })
+		m.needAt = append(m.needAt, int32(len(m.needs)))
 	}
 	return m
+}
+
+// edgeSlot returns edge type t's slot, or -1 when no feature has one.
+func (m *Mapper) edgeSlot(t etype) int32 {
+	if j, ok := slices.BinarySearchFunc(m.etypes, t, etype.cmp); ok {
+		return int32(j)
+	}
+	return -1
+}
+
+// vertexSlot returns vertex label l's slot, or -1 when no feature has one.
+func (m *Mapper) vertexSlot(l graph.Label) int32 {
+	if i, ok := slices.BinarySearch(m.vlabels, l); ok {
+		return int32(len(m.etypes) + i)
+	}
+	return -1
+}
+
+// count fills counts (one zeroed entry per slot) with g's vertex labels
+// and edge types, walking each edge once from its smaller endpoint.
+func (m *Mapper) count(g *graph.Graph, counts []int32) {
+	for v := 0; v < g.N(); v++ {
+		lv := g.VertexLabel(v)
+		if s := m.vertexSlot(lv); s >= 0 {
+			counts[s]++
+		}
+		for _, h := range g.Neighbors(v) {
+			if h.To < v {
+				continue
+			}
+			if s := m.edgeSlot(edgeType(lv, g.VertexLabel(h.To), h.Label)); s >= 0 {
+				counts[s]++
+			}
+		}
+	}
+}
+
+// admits reports whether counts meet every need of feature r — false
+// proves f_r ⊄ g; true leaves the question to VF2.
+func (m *Mapper) admits(counts []int32, r int) bool {
+	for _, n := range m.needs[m.needAt[r]:m.needAt[r+1]] {
+		if counts[n.slot] < n.count {
+			return false
+		}
+	}
+	return true
 }
 
 // Dim returns p = |F|.
@@ -132,16 +245,30 @@ func (m *Mapper) Map(g *graph.Graph) *BitVector {
 }
 
 // MapContext is Map with cancellation: ctx is checked before each of the
-// p subgraph-isomorphism tests (each test is the expensive unit), and a
-// cancelled call returns (nil, ctx.Err()). One scratch serves all p tests.
+// p dimensions (a subgraph-isomorphism test is the expensive unit), and a
+// cancelled call returns (nil, ctx.Err()). It counts g's vertex labels and
+// edge types once, in O(|V|+|E|); a dimension whose needs the counts do
+// not meet stays 0 without a test, and only the rest run VF2, over one
+// shared scratch. The vector is exactly the one p tests give.
 func (m *Mapper) MapContext(ctx context.Context, g *graph.Graph) (*BitVector, error) {
 	v := NewBitVector(len(m.patterns))
+	// The counts live on the stack for up to 256 slots — far more labels
+	// and edge types than mined feature sets hold; a larger vocabulary
+	// costs one allocation.
+	var buf [256]int32
+	var counts []int32
+	if n := len(m.etypes) + len(m.vlabels); n <= len(buf) {
+		counts = buf[:n]
+	} else {
+		counts = make([]int32, n)
+	}
+	m.count(g, counts)
 	var sc subiso.Scratch
 	for r, f := range m.patterns {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if f.In(g, &sc) {
+		if m.admits(counts, r) && f.In(g, &sc) {
 			v.Set(r)
 		}
 	}
