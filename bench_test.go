@@ -635,49 +635,6 @@ func BenchmarkStoreShardedSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAdd measures the online add path through the Store —
-// hash placement plus the per-shard VF2 mapping fan-out — with the
-// write-ahead log off (a NewStore, PR 3's write path) and on (a durable
-// store: each batch is framed, written, and fsynced before it
-// publishes). The delta between the two is the full durability tax.
-func BenchmarkStoreAdd(b *testing.B) {
-	db := dataset.Synthetic(dataset.SynthConfig{N: 60, AvgEdges: 12, Labels: 8, Seed: 5})
-	idx, err := graphdim.Build(db, graphdim.Options{Dimensions: 30, Tau: 0.1, MCSBudget: 2000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := dataset.Synthetic(dataset.SynthConfig{N: 8, AvgEdges: 12, Labels: 8, Seed: 9})
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		durable bool
-	}{{"wal=off", false}, {"wal=on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var store *graphdim.Store
-			var err error
-			if mode.durable {
-				store, err = graphdim.CreateStore(b.TempDir(), graphdim.StoreOptions{})
-			} else {
-				store = graphdim.NewStore(graphdim.StoreOptions{})
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer store.Close()
-			coll, err := store.CreateFromIndex("bench", idx, graphdim.CollectionOptions{Shards: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := coll.Add(ctx, batch...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkIngest measures the bulk-ingest write path: one durable-store
 // Add per batch means one WAL record and one fsync amortized over the
 // whole batch. ns/op is per *graph* (the loop advances by the batch

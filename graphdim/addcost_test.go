@@ -1,0 +1,130 @@
+package graphdim
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/vecspace"
+)
+
+var (
+	addBaseOnce  sync.Once
+	addBaseIndex *Index
+	addBaseErr   error
+)
+
+// addBase returns an index of n graphs over the dimension set of one small
+// built index: its 60 graphs and their vectors repeated, so a large base
+// costs a pack, not n mappings, and an Add into it maps what any Add maps.
+func addBase(tb testing.TB, n int) *Index {
+	tb.Helper()
+	addBaseOnce.Do(func() {
+		db := dataset.Synthetic(dataset.SynthConfig{N: 60, AvgEdges: 12, Labels: 8, Seed: 5})
+		addBaseIndex, addBaseErr = Build(db, Options{Dimensions: 30, Tau: 0.1, MCSBudget: 2000})
+	})
+	if addBaseErr != nil {
+		tb.Fatal(addBaseErr)
+	}
+	small := addBaseIndex.snap.Load()
+	db := make([]*Graph, n)
+	vecs := make([]*vecspace.BitVector, n)
+	for i := range db {
+		db[i], vecs[i] = small.db[i%len(small.db)], small.block.Vector(i%len(small.db))
+	}
+	return addBaseIndex.fork(addBaseIndex.workers, newSnapshot(db, vecs, small.block.P(), make([]bool, n), n, nil))
+}
+
+// addBatch is the 8-graph batch every Add measurement adds.
+func addBatch() []*Graph {
+	return dataset.Synthetic(dataset.SynthConfig{N: 8, AvgEdges: 12, Labels: 8, Seed: 9})
+}
+
+// TestAddCostIndependentOfSize pins the O(batch) publish: the bytes one
+// volatile 8-graph Add allocates on a 2-shard collection may grow with
+// the stored graphs by no more than 4 B per graph between a base of 2,000
+// and one of 40,000. What is left is Block.Append copying its tile-header
+// slice (24 B per 16 graphs); copying db, dead and globals on every
+// publish costs about 19 B per graph and fails the test.
+func TestAddCostIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	batch := addBatch()
+	ctx := context.Background()
+	perAdd := func(n int) float64 {
+		c, err := newTestStore(t).CreateFromIndex("c", addBase(t, n), CollectionOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		add := func() {
+			if _, err := c.Add(ctx, batch...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm up: the first Add after the open grows every clipped column once.
+		for range 10 {
+			add()
+		}
+		const adds = 200
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range adds {
+			add()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / adds
+	}
+	const small, large = 2000, 40000
+	a, b := perAdd(small), perAdd(large)
+	perGraph := (b - a) / (large - small)
+	t.Logf("bytes per 8-graph Add: %.0f at %d graphs, %.0f at %d: %.2f B per stored graph", a, small, b, large, perGraph)
+	if perGraph > 4 {
+		t.Fatalf("an Add allocates %.2f B more per stored graph (%.0f B at %d graphs, %.0f B at %d), ceiling 4: the publish copies a column",
+			perGraph, a, small, b, large)
+	}
+}
+
+// BenchmarkStoreAdd measures one 8-graph Collection.Add on 2 shards over a
+// base of 2,000 and of 40,000 graphs, with the write-ahead log off (a
+// NewStore) and on (a durable store: each batch is framed, written and
+// fsynced before it publishes, its mapping running meanwhile). An O(batch)
+// publish shows the same B/op at both sizes, up to Block.Append's
+// tile-header copy; a publish that copies columns shows the base size.
+// wal=on minus wal=off is what durability adds.
+func BenchmarkStoreAdd(b *testing.B) {
+	batch := addBatch()
+	ctx := context.Background()
+	for _, n := range []int{2000, 40000} {
+		base := addBase(b, n)
+		for _, wal := range []string{"off", "on"} {
+			b.Run(fmt.Sprintf("n=%d/wal=%s", n, wal), func(b *testing.B) {
+				var store *Store
+				if wal == "on" {
+					var err error
+					if store, err = CreateStore(b.TempDir(), StoreOptions{}); err != nil {
+						b.Fatal(err)
+					}
+				} else {
+					store = NewStore(StoreOptions{})
+				}
+				defer store.Close()
+				c, err := store.CreateFromIndex("bench", base, CollectionOptions{Shards: 2})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.Add(ctx, batch...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -339,11 +339,16 @@ func (a *applier) flush(ctx context.Context) error {
 	return nil
 }
 
-// land applies a logged add batch — all of it, or the subset only. A
-// replayed batch must land completely: a share that fails leaves shard
-// state behind the log, which only a restart reconciles.
+// land applies a logged add batch — all of it, or the subset only — the
+// way a live Add does: map the batch once (Collection.mapBatch), then
+// publish. A replayed batch must land completely: a share that fails
+// leaves shard state behind the log, which only a restart reconciles.
 func (a *applier) land(ctx context.Context, add *wal.Record, only []int) error {
-	if _, err := a.c.applyAdd(ctx, add.First, add.Graphs, only); err != nil {
+	vecs, err := a.c.mapBatch(ctx, add.Graphs)
+	if err == nil {
+		_, err = a.c.applyAdd(ctx, add.First, add.Graphs, vecs, only)
+	}
+	if err != nil {
 		return fmt.Errorf("graphdim: replaying add batch at id %d: %w", add.First, err)
 	}
 	return nil

@@ -9,9 +9,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/wal"
 )
 
 // The durability suite: WAL-backed stores must recover exactly the
@@ -440,6 +442,97 @@ func TestTotalAddFailureIsVoidedInLog(t *testing.T) {
 		g, ok := rc.Graph(id)
 		if !ok || g.String() != batch[i].String() {
 			t.Fatalf("retry id %d not recovered intact", id)
+		}
+	}
+}
+
+// TestAddMappingFailureVoidsLoggedBatch: a durable Add maps its batch while
+// the record syncs, so its mapping can fail after the append. Add then
+// returns the context's error, the log holds the add with a voiding
+// amendment behind it, the batch's ids are burned, no shard published, and
+// a reopen replays to the same state. When the append fails instead, Add
+// still waits for its mapping: the mapping has run to its end before the
+// call returns, so no goroutine of the call outlives it.
+func TestAddMappingFailureVoidsLoggedBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	idx, _ := equivBuild(t, rng, 30)
+	p := len(idx.Dimensions())
+	dir := t.TempDir()
+	errSync := errors.New("injected fsync failure")
+	var failNow atomic.Bool
+	s, err := CreateStore(dir, StoreOptions{WAL: WALOptions{failSync: func() error {
+		if failNow.Load() {
+			return errSync
+		}
+		return nil
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.CreateFromIndex("m", idx, CollectionOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := dataset.Synthetic(dataset.SynthConfig{N: 4, AvgEdges: 9, Labels: 5, Seed: 29})
+	first := int(c.nextID.Load())
+	gens := c.generations()
+
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &mapCountCtx{Context: cctx, cancel: cancel}
+	if _, err := c.Add(ctx, batch...); err == nil || err != ctx.Err() {
+		t.Fatalf("Add with its mapping cancelled = %v, want the context's error %v", err, ctx.Err())
+	}
+	var recs []wal.Record
+	if err := c.wal.Replay(0, func(r wal.Record) error { recs = append(recs, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 ||
+		recs[0].Type != wal.TypeAdd || recs[0].First != first || len(recs[0].Graphs) != len(batch) ||
+		recs[1].Type != wal.TypeApplied || recs[1].First != first || recs[1].Total != len(batch) || len(recs[1].IDs) != 0 {
+		t.Fatalf("log holds %+v, want the add at %d and a voiding amendment", recs, first)
+	}
+	if got := int(c.nextID.Load()); got != first+len(batch) {
+		t.Fatalf("nextID %d after a voided add, want %d: logged ids burn", got, first+len(batch))
+	}
+	if got := c.generations(); !reflect.DeepEqual(got, gens) {
+		t.Fatalf("shard generations %v -> %v: a shard published a batch whose mapping failed", gens, got)
+	}
+	if got := c.AppliedSeq(); got != recs[1].Seq {
+		t.Fatalf("settled through %d, the log ends at %d", got, recs[1].Seq)
+	}
+
+	failNow.Store(true)
+	counted := &mapCountCtx{Context: context.Background()}
+	if _, err := c.Add(counted, batch...); !errors.Is(err, errSync) {
+		t.Fatalf("Add with a failing fsync = %v, want the injected failure", err)
+	}
+	failNow.Store(false)
+	if got, want := counted.checks.Load(), int64(p*len(batch)); got != want {
+		t.Fatalf("Add returned with its mapping at %d of %d checks", got, want)
+	}
+	if got := int(c.nextID.Load()); got != first+len(batch) {
+		t.Fatalf("nextID %d after a failed append, want %d: an unlogged batch burns nothing", got, first+len(batch))
+	}
+
+	want := make([]*snapshot, len(c.shards))
+	for i, sh := range c.shards {
+		want[i] = sh.snap.Load()
+	}
+	s.Close()
+	re, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rc, _ := re.Collection("m")
+	if got := rc.Stats().NextID; got != first+len(batch) {
+		t.Fatalf("replayed NextID %d, want %d", got, first+len(batch))
+	}
+	for i, sh := range rc.shards {
+		got := sh.snap.Load()
+		if !reflect.DeepEqual(got.globals, want[i].globals) || !reflect.DeepEqual(got.dead, want[i].dead) {
+			t.Fatalf("shard %d replayed to ids %v (dead %v), it held %v (dead %v)", i, got.globals, got.dead, want[i].globals, want[i].dead)
 		}
 	}
 }

@@ -60,6 +60,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -326,12 +327,14 @@ type snapshot struct {
 // builds the posting index from the same slice, so the two can never
 // disagree about which vectors the snapshot holds. db, vectors, dead and
 // globals (nil on a stand-alone index) are aligned by id; p is the
-// dimensionality.
+// dimensionality. db, dead and globals are adopted with their capacity
+// clipped, so appended never writes into a caller's spare capacity
+// (Build hands over the caller's own db).
 func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []bool, baseN int, globals []int) *snapshot {
 	s := &snapshot{
-		db:      db,
-		dead:    dead,
-		globals: globals,
+		db:      slices.Clip(db),
+		dead:    slices.Clip(dead),
+		globals: slices.Clip(globals),
 		block:   vecspace.Pack(vectors, p),
 		post:    posting.FromVectors(vectors, p),
 		baseN:   baseN,
@@ -353,7 +356,8 @@ func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []bool,
 // payloads in through the reader; with rehydrate true every graph is
 // decoded onto the heap and the reader is only kept as the backing array
 // owner. globals is the manifest's id table for a shard file, nil for a
-// plain index; the caller checks it against the segment's extent.
+// plain index; the caller checks it against the segment's extent. It is
+// adopted with its capacity clipped, as in newSnapshot.
 func snapshotFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*snapshot, error) {
 	n, baseN := r.N(), r.Meta().BaseN
 	if baseN < 0 || baseN > n {
@@ -372,7 +376,7 @@ func snapshotFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*sna
 		db:        make([]*Graph, n),
 		dead:      dead,
 		deadCount: deadCount,
-		globals:   globals,
+		globals:   slices.Clip(globals),
 		block:     blk,
 		post:      post,
 		baseN:     baseN,
@@ -395,16 +399,19 @@ func snapshotFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*sna
 }
 
 // appended is the snapshot after an Add: gs, their vectors and (on a
-// shard) their global ids take the next ids. Block and posting
-// maintenance is incremental — the new ids are the highest yet, so
-// appending fills the next lanes and keeps every per-dimension list
-// sorted — and the linear snapshot chain both Appends require is exactly
-// what Index.mu enforces. The label index is extended only if a filtered
-// query already paid to build it.
+// shard) their global ids take the next ids. Every column grows
+// incrementally. db, dead and globals append into s's spare capacity —
+// posting.Append's discipline: a reader of s sees only s's lengths, so
+// the slots beyond them are the writer's, and a full array is copied by
+// append's amortized growth, not on every publish. The new ids are the
+// highest yet, so the block fills the next lanes and every per-dimension
+// list stays sorted. All of it needs the linear snapshot chain Index.mu
+// enforces: only the newest snapshot is ever appended to. The label
+// index is extended only if a filtered query already paid to build it.
 func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []int) *snapshot {
 	next := &snapshot{
-		db:        append(append(make([]*Graph, 0, len(s.db)+len(gs)), s.db...), gs...),
-		dead:      append(append(make([]bool, 0, len(s.dead)+len(gs)), s.dead...), make([]bool, len(gs))...),
+		db:        append(s.db, gs...),
+		dead:      append(s.dead, make([]bool, len(gs))...),
 		deadCount: s.deadCount,
 		seg:       s.seg,
 		block:     s.block.Append(vecs),
@@ -413,7 +420,7 @@ func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []i
 		baseDead:  s.baseDead,
 	}
 	if globals != nil {
-		next.globals = append(append(make([]int, 0, len(s.globals)+len(globals)), s.globals...), globals...)
+		next.globals = append(s.globals, globals...)
 	}
 	if l := s.labels.Load(); l != nil {
 		next.labels.Store(l.Append(gs))

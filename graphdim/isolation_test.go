@@ -1,0 +1,276 @@
+package graphdim
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/vecspace"
+	"repro/internal/wal"
+)
+
+// frozenSnapshot is a deep copy of what one published snapshot shows a
+// reader: its graph, tombstone and id columns and every block vector.
+type frozenSnapshot struct {
+	db      []*Graph
+	dead    []bool
+	globals []int
+	vecs    []*vecspace.BitVector
+}
+
+func freeze(s *snapshot) frozenSnapshot {
+	return frozenSnapshot{slices.Clone(s.db), slices.Clone(s.dead), slices.Clone(s.globals), s.block.Unpack()}
+}
+
+// publishLog keeps every snapshot a chain of writes published, beside the
+// deep copy taken when it was published.
+type publishLog struct {
+	kept   []*snapshot
+	frozen []frozenSnapshot
+	seen   map[*snapshot]bool
+}
+
+// check holds every kept snapshot to its copy, then keeps the current
+// snapshot of each index in ixs.
+func (l *publishLog) check(t *testing.T, step string, ixs ...*Index) {
+	t.Helper()
+	for i, s := range l.kept {
+		now, was := freeze(s), l.frozen[i]
+		if !slices.Equal(now.db, was.db) || !slices.Equal(now.dead, was.dead) ||
+			!slices.Equal(now.globals, was.globals) || !reflect.DeepEqual(now.vecs, was.vecs) {
+			t.Fatalf("after %s: snapshot %d of %d no longer shows what it published", step, i, len(l.kept))
+		}
+	}
+	if l.seen == nil {
+		l.seen = make(map[*snapshot]bool)
+	}
+	for _, ix := range ixs {
+		if s := ix.snap.Load(); !l.seen[s] {
+			l.seen[s] = true
+			l.kept = append(l.kept, s)
+			l.frozen = append(l.frozen, freeze(s))
+		}
+	}
+}
+
+// pickGraphs draws one to three graphs from pool.
+func pickGraphs(rng *rand.Rand, pool []*Graph) []*Graph {
+	gs := make([]*Graph, 1+rng.Intn(3))
+	for i := range gs {
+		gs[i] = pool[rng.Intn(len(pool))]
+	}
+	return gs
+}
+
+// randomLive returns a random live global id of c.
+func randomLive(rng *rand.Rand, c *Collection) (int, bool) {
+	var live []int
+	for _, sh := range c.shards {
+		s := sh.snap.Load()
+		for local, g := range s.globals {
+			if !s.dead[local] {
+				live = append(live, g)
+			}
+		}
+	}
+	if len(live) == 0 {
+		return 0, false
+	}
+	return live[rng.Intn(len(live))], true
+}
+
+// TestPublishedSnapshotsNeverChange: db, dead and globals grow into the
+// spare capacity of the previous snapshot's arrays, which is safe only if
+// no published snapshot ever sees a later write. A random chain of Add
+// and Remove runs on an Index, and of Add, Remove and Compact on a 3-shard
+// collection in heap mode, in map mode and through the log applier crash
+// replay and followers drive; after every publish, every snapshot the
+// chain has published must still equal the deep copy taken when it was
+// published.
+// The arrays a caller hands over — the db given to Build, the id table
+// given to a segment open — are never written either.
+func TestPublishedSnapshotsNeverChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(equivSeed(t)))
+	ctx := context.Background()
+	all := dataset.Synthetic(dataset.SynthConfig{N: 40, AvgEdges: 9, Labels: 5, Seed: 3})
+	const k = 30
+	spare := slices.Clone(all[k:])
+	ix, err := Build(all[:k], Options{Dimensions: 16, Tau: 0.2, MaxPatternEdges: 3, MCSBudget: 300, Iterations: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := dataset.Synthetic(dataset.SynthConfig{N: 24, AvgEdges: 9, Labels: 5, Seed: 4})
+	const steps = 30
+
+	t.Run("index", func(t *testing.T) {
+		var l publishLog
+		l.check(t, "Build", ix)
+		// An Index has no Compact: a reclaim renumbers ids, which only a
+		// shard's id table hides.
+		for step := 0; step < steps; step++ {
+			op := "add"
+			if rng.Intn(3) == 0 {
+				op = "remove"
+				s := ix.snap.Load()
+				if id := rng.Intn(len(s.db)); !s.dead[id] {
+					if err := ix.Remove(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else if _, err := ix.Add(pickGraphs(rng, pool)...); err != nil {
+				t.Fatal(err)
+			}
+			l.check(t, fmt.Sprintf("step %d (%s)", step, op), ix)
+		}
+		if !slices.Equal(all[k:], spare) {
+			t.Fatal("Index.Add wrote into the spare capacity of the db given to Build")
+		}
+	})
+
+	// chain drives c through random Add, Remove and Compact calls.
+	chain := func(t *testing.T, c *Collection) {
+		var l publishLog
+		l.check(t, "open", c.shards...)
+		for step := 0; step < steps; step++ {
+			op := "add"
+			switch r := rng.Intn(10); {
+			case r < 5:
+				if _, err := c.Add(ctx, pickGraphs(rng, pool)...); err != nil {
+					t.Fatal(err)
+				}
+			case r < 8:
+				op = "remove"
+				if g, ok := randomLive(rng, c); ok {
+					if err := c.Remove(g); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				op = "compact"
+				if _, err := c.Compact(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.check(t, fmt.Sprintf("step %d (%s)", step, op), c.shards...)
+		}
+	}
+	// mapped creates a durable 3-shard collection, checkpoints it and
+	// reopens it served from its mapped segments.
+	mapped := func(t *testing.T) *Collection {
+		dir := t.TempDir()
+		opt := StoreOptions{WAL: WALOptions{NoSync: true}}
+		s, err := CreateStore(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CreateFromIndex("c", ix, CollectionOptions{Shards: 3}); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		opt.Memory = MemoryMap
+		if s, err = OpenStore(dir, opt); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		c, _ := s.Collection("c")
+		return c
+	}
+
+	t.Run("collection/heap", func(t *testing.T) {
+		c, err := newTestStore(t).CreateFromIndex("c", ix, CollectionOptions{Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain(t, c)
+	})
+	t.Run("collection/map", func(t *testing.T) {
+		chain(t, mapped(t))
+	})
+	t.Run("collection/replay", func(t *testing.T) {
+		c := mapped(t)
+		a := applier{c: c}
+		var l publishLog
+		l.check(t, "open", c.shards...)
+		next := int(c.nextID.Load())
+		for seq := uint64(1); seq <= steps; seq++ {
+			rec := wal.Record{Seq: seq, Type: wal.TypeAdd, First: next}
+			switch r := rng.Intn(10); {
+			case r < 3 && a.pending != nil:
+				// Amend the pending batch: land a random subset of it.
+				rec.Type, rec.First, rec.Total = wal.TypeApplied, a.pending.First, len(a.pending.Graphs)
+				for id := rec.First; id < rec.First+rec.Total; id++ {
+					if rng.Intn(2) == 0 {
+						rec.IDs = append(rec.IDs, id)
+					}
+				}
+			case r < 6:
+				rec.Graphs = pickGraphs(rng, pool)
+				next += len(rec.Graphs)
+			case r < 9:
+				g, ok := randomLive(rng, c)
+				if !ok {
+					continue
+				}
+				rec.Type, rec.First, rec.IDs = wal.TypeRemove, 0, []int{g}
+			default:
+				if _, err := c.Compact(ctx); err != nil {
+					t.Fatal(err)
+				}
+				l.check(t, fmt.Sprintf("record %d (compact)", seq), c.shards...)
+				continue
+			}
+			if err := a.apply(ctx, rec); err != nil {
+				t.Fatalf("record %d: %v", seq, err)
+			}
+			l.check(t, fmt.Sprintf("record %d (type %d)", seq, rec.Type), c.shards...)
+		}
+		if err := a.flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		l.check(t, "flush", c.shards...)
+	})
+
+	t.Run("segment id table", func(t *testing.T) {
+		c, err := newTestStore(t).CreateFromIndex("c", ix, CollectionOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := c.shards[0]
+		path := filepath.Join(t.TempDir(), "shard.gdx")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.WriteTo(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ids := sh.snap.Load().globals
+		gs := pool[:4]
+		vecs, err := c.mapBatch(ctx, gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := ids[len(ids)-1]
+		for name, mode := range map[string]MemoryMode{"heap": MemoryHeap, "map": MemoryMap} {
+			// The table handed to the open has spare capacity marked -1.
+			full := append(slices.Clone(ids), -1, -1, -1, -1)
+			opened, err := openSegmentIndex(path, mode, full[:len(ids)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened.add(gs, vecs, []int{last + 1, last + 2, last + 3, last + 4})
+			if spare := full[len(ids):]; !slices.Equal(spare, []int{-1, -1, -1, -1}) {
+				t.Fatalf("%s mode: an add wrote %v into the spare capacity of the id table given to the open", name, spare)
+			}
+		}
+	})
+}

@@ -578,7 +578,7 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 			// Open by path, not reader: a v4 segment shard under
 			// MemoryAuto/MemoryMap is mmapped in place rather than
 			// streamed through the heap.
-			globals := append([]int(nil), cm.ShardGlobals[i]...)
+			globals := cm.ShardGlobals[i]
 			idx, err := openSegmentIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), s.memory, globals)
 			if err != nil {
 				return err

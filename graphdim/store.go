@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/pool"
+	"repro/internal/vecspace"
 	"repro/internal/wal"
 )
 
@@ -723,18 +724,24 @@ func mergeTopK(outs []shardOut, k int) []Result {
 }
 
 // Add maps new graphs into the collection: each graph gets the next global
-// id, lands on the shard its id hashes to, and the per-shard VF2 mapping
-// fans out under the store budget. The returned ids align with gs. Writers
-// are serialized collection-wide; readers are never blocked (each shard
-// publishes copy-on-write state). Each shard applies its slice atomically,
-// but a mid-batch error — cancellation included — can leave the slices of
-// shards that already finished applied; the call then returns a
+// id and lands on the shard its id hashes to. The batch is mapped once,
+// with the collection's one mapper and under the store budget, before
+// any shard is touched; the shards then only publish. The returned ids
+// align with gs. Writers are serialized collection-wide; readers are
+// never blocked (each shard publishes copy-on-write state). A mapping
+// failure — cancellation included — lands nothing. Each shard applies its
+// slice atomically, but a failure while the shards publish can leave the
+// slices of shards that already finished applied; the call then returns a
 // *PartialAddError naming exactly the ids that committed.
 //
 // On a durable store the batch is appended to the collection's
 // write-ahead log — and fsynced — before any shard publishes, so every
 // id this method reports as committed (returned ids, or
-// PartialAddError.Applied) survives a crash.
+// PartialAddError.Applied) survives a crash. The mapping runs while the
+// batch waits for the writer lock and its record syncs, so a durable Add
+// waits for the slower of the two, not their sum; a mapping that fails
+// after the append voids the logged batch (see failAdd). Add never
+// returns while its mapping is still running.
 func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 	for i, g := range gs {
 		if g == nil {
@@ -750,6 +757,16 @@ func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var vecs []*vecspace.BitVector
+	var mapErr error
+	mapped := make(chan struct{})
+	go func() {
+		defer close(mapped)
+		vecs, mapErr = c.mapBatch(ctx, gs)
+	}()
+	// Deferred first, so it runs last: an Add that fails before its
+	// mapping is needed still waits for it, after releasing the lock.
+	defer func() { <-mapped }()
 	c.addMu.Lock()
 	defer c.addMu.Unlock()
 	defer c.settleApplied()
@@ -762,7 +779,11 @@ func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 			return nil, fmt.Errorf("graphdim: wal append: %w", err)
 		}
 	}
-	applied, err := c.applyAdd(ctx, first, gs, nil)
+	<-mapped
+	if mapErr != nil {
+		return nil, c.failAdd(first, len(gs), nil, mapErr)
+	}
+	applied, err := c.applyAdd(ctx, first, gs, vecs, nil)
 	if err != nil {
 		return nil, c.failAdd(first, len(gs), applied, err)
 	}
@@ -792,15 +813,23 @@ func partition(ids []int, shards int) [][]int {
 	return parts
 }
 
+// mapBatch maps an add batch once, with the collection's one mapper
+// (every shard holds the same dimension set), fanning the graphs out
+// under the store budget. It is all-or-nothing.
+func (c *Collection) mapBatch(ctx context.Context, gs []*Graph) ([]*vecspace.BitVector, error) {
+	return mapBatch(ctx, c.shards[0].mapper, gs, c.store.budget.ForContext)
+}
+
 // applyAdd lands one logged add batch on the shards — the one way an Add,
 // crash replay and a follower publish graphs. gs[i] carries global id
-// first+i; only, when non-nil, names the ids of the batch to land (what a
-// partial apply committed) and the rest is skipped. Each shard maps
-// and publishes its share atomically, the shares fan out under the store
+// first+i and is already mapped to vecs[i] (see mapBatch); only, when
+// non-nil, names the ids of the batch to land (what a partial apply
+// committed) and the rest is skipped. Each shard publishes its share
+// atomically — no VF2 runs here — the shares fan out under the store
 // budget, and a failure on one shard — cancellation included — leaves
 // the shares of shards that already finished in place: applied reports,
 // ascending, exactly the ids that landed, next to the first error.
-func (c *Collection) applyAdd(ctx context.Context, first int, gs []*Graph, only []int) (applied []int, err error) {
+func (c *Collection) applyAdd(ctx context.Context, first int, gs []*Graph, vecs []*vecspace.BitVector, only []int) (applied []int, err error) {
 	ids := only
 	if ids == nil {
 		ids = make([]int, len(gs))
@@ -826,10 +855,11 @@ func (c *Collection) applyAdd(ctx context.Context, first int, gs []*Graph, only 
 			}
 		}
 		share := make([]*Graph, len(parts[sh]))
+		shareVecs := make([]*vecspace.BitVector, len(parts[sh]))
 		for j, id := range parts[sh] {
-			share[j] = gs[id-first]
+			share[j], shareVecs[j] = gs[id-first], vecs[id-first]
 		}
-		_, errs[i] = c.shards[sh].add(ctx, share, parts[sh])
+		c.shards[sh].add(share, shareVecs, parts[sh])
 	})
 	for i, sh := range touched {
 		e := errs[i]
@@ -871,8 +901,9 @@ func (c *Collection) burn(first, total int) {
 	}
 }
 
-// failAdd settles a failed Add batch: it amends the write-ahead log so
-// replay matches what actually committed, and burns the batch's ids.
+// failAdd settles a failed Add batch — a failed mapping (nothing landed)
+// or a failed shard publish: it amends the write-ahead log so replay
+// matches what actually committed, and burns the batch's ids.
 // Ids burn even when nothing landed and the batch was cleanly voided —
 // on a durable store a global id, once logged, is never assigned again.
 // The invariant is what lets a replica that crash-replayed an unpaired

@@ -16,19 +16,23 @@ import (
 // The returned slice holds the id assigned to each graph, aligned with
 // gs.
 //
-// Add never blocks readers: it maps the new graphs, then publishes a new
-// snapshot with one atomic swap, so concurrent Search calls keep scanning
-// the snapshot they started on. Writers (Add/Remove) are serialized with
-// each other. The dimension set stays fixed — as the added fraction
-// grows, mapped-space accuracy can drift from what a fresh dimension
-// selection would give; watch StaleRatio.
+// Add never blocks readers, and it maps before it takes the writer lock:
+// the VF2 mapping runs first, lock-free, and only the publish — a new
+// snapshot whose graph, tombstone and id columns grow in amortized
+// O(batch), swapped in atomically — is serialized with other writers
+// (Add/Remove). Concurrent Search calls keep scanning the snapshot they
+// started on, and concurrent Adds map in parallel. The dimension set
+// stays fixed — as the added fraction grows, mapped-space accuracy can
+// drift from what a fresh dimension selection would give; watch
+// StaleRatio.
 func (ix *Index) Add(gs ...*Graph) ([]int, error) {
 	return ix.AddContext(context.Background(), gs...)
 }
 
 // AddContext is Add with cancellation: the per-graph VF2 mapping checks
 // ctx, and a cancelled call returns (nil, ctx.Err()) without publishing
-// anything — an Add is all-or-nothing.
+// anything — an Add is all-or-nothing. Once the mapping is done the
+// publish no longer checks ctx.
 func (ix *Index) AddContext(ctx context.Context, gs ...*Graph) ([]int, error) {
 	for i, g := range gs {
 		if g == nil {
@@ -38,10 +42,13 @@ func (ix *Index) AddContext(ctx context.Context, gs ...*Graph) ([]int, error) {
 	if len(gs) == 0 {
 		return nil, nil
 	}
-	first, err := ix.add(ctx, gs, nil)
+	vecs, err := mapBatch(ctx, ix.mapper, gs, func(ctx context.Context, n int, fn func(int)) error {
+		return pool.ForContext(ctx, ix.workers, n, fn)
+	})
 	if err != nil {
 		return nil, err
 	}
+	first := ix.add(gs, vecs, nil)
 	ids := make([]int, len(gs))
 	for i := range ids {
 		ids[i] = first + i
@@ -49,31 +56,36 @@ func (ix *Index) AddContext(ctx context.Context, gs ...*Graph) ([]int, error) {
 	return ids, nil
 }
 
-// add maps gs and publishes them as the next ids — with their
-// collection-global ids when ix is a shard, under globals == nil when it
-// stands alone — and returns the first id assigned.
-func (ix *Index) add(ctx context.Context, gs []*Graph, globals []int) (int, error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-
-	// Map outside any reader-visible state, under the writer lock so two
-	// Adds cannot interleave id assignment.
+// mapBatch maps gs onto m's dimensions, one graph per task of fan (a
+// worker pool, or the store budget), all-or-nothing: a cancelled ctx fails
+// the whole batch.
+func mapBatch(ctx context.Context, m *vecspace.Mapper, gs []*Graph, fan func(context.Context, int, func(int)) error) ([]*vecspace.BitVector, error) {
 	vecs := make([]*vecspace.BitVector, len(gs))
 	errs := make([]error, len(gs))
-	if err := pool.ForContext(ctx, ix.workers, len(gs), func(i int) {
-		vecs[i], errs[i] = ix.mapper.MapContext(ctx, gs[i])
+	if err := fan(ctx, len(gs), func(i int) {
+		vecs[i], errs[i] = m.MapContext(ctx, gs[i])
 	}); err != nil {
-		return 0, err
+		return nil, err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
+	return vecs, nil
+}
+
+// add publishes gs, already mapped to vecs, as the next ids — with their
+// collection-global ids when ix is a shard, under globals == nil when it
+// stands alone — and returns the first id assigned. It is all a write
+// does under the writer lock: snapshot.appended, then the swap.
+func (ix *Index) add(gs []*Graph, vecs []*vecspace.BitVector, globals []int) int {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	cur := ix.snap.Load()
 	ix.snap.Store(cur.appended(gs, vecs, globals))
 	ix.gen.Add(1)
-	return len(cur.db), nil
+	return len(cur.db)
 }
 
 // Remove tombstones the given ids: the graphs stay addressable (Graph,
