@@ -63,7 +63,8 @@ race:
 # fuzz runs each native fuzz target for $(FUZZTIME), one at a time (go
 # test -fuzz takes one target per package run): the segment reader, the
 # compiled VF2 pattern against brute force, the SoA pack round trip, the
-# graph text format, and the mapper's label-count precheck against VF2.
+# graph text format, the mapper's label-count precheck against VF2, and
+# the follower's replication stream parser.
 # `go test` alone runs only their seed corpora.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime $(FUZZTIME) ./graphdim
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/vecspace
 	$(GO) test -run '^$$' -fuzz '^FuzzTextRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzMapperMatchesContains$$' -fuzztime $(FUZZTIME) ./internal/vecspace
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamReader$$' -fuzztime $(FUZZTIME) ./internal/repl
 
 vet:
 	$(GO) vet ./...
@@ -92,13 +94,15 @@ check:
 
 # lines prints the non-test Go lines outside bench/ per package and in
 # total, over the files git tracks or would track — the number ROADMAP's
-# rule judges a simplicity change by. For one change's delta run
+# rule judges a simplicity change by — and the subtotal of the four
+# packages ROADMAP's size target counts. For one change's delta run
 # `git diff --numstat <parent> -- '*.go' ':!*_test.go' ':!bench'`.
 lines:
 	@git ls-files -co --exclude-standard -- '*.go' ':!*_test.go' ':!bench' | \
-		while read -r f; do [ -f "$$f" ] && wc -l "$$f"; done | awk ' \
+		while read -r f; do [ -f "$$f" ] && wc -l "$$f"; done | awk -v tracked="graphdim internal/topk internal/vecspace cmd/gserve" ' \
 		{ dir = $$2; if (!sub(/\/[^\/]*$$/, "", dir)) dir = "."; lines[dir] += $$1; total += $$1 } \
-		END { for (d in lines) printf "%7d %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
+		END { for (d in lines) printf "%7d %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total; \
+			n = split(tracked, pkgs, " "); for (i = 1; i <= n; i++) sub_ += lines[pkgs[i]]; printf "%7d tracked (%s)\n", sub_, tracked }'
 
 # bench runs every benchmark and writes $(BENCH_OUT): one JSON record per
 # op with iterations, ns/op, B/op and allocs/op. Two steps, not a pipe,

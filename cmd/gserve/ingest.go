@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,11 +16,10 @@ import (
 // group-committed fsync, so the ~fsync cost is amortized across the
 // whole batch instead of paid per graph (the add endpoint's price).
 // Response lines stream back as each batch commits, so a client knows
-// exactly which prefix is durable at any moment; a crash mid-stream
-// loses only the unacknowledged tail, and a partially applied batch is
-// settled with a compensating WAL record by the store (see
-// graphdim.PartialAddError) so recovery replays exactly the committed
-// subset.
+// exactly which prefix is durable at any moment. A batch either commits
+// whole — once its WAL record is appended it lands — or not at all, so a
+// crash mid-stream loses only the unacknowledged tail, and a failed batch
+// ends the stream with an in-band error after the last ack.
 
 // maxIngestBytes caps one ingest request body. Bulk loads are the point
 // of the endpoint, so the cap is well above maxBodyBytes; larger loads
@@ -67,7 +65,6 @@ func (ig *ingestGraph) build() (*graphdim.Graph, error) {
 type ingestAck struct {
 	Batch   int    `json:"batch"`
 	Applied int    `json:"applied"`
-	Total   int    `json:"total,omitempty"` // set when applied < attempted
 	FirstID int    `json:"first_id"`
 	LastID  int    `json:"last_id"`
 	Error   string `json:"error,omitempty"`
@@ -166,23 +163,6 @@ func (s *server) handleIngest(cl *call) {
 		cancel()
 		batches++
 		if err != nil {
-			var pe *graphdim.PartialAddError
-			if errors.As(err, &pe) {
-				// The store already settled the batch with a compensating
-				// WAL record: exactly pe.Applied is durable. Report it and
-				// stop — the client owns the retry decision.
-				applied += len(pe.Applied)
-				s.added.Add(int64(len(pe.Applied)))
-				ack := ingestAck{Batch: batches, Applied: len(pe.Applied), Total: pe.Total, Error: pe.Err.Error()}
-				if n := len(pe.Applied); n > 0 {
-					ack.FirstID, ack.LastID = pe.Applied[0], pe.Applied[n-1]
-				}
-				started = true
-				writeNDJSON(w, ack)
-				writeNDJSON(w, ingestSummary{Collection: c.Name(), Batches: batches, Applied: applied, Size: c.Size(), Error: "partial batch"})
-				s.errors.Add(1)
-				return
-			}
 			abort(http.StatusServiceUnavailable, "batch %d: %v", batches, err)
 			return
 		}

@@ -39,8 +39,8 @@
 //	POST   /v1/collections/{name}/query      run a JSON pipeline
 //	       {"stages":[...]} of filter → search → aggregate stages (see
 //	       internal/pipeline; cmd/gq runs the same documents offline)
-//	POST   /v1/collections/{name}/add        map graphs into the collection;
-//	       a partially applied batch answers 207 with the committed ids
+//	POST   /v1/collections/{name}/add        map graphs into the collection
+//	       and answer their ids; a batch lands whole or not at all
 //	POST   /v1/collections/{name}/ingest     bulk-load NDJSON graphs, one
 //	       {"labels":[...],"edges":[[u,v,label],...]} per line, ?batch=
 //	       (default 256) per WAL fsync, one streamed ack line per batch

@@ -1054,38 +1054,6 @@ func TestFailQueryServerDeadline(t *testing.T) {
 	}
 }
 
-// TestPartialAddResponseShape pins the 207 body a partially applied add
-// batch answers with.
-func TestPartialAddResponseShape(t *testing.T) {
-	store := graphdim.NewStore(graphdim.StoreOptions{})
-	defer store.Close()
-	s := newServerCfg(store, serverConfig{defaultK: 10, timeout: 30 * time.Second})
-	rec := httptest.NewRecorder()
-	pe := &graphdim.PartialAddError{Applied: []int{25, 27}, Total: 5, Err: fmt.Errorf("shard 1: boom")}
-	s.writePartialAdd(rec, "default", pe)
-
-	if rec.Code != http.StatusMultiStatus {
-		t.Fatalf("status = %d, want %d", rec.Code, http.StatusMultiStatus)
-	}
-	var body struct {
-		Error      string `json:"error"`
-		Collection string `json:"collection"`
-		AppliedIDs []int  `json:"applied_ids"`
-		Applied    int    `json:"applied"`
-		Total      int    `json:"total"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("decoding 207 body %q: %v", rec.Body.String(), err)
-	}
-	if body.Error == "" || body.Collection != "default" || !reflect.DeepEqual(body.AppliedIDs, []int{25, 27}) ||
-		body.Applied != 2 || body.Total != 5 {
-		t.Fatalf("207 body = %+v", body)
-	}
-	if !strings.Contains(body.Error, "boom") {
-		t.Fatalf("error %q does not carry the cause", body.Error)
-	}
-}
-
 // TestDurableRestartServesAcknowledgedWrites is the end-to-end durability
 // proof at the HTTP layer: adds acknowledged with 200 by a -data server,
 // no checkpoint, the process dies (nothing is flushed beyond the WAL's

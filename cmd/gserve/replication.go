@@ -142,7 +142,7 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // handleReplicationWAL is the tail stream: it drains the collection's
-// settled records after ?after=, heartbeats when caught up, and
+// applied records after ?after=, heartbeats when caught up, and
 // long-polls on WAL commits. The connection lives until the client
 // leaves or the server shuts down. With ?follower=ID the position is
 // pinned against checkpoint truncation before the first byte is served.
@@ -232,9 +232,8 @@ func (s *server) handleReplicationWAL(cl *call) {
 				return
 			}
 		}
-		// Caught up. The heartbeat doubles as the settle signal: the
-		// follower may apply its buffered add batch because any amendment
-		// would have been streamed before the watermark let us get here.
+		// Caught up: the heartbeat tells the follower to apply what it
+		// buffered and ack.
 		if err := repl.WriteHeartbeat(w, c.AppliedSeq()); err != nil {
 			return
 		}

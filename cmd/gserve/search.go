@@ -164,15 +164,6 @@ func (s *server) handleAdd(cl *call) {
 	}
 	ids, err := c.Add(cl.ctx, gs...)
 	if err != nil {
-		var pe *graphdim.PartialAddError
-		if errors.As(err, &pe) {
-			// Part of the batch committed (and, on a durable store, is
-			// logged): a flat 400 would hide that from the caller. Answer
-			// 207 with exactly the ids that landed.
-			s.added.Add(int64(len(pe.Applied)))
-			s.writePartialAdd(w, c.Name(), pe)
-			return
-		}
 		s.failQuery(cl, err)
 		return
 	}
@@ -185,31 +176,6 @@ func (s *server) handleAdd(cl *call) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// partialAddResponse is the 207 body for a batch that landed partially:
-// the applied ids are committed and searchable, the rest are not.
-type partialAddResponse struct {
-	Error      string `json:"error"`
-	Collection string `json:"collection"`
-	AppliedIDs []int  `json:"applied_ids"`
-	Applied    int    `json:"applied"`
-	Total      int    `json:"total"`
-}
-
-func (s *server) writePartialAdd(w http.ResponseWriter, collection string, pe *graphdim.PartialAddError) {
-	s.errors.Add(1)
-	applied := pe.Applied
-	if applied == nil {
-		applied = []int{}
-	}
-	writeJSON(w, http.StatusMultiStatus, partialAddResponse{
-		Error:      pe.Error(),
-		Collection: collection,
-		AppliedIDs: applied,
-		Applied:    len(applied),
-		Total:      pe.Total,
-	})
 }
 
 // stageErrorResponse is the 400 body for a malformed stage: the prose

@@ -605,7 +605,7 @@ func TestIngestMidStreamFailureReportsInBand(t *testing.T) {
 	}
 
 	// Drop the collection out from under the stream: its WAL closes, so
-	// the next batch's append fails with a non-partial error.
+	// the next batch's append fails and commits nothing.
 	if err := store.Drop("default"); err != nil {
 		t.Fatal(err)
 	}

@@ -14,20 +14,22 @@ import (
 )
 
 // TestApplierRefusalsAndRecoveries drives the one log applier through its
-// two callers with hand-written logs. Each row is a record sequence
-// appended — with wal.Open/Append, behind the store's back — to the log of
-// a freshly created two-shard collection of n graphs: OpenStore (crash
-// replay) must refuse it with the stated message or recover exactly the
-// stated ids and NextID, and a ReplicaApplier fed the same records must
-// refuse alike or end in the very same shard state. The one row where the
-// two differ on purpose is the unpaired amendment: log corruption on
-// replay, a reconcile on a follower (the add it amends was crash-replayed
-// in full in the follower's previous life).
+// two callers with hand-written logs, most in the format an older release
+// wrote when it amended an add batch it could not land in full. Each row
+// is a record sequence appended — with wal.Open/Append, behind the
+// store's back — to the log of a freshly created two-shard collection of
+// n graphs. Crash replay (OpenStore) and a ReplicaApplier fed the same
+// records agree on every row: both refuse it with the stated message, or
+// both end in the same shard state, with the rankings and NextID of the
+// primary that wrote the log. A follower that mirrors part of the log,
+// restarts, checkpoints, mirrors the rest and restarts again ends there
+// too, wherever the log is cut.
 func TestApplierRefusalsAndRecoveries(t *testing.T) {
 	rng := rand.New(rand.NewSource(equivSeed(t)))
 	idx, db := equivBuild(t, rng, 24)
 	n := len(db)
 	e := dataset.Synthetic(dataset.SynthConfig{N: 4, AvgEdges: 9, Labels: 5, Seed: 5})
+	queries := append([]*Graph{db[0], db[n/2], db[n-1]}, e...)
 	ctx := context.Background()
 
 	// fresh creates a durable store holding the collection and closes it;
@@ -45,53 +47,76 @@ func TestApplierRefusalsAndRecoveries(t *testing.T) {
 		s.Close()
 		return dir
 	}
-	// assertState holds c to: ids below n live unless removed, ids from n
-	// live exactly when listed, everything else below next never landed.
-	assertState := func(t *testing.T, who string, c *Collection, liveAdded, removed []int, next int) {
+	open := func(t *testing.T, dir string) (*Store, *Collection, *ReplicaApplier) {
 		t.Helper()
-		if got := c.Stats().NextID; got != next {
-			t.Fatalf("%s: NextID = %d, want %d", who, got, next)
+		s, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatalf("OpenStore: %v", err)
 		}
-		want := make(map[int]string) // "live", "removed"; absent otherwise
-		for id := 0; id < n; id++ {
-			want[id] = "live"
+		c, _ := s.Collection("c")
+		rep, err := c.Replica()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, id := range liveAdded {
-			want[id] = "live"
+		return s, c, rep
+	}
+	// primary rebuilds what the primary that wrote recs held: the graphs
+	// of the ids in landed, the removals, its NextID — and nothing at all
+	// for the ids it never landed.
+	primary := func(t *testing.T, recs []wal.Record, landed, removed []int, next int) *Collection {
+		t.Helper()
+		c, err := newTestStore(t).CreateFromIndex("c", idx, CollectionOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, id := range removed {
-			want[id] = "removed"
-		}
-		for id := 0; id < next; id++ {
-			got := ""
-			if _, ok := liveGraph(c, id); ok {
-				got = "live"
-			} else if _, ok := c.Graph(id); ok {
-				got = "removed"
+		graphs := make(map[int]*Graph)
+		for _, rec := range recs {
+			for i, g := range rec.Graphs {
+				graphs[rec.First+i] = g
 			}
-			if got != want[id] {
-				t.Fatalf("%s: id %d is %q, want %q", who, id, got, want[id])
+		}
+		for _, id := range landed {
+			c.nextID.Store(int64(id))
+			if _, err := c.Add(ctx, graphs[id]); err != nil {
+				t.Fatal(err)
 			}
+		}
+		c.nextID.Store(int64(next))
+		if err := c.Remove(removed...); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// assertMatches holds c to the primary and to the end of the log.
+	assertMatches := func(t *testing.T, who string, c, want *Collection, recs []wal.Record) {
+		t.Helper()
+		assertSameContent(t, who, c, want)
+		assertSameSearch(t, who, c, want, queries)
+		if got, last := c.AppliedSeq(), recs[len(recs)-1].Seq; got != last {
+			t.Fatalf("%s: applied through %d, the log ends at %d", who, got, last)
 		}
 	}
 
 	rows := []struct {
 		name string
 		recs []wal.Record
-		// refuse is the message crash replay must refuse the log with ("" =
-		// it recovers); followerRefuse likewise for the replica applier.
-		refuse, followerRefuse string
-		// What a caller that does not refuse must end with.
-		liveAdded, removed []int
-		next               int
+		// refuse is the message both callers refuse the log with ("" =
+		// they recover).
+		refuse string
+		// The primary that wrote the log: the logged ids whose graphs
+		// landed on it, the ids it removed, and its NextID.
+		landed, removed []int
+		next            int
 	}{
 		{
+			// The add it amends is in the checkpoint already: a follower
+			// that mirrored it, restarted and checkpointed before the
+			// amendment arrived holds such a log.
 			name: "unpaired amendment",
 			recs: []wal.Record{
 				{Type: wal.TypeApplied, First: n - 4, Total: 4, IDs: []int{n - 4, n - 2}},
 			},
-			refuse:  "wal record 1 amends no matching add batch",
-			removed: []int{n - 3, n - 1}, // the follower buries the complement
+			removed: []int{n - 3, n - 1},
 			next:    n,
 		},
 		{
@@ -100,8 +125,7 @@ func TestApplierRefusalsAndRecoveries(t *testing.T) {
 				{Type: wal.TypeAdd, First: n, Graphs: e[:3]},
 				{Type: wal.TypeApplied, First: n + 1, Total: 3, IDs: []int{n + 1}},
 			},
-			refuse:         fmt.Sprintf("wal record 2 amends batch at %d/3, pending is %d/3", n+1, n),
-			followerRefuse: fmt.Sprintf("wal record 2 amends batch at %d/3, pending is %d/3", n+1, n),
+			refuse: fmt.Sprintf("wal record 2 amends ids [%d,%d), but ids from %d were never assigned", n+1, n+4, n+3),
 		},
 		{
 			name: "amendment names another total",
@@ -109,8 +133,15 @@ func TestApplierRefusalsAndRecoveries(t *testing.T) {
 				{Type: wal.TypeAdd, First: n, Graphs: e[:3]},
 				{Type: wal.TypeApplied, First: n, Total: 2, IDs: []int{n}},
 			},
-			refuse:         fmt.Sprintf("wal record 2 amends batch at %d/2, pending is %d/3", n, n),
-			followerRefuse: fmt.Sprintf("wal record 2 amends batch at %d/2, pending is %d/3", n, n),
+			landed: []int{n, n + 2},
+			next:   n + 3,
+		},
+		{
+			name: "amendment of a range never assigned",
+			recs: []wal.Record{
+				{Type: wal.TypeApplied, First: n, Total: 2},
+			},
+			refuse: fmt.Sprintf("wal record 1 amends ids [%d,%d), but ids from %d were never assigned", n, n+2, n),
 		},
 		{
 			name: "voided batch burns its ids and lands nothing",
@@ -126,8 +157,8 @@ func TestApplierRefusalsAndRecoveries(t *testing.T) {
 				{Type: wal.TypeAdd, First: n, Graphs: e[:4]},
 				{Type: wal.TypeApplied, First: n, Total: 4, IDs: []int{n, n + 2}},
 			},
-			liveAdded: []int{n, n + 2},
-			next:      n + 4,
+			landed: []int{n, n + 2},
+			next:   n + 4,
 		},
 		{
 			name: "unamended adds land in full, before a remove and at the tail",
@@ -136,9 +167,9 @@ func TestApplierRefusalsAndRecoveries(t *testing.T) {
 				{Type: wal.TypeRemove, IDs: []int{0, n + 1}},
 				{Type: wal.TypeAdd, First: n + 2, Graphs: e[2:4]},
 			},
-			liveAdded: []int{n, n + 2, n + 3},
-			removed:   []int{0, n + 1},
-			next:      n + 4,
+			landed:  []int{n, n + 1, n + 2, n + 3},
+			removed: []int{0, n + 1},
+			next:    n + 4,
 		},
 	}
 	for _, row := range rows {
@@ -157,70 +188,75 @@ func TestApplierRefusalsAndRecoveries(t *testing.T) {
 				row.recs[i].Seq = seq // the sequence a primary would stream it under
 			}
 			log.Close()
-			var primary *Collection
 			ps, err := OpenStore(dir, StoreOptions{})
-			switch {
-			case row.refuse != "":
+			if row.refuse != "" {
 				if err == nil || !strings.Contains(err.Error(), row.refuse) {
 					t.Fatalf("OpenStore = %v, want a refusal containing %q", err, row.refuse)
 				}
-			case err != nil:
+			} else if err != nil {
 				t.Fatalf("OpenStore: %v", err)
-			default:
+			} else {
 				defer ps.Close()
-				primary, _ = ps.Collection("c")
-				assertState(t, "crash replay", primary, row.liveAdded, row.removed, row.next)
-				if got, want := primary.AppliedSeq(), row.recs[len(row.recs)-1].Seq; got != want {
-					t.Fatalf("crash replay settled through %d, the log ends at %d", got, want)
-				}
 			}
 
 			// Follower: the same records arrive as a stream.
-			fs, err := OpenStore(fresh(t), StoreOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			fs, fc, rep := open(t, fresh(t))
 			defer fs.Close()
-			fc, _ := fs.Collection("c")
-			rep, err := fc.Replica()
-			if err != nil {
-				t.Fatal(err)
-			}
 			err = rep.Apply(ctx, row.recs)
-			if err == nil {
-				err = rep.Settle(ctx)
-			}
-			if row.followerRefuse != "" {
-				if err == nil || !strings.Contains(err.Error(), row.followerRefuse) {
-					t.Fatalf("follower = %v, want a refusal containing %q", err, row.followerRefuse)
+			if row.refuse != "" {
+				if err == nil || !strings.Contains(err.Error(), row.refuse) {
+					t.Fatalf("follower = %v, want a refusal containing %q", err, row.refuse)
 				}
-				if err := rep.Settle(ctx); err == nil || !strings.Contains(err.Error(), "needs restart") {
-					t.Fatalf("a refused record must poison the applier, Settle = %v", err)
+				if err := rep.Apply(ctx, row.recs[:1]); err == nil || !strings.Contains(err.Error(), "needs restart") {
+					t.Fatalf("a refused record must poison the applier, Apply = %v", err)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatalf("follower: %v", err)
 			}
-			assertState(t, "follower", fc, row.liveAdded, row.removed, row.next)
-			if got, want := rep.AppliedSeq(), row.recs[len(row.recs)-1].Seq; got != want {
-				t.Fatalf("follower settled through %d, the stream ended at %d", got, want)
-			}
-			if primary == nil {
-				return
-			}
-			for i := range primary.shards {
-				p, f := primary.shards[i].snap.Load(), fc.shards[i].snap.Load()
+			want := primary(t, row.recs, row.landed, row.removed, row.next)
+			pc, _ := ps.Collection("c")
+			assertMatches(t, "crash replay", pc, want, row.recs)
+			assertMatches(t, "follower", fc, want, row.recs)
+			for i := range pc.shards {
+				p, f := pc.shards[i].snap.Load(), fc.shards[i].snap.Load()
 				if !reflect.DeepEqual(p.globals, f.globals) || !reflect.DeepEqual(p.dead, f.dead) {
 					t.Fatalf("shard %d: follower holds ids %v (dead %v), crash replay holds %v (dead %v)",
 						i, f.globals, f.dead, p.globals, p.dead)
 				}
 			}
+
+			// A follower that dies between two records, replays the
+			// mirrored prefix on restart and checkpoints it, then mirrors
+			// the rest and restarts again.
+			for k := 1; k < len(row.recs); k++ {
+				t.Run(fmt.Sprintf("follower checkpoints after record %d", k), func(t *testing.T) {
+					dir := fresh(t)
+					s, _, rep := open(t, dir)
+					if err := rep.Apply(ctx, row.recs[:k]); err != nil {
+						t.Fatal(err)
+					}
+					s.Close()
+					s, _, rep = open(t, dir)
+					if err := s.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					if err := rep.Apply(ctx, row.recs[k:]); err != nil {
+						t.Fatal(err)
+					}
+					s.Close()
+					s, c, _ := open(t, dir)
+					defer s.Close()
+					assertMatches(t, "restarted follower", c, want, row.recs)
+				})
+			}
 		})
 	}
 
 	// Two refusals no log can carry — the wal codec will neither write nor
-	// decode such records — so the applier itself is handed them.
+	// decode such records — so the applier itself is handed the one it
+	// must refuse.
 	t.Run("records the codec refuses", func(t *testing.T) {
 		s, err := OpenStore(fresh(t), StoreOptions{})
 		if err != nil {
@@ -235,18 +271,10 @@ func TestApplierRefusalsAndRecoveries(t *testing.T) {
 				t.Fatalf("wal.Append wrote %+v", rec)
 			}
 		}
-		a := applier{c: c}
-		if err := a.apply(ctx, wal.Record{Seq: 1, Type: wal.TypeAdd, First: n, Graphs: e[:3]}); err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf("graphdim: wal applied id %d outside batch [%d,%d)", n+5, n, n+3)
-		if err := a.apply(ctx, outside); err == nil || err.Error() != want {
-			t.Fatalf("apply(id outside its batch) = %v, want %q", err, want)
-		}
-		want = "graphdim: wal record 3 has unknown type 99"
-		if err := a.apply(ctx, unknown); err == nil || err.Error() != want {
+		want := "graphdim: wal record 3 has unknown type 99"
+		if err := c.apply(ctx, unknown); err == nil || err.Error() != want {
 			t.Fatalf("apply(unknown type) = %v, want %q", err, want)
 		}
-		assertState(t, "after the refusals", c, nil, nil, n)
+		assertSameContent(t, "after the refusal", c, primary(t, nil, nil, nil, n))
 	})
 }

@@ -102,36 +102,6 @@ func (o WALOptions) options() wal.Options {
 // a crash would replay — and the on-disk footprint.
 type WALStats = wal.Stats
 
-// PartialAddError reports a Collection.Add that landed on some shards
-// but failed on others: the graphs whose global ids are in Applied are
-// committed and searchable (and, on a durable store, logged as such),
-// the rest of the batch is not, and the batch's ids are burned either
-// way. Callers that need all-or-nothing semantics should treat the
-// applied ids as an incomplete write and Remove them.
-type PartialAddError struct {
-	// Applied holds the global ids that committed, ascending.
-	Applied []int
-	// Total is the size of the attempted batch.
-	Total int
-	// Err is the first underlying per-shard failure.
-	Err error
-}
-
-func (e *PartialAddError) Error() string {
-	// The message stays bounded for huge batches; the full id list is in
-	// Applied for callers that need it.
-	ids := "none"
-	if n := len(e.Applied); n > 0 && n <= 8 {
-		ids = fmt.Sprint(e.Applied)
-	} else if n > 8 {
-		ids = fmt.Sprintf("[%d ... %d]", e.Applied[0], e.Applied[n-1])
-	}
-	return fmt.Sprintf("graphdim: add applied %d of %d graphs (ids %s) before failing: %v",
-		len(e.Applied), e.Total, ids, e.Err)
-}
-
-func (e *PartialAddError) Unwrap() error { return e.Err }
-
 // Dir returns the data directory this store is attached to, or "" for a
 // purely in-memory store (NewStore, never durable).
 func (s *Store) Dir() string { return s.dir }
@@ -245,75 +215,56 @@ func (s *Store) verifyNoWALTail(name string, seq uint64) error {
 // to the pre-crash committed state.
 func (c *Collection) replayWAL(seq uint64) error {
 	ctx := context.Background()
-	a := applier{c: c}
-	if err := c.wal.Replay(seq, func(rec wal.Record) error { return a.apply(ctx, rec) }); err != nil {
-		return err
-	}
-	// A trailing unamended add replays in full, matching crash semantics.
-	if err := a.flush(ctx); err != nil {
+	if err := c.wal.Replay(seq, func(rec wal.Record) error { return c.apply(ctx, rec) }); err != nil {
 		return err
 	}
 	// Everything in the log is now reflected in shard state, so the
-	// settled watermark is the log tail.
+	// applied watermark is the log tail.
 	c.applied.Store(c.wal.LastSeq())
 	return nil
 }
 
-// applier is the one state machine that turns log records into shard
-// state — for crash replay and for a follower's stream alike. An add
-// batch needs one piece of buffering: a TypeAdd record's outcome may be
-// amended by the TypeApplied record directly after it (a partial or
-// voided batch), so a TypeAdd is held pending until the next record, or
-// the caller's flush, shows no amendment is coming. Every record it
-// settles advances the collection's applied watermark.
-type applier struct {
-	c       *Collection
-	pending *wal.Record // add batch awaiting a possible amendment
-}
-
-// errUnpairedAmendment is apply's refusal of a TypeApplied record with no
-// add batch pending. On crash replay that is log corruption; a follower
-// that crash-replayed the add in a previous life reconciles instead (see
-// ReplicaApplier.reconcileAmended).
-var errUnpairedAmendment = errors.New("amends no matching add batch")
-
-// apply advances the state machine by one record.
-func (a *applier) apply(ctx context.Context, rec wal.Record) error {
-	c := a.c
+// apply lands one logged record in shard state — the one applier, for
+// crash replay and for a follower's stream alike — and advances the
+// applied watermark to it. A logged add always lands in full: once its
+// record is appended, Collection.Add cannot fail.
+//
+// Older releases amended an add they could not land in full with a
+// TypeApplied record naming the ids that did. Such a record gets one
+// rule wherever it is met: every id of its batch it does not list that
+// is still live is tombstoned, which ranks exactly like the primary on
+// which those graphs never landed. It is refused only if its batch was
+// never assigned.
+func (c *Collection) apply(ctx context.Context, rec wal.Record) error {
 	switch rec.Type {
 	case wal.TypeAdd:
-		if err := a.flush(ctx); err != nil {
-			return err
+		vecs, err := c.mapBatch(ctx, rec.Graphs)
+		if err != nil {
+			return fmt.Errorf("graphdim: replaying add batch at id %d: %w", rec.First, err)
 		}
-		a.pending = &rec // rec is this call's own copy
-		return nil
+		c.applyAdd(rec.First, rec.Graphs, vecs)
+		if next := int64(rec.First + len(rec.Graphs)); next > c.nextID.Load() {
+			c.nextID.Store(next)
+		}
 	case wal.TypeApplied:
-		add := a.pending
-		if add == nil {
-			return fmt.Errorf("graphdim: wal record %d %w", rec.Seq, errUnpairedAmendment)
+		end := rec.First + rec.Total
+		if int64(end) > c.nextID.Load() {
+			return fmt.Errorf("graphdim: wal record %d amends ids [%d,%d), but ids from %d were never assigned",
+				rec.Seq, rec.First, end, c.nextID.Load())
 		}
-		if add.First != rec.First || len(add.Graphs) != rec.Total {
-			return fmt.Errorf("graphdim: wal record %d amends batch at %d/%d, pending is %d/%d",
-				rec.Seq, rec.First, rec.Total, add.First, len(add.Graphs))
-		}
-		for _, id := range rec.IDs {
-			if id < add.First || id >= add.First+rec.Total {
-				return fmt.Errorf("graphdim: wal applied id %d outside batch [%d,%d)", id, add.First, add.First+rec.Total)
+		var bury []int
+		listed := rec.IDs // ascending within the batch
+		for id := rec.First; id < end; id++ {
+			if len(listed) > 0 && listed[0] == id {
+				listed = listed[1:]
+			} else if s, local := c.resolve(id); local >= 0 && !s.dead[local] {
+				bury = append(bury, id)
 			}
 		}
-		a.pending = nil
-		// An empty id list voids the batch: no graph lands, and its ids
-		// burn all the same — replay must reproduce failAdd's rule.
-		if len(rec.IDs) > 0 {
-			if err := a.land(ctx, add, rec.IDs); err != nil {
-				return err
-			}
+		if err := c.applyRemove(bury); err != nil {
+			return fmt.Errorf("graphdim: replaying wal record %d: %w", rec.Seq, err)
 		}
-		c.burn(add.First, len(add.Graphs))
 	case wal.TypeRemove:
-		if err := a.flush(ctx); err != nil {
-			return err
-		}
 		if err := c.applyRemove(rec.IDs); err != nil {
 			return fmt.Errorf("graphdim: replaying wal record %d: %w", rec.Seq, err)
 		}
@@ -321,35 +272,5 @@ func (a *applier) apply(ctx context.Context, rec wal.Record) error {
 		return fmt.Errorf("graphdim: wal record %d has unknown type %d", rec.Seq, rec.Type)
 	}
 	c.applied.Store(rec.Seq)
-	return nil
-}
-
-// flush lands the pending add batch in full: nothing amended it.
-func (a *applier) flush(ctx context.Context) error {
-	add := a.pending
-	if add == nil {
-		return nil
-	}
-	a.pending = nil
-	if err := a.land(ctx, add, nil); err != nil {
-		return err
-	}
-	a.c.burn(add.First, len(add.Graphs))
-	a.c.applied.Store(add.Seq)
-	return nil
-}
-
-// land applies a logged add batch — all of it, or the subset only — the
-// way a live Add does: map the batch once (Collection.mapBatch), then
-// publish. A replayed batch must land completely: a share that fails
-// leaves shard state behind the log, which only a restart reconciles.
-func (a *applier) land(ctx context.Context, add *wal.Record, only []int) error {
-	vecs, err := a.c.mapBatch(ctx, add.Graphs)
-	if err == nil {
-		_, err = a.c.applyAdd(ctx, add.First, add.Graphs, vecs, only)
-	}
-	if err != nil {
-		return fmt.Errorf("graphdim: replaying add batch at id %d: %w", add.First, err)
-	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package graphdim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -18,7 +20,7 @@ import (
 
 // The durability suite: WAL-backed stores must recover exactly the
 // committed writes after a kill at any instant — no checkpoint needed,
-// torn tails dropped, partial applies honoured.
+// torn tails dropped, a logged add landed whole.
 
 // tearWAL appends garbage to the newest segment of the collection's log,
 // simulating a record that was mid-write when the process died.
@@ -290,177 +292,31 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 	}
 }
 
-func TestPartialAddLogsExactlyAppliedIDs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	idx, _ := equivBuild(t, rng, 30)
-	ctx := context.Background()
-	dir := t.TempDir()
-	s, err := CreateStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.CreateFromIndex("p", idx, CollectionOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A batch big enough to hit at least two shards, and a victim shard
-	// that owns some but not all of its ids.
-	batch := dataset.Synthetic(dataset.SynthConfig{N: 8, AvgEdges: 9, Labels: 5, Seed: 11})
-	first := int(c.nextID.Load())
-	byShard := map[int][]int{}
-	for i := range batch {
-		sh := placeID(first+i, 4)
-		byShard[sh] = append(byShard[sh], first+i)
-	}
-	if len(byShard) < 2 {
-		t.Fatalf("batch landed on %d shards; need >= 2", len(byShard))
-	}
-	victim := -1
-	for sh, ids := range byShard {
-		if len(ids) < len(batch) {
-			victim = sh
-			break
-		}
-	}
-	boom := errors.New("injected shard failure")
-	c.failShard = func(sh int) error {
-		if sh == victim {
-			return boom
-		}
-		return nil
-	}
-	_, err = c.Add(ctx, batch...)
-	var pe *PartialAddError
-	if !errors.As(err, &pe) {
-		t.Fatalf("Add returned %v; want *PartialAddError", err)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("PartialAddError does not wrap the cause: %v", err)
-	}
-	var wantApplied []int
-	for sh, ids := range byShard {
-		if sh != victim {
-			wantApplied = append(wantApplied, ids...)
-		}
-	}
-	sort.Ints(wantApplied)
-	if !reflect.DeepEqual(pe.Applied, wantApplied) || pe.Total != len(batch) {
-		t.Fatalf("PartialAddError{Applied: %v, Total: %d}, want {%v, %d}", pe.Applied, pe.Total, wantApplied, len(batch))
-	}
-	// The batch's ids are burned even though part of it failed.
-	if got := int(c.nextID.Load()); got != first+len(batch) {
-		t.Fatalf("nextID %d after partial add, want %d", got, first+len(batch))
-	}
-
-	// Crash and recover: exactly the applied subset comes back — the WAL
-	// compensator must stop replay from resurrecting the failed slices.
-	s.Close()
-	re, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	rc, _ := re.Collection("p")
-	for _, id := range wantApplied {
-		if _, ok := rc.Graph(id); !ok {
-			t.Fatalf("applied id %d lost across crash", id)
-		}
-	}
-	for _, id := range byShard[victim] {
-		if _, ok := rc.Graph(id); ok {
-			t.Fatalf("failed id %d resurrected by replay", id)
-		}
-	}
-	if got := rc.Stats().NextID; got != first+len(batch) {
-		t.Fatalf("recovered NextID %d, want %d (ids stay burned)", got, first+len(batch))
-	}
-	// And the recovered collection keeps assigning fresh ids.
-	ids, err := rc.Add(ctx, batch[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ids[0] != first+len(batch) {
-		t.Fatalf("post-recovery add got id %d, want %d", ids[0], first+len(batch))
-	}
+// mapping reports whether any goroutine is inside mapBatch.
+func mapping() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("graphdim.mapBatch"))
 }
 
-func TestTotalAddFailureIsVoidedInLog(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	idx, _ := equivBuild(t, rng, 30)
-	ctx := context.Background()
-	dir := t.TempDir()
-	s, err := CreateStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.CreateFromIndex("v", idx, CollectionOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := dataset.Synthetic(dataset.SynthConfig{N: 4, AvgEdges: 9, Labels: 5, Seed: 13})
-	first := int(c.nextID.Load())
-	boom := errors.New("all shards down")
-	c.failShard = func(int) error { return boom }
-	if _, err := c.Add(ctx, batch...); !errors.Is(err, boom) {
-		t.Fatalf("Add returned %v; want the injected failure", err)
-	}
-	var pe *PartialAddError
-	if errors.As(err, &pe) {
-		t.Fatalf("total failure reported as partial: %v", err)
-	}
-	// Nothing landed, but the batch is in the log, and logged ids are
-	// never reassigned (the invariant replication reconciliation leans
-	// on): the ids burn...
-	if got := int(c.nextID.Load()); got != first+len(batch) {
-		t.Fatalf("nextID %d after voided add, want %d", got, first+len(batch))
-	}
-	// ...and the retry gets fresh ones.
-	c.failShard = nil
-	ids, err := c.Add(ctx, batch...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ids[0] != first+len(batch) {
-		t.Fatalf("retry got id %d, want %d", ids[0], first+len(batch))
-	}
-
-	// Crash and recover: only the retry's graphs exist, under the same
-	// ids — replay must skip the voided record's graphs while still
-	// burning its ids.
-	s.Close()
-	re, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatalf("reopen after voided add: %v", err)
-	}
-	defer re.Close()
-	rc, _ := re.Collection("v")
-	st := rc.Stats()
-	if st.NextID != first+2*len(batch) {
-		t.Fatalf("recovered NextID %d, want %d", st.NextID, first+2*len(batch))
-	}
-	for i, id := range ids {
-		g, ok := rc.Graph(id)
-		if !ok || g.String() != batch[i].String() {
-			t.Fatalf("retry id %d not recovered intact", id)
-		}
-	}
-}
-
-// TestAddMappingFailureVoidsLoggedBatch: a durable Add maps its batch while
-// the record syncs, so its mapping can fail after the append. Add then
-// returns the context's error, the log holds the add with a voiding
-// amendment behind it, the batch's ids are burned, no shard published, and
-// a reopen replays to the same state. When the append fails instead, Add
-// still waits for its mapping: the mapping has run to its end before the
-// call returns, so no goroutine of the call outlives it.
-func TestAddMappingFailureVoidsLoggedBatch(t *testing.T) {
+// TestLoggedAddLands: the write-ahead append is the commit point of a
+// durable Add. A context cancelled at the batch's first mapping check and
+// again once its record has synced stops nothing: Add returns the batch's
+// ids, the log holds the one add record, the shards publish, and a reopen
+// in heap and in map mode ranks like a store that took the batch
+// uncancelled. A failed append commits nothing: no shard publishes,
+// nextID stays, and Add returns only after its mapping ran to the end.
+func TestLoggedAddLands(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	idx, _ := equivBuild(t, rng, 30)
-	p := len(idx.Dimensions())
+	idx, db := equivBuild(t, rng, 30)
 	dir := t.TempDir()
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	errSync := errors.New("injected fsync failure")
-	var failNow atomic.Bool
+	var cancelNow, failNow atomic.Bool
 	s, err := CreateStore(dir, StoreOptions{WAL: WALOptions{failSync: func() error {
+		if cancelNow.Load() {
+			cancel()
+		}
 		if failNow.Load() {
 			return errSync
 		}
@@ -473,67 +329,77 @@ func TestAddMappingFailureVoidsLoggedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := newTestStore(t).CreateFromIndex("m", idx, CollectionOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	batch := dataset.Synthetic(dataset.SynthConfig{N: 4, AvgEdges: 9, Labels: 5, Seed: 29})
+	if _, err := ref.Add(context.Background(), batch...); err != nil {
+		t.Fatal(err)
+	}
 	first := int(c.nextID.Load())
 	gens := c.generations()
 
-	cctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	ctx := &mapCountCtx{Context: cctx, cancel: cancel}
-	if _, err := c.Add(ctx, batch...); err == nil || err != ctx.Err() {
-		t.Fatalf("Add with its mapping cancelled = %v, want the context's error %v", err, ctx.Err())
+	cancelNow.Store(true)
+	ids, err := c.Add(ctx, batch...)
+	cancelNow.Store(false)
+	if err != nil {
+		t.Fatalf("Add cancelled after its append = %v, want the batch's ids", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the context was never cancelled")
+	}
+	if want := []int{first, first + 1, first + 2, first + 3}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("Add returned ids %v, want %v", ids, want)
 	}
 	var recs []wal.Record
 	if err := c.wal.Replay(0, func(r wal.Record) error { recs = append(recs, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 ||
-		recs[0].Type != wal.TypeAdd || recs[0].First != first || len(recs[0].Graphs) != len(batch) ||
-		recs[1].Type != wal.TypeApplied || recs[1].First != first || recs[1].Total != len(batch) || len(recs[1].IDs) != 0 {
-		t.Fatalf("log holds %+v, want the add at %d and a voiding amendment", recs, first)
+	if len(recs) != 1 || recs[0].Type != wal.TypeAdd || recs[0].First != first || len(recs[0].Graphs) != len(batch) {
+		t.Fatalf("log holds %+v, want the one add at %d", recs, first)
 	}
-	if got := int(c.nextID.Load()); got != first+len(batch) {
-		t.Fatalf("nextID %d after a voided add, want %d: logged ids burn", got, first+len(batch))
+	if got := c.generations(); reflect.DeepEqual(got, gens) {
+		t.Fatalf("shard generations stayed at %v: the logged batch did not publish", got)
 	}
-	if got := c.generations(); !reflect.DeepEqual(got, gens) {
-		t.Fatalf("shard generations %v -> %v: a shard published a batch whose mapping failed", gens, got)
+	if got := c.AppliedSeq(); got != recs[0].Seq {
+		t.Fatalf("settled through %d, the log ends at %d", got, recs[0].Seq)
 	}
-	if got := c.AppliedSeq(); got != recs[1].Seq {
-		t.Fatalf("settled through %d, the log ends at %d", got, recs[1].Seq)
-	}
+	queries := append([]*Graph{db[0], db[7]}, batch...)
+	assertSameContent(t, "cancelled add", c, ref)
+	assertSameSearch(t, "cancelled add", c, ref, queries)
 
+	// Enough graphs that a mapping left running would still be running
+	// when the failed append returns.
+	more := dataset.Synthetic(dataset.SynthConfig{N: 64, AvgEdges: 9, Labels: 5, Seed: 30})
+	gens = c.generations()
 	failNow.Store(true)
-	counted := &mapCountCtx{Context: context.Background()}
-	if _, err := c.Add(counted, batch...); !errors.Is(err, errSync) {
+	if _, err := c.Add(context.Background(), more...); !errors.Is(err, errSync) {
 		t.Fatalf("Add with a failing fsync = %v, want the injected failure", err)
 	}
 	failNow.Store(false)
-	if got, want := counted.checks.Load(), int64(p*len(batch)); got != want {
-		t.Fatalf("Add returned with its mapping at %d of %d checks", got, want)
+	if mapping() {
+		t.Fatal("Add returned while its mapping was still running")
+	}
+	if got := c.generations(); !reflect.DeepEqual(got, gens) {
+		t.Fatalf("shard generations %v -> %v: a shard published a batch whose append failed", gens, got)
 	}
 	if got := int(c.nextID.Load()); got != first+len(batch) {
-		t.Fatalf("nextID %d after a failed append, want %d: an unlogged batch burns nothing", got, first+len(batch))
+		t.Fatalf("nextID %d after a failed append, want %d: an unlogged batch takes no ids", got, first+len(batch))
 	}
 
-	want := make([]*snapshot, len(c.shards))
-	for i, sh := range c.shards {
-		want[i] = sh.snap.Load()
-	}
 	s.Close()
-	re, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	rc, _ := re.Collection("m")
-	if got := rc.Stats().NextID; got != first+len(batch) {
-		t.Fatalf("replayed NextID %d, want %d", got, first+len(batch))
-	}
-	for i, sh := range rc.shards {
-		got := sh.snap.Load()
-		if !reflect.DeepEqual(got.globals, want[i].globals) || !reflect.DeepEqual(got.dead, want[i].dead) {
-			t.Fatalf("shard %d replayed to ids %v (dead %v), it held %v (dead %v)", i, got.globals, got.dead, want[i].globals, want[i].dead)
+	for name, mode := range map[string]MemoryMode{"heap": MemoryHeap, "map": MemoryMap} {
+		re, err := OpenStore(dir, StoreOptions{Memory: mode})
+		if err != nil {
+			t.Fatal(err)
 		}
+		rc, _ := re.Collection("m")
+		label := "reopen in " + name + " mode"
+		assertSameContent(t, label, rc, ref)
+		assertSameSearch(t, label, rc, ref, queries)
+		re.Close()
 	}
 }
 

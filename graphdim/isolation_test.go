@@ -194,16 +194,17 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 	})
 	t.Run("collection/replay", func(t *testing.T) {
 		c := mapped(t)
-		a := applier{c: c}
 		var l publishLog
 		l.check(t, "open", c.shards...)
 		next := int(c.nextID.Load())
+		var last wal.Record // the newest add batch
 		for seq := uint64(1); seq <= steps; seq++ {
 			rec := wal.Record{Seq: seq, Type: wal.TypeAdd, First: next}
 			switch r := rng.Intn(10); {
-			case r < 3 && a.pending != nil:
-				// Amend the pending batch: land a random subset of it.
-				rec.Type, rec.First, rec.Total = wal.TypeApplied, a.pending.First, len(a.pending.Graphs)
+			case r < 3 && last.Graphs != nil:
+				// Amend the newest batch the way an older release did:
+				// only a random subset of it landed.
+				rec.Type, rec.First, rec.Total = wal.TypeApplied, last.First, len(last.Graphs)
 				for id := rec.First; id < rec.First+rec.Total; id++ {
 					if rng.Intn(2) == 0 {
 						rec.IDs = append(rec.IDs, id)
@@ -212,6 +213,7 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 			case r < 6:
 				rec.Graphs = pickGraphs(rng, pool)
 				next += len(rec.Graphs)
+				last = rec
 			case r < 9:
 				g, ok := randomLive(rng, c)
 				if !ok {
@@ -225,15 +227,11 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 				l.check(t, fmt.Sprintf("record %d (compact)", seq), c.shards...)
 				continue
 			}
-			if err := a.apply(ctx, rec); err != nil {
+			if err := c.apply(ctx, rec); err != nil {
 				t.Fatalf("record %d: %v", seq, err)
 			}
 			l.check(t, fmt.Sprintf("record %d (type %d)", seq, rec.Type), c.shards...)
 		}
-		if err := a.flush(ctx); err != nil {
-			t.Fatal(err)
-		}
-		l.check(t, "flush", c.shards...)
 	})
 
 	t.Run("segment id table", func(t *testing.T) {

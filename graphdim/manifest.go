@@ -263,11 +263,10 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 			cm.WALSeq = 0
 		case c.wal != nil:
 			// The settled watermark, not the raw log tail: on a follower
-			// the tail may include a mirrored add batch still buffered
-			// against a possible amendment — not yet in shard state, so a
-			// snapshot claiming to cover it would skip it on reopen. On a
-			// primary the two agree here (addMu is held, no writer is
-			// mid-batch).
+			// whose apply failed the tail holds mirrored records not yet
+			// in shard state, so a snapshot claiming to cover them would
+			// skip them on reopen. Otherwise the two agree here (addMu is
+			// held, no writer is mid-batch).
 			cm.WALSeq = c.applied.Load()
 		default:
 			// No log (WAL disabled): keep the loaded position — segments

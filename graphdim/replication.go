@@ -14,8 +14,8 @@ import (
 // snapshot a follower bootstraps from is in snapshot.go.
 
 // AppliedSeq returns the collection's settled watermark: the highest
-// write-ahead-log sequence whose outcome is final and visible in shard
-// state. Zero for collections without a log.
+// write-ahead-log sequence that is visible in shard state. Zero for
+// collections without a log.
 func (c *Collection) AppliedSeq() uint64 { return c.applied.Load() }
 
 // Freshness returns the collection's read-consistency coordinates: the
@@ -33,7 +33,7 @@ func (c *Collection) Freshness() (applied uint64, gens []uint64) {
 // StreamWAL returns an incremental reader over the collection's
 // write-ahead log positioned after seq — the feed behind a replication
 // tail endpoint. Callers gate delivery at AppliedSeq (pass it as
-// Next's upper bound) so no record ships before its outcome is settled,
+// Next's upper bound) so no record ships before the primary shows it,
 // and wait on WALCommits between polls. Errors on a collection without
 // a log.
 func (c *Collection) StreamWAL(after uint64) (*wal.Stream, error) {

@@ -46,9 +46,9 @@ func bootstrapFollower(t *testing.T, primary *Store, coll string) (*Store, *Coll
 	return fs, fc, rep, dir
 }
 
-// pump streams every settled record the follower is missing from the
-// primary collection into the applier, then settles — one catch-up
-// round, exactly what the tailer does per heartbeat.
+// pump streams every applied record the follower is missing from the
+// primary collection into the applier — one catch-up round, exactly
+// what the tailer does per heartbeat.
 func pump(t *testing.T, pc *Collection, rep *ReplicaApplier) int {
 	t.Helper()
 	ctx := context.Background()
@@ -69,13 +69,8 @@ func pump(t *testing.T, pc *Collection, rep *ReplicaApplier) int {
 		}
 		recs = append(recs, rec)
 	}
-	if len(recs) > 0 {
-		if err := rep.Apply(ctx, recs); err != nil {
-			t.Fatalf("apply: %v", err)
-		}
-	}
-	if err := rep.Settle(ctx); err != nil {
-		t.Fatalf("settle: %v", err)
+	if err := rep.Apply(ctx, recs); err != nil {
+		t.Fatalf("apply: %v", err)
 	}
 	return len(recs)
 }
@@ -100,9 +95,8 @@ func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 		t.Fatalf("bootstrapped follower acks %d, primary applied is %d", got, want)
 	}
 
-	// A mixed write history: clean adds, removes, a partial add, a
-	// fully voided add.
-	extra := dataset.Synthetic(dataset.SynthConfig{N: 18, AvgEdges: 9, Labels: 5, Seed: 99})
+	// A mixed write history: adds around removes.
+	extra := dataset.Synthetic(dataset.SynthConfig{N: 9, AvgEdges: 9, Labels: 5, Seed: 99})
 	ids, err := pc.Add(ctx, extra[:6]...)
 	if err != nil {
 		t.Fatal(err)
@@ -116,22 +110,7 @@ func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 	if n, err := pc.Compact(ctx); err != nil || n == 0 {
 		t.Fatalf("primary Compact = (%d, %v)", n, err)
 	}
-	boom := errors.New("shard down")
-	pc.failShard = func(sh int) error {
-		if sh == 1 {
-			return boom
-		}
-		return nil
-	}
-	if _, err := pc.Add(ctx, extra[6:12]...); !errors.Is(err, boom) {
-		t.Fatalf("partial add returned %v", err)
-	}
-	pc.failShard = func(int) error { return boom }
-	if _, err := pc.Add(ctx, extra[12:15]...); !errors.Is(err, boom) {
-		t.Fatalf("voided add returned %v", err)
-	}
-	pc.failShard = nil
-	if _, err := pc.Add(ctx, extra[15:]...); err != nil {
+	if _, err := pc.Add(ctx, extra[6:]...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,8 +130,7 @@ func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 		t.Fatalf("follower lost tombstoned id %d without compacting", ids[1])
 	}
 
-	// NextID converges too — voided ids burned identically on both
-	// sides, so later assignments can never collide.
+	// NextID converges too, so later assignments can never collide.
 	if got, want := fc.Stats().NextID, pc.Stats().NextID; got != want {
 		t.Fatalf("follower NextID %d, primary %d", got, want)
 	}
@@ -197,42 +175,59 @@ func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 // TestFollowerReconcilesAmendmentAcrossRestart exercises the one replica
 // path normal streaming never takes: the follower dies having mirrored
 // a TypeAdd but not the amendment that voids or trims it, restarts
-// (crash-replay applies the batch in full), and then receives the
-// amendment — which must walk the extra graphs back as tombstones.
+// (crash replay applies the batch in full), and then receives the
+// amendment — which must walk the extra graphs back as tombstones. Only
+// an older release amended an add, so the primary's log is written by
+// hand, behind its store's back, and the primary crash-replays it.
 func TestFollowerReconcilesAmendmentAcrossRestart(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		fail func(sh int) error // primary per-shard failure injection
+		name    string
+		applied []int // offsets into the batch of the graphs that landed
 	}{
-		{"partial", func(sh int) error {
-			if sh == 0 {
-				return errors.New("shard down")
-			}
-			return nil
-		}},
-		{"voided", func(sh int) error { return errors.New("all down") }},
+		{"partial", []int{1, 3, 4}},
+		{"voided", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(72))
 			idx, _ := equivBuild(t, rng, 30)
 			ctx := context.Background()
-			ps, err := CreateStore(t.TempDir(), StoreOptions{})
+			pdir := t.TempDir()
+			ps, err := CreateStore(pdir, StoreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ps.Close()
 			pc, err := ps.CreateFromIndex("c", idx, CollectionOptions{Shards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
+			n := pc.Stats().NextID
 			fs, _, rep, fdir := bootstrapFollower(t, ps, "c")
+			ps.Close()
 
 			extra := dataset.Synthetic(dataset.SynthConfig{N: 6, AvgEdges: 9, Labels: 5, Seed: 3})
-			pc.failShard = tc.fail
-			if _, err := pc.Add(ctx, extra...); err == nil {
-				t.Fatal("injected add failure did not fail")
+			amend := wal.Record{Type: wal.TypeApplied, First: n, Total: len(extra)}
+			for _, off := range tc.applied {
+				amend.IDs = append(amend.IDs, n+off)
 			}
-			pc.failShard = nil
+			log, err := wal.Open(filepath.Join(pdir, "c", walDirName), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range []wal.Record{{Type: wal.TypeAdd, First: n, Graphs: extra}, amend} {
+				if _, err := log.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			log.Close()
+			ps, err = OpenStore(pdir, StoreOptions{})
+			if err != nil {
+				t.Fatalf("reopen primary: %v", err)
+			}
+			defer ps.Close()
+			pc, _ = ps.Collection("c")
+			if got := pc.Stats().Live; got != n+len(tc.applied) {
+				t.Fatalf("primary holds %d live graphs after replay, want %d", got, n+len(tc.applied))
+			}
 
 			// Ship ONLY the add record, withholding its amendment — the
 			// stream can do this mid-batch — then kill the follower with
@@ -261,70 +256,22 @@ func TestFollowerReconcilesAmendmentAcrossRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Crash-replay applied the unpaired batch in full; the
+			// Crash replay applied the unpaired batch in full; the
 			// amendment now arrives and reconciles it.
+			if got := fc2.Stats().Live; got != n+len(extra) {
+				t.Fatalf("restarted follower holds %d live graphs, want the whole batch: %d", got, n+len(extra))
+			}
 			pump(t, pc, rep2)
 			queries := dataset.Synthetic(dataset.SynthConfig{N: 10, AvgEdges: 6, Labels: 5, Seed: 8})
 			assertSameSearch(t, "reconciled follower", fc2, pc, queries)
+			if got, want := fc2.Stats().Live, pc.Stats().Live; got != want {
+				t.Fatalf("follower live %d, primary %d", got, want)
+			}
 			if got, want := fc2.Stats().NextID, pc.Stats().NextID; got != want {
 				t.Fatalf("follower NextID %d, primary %d", got, want)
 			}
 		})
 	}
-}
-
-func TestFollowerPendingWaitsForSettle(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	idx, _ := equivBuild(t, rng, 30)
-	ctx := context.Background()
-	ps, err := CreateStore(t.TempDir(), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	pc, err := ps.CreateFromIndex("c", idx, CollectionOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, fc, rep, _ := bootstrapFollower(t, ps, "c")
-	defer fs.Close()
-
-	base := rep.AppliedSeq()
-	extra := dataset.Synthetic(dataset.SynthConfig{N: 3, AvgEdges: 9, Labels: 5, Seed: 4})
-	if _, err := pc.Add(ctx, extra...); err != nil {
-		t.Fatal(err)
-	}
-	st, err := pc.StreamWAL(rep.AckSeq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, ok, err := st.Next(pc.AppliedSeq())
-	st.Close()
-	if err != nil || !ok {
-		t.Fatalf("stream: ok=%v err=%v", ok, err)
-	}
-	if err := rep.Apply(ctx, []wal.Record{rec}); err != nil {
-		t.Fatal(err)
-	}
-	// Mirrored (durable, ackable) but buffered against a possible
-	// amendment: not yet applied.
-	if rep.AckSeq() != rec.Seq {
-		t.Fatalf("AckSeq %d after mirror, want %d", rep.AckSeq(), rec.Seq)
-	}
-	if rep.AppliedSeq() != base {
-		t.Fatalf("AppliedSeq %d while pending, want %d", rep.AppliedSeq(), base)
-	}
-	if live := fc.Stats().Live; live != pc.Stats().Live-len(extra) {
-		t.Fatalf("pending batch already visible: follower live %d", live)
-	}
-	if err := rep.Settle(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if rep.AppliedSeq() != rec.Seq {
-		t.Fatalf("AppliedSeq %d after settle, want %d", rep.AppliedSeq(), rec.Seq)
-	}
-	queries := dataset.Synthetic(dataset.SynthConfig{N: 8, AvgEdges: 6, Labels: 5, Seed: 9})
-	assertSameSearch(t, "settled follower", fc, pc, queries)
 }
 
 func TestPrimaryRetainsSegmentsForFollowers(t *testing.T) {

@@ -77,9 +77,11 @@ type StoreOptions struct {
 	// mapped read-only from v4 segment files (the default where the
 	// platform supports it — vectors, graph payloads, and posting lists
 	// stay in the page cache and fault in on demand, so a collection can
-	// exceed RAM) or fully rehydrated onto the heap. See MemoryMode.
-	// NewStore ignores it; checkpoints predating the segment format
-	// always load via the heap path regardless.
+	// exceed RAM) or fully rehydrated onto the heap. See MemoryMode;
+	// MemoryAuto and MemoryMap select the same code, and only MemoryHeap
+	// differs. NewStore ignores it. Checkpoints predating the v4 segment
+	// format do not load in any mode: the segment reader refuses them by
+	// name.
 	Memory MemoryMode
 }
 
@@ -256,22 +258,15 @@ type Collection struct {
 	// nextID is written under addMu; atomic so read-only paths (Stats)
 	// never block behind a long Add or Save holding the writer lock.
 	nextID atomic.Int64
-	// applied is the settled watermark: the highest WAL sequence whose
-	// application outcome is final and visible in shard state. On a
-	// primary it trails LastSeq only while a writer holds addMu (an add
-	// batch between its append and its settle — success, or the
-	// amendment failAdd logs). A replication stream ships only records
-	// at or below it, so a shipped TypeAdd's amendment, if any, is
-	// already in the log behind it. On a follower it is advanced by the
-	// replica applier and trails the mirrored log by the buffered
-	// pending batch. Written under addMu; atomic for lock-free readers
-	// (freshness tokens, checkpoints, stats).
+	// applied is the settled watermark: the highest WAL sequence that is
+	// visible in shard state. On a primary it trails LastSeq only while a
+	// writer holds addMu (an add batch between its append and its
+	// publish), and a replication stream ships only records at or below
+	// it, so no follower applies a write before the primary shows it. On
+	// a follower the replica applier advances it record by record.
+	// Written under addMu; atomic for lock-free readers (freshness tokens,
+	// checkpoints, stats).
 	applied atomic.Uint64
-
-	// failShard, when non-nil, injects a per-shard failure into applyAdd's
-	// fan-out — test-only, for exercising partial-apply paths that
-	// otherwise need precisely timed cancellation.
-	failShard func(shard int) error
 }
 
 // Create builds a new collection from db: one dimension selection over the
@@ -728,20 +723,17 @@ func mergeTopK(outs []shardOut, k int) []Result {
 // with the collection's one mapper and under the store budget, before
 // any shard is touched; the shards then only publish. The returned ids
 // align with gs. Writers are serialized collection-wide; readers are
-// never blocked (each shard publishes copy-on-write state). A mapping
-// failure — cancellation included — lands nothing. Each shard applies its
-// slice atomically, but a failure while the shards publish can leave the
-// slices of shards that already finished applied; the call then returns a
-// *PartialAddError naming exactly the ids that committed.
+// never blocked (each shard publishes copy-on-write state).
 //
 // On a durable store the batch is appended to the collection's
-// write-ahead log — and fsynced — before any shard publishes, so every
-// id this method reports as committed (returned ids, or
-// PartialAddError.Applied) survives a crash. The mapping runs while the
+// write-ahead log — and fsynced — before any shard publishes. The append
+// is the commit point: a context that is dead before it commits nothing,
+// a failed append commits nothing, and once the append returns the batch
+// lands in full and Add returns its ids. The mapping runs while the
 // batch waits for the writer lock and its record syncs, so a durable Add
-// waits for the slower of the two, not their sum; a mapping that fails
-// after the append voids the logged batch (see failAdd). Add never
-// returns while its mapping is still running.
+// waits for the slower of the two, not their sum; it ignores
+// cancellation, so nothing can stop a logged batch from landing. Add
+// never returns while its mapping is still running.
 func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 	for i, g := range gs {
 		if g == nil {
@@ -751,21 +743,18 @@ func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 	if len(gs) == 0 {
 		return nil, nil
 	}
-	// A context that is already dead commits nothing: bail before the
-	// write-ahead append, or an abandoned request would still pay two
-	// fsyncs (the batch plus its voiding record) under the writer lock.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var vecs []*vecspace.BitVector
-	var mapErr error
 	mapped := make(chan struct{})
 	go func() {
 		defer close(mapped)
-		vecs, mapErr = c.mapBatch(ctx, gs)
+		// Only cancellation fails a mapping.
+		vecs, _ = c.mapBatch(context.WithoutCancel(ctx), gs)
 	}()
-	// Deferred first, so it runs last: an Add that fails before its
-	// mapping is needed still waits for it, after releasing the lock.
+	// Deferred first, so it runs last: an Add whose append fails still
+	// waits for its mapping, after releasing the lock.
 	defer func() { <-mapped }()
 	c.addMu.Lock()
 	defer c.addMu.Unlock()
@@ -773,22 +762,16 @@ func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 
 	first := int(c.nextID.Load())
 	// Write-ahead: the batch must be durable before any shard state it
-	// produces can be observed. A failed append commits nothing.
+	// produces can be observed.
 	if c.wal != nil {
 		if _, err := c.wal.Append(wal.Record{Type: wal.TypeAdd, First: first, Graphs: gs}); err != nil {
 			return nil, fmt.Errorf("graphdim: wal append: %w", err)
 		}
 	}
 	<-mapped
-	if mapErr != nil {
-		return nil, c.failAdd(first, len(gs), nil, mapErr)
-	}
-	applied, err := c.applyAdd(ctx, first, gs, vecs, nil)
-	if err != nil {
-		return nil, c.failAdd(first, len(gs), applied, err)
-	}
+	ids := c.applyAdd(first, gs, vecs)
 	c.nextID.Add(int64(len(gs)))
-	return applied, nil
+	return ids, nil
 }
 
 // placeID maps a global id to its shard. The hash is SplitMix64 — cheap,
@@ -821,61 +804,27 @@ func (c *Collection) mapBatch(ctx context.Context, gs []*Graph) ([]*vecspace.Bit
 }
 
 // applyAdd lands one logged add batch on the shards — the one way an Add,
-// crash replay and a follower publish graphs. gs[i] carries global id
-// first+i and is already mapped to vecs[i] (see mapBatch); only, when
-// non-nil, names the ids of the batch to land (what a partial apply
-// committed) and the rest is skipped. Each shard publishes its share
-// atomically — no VF2 runs here — the shares fan out under the store
-// budget, and a failure on one shard — cancellation included — leaves
-// the shares of shards that already finished in place: applied reports,
-// ascending, exactly the ids that landed, next to the first error.
-func (c *Collection) applyAdd(ctx context.Context, first int, gs []*Graph, vecs []*vecspace.BitVector, only []int) (applied []int, err error) {
-	ids := only
-	if ids == nil {
-		ids = make([]int, len(gs))
-		for i := range ids {
-			ids[i] = first + i
-		}
+// crash replay and a follower publish graphs — and returns its global
+// ids. gs[i] carries global id first+i and is already mapped to vecs[i]
+// (see mapBatch). Each shard publishes its share atomically; no VF2 runs
+// here and nothing can fail.
+func (c *Collection) applyAdd(first int, gs []*Graph, vecs []*vecspace.BitVector) []int {
+	ids := make([]int, len(gs))
+	for i := range ids {
+		ids[i] = first + i
 	}
-	parts := partition(ids, len(c.shards))
-	var touched []int // the shards that receive a share, ascending
-	for sh, part := range parts {
-		if len(part) > 0 {
-			touched = append(touched, sh)
+	for sh, part := range partition(ids, len(c.shards)) {
+		if len(part) == 0 {
+			continue
 		}
-	}
-	errs := make([]error, len(touched))
-	ran := make([]bool, len(touched))
-	_ = c.store.budget.ForContext(ctx, len(touched), func(i int) {
-		ran[i] = true
-		sh := touched[i]
-		if c.failShard != nil {
-			if errs[i] = c.failShard(sh); errs[i] != nil {
-				return
-			}
-		}
-		share := make([]*Graph, len(parts[sh]))
-		shareVecs := make([]*vecspace.BitVector, len(parts[sh]))
-		for j, id := range parts[sh] {
+		share := make([]*Graph, len(part))
+		shareVecs := make([]*vecspace.BitVector, len(part))
+		for j, id := range part {
 			share[j], shareVecs[j] = gs[id-first], vecs[id-first]
 		}
-		c.shards[sh].add(share, shareVecs, parts[sh])
-	})
-	for i, sh := range touched {
-		e := errs[i]
-		if !ran[i] {
-			// The fan-out skips a suffix only on cancellation.
-			e = ctx.Err()
-		}
-		switch {
-		case e == nil && ran[i]:
-			applied = append(applied, parts[sh]...)
-		case e != nil && err == nil:
-			err = e
-		}
+		c.shards[sh].add(share, shareVecs, part)
 	}
-	sort.Ints(applied)
-	return applied, err
+	return ids
 }
 
 // applyRemove tombstones global ids on the shards they place on — the
@@ -892,55 +841,9 @@ func (c *Collection) applyRemove(ids []int) error {
 	return nil
 }
 
-// burn marks the ids of a logged add batch as assigned for good: on a
-// durable store a global id, once logged, is never assigned again,
-// whether or not its graph landed (see failAdd).
-func (c *Collection) burn(first, total int) {
-	if next := int64(first + total); next > c.nextID.Load() {
-		c.nextID.Store(next)
-	}
-}
-
-// failAdd settles a failed Add batch — a failed mapping (nothing landed)
-// or a failed shard publish: it amends the write-ahead log so replay
-// matches what actually committed, and burns the batch's ids.
-// Ids burn even when nothing landed and the batch was cleanly voided —
-// on a durable store a global id, once logged, is never assigned again.
-// The invariant is what lets a replica that crash-replayed an unpaired
-// add record reconcile when the voiding amendment arrives (tombstoning
-// the batch) without a later assignment ever colliding with the ids it
-// buried. Called under addMu.
-func (c *Collection) failAdd(first, total int, appliedIDs []int, cause error) error {
-	if len(appliedIDs) > 0 {
-		// Some shards already published their slice, so the batch's
-		// global ids are burned: advancing nextID keeps every published
-		// id unique forever, at the price of id gaps for the slices that
-		// never landed.
-		c.nextID.Add(int64(total))
-		if c.wal != nil {
-			if _, werr := c.wal.Append(wal.Record{Type: wal.TypeApplied, First: first, Total: total, IDs: appliedIDs}); werr != nil {
-				cause = fmt.Errorf("%w (and amending the wal failed — a crash before the next checkpoint recovers the whole batch: %v)", cause, werr)
-			}
-		}
-		return &PartialAddError{Applied: appliedIDs, Total: total, Err: cause}
-	}
-	// Nothing landed. Void the logged batch so replay skips its graphs —
-	// but still burn its ids: the add record is in the log, and logged
-	// ids are never reassigned (see the doc comment). An in-memory
-	// collection never logged the batch, so its ids genuinely remain
-	// free there.
-	if c.wal != nil {
-		c.nextID.Add(int64(total))
-		if _, werr := c.wal.Append(wal.Record{Type: wal.TypeApplied, First: first, Total: total, IDs: nil}); werr != nil {
-			return fmt.Errorf("graphdim: add failed (%w) and voiding its wal record failed (%v); batch ids burned", cause, werr)
-		}
-	}
-	return cause
-}
-
 // settleApplied advances the settled watermark to the log tail; called
-// under addMu as a writer's final act, when every appended record's
-// outcome is in the log. No-op without a log.
+// under addMu as a writer's final act, when every appended record is
+// visible in shard state. No-op without a log.
 func (c *Collection) settleApplied() {
 	if c.wal != nil {
 		c.applied.Store(c.wal.LastSeq())

@@ -15,13 +15,11 @@ import (
 )
 
 // Applier is the follower-side sink the Tailer feeds. The store layer
-// implements it: Apply persists and replays a batch of records, Settle
-// flushes any buffered add batch once a heartbeat proves its amendment
-// (if any) has already been delivered, AckSeq reports the durable resume
-// position, and AppliedSeq the locally applied watermark.
+// implements it: Apply persists and replays a batch of records, AckSeq
+// reports the durable resume position, and AppliedSeq the locally
+// applied watermark.
 type Applier interface {
 	Apply(ctx context.Context, recs []wal.Record) error
-	Settle(ctx context.Context) error
 	AckSeq() uint64
 	AppliedSeq() uint64
 }
@@ -217,14 +215,9 @@ func (t *Tailer) tailOnce(ctx context.Context) (progress bool, err error) {
 		case ev.Truncated:
 			return progress, ErrNeedsBootstrap
 		case ev.Heartbeat:
-			// The stream is caught up: no amendment can be in flight for
-			// anything delivered so far, so the batch (and any pending add
-			// the applier buffered) is safe to settle.
+			// The stream is caught up: apply what it delivered, then ack.
 			if err := flush(); err != nil {
 				return progress, err
-			}
-			if err := t.cfg.Applier.Settle(ctx); err != nil {
-				return progress, fmt.Errorf("repl: settling: %w", err)
 			}
 			t.setState(func(st *Status) {
 				st.PrimaryApplied = ev.Applied

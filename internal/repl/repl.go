@@ -14,21 +14,19 @@
 //	                   framing (seq uvarint, type, len, payload, crc32),
 //	                   so the follower persists bytes position- and
 //	                   content-compatible with the primary's log
-//	0x02  heartbeat  — uvarint: the primary's applied (settled) sequence.
-//	                   Sent whenever the stream catches up and then
-//	                   periodically; it doubles as the follower's signal
-//	                   that no amendment is in flight for the last add
-//	                   batch, so buffered batches can be applied
+//	0x02  heartbeat  — uvarint: the primary's applied sequence. Sent
+//	                   whenever the stream catches up and then
+//	                   periodically; the follower applies what it has
+//	                   buffered and acks its position
 //	0x03  truncated  — the requested position predates the oldest
 //	                   retained segment; the follower must re-bootstrap
 //	                   from a snapshot. The stream ends after this tag
 //
-// The primary only streams records at or below its applied watermark:
-// a TypeAdd whose application outcome (clean, partial, or voided —
-// settled by an immediately following TypeApplied amendment) is not yet
-// final is held back. The follower may therefore treat "no next record"
-// (a heartbeat) as proof that its buffered add batch has no amendment
-// coming.
+// The primary only streams records at or below its applied watermark,
+// so a follower never shows a write before the primary does. A follower
+// applies every record as it arrives. TypeApplied records, which older
+// primaries wrote to amend a batch they could not land in full, still
+// travel and apply, so replication works across releases.
 package repl
 
 import (

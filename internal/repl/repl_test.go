@@ -130,7 +130,6 @@ func TestStateRoundTrip(t *testing.T) {
 type memApplier struct {
 	mu      sync.Mutex
 	recs    []wal.Record
-	settles int
 	applied uint64
 	failOn  uint64 // Apply fails when a batch contains this seq
 }
@@ -145,13 +144,6 @@ func (m *memApplier) Apply(ctx context.Context, recs []wal.Record) error {
 	}
 	m.recs = append(m.recs, recs...)
 	m.applied = recs[len(recs)-1].Seq
-	return nil
-}
-
-func (m *memApplier) Settle(ctx context.Context) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.settles++
 	return nil
 }
 

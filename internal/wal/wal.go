@@ -94,10 +94,11 @@ const (
 	TypeAdd Type = 1
 	// TypeRemove is a batch of id tombstones.
 	TypeRemove Type = 2
-	// TypeApplied amends the immediately preceding TypeAdd record after a
-	// partial or failed apply: only IDs (a subset of the batch, possibly
-	// empty) actually landed. Replay applies just that subset — an empty
-	// subset voids the batch entirely.
+	// TypeApplied amends an earlier TypeAdd batch of Total graphs from
+	// First after a partial or failed apply: only IDs (a subset of the
+	// batch, possibly empty) actually landed. Older releases wrote it;
+	// the log still encodes and decodes it so their logs and streams
+	// stay readable.
 	TypeApplied Type = 3
 )
 
@@ -959,6 +960,9 @@ func readRecord(cr *crcReader) (Record, error) {
 		}
 		return Record{}, fmt.Errorf("reading seq: %w", err)
 	}
+	if seq == 0 {
+		return Record{}, fmt.Errorf("record with sequence 0")
+	}
 	t, err := cr.ReadByte()
 	if err != nil {
 		return Record{}, fmt.Errorf("reading type: %w", graph.NoEOF(err))
@@ -1006,13 +1010,21 @@ func decodePayload(rec *Record, payload []byte) error {
 	}
 	get := func(what string) (int, error) { return bounded(what, graph.MaxBinaryElems) }
 	getID := func(what string) (int, error) { return bounded(what, maxID) }
+	// getSome reads a count the encoder never writes as zero.
+	getSome := func(what string) (int, error) {
+		x, err := get(what)
+		if err == nil && x == 0 {
+			err = fmt.Errorf("%s is zero", what)
+		}
+		return x, err
+	}
 	var err error
 	switch rec.Type {
 	case TypeAdd:
 		if rec.First, err = getID("first id"); err != nil {
 			return err
 		}
-		count, err := get("graph count")
+		count, err := getSome("graph count")
 		if err != nil {
 			return err
 		}
@@ -1026,7 +1038,7 @@ func decodePayload(rec *Record, payload []byte) error {
 		}
 		rec.Total = count
 	case TypeRemove:
-		count, err := get("id count")
+		count, err := getSome("id count")
 		if err != nil {
 			return err
 		}
@@ -1037,7 +1049,7 @@ func decodePayload(rec *Record, payload []byte) error {
 		if rec.First, err = getID("first id"); err != nil {
 			return err
 		}
-		if rec.Total, err = get("batch total"); err != nil {
+		if rec.Total, err = getSome("batch total"); err != nil {
 			return err
 		}
 		count, err := get("applied count")
