@@ -63,13 +63,15 @@ race:
 # fuzz runs each native fuzz target for $(FUZZTIME), one at a time (go
 # test -fuzz takes one target per package run): the segment reader, the
 # compiled VF2 pattern against brute force, the SoA pack round trip, the
-# graph text format, the mapper's label-count precheck against VF2, and
-# the follower's replication stream parser.
+# threshold-fused flat scan against the scalar ranking, the graph text
+# format, the mapper's label-count precheck against VF2, and the
+# follower's replication stream parser.
 # `go test` alone runs only their seed corpora.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime $(FUZZTIME) ./graphdim
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPattern$$' -fuzztime $(FUZZTIME) ./internal/subiso
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/vecspace
+	$(GO) test -run '^$$' -fuzz '^FuzzMappedScan$$' -fuzztime $(FUZZTIME) ./internal/topk
 	$(GO) test -run '^$$' -fuzz '^FuzzTextRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzMapperMatchesContains$$' -fuzztime $(FUZZTIME) ./internal/vecspace
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReader$$' -fuzztime $(FUZZTIME) ./internal/repl

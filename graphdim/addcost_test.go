@@ -35,7 +35,7 @@ func addBase(tb testing.TB, n int) *Index {
 	for i := range db {
 		db[i], vecs[i] = small.db[i%len(small.db)], small.block.Vector(i%len(small.db))
 	}
-	return addBaseIndex.fork(addBaseIndex.workers, newSnapshot(db, vecs, small.block.P(), make([]bool, n), n, nil))
+	return addBaseIndex.fork(addBaseIndex.workers, newSnapshot(db, vecs, small.block.P(), nil, n, nil))
 }
 
 // addBatch is the 8-graph batch every Add measurement adds.
@@ -48,44 +48,61 @@ func addBatch() []*Graph {
 // the stored graphs by no more than 4 B per graph between a base of 2,000
 // and one of 40,000. What is left is Block.Append copying its tile-header
 // slice (24 B per 16 graphs); copying db, dead and globals on every
-// publish costs about 19 B per graph and fails the test.
+// publish costs about 19 B per graph and fails the test. The Remove leg
+// holds a single-id Remove to 0.125 B per stored graph: it copies one
+// shard's tombstone bitset, 1/16 B per graph of the collection, where a
+// []bool tombstone column costs 0.5 B and fails.
 func TestAddCostIndependentOfSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	batch := addBatch()
 	ctx := context.Background()
-	perAdd := func(n int) float64 {
+	// perOp is the bytes one call of op allocates on a collection over a
+	// base of n graphs; op(c, i) makes the i-th call.
+	perOp := func(n int, op func(c *Collection, i int) error) float64 {
 		c, err := newTestStore(t).CreateFromIndex("c", addBase(t, n), CollectionOptions{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		add := func() {
-			if _, err := c.Add(ctx, batch...); err != nil {
+		call := func(i int) {
+			if err := op(c, i); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Warm up: the first Add after the open grows every clipped column once.
-		for range 10 {
-			add()
+		for i := range 10 {
+			call(i)
 		}
-		const adds = 200
+		const ops = 200
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		for range adds {
-			add()
+		for i := range ops {
+			call(10 + i)
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / adds
+		return float64(after.TotalAlloc-before.TotalAlloc) / ops
 	}
 	const small, large = 2000, 40000
-	a, b := perAdd(small), perAdd(large)
-	perGraph := (b - a) / (large - small)
-	t.Logf("bytes per 8-graph Add: %.0f at %d graphs, %.0f at %d: %.2f B per stored graph", a, small, b, large, perGraph)
-	if perGraph > 4 {
-		t.Fatalf("an Add allocates %.2f B more per stored graph (%.0f B at %d graphs, %.0f B at %d), ceiling 4: the publish copies a column",
-			perGraph, a, small, b, large)
+	for _, leg := range []struct {
+		name    string
+		op      func(c *Collection, i int) error
+		ceiling float64
+		cause   string
+	}{
+		{"8-graph Add", func(c *Collection, _ int) error { _, err := c.Add(ctx, batch...); return err }, 4,
+			"the publish copies a column"},
+		{"single-id Remove", func(c *Collection, i int) error { return c.Remove(i) }, 0.125,
+			"the tombstone set costs more than a bit per graph"},
+	} {
+		a, b := perOp(small, leg.op), perOp(large, leg.op)
+		perGraph := (b - a) / (large - small)
+		t.Logf("bytes per %s: %.0f at %d graphs, %.0f at %d: %.3f B per stored graph", leg.name, a, small, b, large, perGraph)
+		if perGraph > leg.ceiling {
+			t.Fatalf("a %s allocates %.3f B more per stored graph (%.0f B at %d graphs, %.0f B at %d), ceiling %g: %s",
+				leg.name, perGraph, a, small, b, large, leg.ceiling, leg.cause)
+		}
 	}
 }
 

@@ -257,7 +257,7 @@ func (c *Collection) apply(ctx context.Context, rec wal.Record) error {
 		for id := rec.First; id < end; id++ {
 			if len(listed) > 0 && listed[0] == id {
 				listed = listed[1:]
-			} else if s, local := c.resolve(id); local >= 0 && !s.dead[local] {
+			} else if s, local := c.resolve(id); local >= 0 && !s.isDead(local) {
 				bury = append(bury, id)
 			}
 		}

@@ -101,7 +101,7 @@ func assertSameContent(t *testing.T, label string, got, want *Collection) {
 // reclaimed).
 func liveGraph(c *Collection, id int) (*Graph, bool) {
 	s, local := c.resolve(id)
-	if local < 0 || s.dead[local] {
+	if local < 0 || s.isDead(local) {
 		return nil, false
 	}
 	g, err := s.graphAt(local)

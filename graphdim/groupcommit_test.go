@@ -142,11 +142,11 @@ func TestCrashRecoveryConcurrentRandomized(t *testing.T) {
 				sst, local := rc.resolve(id)
 				switch {
 				case removed[id]:
-					if local < 0 || !sst.dead[local] {
+					if local < 0 || !sst.isDead(local) {
 						t.Fatalf("id %d: acked remove lost across recovery (local=%d)", id, local)
 					}
 				case wantLive[id] != "":
-					if local < 0 || sst.dead[local] {
+					if local < 0 || sst.isDead(local) {
 						t.Fatalf("id %d: acked write lost across recovery (local=%d)", id, local)
 					}
 					if g, ok := rc.Graph(id); !ok || g.String() != wantLive[id] {

@@ -19,7 +19,7 @@ import (
 // reader: its graph, tombstone and id columns and every block vector.
 type frozenSnapshot struct {
 	db      []*Graph
-	dead    []bool
+	dead    []uint64
 	globals []int
 	vecs    []*vecspace.BitVector
 }
@@ -74,7 +74,7 @@ func randomLive(rng *rand.Rand, c *Collection) (int, bool) {
 	for _, sh := range c.shards {
 		s := sh.snap.Load()
 		for local, g := range s.globals {
-			if !s.dead[local] {
+			if !s.isDead(local) {
 				live = append(live, g)
 			}
 		}
@@ -118,7 +118,7 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				op = "remove"
 				s := ix.snap.Load()
-				if id := rng.Intn(len(s.db)); !s.dead[id] {
+				if id := rng.Intn(len(s.db)); !s.isDead(id) {
 					if err := ix.Remove(id); err != nil {
 						t.Fatal(err)
 					}

@@ -401,7 +401,7 @@ func TestReadersSeeOneShardState(t *testing.T) {
 	reader(func(i int) {
 		sh := i % shards
 		snap := c.shards[sh].snap.Load()
-		if n := len(snap.db); len(snap.globals) != n || len(snap.dead) != n || snap.block.N() != n || snap.post.N() != n {
+		if n := len(snap.db); len(snap.globals) != n || len(snap.dead) != deadWords(n) || snap.block.N() != n || snap.post.N() != n {
 			t.Errorf("shard %d: columns of one snapshot disagree: db %d, globals %d, dead %d, block %d, postings %d",
 				sh, n, len(snap.globals), len(snap.dead), snap.block.N(), snap.post.N())
 			return

@@ -195,7 +195,7 @@ func (c *Collection) scanShard(ctx context.Context, i int, pl *pipeline.Plan) (*
 			}
 		}
 		id := idAt(i)
-		if s.dead[id] {
+		if s.isDead(id) {
 			continue
 		}
 		// The graph is resolved — once — only when the residual or the

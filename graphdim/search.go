@@ -219,14 +219,15 @@ type SearchResult struct {
 	Results []Result
 	// Engine is the engine that produced Results.
 	Engine Engine
-	// Candidates is how many graphs the final ranking stage scored: the
-	// ids the mapped scan actually computed a distance for (the admitted
-	// scan size when the flat scan ran, minus whole zones the SoA
-	// block's zone map proved irrelevant; with posting-list pruning, the
-	// matched candidates plus however much of the unmatched stream the
-	// top-K needed — possibly far fewer), the admitted scan size for
-	// EngineExact, and the number of MCS verifications for
-	// EngineVerified. A Collection reports the sum over its shards, and
+	// Candidates is how many graphs the final ranking stage scored: for
+	// the mapped engine the ids offered to its top-K heap (with the flat
+	// scan, the admitted ids whose distance beat the heap's worst when
+	// the kernel reached them — a small fraction of the collection once
+	// the heap is full; with posting-list pruning, the matched candidates
+	// plus however much of the unmatched stream the top-K needed), the
+	// admitted scan size for EngineExact, and the number of MCS
+	// verifications for EngineVerified. A Collection reports the sum over
+	// its shards, and
 	// each shard verifies its own min(VerifyFactor·K, MaxCandidates)
 	// candidates — 60, not 30, for K=10 at factor 3 on two shards.
 	Candidates int

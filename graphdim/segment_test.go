@@ -402,8 +402,9 @@ func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
 	search := &pipeline.Search{K: len(db), G: q}
 	cases := map[string]func() error{
 		"predicate search": func() error {
-			// The flat scan asks the predicate about every live id.
-			_, err := c.Search(ctx, q, SearchOptions{K: 5, NoPrune: true, Predicate: func(int, *Graph) bool { return true }})
+			// The flat scan asks the predicate only about ids that can
+			// enter its heap; with K = every graph that is every live id.
+			_, err := c.Search(ctx, q, SearchOptions{K: len(db), NoPrune: true, Predicate: func(int, *Graph) bool { return true }})
 			return err
 		},
 		"filtered search": func() error {

@@ -872,7 +872,7 @@ func (c *Collection) Remove(ids ...int) error {
 		if local < 0 {
 			return fmt.Errorf("graphdim: id %d not in store", id)
 		}
-		if s.dead[local] || seen[id] {
+		if s.isDead(local) || seen[id] {
 			return fmt.Errorf("graphdim: id %d already removed", id)
 		}
 		seen[id] = true

@@ -127,7 +127,7 @@ func (ix *Index) removeLocked(cur *snapshot, ids []int) error {
 		if id < 0 || id >= len(cur.db) {
 			return fmt.Errorf("graphdim: id %d out of range [0,%d)", id, len(cur.db))
 		}
-		if cur.dead[id] || seen[id] {
+		if cur.isDead(id) || seen[id] {
 			return fmt.Errorf("graphdim: id %d already removed", id)
 		}
 		seen[id] = true

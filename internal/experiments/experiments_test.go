@@ -278,6 +278,33 @@ func TestFig7Buckets(t *testing.T) {
 	}
 }
 
+// TestFig7Shape holds the paper's Fig. 7 claim at harness scale: in every
+// query-size bucket that holds a query, answering it in DSPM's mapped
+// space — VF2 mapping plus the scan — is at least 10× faster than
+// ranking the database by exact (budgeted) MCS.
+func TestFig7Shape(t *testing.T) {
+	ds := chemDS(t)
+	res, err := Fig7(ds, ds.Index.P/4, []int{10, 14, 18, 21}, 2)
+	if err != nil {
+		t.Fatalf("Fig7: %v", err)
+	}
+	buckets := 0
+	for b, name := range res.Buckets {
+		if res.Exact[b] == 0 {
+			continue // no query of this size
+		}
+		buckets++
+		t.Logf("|V(q)| %s: DSPM %v, Original %v, Exact %v (%.0f×)", name, res.DSPM[b], res.Original[b], res.Exact[b],
+			float64(res.Exact[b])/float64(res.DSPM[b]))
+		if res.DSPM[b]*10 > res.Exact[b] {
+			t.Errorf("|V(q)| %s: mapped query %v is not 10× below exact %v", name, res.DSPM[b], res.Exact[b])
+		}
+	}
+	if buckets == 0 {
+		t.Fatal("no bucket held a query")
+	}
+}
+
 func TestFig8Points(t *testing.T) {
 	ds := chemDS(t)
 	pts, err := Fig8(ds, 10, 4, []int{10, 20}, 1)

@@ -47,6 +47,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"unsafe"
 
@@ -92,11 +93,14 @@ type Meta struct {
 // tiles, and the zone map; Graph returns the encoded blob of graph i
 // (a writer holding a source segment returns the raw bytes — graphs are
 // immutable, so a checkpoint never re-encodes the mapped base); List
-// returns dimension r's ascending posting list.
+// returns dimension r's ascending posting list. Dead is the tombstone
+// bitset, id i at bit i%64 of word i/64 — the dead section's bit order
+// read as little-endian words — with ceil(n/64) words and no bit set at
+// or past n.
 type Payload struct {
 	Meta  Meta
 	Block *vecspace.Block
-	Dead  []bool
+	Dead  []uint64
 	Graph func(i int) ([]byte, error)
 	Ones  []int32
 	List  func(r int) []int32
@@ -153,7 +157,7 @@ func (c *countCRCWriter) uvarint(x uint64) error {
 func Write(w io.Writer, pl Payload) (err error) {
 	blk := pl.Block
 	n, p, width, words := blk.N(), blk.P(), blk.Width(), blk.Words()
-	if len(pl.Dead) != n || len(pl.Ones) != n {
+	if len(pl.Dead) != (n+63)/64 || len(pl.Ones) != n {
 		return fmt.Errorf("segment: payload lengths disagree with block (n=%d dead=%d ones=%d)", n, len(pl.Dead), len(pl.Ones))
 	}
 	cw := &countCRCWriter{w: w}
@@ -208,10 +212,8 @@ func Write(w io.Writer, pl Payload) (err error) {
 	// dead bitmap
 	deadOff := cw.n
 	db := make([]byte, (n+7)/8)
-	for i, d := range pl.Dead {
-		if d {
-			db[i/8] |= 1 << (uint(i) % 8)
-		}
+	for i := range db {
+		db[i] = byte(pl.Dead[i/8] >> (i % 8 * 8))
 	}
 	if _, err := cw.Write(db); err != nil {
 		return fail(err)
@@ -620,17 +622,22 @@ func (r *Reader) Block() (*vecspace.Block, error) {
 	return vecspace.BlockFromWords(r.n, r.p, words, zones), nil
 }
 
-// Dead decodes the tombstone bitmap into the heap (tombstones are COW
-// runtime state, never served from the mapping).
-func (r *Reader) Dead() ([]bool, int) {
-	b := r.data[r.deadOff:]
-	out := make([]bool, r.n)
+// Dead decodes the tombstone bitmap into a heap bitset in Payload.Dead's
+// form, and counts its ids. Tombstones are copy-on-write runtime state,
+// never served from the mapping; any bit at or past n — which no writer
+// sets — is dropped, so ids appended later start live.
+func (r *Reader) Dead() ([]uint64, int) {
+	b := r.data[r.deadOff : r.deadOff+int64((r.n+7)/8)]
+	out := make([]uint64, (r.n+63)/64)
+	for i, x := range b {
+		out[i/8] |= uint64(x) << (i % 8 * 8)
+	}
+	if tail := r.n % 64; tail != 0 {
+		out[len(out)-1] &= 1<<tail - 1
+	}
 	count := 0
-	for i := 0; i < r.n; i++ {
-		if b[i/8]&(1<<(uint(i)%8)) != 0 {
-			out[i] = true
-			count++
-		}
+	for _, w := range out {
+		count += bits.OnesCount64(w)
 	}
 	return out, count
 }

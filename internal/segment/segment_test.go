@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,9 +41,11 @@ func buildFixture(t *testing.T, n, p int, seed int64) *fixture {
 		vecs[i] = v
 		ones[i] = int32(v.Ones())
 	}
-	dead := make([]bool, n)
-	for i := range dead {
-		dead[i] = rng.Intn(7) == 0
+	dead := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		if rng.Intn(7) == 0 {
+			dead[i/64] |= 1 << (i % 64)
+		}
 	}
 	blobs := make([][]byte, n)
 	graphs := make([]*graph.Graph, n)
@@ -147,13 +150,21 @@ func checkReader(t *testing.T, fx *fixture, r *Reader) {
 	}
 	dead, count := r.Dead()
 	wantCount := 0
-	for i, d := range fx.pl.Dead {
-		if dead[i] != d {
-			t.Fatalf("dead[%d] = %v", i, dead[i])
+	for i := 0; i < n; i++ {
+		d := fx.pl.Dead[i/64]&(1<<(i%64)) != 0
+		if got := dead[i/64]&(1<<(i%64)) != 0; got != d {
+			t.Fatalf("dead[%d] = %v", i, got)
+		}
+		// The file keeps the v4 bit order: id i at byte i/8, bit i%8.
+		if got := r.data[r.deadOff+int64(i/8)]&(1<<(i%8)) != 0; got != d {
+			t.Fatalf("dead section bit %d = %v", i, got)
 		}
 		if d {
 			wantCount++
 		}
+	}
+	if len(dead) != len(fx.pl.Dead) {
+		t.Fatalf("dead bitset has %d words, want %d", len(dead), len(fx.pl.Dead))
 	}
 	if count != wantCount {
 		t.Fatalf("dead count %d want %d", count, wantCount)
@@ -309,6 +320,32 @@ func TestSegmentBodyCorruption(t *testing.T) {
 			t.Fatal("VerifyBody missed the flipped bit")
 		}
 		r.Close()
+	}
+}
+
+// TestSegmentDeadDropsBitsPastN: a mapped open does not checksum the
+// body, so a dead section whose last byte carries a bit past n still
+// opens — and Dead drops that bit, so the id an Add appends there
+// starts live.
+func TestSegmentDeadDropsBitsPastN(t *testing.T) {
+	const n = 203 // the last dead byte holds ids 200..202 and 5 spare bits
+	fx := buildFixture(t, n, 64, 13)
+	data, err := os.ReadFile(writeFixture(t, fx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(data, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantCount := r.Dead()
+	data[r.deadOff+n/8] |= 1 << 7
+	if r, err = NewReader(data, true, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, count := r.Dead()
+	if count != wantCount || !slices.Equal(got, want) {
+		t.Fatalf("stray bit past n: dead %x (%d ids), want %x (%d ids)", got, count, want, wantCount)
 	}
 }
 

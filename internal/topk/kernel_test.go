@@ -68,6 +68,18 @@ func randAlive(rng *rand.Rand, n int) Alive {
 	}
 }
 
+// randDead returns a tombstone bitset over n ids with each id dead at
+// probability 1/oneIn.
+func randDead(rng *rand.Rand, n, oneIn int) []uint64 {
+	dead := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		if rng.Intn(oneIn) == 0 {
+			dead[i/64] |= 1 << (i % 64)
+		}
+	}
+	return dead
+}
+
 func assertRankingPrefix(t *testing.T, label string, got, ref Ranking, k int) {
 	t.Helper()
 	if k > len(ref) {
@@ -108,21 +120,32 @@ func TestKernelDistanceEquivalence(t *testing.T) {
 // with fresh, Append-extended, and missing (packed per call) blocks,
 // tombstones, Alive filters, and a shared Scratch reused across every
 // round — must return exactly the first k entries of the scalar full
-// ranking.
+// ranking. The tie-heavy rounds (p <= 4, n <= 2,000) hold the threshold
+// the kernel takes from the heap to ties across tiles and zone skips, and
+// add a tombstone bitset with whole dead tiles.
 func TestKernelTopKEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(kernelSeed(t)))
 	ctx := context.Background()
 	s := NewScratch() // shared across rounds: reuse must not leak state
 	defer s.Release()
-	for round := 0; round < 80; round++ {
+	const rounds, tieRounds = 80, 40
+	for round := 0; round < rounds+tieRounds; round++ {
 		n, p := rng.Intn(160), 1+rng.Intn(190)
 		if rng.Intn(10) == 0 {
 			p = 0
+		}
+		if round >= rounds {
+			// Tie-heavy: at most 4 dimensions over up to 2,000 ids, so
+			// counts tie with the heap root across tiles and zones skip.
+			n, p = rng.Intn(2001), 1+rng.Intn(4)
 		}
 		vecs := kernelRandVecs(rng, n, p)
 		q := kernelRandVecs(rng, 1, p)[0]
 		alive := randAlive(rng, n)
 		k := rng.Intn(n + 3)
+		if round >= rounds {
+			k = rng.Intn(min(n, 40) + 3)
+		}
 		label := "round " + strconv.Itoa(round) +
 			" n=" + strconv.Itoa(n) + " p=" + strconv.Itoa(p) + " k=" + strconv.Itoa(k)
 
@@ -159,6 +182,27 @@ func TestKernelTopKEquivalence(t *testing.T) {
 				got = append(Ranking(nil), got...)
 				assertRankingPrefix(t, label+" flat copy blk="+name, got, ref, k)
 			}
+		}
+
+		// Tie-heavy rounds also tombstone through the bitset the kernel
+		// masks with: scattered ids and whole dead tiles.
+		if round >= rounds {
+			dead := randDead(rng, n, 8)
+			for t := 0; t*16 < n; t++ {
+				if rng.Intn(4) == 0 {
+					dead[t/4] |= 0xffff << (t % 4 * 16)
+				}
+			}
+			lim := Limits{Dead: dead, Pred: alive}
+			deadRef, _, err := MappedContext(ctx, vecs, q, lim.Admits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := MappedScan(ctx, blocks["chained"], q, lim, k, nil, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRankingPrefix(t, label+" dead tiles", got, deadRef, k)
 		}
 
 		// Pruned plan from the real posting index, when its cost model
@@ -234,12 +278,9 @@ func TestScanLimits(t *testing.T) {
 		post := posting.FromVectors(vecs, p)
 		k := 1 + rng.Intn(12)
 
-		var dead []bool
+		var dead []uint64
 		if rng.Intn(2) == 0 {
-			dead = make([]bool, n)
-			for i := range dead {
-				dead[i] = rng.Intn(3) == 0
-			}
+			dead = randDead(rng, n, 3)
 		}
 		var pred Alive
 		if rng.Intn(2) == 0 {

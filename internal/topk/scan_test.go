@@ -1,0 +1,245 @@
+package topk
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/graph"
+	"repro/internal/gspan"
+	"repro/internal/vecspace"
+)
+
+// referenceScan is the flat scan's shape before the heap's threshold moved
+// into the kernel: every lane's count is stored to an n-entry buffer and
+// loaded back, each lane branches on a []bool tombstone and on the
+// predicate, and each live lane is packed and offered to pushK, which
+// rejects almost all of them once the heap is full. It returns the k best
+// packed keys, sorted.
+func referenceScan(blk *vecspace.Block, qv *vecspace.BitVector, dead []bool, pred Alive, k int,
+	dists []int32, keys []uint64) []uint64 {
+	blk.HammingInto(qv, dists)
+	keys = keys[:0]
+	for id, d := range dists[:blk.N()] {
+		if dead != nil && dead[id] {
+			continue
+		}
+		if pred != nil && !pred(id) {
+			continue
+		}
+		keys = pushK(keys, k, uint64(d)<<32|uint64(id))
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+var (
+	chemOnce    sync.Once
+	chemBlock   *vecspace.Block
+	chemQueries []*vecspace.BitVector
+)
+
+// chemCorpus is the mapped corpus BenchmarkMappedScan scans, built the way
+// vecspace's chemMapper builds its mapper: 64 gSpan features of a
+// 200-molecule sample (τ = 0.05, ≤ 6 edges, 64 scaffolds). It maps the
+// same 64 query molecules and 40,000 more molecules of the same families,
+// packed as one block.
+func chemCorpus(tb testing.TB) (*vecspace.Block, []*vecspace.BitVector) {
+	tb.Helper()
+	chemOnce.Do(func() {
+		const sample, queries, lanes = 200, 64, 40000
+		all := dataset.Chemical(dataset.ChemConfig{N: sample + queries + lanes, Seed: 7, Scaffolds: 64})
+		feats, err := gspan.Mine(all[:sample], gspan.Options{
+			MinSupport:  gspan.MinSupportRatio(0.05, sample),
+			MaxEdges:    6,
+			MaxFeatures: 64,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fs := make([]*graph.Graph, len(feats))
+		for i, f := range feats {
+			fs[i] = f.Graph
+		}
+		m := vecspace.NewMapper(fs)
+		for _, g := range all[sample : sample+queries] {
+			chemQueries = append(chemQueries, m.Map(g))
+		}
+		vecs := make([]*vecspace.BitVector, lanes)
+		for i, g := range all[sample+queries:] {
+			vecs[i] = m.Map(g)
+		}
+		chemBlock = vecspace.Pack(vecs, m.Dim())
+	})
+	if chemBlock == nil {
+		tb.Fatal("chem corpus failed to build")
+	}
+	return chemBlock, chemQueries
+}
+
+// BenchmarkMappedScan is the flat top-k scan (K = 10) over the 40,000-lane
+// chem corpus, with no tombstones and with 1% of ids dead. Every
+// iteration runs one query through both legs: fused is MappedScan, the
+// threshold in the kernel and the tombstones a bitset; reference is
+// referenceScan, the shape it replaced. It reports each leg's ns per lane
+// and their ratio — compare the ratio, which one run measures on one
+// host, not the absolute ns/lane, which moves with the host. The fused
+// leg runs on the block's zone map as every Search does; the reference
+// has none to use, so on queries whose zones skip, part of the ratio is
+// the zone map's.
+func BenchmarkMappedScan(b *testing.B) {
+	blk, queries := chemCorpus(b)
+	n := blk.N()
+	ctx := context.Background()
+	for _, pct := range []int{0, 1} {
+		b.Run(fmt.Sprintf("dead=%d%%", pct), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(pct)))
+			bitset, bools := make([]uint64, (n+63)/64), make([]bool, n)
+			for i := 0; i < n*pct/100; i++ {
+				id := rng.Intn(n)
+				bitset[id/64] |= 1 << (id % 64)
+				bools[id] = true
+			}
+			lim := Limits{Dead: bitset}
+			if pct == 0 {
+				lim, bools = Limits{}, nil
+			}
+			s := NewScratch()
+			defer s.Release()
+			dists, keys := make([]int32, n), make([]uint64, 0, 10)
+			for _, qv := range queries {
+				got, _, err := MappedScan(ctx, blk, qv, lim, 10, nil, s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				keys = referenceScan(blk, qv, bools, nil, 10, dists, keys)
+				for i, key := range keys {
+					if got[i].ID != int(uint32(key)) {
+						b.Fatalf("fused result %d is id %d, reference %d", i, got[i].ID, uint32(key))
+					}
+				}
+			}
+			var fused, reference time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				qv := queries[i%len(queries)]
+				t0 := time.Now()
+				MappedScan(ctx, blk, qv, lim, 10, nil, s)
+				t1 := time.Now()
+				keys = referenceScan(blk, qv, bools, nil, 10, dists, keys)
+				fused += t1.Sub(t0)
+				reference += time.Since(t1)
+			}
+			lanes := float64(b.N) * float64(n)
+			b.ReportMetric(float64(fused.Nanoseconds())/lanes, "fused-ns/lane")
+			b.ReportMetric(float64(reference.Nanoseconds())/lanes, "reference-ns/lane")
+			b.ReportMetric(float64(fused)/float64(reference), "fused/reference")
+		})
+	}
+}
+
+// TestPredicateAskedOnlyOfSurvivors: the flat scan asks the predicate only
+// about lanes the kernel's threshold lets through — each id at most once,
+// and on a 4,000-id corpus at K = 10 far fewer times than there are live
+// ids — and still returns the reference ranking.
+func TestPredicateAskedOnlyOfSurvivors(t *testing.T) {
+	rng := rand.New(rand.NewSource(kernelSeed(t)))
+	const n, p, k = 4000, 64, 10
+	vecs := kernelRandVecs(rng, n, p)
+	blk := vecspace.Pack(vecs, p)
+	asked := make([]int, n)
+	for round := 0; round < 8; round++ {
+		clear(asked)
+		q := kernelRandVecs(rng, 1, p)[0]
+		lim := Limits{Pred: func(id int) bool { asked[id]++; return id%3 != 0 }}
+		if round%2 == 1 {
+			lim.Dead = randDead(rng, n, 10)
+		}
+		got, scored, err := MappedScan(context.Background(), blk, q, lim, k, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		for id, c := range asked {
+			if c > 1 {
+				t.Fatalf("round %d: predicate asked %d times about id %d", round, c, id)
+			}
+			if c > 0 && lim.skips(id) {
+				t.Fatalf("round %d: predicate asked about dead id %d", round, id)
+			}
+			calls += c
+		}
+		if calls >= n/4 {
+			t.Fatalf("round %d: predicate asked %d times on %d ids, want fewer than %d", round, calls, n, n/4)
+		}
+		if scored > calls {
+			t.Fatalf("round %d: %d ids offered to the heap, only %d asked", round, scored, calls)
+		}
+		ref, _, err := MappedContext(context.Background(), vecs, q, func(id int) bool { return !lim.skips(id) && id%3 != 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRankingPrefix(t, "round "+strconv.Itoa(round), got, ref, k)
+		t.Logf("round %d: predicate asked %d times, %d ids offered", round, calls, scored)
+	}
+}
+
+// FuzzMappedScan: the flat MappedScan over any vector set, tombstone
+// bitset, predicate and k returns exactly the first k entries of
+// MappedContext's ranking, distances included. Vectors are p bits each of
+// data; id i is dead when bit i%8 of deadBits[i/8] is set; mod > 1 refuses
+// ids divisible by it.
+func FuzzMappedScan(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint8(0), uint8(3), uint64(0), uint64(0), uint8(0))
+	f.Add([]byte{0x5a, 0xa5, 0xff, 0x00, 0x13}, []byte{0x01}, uint8(3), uint8(2), uint64(5), uint64(0), uint8(0))
+	f.Add(make([]byte, 300), []byte{0xff, 0xff, 0x0f}, uint8(1), uint8(10), uint64(1), uint64(0), uint8(3))
+	f.Add(make([]byte, 1024), []byte{0, 0xff, 0, 0xff}, uint8(64), uint8(1), uint64(0xf0f0), uint64(3), uint8(2))
+	f.Fuzz(func(t *testing.T, data, deadBits []byte, pRaw, kRaw uint8, q0, q1 uint64, mod uint8) {
+		p := int(pRaw)%128 + 1
+		n := min(len(data)*8/p, 2000)
+		vecs := make([]*vecspace.BitVector, n)
+		for i := range vecs {
+			v := vecspace.NewBitVector(p)
+			for r := 0; r < p; r++ {
+				if bit := i*p + r; data[bit/8]&(1<<(bit%8)) != 0 {
+					v.Set(r)
+				}
+			}
+			vecs[i] = v
+		}
+		q := vecspace.NewBitVector(p)
+		for r := 0; r < p; r++ {
+			if []uint64{q0, q1}[r/64]&(1<<(r%64)) != 0 {
+				q.Set(r)
+			}
+		}
+		var lim Limits
+		if len(deadBits) > 0 {
+			lim.Dead = make([]uint64, (n+63)/64)
+			for i := 0; i < n && i/8 < len(deadBits); i++ {
+				if deadBits[i/8]&(1<<(i%8)) != 0 {
+					lim.Dead[i/64] |= 1 << (i % 64)
+				}
+			}
+		}
+		if mod > 1 {
+			lim.Pred = func(id int) bool { return id%int(mod) != 0 }
+		}
+		k := int(kRaw)
+		ref, _, err := MappedContext(context.Background(), vecs, q, lim.Admits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := MappedScan(context.Background(), vecspace.Pack(vecs, p), q, lim, k, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRankingPrefix(t, fmt.Sprintf("n=%d p=%d k=%d", n, p, k), got, ref, k)
+	})
+}

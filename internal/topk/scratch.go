@@ -3,9 +3,9 @@ package topk
 import "sync"
 
 // Scratch is a per-query scratch arena for the batched scan kernel: the
-// distance buffer the SoA kernel streams into, the bounded top-k heap,
-// the matched-candidate staging area of the pruned path, and the result
-// staging the caller copies out of. Reusing one Scratch across queries
+// bounded top-k heap, the pruned path's gather tile, distance buffer and
+// matched-candidate staging area, and the result staging the caller
+// copies out of. Reusing one Scratch across queries
 // makes a warm cache-miss fan-out perform O(1) allocations per query —
 // the buffers grow to the high-water mark of the collection and stay.
 //
@@ -13,7 +13,7 @@ import "sync"
 // MappedTopKContext alias s.out and stay valid only until the next use
 // or Release; callers copy what they keep.
 type Scratch struct {
-	dists  []int32  // per-id Hamming counts (kernel scans)
+	dists  []int32  // gathered Hamming counts (pruned path)
 	keys   []uint64 // bounded max-heap of packed (hamming, id) keys
 	items  []Item   // matched-candidate staging (pruned path)
 	out    Ranking  // result staging returned to the caller

@@ -75,16 +75,19 @@ func sortItems(items []Item) {
 type Alive func(id int) bool
 
 // Limits says which ids a scan may score, as data the scan applies
-// inline: a tombstone slice costs the kernel loop a load, and only a
-// caller's predicate costs a call — so a scan with no predicate never
-// leaves the vector store, and never resolves a graph to decide to skip
-// it. The zero Limits admits every id the store holds.
+// inline: the flat scan's kernel masks a tile's tombstones with one shift
+// of the bitset, and only a caller's predicate costs a call — so a scan
+// with no predicate never leaves the vector store, and never resolves a
+// graph to decide to skip it. The zero Limits admits every id the store
+// holds.
 type Limits struct {
-	// Dead, when non-nil, marks tombstoned ids; it must cover every id
-	// the store holds. Leave it nil when nothing is dead.
-	Dead []bool
+	// Dead, when non-nil, is the tombstone bitset: id i is dead when bit
+	// i%64 of Dead[i/64] is set. It must cover every id the store holds.
+	// Leave it nil when nothing is dead.
+	Dead []uint64
 	// Pred, when non-nil, is asked last, and only about ids that are not
-	// dead.
+	// dead. The flat scan asks it only about ids whose count would enter
+	// the heap (see bound), so it may not be asked about every live id.
 	Pred Alive
 }
 
@@ -97,7 +100,7 @@ func (l Limits) Admits(id int) bool {
 // because it inlines, which Admits as a whole does not: the scan loops
 // test it in line and make a call only for a predicate.
 func (l Limits) skips(id int) bool {
-	return l.Dead != nil && l.Dead[id]
+	return l.Dead != nil && l.Dead[id/64]&(1<<(id%64)) != 0
 }
 
 // Exact ranks the database for query q by the MCS dissimilarity metric —
@@ -203,21 +206,25 @@ func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk
 // MappedScan is the top-k scan every Search runs: exactly the first k
 // entries of MappedContext's ranking over the ids lim admits, computed
 // from the SoA block. With a plan it runs the pruned merge; without one
-// it streams the block through the popcount kernel and keeps the k best
-// with a bounded heap — never materializing, let alone sorting, the full
-// ranking. Results are bit-identical to MappedContext's first k entries,
-// distances included: the kernel computes the very same integer Hamming
-// counts, the same sqrt(hamming/p) expression scores them, and the
-// packed-key selection order (hamming, id) equals the flat sort's
-// (score, id) order (see scratch.go).
+// it streams the block through the popcount kernel with the heap's
+// threshold fused in (Block.HammingBelow): a lane leaves the kernel only
+// if it is live and its count is below bound — the heap's worst count —
+// and only then is the predicate asked and the k best kept in a bounded
+// heap. Nothing materializes, let alone sorts, the full ranking. Results
+// are bit-identical to MappedContext's first k entries, distances
+// included: the kernel computes the very same integer Hamming counts, the
+// same sqrt(hamming/p) expression scores them, the packed-key selection
+// order (hamming, id) equals the flat sort's (score, id) order (see
+// scratch.go), and every lane or zone the threshold drops is one the heap
+// would reject (see bound).
 //
 // blk is the vector store; the scan covers ids [0, blk.N()).
 // s may be nil (buffers are then allocated per call); when non-nil the
 // returned Ranking aliases s and is valid only until its next use or
-// Release. The second return value is the number of ids the scan
-// actually computed a distance for — at most MappedContext's count, and
-// smaller whenever the block's zone map proved whole zones irrelevant
-// (see zoneSkips); the rankings are identical regardless.
+// Release. The second return value is the number of ids offered to the
+// heap: admitted ids that the threshold and the zone map did not rule
+// out — at most MappedContext's count, and on a large scan a small
+// fraction of it; the rankings are identical regardless.
 func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector, lim Limits,
 	k int, cands *Candidates, s *Scratch) (Ranking, int, error) {
 	if cands != nil && cands.K > 0 {
@@ -234,20 +241,24 @@ func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector
 		return s.out, 0, nil
 	}
 	n := blk.N()
-	if k > n {
-		k = n
-	}
-	dead, pred := lim.Dead, lim.Pred
+	k = min(k, n)
+	pred := lim.Pred
 	keys := s.keys[:0]
 	scored := 0
-	// One zone (vecspace.ZoneSpan ids) at a time, heap live, so the zone
-	// map can prove whole zones irrelevant before a single tile is
-	// touched. The skip is exact (see zoneSkips): the results are
-	// bit-identical to a scan with no zone map — only `scored` (a
-	// diagnostic) shrinks.
+	// The kernel hands over only the lanes that can enter the heap (see
+	// bound); the predicate is asked about those alone.
+	offer := func(id int, count int32) int32 {
+		if pred == nil || pred(id) {
+			scored++
+			keys = pushK(keys, k, uint64(count)<<32|uint64(id))
+		}
+		return bound(keys, k)
+	}
+	// One zone (vecspace.ZoneSpan ids) at a time, so the zone map can
+	// prove whole zones irrelevant before a single tile is touched.
 	zones := blk.Zones()
 	qw, qOnes := qv.Words(), qv.Ones()
-	dists := s.distBuf(n)
+	thr := int32(math.MaxInt32)
 	for lo := 0; lo < n; lo += vecspace.ZoneSpan {
 		zi := lo / vecspace.ZoneSpan
 		if zi%zoneCtxStride == 0 {
@@ -255,25 +266,10 @@ func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector
 				return nil, 0, err
 			}
 		}
-		if zones != nil && len(keys) == k &&
-			zones.LowerBound(qOnes, qw, zi) >= int(keys[0]>>32) {
+		if zones != nil && zones.LowerBound(qOnes, qw, zi) >= int(thr) {
 			continue
 		}
-		hi := lo + vecspace.ZoneSpan
-		if hi > n {
-			hi = n
-		}
-		blk.HammingSlice(qv, lo, hi, dists)
-		for id := lo; id < hi; id++ {
-			if dead != nil && dead[id] {
-				continue
-			}
-			if pred != nil && !pred(id) {
-				continue
-			}
-			scored++
-			keys = pushK(keys, k, uint64(dists[id])<<32|uint64(id))
-		}
+		thr = blk.HammingBelow(qv, lo, lo+vecspace.ZoneSpan, lim.Dead, thr, offer)
 	}
 	s.keys = keys
 	slices.Sort(keys)
@@ -290,17 +286,27 @@ func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector
 	return out, scored, nil
 }
 
-// zoneSkips documents why skipping a zone whose lower bound reaches the
-// heap's worst kept Hamming count is exact. With the heap full, a new
-// candidate enters only when its packed key (hamming<<32 | id) is
-// strictly below the root's. Every id in an unvisited zone is greater
-// than every id already in the heap (both scans visit ids ascending), so
-// a zone candidate with hamming equal to the root's count packs a key
-// above the root — a rejected tie — and one with a greater count is
-// rejected outright. LowerBound proves no zone member has a smaller
-// count, hence no member can displace anything: the skip changes no
-// result, only the work done.
-//
+// bound is the scans' threshold: an id visited from here on can enter
+// the heap only with a Hamming count below it — every id (MaxInt32) while
+// the heap has room, then the root's count. Why that is exact: with the
+// heap full, a candidate enters only when its packed key (hamming<<32 |
+// id) is strictly below the root's. Both scans visit ids ascending, so
+// the candidate's id exceeds every id in the heap; with a count equal to
+// the root's it packs a key above the root — a rejected tie — and with a
+// greater count it is rejected outright. So the lanes HammingBelow masks
+// (count >= bound) and the zones the scans skip (LowerBound >= bound: no
+// member has a smaller count) are lanes pushK would reject; dropping
+// them changes no result, only the work done and the count of ids
+// offered. Every lane the flat scan does offer is one pushK accepts
+// unless the predicate refuses it, so the predicate — on a mapped store,
+// a payload decode — is asked only about ids that would enter the heap.
+func bound(keys []uint64, k int) int32 {
+	if len(keys) < k {
+		return math.MaxInt32
+	}
+	return int32(keys[0] >> 32)
+}
+
 // mappedPruned evaluates the pruned plan. Equivalence to the flat scan
 // rests on three facts: (1) a matched id's distance is computed from the
 // same block by the kernel's gather, which produces the identical
@@ -311,7 +317,7 @@ func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector
 // (score, id) tie order; (3) the merge emits at most K items, so only
 // the (score, id)-first K matched candidates can ever reach the output —
 // bounding the matched stage with the same heap the flat scan uses keeps
-// exactly those, and zone skips are exact per zoneSkips.
+// exactly those, and zone skips are exact per bound.
 func mappedPruned(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector, lim Limits,
 	cands *Candidates, s *Scratch) (Ranking, int, error) {
 	if s == nil {
@@ -349,8 +355,7 @@ func mappedPruned(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVect
 				return nil, 0, err
 			}
 		}
-		if zones != nil && len(keys) == cands.K &&
-			zones.LowerBound(qOnes, qw, zi) >= int(keys[0]>>32) {
+		if zones != nil && zones.LowerBound(qOnes, qw, zi) >= int(bound(keys, cands.K)) {
 			start = end
 			continue
 		}

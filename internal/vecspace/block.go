@@ -1,6 +1,10 @@
 package vecspace
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Block is the structure-of-arrays form of a database of binary feature
 // vectors — the layout the hot mapped scan streams instead of chasing
@@ -21,8 +25,8 @@ import "math/bits"
 // every full tile of the receiver (only the trailing partial tile is
 // copied), Appends must be serialized by the caller and applied only to
 // the newest Block of a chain, and removals are not Block events —
-// tombstoned ids keep their lanes and are filtered by the scan's
-// liveness predicate.
+// tombstoned ids keep their lanes and are masked by the scan's dead
+// bitset (HammingBelow).
 type Block struct {
 	n, p  int
 	words int // (p+63)/64
@@ -189,37 +193,96 @@ func (b *Block) HammingID(q *BitVector, id int) int {
 // bit-identical counts — but streaming word-major: one query word
 // against Width contiguous lanes per inner iteration.
 func (b *Block) HammingInto(q *BitVector, out []int32) {
-	b.HammingSlice(q, 0, b.n, out)
+	for base := 0; base < b.n; base += width {
+		acc := counts(q, b.tiles[base/width])
+		copy(out[base:min(base+width, b.n)], acc[:])
+	}
 }
 
-// HammingSlice is HammingInto restricted to ids [lo, hi), writing
-// out[lo:hi]. lo must be tile-aligned (lo % Width == 0); hi is clamped
-// to N. It exists so a long scan can interleave cancellation checks
-// between chunks without giving up the batched inner loop.
-func (b *Block) HammingSlice(q *BitVector, lo, hi int, out []int32) {
+// HammingBelow is the threshold-fused form of the kernel, the flat top-k
+// scan's inner loop. It streams ids [lo, hi) a tile at a time and calls
+// visit(id, count) only for the lanes whose Hamming count is below thr
+// and whose bit in dead is clear, in ascending id order; every other lane
+// is dropped without a call. visit returns the threshold for the lanes
+// after it (a top-k heap hands back its worst kept count once it is
+// full), and HammingBelow returns the last one.
+//
+// dead is a bitset — id i is bit i%64 of dead[i/64] — covering every id
+// in [lo, hi), or nil when no id is dead. lo must be tile-aligned
+// (lo % Width == 0); hi is clamped to N, so no padding lane is visited.
+func (b *Block) HammingBelow(q *BitVector, lo, hi int, dead []uint64, thr int32,
+	visit func(id int, count int32) int32) int32 {
 	if lo%width != 0 {
-		panic("vecspace: HammingSlice lo must be tile-aligned")
+		panic("vecspace: HammingBelow lo must be tile-aligned")
 	}
-	if hi > b.n {
-		hi = b.n
-	}
-	for base := lo; base < hi; base += width {
-		tile := b.tiles[base/width]
-		var acc [width]int32
-		for w, qw := range q.bits {
-			// The array-pointer conversion pins the row length so the
-			// inner loop runs without bounds checks.
-			row := (*[width]uint64)(tile[w*width:])
+	hi = min(hi, b.n)
+	// Once the caller's heap is full almost no tile holds a lane below
+	// thr, so each tile is first reduced to its least count, and only a
+	// tile under thr pays for the lane mask (survivors). At p <= 64 that
+	// pass keeps one running minimum and stores no lane's count.
+	if len(q.bits) == 1 {
+		qw := q.bits[0]
+		for base := lo; base < hi; base += width {
+			row := (*[width]uint64)(b.tiles[base/width])
+			least := int32(math.MaxInt32)
 			for j := 0; j < width; j++ {
-				acc[j] += int32(bits.OnesCount64(qw ^ row[j]))
+				least = min(least, int32(bits.OnesCount64(qw^row[j])))
+			}
+			if least < thr {
+				thr = survivors(counts(q, row[:]), base, hi, dead, thr, visit)
 			}
 		}
-		n := hi - base
-		if n > width {
-			n = width
-		}
-		copy(out[base:base+n], acc[:n])
+		return thr
 	}
+	for base := lo; base < hi; base += width {
+		if acc := counts(q, b.tiles[base/width]); slices.Min(acc[:]) < thr {
+			thr = survivors(acc, base, hi, dead, thr, visit)
+		}
+	}
+	return thr
+}
+
+// survivors is HammingBelow's lane mask for the tile of ids base.. whose
+// counts are acc: it visits the lanes below hi, live in dead, whose count
+// is below thr.
+func survivors(acc [width]int32, base, hi int, dead []uint64, thr int32,
+	visit func(id int, count int32) int32) int32 {
+	// below has bit j set when lane j's count is under thr: the sign of
+	// count-thr, which cannot overflow (0 <= count <= p, thr >= 0).
+	var below uint32
+	for j, c := range acc {
+		below |= uint32(c-thr) >> 31 << j
+	}
+	if dead != nil {
+		// A tile is a quarter of a word: lanes base..base+15 are bits
+		// base%64.. of word base/64.
+		below &^= uint32(uint16(dead[base/64] >> (base % 64)))
+	}
+	if n := hi - base; n < width {
+		below &= 1<<n - 1
+	}
+	for ; below != 0; below &= below - 1 {
+		// The threshold may have tightened since the mask was taken.
+		if j := bits.TrailingZeros32(below); acc[j] < thr {
+			thr = visit(base+j, acc[j])
+		}
+	}
+	return thr
+}
+
+// counts returns the Hamming counts between q and the Width lanes of one
+// packed tile (padding lanes included).
+func counts(q *BitVector, tile []uint64) [width]int32 {
+	var acc [width]int32
+	for w, qw := range q.bits {
+		// The array-pointer conversion pins the row length so the
+		// inner loop runs without bounds checks.
+		row := (*[width]uint64)(tile[w*width:])
+		for j := 0; j < width; j++ {
+			acc[j] += int32(bits.OnesCount64(qw ^ row[j]))
+		}
+	}
+	return acc
 }
 
 // HammingGather computes the Hamming distance between q and each of the
@@ -253,13 +316,7 @@ func (b *Block) HammingGather(q *BitVector, ids []int32, scratch []uint64, out [
 				g[w*width+j] = tile[w*width+col]
 			}
 		}
-		var acc [width]int32
-		for w, qw := range q.bits {
-			row := (*[width]uint64)(g[w*width:])
-			for j := 0; j < width; j++ {
-				acc[j] += int32(bits.OnesCount64(qw ^ row[j]))
-			}
-		}
+		acc := counts(q, g)
 		copy(out[base:base+m], acc[:m])
 	}
 	return scratch

@@ -1,7 +1,9 @@
 package vecspace
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -97,8 +99,8 @@ func TestBlockAppendCopyOnWrite(t *testing.T) {
 }
 
 // TestBlockHammingMatchesScalar checks the kernel (the gather form and
-// tile-aligned slices included) against the scalar HammingDistance on
-// ragged shapes.
+// the threshold-fused HammingBelow included) against the scalar
+// HammingDistance on ragged shapes.
 func TestBlockHammingMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, width - 1, width, width + 1, 3*width + 5} {
@@ -117,15 +119,44 @@ func TestBlockHammingMatchesScalar(t *testing.T) {
 					t.Fatalf("n=%d p=%d: HammingID(%d) = %d, want %d", n, p, id, got, want)
 				}
 			}
-			// Chunked slices must agree with the one-shot scan,
-			// including a clamped over-length hi.
-			chunked := make([]int32, n)
-			for lo := 0; lo < n; lo += width {
-				b.HammingSlice(q, lo, lo+width, chunked)
-			}
-			for id := range out {
-				if chunked[id] != out[id] {
-					t.Fatalf("n=%d p=%d: chunked[%d] = %d, want %d", n, p, id, chunked[id], out[id])
+			// HammingBelow over tile-aligned chunks, with a tombstone
+			// bitset and a threshold that visit tightens, must visit
+			// exactly the ids a scalar walk admits — ascending, with
+			// their counts — including a clamped over-length hi.
+			for _, oneIn := range []int{0, 2, 5} {
+				var dead []uint64
+				if oneIn > 0 {
+					dead = make([]uint64, (n+63)/64)
+					for id := 0; id < n; id++ {
+						if rng.Intn(oneIn) == 0 {
+							dead[id/64] |= 1 << (id % 64)
+						}
+					}
+				}
+				tighten := func(thr, count int32) int32 {
+					if thr == math.MaxInt32 {
+						return count + 2
+					}
+					return max(thr-1, count)
+				}
+				var want, got [][2]int32
+				thr := int32(math.MaxInt32)
+				for id := range vecs {
+					if (dead == nil || dead[id/64]&(1<<(id%64)) == 0) && out[id] < thr {
+						want = append(want, [2]int32{int32(id), out[id]})
+						thr = tighten(thr, out[id])
+					}
+				}
+				thr = math.MaxInt32
+				for lo := 0; lo < n; lo += 2 * width {
+					thr = b.HammingBelow(q, lo, lo+2*width, dead, thr, func(id int, count int32) int32 {
+						got = append(got, [2]int32{int32(id), count})
+						thr = tighten(thr, count)
+						return thr
+					})
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d p=%d 1/%d dead: HammingBelow visited %v, want %v", n, p, oneIn, got, want)
 				}
 			}
 		}
@@ -143,5 +174,7 @@ func TestBlockPanics(t *testing.T) {
 		fn()
 	}
 	b := Pack(randVectors(rand.New(rand.NewSource(4)), 20, 64), 64)
-	assertPanics("unaligned lo", func() { b.HammingSlice(NewBitVector(64), 3, 20, make([]int32, 20)) })
+	assertPanics("unaligned lo", func() {
+		b.HammingBelow(NewBitVector(64), 3, 20, nil, math.MaxInt32, func(int, int32) int32 { return 0 })
+	})
 }
