@@ -24,7 +24,7 @@ LOAD_DURATION   ?= 5s
 LOAD_MAX_P99_MS ?= 250
 LOAD_MAX_LAG    ?= 10s
 
-.PHONY: build test race fuzz vet check lines bench cover loadtest loadtest-repl
+.PHONY: build test race fuzz vet check lines bench cover cli loadtest loadtest-repl
 
 build:
 	$(GO) build ./...
@@ -61,14 +61,17 @@ race:
 	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/... ./internal/subiso/... ./internal/mcs/...
 
 # fuzz runs each native fuzz target for $(FUZZTIME), one at a time (go
-# test -fuzz takes one target per package run): the segment reader, the
-# compiled VF2 pattern against brute force, the SoA pack round trip, the
-# threshold-fused flat scan against the scalar ranking, the graph text
-# format, the mapper's label-count precheck against VF2, and the
-# follower's replication stream parser.
-# `go test` alone runs only their seed corpora.
+# test -fuzz takes one target per package run): the v4 segment decoder
+# (whose re-encoding is a fixed point), the compiled VF2 pattern against
+# brute force, the SoA pack round trip, the threshold-fused flat scan
+# against the scalar ranking, the graph text format, the mapper's
+# label-count precheck against VF2, and the follower's replication
+# stream parser.
+# `go test` alone runs only their seed corpora. The segment decoder's
+# inputs are kilobytes long, so its minimization is capped at 200 runs
+# per new input: the default 60 s would spend most of FUZZTIME there.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime $(FUZZTIME) ./graphdim
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/segment
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPattern$$' -fuzztime $(FUZZTIME) ./internal/subiso
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/vecspace
 	$(GO) test -run '^$$' -fuzz '^FuzzMappedScan$$' -fuzztime $(FUZZTIME) ./internal/topk
@@ -78,6 +81,13 @@ fuzz:
 
 vet:
 	$(GO) vet ./...
+
+# cli builds dspm, gsearch, gq and gserve into a temporary directory and
+# drives them over one store directory: dspm writes it, gsearch (mapped
+# and verified) and a gq count pipeline read it, gserve serves /healthz
+# and a search and exits cleanly on SIGTERM (scripts/cli-smoke.sh).
+cli:
+	bash scripts/cli-smoke.sh
 
 # check is the first CI step. A Go source matched by .gitignore exists on
 # the author's disk but not in git, so every local command passes while

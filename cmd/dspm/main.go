@@ -1,15 +1,20 @@
 // Command dspm builds a graph-dimension index from a graph database file
-// and writes it to disk for use by gsearch and gserve.
+// — the paper's offline phase — and persists it as a collection of a
+// store directory, the one form gsearch, gq and gserve read.
 //
 // Usage:
 //
-//	dspm -in db.graphs -out index.gdx [-p 200] [-tau 0.05] [-algo dspmap] [-b 50]
+//	dspm -in db.graphs -out storedir [-p 200] [-tau 0.05] [-algo dspmap] [-b 50]
+//	dspm -gen 200 -out storedir -collection mols -shards 4
 //
 // The input uses the standard text format ("t #", "v id label",
-// "e u v label"). Generate a demo database with -gen N. The index is
-// written as one v4 segment file; -progress reports the build
-// stages (mining, MCS matrix, DSPM, vectors), and Ctrl-C cancels a long
-// build promptly.
+// "e u v label"). Generate a demo database with -gen N. -out is opened
+// or created as a store directory (graphdim.OpenOrCreateStore) and the
+// index becomes its collection -collection, split across -shards shards
+// with a query-result cache bounded by -cache-entries and -cache-bytes;
+// the create checkpoints it. An existing collection of that name is
+// refused before the build. -progress reports the build stages (mining,
+// MCS matrix, DSPM, vectors), and Ctrl-C cancels a long build promptly.
 package main
 
 import (
@@ -30,7 +35,11 @@ func main() {
 	log.SetPrefix("dspm: ")
 	var (
 		in       = flag.String("in", "", "input graph database file (text format)")
-		out      = flag.String("out", "index.gdx", "output index file")
+		out      = flag.String("out", "store", "store directory to create the collection in (opened, or created if it holds no store)")
+		collName = flag.String("collection", "default", "name of the collection the index becomes")
+		shards   = flag.Int("shards", 1, "shards the collection splits across")
+		cacheEnt = flag.Int("cache-entries", 4096, "the collection's query-result cache entries (0 = no cache)")
+		cacheB   = flag.Int64("cache-bytes", 64<<20, "the collection's approximate query-result cache size in bytes (0 = entries-only bound)")
 		gen      = flag.Int("gen", 0, "instead of -in, generate N chemical-like graphs")
 		genSeed  = flag.Int64("seed", 1, "generator / DSPMap seed")
 		p        = flag.Int("p", 200, "number of dimensions to select")
@@ -103,24 +112,23 @@ func main() {
 		}
 	}
 
+	store, err := graphdim.OpenOrCreateStore(*out, graphdim.StoreOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer store.Close()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	idx, err := graphdim.BuildContext(ctx, db, opt)
+	// Create refuses a taken name or bad options before the build, and
+	// checkpoints the collection once it is built.
+	coll, err := store.Create(ctx, *collName, db, graphdim.CollectionOptions{
+		Shards: *shards,
+		Build:  opt,
+		Cache:  graphdim.CacheOptions{MaxEntries: *cacheEnt, MaxBytes: *cacheB},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("selected %d dimensions", len(idx.Dimensions()))
-
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	n, err := idx.WriteTo(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("index written to %s (%d bytes)\n", *out, n)
+	fmt.Printf("collection %q written to %s: %d graphs, %d dimensions, %d shards\n",
+		*collName, *out, coll.Size(), coll.Stats().Dimensions, coll.Shards())
 }

@@ -13,7 +13,8 @@
 //
 // Usage:
 //
-//	gserve -data /tmp/g -index index.gdx -addr :8080 &
+//	dspm -gen 200 -out /tmp/g
+//	gserve -data /tmp/g -addr :8080 &
 //	gload -addr http://127.0.0.1:8080 -collection default \
 //	  -duration 30s -rate 200 -mix 80,15,5 | jq .
 //

@@ -1,12 +1,11 @@
 // Command gq runs a composable query pipeline — the same JSON documents
-// POST /v1/collections/{name}/query accepts — against an index file
-// built by dspm or a store directory saved by the graphdim.Store API,
-// offline, without a server.
+// POST /v1/collections/{name}/query accepts — against a collection of a
+// store directory (dspm -out, or a gserve -data directory), offline,
+// without a server.
 //
 // Usage:
 //
-//	gq -pipeline p.json -index index.gdx
-//	gq -pipeline p.json -index index.gdx -shards 4
+//	gq -pipeline p.json -store storedir
 //	gq -pipeline - -store storedir -collection default < p.json
 //
 // A pipeline is {"stages":[...]} with filter, search, topk, limit,
@@ -14,9 +13,9 @@
 // carries its query graph inline as {"labels":[...],"edges":[[u,v,l],
 // ...]}. The result is printed as JSON on stdout: rows, count or
 // groups, plus execution stats (pushdown split, per-stage timings).
-// With -shards > 1 the flat index fans the pipeline out across an
-// in-memory sharded collection — per-shard partial aggregates merge to
-// the same answer, making the flag an equivalence check. Ctrl-C
+// The pipeline fans out across the collection's shards and per-shard
+// partial aggregates merge to the unsharded answer. The store opens
+// read-only, so the directory may belong to a live gserve. Ctrl-C
 // cancels an in-flight pipeline promptly.
 package main
 
@@ -39,10 +38,8 @@ func main() {
 	log.SetPrefix("gq: ")
 	var (
 		pipePath = flag.String("pipeline", "", `pipeline JSON file ("-" = stdin)`)
-		index    = flag.String("index", "index.gdx", "index file built by dspm (overridden by -store)")
-		storeDir = flag.String("store", "", "store directory saved by graphdim.Store (overrides -index)")
+		storeDir = flag.String("store", "store", "store directory (dspm -out, or a gserve -data directory)")
 		collName = flag.String("collection", "default", "collection to query inside -store")
-		shards   = flag.Int("shards", 1, "with -index: split the index into this many shards and fan the pipeline out")
 	)
 	flag.Parse()
 	if *pipePath == "" {
@@ -65,41 +62,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Both backends run through a Collection — pipelines are a
-	// collection-level API (shard fan-out + partial-aggregate merge);
-	// a flat index simply becomes a 1-shard in-memory collection.
-	var coll *graphdim.Collection
-	if *storeDir != "" {
-		// Never a second owner of a live gserve's WAL: Disabled opens
-		// read the snapshot without touching the log (see gsearch).
-		store, err := graphdim.OpenStore(*storeDir, graphdim.StoreOptions{WAL: graphdim.WALOptions{Disabled: true}})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer store.Close()
-		var ok bool
-		coll, ok = store.Collection(*collName)
-		if !ok {
-			log.Fatalf("store %s has no collection %q (have %v)", *storeDir, *collName, store.Collections())
-		}
-		log.Printf("opened %s/%s: %d graphs in %d shards", *storeDir, *collName, coll.Size(), coll.Shards())
-	} else {
-		f, err := os.Open(*index)
-		if err != nil {
-			log.Fatal(err)
-		}
-		idx, err := graphdim.ReadIndex(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		store := graphdim.NewStore(graphdim.StoreOptions{})
-		defer store.Close()
-		coll, err = store.CreateFromIndex(*collName, idx, graphdim.CollectionOptions{Shards: *shards})
-		if err != nil {
-			log.Fatal(err)
-		}
+	// Never a second owner of a live gserve's WAL: Disabled opens read
+	// the snapshot without touching the log (see gsearch).
+	store, err := graphdim.OpenStore(*storeDir, graphdim.StoreOptions{WAL: graphdim.WALOptions{Disabled: true}})
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer store.Close()
+	coll, ok := store.Collection(*collName)
+	if !ok {
+		log.Fatalf("store %s has no collection %q (have %v)", *storeDir, *collName, store.Collections())
+	}
+	log.Printf("opened %s/%s: %d graphs in %d shards", *storeDir, *collName, coll.Size(), coll.Shards())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

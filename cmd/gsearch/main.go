@@ -1,21 +1,19 @@
-// Command gsearch answers top-k graph similarity queries against an index
-// built by the dspm command, or against a collection of a store directory
-// saved by the graphdim.Store API.
+// Command gsearch answers top-k graph similarity queries against a
+// collection of a store directory — written by dspm -out, or the -data
+// directory of a gserve.
 //
 // Usage:
 //
-//	gsearch -index index.gdx -queries q.graphs [-k 10] [-engine verified] [-factor 3]
-//	gsearch -index index.gdx -queries q.graphs -shards 4
-//	gsearch -store storedir -collection default -queries q.graphs
+//	gsearch -store storedir -queries q.graphs [-k 10] [-engine verified] [-factor 3]
+//	gsearch -store storedir -collection mols -queries q.graphs
 //
 // The engine flag picks the query engine: mapped (the paper's vector-space
 // scan, the default), verified (retrieve factor·k candidates, re-rank by
 // exact MCS), or exact (full MCS search; orders of magnitude slower, for
-// ground-truth comparison). With -shards > 1 the flat index is split into
-// a sharded in-memory collection and queries fan out across the shards —
-// results are identical to the unsharded index, making the flag a handy
-// equivalence check for the Store path. Ctrl-C cancels an in-flight query
-// promptly.
+// ground-truth comparison). Queries fan out across the collection's
+// shards; results are identical to an unsharded index. The store opens
+// read-only, so the directory may belong to a live gserve. Ctrl-C cancels
+// an in-flight query promptly.
 package main
 
 import (
@@ -35,10 +33,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gsearch: ")
 	var (
-		index    = flag.String("index", "index.gdx", "index file built by dspm (a v4 segment)")
-		storeDir = flag.String("store", "", "store directory saved by graphdim.Store (overrides -index)")
+		storeDir = flag.String("store", "store", "store directory (dspm -out, or a gserve -data directory)")
 		collName = flag.String("collection", "default", "collection to query inside -store")
-		shards   = flag.Int("shards", 1, "with -index: split the index into this many shards and fan queries out")
 		queries  = flag.String("queries", "", "query graphs file (text format)")
 		k        = flag.Int("k", 10, "number of results per query")
 		engine   = flag.String("engine", "mapped", "query engine: mapped, verified or exact")
@@ -55,52 +51,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// search abstracts over the three backends: a flat index, a sharded
-	// in-memory collection wrapped around it, or a persisted store.
-	var search func(ctx context.Context, q *graphdim.Graph, opt graphdim.SearchOptions) (*graphdim.SearchResult, error)
-	switch {
-	case *storeDir != "":
-		// A query CLI must never become a second owner of the store's
-		// write-ahead log — the directory may belong to a live gserve.
-		// Disabled opens read the snapshot without touching the log, and
-		// refuse (with an explanation) if un-replayed records exist; let
-		// the serving process recover those. Racing a live checkpoint can
-		// fail transiently (superseded shard files swept mid-open) —
-		// loud, clean, and fixed by retrying.
-		store, err := graphdim.OpenStore(*storeDir, graphdim.StoreOptions{WAL: graphdim.WALOptions{Disabled: true}})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer store.Close()
-		coll, ok := store.Collection(*collName)
-		if !ok {
-			log.Fatalf("store %s has no collection %q (have %v)", *storeDir, *collName, store.Collections())
-		}
-		log.Printf("opened %s/%s: %d graphs in %d shards", *storeDir, *collName, coll.Size(), coll.Shards())
-		search = coll.Search
-	default:
-		f, err := os.Open(*index)
-		if err != nil {
-			log.Fatal(err)
-		}
-		idx, err := graphdim.ReadIndex(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *shards > 1 {
-			store := graphdim.NewStore(graphdim.StoreOptions{})
-			defer store.Close()
-			coll, err := store.CreateFromIndex(*collName, idx, graphdim.CollectionOptions{Shards: *shards})
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("split %s into %d shards", *index, coll.Shards())
-			search = coll.Search
-		} else {
-			search = idx.Search
-		}
+	// A query CLI must never become a second owner of the store's
+	// write-ahead log — the directory may belong to a live gserve.
+	// Disabled opens read the snapshot without touching the log, and
+	// refuse (with an explanation) if un-replayed records exist; let the
+	// serving process recover those. Racing a live checkpoint can fail
+	// transiently (superseded shard files swept mid-open) — loud, clean,
+	// and fixed by retrying.
+	store, err := graphdim.OpenStore(*storeDir, graphdim.StoreOptions{WAL: graphdim.WALOptions{Disabled: true}})
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer store.Close()
+	coll, ok := store.Collection(*collName)
+	if !ok {
+		log.Fatalf("store %s has no collection %q (have %v)", *storeDir, *collName, store.Collections())
+	}
+	log.Printf("opened %s/%s: %d graphs in %d shards", *storeDir, *collName, coll.Size(), coll.Shards())
 
 	qf, err := os.Open(*queries)
 	if err != nil {
@@ -120,7 +87,7 @@ func main() {
 	// values — -engine mapped means mapped.
 	opt := graphdim.SearchOptions{K: *k, Engine: eng, VerifyFactor: *factor, MaxCandidates: *maxcand, NoDefaults: true}
 	for qi, q := range qs {
-		res, err := search(ctx, q, opt)
+		res, err := coll.Search(ctx, q, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

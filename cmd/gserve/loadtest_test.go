@@ -279,14 +279,6 @@ func BenchmarkServedMixedLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		b.Fatal(err)
-	}
-	idx, err = graphdim.ReadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		b.Fatal(err)
-	}
 	store := graphdim.NewStore(graphdim.StoreOptions{})
 	defer store.Close()
 	if _, err := store.CreateFromIndex("default", idx, graphdim.CollectionOptions{

@@ -1,12 +1,12 @@
 // Command gserve serves top-k graph similarity queries over HTTP — the
 // online half of the paper's offline/online split, grown into a multi-
 // collection store: dspm builds an index once (expensive: mining, MCS
-// matrix, DSPM), gserve serves it from a graphdim.Store, optionally split
-// across -shards parallel shards, behind a versioned REST API.
-// Collections grow online (/add maps new graphs into the fixed dimension
-// space without re-mining). A collection keeps the one dimension set it
-// was created with; its stats report the stale ratio, the operator's
-// signal to create a fresh collection from the current graphs.
+// matrix, DSPM) into a store directory, and gserve serves that directory
+// from a graphdim.Store behind a versioned REST API. Collections grow
+// online (/add maps new graphs into the fixed dimension space without
+// re-mining). A collection keeps the one dimension set it was created
+// with; its stats report the stale ratio, the operator's signal to
+// create a fresh collection from the current graphs.
 //
 // The production deployment runs against a -data directory: the store is
 // opened (or initialized) there, every accepted add and remove is
@@ -14,14 +14,13 @@
 // run every -checkpoint-every (plus on graceful shutdown and on demand
 // via the checkpoint action), and a restart — clean or kill -9 —
 // recovers exactly the acknowledged writes by replaying the log tail
-// over the last checkpoint. -index seeds the default collection into a
-// fresh -data store (or serves alone, volatile, without -data).
+// over the last checkpoint. Without -data gserve starts an empty
+// in-memory store whose collections, created over HTTP, are volatile.
 //
 // Usage:
 //
-//	dspm -gen 200 -out index.gdx
-//	gserve -data /var/lib/gserve -index index.gdx -addr :8080 \
-//	  -shards 4 -checkpoint-every 5m
+//	dspm -gen 200 -out /var/lib/gserve -shards 4
+//	gserve -data /var/lib/gserve -addr :8080 -checkpoint-every 5m
 //
 // The API is one table (routes.go); every request and error body is JSON
 // except graph payloads, which use the text format "t # id" /
@@ -108,42 +107,27 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gserve: ")
 	var (
-		index     = flag.String("index", "", "seed index file built by dspm (a v4 segment); required without -data, with -data it seeds the default collection if missing")
-		data      = flag.String("data", "", "durable store directory (opened or created): every add/remove is write-ahead logged and survives a crash; without it online writes are volatile")
+		data      = flag.String("data", "", "durable store directory (opened or created; dspm -out writes one): every add/remove is write-ahead logged and survives a crash; without it the store is empty, in memory and volatile")
 		ckpEvery  = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval for -data stores (0 = only manual /checkpoint actions and the shutdown checkpoint)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		k         = flag.Int("k", 10, "default number of results per query")
-		shards    = flag.Int("shards", 1, "shards for the default collection")
-		collName  = flag.String("collection", "default", "name of the collection -index seeds")
 		workers   = flag.Int("workers", 0, "store-wide cross-shard worker budget (0 = one per CPU)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout (0 = unbounded)")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
-		cacheEnt  = flag.Int("cache-entries", 4096, "query-result cache entries for the default collection (0 = no cache)")
-		cacheByte = flag.Int64("cache-bytes", 64<<20, "approximate query-result cache size in bytes for the default collection (0 = entries-only bound)")
 		maxReads  = flag.Int("max-inflight-reads", defaultMaxInflightReads, "per-collection bound on in-flight search requests; beyond it requests get 429 + Retry-After (negative = unlimited)")
 		maxWrites = flag.Int("max-inflight-writes", defaultMaxInflightWrites, "per-collection bound on in-flight add/ingest requests; beyond it requests get 429 + Retry-After (negative = unlimited)")
 		follow    = flag.String("follow", "", "run as a read-only replication follower of this primary gserve base URL: bootstrap from its snapshot, tail its WAL, answer writes with 307 (requires -data)")
 		replHB    = flag.Duration("repl-heartbeat", defaultReplHeartbeat, "heartbeat interval on replication WAL tail streams")
-		memory    = flag.String("memory", "auto", "how checkpointed shard segments are served: auto (mmap where the platform supports it), map (explicitly request mmap), heap (rehydrate fully into memory)")
+		memory    = flag.String("memory", "auto", "how checkpointed shard segments are served: auto (mmap where the platform supports it) or heap (rehydrate fully into memory, verifying each segment's checksum)")
 	)
 	flag.Parse()
 
-	if *follow != "" {
-		if *data == "" {
-			log.Fatal("-follow requires -data: a follower mirrors the primary's log durably")
-		}
-		if *index != "" {
-			log.Fatal("-follow and -index are mutually exclusive: a follower seeds from the primary's snapshot")
-		}
+	if *follow != "" && *data == "" {
+		log.Fatal("-follow requires -data: a follower mirrors the primary's log durably")
 	}
-	if *data == "" && *index == "" {
-		log.Fatal("need -data (durable store directory) and/or -index (seed index file)")
-	}
-	memMode, ok := map[string]graphdim.MemoryMode{
-		"auto": graphdim.MemoryAuto, "map": graphdim.MemoryMap, "heap": graphdim.MemoryHeap,
-	}[*memory]
+	memMode, ok := map[string]graphdim.MemoryMode{"auto": graphdim.MemoryAuto, "heap": graphdim.MemoryHeap}[*memory]
 	if !ok {
-		log.Fatalf("memory must be auto, map, or heap, got %q", *memory)
+		log.Fatalf("memory must be auto or heap, got %q", *memory)
 	}
 
 	// The metrics registry exists before the store: the WAL feeds its
@@ -182,32 +166,6 @@ func main() {
 		log.Printf("no -data directory: online writes are volatile and lost on restart")
 	}
 	defer store.Close()
-
-	if *index != "" {
-		if _, ok := store.Collection(*collName); ok {
-			log.Printf("collection %q already in the store; ignoring -index %s", *collName, *index)
-		} else {
-			f, err := os.Open(*index)
-			if err != nil {
-				log.Fatal(err)
-			}
-			idx, err := graphdim.ReadIndex(f)
-			f.Close()
-			if err != nil {
-				log.Fatal(err)
-			}
-			coll, err := store.CreateFromIndex(*collName, idx, graphdim.CollectionOptions{
-				Shards:   *shards,
-				Defaults: graphdim.SearchOptions{K: *k},
-				Cache:    graphdim.CacheOptions{MaxEntries: *cacheEnt, MaxBytes: *cacheByte},
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("seeded %s into collection %q: %d graphs, %d dimensions, %d shards",
-				*index, *collName, coll.Size(), len(idx.Dimensions()), coll.Shards())
-		}
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

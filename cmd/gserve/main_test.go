@@ -21,8 +21,7 @@ import (
 	"repro/internal/dataset"
 )
 
-// buildTestIndex builds a small index and round-trips it through the
-// persistence layer, exercising the same load path main uses.
+// buildTestIndex builds the small index every test server serves.
 func buildTestIndex(t testing.TB) *graphdim.Index {
 	t.Helper()
 	db := dataset.Chemical(dataset.ChemConfig{N: 25, MinVertices: 8, MaxVertices: 12, Seed: 7})
@@ -30,15 +29,7 @@ func buildTestIndex(t testing.TB) *graphdim.Index {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	loaded, err := graphdim.ReadIndex(&buf)
-	if err != nil {
-		t.Fatalf("ReadIndex: %v", err)
-	}
-	return loaded
+	return idx
 }
 
 // newTestServer stands up the full handler around a store whose default
@@ -59,7 +50,7 @@ func newTestServerStore(t *testing.T, shards int, timeout time.Duration) (*httpt
 	t.Cleanup(store.Close)
 	_, err := store.CreateFromIndex("default", buildTestIndex(t), graphdim.CollectionOptions{
 		Shards: shards,
-		// Mirror main: the default collection serves through the
+		// Mirror dspm: a collection it writes serves through the
 		// query-result cache.
 		Cache: graphdim.CacheOptions{MaxEntries: 256},
 	})

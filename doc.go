@@ -6,18 +6,19 @@
 // dimension selection) under an Options.Workers bound with cancellation
 // and per-stage progress, and the resulting Index serves concurrent
 // Search/SearchBatch readers (per-query engine choice: mapped, verified,
-// exact), grows online via Add/Remove without re-running DSPM, and
-// persists via WriteTo/ReadIndex as one v4 segment file.
+// exact), and grows online via Add/Remove without re-running DSPM.
 // Above the single index sits the Store management layer: named
 // collections sharded across parallel indexes by hashed graph placement,
 // fan-out search with a global top-k merge over the collection's one
 // dimension set, a Compact that reclaims tombstoned slots without
-// changing a ranking while readers keep serving, and Save/OpenStore
-// directory persistence with a manifest. Stores opened against a data
-// directory (OpenStore, CreateStore, OpenOrCreateStore) are durable:
-// adds and removes are write-ahead logged (internal/wal) and fsynced
-// before they publish, Checkpoint persists a snapshot and truncates the
-// replayed log, and reopening replays the tail — a kill at any instant
+// changing a ranking while readers keep serving, and the one persisted
+// form of an index: a store directory (a manifest plus one v4 segment
+// file per shard) that only Checkpoint writes and OpenStore serves.
+// Stores opened against a data directory (OpenStore, CreateStore,
+// OpenOrCreateStore) are durable: adds and removes are write-ahead
+// logged (internal/wal) and fsynced before they publish, Checkpoint
+// persists a snapshot and truncates the replayed log, and reopening
+// replays the tail — a kill at any instant
 // recovers exactly the acknowledged writes. Concurrent writers share
 // fsyncs through the log's group commit: the first appender to arrive
 // leads the group, so the durability tax divides across however many
@@ -48,9 +49,9 @@
 // pinned by a randomized kernel-equivalence suite and an allocation
 // regression test (DESIGN.md §14). cmd/gload drives the HTTP surface with an
 // open-loop mixed workload (searches, writes, pipelines) and reports
-// the latency distribution; the other commands (gen, mine, dspm,
-// gsearch, figures, benchjson) cover the rest of the pipeline — see
-// README.md for a tour.
+// the latency distribution; the other commands (gen, mine, dspm — which
+// writes a store directory — gsearch, figures, benchjson) cover the rest
+// of the pipeline — see README.md for a tour.
 //
 // The paper's algorithms and substrates are implemented under internal/
 // (see DESIGN.md for the full inventory and the concurrency model). The

@@ -1,6 +1,7 @@
 // Command chemsearch is a realistic compound-search workflow on the
 // graphdim public API: build an index over a chemical database, persist it
-// to disk (one v4 segment file), reload it, and compare the mapped,
+// as a collection of a store directory, serve it from there, and compare
+// the mapped,
 // verified and exact engines on the same queries — the scenario that
 // motivates the paper (PubChem-style similarity search without per-query
 // MCS computation) plus the accuracy/latency dial the Search API exposes.
@@ -37,33 +38,31 @@ func main() {
 	}
 	fmt.Printf("indexed in %v; %d dimensions selected\n", time.Since(start).Round(time.Millisecond), len(idx.Dimensions()))
 
-	// Persist and reload — a production index is built once, served many
-	// times.
-	path := filepath.Join(os.TempDir(), "chemsearch.index.gdx")
-	f, err := os.Create(path)
+	// Persist and reopen — a production index is built once, served many
+	// times. Creating the collection in a store directory checkpoints it.
+	dir := filepath.Join(os.TempDir(), "chemsearch-store")
+	os.RemoveAll(dir)
+	defer os.RemoveAll(dir)
+	store, err := graphdim.CreateStore(dir, graphdim.StoreOptions{})
 	if err != nil {
-		log.Fatalf("create: %v", err)
+		log.Fatalf("create store: %v", err)
 	}
-	n, err := idx.WriteTo(f)
+	if _, err := store.CreateFromIndex("compounds", idx, graphdim.CollectionOptions{}); err != nil {
+		log.Fatalf("create collection: %v", err)
+	}
+	store.Close()
+	store, err = graphdim.OpenStore(dir, graphdim.StoreOptions{})
 	if err != nil {
-		log.Fatalf("save: %v", err)
+		log.Fatalf("open store: %v", err)
 	}
-	f.Close()
-	f, err = os.Open(path)
-	if err != nil {
-		log.Fatalf("open: %v", err)
-	}
-	idx, err = graphdim.ReadIndex(f)
-	f.Close()
-	if err != nil {
-		log.Fatalf("load: %v", err)
-	}
-	fmt.Printf("index round-tripped through %s (%d bytes, v4 segment)\n", path, n)
+	defer store.Close()
+	coll, _ := store.Collection("compounds")
+	fmt.Printf("collection checkpointed to %s and reopened: %d compounds\n", dir, coll.Size())
 
 	// Serve queries; compare the engines against exact MCS ground truth.
 	const k = 5
 	for qi, q := range queries {
-		exact, err := idx.Search(ctx, q, graphdim.SearchOptions{K: k, Engine: graphdim.EngineExact})
+		exact, err := coll.Search(ctx, q, graphdim.SearchOptions{K: k, Engine: graphdim.EngineExact})
 		if err != nil {
 			log.Fatalf("exact: %v", err)
 		}
@@ -77,7 +76,7 @@ func main() {
 			{K: k},
 			{K: k, Engine: graphdim.EngineVerified, VerifyFactor: 3},
 		} {
-			res, err := idx.Search(ctx, q, opt)
+			res, err := coll.Search(ctx, q, opt)
 			if err != nil {
 				log.Fatalf("%v: %v", opt.Engine, err)
 			}
@@ -92,5 +91,4 @@ func main() {
 				hits, k, exact.Elapsed.Round(time.Millisecond))
 		}
 	}
-	os.Remove(path)
 }

@@ -1,8 +1,10 @@
 // Command store demonstrates the graphdim.Store management layer: a named
 // collection sharded across parallel indexes, fan-out search with a
 // global top-k merge, online growth and removal, a Compact that reclaims
-// the removed slots without moving a ranking, and Save/OpenStore
-// persistence — the serving-system shape cmd/gserve exposes over HTTP.
+// the removed slots without moving a ranking, and persistence: the store
+// lives in a data directory, a Checkpoint writes it there, and OpenStore
+// serves it again — the serving-system shape cmd/gserve exposes over
+// HTTP.
 package main
 
 import (
@@ -21,8 +23,15 @@ func main() {
 	db := dataset.Chemical(dataset.ChemConfig{N: 60, Seed: 42})
 	queries := dataset.Chemical(dataset.ChemConfig{N: 2, Seed: 43})
 
-	store := graphdim.NewStore(graphdim.StoreOptions{})
-	defer store.Close()
+	// A durable store: every collection is checkpointed into dir when it
+	// is created, and every later write is logged there first.
+	dir := filepath.Join(os.TempDir(), "graphdim-store-example")
+	os.RemoveAll(dir)
+	defer os.RemoveAll(dir)
+	store, err := graphdim.CreateStore(dir, graphdim.StoreOptions{})
+	if err != nil {
+		log.Fatalf("create store: %v", err)
+	}
 
 	// One build over the full database, split across 4 shards: every
 	// shard holds the same dimension set for the life of the collection,
@@ -83,12 +92,12 @@ func main() {
 	fmt.Printf("removed 10, compacted %d shards; g%d still resolves: %v; top-1 g%d -> g%d\n",
 		n, ids[0], resolvable, before.Results[0].ID, after.Results[0].ID)
 
-	// Persist and reload the whole store.
-	dir := filepath.Join(os.TempDir(), "graphdim-store-example")
-	defer os.RemoveAll(dir)
-	if err := store.Save(dir); err != nil {
-		log.Fatalf("save: %v", err)
+	// Checkpoint (the reopen then replays no log), release the directory
+	// and serve it again.
+	if err := store.Checkpoint(); err != nil {
+		log.Fatalf("checkpoint: %v", err)
 	}
+	store.Close()
 	loaded, err := graphdim.OpenStore(dir, graphdim.StoreOptions{})
 	if err != nil {
 		log.Fatalf("open: %v", err)

@@ -11,13 +11,17 @@ import (
 // cacheTestCollection builds a small cached collection.
 func cacheTestCollection(t *testing.T, cache CacheOptions) (*Collection, []*Graph) {
 	t.Helper()
+	return cacheTestCollectionIn(t, newTestStore(t), cache)
+}
+
+// cacheTestCollectionIn is cacheTestCollection in the given store.
+func cacheTestCollectionIn(t *testing.T, s *Store, cache CacheOptions) (*Collection, []*Graph) {
+	t.Helper()
 	db := dataset.Chemical(dataset.ChemConfig{N: 24, MinVertices: 8, MaxVertices: 12, Seed: 41})
 	idx, err := Build(db, Options{Dimensions: 10, Tau: 0.2, MCSBudget: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStore(StoreOptions{})
-	t.Cleanup(s.Close)
 	coll, err := s.CreateFromIndex("cached", idx, CollectionOptions{
 		Shards: 2,
 		Build:  Options{Dimensions: 10, Tau: 0.2, MCSBudget: 1000},
@@ -223,13 +227,10 @@ func TestCacheOptionsValidate(t *testing.T) {
 // while cache *contents* do not: a reloaded store starts cold with the
 // same bounds.
 func TestCacheSurvivesStoreReload(t *testing.T) {
-	coll, db := cacheTestCollection(t, CacheOptions{MaxEntries: 16, MaxBytes: 1 << 20})
+	s, dir := newCheckpointStore(t)
+	coll, db := cacheTestCollectionIn(t, s, CacheOptions{MaxEntries: 16, MaxBytes: 1 << 20})
 	ctx := context.Background()
 	if _, err := coll.Search(ctx, db[0], SearchOptions{K: 4}); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := coll.store.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	re, err := OpenStore(dir, StoreOptions{})

@@ -17,7 +17,7 @@ import (
 // Collection.Add and Remove appends a record to a per-collection
 // write-ahead log (internal/wal) — fsynced before the shard state
 // publishes, so the write is on disk before any caller or reader can
-// observe it — and Checkpoint persists a full snapshot (the Save format)
+// observe it — and Checkpoint persists a full snapshot (manifest.go)
 // plus the log position it covers, truncating replayed segments. Opening
 // the directory again loads the last checkpoint and replays the log
 // tail, so a process kill at any instant — SIGKILL included — recovers
@@ -66,7 +66,7 @@ func lockDataDir(dir string) (*os.File, error) {
 // StoreOptions.WAL).
 type WALOptions struct {
 	// Disabled opens the store without a log: online writes are volatile
-	// until the next Save or Checkpoint, as with NewStore.
+	// until the next Checkpoint.
 	Disabled bool
 	// SegmentBytes caps one log segment file before the log rolls to a
 	// fresh one; zero means the wal default (64 MiB).
@@ -127,7 +127,7 @@ func CreateStore(dir string, opt StoreOptions) (*Store, error) {
 		}
 		s.lock = lock
 	}
-	if err := s.saveTo(dir, false, nil); err != nil {
+	if err := s.checkpoint(nil); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -146,20 +146,19 @@ func OpenOrCreateStore(dir string, opt StoreOptions) (*Store, error) {
 	return OpenStore(dir, opt)
 }
 
-// Checkpoint persists the whole store to its data directory — exactly a
-// Save — records per collection the log position the snapshot covers,
-// and truncates every fully replayed log segment. After a checkpoint a
-// reopen replays only the records committed since. It fails on a store
-// without a data directory.
-//
-// Checkpoints, Saves, and Compact may all run while the store serves
-// reads and writes; checkpoints of one store serialize with
-// each other and with Save.
+// Checkpoint persists the whole store to its data directory, records per
+// collection the log position the snapshot covers, and truncates every
+// fully replayed log segment; a reopen then replays only the records
+// committed since. It fails on a store without a data directory. It may
+// run while the store serves reads and writes: writers pause only while
+// the shards' snapshots are pinned, and a multi-shard Add is either fully
+// in the image or fully absent. Checkpoints of one Store serialize;
+// checkpointing one directory from two Store values is not supported.
 func (s *Store) Checkpoint() error {
 	if s.dir == "" {
 		return fmt.Errorf("graphdim: store has no data directory (open it with OpenStore, CreateStore or OpenOrCreateStore)")
 	}
-	return s.saveTo(s.dir, true, nil)
+	return s.checkpoint(nil)
 }
 
 // Checkpoints returns how many checkpoints this store has completed

@@ -263,8 +263,9 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 
 			// Rotate the recovery memory mode so the property holds for
 			// mapped serving (checkpointed base faulted from the segment)
-			// as well as full heap rehydration.
-			mode := [...]MemoryMode{MemoryMap, MemoryHeap, MemoryAuto}[round%3]
+			// as well as full heap rehydration, each with and without a
+			// torn tail.
+			mode := [...]MemoryMode{MemoryAuto, MemoryHeap}[round/2%2]
 			re, err := OpenStore(dir, StoreOptions{Memory: mode})
 			if err != nil {
 				t.Fatalf("reopen after crash: %v", err)
@@ -390,7 +391,7 @@ func TestLoggedAddLands(t *testing.T) {
 	}
 
 	s.Close()
-	for name, mode := range map[string]MemoryMode{"heap": MemoryHeap, "map": MemoryMap} {
+	for name, mode := range map[string]MemoryMode{"heap": MemoryHeap, "map": MemoryAuto} {
 		re, err := OpenStore(dir, StoreOptions{Memory: mode})
 		if err != nil {
 			t.Fatal(err)
@@ -462,22 +463,17 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	}
 }
 
-// TestSaveInterrupted injects a write error into Save and requires the
-// directory to come back exactly as the previous successful save left
-// it: same manifest, same shard files, no debris — and the next save to
-// succeed.
+// TestSaveInterrupted injects a write error into a checkpoint and
+// requires the directory to come back exactly as the previous successful
+// checkpoint left it: same manifest, same shard files, no debris — and
+// the next checkpoint to succeed.
 func TestSaveInterrupted(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	idx, db := equivBuild(t, rng, 30)
 	ctx := context.Background()
-	s := NewStore(StoreOptions{})
-	defer s.Close()
+	s, dir := newCheckpointStore(t)
 	c, err := s.CreateFromIndex("main", idx, CollectionOptions{Shards: 2})
 	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	listing := func() []string {
@@ -508,23 +504,23 @@ func TestSaveInterrupted(t *testing.T) {
 	if err := os.Mkdir(blocker, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(dir); err == nil {
-		t.Fatal("interrupted Save reported success")
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("interrupted checkpoint reported success")
 	}
 
 	// The failed attempt must have cleaned up after itself...
 	os.RemoveAll(blocker) // in case the cleanup's os.Remove didn't take it
 	if got := listing(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("failed save left debris:\nbefore: %v\nafter:  %v", before, got)
+		t.Fatalf("failed checkpoint left debris:\nbefore: %v\nafter:  %v", before, got)
 	}
 	manifestAfter, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil || string(manifestAfter) != string(manifestBefore) {
-		t.Fatalf("failed save disturbed the manifest (err %v)", err)
+		t.Fatalf("failed checkpoint disturbed the manifest (err %v)", err)
 	}
 	// ...and the directory must reopen to the pre-failure state.
 	re, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
 	if err != nil {
-		t.Fatalf("reopen after interrupted save: %v", err)
+		t.Fatalf("reopen after interrupted checkpoint: %v", err)
 	}
 	rc, _ := re.Collection("main")
 	if rc.Size() != len(db) {
@@ -532,10 +528,10 @@ func TestSaveInterrupted(t *testing.T) {
 	}
 	re.Close()
 
-	// With the blocker gone the next save lands the grown state, and the
-	// sweep retires the superseded generation.
-	if err := s.Save(dir); err != nil {
-		t.Fatalf("save after recovery: %v", err)
+	// With the blocker gone the next checkpoint lands the grown state,
+	// and the sweep retires the superseded generation.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after recovery: %v", err)
 	}
 	re2, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
 	if err != nil {
@@ -544,24 +540,19 @@ func TestSaveInterrupted(t *testing.T) {
 	defer re2.Close()
 	rc2, _ := re2.Collection("main")
 	if rc2.Size() != len(db)+len(extra) {
-		t.Fatalf("post-recovery save lost writes: %d graphs, want %d", rc2.Size(), len(db)+len(extra))
+		t.Fatalf("post-recovery checkpoint lost writes: %d graphs, want %d", rc2.Size(), len(db)+len(extra))
 	}
 }
 
 // TestCrashDebrisIsSwept covers the crash flavour of an interrupted
-// save: a stale temp manifest and an unreferenced shard file are left on
-// disk, the store must open cleanly past them, and the next save sweeps
-// them.
+// checkpoint: a stale temp manifest and an unreferenced shard file are
+// left on disk, the store must open cleanly past them, and the next
+// checkpoint sweeps them.
 func TestCrashDebrisIsSwept(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	idx, _ := equivBuild(t, rng, 30)
-	s := NewStore(StoreOptions{})
-	defer s.Close()
+	s, dir := newCheckpointStore(t)
 	if _, err := s.CreateFromIndex("main", idx, CollectionOptions{Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	debrisManifest := filepath.Join(dir, manifestName+".tmp")
@@ -574,7 +565,7 @@ func TestCrashDebrisIsSwept(t *testing.T) {
 		t.Fatalf("open over crash debris: %v", err)
 	}
 	re.Close()
-	if err := s.Save(dir); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(debrisShard); !os.IsNotExist(err) {
@@ -739,7 +730,7 @@ func TestCompactionCoordinatesWithRecovery(t *testing.T) {
 	both(rc, add(pool[7:10]))
 	both(rc, func(x *Collection) error { return x.Remove(3) })
 	re.Close() // crash again
-	for _, mode := range []MemoryMode{MemoryHeap, MemoryMap} {
+	for _, mode := range []MemoryMode{MemoryHeap, MemoryAuto} {
 		re2, err := OpenStore(dir, StoreOptions{Memory: mode})
 		if err != nil {
 			t.Fatalf("reopen after compact+checkpoint+crash: %v", err)
@@ -842,65 +833,6 @@ func TestDisabledOpenRefusesUnreplayedTail(t *testing.T) {
 	fc, _ := final.Collection("d")
 	if got, want := fc.Size(), 30+len(extra); got != want {
 		t.Fatalf("size %d after disabled round-trip, want %d", got, want)
-	}
-}
-
-// TestExportedStoreReplaysItsOwnLog: a Save to a foreign directory ships
-// the snapshot without the source's log, so the copy's manifest must not
-// claim the source's log position — writes to the opened copy get a
-// fresh log starting at sequence 1 and must survive a crash.
-func TestExportedStoreReplaysItsOwnLog(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	idx, db := equivBuild(t, rng, 30)
-	ctx := context.Background()
-	extra := dataset.Synthetic(dataset.SynthConfig{N: 4, AvgEdges: 9, Labels: 5, Seed: 31})
-
-	src := t.TempDir()
-	s, err := CreateStore(src, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.CreateFromIndex("e", idx, CollectionOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Push the source log's sequence forward so a copied wal_seq would
-	// mask the copy's fresh low-sequence records.
-	if _, err := c.Add(ctx, extra[:2]...); err != nil {
-		t.Fatal(err)
-	}
-	export := t.TempDir()
-	if err := s.Save(export); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	e1, err := OpenStore(export, StoreOptions{})
-	if err != nil {
-		t.Fatalf("open exported copy: %v", err)
-	}
-	ec, _ := e1.Collection("e")
-	// The export includes the source's committed writes...
-	if got, want := ec.Size(), len(db)+2; got != want {
-		t.Fatalf("exported copy has %d graphs, want %d", got, want)
-	}
-	// ...and logs its own writes durably.
-	ids, err := ec.Add(ctx, extra[2:]...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1.Close() // crash, no checkpoint
-
-	e2, err := OpenStore(export, StoreOptions{})
-	if err != nil {
-		t.Fatalf("reopen exported copy after crash: %v", err)
-	}
-	defer e2.Close()
-	rc, _ := e2.Collection("e")
-	for _, id := range ids {
-		if _, ok := rc.Graph(id); !ok {
-			t.Fatalf("acknowledged write %d to the exported copy lost across crash", id)
-		}
 	}
 }
 

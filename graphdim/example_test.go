@@ -1,9 +1,9 @@
 package graphdim_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"reflect"
 
 	"repro/graphdim"
@@ -116,34 +116,51 @@ func ExampleIndex_SearchBatch() {
 	// 2 true 0
 }
 
-// ExampleIndex_WriteTo persists a built index and reloads it with
-// ReadIndex — the offline/online split: build once with dspm, serve
-// queries from the saved file with gserve without re-mining or
+// ExampleStore_Checkpoint persists a built index the one way an index
+// persists — as a collection in a store directory, which its create
+// checkpoints — and serves it again from that directory: the
+// offline/online split of dspm and gserve, without re-mining or
 // re-running DSPM.
-func ExampleIndex_WriteTo() {
+func ExampleStore_Checkpoint() {
 	db := dataset.Chemical(dataset.ChemConfig{N: 30, MinVertices: 8, MaxVertices: 12, Seed: 4})
 	idx, err := graphdim.Build(db, graphdim.Options{Dimensions: 15, Tau: 0.15, MCSBudget: 2000})
 	if err != nil {
 		panic(err)
 	}
-
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		panic(err)
-	}
-	loaded, err := graphdim.ReadIndex(&buf)
+	dir, err := os.MkdirTemp("", "graphdim-example")
 	if err != nil {
 		panic(err)
 	}
+	defer os.RemoveAll(dir)
 
-	fmt.Println(loaded.Size() == idx.Size())
-	fmt.Println(len(loaded.Dimensions()) == len(idx.Dimensions()))
+	// Offline: create the store and the collection; the create is itself
+	// a checkpoint. Later writes go to the write-ahead log until the next
+	// Checkpoint.
+	store, err := graphdim.CreateStore(dir, graphdim.StoreOptions{})
+	if err != nil {
+		panic(err)
+	}
+	if _, err := store.CreateFromIndex("molecules", idx, graphdim.CollectionOptions{Shards: 2}); err != nil {
+		panic(err)
+	}
+	if err := store.Checkpoint(); err != nil {
+		panic(err)
+	}
+	store.Close()
+
+	// Online: open the directory and serve, mapped in place.
+	served, err := graphdim.OpenStore(dir, graphdim.StoreOptions{})
+	if err != nil {
+		panic(err)
+	}
+	defer served.Close()
+	coll, _ := served.Collection("molecules")
+	fmt.Println(coll.Size() == idx.Size())
 	ctx := context.Background()
 	a, _ := idx.Search(ctx, db[7], graphdim.SearchOptions{K: 3})
-	b, _ := loaded.Search(ctx, db[7], graphdim.SearchOptions{K: 3})
+	b, _ := coll.Search(ctx, db[7], graphdim.SearchOptions{K: 3})
 	fmt.Println(reflect.DeepEqual(a.Results, b.Results))
 	// Output:
-	// true
 	// true
 	// true
 }

@@ -31,15 +31,15 @@
 // tombstones graphs, and StaleRatio tells operators when enough of the
 // database postdates the dimension selection that a full re-Build is
 // warranted. Readers are never blocked — updates swap an immutable
-// snapshot. WriteTo/ReadIndex persist an index as one v4 segment file
-// (internal/segment) so query servers (cmd/gserve) can load it without
+// snapshot. An index persists as a collection of a store directory (see
+// Store, CreateStore), which query servers (cmd/gserve) load without
 // re-mining or re-running DSPM.
 //
 // Above the single index, Store manages named collections sharded across
 // parallel indexes: graphs place onto shards by a fixed hash of their
 // global id, Search fans out and merges per-shard top-k heaps into one
 // globally ranked result (exactly the unsharded ranking — see
-// Collection.Search), Add and Save/OpenStore parallelize per shard, and
+// Collection.Search), Add, Checkpoint and OpenStore parallelize per shard, and
 // Collection.Compact reclaims tombstoned slots while readers keep serving.
 // A collection has one dimension set for life: every shard holds it,
 // nothing re-selects it, and StaleRatio tells the operator when to build a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -173,7 +172,6 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Close()
-		opt.Memory = MemoryMap
 		if s, err = OpenStore(dir, opt); err != nil {
 			t.Fatal(err)
 		}
@@ -240,17 +238,12 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		sh := c.shards[0]
-		path := filepath.Join(t.TempDir(), "shard.gdx")
-		f, err := os.Create(path)
+		dir := t.TempDir()
+		name, err := sh.writeShardImage(dir, 0, sh.snap.Load())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sh.WriteTo(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+		path := filepath.Join(dir, name)
 		ids := sh.snap.Load().globals
 		gs := pool[:4]
 		vecs, err := c.mapBatch(ctx, gs)
@@ -258,7 +251,7 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		last := ids[len(ids)-1]
-		for name, mode := range map[string]MemoryMode{"heap": MemoryHeap, "map": MemoryMap} {
+		for name, mode := range map[string]MemoryMode{"heap": MemoryHeap, "map": MemoryAuto} {
 			// The table handed to the open has spare capacity marked -1.
 			full := append(slices.Clone(ids), -1, -1, -1, -1)
 			opened, err := openSegmentIndex(path, mode, full[:len(ids)])

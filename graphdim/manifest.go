@@ -12,13 +12,13 @@ import (
 	"repro/internal/wal"
 )
 
-// A store persists as a directory: a store.json manifest naming every
-// collection, its shard layout, worker bound and default-search options, and the
-// local→global id table of each shard, next to one v4 segment file per
-// shard (<dir>/<collection>/shard-NNNN.gdx, the WriteTo format). Shard files
-// carry no ids of their own — the manifest's tables are authoritative —
-// so the per-shard codec stays exactly the single-index format and a
-// shard file remains loadable as a plain index with ReadIndex.
+// A store directory is the one persisted form of an index, and
+// Checkpoint (with the create, drop and CreateStore calls that run one)
+// is the one thing that writes it: a store.json manifest naming every
+// collection, its shard layout, worker bound and default-search options,
+// and the local→global id table of each shard, next to one v4 segment
+// file per shard (<dir>/<collection>/shard-NNNN-*.gdx). Shard files carry
+// no ids of their own — the manifest's tables are authoritative.
 
 const (
 	manifestName    = "store.json"
@@ -47,9 +47,9 @@ type collectionManifest struct {
 	// store starts cold, all shard generations at zero).
 	Cache cacheManifest `json:"cache,omitempty"`
 	// ShardFiles[i] is shard i's index file, relative to the collection
-	// directory. Each Save writes fresh uniquely-named files and only
+	// directory. Each checkpoint writes fresh uniquely-named files and only
 	// then swaps the manifest, so the files a live manifest references
-	// are never truncated or overwritten — a crash mid-save leaves the
+	// are never truncated or overwritten — a crash mid-checkpoint leaves the
 	// previous generation fully intact.
 	ShardFiles []string `json:"shard_files"`
 	// ShardGlobals[i] is shard i's strictly ascending local→global table.
@@ -116,54 +116,48 @@ func (m defaultsManifest) options() (SearchOptions, error) {
 	return o, nil
 }
 
-// writeFileSync is os.WriteFile plus an fsync before close.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// installManifest atomically replaces dir's manifest with data: a temp
+// file, fsynced before it is renamed over store.json, so a crash leaves
+// either the previous manifest or this one, never a torn one. On error
+// the temp file is removed and the previous manifest stands.
+func installManifest(dir string, data []byte) error {
+	tmp := filepath.Join(dir, manifestName+".tmp")
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = f.Write(data)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, manifestName))
+	}
 	if err != nil {
-		return err
+		os.Remove(tmp)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return err
 }
 
 // shardPattern names a new shard file; the "*" is replaced by a unique
-// token (os.CreateTemp), so successive saves never touch each other's
-// files.
+// token (os.CreateTemp), so successive checkpoints never touch each
+// other's files.
 func shardPattern(shard int) string {
 	return fmt.Sprintf("shard-%04d-*.gdx", shard)
 }
 
-// Save persists the whole store under dir: one freshly named index file
-// per shard, written in parallel under the store budget, then the
-// manifest — written last and atomically (temp file + rename). Files
-// referenced by an existing manifest are never truncated or overwritten,
-// so a crash or error at any point leaves the previous on-disk generation
-// fully loadable; files the new manifest supersedes (and the debris of
-// failed saves) are deleted only after the swap. Save may run
-// concurrently with queries and writes; each collection's writers pause
-// only while its per-shard snapshot pointers are captured (O(shards)),
-// not while the files stream out, and the capture is atomic under the
-// writer lock — a multi-shard Add is either fully in the saved image or
-// fully absent, never split across shards. Saves of one
-// Store are serialized with each other (the sweep must not race another
-// save's in-flight files); saving the same directory from two different
-// Store values is not supported.
-func (s *Store) Save(dir string) error { return s.saveTo(dir, false, nil) }
-
-// saveTo is Save plus, for Checkpoint (truncate = true), log-position
-// bookkeeping: each collection's manifest entry records the WAL sequence
-// its shard files cover, and after the manifest swap the fully replayed
-// log segments are deleted. On any error the files this attempt wrote
-// are removed again, so a failed save leaves the directory exactly as
-// the previous successful one did — the previous manifest and every file
-// it references are never touched either way.
+// checkpoint persists the whole store under its data directory: one
+// freshly named segment file per shard, written in parallel under the
+// store budget, then the manifest — written last and atomically (temp
+// file + rename) — recording per collection the WAL sequence its shard
+// files cover; after the swap the fully replayed log segments are
+// deleted. Files referenced by an existing manifest are never truncated
+// or overwritten, so a crash or error at any point leaves the previous
+// on-disk generation fully loadable; files the new manifest supersedes
+// (and the debris of failed checkpoints) are deleted only after the swap.
+// On any error the files this attempt wrote are removed again.
 //
 // extra, when non-nil, is a collection mid-create: it is included in the
 // image and published into s.collections the moment the manifest
@@ -171,45 +165,30 @@ func (s *Store) Save(dir string) error { return s.saveTo(dir, false, nil) }
 // observe it registered-but-unmanifested (its writes would be swept) or
 // manifested-but-unregistered (a crash would lose an acknowledged
 // create).
-func (s *Store) saveTo(dir string, truncate bool, extra *Collection) error {
+func (s *Store) checkpoint(extra *Collection) error {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
-	return s.saveToLocked(dir, truncate, extra)
+	return s.checkpointLocked(extra)
 }
 
-// saveToLocked is saveTo's body; the caller holds saveMu. Split out so
-// a durable create can claim its wal directory and checkpoint under one
-// continuous saveMu hold — a sweep can then never run between the two
-// and mistake the fresh directory for droppable debris.
-func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err error) {
-	tmp := filepath.Join(dir, manifestName+".tmp")
+// checkpointLocked is checkpoint's body; the caller holds saveMu. Split
+// out so a durable create can claim its wal directory and checkpoint
+// under one continuous saveMu hold — a sweep can then never run between
+// the two and mistake the fresh directory for droppable debris.
+func (s *Store) checkpointLocked(extra *Collection) (err error) {
+	dir := s.dir
 	var written []string
 	defer func() {
 		if err == nil {
 			return
 		}
-		// Failed attempt: sweep this attempt's debris (fresh shard files,
-		// the temp manifest). Shard files of the live manifest are never
-		// in written, so the previous generation stays fully loadable.
+		// Failed attempt: sweep this attempt's fresh shard files. Shard
+		// files of the live manifest are never in written, so the
+		// previous generation stays fully loadable.
 		for _, p := range written {
 			os.Remove(p)
 		}
-		os.Remove(tmp)
 	}()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("graphdim: save store: %w", err)
-	}
-	// An export is a save to a directory the store's logs do not live
-	// in. Misclassifying a save of the store's own directory as an
-	// export would sweep the live logs, so aliased spellings (relative
-	// vs absolute, symlinks) are resolved by comparing the actual
-	// directories, not just cleaned path strings.
-	exported := s.dir == ""
-	if !exported && filepath.Clean(dir) != filepath.Clean(s.dir) {
-		di, err1 := os.Stat(dir)
-		si, err2 := os.Stat(s.dir)
-		exported = err1 != nil || err2 != nil || !os.SameFile(di, si)
-	}
 	s.mu.RLock()
 	colls := make([]*Collection, 0, len(s.collections)+1)
 	for _, c := range s.collections {
@@ -225,7 +204,7 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 	for _, c := range colls {
 		cdir := filepath.Join(dir, c.name)
 		if err := os.MkdirAll(cdir, 0o755); err != nil {
-			return fmt.Errorf("graphdim: save store: %w", err)
+			return fmt.Errorf("graphdim: checkpoint: %w", err)
 		}
 		cm := collectionManifest{
 			Name:         c.name,
@@ -254,21 +233,14 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 			images[i] = sh.snap.Load()
 		}
 		cm.NextID = int(c.nextID.Load())
-		switch {
-		case exported:
-			// Export to a foreign directory: the snapshot ships without
-			// its log, so it must not claim to cover one — wal_seq 0
-			// makes an opened copy's fresh log replay from the start.
-			// (The source log's positions mean nothing to the copy.)
-			cm.WALSeq = 0
-		case c.wal != nil:
+		if c.wal != nil {
 			// The settled watermark, not the raw log tail: on a follower
 			// whose apply failed the tail holds mirrored records not yet
 			// in shard state, so a snapshot claiming to cover them would
 			// skip them on reopen. Otherwise the two agree here (addMu is
 			// held, no writer is mid-batch).
 			cm.WALSeq = c.applied.Load()
-		default:
+		} else {
 			// No log (WAL disabled): keep the loaded position — segments
 			// up to it may still exist on disk, and a lower wal_seq would
 			// make a later WAL-enabled open replay records this snapshot
@@ -284,8 +256,8 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 			cm.ShardGlobals[i] = append([]int(nil), images[i].globals...)
 		})
 		// Collect every file the fan-out created before acting on any
-		// error: the cleanup must see them all, or a failed save would
-		// leave the successful shards' fresh files as debris.
+		// error: the cleanup must see them all, or a failed checkpoint
+		// would leave the successful shards' fresh files as debris.
 		for _, f := range cm.ShardFiles {
 			if f != "" {
 				written = append(written, filepath.Join(cdir, f))
@@ -293,7 +265,7 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 		}
 		for i, err := range errs {
 			if err != nil {
-				return fmt.Errorf("graphdim: save %s shard %d: %w", c.name, i, err)
+				return fmt.Errorf("graphdim: checkpoint %s shard %d: %w", c.name, i, err)
 			}
 		}
 		man.Collections = append(man.Collections, cm)
@@ -301,18 +273,15 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 
 	data, err := json.MarshalIndent(&man, "", " ")
 	if err != nil {
-		return fmt.Errorf("graphdim: save store: %w", err)
+		return fmt.Errorf("graphdim: checkpoint: %w", err)
 	}
 	// The manifest is fsynced before the rename and the directories
 	// after it, so by the time the truncation below deletes WAL
 	// records the snapshot replacing them has actually reached the
 	// disk — a power cut can land on either side of the swap, never on
 	// a snapshot that exists only in the page cache.
-	if err := writeFileSync(tmp, data); err != nil {
-		return fmt.Errorf("graphdim: save store: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("graphdim: save store: %w", err)
+	if err := installManifest(dir, data); err != nil {
+		return fmt.Errorf("graphdim: checkpoint: %w", err)
 	}
 	for _, cm := range man.Collections {
 		wal.SyncDir(filepath.Join(dir, cm.Name))
@@ -343,27 +312,23 @@ func (s *Store) saveToLocked(dir string, truncate bool, extra *Collection) (err 
 		inCreation[name] = true
 	}
 	s.mu.RUnlock()
-	sweepOrphans(dir, man, inCreation, exported)
-	if truncate {
-		for i, c := range colls {
-			if c.wal != nil {
-				_ = c.wal.Checkpoint(man.Collections[i].WALSeq)
-			}
+	sweepOrphans(dir, man, inCreation)
+	for i, c := range colls {
+		if c.wal != nil {
+			_ = c.wal.Checkpoint(man.Collections[i].WALSeq)
 		}
-		s.checkpoints.Add(1)
 	}
+	s.checkpoints.Add(1)
 	return nil
 }
 
 // sweepOrphans deletes shard files the just-installed manifest does not
-// reference: superseded generations, the debris of failed saves, and the
-// directories of collections dropped since the previous save. Names in
-// inCreation are skipped entirely (a concurrent create owns them); with
-// exported set (a Save to a directory the store's logs do not live in),
-// stale wal segments under live collections are retired too, since the
-// written manifest claims no log position. Best-effort — an undeleted
-// orphan costs disk, never correctness.
-func sweepOrphans(dir string, man storeManifest, inCreation map[string]bool, exported bool) {
+// reference: superseded generations, the debris of failed checkpoints,
+// and the directories and logs of collections dropped since the previous
+// checkpoint. Names in inCreation are skipped entirely (a concurrent
+// create owns them). Best-effort — an undeleted orphan costs disk, never
+// correctness.
+func sweepOrphans(dir string, man storeManifest, inCreation map[string]bool) {
 	live := make(map[string]map[string]bool, len(man.Collections))
 	for _, cm := range man.Collections {
 		keep := make(map[string]bool, len(cm.ShardFiles))
@@ -377,8 +342,8 @@ func sweepOrphans(dir string, man storeManifest, inCreation map[string]bool, exp
 		return
 	}
 	for _, d := range entries {
-		// Only directories matching the collection-name grammar are
-		// Save's to manage; anything else in dir is left alone.
+		// Only directories matching the collection-name grammar are the
+		// checkpoint's to manage; anything else in dir is left alone.
 		if !d.IsDir() || !collectionName.MatchString(d.Name()) {
 			continue
 		}
@@ -397,11 +362,9 @@ func sweepOrphans(dir string, man storeManifest, inCreation map[string]bool, exp
 				os.Remove(filepath.Join(cdir, name))
 			}
 		}
-		if keep == nil || exported {
-			// Retire the write-ahead log: of a dropped collection always,
-			// of a live one only in an exported image (its manifest says
-			// wal_seq 0, so leftover segments from an older store in this
-			// directory would wrongly replay). Deliberately artifact-by-
+		if keep == nil {
+			// Dropped collection: retire its write-ahead log, then the
+			// directory too, if now empty. Deliberately artifact-by-
 			// artifact rather than RemoveAll — a foreign directory that
 			// merely matches the name grammar (an operator's "backups/")
 			// must never be recursively deleted.
@@ -414,9 +377,6 @@ func sweepOrphans(dir string, man storeManifest, inCreation map[string]bool, exp
 				}
 				os.Remove(wdir)
 			}
-		}
-		if keep == nil {
-			// Dropped collection: remove the directory too, if now empty.
 			os.Remove(cdir)
 		}
 	}
@@ -452,7 +412,7 @@ func (ix *Index) writeShardImage(cdir string, i int, snap *snapshot) (string, er
 	return name, nil
 }
 
-// OpenStore loads a store previously written by Save or Checkpoint,
+// OpenStore loads a store directory its last checkpoint installed,
 // reading the shard indexes in parallel under the new store's budget and
 // then replaying each collection's write-ahead-log tail over its
 // checkpointed state, so the store comes back holding exactly the writes
@@ -574,9 +534,8 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	errs := make([]error, cm.Shards)
 	_ = s.budget.ForContext(context.Background(), cm.Shards, func(i int) {
 		errs[i] = func() error {
-			// Open by path, not reader: a v4 segment shard under
-			// MemoryAuto/MemoryMap is mmapped in place rather than
-			// streamed through the heap.
+			// Open by path: a v4 segment shard under MemoryAuto is
+			// mmapped in place rather than read through the heap.
 			globals := cm.ShardGlobals[i]
 			idx, err := openSegmentIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), s.memory, globals)
 			if err != nil {

@@ -131,7 +131,7 @@ func TestCollectionMapsOncePerDimensionSet(t *testing.T) {
 	}
 }
 
-// TestMappedSearchDecodesNothing: on a store reopened in MemoryMap mode,
+// TestMappedSearchDecodesNothing: on a store reopened mapped (MemoryAuto),
 // predicate-free mapped searches — flat and pruned, over shards that
 // carry tombstones — rank straight from the mapped tiles and leave every
 // graph payload undecoded; a verified search then decodes exactly the
@@ -160,7 +160,7 @@ func TestMappedSearchDecodesNothing(t *testing.T) {
 	}
 	s.Close()
 
-	s, err = OpenStore(dir, StoreOptions{Memory: MemoryMap})
+	s, err = OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package graphdim
 
 import (
-	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,19 +42,43 @@ func sameAnswers(t *testing.T, a, b *Index, queries []*Graph) {
 	}
 }
 
-func writeIndex(t *testing.T, idx *Index) []byte {
+// reopenAsCollection persists idx the one way an index persists — as a
+// single-shard collection created in a fresh store directory, which
+// checkpoints it — and returns that collection as OpenStore serves it in
+// mode. With one shard every global id is its local id, so the shard
+// answers in idx's id space. The store runs without a write-ahead log:
+// later writes persist only through Checkpoint.
+func reopenAsCollection(t *testing.T, idx *Index, mode MemoryMode) *Collection {
 	t.Helper()
-	var buf bytes.Buffer
-	n, err := idx.WriteTo(&buf)
+	s, dir := newCheckpointStore(t)
+	if _, err := s.CreateFromIndex("c", idx, CollectionOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	return reopenCollection(t, dir, mode)
+}
+
+// reopenCollection opens the store at dir without a write-ahead log, in
+// mode, closed with the test, and returns its collection "c".
+func reopenCollection(t *testing.T, dir string, mode MemoryMode) *Collection {
+	t.Helper()
+	re, err := OpenStore(dir, StoreOptions{Memory: mode, WAL: WALOptions{Disabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	t.Cleanup(re.Close)
+	c, ok := re.Collection("c")
+	if !ok {
+		t.Fatal("collection lost across the reopen")
 	}
-	return buf.Bytes()
+	return c
 }
 
+// TestRoundTripPreservesState: an index with tombstones and post-Add ids,
+// persisted as a collection's one shard and reopened mapped and on the
+// heap, keeps its shape, tombstones, weights and dimensions and ranks
+// exactly like its source under every engine; the reopened collection
+// keeps growing and re-persists.
 func TestRoundTripPreservesState(t *testing.T) {
 	idx, db := buildForPersist(t)
 	extra := dataset.Chemical(dataset.ChemConfig{N: 5, MinVertices: 8, MaxVertices: 12, Seed: 14})
@@ -64,87 +89,57 @@ func TestRoundTripPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data := writeIndex(t, idx)
-	if !bytes.HasPrefix(data, []byte("GDIMIDX4")) {
-		t.Fatalf("WriteTo wrote magic %q, want GDIMIDX4", data[:8])
-	}
-	loaded, err := ReadIndex(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if loaded.TotalGraphs() != idx.TotalGraphs() || loaded.Size() != idx.Size() || loaded.Removed() != idx.Removed() {
-		t.Fatalf("shape changed: Total/Size/Removed %d/%d/%d vs %d/%d/%d",
-			loaded.TotalGraphs(), loaded.Size(), loaded.Removed(),
-			idx.TotalGraphs(), idx.Size(), idx.Removed())
-	}
-	if loaded.StaleRatio() != idx.StaleRatio() {
-		t.Fatalf("StaleRatio changed: %v vs %v", loaded.StaleRatio(), idx.StaleRatio())
-	}
-	if !loaded.IsRemoved(2) || !loaded.IsRemoved(31) || loaded.IsRemoved(3) {
-		t.Fatal("tombstones not preserved")
-	}
-	if !reflect.DeepEqual(loaded.Weights(), idx.Weights()) {
-		t.Fatal("weights changed")
-	}
-	for i, f := range idx.Dimensions() {
-		if loaded.Dimensions()[i].String() != f.String() {
-			t.Fatalf("dimension %d changed", i)
+	for name, mode := range map[string]MemoryMode{"map": MemoryAuto, "heap": MemoryHeap} {
+		c := reopenAsCollection(t, idx, mode)
+		loaded := c.shards[0]
+		if (loaded.snap.Load().seg == nil) != (mode == MemoryHeap) {
+			t.Fatalf("%s: segment source %v; only a heap open rehydrates the whole shard", name, loaded.snap.Load().seg)
 		}
-	}
-	// Queries include a post-Add graph, so ids past the build are ranked.
-	sameAnswers(t, idx, loaded, append(db[:5:5], extra[0]))
+		if loaded.TotalGraphs() != idx.TotalGraphs() || loaded.Size() != idx.Size() || loaded.Removed() != idx.Removed() {
+			t.Fatalf("%s: shape changed: Total/Size/Removed %d/%d/%d vs %d/%d/%d", name,
+				loaded.TotalGraphs(), loaded.Size(), loaded.Removed(),
+				idx.TotalGraphs(), idx.Size(), idx.Removed())
+		}
+		if loaded.StaleRatio() != idx.StaleRatio() {
+			t.Fatalf("%s: StaleRatio changed: %v vs %v", name, loaded.StaleRatio(), idx.StaleRatio())
+		}
+		if !loaded.IsRemoved(2) || !loaded.IsRemoved(31) || loaded.IsRemoved(3) {
+			t.Fatalf("%s: tombstones not preserved", name)
+		}
+		if !reflect.DeepEqual(loaded.Weights(), idx.Weights()) {
+			t.Fatalf("%s: weights changed", name)
+		}
+		for i, f := range idx.Dimensions() {
+			if loaded.Dimensions()[i].String() != f.String() {
+				t.Fatalf("%s: dimension %d changed", name, i)
+			}
+		}
+		// Queries include a post-Add graph, so ids past the build are ranked.
+		sameAnswers(t, idx, loaded, append(db[:5:5], extra[0]))
 
-	// A loaded index keeps growing and re-persists.
-	if _, err := loaded.Add(extra[1]); err != nil {
-		t.Fatal(err)
-	}
-	again, err := ReadIndex(bytes.NewReader(writeIndex(t, loaded)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.TotalGraphs() != idx.TotalGraphs()+1 {
-		t.Fatal("load→add→save lost graphs")
+		// A reopened collection keeps growing and re-persists.
+		if _, err := c.Add(context.Background(), extra[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.store.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if again := reopenCollection(t, c.store.Dir(), mode); again.shards[0].TotalGraphs() != idx.TotalGraphs()+1 {
+			t.Fatalf("%s: reopen→add→checkpoint lost graphs", name)
+		}
 	}
 }
 
-// TestWriteToDeterministic pins the canonical encoding: same state, same
-// bytes. Operators can diff and checksum index files.
-func TestWriteToDeterministic(t *testing.T) {
-	idx, _ := buildForPersist(t)
-	a, b := writeIndex(t, idx), writeIndex(t, idx)
-	if !bytes.Equal(a, b) {
-		t.Fatal("two WriteTo calls produced different bytes")
-	}
-	// And a load→save cycle reproduces them too.
-	loaded, err := ReadIndex(bytes.NewReader(a))
-	if err != nil {
+// openIndexFile writes data as an index file and opens it the way a store
+// opens a shard file, in mode.
+func openIndexFile(t *testing.T, data string, mode MemoryMode) error {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "index.gdx")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a, writeIndex(t, loaded)) {
-		t.Fatal("load→save changed the encoding")
-	}
-}
-
-// TestReadIndexRejectsCorruption flips every byte and cuts at every
-// length of a valid file: the trailer and body checksums together leave
-// no position a reader would accept.
-func TestReadIndexRejectsCorruption(t *testing.T) {
-	idx, _ := buildForPersist(t)
-	valid := writeIndex(t, idx)
-	corrupt := make([]byte, len(valid))
-	for pos := range valid {
-		copy(corrupt, valid)
-		corrupt[pos] ^= 0x40
-		if _, err := ReadIndex(bytes.NewReader(corrupt)); err == nil {
-			t.Fatalf("flipped byte %d of %d accepted", pos, len(valid))
-		}
-	}
-	for cut := 0; cut < len(valid); cut++ {
-		if _, err := ReadIndex(bytes.NewReader(valid[:cut])); err == nil {
-			t.Fatalf("truncation at %d of %d accepted", cut, len(valid))
-		}
-	}
+	_, err := openSegmentIndex(path, mode, nil)
+	return err
 }
 
 func TestReadIndexRejectsNonIndexInput(t *testing.T) {
@@ -153,8 +148,10 @@ func TestReadIndexRejectsNonIndexInput(t *testing.T) {
 		"text":      "hello world",
 		"bad magic": "GDIMIDX9everything-else",
 	} {
-		if _, err := ReadIndex(strings.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
+		for _, mode := range []MemoryMode{MemoryAuto, MemoryHeap} {
+			if err := openIndexFile(t, data, mode); err == nil {
+				t.Errorf("%s (mode %d): accepted", name, mode)
+			}
 		}
 	}
 }
@@ -171,19 +168,21 @@ func TestReadIndexNamesLegacyFormats(t *testing.T) {
 		"v1 indent":  {"\n {\n \"version\": 1\n}", "v1 JSON"},
 		"other json": {`{"version": 2}`, "v1 JSON"},
 	} {
-		_, err := ReadIndex(strings.NewReader(tc.data))
-		if err == nil {
-			t.Errorf("%s: accepted", name)
-			continue
-		}
-		msg := err.Error()
-		for _, want := range []string{"legacy " + tc.format, "previous release", "checkpoint"} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("%s: error %q does not mention %q", name, msg, want)
+		for _, mode := range []MemoryMode{MemoryAuto, MemoryHeap} {
+			err := openIndexFile(t, tc.data, mode)
+			if err == nil {
+				t.Errorf("%s (mode %d): accepted", name, mode)
+				continue
 			}
-		}
-		if strings.Contains(msg, "corrupt") {
-			t.Errorf("%s: legacy file reported as corrupt: %q", name, msg)
+			msg := err.Error()
+			for _, want := range []string{"legacy " + tc.format, "previous release", "checkpoint"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("%s (mode %d): error %q does not mention %q", name, mode, msg, want)
+				}
+			}
+			if strings.Contains(msg, "corrupt") {
+				t.Errorf("%s (mode %d): legacy file reported as corrupt: %q", name, mode, msg)
+			}
 		}
 	}
 }

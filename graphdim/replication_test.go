@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/segment"
 	"repro/internal/wal"
 )
 
@@ -75,6 +78,80 @@ func pump(t *testing.T, pc *Collection, rep *ReplicaApplier) int {
 	return len(recs)
 }
 
+// TestExtractSnapshotTarIsAllOrNothing: a follower's bootstrap installs
+// the manifest last, so an archive cut inside a shard leaves no store
+// behind (the next start fetches again instead of failing every open),
+// and a shard whose body fails its checksum is refused by name before
+// anything could serve it.
+func TestExtractSnapshotTarIsAllOrNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(70))
+	idx, _ := equivBuild(t, rng, 30)
+	pdir := t.TempDir()
+	ps, err := CreateStore(pdir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	if _, err := ps.CreateFromIndex("c", idx, CollectionOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ps.WriteSnapshotTar(&buf); err != nil {
+		t.Fatal(err)
+	}
+	archive := buf.Bytes()
+	shards, err := filepath.Glob(filepath.Join(pdir, "c", "shard-0001-*.gdx"))
+	if err != nil || len(shards) != 1 {
+		t.Fatalf("shard files: %v %v", shards, err)
+	}
+	shard, err := os.ReadFile(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A tar entry's body is stored verbatim, so the shard's bytes sit in
+	// the archive as they sit on disk.
+	at := bytes.Index(archive, shard)
+	if at < 0 {
+		t.Fatal("shard bytes not found in the archive")
+	}
+	noStore := func(t *testing.T, dir string) {
+		t.Helper()
+		if _, err := os.Stat(filepath.Join(dir, manifestName)); !os.IsNotExist(err) {
+			t.Fatalf("a failed extract left %s behind (stat err %v)", manifestName, err)
+		}
+	}
+
+	t.Run("cut inside a shard", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "follower")
+		if err := ExtractSnapshotTar(dir, bytes.NewReader(archive[:at+len(shard)/2])); err == nil {
+			t.Fatal("an archive cut inside a shard extracted")
+		}
+		noStore(t, dir)
+		if err := ExtractSnapshotTar(dir, bytes.NewReader(archive)); err != nil {
+			t.Fatalf("a full archive into the same directory: %v", err)
+		}
+		s, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	})
+
+	t.Run("flipped byte in a shard body", func(t *testing.T) {
+		bad := bytes.Clone(archive)
+		bad[at+len(segment.Magic)+100] ^= 0x01
+		dir := filepath.Join(t.TempDir(), "follower")
+		err := ExtractSnapshotTar(dir, bytes.NewReader(bad))
+		if err == nil {
+			t.Fatal("a shard with a corrupt body extracted")
+		}
+		if name := filepath.Base(shards[0]); !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not name %s", err, name)
+		}
+		noStore(t, dir)
+	})
+}
+
 func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	idx, _ := equivBuild(t, rng, 40)
@@ -137,12 +214,12 @@ func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 
 	// Restart the follower: the mirrored log replays over the local
 	// checkpoint and the applier resumes exactly where the mirror ends.
-	// Reopen mapped explicitly: a restarted follower serves its
-	// checkpointed base straight from the shipped segment files while the
-	// mirrored log tail replays on top.
+	// Reopen mapped: a restarted follower serves its checkpointed base
+	// straight from the shipped segment files while the mirrored log tail
+	// replays on top.
 	ack := rep.AckSeq()
 	fs.Close()
-	fs2, err := OpenStore(fdir, StoreOptions{Memory: MemoryMap})
+	fs2, err := OpenStore(fdir, StoreOptions{Memory: MemoryAuto})
 	if err != nil {
 		t.Fatalf("reopen follower: %v", err)
 	}

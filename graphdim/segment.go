@@ -1,7 +1,7 @@
 package graphdim
 
 // This file bridges the collection layer to internal/segment, the v4
-// on-disk format: WriteTo and checkpoints stream a snapshot out as a
+// on-disk format: checkpoints stream each shard's snapshot out as a
 // segment (writeSegment), and opens serve a segment back either mapped — the
 // tile section IS the scan block, graph payloads fault in lazily — or
 // fully rehydrated onto the heap (snapshotFromSegment). segSource is the
@@ -108,37 +108,28 @@ func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
 }
 
 // openSegmentIndex opens a shard file by path, serving it under globals,
-// the manifest's id table for the shard. Every mode except MemoryHeap
-// asks for the mapping; on platforms without mmap support segment.Open
-// degrades to reading the file into one heap buffer and the index still
-// serves through the same lazy segment path — mode selects the serving
-// strategy, never the file format.
+// the manifest's id table for the shard: the dimension set and codec
+// parameters come from the segment's meta section, the snapshot from its
+// data sections (see snapshotFromSegment). MemoryAuto asks for the
+// mapping; on platforms without mmap support segment.Open degrades to
+// reading the file into one heap buffer and the index still serves
+// through the same lazy segment path. MemoryHeap reads, checksums and
+// decodes the whole file — mode selects the serving strategy, never the
+// file format.
 func openSegmentIndex(path string, mode MemoryMode, globals []int) (*Index, error) {
 	r, err := segment.Open(path, segment.Options{Map: mode != MemoryHeap})
 	if err != nil {
 		return nil, err
 	}
-	ix, err := indexFromSegment(r, mode == MemoryHeap, globals)
+	m := r.Meta()
+	var snap *snapshot
+	if m.Metric > byte(Delta2) {
+		err = fmt.Errorf("graphdim: corrupt segment: unknown metric %d", m.Metric)
+	} else {
+		snap, err = snapshotFromSegment(r, mode == MemoryHeap, globals)
+	}
 	if err != nil {
 		r.Close()
-		return nil, err
-	}
-	return ix, nil
-}
-
-// indexFromSegment builds an Index over an opened segment reader: the
-// dimension set and codec parameters from its meta section, the snapshot
-// adopted from its data sections (see snapshotFromSegment).
-func indexFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*Index, error) {
-	m := r.Meta()
-	if m.Metric > byte(Delta2) {
-		return nil, fmt.Errorf("graphdim: corrupt segment: unknown metric %d", m.Metric)
-	}
-	if m.MCSBudget < 0 {
-		return nil, fmt.Errorf("graphdim: corrupt segment: negative MCS budget %d", m.MCSBudget)
-	}
-	snap, err := snapshotFromSegment(r, rehydrate, globals)
-	if err != nil {
 		return nil, err
 	}
 	return newIndex(m.Features, m.Weights, Metric(m.Metric),

@@ -1,7 +1,6 @@
 package graphdim
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -24,9 +23,9 @@ func snapSeg(c *Collection, shard int) (*snapshot, *segSource) {
 }
 
 // TestMemoryModeStoreEquivalence is the tentpole equivalence property:
-// a checkpointed store reopened with MemoryHeap, MemoryMap, and
-// MemoryAuto answers every engine — mapped pruned and flat, verified,
-// exact, label-filtered — bit-identically, while the mapped legs serve
+// a checkpointed store reopened with MemoryHeap, then MemoryAuto, then
+// MemoryHeap again answers every engine — mapped pruned and flat,
+// verified, exact, label-filtered — bit-identically, while the mapped leg serves
 // vectors straight out of the segment file and fault graph payloads in
 // only for final candidates. The data directory is single-owner
 // (flock), so the modes open one after another over the same files.
@@ -129,26 +128,26 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 
 	// Mapped leg: lazy at open, lazy through unfiltered queries,
 	// bit-identical throughout.
-	mapS, mapC := open(MemoryMap)
+	mapS, mapC := open(MemoryAuto)
 	if segment.CanMap() {
 		overlay := 0 // ids above the mapped bases: the boundary step() straddles
 		for sh := 0; sh < 2; sh++ {
 			snap, seg := snapSeg(mapC, sh)
 			if seg == nil {
-				t.Fatalf("MemoryMap shard %d has no segment source", sh)
+				t.Fatalf("mapped shard %d has no segment source", sh)
 			}
 			if !seg.r.Mapped() {
-				t.Fatalf("MemoryMap shard %d segment not mmapped", sh)
+				t.Fatalf("mapped shard %d segment not mmapped", sh)
 			}
 			for i := range seg.graphs {
 				if snap.db[i] != nil {
-					t.Fatalf("MemoryMap shard %d: base slot %d eagerly decoded at open", sh, i)
+					t.Fatalf("mapped shard %d: base slot %d eagerly decoded at open", sh, i)
 				}
 			}
 			overlay += len(snap.db) - len(seg.graphs)
 		}
 		if overlay == 0 {
-			t.Fatal("MemoryMap open has no heap overlay above the mapped bases")
+			t.Fatal("mapped open has no heap overlay above the mapped bases")
 		}
 	}
 	// Unfiltered engines only (mapped flat/pruned + verified): after
@@ -184,7 +183,7 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 		t.Logf("after mapped+verified queries: %d/%d graph payloads faulted", decoded, total)
 	}
 	if got := runAll(mapC); !reflect.DeepEqual(got, want) {
-		t.Fatal("MemoryMap rankings diverge from MemoryHeap")
+		t.Fatal("mapped rankings diverge from MemoryHeap")
 	}
 
 	// The mapped store stays writable: post-open writes overlay the
@@ -196,18 +195,18 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 	want2 := runAll(mapC)
 	mapS.Close()
 
-	// Auto leg reopens the segment the mapped leg just checkpointed and
-	// must agree on content and every ranking.
-	autoS, autoC := open(MemoryAuto)
-	defer autoS.Close()
-	if gs := autoC.Stats(); gs.NextID != wantStats.NextID || gs.Live != wantStats.Live {
-		t.Fatalf("auto reopen stats %+v, mapped leg had %+v", gs, wantStats)
+	// A second heap leg rehydrates the segment the mapped leg just
+	// checkpointed and must agree on content and every ranking.
+	heap2S, heap2C := open(MemoryHeap)
+	defer heap2S.Close()
+	if gs := heap2C.Stats(); gs.NextID != wantStats.NextID || gs.Live != wantStats.Live {
+		t.Fatalf("heap reopen stats %+v, mapped leg had %+v", gs, wantStats)
 	}
-	if got := runAll(autoC); !reflect.DeepEqual(got, want2) {
-		t.Fatal("MemoryAuto rankings diverge from the mapped leg's post-write state")
+	if got := runAll(heap2C); !reflect.DeepEqual(got, want2) {
+		t.Fatal("MemoryHeap rankings diverge from the mapped leg's post-write state")
 	}
-	step("auto reopen", autoC, nil)
-	mutate("auto", autoS, autoC, late[6:])
+	step("second heap reopen", heap2C, nil)
+	mutate("second heap", heap2S, heap2C, late[6:])
 }
 
 // TestOpenStoreRejectsTornSegment: a shard segment torn mid-trailer —
@@ -247,7 +246,7 @@ func TestOpenStoreRejectsTornSegment(t *testing.T) {
 		if err := mutate(); err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []MemoryMode{MemoryAuto, MemoryMap, MemoryHeap} {
+		for _, mode := range []MemoryMode{MemoryAuto, MemoryHeap} {
 			if got, err := OpenStore(dir, StoreOptions{Memory: mode}); err == nil {
 				got.Close()
 				t.Fatalf("%s: OpenStore(mode=%d) accepted a corrupt segment", name, mode)
@@ -283,10 +282,10 @@ func TestOpenStoreRejectsTornSegment(t *testing.T) {
 	re.Close()
 }
 
-// TestReadIndexSegmentRoundTrip covers the io.Reader leg (generic
-// ReadIndex — the portable, heap-only path every platform has): a v4
-// segment streamed through a pipe-shaped reader must rehydrate to an
-// index that answers exactly like its source.
+// TestReadIndexSegmentRoundTrip covers the heap leg of reading an index
+// file, the portable path every platform has: a v4 segment opened with
+// MemoryHeap must rehydrate to a fully heap-resident index — tombstones
+// and post-Add ids included — that answers exactly like its source.
 func TestReadIndexSegmentRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(equivSeed(t)))
 	idx, db := equivBuild(t, rng, 30)
@@ -297,11 +296,18 @@ func TestReadIndexSegmentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := idx.writeSegment(&buf, idx.snap.Load()); err != nil {
+	path := filepath.Join(t.TempDir(), "index.gdx")
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := ReadIndex(bytes.NewReader(buf.Bytes()))
+	if err := idx.writeSegment(f, idx.snap.Load()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := openSegmentIndex(path, MemoryHeap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +315,10 @@ func TestReadIndexSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("rehydrated %d total/%d live, want %d/%d", re.TotalGraphs(), re.Size(), idx.TotalGraphs(), idx.Size())
 	}
 	if re.snap.Load().seg != nil {
-		t.Fatal("ReadIndex kept a segment source; the reader leg must be fully heap-resident")
+		t.Fatal("a heap open kept a segment source; the heap leg must be fully heap-resident")
+	}
+	if !re.IsRemoved(1) || !re.IsRemoved(7) || re.IsRemoved(2) {
+		t.Fatal("tombstones not preserved")
 	}
 	ctx := context.Background()
 	queries := append([]*Graph{db[3]}, dataset.Synthetic(dataset.SynthConfig{N: 2, AvgEdges: 6, Labels: 7, Seed: rng.Int63()})...)
@@ -385,7 +394,7 @@ func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err = OpenStore(dir, StoreOptions{Memory: MemoryMap})
+	s, err = OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatalf("a mapped open reads no payload, so it must succeed: %v", err)
 	}

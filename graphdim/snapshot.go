@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/segment"
 	"repro/internal/wal"
 )
 
@@ -23,7 +24,7 @@ import (
 
 // WriteSnapshotTar streams the store's last installed checkpoint to w
 // as a tar archive: store.json first, then each referenced shard file.
-// It serializes with Save/Checkpoint (holding the save lock), which is
+// It serializes with checkpoints (holding the save lock), which is
 // what makes the read consistent: the manifest on disk cannot be
 // swapped, and the files it references are never truncated, overwritten
 // or swept while the lock is held. Live WAL segments are deliberately
@@ -47,8 +48,11 @@ func (s *Store) WriteSnapshotTar(w io.Writer) error {
 	}
 
 	tw := tar.NewWriter(w)
-	if err := tarFile(tw, manifestName, manData); err != nil {
-		return err
+	if err := tw.WriteHeader(&tar.Header{Name: manifestName, Mode: 0o644, Size: int64(len(manData))}); err != nil {
+		return fmt.Errorf("graphdim: snapshot: %w", err)
+	}
+	if _, err := tw.Write(manData); err != nil {
+		return fmt.Errorf("graphdim: snapshot: %w", err)
 	}
 	for _, cm := range man.Collections {
 		for _, f := range cm.ShardFiles {
@@ -63,17 +67,6 @@ func (s *Store) WriteSnapshotTar(w io.Writer) error {
 		}
 	}
 	if err := tw.Close(); err != nil {
-		return fmt.Errorf("graphdim: snapshot: %w", err)
-	}
-	return nil
-}
-
-func tarFile(tw *tar.Writer, name string, data []byte) error {
-	hdr := &tar.Header{Name: name, Mode: 0o644, Size: int64(len(data))}
-	if err := tw.WriteHeader(hdr); err != nil {
-		return fmt.Errorf("graphdim: snapshot: %w", err)
-	}
-	if _, err := tw.Write(data); err != nil {
 		return fmt.Errorf("graphdim: snapshot: %w", err)
 	}
 	return nil
@@ -105,67 +98,109 @@ func tarStream(tw *tar.Writer, name, path string) error {
 }
 
 // ExtractSnapshotTar unpacks a WriteSnapshotTar stream into dir, which
-// must not already hold a store. Every file is fsynced (and the
-// directories after them) before it returns: a checkpoint image that a
-// replication follower will acknowledge against must not evaporate in a
-// crash. Entry names are confined to dir — a hostile archive cannot
-// escape it.
-func ExtractSnapshotTar(dir string, r io.Reader) error {
+// must not already hold a store. It is all or nothing: the manifest is
+// installed last, once every shard file it names has arrived whole,
+// fsynced, and passed its body checksum (a mapped open never reads the
+// body); on any error the files this call wrote are removed, so the next
+// attempt starts clean. Entry names are confined to dir — a hostile
+// archive cannot escape it.
+func ExtractSnapshotTar(dir string, r io.Reader) (err error) {
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
 		return fmt.Errorf("graphdim: extract snapshot: %s already holds a store", dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("graphdim: extract snapshot: %w", err)
 	}
-	tr := tar.NewReader(r)
+	var written []string
 	dirs := map[string]bool{dir: true}
-	sawManifest := false
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("graphdim: extract snapshot: %w", err)
+			for _, p := range written {
+				os.Remove(p)
+			}
+			for d := range dirs {
+				os.Remove(d) // only if empty
+			}
+		}
+	}()
+	var manData []byte
+	tr := tar.NewReader(r)
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("graphdim: extract snapshot: %w", err)
+			return err
 		}
 		if hdr.Typeflag != tar.TypeReg {
-			return fmt.Errorf("graphdim: extract snapshot: unexpected entry type %d for %q", hdr.Typeflag, hdr.Name)
+			return fmt.Errorf("unexpected entry type %d for %q", hdr.Typeflag, hdr.Name)
 		}
 		name := filepath.Clean(hdr.Name)
 		if name == "" || filepath.IsAbs(name) || name == ".." || strings.HasPrefix(name, ".."+string(filepath.Separator)) {
-			return fmt.Errorf("graphdim: extract snapshot: entry %q escapes the target directory", hdr.Name)
-		}
-		path := filepath.Join(dir, name)
-		if d := filepath.Dir(path); !dirs[d] {
-			if err := os.MkdirAll(d, 0o755); err != nil {
-				return fmt.Errorf("graphdim: extract snapshot: %w", err)
-			}
-			dirs[d] = true
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
-			return fmt.Errorf("graphdim: extract snapshot: %w", err)
-		}
-		if _, err := io.Copy(f, tr); err != nil {
-			f.Close()
-			return fmt.Errorf("graphdim: extract snapshot: %q: %w", hdr.Name, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("graphdim: extract snapshot: %q: %w", hdr.Name, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("graphdim: extract snapshot: %q: %w", hdr.Name, err)
+			return fmt.Errorf("entry %q escapes the target directory", hdr.Name)
 		}
 		if name == manifestName {
-			sawManifest = true
+			manData, err = io.ReadAll(tr)
+		} else {
+			err = extractFile(filepath.Join(dir, name), tr, dirs, &written)
+		}
+		if err != nil {
+			return fmt.Errorf("%q: %w", hdr.Name, err)
 		}
 	}
-	if !sawManifest {
-		return fmt.Errorf("graphdim: extract snapshot: archive holds no %s", manifestName)
+	if manData == nil {
+		return fmt.Errorf("archive holds no %s", manifestName)
+	}
+	var man storeManifest
+	if err := json.Unmarshal(manData, &man); err != nil {
+		return fmt.Errorf("decode manifest: %w", err)
+	}
+	for _, cm := range man.Collections {
+		for _, f := range cm.ShardFiles {
+			path := filepath.Join(dir, cm.Name, f)
+			sr, err := segment.Open(path, segment.Options{Map: true})
+			if err == nil {
+				err = sr.VerifyBody()
+				sr.Close()
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %w", path, err)
+			}
+		}
 	}
 	for d := range dirs {
 		wal.SyncDir(d)
 	}
+	if err := installManifest(dir, manData); err != nil {
+		return err
+	}
+	wal.SyncDir(dir)
 	return nil
+}
+
+// extractFile writes one archive entry to path, which must not exist,
+// and fsyncs it; path's directory is created on first use and recorded
+// in dirs, and path in written as soon as it exists.
+func extractFile(path string, r io.Reader, dirs map[string]bool, written *[]string) error {
+	if d := filepath.Dir(path); !dirs[d] {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			return err
+		}
+		dirs[d] = true
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	*written = append(*written, path)
+	_, err = io.Copy(f, r)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

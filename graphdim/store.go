@@ -27,7 +27,7 @@ import (
 //
 // All methods are safe for concurrent use. Cross-shard fan-out draws
 // workers from one store-wide pool.Budget, bounding the extra goroutines
-// concurrent searches, adds, and saves spend on fan-out at
+// concurrent searches, adds, and checkpoints spend on fan-out at
 // StoreOptions.Workers in total; a collection's per-shard index workers
 // are divided across its shards at creation so shard-internal fan-out
 // does not multiply with the shard count.
@@ -55,9 +55,9 @@ type Store struct {
 	// reachable before its wal field is set.
 	creating map[string]bool
 	closed   bool
-	// saveMu serializes Save calls: a save sweeps files the just-written
-	// manifest does not reference, which would delete a concurrent save's
-	// in-flight shard files.
+	// saveMu serializes checkpoints: one sweeps files its just-written
+	// manifest does not reference, which would delete a concurrent
+	// checkpoint's in-flight shard files.
 	saveMu sync.Mutex
 }
 
@@ -65,7 +65,7 @@ type Store struct {
 type StoreOptions struct {
 	// Workers is the shared cross-shard worker budget: the number of extra
 	// goroutines the whole store may use at once for shard fan-out
-	// (search, add, save/load). Zero or negative means one per CPU. Each
+	// (search, add, checkpoint/open). Zero or negative means one per CPU. Each
 	// shard operation additionally runs on its calling goroutine, so fan-
 	// out makes progress even with the budget exhausted.
 	Workers int
@@ -77,11 +77,9 @@ type StoreOptions struct {
 	// mapped read-only from v4 segment files (the default where the
 	// platform supports it — vectors, graph payloads, and posting lists
 	// stay in the page cache and fault in on demand, so a collection can
-	// exceed RAM) or fully rehydrated onto the heap. See MemoryMode;
-	// MemoryAuto and MemoryMap select the same code, and only MemoryHeap
-	// differs. NewStore ignores it. Checkpoints predating the v4 segment
-	// format do not load in any mode: the segment reader refuses them by
-	// name.
+	// exceed RAM) or fully rehydrated onto the heap. See MemoryMode.
+	// NewStore ignores it. Checkpoints predating the v4 segment format do
+	// not load in any mode: the segment reader refuses them by name.
 	Memory MemoryMode
 }
 
@@ -90,16 +88,12 @@ type MemoryMode int
 
 const (
 	// MemoryAuto maps v4 segment checkpoints read-only where the
-	// platform supports mmap (see segment.CanMap) and falls back to the
-	// heap elsewhere — the default.
+	// platform supports mmap (see segment.CanMap), the heap elsewhere —
+	// the default. It checks each segment's trailer, not its body crc.
 	MemoryAuto MemoryMode = iota
-	// MemoryMap requests mapped serving explicitly. On a platform
-	// without mmap support it degrades to the heap (the portable
-	// fallback), identical answers at heap-resident cost.
-	MemoryMap
-	// MemoryHeap rehydrates every checkpoint onto the heap — the legacy
-	// behavior, and the mode to pick when the data directory lives on a
-	// filesystem with poor mmap semantics (some network mounts).
+	// MemoryHeap rehydrates every checkpoint onto the heap and verifies
+	// its body crc — the mode for a data directory on a filesystem with
+	// poor mmap semantics (some network mounts).
 	MemoryHeap
 )
 
@@ -151,7 +145,7 @@ func (s *Store) snapshotCollections() []*Collection {
 }
 
 // collectionName constrains names to URL- and filesystem-safe tokens: the
-// name becomes both a /v1 path segment and a directory under Save.
+// name becomes both a /v1 path segment and a directory of the data dir.
 var collectionName = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,127}$`)
 
 // CollectionOptions configures Create and CreateFromIndex.
@@ -220,7 +214,7 @@ const maxShards = 1024
 
 // Collection is one named, sharded graph database inside a Store. Global
 // ids are assigned densely in insertion order and are stable for the life
-// of the collection, across Save/Open and across Compact; the hash
+// of the collection, across Checkpoint/OpenStore and across Compact; the hash
 // placement of an id never changes.
 type Collection struct {
 	store *Store
@@ -244,7 +238,7 @@ type Collection struct {
 	// disk before it is observable. See durable.go.
 	wal *wal.Log
 	// walBase is the log position the loaded checkpoint covered, carried
-	// so saves on a WAL-disabled open preserve it instead of resetting
+	// so checkpoints on a WAL-disabled open preserve it instead of resetting
 	// wal_seq below segments still on disk (which a later WAL-enabled
 	// open would then wrongly replay).
 	walBase uint64
@@ -256,7 +250,7 @@ type Collection struct {
 
 	addMu sync.Mutex // serializes writers (Add, Remove) collection-wide
 	// nextID is written under addMu; atomic so read-only paths (Stats)
-	// never block behind a long Add or Save holding the writer lock.
+	// never block behind a long Add or checkpoint holding the writer lock.
 	nextID atomic.Int64
 	// applied is the settled watermark: the highest WAL sequence that is
 	// visible in shard state. On a primary it trails LastSeq only while a
@@ -379,12 +373,12 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	// collection becomes reachable only once that checkpoint is
 	// installed — so no write can be acknowledged against a collection
 	// that would vanish if the checkpoint failed, and a successful
-	// create is itself durable. (saveToLocked publishes the collection
+	// create is itself durable. (checkpointLocked publishes the collection
 	// under its own lock; see its doc comment.) A checkpoint covers the
 	// whole store — create and drop are rare admin operations, priced
 	// accordingly.
 	if s.dir != "" {
-		if err := s.saveToLocked(s.dir, true, c); err != nil {
+		if err := s.checkpointLocked(c); err != nil {
 			s.saveMu.Unlock()
 			if c.wal != nil {
 				c.wal.Close()

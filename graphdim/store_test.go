@@ -32,6 +32,21 @@ func newTestStore(t *testing.T) *Store {
 	return s
 }
 
+// newCheckpointStore creates a store in a fresh data directory with its
+// write-ahead log disabled, closed with the test: writes persist only
+// when a checkpoint runs (Checkpoint, or the one every create and drop
+// runs), so a reopen shows exactly what the last checkpoint captured.
+func newCheckpointStore(t *testing.T) (*Store, string) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "store")
+	s, err := CreateStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s, dir
+}
+
 func sameResults(t *testing.T, label string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -420,11 +435,11 @@ func TestStoreCompactionConcurrentSearch(t *testing.T) {
 }
 
 // TestStorePersistence round-trips a multi-collection store through
-// Save/OpenStore and checks the loaded store answers identically.
+// Checkpoint/OpenStore and checks the loaded store answers identically.
 func TestStorePersistence(t *testing.T) {
 	db := storeTestDB(t, 24, 33)
 	opt := storeTestOptions()
-	s := newTestStore(t)
+	s, dir := newCheckpointStore(t)
 	ctx := context.Background()
 	c1, err := s.Create(ctx, "alpha", db, CollectionOptions{Shards: 3, Build: opt, Defaults: SearchOptions{K: 7, Engine: EngineVerified, VerifyFactor: 2}})
 	if err != nil {
@@ -442,9 +457,8 @@ func TestStorePersistence(t *testing.T) {
 		t.Fatalf("Remove: %v", err)
 	}
 
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := s.Save(dir); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	loaded, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
@@ -490,15 +504,9 @@ func TestStorePersistence(t *testing.T) {
 
 func TestOpenStoreRejectsCorruptManifests(t *testing.T) {
 	db := storeTestDB(t, 12, 3)
-	s := newTestStore(t)
-	coll, err := s.Create(context.Background(), "c", db, CollectionOptions{Shards: 2, Build: storeTestOptions()})
-	if err != nil {
+	s, dir := newCheckpointStore(t)
+	if _, err := s.Create(context.Background(), "c", db, CollectionOptions{Shards: 2, Build: storeTestOptions()}); err != nil {
 		t.Fatalf("Create: %v", err)
-	}
-	_ = coll
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := s.Save(dir); err != nil {
-		t.Fatalf("Save: %v", err)
 	}
 	manifest := filepath.Join(dir, manifestName)
 	good, err := os.ReadFile(manifest)
@@ -540,14 +548,10 @@ func TestOpenStoreRejectsCorruptManifests(t *testing.T) {
 // memory mode, never served.
 func TestOpenStoreRefusesMixedDimensionSets(t *testing.T) {
 	db := storeTestDB(t, 24, 3)
-	s := newTestStore(t)
+	s, dir := newCheckpointStore(t)
 	coll, err := s.Create(context.Background(), "c", db, CollectionOptions{Shards: 2, Build: storeTestOptions()})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
-	}
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := s.Save(dir); err != nil {
-		t.Fatalf("Save: %v", err)
 	}
 	if re, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}}); err != nil {
 		t.Fatalf("OpenStore of the untouched directory: %v", err)
@@ -574,7 +578,7 @@ func TestOpenStoreRefusesMixedDimensionSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.WriteTo(f); err != nil {
+	if err := other.writeSegment(f, other.snap.Load()); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -582,7 +586,7 @@ func TestOpenStoreRefusesMixedDimensionSets(t *testing.T) {
 	}
 
 	want := `collection "c": shard 1 holds a different dimension set than shard 0 — compacted by an earlier release; re-create the collection`
-	for _, mode := range []MemoryMode{MemoryAuto, MemoryMap, MemoryHeap} {
+	for _, mode := range []MemoryMode{MemoryAuto, MemoryHeap} {
 		re, err := OpenStore(dir, StoreOptions{Memory: mode, WAL: WALOptions{Disabled: true}})
 		if err == nil {
 			re.Close()
@@ -594,26 +598,23 @@ func TestOpenStoreRefusesMixedDimensionSets(t *testing.T) {
 	}
 }
 
-// TestStoreResaveNeverCorruptsPreviousGeneration pins Save's durability
-// contract: a re-save writes fresh files and swaps the manifest, so even
-// interleaved saves leave a loadable store, and orphans are swept.
+// TestStoreResaveNeverCorruptsPreviousGeneration pins the checkpoint's
+// durability contract: a second checkpoint writes fresh files and swaps
+// the manifest, so a store stays loadable throughout, and orphans are
+// swept.
 func TestStoreResaveNeverCorruptsPreviousGeneration(t *testing.T) {
 	db := storeTestDB(t, 12, 4)
-	s := newTestStore(t)
+	s, dir := newCheckpointStore(t)
 	ctx := context.Background()
 	coll, err := s.Create(ctx, "c", db, CollectionOptions{Shards: 2, Build: storeTestOptions()})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := s.Save(dir); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
 	if _, err := coll.Add(ctx, storeTestDB(t, 3, 40)...); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(dir); err != nil {
-		t.Fatalf("re-Save: %v", err)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("second checkpoint: %v", err)
 	}
 	// The superseded generation's files are swept; one file per shard
 	// remains and the store loads with the new contents.
@@ -622,11 +623,11 @@ func TestStoreResaveNeverCorruptsPreviousGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(files) != 2 {
-		t.Fatalf("found %d shard files after re-save, want 2: %v", len(files), files)
+		t.Fatalf("found %d shard files after the second checkpoint, want 2: %v", len(files), files)
 	}
 	loaded, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
-		t.Fatalf("OpenStore after re-save: %v", err)
+		t.Fatalf("OpenStore after the second checkpoint: %v", err)
 	}
 	defer loaded.Close()
 	lc, _ := loaded.Collection("c")
@@ -785,11 +786,11 @@ func TestSearchNoDefaultsBypassesOverlay(t *testing.T) {
 	}
 }
 
-// TestSaveSweepsDroppedCollections pins that re-saving after Drop removes
-// the dropped collection's files and directory.
+// TestSaveSweepsDroppedCollections pins that the checkpoint a Drop runs
+// removes the dropped collection's files and directory.
 func TestSaveSweepsDroppedCollections(t *testing.T) {
 	db := storeTestDB(t, 12, 7)
-	s := newTestStore(t)
+	s, dir := newCheckpointStore(t)
 	ctx := context.Background()
 	if _, err := s.Create(ctx, "keep", db, CollectionOptions{Build: storeTestOptions()}); err != nil {
 		t.Fatal(err)
@@ -797,20 +798,13 @@ func TestSaveSweepsDroppedCollections(t *testing.T) {
 	if _, err := s.Create(ctx, "gone", db, CollectionOptions{Build: storeTestOptions()}); err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := s.Save(dir); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Drop("gone"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "gone")); !os.IsNotExist(err) {
 		t.Fatalf("dropped collection directory still on disk (stat err: %v)", err)
 	}
 	if _, err := OpenStore(dir, StoreOptions{}); err != nil {
-		t.Fatalf("OpenStore after drop+save: %v", err)
+		t.Fatalf("OpenStore after drop: %v", err)
 	}
 }

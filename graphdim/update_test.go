@@ -1,7 +1,6 @@
 package graphdim
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -95,19 +94,11 @@ func TestReloadedPlusAddMatchesDirectAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if _, err := built.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	reloaded := reopenAsCollection(t, built, MemoryAuto)
 	if _, err := built.Add(extra...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reloaded.Add(extra...); err != nil {
+	if _, err := reloaded.Add(context.Background(), extra...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,8 +122,8 @@ func TestReloadedPlusAddMatchesDirectAdd(t *testing.T) {
 			}
 		}
 	}
-	if built.StaleRatio() != reloaded.StaleRatio() {
-		t.Errorf("stale ratios diverged: %v vs %v", built.StaleRatio(), reloaded.StaleRatio())
+	if got := reloaded.StaleRatios()[0]; built.StaleRatio() != got {
+		t.Errorf("stale ratios diverged: %v vs %v", built.StaleRatio(), got)
 	}
 }
 
@@ -251,16 +242,8 @@ func TestStaleRatioAddThenRemoveCancels(t *testing.T) {
 		t.Errorf("after base removal: StaleRatio = %v, want %v", got, want)
 	}
 	// And the distinction survives persistence.
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.StaleRatio() != idx.StaleRatio() {
-		t.Errorf("StaleRatio changed across persistence: %v vs %v", loaded.StaleRatio(), idx.StaleRatio())
+	if got := reopenAsCollection(t, idx, MemoryAuto).StaleRatios()[0]; got != idx.StaleRatio() {
+		t.Errorf("StaleRatio changed across persistence: %v vs %v", got, idx.StaleRatio())
 	}
 }
 

@@ -1,0 +1,73 @@
+package segment
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzReader throws arbitrary bytes at the v4 decoder: NewReader must
+// return an error or a reader — never panic, hang, or allocate beyond
+// what the anti-bomb limits of this package and the graph codec allow —
+// for every input. An input that NewReader and VerifyBody both accept
+// must decode through every accessor and every GraphAt, and re-encode
+// through Write to exactly its own bytes: the canonical encoding is a
+// fixed point. The seed corpus is a valid segment (tombstones, two words
+// per vector) plus systematic truncations and bit flips of it.
+func FuzzReader(f *testing.F) {
+	valid := encodeFixture(f, buildFixture(f, 40, 70, 17))
+	f.Add(valid)
+	// Truncations at structural boundaries (magic, meta, trailer) and
+	// random depths.
+	for _, cut := range []int{0, 4, 8, 9, 16, len(valid) / 3, len(valid) / 2, len(valid) - trailerSize, len(valid) - 5, len(valid) - 1} {
+		f.Add(bytes.Clone(valid[:cut]))
+	}
+	// Bit flips across the file: meta, sections, the trailer's offsets,
+	// its two checksums and its magic.
+	for _, pos := range []int{8, 12, 24, len(valid) / 2, len(valid) - 140, len(valid) - 20, len(valid) - 14, len(valid) - 1} {
+		flipped := bytes.Clone(valid)
+		flipped[pos] ^= 0x10
+		f.Add(flipped)
+	}
+	// Degenerate non-segment inputs.
+	f.Add([]byte{})
+	f.Add([]byte(Magic))
+	f.Add([]byte(`{"version":1}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(data, false, nil)
+		if err != nil || r.VerifyBody() != nil {
+			return
+		}
+		blk, err := r.Block()
+		if err != nil {
+			t.Fatalf("Block of a verified segment: %v", err)
+		}
+		post, err := r.Postings()
+		if err != nil {
+			t.Fatalf("Postings of a verified segment: %v", err)
+		}
+		dead, count := r.Dead()
+		if count > r.N() {
+			t.Fatalf("%d tombstones among %d ids", count, r.N())
+		}
+		for i := 0; i < r.N(); i++ {
+			if _, err := r.GraphAt(i); err != nil {
+				t.Fatalf("GraphAt of a verified segment: %v", err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, Payload{
+			Meta:  r.Meta(),
+			Block: blk,
+			Dead:  dead,
+			Graph: r.GraphBytes,
+			Ones:  r.aliasI32(r.onesOff, int64(r.n)),
+			List:  post.List,
+		}); err != nil {
+			t.Fatalf("re-encoding a verified segment: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatal("decode→encode is not a fixed point")
+		}
+	})
+}

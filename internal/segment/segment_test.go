@@ -24,7 +24,7 @@ type fixture struct {
 	blobs [][]byte
 }
 
-func buildFixture(t *testing.T, n, p int, seed int64) *fixture {
+func buildFixture(t testing.TB, n, p int, seed int64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	vecs := make([]*vecspace.BitVector, n)
@@ -83,20 +83,33 @@ func buildFixture(t *testing.T, n, p int, seed int64) *fixture {
 	}
 }
 
+// encodeFixture returns fx's payload as segment bytes.
+func encodeFixture(t testing.TB, fx *fixture) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, fx.pl); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func writeFixture(t *testing.T, fx *fixture) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seg.gdx")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(f, fx.pl); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, encodeFixture(t, fx), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// openVerified is the open a heap load and a follower's bootstrap run:
+// the trailer checked by NewReader, then the body checksum.
+func openVerified(data []byte) (*Reader, error) {
+	r, err := NewReader(data, false, nil)
+	if err == nil {
+		err = r.VerifyBody()
+	}
+	return r, err
 }
 
 func checkReader(t *testing.T, fx *fixture, r *Reader) {
@@ -292,6 +305,68 @@ func TestSegmentTornTrailer(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSegmentVerifiedOpenRejectsEveryFlipAndCut flips every byte and cuts
+// at every length of a valid segment: the trailer and body checksums
+// together leave no position a verified open accepts.
+func TestSegmentVerifiedOpenRejectsEveryFlipAndCut(t *testing.T) {
+	valid := encodeFixture(t, buildFixture(t, 40, 70, 5))
+	if _, err := openVerified(valid); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := make([]byte, len(valid))
+	for pos := range valid {
+		copy(corrupt, valid)
+		corrupt[pos] ^= 0x40
+		if _, err := openVerified(corrupt); err == nil {
+			t.Fatalf("flipped byte %d of %d accepted", pos, len(valid))
+		}
+	}
+	for cut := 0; cut < len(valid); cut++ {
+		if _, err := openVerified(valid[:cut]); err == nil {
+			t.Fatalf("truncation at %d of %d accepted", cut, len(valid))
+		}
+	}
+}
+
+// TestSegmentNamesLegacyFormats: files of the retired index generations
+// are intact, so the open error names the format and the upgrade path
+// instead of calling them corrupt; input that is no index at all is
+// refused without claiming a format.
+func TestSegmentNamesLegacyFormats(t *testing.T) {
+	for name, tc := range map[string]struct{ data, format string }{
+		"v2":         {"GDIMIDX2\x00\x10payload", "v2 binary"},
+		"v3":         {"GDIMIDX3\x00\x10payload", "v3 binary"},
+		"v3 magic":   {"GDIMIDX3", "v3 binary"},
+		"v1":         {`{"version":1,"metric":0,"features":[],"db":[]}`, "v1 JSON"},
+		"v1 indent":  {"\n {\n \"version\": 1\n}", "v1 JSON"},
+		"other json": {`{"version": 2}`, "v1 JSON"},
+		"empty":      {"", ""},
+		"text":       {"hello world", ""},
+		"bad magic":  {"GDIMIDX9everything-else", ""},
+	} {
+		_, err := NewReader([]byte(tc.data), false, nil)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		msg := err.Error()
+		if tc.format == "" {
+			if strings.Contains(msg, "legacy") {
+				t.Errorf("%s: non-index input reported as a legacy format: %q", name, msg)
+			}
+			continue
+		}
+		for _, want := range []string{"legacy " + tc.format, "previous release", "checkpoint"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: error %q does not mention %q", name, msg, want)
+			}
+		}
+		if strings.Contains(msg, "corrupt") {
+			t.Errorf("%s: legacy file reported as corrupt: %q", name, msg)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import "testing"
 // Pack + Append chain, must unpack to bit-identical vectors, leave the
 // pre-Append block untouched, and produce kernel counts equal to the
 // scalar HammingDistance. The seed corpus pins the same edge shapes
-// FuzzReadIndex leans on: zero-dimension and word-boundary vectors,
+// segment.FuzzReader leans on: zero-dimension and word-boundary vectors,
 // empty sets, and ns straddling a tile edge.
 func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(0), uint8(0))           // p=0, n=0

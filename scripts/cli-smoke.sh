@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# cli-smoke.sh drives the four commands end to end over one store
+# directory: dspm writes it, gsearch (mapped and verified engines) and
+# gq read it, gserve serves it and shuts down cleanly on SIGTERM. Any
+# failed step fails the script. Run it as `make cli`.
+set -euo pipefail
+
+d=$(mktemp -d)
+pid=
+cleanup() {
+	if [ -n "$pid" ]; then kill "$pid" 2>/dev/null || true; fi
+	rm -rf "$d"
+}
+trap cleanup EXIT
+
+for cmd in dspm gsearch gq gserve gen; do
+	go build -o "$d/bin/$cmd" "./cmd/$cmd"
+done
+bin=$d/bin
+store=$d/store
+
+"$bin/dspm" -gen 40 -shards 2 -out "$store" -progress=false
+"$bin/gen" -kind chem -n 3 -seed 99 > "$d/q.graphs"
+
+"$bin/gsearch" -store "$store" -queries "$d/q.graphs" -k 3 | tee "$d/mapped.txt"
+grep -q 'mapped engine' "$d/mapped.txt"
+"$bin/gsearch" -store "$store" -queries "$d/q.graphs" -k 3 -engine verified -factor 2 | tee "$d/verified.txt"
+grep -q 'verified engine' "$d/verified.txt"
+
+echo '{"stages":[{"filter":{"min_edges":1}},{"count":{}}]}' |
+	"$bin/gq" -pipeline - -store "$store" | tee "$d/count.json"
+grep -q '"count": 40' "$d/count.json"
+
+"$bin/gserve" -data "$store" -addr 127.0.0.1:0 2> "$d/gserve.log" &
+pid=$!
+addr=
+for _ in $(seq 100); do
+	addr=$(sed -n 's/^gserve: listening on //p' "$d/gserve.log")
+	[ -n "$addr" ] && break
+	sleep 0.1
+done
+[ -n "$addr" ] || { cat "$d/gserve.log"; echo "gserve did not start" >&2; exit 1; }
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/healthz")
+[ "$code" = 200 ] || { echo "/healthz answered $code" >&2; exit 1; }
+code=$(curl -s -o "$d/search.json" -w '%{http_code}' --data-binary @"$d/q.graphs" \
+	"http://$addr/v1/collections/default/search?k=3")
+[ "$code" = 200 ] || { cat "$d/search.json"; echo "search answered $code" >&2; exit 1; }
+kill -TERM "$pid"
+status=0
+wait "$pid" || status=$?
+pid=
+cat "$d/gserve.log"
+[ "$status" = 0 ] || { echo "gserve exited $status after SIGTERM" >&2; exit 1; }
+grep -q 'shut down cleanly' "$d/gserve.log"
+echo "cli smoke: ok"

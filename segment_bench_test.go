@@ -85,7 +85,7 @@ func BenchmarkColdOpen(b *testing.B) {
 		mode graphdim.MemoryMode
 	}{
 		{"heap", graphdim.MemoryHeap},
-		{"mmap", graphdim.MemoryMap},
+		{"mmap", graphdim.MemoryAuto},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var heapGrowth uint64
