@@ -65,8 +65,9 @@ race:
 # (whose re-encoding is a fixed point), the compiled VF2 pattern against
 # brute force, the SoA pack round trip, the threshold-fused flat scan
 # against the scalar ranking, the graph text format, the mapper's
-# label-count precheck against VF2, and the follower's replication
-# stream parser.
+# label-count precheck against VF2, the follower's replication stream
+# parser, and the pipeline document parser (whose accepted documents
+# plan or fail with a stage error, and survive a JSON round trip).
 # `go test` alone runs only their seed corpora. The segment decoder's
 # inputs are kilobytes long, so its minimization is capped at 200 runs
 # per new input: the default 60 s would spend most of FUZZTIME there.
@@ -78,6 +79,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTextRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzMapperMatchesContains$$' -fuzztime $(FUZZTIME) ./internal/vecspace
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReader$$' -fuzztime $(FUZZTIME) ./internal/repl
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/pipeline
 
 vet:
 	$(GO) vet ./...

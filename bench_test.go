@@ -508,13 +508,11 @@ func BenchmarkSearchEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchSparse is the headline posting-list benchmark: one
-// mapped top-10 query against a 3000-graph index, pruned versus flat
-// (SearchOptions.NoPrune), on the workload pruning targets — a sparse
-// query whose DimensionBits touch few dimensions — plus a dense
-// database graph for honesty (the cost model falls back to the flat
-// scan there, so the two sub-benchmarks converge). The pruned/sparse
-// over flat/sparse ratio is the speedup pruning buys.
+// BenchmarkSearchSparse is one mapped top-10 query against a 3000-graph
+// index, for a sparse query whose DimensionBits touch no dimension and
+// for a dense database graph. Both run the one flat scan; the sparse
+// query's counts tie on ones alone, which is where the heap's threshold
+// and the zone map have the least to go on.
 func BenchmarkSearchSparse(b *testing.B) {
 	db := dataset.Synthetic(dataset.SynthConfig{N: 3000, AvgEdges: 10, Labels: 6, Seed: 11})
 	idx, err := graphdim.Build(db, graphdim.Options{
@@ -529,31 +527,25 @@ func BenchmarkSearchSparse(b *testing.B) {
 		b.Fatal(err)
 	}
 	// The sparse query: a small unseen graph over a disjoint label range,
-	// matching none of the index dimensions — the extreme the posting
-	// index makes O(k) instead of O(n).
+	// matching none of the index dimensions.
 	sparse := graphdim.NewGraph(0)
 	sv0 := sparse.AddVertex(40)
 	sv1 := sparse.AddVertex(41)
 	sv2 := sparse.AddVertex(42)
 	sparse.MustAddEdge(sv0, sv1, 7)
 	sparse.MustAddEdge(sv1, sv2, 7)
-	// db[0] matches dimensions whose posting mass trips the cost model,
-	// so its pruned and flat sub-benchmarks run the identical scan.
 	dense := db[0]
 	ctx := context.Background()
 	for _, bc := range []struct {
-		name    string
-		q       *graphdim.Graph
-		noPrune bool
+		name string
+		q    *graphdim.Graph
 	}{
-		{"sparse/pruned", sparse, false},
-		{"sparse/flat", sparse, true},
-		{"dense/pruned", dense, false},
-		{"dense/flat", dense, true},
+		{"sparse", sparse},
+		{"dense", dense},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := idx.Search(ctx, bc.q, graphdim.SearchOptions{K: 10, NoPrune: bc.noPrune}); err != nil {
+				if _, err := idx.Search(ctx, bc.q, graphdim.SearchOptions{K: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -683,8 +675,8 @@ func BenchmarkIngest(b *testing.B) {
 // BenchmarkSearchAllocs tracks the warm-query allocation profile the
 // SoA scan's scratch arenas pin (see TestSearchAllocsBounded for the
 // hard ceiling): repeated mapped searches against a 1000-graph index,
-// flat and pruned, cache off. Watch allocs/op — it must stay a small
-// constant, independent of the database size.
+// cache off. Watch allocs/op — it must stay a small constant, independent
+// of the database size.
 func BenchmarkSearchAllocs(b *testing.B) {
 	db := dataset.Synthetic(dataset.SynthConfig{N: 1000, AvgEdges: 10, Labels: 6, Seed: 13})
 	idx, err := graphdim.Build(db, graphdim.Options{
@@ -699,25 +691,17 @@ func BenchmarkSearchAllocs(b *testing.B) {
 	// reflects the scan, not the matcher.
 	q := graphdim.NewGraph(1)
 	ctx := context.Background()
-	for _, bc := range []struct {
-		name    string
-		noPrune bool
-	}{
-		{"flat", true},
-		{"pruned", false},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			opt := graphdim.SearchOptions{K: 10, NoPrune: bc.noPrune}
-			if _, err := idx.Search(ctx, q, opt); err != nil { // warm the scratch pool
+	b.Run("flat", func(b *testing.B) {
+		opt := graphdim.SearchOptions{K: 10}
+		if _, err := idx.Search(ctx, q, opt); err != nil { // warm the scratch pool
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := idx.Search(ctx, q, opt); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := idx.Search(ctx, q, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -82,10 +82,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// The CLI specifies every knob explicitly (flags have defaults), so a
-	// store collection's default overlay must not reinterpret the zero
-	// values — -engine mapped means mapped.
-	opt := graphdim.SearchOptions{K: *k, Engine: eng, VerifyFactor: *factor, MaxCandidates: *maxcand, NoDefaults: true}
+	opt := graphdim.SearchOptions{K: *k, Engine: eng, VerifyFactor: *factor, MaxCandidates: *maxcand}
 	for qi, q := range qs {
 		res, err := coll.Search(ctx, q, opt)
 		if err != nil {

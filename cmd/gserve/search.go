@@ -43,14 +43,12 @@ type searchResponse struct {
 
 // parseSearchOptions resolves the effective per-query options: the
 // collection's defaults (falling back to the server-wide -k), overridden
-// by any knobs present in the URL. The overlay happens here, with
-// NoDefaults set, rather than inside Collection.Search — the handler
-// knows which parameters were explicitly given, so ?engine=mapped works
-// even on a collection whose default engine is not mapped (the library
-// overlay cannot distinguish explicit zero values from unset ones).
+// by any knobs present in the URL. Collection.Search takes options as
+// given, so the handler — which knows which parameters were spelled out —
+// is where defaults apply: ?engine=mapped works even on a collection
+// whose default engine is not mapped.
 func (s *server) parseSearchOptions(r *http.Request, c *graphdim.Collection) (graphdim.SearchOptions, error) {
 	opt := c.Defaults()
-	opt.NoDefaults = true
 	if opt.K == 0 {
 		opt.K = s.defaultK
 	}

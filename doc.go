@@ -33,15 +33,16 @@
 // p50/p99/p999, WAL fsync timings, group-commit batch sizes, admission
 // rejects, cache hit ratio). Composable query pipelines
 // (internal/pipeline) run filter → search → aggregate chains in one
-// request: declarative filter stages push down into the posting lists
-// (and serialize canonically, so filtered searches stay cacheable where
+// request: declarative filter stages push down into the posting lists,
+// whose id sets reach the scan as skip bits beside the tombstones (and
+// serialize canonically, so filtered searches stay cacheable where
 // opaque Predicate closures cannot), a similarity stage wraps the
 // three-engine Search, and streaming aggregates (count, group-by,
 // top-k, limit) fold per shard and merge exactly — surfaced as
 // POST /v1/collections/{name}/query, Collection.Query in Go, and the
-// offline cmd/gq binary. Under every one of those query paths the
+// offline cmd/gq binary. Under every one of those query paths one
 // mapped scan runs a structure-of-arrays kernel (internal/vecspace's
-// tile-packed Block, built lazily per snapshot and extended
+// tile-packed Block, built with each snapshot and extended
 // copy-on-write): one query word streams against 16 graphs per
 // popcount iteration, a bounded heap selects the top-k without sorting
 // the database, and pooled scratch arenas hold a warm query at O(1)

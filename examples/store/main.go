@@ -37,18 +37,18 @@ func main() {
 	// shard holds the same dimension set for the life of the collection,
 	// so the sharded search is exactly equivalent to an unsharded index.
 	coll, err := store.Create(ctx, "molecules", db, graphdim.CollectionOptions{
-		Shards:   4,
-		Build:    graphdim.Options{Dimensions: 40, Tau: 0.10, MCSBudget: 20000},
-		Defaults: graphdim.SearchOptions{K: 5},
+		Shards: 4,
+		Build:  graphdim.Options{Dimensions: 40, Tau: 0.10, MCSBudget: 20000},
 	})
 	if err != nil {
 		log.Fatalf("create: %v", err)
 	}
 	fmt.Printf("collection %q: %d graphs in %d shards\n", coll.Name(), coll.Size(), coll.Shards())
 
-	// Fan-out search; K comes from the collection defaults.
+	// Fan-out search.
+	top5 := graphdim.SearchOptions{K: 5}
 	for qi, q := range queries {
-		res, err := coll.Search(ctx, q, graphdim.SearchOptions{})
+		res, err := coll.Search(ctx, q, top5)
 		if err != nil {
 			log.Fatalf("search: %v", err)
 		}
@@ -76,7 +76,7 @@ func main() {
 	if err := coll.Remove(ids[:10]...); err != nil {
 		log.Fatalf("remove: %v", err)
 	}
-	before, err := coll.Search(ctx, queries[0], graphdim.SearchOptions{})
+	before, err := coll.Search(ctx, queries[0], top5)
 	if err != nil {
 		log.Fatalf("search: %v", err)
 	}
@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("compact: %v", err)
 	}
-	after, err := coll.Search(ctx, queries[0], graphdim.SearchOptions{})
+	after, err := coll.Search(ctx, queries[0], top5)
 	if err != nil {
 		log.Fatalf("search: %v", err)
 	}

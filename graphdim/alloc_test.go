@@ -4,17 +4,19 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
 // TestSearchAllocsBounded pins the O(1)-allocations property of a warm
 // query on the uncached Index path: once the scratch pool is primed, a
-// repeated mapped Search — flat, pruned, with a dense query that runs a
-// real VF2 search per dimension, and on a never-searched index right
-// after an Add — must stay under a small fixed ceiling per call,
-// independent of the database size and of the dimension count. The
+// repeated mapped Search — flat, dimension-filtered, with a dense query
+// that runs a real VF2 search per dimension, and on a never-searched
+// index right after an Add — must stay under a small fixed ceiling per
+// call, independent of the database size and of the dimension count. The
 // ceiling covers only per-query fixed costs (the query's mapped vector
 // and the one matcher scratch behind it, the copied-out results, the
-// SearchResult, a pruned plan's slices); it fails loudly if a future
+// SearchResult, a filter's compiled id list and skip bitset); it fails loudly if a future
 // change reintroduces per-candidate or per-dimension allocation, which
 // would scale with n or p and blow far past it.
 func TestSearchAllocsBounded(t *testing.T) {
@@ -47,10 +49,10 @@ func TestSearchAllocsBounded(t *testing.T) {
 		q    *Graph
 		opt  SearchOptions
 	}{
-		{"flat", idx, q, SearchOptions{K: 10, NoPrune: true}},
-		{"pruned", idx, q, SearchOptions{K: 10}},
-		{"dense", idx, dense, SearchOptions{K: 10, NoPrune: true}},
-		{"fresh-add", fresh, q, SearchOptions{K: 10, NoPrune: true}},
+		{"flat", idx, q, SearchOptions{K: 10}},
+		{"filtered", idx, q, SearchOptions{K: 10, Filters: []*pipeline.Filter{{DimsAny: []int{0}, MinOnes: 1}}}},
+		{"dense", idx, dense, SearchOptions{K: 10}},
+		{"fresh-add", fresh, q, SearchOptions{K: 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Warm up: grow the pooled scratch to the collection's
@@ -92,7 +94,7 @@ func TestCollectionSearchAllocsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	opt := SearchOptions{K: 10, NoPrune: true}
+	opt := SearchOptions{K: 10}
 	for i := 0; i < 5; i++ {
 		if _, err := c.Search(ctx, db[i], opt); err != nil {
 			t.Fatal(err)

@@ -109,8 +109,7 @@ func newQueryCache(opt CacheOptions) *queryCache {
 
 // cacheKey canonicalizes a query + effective options into the cache
 // key: the scalar knobs that change a result (engine, k, verification
-// dials, metric, the NoPrune escape hatch — it alters the Candidates
-// work counter) followed by the query graph in the deterministic binary
+// dials, metric) followed by the query graph in the deterministic binary
 // codec. Two structurally identical Graph values always collide
 // (desired); isomorphic graphs built differently may not (a miss, never
 // a wrong answer).
@@ -139,7 +138,7 @@ func cacheKey(q *Graph, opt SearchOptions) (string, bool) {
 	n += binary.PutUvarint(hdr[n:], uint64(opt.K))
 	n += binary.PutUvarint(hdr[n:], uint64(opt.VerifyFactor))
 	n += binary.PutUvarint(hdr[n:], uint64(opt.MaxCandidates))
-	hdr[n] = byte(opt.Metric)<<1 | b2u(opt.NoPrune)
+	hdr[n] = byte(opt.Metric)
 	n++
 	b.Write(hdr[:n])
 	if err := graph.WriteBinary(&b, q); err != nil {
@@ -150,13 +149,6 @@ func cacheKey(q *Graph, opt SearchOptions) (string, bool) {
 	// filtered and unfiltered spellings from ever colliding.
 	b.Write(pipeline.CanonFilters(opt.Filters, nil))
 	return b.String(), true
-}
-
-func b2u(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // get returns a copy of the entry under key if it exists and its

@@ -16,10 +16,10 @@ import (
 
 // The property-based engine-equivalence suite: randomized collections
 // (live sizes from 1 to the hundreds, removals interleaved with adds)
-// on which the posting-pruned mapped and verified rankings must be
-// byte-identical — same ids, bitwise-equal distances — to the flat-scan
-// rankings (SearchOptions.NoPrune) and to the single-shard Store
-// ranking, and a sharded collection fed the same waves — compacting
+// on which the mapped ranking must be byte-identical — same ids,
+// bitwise-equal distances — to the scalar reference scan, the mapped and
+// verified rankings to the single-shard Store ranking, and a sharded
+// collection fed the same waves — compacting
 // along the way — must rank like the single-shard one. Every run draws a
 // fresh seed and logs it; replay a failure with
 //
@@ -67,33 +67,18 @@ func equivBuild(t *testing.T, rng *rand.Rand, n int) (*Index, []*Graph) {
 	return nil, nil
 }
 
-// assertPrunedEqualsFlat runs one query through the pruned and flat
-// paths of the given engine and requires byte-identical rankings.
-func assertPrunedEqualsFlat(t *testing.T, label string, idx *Index, q *Graph, opt SearchOptions) *SearchResult {
+// searchChecked runs one query through the given engine and returns its
+// result. For the mapped engine it re-derives the ranking with the scalar
+// reference (topk.MappedContext over the block's unpacked vectors — no
+// kernel, no scratch, full sort) and requires the kernel results
+// bit-identical to its prefix, distances included.
+func searchChecked(t *testing.T, label string, idx *Index, q *Graph, opt SearchOptions) *SearchResult {
 	t.Helper()
 	ctx := context.Background()
-	pruned, err := idx.Search(ctx, q, opt)
+	flat, err := idx.Search(ctx, q, opt)
 	if err != nil {
-		t.Fatalf("%s: pruned Search: %v", label, err)
+		t.Fatalf("%s: Search: %v", label, err)
 	}
-	flatOpt := opt
-	flatOpt.NoPrune = true
-	flat, err := idx.Search(ctx, q, flatOpt)
-	if err != nil {
-		t.Fatalf("%s: flat Search: %v", label, err)
-	}
-	if !reflect.DeepEqual(pruned.Results, flat.Results) {
-		t.Fatalf("%s: pruned ranking diverges from flat scan:\npruned: %v\nflat:   %v\nmatched %d dimensions",
-			label, pruned.Results, flat.Results, pruned.Matched.Count())
-	}
-	if pruned.Matched.Count() != flat.Matched.Count() {
-		t.Fatalf("%s: matched dimensions diverge: %d vs %d", label, pruned.Matched.Count(), flat.Matched.Count())
-	}
-	// Third leg, mapped engine only: both Search paths above ran the SoA
-	// kernel; re-derive the ranking with the scalar reference
-	// (topk.MappedContext over the block's unpacked vectors — no kernel,
-	// no scratch, full sort) and require the kernel results bit-identical
-	// to its prefix, distances included.
 	if opt.Engine == EngineMapped && opt.Predicate == nil && len(opt.Filters) == 0 {
 		s := idx.snap.Load()
 		qv, err := idx.mapper.MapContext(ctx, q)
@@ -118,7 +103,7 @@ func assertPrunedEqualsFlat(t *testing.T, label string, idx *Index, q *Graph, op
 			}
 		}
 	}
-	return pruned
+	return flat
 }
 
 func TestEngineEquivalenceRandomized(t *testing.T) {
@@ -133,10 +118,9 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 		label := "round " + strconv.Itoa(round) + " n=" + strconv.Itoa(n)
 		t.Logf("%s: %d dimensions", label, len(idx.Dimensions()))
 
-		// Queries: database members (often dense in matched dimensions,
-		// exercising the cost-model fallback) plus unseen graphs (often
-		// sparse, exercising deep pruning), across interleaved mutation
-		// waves.
+		// Queries: database members (often dense in matched dimensions)
+		// plus unseen graphs (often sparse, so counts tie), across
+		// interleaved mutation waves.
 		queries := []*Graph{db[rng.Intn(n)], db[rng.Intn(n)]}
 		queries = append(queries, dataset.Synthetic(dataset.SynthConfig{N: 3, AvgEdges: 6, Labels: 7, Seed: rng.Int63()})...)
 
@@ -160,8 +144,8 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 			k := 1 + rng.Intn(idx.TotalGraphs()+4)
 			for qi, q := range queries {
 				wl := label + " wave " + strconv.Itoa(wave) + " query " + strconv.Itoa(qi)
-				mapped := assertPrunedEqualsFlat(t, wl+" mapped", idx, q, SearchOptions{K: k})
-				assertPrunedEqualsFlat(t, wl+" verified", idx, q, SearchOptions{
+				mapped := searchChecked(t, wl+" mapped", idx, q, SearchOptions{K: k})
+				searchChecked(t, wl+" verified", idx, q, SearchOptions{
 					K:            k,
 					Engine:       EngineVerified,
 					VerifyFactor: 1 + rng.Intn(3),
@@ -236,8 +220,8 @@ func TestEngineEquivalenceAtTinySizes(t *testing.T) {
 	q := dataset.Synthetic(dataset.SynthConfig{N: 1, AvgEdges: 6, Labels: 7, Seed: rng.Int63()})[0]
 	order := rng.Perm(len(db))
 	for _, id := range order[:len(db)-1] {
-		assertPrunedEqualsFlat(t, "live="+strconv.Itoa(idx.Size())+" mapped", idx, q, SearchOptions{K: 5})
-		assertPrunedEqualsFlat(t, "live="+strconv.Itoa(idx.Size())+" verified", idx, q,
+		searchChecked(t, "live="+strconv.Itoa(idx.Size())+" mapped", idx, q, SearchOptions{K: 5})
+		searchChecked(t, "live="+strconv.Itoa(idx.Size())+" verified", idx, q,
 			SearchOptions{K: 3, Engine: EngineVerified, VerifyFactor: 2})
 		if err := idx.Remove(id); err != nil {
 			t.Fatal(err)
@@ -246,15 +230,15 @@ func TestEngineEquivalenceAtTinySizes(t *testing.T) {
 	if idx.Size() != 1 {
 		t.Fatalf("live size = %d, want 1", idx.Size())
 	}
-	res := assertPrunedEqualsFlat(t, "live=1 mapped", idx, q, SearchOptions{K: 5})
+	res := searchChecked(t, "live=1 mapped", idx, q, SearchOptions{K: 5})
 	if len(res.Results) != 1 {
 		t.Fatalf("live=1: got %d results, want 1", len(res.Results))
 	}
 }
 
-// TestEngineEquivalenceSingleShardStore closes the loop the ISSUE pins:
-// pruned Index rankings equal flat Index rankings equal the
-// single-shard Store ranking, on a mutated database.
+// TestEngineEquivalenceSingleShardStore closes the loop: Index rankings
+// equal the scalar reference and the single-shard Store ranking, on a
+// mutated database.
 func TestEngineEquivalenceSingleShardStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(equivSeed(t)))
 	idx, db := equivBuild(t, rng, 2+rng.Intn(120))
@@ -293,7 +277,7 @@ func TestEngineEquivalenceSingleShardStore(t *testing.T) {
 			{K: k, Engine: EngineVerified, VerifyFactor: 2},
 		} {
 			label := "store query " + strconv.Itoa(qi) + " " + opt.Engine.String()
-			want := assertPrunedEqualsFlat(t, label, idx, q, opt)
+			want := searchChecked(t, label, idx, q, opt)
 			for _, coll := range []*Collection{cached, plain, cached} { // cached twice: second pass is a cache hit
 				got, err := coll.Search(ctx, q, opt)
 				if err != nil {

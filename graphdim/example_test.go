@@ -176,22 +176,22 @@ func ExampleStore() {
 	store := graphdim.NewStore(graphdim.StoreOptions{})
 	defer store.Close()
 	coll, err := store.Create(ctx, "molecules", db, graphdim.CollectionOptions{
-		Shards:   3,
-		Build:    graphdim.Options{Dimensions: 15, Tau: 0.15, MCSBudget: 2000},
-		Defaults: graphdim.SearchOptions{K: 5},
+		Shards: 3,
+		Build:  graphdim.Options{Dimensions: 15, Tau: 0.15, MCSBudget: 2000},
 	})
 	if err != nil {
 		panic(err)
 	}
 
 	// The fan-out search merges per-shard top-k lists into the exact
-	// unsharded ranking; K comes from the collection defaults.
+	// unsharded ranking.
 	flat, err := graphdim.Build(db, graphdim.Options{Dimensions: 15, Tau: 0.15, MCSBudget: 2000})
 	if err != nil {
 		panic(err)
 	}
-	want, _ := flat.Search(ctx, db[5], graphdim.SearchOptions{K: 5})
-	got, err := coll.Search(ctx, db[5], graphdim.SearchOptions{})
+	top5 := graphdim.SearchOptions{K: 5}
+	want, _ := flat.Search(ctx, db[5], top5)
+	got, err := coll.Search(ctx, db[5], top5)
 	if err != nil {
 		panic(err)
 	}
@@ -207,12 +207,12 @@ func ExampleStore() {
 	if err := coll.Remove(ids[:6]...); err != nil {
 		panic(err)
 	}
-	before, _ := coll.Search(ctx, db[5], graphdim.SearchOptions{})
+	before, _ := coll.Search(ctx, db[5], top5)
 	compacted, err := coll.Compact(ctx)
 	if err != nil {
 		panic(err)
 	}
-	after, _ := coll.Search(ctx, db[5], graphdim.SearchOptions{})
+	after, _ := coll.Search(ctx, db[5], top5)
 	fmt.Println("graphs:", coll.Size(), "shards compacted:", compacted)
 	fmt.Println("ranking unchanged:", reflect.DeepEqual(after.Results, before.Results))
 	// Output:

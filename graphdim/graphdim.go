@@ -45,14 +45,9 @@
 // nothing re-selects it, and StaleRatio tells the operator when to build a
 // new collection.
 //
-// Two accelerators keep the hot path sublinear without changing any
-// ranked result: per-dimension posting lists prune the mapped-space
-// scan to the graphs sharing a dimension with the query (an adaptive
-// cost model falls back to the flat scan for dense queries; see
-// SearchOptions.NoPrune), and collections built with CacheOptions serve
-// repeat queries from an LRU fenced by per-shard generation counters,
-// so any committed mutation or Compact invalidates affected entries
-// for free (see Index.Generation).
+// Collections built with CacheOptions serve repeat queries from an LRU
+// fenced by per-shard generation counters, so any committed mutation or
+// Compact invalidates affected entries for free (see Index.Generation).
 package graphdim
 
 import (
@@ -304,17 +299,17 @@ type snapshot struct {
 	// (Block.Append never writes a shared tile, so on a mapped snapshot
 	// the overlay is pure copy-on-write on top of the read-only mapping),
 	// tombstoned shares both unchanged — tombstoned ids keep their lanes
-	// and listings and every scan filters them through its limits.
+	// and listings and every scan skips them through its limits.
 	// Invariant: block.N() == post.N() == len(db).
 	block *vecspace.Block
 	// post holds the per-dimension posting lists and ones buckets over
-	// block's vectors — the candidate-pruning accelerator
-	// internal/posting implements.
+	// block's vectors — what dimension filters push down into
+	// (internal/posting).
 	post *posting.Index
 	// labels holds the per-label inverted lists over db — the pushdown
 	// accelerator for declarative label filters (internal/pipeline).
-	// Unlike block and post it is built lazily, by the first filtered
-	// query that needs it (labelIndex), because building it reads every
+	// Unlike block and post it is built lazily, by the first query whose
+	// filter names a label (labelIndex), because building it reads every
 	// graph — which on a mapped snapshot would fault in the whole corpus
 	// at open. Once built it is carried copy-on-write: appended extends
 	// it, an unbuilt nil just stays lazy.
@@ -546,9 +541,27 @@ func (s *snapshot) localOf(g int) int {
 func (s *snapshot) limits(admit topk.Alive) topk.Limits {
 	lim := topk.Limits{Pred: admit}
 	if s.deadCount > 0 {
-		lim.Dead = s.dead
+		lim.Skip = s.dead
 	}
 	return lim
+}
+
+// skipOutside is the skip bitset of a search restricted to ids (a
+// filter's pushdown): the tombstones and every id not in ids, so
+// membership costs the scan a mask, never a call. Ids at or beyond the
+// snapshot's extent are ignored.
+func (s *snapshot) skipOutside(ids []int32) []uint64 {
+	n := len(s.db)
+	skip := make([]uint64, deadWords(n))
+	for _, id := range ids {
+		if int(id) < n {
+			skip[id/64] |= 1 << (id % 64)
+		}
+	}
+	for w := range skip {
+		skip[w] = ^skip[w] | s.dead[w]
+	}
+	return skip
 }
 
 // graphAt returns graph id, faulting it from the mapped segment on first

@@ -76,8 +76,8 @@ type cacheManifest struct {
 	MaxBytes   int64 `json:"max_bytes,omitempty"`
 }
 
-// defaultsManifest mirrors the scalar fields of SearchOptions (Predicate
-// does not persist).
+// defaultsManifest mirrors the scalar fields of SearchOptions, the only
+// ones CollectionOptions.validate lets a collection default.
 type defaultsManifest struct {
 	K             int    `json:"k,omitempty"`
 	Engine        string `json:"engine,omitempty"`

@@ -132,9 +132,9 @@ func TestCollectionMapsOncePerDimensionSet(t *testing.T) {
 }
 
 // TestMappedSearchDecodesNothing: on a store reopened mapped (MemoryAuto),
-// predicate-free mapped searches — flat and pruned, over shards that
-// carry tombstones — rank straight from the mapped tiles and leave every
-// graph payload undecoded; a verified search then decodes exactly the
+// predicate-free mapped searches — unfiltered and dimension-filtered, over
+// shards that carry tombstones — rank straight from the mapped tiles and
+// leave every graph payload undecoded; a verified search then decodes exactly the
 // candidates it verified.
 func TestMappedSearchDecodesNothing(t *testing.T) {
 	if !segment.CanMap() {
@@ -190,14 +190,20 @@ func TestMappedSearchDecodesNothing(t *testing.T) {
 		t.Fatalf("reopened store carries %d tombstones, want 6", dead)
 	}
 
+	// A dimension filter pushes down into the scan's skip bitset, so it
+	// decodes nothing either.
+	anyDim := &pipeline.Filter{}
+	for d := range idx.Dimensions() {
+		anyDim.DimsAny = append(anyDim.DimsAny, d)
+	}
 	for qi := 0; qi < 12; qi++ {
 		q := db[rng.Intn(len(db))]
-		for _, opt := range []SearchOptions{{K: 8}, {K: 8, NoPrune: true}, {K: 200, NoPrune: true}} {
+		for _, opt := range []SearchOptions{{K: 8}, {K: 200}, {K: 8, Filters: []*pipeline.Filter{anyDim}}} {
 			res, err := c.Search(ctx, q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Results) == 0 {
+			if len(res.Results) == 0 && opt.Filters == nil {
 				t.Fatalf("query %d: no results", qi)
 			}
 		}
@@ -368,7 +374,7 @@ func TestReadersSeeOneShardState(t *testing.T) {
 		return ids
 	}
 	reader(func(i int) {
-		res, err := c.Search(ctx, db[i%len(db)], SearchOptions{K: 1000, NoPrune: i%2 == 0,
+		res, err := c.Search(ctx, db[i%len(db)], SearchOptions{K: 1000,
 			Predicate: func(id int, g *Graph) bool { names("predicate", id, g); return true }})
 		if err != nil {
 			t.Errorf("predicate search: %v", err)

@@ -255,10 +255,8 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 
 			// Post-hoc oracle on the mapped engine: the unfiltered flat
 			// ranking over everything, filtered after the fact, truncated
-			// to K, must equal the pushdown ranking. Also run the filtered
-			// search with NoPrune, which exercises the membership-bitmap
-			// fallback instead of the restricted plan.
-			full, err := idx.Search(ctx, q, SearchOptions{K: idx.TotalGraphs(), NoPrune: true})
+			// to K, must equal the pushdown ranking.
+			full, err := idx.Search(ctx, q, SearchOptions{K: idx.TotalGraphs()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,15 +269,13 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 			if len(posthoc) > k {
 				posthoc = posthoc[:k]
 			}
-			for _, noPrune := range []bool{false, true} {
-				got, err := idx.Search(ctx, q, SearchOptions{K: k, Filters: fs, NoPrune: noPrune})
-				if err != nil {
-					t.Fatalf("%s noprune=%v: %v", label, noPrune, err)
-				}
-				if !reflect.DeepEqual(got.Results, posthoc) && !(len(got.Results) == 0 && len(posthoc) == 0) {
-					t.Fatalf("%s noprune=%v: pushdown diverges from post-hoc filtering:\npushdown: %v\nposthoc:  %v\nfilter %+v",
-						label, noPrune, got.Results, posthoc, fs[0])
-				}
+			got, err := idx.Search(ctx, q, SearchOptions{K: k, Filters: fs})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !reflect.DeepEqual(got.Results, posthoc) && !(len(got.Results) == 0 && len(posthoc) == 0) {
+				t.Fatalf("%s: pushdown diverges from post-hoc filtering:\npushdown: %v\nposthoc:  %v\nfilter %+v",
+					label, got.Results, posthoc, fs[0])
 			}
 		}
 	}
@@ -445,22 +441,19 @@ func TestFilterMatchingNothingOnAShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := SearchOptions{K: len(db), Filters: []*pipeline.Filter{{DimsAll: []int{rare}}}}
-	for _, noPrune := range []bool{false, true} {
-		opt.NoPrune = noPrune
-		want, err := idx.Search(ctx, db[0], opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := many.Search(ctx, db[0], opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Results) != count {
-			t.Fatalf("noprune=%v: the index returns %d graphs for a dimension %d graphs hold", noPrune, len(want.Results), count)
-		}
-		if !reflect.DeepEqual(got.Results, want.Results) {
-			t.Fatalf("noprune=%v: %d shards (dimension %d is set in %d graphs) diverge from the index:\nsharded: %v\nindex:   %v",
-				noPrune, shards, rare, count, got.Results, want.Results)
-		}
+	want, err := idx.Search(ctx, db[0], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := many.Search(ctx, db[0], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Results) != count {
+		t.Fatalf("the index returns %d graphs for a dimension %d graphs hold", len(want.Results), count)
+	}
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatalf("%d shards (dimension %d is set in %d graphs) diverge from the index:\nsharded: %v\nindex:   %v",
+			shards, rare, count, got.Results, want.Results)
 	}
 }

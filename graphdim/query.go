@@ -63,16 +63,11 @@ func (c *Collection) querySearch(ctx context.Context, pl *pipeline.Plan) (*pipel
 	if err != nil {
 		return nil, &pipeline.StageError{Index: len(pl.Filters), Name: "search", Err: err}
 	}
-	// NoDefaults: the stage spells its dials completely, so a
-	// collection-default Predicate closure cannot sneak in and spoil
-	// cacheability under the operator's feet.
 	opt := SearchOptions{
 		K:             ps.K,
 		VerifyFactor:  ps.VerifyFactor,
 		MaxCandidates: ps.MaxCandidates,
-		NoPrune:       ps.NoPrune,
 		Filters:       pl.Filters,
-		NoDefaults:    true,
 	}
 	if ps.Engine != "" {
 		if opt.Engine, err = ParseEngine(ps.Engine); err != nil {
@@ -172,7 +167,7 @@ const scanShardStride = 4096
 // intersection size, -1 when the filters did not restrict the scan.
 func (c *Collection) scanShard(ctx context.Context, i int, pl *pipeline.Plan) (*pipeline.Aggregator, int64, error) {
 	s := c.shards[i].snap.Load()
-	cat, err := s.catalog()
+	cat, err := s.catalog(pl.Filters)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -110,27 +110,12 @@ type SearchOptions struct {
 	// Filters restricts the search with declarative structural
 	// predicates (see pipeline.Filter), ANDed with each other and with
 	// Predicate. Unlike Predicate, filters push down: the parts a
-	// posting list or ones-count bucket can answer restrict the scan to
-	// the matching ids before any distance is computed, and the whole
-	// chain serializes canonically, so filtered queries stay cacheable
-	// where a Predicate closure must bypass the cache.
+	// posting list or ones-count bucket can answer become part of the
+	// scan's skip bitset, so an id outside them costs a mask, never a
+	// call, and the whole chain serializes canonically, so filtered
+	// queries stay cacheable where a Predicate closure must bypass the
+	// cache.
 	Filters []*pipeline.Filter
-	// NoPrune disables posting-list candidate pruning for this query,
-	// forcing the flat scan of every live vector. Results are identical
-	// either way — pruning is an exact accelerator, and an adaptive cost
-	// model already falls back to the flat scan when the query's matched
-	// dimensions cover too much of the collection — so the knob exists
-	// for measurement (benchmarks pin the pruned/flat ratio with it) and
-	// as an operational escape hatch. Ignored by EngineExact, which
-	// never scans the vector space.
-	NoPrune bool
-	// NoDefaults disables the collection-level defaults overlay in
-	// Collection.Search: zero-valued fields then mean the library
-	// defaults, exactly as in Index.Search. It lets a caller request the
-	// zero-valued settings (EngineMapped, VerifyFactor 3, …) explicitly
-	// on a collection whose defaults say otherwise. Index.Search ignores
-	// it.
-	NoDefaults bool
 }
 
 // Validate reports whether the options are usable: K must be positive,
@@ -220,16 +205,14 @@ type SearchResult struct {
 	// Engine is the engine that produced Results.
 	Engine Engine
 	// Candidates is how many graphs the final ranking stage scored: for
-	// the mapped engine the ids offered to its top-K heap (with the flat
-	// scan, the admitted ids whose distance beat the heap's worst when
-	// the kernel reached them — a small fraction of the collection once
-	// the heap is full; with posting-list pruning, the matched candidates
-	// plus however much of the unmatched stream the top-K needed), the
-	// admitted scan size for EngineExact, and the number of MCS
+	// the mapped engine the ids offered to its top-K heap (the admitted
+	// ids whose distance beat the heap's worst when the kernel reached
+	// them — a small fraction of the collection once the heap is full),
+	// the admitted scan size for EngineExact, and the number of MCS
 	// verifications for EngineVerified. A Collection reports the sum over
-	// its shards, and
-	// each shard verifies its own min(VerifyFactor·K, MaxCandidates)
-	// candidates — 60, not 30, for K=10 at factor 3 on two shards.
+	// its shards, and each shard verifies its own min(VerifyFactor·K,
+	// MaxCandidates) candidates — 60, not 30, for K=10 at factor 3 on two
+	// shards.
 	Candidates int
 	// Matched is the query's binary vector over the index dimensions —
 	// which of Index.Dimensions() the query contains. A query matching
@@ -241,35 +224,21 @@ type SearchResult struct {
 	Elapsed time.Duration
 }
 
-// planCandidates asks the snapshot's posting index for a pruned scan
-// plan covering the top wantK of the mapped ranking, translating it
-// into the iterator topk takes. It returns nil — meaning "flat scan" —
-// when pruning is disabled, or when the cost model concludes the
-// query's matched dimensions cover too much of the collection for
-// pruning to pay (see posting.Plan).
-func (s *snapshot) planCandidates(qv *vecspace.BitVector, wantK int, noPrune bool) *topk.Candidates {
-	if noPrune || s.post == nil {
-		return nil
-	}
-	pl := s.post.Plan(qv, wantK)
-	if pl == nil {
-		return nil
-	}
-	return &topk.Candidates{
-		K:         wantK,
-		QueryOnes: pl.QueryOnes,
-		Matched:   pl.Matched,
-		Rest:      pl.Rest,
-	}
-}
-
 // catalog exposes the snapshot's pushdown structures to the filter
-// compiler. It is only called on filtered paths: the label index it
-// resolves is built lazily, and on a mapped snapshot that build is the
-// one whole-corpus fault (see labelIndex) — and the one way it can fail.
-func (s *snapshot) catalog() (pipeline.Catalog, error) {
-	labels, err := s.labelIndex()
-	return pipeline.Catalog{N: len(s.db), Post: s.post, Labels: labels}, err
+// compiler for the filters fs. The label index is resolved only when a
+// filter names a label: it is built lazily, and on a mapped snapshot that
+// build is the one whole-corpus fault (see labelIndex) — and the one way
+// this can fail. Dimension and ones predicates need only the postings.
+func (s *snapshot) catalog(fs []*pipeline.Filter) (pipeline.Catalog, error) {
+	cat := pipeline.Catalog{N: len(s.db), Post: s.post}
+	for _, f := range fs {
+		if len(f.VertexLabels) > 0 || len(f.EdgeLabels) > 0 {
+			labels, err := s.labelIndex()
+			cat.Labels = labels
+			return cat, err
+		}
+	}
+	return cat, nil
 }
 
 // composePredicate ANDs a compiled filter residual with a caller
@@ -283,21 +252,6 @@ func composePredicate(residual func(id int, g *Graph) bool, pred func(id int, g 
 	}
 	return func(id int, g *Graph) bool {
 		return residual(id, g) && pred(id, g)
-	}
-}
-
-// memberFunc builds an O(1) membership test over a sorted id list — a
-// bitmap when the id space is known, so the flat/exact scans can take a
-// pushdown intersection as a predicate.
-func memberFunc(ids []int32, n int) func(int) bool {
-	words := make([]uint64, (n+63)/64)
-	for _, id := range ids {
-		if int(id) < n {
-			words[id/64] |= 1 << (uint(id) % 64)
-		}
-	}
-	return func(id int) bool {
-		return id < n && words[id/64]&(1<<(uint(id)%64)) != 0
 	}
 }
 
@@ -341,13 +295,9 @@ func (ix *Index) searchMapped(ctx context.Context, s *snapshot, q *Graph, qv *ve
 	}
 
 	pred := opt.Predicate
-	var (
-		filtered []int32        // pushdown ids for the pruned plan
-		pushed   bool           // filtered is in force, even when it is empty
-		member   func(int) bool // pushdown ids as a predicate, nil = none
-	)
+	var skip []uint64 // the filters' pushdown as a skip bitset, nil = none
 	if len(opt.Filters) > 0 {
-		cat, cerr := s.catalog()
+		cat, cerr := s.catalog(opt.Filters)
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -357,27 +307,17 @@ func (ix *Index) searchMapped(ctx context.Context, s *snapshot, q *Graph, qv *ve
 		}
 		pred = composePredicate(comp.Residual, pred)
 		if comp.Restricted {
-			if opt.Engine != EngineExact && !opt.NoPrune {
-				// The pruned scan takes the pushed-down ids directly:
-				// score exactly these (same distance expression as the
-				// flat scan), stream nothing else. IDs may include
-				// zero-overlap ids — harmless, they are scored from
-				// their vectors like any matched id. An intersection
-				// that matched nothing is still a restriction — to
-				// nothing — not a licence to scan everything.
-				filtered, pushed = comp.IDs, true
-			} else {
-				// Flat and exact paths take membership as a predicate.
-				member = memberFunc(comp.IDs, len(s.db))
-			}
+			// An intersection that matched nothing is still a restriction
+			// — to nothing — not a licence to scan everything.
+			skip = s.skipOutside(comp.IDs)
 		}
 	}
-	// admit is what the scan asks about an id that is not dead — nil unless
-	// the caller or a filter supplied something to ask. Membership is asked
-	// first; the graph is resolved last, so on a mapped snapshot only the
-	// payloads of surviving ids fault in. A payload that does not decode
-	// fails the query: admit remembers the first such error and admits
-	// nothing after it.
+	// admit is what the scan asks about an id its skip bitset clears — nil
+	// unless the caller or a filter's residual supplied something to ask.
+	// It resolves the graph, so on a mapped snapshot only the payloads of
+	// surviving ids fault in. A payload that does not decode fails the
+	// query: admit remembers the first such error and admits nothing after
+	// it.
 	var (
 		admit    topk.Alive
 		graphErr error
@@ -395,21 +335,9 @@ func (ix *Index) searchMapped(ctx context.Context, s *snapshot, q *Graph, qv *ve
 			return pred(id, g)
 		}
 	}
-	if member != nil {
-		inner := admit
-		admit = func(id int) bool { return member(id) && (inner == nil || inner(id)) }
-	}
 	lim := s.limits(admit)
-	plan := func(wantK int) *topk.Candidates {
-		if pushed {
-			return &topk.Candidates{
-				K:         wantK,
-				QueryOnes: qv.Ones(),
-				Matched:   filtered,
-				Rest:      func(func(id, ones int32) bool) {},
-			}
-		}
-		return s.planCandidates(qv, wantK, opt.NoPrune)
+	if skip != nil {
+		lim.Skip = skip
 	}
 	// Both vector-space engines scan through the snapshot's SoA block and
 	// a pooled scratch arena: rankings they return alias scr, so results
@@ -423,25 +351,14 @@ func (ix *Index) searchMapped(ctx context.Context, s *snapshot, q *Graph, qv *ve
 	)
 	switch opt.Engine {
 	case EngineMapped:
-		ranking, candidates, err = topk.MappedScan(ctx, s.block, qv, lim, opt.K, plan(opt.K), scr)
+		ranking, candidates, err = topk.MappedScan(ctx, s.block, qv, lim, opt.K, scr)
 	case EngineVerified:
 		factor := opt.VerifyFactor
 		if factor == 0 {
 			factor = 3
 		}
-		// The retrieval stage needs a factor·K-deep ranking; size the
-		// pruning plan's cost model for that depth (VerifiedContext
-		// re-derives the exact clamped count itself).
-		wantEstimate := opt.K * factor
-		if wantEstimate/factor != opt.K {
-			wantEstimate = len(s.db) // overflow: verify everything
-		}
-		if opt.MaxCandidates > 0 && wantEstimate > opt.MaxCandidates {
-			wantEstimate = opt.MaxCandidates
-		}
 		ranking, candidates, err = topk.VerifiedContext(ctx, s.graphAt, s.block, q, qv,
-			opt.K, factor, opt.MaxCandidates, metric, ix.mcsOpt, lim,
-			plan(wantEstimate), scr)
+			opt.K, factor, opt.MaxCandidates, metric, ix.mcsOpt, lim, scr)
 	case EngineExact:
 		ranking, err = topk.ExactContext(ctx, len(s.db), s.graphAt, q, metric, ix.mcsOpt, lim)
 		candidates = len(ranking)

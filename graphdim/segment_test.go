@@ -24,8 +24,9 @@ func snapSeg(c *Collection, shard int) (*snapshot, *segSource) {
 
 // TestMemoryModeStoreEquivalence is the tentpole equivalence property:
 // a checkpointed store reopened with MemoryHeap, then MemoryAuto, then
-// MemoryHeap again answers every engine — mapped pruned and flat,
-// verified, exact, label-filtered — bit-identically, while the mapped leg serves
+// MemoryHeap again answers every engine — mapped unfiltered and
+// dimension-filtered, verified, exact, label-filtered — bit-identically,
+// while the mapped leg serves
 // vectors straight out of the segment file and fault graph payloads in
 // only for final candidates. The data directory is single-owner
 // (flock), so the modes open one after another over the same files.
@@ -83,7 +84,7 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 	}
 	opts := []SearchOptions{
 		{K: 7},
-		{K: 7, NoPrune: true},
+		{K: 7, Filters: []*pipeline.Filter{{MinOnes: 1}}},
 		{K: 5, Engine: EngineVerified, VerifyFactor: 2},
 		{K: 4, Engine: EngineExact},
 		{K: 6, Filters: []*pipeline.Filter{{VertexLabels: []pipeline.LabelCount{{Label: label}}}}},
@@ -150,10 +151,10 @@ func TestMemoryModeStoreEquivalence(t *testing.T) {
 			t.Fatal("mapped open has no heap overlay above the mapped bases")
 		}
 	}
-	// Unfiltered engines only (mapped flat/pruned + verified): after
+	// Mapped (unfiltered and dimension-filtered) and verified only: after
 	// these, only final candidates may have been faulted in. Exact and
-	// filtered queries legitimately touch everything, so they run after
-	// the check.
+	// label-filtered queries legitimately touch everything, so they run
+	// after the check.
 	for qi, q := range queries {
 		for oi, opt := range opts[:3] {
 			res, err := mapC.Search(ctx, q, opt)
@@ -325,7 +326,6 @@ func TestReadIndexSegmentRoundTrip(t *testing.T) {
 	for qi, q := range queries {
 		for _, opt := range []SearchOptions{
 			{K: 6},
-			{K: 6, NoPrune: true},
 			{K: 4, Engine: EngineVerified, VerifyFactor: 2},
 			{K: 3, Engine: EngineExact},
 		} {
@@ -413,7 +413,7 @@ func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
 		"predicate search": func() error {
 			// The flat scan asks the predicate only about ids that can
 			// enter its heap; with K = every graph that is every live id.
-			_, err := c.Search(ctx, q, SearchOptions{K: len(db), NoPrune: true, Predicate: func(int, *Graph) bool { return true }})
+			_, err := c.Search(ctx, q, SearchOptions{K: len(db), Predicate: func(int, *Graph) bool { return true }})
 			return err
 		},
 		"filtered search": func() error {
@@ -421,7 +421,10 @@ func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
 			return err
 		},
 		"residual-filtered search": func() error {
-			_, err := c.Search(ctx, q, SearchOptions{K: 5, NoPrune: true, Filters: []*pipeline.Filter{{MinVertices: 1}}})
+			// A filter that names no label builds no label index, so only
+			// its residual resolves graphs — like the predicate above, for
+			// every live id once K is every graph.
+			_, err := c.Search(ctx, q, SearchOptions{K: len(db), Filters: []*pipeline.Filter{{MinVertices: 1}}})
 			return err
 		},
 		"group_by scan": func() error {

@@ -165,14 +165,12 @@ type CollectionOptions struct {
 	// committed Add/Remove/Compact invalidates affected entries for
 	// free. The zero value disables caching. See CacheOptions.
 	Cache CacheOptions
-	// Defaults overlays zero-valued SearchOptions fields of every Search
-	// against the collection: a query leaving K (or VerifyFactor,
-	// MaxCandidates, Metric, Engine, Predicate) at its zero value gets the
-	// collection's default before validation, and fields the defaults also
-	// leave zero keep the library default. Note the overlay cannot
-	// distinguish "unset" from an explicit zero, so a collection whose
-	// default Engine is not EngineMapped (= 0) routes zero-Engine queries
-	// to that default.
+	// Defaults are the collection's recommended search options, persisted
+	// with it and returned by Collection.Defaults. Collection.Search does
+	// not apply them: a frontend starts from them and overrides what a
+	// request spells out (gserve does, falling back to its -k while K is
+	// zero). Only the scalar fields persist — K, Engine, VerifyFactor,
+	// MaxCandidates and Metric — so Create refuses Filters and Predicate.
 	Defaults SearchOptions
 }
 
@@ -194,6 +192,12 @@ func (o CollectionOptions) validate() error {
 	d := o.Defaults
 	if d.K < 0 {
 		return fmt.Errorf("graphdim: Defaults.K must be >= 0, got %d", d.K)
+	}
+	if d.Filters != nil {
+		return fmt.Errorf("graphdim: Defaults.Filters cannot be a collection default (it does not persist)")
+	}
+	if d.Predicate != nil {
+		return fmt.Errorf("graphdim: Defaults.Predicate cannot be a collection default (it does not persist)")
 	}
 	if d.K == 0 {
 		d.K = 1 // satisfy the full validator for the remaining fields
@@ -463,7 +467,8 @@ func (c *Collection) Name() string { return c.name }
 // Shards returns the number of shards.
 func (c *Collection) Shards() int { return len(c.shards) }
 
-// Defaults returns the collection's default search-option overlay.
+// Defaults returns the collection's recommended search options (see
+// CollectionOptions.Defaults); Search does not apply them.
 func (c *Collection) Defaults() SearchOptions { return c.defaults }
 
 // shardIdxWorkers is the per-shard share of the collection's worker
@@ -513,37 +518,6 @@ func (c *Collection) resolve(id int) (*snapshot, int) {
 	return s, s.localOf(id)
 }
 
-// overlay fills zero-valued fields of opt from the collection defaults —
-// see CollectionOptions.Defaults and SearchOptions.NoDefaults.
-func (c *Collection) overlay(opt SearchOptions) SearchOptions {
-	if opt.NoDefaults {
-		return opt
-	}
-	d := c.defaults
-	if opt.K == 0 {
-		opt.K = d.K
-	}
-	if opt.Engine == 0 {
-		opt.Engine = d.Engine
-	}
-	if opt.VerifyFactor == 0 {
-		opt.VerifyFactor = d.VerifyFactor
-	}
-	if opt.MaxCandidates == 0 {
-		opt.MaxCandidates = d.MaxCandidates
-	}
-	if opt.Metric == MetricIndexDefault {
-		opt.Metric = d.Metric
-	}
-	if opt.Predicate == nil {
-		opt.Predicate = d.Predicate
-	}
-	if opt.Filters == nil {
-		opt.Filters = d.Filters
-	}
-	return opt
-}
-
 // Search answers one top-k query against the collection: the query is
 // mapped onto the dimensions once, the scan fans out to every shard in
 // parallel (drawing workers from the store budget), each shard ranks its
@@ -554,17 +528,16 @@ func (c *Collection) overlay(opt SearchOptions) SearchOptions {
 // graphs returns — identical ids and identical scores — before and after
 // any Compact.
 //
-// SearchOptions is the same type Index.Search takes; zero-valued fields
-// first take the collection's defaults (see CollectionOptions.Defaults).
-// The Predicate, like the returned Results, sees global ids. The result's
-// Matched bitset is the query's vector over the collection's dimensions —
-// the one vector every shard scanned with.
+// SearchOptions is the same type Index.Search takes, and is taken as
+// given: the collection's Defaults are the caller's to apply (gserve
+// does). The Predicate, like the returned Results, sees global ids. The
+// result's Matched bitset is the query's vector over the collection's
+// dimensions — the one vector every shard scanned with.
 func (c *Collection) Search(ctx context.Context, q *Graph, opt SearchOptions) (*SearchResult, error) {
 	start := time.Now()
 	if q == nil {
 		return nil, errNilQuery
 	}
-	opt = c.overlay(opt)
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}

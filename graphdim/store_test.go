@@ -5,12 +5,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/pipeline"
 )
 
 // storeTestDB is a small synthetic database that mines reliably even when
@@ -105,10 +107,10 @@ func TestStoreShardedEquivalence(t *testing.T) {
 				label := coll.Name() + "/" + got.Engine.String()
 				sameResults(t, label, got.Results, want.Results)
 				// Candidates counts the ids the engine actually scored.
-				// For the mapped engine that depends on per-shard pruning
-				// decisions (each shard's posting plan sees a different
+				// For the mapped engine that depends on each shard's heap
+				// threshold and zone skips (each shard scans a different
 				// slice), so only a sanity bound is portable; the MCS
-				// engines score a pruning-independent candidate set and
+				// engines score a shard-independent candidate set and
 				// stay exactly comparable.
 				if got.Engine == EngineMapped {
 					if got.Candidates < len(got.Results) {
@@ -477,15 +479,15 @@ func TestStorePersistence(t *testing.T) {
 		t.Fatalf("loaded alpha: %d shards size %d, want 3 shards size %d", l1.Shards(), l1.Size(), c1.Size())
 	}
 	for _, q := range []*Graph{db[2], db[19]} {
-		want, err := c1.Search(ctx, q, SearchOptions{})
+		want, err := c1.Search(ctx, q, c1.Defaults())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := l1.Search(ctx, q, SearchOptions{})
+		got, err := l1.Search(ctx, q, l1.Defaults())
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The zero options exercise the persisted defaults overlay too.
+		// Searching with Defaults() exercises the persisted defaults too.
 		if got.Engine != EngineVerified || len(got.Results) != len(want.Results) {
 			t.Fatalf("loaded search: engine %v, %d results; want %v, %d", got.Engine, len(got.Results), want.Engine, len(want.Results))
 		}
@@ -669,50 +671,54 @@ func TestStoreCollectionLifecycle(t *testing.T) {
 	}
 }
 
-// TestCollectionDefaultsOverlay pins the zero-field overlay semantics.
-func TestCollectionDefaultsOverlay(t *testing.T) {
+// TestCollectionDefaultsPersistOrAreRefused: a collection's defaults are
+// what its manifest can carry. Filters and Predicate do not persist, so
+// Create refuses them by name rather than let a reopen change what the
+// defaults say; the scalar fields round-trip a checkpoint and a reopen.
+// Search takes its options as given: the defaults are not overlaid.
+func TestCollectionDefaultsPersistOrAreRefused(t *testing.T) {
 	db := storeTestDB(t, 14, 15)
-	s := newTestStore(t)
+	s, dir := newCheckpointStore(t)
 	ctx := context.Background()
-	coll, err := s.Create(ctx, "d", db, CollectionOptions{
-		Shards: 2,
-		Build:  storeTestOptions(),
-		Defaults: SearchOptions{
-			K:      4,
-			Engine: EngineVerified, VerifyFactor: 2,
-			Predicate: func(id int, g *Graph) bool { return id != 0 },
-		},
-	})
+	for field, d := range map[string]SearchOptions{
+		"Defaults.Filters":   {K: 4, Filters: []*pipeline.Filter{{MinVertices: 2}}},
+		"Defaults.Predicate": {K: 4, Predicate: func(int, *Graph) bool { return true }},
+	} {
+		_, err := s.Create(ctx, "refused", db, CollectionOptions{Build: storeTestOptions(), Defaults: d})
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("Create with %s: err %v, want a refusal naming the field", field, err)
+		}
+	}
+
+	defaults := SearchOptions{K: 4, Engine: EngineVerified, VerifyFactor: 2, MaxCandidates: 5, Metric: MetricDelta1}
+	coll, err := s.Create(ctx, "d", db, CollectionOptions{Shards: 2, Build: storeTestOptions(), Defaults: defaults})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	res, err := coll.Search(ctx, db[0], SearchOptions{})
-	if err != nil {
-		t.Fatalf("Search with zero options: %v", err)
+	if _, err := coll.Search(ctx, db[0], SearchOptions{}); err == nil {
+		t.Fatal("Search with zero options succeeded: the defaults' K was overlaid")
 	}
-	if res.Engine != EngineVerified || len(res.Results) != 4 {
-		t.Fatalf("defaults not applied: engine %v, %d results", res.Engine, len(res.Results))
-	}
-	for _, r := range res.Results {
-		if r.ID == 0 {
-			t.Fatal("default predicate not applied")
-		}
-	}
-	// Explicit fields win over the defaults.
-	res, err = coll.Search(ctx, db[0], SearchOptions{K: 2, Engine: EngineExact, Predicate: func(int, *Graph) bool { return true }})
+	res, err := coll.Search(ctx, db[0], SearchOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine != EngineExact || len(res.Results) != 2 || res.Results[0].ID != 0 {
-		t.Fatalf("explicit options overridden: %+v", res)
+	if res.Engine != EngineMapped || len(res.Results) != 2 {
+		t.Fatalf("explicit options: engine %v with %d results, want mapped with 2", res.Engine, len(res.Results))
 	}
-	// No default K and no explicit K must fail validation.
-	plain, err := s.Create(ctx, "plain", db, CollectionOptions{Build: storeTestOptions()})
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.Search(ctx, db[0], SearchOptions{}); err == nil {
-		t.Fatal("Search without K succeeded")
+	defer loaded.Close()
+	lc, ok := loaded.Collection("d")
+	if !ok {
+		t.Fatal("collection lost on reopen")
+	}
+	if got := lc.Defaults(); !reflect.DeepEqual(got, defaults) {
+		t.Fatalf("reopened defaults %+v, created with %+v", got, defaults)
 	}
 }
 
@@ -760,29 +766,6 @@ func TestCreateFromIndexInheritsStaleness(t *testing.T) {
 		if r < 0.2 {
 			t.Errorf("shard %d stale ratio %v — source drift (%v) was discarded", i, r, want)
 		}
-	}
-}
-
-// TestSearchNoDefaultsBypassesOverlay pins the explicit-zero escape hatch:
-// NoDefaults lets a caller request EngineMapped on a collection whose
-// default engine is verified.
-func TestSearchNoDefaultsBypassesOverlay(t *testing.T) {
-	db := storeTestDB(t, 14, 2)
-	s := newTestStore(t)
-	ctx := context.Background()
-	coll, err := s.Create(ctx, "nd", db, CollectionOptions{
-		Build:    storeTestOptions(),
-		Defaults: SearchOptions{K: 4, Engine: EngineVerified},
-	})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	res, err := coll.Search(ctx, db[0], SearchOptions{K: 2, NoDefaults: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != EngineMapped || len(res.Results) != 2 {
-		t.Fatalf("NoDefaults search: engine %v with %d results, want mapped with 2", res.Engine, len(res.Results))
 	}
 }
 

@@ -210,10 +210,20 @@ func TestFig1Shapes(t *testing.T) {
 		}
 	}
 	// The paper's Fig 1 claim: DSPM's distance distribution tracks delta
-	// better than Original's.
+	// better than Original's, within the database (a) and from unseen
+	// queries (b). It holds at every scale recorded in EXPERIMENTS.md; at
+	// this one (60 graphs, seed 1) (b) holds by only 0.5% (0.2106 vs
+	// 0.2117), while (a) holds by 10%.
+	t.Logf("EMD to delta: (a) DSPM %.4f Original %.4f; (b) DSPM %.4f Original %.4f",
+		res.DSPMDB.EMD(res.DeltaDB), res.OriginalDB.EMD(res.DeltaDB),
+		res.DSPMQ.EMD(res.DeltaQ), res.OriginalQ.EMD(res.DeltaQ))
 	if res.DSPMDB.EMD(res.DeltaDB) > res.OriginalDB.EMD(res.DeltaDB) {
 		t.Errorf("DSPM EMD %v worse than Original %v",
 			res.DSPMDB.EMD(res.DeltaDB), res.OriginalDB.EMD(res.DeltaDB))
+	}
+	if res.DSPMQ.EMD(res.DeltaQ) > res.OriginalQ.EMD(res.DeltaQ) {
+		t.Errorf("queries: DSPM EMD %v worse than Original %v",
+			res.DSPMQ.EMD(res.DeltaQ), res.OriginalQ.EMD(res.DeltaQ))
 	}
 }
 

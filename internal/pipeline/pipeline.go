@@ -70,9 +70,6 @@ type Search struct {
 	MaxCandidates int `json:"max_candidates,omitempty"`
 	// Metric is "" (index default), "delta1" or "delta2".
 	Metric string `json:"metric,omitempty"`
-	// NoPrune disables posting-list candidate pruning, forcing the flat
-	// scan (the measurement escape hatch of SearchOptions.NoPrune).
-	NoPrune bool `json:"no_prune,omitempty"`
 
 	// G, when non-nil, is the query graph directly — the Go-API
 	// alternative to Query.
@@ -229,6 +226,9 @@ func Parse(data []byte) (*Pipeline, error) {
 		sd.DisallowUnknownFields()
 		if err := sd.Decode(&p.Stages[i]); err != nil {
 			return nil, stageErrf(i, name, "%v", err)
+		}
+		if _, _, set := p.Stages[i].parts(); set == 0 {
+			return nil, stageErrf(i, name, "stage body is null")
 		}
 	}
 	return p, nil

@@ -1,24 +1,10 @@
-// Package posting implements the candidate-pruning accelerator for the
+// Package posting implements the filter pushdown structures of the
 // mapped-space query engine: per-dimension inverted posting lists over a
 // database of binary feature vectors, plus the ones-count buckets that
-// make the non-matching remainder of the database enumerable in score
-// order without touching its vectors.
-//
-// The paper's central bet is a small selected dimension set that
-// discriminates the database. A query that contains few (or none) of
-// those dimensions interacts with only the graphs on its matched
-// dimensions' posting lists; for every other graph g the normalized
-// Euclidean distance collapses to a function of |F(g)| alone:
-//
-//	hamming(q, g) = |F(q)| + |F(g)|        when F(q) ∩ F(g) = ∅
-//
-// so ranking the unmatched remainder needs only each graph's ones
-// count, pre-bucketed in ascending (ones, id) order. A top-k query then
-// scores the union of the matched posting lists exactly — via the SoA
-// scan kernel's gather (vecspace.Block.HammingGather) over the
-// snapshot's block — and merges in the unmatched stream lazily —
-// sublinear in the collection size whenever the matched lists are
-// short, and bit-identical to the flat scan always (see internal/topk).
+// answer a ones-count range, and (labels.go) the per-label lists. A
+// filter's pushed-down predicates intersect these lists into the id set
+// the scan is limited to (see internal/pipeline's CompileFilters); the
+// ranking itself is always the flat scan of internal/topk.
 //
 // An Index is immutable to readers. Append extends it with new ids
 // (graph ids are assigned densely ascending, so appended postings keep
@@ -26,8 +12,7 @@
 // tails of the old one; Appends must be serialized by the caller and
 // only ever applied to the newest Index of a chain — graphdim holds its
 // writer lock across them. Removals are not posting events: tombstoned
-// ids stay listed and are filtered by the scan's liveness predicate,
-// exactly as in the flat scan.
+// ids stay listed and are skipped by the scan's tombstone bitset.
 package posting
 
 import (
@@ -41,8 +26,7 @@ type Index struct {
 	// lists[r] enumerates, ascending, the ids whose vector has bit r.
 	lists [][]int32
 	// byCount[c] enumerates, ascending, the ids whose vector has exactly
-	// c set bits. Iterating c = 0..p yields all ids in ascending
-	// (ones, id) — equivalently ascending unmatched-score — order.
+	// c set bits: the buckets OnesRange unions, and Plan's Rest walks.
 	byCount [][]int32
 }
 
@@ -216,14 +200,17 @@ func search(l []int32, id int32) int {
 	return lo
 }
 
-// fallbackFraction is the cost model's pivot: pruning pays only while
-// the work it saves dominates its own overhead (gathering and merging
-// the matched lists, the binary searches of the unmatched walk). The
-// estimated pruned cost is the matched posting mass plus the k results
-// wanted; at half the flat scan's n the constant factors eat the win,
-// so Plan falls back.
-const fallbackFraction = 2 // prune while (matched + k) * fallbackFraction < n
+// fallbackFraction is Plan's cost-model pivot: it plans a pruned scan
+// only while (matched + k) * fallbackFraction < n.
+const fallbackFraction = 2
 
+// Plan, its cost model and Plan.Rest are the posting-list scan plan no
+// query runs any more: the flat scan ranks identically and, with the
+// zone map, won every workload the plan was measured on. Only the
+// benchmark's trace replay (bench/trace.go) still calls them, to report
+// the layer's counters; they go with the benchmark change that drops
+// that replay.
+//
 // Plan decides whether pruned evaluation beats the flat scan for a
 // query with feature vector q wanting a k-ranking. It returns nil when
 // the flat scan is the better plan: the query's matched dimensions

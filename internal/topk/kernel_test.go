@@ -11,13 +11,12 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/mcs"
-	"repro/internal/posting"
 	"repro/internal/vecspace"
 )
 
 // The randomized kernel-equivalence property suite: the batched SoA
 // scan (MappedTopKContext, ragged tails, tombstones, Alive filters,
-// pruned plans) must be bit-identical — distances included — to the
+// filter skip bitsets) must be bit-identical — distances included — to the
 // scalar reference path (MappedContext / HammingDistance / Distance).
 // Every run draws a fresh seed and logs it; replay with
 //
@@ -116,13 +115,14 @@ func TestKernelDistanceEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelTopKEquivalence: the batched top-k scan — flat and pruned,
-// with fresh, Append-extended, and missing (packed per call) blocks,
-// tombstones, Alive filters, and a shared Scratch reused across every
-// round — must return exactly the first k entries of the scalar full
-// ranking. The tie-heavy rounds (p <= 4, n <= 2,000) hold the threshold
-// the kernel takes from the heap to ties across tiles and zone skips, and
-// add a tombstone bitset with whole dead tiles.
+// TestKernelTopKEquivalence: the batched top-k scan — with fresh,
+// Append-extended, and missing (packed per call) blocks, tombstones,
+// Alive filters, and a shared Scratch reused across every round — must
+// return exactly the first k entries of the scalar full ranking. The
+// tie-heavy rounds (p <= 4, n <= 2,000) hold the threshold the kernel
+// takes from the heap to ties across tiles and zone skips, and add a
+// tombstone bitset with whole dead tiles. Every round also ranks under a
+// filter's skip bitset (tombstones ∪ ids outside a pushed-down id set).
 func TestKernelTopKEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(kernelSeed(t)))
 	ctx := context.Background()
@@ -193,30 +193,45 @@ func TestKernelTopKEquivalence(t *testing.T) {
 					dead[t/4] |= 0xffff << (t % 4 * 16)
 				}
 			}
-			lim := Limits{Dead: dead, Pred: alive}
+			lim := Limits{Skip: dead, Pred: alive}
 			deadRef, _, err := MappedContext(ctx, vecs, q, lim.Admits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := MappedScan(ctx, blocks["chained"], q, lim, k, nil, s)
+			got, _, err := MappedScan(ctx, blocks["chained"], q, lim, k, s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertRankingPrefix(t, label+" dead tiles", got, deadRef, k)
 		}
 
-		// Pruned plan from the real posting index, when its cost model
-		// produces one (sparse queries, small k).
-		if k > 0 && p > 0 {
-			if pl := posting.FromVectors(vecs, p).Plan(q, k); pl != nil {
-				cands := &Candidates{K: k, QueryOnes: pl.QueryOnes, Matched: pl.Matched, Rest: pl.Rest}
-				got, _, err := MappedTopKContext(ctx, vecs, blocks["chained"], q, alive, k, cands, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertRankingPrefix(t, label+" pruned", got, ref, k)
+		// A filtered search with tombstones: the pushed-down ids fold into
+		// one skip bitset with the tombstones, which must rank exactly like
+		// the scalar scan asking the equivalent predicate — dead, member
+		// and alive — of every id.
+		dead := randDead(rng, n, 5)
+		member := make([]bool, n)
+		skip := make([]uint64, (n+63)/64)
+		for id := range member {
+			member[id] = rng.Intn(3) == 0
+			if !member[id] {
+				skip[id/64] |= 1 << (id % 64)
 			}
 		}
+		for w := range skip {
+			skip[w] |= dead[w]
+		}
+		filteredRef, _, err := MappedContext(ctx, vecs, q, func(id int) bool {
+			return dead[id/64]&(1<<(id%64)) == 0 && member[id] && (alive == nil || alive(id))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := MappedScan(ctx, blocks["fresh"], q, Limits{Skip: skip, Pred: alive}, k, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRankingPrefix(t, label+" filtered", got, filteredRef, k)
 	}
 }
 
@@ -245,7 +260,7 @@ func TestKernelVerifiedBlockEquivalence(t *testing.T) {
 			ref[i].Score = metric.DissimilarityBudget(q, db[ref[i].ID], opt)
 		}
 		sortItems(ref)
-		got, gotN, err := VerifiedContext(ctx, SliceGraphs(db), blk, q, qv, k, factor, 0, metric, opt, Limits{}, nil, s)
+		got, gotN, err := VerifiedContext(ctx, SliceGraphs(db), blk, q, qv, k, factor, 0, metric, opt, Limits{}, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,26 +271,25 @@ func TestKernelVerifiedBlockEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanLimits: the limits a scan takes as data — tombstone slice,
-// predicate, alone and together, flat and pruned — select exactly the ids
-// the scalar reference ranks when handed their conjunction as one Alive.
+// TestScanLimits: the limits a scan takes as data — skip bitset and
+// predicate, alone and together — select exactly the ids the scalar
+// reference ranks when handed their conjunction as one Alive.
 func TestScanLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(kernelSeed(t)))
 	ctx := context.Background()
 	s := NewScratch()
 	defer s.Release()
 	const p = 96
-	planned := 0
 	for round := 0; round < 40; round++ {
 		n := 1 + rng.Intn(700) // up to a few zones
 		vecs := kernelRandVecs(rng, n, p)
-		// Sparse queries, so the posting index actually plans.
+		// Sparse queries: most ids share no dimension with them, so
+		// counts tie on ones alone.
 		q := vecspace.NewBitVector(p)
 		for i := rng.Intn(3); i >= 0; i-- {
 			q.Set(rng.Intn(p))
 		}
 		blk := vecspace.Pack(vecs, p)
-		post := posting.FromVectors(vecs, p)
 		k := 1 + rng.Intn(12)
 
 		var dead []uint64
@@ -287,13 +301,13 @@ func TestScanLimits(t *testing.T) {
 			m := 2 + rng.Intn(3)
 			pred = func(id int) bool { return id%m != 0 }
 		}
-		lim := Limits{Dead: dead, Pred: pred}
+		lim := Limits{Skip: dead, Pred: pred}
 		label := "round " + strconv.Itoa(round) + " n=" + strconv.Itoa(n) + " k=" + strconv.Itoa(k)
 		ref, _, err := MappedContext(ctx, vecs, q, lim.Admits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, scored, err := MappedScan(ctx, blk, q, lim, k, nil, s)
+		got, scored, err := MappedScan(ctx, blk, q, lim, k, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,23 +316,13 @@ func TestScanLimits(t *testing.T) {
 		}
 		assertRankingPrefix(t, label+" flat", got, ref, k)
 
-		if pl := post.Plan(q, k); pl != nil {
-			planned++
-			cands := &Candidates{K: k, QueryOnes: pl.QueryOnes, Matched: pl.Matched, Rest: pl.Rest}
-			got, _, err := MappedScan(ctx, blk, q, lim, k, cands, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertRankingPrefix(t, label+" pruned", got, ref, k)
-		}
-
 		// The verified engine's retrieval stage takes the same limits:
 		// at factor 1 it resolves exactly the admitted top k, in order.
 		var resolved []int
 		_, verified, err := VerifiedContext(ctx, func(id int) (*graph.Graph, error) {
 			resolved = append(resolved, id)
 			return tinyGraph, nil
-		}, blk, tinyGraph, q, k, 1, 0, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim, nil, s)
+		}, blk, tinyGraph, q, k, 1, 0, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,10 +350,6 @@ func TestScanLimits(t *testing.T) {
 			}
 		}
 	}
-	if planned == 0 {
-		t.Error("no round produced a pruned plan; the pruned path went untested")
-	}
-	t.Logf("%d pruned plans checked", planned)
 }
 
 // tinyGraph stands in for every payload where a test only watches which

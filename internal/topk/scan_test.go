@@ -106,7 +106,7 @@ func BenchmarkMappedScan(b *testing.B) {
 				bitset[id/64] |= 1 << (id % 64)
 				bools[id] = true
 			}
-			lim := Limits{Dead: bitset}
+			lim := Limits{Skip: bitset}
 			if pct == 0 {
 				lim, bools = Limits{}, nil
 			}
@@ -114,7 +114,7 @@ func BenchmarkMappedScan(b *testing.B) {
 			defer s.Release()
 			dists, keys := make([]int32, n), make([]uint64, 0, 10)
 			for _, qv := range queries {
-				got, _, err := MappedScan(ctx, blk, qv, lim, 10, nil, s)
+				got, _, err := MappedScan(ctx, blk, qv, lim, 10, s)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -130,7 +130,7 @@ func BenchmarkMappedScan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				qv := queries[i%len(queries)]
 				t0 := time.Now()
-				MappedScan(ctx, blk, qv, lim, 10, nil, s)
+				MappedScan(ctx, blk, qv, lim, 10, s)
 				t1 := time.Now()
 				keys = referenceScan(blk, qv, bools, nil, 10, dists, keys)
 				fused += t1.Sub(t0)
@@ -159,9 +159,10 @@ func TestPredicateAskedOnlyOfSurvivors(t *testing.T) {
 		q := kernelRandVecs(rng, 1, p)[0]
 		lim := Limits{Pred: func(id int) bool { asked[id]++; return id%3 != 0 }}
 		if round%2 == 1 {
-			lim.Dead = randDead(rng, n, 10)
+			lim.Skip = randDead(rng, n, 10)
 		}
-		got, scored, err := MappedScan(context.Background(), blk, q, lim, k, nil, nil)
+		skipped := func(id int) bool { return lim.Skip != nil && lim.Skip[id/64]&(1<<(id%64)) != 0 }
+		got, scored, err := MappedScan(context.Background(), blk, q, lim, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func TestPredicateAskedOnlyOfSurvivors(t *testing.T) {
 			if c > 1 {
 				t.Fatalf("round %d: predicate asked %d times about id %d", round, c, id)
 			}
-			if c > 0 && lim.skips(id) {
+			if c > 0 && skipped(id) {
 				t.Fatalf("round %d: predicate asked about dead id %d", round, id)
 			}
 			calls += c
@@ -181,7 +182,7 @@ func TestPredicateAskedOnlyOfSurvivors(t *testing.T) {
 		if scored > calls {
 			t.Fatalf("round %d: %d ids offered to the heap, only %d asked", round, scored, calls)
 		}
-		ref, _, err := MappedContext(context.Background(), vecs, q, func(id int) bool { return !lim.skips(id) && id%3 != 0 })
+		ref, _, err := MappedContext(context.Background(), vecs, q, func(id int) bool { return !skipped(id) && id%3 != 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,10 +222,10 @@ func FuzzMappedScan(f *testing.F) {
 		}
 		var lim Limits
 		if len(deadBits) > 0 {
-			lim.Dead = make([]uint64, (n+63)/64)
+			lim.Skip = make([]uint64, (n+63)/64)
 			for i := 0; i < n && i/8 < len(deadBits); i++ {
 				if deadBits[i/8]&(1<<(i%8)) != 0 {
-					lim.Dead[i/64] |= 1 << (i % 64)
+					lim.Skip[i/64] |= 1 << (i % 64)
 				}
 			}
 		}
@@ -236,7 +237,7 @@ func FuzzMappedScan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := MappedScan(context.Background(), vecspace.Pack(vecs, p), q, lim, k, nil, nil)
+		got, _, err := MappedScan(context.Background(), vecspace.Pack(vecs, p), q, lim, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

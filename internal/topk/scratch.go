@@ -2,23 +2,18 @@ package topk
 
 import "sync"
 
-// Scratch is a per-query scratch arena for the batched scan kernel: the
-// bounded top-k heap, the pruned path's gather tile, distance buffer and
-// matched-candidate staging area, and the result staging the caller
-// copies out of. Reusing one Scratch across queries
-// makes a warm cache-miss fan-out perform O(1) allocations per query —
-// the buffers grow to the high-water mark of the collection and stay.
+// Scratch is a per-query scratch arena for the flat scan: the bounded
+// top-k heap and the result staging the caller copies out of. Reusing
+// one Scratch across queries makes a warm cache-miss fan-out perform O(1)
+// allocations per query — the buffers grow to the high-water mark of the
+// collection and stay.
 //
-// A Scratch serves one query at a time. Rankings returned by
-// MappedTopKContext alias s.out and stay valid only until the next use
-// or Release; callers copy what they keep.
+// A Scratch serves one query at a time. Rankings returned by MappedScan
+// alias s.out and stay valid only until the next use or Release; callers
+// copy what they keep.
 type Scratch struct {
-	dists  []int32  // gathered Hamming counts (pruned path)
-	keys   []uint64 // bounded max-heap of packed (hamming, id) keys
-	items  []Item   // matched-candidate staging (pruned path)
-	out    Ranking  // result staging returned to the caller
-	ids    []int32  // alive matched-candidate ids (pruned path)
-	gather []uint64 // gather tile for Block.HammingGather
+	keys []uint64 // bounded max-heap of packed (hamming, id) keys
+	out  Ranking  // result staging returned to the caller
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -29,14 +24,6 @@ func NewScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // Release returns s to the pool. Rankings previously returned from
 // calls using s must not be read afterwards.
 func (s *Scratch) Release() { scratchPool.Put(s) }
-
-// distBuf returns the distance buffer sized for n ids.
-func (s *Scratch) distBuf(n int) []int32 {
-	if cap(s.dists) < n {
-		s.dists = make([]int32, n)
-	}
-	return s.dists[:n]
-}
 
 // The bounded top-k selection works on packed uint64 keys,
 //

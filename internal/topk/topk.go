@@ -75,32 +75,30 @@ func sortItems(items []Item) {
 type Alive func(id int) bool
 
 // Limits says which ids a scan may score, as data the scan applies
-// inline: the flat scan's kernel masks a tile's tombstones with one shift
-// of the bitset, and only a caller's predicate costs a call — so a scan
-// with no predicate never leaves the vector store, and never resolves a
-// graph to decide to skip it. The zero Limits admits every id the store
-// holds.
+// inline: the flat scan's kernel masks a tile's skipped lanes with one
+// shift of the bitset, and only a caller's predicate costs a call — so a
+// scan with no predicate never leaves the vector store, and never
+// resolves a graph to decide to skip it. The zero Limits admits every id
+// the store holds.
 type Limits struct {
-	// Dead, when non-nil, is the tombstone bitset: id i is dead when bit
-	// i%64 of Dead[i/64] is set. It must cover every id the store holds.
-	// Leave it nil when nothing is dead.
-	Dead []uint64
+	// Skip, when non-nil, is the bitset of ids the scan must not score —
+	// tombstones, and on a filtered search every id outside the filter's
+	// pushed-down set: id i is skipped when bit i%64 of Skip[i/64] is set.
+	// It must cover every id the store holds. Leave it nil when nothing is
+	// skipped.
+	Skip []uint64
 	// Pred, when non-nil, is asked last, and only about ids that are not
-	// dead. The flat scan asks it only about ids whose count would enter
-	// the heap (see bound), so it may not be asked about every live id.
+	// skipped. The flat scan asks it only about ids whose count would enter
+	// the heap (see bound), so it may not be asked about every admitted id.
 	Pred Alive
 }
 
 // Admits reports whether the limits admit id.
 func (l Limits) Admits(id int) bool {
-	return !l.skips(id) && (l.Pred == nil || l.Pred(id))
-}
-
-// skips is the part of Admits that is data — dead. It is split out
-// because it inlines, which Admits as a whole does not: the scan loops
-// test it in line and make a call only for a predicate.
-func (l Limits) skips(id int) bool {
-	return l.Dead != nil && l.Dead[id/64]&(1<<(id%64)) != 0
+	if l.Skip != nil && l.Skip[id/64]&(1<<(id%64)) != 0 {
+		return false
+	}
+	return l.Pred == nil || l.Pred(id)
 }
 
 // Exact ranks the database for query q by the MCS dissimilarity metric —
@@ -135,26 +133,19 @@ func ExactContext(ctx context.Context, n int, graphAt GraphAt, q *graph.Graph, m
 	return items, nil
 }
 
-// Candidates is a pruned scan plan for one mapped-space query, computed
-// by internal/posting from per-dimension posting lists: the ids whose
-// vectors share at least one set dimension with the query (scored
-// exactly, from their vectors) plus a lazy stream over the remaining
-// ids in ascending score order (an unmatched id's distance depends only
-// on its ones count). A nil *Candidates selects the flat scan.
+// Candidates is a posting-list scan plan (see internal/posting's Plan):
+// the ids sharing a dimension with the query plus a stream over the rest
+// in ascending (ones, id) order. No scan evaluates it any more: every
+// plan ranks exactly like the flat scan, which won every workload the
+// plan was measured on. It survives only as the type of
+// MappedTopKContext's cands parameter, which bench/trace.go compiles
+// against; the benchmark change that drops that parameter and dbVectors
+// drops the type too.
 type Candidates struct {
-	// K bounds the ranking: the merged result holds the exact top K of
-	// what the flat scan would rank, in the flat scan's order. K <= 0
-	// degrades to the flat scan.
-	K int
-	// QueryOnes is the query vector's set-bit count |F(q)|.
+	K         int
 	QueryOnes int
-	// Matched holds, ascending, every id sharing >= 1 dimension with the
-	// query. Tombstoned ids may appear; the scan filters them through its
-	// limits.
-	Matched []int32
-	// Rest yields every id not in Matched in ascending (ones, id) order
-	// with its ones count, stopping when yield returns false.
-	Rest func(yield func(id, ones int32) bool)
+	Matched   []int32
+	Rest      func(yield func(id, ones int32) bool)
 }
 
 // Mapped ranks the database by normalized Euclidean distance between
@@ -192,22 +183,24 @@ func MappedContext(ctx context.Context, dbVectors []*vecspace.BitVector, qv *vec
 }
 
 // MappedTopKContext is MappedScan behind the signature bench/trace.go
-// compiles against: alive becomes the limits' predicate, and dbVectors — consulted only when blk is nil, and then packed
-// once for this call — survives for that file alone; dropping both
-// belongs to a later benchmark PR.
+// compiles against: alive becomes the limits' predicate, and dbVectors —
+// consulted only when blk is nil, and then packed once for this call —
+// and cands, which it ignores (every plan ranks exactly like the flat
+// scan), survive for that file alone; dropping both belongs to a later
+// benchmark PR.
 func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk *vecspace.Block,
 	qv *vecspace.BitVector, alive Alive, k int, cands *Candidates, s *Scratch) (Ranking, int, error) {
 	if blk == nil {
 		blk = vecspace.Pack(dbVectors, qv.Len())
 	}
-	return MappedScan(ctx, blk, qv, Limits{Pred: alive}, k, cands, s)
+	return MappedScan(ctx, blk, qv, Limits{Pred: alive}, k, s)
 }
 
 // MappedScan is the top-k scan every Search runs: exactly the first k
 // entries of MappedContext's ranking over the ids lim admits, computed
-// from the SoA block. With a plan it runs the pruned merge; without one
-// it streams the block through the popcount kernel with the heap's
-// threshold fused in (Block.HammingBelow): a lane leaves the kernel only
+// from the SoA block. It streams the block through the popcount kernel
+// with the heap's threshold fused in (Block.HammingBelow): a lane leaves
+// the kernel only
 // if it is live and its count is below bound — the heap's worst count —
 // and only then is the predicate asked and the k best kept in a bounded
 // heap. Nothing materializes, let alone sorts, the full ranking. Results
@@ -226,10 +219,7 @@ func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk
 // out — at most MappedContext's count, and on a large scan a small
 // fraction of it; the rankings are identical regardless.
 func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector, lim Limits,
-	k int, cands *Candidates, s *Scratch) (Ranking, int, error) {
-	if cands != nil && cands.K > 0 {
-		return mappedPruned(ctx, blk, qv, lim, cands, s)
-	}
+	k int, s *Scratch) (Ranking, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -269,7 +259,7 @@ func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector
 		if zones != nil && zones.LowerBound(qOnes, qw, zi) >= int(thr) {
 			continue
 		}
-		thr = blk.HammingBelow(qv, lo, lo+vecspace.ZoneSpan, lim.Dead, thr, offer)
+		thr = blk.HammingBelow(qv, lo, lo+vecspace.ZoneSpan, lim.Skip, thr, offer)
 	}
 	s.keys = keys
 	slices.Sort(keys)
@@ -286,15 +276,15 @@ func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector
 	return out, scored, nil
 }
 
-// bound is the scans' threshold: an id visited from here on can enter
+// bound is the scan's threshold: an id visited from here on can enter
 // the heap only with a Hamming count below it — every id (MaxInt32) while
 // the heap has room, then the root's count. Why that is exact: with the
 // heap full, a candidate enters only when its packed key (hamming<<32 |
-// id) is strictly below the root's. Both scans visit ids ascending, so
+// id) is strictly below the root's. The scan visits ids ascending, so
 // the candidate's id exceeds every id in the heap; with a count equal to
 // the root's it packs a key above the root — a rejected tie — and with a
 // greater count it is rejected outright. So the lanes HammingBelow masks
-// (count >= bound) and the zones the scans skip (LowerBound >= bound: no
+// (count >= bound) and the zones the scan skips (LowerBound >= bound: no
 // member has a smaller count) are lanes pushK would reject; dropping
 // them changes no result, only the work done and the count of ids
 // offered. Every lane the flat scan does offer is one pushK accepts
@@ -307,120 +297,9 @@ func bound(keys []uint64, k int) int32 {
 	return int32(keys[0] >> 32)
 }
 
-// mappedPruned evaluates the pruned plan. Equivalence to the flat scan
-// rests on three facts: (1) a matched id's distance is computed from the
-// same block by the kernel's gather, which produces the identical
-// integer Hamming count; (2) an unmatched id shares no dimension with
-// the query, so its Hamming distance is exactly QueryOnes + ones(id)
-// and distinct ones counts give distinct float64 scores (the gap 1/p dwarfs every rounding error for any p the codec
-// admits), making the (ones, id) stream order equal to the flat scan's
-// (score, id) tie order; (3) the merge emits at most K items, so only
-// the (score, id)-first K matched candidates can ever reach the output —
-// bounding the matched stage with the same heap the flat scan uses keeps
-// exactly those, and zone skips are exact per bound.
-func mappedPruned(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector, lim Limits,
-	cands *Candidates, s *Scratch) (Ranking, int, error) {
-	if s == nil {
-		s = &Scratch{}
-	}
-	p, pred := qv.Len(), lim.Pred
-	ids := s.ids[:0]
-	for j, id := range cands.Matched {
-		if j%mappedCtxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-		}
-		if lim.skips(int(id)) || (pred != nil && !pred(int(id))) {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	s.ids = ids
-	keys := s.keys[:0]
-	scored := 0
-	// Group the (ascending) candidate list by zone, let the zone map skip
-	// hopeless groups, gather the rest through the batched kernel.
-	zones := blk.Zones()
-	qw, qOnes := qv.Words(), qv.Ones()
-	dists := s.distBuf(len(ids))
-	for start, group := 0, 0; start < len(ids); group++ {
-		zi := int(ids[start]) / vecspace.ZoneSpan
-		end := start + 1
-		for end < len(ids) && int(ids[end])/vecspace.ZoneSpan == zi {
-			end++
-		}
-		if group%zoneCtxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-		}
-		if zones != nil && zones.LowerBound(qOnes, qw, zi) >= int(bound(keys, cands.K)) {
-			start = end
-			continue
-		}
-		s.gather = blk.HammingGather(qv, ids[start:end], s.gather, dists[:end-start])
-		for i, id := range ids[start:end] {
-			keys = pushK(keys, cands.K, uint64(dists[i])<<32|uint64(id))
-		}
-		scored += end - start
-		start = end
-	}
-	s.keys = keys
-	slices.Sort(keys)
-	matched := s.items[:0]
-	for _, key := range keys {
-		score := 0.0
-		if p > 0 {
-			score = math.Sqrt(float64(key>>32) / float64(p))
-		}
-		matched = append(matched, Item{ID: int(uint32(key)), Score: score})
-	}
-	s.items = matched
-
-	// Merge the sorted matched items with the score-ordered unmatched
-	// stream, stopping at K results.
-	out := s.out[:0]
-	mi := 0
-	steps := 0
-	var rerr error
-	cands.Rest(func(id, ones int32) bool {
-		steps++
-		if steps%mappedCtxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				rerr = err
-				return false
-			}
-		}
-		if lim.skips(int(id)) || (pred != nil && !pred(int(id))) {
-			return true
-		}
-		score := math.Sqrt(float64(int(ones)+cands.QueryOnes) / float64(p))
-		for mi < len(matched) && (matched[mi].Score < score ||
-			(matched[mi].Score == score && matched[mi].ID < int(id))) {
-			out = append(out, matched[mi])
-			mi++
-			if len(out) >= cands.K {
-				return false
-			}
-		}
-		out = append(out, Item{ID: int(id), Score: score})
-		scored++
-		return len(out) < cands.K
-	})
-	if rerr != nil {
-		return nil, 0, rerr
-	}
-	for mi < len(matched) && len(out) < cands.K {
-		out = append(out, matched[mi])
-		mi++
-	}
-	return out, scored, nil
-}
-
 const mappedCtxStride = 4096
 
-// zoneCtxStride is how many zones the kernel paths process between
+// zoneCtxStride is how many zones the flat scan processes between
 // cancellation checks: 16 zones × ZoneSpan ids = the same 4096-id cadence
 // as mappedCtxStride when nothing skips.
 const zoneCtxStride = 16

@@ -17,7 +17,7 @@ import (
 // EXPERIMENTS.md.
 func Verified(db []*graph.Graph, dbVectors []*vecspace.BitVector, q *graph.Graph, qv *vecspace.BitVector,
 	k, factor int, metric mcs.Metric, opt mcs.Options) Ranking {
-	r, _, _ := VerifiedContext(context.Background(), SliceGraphs(db), vecspace.Pack(dbVectors, qv.Len()), q, qv, k, factor, 0, metric, opt, Limits{}, nil, nil)
+	r, _, _ := VerifiedContext(context.Background(), SliceGraphs(db), vecspace.Pack(dbVectors, qv.Len()), q, qv, k, factor, 0, metric, opt, Limits{}, nil)
 	return r
 }
 
@@ -35,12 +35,9 @@ func SliceGraphs(db []*graph.Graph) GraphAt {
 
 // VerifiedContext is Verified with cancellation, the scan limits of the
 // retrieval stage, an optional cap on the number of candidates verified
-// (maxCandidates <= 0 means uncapped), and optional posting-list
-// pruning of the retrieval stage (pruned == nil means the flat scan;
-// pruned.K is overwritten with the candidate count this call needs, so
-// callers leave it zero). blk is the vector store the retrieval stage
-// scans; s, when non-nil, is the retrieval stage's scratch arena (see
-// MappedScan). The candidate count factor·k is computed in
+// (maxCandidates <= 0 means uncapped). blk is the vector store the
+// retrieval stage scans; s, when non-nil, is the retrieval stage's
+// scratch arena (see MappedScan). The candidate count factor·k is computed in
 // 64-bit arithmetic and clamped to the in-bound database size, so a
 // factor "overflowing" the database — or int range — degrades to
 // verifying every admitted graph rather than panicking. ctx is checked
@@ -48,7 +45,7 @@ func SliceGraphs(db []*graph.Graph) GraphAt {
 // of candidates verified with an MCS search.
 func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, q *graph.Graph,
 	qv *vecspace.BitVector, k, factor, maxCandidates int, metric mcs.Metric, opt mcs.Options,
-	lim Limits, pruned *Candidates, s *Scratch) (Ranking, int, error) {
+	lim Limits, s *Scratch) (Ranking, int, error) {
 	if k <= 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
@@ -70,13 +67,7 @@ func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, 
 	if want > n {
 		want = n
 	}
-	if pruned != nil {
-		// The retrieval stage needs exactly the top `want` mapped-space
-		// candidates; the pruned scan returns precisely that prefix (or
-		// every admitted id, if fewer), identical to the flat ranking.
-		pruned.K = int(want)
-	}
-	retrieved, _, err := MappedScan(ctx, blk, qv, lim, int(want), pruned, s)
+	retrieved, _, err := MappedScan(ctx, blk, qv, lim, int(want), s)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -174,19 +174,6 @@ func (b *Block) Unpack() []*BitVector {
 	return out
 }
 
-// HammingID returns the Hamming distance between q and packed vector id
-// — the gather form of the kernel, used to score the posting planner's
-// matched candidates from the same storage the flat scan streams.
-func (b *Block) HammingID(q *BitVector, id int) int {
-	tile := b.tiles[id/width]
-	j := id % width
-	c := 0
-	for w, qw := range q.bits {
-		c += bits.OnesCount64(qw ^ tile[w*width+j])
-	}
-	return c
-}
-
 // HammingInto writes the Hamming distance between q and every packed
 // vector into out[0:N]. q must have dimension P and out at least N
 // entries. Equivalent to calling q.HammingDistance per vector —
@@ -283,41 +270,4 @@ func counts(q *BitVector, tile []uint64) [width]int32 {
 		}
 	}
 	return acc
-}
-
-// HammingGather computes the Hamming distance between q and each of the
-// listed packed vectors, writing out[i] for ids[i] — the batched form of
-// per-id HammingID calls for the pruned scan's matched-candidate lists.
-// Candidate rows are gathered Width at a time into the contiguous
-// scratch tile and then run through the same bounds-check-free inner
-// loop as the flat kernel, so a long candidate list pays the gather
-// (pure copies) instead of Width separate strided walks with per-access
-// bounds checks. Counts are bit-identical to HammingID's.
-//
-// scratch is the gather tile; if its capacity is below Words()*Width()
-// a fresh one is allocated. The (possibly grown) scratch is returned so
-// callers can pool it.
-func (b *Block) HammingGather(q *BitVector, ids []int32, scratch []uint64, out []int32) []uint64 {
-	stride := b.words * width
-	if cap(scratch) < stride {
-		scratch = make([]uint64, stride)
-	}
-	g := scratch[:stride]
-	for base := 0; base < len(ids); base += width {
-		m := len(ids) - base
-		if m > width {
-			m = width
-		}
-		for j := 0; j < m; j++ {
-			id := int(ids[base+j])
-			tile := b.tiles[id/width]
-			col := id % width
-			for w := 0; w < b.words; w++ {
-				g[w*width+j] = tile[w*width+col]
-			}
-		}
-		acc := counts(q, g)
-		copy(out[base:base+m], acc[:m])
-	}
-	return scratch
 }

@@ -98,8 +98,8 @@ func TestBlockAppendCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestBlockHammingMatchesScalar checks the kernel (the gather form and
-// the threshold-fused HammingBelow included) against the scalar
+// TestBlockHammingMatchesScalar checks the kernel (the threshold-fused
+// HammingBelow included) against the scalar
 // HammingDistance on ragged shapes.
 func TestBlockHammingMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -114,9 +114,6 @@ func TestBlockHammingMatchesScalar(t *testing.T) {
 				want := int32(q.HammingDistance(v))
 				if out[id] != want {
 					t.Fatalf("n=%d p=%d: HammingInto[%d] = %d, want %d", n, p, id, out[id], want)
-				}
-				if got := b.HammingID(q, id); int32(got) != want {
-					t.Fatalf("n=%d p=%d: HammingID(%d) = %d, want %d", n, p, id, got, want)
 				}
 			}
 			// HammingBelow over tile-aligned chunks, with a tombstone

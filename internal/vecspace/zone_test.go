@@ -94,30 +94,3 @@ func TestZoneMapMaintainedByAppend(t *testing.T) {
 		}
 	}
 }
-
-// TestHammingGatherMatchesHammingID: the batched gather kernel must
-// agree with the per-id scalar path on arbitrary id subsets, in
-// arbitrary order, with and without scratch reuse.
-func TestHammingGatherMatchesHammingID(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	var scratch []uint64
-	for round := 0; round < 25; round++ {
-		n := 1 + rng.Intn(400)
-		p := 1 + rng.Intn(180)
-		blk := Pack(zoneRandVecs(rng, n, p), p)
-		q := zoneRandVecs(rng, 1, p)[0]
-		m := rng.Intn(n + 1)
-		ids := make([]int32, m)
-		for i := range ids {
-			ids[i] = int32(rng.Intn(n))
-		}
-		out := make([]int32, m)
-		scratch = blk.HammingGather(q, ids, scratch, out)
-		for i, id := range ids {
-			if want := blk.HammingID(q, int(id)); int(out[i]) != want {
-				t.Fatalf("round %d: gather[%d] (id %d) = %d, HammingID = %d (n=%d p=%d)",
-					round, i, id, out[i], want, n, p)
-			}
-		}
-	}
-}

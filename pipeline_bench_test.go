@@ -73,12 +73,10 @@ func BenchmarkPipelineFilterPushdown(b *testing.B) {
 		}
 	}
 	b.Logf("filter selects %d of %d graphs", matching, len(db))
-	// A dense query (a database member, matching many dimensions): the
-	// cost model sends the unfiltered scan to the flat path, which is
-	// exactly the workload where a declarative filter's posting-list
-	// restriction beats a closure that must visit every graph. (Sparse
-	// queries are already sublinear for both paths — see
-	// BenchmarkSearchSparse.)
+	// A dense query (a database member, matching many dimensions): a
+	// declarative filter's posting-list restriction reaches the scan as
+	// skip bits, where a closure must be asked about every id that could
+	// enter the heap.
 	q := db[7]
 	ctx := context.Background()
 	for _, bc := range []struct {
