@@ -61,7 +61,7 @@ race:
 	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/... ./internal/subiso/... ./internal/mcs/...
 
 # fuzz runs each native fuzz target for $(FUZZTIME), one at a time (go
-# test -fuzz takes one target per package run): the v4 segment decoder
+# test -fuzz takes one target per package run): the segment decoder
 # (whose re-encoding is a fixed point), the compiled VF2 pattern against
 # brute force, the SoA pack round trip, the threshold-fused flat scan
 # against the scalar ranking, the graph text format, the mapper's

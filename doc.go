@@ -12,7 +12,7 @@
 // fan-out search with a global top-k merge over the collection's one
 // dimension set, a Compact that reclaims tombstoned slots without
 // changing a ranking while readers keep serving, and the one persisted
-// form of an index: a store directory (a manifest plus one v4 segment
+// form of an index: a store directory (a manifest plus one v5 segment
 // file per shard) that only Checkpoint writes and OpenStore serves.
 // Stores opened against a data directory (OpenStore, CreateStore,
 // OpenOrCreateStore) are durable: adds and removes are write-ahead

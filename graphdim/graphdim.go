@@ -292,27 +292,27 @@ type snapshot struct {
 	seg *segSource
 	// block is the snapshot's vector store — the only one: vector id is
 	// lane id of the SoA block, the operand of every mapped-space scan
-	// and the tile section of every segment written. block and post are
-	// both derived from the same vectors where a snapshot is born
-	// (newSnapshot, or a segment's own sections in snapshotFromSegment)
-	// and share one eager copy-on-write lifecycle: appended extends both
+	// and the tile section of every segment written. Its zone map is
+	// derived from its tiles wherever a block is born (vecspace.Pack, or
+	// the segment's tiles in snapshotFromSegment). appended extends it
 	// (Block.Append never writes a shared tile, so on a mapped snapshot
-	// the overlay is pure copy-on-write on top of the read-only mapping),
-	// tombstoned shares both unchanged — tombstoned ids keep their lanes
-	// and listings and every scan skips them through its limits.
-	// Invariant: block.N() == post.N() == len(db).
+	// the overlay is pure copy-on-write on top of the read-only mapping);
+	// tombstoned shares it unchanged — tombstoned ids keep their lanes and
+	// every scan skips them through its limits. Invariant: block.N() ==
+	// len(db).
 	block *vecspace.Block
 	// post holds the per-dimension posting lists and ones buckets over
-	// block's vectors — what dimension filters push down into
-	// (internal/posting).
-	post *posting.Index
-	// labels holds the per-label inverted lists over db — the pushdown
-	// accelerator for declarative label filters (internal/pipeline).
-	// Unlike block and post it is built lazily, by the first query whose
-	// filter names a label (labelIndex), because building it reads every
-	// graph — which on a mapped snapshot would fault in the whole corpus
-	// at open. Once built it is carried copy-on-write: appended extends
-	// it, an unbuilt nil just stays lazy.
+	// block's vectors, for dimension and ones filters (internal/posting).
+	// It is never persisted: the first query whose filter needs it builds
+	// it from block (postings). Once built, appended extends it and
+	// tombstoned shares it; an unbuilt nil stays lazy. Built, post.N() ==
+	// len(db).
+	post atomic.Pointer[posting.Index]
+	// labels holds the per-label inverted lists over db, for label filters
+	// (internal/pipeline), built by the first query whose filter names a
+	// label (labelIndex) — building it reads every graph, which on a
+	// mapped snapshot would fault in the whole corpus — and carried like
+	// post.
 	labels atomic.Pointer[posting.LabelIndex]
 	// baseN is how many of the graphs were part of the database the
 	// dimension selection (Build) or persisted file saw; ids >= baseN
@@ -322,14 +322,12 @@ type snapshot struct {
 	baseDead int
 }
 
-// newSnapshot is the from-vectors constructor: it packs the block and
-// builds the posting index from the same slice, so the two can never
-// disagree about which vectors the snapshot holds. db, vectors and
-// globals (nil on a stand-alone index) are aligned by id, dead is their
-// tombstone bitset (nil: none dead); p is the dimensionality. db, dead
-// and globals are adopted with their capacity clipped, so appended never
-// writes into a caller's spare capacity (Build hands over the caller's
-// own db).
+// newSnapshot is the from-vectors constructor: it packs the block. db,
+// vectors and globals (nil on a stand-alone index) are aligned by id,
+// dead is their tombstone bitset (nil: none dead); p is the
+// dimensionality. db, dead and globals are adopted with their capacity
+// clipped, so appended never writes into a caller's spare capacity
+// (Build hands over the caller's own db).
 func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []uint64, baseN int, globals []int) *snapshot {
 	if dead == nil {
 		dead = make([]uint64, deadWords(len(db)))
@@ -340,7 +338,6 @@ func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []uint6
 		deadCount: deadBelow(dead, len(db)),
 		globals:   slices.Clip(globals),
 		block:     vecspace.Pack(vectors, p),
-		post:      posting.FromVectors(vectors, p),
 		baseN:     baseN,
 		baseDead:  deadBelow(dead, baseN),
 	}
@@ -364,8 +361,9 @@ func deadBelow(dead []uint64, n int) int {
 // isDead reports whether id is tombstoned: bit id%64 of word id/64.
 func (s *snapshot) isDead(id int) bool { return s.dead[id/64]&(1<<(id%64)) != 0 }
 
-// snapshotFromSegment adopts an opened segment: block and postings are the
-// segment's own sections (aliased in place when the reader is a mapping).
+// snapshotFromSegment adopts an opened segment: block is the segment's
+// tile section (aliased in place when the reader is a mapping), with its
+// zone map derived from those tiles.
 // With rehydrate false the snapshot keeps nil graph placeholders and faults
 // payloads in through the reader; with rehydrate true every graph is
 // decoded onto the heap and the reader is only kept as the backing array
@@ -381,10 +379,6 @@ func snapshotFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*sna
 	if err != nil {
 		return nil, err
 	}
-	post, err := r.Postings()
-	if err != nil {
-		return nil, err
-	}
 	dead, deadCount := r.Dead()
 	s := &snapshot{
 		db:        make([]*Graph, n),
@@ -392,7 +386,6 @@ func snapshotFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*sna
 		deadCount: deadCount,
 		globals:   slices.Clip(globals),
 		block:     blk,
-		post:      post,
 		baseN:     baseN,
 		baseDead:  deadBelow(dead, baseN),
 	}
@@ -416,8 +409,9 @@ func snapshotFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*sna
 // append's amortized growth, not on every publish. The new ids are the
 // highest yet, so the block fills the next lanes and every per-dimension
 // list stays sorted. All of it needs the linear snapshot chain Index.mu
-// enforces: only the newest snapshot is ever appended to. The label
-// index is extended only if a filtered query already paid to build it.
+// enforces: only the newest snapshot is ever appended to. The posting
+// and label indexes are extended only if a filtered query already paid
+// to build them.
 func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []int) *snapshot {
 	dead := s.dead
 	for len(dead) < deadWords(len(s.db)+len(gs)) {
@@ -429,12 +423,14 @@ func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []i
 		deadCount: s.deadCount,
 		seg:       s.seg,
 		block:     s.block.Append(vecs),
-		post:      s.post.Append(vecs),
 		baseN:     s.baseN,
 		baseDead:  s.baseDead,
 	}
 	if globals != nil {
 		next.globals = append(s.globals, globals...)
+	}
+	if p := s.post.Load(); p != nil {
+		next.post.Store(p.Append(vecs))
 	}
 	if l := s.labels.Load(); l != nil {
 		next.labels.Store(l.Append(gs))
@@ -443,10 +439,10 @@ func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []i
 }
 
 // tombstoned is the snapshot after a Remove of ids (valid, live,
-// distinct). db, the id table, the vector block and the posting lists
-// are shared with s; only the tombstone bitset is copied — n/64 words,
-// 2.5 KB for a 20,000-id shard. Removal is neither a block nor a posting
-// event.
+// distinct). db, the id table, the vector block and the posting and
+// label indexes are shared with s; only the tombstone bitset is copied —
+// n/64 words, 2.5 KB for a 20,000-id shard. Removal is neither a block
+// nor a posting event.
 func (s *snapshot) tombstoned(ids []int) *snapshot {
 	next := &snapshot{
 		db:        s.db,
@@ -455,10 +451,10 @@ func (s *snapshot) tombstoned(ids []int) *snapshot {
 		globals:   s.globals,
 		seg:       s.seg,
 		block:     s.block,
-		post:      s.post,
 		baseN:     s.baseN,
 		baseDead:  s.baseDead,
 	}
+	next.post.Store(s.post.Load())
 	next.labels.Store(s.labels.Load())
 	for _, id := range ids {
 		next.dead[id/64] |= 1 << (id % 64)
@@ -575,6 +571,21 @@ func (s *snapshot) graphAt(id int) (*Graph, error) {
 		return g, nil
 	}
 	return s.seg.graphAt(id)
+}
+
+// postings returns the posting index, building it from block on first
+// demand — so on a mapped snapshot it reads tiles and faults in no graph
+// payload. Racing builders may duplicate work; CompareAndSwap publishes
+// exactly one, and Add keeps extending whichever one won.
+func (s *snapshot) postings() *posting.Index {
+	if p := s.post.Load(); p != nil {
+		return p
+	}
+	p := posting.FromVectors(s.block.Unpack(), s.block.P())
+	if s.post.CompareAndSwap(nil, p) {
+		return p
+	}
+	return s.post.Load()
 }
 
 // labelIndex returns the label pushdown index, building it on first

@@ -16,7 +16,7 @@ import (
 // Checkpoint (with the create, drop and CreateStore calls that run one)
 // is the one thing that writes it: a store.json manifest naming every
 // collection, its shard layout, worker bound and default-search options,
-// and the local→global id table of each shard, next to one v4 segment
+// and the local→global id table of each shard, next to one segment
 // file per shard (<dir>/<collection>/shard-NNNN-*.gdx). Shard files carry
 // no ids of their own — the manifest's tables are authoritative.
 
@@ -534,7 +534,7 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	errs := make([]error, cm.Shards)
 	_ = s.budget.ForContext(context.Background(), cm.Shards, func(i int) {
 		errs[i] = func() error {
-			// Open by path: a v4 segment shard under MemoryAuto is
+			// Open by path: a segment shard under MemoryAuto is
 			// mmapped in place rather than read through the heap.
 			globals := cm.ShardGlobals[i]
 			idx, err := openSegmentIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), s.memory, globals)

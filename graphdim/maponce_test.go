@@ -391,6 +391,16 @@ func TestReadersSeeOneShardState(t *testing.T) {
 		distinct("verified search", results(res))
 	})
 	reader(func(i int) {
+		// A ones filter builds each shard's posting index on first demand,
+		// racing the writers that extend it.
+		res, err := c.Search(ctx, db[i%len(db)], SearchOptions{K: 1000, Filters: []*pipeline.Filter{{MinOnes: 1}}})
+		if err != nil {
+			t.Errorf("dimension-filtered search: %v", err)
+			return
+		}
+		distinct("dimension-filtered search", results(res))
+	})
+	reader(func(i int) {
 		res, err := c.Query(ctx, &pipeline.Pipeline{Stages: []pipeline.Stage{
 			{Filter: &pipeline.Filter{MinVertices: 1}}, {Limit: &pipeline.Limit{N: 1000}},
 		}})
@@ -407,9 +417,13 @@ func TestReadersSeeOneShardState(t *testing.T) {
 	reader(func(i int) {
 		sh := i % shards
 		snap := c.shards[sh].snap.Load()
-		if n := len(snap.db); len(snap.globals) != n || len(snap.dead) != deadWords(n) || snap.block.N() != n || snap.post.N() != n {
+		n, postN := len(snap.db), len(snap.db)
+		if p := snap.post.Load(); p != nil {
+			postN = p.N()
+		}
+		if len(snap.globals) != n || len(snap.dead) != deadWords(n) || snap.block.N() != n || postN != n {
 			t.Errorf("shard %d: columns of one snapshot disagree: db %d, globals %d, dead %d, block %d, postings %d",
-				sh, n, len(snap.globals), len(snap.dead), snap.block.N(), snap.post.N())
+				sh, n, len(snap.globals), len(snap.dead), snap.block.N(), postN)
 			return
 		}
 		for local, g := range snap.globals {

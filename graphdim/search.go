@@ -225,17 +225,23 @@ type SearchResult struct {
 }
 
 // catalog exposes the snapshot's pushdown structures to the filter
-// compiler for the filters fs. The label index is resolved only when a
-// filter names a label: it is built lazily, and on a mapped snapshot that
-// build is the one whole-corpus fault (see labelIndex) — and the one way
-// this can fail. Dimension and ones predicates need only the postings.
+// compiler for the filters fs. Each is resolved only for a filter that
+// needs it, because each is built lazily: the posting index for
+// dimension and ones predicates (from the block, see postings), the label
+// index for label predicates — on a mapped snapshot that build is the
+// one whole-corpus fault (see labelIndex), and the one way this can fail.
 func (s *snapshot) catalog(fs []*pipeline.Filter) (pipeline.Catalog, error) {
-	cat := pipeline.Catalog{N: len(s.db), Post: s.post}
+	cat := pipeline.Catalog{N: len(s.db)}
 	for _, f := range fs {
-		if len(f.VertexLabels) > 0 || len(f.EdgeLabels) > 0 {
+		if cat.Post == nil && f.NeedsPostings() {
+			cat.Post = s.postings()
+		}
+		if cat.Labels == nil && (len(f.VertexLabels) > 0 || len(f.EdgeLabels) > 0) {
 			labels, err := s.labelIndex()
+			if err != nil {
+				return cat, err
+			}
 			cat.Labels = labels
-			return cat, err
 		}
 	}
 	return cat, nil

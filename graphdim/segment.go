@@ -1,18 +1,19 @@
 package graphdim
 
-// This file bridges the collection layer to internal/segment, the v4
-// on-disk format: checkpoints stream each shard's snapshot out as a
-// segment (writeSegment), and opens serve a segment back either mapped — the
+// This file bridges the collection layer to internal/segment, the on-disk
+// format: checkpoints stream each shard's snapshot out as a v5 segment
+// (writeSegment) — its vectors, tombstones and graphs, nothing derivable
+// from them — and opens serve a v5 or v4 segment back either mapped — the
 // tile section IS the scan block, graph payloads fault in lazily — or
-// fully rehydrated onto the heap (snapshotFromSegment). segSource is the
-// per-open shared state a mapped snapshot chain hangs onto: the reader
-// plus a decode-once cache for faulted graphs.
+// fully rehydrated onto the heap (snapshotFromSegment). Zone maps and
+// posting lists are rebuilt from the tiles, never read from the file.
+// segSource is the per-open shared state a mapped snapshot chain hangs
+// onto: the reader plus a decode-once cache for faulted graphs.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -52,31 +53,13 @@ func (ss *segSource) graphAt(id int) (*Graph, error) {
 	return ss.graphs[id].Load(), nil
 }
 
-// writeSegment streams snapshot s as a v4 segment. The tile section is
+// writeSegment streams snapshot s as a v5 segment. The tile section is
 // written in exactly the layout the scan kernel consumes, so a later
 // mapped open serves queries from the file bytes with zero rehydration.
 // When s itself is served from a mapped segment, unmodified graph
 // payloads are copied verbatim (graphs are immutable — no decode,
 // re-encode round trip per checkpoint).
 func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
-	blk := s.block
-	n := len(s.db)
-
-	// Ones counts feed the per-zone min/max bounds and the posting
-	// buckets; popcount them straight out of the tiles rather than
-	// materializing a BitVector per id.
-	ones := make([]int32, n)
-	width, words := blk.Width(), blk.Words()
-	for id := 0; id < n; id++ {
-		tile := blk.Tile(id / width)
-		j := id % width
-		o := 0
-		for k := 0; k < words; k++ {
-			o += bits.OnesCount64(tile[k*width+j])
-		}
-		ones[id] = int32(o)
-	}
-
 	var buf bytes.Buffer
 	graphBytes := func(i int) ([]byte, error) {
 		if s.seg != nil && s.db[i] == nil {
@@ -99,11 +82,9 @@ func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
 			Features:  ix.features,
 			BaseN:     s.baseN,
 		},
-		Block: blk,
+		Block: s.block,
 		Dead:  s.dead,
 		Graph: graphBytes,
-		Ones:  ones,
-		List:  s.post.List,
 	})
 }
 

@@ -284,7 +284,7 @@ func TestOpenStoreRejectsTornSegment(t *testing.T) {
 }
 
 // TestReadIndexSegmentRoundTrip covers the heap leg of reading an index
-// file, the portable path every platform has: a v4 segment opened with
+// file, the portable path every platform has: a segment opened with
 // MemoryHeap must rehydrate to a fully heap-resident index — tombstones
 // and post-Add ids included — that answers exactly like its source.
 func TestReadIndexSegmentRoundTrip(t *testing.T) {

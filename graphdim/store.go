@@ -74,12 +74,12 @@ type StoreOptions struct {
 	// without a data directory has nowhere to log.
 	WAL WALOptions
 	// Memory selects how a durable store serves checkpointed shard data:
-	// mapped read-only from v4 segment files (the default where the
-	// platform supports it — vectors, graph payloads, and posting lists
-	// stay in the page cache and fault in on demand, so a collection can
-	// exceed RAM) or fully rehydrated onto the heap. See MemoryMode.
-	// NewStore ignores it. Checkpoints predating the v4 segment format do
-	// not load in any mode: the segment reader refuses them by name.
+	// mapped read-only from segment files (the default where the
+	// platform supports it — vectors and graph payloads stay in the page
+	// cache and fault in on demand, so a collection can exceed RAM) or
+	// fully rehydrated onto the heap. See MemoryMode. NewStore ignores it.
+	// Checkpoints predating the v4 segment format do not load in any
+	// mode: the segment reader refuses them by name.
 	Memory MemoryMode
 }
 
@@ -87,7 +87,7 @@ type StoreOptions struct {
 type MemoryMode int
 
 const (
-	// MemoryAuto maps v4 segment checkpoints read-only where the
+	// MemoryAuto maps segment checkpoints read-only where the
 	// platform supports mmap (see segment.CanMap), the heap elsewhere —
 	// the default. It checks each segment's trailer, not its body crc.
 	MemoryAuto MemoryMode = iota

@@ -346,22 +346,34 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
-func TestFig8Points(t *testing.T) {
+// TestFig8Shape asserts Fig. 8's claim at harness scale (60 graphs, 12
+// queries, seed 1, p = 10, k = 4, b = n/8 … n/2 as cmd/figures sweeps
+// it). DSPMap's precision scatters around DSPM's — 48 result slots make
+// one slot 0.021, and it measured 0.146–0.312 against DSPM's 0.208, with
+// no trend in b — but averaged over b it matches DSPM's (0.213), so the
+// test asserts the mean within 0.05 and each b within 0.125. At the
+// smallest b DSPMap indexes in under half of DSPM's time (it measured a
+// fifth to a quarter; the time grows with b).
+func TestFig8Shape(t *testing.T) {
 	ds := chemDS(t)
-	pts, err := Fig8(ds, 10, 4, []int{10, 20}, 1)
+	n := len(ds.DB)
+	pts, err := Fig8(ds, 10, 4, []int{n / 8, n / 6, n / 4, n / 3, n / 2}, 1)
 	if err != nil {
 		t.Fatalf("Fig8: %v", err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("got %d points", len(pts))
-	}
+	mean := 0.0
 	for _, pt := range pts {
-		if pt.DSPMapPrec < 0 || pt.DSPMapPrec > 1 {
-			t.Errorf("DSPMap precision out of range: %v", pt.DSPMapPrec)
+		t.Logf("b=%d: DSPMap %.3f in %v, DSPM %.3f in %v", pt.B, pt.DSPMapPrec, pt.DSPMapIndexing, pt.DSPMPrec, pt.DSPMIndexing)
+		if d := pt.DSPMapPrec - pt.DSPMPrec; d < -0.125 || d > 0.125 {
+			t.Errorf("b=%d: DSPMap precision %.3f is not within 0.125 of DSPM's %.3f", pt.B, pt.DSPMapPrec, pt.DSPMPrec)
 		}
-		if pt.DSPMapIndexing <= 0 || pt.DSPMIndexing <= 0 {
-			t.Errorf("indexing times not measured")
-		}
+		mean += pt.DSPMapPrec / float64(len(pts))
+	}
+	if d := mean - pts[0].DSPMPrec; d < -0.05 || d > 0.05 {
+		t.Errorf("DSPMap's mean precision over b, %.3f, is not within 0.05 of DSPM's %.3f", mean, pts[0].DSPMPrec)
+	}
+	if pt := pts[0]; pt.DSPMapIndexing*2 >= pt.DSPMIndexing {
+		t.Errorf("b=%d: DSPMap indexed in %v, not under half of DSPM's %v", pt.B, pt.DSPMapIndexing, pt.DSPMIndexing)
 	}
 }
 

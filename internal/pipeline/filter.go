@@ -192,8 +192,9 @@ func CanonFilters(fs []*Filter, dst []byte) []byte {
 
 // Catalog is what a snapshot offers the filter compiler: the id count,
 // the per-dimension posting index (with ones-count buckets), and the
-// per-label posting index. Either index may be nil — the corresponding
-// predicates then fall back to residual per-graph evaluation.
+// per-label posting index. Post may be nil only when no filter
+// NeedsPostings; Labels may be nil, and label predicates then fall back
+// to residual per-graph evaluation.
 type Catalog struct {
 	N      int
 	Post   *posting.Index
@@ -229,6 +230,12 @@ func (c *Compiled) Matches(id int, g *graph.Graph) bool {
 	return c.Residual == nil || c.Residual(id, g)
 }
 
+// NeedsPostings reports whether f has dimension or ones predicates,
+// which only a posting index answers.
+func (f *Filter) NeedsPostings() bool {
+	return len(f.DimsAll) > 0 || len(f.DimsAny) > 0 || f.MinOnes > 0 || f.MaxOnes > 0
+}
+
 // CompileFilters compiles a filter chain against a catalog, pushing
 // every predicate a posting list or ones-count bucket can answer into
 // one sorted id intersection and folding the rest into a residual
@@ -248,7 +255,7 @@ func CompileFilters(fs []*Filter, cat Catalog) (*Compiled, error) {
 
 		// Dimension-bit predicates need the posting index; there is no
 		// residual form (graphs alone don't carry their mapped vector).
-		if len(f.DimsAll) > 0 || len(f.DimsAny) > 0 || f.MinOnes > 0 || f.MaxOnes > 0 {
+		if f.NeedsPostings() {
 			if cat.Post == nil {
 				return nil, fmt.Errorf("dimension predicates need a posting index")
 			}

@@ -4,7 +4,10 @@
 // answer a ones-count range, and (labels.go) the per-label lists. A
 // filter's pushed-down predicates intersect these lists into the id set
 // the scan is limited to (see internal/pipeline's CompileFilters); the
-// ranking itself is always the flat scan of internal/topk.
+// ranking itself is always the flat scan of internal/topk. The lists are
+// a function of the vectors, so they are never stored: graphdim builds
+// them on first demand, from the snapshot's vector block, for the first
+// query whose filter needs them.
 //
 // An Index is immutable to readers. Append extends it with new ids
 // (graph ids are assigned densely ascending, so appended postings keep
@@ -39,30 +42,6 @@ func FromVectors(vectors []*vecspace.BitVector, p int) *Index {
 		byCount: make([][]int32, p+1),
 	}
 	return ix.Append(vectors)
-}
-
-// FromLists assembles an index from already-decoded posting lists (the
-// persistence fast path). The caller is responsible for validity: each
-// list strictly ascending with ids in [0, n), and list r holding exactly
-// the ids whose vector has bit r — segment.Reader.Postings checks the
-// structure (ascending, in range, total postings = total ones) before
-// calling. ones[id] must be the set-bit count of vector id; the ones
-// buckets are derived here.
-func FromLists(p, n int, lists [][]int32, ones []int32) *Index {
-	ix := &Index{p: p, n: n, lists: lists, byCount: make([][]int32, p+1)}
-	counts := make([]int, p+1)
-	for _, o := range ones {
-		counts[o]++
-	}
-	for c, cnt := range counts {
-		if cnt > 0 {
-			ix.byCount[c] = make([]int32, 0, cnt)
-		}
-	}
-	for id, o := range ones {
-		ix.byCount[o] = append(ix.byCount[o], int32(id))
-	}
-	return ix
 }
 
 // N returns the number of ids covered (ids are exactly [0, N)).

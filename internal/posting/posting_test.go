@@ -241,42 +241,3 @@ func TestPlanMatchedAndRestPartitionTheIDs(t *testing.T) {
 		t.Fatalf("Rest yielded %d ids after early stop, want 7", n)
 	}
 }
-
-func TestFromListsMatchesFromVectors(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	vecs := randomVectors(rng, 80, 25, 0.3)
-	direct := FromVectors(vecs, 25)
-	lists := make([][]int32, 25)
-	for r := range lists {
-		lists[r] = append([]int32(nil), direct.List(r)...)
-	}
-	ones := make([]int32, len(vecs))
-	for id, v := range vecs {
-		ones[id] = int32(v.Ones())
-	}
-	rebuilt := FromLists(25, len(vecs), lists, ones)
-	q := vecspace.NewBitVector(25)
-	q.Set(11)
-	a, b := direct.Plan(q, 4), rebuilt.Plan(q, 4)
-	if (a == nil) != (b == nil) {
-		t.Fatalf("plan presence diverges: %v vs %v", a != nil, b != nil)
-	}
-	if a == nil {
-		// Dense enough to fall back: compare the raw lists instead.
-		for r := 0; r < 25; r++ {
-			if !sameIDs(direct.List(r), rebuilt.List(r)) {
-				t.Fatalf("dim %d lists diverge", r)
-			}
-		}
-		return
-	}
-	if !sameIDs(a.Matched, b.Matched) {
-		t.Fatalf("matched diverges: %v vs %v", a.Matched, b.Matched)
-	}
-	var ra, rb []int32
-	a.Rest(func(id, _ int32) bool { ra = append(ra, id); return true })
-	b.Rest(func(id, _ int32) bool { rb = append(rb, id); return true })
-	if !reflect.DeepEqual(ra, rb) {
-		t.Fatalf("rest streams diverge")
-	}
-}

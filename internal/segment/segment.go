@@ -1,4 +1,4 @@
-// Package segment implements the v4 on-disk index segment: an immutable,
+// Package segment implements the v5 on-disk index segment: an immutable,
 // trailer-indexed file whose vector section is laid out exactly as the
 // scan kernel's SoA input (vecspace.Block tiles, word-major, little-
 // endian), so a memory-mapped checkpoint IS the kernel's operand with
@@ -8,28 +8,32 @@
 //
 // Layout (all integers little-endian):
 //
-//	magic     8 bytes "GDIMIDX4"
+//	magic     8 bytes "GDIMIDX5"
 //	meta      metric byte, MCS budget uvarint, p uvarint, p × (weight
 //	          float64 + feature graph in internal/graph's binary codec),
-//	          n uvarint, baseN uvarint, tile width uvarint, zone span
-//	          uvarint — the whole-index scalars, decoded eagerly (small)
-//	tiles     ceil(n/width) × words·width uint64 — the vector section,
-//	          8-byte aligned, byte-compatible with vecspace.Block tiles
+//	          n uvarint, baseN uvarint — the whole-index scalars, decoded
+//	          eagerly (small)
+//	tiles     ceil(n/16) × words·16 uint64 — the vector section, 8-byte
+//	          aligned, byte-compatible with vecspace.Block tiles (the tile
+//	          width is the kernel's constant, vecspace.DefaultBlockWidth)
 //	dead      ceil(n/8) bytes — tombstone bitmap, id i at byte i/8 bit i%8
 //	gidx      (n+1) × uint64 — graph payload offset table, blob i spans
 //	          [gidx[i], gidx[i+1]) of the graphs section (lazy faulting)
 //	graphs    concatenated graph blobs (internal/graph binary codec)
-//	ones      n × uint32 — per-id set-bit counts (posting buckets)
-//	posts     p × (uint32 count + count × uint32 ids) — the posting lists
-//	zmin/zmax zones × uint32 each — per-zone ones-count min/max
-//	zsums     zones × words × uint64 — per-zone dimension-presence bitmaps
-//	trailer   fixed 144 bytes: section offsets/lengths, n/p/width/baseN/
-//	          zoneSpan/zones, body crc32, trailer crc32, "GDSEG4TR"
+//	trailer   fixed 80 bytes: the tiles/dead/gidx/graphs offsets, the
+//	          graphs length, n, p, baseN (uint64 each), body crc32,
+//	          trailer crc32, "GDSEG5TR"
 //
-// The zone sections are derived skip metadata, never part of the durable
-// record (Provenance-based Data Skipping): a reader that distrusts or
-// cannot use them (different zone span) rebuilds from the tiles and
-// loses nothing but open time.
+// A segment stores only what cannot be derived. The zone map that bounds
+// a scan and the posting lists a dimension filter intersects are both
+// functions of the tiles: the reader's Block derives the zone map, and
+// graphdim builds posting lists on first demand — so no file can hold
+// skip metadata that disagrees with its own vectors.
+//
+// The v4 format before it ("GDIMIDX4") is still read, never written: one
+// checkpoint upgrades a store. A v4 file carries a 144-byte trailer, the
+// tile width and zone span as two more meta scalars, and ones, posting
+// and zone sections after the graphs, which are never read.
 //
 // Integrity: the trailer carries its own crc, so a torn or truncated
 // file is rejected at open without reading the body. The body crc covers
@@ -56,14 +60,19 @@ import (
 	"repro/internal/vecspace"
 )
 
-// Magic is the v4 file magic.
-const Magic = "GDIMIDX4"
+// Magic is the v5 file magic, the one format Write produces.
+const Magic = "GDIMIDX5"
 
 const (
-	trailerMagic = "GDSEG4TR"
-	trailerSize  = 144
-	// width is the one tile width the kernel runs; the header and trailer
-	// still record it so a file packed any other way is refused by name.
+	trailerMagic = "GDSEG5TR"
+	trailerSize  = 80
+	// The v4 trailer holds 16 uint64 fields where v5 has 8: after the
+	// same five offsets, the ones, posting and zone section offsets, then
+	// n, p, the tile width, baseN, the zone span and the zone count.
+	magicV4        = "GDIMIDX4"
+	trailerMagicV4 = "GDSEG4TR"
+	trailerSizeV4  = 144
+	// width is the one tile width the kernel runs.
 	width = vecspace.DefaultBlockWidth
 	// maxElems bounds decoded counts before any allocation, shared with
 	// the graph codec's anti-bomb limit.
@@ -89,11 +98,10 @@ type Meta struct {
 	BaseN     int
 }
 
-// Payload is everything Write serializes. Block supplies n, p, the
-// tiles, and the zone map; Graph returns the encoded blob of graph i
-// (a writer holding a source segment returns the raw bytes — graphs are
-// immutable, so a checkpoint never re-encodes the mapped base); List
-// returns dimension r's ascending posting list. Dead is the tombstone
+// Payload is everything Write serializes. Block supplies n, p and the
+// tiles; Graph returns the encoded blob of graph i (a writer holding a
+// source segment returns the raw bytes — graphs are immutable, so a
+// checkpoint never re-encodes the mapped base). Dead is the tombstone
 // bitset, id i at bit i%64 of word i/64 — the dead section's bit order
 // read as little-endian words — with ceil(n/64) words and no bit set at
 // or past n.
@@ -102,8 +110,6 @@ type Payload struct {
 	Block *vecspace.Block
 	Dead  []uint64
 	Graph func(i int) ([]byte, error)
-	Ones  []int32
-	List  func(r int) []int32
 }
 
 // countCRCWriter tracks offset and a running crc of everything written.
@@ -151,14 +157,14 @@ func (c *countCRCWriter) uvarint(x uint64) error {
 	return err
 }
 
-// Write streams a v4 segment to w. The encoding is sequential (offsets
+// Write streams a v5 segment to w. The encoding is sequential (offsets
 // are recorded as sections stream out and land in the trailer), so w can
 // be a plain *os.File with no seeking.
 func Write(w io.Writer, pl Payload) (err error) {
 	blk := pl.Block
-	n, p, width, words := blk.N(), blk.P(), blk.Width(), blk.Words()
-	if len(pl.Dead) != (n+63)/64 || len(pl.Ones) != n {
-		return fmt.Errorf("segment: payload lengths disagree with block (n=%d dead=%d ones=%d)", n, len(pl.Dead), len(pl.Ones))
+	n, p, words := blk.N(), blk.P(), blk.Words()
+	if len(pl.Dead) != (n+63)/64 {
+		return fmt.Errorf("segment: payload lengths disagree with block (n=%d dead=%d)", n, len(pl.Dead))
 	}
 	cw := &countCRCWriter{w: w}
 	fail := func(err error) error { return fmt.Errorf("segment: encode: %w", err) }
@@ -187,7 +193,7 @@ func Write(w io.Writer, pl Payload) (err error) {
 			return fail(err)
 		}
 	}
-	for _, x := range []uint64{uint64(n), uint64(m.BaseN), uint64(width), uint64(vecspace.ZoneSpan)} {
+	for _, x := range []uint64{uint64(n), uint64(m.BaseN)} {
 		if err := cw.uvarint(x); err != nil {
 			return fail(err)
 		}
@@ -249,73 +255,14 @@ func Write(w io.Writer, pl Payload) (err error) {
 	}
 	graphsLen := cw.n - graphsOff
 
-	// ones + posting lists
-	if err := cw.align8(); err != nil {
-		return fail(err)
-	}
-	onesOff := cw.n
-	for _, o := range pl.Ones {
-		if err := cw.u32(uint32(o)); err != nil {
-			return fail(err)
-		}
-	}
-	postOff := cw.n
-	for r := 0; r < p; r++ {
-		l := pl.List(r)
-		if err := cw.u32(uint32(len(l))); err != nil {
-			return fail(err)
-		}
-		for _, id := range l {
-			if err := cw.u32(uint32(id)); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	postLen := cw.n - postOff
-
-	// zone metadata
-	if err := cw.align8(); err != nil {
-		return fail(err)
-	}
-	zminOff := cw.n
-	zones := blk.Zones()
-	nz := zones.Zones()
-	for zi := 0; zi < nz; zi++ {
-		if err := cw.u32(uint32(zones.MinOnes(zi))); err != nil {
-			return fail(err)
-		}
-	}
-	for zi := 0; zi < nz; zi++ {
-		if err := cw.u32(uint32(zones.MaxOnes(zi))); err != nil {
-			return fail(err)
-		}
-	}
-	if err := cw.align8(); err != nil {
-		return fail(err)
-	}
-	zsumsOff := cw.n
-	for zi := 0; zi < nz; zi++ {
-		for _, word := range zones.Summary(zi) {
-			if err := cw.u64(word); err != nil {
-				return fail(err)
-			}
-		}
-	}
-
 	// trailer: the body crc is latched before the trailer bytes start,
 	// the trailer crc before its own field.
 	bodyCRC := cw.sum
 	trailerStart := cw.n
 	cw.sum = 0
 	for _, x := range []int64{tilesOff, deadOff, gidxOff, graphsOff, graphsLen,
-		onesOff, postOff, postLen, zminOff, zsumsOff} {
+		int64(n), int64(p), int64(m.BaseN)} {
 		if err := cw.u64(uint64(x)); err != nil {
-			return fail(err)
-		}
-	}
-	for _, x := range []uint64{uint64(n), uint64(p), uint64(width),
-		uint64(m.BaseN), uint64(vecspace.ZoneSpan), uint64(nz)} {
-		if err := cw.u64(x); err != nil {
 			return fail(err)
 		}
 	}
@@ -352,22 +299,20 @@ type Reader struct {
 	mapped bool
 	closer func() error
 
-	meta     Meta
-	n, p     int
-	words    int
-	zoneSpan int
-	nz       int
+	meta  Meta
+	n, p  int
+	words int
 
 	tilesOff, deadOff, gidxOff, graphsOff, graphsLen int64
-	onesOff, postOff, postLen, zminOff, zsumsOff     int64
 	trailerOff                                       int64
+	bodyCRC                                          uint32
 }
 
-// Open opens a v4 segment file. The trailer (and its crc) is always
-// verified, so a torn or truncated file fails here with a clear error;
-// with opt.Map the body is demand-paged and its crc is NOT verified
-// (see the package comment), otherwise the file is read into the heap
-// and fully checksummed.
+// Open opens a v5 (or v4) segment file. The trailer (and its crc) is
+// always verified, so a torn or truncated file fails here with a clear
+// error; with opt.Map the body is demand-paged and its crc is NOT
+// verified (see the package comment), otherwise the file is read into
+// the heap and fully checksummed.
 func Open(path string, opt Options) (*Reader, error) {
 	data, mapped, closer, err := openBytes(path, opt.Map)
 	if err != nil {
@@ -392,37 +337,50 @@ func Open(path string, opt Options) (*Reader, error) {
 // are backed (for Mapped()); closer, if non-nil, releases them (Close).
 func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 	if legacy := legacyFormat(data); legacy != "" {
-		return nil, fmt.Errorf("legacy %s index file: this release reads only v4 segments (%s); open it once with the previous release and checkpoint", legacy, Magic)
+		return nil, fmt.Errorf("legacy %s index file: this release reads only v4 and v5 segments; open it once with the previous release that reads it and checkpoint", legacy)
 	}
-	if len(data) < len(Magic)+trailerSize {
+	// A v4 file differs in its trailer, two more meta scalars and the
+	// ones, posting and zone sections after its graphs, never read.
+	v4 := bytes.HasPrefix(data, []byte(magicV4))
+	size, trMagic := trailerSize, trailerMagic
+	if v4 {
+		size, trMagic = trailerSizeV4, trailerMagicV4
+	}
+	if len(data) < len(Magic)+size {
 		return nil, fmt.Errorf("truncated segment (%d bytes)", len(data))
 	}
-	if string(data[:len(Magic)]) != Magic {
+	if !v4 && string(data[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("bad magic %q", data[:len(Magic)])
 	}
 	r := &Reader{data: data, mapped: mapped, closer: closer}
-	r.trailerOff = int64(len(data) - trailerSize)
+	r.trailerOff = int64(len(data) - size)
 	tr := data[r.trailerOff:]
-	if string(tr[trailerSize-8:]) != trailerMagic {
-		return nil, fmt.Errorf("torn trailer (bad trailer magic %q)", tr[trailerSize-8:])
+	if string(tr[size-8:]) != trMagic {
+		return nil, fmt.Errorf("torn trailer (bad trailer magic %q)", tr[size-8:])
 	}
-	if got, want := crc32.Checksum(tr[:trailerSize-12], crcTable), binary.LittleEndian.Uint32(tr[trailerSize-12:]); got != want {
+	if got, want := crc32.Checksum(tr[:size-12], crcTable), binary.LittleEndian.Uint32(tr[size-12:]); got != want {
 		return nil, fmt.Errorf("torn trailer (crc %08x, computed %08x)", want, got)
 	}
-	u64 := func(i int) int64 { return int64(binary.LittleEndian.Uint64(tr[i*8:])) }
-	r.tilesOff, r.deadOff, r.gidxOff, r.graphsOff, r.graphsLen = u64(0), u64(1), u64(2), u64(3), u64(4)
-	r.onesOff, r.postOff, r.postLen, r.zminOff, r.zsumsOff = u64(5), u64(6), u64(7), u64(8), u64(9)
-	n, p, tileWidth, baseN, zoneSpan, nz := u64(10), u64(11), u64(12), u64(13), u64(14), u64(15)
-	if n < 0 || n > maxElems || p < 0 || p > maxElems || nz < 0 || nz > maxElems {
-		return nil, fmt.Errorf("corrupt trailer: n=%d p=%d zones=%d", n, p, nz)
+	r.bodyCRC = binary.LittleEndian.Uint32(tr[size-16:])
+	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(tr[i*8:]) }
+	off := func(i int) int64 { return int64(u64(i)) }
+	r.tilesOff, r.deadOff, r.gidxOff, r.graphsOff, r.graphsLen = off(0), off(1), off(2), off(3), off(4)
+	n, p, baseN := u64(5), u64(6), u64(7)
+	var metaTail []uint64 // v4's tile width and zone span
+	if v4 {
+		n, p, baseN = u64(10), u64(11), u64(13)
+		metaTail = []uint64{u64(12), u64(14)}
 	}
-	if tileWidth != width {
-		return nil, fmt.Errorf("unsupported tile width %d (this release reads and writes only width %d)", tileWidth, width)
+	if n > maxElems || p > maxElems {
+		return nil, fmt.Errorf("corrupt trailer: n=%d p=%d", n, p)
 	}
-	if baseN < 0 || baseN > n {
+	if v4 && metaTail[0] != width {
+		return nil, fmt.Errorf("unsupported tile width %d (this release reads only width %d)", metaTail[0], width)
+	}
+	if baseN > n {
 		return nil, fmt.Errorf("corrupt trailer: baseN %d > n %d", baseN, n)
 	}
-	r.n, r.p, r.zoneSpan, r.nz = int(n), int(p), int(zoneSpan), int(nz)
+	r.n, r.p = int(n), int(p)
 	r.words = (r.p + 63) / 64
 	r.meta.BaseN = int(baseN)
 
@@ -438,23 +396,19 @@ func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 		{"dead", r.deadOff, int64((r.n + 7) / 8)},
 		{"gidx", r.gidxOff, int64(r.n+1) * 8},
 		{"graphs", r.graphsOff, r.graphsLen},
-		{"ones", r.onesOff, int64(r.n) * 4},
-		{"posts", r.postOff, r.postLen},
-		{"zmin", r.zminOff, int64(r.nz) * 8}, // zmin and zmax, back to back
-		{"zsums", r.zsumsOff, int64(r.nz) * int64(r.words) * 8},
 	}
 	for _, s := range secs {
-		if s.off < int64(len(Magic)) || s.len < 0 || s.off+s.len > r.trailerOff {
+		if s.off < int64(len(Magic)) || s.off > r.trailerOff || s.len < 0 || s.len > r.trailerOff-s.off {
 			return nil, fmt.Errorf("corrupt trailer: %s section [%d,+%d) outside file", s.name, s.off, s.len)
 		}
 	}
-	for _, off := range []int64{r.tilesOff, r.gidxOff, r.zsumsOff} {
+	for _, off := range []int64{r.tilesOff, r.gidxOff} {
 		if off%8 != 0 {
 			return nil, fmt.Errorf("corrupt trailer: misaligned section offset %d", off)
 		}
 	}
 
-	if err := r.decodeMeta(); err != nil {
+	if err := r.decodeMeta(metaTail); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -476,8 +430,9 @@ func legacyFormat(data []byte) string {
 }
 
 // decodeMeta eagerly decodes the small whole-index scalars between the
-// magic and the tiles section.
-func (r *Reader) decodeMeta() error {
+// magic and the tiles section; tail is what the format writes after n and
+// baseN (v4's tile width and zone span, checked against its trailer).
+func (r *Reader) decodeMeta(tail []uint64) error {
 	br := bytes.NewReader(r.data[len(Magic):r.tilesOff])
 	b, err := br.ReadByte()
 	if err != nil {
@@ -513,7 +468,7 @@ func (r *Reader) decodeMeta() error {
 		}
 		r.meta.Features = append(r.meta.Features, g)
 	}
-	for _, want := range []uint64{uint64(r.n), uint64(r.meta.BaseN), width, uint64(r.zoneSpan)} {
+	for _, want := range append([]uint64{uint64(r.n), uint64(r.meta.BaseN)}, tail...) {
 		got, err := binary.ReadUvarint(br)
 		if err != nil {
 			return fmt.Errorf("corrupt meta: %w", graph.NoEOF(err))
@@ -557,9 +512,8 @@ func (r *Reader) Close() error {
 // crc — the heap open does this automatically; for a mapped segment it
 // is an explicit (page-faulting) audit.
 func (r *Reader) VerifyBody() error {
-	want := binary.LittleEndian.Uint32(r.data[r.trailerOff+trailerSize-16:])
-	if got := crc32.Checksum(r.data[:r.trailerOff], crcTable); got != want {
-		return fmt.Errorf("body checksum mismatch (file %08x, computed %08x)", want, got)
+	if got := crc32.Checksum(r.data[:r.trailerOff], crcTable); got != r.bodyCRC {
+		return fmt.Errorf("body checksum mismatch (file %08x, computed %08x)", r.bodyCRC, got)
 	}
 	return nil
 }
@@ -582,44 +536,13 @@ func (r *Reader) aliasU64(off, count int64) []uint64 {
 	return out
 }
 
-// aliasI32 is aliasU64 for 4-aligned little-endian uint32 sections read
-// as int32 (ids and ones counts are non-negative int32s everywhere).
-func (r *Reader) aliasI32(off, count int64) []int32 {
-	if count == 0 {
-		return nil
-	}
-	b := r.data[off : off+count*4]
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), count)[:count:count]
-	}
-	out := make([]int32, count)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
 // Block adopts the tile section as the scan kernel's SoA block — on a
 // mapped little-endian host this is zero-copy: the returned Block's
-// tiles are subslices of the mapping. The zone map comes from the zone
-// sections when their span matches the running binary's (it is derived
-// metadata — a span change just means rebuilding from the tiles).
+// tiles are subslices of the mapping. Its zone map is derived from those
+// tiles, never read from the file. The error is always nil.
 func (r *Reader) Block() (*vecspace.Block, error) {
 	nt := (r.n + width - 1) / width
-	words := r.aliasU64(r.tilesOff, int64(nt)*int64(r.words*width))
-	var zones *vecspace.ZoneMap
-	if r.zoneSpan == vecspace.ZoneSpan && r.nz == (r.n+vecspace.ZoneSpan-1)/vecspace.ZoneSpan {
-		mins := r.aliasI32(r.zminOff, int64(r.nz))
-		maxs := r.aliasI32(r.zminOff+int64(r.nz)*4, int64(r.nz))
-		sums := r.aliasU64(r.zsumsOff, int64(r.nz)*int64(r.words))
-		for zi := 0; zi < r.nz; zi++ {
-			if mins[zi] < 0 || maxs[zi] < mins[zi] || maxs[zi] > int32(r.p) {
-				return nil, fmt.Errorf("segment: corrupt zone %d: ones range [%d,%d]", zi, mins[zi], maxs[zi])
-			}
-		}
-		zones = vecspace.NewZoneMap(r.words, mins, maxs, sums)
-	}
-	return vecspace.BlockFromWords(r.n, r.p, words, zones), nil
+	return vecspace.BlockFromWords(r.n, r.p, r.aliasU64(r.tilesOff, int64(nt)*int64(r.words*width))), nil
 }
 
 // Dead decodes the tombstone bitmap into a heap bitset in Payload.Dead's
@@ -673,54 +596,16 @@ func (r *Reader) GraphAt(i int) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Postings assembles the posting index from the ones and posting-list
-// sections, aliasing each per-dimension id list out of the segment
-// (capacity-clipped: a later Append copies instead of writing through).
-// Validation is structural — ids strictly ascending and in range, the
-// total posting count equal to the total ones count — which, with the
-// body/trailer integrity story above, is what keeps a corrupt list from
-// ever indexing out of bounds.
+// Postings builds the posting index of the segment's vectors. No query
+// path calls it — graphdim builds postings from its block on first
+// demand — and it goes with the benchmark change that drops bench's
+// layer probe, its only caller (ROADMAP item 3(a)).
 func (r *Reader) Postings() (*posting.Index, error) {
-	ones := r.aliasI32(r.onesOff, int64(r.n))
-	sumOnes := int64(0)
-	for id, o := range ones {
-		if o < 0 || int(o) > r.p {
-			return nil, fmt.Errorf("segment: corrupt ones count %d for id %d", o, id)
-		}
-		sumOnes += int64(o)
+	blk, err := r.Block()
+	if err != nil {
+		return nil, err
 	}
-	lists := make([][]int32, r.p)
-	off := r.postOff
-	end := r.postOff + r.postLen
-	decoded := int64(0)
-	for d := 0; d < r.p; d++ {
-		if off+4 > end {
-			return nil, fmt.Errorf("segment: posting section truncated at dimension %d", d)
-		}
-		count := int64(binary.LittleEndian.Uint32(r.data[off:]))
-		off += 4
-		if count > int64(r.n) || off+count*4 > end {
-			return nil, fmt.Errorf("segment: dimension %d: %d postings for %d graphs", d, count, r.n)
-		}
-		l := r.aliasI32(off, count)
-		off += count * 4
-		prev := int32(-1)
-		for _, id := range l {
-			if id <= prev || int64(id) >= int64(r.n) {
-				return nil, fmt.Errorf("segment: dimension %d: id %d after %d (n %d)", d, id, prev, r.n)
-			}
-			prev = id
-		}
-		decoded += count
-		lists[d] = l
-	}
-	if off != end {
-		return nil, fmt.Errorf("segment: %d trailing bytes in posting section", end-off)
-	}
-	if decoded != sumOnes {
-		return nil, fmt.Errorf("segment: %d postings for %d set bits", decoded, sumOnes)
-	}
-	return posting.FromLists(r.p, r.n, lists, ones), nil
+	return posting.FromVectors(blk.Unpack(), r.p), nil
 }
 
 // readHeapBytes is the portable open path: the whole file as a private

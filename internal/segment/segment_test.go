@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -16,8 +17,7 @@ import (
 )
 
 // buildFixture assembles a deterministic segment payload: n random
-// vectors of dimension p, one small graph per id, posting lists derived
-// from the vectors.
+// vectors of dimension p and one small graph per id.
 type fixture struct {
 	pl    Payload
 	vecs  []*vecspace.BitVector
@@ -28,18 +28,14 @@ func buildFixture(t testing.TB, n, p int, seed int64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	vecs := make([]*vecspace.BitVector, n)
-	ones := make([]int32, n)
-	lists := make([][]int32, p)
 	for i := range vecs {
 		v := vecspace.NewBitVector(p)
 		for r := 0; r < p; r++ {
 			if rng.Intn(3) == 0 {
 				v.Set(r)
-				lists[r] = append(lists[r], int32(i))
 			}
 		}
 		vecs[i] = v
-		ones[i] = int32(v.Ones())
 	}
 	dead := make([]uint64, (n+63)/64)
 	for i := 0; i < n; i++ {
@@ -75,8 +71,6 @@ func buildFixture(t testing.TB, n, p int, seed int64) *fixture {
 			Block: vecspace.Pack(vecs, p),
 			Dead:  dead,
 			Graph: func(i int) ([]byte, error) { return blobs[i], nil },
-			Ones:  ones,
-			List:  func(r int) []int32 { return lists[r] },
 		},
 		vecs:  vecs,
 		blobs: blobs,
@@ -146,20 +140,7 @@ func checkReader(t *testing.T, fx *fixture, r *Reader) {
 		}
 	}
 	if blk.Zones() == nil || blk.Zones().Zones() != (n+vecspace.ZoneSpan-1)/vecspace.ZoneSpan {
-		t.Fatalf("zone map not adopted: %v", blk.Zones())
-	}
-	// Adopted zone metadata must agree with a fresh derivation.
-	fresh := fx.pl.Block.Zones()
-	for zi := 0; zi < fresh.Zones(); zi++ {
-		if blk.Zones().MinOnes(zi) != fresh.MinOnes(zi) || blk.Zones().MaxOnes(zi) != fresh.MaxOnes(zi) {
-			t.Fatalf("zone %d min/max differ", zi)
-		}
-		got, want := blk.Zones().Summary(zi), fresh.Summary(zi)
-		for w := range want {
-			if got[w] != want[w] {
-				t.Fatalf("zone %d summary word %d differs", zi, w)
-			}
-		}
+		t.Fatalf("zone map not derived: %v", blk.Zones())
 	}
 	dead, count := r.Dead()
 	wantCount := 0
@@ -168,7 +149,7 @@ func checkReader(t *testing.T, fx *fixture, r *Reader) {
 		if got := dead[i/64]&(1<<(i%64)) != 0; got != d {
 			t.Fatalf("dead[%d] = %v", i, got)
 		}
-		// The file keeps the v4 bit order: id i at byte i/8, bit i%8.
+		// The dead section's bit order: id i at byte i/8, bit i%8.
 		if got := r.data[r.deadOff+int64(i/8)]&(1<<(i%8)) != 0; got != d {
 			t.Fatalf("dead section bit %d = %v", i, got)
 		}
@@ -204,17 +185,6 @@ func checkReader(t *testing.T, fx *fixture, r *Reader) {
 	}
 	if post.N() != n || post.P() != p {
 		t.Fatalf("postings shape %d/%d", post.N(), post.P())
-	}
-	for d := 0; d < p; d++ {
-		got, want := post.List(d), fx.pl.List(d)
-		if len(got) != len(want) {
-			t.Fatalf("dim %d: %d postings want %d", d, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("dim %d posting %d: %d want %d", d, i, got[i], want[i])
-			}
-		}
 	}
 	if err := r.VerifyBody(); err != nil {
 		t.Fatal(err)
@@ -252,8 +222,79 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// v4Shard returns the bytes of a v4 shard file: one of the store the
+// last release that wrote v4 checkpointed into graphdim's testdata.
+func v4Shard(t testing.TB) []byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", "graphdim", "testdata", "v4store", "default", "shard-0000-*.gdx"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("v4 fixture shard: %v %v", files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestSegmentReadsV4: a v4 file opens, mapped and on the heap, and
+// re-encodes as a v5 file with the same meta, tiles, tombstones and
+// graphs.
+func TestSegmentReadsV4(t *testing.T) {
+	v4 := v4Shard(t)
+	path := filepath.Join(t.TempDir(), "v4.gdx")
+	if err := os.WriteFile(path, v4, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		r, err := Open(path, Options{Map: mmap})
+		if err != nil {
+			t.Fatalf("map=%v: %v", mmap, err)
+		}
+		blk, _ := r.Block()
+		dead, _ := r.Dead()
+		var buf bytes.Buffer
+		if err := Write(&buf, Payload{Meta: r.Meta(), Block: blk, Dead: dead, Graph: r.GraphBytes}); err != nil {
+			t.Fatal(err)
+		}
+		v5, err := openVerified(buf.Bytes())
+		if err != nil {
+			t.Fatalf("map=%v: v4 re-encoded as an unreadable v5 file: %v", mmap, err)
+		}
+		if !bytes.HasPrefix(buf.Bytes(), []byte(Magic)) || len(buf.Bytes()) >= len(v4) {
+			t.Fatalf("map=%v: re-encoding is %d bytes starting %q, the v4 file %d", mmap, buf.Len(), buf.Bytes()[:8], len(v4))
+		}
+		m, m5 := r.Meta(), v5.Meta()
+		for i, f := range m.Features {
+			if m5.Features[i].Signature() != f.Signature() {
+				t.Fatalf("map=%v: feature %d changed across the upgrade", mmap, i)
+			}
+		}
+		m.Features, m5.Features = nil, nil
+		if !reflect.DeepEqual(m5, m) {
+			t.Fatalf("map=%v: meta changed across the upgrade: %+v, was %+v", mmap, m5, m)
+		}
+		got, _ := v5.Block()
+		if !reflect.DeepEqual(got.Unpack(), blk.Unpack()) {
+			t.Fatalf("map=%v: vectors changed across the upgrade", mmap)
+		}
+		if d, _ := v5.Dead(); !slices.Equal(d, dead) {
+			t.Fatalf("map=%v: tombstones changed across the upgrade", mmap)
+		}
+		for i := 0; i < r.N(); i++ {
+			a, _ := r.GraphBytes(i)
+			b, _ := v5.GraphBytes(i)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("map=%v: graph %d changed across the upgrade", mmap, i)
+			}
+		}
+		r.Close()
+	}
+}
+
 // TestSegmentTornTrailer proves open-time integrity: truncation, trailer
-// corruption and an unsupported tile width are all refused at open.
+// corruption and (in a v4 file, the one format that records it) an
+// unsupported tile width are all refused at open.
 func TestSegmentTornTrailer(t *testing.T) {
 	fx := buildFixture(t, 200, 64, 7)
 	path := writeFixture(t, fx)
@@ -261,6 +302,7 @@ func TestSegmentTornTrailer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v4 := v4Shard(t)
 	for _, tc := range []struct {
 		name   string
 		mangle func([]byte) []byte
@@ -284,11 +326,11 @@ func TestSegmentTornTrailer(t *testing.T) {
 			c[len(c)-1] ^= 0xff
 			return c
 		}, ""},
-		{"tile-width-8", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			tr := c[len(c)-trailerSize:]
+		{"tile-width-8", func([]byte) []byte {
+			c := append([]byte(nil), v4...)
+			tr := c[len(c)-trailerSizeV4:]
 			binary.LittleEndian.PutUint64(tr[12*8:], 8)
-			binary.LittleEndian.PutUint32(tr[trailerSize-12:], crc32.Checksum(tr[:trailerSize-12], crcTable))
+			binary.LittleEndian.PutUint32(tr[trailerSizeV4-12:], crc32.Checksum(tr[:trailerSizeV4-12], crcTable))
 			return c
 		}, "unsupported tile width 8"},
 	} {
@@ -424,11 +466,11 @@ func TestSegmentDeadDropsBitsPastN(t *testing.T) {
 	}
 }
 
-// TestSegmentPostingAppendCopies: posting lists aliased out of a mapped
-// segment are capacity-clipped, so extending the index copies instead of
-// scribbling on the file bytes.
-func TestSegmentPostingAppendCopies(t *testing.T) {
-	fx := buildFixture(t, 64, 32, 3)
+// TestSegmentBlockAppendCopies: tiles aliased out of a mapped segment are
+// capacity-clipped, so extending the block copies instead of scribbling
+// on the file bytes.
+func TestSegmentBlockAppendCopies(t *testing.T) {
+	fx := buildFixture(t, 70, 32, 3) // a partial last tile
 	path := writeFixture(t, fx)
 	before, err := os.ReadFile(path)
 	if err != nil {
@@ -439,16 +481,13 @@ func TestSegmentPostingAppendCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	post, err := r.Postings()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blk, _ := r.Block()
 	v := vecspace.NewBitVector(32)
 	for d := 0; d < 32; d++ {
 		v.Set(d)
 	}
-	if got := post.Append([]*vecspace.BitVector{v}); got.N() != 65 {
-		t.Fatalf("appended index has N=%d", got.N())
+	if got := blk.Append([]*vecspace.BitVector{v}); got.N() != 71 || got.Vector(70).HammingDistance(v) != 0 {
+		t.Fatalf("appended block has N=%d", got.N())
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {

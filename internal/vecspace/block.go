@@ -33,16 +33,15 @@ type Block struct {
 	tiles [][]uint64
 	// zones is the per-ZoneSpan skip metadata (ones-count min/max plus a
 	// dimension-presence bitmap) the bounded top-k scan consults before
-	// touching a zone's tiles. Derived from the tiles — Pack and Append
-	// maintain it, BlockFromWords may adopt a precomputed one from a
-	// segment trailer — and never part of any durable record.
+	// touching a zone's tiles. Always derived from the tiles — Pack and
+	// BlockFromWords derive it, Append maintains it — and never part of
+	// any durable record.
 	zones *ZoneMap
 }
 
 // DefaultBlockWidth is the tile width: 16 graphs per inner kernel
 // iteration, one cache line pair per word row (16 lanes × 8 bytes =
-// 128 B). It is a constant of the layout — the segment format records it
-// so a reader can refuse a file packed any other way.
+// 128 B). It is a constant of the layout, on disk as in memory.
 const DefaultBlockWidth = 16
 
 const width = DefaultBlockWidth
@@ -62,9 +61,8 @@ func Pack(vecs []*BitVector, p int) *Block {
 // Pack produces, and must never be written afterwards: Append already
 // treats full tiles as shared/immutable, and the trailing partial tile
 // (the only one Append would touch) is copied to the heap before any
-// lane is filled. zones may be nil, in which case the map is derived
-// from the tiles.
-func BlockFromWords(n, p int, data []uint64, zones *ZoneMap) *Block {
+// lane is filled. The zone map is derived from the tiles.
+func BlockFromWords(n, p int, data []uint64) *Block {
 	words := (p + 63) / 64
 	stride := words * width
 	nt := (n + width - 1) / width
@@ -77,10 +75,7 @@ func BlockFromWords(n, p int, data []uint64, zones *ZoneMap) *Block {
 		// the next one (mapped tiles are read-only).
 		b.tiles[t] = data[t*stride : (t+1)*stride : (t+1)*stride]
 	}
-	if zones == nil {
-		zones = deriveZones(b, nil, 0)
-	}
-	b.zones = zones
+	b.zones = deriveZones(b, nil, 0)
 	return b
 }
 

@@ -18,9 +18,8 @@ const ZoneSpan = 256
 // the zone, so a bounded top-k scan whose current worst is already at or
 // below the floor can skip the zone without touching a tile.
 //
-// The map is derived, never authoritative: it can always be rebuilt from
-// the tiles (deriveZones), and the on-disk segment format stores it only
-// so a mapped open does not have to. Like the Block it annotates, a
+// The map is derived, never authoritative: it is always built from the
+// tiles (deriveZones) and never stored. Like the Block it annotates, a
 // ZoneMap is immutable to readers.
 type ZoneMap struct {
 	words int     // words per summary = (p+63)/64
@@ -29,33 +28,12 @@ type ZoneMap struct {
 	sums  []uint64
 }
 
-// NewZoneMap wraps already-derived zone metadata (the segment reader's
-// path — the slices may alias a mapped file and are never written).
-// len(min) and len(max) must agree and len(sums) must be zones*words.
-func NewZoneMap(words int, min, max []int32, sums []uint64) *ZoneMap {
-	if len(min) != len(max) || len(sums) != len(min)*words {
-		panic("vecspace: inconsistent zone map lengths")
-	}
-	return &ZoneMap{words: words, min: min, max: max, sums: sums}
-}
-
 // Zones returns the number of zones covered.
 func (z *ZoneMap) Zones() int {
 	if z == nil {
 		return 0
 	}
 	return len(z.min)
-}
-
-// MinOnes returns zone zi's minimum ones count.
-func (z *ZoneMap) MinOnes(zi int) int { return int(z.min[zi]) }
-
-// MaxOnes returns zone zi's maximum ones count.
-func (z *ZoneMap) MaxOnes(zi int) int { return int(z.max[zi]) }
-
-// Summary returns zone zi's dimension-presence bitmap (read-only).
-func (z *ZoneMap) Summary(zi int) []uint64 {
-	return z.sums[zi*z.words : (zi+1)*z.words]
 }
 
 // LowerBound returns a proven floor on the Hamming distance between the

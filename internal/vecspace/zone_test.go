@@ -81,15 +81,14 @@ func TestZoneMapMaintainedByAppend(t *testing.T) {
 			t.Fatalf("round %d: chained %d zones, fresh %d", round, got.Zones(), want.Zones())
 		}
 		for zi := 0; zi < want.Zones(); zi++ {
-			if got.MinOnes(zi) != want.MinOnes(zi) || got.MaxOnes(zi) != want.MaxOnes(zi) {
+			if got.min[zi] != want.min[zi] || got.max[zi] != want.max[zi] {
 				t.Fatalf("round %d zone %d: chained [%d,%d], fresh [%d,%d]",
-					round, zi, got.MinOnes(zi), got.MaxOnes(zi), want.MinOnes(zi), want.MaxOnes(zi))
+					round, zi, got.min[zi], got.max[zi], want.min[zi], want.max[zi])
 			}
-			gs, ws := got.Summary(zi), want.Summary(zi)
-			for w := range ws {
-				if gs[w] != ws[w] {
-					t.Fatalf("round %d zone %d word %d: chained summary %x, fresh %x", round, zi, w, gs[w], ws[w])
-				}
+		}
+		for w := range want.sums {
+			if got.sums[w] != want.sums[w] {
+				t.Fatalf("round %d summary word %d: chained %x, fresh %x", round, w, got.sums[w], want.sums[w])
 			}
 		}
 	}

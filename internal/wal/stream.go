@@ -10,10 +10,11 @@ import (
 	"path/filepath"
 )
 
-// Stream is an incremental reader over a live log: it delivers committed
-// records in sequence order, follows segment rolls, and — unlike Replay —
-// can resume past the current tail as new records commit, which is what
-// a replication endpoint tails. A Stream never observes uncommitted
+// Stream is the one reader of a log's records: it delivers committed
+// records in sequence order, follows segment rolls, and can resume past
+// the current tail as new records commit, which is what a replication
+// endpoint tails (Replay is a Stream drained to the tail it finds). A
+// Stream never observes uncommitted
 // bytes: reads are bounded by the committed segment sizes the log
 // publishes after each fsynced group, so a torn or aborted group can
 // never be streamed (its bytes are cut back before the size advances).

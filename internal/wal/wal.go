@@ -679,81 +679,28 @@ func (l *Log) Checkpoint(through uint64) error {
 	return nil
 }
 
-// Replay streams every committed record with sequence > after, in order,
-// to fn; fn returning an error stops the replay and returns that error.
-// A torn tail on the newest segment ends the replay silently (those
-// bytes were never acknowledged); a broken record anywhere earlier is
-// reported as corruption. Asking for records an earlier checkpoint has
-// already truncated (after+1 below the oldest segment's first record)
-// reports ErrTruncated rather than silently replaying a partial tail.
+// Replay streams every committed record with sequence > after, up to
+// the log's last sequence at the call, in order, to fn; fn returning an
+// error stops the replay and returns that error. It is a Stream drained
+// to that position, so a broken record anywhere is reported as
+// corruption (Open has already cut a torn tail off the newest segment),
+// and asking for records an earlier checkpoint has already truncated
+// (after+1 below the oldest segment's first record) reports ErrTruncated
+// rather than silently replaying a partial tail.
 func (l *Log) Replay(after uint64, fn func(Record) error) error {
-	l.mu.Lock()
-	segs := append([]segment(nil), l.segs...)
-	closed := l.closed
-	l.mu.Unlock()
-	if closed {
-		return fmt.Errorf("wal: log is closed")
-	}
-	if len(segs) > 0 && after+1 < segs[0].first {
-		return fmt.Errorf("wal: replay after %d, but the oldest retained record is %d: %w",
-			after, segs[0].first, ErrTruncated)
-	}
-	for i, sg := range segs {
-		lastSeg := i == len(segs)-1
-		if !lastSeg && segs[i+1].first <= after+1 {
-			continue // every record in sg is <= after
-		}
-		end, err := replaySegment(sg, lastSeg, after, fn)
-		if err != nil {
-			return err
-		}
-		// A non-final segment must run right up to its successor: a short
-		// one means records in the middle of the log are gone, which is
-		// data loss, not a torn tail.
-		if !lastSeg && end != segs[i+1].first {
-			return fmt.Errorf("wal: replay: %s ends at record %d, next segment starts at %d",
-				filepath.Base(sg.path), end-1, segs[i+1].first)
-		}
-	}
-	return nil
-}
-
-// replaySegment streams sg's records to fn and returns the sequence
-// number one past the last intact record.
-func replaySegment(sg segment, lastSeg bool, after uint64, fn func(Record) error) (uint64, error) {
-	f, err := os.Open(sg.path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: replay: %w", err)
-	}
-	defer f.Close()
-	cr := &crcReader{br: bufio.NewReader(f)}
-	var magic [len(segMagic)]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil || !bytes.Equal(magic[:], []byte(segMagic)) {
-		if lastSeg && err != nil {
-			return sg.first, nil // torn before the first record could land
-		}
-		return sg.first, fmt.Errorf("wal: replay: %s: bad segment header", filepath.Base(sg.path))
-	}
-	expect := sg.first
+	st := l.StreamFrom(after)
+	defer st.Close()
+	upper := l.LastSeq()
 	for {
-		rec, err := readRecord(cr)
-		if err == io.EOF {
-			return expect, nil
+		rec, ok, err := st.Next(upper)
+		if err != nil {
+			return fmt.Errorf("wal: replay: %w", err)
 		}
-		if err != nil || rec.Seq != expect {
-			if lastSeg {
-				return expect, nil // torn tail: never acknowledged, drop it
-			}
-			if err == nil {
-				err = fmt.Errorf("record %d where %d was expected", rec.Seq, expect)
-			}
-			return expect, fmt.Errorf("wal: replay: %s: %w", filepath.Base(sg.path), err)
+		if !ok {
+			return nil
 		}
-		expect++
-		if rec.Seq > after {
-			if err := fn(rec); err != nil {
-				return expect, err
-			}
+		if err := fn(rec); err != nil {
+			return err
 		}
 	}
 }

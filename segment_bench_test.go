@@ -1,4 +1,4 @@
-// Benchmarks for the v4 segment storage layer (PR 10): cold-open
+// Benchmarks for the segment storage layer: cold-open
 // latency and resident-heap cost of heap vs mmap serving, and the
 // zone-map data-skipping win on selective queries.
 package repro
@@ -25,7 +25,7 @@ var (
 )
 
 // coldStoreDir builds one durable store — 3000 graphs, checkpointed so
-// the shard files are v4 segments and the WAL tail is empty — shared by
+// the shard files are segments and the WAL tail is empty — shared by
 // every cold-open sub-benchmark.
 func coldStoreDir(b *testing.B) string {
 	b.Helper()
