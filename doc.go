@@ -35,8 +35,9 @@
 // (internal/pipeline) run filter → search → aggregate chains in one
 // request: declarative filter stages push down into the posting lists,
 // whose id sets reach the scan as skip bits beside the tombstones (and
-// serialize canonically, so filtered searches stay cacheable where
-// opaque Predicate closures cannot), a similarity stage wraps the
+// serialize canonically, so a whole pipeline result — a search's rows, a
+// count, a group-by — caches under a key built from the parsed plan,
+// where opaque Predicate closures cannot), a similarity stage wraps the
 // three-engine Search, and streaming aggregates (count, group-by,
 // top-k, limit) fold per shard and merge exactly — surfaced as
 // POST /v1/collections/{name}/query, Collection.Query in Go, and the

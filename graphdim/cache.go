@@ -2,9 +2,9 @@ package graphdim
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -14,20 +14,23 @@ import (
 )
 
 // CacheOptions configures a collection's query-result cache (see
-// CollectionOptions.Cache): an LRU over complete Search results, keyed
-// by the canonical query bytes plus the effective SearchOptions, and
-// fenced by the collection's shard generation vector — every shard
-// carries a monotonic counter that moves when a mutation or Compact's
-// reclaim swap commits, so a cached entry is served only while every shard is
-// exactly as it was when the entry was computed. Invalidation is
-// therefore free: no mutation ever walks the cache; entries whose
-// generation vector no longer matches simply miss (and are dropped on
-// touch).
+// CollectionOptions.Cache): one LRU over complete results — a
+// Collection.Search result, keyed by the canonical query bytes plus the
+// effective SearchOptions, and a Collection.Query pipeline result, keyed
+// by its parsed plan — fenced by the collection's shard generation
+// vector. Every shard carries a monotonic counter that moves when a
+// mutation or Compact's reclaim swap commits, so a cached entry is served
+// only while every shard is exactly as it was when the entry was
+// computed. Invalidation is therefore free: no mutation ever walks the
+// cache; entries whose generation vector no longer matches simply miss
+// (and are dropped on touch).
 //
-// Queries with a Predicate closure bypass the cache (a function cannot
+// Searches with a Predicate closure bypass the cache (a function cannot
 // be canonicalized); declarative Filters serialize to canonical bytes
-// and cache normally. All three engines cache; the MCS-based ones gain
-// the most, since a hit skips their verification work entirely.
+// and cache normally. Every pipeline caches: a search, and a scan —
+// count, group_by, limit or a bare filter — alike. All three engines
+// cache; the MCS-based ones gain the most, since a hit skips their
+// verification work entirely.
 type CacheOptions struct {
 	// MaxEntries bounds the number of cached results. Zero disables the
 	// cache entirely — the zero value of CacheOptions means "no cache".
@@ -75,9 +78,16 @@ type queryCache struct {
 	maxEntries int
 	maxBytes   int64
 
-	mu      sync.Mutex
-	lru     *list.List // front = most recently used
-	byKey   map[string]*list.Element
+	mu sync.Mutex
+	// lru is the sentinel of the ring of entries: lru.next is the most
+	// recently used, lru.prev the eviction candidate. The links live in
+	// the entries, so an entry costs no list element of its own.
+	lru   cacheEntry
+	byKey map[string]*cacheEntry
+	// gens is the fence vector of the latest put. Entries stored under an
+	// equal vector share it (a stored vector is never written), so a
+	// cache filled between two mutations holds one copy.
+	gens    []uint64
 	bytes   int64
 	hits    int64
 	misses  int64
@@ -85,26 +95,59 @@ type queryCache struct {
 	staled  int64
 }
 
-// cacheEntry is one cached result. res is treated as immutable: hits
-// hand out shallow copies of the SearchResult with a fresh Results
-// slice, so a caller mutating its result cannot corrupt the cache.
+// cacheEntry is one cached result: a *SearchResult or a *pipeEntry.
+// val is immutable once stored — put stores a copy and every hit renders
+// a fresh one — so no caller can corrupt the cache by mutating what it
+// was handed.
 type cacheEntry struct {
-	key  string
-	gens []uint64
-	res  *SearchResult
-	size int64
+	prev, next *cacheEntry // the LRU ring
+	key        string
+	gens       []uint64
+	val        any
+	size       int64
 }
+
+// Key kinds: the first byte of every key, so a Search key and a pipeline
+// key never collide.
+const (
+	keySearch byte = iota
+	keyPipeline
+)
 
 func newQueryCache(opt CacheOptions) *queryCache {
 	if !opt.enabled() {
 		return nil
 	}
-	return &queryCache{
+	c := &queryCache{
 		maxEntries: opt.MaxEntries,
 		maxBytes:   opt.MaxBytes,
-		lru:        list.New(),
-		byKey:      make(map[string]*list.Element),
+		byKey:      make(map[string]*cacheEntry),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// appendDials appends the search dials that change a result, with the
+// spellings that cannot change it canonicalized so they share one entry:
+// fields an engine ignores are zeroed, and the verified engine's zero
+// factor becomes the 3 it resolves to. Search and pipeline keys both
+// encode their dials here.
+func appendDials(dst []byte, opt SearchOptions) []byte {
+	switch opt.Engine {
+	case EngineMapped:
+		opt.VerifyFactor, opt.MaxCandidates, opt.Metric = 0, 0, MetricIndexDefault
+	case EngineExact:
+		opt.VerifyFactor, opt.MaxCandidates = 0, 0
+	case EngineVerified:
+		if opt.VerifyFactor == 0 {
+			opt.VerifyFactor = 3
+		}
+	}
+	dst = append(dst, byte(opt.Engine))
+	dst = binary.AppendUvarint(dst, uint64(opt.K))
+	dst = binary.AppendUvarint(dst, uint64(opt.VerifyFactor))
+	dst = binary.AppendUvarint(dst, uint64(opt.MaxCandidates))
+	return append(dst, byte(opt.Metric))
 }
 
 // cacheKey canonicalizes a query + effective options into the cache
@@ -117,31 +160,8 @@ func cacheKey(q *Graph, opt SearchOptions) (string, bool) {
 	if opt.Predicate != nil {
 		return "", false
 	}
-	// Canonicalize spellings that cannot change the result, so they share
-	// one entry: fields an engine ignores are zeroed, and the verified
-	// engine's zero factor becomes the 3 it resolves to.
-	switch opt.Engine {
-	case EngineMapped:
-		opt.VerifyFactor, opt.MaxCandidates, opt.Metric = 0, 0, MetricIndexDefault
-	case EngineExact:
-		opt.VerifyFactor, opt.MaxCandidates = 0, 0
-	case EngineVerified:
-		if opt.VerifyFactor == 0 {
-			opt.VerifyFactor = 3
-		}
-	}
-	var b bytes.Buffer
-	var hdr [binary.MaxVarintLen64*4 + 2]byte
-	n := 0
-	hdr[n] = byte(opt.Engine)
-	n++
-	n += binary.PutUvarint(hdr[n:], uint64(opt.K))
-	n += binary.PutUvarint(hdr[n:], uint64(opt.VerifyFactor))
-	n += binary.PutUvarint(hdr[n:], uint64(opt.MaxCandidates))
-	hdr[n] = byte(opt.Metric)
-	n++
-	b.Write(hdr[:n])
-	if err := graph.WriteBinary(&b, q); err != nil {
+	b := bytes.NewBuffer(appendDials([]byte{keySearch}, opt))
+	if err := graph.WriteBinary(b, q); err != nil {
 		return "", false
 	}
 	// Declarative filters canonicalize — unlike a Predicate closure they
@@ -151,72 +171,250 @@ func cacheKey(q *Graph, opt SearchOptions) (string, bool) {
 	return b.String(), true
 }
 
-// get returns a copy of the entry under key if it exists and its
+// pipelineKey is the cache key of a planned pipeline, built from the
+// plan without building its query graph: the filter chain, then the
+// search stage — its dials (opt, canonicalized as cacheKey does) and its
+// query as the tagged wire spec, or as the binary codec of Search.G when
+// the Go API set it (G wins, as in Search.QueryGraph) — then topk,
+// limit, and the terminal count or group_by. Every field is
+// length-prefixed or fixed-width, so two plans share a key only when
+// they spell the same pipeline.
+func pipelineKey(pl *pipeline.Plan, opt SearchOptions) string {
+	b := pipeline.CanonFilters(pl.Filters, []byte{keyPipeline})
+	switch ps := pl.Search; {
+	case ps == nil:
+		b = append(b, 0)
+	case ps.G != nil:
+		buf := bytes.NewBuffer(appendDials(append(b, 1), opt))
+		buf.WriteByte('g')
+		_ = graph.WriteBinary(buf, ps.G) // a bytes.Buffer never fails
+		b = buf.Bytes()
+	default:
+		b = append(appendDials(append(b, 1), opt), 's')
+		b = binary.AppendUvarint(b, uint64(len(ps.Query.Labels)))
+		for _, l := range ps.Query.Labels {
+			b = binary.AppendVarint(b, int64(l))
+		}
+		b = binary.AppendUvarint(b, uint64(len(ps.Query.Edges)))
+		for _, e := range ps.Query.Edges {
+			b = binary.AppendVarint(b, int64(e[0]))
+			b = binary.AppendVarint(b, int64(e[1]))
+			b = binary.AppendVarint(b, int64(e[2]))
+		}
+	}
+	var topk, limit int
+	if pl.TopK != nil {
+		topk = pl.TopK.K
+	}
+	if pl.Limit != nil {
+		limit = pl.Limit.N
+	}
+	b = binary.AppendUvarint(b, uint64(topk))
+	b = binary.AppendUvarint(b, uint64(limit))
+	switch g := pl.GroupBy; {
+	case pl.Count != nil:
+		b = append(b, 1)
+	case g != nil:
+		b = append(b, 2)
+		b = binary.AppendUvarint(b, uint64(len(g.Key)))
+		b = append(b, g.Key...)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(g.BucketWidth))
+		b = binary.AppendUvarint(b, uint64(g.Top))
+	default:
+		b = append(b, 0)
+	}
+	return string(b)
+}
+
+// pipeEntry is a pipeline result in the compact form the cache keeps:
+// rows as flat (id, distance) pairs rather than a *float64 each, the
+// count, the groups, and the stats the plan determines — matched,
+// candidates, engine and the pushdown/fallback split — without stage
+// timings.
+type pipeEntry struct {
+	rows             []rowEntry // nil when the result has no rows
+	groups           []pipeline.Group
+	count            int64
+	matched          int64
+	candidates       int64
+	engine           string
+	pushed, fallback int32
+	hasCount         bool
+	distances        bool // the rows carry distances (a search's rows)
+}
+
+type rowEntry struct {
+	id       int
+	distance float64
+}
+
+// newPipeEntry copies res into its cached form.
+func newPipeEntry(res *pipeline.Result) *pipeEntry {
+	st := &res.Stats
+	e := &pipeEntry{
+		groups:     cloneGroups(res.Groups),
+		matched:    st.Matched,
+		candidates: st.Candidates,
+		engine:     st.Engine,
+		pushed:     int32(st.PushedPredicates),
+		fallback:   int32(st.FallbackPredicates),
+	}
+	if res.Count != nil {
+		e.count, e.hasCount = *res.Count, true
+	}
+	if res.Rows != nil {
+		e.rows = make([]rowEntry, len(res.Rows))
+		for i, r := range res.Rows {
+			e.rows[i].id = r.ID
+			if r.Distance != nil {
+				e.rows[i].distance, e.distances = *r.Distance, true
+			}
+		}
+	}
+	return e
+}
+
+// result renders a fresh Result the caller owns; its stage timings are
+// the caller's to set.
+func (e *pipeEntry) result() *pipeline.Result {
+	res := &pipeline.Result{
+		Groups: cloneGroups(e.groups),
+		Stats: pipeline.Stats{
+			Matched:            e.matched,
+			Candidates:         e.candidates,
+			Engine:             e.engine,
+			PushedPredicates:   int(e.pushed),
+			FallbackPredicates: int(e.fallback),
+		},
+	}
+	if e.hasCount {
+		count := e.count
+		res.Count = &count
+	}
+	if e.rows != nil {
+		res.Rows = make([]pipeline.ResultRow, len(e.rows))
+		var ds []float64
+		if e.distances {
+			ds = make([]float64, len(e.rows))
+		}
+		for i, r := range e.rows {
+			res.Rows[i].ID = r.id
+			if ds != nil {
+				ds[i] = r.distance
+				res.Rows[i].Distance = &ds[i]
+			}
+		}
+	}
+	return res
+}
+
+// size approximates the entry's footprint for CacheOptions.MaxBytes.
+func (e *pipeEntry) size() int64 {
+	n := int64(len(e.rows))*16 + 112
+	for _, g := range e.groups {
+		n += int64(len(g.Key)) + 80
+	}
+	return n
+}
+
+// cloneGroups deep-copies groups: the values, and the distance spreads
+// the groups point at (one backing array for all of them).
+func cloneGroups(gs []pipeline.Group) []pipeline.Group {
+	if gs == nil {
+		return nil
+	}
+	out := append([]pipeline.Group(nil), gs...)
+	var ds []float64
+	for i := range out {
+		for _, p := range []**float64{&out[i].MinDistance, &out[i].MaxDistance, &out[i].MeanDistance} {
+			if *p != nil {
+				if ds == nil {
+					ds = make([]float64, 0, 3*len(out))
+				}
+				ds = append(ds, **p)
+				*p = &ds[len(ds)-1]
+			}
+		}
+	}
+	return out
+}
+
+// get returns the value stored under key if it exists and its
 // generation vector still matches gens. A stale entry is removed on the
 // spot (the "free" invalidation: nothing scans the cache on mutation).
-func (c *queryCache) get(key string, gens []uint64) (*SearchResult, bool) {
+// The value is shared: callers render a copy from it.
+func (c *queryCache) get(key string, gens []uint64) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.byKey[key]
+	ent, ok := c.byKey[key]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
-	ent := e.Value.(*cacheEntry)
 	if !slices.Equal(ent.gens, gens) {
-		c.removeLocked(e)
+		c.removeLocked(ent)
 		c.staled++
 		c.misses++
 		return nil, false
 	}
-	c.lru.MoveToFront(e)
+	c.unlink(ent)
+	c.pushFront(ent)
 	c.hits++
-	res := *ent.res
-	res.Results = append([]Result(nil), ent.res.Results...)
-	return &res, true
+	return ent.val, true
 }
 
-// put stores a result computed against the given generation vector,
-// evicting from the LRU tail until the bounds hold.
-func (c *queryCache) put(key string, gens []uint64, res *SearchResult) {
-	stored := *res
-	stored.Results = append([]Result(nil), res.Results...)
+// put stores val, a copy no caller holds, computed against the given
+// generation vector, and evicts from the LRU tail until the bounds hold.
+// size is val's approximate footprint; the key, the fence vector and the
+// list/map bookkeeping are added here.
+func (c *queryCache) put(key string, gens []uint64, val any, size int64) {
 	ent := &cacheEntry{
 		key:  key,
-		gens: append([]uint64(nil), gens...),
-		res:  &stored,
-		// Approximate footprint: the key, the result rows, the fence
-		// vector, the Matched bitset, and list/map bookkeeping.
-		size: int64(len(key)) + int64(len(stored.Results))*16 +
-			int64(len(gens))*8 + int64(len(stored.Matched.words))*8 + 96,
+		val:  val,
+		size: size + int64(len(key)) + int64(len(gens))*8 + 96,
 	}
 	if c.maxBytes > 0 && ent.size > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !slices.Equal(c.gens, gens) {
+		c.gens = slices.Clone(gens)
+	}
+	ent.gens = c.gens
 	if old, ok := c.byKey[key]; ok {
 		c.removeLocked(old)
 	}
-	c.byKey[key] = c.lru.PushFront(ent)
+	c.byKey[key] = ent
+	c.pushFront(ent)
 	c.bytes += ent.size
-	for c.lru.Len() > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
-		c.removeLocked(c.lru.Back())
+	for len(c.byKey) > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
+		c.removeLocked(c.lru.prev)
 		c.evicted++
 	}
 }
 
-func (c *queryCache) removeLocked(e *list.Element) {
-	ent := c.lru.Remove(e).(*cacheEntry)
+func (c *queryCache) removeLocked(ent *cacheEntry) {
+	c.unlink(ent)
 	delete(c.byKey, ent.key)
 	c.bytes -= ent.size
+}
+
+func (c *queryCache) pushFront(ent *cacheEntry) {
+	ent.prev, ent.next = &c.lru, c.lru.next
+	ent.next.prev = ent
+	c.lru.next = ent
+}
+
+func (c *queryCache) unlink(ent *cacheEntry) {
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
 }
 
 func (c *queryCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:       c.lru.Len(),
+		Entries:       len(c.byKey),
 		Bytes:         c.bytes,
 		Hits:          c.hits,
 		Misses:        c.misses,
@@ -229,17 +427,45 @@ func (c *queryCache) stats() CacheStats {
 // generation vector is read before the search runs: if a mutation
 // commits in between, the stored vector is already stale and the entry
 // ages out on first touch — the race costs a cache miss, never a stale
-// answer (see Index.Generation for the ordering argument).
+// answer (see Index.Generation for the ordering argument). Errors are
+// never stored.
 func (c *queryCache) cachedSearch(key string, gens []uint64, start time.Time,
 	search func() (*SearchResult, error)) (*SearchResult, error) {
-	if res, ok := c.get(key, gens); ok {
+	if v, ok := c.get(key, gens); ok {
+		res := *v.(*SearchResult)
+		res.Results = slices.Clone(res.Results)
 		res.Elapsed = time.Since(start)
-		return res, nil
+		return &res, nil
 	}
 	res, err := search()
 	if err != nil {
 		return nil, err
 	}
-	c.put(key, gens, res)
+	stored := *res
+	stored.Results = slices.Clone(res.Results)
+	// The result rows, the Matched bitset and the SearchResult itself.
+	c.put(key, gens, &stored, int64(len(stored.Results))*16+int64(len(stored.Matched.words))*8)
+	return res, nil
+}
+
+// cachedQuery is cachedSearch's protocol for a pipeline: gens is read
+// before run, errors are never stored, and a hit renders a fresh Result
+// whose one stage timing is the lookup itself ("cache"), so no stale
+// search or scan time is reported again.
+func (c *queryCache) cachedQuery(key string, gens []uint64, start time.Time,
+	run func() (*pipeline.Result, error)) (*pipeline.Result, error) {
+	if v, ok := c.get(key, gens); ok {
+		res := v.(*pipeEntry).result()
+		ms := msSince(start)
+		res.Stats.Stages = []pipeline.StageTiming{{Stage: "cache", ElapsedMS: ms}}
+		res.Stats.ElapsedMS = ms
+		return res, nil
+	}
+	res, err := run()
+	if err != nil {
+		return nil, err
+	}
+	e := newPipeEntry(res)
+	c.put(key, gens, e, e.size())
 	return res, nil
 }

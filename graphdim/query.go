@@ -11,15 +11,20 @@ import (
 // similarity stage, aggregate stages — against the collection in one
 // call (see internal/pipeline for the stage model).
 //
+// On a collection with a cache (CacheOptions), a valid pipeline is one
+// lookup: its key is built from the parsed plan, and a hit under the
+// current shard generation vector returns a copy of the whole result —
+// a search's rows, a count or a group_by alike — whose one stage timing
+// is "cache". A miss runs the pipeline and stores its result.
+//
 // Pipelines with a similarity stage run it through the collection's
-// regular Search path: declarative filters travel as SearchOptions.
-// Filters, so they push down into posting intersections inside each
-// shard and the whole query stays eligible for the generation-fenced
-// result cache; aggregation then folds the globally merged top-k.
-// Pipelines without a similarity stage are scans: every shard compiles
-// the filters against its own snapshot, streams the matching graphs
-// through a partial aggregator, and the partials merge associatively
-// into the single answer — matched rows are never materialized.
+// uncached search fan-out: declarative filters travel as SearchOptions.
+// Filters, so they push down into each shard's scan; aggregation then
+// folds the globally merged top-k. Pipelines without a similarity stage
+// are scans: every shard compiles the filters against its own snapshot,
+// streams the matching graphs through a partial aggregator, and the
+// partials merge associatively into the single answer — matched rows
+// are never materialized.
 //
 // Errors caused by the pipeline itself (a bad query graph, a dimension
 // predicate out of range) are *pipeline.StageError values naming the
@@ -40,10 +45,53 @@ func (c *Collection) Query(ctx context.Context, p *pipeline.Pipeline) (*pipeline
 			return nil, &pipeline.StageError{Index: j, Name: "filter", Err: err}
 		}
 	}
-
-	var res *pipeline.Result
+	var opt SearchOptions
 	if pl.Search != nil {
-		res, err = c.querySearch(ctx, pl)
+		if opt, err = searchOptions(pl); err != nil {
+			return nil, err
+		}
+	}
+	run := func() (*pipeline.Result, error) { return c.runPlan(ctx, pl, opt, start) }
+	if c.cache == nil {
+		return run()
+	}
+	// Read the generation vector before the plan runs (see
+	// queryCache.cachedSearch).
+	gens := c.generations()
+	return c.cache.cachedQuery(pipelineKey(pl, opt), gens, start, run)
+}
+
+// searchOptions spells a plan's search stage as SearchOptions.
+func searchOptions(pl *pipeline.Plan) (SearchOptions, error) {
+	ps := pl.Search
+	opt := SearchOptions{
+		K:             ps.K,
+		VerifyFactor:  ps.VerifyFactor,
+		MaxCandidates: ps.MaxCandidates,
+		Filters:       pl.Filters,
+	}
+	if ps.Engine != "" {
+		var err error
+		if opt.Engine, err = ParseEngine(ps.Engine); err != nil {
+			return opt, &pipeline.StageError{Index: len(pl.Filters), Name: "search", Err: err}
+		}
+	}
+	switch ps.Metric {
+	case "delta1":
+		opt.Metric = MetricDelta1
+	case "delta2":
+		opt.Metric = MetricDelta2
+	}
+	return opt, nil
+}
+
+// runPlan runs a validated plan uncached; opt is its search stage's
+// options.
+func (c *Collection) runPlan(ctx context.Context, pl *pipeline.Plan, opt SearchOptions, start time.Time) (*pipeline.Result, error) {
+	var res *pipeline.Result
+	var err error
+	if pl.Search != nil {
+		res, err = c.querySearch(ctx, pl, opt)
 	} else {
 		res, err = c.queryScan(ctx, pl)
 	}
@@ -57,32 +105,14 @@ func (c *Collection) Query(ctx context.Context, p *pipeline.Pipeline) (*pipeline
 }
 
 // querySearch runs a pipeline whose row source is the similarity stage.
-func (c *Collection) querySearch(ctx context.Context, pl *pipeline.Plan) (*pipeline.Result, error) {
-	ps := pl.Search
-	q, err := ps.QueryGraph()
+func (c *Collection) querySearch(ctx context.Context, pl *pipeline.Plan, opt SearchOptions) (*pipeline.Result, error) {
+	q, err := pl.Search.QueryGraph()
 	if err != nil {
 		return nil, &pipeline.StageError{Index: len(pl.Filters), Name: "search", Err: err}
 	}
-	opt := SearchOptions{
-		K:             ps.K,
-		VerifyFactor:  ps.VerifyFactor,
-		MaxCandidates: ps.MaxCandidates,
-		Filters:       pl.Filters,
-	}
-	if ps.Engine != "" {
-		if opt.Engine, err = ParseEngine(ps.Engine); err != nil {
-			return nil, &pipeline.StageError{Index: len(pl.Filters), Name: "search", Err: err}
-		}
-	}
-	switch ps.Metric {
-	case "delta1":
-		opt.Metric = MetricDelta1
-	case "delta2":
-		opt.Metric = MetricDelta2
-	}
 
 	t0 := time.Now()
-	sr, err := c.Search(ctx, q, opt)
+	sr, err := c.searchShards(ctx, q, opt, t0)
 	if err != nil {
 		return nil, err
 	}

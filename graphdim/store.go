@@ -160,10 +160,11 @@ type CollectionOptions struct {
 	// library defaults, as in Build.
 	Build Options
 	// Cache configures the collection's query-result cache: an LRU over
-	// complete Search results keyed by (canonical query, effective
-	// options) and fenced by the shard generation vector, so any
-	// committed Add/Remove/Compact invalidates affected entries for
-	// free. The zero value disables caching. See CacheOptions.
+	// complete Search results, keyed by (canonical query, effective
+	// options), and complete Query pipeline results, keyed by the parsed
+	// plan, fenced by the shard generation vector, so any committed
+	// Add/Remove/Compact invalidates affected entries for free. The zero
+	// value disables caching. See CacheOptions.
 	Cache CacheOptions
 	// Defaults are the collection's recommended search options, persisted
 	// with it and returned by Collection.Defaults. Collection.Search does

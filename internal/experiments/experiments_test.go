@@ -308,6 +308,59 @@ func TestFigQualityAndWrite(t *testing.T) {
 	}
 }
 
+// TestFig4Shape asserts Fig. 4 at harness scale (60 chemical graphs, 12
+// queries, seed 1, p = candidates/4 = 249, k = 2% … 10% of the database
+// as cmd/figures picks them), precision relative to the fingerprint
+// benchmark. The paper has DSPM above all seven baselines at every k.
+// Here 12 queries make one result slot 0.083 of relative precision at
+// k = 1, and the shape is weaker: DSPM's precision averaged over k leads
+// every baseline's by at least 0.1 (it measured 1.160 against
+// Original's 1.036, the best), and DSPM is at or above every baseline at
+// three of the five ks — at k = 3 and k = 4 Original and Sample lead it
+// (1.500 and 1.267 against 1.250 and 1.200). SFS, MCFS, UDFS and NDFS
+// score identically: p exceeds the 150-candidate cap they select from,
+// so each returns the whole capped pool.
+func TestFig4Shape(t *testing.T) {
+	ds := chemDS(t)
+	ks := []int{1, 2, 3, 4, 6}
+	series := FigQuality(ds, StandardAlgorithms(1), ds.Index.P/4, ks, true)
+	mean := func(s AlgoSeries) float64 {
+		m := 0.0
+		for _, k := range ks {
+			m += s.ByK[k].Precision / float64(len(ks))
+		}
+		return m
+	}
+	for _, s := range series {
+		if s.Err != nil {
+			t.Fatalf("%s failed: %v", s.Name, s.Err)
+		}
+		t.Logf("%-8s mean relative precision %.3f", s.Name, mean(s))
+	}
+	dspm, baselines := series[0], series[1:]
+	if dspm.Name != "DSPM" || len(baselines) != 7 {
+		t.Fatalf("series %s and %d baselines, want DSPM and 7", dspm.Name, len(baselines))
+	}
+	leads := 0
+	for _, k := range ks {
+		ahead := true
+		for _, s := range baselines {
+			ahead = ahead && dspm.ByK[k].Precision >= s.ByK[k].Precision
+		}
+		if ahead {
+			leads++
+		}
+	}
+	if leads < 3 {
+		t.Errorf("DSPM is at or above every baseline at %d of %d ks, want 3", leads, len(ks))
+	}
+	for _, s := range baselines {
+		if mean(dspm) < mean(s)+0.1 {
+			t.Errorf("DSPM's mean precision %.3f does not lead %s's %.3f by 0.1", mean(dspm), s.Name, mean(s))
+		}
+	}
+}
+
 func TestFig7Buckets(t *testing.T) {
 	ds := chemDS(t)
 	res, err := Fig7(ds, 10, []int{0, 12, 22}, 1)

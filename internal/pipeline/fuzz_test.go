@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -48,15 +50,53 @@ var parseSeeds = []string{
 	`{"stages":[{"search":{"query":{"labels":[1]},"k":64}},{"group_by":{"key":"score_bucket"}}]}`,
 	`{"stages":[{"filter":{"dims_all":[],"dims_any":[3,1,3],"min_ones":1,"max_ones":4,"edge_labels":[]}},{"count":{}}]}`,
 	`{"stages":[{"count":null}]}`,
+
+	// What a one-pass decoder can get wrong: key case, repeated keys,
+	// nulls, trailing bytes, and which refusal wins.
+	`{"stages":[{"Filter":{}}]}`,
+	`{"STAGES":[{"count":{}}]}`,
+	`{"ſtages":[{"count":{}}]}`,
+	`{"stages":[{"count":{}}],"Stages":[{"filter":{}}]}`,
+	`{"stages":[{"filter":{"min_vertices":2},"filter":{"max_vertices":5,"min_vertices":1}}]}`,
+	`{"stages":[{"filter":{"vertex_labels":[{"label":1}]},"filter":{"vertex_labels":[{"label":2}]}}]}`,
+	`{"stages":[{"count":{},"count":null}]}`,
+	`{"stages":[{"count":null,"count":{}}]}`,
+	`{"stages":[{"count":5,"count":{}}]}`,
+	`{"stages":[{"filter":{},"Filter":{}}]}`,
+	`{"stages":[{"filter":{"knob":1},"count":{}}]}`,
+	`{"stages":[{"frobnicate":{"x":[1,{"y":2}]},"frobnicate":{}}]}`,
+	`{"stages":[{"bogus":{}}],"stages":[{"count":{}}]}`,
+	`{"stages":[{"count":{}}],"stages":[{"bogus":{}}]}`,
+	`{"stages":[{"count":{}}],"stages":null}`,
+	`{"stages":[{"bogus":{}}],"extra":1}`,
+	`{"stages":[{"bogus":{}}],`,
+	`{"stages":[{"bogus":{}},{"count":{}`,
+	`{"stages":[{"bogus":{}},{"count":{}}],"stages":5}`,
+	`null`,
+	`{"stages":null}`,
+	`{"stages":{}}`,
+	`[{"stages":[]}]`,
+	`"stages"`,
+	``,
+	`{"stages":[{"count":{}}]} trailing`,
+	`{"stages":[{"count":{}}]}{"stages":[]}`,
+	`{"stages":[null]}`,
+	`{"stages":[[{"count":{}}],{"count":{}}]}`,
+	`{"stages":[1e999]}`,
+	`{"stages":[{"topk":{"k":1e999}}]}`,
+	`{"stages":[{"topk":{"k":1.5}},{"bogus":{}}]}`,
+	`{"stages":[{"filt\u0065r":{}}]}`,
 }
 
 // noPruneDoc names the search stage's former no_prune field; there is
 // one scan now, so the field is unknown and the document refused.
 const noPruneDoc = `{"stages":[{"search":{"query":{"labels":[1]},"k":3,"no_prune":true}}]}`
 
-// FuzzParse: Parse never panics; every document it accepts either plans
-// or fails Plan with a *StageError; and the accepted Pipeline survives a
-// json.Marshal and a second Parse unchanged.
+// FuzzParse: Parse never panics; it accepts and refuses exactly what
+// referenceParse does, with the same Pipeline and the same StageError
+// index and name; every document it accepts either plans or fails Plan
+// with a *StageError; and the accepted Pipeline survives a json.Marshal
+// and a second Parse unchanged.
 func FuzzParse(f *testing.F) {
 	if _, err := Parse([]byte(noPruneDoc)); err == nil {
 		f.Fatal("Parse accepted a search stage naming no_prune")
@@ -66,8 +106,20 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Parse(data)
+		ref, refErr := referenceParse(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Parse error %v, reference error %v", err, refErr)
+		}
 		if err != nil {
+			var se, refSE *StageError
+			isStage, refIsStage := errors.As(err, &se), errors.As(refErr, &refSE)
+			if isStage != refIsStage || isStage && (se.Index != refSE.Index || se.Name != refSE.Name) {
+				t.Fatalf("Parse refused with %v, reference with %v", err, refErr)
+			}
 			return
+		}
+		if !reflect.DeepEqual(p, ref) {
+			t.Fatalf("Parse and the reference disagree:\ngot  %+v\nwant %+v", p, ref)
 		}
 		if _, err := p.Plan(); err != nil {
 			var se *StageError
@@ -114,4 +166,50 @@ func withoutEmptyLists(p *Pipeline) *Pipeline {
 		out.Stages[i].Filter = &f
 	}
 	return out
+}
+
+// referenceParse is the three-decode Parse that the one-pass Parse
+// replaced, kept as FuzzParse's oracle: the document into
+// []json.RawMessage, each stage into a map of its keys, then the stage
+// through its own strict decoder.
+func referenceParse(data []byte) (*Pipeline, error) {
+	var raw struct {
+		Stages []json.RawMessage `json:"stages"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&raw); err != nil {
+		return nil, fmt.Errorf("pipeline: %v", err)
+	}
+	if len(raw.Stages) == 0 {
+		return nil, fmt.Errorf("pipeline: no stages")
+	}
+	p := &Pipeline{Stages: make([]Stage, len(raw.Stages))}
+	for i, rs := range raw.Stages {
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(rs, &keys); err != nil {
+			return nil, stageErrf(i, "", "not a JSON object: %v", err)
+		}
+		if len(keys) != 1 {
+			return nil, stageErrf(i, "", "want exactly one stage-type key per stage, got %d", len(keys))
+		}
+		var name string
+		for k := range keys {
+			name = k
+		}
+		switch name {
+		case "filter", "search", "topk", "limit", "count", "group_by":
+		default:
+			return nil, stageErrf(i, name, "unknown stage type")
+		}
+		sd := json.NewDecoder(bytes.NewReader(rs))
+		sd.DisallowUnknownFields()
+		if err := sd.Decode(&p.Stages[i]); err != nil {
+			return nil, stageErrf(i, name, "%v", err)
+		}
+		if _, _, set := p.Stages[i].parts(); set == 0 {
+			return nil, stageErrf(i, name, "stage body is null")
+		}
+	}
+	return p, nil
 }

@@ -31,7 +31,11 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/graph"
 )
@@ -176,62 +180,217 @@ func stageErrf(i int, name, format string, args ...any) *StageError {
 	return &StageError{Index: i, Name: name, Err: fmt.Errorf(format, args...)}
 }
 
-// stageNames is the accepted stage-type vocabulary, in pipeline order.
-var stageNames = []string{"filter", "search", "topk", "limit", "count", "group_by"}
-
-// Parse decodes a JSON pipeline body. Decoding is strict per stage:
-// each stage object must carry exactly one known stage-type key, and
-// unknown fields inside a stage are rejected. Errors caused by one
-// stage are *StageError values naming its index and type.
+// Parse decodes a JSON pipeline body in one pass: a json.Decoder walks
+// {"stages":[…]} token by token, and each stage body is decoded once,
+// straight into its typed field. Decoding is strict per stage: each
+// stage object must carry exactly one known stage-type key, matched
+// exactly, and unknown fields inside a stage are rejected. Errors caused
+// by one stage are *StageError values naming its index and type.
+//
+// Parse refuses what decoding the whole document with encoding/json and
+// then checking its stages would refuse: a malformed document or an
+// unknown top-level field wins over any stage's error, the top-level key
+// matches "stages" case-insensitively, a repeated key's last value wins,
+// and bytes after the document are ignored. One difference is left:
+// encoding/json's nesting limit counts from each stage body, so a stage
+// nested past it — which no stage type can decode — is refused as that
+// stage's error rather than as a malformed document.
 func Parse(data []byte) (*Pipeline, error) {
-	var raw struct {
-		Stages []json.RawMessage `json:"stages"`
-	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	// A number where a stage belongs is refused by its shape, never by
+	// its range.
+	dec.UseNumber()
+	tok, err := dec.Token()
+	if err != nil {
 		return nil, fmt.Errorf("pipeline: %v", err)
 	}
-	if len(raw.Stages) == 0 {
+	var (
+		stages   []Stage
+		stageErr error
+	)
+	switch tok {
+	case nil: // null: a document without stages
+	case json.Delim('{'):
+		for dec.More() {
+			if tok, err = dec.Token(); err != nil {
+				return nil, fmt.Errorf("pipeline: %v", err)
+			}
+			if key := tok.(string); !strings.EqualFold(key, "stages") {
+				return nil, fmt.Errorf("pipeline: json: unknown field %q", key)
+			}
+			if stages, stageErr, err = parseStages(dec); err != nil {
+				return nil, fmt.Errorf("pipeline: %v", err)
+			}
+		}
+		if _, err := dec.Token(); err != nil {
+			return nil, fmt.Errorf("pipeline: %v", err)
+		}
+	default:
+		return nil, fmt.Errorf("pipeline: want a JSON object, got %s", jsonKind(tok))
+	}
+	if stageErr != nil {
+		return nil, stageErr
+	}
+	if len(stages) == 0 {
 		return nil, fmt.Errorf("pipeline: no stages (want at least one of filter, search, topk, limit, count, group_by)")
 	}
-	p := &Pipeline{Stages: make([]Stage, len(raw.Stages))}
-	for i, rs := range raw.Stages {
-		var keys map[string]json.RawMessage
-		if err := json.Unmarshal(rs, &keys); err != nil {
-			return nil, stageErrf(i, "", "not a JSON object: %v", err)
+	return &Pipeline{Stages: stages}, nil
+}
+
+// parseStages decodes the value of a "stages" key: null or an array of
+// stage objects. The first stage's refusal comes back as stageErr rather
+// than stopping the walk, so that a malformed document after it still
+// wins; err is a refusal of the document.
+func parseStages(dec *json.Decoder) (stages []Stage, stageErr, err error) {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return nil, nil, err
+	}
+	if tok != json.Delim('[') {
+		return nil, nil, fmt.Errorf("stages: want a JSON array, got %s", jsonKind(tok))
+	}
+	for i := 0; dec.More(); i++ {
+		if stageErr != nil {
+			err = skip(dec, 0)
+		} else {
+			stages = append(stages, Stage{})
+			stageErr, err = parseStage(dec, i, &stages[i])
 		}
-		if len(keys) != 1 {
-			names := make([]string, 0, len(keys))
-			for k := range keys {
-				names = append(names, k)
-			}
-			return nil, stageErrf(i, "", "want exactly one stage-type key per stage, got %d %v", len(keys), names)
-		}
-		var name string
-		for k := range keys {
-			name = k
-		}
-		known := false
-		for _, n := range stageNames {
-			if n == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, stageErrf(i, name, "unknown stage type (want filter, search, topk, limit, count or group_by)")
-		}
-		sd := json.NewDecoder(bytes.NewReader(rs))
-		sd.DisallowUnknownFields()
-		if err := sd.Decode(&p.Stages[i]); err != nil {
-			return nil, stageErrf(i, name, "%v", err)
-		}
-		if _, _, set := p.Stages[i].parts(); set == 0 {
-			return nil, stageErrf(i, name, "stage body is null")
+		if err != nil {
+			return nil, nil, err
 		}
 	}
-	return p, nil
+	_, err = dec.Token()
+	return stages, stageErr, err
+}
+
+// parseStage decodes one stage object into st. A stage with one distinct
+// key decodes each occurrence of it into the same field, as a struct
+// decode would; any other key is skipped unread.
+func parseStage(dec *json.Decoder, i int, st *Stage) (stageErr, err error) {
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, err
+	}
+	switch tok {
+	case json.Delim('{'):
+	case nil:
+		return stageErrf(i, "", "want exactly one stage-type key per stage, got 0 []"), nil
+	case json.Delim('['):
+		if err := skip(dec, 1); err != nil {
+			return nil, err
+		}
+		fallthrough
+	default:
+		return stageErrf(i, "", "not a JSON object: got %s", jsonKind(tok)), nil
+	}
+	var (
+		keys    []string
+		bodyErr error
+	)
+	for dec.More() {
+		if tok, err = dec.Token(); err != nil {
+			return nil, err
+		}
+		key := tok.(string)
+		if !slices.Contains(keys, key) {
+			keys = append(keys, key)
+		}
+		if body := st.body(key); body == nil || len(keys) > 1 {
+			err = skip(dec, 0)
+		} else if err = dec.Decode(body); err != nil && !malformed(err) {
+			if bodyErr == nil {
+				bodyErr = err
+			}
+			err = nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if _, err := dec.Token(); err != nil {
+		return nil, err
+	}
+	switch {
+	case len(keys) != 1:
+		return stageErrf(i, "", "want exactly one stage-type key per stage, got %d %v", len(keys), keys), nil
+	case st.body(keys[0]) == nil:
+		return stageErrf(i, keys[0], "unknown stage type (want filter, search, topk, limit, count or group_by)"), nil
+	case bodyErr != nil:
+		return stageErrf(i, keys[0], "%v", bodyErr), nil
+	}
+	if _, _, set := st.parts(); set == 0 {
+		return stageErrf(i, keys[0], "stage body is null"), nil
+	}
+	return nil, nil
+}
+
+// body returns the field a stage-type key decodes into, nil for a key
+// that names no stage type. Keys match exactly: "Filter" is unknown.
+func (s *Stage) body(key string) any {
+	switch key {
+	case "filter":
+		return &s.Filter
+	case "search":
+		return &s.Search
+	case "topk":
+		return &s.TopK
+	case "limit":
+		return &s.Limit
+	case "count":
+		return &s.Count
+	case "group_by":
+		return &s.GroupBy
+	}
+	return nil
+}
+
+// skip consumes tokens until the value being read closes — with open 0
+// the next value whole, with open 1 the rest of an array whose '[' was
+// already read — checking only that they are well-formed.
+func skip(dec *json.Decoder, open int) error {
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		switch tok {
+		case json.Delim('{'), json.Delim('['):
+			open++
+		case json.Delim('}'), json.Delim(']'):
+			open--
+		}
+		if open == 0 {
+			return nil
+		}
+	}
+}
+
+// malformed reports whether a Decode error refuses the document (bad
+// syntax, a truncated body) rather than the value decoded (an unknown
+// field, a wrong type), after which the decoder reads on.
+func malformed(err error) bool {
+	var se *json.SyntaxError
+	return errors.As(err, &se) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)
+}
+
+// jsonKind names the JSON type a token opens.
+func jsonKind(tok json.Token) string {
+	switch tok.(type) {
+	case json.Delim:
+		if tok == json.Delim('[') {
+			return "array"
+		}
+		return "object"
+	case string:
+		return "string"
+	case json.Number:
+		return "number"
+	case bool:
+		return "boolean"
+	}
+	return "null"
 }
 
 // Plan is the validated, normalized execution form of a pipeline:
