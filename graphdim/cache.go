@@ -443,7 +443,7 @@ func (c *queryCache) cachedSearch(key string, gens []uint64, start time.Time,
 	}
 	stored := *res
 	stored.Results = slices.Clone(res.Results)
-	// The result rows, the Matched bitset and the SearchResult itself.
+	// The result rows and the Matched bitset.
 	c.put(key, gens, &stored, int64(len(stored.Results))*16+int64(len(stored.Matched.words))*8)
 	return res, nil
 }
