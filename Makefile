@@ -66,8 +66,10 @@ race:
 # brute force, the SoA pack round trip, the threshold-fused flat scan
 # against the scalar ranking, the graph text format, the mapper's
 # label-count precheck against VF2, the follower's replication stream
-# parser, and the pipeline document parser (whose accepted documents
-# plan or fail with a stage error, and survive a JSON round trip).
+# parser, the pipeline document parser (whose accepted documents plan
+# or fail with a stage error, and survive a JSON round trip), the filter
+# compiler against a brute-force evaluation, and the wire graph shape
+# the search stage and the ingest endpoint share.
 # `go test` alone runs only their seed corpora. The segment decoder's
 # inputs are kilobytes long, so its minimization is capped at 200 runs
 # per new input: the default 60 s would spend most of FUZZTIME there.
@@ -80,6 +82,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMapperMatchesContains$$' -fuzztime $(FUZZTIME) ./internal/vecspace
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReader$$' -fuzztime $(FUZZTIME) ./internal/repl
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz '^FuzzGraphSpec$$' -fuzztime $(FUZZTIME) ./internal/pipeline
 
 vet:
 	$(GO) vet ./...

@@ -8,13 +8,14 @@ import (
 	"strconv"
 
 	"repro/graphdim"
+	"repro/internal/pipeline"
 )
 
 // Bulk ingest: POST /v1/collections/{name}/ingest streams graphs in as
-// NDJSON — one graph per line — and acknowledges them per batch. Each
-// batch becomes ONE Collection.Add call, hence one WAL record and one
-// group-committed fsync, so the ~fsync cost is amortized across the
-// whole batch instead of paid per graph (the add endpoint's price).
+// NDJSON — one pipeline.GraphSpec per line — and acknowledges them per
+// batch. Each batch becomes ONE Collection.Add call, hence one WAL record
+// and one group-committed fsync, so the ~fsync cost is amortized across
+// the whole batch instead of paid per graph (the add endpoint's price).
 // Response lines stream back as each batch commits, so a client knows
 // exactly which prefix is durable at any moment. A batch either commits
 // whole — once its WAL record is appended it lands — or not at all, so a
@@ -30,35 +31,6 @@ const (
 	defaultIngestBatch = 256
 	maxIngestBatch     = 4096
 )
-
-// ingestGraph is one NDJSON input line: vertex labels by index, edges
-// as [u, v, label] triples.
-type ingestGraph struct {
-	Labels []int    `json:"labels"`
-	Edges  [][3]int `json:"edges"`
-}
-
-func (ig *ingestGraph) build() (*graphdim.Graph, error) {
-	if len(ig.Labels) == 0 {
-		return nil, fmt.Errorf("graph has no vertices")
-	}
-	g := graphdim.NewGraph(len(ig.Labels))
-	for _, l := range ig.Labels {
-		if l < 0 {
-			return nil, fmt.Errorf("negative vertex label %d", l)
-		}
-		g.AddVertex(graphdim.Label(l))
-	}
-	for _, e := range ig.Edges {
-		if e[2] < 0 {
-			return nil, fmt.Errorf("negative edge label %d", e[2])
-		}
-		if err := g.AddEdge(e[0], e[1], graphdim.Label(e[2])); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
 
 // ingestAck is one response line: the ack for one committed batch, or —
 // with Error set — the in-band failure that ends the stream.
@@ -138,14 +110,14 @@ func (s *server) handleIngest(cl *call) {
 		// stays committed, nothing after it is attempted.
 		batch := make([]*graphdim.Graph, 0, batchSize)
 		for len(batch) < batchSize {
-			var line ingestGraph
+			var line pipeline.GraphSpec
 			if err := dec.Decode(&line); err == io.EOF {
 				break
 			} else if err != nil {
 				abort(bodyStatus(err), "line %d: parsing NDJSON graph: %v", applied+len(batch)+1, err)
 				return
 			}
-			g, err := line.build()
+			g, err := line.Build()
 			if err != nil {
 				abort(http.StatusBadRequest, "line %d: %v", applied+len(batch)+1, err)
 				return

@@ -18,6 +18,7 @@ import (
 
 	"repro/graphdim"
 	"repro/internal/dataset"
+	"repro/internal/pipeline"
 )
 
 // ndjsonBody renders graphs in the ingest line format.
@@ -25,7 +26,7 @@ func ndjsonBody(t *testing.T, gs []*graphdim.Graph) string {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, g := range gs {
-		line := ingestGraph{Labels: make([]int, g.N())}
+		line := pipeline.GraphSpec{Labels: make([]int, g.N())}
 		for v := 0; v < g.N(); v++ {
 			line.Labels[v] = int(g.VertexLabel(v))
 		}
@@ -108,6 +109,22 @@ func TestIngestStreamsPerBatchAcks(t *testing.T) {
 	}
 	if coll.Size() != seed+10 {
 		t.Fatalf("collection size = %d, want %d", coll.Size(), seed+10)
+	}
+	// Each ingested graph is stored exactly as its line spelled it: the
+	// same vertices, labels and edges.
+	for i, src := range extra {
+		g, ok := coll.Graph(seed + i)
+		if !ok {
+			t.Fatalf("ingested graph %d does not resolve", seed+i)
+		}
+		if g.N() != src.N() || !reflect.DeepEqual(g.Edges(), src.Edges()) {
+			t.Fatalf("ingested graph %d: %d vertices, edges %v; want %d, %v", seed+i, g.N(), g.Edges(), src.N(), src.Edges())
+		}
+		for v := 0; v < g.N(); v++ {
+			if g.VertexLabel(v) != src.VertexLabel(v) {
+				t.Fatalf("ingested graph %d: vertex %d label %d, want %d", seed+i, v, g.VertexLabel(v), src.VertexLabel(v))
+			}
+		}
 	}
 
 	// The ingested graphs are live: one of them must rank itself at

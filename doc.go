@@ -33,8 +33,9 @@
 // p50/p99/p999, WAL fsync timings, group-commit batch sizes, admission
 // rejects, cache hit ratio). Composable query pipelines
 // (internal/pipeline) run filter → search → aggregate chains in one
-// request: declarative filter stages push down into the posting lists,
-// whose id sets reach the scan as skip bits beside the tombstones (and
+// request: declarative filter stages push down into one keep bitset —
+// dimension predicates read the vector tiles, label predicates the label
+// lists — that reaches the scan as skip bits beside the tombstones (and
 // serialize canonically, so a whole pipeline result — a search's rows, a
 // count, a group-by — caches under a key built from the parsed plan,
 // where opaque Predicate closures cannot), a similarity stage wraps the

@@ -25,7 +25,7 @@ import (
 //
 // What is logged is deliberately minimal: the graphs and ids of add
 // batches and the ids of remove batches. Everything derivable from those
-// — binary vectors (the VF2 mapping is deterministic), posting lists,
+// — binary vectors (the VF2 mapping is deterministic), label lists,
 // the query cache, shard generation counters — is rebuilt during replay
 // rather than logged, which keeps the log small and the update path
 // decoupled from the read-side accelerators. Compact likewise never

@@ -301,18 +301,12 @@ type snapshot struct {
 	// every scan skips them through its limits. Invariant: block.N() ==
 	// len(db).
 	block *vecspace.Block
-	// post holds the per-dimension posting lists and ones buckets over
-	// block's vectors, for dimension and ones filters (internal/posting).
-	// It is never persisted: the first query whose filter needs it builds
-	// it from block (postings). Once built, appended extends it and
-	// tombstoned shares it; an unbuilt nil stays lazy. Built, post.N() ==
-	// len(db).
-	post atomic.Pointer[posting.Index]
 	// labels holds the per-label inverted lists over db, for label filters
 	// (internal/pipeline), built by the first query whose filter names a
 	// label (labelIndex) — building it reads every graph, which on a
-	// mapped snapshot would fault in the whole corpus — and carried like
-	// post.
+	// mapped snapshot would fault in the whole corpus. Once built,
+	// appended extends it and tombstoned shares it; an unbuilt nil stays
+	// lazy. Dimension and ones filters need no index: they read block.
 	labels atomic.Pointer[posting.LabelIndex]
 	// baseN is how many of the graphs were part of the database the
 	// dimension selection (Build) or persisted file saw; ids >= baseN
@@ -403,15 +397,14 @@ func snapshotFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*sna
 
 // appended is the snapshot after an Add: gs, their vectors and (on a
 // shard) their global ids take the next ids. Every column grows
-// incrementally. db, dead and globals append into s's spare capacity —
-// posting.Append's discipline: a reader of s sees only s's lengths, so
-// the slots beyond them are the writer's, and a full array is copied by
-// append's amortized growth, not on every publish. The new ids are the
-// highest yet, so the block fills the next lanes and every per-dimension
-// list stays sorted. All of it needs the linear snapshot chain Index.mu
-// enforces: only the newest snapshot is ever appended to. The posting
-// and label indexes are extended only if a filtered query already paid
-// to build them.
+// incrementally. db, dead and globals append into s's spare capacity: a
+// reader of s sees only s's lengths, so the slots beyond them are the
+// writer's, and a full array is copied by append's amortized growth, not
+// on every publish. The new ids are the highest yet, so the block fills
+// the next lanes and every label list stays sorted. All of it needs the
+// linear snapshot chain Index.mu enforces: only the newest snapshot is
+// ever appended to. The label index is extended only if a filtered query
+// already paid to build it.
 func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []int) *snapshot {
 	dead := s.dead
 	for len(dead) < deadWords(len(s.db)+len(gs)) {
@@ -429,9 +422,6 @@ func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []i
 	if globals != nil {
 		next.globals = append(s.globals, globals...)
 	}
-	if p := s.post.Load(); p != nil {
-		next.post.Store(p.Append(vecs))
-	}
 	if l := s.labels.Load(); l != nil {
 		next.labels.Store(l.Append(gs))
 	}
@@ -439,10 +429,9 @@ func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []i
 }
 
 // tombstoned is the snapshot after a Remove of ids (valid, live,
-// distinct). db, the id table, the vector block and the posting and
-// label indexes are shared with s; only the tombstone bitset is copied —
-// n/64 words, 2.5 KB for a 20,000-id shard. Removal is neither a block
-// nor a posting event.
+// distinct). db, the id table, the vector block and the label index are
+// shared with s; only the tombstone bitset is copied — n/64 words, 2.5 KB
+// for a 20,000-id shard. Removal is neither a block nor a label event.
 func (s *snapshot) tombstoned(ids []int) *snapshot {
 	next := &snapshot{
 		db:        s.db,
@@ -454,7 +443,6 @@ func (s *snapshot) tombstoned(ids []int) *snapshot {
 		baseN:     s.baseN,
 		baseDead:  s.baseDead,
 	}
-	next.post.Store(s.post.Load())
 	next.labels.Store(s.labels.Load())
 	for _, id := range ids {
 		next.dead[id/64] |= 1 << (id % 64)
@@ -542,24 +530,6 @@ func (s *snapshot) limits(admit topk.Alive) topk.Limits {
 	return lim
 }
 
-// skipOutside is the skip bitset of a search restricted to ids (a
-// filter's pushdown): the tombstones and every id not in ids, so
-// membership costs the scan a mask, never a call. Ids at or beyond the
-// snapshot's extent are ignored.
-func (s *snapshot) skipOutside(ids []int32) []uint64 {
-	n := len(s.db)
-	skip := make([]uint64, deadWords(n))
-	for _, id := range ids {
-		if int(id) < n {
-			skip[id/64] |= 1 << (id % 64)
-		}
-	}
-	for w := range skip {
-		skip[w] = ^skip[w] | s.dead[w]
-	}
-	return skip
-}
-
 // graphAt returns graph id, faulting it from the mapped segment on first
 // demand — the one accessor every engine, predicate, scan and
 // Index.Graph/Collection.Graph resolves graphs through. It fails only on a
@@ -571,21 +541,6 @@ func (s *snapshot) graphAt(id int) (*Graph, error) {
 		return g, nil
 	}
 	return s.seg.graphAt(id)
-}
-
-// postings returns the posting index, building it from block on first
-// demand — so on a mapped snapshot it reads tiles and faults in no graph
-// payload. Racing builders may duplicate work; CompareAndSwap publishes
-// exactly one, and Add keeps extending whichever one won.
-func (s *snapshot) postings() *posting.Index {
-	if p := s.post.Load(); p != nil {
-		return p
-	}
-	p := posting.FromVectors(s.block.Unpack(), s.block.P())
-	if s.post.CompareAndSwap(nil, p) {
-		return p
-	}
-	return s.post.Load()
 }
 
 // labelIndex returns the label pushdown index, building it on first

@@ -417,13 +417,10 @@ func TestReadersSeeOneShardState(t *testing.T) {
 	reader(func(i int) {
 		sh := i % shards
 		snap := c.shards[sh].snap.Load()
-		n, postN := len(snap.db), len(snap.db)
-		if p := snap.post.Load(); p != nil {
-			postN = p.N()
-		}
-		if len(snap.globals) != n || len(snap.dead) != deadWords(n) || snap.block.N() != n || postN != n {
-			t.Errorf("shard %d: columns of one snapshot disagree: db %d, globals %d, dead %d, block %d, postings %d",
-				sh, n, len(snap.globals), len(snap.dead), snap.block.N(), postN)
+		n := len(snap.db)
+		if len(snap.globals) != n || len(snap.dead) != deadWords(n) || snap.block.N() != n {
+			t.Errorf("shard %d: columns of one snapshot disagree: db %d, globals %d, dead %d, block %d",
+				sh, n, len(snap.globals), len(snap.dead), snap.block.N())
 			return
 		}
 		for local, g := range snap.globals {

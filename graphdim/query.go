@@ -2,6 +2,7 @@ package graphdim
 
 import (
 	"context"
+	"math/bits"
 	"time"
 
 	"repro/internal/pipeline"
@@ -98,8 +99,7 @@ func (c *Collection) runPlan(ctx context.Context, pl *pipeline.Plan, opt SearchO
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.PushedPredicates, res.Stats.FallbackPredicates =
-		pipeline.AnalyzeFilters(pl.Filters, true, true)
+	res.Stats.PushedPredicates, res.Stats.FallbackPredicates = pipeline.AnalyzeFilters(pl.Filters)
 	res.Stats.ElapsedMS = msSince(start)
 	return res, nil
 }
@@ -193,47 +193,46 @@ func (c *Collection) queryScan(ctx context.Context, pl *pipeline.Plan) (*pipelin
 const scanShardStride = 4096
 
 // scanShard streams one shard's matching graphs through a partial
-// aggregator. The reported candidates count is the pushdown
-// intersection size, -1 when the filters did not restrict the scan.
+// aggregator: it walks the live ids the filters' keep bitset holds. The
+// reported candidates count is the number of those ids, -1 when the
+// filters did not restrict the scan.
 func (c *Collection) scanShard(ctx context.Context, i int, pl *pipeline.Plan) (*pipeline.Aggregator, int64, error) {
 	s := c.shards[i].snap.Load()
-	cat, err := s.catalog(pl.Filters)
+	comp, err := s.compile(pl.Filters)
 	if err != nil {
 		return nil, 0, err
 	}
-	comp, err := pipeline.CompileFilters(pl.Filters, cat)
-	if err != nil {
-		return nil, 0, err
+	keep := comp.Keep
+	if keep == nil {
+		keep = pipeline.KeepAll(len(s.db))
 	}
 	agg := pipeline.NewAggregator(pl)
 	needG := pl.NeedsGraphs()
-	// The ids to stream: the pushdown intersection when the filters
-	// restricted the scan, every id otherwise.
-	n, idAt, candidates := len(s.db), func(i int) int { return i }, int64(-1)
-	if comp.Restricted {
-		n, idAt, candidates = len(comp.IDs), func(i int) int { return int(comp.IDs[i]) }, int64(len(comp.IDs))
-	}
-	for i := 0; i < n; i++ {
-		if i%scanShardStride == 0 {
+	candidates := int64(0)
+	for w, word := range keep {
+		if w%(scanShardStride/64) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, 0, err
 			}
 		}
-		id := idAt(i)
-		if s.isDead(id) {
-			continue
-		}
-		// The graph is resolved — once — only when the residual or the
-		// aggregation needs it.
-		var g *Graph
-		if comp.Residual != nil || needG {
-			if g, err = s.graphAt(id); err != nil {
-				return nil, 0, err
+		for word &^= s.dead[w]; word != 0; word &= word - 1 {
+			candidates++
+			id := w*64 + bits.TrailingZeros64(word)
+			// The graph is resolved — once — only when the residual or the
+			// aggregation needs it.
+			var g *Graph
+			if comp.Residual != nil || needG {
+				if g, err = s.graphAt(id); err != nil {
+					return nil, 0, err
+				}
+			}
+			if comp.Residual == nil || comp.Residual(id, g) {
+				agg.Add(pipeline.Row{ID: s.global(id), G: g})
 			}
 		}
-		if comp.Residual == nil || comp.Residual(id, g) {
-			agg.Add(pipeline.Row{ID: s.global(id), G: g})
-		}
+	}
+	if comp.Keep == nil {
+		candidates = -1
 	}
 	return agg, candidates, nil
 }

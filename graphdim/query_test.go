@@ -83,6 +83,36 @@ func TestQueryScanStats(t *testing.T) {
 	}
 }
 
+// TestScanCandidatesCountOnlyLiveIDs pins that a scan's candidates are
+// the live ids its pushed-down predicates keep: removing one of them
+// lowers the count by one.
+func TestScanCandidatesCountOnlyLiveIDs(t *testing.T) {
+	c, idx := queryTestCollection(t, 2, CacheOptions{})
+	ctx := context.Background()
+	lab := int(idx.Graph(0).VertexLabel(0))
+	count := &pipeline.Pipeline{Stages: []pipeline.Stage{
+		{Filter: &pipeline.Filter{VertexLabels: []pipeline.LabelCount{{Label: lab}}}}, {Count: &pipeline.Count{}},
+	}}
+	before, err := c.Query(ctx, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Stats.Candidates != *before.Count {
+		t.Fatalf("candidates %d, want the %d kept ids", before.Stats.Candidates, *before.Count)
+	}
+	if err := c.Remove(0); err != nil { // graph 0 carries the label
+		t.Fatal(err)
+	}
+	after, err := c.Query(ctx, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Stats.Candidates != before.Stats.Candidates-1 || *after.Count != *before.Count-1 {
+		t.Fatalf("after removing a kept graph: candidates %d, count %d; want %d, %d",
+			after.Stats.Candidates, *after.Count, before.Stats.Candidates-1, *before.Count-1)
+	}
+}
+
 func TestQueryStageErrors(t *testing.T) {
 	c, idx := queryTestCollection(t, 1, CacheOptions{})
 	ctx := context.Background()

@@ -109,12 +109,12 @@ type SearchOptions struct {
 	Predicate func(id int, g *Graph) bool
 	// Filters restricts the search with declarative structural
 	// predicates (see pipeline.Filter), ANDed with each other and with
-	// Predicate. Unlike Predicate, filters push down: the parts a
-	// posting list or ones-count bucket can answer become part of the
-	// scan's skip bitset, so an id outside them costs a mask, never a
-	// call, and the whole chain serializes canonically, so filtered
-	// queries stay cacheable where a Predicate closure must bypass the
-	// cache.
+	// Predicate. Unlike Predicate, filters push down: dimension and ones
+	// predicates (read from the vector tiles) and label predicates (read
+	// from the label index) become part of the scan's skip bitset, so an
+	// id outside them costs a mask, never a call, and the whole chain
+	// serializes canonically, so filtered queries stay cacheable where a
+	// Predicate closure must bypass the cache.
 	Filters []*pipeline.Filter
 }
 
@@ -224,27 +224,28 @@ type SearchResult struct {
 	Elapsed time.Duration
 }
 
-// catalog exposes the snapshot's pushdown structures to the filter
-// compiler for the filters fs. Each is resolved only for a filter that
-// needs it, because each is built lazily: the posting index for
-// dimension and ones predicates (from the block, see postings), the label
-// index for label predicates — on a mapped snapshot that build is the
-// one whole-corpus fault (see labelIndex), and the one way this can fail.
-func (s *snapshot) catalog(fs []*pipeline.Filter) (pipeline.Catalog, error) {
-	cat := pipeline.Catalog{N: len(s.db)}
+// compile compiles the filters fs against this snapshot: dimension and
+// ones predicates read the block's tiles, label predicates the label
+// index — built on first demand, which on a mapped snapshot is the one
+// whole-corpus fault (see labelIndex), and the one way this can fail
+// other than a dimension out of range.
+func (s *snapshot) compile(fs []*pipeline.Filter) (*pipeline.Compiled, error) {
+	cat := pipeline.Catalog{N: len(s.db), Block: s.block}
 	for _, f := range fs {
-		if cat.Post == nil && f.NeedsPostings() {
-			cat.Post = s.postings()
-		}
-		if cat.Labels == nil && (len(f.VertexLabels) > 0 || len(f.EdgeLabels) > 0) {
+		if len(f.VertexLabels) > 0 || len(f.EdgeLabels) > 0 {
 			labels, err := s.labelIndex()
 			if err != nil {
-				return cat, err
+				return nil, err
 			}
 			cat.Labels = labels
+			break
 		}
 	}
-	return cat, nil
+	comp, err := pipeline.Compile(fs, cat)
+	if err != nil {
+		return nil, fmt.Errorf("graphdim: %v", err)
+	}
+	return comp, nil
 }
 
 // composePredicate ANDs a compiled filter residual with a caller
@@ -303,19 +304,19 @@ func (ix *Index) searchMapped(ctx context.Context, s *snapshot, q *Graph, qv *ve
 	pred := opt.Predicate
 	var skip []uint64 // the filters' pushdown as a skip bitset, nil = none
 	if len(opt.Filters) > 0 {
-		cat, cerr := s.catalog(opt.Filters)
-		if cerr != nil {
-			return nil, cerr
-		}
-		comp, cerr := pipeline.CompileFilters(opt.Filters, cat)
-		if cerr != nil {
-			return nil, fmt.Errorf("graphdim: %v", cerr)
+		comp, err := s.compile(opt.Filters)
+		if err != nil {
+			return nil, err
 		}
 		pred = composePredicate(comp.Residual, pred)
-		if comp.Restricted {
-			// An intersection that matched nothing is still a restriction
-			// — to nothing — not a licence to scan everything.
-			skip = s.skipOutside(comp.IDs)
+		// A keep bitset that kept nothing is still a restriction — to
+		// nothing — not a licence to scan everything. Its complement, with
+		// the tombstones, is the skip bitset: an id outside the filter
+		// costs the scan a mask, never a call.
+		if skip = comp.Keep; skip != nil {
+			for w := range skip {
+				skip[w] = ^skip[w] | s.dead[w]
+			}
 		}
 	}
 	// admit is what the scan asks about an id its skip bitset clears — nil

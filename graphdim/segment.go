@@ -5,8 +5,8 @@ package graphdim
 // (writeSegment) — its vectors, tombstones and graphs, nothing derivable
 // from them — and opens serve a v5 or v4 segment back either mapped — the
 // tile section IS the scan block, graph payloads fault in lazily — or
-// fully rehydrated onto the heap (snapshotFromSegment). Zone maps and
-// posting lists are rebuilt from the tiles, never read from the file.
+// fully rehydrated onto the heap (snapshotFromSegment). Zone maps are
+// rebuilt from the tiles, never read from the file.
 // segSource is the per-open shared state a mapped snapshot chain hangs
 // onto: the reader plus a decode-once cache for faulted graphs.
 

@@ -214,7 +214,7 @@ func (o CollectionOptions) shards() int {
 }
 
 // maxShards bounds the shard count well above any sane deployment: each
-// shard is a full index with its own block, postings and worker share.
+// shard is a full index with its own block, label index and worker share.
 const maxShards = 1024
 
 // Collection is one named, sharded graph database inside a Store. Global

@@ -13,7 +13,7 @@ import (
 )
 
 // assertOneVectorStore checks the invariant that replaced the scan's
-// stale-block guard: block, postings (once built) and graph slots cover
+// stale-block guard: block and graph slots cover
 // the same ids, and lane id holds exactly the vector the mapper gives
 // graph id.
 func assertOneVectorStore(t *testing.T, label string, ix *Index) {
@@ -21,9 +21,6 @@ func assertOneVectorStore(t *testing.T, label string, ix *Index) {
 	s := ix.snap.Load()
 	if s.block.N() != len(s.db) {
 		t.Fatalf("%s: block covers %d ids, db %d", label, s.block.N(), len(s.db))
-	}
-	if p := s.post.Load(); p != nil && p.N() != len(s.db) {
-		t.Fatalf("%s: postings cover %d ids, db %d", label, p.N(), len(s.db))
 	}
 	for id := range s.db {
 		g, err := s.graphAt(id)

@@ -361,6 +361,53 @@ func TestFig4Shape(t *testing.T) {
 	}
 }
 
+// TestFig5Shape asserts Fig. 5 at harness scale (60 synthetic graphs, 12
+// queries, seed 1, p = candidates/4 = 34, k = 2% … 10% of the database
+// as cmd/figures picks them), precision relative to the best algorithm at
+// each k. The paper has DSPM above all seven baselines on the synthetic
+// set too. Here it is not: DSPM ties the best only at k = 1, Original —
+// every candidate feature — is the best at every k from 2 on, and
+// DSPM's precision averaged over k (0.704) trails Original's (0.800),
+// NDFS's (0.765) and MICI's (0.718). It does lead Sample, the random
+// selection of the same size (0.521). So the test asserts that observed
+// shape, which default scale (150 graphs) repeats: Original at 1.000 at
+// four of five ks, DSPM's mean above Sample's.
+func TestFig5Shape(t *testing.T) {
+	ds, err := BuildSynthetic(tiny())
+	if err != nil {
+		t.Fatalf("BuildSynthetic: %v", err)
+	}
+	ks := []int{1, 2, 3, 4, 6}
+	series := FigQuality(ds, StandardAlgorithms(1), ds.Index.P/4, ks, false)
+	RelativeToBest(series, ks)
+	mean := map[string]float64{}
+	for _, s := range series {
+		if s.Err != nil {
+			t.Fatalf("%s failed: %v", s.Name, s.Err)
+		}
+		for _, k := range ks {
+			mean[s.Name] += s.ByK[k].Precision / float64(len(ks))
+		}
+		t.Logf("%-8s mean relative precision %.3f", s.Name, mean[s.Name])
+	}
+	if len(series) != 8 || series[0].Name != "DSPM" || series[1].Name != "Original" {
+		t.Fatalf("want DSPM, Original and six more series, got %d", len(series))
+	}
+	dspm, original := series[0], series[1]
+	if dspm.ByK[1].Precision != 1 {
+		t.Errorf("DSPM's relative precision at k = 1 is %.3f, want the best (1)", dspm.ByK[1].Precision)
+	}
+	for _, k := range ks[1:] {
+		if original.ByK[k].Precision != 1 {
+			t.Errorf("Original's relative precision at k = %d is %.3f, want the best (1)", k, original.ByK[k].Precision)
+		}
+	}
+	if mean["DSPM"] >= mean["Original"] || mean["DSPM"] <= mean["Sample"] {
+		t.Errorf("DSPM's mean precision %.3f is not between Sample's %.3f and Original's %.3f",
+			mean["DSPM"], mean["Sample"], mean["Original"])
+	}
+}
+
 func TestFig7Buckets(t *testing.T) {
 	ds := chemDS(t)
 	res, err := Fig7(ds, 10, []int{0, 12, 22}, 1)

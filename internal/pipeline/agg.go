@@ -51,13 +51,15 @@ type Stats struct {
 	// Matched counts rows that passed the filters and entered
 	// aggregation (for search pipelines: results returned by search).
 	Matched int64 `json:"matched"`
-	// Candidates is the pushdown intersection size, -1 when filters
-	// did not restrict the scan.
+	// Candidates is, for a scan, the number of live (not removed) ids
+	// the pushed-down predicates keep, -1 when no predicate pushed down;
+	// for a search, the graphs its engine scored.
 	Candidates int64 `json:"candidates"`
 	// Engine echoes the search engine used, "" for scan pipelines.
 	Engine string `json:"engine,omitempty"`
 	// PushedPredicates / FallbackPredicates split the filter predicates
-	// answered by posting lists vs. evaluated per graph.
+	// answered into the keep bitset (from the vector tiles or the label
+	// index) vs. evaluated per graph.
 	PushedPredicates   int `json:"pushed_predicates"`
 	FallbackPredicates int `json:"fallback_predicates"`
 	// Stages holds per-stage timings in execution order.

@@ -3,17 +3,20 @@ package pipeline
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/posting"
+	"repro/internal/vecspace"
 )
 
 // Filter is a declarative structural predicate over graphs. Unlike a
 // SearchOptions.Predicate closure it is inspectable, so the engine can
-// (a) push the parts a posting list can answer below the scan and
-// (b) serialize the whole thing to canonical bytes for the query
-// cache's generation-fenced key.
+// (a) push the parts it can answer without a graph — dimension and ones
+// predicates from the vector tiles, label predicates from the label
+// index — below the scan as one keep bitset and (b) serialize the whole
+// thing to canonical bytes for the query cache's generation-fenced key.
 //
 // Zero values mean "unconstrained": a Max* of 0 is no upper bound, an
 // empty label/dim slice imposes nothing.
@@ -191,109 +194,99 @@ func CanonFilters(fs []*Filter, dst []byte) []byte {
 }
 
 // Catalog is what a snapshot offers the filter compiler: the id count,
-// the per-dimension posting index (with ones-count buckets), and the
-// per-label posting index. Post may be nil only when no filter
-// NeedsPostings; Labels may be nil, and label predicates then fall back
-// to residual per-graph evaluation.
+// the vector block whose tiles answer dimension and ones predicates, and
+// the per-label posting index. Block may be nil only when no filter has
+// a dimension or ones predicate; Labels may be nil, and label predicates
+// then fall back to residual per-graph evaluation. Labels, when set,
+// covers exactly the ids [0, N). Post is read by nothing: the benchmark
+// harness still sets it, and ROADMAP 3(a) deletes it.
 type Catalog struct {
 	N      int
-	Post   *posting.Index
+	Block  *vecspace.Block
 	Labels *posting.LabelIndex
+	Post   *posting.Index
 }
 
 // Compiled is the executable form of a filter chain against one
-// catalog. IDs is the sorted intersection of every pushed posting
-// constraint; Restricted distinguishes "no pushdown happened" (IDs nil,
-// scan everything) from "pushdown matched nothing" (IDs empty).
-// Residual, when non-nil, must additionally hold for a graph to pass.
-// Pushed and Fallback count the individual predicates answered by
-// postings vs. deferred to the scan — the observability split surfaced
-// on /metrics.
+// catalog. Keep is the bitset (id i is bit i%64 of Keep[i/64]) of the ids
+// passing every pushed-down predicate, with no bit set at or beyond N; it
+// is nil when no predicate pushed down (keep everything), and an
+// all-clear Keep is a restriction to nothing. Residual, when non-nil,
+// must additionally hold for a graph to pass. IDs and Restricted are
+// Keep listed as sorted ids, set only by CompileFilters.
 type Compiled struct {
+	Keep       []uint64
+	Residual   func(id int, g *graph.Graph) bool
 	IDs        []int32
 	Restricted bool
-	Residual   func(id int, g *graph.Graph) bool
-	Pushed     int
-	Fallback   int
 }
 
-// Matches reports whether graph id/g passes the compiled filter. The
-// IDs membership test is a binary search, so this is for spot checks
-// and tests; scans should iterate IDs directly.
+// Matches reports whether graph id/g passes the compiled filter — a spot
+// check for tests; scans walk Keep directly.
 func (c *Compiled) Matches(id int, g *graph.Graph) bool {
-	if c.Restricted {
-		i := sort.Search(len(c.IDs), func(i int) bool { return c.IDs[i] >= int32(id) })
-		if i >= len(c.IDs) || c.IDs[i] != int32(id) {
-			return false
-		}
+	if c.Keep != nil && c.Keep[id/64]&(1<<(id%64)) == 0 {
+		return false
 	}
 	return c.Residual == nil || c.Residual(id, g)
 }
 
-// NeedsPostings reports whether f has dimension or ones predicates,
-// which only a posting index answers.
-func (f *Filter) NeedsPostings() bool {
-	return len(f.DimsAll) > 0 || len(f.DimsAny) > 0 || f.MinOnes > 0 || f.MaxOnes > 0
+// KeepAll returns the keep bitset of n ids with every id kept.
+func KeepAll(n int) []uint64 {
+	keep := make([]uint64, (n+63)/64)
+	for w := range keep {
+		keep[w] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		keep[len(keep)-1] = 1<<(n%64) - 1
+	}
+	return keep
 }
 
-// CompileFilters compiles a filter chain against a catalog, pushing
-// every predicate a posting list or ones-count bucket can answer into
-// one sorted id intersection and folding the rest into a residual
-// per-graph predicate. Filters are ANDed. Dimension predicates that
-// reference a dimension outside [0, Post.P()) are an error (the wire
-// surface maps it to a 400).
-func CompileFilters(fs []*Filter, cat Catalog) (*Compiled, error) {
+// Compile compiles a filter chain against a catalog, ANDing every
+// predicate the snapshot can answer without a graph into one keep
+// bitset, and folding the rest into a residual per-graph predicate.
+// Filters are ANDed. Dimension and ones predicates are one pass over the
+// block's tiles per filter; each label predicate ANDs its label list
+// into Keep in one pass, allocating nothing. Dimension predicates
+// that reference a dimension outside [0, Block.P()) are an error (the
+// wire surface maps it to a 400).
+func Compile(fs []*Filter, cat Catalog) (*Compiled, error) {
 	c := &Compiled{}
-	var lists [][]int32 // pushed posting constraints, ANDed
 	var residuals []func(id int, g *graph.Graph) bool
-	push := func(l []int32) {
-		lists = append(lists, l)
-		c.Pushed++
-	}
 	for _, f0 := range fs {
 		f := f0.normalized()
-
-		// Dimension-bit predicates need the posting index; there is no
-		// residual form (graphs alone don't carry their mapped vector).
-		if f.NeedsPostings() {
-			if cat.Post == nil {
-				return nil, fmt.Errorf("dimension predicates need a posting index")
-			}
-			for _, d := range append(f.DimsAll, f.DimsAny...) {
-				if d >= cat.Post.P() {
-					return nil, fmt.Errorf("dimension %d out of range [0, %d)", d, cat.Post.P())
-				}
-			}
-		}
-		for _, d := range f.DimsAll {
-			push(cat.Post.List(d))
-		}
-		if len(f.DimsAny) > 0 {
-			anyLists := make([][]int32, len(f.DimsAny))
-			for i, d := range f.DimsAny {
-				anyLists[i] = cat.Post.List(d)
-			}
-			push(posting.Union(anyLists...))
-		}
-		if f.MinOnes > 0 || f.MaxOnes > 0 {
-			push(cat.Post.OnesRange(f.MinOnes, f.MaxOnes))
+		dims := len(f.DimsAll) > 0 || len(f.DimsAny) > 0 || f.MinOnes > 0 || f.MaxOnes > 0
+		labels := cat.Labels != nil && (len(f.VertexLabels) > 0 || len(f.EdgeLabels) > 0)
+		if (dims || labels) && c.Keep == nil {
+			c.Keep = KeepAll(cat.N)
 		}
 
-		// Label predicates: posting pushdown when a label index is
-		// available, residual histogram scan otherwise.
-		if cat.Labels != nil {
+		// Dimension-bit predicates read the vectors; there is no residual
+		// form (graphs alone don't carry their mapped vector).
+		if dims {
+			if cat.Block == nil {
+				return nil, fmt.Errorf("dimension predicates need a vector block")
+			}
+			if err := f.CheckDims(cat.Block.P()); err != nil {
+				return nil, err
+			}
+			cat.Block.Keep(c.Keep, f.DimsAll, f.DimsAny, f.MinOnes, f.MaxOnes)
+		}
+
+		// Label predicates: the label index's lists when there is one,
+		// residual histogram scan otherwise.
+		if labels {
 			for _, lc := range f.VertexLabels {
-				push(cat.Labels.Vertex(graph.Label(lc.Label), lc.MinCount))
+				cat.Labels.KeepVertex(c.Keep, graph.Label(lc.Label), lc.MinCount)
 			}
 			for _, lc := range f.EdgeLabels {
-				push(cat.Labels.Edge(graph.Label(lc.Label), lc.MinCount))
+				cat.Labels.KeepEdge(c.Keep, graph.Label(lc.Label), lc.MinCount)
 			}
 		} else if len(f.VertexLabels) > 0 || len(f.EdgeLabels) > 0 {
 			vl, el := f.VertexLabels, f.EdgeLabels
 			residuals = append(residuals, func(_ int, g *graph.Graph) bool {
 				return labelsMatch(g, vl, el)
 			})
-			c.Fallback += len(vl) + len(el)
 		}
 
 		// Count ranges stay residual: O(1) per graph, not worth lists.
@@ -305,12 +298,7 @@ func CompileFilters(fs []*Filter, cat Catalog) (*Compiled, error) {
 				}
 				return g.M() >= me && (xe == 0 || g.M() <= xe)
 			})
-			c.Fallback++
 		}
-	}
-	if len(lists) > 0 {
-		c.IDs = posting.Intersect(lists...)
-		c.Restricted = true
 	}
 	if len(residuals) == 1 {
 		c.Residual = residuals[0]
@@ -327,26 +315,37 @@ func CompileFilters(fs []*Filter, cat Catalog) (*Compiled, error) {
 	return c, nil
 }
 
-// AnalyzeFilters reports the pushdown/fallback predicate split
-// CompileFilters would produce against a catalog offering (or not) a
-// posting and a label index, without materializing any lists — the
-// cheap form behind Stats and the /metrics counters.
-func AnalyzeFilters(fs []*Filter, hasPost, hasLabels bool) (pushed, fallback int) {
+// CompileFilters is Compile plus Keep listed as sorted IDs, with
+// Restricted telling "no pushdown" (IDs nil, scan everything) from
+// "pushdown matched nothing" (IDs empty). Only the benchmark harness
+// calls it; ROADMAP 3(a) deletes it.
+func CompileFilters(fs []*Filter, cat Catalog) (*Compiled, error) {
+	c, err := Compile(fs, cat)
+	if err != nil || c.Keep == nil {
+		return c, err
+	}
+	c.Restricted = true
+	c.IDs = []int32{}
+	for w, word := range c.Keep {
+		for ; word != 0; word &= word - 1 {
+			c.IDs = append(c.IDs, int32(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return c, nil
+}
+
+// AnalyzeFilters reports the pushdown/fallback predicate split Compile
+// produces against a catalog with a label index, without touching any
+// data — the cheap form behind Stats and the /metrics counters.
+func AnalyzeFilters(fs []*Filter) (pushed, fallback int) {
 	for _, f0 := range fs {
 		f := f0.normalized()
-		if hasPost {
-			pushed += len(f.DimsAll)
-			if len(f.DimsAny) > 0 {
-				pushed++
-			}
-			if f.MinOnes > 0 || f.MaxOnes > 0 {
-				pushed++
-			}
+		pushed += len(f.DimsAll) + len(f.VertexLabels) + len(f.EdgeLabels)
+		if len(f.DimsAny) > 0 {
+			pushed++
 		}
-		if hasLabels {
-			pushed += len(f.VertexLabels) + len(f.EdgeLabels)
-		} else if len(f.VertexLabels) > 0 || len(f.EdgeLabels) > 0 {
-			fallback += len(f.VertexLabels) + len(f.EdgeLabels)
+		if f.MinOnes > 0 || f.MaxOnes > 0 {
+			pushed++
 		}
 		if f.MinVertices > 0 || f.MaxVertices > 0 || f.MinEdges > 0 || f.MaxEdges > 0 {
 			fallback++
@@ -356,8 +355,8 @@ func AnalyzeFilters(fs []*Filter, hasPost, hasLabels bool) (pushed, fallback int
 }
 
 // CheckDims rejects dimension predicates referencing dimensions outside
-// [0, p) — the up-front form of the range check CompileFilters performs,
-// so a wire frontend can 400 before any shard work runs.
+// [0, p). Compile runs it against the block; a wire frontend runs it up
+// front, so it can 400 before any shard work runs.
 func (f *Filter) CheckDims(p int) error {
 	for _, d := range f.DimsAll {
 		if d >= p {

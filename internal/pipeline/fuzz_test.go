@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // parseSeeds are the documents the unit tests feed Parse, accepted and
@@ -212,4 +215,49 @@ func referenceParse(data []byte) (*Pipeline, error) {
 		}
 	}
 	return p, nil
+}
+
+// FuzzGraphSpec checks the wire graph shape the search stage and the
+// ingest endpoint share: for any JSON line whose Build succeeds, the
+// graph has exactly the listed vertices, each with its label, and
+// exactly the listed edges.
+func FuzzGraphSpec(f *testing.F) {
+	for _, s := range []string{
+		`{"labels":[6,7],"edges":[[0,1,2]]}`,
+		`{"labels":[1,2,3],"edges":[[2,0,1],[1,2,0]]}`,
+		`{"labels":[4]}`,
+		`{"labels":[]}`,
+		`{"labels":[0,0],"edges":[[0,0,0]]}`,
+		`{"labels":[1,2],"edges":[[0,5,0]]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var spec GraphSpec
+		if json.Unmarshal(line, &spec) != nil {
+			return
+		}
+		g, err := spec.Build()
+		if err != nil {
+			return
+		}
+		if g.N() != len(spec.Labels) {
+			t.Fatalf("%s: built %d vertices, want %d", line, g.N(), len(spec.Labels))
+		}
+		for v, l := range spec.Labels {
+			if int(g.VertexLabel(v)) != l {
+				t.Fatalf("%s: vertex %d has label %d, want %d", line, v, g.VertexLabel(v), l)
+			}
+		}
+		want := make([]graph.Edge, len(spec.Edges))
+		for i, e := range spec.Edges {
+			want[i] = graph.Edge{U: min(e[0], e[1]), V: max(e[0], e[1]), Label: graph.Label(e[2])}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			return want[i].U < want[j].U || want[i].U == want[j].U && want[i].V < want[j].V
+		})
+		if got := g.Edges(); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: built edges %v, want %v", line, got, want)
+		}
+	})
 }

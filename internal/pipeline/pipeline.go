@@ -14,11 +14,11 @@
 // counts, dimension-bit predicates, ones-count ranges — which buys two
 // things a SearchOptions.Predicate closure cannot give: the filter
 // serializes to canonical bytes (so filtered queries stay cacheable
-// under the generation-fenced query cache) and it pushes down into
-// internal/posting intersections wherever a posting list or ones-count
-// bucket can answer it, restricting the scan below the vector loop.
-// Whatever cannot be answered by postings compiles to a residual
-// per-graph predicate evaluated inside the scan, exactly where
+// under the generation-fenced query cache) and it pushes down into one
+// keep bitset wherever the vector tiles or a label list can answer it,
+// restricting the scan below the vector loop (see Compile). Whatever
+// cannot be answered that way compiles to a residual per-graph
+// predicate evaluated inside the scan, exactly where
 // SearchOptions.Predicate runs.
 //
 // Aggregate stages stream: count and group-by fold each row as it
@@ -90,7 +90,7 @@ type GraphSpec struct {
 // Build materializes the spec as a graph.
 func (gs *GraphSpec) Build() (*graph.Graph, error) {
 	if len(gs.Labels) == 0 {
-		return nil, fmt.Errorf("query graph has no vertices")
+		return nil, fmt.Errorf("graph has no vertices")
 	}
 	g := graph.New(0) // New pre-creates unlabeled vertices; add labeled ones explicitly
 	for _, l := range gs.Labels {

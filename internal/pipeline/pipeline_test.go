@@ -192,7 +192,7 @@ func buildCatalog(t *testing.T, gs []*graph.Graph, nDims int) Catalog {
 	}
 	return Catalog{
 		N:      len(gs),
-		Post:   posting.FromVectors(vecs, nDims),
+		Block:  vecspace.Pack(vecs, nDims),
 		Labels: posting.LabelsFromGraphs(gs),
 	}
 }
@@ -269,7 +269,7 @@ func TestCompileFiltersResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.Restricted || comp.Residual == nil || comp.Fallback != 1 || comp.Pushed != 0 {
+	if comp.Restricted || comp.Residual == nil {
 		t.Fatalf("count-range compile: %+v", comp)
 	}
 	for id, g := range gs {
@@ -313,13 +313,9 @@ func TestAnalyzeFiltersAndCheckDims(t *testing.T) {
 		{DimsAll: []int{0, 1}, DimsAny: []int{2}, MinOnes: 1, VertexLabels: []LabelCount{{Label: 1}}, MinVertices: 2},
 		{EdgeLabels: []LabelCount{{Label: 0}}},
 	}
-	pushed, fallback := AnalyzeFilters(fs, true, true)
+	pushed, fallback := AnalyzeFilters(fs)
 	if pushed != 6 || fallback != 1 {
-		t.Fatalf("AnalyzeFilters(post+labels) = %d, %d; want 6, 1", pushed, fallback)
-	}
-	pushed, fallback = AnalyzeFilters(fs, true, false)
-	if pushed != 4 || fallback != 3 {
-		t.Fatalf("AnalyzeFilters(post only) = %d, %d; want 4, 3", pushed, fallback)
+		t.Fatalf("AnalyzeFilters = %d, %d; want 6, 1", pushed, fallback)
 	}
 	if err := (&Filter{DimsAll: []int{4}}).CheckDims(4); err == nil {
 		t.Fatal("CheckDims accepted out-of-range dim")

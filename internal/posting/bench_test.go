@@ -57,16 +57,6 @@ func BenchmarkPostingUnion(b *testing.B) {
 	}
 }
 
-// BenchmarkPostingIntersect measures the galloping intersection.
-func BenchmarkPostingIntersect(b *testing.B) {
-	ix, _ := benchIndex(b)
-	lists := [][]int32{ix.List(0), ix.List(3), ix.List(9)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Intersect(lists...)
-	}
-}
-
 // BenchmarkPostingPlan measures plan construction (cost model + union)
 // for a query matching 3 of 200 dimensions.
 func BenchmarkPostingPlan(b *testing.B) {

@@ -8,15 +8,15 @@ import (
 // for every vertex (and edge) label, the ascending ids of the graphs
 // containing it, with the occurrence count carried alongside. It is the
 // structure that lets a declarative label filter — "contains vertex
-// label 7 at least 3 times" — be answered by a posting intersection
-// instead of a per-graph histogram scan (see internal/pipeline).
+// label 7 at least 3 times" — be answered from its lists instead of a
+// per-graph histogram scan (see internal/pipeline).
 //
 // The concurrency contract mirrors Index: a LabelIndex is immutable to
 // readers, Append returns an extended index sharing the untouched tails
 // of the old one, Appends must be serialized by the caller and only ever
 // applied to the newest index of a chain, and removals are not label
-// events — tombstoned ids stay listed and are filtered by the scan's
-// liveness predicate.
+// events — tombstoned ids stay listed and are masked by the scan's
+// tombstone bitset.
 type LabelIndex struct {
 	n      int
 	vertex map[graph.Label]*labelList
@@ -39,9 +39,6 @@ func LabelsFromGraphs(gs []*graph.Graph) *LabelIndex {
 	}
 	return l.Append(gs)
 }
-
-// N returns the number of ids covered (ids are exactly [0, N)).
-func (l *LabelIndex) N() int { return l.n }
 
 // Append extends the index with the graphs of ids [N, N+len(gs)) and
 // returns the extended index. Like Index.Append, the receiver stays
@@ -94,52 +91,37 @@ func appendCounts(m map[graph.Label]*labelList, counts map[graph.Label]int32, id
 	}
 }
 
-// Vertex returns, ascending, the ids of graphs containing vertex label
-// lab at least minCount times (minCount <= 1 means presence). When
-// minCount <= 1 the returned slice is shared with the index and must
-// not be modified; otherwise it is freshly allocated.
-func (l *LabelIndex) Vertex(lab graph.Label, minCount int) []int32 {
-	return lookup(l.vertex, lab, minCount)
+// KeepVertex clears in keep (id i is bit i%64 of keep[i/64]) every id
+// whose graph does not contain vertex label lab at least minCount times
+// (minCount <= 1 means presence). keep must cover the index's ids.
+func (l *LabelIndex) KeepVertex(keep []uint64, lab graph.Label, minCount int) {
+	l.vertex[lab].keep(keep, minCount)
 }
 
-// Edge is Vertex for edge labels.
-func (l *LabelIndex) Edge(lab graph.Label, minCount int) []int32 {
-	return lookup(l.edge, lab, minCount)
+// KeepEdge is KeepVertex for edge labels.
+func (l *LabelIndex) KeepEdge(keep []uint64, lab graph.Label, minCount int) {
+	l.edge[lab].keep(keep, minCount)
 }
 
-func lookup(m map[graph.Label]*labelList, lab graph.Label, minCount int) []int32 {
-	ll := m[lab]
-	if ll == nil {
-		return nil
-	}
-	if minCount <= 1 {
-		return ll.ids
-	}
-	var out []int32
-	for i, id := range ll.ids {
-		if int(ll.counts[i]) >= minCount {
-			out = append(out, id)
+// keep ANDs the list into keep word by word, in one pass over its
+// ascending ids and keep's words: no list or bitset is allocated. A nil
+// list (a label no graph has) clears every id.
+func (ll *labelList) keep(keep []uint64, minCount int) {
+	w, m := 0, uint64(0) // the word being built and its listed bits
+	if ll != nil {
+		for i, id := range ll.ids {
+			if int(ll.counts[i]) < minCount {
+				continue
+			}
+			for ; w < int(id)/64; w++ {
+				keep[w] &= m
+				m = 0
+			}
+			m |= 1 << (id % 64)
 		}
 	}
-	return out
-}
-
-// OnesRange returns, ascending, the ids whose vector has a set-bit
-// count in [min, max] (max <= 0 or max > p means "up to p") — the
-// ones-count buckets merged into one sorted list, the pushdown form of
-// a dimension-density filter.
-func (ix *Index) OnesRange(min, max int) []int32 {
-	if min < 0 {
-		min = 0
+	for ; w < len(keep); w++ {
+		keep[w] &= m
+		m = 0
 	}
-	if max <= 0 || max > ix.p {
-		max = ix.p
-	}
-	var lists [][]int32
-	for c := min; c <= max && c < len(ix.byCount); c++ {
-		if len(ix.byCount[c]) > 0 {
-			lists = append(lists, ix.byCount[c])
-		}
-	}
-	return Union(lists...)
 }

@@ -1,21 +1,21 @@
-// Package posting implements the filter pushdown structures of the
-// mapped-space query engine: per-dimension inverted posting lists over a
-// database of binary feature vectors, plus the ones-count buckets that
-// answer a ones-count range, and (labels.go) the per-label lists. A
-// filter's pushed-down predicates intersect these lists into the id set
-// the scan is limited to (see internal/pipeline's CompileFilters); the
-// ranking itself is always the flat scan of internal/topk. The lists are
-// a function of the vectors, so they are never stored: graphdim builds
-// them on first demand, from the snapshot's vector block, for the first
-// query whose filter needs them.
+// Package posting holds inverted lists over a database: the per-label
+// lists (labels.go) that answer a filter's vertex- and edge-label
+// predicates, and the per-dimension lists and ones-count buckets of
+// Index. A filter's label predicates set their lists' ids into the keep
+// bitset the scan is limited to (see internal/pipeline's Compile);
+// dimension and ones predicates read the vector tiles instead
+// (vecspace.Block.Keep), so no query builds an Index. Index, with
+// FromVectors, Append, Union and Plan, serves only the benchmark
+// harness's trace replay (bench/trace.go), and ROADMAP 3(a) deletes it.
 //
-// An Index is immutable to readers. Append extends it with new ids
+// An index is immutable to readers. Append extends it with new ids
 // (graph ids are assigned densely ascending, so appended postings keep
-// every list sorted) and returns a new Index that shares the untouched
+// every list sorted) and returns a new index that shares the untouched
 // tails of the old one; Appends must be serialized by the caller and
-// only ever applied to the newest Index of a chain — graphdim holds its
-// writer lock across them. Removals are not posting events: tombstoned
-// ids stay listed and are skipped by the scan's tombstone bitset.
+// only ever applied to the newest index of a chain — graphdim extends
+// its label index under its writer lock. Removals are not posting
+// events: tombstoned ids stay listed and are skipped by the scan's
+// tombstone bitset.
 package posting
 
 import (
@@ -29,7 +29,7 @@ type Index struct {
 	// lists[r] enumerates, ascending, the ids whose vector has bit r.
 	lists [][]int32
 	// byCount[c] enumerates, ascending, the ids whose vector has exactly
-	// c set bits: the buckets OnesRange unions, and Plan's Rest walks.
+	// c set bits: the buckets Plan's Rest walks.
 	byCount [][]int32
 }
 
@@ -54,16 +54,6 @@ func (ix *Index) P() int { return ix.p }
 // index and must not be modified; it exists for serialization and
 // introspection.
 func (ix *Index) List(r int) []int32 { return ix.lists[r] }
-
-// Postings returns the total posting count Σ_r |List(r)| — equal to the
-// total set-bit count of the database's vectors.
-func (ix *Index) Postings() int {
-	total := 0
-	for _, l := range ix.lists {
-		total += len(l)
-	}
-	return total
-}
 
 // Append extends the index with the vectors of ids [N, N+len(vecs)) and
 // returns the extended index. The receiver stays valid for concurrent
@@ -132,40 +122,9 @@ func merge2(a, b []int32) []int32 {
 	return append(out, b[j:]...)
 }
 
-// Intersect k-way-intersects sorted id lists, galloping through the
-// shortest list. An empty input set intersects to nil.
-func Intersect(lists ...[]int32) []int32 {
-	if len(lists) == 0 {
-		return nil
-	}
-	// Start from the shortest list: the result can only shrink.
-	shortest := 0
-	for i, l := range lists {
-		if len(l) < len(lists[shortest]) {
-			shortest = i
-		}
-	}
-	out := append([]int32(nil), lists[shortest]...)
-	for i, l := range lists {
-		if i == shortest || len(out) == 0 {
-			continue
-		}
-		kept := out[:0]
-		j := 0
-		for _, id := range out {
-			j += search(l[j:], id)
-			if j < len(l) && l[j] == id {
-				kept = append(kept, id)
-			}
-		}
-		out = kept
-	}
-	return out
-}
-
 // search returns the first position in the sorted slice l at or after
-// which id could appear (sort.Search specialized to int32 to keep the
-// intersection loop allocation- and interface-free).
+// which id could appear (sort.Search specialized to int32 to keep Rest's
+// membership test allocation- and interface-free).
 func search(l []int32, id int32) int {
 	lo, hi := 0, len(l)
 	for lo < hi {

@@ -597,9 +597,9 @@ func (r *Reader) GraphAt(i int) (*graph.Graph, error) {
 }
 
 // Postings builds the posting index of the segment's vectors. No query
-// path calls it — graphdim builds postings from its block on first
-// demand — and it goes with the benchmark change that drops bench's
-// layer probe, its only caller (ROADMAP item 3(a)).
+// path calls it — dimension filters read the block's tiles — and it goes
+// with the benchmark change that drops bench's layer probe, its only
+// caller (ROADMAP item 3(a)).
 func (r *Reader) Postings() (*posting.Index, error) {
 	blk, err := r.Block()
 	if err != nil {

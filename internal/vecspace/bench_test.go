@@ -111,3 +111,35 @@ func BenchmarkKernelBatch(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBlockKeep times the filter pass over the tiles: 20,000 lanes
+// at p = 64 (one bit in three set), one round per predicate shape,
+// reported per lane. Each iteration starts from a full keep bitset.
+func BenchmarkBlockKeep(b *testing.B) {
+	const n, p = 20_000, 64
+	blk := Pack(randVectors(rand.New(rand.NewSource(7)), n, p), p)
+	full := make([]uint64, (n+63)/64)
+	for w := range full {
+		full[w] = ^uint64(0)
+	}
+	full[len(full)-1] = 1<<(n%64) - 1
+	keep := make([]uint64, len(full))
+	for _, bc := range []struct {
+		name             string
+		all, anyOf       []int
+		minOnes, maxOnes int
+	}{
+		{"dims_all", []int{3}, nil, 0, 0},
+		{"dims_any", nil, []int{5, 20, 40}, 0, 0},
+		{"ones", nil, nil, 20, 24},
+		{"dims_all+ones", []int{0, 1}, nil, 8, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(keep, full)
+				blk.Keep(keep, bc.all, bc.anyOf, bc.minOnes, bc.maxOnes)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/lane")
+		})
+	}
+}

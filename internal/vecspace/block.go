@@ -20,13 +20,12 @@ import (
 // each lane. The last tile is zero-padded past N; kernels clip their
 // output to N, so the padding lanes are never observed.
 //
-// A Block is immutable to readers and shares the same copy-on-write
-// lifecycle as posting.Index: Append returns an extended Block reusing
-// every full tile of the receiver (only the trailing partial tile is
-// copied), Appends must be serialized by the caller and applied only to
-// the newest Block of a chain, and removals are not Block events —
-// tombstoned ids keep their lanes and are masked by the scan's dead
-// bitset (HammingBelow).
+// A Block is immutable to readers and copy-on-write: Append returns an
+// extended Block reusing every full tile of the receiver (only the
+// trailing partial tile is copied), Appends must be serialized by the
+// caller and applied only to the newest Block of a chain, and removals
+// are not Block events — tombstoned ids keep their lanes and are masked
+// by the scan's dead bitset (HammingBelow).
 type Block struct {
 	n, p  int
 	words int // (p+63)/64
@@ -250,6 +249,68 @@ func survivors(acc [width]int32, base, hi int, dead []uint64, thr int32,
 		}
 	}
 	return thr
+}
+
+// Keep clears, in the bitset keep, every id whose vector fails the
+// dimension predicates: a bit of all clear, no bit of anyOf set (when
+// anyOf is non-empty), or a set-bit count outside [minOnes, maxOnes]
+// (maxOnes 0: no upper bound). It never sets a bit. keep is laid out as
+// HammingBelow's dead bitset and covers the N ids. Every dimension must
+// be in [0, P).
+//
+// The pass skips any tile whose keep bits are already clear. In the
+// others the dimension tests stream the words word-major, as the Hamming
+// kernel does; the ones count is then taken only of the lanes still kept.
+func (b *Block) Keep(keep []uint64, all, anyOf []int, minOnes, maxOnes int) {
+	if maxOnes == 0 {
+		maxOnes = b.p
+	}
+	// masks holds the all-mask, then the any-mask, one word per vector word.
+	masks := make([]uint64, 2*b.words)
+	for _, d := range all {
+		masks[d/64] |= 1 << (d % 64)
+	}
+	for _, d := range anyOf {
+		masks[b.words+d/64] |= 1 << (d % 64)
+	}
+	countOnes := minOnes > 0 || maxOnes < b.p
+	for t, tile := range b.tiles {
+		base := t * width
+		lanes := uint16(keep[base/64] >> (base % 64))
+		if lanes == 0 {
+			continue
+		}
+		// Bit j of failed is set once lane j misses a bit of all; bit j of
+		// hit once it has a bit of anyOf. Each test is branch-free and runs
+		// only over the words its mask touches.
+		var failed, hit uint32
+		for w := 0; w < b.words; w++ {
+			row := (*[width]uint64)(tile[w*width:])
+			if am := masks[w]; am != 0 {
+				for j := 0; j < width; j++ {
+					m := am &^ row[j]
+					failed |= uint32((m|-m)>>63) << j
+				}
+			}
+			if ym := masks[b.words+w]; ym != 0 {
+				for j := 0; j < width; j++ {
+					h := row[j] & ym
+					hit |= uint32((h|-h)>>63) << j
+				}
+			}
+		}
+		if len(anyOf) > 0 {
+			failed |= ^hit
+		}
+		for live := lanes &^ uint16(failed); countOnes && live != 0; live &= live - 1 {
+			j, c := bits.TrailingZeros16(live), 0
+			for w := j; w < len(tile); w += width {
+				c += bits.OnesCount64(tile[w])
+			}
+			failed |= uint32((uint64(c-minOnes)|uint64(maxOnes-c))>>63) << j
+		}
+		keep[base/64] &^= uint64(uint16(failed)) << (base % 64)
+	}
 }
 
 // counts returns the Hamming counts between q and the Width lanes of one

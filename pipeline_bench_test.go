@@ -49,7 +49,9 @@ func pipelineBenchIndex(b *testing.B) ([]*graphdim.Graph, *graphdim.Index) {
 // times) expressed as a declarative Filter — answered by the label
 // posting index, so only matching ids are ever scored — versus an
 // equivalent Predicate closure, which must visit every graph and count
-// labels at scan time.
+// labels at scan time. Two more rounds time the dimension predicates,
+// which one pass over the vector tiles answers: dims_all plus a ones
+// floor, and dims_any over three dimensions.
 func BenchmarkPipelineFilterPushdown(b *testing.B) {
 	db, idx := pipelineBenchIndex(b)
 	filters := []*pipeline.Filter{{
@@ -85,6 +87,8 @@ func BenchmarkPipelineFilterPushdown(b *testing.B) {
 	}{
 		{"pushdown", graphdim.SearchOptions{K: 10, Filters: filters}},
 		{"predicate", graphdim.SearchOptions{K: 10, Predicate: pred}},
+		{"dims", graphdim.SearchOptions{K: 10, Filters: []*pipeline.Filter{{DimsAll: []int{0, 1}, MinOnes: 8}}}},
+		{"dims_any", graphdim.SearchOptions{K: 10, Filters: []*pipeline.Filter{{DimsAny: []int{5, 20, 40}}}}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
