@@ -6,10 +6,6 @@ GO        ?= go
 # BENCHTIME controls measurement cost: 1x smoke-runs every benchmark,
 # larger values (e.g. 2s) give stable numbers.
 BENCHTIME ?= 1x
-# BENCH_OUT is where the JSON benchmark record lands. It defaults outside
-# the repository: a one-iteration record is noise, not a trajectory (the
-# numbers changes are judged by come from bench/, see bench/README.md).
-BENCH_OUT ?= /tmp/graphdim-bench.json
 # FUZZTIME is how long `make fuzz` runs each native fuzz target.
 FUZZTIME ?= 10s
 # COVER_MIN gates `make cover`: the combined statement coverage of the
@@ -122,14 +118,11 @@ lines:
 		END { for (d in lines) printf "%7d %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total; \
 			n = split(tracked, pkgs, " "); for (i = 1; i <= n; i++) sub_ += lines[pkgs[i]]; printf "%7d tracked (%s)\n", sub_, tracked }'
 
-# bench runs every benchmark and writes $(BENCH_OUT): one JSON record per
-# op with iterations, ns/op, B/op and allocs/op. Two steps, not a pipe,
-# so a panicking benchmark fails the target even after earlier benchmarks
-# emitted parseable lines.
+# bench runs every package benchmark and prints go test's text. It keeps
+# no record: the numbers changes are judged by come from bench/ (see
+# bench/README.md).
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run '^$$' ./... > $(BENCH_OUT).txt
-	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) < $(BENCH_OUT).txt
-	@rm -f $(BENCH_OUT).txt
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./...
 
 # loadtest runs the open-loop mixed workload (search/add/ingest) against
 # an in-process gserve for $(LOAD_DURATION) and fails on any request

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -67,13 +66,11 @@ func main() {
 	if want("4") {
 		runFig4(w, chem, *seed)
 	}
-	if want("5") || want("6") {
-		if want("5") {
-			runFig5(w, base, *seed)
-		}
-		if want("6") {
-			runFig6(w, base, *seed)
-		}
+	if want("5") {
+		runFig5(w, base, *seed)
+	}
+	if want("6") {
+		runFig6(w, base, *seed)
 	}
 	if want("7") {
 		runFig7(w, chem)
@@ -84,17 +81,6 @@ func main() {
 	if want("9") {
 		runFig9(w, base, *seed)
 	}
-}
-
-func defaultP(m int) int {
-	p := m / 4
-	if p < 10 {
-		p = 10
-	}
-	if p > m {
-		p = m
-	}
-	return p
 }
 
 func defaultKs(n int) []int {
@@ -112,7 +98,7 @@ func defaultKs(n int) []int {
 
 func runFig1(w *os.File, ds *experiments.Dataset) {
 	fmt.Fprintln(w, "== Fig 1: dissimilarity/distance distributions ==")
-	res, err := experiments.Fig1(ds, defaultP(ds.Index.P), 20)
+	res, err := experiments.Fig1(ds, experiments.DefaultP(ds.Index.P), 20)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -154,7 +140,7 @@ func runFig2(w *os.File, ds *experiments.Dataset, seed int64) {
 
 func runFig4(w *os.File, ds *experiments.Dataset, seed int64) {
 	ks := defaultKs(len(ds.DB))
-	series := experiments.FigQuality(ds, experiments.StandardAlgorithms(seed), defaultP(ds.Index.P), ks, true)
+	series := experiments.FigQuality(ds, experiments.StandardAlgorithms(seed), experiments.DefaultP(ds.Index.P), ks, true)
 	experiments.WriteSeries(w, "Fig 4: real dataset, relative to fingerprint benchmark", series, ks)
 	fmt.Fprintln(w)
 }
@@ -166,32 +152,38 @@ func runFig5(w *os.File, base experiments.Config, seed int64) {
 		log.Fatal(err)
 	}
 	ks := defaultKs(len(ds.DB))
-	series := experiments.FigQuality(ds, experiments.StandardAlgorithms(seed), defaultP(ds.Index.P), ks, false)
+	series := experiments.FigQuality(ds, experiments.StandardAlgorithms(seed), experiments.DefaultP(ds.Index.P), ks, false)
 	experiments.RelativeToBest(series, ks)
 	experiments.WriteSeries(w, "Fig 5: synthetic dataset, relative to best", series, ks)
 	fmt.Fprintln(w)
 }
 
 func runFig6(w *os.File, base experiments.Config, seed int64) {
-	fmt.Fprintln(w, "== Fig 6: synthetic sweeps (precision@k, indexing time) ==")
 	k := defaultKs(baseOr(base.DBSize, 150))[2]
-	fmt.Fprintln(w, "(a,c) vary average edges:")
-	fmt.Fprintf(w, "%8s", "edges")
-	names := []string{"DSPM", "Original", "Sample", "MICI", "MCFS", "UDFS", "NDFS"}
-	for _, n := range names {
-		fmt.Fprintf(w, " %9s", n)
+	rows, err := experiments.Fig6(base, withoutSFS(seed), k)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(w, "== Fig 6: synthetic sweeps (precision@%d relative to the best / indexing time) ==\n", k)
+	fmt.Fprintf(w, "%12s %4s", "row", "m")
+	for _, s := range rows[0].Series {
+		fmt.Fprintf(w, " %12s", s.Name)
 	}
 	fmt.Fprintln(w)
-	for _, edges := range []int{12, 16, 20} {
-		cfg := base
-		cfg.Synth.AvgEdges = edges
-		writeSweepRow(w, cfg, fmt.Sprintf("%8d", edges), names, k, seed)
-	}
-	fmt.Fprintln(w, "(b,d) vary density:")
-	for _, den := range []float64{0.1, 0.2, 0.3} {
-		cfg := base
-		cfg.Synth.Density = den
-		writeSweepRow(w, cfg, fmt.Sprintf("%8.2f", den), names, k, seed)
+	for _, row := range rows {
+		label := fmt.Sprintf("edges=%d", row.Edges)
+		if row.Edges == 0 {
+			label = fmt.Sprintf("density=%.1f", row.Density)
+		}
+		fmt.Fprintf(w, "%12s %4d", label, row.Candidates)
+		for _, s := range row.Series {
+			if s.Err != nil {
+				fmt.Fprintf(w, " %12s", "-")
+				continue
+			}
+			fmt.Fprintf(w, " %12s", fmt.Sprintf("%.2f/%s", s.ByK[k].Precision, shortDur(s.IndexingTime)))
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w)
 }
@@ -203,46 +195,26 @@ func baseOr(v, d int) int {
 	return v
 }
 
-func writeSweepRow(w *os.File, cfg experiments.Config, label string, names []string, k int, seed int64) {
-	ds, err := experiments.BuildSynthetic(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	algos := experiments.StandardAlgorithms(seed)
-	kept := algos[:0]
-	for _, a := range algos {
-		for _, n := range names {
-			if a.Name == n {
-				kept = append(kept, a)
-			}
-		}
-	}
-	series := experiments.FigQuality(ds, kept, defaultP(ds.Index.P), []int{k}, false)
-	experiments.RelativeToBest(series, []int{k})
-	fmt.Fprint(w, label)
-	byName := map[string]experiments.AlgoSeries{}
-	for _, s := range series {
-		byName[s.Name] = s
-	}
-	for _, n := range names {
-		s, ok := byName[n]
-		if !ok || s.Err != nil {
-			fmt.Fprintf(w, " %9s", "-")
-			continue
-		}
-		fmt.Fprintf(w, " %4.2f/%-4s", s.ByK[k].Precision, shortDur(s.IndexingTime))
-	}
-	fmt.Fprintln(w)
+// shortDur is an indexing time to the millisecond.
+func shortDur(d time.Duration) string {
+	return d.Round(time.Millisecond).String()
 }
 
-func shortDur(d time.Duration) string {
-	s := d.Round(time.Millisecond).String()
-	return strings.TrimSuffix(s, "0ms") + "ms"
+// withoutSFS is every standard algorithm but SFS, which Figs. 6 and 9
+// leave out: in the paper it cannot finish even at 2k graphs.
+func withoutSFS(seed int64) []experiments.Algorithm {
+	var kept []experiments.Algorithm
+	for _, a := range experiments.StandardAlgorithms(seed) {
+		if a.Name != "SFS" {
+			kept = append(kept, a)
+		}
+	}
+	return kept
 }
 
 func runFig7(w *os.File, ds *experiments.Dataset) {
 	fmt.Fprintln(w, "== Fig 7: query time by |V(q)| ==")
-	res, err := experiments.Fig7(ds, defaultP(ds.Index.P), []int{10, 12, 14, 16, 18, 21}, 2)
+	res, err := experiments.Fig7(ds, experiments.DefaultP(ds.Index.P), []int{10, 12, 14, 16, 18, 21}, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -261,7 +233,7 @@ func runFig8(w *os.File, ds *experiments.Dataset, seed int64) {
 	n := len(ds.DB)
 	bs := []int{n / 8, n / 6, n / 4, n / 3, n / 2}
 	k := defaultKs(n)[2]
-	pts, err := experiments.Fig8(ds, defaultP(ds.Index.P), k, bs, seed)
+	pts, err := experiments.Fig8(ds, experiments.DefaultP(ds.Index.P), k, bs, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -277,17 +249,9 @@ func runFig9(w *os.File, base experiments.Config, seed int64) {
 	fmt.Fprintln(w, "== Fig 9: scalability with |DG| ==")
 	n0 := baseOr(base.DBSize, 150)
 	sizes := []int{n0, 2 * n0, 3 * n0}
-	algos := experiments.StandardAlgorithms(seed)
-	// SFS is excluded (cannot finish even at 2k in the paper); spectral
-	// baselines run while memory allows, as in the paper.
-	kept := algos[:0]
-	for _, a := range algos {
-		if a.Name != "SFS" {
-			kept = append(kept, a)
-		}
-	}
+	// Spectral baselines run while memory allows, as in the paper.
 	k := defaultKs(n0)[2]
-	pts, err := experiments.Fig9(sizes, base, kept, defaultP(400), k, seed)
+	pts, err := experiments.Fig9(sizes, base, withoutSFS(seed), experiments.DefaultP(400), k, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -295,7 +259,7 @@ func runFig9(w *os.File, base experiments.Config, seed int64) {
 		fmt.Fprintf(w, "|DG|=%d  DSPMap query=%v  exact query=%v\n",
 			pt.N, pt.DSPMapQuery.Round(time.Microsecond), pt.ExactQuery.Round(time.Millisecond))
 		for _, name := range experiments.SortedAlgoNames(pt.Precision) {
-			fmt.Fprintf(w, "  %-10s prec=%.3f  indexing=%v\n",
+			fmt.Fprintf(w, "  %-10s prec/fingerprint=%.3f  indexing=%v\n",
 				name, pt.Precision[name], pt.IndexingByAlgo[name].Round(time.Millisecond))
 		}
 	}

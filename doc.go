@@ -53,14 +53,14 @@
 // regression test (DESIGN.md §14). cmd/gload drives the HTTP surface with an
 // open-loop mixed workload (searches, writes, pipelines) and reports
 // the latency distribution; the other commands (gen, mine, dspm — which
-// writes a store directory — gsearch, figures, benchjson) cover the rest
+// writes a store directory — gsearch, figures) cover the rest
 // of the pipeline — see README.md for a tour.
 //
 // The paper's algorithms and substrates are implemented under internal/
-// (see DESIGN.md for the full inventory and the concurrency model). The
-// benchmarks in bench_test.go regenerate every figure of the paper's
-// evaluation section plus the worker-scaling benches; `make bench`
-// runs them into a machine-readable JSON record under /tmp, and bench/
-// is the benchmark changes are judged by; EXPERIMENTS.md records the
-// measured shapes against the paper's.
+// (see DESIGN.md for the full inventory and the concurrency model).
+// cmd/figures regenerates every figure of the paper's evaluation section,
+// and internal/experiments' TestFig* tests hold their shapes; bench/ is
+// the benchmark changes are judged by, `make bench` smoke-runs the
+// package benchmarks, and EXPERIMENTS.md records the measured shapes
+// against the paper's.
 package repro

@@ -68,29 +68,26 @@ type WALOptions struct {
 	// Disabled opens the store without a log: online writes are volatile
 	// until the next Checkpoint.
 	Disabled bool
-	// SegmentBytes caps one log segment file before the log rolls to a
-	// fresh one; zero means the wal default (64 MiB).
-	SegmentBytes int64
-	// NoSync skips the per-commit fsync: writes survive a clean shutdown
-	// but a kill can lose the OS write-back window. For tests and
-	// benchmarks.
-	NoSync bool
 	// SyncObserver, when non-nil, is called after every completed log
 	// fsync with its duration and the number of records the group commit
 	// covered — the hook a server uses to feed latency histograms. It
 	// runs with the log locked and must be fast and non-blocking.
 	SyncObserver func(d time.Duration, records int)
 
-	// failSync injects fsync failures into every collection's log — a
-	// hook for crash-recovery property tests in this package, deliberately
-	// unexported so the serving surface cannot reach it.
-	failSync func() error
+	// The rest are hooks for this package's tests, unexported so the
+	// serving surface cannot reach them. segmentBytes caps one log segment
+	// file before the log rolls to a fresh one (zero means the wal
+	// default, 64 MiB); noSync skips the per-commit fsync; failSync
+	// injects fsync failures into every collection's log.
+	segmentBytes int64
+	noSync       bool
+	failSync     func() error
 }
 
 func (o WALOptions) options() wal.Options {
 	return wal.Options{
-		SegmentBytes: o.SegmentBytes,
-		NoSync:       o.NoSync,
+		SegmentBytes: o.segmentBytes,
+		NoSync:       o.noSync,
 		SyncObserver: o.SyncObserver,
 		FailSync:     o.failSync,
 	}

@@ -190,7 +190,7 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 		t.Run(fmt.Sprintf("round=%d", round), func(t *testing.T) {
 			shards := 1 + rng.Intn(3)
 			dir := t.TempDir()
-			s, err := CreateStore(dir, StoreOptions{WAL: WALOptions{SegmentBytes: 1 << 12}})
+			s, err := CreateStore(dir, StoreOptions{WAL: WALOptions{segmentBytes: 1 << 12}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,7 +410,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	// Tiny segments so a handful of adds spans several files.
-	s, err := CreateStore(dir, StoreOptions{WAL: WALOptions{SegmentBytes: 256}})
+	s, err := CreateStore(dir, StoreOptions{WAL: WALOptions{segmentBytes: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -847,7 +847,7 @@ func TestCheckpointConcurrentWithWrites(t *testing.T) {
 	pool := dataset.Synthetic(dataset.SynthConfig{N: 40, AvgEdges: 9, Labels: 5, Seed: 37})
 	ctx := context.Background()
 	dir := t.TempDir()
-	s, err := CreateStore(dir, StoreOptions{WAL: WALOptions{SegmentBytes: 1 << 12}})
+	s, err := CreateStore(dir, StoreOptions{WAL: WALOptions{segmentBytes: 1 << 12}})
 	if err != nil {
 		t.Fatal(err)
 	}

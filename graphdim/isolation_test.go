@@ -163,7 +163,7 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 	// reopens it served from its mapped segments.
 	mapped := func(t *testing.T) *Collection {
 		dir := t.TempDir()
-		opt := StoreOptions{WAL: WALOptions{NoSync: true}}
+		opt := StoreOptions{WAL: WALOptions{noSync: true}}
 		s, err := CreateStore(dir, opt)
 		if err != nil {
 			t.Fatal(err)

@@ -355,7 +355,7 @@ func TestPrimaryRetainsSegmentsForFollowers(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	idx, _ := equivBuild(t, rng, 30)
 	ctx := context.Background()
-	ps, err := CreateStore(t.TempDir(), StoreOptions{WAL: WALOptions{SegmentBytes: 1}})
+	ps, err := CreateStore(t.TempDir(), StoreOptions{WAL: WALOptions{segmentBytes: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -501,3 +501,75 @@ func TestExactQueryTimingZeroQueries(t *testing.T) {
 		t.Errorf("zero queries must return 0")
 	}
 }
+
+// TestFig6Shape asserts Fig. 6 at harness scale (60 synthetic graphs, 12
+// queries, seed 1, SFS left out, k = 3 as cmd/figures picks it, p =
+// DefaultP of each row's candidates), precision relative to the best
+// algorithm in each row. The paper has DSPM leading as the graphs grow
+// and densify. Here it does not: Original — every candidate feature — is
+// the best at 16 and 20 edges and at density 0.2, DSPM trails it there
+// (0.00, 0.60, 0.60), and DSPM's mean over the six rows (0.56) is below
+// Original's (0.80). Default scale (150 graphs, k = 9) repeats the mean
+// (0.83 against 0.93). So the test asserts that observed shape, plus two
+// properties of the sweep itself: the generator's default is 20 edges at
+// density 0.2, so those two rows are one data set and must agree, and
+// larger graphs yield more frequent candidates (40, 88, 137 here; 1, 15,
+// 59 at default scale, where the single 12-edge candidate ties every
+// algorithm at 1.00).
+func TestFig6Shape(t *testing.T) {
+	algos := StandardAlgorithms(1)
+	algos = append(algos[:3:3], algos[4:]...) // SFS left out
+	const k = 3
+	rows, err := Fig6(tiny(), algos, k)
+	if err != nil {
+		t.Fatalf("Fig6: %v", err)
+	}
+	if len(rows) != 6 {
+		t.Fatalf("want 6 rows (3 edge counts, 3 densities), got %d", len(rows))
+	}
+	mean := map[string]float64{}
+	prec := func(row Fig6Row, name string) float64 {
+		for _, s := range row.Series {
+			if s.Name == name {
+				return s.ByK[k].Precision
+			}
+		}
+		t.Fatalf("no %s series", name)
+		return 0
+	}
+	for _, row := range rows {
+		best := 0.0
+		for _, s := range row.Series {
+			if s.Err != nil {
+				t.Fatalf("edges %d density %.1f: %s failed: %v", row.Edges, row.Density, s.Name, s.Err)
+			}
+			best = max(best, s.ByK[k].Precision)
+			mean[s.Name] += s.ByK[k].Precision / float64(len(rows))
+		}
+		if best != 1 {
+			t.Errorf("edges %d density %.1f: the best relative precision is %.3f, want 1", row.Edges, row.Density, best)
+		}
+		t.Logf("edges %d density %.1f: %d candidates, DSPM %.3f, Original %.3f",
+			row.Edges, row.Density, row.Candidates, prec(row, "DSPM"), prec(row, "Original"))
+	}
+	for i := 1; i < 3; i++ {
+		if rows[i].Candidates <= rows[i-1].Candidates {
+			t.Errorf("%d edges mine %d candidates, %d edges %d: want more for larger graphs",
+				rows[i].Edges, rows[i].Candidates, rows[i-1].Edges, rows[i-1].Candidates)
+		}
+	}
+	for _, s := range rows[2].Series {
+		if got := prec(rows[4], s.Name); got != s.ByK[k].Precision {
+			t.Errorf("%s: %.3f at 20 edges but %.3f at density 0.2, the same data set", s.Name, s.ByK[k].Precision, got)
+		}
+	}
+	for _, i := range []int{1, 2, 4} {
+		if o, d := prec(rows[i], "Original"), prec(rows[i], "DSPM"); o != 1 || d >= o {
+			t.Errorf("edges %d density %.1f: Original %.3f, DSPM %.3f; want Original the best, DSPM below it",
+				rows[i].Edges, rows[i].Density, o, d)
+		}
+	}
+	if mean["DSPM"] >= mean["Original"] {
+		t.Errorf("DSPM's mean precision %.3f is not below Original's %.3f", mean["DSPM"], mean["Original"])
+	}
+}

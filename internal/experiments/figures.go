@@ -423,3 +423,45 @@ func SortedAlgoNames(m map[string]float64) []string {
 	sort.Strings(names)
 	return names
 }
+
+// Fig6Row is one point of Fig. 6's synthetic sweeps: a data set built at
+// one average edge count (Density zero) or one density (Edges zero), its
+// mined candidate count, and every algorithm's precision at k relative to
+// the best, with its indexing time.
+type Fig6Row struct {
+	Edges      int
+	Density    float64
+	Candidates int
+	Series     []AlgoSeries
+}
+
+// Fig6 reproduces Fig. 6: for average edge counts 12, 16 and 20, then
+// densities 0.1, 0.2 and 0.3, it builds a synthetic data set from base
+// with that one setting changed and evaluates algos at top-k, p =
+// DefaultP of its candidate count. It fails where a build does: when
+// mining finds no candidate feature.
+func Fig6(base Config, algos []Algorithm, k int) ([]Fig6Row, error) {
+	rows := []Fig6Row{{Edges: 12}, {Edges: 16}, {Edges: 20}, {Density: 0.1}, {Density: 0.2}, {Density: 0.3}}
+	for i := range rows {
+		cfg := base
+		if rows[i].Edges != 0 {
+			cfg.Synth.AvgEdges = rows[i].Edges
+		} else {
+			cfg.Synth.Density = rows[i].Density
+		}
+		ds, err := BuildSynthetic(cfg)
+		if err != nil {
+			return nil, err
+		}
+		rows[i].Candidates = ds.Index.P
+		rows[i].Series = FigQuality(ds, algos, DefaultP(ds.Index.P), []int{k}, false)
+		RelativeToBest(rows[i].Series, []int{k})
+	}
+	return rows, nil
+}
+
+// DefaultP is the dimension count the figure drivers select out of m
+// candidate features: a quarter of them, but at least 10 and at most m.
+func DefaultP(m int) int {
+	return min(max(m/4, 10), m)
+}

@@ -87,7 +87,7 @@ func TestMapAllocsBounded(t *testing.T) {
 // query's Hamming counts against a packed 4096-vector database, scalar
 // one-vector-at-a-time (width=1, the pre-SoA shape) versus the SoA
 // tile kernel. The width-16 over width-1 ratio is the raw layout win;
-// the engine-level effect shows up in BenchmarkSearchSparse/*/flat.
+// the engine-level effect shows up in bench/'s scan_dense workload.
 func BenchmarkKernelBatch(b *testing.B) {
 	const n, p = 4096, 128
 	rng := rand.New(rand.NewSource(7))
