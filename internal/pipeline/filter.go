@@ -3,6 +3,7 @@ package pipeline
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -66,14 +67,17 @@ func (f *Filter) Validate() error {
 			return fmt.Errorf("%s range is empty: max %d < min %d", v.name, v.max, v.min)
 		}
 	}
-	for _, lc := range f.VertexLabels {
-		if lc.Label < 0 || lc.MinCount < 0 {
-			return fmt.Errorf("vertex label constraint {%d, %d} must be non-negative", lc.Label, lc.MinCount)
-		}
-	}
-	for _, lc := range f.EdgeLabels {
-		if lc.Label < 0 || lc.MinCount < 0 {
-			return fmt.Errorf("edge label constraint {%d, %d} must be non-negative", lc.Label, lc.MinCount)
+	for _, l := range []struct {
+		name string
+		lcs  []LabelCount
+	}{{"vertex", f.VertexLabels}, {"edge", f.EdgeLabels}} {
+		for _, lc := range l.lcs {
+			if lc.Label < 0 || lc.MinCount < 0 {
+				return fmt.Errorf("%s label constraint {%d, %d} must be non-negative", l.name, lc.Label, lc.MinCount)
+			}
+			if lc.Label > math.MaxInt32 {
+				return fmt.Errorf("%s label %d out of range [0, %d]", l.name, lc.Label, math.MaxInt32)
+			}
 		}
 	}
 	for _, d := range f.DimsAll {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -89,6 +90,53 @@ var parseSeeds = []string{
 	`{"stages":[{"topk":{"k":1e999}}]}`,
 	`{"stages":[{"topk":{"k":1.5}},{"bogus":{}}]}`,
 	`{"stages":[{"filt\u0065r":{}}]}`,
+
+	// encoding/json's quirks a hand-written decoder must repeat. Body
+	// fields fold case, the Kelvin sign and long s included.
+	`{"stages":[{"search":{"query":{"labels":[1]},"K":3}}]}`,
+	`{"stages":[{"search":{"query":{"labels":[1]},"\u212a":3}}]}`,
+	"{\"stages\":[{\"topk\":{\"\u212a\":2}}]}",
+	`{"stages":[{"filter":{"MIN_VERTICES":2,"dim\u017f_all":[1]}}]}`,
+	"{\"stages\":[{\"search\":{\"query\":{\"label\u017f\":[1]},\"k\":1}}]}",
+	// A repeated query decodes into the same GraphSpec, its slices element
+	// by element; edge triples drop extra elements and zero-fill.
+	`{"stages":[{"search":{"query":{"labels":[1,2,3],"edges":[[0,1,0],[1,2,1]]},"k":2,"query":{"labels":[4]}}}]}`,
+	`{"stages":[{"search":{"query":{"labels":[1,2,3],"edges":[[0,1,4],[1,2,1]]},"k":2,"query":{"labels":[4]},"query":{"labels":[5,null],"edges":[[null,2]]}}}]}`,
+	`{"stages":[{"filter":{"vertex_labels":[{"label":1,"min_count":3},{"label":2,"min_count":4}]},"filter":{"vertex_labels":[{"label":5}]},"filter":{"vertex_labels":[{"label":6},null]}}]}`,
+	`{"stages":[{"search":{"query":{"labels":[1,2],"edges":[[0,1,4]]},"k":1,"query":{"edges":[null,[1]]}}}]}`,
+	`{"stages":[{"search":{"query":{"labels":[1,2],"edges":[[0,1],[1,0,2,{"x":[1]}]]},"k":1}}]}`,
+	`{"stages":[{"search":{"query":{"labels":[1,2],"edges":[[],[0],[0,1,2,"x"]]},"k":1}}]}`,
+	// null for each field kind.
+	`{"stages":[{"search":{"query":{"labels":[1]},"k":2,"k":null}}]}`,
+	`{"stages":[{"filter":{"dims_all":[1],"dims_all":null}}]}`,
+	`{"stages":[{"search":{"query":null,"k":1}}]}`,
+	`{"stages":[{"search":{"query":{"labels":[1]},"k":1,"engine":"exact","engine":null}}]}`,
+	`{"stages":[{"search":{"query":{"labels":[1]},"k":1}},{"group_by":{"key":"score_bucket","bucket_width":null}}]}`,
+	`{"stages":[{"filter":{"vertex_labels":[null,{"label":1}],"dims_any":[null,2]}}]}`,
+	`{"stages":[{"search":{"query":{"labels":[1,2],"edges":[null]},"k":1}}]}`,
+	`{"stages":[{"search":{"query":{"labels":null,"edges":null},"k":1}}]}`,
+	// Integers refuse fractions, exponents and overflow; floats overflow.
+	`{"stages":[{"limit":{"n":1.0}}]}`,
+	`{"stages":[{"limit":{"n":1e2}}]}`,
+	`{"stages":[{"limit":{"n":-0}}]}`,
+	`{"stages":[{"limit":{"n":9223372036854775808}}]}`,
+	`{"stages":[{"limit":{"n":9223372036854775807}}]}`,
+	`{"stages":[{"filter":{"min_edges":-9223372036854775808}}]}`,
+	`{"stages":[{"group_by":{"key":"edge_label","bucket_width":1e999}}]}`,
+	`{"stages":[{"group_by":{"key":"edge_label","bucket_width":-1.5e-999}}]}`,
+	// Invalid UTF-8 reads as U+FFFD, so these two keys are one; escapes
+	// and surrogates decode in keys and values.
+	"{\"stages\":[{\"frob\xffnicate\":{},\"frob\xfenicate\":{}}]}",
+	"{\"stages\":[{\"search\":{\"query\":{\"labels\":[1]},\"k\":1,\"engine\":\"ex\xffact\"}}]}",
+	`{"st\u0061ges":[{"c\u006funt":{}}]}`,
+	`{"stages":[{"search":{"query":{"labels":[1]},"\u006b":1,"engine":"\u0065xact","metric":"\ud83d\ude00"}}]}`,
+	`{"stages":[{"\ud800":{},"\udbff":{}}]}`,
+	`{"stages":[{"\ud83d\ude00":{}}]}`,
+	`{"stages":[{"count":{"\ud800\u0041":1}}]}`,
+	// Bytes after the document, and nesting at and past 10,000 levels.
+	"{\"stages\":[{\"count\":{}}]}]]]garbage\x00",
+	`{"stages":[{"frobnicate":` + strings.Repeat("[", 9997) + strings.Repeat("]", 9997) + `}]}`,
+	`{"stages":[{"frobnicate":` + strings.Repeat("[", 9998) + strings.Repeat("]", 9998) + `}]}`,
 }
 
 // noPruneDoc names the search stage's former no_prune field; there is
@@ -229,6 +277,7 @@ func FuzzGraphSpec(f *testing.F) {
 		`{"labels":[]}`,
 		`{"labels":[0,0],"edges":[[0,0,0]]}`,
 		`{"labels":[1,2],"edges":[[0,5,0]]}`,
+		`{"labels":[4294967297]}`,
 	} {
 		f.Add([]byte(s))
 	}

@@ -29,13 +29,8 @@
 package pipeline
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"slices"
-	"strings"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -94,14 +89,14 @@ func (gs *GraphSpec) Build() (*graph.Graph, error) {
 	}
 	g := graph.New(0) // New pre-creates unlabeled vertices; add labeled ones explicitly
 	for _, l := range gs.Labels {
-		if l < 0 {
-			return nil, fmt.Errorf("negative vertex label %d", l)
+		if l < 0 || l > math.MaxInt32 {
+			return nil, fmt.Errorf("vertex label %d out of range [0, %d]", l, math.MaxInt32)
 		}
 		g.AddVertex(graph.Label(l))
 	}
 	for _, e := range gs.Edges {
-		if e[2] < 0 {
-			return nil, fmt.Errorf("negative edge label %d", e[2])
+		if e[2] < 0 || e[2] > math.MaxInt32 {
+			return nil, fmt.Errorf("edge label %d out of range [0, %d]", e[2], math.MaxInt32)
 		}
 		if err := g.AddEdge(e[0], e[1], graph.Label(e[2])); err != nil {
 			return nil, err
@@ -178,219 +173,6 @@ func (e *StageError) Unwrap() error { return e.Err }
 
 func stageErrf(i int, name, format string, args ...any) *StageError {
 	return &StageError{Index: i, Name: name, Err: fmt.Errorf(format, args...)}
-}
-
-// Parse decodes a JSON pipeline body in one pass: a json.Decoder walks
-// {"stages":[…]} token by token, and each stage body is decoded once,
-// straight into its typed field. Decoding is strict per stage: each
-// stage object must carry exactly one known stage-type key, matched
-// exactly, and unknown fields inside a stage are rejected. Errors caused
-// by one stage are *StageError values naming its index and type.
-//
-// Parse refuses what decoding the whole document with encoding/json and
-// then checking its stages would refuse: a malformed document or an
-// unknown top-level field wins over any stage's error, the top-level key
-// matches "stages" case-insensitively, a repeated key's last value wins,
-// and bytes after the document are ignored. One difference is left:
-// encoding/json's nesting limit counts from each stage body, so a stage
-// nested past it — which no stage type can decode — is refused as that
-// stage's error rather than as a malformed document.
-func Parse(data []byte) (*Pipeline, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	// A number where a stage belongs is refused by its shape, never by
-	// its range.
-	dec.UseNumber()
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: %v", err)
-	}
-	var (
-		stages   []Stage
-		stageErr error
-	)
-	switch tok {
-	case nil: // null: a document without stages
-	case json.Delim('{'):
-		for dec.More() {
-			if tok, err = dec.Token(); err != nil {
-				return nil, fmt.Errorf("pipeline: %v", err)
-			}
-			if key := tok.(string); !strings.EqualFold(key, "stages") {
-				return nil, fmt.Errorf("pipeline: json: unknown field %q", key)
-			}
-			if stages, stageErr, err = parseStages(dec); err != nil {
-				return nil, fmt.Errorf("pipeline: %v", err)
-			}
-		}
-		if _, err := dec.Token(); err != nil {
-			return nil, fmt.Errorf("pipeline: %v", err)
-		}
-	default:
-		return nil, fmt.Errorf("pipeline: want a JSON object, got %s", jsonKind(tok))
-	}
-	if stageErr != nil {
-		return nil, stageErr
-	}
-	if len(stages) == 0 {
-		return nil, fmt.Errorf("pipeline: no stages (want at least one of filter, search, topk, limit, count, group_by)")
-	}
-	return &Pipeline{Stages: stages}, nil
-}
-
-// parseStages decodes the value of a "stages" key: null or an array of
-// stage objects. The first stage's refusal comes back as stageErr rather
-// than stopping the walk, so that a malformed document after it still
-// wins; err is a refusal of the document.
-func parseStages(dec *json.Decoder) (stages []Stage, stageErr, err error) {
-	tok, err := dec.Token()
-	if err != nil || tok == nil {
-		return nil, nil, err
-	}
-	if tok != json.Delim('[') {
-		return nil, nil, fmt.Errorf("stages: want a JSON array, got %s", jsonKind(tok))
-	}
-	for i := 0; dec.More(); i++ {
-		if stageErr != nil {
-			err = skip(dec, 0)
-		} else {
-			stages = append(stages, Stage{})
-			stageErr, err = parseStage(dec, i, &stages[i])
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	_, err = dec.Token()
-	return stages, stageErr, err
-}
-
-// parseStage decodes one stage object into st. A stage with one distinct
-// key decodes each occurrence of it into the same field, as a struct
-// decode would; any other key is skipped unread.
-func parseStage(dec *json.Decoder, i int, st *Stage) (stageErr, err error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, err
-	}
-	switch tok {
-	case json.Delim('{'):
-	case nil:
-		return stageErrf(i, "", "want exactly one stage-type key per stage, got 0 []"), nil
-	case json.Delim('['):
-		if err := skip(dec, 1); err != nil {
-			return nil, err
-		}
-		fallthrough
-	default:
-		return stageErrf(i, "", "not a JSON object: got %s", jsonKind(tok)), nil
-	}
-	var (
-		keys    []string
-		bodyErr error
-	)
-	for dec.More() {
-		if tok, err = dec.Token(); err != nil {
-			return nil, err
-		}
-		key := tok.(string)
-		if !slices.Contains(keys, key) {
-			keys = append(keys, key)
-		}
-		if body := st.body(key); body == nil || len(keys) > 1 {
-			err = skip(dec, 0)
-		} else if err = dec.Decode(body); err != nil && !malformed(err) {
-			if bodyErr == nil {
-				bodyErr = err
-			}
-			err = nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if _, err := dec.Token(); err != nil {
-		return nil, err
-	}
-	switch {
-	case len(keys) != 1:
-		return stageErrf(i, "", "want exactly one stage-type key per stage, got %d %v", len(keys), keys), nil
-	case st.body(keys[0]) == nil:
-		return stageErrf(i, keys[0], "unknown stage type (want filter, search, topk, limit, count or group_by)"), nil
-	case bodyErr != nil:
-		return stageErrf(i, keys[0], "%v", bodyErr), nil
-	}
-	if _, _, set := st.parts(); set == 0 {
-		return stageErrf(i, keys[0], "stage body is null"), nil
-	}
-	return nil, nil
-}
-
-// body returns the field a stage-type key decodes into, nil for a key
-// that names no stage type. Keys match exactly: "Filter" is unknown.
-func (s *Stage) body(key string) any {
-	switch key {
-	case "filter":
-		return &s.Filter
-	case "search":
-		return &s.Search
-	case "topk":
-		return &s.TopK
-	case "limit":
-		return &s.Limit
-	case "count":
-		return &s.Count
-	case "group_by":
-		return &s.GroupBy
-	}
-	return nil
-}
-
-// skip consumes tokens until the value being read closes — with open 0
-// the next value whole, with open 1 the rest of an array whose '[' was
-// already read — checking only that they are well-formed.
-func skip(dec *json.Decoder, open int) error {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		switch tok {
-		case json.Delim('{'), json.Delim('['):
-			open++
-		case json.Delim('}'), json.Delim(']'):
-			open--
-		}
-		if open == 0 {
-			return nil
-		}
-	}
-}
-
-// malformed reports whether a Decode error refuses the document (bad
-// syntax, a truncated body) rather than the value decoded (an unknown
-// field, a wrong type), after which the decoder reads on.
-func malformed(err error) bool {
-	var se *json.SyntaxError
-	return errors.As(err, &se) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)
-}
-
-// jsonKind names the JSON type a token opens.
-func jsonKind(tok json.Token) string {
-	switch tok.(type) {
-	case json.Delim:
-		if tok == json.Delim('[') {
-			return "array"
-		}
-		return "object"
-	case string:
-		return "string"
-	case json.Number:
-		return "number"
-	case bool:
-		return "boolean"
-	}
-	return "null"
 }
 
 // Plan is the validated, normalized execution form of a pipeline:

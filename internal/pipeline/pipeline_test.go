@@ -480,6 +480,9 @@ func TestGraphSpecErrors(t *testing.T) {
 		{Labels: []int{-1}}, // negative label
 		{Labels: []int{1}, Edges: [][3]int{{0, 1, 0}}},     // edge out of range
 		{Labels: []int{1, 2}, Edges: [][3]int{{0, 1, -1}}}, // negative edge label
+		{Labels: []int{4294967297}},                        // vertex label past int32
+		{Labels: []int{1, 2147483648}},
+		{Labels: []int{0, 1}, Edges: [][3]int{{0, 1, 4294967298}}}, // edge label past int32
 	}
 	for i, spec := range cases {
 		if _, err := spec.Build(); err == nil {
