@@ -84,10 +84,12 @@ fuzz:
 vet:
 	$(GO) vet ./...
 
-# cli builds dspm, gsearch, gq and gserve into a temporary directory and
-# drives them over one store directory: dspm writes it, gsearch (mapped
-# and verified) and a gq count pipeline read it, gserve serves /healthz
-# and a search and exits cleanly on SIGTERM (scripts/cli-smoke.sh).
+# cli builds dspm, gsearch, gq, gserve and gen into a temporary directory
+# and drives them over one store directory: gen writes the queries, dspm
+# the store, gsearch (mapped and verified) and a gq count pipeline read
+# it, gserve serves /healthz, a search and three adds, is killed with
+# SIGKILL, must come back with the adds, and exits cleanly on SIGTERM
+# (scripts/cli-smoke.sh).
 cli:
 	bash scripts/cli-smoke.sh
 

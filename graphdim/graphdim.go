@@ -625,9 +625,9 @@ func newIndex(features []*Graph, weights []float64, metric Metric, mcsOpt mcs.Op
 
 // fork returns an index over the same dimension set as ix — features,
 // weights, compiled mapper and digest are shared, not rebuilt — serving
-// snap with the given worker bound: how a collection's shards come to hold
-// one dimension set (CreateFromIndex).
-func (ix *Index) fork(workers int, snap *snapshot) *Index {
+// snap: how a collection's shards come to hold one dimension set
+// (CreateFromIndex).
+func (ix *Index) fork(snap *snapshot) *Index {
 	next := &Index{
 		features: ix.features,
 		mapper:   ix.mapper,
@@ -635,7 +635,7 @@ func (ix *Index) fork(workers int, snap *snapshot) *Index {
 		weights:  ix.weights,
 		metric:   ix.metric,
 		mcsOpt:   ix.mcsOpt,
-		workers:  workers,
+		workers:  ix.workers,
 	}
 	next.snap.Store(snap)
 	return next

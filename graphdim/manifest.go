@@ -15,7 +15,7 @@ import (
 // A store directory is the one persisted form of an index, and
 // Checkpoint (with the create, drop and CreateStore calls that run one)
 // is the one thing that writes it: a store.json manifest naming every
-// collection, its shard layout, worker bound and default-search options,
+// collection, its shard layout, default-search options and cache bounds,
 // and the local→global id table of each shard, next to one segment
 // file per shard (<dir>/<collection>/shard-NNNN-*.gdx). Shard files carry
 // no ids of their own — the manifest's tables are authoritative.
@@ -40,7 +40,6 @@ type collectionManifest struct {
 	Name     string           `json:"name"`
 	Shards   int              `json:"shards"`
 	NextID   int              `json:"next_id"`
-	Build    buildManifest    `json:"build"`
 	Defaults defaultsManifest `json:"defaults"`
 	// Cache persists the collection's query-cache bounds; the cache
 	// contents themselves are runtime state and never persist (a loaded
@@ -59,15 +58,6 @@ type collectionManifest struct {
 	// in the shard files, so opening the store replays only the records
 	// after it. Zero for stores that never logged.
 	WALSeq uint64 `json:"wal_seq,omitempty"`
-}
-
-// buildManifest persists the one build option that outlives creation:
-// the worker bound shardIdxWorkers divides among the shards at open. The
-// selection parameters an earlier release wrote next to it (tau, algorithm,
-// MCS budget, ... — inputs to per-shard rebuilds that no longer exist)
-// still parse and are dropped.
-type buildManifest struct {
-	Workers int `json:"workers,omitempty"`
 }
 
 // cacheManifest mirrors CacheOptions.
@@ -209,7 +199,6 @@ func (s *Store) checkpointLocked(extra *Collection) (err error) {
 		cm := collectionManifest{
 			Name:         c.name,
 			Shards:       len(c.shards),
-			Build:        buildManifest{Workers: c.workers},
 			Defaults:     toDefaultsManifest(c.defaults),
 			Cache:        cacheManifest{MaxEntries: c.cacheOpt.MaxEntries, MaxBytes: c.cacheOpt.MaxBytes},
 			ShardFiles:   make([]string, len(c.shards)),
@@ -524,7 +513,6 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	c := &Collection{
 		store:    s,
 		name:     cm.Name,
-		workers:  cm.Build.Workers,
 		defaults: defaults,
 		shards:   make([]*Index, cm.Shards),
 		cacheOpt: cacheOpt,
@@ -541,9 +529,6 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 			if err != nil {
 				return err
 			}
-			// The open hands out a full per-CPU worker bound; a shard
-			// gets its per-shard share, like CreateFromIndex's shards.
-			idx.workers = c.shardIdxWorkers()
 			if len(globals) != idx.TotalGraphs() {
 				return fmt.Errorf("shard %d: %d ids in manifest for %d graphs", i, len(globals), idx.TotalGraphs())
 			}

@@ -28,9 +28,7 @@ import (
 // All methods are safe for concurrent use. Cross-shard fan-out draws
 // workers from one store-wide pool.Budget, bounding the extra goroutines
 // concurrent searches, adds, and checkpoints spend on fan-out at
-// StoreOptions.Workers in total; a collection's per-shard index workers
-// are divided across its shards at creation so shard-internal fan-out
-// does not multiply with the shard count.
+// StoreOptions.Workers in total.
 type Store struct {
 	budget *pool.Budget
 
@@ -153,11 +151,9 @@ type CollectionOptions struct {
 	// Shards is the number of index shards; zero means 1.
 	Shards int
 	// Build configures the collection's one dimension selection. Create
-	// only: CreateFromIndex takes its dimensions from the index, and
-	// nothing after creation re-selects. The one field that outlives
-	// creation is Workers, persisted as the bound the shards divide among
-	// themselves when the store is reopened. Zero values select the
-	// library defaults, as in Build.
+	// only: CreateFromIndex takes its dimensions from the index, nothing
+	// after creation re-selects, and none of it persists. Zero values
+	// select the library defaults, as in Build.
 	Build Options
 	// Cache configures the collection's query-result cache: an LRU over
 	// complete Search results, keyed by (canonical query, effective
@@ -214,7 +210,7 @@ func (o CollectionOptions) shards() int {
 }
 
 // maxShards bounds the shard count well above any sane deployment: each
-// shard is a full index with its own block, label index and worker share.
+// shard is a full index with its own block and label index.
 const maxShards = 1024
 
 // Collection is one named, sharded graph database inside a Store. Global
@@ -222,12 +218,8 @@ const maxShards = 1024
 // of the collection, across Checkpoint/OpenStore and across Compact; the hash
 // placement of an id never changes.
 type Collection struct {
-	store *Store
-	name  string
-	// workers is CollectionOptions.Build.Workers, the one build option
-	// that outlives creation: shardIdxWorkers divides it among the shards
-	// at every open.
-	workers  int
+	store    *Store
+	name     string
 	defaults SearchOptions
 	// shards[i] is the index over the graphs whose global ids place on
 	// shard i. Each is one published snapshot (graphs, vectors,
@@ -323,27 +315,18 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	c := &Collection{
 		store:    s,
 		name:     name,
-		workers:  opt.Build.Workers,
 		defaults: opt.Defaults,
 		shards:   make([]*Index, nsh),
 		cacheOpt: opt.Cache,
 		cache:    newQueryCache(opt.Cache),
 	}
 	c.nextID.Store(int64(len(snap.db)))
-	// Divide the source index's worker bound across the shards: the
-	// cross-shard budget already parallelizes shard-level fan-out, so
-	// giving every shard the full bound would run shards × workers
-	// goroutines for one Add.
-	shardWorkers := src.workers / nsh
-	if shardWorkers < 1 {
-		shardWorkers = 1
-	}
 	for i, ids := range partition(all, nsh) {
 		part, err := snap.subset(ids) // empty for a shard no id places on
 		if err != nil {
 			return nil, err
 		}
-		c.shards[i] = src.fork(shardWorkers, part)
+		c.shards[i] = src.fork(part)
 	}
 
 	// Reserve the name before touching its wal directory — a losing
@@ -471,17 +454,6 @@ func (c *Collection) Shards() int { return len(c.shards) }
 // Defaults returns the collection's recommended search options (see
 // CollectionOptions.Defaults); Search does not apply them.
 func (c *Collection) Defaults() SearchOptions { return c.defaults }
-
-// shardIdxWorkers is the per-shard share of the collection's worker
-// bound — the steady-state internal fan-out each shard index gets, so
-// that shard-internal parallelism does not multiply with the shard count.
-func (c *Collection) shardIdxWorkers() int {
-	w := pool.DefaultWorkers(c.workers) / len(c.shards)
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // Size returns the number of live (searchable) graphs across all shards.
 func (c *Collection) Size() int {

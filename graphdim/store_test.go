@@ -528,10 +528,18 @@ func TestOpenStoreRejectsCorruptManifests(t *testing.T) {
 			t.Errorf("%s: OpenStore succeeded on a corrupt manifest", name)
 		}
 	}
-	// Missing shard file.
-	if err := os.WriteFile(manifest, good, 0o644); err != nil {
-		t.Fatal(err)
+	// An earlier release's manifest, whose build block no longer
+	// persists, still opens.
+	old := strings.Replace(string(good), `"shards": 2,`, `"shards": 2, "build": {"workers": 3, "tau": 0.2},`, 1)
+	if err := os.WriteFile(manifest, []byte(old), 0o644); err != nil || old == string(good) {
+		t.Fatalf("writing a manifest with a build block: %v", err)
 	}
+	if re, err := OpenStore(dir, StoreOptions{}); err != nil {
+		t.Fatalf("OpenStore of a manifest with a build block: %v", err)
+	} else {
+		re.Close()
+	}
+	// Missing shard file.
 	files, err := filepath.Glob(filepath.Join(dir, "c", "shard-0001-*.gdx"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("shard file glob = %v, %v", files, err)
@@ -780,6 +788,9 @@ func TestSaveSweepsDroppedCollections(t *testing.T) {
 	}
 	if _, err := s.Create(ctx, "gone", db, CollectionOptions{Build: storeTestOptions()}); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.Collections(); !reflect.DeepEqual(got, []string{"gone", "keep"}) {
+		t.Fatalf("Collections() = %v, want both in lexical order", got)
 	}
 	if err := s.Drop("gone"); err != nil {
 		t.Fatal(err)

@@ -64,17 +64,3 @@ func (c dfsCode) rightmostPath() []int {
 	}
 	return path
 }
-
-// maxVertex returns the number of vertices in the pattern.
-func (c dfsCode) maxVertex() int {
-	n := 0
-	for _, d := range c {
-		if d.from >= n {
-			n = d.from + 1
-		}
-		if d.to >= n {
-			n = d.to + 1
-		}
-	}
-	return n
-}

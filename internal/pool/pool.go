@@ -1,9 +1,11 @@
-// Package pool provides the bounded worker pool shared by every
-// parallelized stage of the offline build path (pairwise MCS matrices,
-// gSpan root-pattern mining, per-graph vector mapping) and the online
-// batch query path. Keeping the fan-out logic in one place makes the
-// concurrency model auditable: every parallel loop in the repository is a
-// pool.For over an index range with a caller-chosen worker count.
+// Package pool provides the bounded worker pools behind every parallel
+// loop in the repository. For and ForContext give a call site its own
+// worker count: the offline build path (pairwise MCS matrices, gSpan
+// root-pattern mining, per-graph vector mapping) and the stand-alone
+// index's batch queries use them. A Budget is one pot of workers shared
+// by concurrent loops: a store's shard fan-out draws from it, so the
+// fan-out stays bounded however many requests are in flight. Keeping the
+// fan-out logic in one place makes the concurrency model auditable.
 package pool
 
 import (

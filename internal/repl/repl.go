@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/wal"
 )
@@ -135,12 +136,11 @@ func (sr *StreamReader) Next() (Event, error) {
 }
 
 // State is the follower's durable replication identity: a stable id
-// (the primary keys retention holds on it) and the last sequence the
-// follower acknowledged — informational; the authoritative resume
-// position is the follower's own WAL and manifest.
+// the primary keys retention holds on. The resume position is not here:
+// it is the follower's own WAL and manifest. Files written by releases
+// that also stored an acked_seq still load; the field is ignored.
 type State struct {
 	FollowerID string `json:"follower_id"`
-	AckedSeq   uint64 `json:"acked_seq"`
 }
 
 // LoadState reads the state file; a missing file returns a zero State
@@ -160,19 +160,34 @@ func LoadState(path string) (State, error) {
 	return st, nil
 }
 
-// Save writes the state atomically (temp file + rename).
+// Save writes the state atomically and durably: a temp file, fsynced,
+// renamed over path, then the directory fsynced. A crash after Save
+// returns cannot lose the id — a follower that minted a new one would
+// leave the primary's hold for the old id pinning log segments until
+// the primary restarts.
 func (st State) Save(path string) error {
 	data, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("repl: encoding state: %w", err)
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("repl: writing state: %w", err)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = f.Write(data)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("repl: writing state: %w", err)
 	}
+	wal.SyncDir(filepath.Dir(path))
 	return nil
 }

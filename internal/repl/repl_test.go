@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -113,7 +114,7 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatalf("missing file should load as zero state, got %+v", st)
 	}
 
-	want := State{FollowerID: "f-42", AckedSeq: 99}
+	want := State{FollowerID: "f-42"}
 	if err := want.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
@@ -123,6 +124,17 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("got %+v, want %+v", got, want)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("Save left its temp file behind (stat err %v)", err)
+	}
+
+	// A file an earlier release wrote with an acked_seq still loads.
+	if err := os.WriteFile(path, []byte(`{"follower_id":"f-7","acked_seq":99}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadState(path); err != nil || got != (State{FollowerID: "f-7"}) {
+		t.Fatalf("LoadState of an old file = %+v, %v", got, err)
 	}
 }
 

@@ -41,17 +41,8 @@ func (v *BitVector) Get(r int) bool { return v.bits[r/64]&(1<<(uint(r)%64)) != 0
 
 // Words returns the packed 64-bit words backing the vector, bit r stored
 // at words[r/64] bit r%64. The slice is owned by the vector and must not
-// be modified — it exists for compact serialization.
+// be modified — word-wise kernels (the flat scan) read it in place.
 func (v *BitVector) Words() []uint64 { return v.bits }
-
-// BitVectorFromWords reconstructs a vector of dimension p from packed
-// words as returned by Words. The words are copied; bits at or beyond p
-// must be zero (the caller is expected to validate untrusted input).
-func BitVectorFromWords(p int, words []uint64) *BitVector {
-	v := NewBitVector(p)
-	copy(v.bits, words)
-	return v
-}
 
 // Ones returns the number of set bits |F(g)|.
 func (v *BitVector) Ones() int {

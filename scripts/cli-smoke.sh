@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# cli-smoke.sh drives the four commands end to end over one store
-# directory: dspm writes it, gsearch (mapped and verified engines) and
-# gq read it, gserve serves it and shuts down cleanly on SIGTERM. Any
-# failed step fails the script. Run it as `make cli`.
+# cli-smoke.sh drives the commands end to end over one store directory:
+# gen writes query graphs, dspm writes the store, gsearch (mapped and
+# verified engines) and gq read it, gserve serves it, takes three adds,
+# is killed with SIGKILL, comes back with the adds replayed from its
+# log, and shuts down cleanly on SIGTERM. Any failed step fails the
+# script. Run it as `make cli`.
 set -euo pipefail
 
 d=$(mktemp -d)
@@ -31,20 +33,38 @@ echo '{"stages":[{"filter":{"min_edges":1}},{"count":{}}]}' |
 	"$bin/gq" -pipeline - -store "$store" | tee "$d/count.json"
 grep -q '"count": 40' "$d/count.json"
 
-"$bin/gserve" -data "$store" -addr 127.0.0.1:0 2> "$d/gserve.log" &
-pid=$!
-addr=
-for _ in $(seq 100); do
-	addr=$(sed -n 's/^gserve: listening on //p' "$d/gserve.log")
-	[ -n "$addr" ] && break
-	sleep 0.1
-done
-[ -n "$addr" ] || { cat "$d/gserve.log"; echo "gserve did not start" >&2; exit 1; }
+# start_gserve serves the store in the background, logging to $1, and
+# sets pid and addr once it listens.
+start_gserve() {
+	"$bin/gserve" -data "$store" -addr 127.0.0.1:0 2> "$1" &
+	pid=$!
+	addr=
+	for _ in $(seq 100); do
+		addr=$(sed -n 's/^gserve: listening on //p' "$1")
+		[ -n "$addr" ] && break
+		sleep 0.1
+	done
+	[ -n "$addr" ] || { cat "$1"; echo "gserve did not start" >&2; exit 1; }
+}
+
+start_gserve "$d/gserve-killed.log"
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/healthz")
 [ "$code" = 200 ] || { echo "/healthz answered $code" >&2; exit 1; }
 code=$(curl -s -o "$d/search.json" -w '%{http_code}' --data-binary @"$d/q.graphs" \
 	"http://$addr/v1/collections/default/search?k=3")
 [ "$code" = 200 ] || { cat "$d/search.json"; echo "search answered $code" >&2; exit 1; }
+code=$(curl -s -o "$d/add.json" -w '%{http_code}' --data-binary @"$d/q.graphs" \
+	"http://$addr/v1/collections/default/add")
+[ "$code" = 200 ] || { cat "$d/add.json"; echo "add answered $code" >&2; exit 1; }
+
+# A crash: the three adds exist only in the write-ahead log.
+kill -KILL "$pid"
+wait "$pid" 2>/dev/null || true
+start_gserve "$d/gserve.log"
+curl -s "http://$addr/v1/collections/default" | tee "$d/stats.json"
+grep -Eq '"next_id": ?43[,}]' "$d/stats.json" && grep -Eq '"graphs": ?43[,}]' "$d/stats.json" ||
+	{ echo "the restarted gserve lost acknowledged adds" >&2; exit 1; }
+
 kill -TERM "$pid"
 status=0
 wait "$pid" || status=$?
