@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -96,12 +97,17 @@ func defaultKs(n int) []int {
 	return ks
 }
 
-func runFig1(w *os.File, ds *experiments.Dataset) {
-	fmt.Fprintln(w, "== Fig 1: dissimilarity/distance distributions ==")
-	res, err := experiments.Fig1(ds, experiments.DefaultP(ds.Index.P), 20)
+func runFig1(w io.Writer, ds *experiments.Dataset) {
+	p := experiments.DefaultP(ds.Index.P)
+	res, err := experiments.Fig1(ds, p, 20)
 	if err != nil {
 		log.Fatal(err)
 	}
+	writeFig1(w, res, p, ds.Index.P)
+}
+
+func writeFig1(w io.Writer, res *experiments.Fig1Result, p, m int) {
+	fmt.Fprintf(w, "== Fig 1: dissimilarity/distance distributions (DSPM p=%d, Original p=%d) ==\n", p, m)
 	printHist := func(name string, h experiments.Histogram) {
 		fmt.Fprintf(w, "%-12s", name)
 		for _, b := range h.Bins {
@@ -123,7 +129,7 @@ func runFig1(w *os.File, ds *experiments.Dataset) {
 		res.DSPMQ.EMD(res.DeltaQ), res.OriginalQ.EMD(res.DeltaQ))
 }
 
-func runFig2(w *os.File, ds *experiments.Dataset, seed int64) {
+func runFig2(w io.Writer, ds *experiments.Dataset, seed int64) {
 	fmt.Fprintln(w, "== Fig 2: total feature correlation, DSPM vs Sample ==")
 	m := ds.Index.P
 	ps := []int{m / 5, 2 * m / 5, 3 * m / 5}
@@ -138,14 +144,14 @@ func runFig2(w *os.File, ds *experiments.Dataset, seed int64) {
 	fmt.Fprintln(w)
 }
 
-func runFig4(w *os.File, ds *experiments.Dataset, seed int64) {
+func runFig4(w io.Writer, ds *experiments.Dataset, seed int64) {
 	ks := defaultKs(len(ds.DB))
-	series := experiments.FigQuality(ds, experiments.StandardAlgorithms(seed), experiments.DefaultP(ds.Index.P), ks, true)
+	series := experiments.FigQuality(ds, experiments.StandardAlgorithms(seed), experiments.CappedP(ds), ks, true)
 	experiments.WriteSeries(w, "Fig 4: real dataset, relative to fingerprint benchmark", series, ks)
 	fmt.Fprintln(w)
 }
 
-func runFig5(w *os.File, base experiments.Config, seed int64) {
+func runFig5(w io.Writer, base experiments.Config, seed int64) {
 	log.Printf("building synthetic dataset...")
 	ds, err := experiments.BuildSynthetic(base)
 	if err != nil {
@@ -158,16 +164,20 @@ func runFig5(w *os.File, base experiments.Config, seed int64) {
 	fmt.Fprintln(w)
 }
 
-func runFig6(w *os.File, base experiments.Config, seed int64) {
+func runFig6(w io.Writer, base experiments.Config, seed int64) {
 	k := defaultKs(baseOr(base.DBSize, 150))[2]
 	rows, err := experiments.Fig6(base, withoutSFS(seed), k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(w, "== Fig 6: synthetic sweeps (precision@%d relative to the best / indexing time) ==\n", k)
+	writeFig6(w, rows, k)
+}
+
+func writeFig6(w io.Writer, rows []experiments.Fig6Row, k int) {
+	fmt.Fprintf(w, "== Fig 6: synthetic sweeps (precision@%d relative to the best / indexing time / p) ==\n", k)
 	fmt.Fprintf(w, "%12s %4s", "row", "m")
 	for _, s := range rows[0].Series {
-		fmt.Fprintf(w, " %12s", s.Name)
+		fmt.Fprintf(w, " %16s", s.Name)
 	}
 	fmt.Fprintln(w)
 	for _, row := range rows {
@@ -178,10 +188,10 @@ func runFig6(w *os.File, base experiments.Config, seed int64) {
 		fmt.Fprintf(w, "%12s %4d", label, row.Candidates)
 		for _, s := range row.Series {
 			if s.Err != nil {
-				fmt.Fprintf(w, " %12s", "-")
+				fmt.Fprintf(w, " %16s", "-")
 				continue
 			}
-			fmt.Fprintf(w, " %12s", fmt.Sprintf("%.2f/%s", s.ByK[k].Precision, shortDur(s.IndexingTime)))
+			fmt.Fprintf(w, " %16s", fmt.Sprintf("%.2f/%s/%d", s.ByK[k].Precision, shortDur(s.IndexingTime), len(s.Selected)))
 		}
 		fmt.Fprintln(w)
 	}
@@ -212,12 +222,17 @@ func withoutSFS(seed int64) []experiments.Algorithm {
 	return kept
 }
 
-func runFig7(w *os.File, ds *experiments.Dataset) {
-	fmt.Fprintln(w, "== Fig 7: query time by |V(q)| ==")
-	res, err := experiments.Fig7(ds, experiments.DefaultP(ds.Index.P), []int{10, 12, 14, 16, 18, 21}, 2)
+func runFig7(w io.Writer, ds *experiments.Dataset) {
+	p := experiments.DefaultP(ds.Index.P)
+	res, err := experiments.Fig7(ds, p, []int{10, 12, 14, 16, 18, 21}, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
+	writeFig7(w, res, p, ds.Index.P)
+}
+
+func writeFig7(w io.Writer, res *experiments.Fig7Result, p, m int) {
+	fmt.Fprintf(w, "== Fig 7: query time by |V(q)| (DSPM p=%d, Original p=%d) ==\n", p, m)
 	fmt.Fprintf(w, "%8s %12s %12s %12s\n", "|V(q)|", "DSPM", "Original", "Exact")
 	for b := range res.Buckets {
 		fmt.Fprintf(w, "%8s %12v %12v %12v\n", res.Buckets[b],
@@ -228,15 +243,19 @@ func runFig7(w *os.File, ds *experiments.Dataset) {
 	fmt.Fprintln(w)
 }
 
-func runFig8(w *os.File, ds *experiments.Dataset, seed int64) {
-	fmt.Fprintln(w, "== Fig 8: DSPMap approximation quality vs partition size ==")
+func runFig8(w io.Writer, ds *experiments.Dataset, seed int64) {
 	n := len(ds.DB)
 	bs := []int{n / 8, n / 6, n / 4, n / 3, n / 2}
-	k := defaultKs(n)[2]
-	pts, err := experiments.Fig8(ds, experiments.DefaultP(ds.Index.P), k, bs, seed)
+	p := experiments.DefaultP(ds.Index.P)
+	pts, err := experiments.Fig8(ds, p, defaultKs(n)[2], bs, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
+	writeFig8(w, pts, p)
+}
+
+func writeFig8(w io.Writer, pts []experiments.Fig8Point, p int) {
+	fmt.Fprintf(w, "== Fig 8: DSPMap approximation quality vs partition size (DSPMap and DSPM p=%d) ==\n", p)
 	fmt.Fprintf(w, "%8s %14s %14s %14s %14s\n", "b", "DSPMap prec", "DSPM prec", "DSPMap index", "DSPM index")
 	for _, pt := range pts {
 		fmt.Fprintf(w, "%8d %14.3f %14.3f %14v %14v\n", pt.B, pt.DSPMapPrec, pt.DSPMPrec,
@@ -245,8 +264,7 @@ func runFig8(w *os.File, ds *experiments.Dataset, seed int64) {
 	fmt.Fprintln(w)
 }
 
-func runFig9(w *os.File, base experiments.Config, seed int64) {
-	fmt.Fprintln(w, "== Fig 9: scalability with |DG| ==")
+func runFig9(w io.Writer, base experiments.Config, seed int64) {
 	n0 := baseOr(base.DBSize, 150)
 	sizes := []int{n0, 2 * n0, 3 * n0}
 	// Spectral baselines run while memory allows, as in the paper.
@@ -255,12 +273,17 @@ func runFig9(w *os.File, base experiments.Config, seed int64) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	writeFig9(w, pts)
+}
+
+func writeFig9(w io.Writer, pts []experiments.Fig9Point) {
+	fmt.Fprintln(w, "== Fig 9: scalability with |DG| ==")
 	for _, pt := range pts {
 		fmt.Fprintf(w, "|DG|=%d  DSPMap query=%v  exact query=%v\n",
 			pt.N, pt.DSPMapQuery.Round(time.Microsecond), pt.ExactQuery.Round(time.Millisecond))
 		for _, name := range experiments.SortedAlgoNames(pt.Precision) {
-			fmt.Fprintf(w, "  %-10s prec/fingerprint=%.3f  indexing=%v\n",
-				name, pt.Precision[name], pt.IndexingByAlgo[name].Round(time.Millisecond))
+			fmt.Fprintf(w, "  %-10s p=%-5d prec/fingerprint=%.3f  indexing=%v\n",
+				name, pt.DimsByAlgo[name], pt.Precision[name], pt.IndexingByAlgo[name].Round(time.Millisecond))
 		}
 	}
 	fmt.Fprintln(w)

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"regexp"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // TestShortDur holds Fig. 6's indexing-time cells to the rounded
@@ -21,6 +25,43 @@ func TestShortDur(t *testing.T) {
 	} {
 		if got := shortDur(tc.d); got != tc.want {
 			t.Errorf("shortDur(%v) = %q, want %q", tc.d, got, tc.want)
+		}
+	}
+}
+
+// TestEveryTableStatesP holds every table that prints an algorithm's
+// quality or cost to also print how many dimensions the algorithm
+// selected, so "more dimensions" reads apart from "better dimensions".
+func TestEveryTableStatesP(t *testing.T) {
+	series := []experiments.AlgoSeries{
+		{Name: "DSPM", Selected: make([]int, 7), ByK: map[int]experiments.Quality{2: {}}},
+		{Name: "Original", Selected: make([]int, 31), ByK: map[int]experiments.Quality{2: {}}},
+	}
+	var buf bytes.Buffer
+	experiments.WriteSeries(&buf, "Fig 4", series, []int{2})
+	writeFig6(&buf, []experiments.Fig6Row{{Edges: 12, Candidates: 31, Series: series}}, 2)
+	writeFig9(&buf, []experiments.Fig9Point{{
+		N:              60,
+		Precision:      map[string]float64{"DSPMap": 1, "NDFS": 0.5},
+		IndexingByAlgo: map[string]time.Duration{},
+		DimsByAlgo:     map[string]int{"DSPMap": 7, "NDFS": 13},
+	}})
+	writeFig1(&buf, &experiments.Fig1Result{}, 7, 31)
+	writeFig7(&buf, &experiments.Fig7Result{}, 7, 31)
+	writeFig8(&buf, nil, 7)
+	for _, want := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^algorithm +p +indexing`),
+		regexp.MustCompile(`(?m)^DSPM +7 `),
+		regexp.MustCompile(`(?m)^Original +31 `),
+		regexp.MustCompile(`(?m)^ +edges=12 +31 +0\.00/0s/7 +0\.00/0s/31$`),
+		regexp.MustCompile(`(?m)^  DSPMap +p=7 `),
+		regexp.MustCompile(`(?m)^  NDFS +p=13 `),
+		regexp.MustCompile(`(?m)^== Fig 1: .*\(DSPM p=7, Original p=31\) ==$`),
+		regexp.MustCompile(`(?m)^== Fig 7: .*\(DSPM p=7, Original p=31\) ==$`),
+		regexp.MustCompile(`(?m)^== Fig 8: .*\(DSPMap and DSPM p=7\) ==$`),
+	} {
+		if !want.Match(buf.Bytes()) {
+			t.Errorf("no line matches %s in:\n%s", want, buf.String())
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // Bulk ingest: POST /v1/collections/{name}/ingest streams graphs in as
 // NDJSON — one pipeline.GraphSpec per line — and acknowledges them per
 // batch. Each batch becomes ONE Collection.Add call, hence one WAL record
-// and one group-committed fsync, so the ~fsync cost is amortized across
+// and one fsync, so the ~fsync cost is amortized across
 // the whole batch instead of paid per graph (the add endpoint's price).
 // Response lines stream back as each batch commits, so a client knows
 // exactly which prefix is durable at any moment. A batch either commits
@@ -128,8 +128,8 @@ func (s *server) handleIngest(cl *call) {
 			break
 		}
 
-		// One Add per batch = one WAL record, one (group-committed)
-		// fsync; -timeout bounds each batch rather than the stream.
+		// One Add per batch = one WAL record, one fsync; -timeout
+		// bounds each batch rather than the stream.
 		ctx, cancel := s.requestContext(r)
 		ids, err := c.Add(ctx, batch...)
 		cancel()

@@ -18,10 +18,10 @@ import (
 type serverMetrics struct {
 	reg *metrics.Registry
 
-	// fsync latency and group-commit batch size arrive from the WAL's
+	// fsync latency and records per fsync arrive from the WAL's
 	// SyncObserver — one observation per fsync, across all collections.
-	fsync      *metrics.Histogram
-	groupBatch *metrics.Histogram
+	fsync       *metrics.Histogram
+	syncRecords *metrics.Histogram
 
 	mu      sync.Mutex
 	latency map[[2]string]*metrics.Histogram // {series, label value} → latency, ns
@@ -29,15 +29,15 @@ type serverMetrics struct {
 
 func newServerMetrics() *serverMetrics {
 	m := &serverMetrics{
-		reg:        metrics.NewRegistry(),
-		fsync:      &metrics.Histogram{},
-		groupBatch: &metrics.Histogram{},
-		latency:    make(map[[2]string]*metrics.Histogram),
+		reg:         metrics.NewRegistry(),
+		fsync:       &metrics.Histogram{},
+		syncRecords: &metrics.Histogram{},
+		latency:     make(map[[2]string]*metrics.Histogram),
 	}
 	m.reg.Summary("gserve_wal_fsync_duration_seconds", "",
-		"time spent inside WAL fsync per group commit", m.fsync, 1e-9)
+		"time spent inside one WAL fsync", m.fsync, 1e-9)
 	m.reg.Summary("gserve_wal_group_commit_records", "",
-		"records committed per WAL fsync (group-commit batch size)", m.groupBatch, 1)
+		"records committed per WAL fsync (1 for a primary's append, the mirrored batch on a follower)", m.syncRecords, 1)
 	return m
 }
 
@@ -46,7 +46,7 @@ func newServerMetrics() *serverMetrics {
 func (m *serverMetrics) walObserver() func(d time.Duration, records int) {
 	return func(d time.Duration, records int) {
 		m.fsync.Observe(int64(d))
-		m.groupBatch.Observe(int64(records))
+		m.syncRecords.Observe(int64(records))
 	}
 }
 
@@ -85,7 +85,7 @@ func (m *serverMetrics) observePipeline(st pipeline.Stats) {
 	for outcome, n := range map[string]int{"pushdown": st.PushedPredicates, "fallback": st.FallbackPredicates} {
 		if n > 0 {
 			m.reg.Counter("gserve_pipeline_pushdown_total", fmt.Sprintf("outcome=%q", outcome),
-				"filter predicates answered by posting pushdown vs per-graph fallback").Add(int64(n))
+				"filter predicates ANDed into the keep bitset (pushdown) vs evaluated per graph (fallback)").Add(int64(n))
 		}
 	}
 }
@@ -98,8 +98,8 @@ func (m *serverMetrics) rejectCounter(collection, lane string) *metrics.Counter 
 }
 
 // registerStoreGauges adds the gauges that read live store state at
-// scrape time: aggregate cache hit ratio and the largest group-commit
-// batch any collection's WAL has seen.
+// scrape time: aggregate cache hit ratio and the most records one fsync
+// of any collection's WAL has committed.
 func (s *server) registerStoreGauges() {
 	s.metrics.reg.Gauge("gserve_cache_hit_ratio", "",
 		"query-cache hits / lookups across all collections (0 when idle)",
@@ -117,7 +117,7 @@ func (s *server) registerStoreGauges() {
 			return float64(hits) / float64(total)
 		})
 	s.metrics.reg.Gauge("gserve_wal_max_batch_records", "",
-		"largest record group one WAL fsync has committed",
+		"most records one WAL fsync has committed (1 on a primary, the largest mirrored batch on a follower)",
 		func() float64 {
 			max := 0
 			for _, c := range s.collections() {

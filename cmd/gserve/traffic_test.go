@@ -652,7 +652,7 @@ func TestIngestMidStreamFailureReportsInBand(t *testing.T) {
 
 // TestMetricsWALObserverAndMethodCheck covers the two metrics paths no
 // other test reaches: the WAL sync observer feeding the fsync and
-// group-commit summaries, and /metrics rejecting non-GET methods.
+// records-per-fsync summaries, and /metrics rejecting non-GET methods.
 func TestMetricsWALObserverAndMethodCheck(t *testing.T) {
 	store := graphdim.NewStore(graphdim.StoreOptions{})
 	t.Cleanup(store.Close)
@@ -664,7 +664,8 @@ func TestMetricsWALObserverAndMethodCheck(t *testing.T) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
-	// Feed the observer the way a durable store's group commit would.
+	// Feed the observer the way a follower's mirrored batch of four
+	// records would.
 	m.walObserver()(3*time.Millisecond, 4)
 
 	resp, err := http.Post(ts.URL+"/metrics", "text/plain", nil)

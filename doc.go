@@ -5,8 +5,8 @@
 // parallel offline path (gSpan mining, pairwise MCS matrix, DSPM/DSPMap
 // dimension selection) under an Options.Workers bound with cancellation
 // and per-stage progress, and the resulting Index serves concurrent
-// Search/SearchBatch readers (per-query engine choice: mapped, verified,
-// exact), and grows online via Add/Remove without re-running DSPM.
+// Search readers (per-query engine choice: mapped, verified, exact), and
+// grows online via Add/Remove without re-running DSPM.
 // Above the single index sits the Store management layer: named
 // collections sharded across parallel indexes by hashed graph placement,
 // fan-out search with a global top-k merge over the collection's one
@@ -19,18 +19,17 @@
 // logged (internal/wal) and fsynced before they publish, Checkpoint
 // persists a snapshot and truncates the replayed log, and reopening
 // replays the tail — a kill at any instant
-// recovers exactly the acknowledged writes. Concurrent writers share
-// fsyncs through the log's group commit: the first appender to arrive
-// leads the group, so the durability tax divides across however many
-// writes are in flight. cmd/gserve exposes a store over a versioned /v1
+// recovers exactly the acknowledged writes. Each add or remove is one
+// record and one fsync, with a collection's writers serialized by its
+// writer lock; bulk ingest amortizes the fsync by putting a batch of
+// graphs in one record. cmd/gserve exposes a store over a versioned /v1
 // HTTP API (its -data flag is the durable deployment path, with
 // periodic, shutdown, and on-demand checkpoints) with graceful
-// shutdown, streaming NDJSON bulk ingest (one group-committed fsync per
-// batch), per-collection read/write admission lanes that shed overload
+// shutdown, streaming NDJSON bulk ingest (one fsync per batch), per-collection read/write admission lanes that shed overload
 // with 429 + Retry-After instead of queueing (internal/pool.Gate), and
 // Prometheus-text observability on /metrics (internal/metrics: a
 // dependency-free log-linear histogram registry — per-endpoint
-// p50/p99/p999, WAL fsync timings, group-commit batch sizes, admission
+// p50/p99/p999, WAL fsync timings, records per fsync, admission
 // rejects, cache hit ratio). Composable query pipelines
 // (internal/pipeline) run filter → search → aggregate chains in one
 // request: declarative filter stages push down into one keep bitset —

@@ -150,8 +150,8 @@ func BenchmarkStoreAdd(b *testing.B) {
 // Add per batch means one WAL record and one fsync amortized over the
 // whole batch. ns/op is per *graph* (the loop advances by the batch
 // size), so batch=1 is the single-add cost the add endpoint pays and
-// the batch=256 / batch=1 ratio is the group-commit amortization the
-// ingest endpoint buys.
+// the batch=256 / batch=1 ratio is the fsync amortization the ingest
+// endpoint buys by putting a batch of graphs in one record.
 func BenchmarkIngest(b *testing.B) {
 	idx := addBase(b, 60) // the 60 built graphs, as built
 	ctx := context.Background()

@@ -64,31 +64,6 @@ func BenchmarkBuildWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKBatchWorkers measures the online batch path at 1 versus
-// NumCPU workers fanning 32 queries over one shared index.
-func BenchmarkTopKBatchWorkers(b *testing.B) {
-	db := dataset.Synthetic(dataset.SynthConfig{N: 60, AvgEdges: 12, Labels: 8, Seed: 5})
-	queries := db[:32]
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		idx, err := Build(db, Options{
-			Dimensions: 30,
-			Tau:        0.1,
-			MCSBudget:  2000,
-			Workers:    workers,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := idx.SearchBatch(context.Background(), queries, SearchOptions{K: 10}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStoreShardedSearch measures one mapped query through the Store
 // fan-out at increasing shard counts over the same database — the
 // per-query cost of sharding (per-shard VF2 mapping + heap merge) that

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/graphdim"
@@ -20,12 +21,26 @@ func buildSmall(t *testing.T, opt graphdim.Options) (*graphdim.Index, []*graphdi
 	return idx, db
 }
 
-// TestConcurrentReaders hammers a single Index from many goroutines mixing
-// Search and SearchBatch — the contract documented on Index, checked under
-// -race in CI. Every goroutine must also observe the same answers a
-// sequential caller gets.
+// batchCollection serves idx as a two-shard collection of an in-memory
+// store — the one batch search path, Collection.SearchBatch.
+func batchCollection(t *testing.T, idx *graphdim.Index) *graphdim.Collection {
+	t.Helper()
+	store := graphdim.NewStore(graphdim.StoreOptions{})
+	t.Cleanup(store.Close)
+	c, err := store.CreateFromIndex("batch", idx, graphdim.CollectionOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestConcurrentReaders hammers a single collection from many goroutines
+// mixing Search and SearchBatch — the readers-need-no-locking contract,
+// checked under -race in CI. Every goroutine must also observe the same
+// answers a sequential caller of the unsharded Index gets.
 func TestConcurrentReaders(t *testing.T) {
 	idx, db := buildSmall(t, graphdim.Options{Dimensions: 15, Tau: 0.15, MCSBudget: 2000})
+	c := batchCollection(t, idx)
 
 	ctx := context.Background()
 	opt := graphdim.SearchOptions{K: 3}
@@ -48,7 +63,7 @@ func TestConcurrentReaders(t *testing.T) {
 			for rep := 0; rep < 10; rep++ {
 				if w%2 == 0 {
 					q := (w + rep) % 5
-					got, err := idx.Search(ctx, db[q], opt)
+					got, err := c.Search(ctx, db[q], opt)
 					if err != nil {
 						errs <- err
 						return
@@ -58,7 +73,7 @@ func TestConcurrentReaders(t *testing.T) {
 						return
 					}
 				} else {
-					got, err := idx.SearchBatch(ctx, batch, opt)
+					got, err := c.SearchBatch(ctx, batch, opt)
 					if err != nil {
 						errs <- err
 						return
@@ -117,15 +132,16 @@ func graphsToStrings(gs []*graphdim.Graph) []string {
 }
 
 // TestSearchBatchValidation checks mapped batch answers equal
-// one-at-a-time answers and that validation rejects bad batches
-// atomically.
+// one-at-a-time answers of the unsharded Index and that validation
+// rejects bad batches atomically, before any query runs.
 func TestSearchBatchValidation(t *testing.T) {
 	idx, db := buildSmall(t, graphdim.Options{Dimensions: 15, Tau: 0.15, MCSBudget: 2000})
+	c := batchCollection(t, idx)
 	ctx := context.Background()
 	opt := graphdim.SearchOptions{K: 4}
 
 	queries := db[:8]
-	batch, err := idx.SearchBatch(ctx, queries, opt)
+	batch, err := c.SearchBatch(ctx, queries, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +158,18 @@ func TestSearchBatchValidation(t *testing.T) {
 		}
 	}
 
-	if _, err := idx.SearchBatch(ctx, queries, graphdim.SearchOptions{K: 0}); err == nil {
+	if _, err := c.SearchBatch(ctx, queries, graphdim.SearchOptions{K: 0}); err == nil {
 		t.Fatal("SearchBatch accepted k=0")
+	}
+	// A nil query fails the batch before the valid query ahead of it
+	// runs: its predicate is never asked.
+	var asked atomic.Int64
+	count := func(int, *graphdim.Graph) bool { asked.Add(1); return true }
+	withNil := []*graphdim.Graph{queries[0], nil}
+	if _, err := c.SearchBatch(ctx, withNil, graphdim.SearchOptions{K: 4, Predicate: count}); err == nil {
+		t.Fatal("SearchBatch accepted a nil query")
+	}
+	if n := asked.Load(); n != 0 {
+		t.Fatalf("a batch with a nil query ran a query first (%d predicate calls)", n)
 	}
 }

@@ -69,9 +69,9 @@ type WALOptions struct {
 	// until the next Checkpoint.
 	Disabled bool
 	// SyncObserver, when non-nil, is called after every completed log
-	// fsync with its duration and the number of records the group commit
-	// covered — the hook a server uses to feed latency histograms. It
-	// runs with the log locked and must be fast and non-blocking.
+	// fsync with its duration and the records it committed (1 per Add or
+	// Remove, the mirrored batch on a follower) — the hook a server uses
+	// to feed histograms. It runs with the log locked and must not block.
 	SyncObserver func(d time.Duration, records int)
 
 	// The rest are hooks for this package's tests, unexported so the

@@ -86,22 +86,22 @@ func ExampleIndex_Add() {
 	// 0.062
 }
 
-// ExampleIndex_SearchBatch answers a batch of queries in one call,
-// fanning them across the index's worker pool. Batch answers are
-// identical to one-at-a-time Search answers at any Options.Workers
-// setting.
-func ExampleIndex_SearchBatch() {
+// ExampleCollection_SearchBatch answers a batch of queries in one call.
+// Each query fans out across the collection's shards, and the batch
+// answers are identical to one-at-a-time Search answers.
+func ExampleCollection_SearchBatch() {
 	db := dataset.Chemical(dataset.ChemConfig{N: 30, MinVertices: 8, MaxVertices: 12, Seed: 4})
-	idx, err := graphdim.Build(db, graphdim.Options{
-		Dimensions: 15,
-		Tau:        0.15,
-		MCSBudget:  2000,
-		Workers:    4, // offline build and batch-query fan-out bound
-	})
+	idx, err := graphdim.Build(db, graphdim.Options{Dimensions: 15, Tau: 0.15, MCSBudget: 2000})
 	if err != nil {
 		panic(err)
 	}
-	batch, err := idx.SearchBatch(context.Background(), db[:3], graphdim.SearchOptions{K: 2})
+	store := graphdim.NewStore(graphdim.StoreOptions{})
+	defer store.Close()
+	coll, err := store.CreateFromIndex("molecules", idx, graphdim.CollectionOptions{Shards: 2})
+	if err != nil {
+		panic(err)
+	}
+	batch, err := coll.SearchBatch(context.Background(), db[:3], graphdim.SearchOptions{K: 2})
 	if err != nil {
 		panic(err)
 	}

@@ -179,7 +179,7 @@ type Options struct {
 	Iterations int
 	// Workers bounds the worker pools used by the offline build path
 	// (gSpan mining, the DSPM pairwise MCS matrix, vector
-	// materialization) and inherited by the index for batch fan-out.
+	// materialization) and inherited by the index for Add's mapping.
 	// Zero or negative means one worker per CPU. Build output is
 	// identical for every worker count — parallelism changes only
 	// wall-clock time. Note the DSPMap algorithm evaluates its
@@ -595,7 +595,7 @@ type Index struct {
 	weights []float64
 	metric  Metric
 	mcsOpt  mcs.Options
-	workers int // batch fan-out bound; always >= 1
+	workers int // Index.Add's mapping fan-out bound; always >= 1
 
 	// mu is the one writer lock: Add, Remove and a collection's reclaim
 	// derive the next snapshot and swap it in under it.
@@ -833,13 +833,6 @@ type Result struct {
 	// identical feature profile), the MCS dissimilarity for
 	// EngineVerified and EngineExact.
 	Distance float64
-}
-
-func (ix *Index) queryWorkers() int {
-	if ix.workers > 0 {
-		return ix.workers
-	}
-	return pool.DefaultWorkers(0)
 }
 
 // Dissimilarity computes the exact metric value δ(a, b) — exposed for

@@ -12,10 +12,11 @@ import (
 	"repro/internal/dataset"
 )
 
-// PR 6's durability contract, exercised from the store layer: many
-// writers racing through the group-committed WAL with fsyncs failing at
-// random, then a kill and a torn tail — recovery must surface exactly
-// the acknowledged subset, nothing more and nothing less.
+// The durability contract, exercised from the store layer: many writers
+// racing through the WAL (serialized by the collection's writer lock, one
+// fsync per record) with fsyncs failing at random, then a kill and a torn
+// tail — recovery must surface exactly the acknowledged subset, nothing
+// more and nothing less.
 
 // TestCrashRecoveryConcurrentRandomized races G writers against a log
 // whose fsync fails with ~30% probability, kills the store, tears the
@@ -32,8 +33,8 @@ func TestCrashRecoveryConcurrentRandomized(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		t.Run(fmt.Sprintf("round=%d", round), func(t *testing.T) {
 			dir := t.TempDir()
-			// failSync runs under the log's commit lock but from whichever
-			// goroutine is the group leader, so its rng needs its own lock.
+			// failSync runs under the log's lock on whichever writer's
+			// goroutine is committing, so its rng needs its own lock.
 			errInjected := errors.New("injected fsync failure")
 			var failMu sync.Mutex
 			frng := rand.New(rand.NewSource(rng.Int63()))
@@ -168,7 +169,7 @@ func TestCrashRecoveryConcurrentRandomized(t *testing.T) {
 
 // TestTornIngestBatchReplaysCommittedPrefix is the store-level half of
 // the ingest torn-batch story: batch 1 is acknowledged, batch 2's
-// group commit dies at fsync (so it was never acknowledged), the
+// commit dies at fsync (so it was never acknowledged), the
 // process is killed and the log tail torn. Recovery must replay exactly
 // the committed prefix — batch 1 — and keep the id sequence consistent
 // for the retry.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/pipeline"
-	"repro/internal/pool"
 	"repro/internal/topk"
 	"repro/internal/vecspace"
 )
@@ -105,7 +104,8 @@ type SearchOptions struct {
 	// ids failing the predicate are skipped before scoring, so the top-K
 	// is taken over the admitted subset. It is called with the graph's id
 	// and the graph itself; it must be cheap (it runs inside the scan)
-	// and safe for concurrent calls (SearchBatch fans out).
+	// and safe for concurrent calls (a collection scans its shards in
+	// parallel).
 	Predicate func(id int, g *Graph) bool
 	// Filters restricts the search with declarative structural
 	// predicates (see pipeline.Filter), ANDed with each other and with
@@ -392,39 +392,4 @@ func (ix *Index) searchMapped(ctx context.Context, s *snapshot, q *Graph, qv *ve
 		Matched:    dimensionBits(qv),
 		Elapsed:    time.Since(start),
 	}, nil
-}
-
-// SearchBatch answers many queries with the same options, fanning them
-// across the index's worker pool (the Workers value Build was configured
-// with, or one worker per CPU for a loaded index). Result i corresponds
-// to queries[i]. The batch is validated up front (nil queries, bad
-// options) and fails as a unit: if any query errors — including ctx
-// cancellation — SearchBatch returns the first error in query order and
-// no partial results.
-func (ix *Index) SearchBatch(ctx context.Context, queries []*Graph, opt SearchOptions) ([]*SearchResult, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	for i, q := range queries {
-		if q == nil {
-			return nil, fmt.Errorf("graphdim: nil query at index %d", i)
-		}
-	}
-	out := make([]*SearchResult, len(queries))
-	errs := make([]error, len(queries))
-	poolErr := pool.ForContext(ctx, ix.queryWorkers(), len(queries), func(i int) {
-		out[i], errs[i] = ix.Search(ctx, queries[i], opt)
-	})
-	// Per-query errors take precedence in query order; a pool-level error
-	// can only be ctx.Err(), which the per-query errors already reflect
-	// for every query that started.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	return out, nil
 }

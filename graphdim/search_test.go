@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -289,21 +290,35 @@ func TestBuildProgress(t *testing.T) {
 	}
 }
 
+// batchCollection serves idx as a two-shard collection of an in-memory
+// store — the one batch search path, Collection.SearchBatch.
+func batchCollection(t *testing.T, idx *Index) *Collection {
+	t.Helper()
+	store := NewStore(StoreOptions{})
+	t.Cleanup(store.Close)
+	c, err := store.CreateFromIndex("batch", idx, CollectionOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestSearchBatchPropagatesError pins the fixed TopKBatch error path: a
 // per-query failure surfaces as the batch error instead of a silent nil
 // row. Cancellation mid-batch is the per-query failure mode.
 func TestSearchBatchPropagatesError(t *testing.T) {
 	idx, db := buildSmall(t, DSPM)
+	c := batchCollection(t, idx)
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	// The predicate runs inside each query's scan; cancelling from it
-	// guarantees at least one query observes ctx.Done mid-flight.
+	// guarantees every later query observes ctx.Done.
 	trip := func(id int, g *Graph) bool {
 		once.Do(cancel)
 		return true
 	}
 	queries := db[:8]
-	res, err := idx.SearchBatch(ctx, queries, SearchOptions{K: 3, Predicate: trip})
+	res, err := c.SearchBatch(ctx, queries, SearchOptions{K: 3, Predicate: trip})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -314,14 +329,15 @@ func TestSearchBatchPropagatesError(t *testing.T) {
 
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	idx, db := buildSmall(t, DSPM)
+	c := batchCollection(t, idx)
 	ctx := context.Background()
 	queries := db[:6]
-	batch, err := idx.SearchBatch(ctx, queries, SearchOptions{K: 4, Engine: EngineVerified})
+	batch, err := c.SearchBatch(ctx, queries, SearchOptions{K: 4, Engine: EngineVerified})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		single, err := idx.Search(ctx, q, SearchOptions{K: 4, Engine: EngineVerified})
+		single, err := c.Search(ctx, q, SearchOptions{K: 4, Engine: EngineVerified})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,10 +345,17 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 			t.Errorf("query %d: batch and single answers differ", i)
 		}
 	}
-	if _, err := idx.SearchBatch(ctx, []*Graph{db[0], nil}, SearchOptions{K: 3}); err == nil {
+	// A nil query anywhere fails the batch before any query runs: the
+	// predicate of the valid query ahead of it is never asked.
+	var asked atomic.Int64
+	count := func(int, *Graph) bool { asked.Add(1); return true }
+	if _, err := c.SearchBatch(ctx, []*Graph{db[0], nil}, SearchOptions{K: 3, Predicate: count}); err == nil {
 		t.Error("nil query in batch accepted")
 	}
-	empty, err := idx.SearchBatch(ctx, nil, SearchOptions{K: 3})
+	if n := asked.Load(); n != 0 {
+		t.Errorf("a batch with a nil query ran a query first (%d predicate calls)", n)
+	}
+	empty, err := c.SearchBatch(ctx, nil, SearchOptions{K: 3})
 	if err != nil || len(empty) != 0 {
 		t.Errorf("SearchBatch(nil) = %v, %v; want empty, nil", empty, err)
 	}

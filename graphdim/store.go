@@ -590,10 +590,19 @@ func (c *Collection) searchShards(ctx context.Context, q *Graph, opt SearchOptio
 	return merged, nil
 }
 
-// SearchBatch answers many queries with the same options. Each query fans
-// out across the shards in turn; like Index.SearchBatch the batch fails as
-// a unit on the first error in query order.
+// SearchBatch answers queries[i] as result i, each query fanning out
+// across the shards in turn. Options and nil queries are checked before
+// any query runs, and the batch fails as a unit: the first error in query
+// order (ctx cancellation included) and no partial results.
 func (c *Collection) SearchBatch(ctx context.Context, queries []*Graph, opt SearchOptions) ([]*SearchResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	for i, q := range queries {
+		if q == nil {
+			return nil, fmt.Errorf("graphdim: nil query at index %d", i)
+		}
+	}
 	out := make([]*SearchResult, len(queries))
 	for i, q := range queries {
 		res, err := c.Search(ctx, q, opt)

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/baselines"
@@ -310,21 +312,30 @@ func TestFigQualityAndWrite(t *testing.T) {
 }
 
 // TestFig4Shape asserts Fig. 4 at harness scale (60 chemical graphs, 12
-// queries, seed 1, p = candidates/4 = 249, k = 2% … 10% of the database
-// as cmd/figures picks them), precision relative to the fingerprint
-// benchmark. The paper has DSPM above all seven baselines at every k.
-// Here 12 queries make one result slot 0.083 of relative precision at
-// k = 1, and the shape is weaker: DSPM's precision averaged over k leads
-// every baseline's by at least 0.1 (it measured 1.160 against
-// Original's 1.036, the best), and DSPM is at or above every baseline at
-// three of the five ks — at k = 3 and k = 4 Original and Sample lead it
-// (1.500 and 1.267 against 1.250 and 1.200). SFS, MCFS, UDFS and NDFS
-// score identically: p exceeds the 150-candidate cap they select from,
-// so each returns the whole capped pool.
+// queries, seed 1, 997 candidates, k = 2% … 10% of the database as
+// cmd/figures picks them), precision relative to the fingerprint
+// benchmark. Every algorithm but Original gets p = CappedP = 75: half the
+// 150-candidate pool the capped baselines (SFS, MICI, MCFS, UDFS, NDFS)
+// select from, so each of them chooses rather than returning its whole
+// pool. So no two algorithms may select the same features, and no two
+// rows may read the same.
+//
+// The paper has DSPM above all seven baselines at every k. Here it is
+// not: on 75 dimensions DSPM's precision averaged over k is 0.801,
+// against SFS's 1.219, Sample's 1.142 and Original's 1.036 on all 997;
+// only MICI (0.692) and NDFS (0.789) trail it, and DSPM is at or above
+// every baseline at none of the five ks. Default scale (150 graphs,
+// p = 125) puts DSPM back above every p-matched baseline at every k
+// (EXPERIMENTS.md, Fig. 4): the harness shape is not the default-scale
+// shape.
 func TestFig4Shape(t *testing.T) {
 	ds := chemDS(t)
 	ks := []int{1, 2, 3, 4, 6}
-	series := FigQuality(ds, StandardAlgorithms(1), ds.Index.P/4, ks, true)
+	p := CappedP(ds)
+	if pool := min(ds.BaselineCap, ds.Index.P); pool < 2*p {
+		t.Fatalf("capped baselines choose %d of %d candidates, want a pool of at least 2p", p, pool)
+	}
+	series := FigQuality(ds, StandardAlgorithms(1), p, ks, true)
 	mean := func(s AlgoSeries) float64 {
 		m := 0.0
 		for _, k := range ks {
@@ -332,11 +343,31 @@ func TestFig4Shape(t *testing.T) {
 		}
 		return m
 	}
+	sets, rows := map[string]string{}, map[string]string{}
 	for _, s := range series {
 		if s.Err != nil {
 			t.Fatalf("%s failed: %v", s.Name, s.Err)
 		}
-		t.Logf("%-8s mean relative precision %.3f", s.Name, mean(s))
+		want := p
+		if s.Name == "Original" {
+			want = ds.Index.P
+		}
+		if len(s.Selected) != want {
+			t.Errorf("%s selected %d features, want %d", s.Name, len(s.Selected), want)
+		}
+		t.Logf("%-8s p=%d mean relative precision %.3f", s.Name, len(s.Selected), mean(s))
+		sel := slices.Clone(s.Selected)
+		slices.Sort(sel)
+		set := fmt.Sprint(sel)
+		if other, ok := sets[set]; ok {
+			t.Errorf("%s and %s selected the same features", other, s.Name)
+		}
+		sets[set] = s.Name
+		row := fmt.Sprint(ks, s.ByK)
+		if other, ok := rows[row]; ok {
+			t.Errorf("%s's row repeats %s's", s.Name, other)
+		}
+		rows[row] = s.Name
 	}
 	dspm, baselines := series[0], series[1:]
 	if dspm.Name != "DSPM" || len(baselines) != 7 {
@@ -352,13 +383,17 @@ func TestFig4Shape(t *testing.T) {
 			leads++
 		}
 	}
-	if leads < 3 {
-		t.Errorf("DSPM is at or above every baseline at %d of %d ks, want 3", leads, len(ks))
+	if leads >= 3 {
+		t.Errorf("DSPM is at or above every baseline at %d of %d ks; it measured none", leads, len(ks))
 	}
+	best := baselines[0]
 	for _, s := range baselines {
-		if mean(dspm) < mean(s)+0.1 {
-			t.Errorf("DSPM's mean precision %.3f does not lead %s's %.3f by 0.1", mean(dspm), s.Name, mean(s))
+		if mean(s) > mean(best) {
+			best = s
 		}
+	}
+	if mean(best) < mean(dspm)+0.1 {
+		t.Errorf("the best baseline, %s at %.3f, does not lead DSPM's %.3f by 0.1", best.Name, mean(best), mean(dspm))
 	}
 }
 

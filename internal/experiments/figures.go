@@ -149,6 +149,7 @@ func Fig2(ds *Dataset, ps []int, seed int64) ([]Fig2Point, error) {
 // top-k value plus the indexing time.
 type AlgoSeries struct {
 	Name         string
+	Selected     []int           // the chosen features; its length is the algorithm's p
 	ByK          map[int]Quality // relative to the benchmark
 	IndexingTime time.Duration
 	Err          error // non-nil if the algorithm failed (recorded, not fatal)
@@ -175,7 +176,7 @@ func FigQuality(ds *Dataset, algos []Algorithm, p int, ks []int, useFingerprint 
 			series = append(series, s)
 			continue
 		}
-		s.IndexingTime = dur
+		s.Selected, s.IndexingTime = sel, dur
 		for _, k := range ks {
 			q, _ := EvaluateSelection(ds, sel, k)
 			if useFingerprint {
@@ -220,7 +221,7 @@ func RelativeToBest(series []AlgoSeries, ks []int) {
 // WriteSeries renders the Fig. 4/5 style table.
 func WriteSeries(w io.Writer, title string, series []AlgoSeries, ks []int) {
 	fmt.Fprintf(w, "== %s ==\n", title)
-	fmt.Fprintf(w, "%-10s %12s", "algorithm", "indexing")
+	fmt.Fprintf(w, "%-10s %5s %12s", "algorithm", "p", "indexing")
 	for _, k := range ks {
 		fmt.Fprintf(w, "  p@%-4d tau@%-4d rd@%-4d", k, k, k)
 	}
@@ -230,7 +231,7 @@ func WriteSeries(w io.Writer, title string, series []AlgoSeries, ks []int) {
 			fmt.Fprintf(w, "%-10s failed: %v\n", s.Name, s.Err)
 			continue
 		}
-		fmt.Fprintf(w, "%-10s %12s", s.Name, s.IndexingTime.Round(time.Millisecond))
+		fmt.Fprintf(w, "%-10s %5d %12s", s.Name, len(s.Selected), s.IndexingTime.Round(time.Millisecond))
 		for _, k := range ks {
 			q := s.ByK[k]
 			fmt.Fprintf(w, "  %6.3f %7.3f %6.3f", q.Precision, q.KendallTau, q.RankDist)
@@ -364,6 +365,7 @@ type Fig9Point struct {
 	DSPMapQuery    time.Duration
 	ExactQuery     time.Duration
 	IndexingByAlgo map[string]time.Duration
+	DimsByAlgo     map[string]int // features each algorithm selected
 }
 
 // Fig9 reproduces Fig. 9 (scalability): for each database size build a
@@ -387,6 +389,7 @@ func Fig9(sizes []int, base Config, algos []Algorithm, p, k int, seed int64) ([]
 			N:              n,
 			Precision:      map[string]float64{},
 			IndexingByAlgo: map[string]time.Duration{},
+			DimsByAlgo:     map[string]int{},
 		}
 		bench := BenchmarkQuality(ds, k)
 
@@ -400,6 +403,7 @@ func Fig9(sizes []int, base Config, algos []Algorithm, p, k int, seed int64) ([]
 			q, _ := EvaluateSelection(ds, sel, k)
 			pt.Precision[alg.Name] = q.RelativeTo(bench).Precision
 			pt.IndexingByAlgo[alg.Name] = dur
+			pt.DimsByAlgo[alg.Name] = len(sel)
 			if alg.Name == "DSPMap" {
 				dspmapSel = sel
 			}
@@ -464,4 +468,15 @@ func Fig6(base Config, algos []Algorithm, k int) ([]Fig6Row, error) {
 // candidate features: a quarter of them, but at least 10 and at most m.
 func DefaultP(m int) int {
 	return min(max(m/4, 10), m)
+}
+
+// CappedP is the dimension count Fig. 4 gives every algorithm but
+// Original: DefaultP, but at most half the capped baselines' pool, so each
+// of them chooses p of at least 2p candidates, not its whole pool.
+func CappedP(ds *Dataset) int {
+	p := DefaultP(ds.Index.P)
+	if ds.BaselineCap > 0 && ds.BaselineCap < ds.Index.P {
+		p = min(p, ds.BaselineCap/2)
+	}
+	return p
 }

@@ -260,6 +260,22 @@ func TestTailerStreamsAppliesAndAcks(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The tailer posts its ack after the applier reports the batch
+	// durable; wait for that post (or the deadline) before cancelling, so
+	// the final-ack check below does not race it.
+	for time.Now().Before(deadline) {
+		prim.mu.Lock()
+		n := len(prim.acks)
+		last := uint64(0)
+		if n > 0 {
+			last = prim.acks[n-1]
+		}
+		prim.mu.Unlock()
+		if last == 15 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)

@@ -51,58 +51,6 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupCommit measures the append path under concurrency —
-// the case group commit exists for. serial is the baseline (every
-// append pays its own fsync); parallel lets RunParallel's goroutines
-// coalesce, and records/fsync reports the achieved amortization.
-func BenchmarkGroupCommit(b *testing.B) {
-	batch := benchGraphs(4)
-	b.Run("serial", func(b *testing.B) {
-		l, err := Open(b.TempDir(), Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer l.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := l.Append(Record{Type: TypeAdd, First: i * len(batch), Graphs: batch}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := l.Stats()
-		b.ReportMetric(float64(st.Appends)/float64(max64(st.Syncs, 1)), "records/fsync")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		l, err := Open(b.TempDir(), Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer l.Close()
-		b.SetParallelism(4)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				if _, err := l.Append(Record{Type: TypeAdd, First: i * len(batch), Graphs: batch}); err != nil {
-					b.Fatal(err)
-				}
-				i++
-			}
-		})
-		b.StopTimer()
-		st := l.Stats()
-		b.ReportMetric(float64(st.Appends)/float64(max64(st.Syncs, 1)), "records/fsync")
-	})
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BenchmarkRecoverReplay measures Open (torn-tail scan) plus a full
 // Replay of a log of add batches — the recovery cost a crashed server
 // pays per logged record before it can serve again.

@@ -30,10 +30,10 @@ func groupSeed(t *testing.T) int64 {
 	return seed
 }
 
-// TestGroupCommitConcurrentAppends races many appenders and checks the
-// fundamentals of group commit: every append gets a unique, dense
-// sequence number, replay returns all records in sequence order, and the
-// observer saw every committed record exactly once.
+// TestGroupCommitConcurrentAppends races many appenders through the
+// serialized append path: every append gets a unique, dense sequence
+// number, replay returns all records in sequence order, and the observer
+// saw every committed record exactly once.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	const writers, perWriter = 8, 25
 
@@ -120,9 +120,9 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestGroupCommitEncodeFailureIsIsolated checks that one bad record in a
-// group fails alone: it consumes no sequence number and the records
-// queued around it still commit.
+// TestGroupCommitEncodeFailureIsIsolated checks that a record that fails
+// to encode fails alone: it consumes no sequence number and the next
+// record still commits.
 func TestGroupCommitEncodeFailureIsIsolated(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -140,7 +140,7 @@ func TestGroupCommitEncodeFailureIsIsolated(t *testing.T) {
 }
 
 // TestGroupCommitFailSyncFailsGroup injects an fsync failure and checks
-// that the failed group commits nothing — no sequence numbers, no bytes
+// that the failed append commits nothing — no sequence number, no bytes
 // on disk — and that the log keeps working afterwards.
 func TestGroupCommitFailSyncFailsGroup(t *testing.T) {
 	var failing bool
@@ -188,10 +188,10 @@ func TestGroupCommitFailSyncFailsGroup(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCrashRandomized is the group-commit crash property
+// TestGroupCommitCrashRandomized is the concurrent-append crash property
 // test: N goroutines race appends while fsync failures are injected at
 // random, then the "process" dies — the file may additionally take a
-// torn partial frame, as if a group's write was cut mid-batch. The
+// torn partial frame, as if an append's write was cut mid-frame. The
 // reopened log must replay exactly the acknowledged subset: every acked
 // record present, every failed or torn record absent, sequences dense.
 func TestGroupCommitCrashRandomized(t *testing.T) {
@@ -254,7 +254,7 @@ func TestGroupCommitCrashRandomized(t *testing.T) {
 		}
 
 		// Crash cut: on odd rounds, append a torn frame — a valid
-		// record's bytes truncated mid-payload, as left by a group whose
+		// record's bytes truncated mid-payload, as left by an append whose
 		// write was interrupted before its fsync (so never acked).
 		if round%2 == 1 {
 			frame, err := encodeFrame(uint64(len(acked))+1, Record{Type: TypeAdd, First: 10_000, Graphs: []*graph.Graph{testGraph(5, 9)}})

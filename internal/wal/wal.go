@@ -22,12 +22,9 @@
 //	crc32    IEEE checksum of the seq|type|len|payload bytes, LE
 //
 // Appends go to the last (active) segment; when it outgrows
-// Options.SegmentBytes the log rolls to a fresh segment. Concurrent
-// Append calls group-commit: the first caller in becomes the leader,
-// drains every record queued behind it, writes all their frames in one
-// write, and issues a single fsync that commits the whole group — so N
-// concurrent writers pay ~one fsync between them instead of N (see
-// Append). The framing is
+// Options.SegmentBytes the log rolls to a fresh segment. Each Append is
+// one write and one fsync; a follower's AppendMirror commits a streamed
+// batch of records under one write and one fsync. The framing is
 // torn-tail tolerant: a record cut mid-write by a crash fails its length
 // or checksum on the next Open, which truncates the segment back to the
 // last intact record — exactly the prefix whose fsyncs had completed.
@@ -132,16 +129,16 @@ type Options struct {
 	// benchmarks, not for serving.
 	NoSync bool
 	// SyncObserver, when non-nil, is called after every completed fsync
-	// with its duration and the number of records the group commit
-	// covered. It runs on a committing writer's goroutine with the log
-	// locked, so it must be fast, non-blocking, and must not call back
-	// into the Log.
+	// with its duration and the number of records it committed: 1 for an
+	// Append, the mirrored batch's size for an AppendMirror. It runs on
+	// the committing goroutine with the log locked, so it must be fast,
+	// non-blocking, and must not call back into the Log.
 	SyncObserver func(d time.Duration, records int)
 	// FailSync injects an fsync failure (a test hook for crash-recovery
 	// property tests): when non-nil and returning a non-nil error after a
-	// sync, the commit is treated as failed — the group's frames are cut
-	// back off the file and every caller in it gets the error, exactly as
-	// if the fsync itself had failed. Must be safe for concurrent calls.
+	// sync, the commit is treated as failed — its frames are cut back off
+	// the file and the caller gets the error, exactly as if the fsync
+	// itself had failed. Must be safe for concurrent calls.
 	FailSync func() error
 	// FirstSeq, when > 0, seeds an empty directory so its first record
 	// gets this sequence number instead of 1 — a follower bootstrapping
@@ -154,15 +151,15 @@ type Options struct {
 // Stats is a point-in-time snapshot of a log's counters. The JSON names
 // are the wire names stats endpoints report it under (graphdim.WALStats).
 type Stats struct {
-	// Appends and Syncs count committed Append calls and the fsyncs they
-	// issued. Group commit makes Syncs <= Appends: concurrent appends
-	// coalesce into one fsync, and Appends/Syncs is the achieved
-	// amortization factor.
+	// Appends and Syncs count committed records and the fsyncs that
+	// committed them. An Append is one record and one fsync; a mirrored
+	// batch is many records and one fsync, so Appends/Syncs above 1 is a
+	// follower's batching.
 	Appends int64 `json:"appends"`
 	Syncs   int64 `json:"syncs"`
 	// SyncNanos is the cumulative time spent inside fsync, nanoseconds.
 	SyncNanos int64 `json:"sync_nanos"`
-	// MaxBatch is the largest number of records one fsync has committed.
+	// MaxBatch is the most records one fsync has committed (1 on a primary).
 	MaxBatch int `json:"max_batch"`
 	// LastSeq is the newest record's sequence number (0 = empty log);
 	// CheckpointSeq is the highest sequence a Checkpoint has covered.
@@ -187,17 +184,10 @@ type segment struct {
 }
 
 // Log is an open write-ahead log. All methods are safe for concurrent
-// use; appends are serialized internally and group-commit (see Append).
+// use; appends are serialized by the log's mutex (see Append).
 type Log struct {
 	dir string
 	opt Options
-
-	// qmu guards the group-commit queue. It is only ever held briefly —
-	// never across I/O — so enqueueing behind an in-flight fsync is
-	// cheap; mu (below) serializes the commits themselves.
-	qmu    sync.Mutex
-	queue  []*appendWaiter
-	leader bool
 
 	mu        sync.Mutex
 	segs      []segment // ascending by first; the last one is active
@@ -216,15 +206,6 @@ type Log struct {
 	// acknowledged; Checkpoint never truncates a segment holding records
 	// any hold still needs (see Retain).
 	holds map[string]uint64
-}
-
-// appendWaiter is one Append call queued for group commit: the leader
-// assigns seq (or err) and closes done.
-type appendWaiter struct {
-	rec  Record
-	seq  uint64
-	err  error
-	done chan struct{}
 }
 
 func segName(first uint64) string {
@@ -412,91 +393,25 @@ func (l *Log) roll() error {
 
 // Append frames rec, writes it to the active segment, and — unless the
 // log was opened with NoSync — fsyncs before returning, so a returned
-// sequence number is durable. On a write or sync error the group's
-// frames are cut back off the file (best-effort; a leftover torn frame
-// is equally harmless, the next Open truncates it) and nothing is
-// committed.
-//
-// Concurrent Append calls group-commit: each caller queues its record,
-// the first caller in becomes the leader and commits everything queued —
-// its own record plus every record that arrived while the previous
-// fsync was in flight — under one write and one fsync. Every caller
-// still returns only once its own record is durable, so the per-record
-// guarantee is unchanged; only the fsync cost is shared. A record that
-// fails to encode fails alone (it consumes no sequence number); a write
-// or sync failure fails the whole group.
+// sequence number is durable. A record that fails to encode consumes no
+// sequence number. On a write or sync error the frame is cut back off
+// the file (best-effort; a leftover torn frame is equally harmless, the
+// next Open truncates it) and nothing is committed. Concurrent calls are
+// safe: l.mu serializes them, one write and one fsync each.
 func (l *Log) Append(rec Record) (uint64, error) {
-	w := &appendWaiter{rec: rec, done: make(chan struct{})}
-	l.qmu.Lock()
-	l.queue = append(l.queue, w)
-	if l.leader {
-		// A leader is already draining the queue; it (or its successor
-		// batches) will commit w too.
-		l.qmu.Unlock()
-		<-w.done
-		return w.seq, w.err
-	}
-	l.leader = true
-	for len(l.queue) > 0 {
-		batch := l.queue
-		l.queue = nil
-		l.qmu.Unlock()
-		l.commitGroup(batch)
-		l.qmu.Lock()
-	}
-	l.leader = false
-	l.qmu.Unlock()
-	// The leader's own record was in the first batch it committed.
-	<-w.done
-	return w.seq, w.err
-}
-
-// commitGroup writes and fsyncs one batch of queued records as a unit,
-// then releases every waiter with its sequence number or the group's
-// error.
-func (l *Log) commitGroup(batch []*appendWaiter) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		err := fmt.Errorf("wal: log is closed")
-		for _, w := range batch {
-			w.err = err
-			close(w.done)
-		}
-		return
+		return 0, fmt.Errorf("wal: log is closed")
 	}
-	// Frame every record. An encode failure is the caller's own bad
-	// record: it fails alone, consumes no sequence number, and the rest
-	// of the group commits.
-	var buf []byte
-	committed := batch[:0]
-	seq := l.seq
-	for _, w := range batch {
-		frame, err := encodeFrame(seq+1, w.rec)
-		if err != nil {
-			w.err = err
-			close(w.done)
-			continue
-		}
-		seq++
-		w.seq = seq
-		buf = append(buf, frame...)
-		committed = append(committed, w)
+	frame, err := encodeFrame(l.seq+1, rec)
+	if err != nil {
+		return 0, err
 	}
-	if len(committed) == 0 {
-		return
+	if err := l.writeFrames(frame, 1); err != nil {
+		return 0, err
 	}
-	if err := l.writeFrames(buf, len(committed)); err != nil {
-		for _, w := range committed {
-			w.seq = 0
-			w.err = err
-			close(w.done)
-		}
-		return
-	}
-	for _, w := range committed {
-		close(w.done)
-	}
+	return l.seq, nil
 }
 
 // writeFrames commits one already framed batch of records records to the
