@@ -84,8 +84,9 @@ fuzz:
 vet:
 	$(GO) vet ./...
 
-# cli builds dspm, gsearch, gq, gserve and gen into a temporary directory
-# and drives them over one store directory: gen writes the queries, dspm
+# cli builds dspm, gsearch, gq, gserve, gen and the quickstart and store
+# examples into a temporary directory, runs both examples, and drives the
+# commands over one store directory: gen writes the queries, dspm
 # the store, gsearch (mapped and verified) and a gq count pipeline read
 # it, gserve serves /healthz, a search and three adds, is killed with
 # SIGKILL, must come back with the adds, and exits cleanly on SIGTERM

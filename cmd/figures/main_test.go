@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"reflect"
 	"regexp"
 	"testing"
 	"time"
@@ -26,6 +27,31 @@ func TestShortDur(t *testing.T) {
 		if got := shortDur(tc.d); got != tc.want {
 			t.Errorf("shortDur(%v) = %q, want %q", tc.d, got, tc.want)
 		}
+	}
+}
+
+// TestDefaultKsDistinct holds the k sweep of Figs. 4 and 5 to strictly
+// increasing values: a small database must not evaluate one k several
+// times, and the paper-scale sweep keeps its five points.
+func TestDefaultKsDistinct(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want []int
+	}{
+		{1, []int{1}},
+		{20, []int{1, 2}},
+		{150, []int{3, 6, 9, 12, 15}},
+		{1000, []int{20, 40, 60, 80, 100}},
+	} {
+		if got := defaultKs(tc.n); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("defaultKs(%d) = %v, want %v", tc.n, got, tc.want)
+		}
+	}
+	if got := midK(20); got != 1 {
+		t.Errorf("midK(20) = %d, want 1", got)
+	}
+	if got := midK(150); got != 9 {
+		t.Errorf("midK(150) = %d, want 9", got)
 	}
 }
 

@@ -4,14 +4,15 @@
 // The public API lives in the graphdim subpackage: BuildContext runs the
 // parallel offline path (gSpan mining, pairwise MCS matrix, DSPM/DSPMap
 // dimension selection) under an Options.Workers bound with cancellation
-// and per-stage progress, and the resulting Index serves concurrent
-// Search readers (per-query engine choice: mapped, verified, exact), and
-// grows online via Add/Remove without re-running DSPM.
-// Above the single index sits the Store management layer: named
-// collections sharded across parallel indexes by hashed graph placement,
-// fan-out search with a global top-k merge over the collection's one
-// dimension set, a Compact that reclaims tombstoned slots without
-// changing a ranking while readers keep serving, and the one persisted
+// and per-stage progress, and returns an Index — the selected dimension
+// set with the database mapped onto it. The Store management layer serves
+// it: named collections sharded across parallel indexes by hashed graph
+// placement, concurrent fan-out Search readers (per-query engine choice:
+// mapped, verified, exact) with a global top-k merge over the
+// collection's one dimension set, online growth via Collection.Add and
+// Collection.Remove without re-running DSPM, a Compact that reclaims
+// tombstoned slots without changing a ranking while readers keep
+// serving, and the one persisted
 // form of an index: a store directory (a manifest plus one v5 segment
 // file per shard) that only Checkpoint writes and OpenStore serves.
 // Stores opened against a data directory (OpenStore, CreateStore,

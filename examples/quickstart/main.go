@@ -1,7 +1,8 @@
 // Command quickstart is the smallest end-to-end use of the graphdim
 // public API: generate a toy molecule database, build a graph-dimension
-// index with DSPM, answer a top-k similarity query in the mapped space,
-// and grow the index online with Add — no re-mining, no re-run of DSPM.
+// index with DSPM, serve it as an in-memory collection, answer a top-k
+// similarity query in the mapped space, and grow the collection online
+// with Add — no re-mining, no re-run of DSPM.
 package main
 
 import (
@@ -34,9 +35,18 @@ func main() {
 	fmt.Printf("selected %d subgraph dimensions; top dimension:\n%s\n",
 		len(idx.Dimensions()), idx.Dimensions()[0])
 
+	// Serve the index as a collection of an in-memory store: every graph
+	// keeps its id, and the dimension set is fixed for life.
+	store := graphdim.NewStore(graphdim.StoreOptions{})
+	defer store.Close()
+	coll, err := store.CreateFromIndex("molecules", idx, graphdim.CollectionOptions{})
+	if err != nil {
+		log.Fatalf("create: %v", err)
+	}
+
 	// Query the mapped space.
 	for qi, q := range queries {
-		res, err := idx.Search(ctx, q, graphdim.SearchOptions{K: 5})
+		res, err := coll.Search(ctx, q, graphdim.SearchOptions{K: 5})
 		if err != nil {
 			log.Fatalf("query: %v", err)
 		}
@@ -48,19 +58,19 @@ func main() {
 		fmt.Println()
 
 		// Cross-check the best hit with the exact MCS dissimilarity.
-		d := idx.Dissimilarity(q, idx.Graph(res.Results[0].ID))
-		fmt.Printf("  exact delta2 to best hit: %.3f\n", d)
+		best, _ := coll.Graph(res.Results[0].ID)
+		fmt.Printf("  exact delta2 to best hit: %.3f\n", graphdim.Delta2.Dissimilarity(q, best))
 	}
 
-	// Grow the index online: the queries become part of the database via
-	// a cheap VF2 mapping pass onto the existing dimensions.
-	ids, err := idx.Add(queries...)
+	// Grow the collection online: the queries become part of the database
+	// via a cheap VF2 mapping pass onto the existing dimensions.
+	ids, err := coll.Add(ctx, queries...)
 	if err != nil {
 		log.Fatalf("add: %v", err)
 	}
 	fmt.Printf("added %d graphs as ids %v; size %d, stale ratio %.3f\n",
-		len(ids), ids, idx.Size(), idx.StaleRatio())
-	res, err := idx.Search(ctx, queries[0], graphdim.SearchOptions{K: 1})
+		len(ids), ids, coll.Size(), coll.StaleRatios()[0])
+	res, err := coll.Search(ctx, queries[0], graphdim.SearchOptions{K: 1})
 	if err != nil {
 		log.Fatalf("query after add: %v", err)
 	}

@@ -427,7 +427,7 @@ func (c *queryCache) stats() CacheStats {
 // generation vector is read before the search runs: if a mutation
 // commits in between, the stored vector is already stale and the entry
 // ages out on first touch — the race costs a cache miss, never a stale
-// answer (see Index.Generation for the ordering argument). Errors are
+// answer (see the gen field of Index for the ordering argument). Errors are
 // never stored.
 func (c *queryCache) cachedSearch(key string, gens []uint64, start time.Time,
 	search func() (*SearchResult, error)) (*SearchResult, error) {

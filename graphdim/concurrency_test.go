@@ -95,42 +95,6 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestBuildDeterministicAcrossWorkers asserts the core contract of the
-// parallel build: Workers is a performance knob, not a semantics knob.
-// Identical inputs must select identical dimensions with identical
-// weights at any parallelism.
-func TestBuildDeterministicAcrossWorkers(t *testing.T) {
-	for _, algo := range []graphdim.Algorithm{graphdim.DSPM, graphdim.DSPMap} {
-		base := graphdim.Options{
-			Dimensions: 15,
-			Tau:        0.15,
-			MCSBudget:  2000,
-			Algorithm:  algo,
-			Seed:       3,
-		}
-		seqOpt, parOpt := base, base
-		seqOpt.Workers = 1
-		parOpt.Workers = 8
-		seq, _ := buildSmall(t, seqOpt)
-		par, _ := buildSmall(t, parOpt)
-
-		if !reflect.DeepEqual(graphsToStrings(seq.Dimensions()), graphsToStrings(par.Dimensions())) {
-			t.Fatalf("algo %v: Workers=1 and Workers=8 selected different dimensions", algo)
-		}
-		if !reflect.DeepEqual(seq.Weights(), par.Weights()) {
-			t.Fatalf("algo %v: Workers=1 and Workers=8 produced different weights", algo)
-		}
-	}
-}
-
-func graphsToStrings(gs []*graphdim.Graph) []string {
-	out := make([]string, len(gs))
-	for i, g := range gs {
-		out[i] = g.String()
-	}
-	return out
-}
-
 // TestSearchBatchValidation checks mapped batch answers equal
 // one-at-a-time answers of the unsharded Index and that validation
 // rejects bad batches atomically, before any query runs.

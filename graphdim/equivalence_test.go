@@ -141,7 +141,7 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 
 		waves := 3
 		for wave := 0; wave < waves; wave++ {
-			k := 1 + rng.Intn(idx.TotalGraphs()+4)
+			k := 1 + rng.Intn(len(idx.snap.Load().db)+4)
 			for qi, q := range queries {
 				wl := label + " wave " + strconv.Itoa(wave) + " query " + strconv.Itoa(qi)
 				mapped := searchChecked(t, wl+" mapped", idx, q, SearchOptions{K: k})
@@ -156,7 +156,7 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 				sopts := []SearchOptions{{K: k}}
 				if qi == wave%len(queries) {
 					sopts = append(sopts,
-						SearchOptions{K: 5, Engine: EngineVerified, VerifyFactor: idx.TotalGraphs()},
+						SearchOptions{K: 5, Engine: EngineVerified, VerifyFactor: len(idx.snap.Load().db)},
 						SearchOptions{K: 5, Engine: EngineExact})
 				}
 				for _, sopt := range sopts {
@@ -189,12 +189,12 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 				}
 			}
 			removals := rng.Intn(4)
-			for i := 0; i < removals && idx.Size() > 1; i++ {
-				id := rng.Intn(idx.TotalGraphs())
-				if idx.IsRemoved(id) {
+			for i := 0; i < removals && idx.snap.Load().live() > 1; i++ {
+				id := rng.Intn(len(idx.snap.Load().db))
+				if idx.snap.Load().isDead(id) {
 					continue
 				}
-				if err := idx.Remove(id); err != nil {
+				if err := idx.removeGlobal([]int{id}); err != nil {
 					t.Fatalf("%s: Remove(%d): %v", label, id, err)
 				}
 				for _, c := range []*Collection{one, many} {
@@ -220,101 +220,18 @@ func TestEngineEquivalenceAtTinySizes(t *testing.T) {
 	q := dataset.Synthetic(dataset.SynthConfig{N: 1, AvgEdges: 6, Labels: 7, Seed: rng.Int63()})[0]
 	order := rng.Perm(len(db))
 	for _, id := range order[:len(db)-1] {
-		searchChecked(t, "live="+strconv.Itoa(idx.Size())+" mapped", idx, q, SearchOptions{K: 5})
-		searchChecked(t, "live="+strconv.Itoa(idx.Size())+" verified", idx, q,
+		searchChecked(t, "live="+strconv.Itoa(idx.snap.Load().live())+" mapped", idx, q, SearchOptions{K: 5})
+		searchChecked(t, "live="+strconv.Itoa(idx.snap.Load().live())+" verified", idx, q,
 			SearchOptions{K: 3, Engine: EngineVerified, VerifyFactor: 2})
-		if err := idx.Remove(id); err != nil {
+		if err := idx.removeGlobal([]int{id}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if idx.Size() != 1 {
-		t.Fatalf("live size = %d, want 1", idx.Size())
+	if idx.snap.Load().live() != 1 {
+		t.Fatalf("live size = %d, want 1", idx.snap.Load().live())
 	}
 	res := searchChecked(t, "live=1 mapped", idx, q, SearchOptions{K: 5})
 	if len(res.Results) != 1 {
 		t.Fatalf("live=1: got %d results, want 1", len(res.Results))
-	}
-}
-
-// TestEngineEquivalenceSingleShardStore closes the loop: Index rankings
-// equal the scalar reference and the single-shard Store ranking, on a
-// mutated database.
-func TestEngineEquivalenceSingleShardStore(t *testing.T) {
-	rng := rand.New(rand.NewSource(equivSeed(t)))
-	idx, db := equivBuild(t, rng, 2+rng.Intn(120))
-	if _, err := idx.Add(dataset.Synthetic(dataset.SynthConfig{N: 5, AvgEdges: 9, Labels: 5, Seed: rng.Int63()})...); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3 && idx.Size() > 2; i++ {
-		id := rng.Intn(idx.TotalGraphs())
-		if !idx.IsRemoved(id) {
-			if err := idx.Remove(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	s := NewStore(StoreOptions{})
-	defer s.Close()
-	// One cached and one uncached single-shard collection: the cache must
-	// be invisible in the payloads.
-	cached, err := s.CreateFromIndex("one-cached", idx, CollectionOptions{Cache: CacheOptions{MaxEntries: 32}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := s.CreateFromIndex("one-plain", idx, CollectionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	queries := append([]*Graph{db[0], db[len(db)/2]},
-		dataset.Synthetic(dataset.SynthConfig{N: 2, AvgEdges: 6, Labels: 7, Seed: rng.Int63()})...)
-	for qi, q := range queries {
-		k := 1 + rng.Intn(idx.TotalGraphs()+3)
-		for _, opt := range []SearchOptions{
-			{K: k},
-			{K: k, Engine: EngineVerified, VerifyFactor: 2},
-		} {
-			label := "store query " + strconv.Itoa(qi) + " " + opt.Engine.String()
-			want := searchChecked(t, label, idx, q, opt)
-			for _, coll := range []*Collection{cached, plain, cached} { // cached twice: second pass is a cache hit
-				got, err := coll.Search(ctx, q, opt)
-				if err != nil {
-					t.Fatalf("%s (%s): %v", label, coll.Name(), err)
-				}
-				if !reflect.DeepEqual(got.Results, want.Results) {
-					t.Fatalf("%s (%s): store ranking diverges:\nstore: %v\nindex: %v",
-						label, coll.Name(), got.Results, want.Results)
-				}
-			}
-		}
-	}
-	if st, ok := cached.CacheStats(); !ok || st.Hits == 0 {
-		t.Fatalf("cached collection never hit: %+v", st)
-	}
-
-	// Reclaiming the tombstones changes nothing a query can see, cached
-	// or not.
-	for _, coll := range []*Collection{cached, plain} {
-		if _, err := coll.Compact(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for qi, q := range queries {
-		want, err := idx.Search(ctx, q, SearchOptions{K: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, coll := range []*Collection{cached, plain} {
-			got, err := coll.Search(ctx, q, SearchOptions{K: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Results, want.Results) {
-				t.Fatalf("query %d (%s): ranking moved across Compact:\nstore: %v\nindex: %v",
-					qi, coll.Name(), got.Results, want.Results)
-			}
-		}
 	}
 }

@@ -65,7 +65,8 @@ func ExampleIndex_Search() {
 
 // ExampleIndex_Add grows a built index online: new graphs are mapped onto
 // the fixed dimension set with a cheap VF2 pass — no re-mining, no DSPM
-// re-run — and become searchable immediately.
+// re-run — and become searchable immediately. A serving application grows
+// a collection the same way, through Collection.Add.
 func ExampleIndex_Add() {
 	all := dataset.Chemical(dataset.ChemConfig{N: 32, MinVertices: 8, MaxVertices: 12, Seed: 4})
 	db, extra := all[:30], all[30:]
@@ -78,12 +79,15 @@ func ExampleIndex_Add() {
 		panic(err)
 	}
 	fmt.Println(ids)
-	fmt.Println(idx.Size())
-	fmt.Printf("%.3f\n", idx.StaleRatio())
+	// An added graph is its own nearest neighbour.
+	res, err := idx.Search(context.Background(), extra[0], graphdim.SearchOptions{K: 1})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res.Results[0].ID, res.Results[0].Distance)
 	// Output:
 	// [30 31]
-	// 32
-	// 0.062
+	// 30 0
 }
 
 // ExampleCollection_SearchBatch answers a batch of queries in one call.
@@ -155,7 +159,7 @@ func ExampleStore_Checkpoint() {
 	}
 	defer served.Close()
 	coll, _ := served.Collection("molecules")
-	fmt.Println(coll.Size() == idx.Size())
+	fmt.Println(coll.Size() == len(db))
 	ctx := context.Background()
 	a, _ := idx.Search(ctx, db[7], graphdim.SearchOptions{K: 3})
 	b, _ := coll.Search(ctx, db[7], graphdim.SearchOptions{K: 3})

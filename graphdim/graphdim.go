@@ -26,28 +26,26 @@
 // per stage, and is cancellable.
 //
 // The paper's DS-preserved mapping places unseen graphs into the fixed
-// dimension space with a cheap VF2 pass, so an index can also grow
-// online: Add maps new graphs onto the existing dimensions, Remove
-// tombstones graphs, and StaleRatio tells operators when enough of the
-// database postdates the dimension selection that a full re-Build is
-// warranted. Readers are never blocked — updates swap an immutable
-// snapshot. An index persists as a collection of a store directory (see
-// Store, CreateStore), which query servers (cmd/gserve) load without
-// re-mining or re-running DSPM.
-//
-// Above the single index, Store manages named collections sharded across
+// dimension space with a cheap VF2 pass, so the database can also grow
+// online. Store manages named collections built from an Index
+// (CreateFromIndex, or Create for a full build) and sharded across
 // parallel indexes: graphs place onto shards by a fixed hash of their
 // global id, Search fans out and merges per-shard top-k heaps into one
 // globally ranked result (exactly the unsharded ranking — see
-// Collection.Search), Add, Checkpoint and OpenStore parallelize per shard, and
-// Collection.Compact reclaims tombstoned slots while readers keep serving.
-// A collection has one dimension set for life: every shard holds it,
-// nothing re-selects it, and StaleRatio tells the operator when to build a
-// new collection.
+// Collection.Search), Add maps new graphs onto the existing dimensions,
+// Remove tombstones graphs, and Collection.Compact reclaims tombstoned
+// slots while readers keep serving — readers are never blocked, since
+// updates swap an immutable snapshot. A collection has one dimension set
+// for life: every shard holds it, nothing re-selects it, and
+// Collection.StaleRatios tells the operator when enough of the database
+// postdates the selection that a new collection is warranted. A store
+// directory persists every collection, and query servers (cmd/gserve)
+// load it without re-mining or re-running DSPM.
 //
 // Collections built with CacheOptions serve repeat queries from an LRU
 // fenced by per-shard generation counters, so any committed mutation or
-// Compact invalidates affected entries for free (see Index.Generation).
+// Compact invalidates affected entries for free (see the gen field of
+// Index for the ordering argument).
 package graphdim
 
 import (
@@ -311,7 +309,7 @@ type snapshot struct {
 	// baseN is how many of the graphs were part of the database the
 	// dimension selection (Build) or persisted file saw; ids >= baseN
 	// entered through Add. baseDead counts the tombstoned ids below
-	// baseN. StaleRatio derives from both.
+	// baseN. staleRatio derives from both.
 	baseN    int
 	baseDead int
 }
@@ -354,6 +352,22 @@ func deadBelow(dead []uint64, n int) int {
 
 // isDead reports whether id is tombstoned: bit id%64 of word id/64.
 func (s *snapshot) isDead(id int) bool { return s.dead[id/64]&(1<<(id%64)) != 0 }
+
+// live is the number of searchable graphs: every id slot minus the
+// tombstones.
+func (s *snapshot) live() int { return len(s.db) - s.deadCount }
+
+// staleRatio is the fraction of id slots, in [0, 1], that are either live
+// graphs the dimension selection never saw (ids >= baseN, not since
+// removed) or build-time graphs that are gone (tombstoned ids < baseN) —
+// see Collection.StaleRatios.
+func (s *snapshot) staleRatio() float64 {
+	if len(s.db) == 0 {
+		return 0
+	}
+	addedAlive := (len(s.db) - s.baseN) - (s.deadCount - s.baseDead)
+	return float64(addedAlive+s.baseDead) / float64(len(s.db))
+}
 
 // snapshotFromSegment adopts an opened segment: block is the segment's
 // tile section (aliased in place when the reader is a mapping), with its
@@ -532,7 +546,7 @@ func (s *snapshot) limits(admit topk.Alive) topk.Limits {
 
 // graphAt returns graph id, faulting it from the mapped segment on first
 // demand — the one accessor every engine, predicate, scan and
-// Index.Graph/Collection.Graph resolves graphs through. It fails only on a
+// Collection.Graph resolves graphs through. It fails only on a
 // mapped payload that no longer decodes (the segment file was corrupted
 // after its checkpoint; open validates the trailer), so a corrupt payload
 // fails the query, not the process.
@@ -572,18 +586,17 @@ func (s *snapshot) labelIndex() (*posting.LabelIndex, error) {
 	return s.labels.Load(), nil
 }
 
-// Index is a built graph-dimension index over a database: the selected
-// subgraph dimensions, the database graphs, and their binary vectors. It
-// answers top-k similarity queries with a feature-matching step (VF2)
-// plus a scan of the vector space, optionally re-ranked by exact MCS
-// verification (see Search).
+// Index is the build artefact: the selected subgraph dimensions (DSPM or
+// DSPMap over a database), the database graphs, and their binary vectors.
+// Build returns one; Store.CreateFromIndex serves it as a collection, and
+// every shard of a collection is an Index over the collection's one
+// dimension set. The dimension set is fixed at Build time and never
+// changes; only the database below it grows and shrinks.
 //
-// An Index is safe for any number of concurrent readers and writers
-// without external locking: queries and accessors read an immutable
-// snapshot, and Add/Remove publish a new snapshot atomically
-// (copy-on-write), so long-running scans keep seeing the state they
-// started on. The dimension set is fixed at Build time and never changes;
-// only the database below it grows and shrinks.
+// Readers never take a lock: a query reads an immutable snapshot, and a
+// write (Add, a collection's remove or compaction) publishes the next
+// snapshot atomically under the one writer lock, so a long-running scan
+// keeps seeing the state it started on.
 type Index struct {
 	features []*Graph
 	mapper   *vecspace.Mapper
@@ -595,15 +608,22 @@ type Index struct {
 	weights []float64
 	metric  Metric
 	mcsOpt  mcs.Options
-	workers int // Index.Add's mapping fan-out bound; always >= 1
+	workers int // Add's mapping fan-out bound; always >= 1
 
-	// mu is the one writer lock: Add, Remove and a collection's reclaim
-	// derive the next snapshot and swap it in under it.
+	// mu is the one writer lock: add, removeLocked and reclaim derive the
+	// next snapshot and swap it in under it.
 	mu   sync.Mutex
 	snap atomic.Pointer[snapshot]
-	// gen counts publishes: Add, Remove and reclaim bump it once, after
-	// storing their snapshot and before returning. That ordering is the
-	// query cache's fence — see Generation.
+	// gen counts publishes: add, removeLocked and reclaim bump it once,
+	// after storing their snapshot and before returning; it starts at 0
+	// and is not persisted. That ordering is the query cache's fence (see
+	// CacheOptions): two equal reads with an operation between them
+	// guarantee the operation saw every write committed before the first
+	// read, so once a write returns to its caller a result cached under
+	// the old generation can never be served again. In the window between
+	// publish and bump a concurrent reader may still hit the old key —
+	// indistinguishable from a search that raced the write, hence
+	// linearizable.
 	gen atomic.Uint64
 	// compactions counts completed reclaims (Collection.Compact).
 	compactions atomic.Int64
@@ -782,48 +802,6 @@ func BuildContext(ctx context.Context, db []*Graph, opt Options) (*Index, error)
 // first.
 func (ix *Index) Dimensions() []*Graph { return ix.features }
 
-// Weights returns the DSPM weight of each dimension, aligned with
-// Dimensions.
-func (ix *Index) Weights() []float64 { return ix.weights }
-
-// Size returns the number of live (searchable) graphs: every id ever
-// assigned, minus the graphs tombstoned by Remove.
-func (ix *Index) Size() int {
-	s := ix.snap.Load()
-	return len(s.db) - s.deadCount
-}
-
-// TotalGraphs returns the number of id slots — live graphs plus
-// tombstones. Ids are stable for the lifetime of an index (and across
-// persistence), so valid ids are exactly [0, TotalGraphs()).
-func (ix *Index) TotalGraphs() int { return len(ix.snap.Load().db) }
-
-// Graph returns the graph with id i. Removed graphs remain addressable so
-// historical results can still be resolved; use IsRemoved to check. On a
-// memory-mapped index the payload is decoded from the segment on first
-// access, and Graph returns nil if it no longer decodes (the file was
-// corrupted after its checkpoint; queries that reach it return an error).
-func (ix *Index) Graph(i int) *Graph {
-	g, _ := ix.snap.Load().graphAt(i)
-	return g
-}
-
-// IsRemoved reports whether id i has been tombstoned by Remove.
-func (ix *Index) IsRemoved(i int) bool { return ix.snap.Load().isDead(i) }
-
-// Generation returns a monotonic counter of committed mutations: it
-// starts at 0 and moves (by at least one) after every Add or Remove
-// publishes and before that call returns. Two equal Generation reads
-// with an operation between them therefore guarantee the operation saw
-// every mutation committed before the first read — the fence the
-// query-result cache keys on (see CacheOptions): once a write returns to
-// its caller, a result cached under the old generation can never be
-// served again. (In the window between publish and bump a concurrent
-// reader may still hit the old key — indistinguishable from a search that
-// raced the write, hence linearizable.) The counter is not persisted; a
-// loaded index starts at 0 again.
-func (ix *Index) Generation() uint64 { return ix.gen.Load() }
-
 // Result is one top-k answer.
 type Result struct {
 	// ID is the database id of the matched graph.
@@ -833,12 +811,6 @@ type Result struct {
 	// identical feature profile), the MCS dissimilarity for
 	// EngineVerified and EngineExact.
 	Distance float64
-}
-
-// Dissimilarity computes the exact metric value δ(a, b) — exposed for
-// applications that verify or re-rank candidates.
-func (ix *Index) Dissimilarity(a, b *Graph) float64 {
-	return ix.metric.DissimilarityBudget(a, b, ix.mcsOpt)
 }
 
 // Contains reports whether pattern is subgraph-isomorphic to target —

@@ -3,6 +3,7 @@ package graphdim
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -24,16 +25,23 @@ func buildSmall(t *testing.T, algo Algorithm) (*Index, []*Graph) {
 	return idx, db
 }
 
+// graphOf resolves id in ix's current snapshot, tombstoned or not — the
+// flat reference index's graph lookup.
+func graphOf(ix *Index, id int) *Graph {
+	g, _ := ix.snap.Load().graphAt(id)
+	return g
+}
+
 func TestBuildAndQueryDSPM(t *testing.T) {
 	idx, db := buildSmall(t, DSPM)
 	if len(idx.Dimensions()) == 0 || len(idx.Dimensions()) > 20 {
 		t.Fatalf("dimension count %d out of range", len(idx.Dimensions()))
 	}
-	if len(idx.Weights()) != len(idx.Dimensions()) {
+	if len(idx.weights) != len(idx.Dimensions()) {
 		t.Fatalf("weights not aligned with dimensions")
 	}
-	if idx.Size() != len(db) {
-		t.Fatalf("Size = %d, want %d", idx.Size(), len(db))
+	if live := idx.snap.Load().live(); live != len(db) {
+		t.Fatalf("live graphs = %d, want %d", live, len(db))
 	}
 	// Self query: graph 7 must be its own nearest neighbour (distance 0).
 	sr, err := idx.Search(context.Background(), db[7], SearchOptions{K: 3})
@@ -116,7 +124,7 @@ func TestQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("huge k: %v", err)
 	}
-	if len(res.Results) != idx.Size() {
+	if len(res.Results) != len(db) {
 		t.Errorf("huge k should clamp to database size")
 	}
 }
@@ -150,4 +158,39 @@ func TestReadWriteGraphs(t *testing.T) {
 			t.Fatalf("graph %d changed shape", i)
 		}
 	}
+}
+
+// TestBuildDeterministicAcrossWorkers asserts the core contract of the
+// parallel build: Workers is a performance knob, not a semantics knob.
+// Identical inputs must select identical dimensions with identical
+// weights at any parallelism.
+func TestBuildDeterministicAcrossWorkers(t *testing.T) {
+	db := dataset.Chemical(dataset.ChemConfig{N: 30, MinVertices: 8, MaxVertices: 12, Seed: 11})
+	for _, algo := range []Algorithm{DSPM, DSPMap} {
+		opt := Options{Dimensions: 15, Tau: 0.15, MCSBudget: 2000, Algorithm: algo, Seed: 3}
+		var builds [2]*Index
+		for i, workers := range []int{1, 8} {
+			opt.Workers = workers
+			ix, err := Build(db, opt)
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			builds[i] = ix
+		}
+		seq, par := builds[0], builds[1]
+		if !reflect.DeepEqual(graphsToStrings(seq.Dimensions()), graphsToStrings(par.Dimensions())) {
+			t.Fatalf("algo %v: Workers=1 and Workers=8 selected different dimensions", algo)
+		}
+		if !reflect.DeepEqual(seq.weights, par.weights) {
+			t.Fatalf("algo %v: Workers=1 and Workers=8 produced different weights", algo)
+		}
+	}
+}
+
+func graphsToStrings(gs []*Graph) []string {
+	out := make([]string, len(gs))
+	for i, g := range gs {
+		out[i] = g.String()
+	}
+	return out
 }

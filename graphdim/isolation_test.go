@@ -118,7 +118,7 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 				op = "remove"
 				s := ix.snap.Load()
 				if id := rng.Intn(len(s.db)); !s.isDead(id) {
-					if err := ix.Remove(id); err != nil {
+					if err := ix.removeGlobal([]int{id}); err != nil {
 						t.Fatal(err)
 					}
 				}

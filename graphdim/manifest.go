@@ -529,8 +529,8 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 			if err != nil {
 				return err
 			}
-			if len(globals) != idx.TotalGraphs() {
-				return fmt.Errorf("shard %d: %d ids in manifest for %d graphs", i, len(globals), idx.TotalGraphs())
+			if n := len(idx.snap.Load().db); len(globals) != n {
+				return fmt.Errorf("shard %d: %d ids in manifest for %d graphs", i, len(globals), n)
 			}
 			for j, g := range globals {
 				if g < 0 || g >= cm.NextID {

@@ -185,8 +185,9 @@ func (m *storeModel) fresh() []*Graph {
 // live lists the model's live ids in ascending order.
 func (m *storeModel) live() []int {
 	var ids []int
-	for id := 0; id < m.model.TotalGraphs(); id++ {
-		if !m.model.IsRemoved(id) {
+	s := m.model.snap.Load()
+	for id := range s.db {
+		if !s.isDead(id) {
 			ids = append(ids, id)
 		}
 	}
@@ -211,7 +212,7 @@ func (m *storeModel) remove() {
 	}
 	m.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 	ids := live[:1+m.rng.Intn(2)]
-	m.must(m.model.Remove(ids...))
+	m.must(m.model.removeGlobal(ids))
 	m.must(m.c.Remove(ids...))
 }
 
@@ -244,8 +245,9 @@ func (m *storeModel) checkpoint() {
 // nothing to the log; the checks after it hold its answers unchanged.
 func (m *storeModel) compact() {
 	dirty := map[int]bool{}
-	for id := 0; id < m.model.TotalGraphs(); id++ {
-		if m.model.IsRemoved(id) && !m.reclaimed[id] {
+	s := m.model.snap.Load()
+	for id := range s.db {
+		if s.isDead(id) && !m.reclaimed[id] {
 			dirty[placeID(id, m.shards)] = true
 			m.reclaimed[id] = true
 		}
@@ -303,7 +305,7 @@ func (m *storeModel) checkOpened(c *Collection, mode MemoryMode) {
 		m.fatalf("opened with %d shards and defaults %+v, created with %d and %+v", c.Shards(), c.Defaults(), m.shards, m.defaults)
 	}
 	for sh, ix := range c.shards {
-		if ix.dims != m.model.dims || !reflect.DeepEqual(ix.Weights(), m.model.Weights()) {
+		if ix.dims != m.model.dims || !reflect.DeepEqual(ix.weights, m.model.weights) {
 			m.fatalf("shard %d opened with another dimension set or weights", sh)
 		}
 		snap := ix.snap.Load()
@@ -372,25 +374,26 @@ func (m *storeModel) truncated() bool {
 // checkContent holds c to the model: NextID, Live, the slot count, and
 // for every id whether it resolves, whether it is live, and its graph.
 func (m *storeModel) checkContent(who string, c *Collection, reclaimed map[int]bool) {
-	st, n := c.Stats(), m.model.TotalGraphs()
+	st, model := c.Stats(), m.model.snap.Load()
+	n := len(model.db)
 	slots := 0
 	for _, sh := range st.Shards {
 		slots += sh.Total
 	}
-	if st.NextID != n || st.Live != m.model.Size() || slots != n-len(reclaimed) {
+	if st.NextID != n || st.Live != model.live() || slots != n-len(reclaimed) {
 		m.fatalf("%s: NextID %d, Live %d, %d slots; the model has %d, %d, and %d reclaimed",
-			who, st.NextID, st.Live, slots, n, m.model.Size(), len(reclaimed))
+			who, st.NextID, st.Live, slots, n, model.live(), len(reclaimed))
 	}
 	for id := -1; id <= n; id++ {
 		g, ok := c.Graph(id)
 		if want := id >= 0 && id < n && !reclaimed[id]; ok != want {
 			m.fatalf("%s: Graph(%d) resolves %v, want %v", who, id, ok, want)
 		}
-		if _, live := liveGraph(c, id); ok && live == m.model.IsRemoved(id) {
+		if _, live := liveGraph(c, id); ok && live == model.isDead(id) {
 			m.fatalf("%s: id %d live %v, the model's %v", who, id, live, !live)
 		}
 		if ok && m.checked[g] != id+1 {
-			if g.String() != m.model.Graph(id).String() {
+			if g.String() != graphOf(m.model, id).String() {
 				m.fatalf("%s: id %d holds another graph than the model's", who, id)
 			}
 			m.checked[g] = id + 1
@@ -404,7 +407,7 @@ func (m *storeModel) query1() *Graph {
 	if m.rng.Intn(2) == 0 {
 		return m.queries[m.rng.Intn(len(m.queries))]
 	}
-	return m.model.Graph(m.rng.Intn(m.model.TotalGraphs()))
+	return graphOf(m.model, m.rng.Intn(len(m.model.snap.Load().db)))
 }
 
 // options draws search options: an engine — a verified pool always
@@ -415,7 +418,7 @@ func (m *storeModel) options(k int) SearchOptions {
 	opt := SearchOptions{K: k}
 	switch m.rng.Intn(3) {
 	case 1:
-		opt.Engine, opt.VerifyFactor = EngineVerified, m.model.TotalGraphs()
+		opt.Engine, opt.VerifyFactor = EngineVerified, len(m.model.snap.Load().db)
 	case 2:
 		opt.Engine = EngineExact
 	}
@@ -433,7 +436,7 @@ func (m *storeModel) options(k int) SearchOptions {
 // search compares one search, then repeats it, which must hit the cache
 // unless a predicate keeps it out.
 func (m *storeModel) search() {
-	q, opt := m.query1(), m.options(1+m.rng.Intn(m.model.TotalGraphs()+3))
+	q, opt := m.query1(), m.options(1+m.rng.Intn(len(m.model.snap.Load().db)+3))
 	m.compareSearch("collection", m.c, q, opt)
 	if opt.Predicate == nil {
 		st, _ := m.c.CacheStats()
@@ -498,7 +501,7 @@ func (m *storeModel) query() {
 	agg := pipeline.NewAggregator(pl)
 	if q != nil {
 		for _, r := range searchChecked(m.t, m.label+" model", m.model, q, opt).Results {
-			agg.Add(pipeline.Row{ID: r.ID, Distance: r.Distance, HasDistance: true, Engine: opt.Engine.String(), G: m.model.Graph(r.ID)})
+			agg.Add(pipeline.Row{ID: r.ID, Distance: r.Distance, HasDistance: true, Engine: opt.Engine.String(), G: graphOf(m.model, r.ID)})
 		}
 	} else {
 		snap := m.model.snap.Load()

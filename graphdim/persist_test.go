@@ -1,46 +1,11 @@
 package graphdim
 
 import (
-	"context"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/dataset"
 )
-
-func buildForPersist(t *testing.T) (*Index, []*Graph) {
-	t.Helper()
-	db := dataset.Chemical(dataset.ChemConfig{N: 30, MinVertices: 8, MaxVertices: 12, Seed: 13})
-	idx, err := Build(db, Options{Dimensions: 12, Tau: 0.15, MCSBudget: 1500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return idx, db
-}
-
-// sameAnswers requires a and b to rank identically under every engine.
-func sameAnswers(t *testing.T, a, b *Index, queries []*Graph) {
-	t.Helper()
-	for _, engine := range []Engine{EngineMapped, EngineVerified, EngineExact} {
-		opt := SearchOptions{K: 8, Engine: engine}
-		for qi, q := range queries {
-			ra, err := a.Search(context.Background(), q, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, err := b.Search(context.Background(), q, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ra.Results, rb.Results) {
-				t.Fatalf("%v query %d: answers diverged after persistence:\n%v\n%v", engine, qi, ra.Results, rb.Results)
-			}
-		}
-	}
-}
 
 // reopenAsCollection persists idx the one way an index persists — as a
 // single-shard collection created in a fresh store directory, which
@@ -72,62 +37,6 @@ func reopenCollection(t *testing.T, dir string, mode MemoryMode) *Collection {
 		t.Fatal("collection lost across the reopen")
 	}
 	return c
-}
-
-// TestRoundTripPreservesState: an index with tombstones and post-Add ids,
-// persisted as a collection's one shard and reopened mapped and on the
-// heap, keeps its shape, tombstones, weights and dimensions and ranks
-// exactly like its source under every engine; the reopened collection
-// keeps growing and re-persists.
-func TestRoundTripPreservesState(t *testing.T) {
-	idx, db := buildForPersist(t)
-	extra := dataset.Chemical(dataset.ChemConfig{N: 5, MinVertices: 8, MaxVertices: 12, Seed: 14})
-	if _, err := idx.Add(extra...); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Remove(2, 7, 31); err != nil {
-		t.Fatal(err)
-	}
-
-	for name, mode := range map[string]MemoryMode{"map": MemoryAuto, "heap": MemoryHeap} {
-		c := reopenAsCollection(t, idx, mode)
-		loaded := c.shards[0]
-		if (loaded.snap.Load().seg == nil) != (mode == MemoryHeap) {
-			t.Fatalf("%s: segment source %v; only a heap open rehydrates the whole shard", name, loaded.snap.Load().seg)
-		}
-		if loaded.TotalGraphs() != idx.TotalGraphs() || loaded.Size() != idx.Size() || loaded.Removed() != idx.Removed() {
-			t.Fatalf("%s: shape changed: Total/Size/Removed %d/%d/%d vs %d/%d/%d", name,
-				loaded.TotalGraphs(), loaded.Size(), loaded.Removed(),
-				idx.TotalGraphs(), idx.Size(), idx.Removed())
-		}
-		if loaded.StaleRatio() != idx.StaleRatio() {
-			t.Fatalf("%s: StaleRatio changed: %v vs %v", name, loaded.StaleRatio(), idx.StaleRatio())
-		}
-		if !loaded.IsRemoved(2) || !loaded.IsRemoved(31) || loaded.IsRemoved(3) {
-			t.Fatalf("%s: tombstones not preserved", name)
-		}
-		if !reflect.DeepEqual(loaded.Weights(), idx.Weights()) {
-			t.Fatalf("%s: weights changed", name)
-		}
-		for i, f := range idx.Dimensions() {
-			if loaded.Dimensions()[i].String() != f.String() {
-				t.Fatalf("%s: dimension %d changed", name, i)
-			}
-		}
-		// Queries include a post-Add graph, so ids past the build are ranked.
-		sameAnswers(t, idx, loaded, append(db[:5:5], extra[0]))
-
-		// A reopened collection keeps growing and re-persists.
-		if _, err := c.Add(context.Background(), extra[1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.store.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if again := reopenCollection(t, c.store.Dir(), mode); again.shards[0].TotalGraphs() != idx.TotalGraphs()+1 {
-			t.Fatalf("%s: reopen→add→checkpoint lost graphs", name)
-		}
-	}
 }
 
 // openIndexFile writes data as an index file and opens it the way a store

@@ -73,7 +73,7 @@ func filterHolds(f *pipeline.Filter, g *Graph, vec *vecspace.BitVector) bool {
 // (constraints sampled from a random member graph) so filtered result
 // sets are usually non-empty.
 func randomFilter(rng *rand.Rand, idx *Index, vecs []*vecspace.BitVector) *pipeline.Filter {
-	g := idx.Graph(rng.Intn(idx.TotalGraphs()))
+	g := graphOf(idx, rng.Intn(len(idx.snap.Load().db)))
 	f := &pipeline.Filter{}
 	switch rng.Intn(5) {
 	case 0:
@@ -128,9 +128,9 @@ func randomFilter(rng *rand.Rand, idx *Index, vecs []*vecspace.BitVector) *pipel
 
 func mapAll(idx *Index) []*vecspace.BitVector {
 	m := vecspace.NewMapper(idx.Dimensions())
-	vecs := make([]*vecspace.BitVector, idx.TotalGraphs())
+	vecs := make([]*vecspace.BitVector, len(idx.snap.Load().db))
 	for i := range vecs {
-		vecs[i] = m.Map(idx.Graph(i))
+		vecs[i] = m.Map(graphOf(idx, i))
 	}
 	return vecs
 }
@@ -157,7 +157,7 @@ func TestPipelineSearchEquivalence(t *testing.T) {
 	queries := []*Graph{db[rng.Intn(len(db))]}
 	queries = append(queries, dataset.Synthetic(dataset.SynthConfig{N: 2, AvgEdges: 6, Labels: 7, Seed: rng.Int63()})...)
 	for qi, q := range queries {
-		k := 1 + rng.Intn(idx.TotalGraphs()+3)
+		k := 1 + rng.Intn(len(idx.snap.Load().db)+3)
 		for _, eng := range []Engine{EngineMapped, EngineVerified} {
 			opt := SearchOptions{K: k, Engine: eng, VerifyFactor: 2}
 			stage := pipeline.Stage{Search: &pipeline.Search{G: q, K: k, Engine: eng.String(), VerifyFactor: 2}}
@@ -204,15 +204,15 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 		if _, err := idx.Add(dataset.Synthetic(dataset.SynthConfig{N: 4, AvgEdges: 9, Labels: 5, Seed: rng.Int63()})...); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 2 && idx.Size() > 2; i++ {
-			if id := rng.Intn(idx.TotalGraphs()); !idx.IsRemoved(id) {
-				if err := idx.Remove(id); err != nil {
+		for i := 0; i < 2 && idx.snap.Load().live() > 2; i++ {
+			if id := rng.Intn(len(idx.snap.Load().db)); !idx.snap.Load().isDead(id) {
+				if err := idx.removeGlobal([]int{id}); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		vecs := mapAll(idx)
-		queries := []*Graph{idx.Graph(rng.Intn(idx.TotalGraphs()))}
+		queries := []*Graph{graphOf(idx, rng.Intn(len(idx.snap.Load().db)))}
 		queries = append(queries, dataset.Synthetic(dataset.SynthConfig{N: 1, AvgEdges: 6, Labels: 7, Seed: rng.Int63()})...)
 
 		for trial := 0; trial < 6; trial++ {
@@ -222,7 +222,7 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 			}
 			holds := func(id int) bool {
 				for _, f := range fs {
-					if !filterHolds(f, idx.Graph(id), vecs[id]) {
+					if !filterHolds(f, graphOf(idx, id), vecs[id]) {
 						return false
 					}
 				}
@@ -230,7 +230,7 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 			}
 			pred := func(id int, _ *Graph) bool { return holds(id) }
 			q := queries[rng.Intn(len(queries))]
-			k := 1 + rng.Intn(idx.TotalGraphs())
+			k := 1 + rng.Intn(len(idx.snap.Load().db))
 			label := "round " + strconv.Itoa(round) + " trial " + strconv.Itoa(trial)
 
 			for _, eng := range []Engine{EngineMapped, EngineVerified} {
@@ -256,7 +256,7 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 			// Post-hoc oracle on the mapped engine: the unfiltered flat
 			// ranking over everything, filtered after the fact, truncated
 			// to K, must equal the pushdown ranking.
-			full, err := idx.Search(ctx, q, SearchOptions{K: idx.TotalGraphs()})
+			full, err := idx.Search(ctx, q, SearchOptions{K: len(idx.snap.Load().db)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +304,7 @@ func TestPipelineShardMergeEquivalence(t *testing.T) {
 	vecs := mapAll(idx)
 	q := db[rng.Intn(len(db))]
 	filter := pipeline.Stage{Filter: randomFilter(rng, idx, vecs)}
-	search := pipeline.Stage{Search: &pipeline.Search{G: q, K: 1 + rng.Intn(idx.TotalGraphs())}}
+	search := pipeline.Stage{Search: &pipeline.Search{G: q, K: 1 + rng.Intn(len(idx.snap.Load().db))}}
 	pipelines := []*pipeline.Pipeline{
 		{Stages: []pipeline.Stage{filter, {Count: &pipeline.Count{}}}},
 		{Stages: []pipeline.Stage{filter}},

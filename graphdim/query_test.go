@@ -33,7 +33,7 @@ func TestQueryScanStats(t *testing.T) {
 
 	// A pushable label filter plus a residual count range: the stats
 	// must report the split, and the count must match a brute force.
-	lab := int(idx.Graph(0).VertexLabel(0))
+	lab := int(graphOf(idx, 0).VertexLabel(0))
 	f := &pipeline.Filter{
 		VertexLabels: []pipeline.LabelCount{{Label: lab}},
 		MinVertices:  2,
@@ -45,9 +45,10 @@ func TestQueryScanStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want int64
-	for id := 0; id < idx.TotalGraphs(); id++ {
-		g := idx.Graph(id)
-		if idx.IsRemoved(id) || g.N() < 2 {
+	snap := idx.snap.Load()
+	for id := range snap.db {
+		g := graphOf(idx, id)
+		if snap.isDead(id) || g.N() < 2 {
 			continue
 		}
 		vh, _ := g.LabelHistogram()
@@ -64,8 +65,8 @@ func TestQueryScanStats(t *testing.T) {
 	if res.Stats.PushedPredicates != 1 || res.Stats.FallbackPredicates != 1 {
 		t.Fatalf("pushdown split %d/%d, want 1/1", res.Stats.PushedPredicates, res.Stats.FallbackPredicates)
 	}
-	if res.Stats.Candidates < want || res.Stats.Candidates > int64(idx.TotalGraphs()) {
-		t.Fatalf("candidates %d outside [%d, %d]", res.Stats.Candidates, want, idx.TotalGraphs())
+	if res.Stats.Candidates < want || res.Stats.Candidates > int64(len(snap.db)) {
+		t.Fatalf("candidates %d outside [%d, %d]", res.Stats.Candidates, want, len(snap.db))
 	}
 	if len(res.Stats.Stages) != 2 || res.Stats.Stages[0].Stage != "scan" || res.Stats.Stages[1].Stage != "aggregate" {
 		t.Fatalf("stage timings %+v, want scan+aggregate", res.Stats.Stages)
@@ -89,7 +90,7 @@ func TestQueryScanStats(t *testing.T) {
 func TestScanCandidatesCountOnlyLiveIDs(t *testing.T) {
 	c, idx := queryTestCollection(t, 2, CacheOptions{})
 	ctx := context.Background()
-	lab := int(idx.Graph(0).VertexLabel(0))
+	lab := int(graphOf(idx, 0).VertexLabel(0))
 	count := &pipeline.Pipeline{Stages: []pipeline.Stage{
 		{Filter: &pipeline.Filter{VertexLabels: []pipeline.LabelCount{{Label: lab}}}}, {Count: &pipeline.Count{}},
 	}}
@@ -176,7 +177,7 @@ func TestQueryStageErrors(t *testing.T) {
 func TestQueryFilteredSearchCached(t *testing.T) {
 	c, idx := queryTestCollection(t, 1, CacheOptions{MaxEntries: 32})
 	ctx := context.Background()
-	q := idx.Graph(3)
+	q := graphOf(idx, 3)
 	lab := int(q.VertexLabel(0))
 
 	run := func(f *pipeline.Filter) *pipeline.Result {
@@ -235,7 +236,7 @@ func TestQueryFilteredSearchCached(t *testing.T) {
 	}
 
 	// Mutating the collection fences the old entries out.
-	if _, err := c.Add(ctx, idx.Graph(1)); err != nil {
+	if _, err := c.Add(ctx, graphOf(idx, 1)); err != nil {
 		t.Fatal(err)
 	}
 	run(fa)
@@ -256,8 +257,8 @@ func TestQueryScanRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != idx.Size() {
-		t.Fatalf("%d rows, want every live graph (%d)", len(res.Rows), idx.Size())
+	if len(res.Rows) != idx.snap.Load().live() {
+		t.Fatalf("%d rows, want every live graph (%d)", len(res.Rows), idx.snap.Load().live())
 	}
 	for i, r := range res.Rows {
 		if r.Distance != nil {
@@ -358,8 +359,8 @@ func TestQueryCachesScans(t *testing.T) {
 	countOf := func() int64 { return *query(count).Count }
 	query(group)
 	n := countOf()
-	if n != int64(idx.Size()) {
-		t.Fatalf("count %d, want %d", n, idx.Size())
+	if n != int64(idx.snap.Load().live()) {
+		t.Fatalf("count %d, want %d", n, idx.snap.Load().live())
 	}
 
 	fenced := func(what string, wantCount int64) {
@@ -373,7 +374,7 @@ func TestQueryCachesScans(t *testing.T) {
 			t.Fatalf("%s invalidated %d entries, want the count's and the group_by's", what, got-inv)
 		}
 	}
-	ids, err := c.Add(ctx, idx.Graph(0))
+	ids, err := c.Add(ctx, graphOf(idx, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestQueryCachesScans(t *testing.T) {
 // its search runs uncached — and its hit is a single cache stage.
 func TestQuerySearchTakesOneEntry(t *testing.T) {
 	c, idx := queryTestCollection(t, 2, CacheOptions{MaxEntries: 32})
-	p := &pipeline.Pipeline{Stages: []pipeline.Stage{{Search: &pipeline.Search{G: idx.Graph(5), K: 4}}}}
+	p := &pipeline.Pipeline{Stages: []pipeline.Stage{{Search: &pipeline.Search{G: graphOf(idx, 5), K: 4}}}}
 	for i := 0; i < 2; i++ {
 		res, err := c.Query(context.Background(), p)
 		if err != nil {
@@ -412,7 +413,7 @@ func TestQuerySearchTakesOneEntry(t *testing.T) {
 // did.
 func TestQueryCacheHitIsACopy(t *testing.T) {
 	c, idx := queryTestCollection(t, 1, CacheOptions{MaxEntries: 32})
-	q := idx.Graph(2)
+	q := graphOf(idx, 2)
 	for _, p := range []*pipeline.Pipeline{
 		{Stages: []pipeline.Stage{{Search: &pipeline.Search{G: q, K: 6}}}},
 		{Stages: []pipeline.Stage{{Filter: &pipeline.Filter{MinVertices: 1}}, {Count: &pipeline.Count{}}}},
@@ -464,7 +465,7 @@ func TestQueryCacheHitIsACopy(t *testing.T) {
 // different graphs never share an entry, whichever way each is spelled.
 func TestQueryCacheKeySpellings(t *testing.T) {
 	c, idx := queryTestCollection(t, 2, CacheOptions{MaxEntries: 32})
-	a, b := idx.Graph(1), idx.Graph(9)
+	a, b := graphOf(idx, 1), graphOf(idx, 9)
 	spec := func(g *Graph) *pipeline.GraphSpec {
 		s := &pipeline.GraphSpec{}
 		for v := 0; v < g.N(); v++ {
@@ -555,7 +556,7 @@ func TestQueryCacheStoresNoErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *res.Count != int64(idx.Size()) {
-		t.Fatalf("count %d after a cancelled run, want %d", *res.Count, idx.Size())
+	if *res.Count != int64(idx.snap.Load().live()) {
+		t.Fatalf("count %d after a cancelled run, want %d", *res.Count, idx.snap.Load().live())
 	}
 }

@@ -265,9 +265,13 @@ func composePredicate(residual func(id int, g *Graph) bool, pred func(id int, g 
 // Search answers a top-k similarity query with per-query options: engine
 // choice, verification factor, metric override, and a result predicate
 // (see SearchOptions). It reads an immutable snapshot, so a Search
-// observes a consistent database even while Add/Remove run concurrently,
-// and it honours ctx — a cancelled search returns ctx.Err() promptly,
-// which bounds the tail latency of the MCS-based engines.
+// observes a consistent database even while Add runs concurrently, and it
+// honours ctx — a cancelled search returns ctx.Err() promptly, which
+// bounds the tail latency of the MCS-based engines.
+//
+// Search stays exported, like Add, because the benchmark harness queries
+// a bare Index; applications search a Collection, whose Search takes the
+// same options and returns exactly this ranking.
 func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*SearchResult, error) {
 	start := time.Now()
 	if q == nil {

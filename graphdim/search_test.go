@@ -104,12 +104,12 @@ func TestSearchEnginesOnSelfQuery(t *testing.T) {
 // the experiments workload, EngineVerified's precision against exact
 // ground truth is at least EngineMapped's for every query.
 func TestVerifiedEngineAtLeastAsAccurate(t *testing.T) {
-	idx, _ := buildSmall(t, DSPM)
+	idx, db := buildSmall(t, DSPM)
 	queries := dataset.Chemical(dataset.ChemConfig{N: 8, MinVertices: 8, MaxVertices: 14, Seed: 99})
 	ctx := context.Background()
 	const k = 5
 	for qi, q := range queries {
-		exact, err := idx.Search(ctx, q, SearchOptions{K: idx.Size(), Engine: EngineExact})
+		exact, err := idx.Search(ctx, q, SearchOptions{K: len(db), Engine: EngineExact})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestVerifiedEngineAtLeastAsAccurate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verified, err := idx.Search(ctx, q, SearchOptions{K: k, Engine: EngineVerified, VerifyFactor: idx.Size()})
+		verified, err := idx.Search(ctx, q, SearchOptions{K: k, Engine: EngineVerified, VerifyFactor: len(db)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,12 +148,12 @@ func TestSearchPredicate(t *testing.T) {
 	idx, db := buildSmall(t, DSPM)
 	ctx := context.Background()
 	even := func(id int, g *Graph) bool { return id%2 == 0 }
-	res, err := idx.Search(ctx, db[0], SearchOptions{K: idx.Size(), Predicate: even})
+	res, err := idx.Search(ctx, db[0], SearchOptions{K: len(db), Predicate: even})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Results) != (idx.Size()+1)/2 {
-		t.Fatalf("predicate result count %d, want %d", len(res.Results), (idx.Size()+1)/2)
+	if len(res.Results) != (len(db)+1)/2 {
+		t.Fatalf("predicate result count %d, want %d", len(res.Results), (len(db)+1)/2)
 	}
 	for _, r := range res.Results {
 		if r.ID%2 != 0 {
@@ -172,7 +172,7 @@ func TestSearchMetricOverride(t *testing.T) {
 	}
 	// Every score must be the Delta1 dissimilarity of its graph.
 	for _, r := range res.Results {
-		want := Delta1.DissimilarityBudget(q, idx.Graph(r.ID), idx.mcsOpt)
+		want := Delta1.DissimilarityBudget(q, db[r.ID], idx.mcsOpt)
 		if r.Distance != want {
 			t.Errorf("id %d: score %v, want delta1 %v", r.ID, r.Distance, want)
 		}
@@ -290,25 +290,12 @@ func TestBuildProgress(t *testing.T) {
 	}
 }
 
-// batchCollection serves idx as a two-shard collection of an in-memory
-// store — the one batch search path, Collection.SearchBatch.
-func batchCollection(t *testing.T, idx *Index) *Collection {
-	t.Helper()
-	store := NewStore(StoreOptions{})
-	t.Cleanup(store.Close)
-	c, err := store.CreateFromIndex("batch", idx, CollectionOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // TestSearchBatchPropagatesError pins the fixed TopKBatch error path: a
 // per-query failure surfaces as the batch error instead of a silent nil
 // row. Cancellation mid-batch is the per-query failure mode.
 func TestSearchBatchPropagatesError(t *testing.T) {
 	idx, db := buildSmall(t, DSPM)
-	c := batchCollection(t, idx)
+	c := serveIndex(t, idx, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	// The predicate runs inside each query's scan; cancelling from it
@@ -329,7 +316,7 @@ func TestSearchBatchPropagatesError(t *testing.T) {
 
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	idx, db := buildSmall(t, DSPM)
-	c := batchCollection(t, idx)
+	c := serveIndex(t, idx, 2)
 	ctx := context.Background()
 	queries := db[:6]
 	batch, err := c.SearchBatch(ctx, queries, SearchOptions{K: 4, Engine: EngineVerified})

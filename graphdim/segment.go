@@ -24,9 +24,10 @@ import (
 
 // segSource is the mapped segment a snapshot chain is served from. It is
 // created once per open and shared — with its decoded-graph cache —
-// across every snapshot descended from that open (Add/Remove carry it
-// forward), so a graph payload is decoded at most once per process no
-// matter how many snapshots alias the mapping.
+// across every snapshot descended from that open (appended and
+// tombstoned snapshots carry it forward), so a graph payload is decoded
+// at most once per process no matter how many snapshots alias the
+// mapping.
 type segSource struct {
 	r      *segment.Reader
 	graphs []atomic.Pointer[graph.Graph]

@@ -293,7 +293,7 @@ func TestReadIndexSegmentRoundTrip(t *testing.T) {
 	if _, err := idx.Add(dataset.Synthetic(dataset.SynthConfig{N: 4, AvgEdges: 8, Labels: 5, Seed: rng.Int63()})...); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Remove(1, 7); err != nil {
+	if err := idx.removeGlobal([]int{1, 7}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -312,13 +312,14 @@ func TestReadIndexSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.TotalGraphs() != idx.TotalGraphs() || re.Size() != idx.Size() {
-		t.Fatalf("rehydrated %d total/%d live, want %d/%d", re.TotalGraphs(), re.Size(), idx.TotalGraphs(), idx.Size())
+	rs, is := re.snap.Load(), idx.snap.Load()
+	if len(rs.db) != len(is.db) || rs.live() != is.live() {
+		t.Fatalf("rehydrated %d total/%d live, want %d/%d", len(rs.db), rs.live(), len(is.db), is.live())
 	}
-	if re.snap.Load().seg != nil {
+	if rs.seg != nil {
 		t.Fatal("a heap open kept a segment source; the heap leg must be fully heap-resident")
 	}
-	if !re.IsRemoved(1) || !re.IsRemoved(7) || re.IsRemoved(2) {
+	if !rs.isDead(1) || !rs.isDead(7) || rs.isDead(2) {
 		t.Fatal("tombstones not preserved")
 	}
 	ctx := context.Background()
@@ -451,9 +452,6 @@ func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
 	// as unresolvable instead of panicking, and the others still resolve.
 	if g, ok := c.Graph(victim); g != nil || ok {
 		t.Errorf("Collection.Graph(%d) = %v, %v; want nil, false", victim, g, ok)
-	}
-	if g := c.shards[0].Graph(victim); g != nil {
-		t.Errorf("Index.Graph(%d) = %v, want nil", victim, g)
 	}
 	if g, ok := c.Graph(victim + 1); g == nil || !ok {
 		t.Errorf("Collection.Graph(%d) = %v, %v; an intact graph must resolve", victim+1, g, ok)

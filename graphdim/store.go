@@ -459,14 +459,14 @@ func (c *Collection) Defaults() SearchOptions { return c.defaults }
 func (c *Collection) Size() int {
 	n := 0
 	for _, sh := range c.shards {
-		n += sh.Size()
+		n += sh.snap.Load().live()
 	}
 	return n
 }
 
-// Graph resolves a global id. Tombstoned graphs remain addressable, as in
-// Index.Graph, until Compact reclaims their slots; ids never assigned,
-// beyond the store, or reclaimed return false. Reclamation is local to a
+// Graph resolves a global id. Tombstoned graphs remain addressable, so
+// historical results still resolve, until Compact reclaims their slots;
+// ids never assigned, beyond the store, or reclaimed return false. Reclamation is local to a
 // process — a follower, or this store reopened from a checkpoint taken
 // before the Compact, may still resolve an id this one no longer does.
 // On a memory-mapped store a payload that no longer decodes also returns
@@ -501,11 +501,11 @@ func (c *Collection) resolve(id int) (*snapshot, int) {
 // graphs returns — identical ids and identical scores — before and after
 // any Compact.
 //
-// SearchOptions is the same type Index.Search takes, and is taken as
-// given: the collection's Defaults are the caller's to apply (gserve
-// does). The Predicate, like the returned Results, sees global ids. The
-// result's Matched bitset is the query's vector over the collection's
-// dimensions — the one vector every shard scanned with.
+// SearchOptions is taken as given: the collection's Defaults are the
+// caller's to apply (gserve does). The Predicate, like the returned
+// Results, sees global ids. The result's Matched bitset is the query's
+// vector over the collection's dimensions — the one vector every shard
+// scanned with.
 func (c *Collection) Search(ctx context.Context, q *Graph, opt SearchOptions) (*SearchResult, error) {
 	start := time.Now()
 	if q == nil {
@@ -533,7 +533,7 @@ func (c *Collection) Search(ctx context.Context, q *Graph, opt SearchOptions) (*
 func (c *Collection) generations() []uint64 {
 	gens := make([]uint64, len(c.shards))
 	for i, sh := range c.shards {
-		gens[i] = sh.Generation()
+		gens[i] = sh.gen.Load()
 	}
 	return gens
 }
@@ -839,11 +839,22 @@ func (c *Collection) Remove(ids ...int) error {
 	return c.applyRemove(ids)
 }
 
-// StaleRatios returns each shard's StaleRatio, indexed by shard.
+// StaleRatios reports, per shard, how far the collection has drifted from
+// its dimension selection, in [0, 1]: the fraction of a shard's id slots
+// that are either live graphs the selection never saw (added after the
+// build, and not since removed) or build-time graphs that are gone
+// (tombstoned). A fresh collection reports 0, as does one whose added
+// graphs have all been removed again — the live database then is exactly
+// the one the dimensions were optimized for. Accuracy degrades as the
+// ratio grows; build a new collection when it crosses an operator-chosen
+// threshold (EXPERIMENTS.md uses 0.3 as a starting point) — nothing
+// re-selects on its own, the ratio is the operator's signal. Compact drops
+// tombstoned slots, so after it the gone-build-graphs term is zero and a
+// shard's ratio is its live unseen graphs over its live graphs.
 func (c *Collection) StaleRatios() []float64 {
 	out := make([]float64, len(c.shards))
 	for i, sh := range c.shards {
-		out[i] = sh.StaleRatio()
+		out[i] = sh.snap.Load().staleRatio()
 	}
 	return out
 }
@@ -892,7 +903,7 @@ type ShardStats struct {
 	// including tombstones.
 	Live  int `json:"live"`
 	Total int `json:"total"`
-	// StaleRatio is the shard index's StaleRatio.
+	// StaleRatio is the shard's entry of Collection.StaleRatios.
 	StaleRatio float64 `json:"stale_ratio"`
 	// Compactions counts the times Compact repacked this shard.
 	Compactions int64 `json:"compactions"`
@@ -929,10 +940,12 @@ func (c *Collection) Stats() CollectionStats {
 		Shards:     make([]ShardStats, len(c.shards)),
 	}
 	for i, sh := range c.shards {
+		// One load per shard: a row never straddles a concurrent write.
+		snap := sh.snap.Load()
 		s := ShardStats{
-			Live:        sh.Size(),
-			Total:       sh.TotalGraphs(),
-			StaleRatio:  sh.StaleRatio(),
+			Live:        snap.live(),
+			Total:       len(snap.db),
+			StaleRatio:  snap.staleRatio(),
 			Compactions: sh.compactions.Load(),
 		}
 		cs.Live += s.Live

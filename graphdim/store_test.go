@@ -168,7 +168,7 @@ func TestStoreEquivalenceAfterUpdates(t *testing.T) {
 	extra := storeTestDB(t, 8, 123)
 	collIDs := addBoth(extra)
 	removed := []int{2, 9, collIDs[1], collIDs[5]}
-	if err := flat.Remove(removed...); err != nil {
+	if err := flat.removeGlobal(removed); err != nil {
 		t.Fatalf("flat Remove: %v", err)
 	}
 	if err := coll.Remove(removed...); err != nil {
@@ -759,7 +759,7 @@ func TestCreateFromIndexInheritsStaleness(t *testing.T) {
 	if _, err := idx.Add(storeTestDB(t, 20, 61)...); err != nil {
 		t.Fatal(err)
 	}
-	want := idx.StaleRatio()
+	want := idx.snap.Load().staleRatio()
 	if want < 0.4 {
 		t.Fatalf("setup: source stale ratio %v, want >= 0.4", want)
 	}

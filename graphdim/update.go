@@ -9,31 +9,18 @@ import (
 )
 
 // Add maps new graphs into the existing dimension space and makes them
-// searchable. This is the operation the DS-preserved mapping was designed
-// to make cheap: placing an unseen graph costs at most p
-// subgraph-isomorphism tests (the same VF2 pass queries pay, behind the
-// same label-count precheck), not a re-run of mining or DSPM.
-// The returned slice holds the id assigned to each graph, aligned with
-// gs.
+// searchable, returning the id assigned to each graph, aligned with gs.
+// Placing an unseen graph costs at most p subgraph-isomorphism tests (the
+// same VF2 pass queries pay, behind the same label-count precheck), not a
+// re-run of mining or DSPM. The mapping runs lock-free across the build's
+// workers; only the publish is serialized with other writers, and readers
+// keep the snapshot they started on.
 //
-// Add never blocks readers, and it maps before it takes the writer lock:
-// the VF2 mapping runs first, lock-free, and only the publish — a new
-// snapshot whose graph, tombstone and id columns grow in amortized
-// O(batch), swapped in atomically — is serialized with other writers
-// (Add/Remove). Concurrent Search calls keep scanning the snapshot they
-// started on, and concurrent Adds map in parallel. The dimension set
-// stays fixed — as the added fraction grows, mapped-space accuracy can
-// drift from what a fresh dimension selection would give; watch
-// StaleRatio.
+// Add and Search stay exported because the benchmark harness grows and
+// queries a bare Index; applications serve through a Collection
+// (Store.CreateFromIndex), whose Add, Remove and StaleRatios grow, shrink
+// and watch each shard.
 func (ix *Index) Add(gs ...*Graph) ([]int, error) {
-	return ix.AddContext(context.Background(), gs...)
-}
-
-// AddContext is Add with cancellation: the per-graph VF2 mapping checks
-// ctx, and a cancelled call returns (nil, ctx.Err()) without publishing
-// anything — an Add is all-or-nothing. Once the mapping is done the
-// publish no longer checks ctx.
-func (ix *Index) AddContext(ctx context.Context, gs ...*Graph) ([]int, error) {
 	for i, g := range gs {
 		if g == nil {
 			return nil, fmt.Errorf("graphdim: nil graph at index %d", i)
@@ -42,7 +29,7 @@ func (ix *Index) AddContext(ctx context.Context, gs ...*Graph) ([]int, error) {
 	if len(gs) == 0 {
 		return nil, nil
 	}
-	vecs, err := mapBatch(ctx, ix.mapper, gs, func(ctx context.Context, n int, fn func(int)) error {
+	vecs, err := mapBatch(context.TODO(), ix.mapper, gs, func(ctx context.Context, n int, fn func(int)) error {
 		return pool.ForContext(ctx, ix.workers, n, fn)
 	})
 	if err != nil {
@@ -88,24 +75,10 @@ func (ix *Index) add(gs []*Graph, vecs []*vecspace.BitVector, globals []int) int
 	return len(cur.db)
 }
 
-// Remove tombstones the given ids: the graphs stay addressable (Graph,
-// historical results) but no engine returns them again. The call is
-// all-or-nothing — an out-of-range or already-removed id fails the whole
-// batch before anything is tombstoned. Like Add, Remove publishes a new
-// snapshot atomically and never blocks readers; a Search already in
-// flight may still return a just-removed id.
-func (ix *Index) Remove(ids ...int) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.removeLocked(ix.snap.Load(), ids)
-}
-
-// removeGlobal is Remove by collection-global id — a shard's half of
-// Collection.Remove. The translation happens under the writer lock, so no
-// reclaim can renumber the shard between the lookup and the publish.
+// removeGlobal tombstones the given collection-global ids (on a
+// stand-alone index, its own ids) — a shard's half of Collection.Remove.
+// The translation happens under the writer lock, so no reclaim can
+// renumber the shard between the lookup and the publish.
 func (ix *Index) removeGlobal(globals []int) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -161,28 +134,3 @@ func (ix *Index) reclaim() (bool, error) {
 	ix.compactions.Add(1)
 	return true, nil
 }
-
-// StaleRatio reports how far the index has drifted from its dimension
-// selection, in [0, 1]: the fraction of id slots that are either live
-// graphs the selection never saw (added after Build, or after the
-// persisted build this index was loaded from, and not since removed) or
-// build-time graphs that are gone (tombstoned). A fresh Build reports 0,
-// as does an index whose post-build additions have all been removed
-// again — the live database then is exactly the one the dimensions were
-// optimized for. Accuracy degrades as the ratio grows; re-Build when it
-// crosses an operator-chosen threshold (EXPERIMENTS.md uses 0.3 as a
-// starting point) — nothing re-selects on its own, the ratio is the
-// operator's signal. In a collection, Compact drops tombstoned slots, so
-// after it the gone-build-graphs term is zero and a shard's ratio is its
-// live unseen graphs over its live graphs.
-func (ix *Index) StaleRatio() float64 {
-	s := ix.snap.Load()
-	if len(s.db) == 0 {
-		return 0
-	}
-	addedAlive := (len(s.db) - s.baseN) - (s.deadCount - s.baseDead)
-	return float64(addedAlive+s.baseDead) / float64(len(s.db))
-}
-
-// Removed returns the number of tombstoned ids.
-func (ix *Index) Removed() int { return ix.snap.Load().deadCount }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,15 +49,15 @@ func TestAddMakesGraphsSearchable(t *testing.T) {
 	if want := []int{40, 41, 42, 43, 44, 45, 46, 47, 48, 49}; !reflect.DeepEqual(ids, want) {
 		t.Fatalf("assigned ids %v, want %v", ids, want)
 	}
-	if idx.Size() != 50 || idx.TotalGraphs() != 50 {
-		t.Fatalf("Size/TotalGraphs = %d/%d, want 50/50", idx.Size(), idx.TotalGraphs())
+	if s := idx.snap.Load(); s.live() != 50 || len(s.db) != 50 {
+		t.Fatalf("live/total = %d/%d, want 50/50", s.live(), len(s.db))
 	}
 	assertOneVectorStore(t, "never-searched build + Add", idx)
 
 	// Each added graph must now be findable — a self query returns its
 	// new id at distance 0.
 	for i, g := range extra {
-		res, err := idx.Search(context.Background(), g, SearchOptions{K: idx.Size()})
+		res, err := idx.Search(context.Background(), g, SearchOptions{K: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,32 +124,61 @@ func TestReloadedPlusAddMatchesDirectAdd(t *testing.T) {
 			}
 		}
 	}
-	if got := reloaded.StaleRatios()[0]; built.StaleRatio() != got {
-		t.Errorf("stale ratios diverged: %v vs %v", built.StaleRatio(), got)
+	if want, got := built.snap.Load().staleRatio(), reloaded.StaleRatios()[0]; want != got {
+		t.Errorf("stale ratios diverged: %v vs %v", want, got)
 	}
+}
+
+// serveIndex serves idx as a collection of shards shards in an
+// in-memory store closed with the test.
+func serveIndex(t *testing.T, idx *Index, shards int) *Collection {
+	t.Helper()
+	store := NewStore(StoreOptions{})
+	t.Cleanup(store.Close)
+	c, err := store.CreateFromIndex("c", idx, CollectionOptions{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// tombstones counts the collection's tombstoned id slots.
+func tombstones(c *Collection) int {
+	n := 0
+	for _, sh := range c.Stats().Shards {
+		n += sh.Total - sh.Live
+	}
+	return n
 }
 
 func TestRemoveTombstones(t *testing.T) {
 	idx, db := buildSmall(t, DSPM)
-	n := idx.Size()
+	c := serveIndex(t, idx, 2)
+	n := c.Size()
+	isRemoved := func(id int) bool {
+		s, local := c.resolve(id)
+		return local >= 0 && s.isDead(local)
+	}
 
-	if err := idx.Remove(3, 17); err != nil {
+	if err := c.Remove(3, 17); err != nil {
 		t.Fatal(err)
 	}
-	if idx.Size() != n-2 || idx.Removed() != 2 {
-		t.Fatalf("Size/Removed = %d/%d, want %d/2", idx.Size(), idx.Removed(), n-2)
+	if c.Size() != n-2 || tombstones(c) != 2 {
+		t.Fatalf("Size/tombstones = %d/%d, want %d/2", c.Size(), tombstones(c), n-2)
 	}
-	if !idx.IsRemoved(3) || idx.IsRemoved(4) {
-		t.Error("IsRemoved wrong")
+	if !isRemoved(3) || isRemoved(4) {
+		t.Error("tombstones wrong")
 	}
-	assertOneVectorStore(t, "after Remove", idx)
-	if idx.Graph(3) == nil {
+	for i, sh := range c.shards {
+		assertOneVectorStore(t, "shard "+strconv.Itoa(i)+" after Remove", sh)
+	}
+	if g, ok := c.Graph(3); !ok || g == nil {
 		t.Error("removed graph no longer addressable")
 	}
 
 	// No engine may return a tombstoned id, even for a self query.
 	for _, engine := range []Engine{EngineMapped, EngineVerified, EngineExact} {
-		res, err := idx.Search(context.Background(), db[3], SearchOptions{K: idx.TotalGraphs(), Engine: engine})
+		res, err := c.Search(context.Background(), db[3], SearchOptions{K: n, Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,26 +193,25 @@ func TestRemoveTombstones(t *testing.T) {
 	}
 
 	// Validation: out of range, double remove, atomicity.
-	if err := idx.Remove(idx.TotalGraphs()); err == nil {
+	if err := c.Remove(n); err == nil {
 		t.Error("out-of-range Remove accepted")
 	}
-	if err := idx.Remove(-1); err == nil {
+	if err := c.Remove(-1); err == nil {
 		t.Error("negative Remove accepted")
 	}
-	if err := idx.Remove(3); err == nil {
+	if err := c.Remove(3); err == nil {
 		t.Error("double Remove accepted")
 	}
-	if err := idx.Remove(5, 5); err == nil {
+	if err := c.Remove(5, 5); err == nil {
 		t.Error("duplicate ids in one Remove accepted")
 	}
-	before := idx.Removed()
-	if err := idx.Remove(6, 3); err == nil {
+	if err := c.Remove(6, 3); err == nil {
 		t.Error("batch with already-removed id accepted")
 	}
-	if idx.Removed() != before {
+	if tombstones(c) != 2 || isRemoved(6) {
 		t.Error("failed Remove was not atomic")
 	}
-	if err := idx.Remove(); err != nil {
+	if err := c.Remove(); err != nil {
 		t.Errorf("empty Remove = %v", err)
 	}
 }
@@ -193,25 +222,34 @@ func TestStaleRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.StaleRatio(); got != 0 {
+	c := serveIndex(t, idx, 1)
+	ratio := func() float64 { return c.StaleRatios()[0] }
+	if got := ratio(); got != 0 {
 		t.Fatalf("fresh StaleRatio = %v, want 0", got)
 	}
-	if _, err := idx.Add(all[40:50]...); err != nil {
+	if _, err := c.Add(context.Background(), all[40:50]...); err != nil {
 		t.Fatal(err)
 	}
 	// 10 added of 50 slots.
-	if got, want := idx.StaleRatio(), 10.0/50.0; math.Abs(got-want) > 1e-12 {
+	if got, want := ratio(), 10.0/50.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("after add: StaleRatio = %v, want %v", got, want)
 	}
-	if err := idx.Remove(0, 1, 2, 3, 4); err != nil {
+	if err := c.Remove(0, 1, 2, 3, 4); err != nil {
 		t.Fatal(err)
 	}
 	// (10 added + 5 removed) / 50 slots.
-	if got, want := idx.StaleRatio(), 15.0/50.0; math.Abs(got-want) > 1e-12 {
+	if got, want := ratio(), 15.0/50.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("after remove: StaleRatio = %v, want %v", got, want)
 	}
-	if r := idx.StaleRatio(); r < 0 || r > 1 {
-		t.Errorf("StaleRatio %v outside [0,1]", r)
+	if got := c.Stats().Shards[0].StaleRatio; got != ratio() {
+		t.Errorf("Stats reports StaleRatio %v, StaleRatios %v", got, ratio())
+	}
+	// Compact drops the 5 gone build graphs: 10 unseen of 45 live.
+	if _, err := c.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ratio(), 10.0/45.0; math.Abs(got-want) > 1e-12 {
+		t.Errorf("after compact: StaleRatio = %v, want %v", got, want)
 	}
 }
 
@@ -224,52 +262,66 @@ func TestStaleRatioAddThenRemoveCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := idx.Add(all[40:]...)
+	s, dir := newCheckpointStore(t)
+	c, err := s.CreateFromIndex("c", idx, CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Remove(ids...); err != nil {
+	ratio := func() float64 { return c.StaleRatios()[0] }
+	ids, err := c.Add(context.Background(), all[40:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove(ids...); err != nil {
 		t.Fatal(err)
 	}
 	// The live database is the build-time database again: not stale.
-	if got := idx.StaleRatio(); got != 0 {
+	if got := ratio(); got != 0 {
 		t.Errorf("add-then-remove StaleRatio = %v, want 0", got)
 	}
 	// Removing a build-time graph is real drift.
-	if err := idx.Remove(0); err != nil {
+	if err := c.Remove(0); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := idx.StaleRatio(), 1.0/50.0; math.Abs(got-want) > 1e-12 {
+	if got, want := ratio(), 1.0/50.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("after base removal: StaleRatio = %v, want %v", got, want)
 	}
 	// And the distinction survives persistence.
-	if got := reopenAsCollection(t, idx, MemoryAuto).StaleRatios()[0]; got != idx.StaleRatio() {
-		t.Errorf("StaleRatio changed across persistence: %v vs %v", got, idx.StaleRatio())
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reopenCollection(t, dir, MemoryAuto).StaleRatios()[0]; got != ratio() {
+		t.Errorf("StaleRatio changed across persistence: %v vs %v", got, ratio())
 	}
 }
 
-// TestConcurrentSearchersAndUpdaters hammers one index with lock-free
-// readers while writers add and remove — the copy-on-write contract,
-// meaningful under -race. Readers must always observe a consistent
-// snapshot: every result id resolvable, no partial states.
+// TestConcurrentSearchersAndUpdaters hammers one collection with
+// lock-free readers while writers add, remove and compact — the
+// copy-on-write contract, meaningful under -race. Readers must always
+// observe a consistent snapshot: every result id resolvable, and no
+// shard's stats row with more live graphs than id slots (a row read
+// across a Remove plus Compact would count the live graphs before the
+// repack and the slots after it).
 func TestConcurrentSearchersAndUpdaters(t *testing.T) {
 	all := dataset.Chemical(dataset.ChemConfig{N: 60, MinVertices: 8, MaxVertices: 12, Seed: 9})
 	idx, err := Build(all[:30], Options{Dimensions: 12, Tau: 0.15, MCSBudget: 1500, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := serveIndex(t, idx, 2)
+	ctx := context.Background()
 	q := all[0]
 
 	var writers, readers sync.WaitGroup
 	errCh := make(chan error, 64)
 	var stop atomic.Bool
 
-	// Writers: one adder, one remover.
+	// Writers: one adder, one remover that compacts after every remove.
 	writers.Add(2)
 	go func() {
 		defer writers.Done()
 		for _, g := range all[30:] {
-			if _, err := idx.Add(g); err != nil {
+			if _, err := c.Add(ctx, g); err != nil {
 				errCh <- err
 				return
 			}
@@ -278,7 +330,11 @@ func TestConcurrentSearchersAndUpdaters(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		for id := 0; id < 20; id++ {
-			if err := idx.Remove(id); err != nil {
+			if err := c.Remove(id); err != nil {
+				errCh <- err
+				return
+			}
+			if _, err := c.Compact(ctx); err != nil {
 				errCh <- err
 				return
 			}
@@ -291,14 +347,20 @@ func TestConcurrentSearchersAndUpdaters(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for !stop.Load() {
-				res, err := idx.Search(context.Background(), q, SearchOptions{K: 5})
+				res, err := c.Search(ctx, q, SearchOptions{K: 5})
 				if err != nil {
 					errCh <- err
 					return
 				}
 				for _, r := range res.Results {
-					if r.ID < 0 || r.ID >= idx.TotalGraphs() {
+					if r.ID < 0 || r.ID >= 60 {
 						errCh <- errors.New("result id out of range")
+						return
+					}
+				}
+				for _, sh := range c.Stats().Shards {
+					if sh.Live > sh.Total {
+						errCh <- errors.New("shard stats: more live graphs than id slots")
 						return
 					}
 				}
@@ -314,22 +376,24 @@ func TestConcurrentSearchersAndUpdaters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if idx.TotalGraphs() != 60 || idx.Size() != 40 || idx.Removed() != 20 {
-		t.Fatalf("final state Total/Size/Removed = %d/%d/%d, want 60/40/20",
-			idx.TotalGraphs(), idx.Size(), idx.Removed())
+	st := c.Stats()
+	if st.NextID != 60 || st.Live != 40 || tombstones(c) != 0 {
+		t.Fatalf("final state NextID/Live/tombstones = %d/%d/%d, want 60/40/0",
+			st.NextID, st.Live, tombstones(c))
 	}
 }
 
 func TestAddContextCancelled(t *testing.T) {
 	idx, _ := buildSmall(t, DSPM)
+	c := serveIndex(t, idx, 2)
 	extra := dataset.Chemical(dataset.ChemConfig{N: 3, MinVertices: 8, MaxVertices: 12, Seed: 10})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := idx.TotalGraphs()
-	if _, err := idx.AddContext(ctx, extra...); !errors.Is(err, context.Canceled) {
+	before := c.Stats()
+	if _, err := c.Add(ctx, extra...); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Add err = %v, want context.Canceled", err)
 	}
-	if idx.TotalGraphs() != before {
+	if after := c.Stats(); after.NextID != before.NextID || !reflect.DeepEqual(after.Generations, before.Generations) {
 		t.Error("cancelled Add published graphs")
 	}
 }

@@ -3,7 +3,10 @@
 # gen writes query graphs, dspm writes the store, gsearch (mapped and
 # verified engines) and gq read it, gserve serves it, takes three adds,
 # is killed with SIGKILL, comes back with the adds replayed from its
-# log, and shuts down cleanly on SIGTERM. Any failed step fails the
+# log, and shuts down cleanly on SIGTERM. The two library examples run
+# too: examples/quickstart must grow its collection to ids [60 61 62]
+# and find the first added graph at distance 0, and examples/store must
+# compact without moving its top-1 and reload. Any failed step fails the
 # script. Run it as `make cli`.
 set -euo pipefail
 
@@ -18,8 +21,18 @@ trap cleanup EXIT
 for cmd in dspm gsearch gq gserve gen; do
 	go build -o "$d/bin/$cmd" "./cmd/$cmd"
 done
+for ex in quickstart store; do
+	go build -o "$d/bin/example-$ex" "./examples/$ex"
+done
 bin=$d/bin
 store=$d/store
+
+"$bin/example-quickstart" | tee "$d/quickstart.txt"
+grep -q '^added 3 graphs as ids \[60 61 62\];' "$d/quickstart.txt"
+grep -qx 'self query after add: g60 at distance 0.000' "$d/quickstart.txt"
+"$bin/example-store" | tee "$d/store-example.txt"
+grep -Eq 'still resolves: false; top-1 g([0-9]+) -> g\1$' "$d/store-example.txt"
+grep -Eq '^reloaded from .*: self query hits g[0-9]+ at distance 0\.000$' "$d/store-example.txt"
 
 "$bin/dspm" -gen 40 -shards 2 -out "$store" -progress=false
 "$bin/gen" -kind chem -n 3 -seed 99 > "$d/q.graphs"
