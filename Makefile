@@ -9,9 +9,10 @@ BENCHTIME ?= 1x
 # FUZZTIME is how long `make fuzz` runs each native fuzz target.
 FUZZTIME ?= 10s
 # COVER_MIN gates `make cover`: the combined statement coverage of the
-# public API package, the posting accelerator, the pipeline stage DAG,
-# the write-ahead log, the replication client, the metrics registry, and
-# the HTTP layer (ingest + admission + replication handlers).
+# public API package, the label index (internal/posting), the pipeline
+# stage DAG, the segment format, the write-ahead log, the replication
+# client, the metrics registry, and the HTTP layer (ingest + admission +
+# replication handlers).
 COVER_MIN ?= 80
 # LOAD_DURATION / LOAD_MAX_P99_MS parameterize `make loadtest` and
 # `make loadtest-repl`; LOAD_MAX_LAG bounds how long the follower may
@@ -32,10 +33,11 @@ test:
 
 # cover enforces the coverage floor on the packages this repository's
 # correctness story leans on hardest: the graphdim API (engines, cache,
-# store, persistence, durability), the posting-list accelerator, the
-# pipeline stage DAG (parsing, filter compilation, aggregation), the
-# write-ahead log, the metrics registry, and the gserve HTTP layer
-# (ingest streaming and admission control live there).
+# store, persistence, durability), the label index (internal/posting),
+# the pipeline stage DAG (parsing, filter compilation, aggregation), the
+# segment format, the write-ahead log, the replication client, the
+# metrics registry, and the gserve HTTP layer (ingest streaming and
+# admission control live there).
 cover:
 	$(GO) test -coverprofile=cover.out ./graphdim ./internal/posting ./internal/pipeline ./internal/segment ./internal/wal ./internal/repl ./internal/metrics ./cmd/gserve
 	@$(GO) tool cover -func=cover.out | awk '$$1 == "total:" { \
@@ -58,11 +60,13 @@ race:
 
 # fuzz runs each native fuzz target for $(FUZZTIME), one at a time (go
 # test -fuzz takes one target per package run): the segment decoder
-# (whose re-encoding is a fixed point), the compiled VF2 pattern against
+# (whose re-encoding is a fixed point, and which refuses every retired
+# format as legacy), the compiled VF2 pattern against
 # brute force, the SoA pack round trip, the threshold-fused flat scan
 # against the scalar ranking, the graph text format, the mapper's
 # label-count precheck against VF2, the follower's replication stream
-# parser, the pipeline document parser (whose accepted documents plan
+# parser (which refuses every frame no encoder writes, the retired type-3
+# amendment among them), the pipeline document parser (whose accepted documents plan
 # or fail with a stage error, and survive a JSON round trip), the filter
 # compiler against a brute-force evaluation, and the wire graph shape
 # the search stage and the ingest endpoint share.

@@ -677,8 +677,8 @@ func TestV1CompactEndpoint(t *testing.T) {
 // (generation fence invalidates) → remove + compact (each invalidates
 // again, the answer does not move) →
 // stats, asserting the cache hit/miss/invalidation counters and the
-// generation vector at every step, plus deprecated-alias parity at the
-// end.
+// generation vector at every step, plus default-engine parity (no engine
+// knob answers like engine=mapped) at the end.
 func TestV1GoldenSession(t *testing.T) {
 	ts, store := newTestServerStore(t, 1, 30*time.Second)
 	defColl, _ := store.Collection("default")

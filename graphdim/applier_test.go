@@ -14,16 +14,15 @@ import (
 )
 
 // TestApplierRefusalsAndRecoveries drives the one log applier through its
-// two callers with hand-written logs, most in the format an older release
-// wrote when it amended an add batch it could not land in full. Each row
-// is a record sequence appended — with wal.Open/Append, behind the
-// store's back — to the log of a freshly created two-shard collection of
-// n graphs. Crash replay (OpenStore) and a ReplicaApplier fed the same
-// records agree on every row: both refuse it with the stated message, or
-// both end in the same shard state, with the rankings and NextID of the
-// primary that wrote the log. A follower that mirrors part of the log,
-// restarts, checkpoints, mirrors the rest and restarts again ends there
-// too, wherever the log is cut.
+// two callers with hand-written logs. Each row is a record sequence
+// appended — with wal.Open/Append, behind the store's back — to the log
+// of a freshly created two-shard collection of n graphs. Crash replay
+// (OpenStore) and a ReplicaApplier fed the same records agree on every
+// row: both refuse it with the stated message, or both end in the same
+// shard state, with the rankings and NextID of the primary that wrote
+// the log. A follower that mirrors part of the log, restarts,
+// checkpoints, mirrors the rest and restarts again ends there too,
+// wherever the log is cut.
 func TestApplierRefusalsAndRecoveries(t *testing.T) {
 	rng := rand.New(rand.NewSource(equivSeed(t)))
 	idx, db := equivBuild(t, rng, 24)
@@ -109,56 +108,12 @@ func TestApplierRefusalsAndRecoveries(t *testing.T) {
 		next            int
 	}{
 		{
-			// The add it amends is in the checkpoint already: a follower
-			// that mirrored it, restarted and checkpointed before the
-			// amendment arrived holds such a log.
-			name: "unpaired amendment",
+			name: "remove of an id never assigned",
 			recs: []wal.Record{
-				{Type: wal.TypeApplied, First: n - 4, Total: 4, IDs: []int{n - 4, n - 2}},
+				{Type: wal.TypeAdd, First: n, Graphs: e[:2]},
+				{Type: wal.TypeRemove, IDs: []int{n + 5}},
 			},
-			removed: []int{n - 3, n - 1},
-			next:    n,
-		},
-		{
-			name: "amendment names another first id",
-			recs: []wal.Record{
-				{Type: wal.TypeAdd, First: n, Graphs: e[:3]},
-				{Type: wal.TypeApplied, First: n + 1, Total: 3, IDs: []int{n + 1}},
-			},
-			refuse: fmt.Sprintf("wal record 2 amends ids [%d,%d), but ids from %d were never assigned", n+1, n+4, n+3),
-		},
-		{
-			name: "amendment names another total",
-			recs: []wal.Record{
-				{Type: wal.TypeAdd, First: n, Graphs: e[:3]},
-				{Type: wal.TypeApplied, First: n, Total: 2, IDs: []int{n}},
-			},
-			landed: []int{n, n + 2},
-			next:   n + 3,
-		},
-		{
-			name: "amendment of a range never assigned",
-			recs: []wal.Record{
-				{Type: wal.TypeApplied, First: n, Total: 2},
-			},
-			refuse: fmt.Sprintf("wal record 1 amends ids [%d,%d), but ids from %d were never assigned", n, n+2, n),
-		},
-		{
-			name: "voided batch burns its ids and lands nothing",
-			recs: []wal.Record{
-				{Type: wal.TypeAdd, First: n, Graphs: e[:3]},
-				{Type: wal.TypeApplied, First: n, Total: 3},
-			},
-			next: n + 3,
-		},
-		{
-			name: "partial batch lands exactly the applied ids",
-			recs: []wal.Record{
-				{Type: wal.TypeAdd, First: n, Graphs: e[:4]},
-				{Type: wal.TypeApplied, First: n, Total: 4, IDs: []int{n, n + 2}},
-			},
-			landed: []int{n, n + 2},
-			next:   n + 4,
+			refuse: fmt.Sprintf("id %d not in store", n+5),
 		},
 		{
 			name: "unamended adds land in full, before a remove and at the tail",
@@ -254,9 +209,8 @@ func TestApplierRefusalsAndRecoveries(t *testing.T) {
 		})
 	}
 
-	// Two refusals no log can carry — the wal codec will neither write nor
-	// decode such records — so the applier itself is handed the one it
-	// must refuse.
+	// A refusal no log can carry — the wal codec will neither write nor
+	// decode such a record — so the applier itself is handed it.
 	t.Run("records the codec refuses", func(t *testing.T) {
 		s, err := OpenStore(fresh(t), StoreOptions{})
 		if err != nil {
@@ -264,12 +218,9 @@ func TestApplierRefusalsAndRecoveries(t *testing.T) {
 		}
 		defer s.Close()
 		c, _ := s.Collection("c")
-		outside := wal.Record{Seq: 2, Type: wal.TypeApplied, First: n, Total: 3, IDs: []int{n + 5}}
 		unknown := wal.Record{Seq: 3, Type: 99}
-		for _, rec := range []wal.Record{outside, unknown} {
-			if _, err := c.wal.Append(rec); err == nil {
-				t.Fatalf("wal.Append wrote %+v", rec)
-			}
+		if _, err := c.wal.Append(unknown); err == nil {
+			t.Fatalf("wal.Append wrote %+v", unknown)
 		}
 		want := "graphdim: wal record 3 has unknown type 99"
 		if err := c.apply(ctx, unknown); err == nil || err.Error() != want {

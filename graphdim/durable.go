@@ -224,13 +224,6 @@ func (c *Collection) replayWAL(seq uint64) error {
 // crash replay and for a follower's stream alike — and advances the
 // applied watermark to it. A logged add always lands in full: once its
 // record is appended, Collection.Add cannot fail.
-//
-// Older releases amended an add they could not land in full with a
-// TypeApplied record naming the ids that did. Such a record gets one
-// rule wherever it is met: every id of its batch it does not list that
-// is still live is tombstoned, which ranks exactly like the primary on
-// which those graphs never landed. It is refused only if its batch was
-// never assigned.
 func (c *Collection) apply(ctx context.Context, rec wal.Record) error {
 	switch rec.Type {
 	case wal.TypeAdd:
@@ -241,24 +234,6 @@ func (c *Collection) apply(ctx context.Context, rec wal.Record) error {
 		c.applyAdd(rec.First, rec.Graphs, vecs)
 		if next := int64(rec.First + len(rec.Graphs)); next > c.nextID.Load() {
 			c.nextID.Store(next)
-		}
-	case wal.TypeApplied:
-		end := rec.First + rec.Total
-		if int64(end) > c.nextID.Load() {
-			return fmt.Errorf("graphdim: wal record %d amends ids [%d,%d), but ids from %d were never assigned",
-				rec.Seq, rec.First, end, c.nextID.Load())
-		}
-		var bury []int
-		listed := rec.IDs // ascending within the batch
-		for id := rec.First; id < end; id++ {
-			if len(listed) > 0 && listed[0] == id {
-				listed = listed[1:]
-			} else if s, local := c.resolve(id); local >= 0 && !s.isDead(local) {
-				bury = append(bury, id)
-			}
-		}
-		if err := c.applyRemove(bury); err != nil {
-			return fmt.Errorf("graphdim: replaying wal record %d: %w", rec.Seq, err)
 		}
 	case wal.TypeRemove:
 		if err := c.applyRemove(rec.IDs); err != nil {

@@ -3,14 +3,18 @@ package graphdim
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -833,6 +837,87 @@ func TestDisabledOpenRefusesUnreplayedTail(t *testing.T) {
 	fc, _ := final.Collection("d")
 	if got, want := fc.Size(), 30+len(extra); got != want {
 		t.Fatalf("size %d after disabled round-trip, want %d", got, want)
+	}
+}
+
+// TestOpenStoreRefusesUnreadableWALRecord: an intact log record this
+// release cannot read — an older release's partial-add amendment (type
+// 3) or an unknown type — fails crash replay, and a WAL-disabled open,
+// by naming it. The log stays byte for byte as it was, acknowledged add
+// behind the record included, so a release that reads it can still
+// recover the store.
+func TestOpenStoreRefusesUnreadableWALRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	idx, _ := equivBuild(t, rng, 20)
+	extra := dataset.Synthetic(dataset.SynthConfig{N: 2, AvgEdges: 9, Labels: 5, Seed: 31})
+	for _, tc := range []struct {
+		typ     byte
+		payload []byte
+		want    string
+	}{
+		// first 20, a batch of 1, one applied id: 20
+		{3, []byte{20, 1, 1, 20}, "record type 3 is a partial-add amendment"},
+		{42, []byte{1}, "unknown record type 42"},
+	} {
+		t.Run(fmt.Sprintf("type %d", tc.typ), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := CreateStore(dir, StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := s.CreateFromIndex("c", idx, CollectionOptions{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, err := c.Add(context.Background(), extra[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close() // record 1 is in the log, past the checkpoint
+
+			wdir := filepath.Join(dir, "c", walDirName)
+			segs, err := filepath.Glob(filepath.Join(wdir, "seg-*.wal"))
+			if err != nil || len(segs) != 1 {
+				t.Fatalf("wal segments %v, %v", segs, err)
+			}
+			frame := binary.AppendUvarint(nil, 2)
+			frame = append(frame, tc.typ)
+			frame = binary.AppendUvarint(frame, uint64(len(tc.payload)))
+			frame = append(frame, tc.payload...)
+			frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+			next, err := wal.EncodeFrame(wal.Record{Seq: 3, Type: wal.TypeAdd, First: ids[0] + 1, Graphs: extra[1:]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(append(frame, next...)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			before, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for _, opt := range []StoreOptions{{}, {WAL: WALOptions{Disabled: true}}} {
+				if s, err := OpenStore(dir, opt); err == nil {
+					s.Close()
+					t.Fatalf("OpenStore(%+v) opened a log holding an unreadable record", opt)
+				} else if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("OpenStore(%+v) = %v, want it to say %q", opt, err, tc.want)
+				}
+				after, err := os.ReadFile(segs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sha256.Sum256(after) != sha256.Sum256(before) {
+					t.Fatalf("OpenStore(%+v) changed the log: %d bytes, was %d", opt, len(after), len(before))
+				}
+			}
+		})
 	}
 }
 

@@ -195,23 +195,12 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 		var l publishLog
 		l.check(t, "open", c.shards...)
 		next := int(c.nextID.Load())
-		var last wal.Record // the newest add batch
 		for seq := uint64(1); seq <= steps; seq++ {
 			rec := wal.Record{Seq: seq, Type: wal.TypeAdd, First: next}
 			switch r := rng.Intn(10); {
-			case r < 3 && last.Graphs != nil:
-				// Amend the newest batch the way an older release did:
-				// only a random subset of it landed.
-				rec.Type, rec.First, rec.Total = wal.TypeApplied, last.First, len(last.Graphs)
-				for id := rec.First; id < rec.First+rec.Total; id++ {
-					if rng.Intn(2) == 0 {
-						rec.IDs = append(rec.IDs, id)
-					}
-				}
 			case r < 6:
 				rec.Graphs = pickGraphs(rng, pool)
 				next += len(rec.Graphs)
-				last = rec
 			case r < 9:
 				g, ok := randomLive(rng, c)
 				if !ok {

@@ -1,6 +1,7 @@
 package graphdim
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +74,7 @@ func TestReadIndexNamesLegacyFormats(t *testing.T) {
 		"v2":         {"GDIMIDX2\x00\x10payload", "v2 binary"},
 		"v3":         {"GDIMIDX3\x00\x10payload", "v3 binary"},
 		"v3 magic":   {"GDIMIDX3", "v3 binary"},
+		"v4":         {"GDIMIDX4\x00\x10payload", "v4 binary"},
 		"v1":         {`{"version":1,"metric":0,"features":[],"db":[]}`, "v1 JSON"},
 		"v1 indent":  {"\n {\n \"version\": 1\n}", "v1 JSON"},
 		"other json": {`{"version": 2}`, "v1 JSON"},
@@ -92,6 +94,46 @@ func TestReadIndexNamesLegacyFormats(t *testing.T) {
 			if strings.Contains(msg, "corrupt") {
 				t.Errorf("%s (mode %d): legacy file reported as corrupt: %q", name, mode, msg)
 			}
+		}
+	}
+}
+
+// TestOpenStoreNamesLegacyV4Store: a store whose shards an older release
+// checkpointed as v4 segments is refused in both memory modes with the
+// format's name and the upgrade path, not called corrupt.
+func TestOpenStoreNamesLegacyV4Store(t *testing.T) {
+	s, dir := newCheckpointStore(t)
+	idx, _ := equivBuild(t, rand.New(rand.NewSource(9)), 12)
+	if _, err := s.CreateFromIndex("c", idx, CollectionOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	shards, err := filepath.Glob(filepath.Join(dir, "c", "shard-*.gdx"))
+	if err != nil || len(shards) != 2 {
+		t.Fatalf("shard files %v, %v", shards, err)
+	}
+	for _, path := range shards {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data, "GDIMIDX4")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mode := range []MemoryMode{MemoryAuto, MemoryHeap} {
+		_, err := OpenStore(dir, StoreOptions{Memory: mode, WAL: WALOptions{Disabled: true}})
+		if err == nil {
+			t.Fatalf("mode %d: a v4 store opened", mode)
+		}
+		for _, want := range []string{"legacy v4", "previous release", "checkpoint"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("mode %d: error %q does not mention %q", mode, err, want)
+			}
+		}
+		if strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("mode %d: v4 store reported as corrupt: %q", mode, err)
 		}
 	}
 }

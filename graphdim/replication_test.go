@@ -249,108 +249,6 @@ func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 	assertSameContent(t, "follower after restart catch-up", fc2, pc)
 }
 
-// TestFollowerReconcilesAmendmentAcrossRestart exercises the one replica
-// path normal streaming never takes: the follower dies having mirrored
-// a TypeAdd but not the amendment that voids or trims it, restarts
-// (crash replay applies the batch in full), and then receives the
-// amendment — which must walk the extra graphs back as tombstones. Only
-// an older release amended an add, so the primary's log is written by
-// hand, behind its store's back, and the primary crash-replays it.
-func TestFollowerReconcilesAmendmentAcrossRestart(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		applied []int // offsets into the batch of the graphs that landed
-	}{
-		{"partial", []int{1, 3, 4}},
-		{"voided", nil},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(72))
-			idx, _ := equivBuild(t, rng, 30)
-			ctx := context.Background()
-			pdir := t.TempDir()
-			ps, err := CreateStore(pdir, StoreOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pc, err := ps.CreateFromIndex("c", idx, CollectionOptions{Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := pc.Stats().NextID
-			fs, _, rep, fdir := bootstrapFollower(t, ps, "c")
-			ps.Close()
-
-			extra := dataset.Synthetic(dataset.SynthConfig{N: 6, AvgEdges: 9, Labels: 5, Seed: 3})
-			amend := wal.Record{Type: wal.TypeApplied, First: n, Total: len(extra)}
-			for _, off := range tc.applied {
-				amend.IDs = append(amend.IDs, n+off)
-			}
-			log, err := wal.Open(filepath.Join(pdir, "c", walDirName), wal.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rec := range []wal.Record{{Type: wal.TypeAdd, First: n, Graphs: extra}, amend} {
-				if _, err := log.Append(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			log.Close()
-			ps, err = OpenStore(pdir, StoreOptions{})
-			if err != nil {
-				t.Fatalf("reopen primary: %v", err)
-			}
-			defer ps.Close()
-			pc, _ = ps.Collection("c")
-			if got := pc.Stats().Live; got != n+len(tc.applied) {
-				t.Fatalf("primary holds %d live graphs after replay, want %d", got, n+len(tc.applied))
-			}
-
-			// Ship ONLY the add record, withholding its amendment — the
-			// stream can do this mid-batch — then kill the follower with
-			// the pair half-mirrored.
-			st, err := pc.StreamWAL(rep.AckSeq())
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec, ok, err := st.Next(pc.AppliedSeq())
-			st.Close()
-			if err != nil || !ok || rec.Type != wal.TypeAdd {
-				t.Fatalf("first shipped record: %+v ok=%v err=%v", rec, ok, err)
-			}
-			if err := rep.Apply(ctx, []wal.Record{rec}); err != nil {
-				t.Fatal(err)
-			}
-			fs.Close()
-
-			fs2, err := OpenStore(fdir, StoreOptions{})
-			if err != nil {
-				t.Fatalf("reopen follower: %v", err)
-			}
-			defer fs2.Close()
-			fc2, _ := fs2.Collection("c")
-			rep2, err := fc2.Replica()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Crash replay applied the unpaired batch in full; the
-			// amendment now arrives and reconciles it.
-			if got := fc2.Stats().Live; got != n+len(extra) {
-				t.Fatalf("restarted follower holds %d live graphs, want the whole batch: %d", got, n+len(extra))
-			}
-			pump(t, pc, rep2)
-			queries := dataset.Synthetic(dataset.SynthConfig{N: 10, AvgEdges: 6, Labels: 5, Seed: 8})
-			assertSameSearch(t, "reconciled follower", fc2, pc, queries)
-			if got, want := fc2.Stats().Live, pc.Stats().Live; got != want {
-				t.Fatalf("follower live %d, primary %d", got, want)
-			}
-			if got, want := fc2.Stats().NextID, pc.Stats().NextID; got != want {
-				t.Fatalf("follower NextID %d, primary %d", got, want)
-			}
-		})
-	}
-}
-
 func TestPrimaryRetainsSegmentsForFollowers(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	idx, _ := equivBuild(t, rng, 30)

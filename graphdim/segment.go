@@ -3,10 +3,11 @@ package graphdim
 // This file bridges the collection layer to internal/segment, the on-disk
 // format: checkpoints stream each shard's snapshot out as a v5 segment
 // (writeSegment) — its vectors, tombstones and graphs, nothing derivable
-// from them — and opens serve a v5 or v4 segment back either mapped — the
+// from them — and opens serve a v5 segment back either mapped — the
 // tile section IS the scan block, graph payloads fault in lazily — or
 // fully rehydrated onto the heap (snapshotFromSegment). Zone maps are
-// rebuilt from the tiles, never read from the file.
+// rebuilt from the tiles, never read from the file. v5 is the one format
+// read: a shard file of an older generation is refused by name.
 // segSource is the per-open shared state a mapped snapshot chain hangs
 // onto: the reader plus a decode-once cache for faulted graphs.
 

@@ -76,7 +76,7 @@ type StoreOptions struct {
 	// platform supports it — vectors and graph payloads stay in the page
 	// cache and fault in on demand, so a collection can exceed RAM) or
 	// fully rehydrated onto the heap. See MemoryMode. NewStore ignores it.
-	// Checkpoints predating the v4 segment format do not load in any
+	// Checkpoints predating the v5 segment format do not load in any
 	// mode: the segment reader refuses them by name.
 	Memory MemoryMode
 }

@@ -368,11 +368,14 @@ func (nd NDFS) Select(idx *vecspace.Index, _ [][]float64, p int) ([]int, error) 
 		for i := 0; i < m; i++ {
 			a.Set(i, i, a.At(i, i)+nd.Beta*d[i]+1e-8)
 		}
+		chol, err := linalg.Factor(a)
+		if err != nil {
+			return nil, err
+		}
 		xt := x.T()
 		wmat = linalg.NewMatrix(m, c)
 		for k := 0; k < c; k++ {
-			b := xt.MulVec(f.Col(k))
-			col, err := linalg.SolveSPD(a, b)
+			col, err := chol.Solve(xt.MulVec(f.Col(k)))
 			if err != nil {
 				return nil, err
 			}

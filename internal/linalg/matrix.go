@@ -153,49 +153,14 @@ func Dot(a, b []float64) float64 {
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
 
-// SolveSPD solves A x = b for symmetric positive-definite A by Cholesky
-// decomposition. A is not modified. It returns an error if A is not
-// (numerically) positive definite.
+// SolveSPD solves A x = b for symmetric positive-definite A: Factor,
+// then Solve. A is not modified. It returns an error if A is not
+// (numerically) positive definite. To solve one A for many b, Factor it
+// once.
 func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveSPD dimension mismatch")
+	c, err := Factor(a)
+	if err != nil {
+		return nil, err
 	}
-	// Cholesky: A = L L^T.
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, fmt.Errorf("linalg: matrix not positive definite at pivot %d (%g)", i, s)
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
-	}
-	// Forward substitution L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Back substitution L^T x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x, nil
+	return c.Solve(b)
 }

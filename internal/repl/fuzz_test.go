@@ -14,12 +14,13 @@ import (
 // FuzzStreamReader feeds arbitrary bytes to the follower's envelope
 // parser. It must never panic, and every record it decodes must survive
 // a round trip through the wire format unchanged: wal.EncodeFrame, then
-// a fresh decode, yields a deeply equal record.
+// a fresh decode, yields a deeply equal record. So a frame no encoder
+// writes, however well checksummed, must be refused.
 func FuzzStreamReader(f *testing.F) {
 	recs := []wal.Record{
 		{Seq: 1, Type: wal.TypeAdd, First: 4, Graphs: []*graph.Graph{testGraph(3, 1), testGraph(1, 7)}},
-		{Seq: 2, Type: wal.TypeApplied, First: 4, Total: 2, IDs: []int{5}},
-		{Seq: 3, Type: wal.TypeApplied, First: 6, Total: 1},
+		{Seq: 2, Type: wal.TypeAdd, First: 6, Graphs: []*graph.Graph{testGraph(2, 4)}},
+		{Seq: 3, Type: wal.TypeRemove, IDs: []int{5}},
 		{Seq: 4, Type: wal.TypeRemove, IDs: []int{0, 5, 9}},
 	}
 	var stream bytes.Buffer
@@ -44,7 +45,9 @@ func FuzzStreamReader(f *testing.F) {
 	f.Add([]byte{tagHeartbeat})
 	f.Add([]byte{tagRecord})
 	// Well-checksummed frames no encoder writes: sequence 0, an add of no
-	// graphs, a remove of no ids, an amendment of an empty batch.
+	// graphs, a remove of no ids, and the partial-add amendments (type 3)
+	// older releases wrote — one partial, one voided, one of an empty
+	// batch.
 	for _, fr := range []struct {
 		seq     uint64
 		typ     wal.Type
@@ -53,7 +56,9 @@ func FuzzStreamReader(f *testing.F) {
 		{0, wal.TypeRemove, []byte{1, 3}},
 		{1, wal.TypeAdd, []byte{4, 0}},
 		{1, wal.TypeRemove, []byte{0}},
-		{1, wal.TypeApplied, []byte{4, 0, 0}},
+		{2, 3, []byte{4, 2, 1, 5}},
+		{3, 3, []byte{6, 1, 0}},
+		{1, 3, []byte{4, 0, 0}},
 	} {
 		b := binary.AppendUvarint([]byte{tagRecord}, fr.seq)
 		b = append(b, byte(fr.typ))

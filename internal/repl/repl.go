@@ -24,9 +24,11 @@
 //
 // The primary only streams records at or below its applied watermark,
 // so a follower never shows a write before the primary does. A follower
-// applies every record as it arrives. TypeApplied records, which older
-// primaries wrote to amend a batch they could not land in full, still
-// travel and apply, so replication works across releases.
+// applies every record as it arrives. A frame it cannot read — the
+// partial-add amendment (type 3) that older primaries wrote, or an
+// unknown type — stops the stream: the follower applies the records
+// before it, and its tailer reports the named refusal as last_error and
+// retries from there, never past it.
 package repl
 
 import (

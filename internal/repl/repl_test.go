@@ -3,13 +3,17 @@ package repl
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,9 +38,8 @@ func testGraph(n int, base int) *graph.Graph {
 func TestEnvelopeRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	recs := []wal.Record{
-		{Seq: 1, Type: wal.TypeAdd, First: 1, Total: 2, Graphs: []*graph.Graph{testGraph(3, 1), testGraph(2, 5)}},
-		{Seq: 2, Type: wal.TypeApplied, First: 1, Total: 2, IDs: []int{1}},
-		{Seq: 3, Type: wal.TypeRemove, IDs: []int{2, 7}},
+		{Seq: 1, Type: wal.TypeAdd, First: 1, Graphs: []*graph.Graph{testGraph(3, 1), testGraph(2, 5)}},
+		{Seq: 2, Type: wal.TypeRemove, IDs: []int{2, 7}},
 	}
 	for _, rec := range recs {
 		if err := WriteRecord(&buf, rec); err != nil {
@@ -60,7 +63,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			t.Fatalf("event %d: wanted a record, got %+v", i, ev)
 		}
 		got := ev.Record
-		if got.Seq != want.Seq || got.Type != want.Type || got.First != want.First || got.Total != want.Total {
+		if got.Seq != want.Seq || got.Type != want.Type || got.First != want.First {
 			t.Fatalf("event %d: got %+v, want %+v", i, got, want)
 		}
 		if len(got.Graphs) != len(want.Graphs) || len(got.IDs) != len(want.IDs) {
@@ -385,5 +388,56 @@ func TestTailerRetriesAfterApplyFailure(t *testing.T) {
 		if s != uint64(i+1) {
 			t.Fatalf("applied out of order after retry: %v", seqs)
 		}
+	}
+}
+
+// TestTailerStopsAtUnreadableRecord: a primary of an older release ships
+// a well-checksummed partial-add amendment (type 3) between two removes.
+// The follower applies the record before it, never the one after, and
+// its status names the refusal.
+func TestTailerStopsAtUnreadableRecord(t *testing.T) {
+	recs := makeRecs(3)
+	amend := binary.AppendUvarint(nil, 2)
+	amend = append(amend, 3)
+	amend = binary.AppendUvarint(amend, 4)
+	amend = append(amend, 4, 2, 1, 5)
+	amend = binary.LittleEndian.AppendUint32(amend, crc32.ChecksumIEEE(amend))
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/replication/{collection}/wal", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("after") == "0" {
+			WriteRecord(w, recs[0])
+		}
+		w.Write(append([]byte{tagRecord}, amend...))
+		WriteRecord(w, recs[2])
+		WriteHeartbeat(w, 3)
+	})
+	mux.HandleFunc("POST /v1/replication/{collection}/ack", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	app := &memApplier{}
+	tl, err := NewTailer(Config{
+		PrimaryURL: srv.URL, Collection: "c", FollowerID: "f1", Applier: app,
+		MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- tl.Run(ctx) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(tl.Status().LastError, "record type 3 is a partial-add amendment") {
+		if time.Now().After(deadline) {
+			t.Fatalf("status never named the refusal: %+v", tl.Status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	cancel()
+	<-done
+	if seqs := app.seqs(); !reflect.DeepEqual(seqs, []uint64{1}) {
+		t.Fatalf("applied %v, want only the record before the amendment", seqs)
 	}
 }

@@ -2,8 +2,12 @@ package segment
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
+
+// retiredMagics are the binary generations before v5.
+var retiredMagics = []string{"GDIMIDX2", "GDIMIDX3", "GDIMIDX4"}
 
 // FuzzReader throws arbitrary bytes at the segment decoder: NewReader
 // must return an error or a reader — never panic, hang, or allocate
@@ -11,10 +15,11 @@ import (
 // allow — for every input. An input that NewReader and VerifyBody both
 // accept must decode through every accessor and every GraphAt, and
 // re-encode through Write to exactly its own bytes: the canonical v5
-// encoding is a fixed point. A v4 input, read but never written,
-// re-encodes as a v5 file that is then a fixed point. The seed corpus is
-// a valid v5 segment (tombstones, two words per vector), systematic
-// truncations and bit flips of it, and a v4 shard file.
+// encoding is a fixed point. An input that starts with a retired
+// generation's magic must be refused as "legacy". The seed corpus is a
+// valid v5 segment (tombstones, two words per vector), systematic
+// truncations and bit flips of it, and that segment under each retired
+// magic.
 func FuzzReader(f *testing.F) {
 	valid := encodeFixture(f, buildFixture(f, 40, 70, 17))
 	f.Add(valid)
@@ -34,21 +39,21 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
 	f.Add([]byte(`{"version":1}`))
-	f.Add(v4Shard(f))
+	for _, magic := range retiredMagics {
+		f.Add(append([]byte(magic), valid[len(Magic):]...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(data, false, nil)
+		for _, magic := range retiredMagics {
+			if bytes.HasPrefix(data, []byte(magic)) && (err == nil || !strings.Contains(err.Error(), "legacy")) {
+				t.Fatalf("input with the retired magic %s: error %v, want a legacy refusal", magic, err)
+			}
+		}
 		if err != nil || r.VerifyBody() != nil {
 			return
 		}
-		enc := reencode(t, r)
-		if bytes.HasPrefix(data, []byte(magicV4)) {
-			if r, err = openVerified(enc); err != nil {
-				t.Fatalf("v4 re-encoded as an unreadable segment: %v", err)
-			}
-			data, enc = enc, reencode(t, r)
-		}
-		if !bytes.Equal(enc, data) {
+		if enc := reencode(t, r); !bytes.Equal(enc, data) {
 			t.Fatal("decode→encode is not a fixed point")
 		}
 	})

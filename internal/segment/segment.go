@@ -25,15 +25,14 @@
 //	          trailer crc32, "GDSEG5TR"
 //
 // A segment stores only what cannot be derived. The zone map that bounds
-// a scan and the posting lists a dimension filter intersects are both
-// functions of the tiles: the reader's Block derives the zone map, and
-// graphdim builds posting lists on first demand — so no file can hold
-// skip metadata that disagrees with its own vectors.
+// a scan is a function of the tiles, and the reader's Block derives it;
+// dimension filters read the tiles in place, and graphdim builds only its
+// label lists on first demand — so no file can hold skip metadata that
+// disagrees with its own vectors.
 //
-// The v4 format before it ("GDIMIDX4") is still read, never written: one
-// checkpoint upgrades a store. A v4 file carries a 144-byte trailer, the
-// tile width and zone span as two more meta scalars, and ones, posting
-// and zone sections after the graphs, which are never read.
+// v5 is the one format read: files of the retired generations (v1 JSON,
+// v2, v3, v4) are refused by name with the upgrade path, never called
+// corrupt.
 //
 // Integrity: the trailer carries its own crc, so a torn or truncated
 // file is rejected at open without reading the body. The body crc covers
@@ -66,12 +65,6 @@ const Magic = "GDIMIDX5"
 const (
 	trailerMagic = "GDSEG5TR"
 	trailerSize  = 80
-	// The v4 trailer holds 16 uint64 fields where v5 has 8: after the
-	// same five offsets, the ones, posting and zone section offsets, then
-	// n, p, the tile width, baseN, the zone span and the zone count.
-	magicV4        = "GDIMIDX4"
-	trailerMagicV4 = "GDSEG4TR"
-	trailerSizeV4  = 144
 	// width is the one tile width the kernel runs.
 	width = vecspace.DefaultBlockWidth
 	// maxElems bounds decoded counts before any allocation, shared with
@@ -308,7 +301,7 @@ type Reader struct {
 	bodyCRC                                          uint32
 }
 
-// Open opens a v5 (or v4) segment file. The trailer (and its crc) is
+// Open opens a v5 segment file. The trailer (and its crc) is
 // always verified, so a torn or truncated file fails here with a clear
 // error; with opt.Map the body is demand-paged and its crc is NOT
 // verified (see the package comment), otherwise the file is read into
@@ -337,45 +330,30 @@ func Open(path string, opt Options) (*Reader, error) {
 // are backed (for Mapped()); closer, if non-nil, releases them (Close).
 func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 	if legacy := legacyFormat(data); legacy != "" {
-		return nil, fmt.Errorf("legacy %s index file: this release reads only v4 and v5 segments; open it once with the previous release that reads it and checkpoint", legacy)
+		return nil, fmt.Errorf("legacy %s index file: this release reads only v5 segments; open it once with the previous release that reads it and checkpoint", legacy)
 	}
-	// A v4 file differs in its trailer, two more meta scalars and the
-	// ones, posting and zone sections after its graphs, never read.
-	v4 := bytes.HasPrefix(data, []byte(magicV4))
-	size, trMagic := trailerSize, trailerMagic
-	if v4 {
-		size, trMagic = trailerSizeV4, trailerMagicV4
-	}
-	if len(data) < len(Magic)+size {
+	if len(data) < len(Magic)+trailerSize {
 		return nil, fmt.Errorf("truncated segment (%d bytes)", len(data))
 	}
-	if !v4 && string(data[:len(Magic)]) != Magic {
+	if string(data[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("bad magic %q", data[:len(Magic)])
 	}
 	r := &Reader{data: data, mapped: mapped, closer: closer}
-	r.trailerOff = int64(len(data) - size)
+	r.trailerOff = int64(len(data) - trailerSize)
 	tr := data[r.trailerOff:]
-	if string(tr[size-8:]) != trMagic {
-		return nil, fmt.Errorf("torn trailer (bad trailer magic %q)", tr[size-8:])
+	if string(tr[trailerSize-8:]) != trailerMagic {
+		return nil, fmt.Errorf("torn trailer (bad trailer magic %q)", tr[trailerSize-8:])
 	}
-	if got, want := crc32.Checksum(tr[:size-12], crcTable), binary.LittleEndian.Uint32(tr[size-12:]); got != want {
+	if got, want := crc32.Checksum(tr[:trailerSize-12], crcTable), binary.LittleEndian.Uint32(tr[trailerSize-12:]); got != want {
 		return nil, fmt.Errorf("torn trailer (crc %08x, computed %08x)", want, got)
 	}
-	r.bodyCRC = binary.LittleEndian.Uint32(tr[size-16:])
+	r.bodyCRC = binary.LittleEndian.Uint32(tr[trailerSize-16:])
 	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(tr[i*8:]) }
 	off := func(i int) int64 { return int64(u64(i)) }
 	r.tilesOff, r.deadOff, r.gidxOff, r.graphsOff, r.graphsLen = off(0), off(1), off(2), off(3), off(4)
 	n, p, baseN := u64(5), u64(6), u64(7)
-	var metaTail []uint64 // v4's tile width and zone span
-	if v4 {
-		n, p, baseN = u64(10), u64(11), u64(13)
-		metaTail = []uint64{u64(12), u64(14)}
-	}
 	if n > maxElems || p > maxElems {
 		return nil, fmt.Errorf("corrupt trailer: n=%d p=%d", n, p)
-	}
-	if v4 && metaTail[0] != width {
-		return nil, fmt.Errorf("unsupported tile width %d (this release reads only width %d)", metaTail[0], width)
 	}
 	if baseN > n {
 		return nil, fmt.Errorf("corrupt trailer: baseN %d > n %d", baseN, n)
@@ -408,7 +386,7 @@ func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 		}
 	}
 
-	if err := r.decodeMeta(metaTail); err != nil {
+	if err := r.decodeMeta(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -423,6 +401,8 @@ func legacyFormat(data []byte) string {
 		return "v2 binary"
 	case bytes.HasPrefix(data, []byte("GDIMIDX3")):
 		return "v3 binary"
+	case bytes.HasPrefix(data, []byte("GDIMIDX4")):
+		return "v4 binary"
 	case bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")):
 		return "v1 JSON"
 	}
@@ -430,9 +410,8 @@ func legacyFormat(data []byte) string {
 }
 
 // decodeMeta eagerly decodes the small whole-index scalars between the
-// magic and the tiles section; tail is what the format writes after n and
-// baseN (v4's tile width and zone span, checked against its trailer).
-func (r *Reader) decodeMeta(tail []uint64) error {
+// magic and the tiles section.
+func (r *Reader) decodeMeta() error {
 	br := bytes.NewReader(r.data[len(Magic):r.tilesOff])
 	b, err := br.ReadByte()
 	if err != nil {
@@ -468,7 +447,7 @@ func (r *Reader) decodeMeta(tail []uint64) error {
 		}
 		r.meta.Features = append(r.meta.Features, g)
 	}
-	for _, want := range append([]uint64{uint64(r.n), uint64(r.meta.BaseN)}, tail...) {
+	for _, want := range []uint64{uint64(r.n), uint64(r.meta.BaseN)} {
 		got, err := binary.ReadUvarint(br)
 		if err != nil {
 			return fmt.Errorf("corrupt meta: %w", graph.NoEOF(err))

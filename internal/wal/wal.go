@@ -16,7 +16,7 @@
 // followed by zero or more records:
 //
 //	seq      uvarint — 1-based, strictly consecutive across the log
-//	type     1 byte (add = 1, remove = 2, applied = 3)
+//	type     1 byte (add = 1, remove = 2)
 //	len      uvarint — payload length in bytes
 //	payload  len bytes (see Record)
 //	crc32    IEEE checksum of the seq|type|len|payload bytes, LE
@@ -29,11 +29,17 @@
 // or checksum on the next Open, which truncates the segment back to the
 // last intact record — exactly the prefix whose fsyncs had completed.
 // Corruption in any non-final segment is data loss and reported as an
-// error rather than skipped. Within the final segment the first invalid
+// error rather than skipped. Within the final segment the first torn
 // frame necessarily ends recovery: without trusting record contents
 // there is no way to tell a torn write from a flipped bit, so — as in
 // most write-ahead logs — anything behind it is dropped with it. The
 // exposure is bounded by the checkpoint interval.
+//
+// A frame whose checksum verifies was written whole, so one whose
+// payload does not decode — a retired or unknown record type, counts out
+// of domain — is not a torn tail. Open, LastSeqIn and every Stream
+// refuse the log by naming it and change no byte, instead of cutting it
+// off together with the acknowledged records behind it.
 //
 // A Log assumes a single owner: one process, one *Log per directory.
 package wal
@@ -91,13 +97,11 @@ const (
 	TypeAdd Type = 1
 	// TypeRemove is a batch of id tombstones.
 	TypeRemove Type = 2
-	// TypeApplied amends an earlier TypeAdd batch of Total graphs from
-	// First after a partial or failed apply: only IDs (a subset of the
-	// batch, possibly empty) actually landed. Older releases wrote it;
-	// the log still encodes and decodes it so their logs and streams
-	// stay readable.
-	TypeApplied Type = 3
 )
+
+// errRefused marks a frame whose checksum verifies but whose payload this
+// release does not decode (see the package comment).
+var errRefused = errors.New("intact but unreadable")
 
 // Record is one logged mutation.
 type Record struct {
@@ -106,16 +110,11 @@ type Record struct {
 	Seq uint64
 	// Type selects which of the remaining fields are meaningful.
 	Type Type
-	// First is the first global id of the batch (TypeAdd, TypeApplied).
+	// First is the first global id of a TypeAdd batch.
 	First int
-	// Total is the size of the batch a TypeApplied record amends; for
-	// TypeAdd it is implied by len(Graphs).
-	Total int
 	// Graphs holds a TypeAdd batch, aligned with ids First+i.
 	Graphs []*graph.Graph
-	// IDs holds the tombstoned ids (TypeRemove, strictly ascending) or
-	// the applied subset (TypeApplied, strictly ascending within
-	// [First, First+Total)).
+	// IDs holds a TypeRemove batch's tombstoned ids, strictly ascending.
 	IDs []int
 }
 
@@ -226,7 +225,8 @@ func parseSegName(name string) (uint64, bool) {
 // Open opens (or creates) the log at dir, recovering from whatever a
 // previous process left: it scans the newest segment, truncates any torn
 // record off its tail, and positions appends after the last intact
-// record.
+// record. A segment holding a frame that is intact but unreadable is
+// refused and left as it is.
 func Open(dir string, opt Options) (*Log, error) {
 	if opt.SegmentBytes <= 0 {
 		opt.SegmentBytes = DefaultSegmentBytes
@@ -313,7 +313,7 @@ func Open(dir string, opt Options) (*Log, error) {
 // continuity from first, and returns the last intact sequence number
 // (first-1 if the segment holds none) plus the byte offset just past the
 // last intact record. A missing or short magic header counts as an empty
-// (torn) segment.
+// (torn) segment; an intact frame it cannot read is an error.
 func scanSegment(path string, first uint64) (lastSeq uint64, validEnd int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -337,10 +337,13 @@ func scanSegment(path string, first uint64) (lastSeq uint64, validEnd int64, err
 	expect := first
 	for {
 		rec, err := readRecord(cr)
+		if errors.Is(err, errRefused) {
+			return 0, 0, fmt.Errorf("%s: %w", filepath.Base(path), err)
+		}
 		if err != nil {
-			// io.EOF, a short frame, a checksum mismatch, garbage counts:
-			// everything past validEnd is a torn tail. (A clean EOF lands
-			// here too, with validEnd already at the file's end.)
+			// io.EOF, a short frame, a checksum mismatch: everything past
+			// validEnd is a torn tail. (A clean EOF lands here too, with
+			// validEnd already at the file's end.)
 			return lastSeq, validEnd, nil
 		}
 		if rec.Seq != expect {
@@ -671,7 +674,8 @@ func SyncDir(dir string) {
 
 // LastSeqIn reports the last committed sequence number of the log at
 // dir without opening it for writing: segments are only read, torn
-// tails are only skipped (never truncated), so it is safe against a
+// tails are only skipped (never truncated), and an intact frame it
+// cannot read is refused as Open refuses it, so it is safe against a
 // concurrent live owner of the log and on read-only media. A missing
 // directory reports 0.
 func LastSeqIn(dir string) (uint64, error) {
@@ -747,21 +751,6 @@ func encodePayload(rec Record) ([]byte, error) {
 		if err := putAscending(put, rec.IDs); err != nil {
 			return nil, err
 		}
-	case TypeApplied:
-		if rec.First < 0 || rec.Total <= 0 || len(rec.IDs) > rec.Total {
-			return nil, fmt.Errorf("wal: applied record out of domain (first %d, total %d, %d ids)", rec.First, rec.Total, len(rec.IDs))
-		}
-		put(uint64(rec.First))
-		put(uint64(rec.Total))
-		put(uint64(len(rec.IDs)))
-		if err := putAscending(put, rec.IDs); err != nil {
-			return nil, err
-		}
-		for _, id := range rec.IDs {
-			if id < rec.First || id >= rec.First+rec.Total {
-				return nil, fmt.Errorf("wal: applied id %d outside batch [%d,%d)", id, rec.First, rec.First+rec.Total)
-			}
-		}
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", rec.Type)
 	}
@@ -810,9 +799,12 @@ func (c *crcReader) ReadByte() (byte, error) {
 }
 
 // readRecord decodes one frame. A clean end of input (EOF before the
-// first byte) returns io.EOF; any mid-frame failure — truncation,
-// checksum mismatch, garbage counts — returns a non-EOF error the caller
-// treats as a torn tail or corruption depending on position.
+// first byte) returns io.EOF. A frame that fails before its checksum
+// verifies — truncation, an oversized length, sequence 0, a checksum
+// mismatch — returns an error the caller treats as a torn tail or
+// corruption depending on position; a verified frame whose payload does
+// not decode returns an error wrapping errRefused, which no caller
+// truncates.
 func readRecord(cr *crcReader) (Record, error) {
 	cr.sum = 0
 	seq, err := binary.ReadUvarint(cr)
@@ -850,7 +842,7 @@ func readRecord(cr *crcReader) (Record, error) {
 	}
 	rec := Record{Seq: seq, Type: Type(t)}
 	if err := decodePayload(&rec, payload); err != nil {
-		return Record{}, fmt.Errorf("record %d: %w", seq, err)
+		return Record{}, fmt.Errorf("record %d: %w: %w", seq, errRefused, err)
 	}
 	return rec, nil
 }
@@ -870,11 +862,10 @@ func decodePayload(rec *Record, payload []byte) error {
 		}
 		return int(x), nil
 	}
-	get := func(what string) (int, error) { return bounded(what, graph.MaxBinaryElems) }
 	getID := func(what string) (int, error) { return bounded(what, maxID) }
 	// getSome reads a count the encoder never writes as zero.
 	getSome := func(what string) (int, error) {
-		x, err := get(what)
+		x, err := bounded(what, graph.MaxBinaryElems)
 		if err == nil && x == 0 {
 			err = fmt.Errorf("%s is zero", what)
 		}
@@ -898,32 +889,16 @@ func decodePayload(rec *Record, payload []byte) error {
 			}
 			rec.Graphs = append(rec.Graphs, g)
 		}
-		rec.Total = count
 	case TypeRemove:
 		count, err := getSome("id count")
 		if err != nil {
 			return err
 		}
-		if rec.IDs, err = getAscending(getID, count, 0, -1); err != nil {
+		if rec.IDs, err = getAscending(getID, count); err != nil {
 			return err
 		}
-	case TypeApplied:
-		if rec.First, err = getID("first id"); err != nil {
-			return err
-		}
-		if rec.Total, err = getSome("batch total"); err != nil {
-			return err
-		}
-		count, err := get("applied count")
-		if err != nil {
-			return err
-		}
-		if count > rec.Total {
-			return fmt.Errorf("%d applied ids for a batch of %d", count, rec.Total)
-		}
-		if rec.IDs, err = getAscending(getID, count, rec.First, rec.First+rec.Total); err != nil {
-			return err
-		}
+	case 3:
+		return errors.New("record type 3 is a partial-add amendment, which only older releases wrote and this release does not read; open the store once with such a release and checkpoint")
 	default:
 		return fmt.Errorf("unknown record type %d", rec.Type)
 	}
@@ -933,12 +908,8 @@ func decodePayload(rec *Record, payload []byte) error {
 	return nil
 }
 
-// getAscending decodes count strictly ascending ids, each within
-// [lo, hi) when hi >= 0.
-func getAscending(get func(string) (int, error), count, lo, hi int) ([]int, error) {
-	if count == 0 {
-		return nil, nil
-	}
+// getAscending decodes count strictly ascending ids.
+func getAscending(get func(string) (int, error), count int) ([]int, error) {
 	ids := make([]int, 0, min(count, 1<<16))
 	prev := -1
 	for i := 0; i < count; i++ {
@@ -948,9 +919,6 @@ func getAscending(get func(string) (int, error), count, lo, hi int) ([]int, erro
 		}
 		if id <= prev {
 			return nil, fmt.Errorf("ids not strictly ascending at %d", id)
-		}
-		if id < lo || (hi >= 0 && id >= hi) {
-			return nil, fmt.Errorf("id %d outside [%d,%d)", id, lo, hi)
 		}
 		ids = append(ids, id)
 		prev = id

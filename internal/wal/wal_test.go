@@ -1,6 +1,10 @@
 package wal
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,8 +53,6 @@ func sampleRecords() []Record {
 		{Type: TypeAdd, First: 0, Graphs: []*graph.Graph{testGraph(3, 1), testGraph(4, 7)}},
 		{Type: TypeRemove, IDs: []int{1}},
 		{Type: TypeAdd, First: 2, Graphs: []*graph.Graph{testGraph(2, 3)}},
-		{Type: TypeApplied, First: 2, Total: 1, IDs: []int{2}},
-		{Type: TypeApplied, First: 3, Total: 4, IDs: nil},
 		{Type: TypeRemove, IDs: []int{0, 2}},
 	}
 }
@@ -92,7 +94,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		}
 	}
 	assertRecords(t, collect(t, l, 0), want)
-	assertRecords(t, collect(t, l, 4), want[4:])
+	assertRecords(t, collect(t, l, 2), want[2:])
 	if st := l.Stats(); st.Appends != int64(len(want)) || st.LastSeq != uint64(len(want)) || st.Syncs != st.Appends {
 		t.Fatalf("stats after append: %+v", st)
 	}
@@ -332,6 +334,85 @@ func TestMidLogCorruptionIsAnError(t *testing.T) {
 	}
 }
 
+// rawFrame frames payload under seq and typ exactly as the log does,
+// checksum included, whatever the type — a record no encoder writes.
+func rawFrame(seq uint64, typ byte, payload []byte) []byte {
+	frame := binary.AppendUvarint(nil, seq)
+	frame = append(frame, typ)
+	frame = binary.AppendUvarint(frame, uint64(len(payload)))
+	frame = append(frame, payload...)
+	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+}
+
+// TestOpenRefusesIntactUnreadableRecord: a frame whose checksum verifies
+// was written whole, so a payload this release cannot decode is no torn
+// tail. Open and LastSeqIn refuse the log by naming the record, and
+// leave the segment — and the acknowledged record behind the frame —
+// byte for byte as it was.
+func TestOpenRefusesIntactUnreadableRecord(t *testing.T) {
+	add := func(seq uint64) []byte {
+		frame, err := EncodeFrame(Record{Seq: seq, Type: TypeAdd, First: int(seq), Graphs: []*graph.Graph{testGraph(2, int(seq))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	for _, tc := range []struct {
+		name    string
+		typ     byte
+		payload []byte
+		want    string
+	}{
+		// An older release's partial-add amendment: first 2, a batch of
+		// 1, one applied id, id 2.
+		{"amendment", 3, []byte{2, 1, 1, 2}, "record type 3 is a partial-add amendment"},
+		{"unknown type", 42, []byte{1}, "unknown record type 42"},
+		{"remove with no ids", byte(TypeRemove), []byte{0}, "id count is zero"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seg := append([]byte(segMagic), add(1)...)
+			seg = append(seg, rawFrame(2, tc.typ, tc.payload)...)
+			seg = append(seg, add(3)...)
+			path := filepath.Join(dir, segName(1))
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := sha256.Sum256(seg)
+			for _, open := range []func() error{
+				func() error {
+					l, err := Open(dir, Options{})
+					if err == nil {
+						l.Close()
+					}
+					return err
+				},
+				func() error { _, err := LastSeqIn(dir); return err },
+			} {
+				err := open()
+				if err == nil || !strings.Contains(err.Error(), "record 2") || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("open = %v, want a refusal of record 2 saying %q", err, tc.want)
+				}
+				after, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sha256.Sum256(after) != before {
+					t.Fatalf("the refused segment changed: %d bytes, was %d", len(after), len(seg))
+				}
+			}
+			// A stream meets the frame as mid-log corruption.
+			fr := NewFrameReader(bytes.NewReader(seg[len(segMagic):]))
+			if _, err := fr.Next(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fr.Next(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("FrameReader.Next = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestEncodeValidation(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{NoSync: true})
@@ -345,8 +426,7 @@ func TestEncodeValidation(t *testing.T) {
 		{Type: TypeRemove},
 		{Type: TypeRemove, IDs: []int{3, 3}},
 		{Type: TypeRemove, IDs: []int{5, 2}},
-		{Type: TypeApplied, First: 0, Total: 0},
-		{Type: TypeApplied, First: 2, Total: 2, IDs: []int{1}},
+		{Type: Type(3), First: 2, IDs: []int{2}},
 		{Type: Type(42)},
 	} {
 		if _, err := l.Append(rec); err == nil {
