@@ -118,16 +118,11 @@ func main() {
 		maxWrites = flag.Int("max-inflight-writes", defaultMaxInflightWrites, "per-collection bound on in-flight add/ingest requests; beyond it requests get 429 + Retry-After (negative = unlimited)")
 		follow    = flag.String("follow", "", "run as a read-only replication follower of this primary gserve base URL: bootstrap from its snapshot, tail its WAL, answer writes with 307 (requires -data)")
 		replHB    = flag.Duration("repl-heartbeat", defaultReplHeartbeat, "heartbeat interval on replication WAL tail streams")
-		memory    = flag.String("memory", "auto", "how checkpointed shard segments are served: auto (mmap where the platform supports it) or heap (rehydrate fully into memory, verifying each segment's checksum)")
 	)
 	flag.Parse()
 
 	if *follow != "" && *data == "" {
 		log.Fatal("-follow requires -data: a follower mirrors the primary's log durably")
-	}
-	memMode, ok := map[string]graphdim.MemoryMode{"auto": graphdim.MemoryAuto, "heap": graphdim.MemoryHeap}[*memory]
-	if !ok {
-		log.Fatalf("memory must be auto or heap, got %q", *memory)
 	}
 
 	// The metrics registry exists before the store: the WAL feeds its
@@ -135,7 +130,6 @@ func main() {
 	m := newServerMetrics()
 	storeOpts := graphdim.StoreOptions{
 		Workers: *workers,
-		Memory:  memMode,
 		WAL:     graphdim.WALOptions{SyncObserver: m.walObserver()},
 	}
 	var store *graphdim.Store

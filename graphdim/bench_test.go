@@ -12,7 +12,7 @@ import (
 
 // Benchmarks of the paths no bench/ workload reaches: the build and batch
 // worker pools, shard counts other than 2, single-graph and bulk durable
-// adds, dimension filters, and the heap memory mode. BenchmarkStoreAdd and
+// adds, dimension filters, and a cold open. BenchmarkStoreAdd and
 // BenchmarkIngest live in addcost_test.go beside their shared set-up.
 
 // sampledIndex builds the DSPMap index the pipeline and cold-open
@@ -145,12 +145,12 @@ func BenchmarkPipelineFilterPushdown(b *testing.B) {
 	}
 }
 
-// BenchmarkColdOpen measures what the memory mode buys at open: time to
-// OpenStore a checkpointed 3,000-graph, 2-shard collection plus the steady
-// heap it leaves behind (heapMB/op — the rehydration cost mmap avoids;
-// file pages the mapping touches live in the page cache, not the Go
-// heap). One search per open keeps the comparison honest: the mapped
-// store must be serving, not just opened.
+// BenchmarkColdOpen measures a cold open: time to OpenStore a
+// checkpointed 3,000-graph, 2-shard collection — checksumming every
+// shard file — plus the steady heap it leaves behind (heapMB/op; file
+// pages the mapping touches live in the page cache, not the Go heap).
+// One search per open keeps the measurement honest: the store must be
+// serving, not just opened.
 func BenchmarkColdOpen(b *testing.B) {
 	dir := b.TempDir()
 	_, idx := sampledIndex(b, 3000)
@@ -168,42 +168,33 @@ func BenchmarkColdOpen(b *testing.B) {
 	s.Close()
 	q := dataset.Synthetic(dataset.SynthConfig{N: 1, AvgEdges: 8, Labels: 6, Seed: 3})[0]
 	ctx := context.Background()
-	for _, bc := range []struct {
-		name string
-		mode MemoryMode
-	}{
-		{"heap", MemoryHeap},
-		{"mmap", MemoryAuto},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var heapGrowth uint64
-			var ms runtime.MemStats
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				before := ms.HeapAlloc
-				b.StartTimer()
+	var heapGrowth uint64
+	var ms runtime.MemStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		b.StartTimer()
 
-				s, err := OpenStore(dir, StoreOptions{Memory: bc.mode})
-				if err != nil {
-					b.Fatal(err)
-				}
-				c, _ := s.Collection("c")
-				if _, err := c.Search(ctx, q, SearchOptions{K: 10}); err != nil {
-					b.Fatal(err)
-				}
+		s, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, _ := s.Collection("c")
+		if _, err := c.Search(ctx, q, SearchOptions{K: 10}); err != nil {
+			b.Fatal(err)
+		}
 
-				b.StopTimer()
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > before {
-					heapGrowth += ms.HeapAlloc - before
-				}
-				s.Close()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(heapGrowth)/float64(b.N)/(1<<20), "heapMB/op")
-		})
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		if ms.HeapAlloc > before {
+			heapGrowth += ms.HeapAlloc - before
+		}
+		s.Close()
+		b.StartTimer()
 	}
+	b.ReportMetric(float64(heapGrowth)/float64(b.N)/(1<<20), "heapMB/op")
 }

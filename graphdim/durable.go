@@ -108,6 +108,9 @@ func (s *Store) Dir() string { return s.dir }
 // afterwards persists immediately and logs its writes. It fails if dir
 // already holds a store.
 func CreateStore(dir string, opt StoreOptions) (*Store, error) {
+	if err := opt.checkMemory(); err != nil {
+		return nil, err
+	}
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
 		return nil, fmt.Errorf("graphdim: create store: %s already holds a store", dir)
 	}

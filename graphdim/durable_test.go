@@ -112,65 +112,6 @@ func liveGraph(c *Collection, id int) (*Graph, bool) {
 	return g, err == nil
 }
 
-func TestDurableAddSurvivesRestart(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	idx, db := equivBuild(t, rng, 30)
-	extra := dataset.Synthetic(dataset.SynthConfig{N: 6, AvgEdges: 9, Labels: 5, Seed: 7})
-	ctx := context.Background()
-	dir := t.TempDir()
-
-	s, err := CreateStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.CreateFromIndex("main", idx, CollectionOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := c.Add(ctx, extra...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	// No checkpoint. Close == kill -9 as far as the directory goes: the
-	// writes exist only as fsynced log records.
-	s.Close()
-
-	re, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	rc, ok := re.Collection("main")
-	if !ok {
-		t.Fatal("collection lost across restart")
-	}
-	if got, want := rc.Size(), len(db)+len(extra)-1; got != want {
-		t.Fatalf("recovered %d live graphs, want %d", got, want)
-	}
-	for i, id := range ids {
-		g, ok := rc.Graph(id)
-		if !ok {
-			t.Fatalf("added id %d lost across restart", id)
-		}
-		if g.String() != extra[i].String() {
-			t.Fatalf("id %d recovered wrong graph", id)
-		}
-	}
-	// The removed id must stay removed: it may never surface in results.
-	res, err := rc.Search(ctx, extra[0], SearchOptions{K: len(db) + len(extra)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Results {
-		if r.ID == ids[0] {
-			t.Fatalf("tombstoned id %d resurfaced after restart", ids[0])
-		}
-	}
-}
-
 // TestCrashRecoveryRandomized is the crash-recovery property test: a
 // scripted random interleaving of adds, removes, and checkpoints runs
 // against a durable store and an in-memory replica; the durable store is
@@ -265,12 +206,7 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 				tearWAL(t, dir, "c")
 			}
 
-			// Rotate the recovery memory mode so the property holds for
-			// mapped serving (checkpointed base faulted from the segment)
-			// as well as full heap rehydration, each with and without a
-			// torn tail.
-			mode := [...]MemoryMode{MemoryAuto, MemoryHeap}[round/2%2]
-			re, err := OpenStore(dir, StoreOptions{Memory: mode})
+			re, err := OpenStore(dir, StoreOptions{})
 			if err != nil {
 				t.Fatalf("reopen after crash: %v", err)
 			}
@@ -307,8 +243,7 @@ func mapping() bool {
 // durable Add. A context cancelled at the batch's first mapping check and
 // again once its record has synced stops nothing: Add returns the batch's
 // ids, the log holds the one add record, the shards publish, and a reopen
-// in heap and in map mode ranks like a store that took the batch
-// uncancelled. A failed append commits nothing: no shard publishes,
+// ranks like a store that took the batch uncancelled. A failed append commits nothing: no shard publishes,
 // nextID stays, and Add returns only after its mapping ran to the end.
 func TestLoggedAddLands(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -395,17 +330,14 @@ func TestLoggedAddLands(t *testing.T) {
 	}
 
 	s.Close()
-	for name, mode := range map[string]MemoryMode{"heap": MemoryHeap, "map": MemoryAuto} {
-		re, err := OpenStore(dir, StoreOptions{Memory: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc, _ := re.Collection("m")
-		label := "reopen in " + name + " mode"
-		assertSameContent(t, label, rc, ref)
-		assertSameSearch(t, label, rc, ref, queries)
-		re.Close()
+	re, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer re.Close()
+	rc, _ := re.Collection("m")
+	assertSameContent(t, "reopen", rc, ref)
+	assertSameSearch(t, "reopen", rc, ref, queries)
 }
 
 func TestCheckpointTruncatesLog(t *testing.T) {
@@ -734,25 +666,23 @@ func TestCompactionCoordinatesWithRecovery(t *testing.T) {
 	both(rc, add(pool[7:10]))
 	both(rc, func(x *Collection) error { return x.Remove(3) })
 	re.Close() // crash again
-	for _, mode := range []MemoryMode{MemoryHeap, MemoryAuto} {
-		re2, err := OpenStore(dir, StoreOptions{Memory: mode})
-		if err != nil {
-			t.Fatalf("reopen after compact+checkpoint+crash: %v", err)
-		}
-		rc2, _ := re2.Collection("c")
-		same("recovered over a compacted checkpoint", rc2)
-		for _, id := range []int{7, 12, ids[1], ids[2]} {
-			if _, ok := rc2.Graph(id); ok {
-				t.Fatalf("reclaimed id %d resolves after reopening a compacted checkpoint", id)
-			}
-		}
-		// A reclaim of a mapped shard faults its live graphs onto the heap.
-		if n, err := rc2.Compact(ctx); err != nil || n == 0 {
-			t.Fatalf("Compact (memory mode %d) repacked %d shards, err %v", mode, n, err)
-		}
-		same("compacted again after reopen", rc2)
-		re2.Close()
+	re2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatalf("reopen after compact+checkpoint+crash: %v", err)
 	}
+	defer re2.Close()
+	rc2, _ := re2.Collection("c")
+	same("recovered over a compacted checkpoint", rc2)
+	for _, id := range []int{7, 12, ids[1], ids[2]} {
+		if _, ok := rc2.Graph(id); ok {
+			t.Fatalf("reclaimed id %d resolves after reopening a compacted checkpoint", id)
+		}
+	}
+	// A reclaim of a mapped shard faults its live graphs onto the heap.
+	if n, err := rc2.Compact(ctx); err != nil || n == 0 {
+		t.Fatalf("Compact after reopen repacked %d shards, err %v", n, err)
+	}
+	same("compacted again after reopen", rc2)
 }
 
 func TestOpenOrCreateStore(t *testing.T) {

@@ -371,14 +371,12 @@ func (s *snapshot) staleRatio() float64 {
 
 // snapshotFromSegment adopts an opened segment: block is the segment's
 // tile section (aliased in place when the reader is a mapping), with its
-// zone map derived from those tiles.
-// With rehydrate false the snapshot keeps nil graph placeholders and faults
-// payloads in through the reader; with rehydrate true every graph is
-// decoded onto the heap and the reader is only kept as the backing array
-// owner. globals is the manifest's id table for a shard file, nil for a
-// plain index; the caller checks it against the segment's extent. It is
-// adopted with its capacity clipped, as in newSnapshot.
-func snapshotFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*snapshot, error) {
+// zone map derived from those tiles, and the snapshot keeps nil graph
+// placeholders that fault payloads in through the reader. globals is the
+// manifest's id table for a shard file, nil for a plain index; the
+// caller checks it against the segment's extent. It is adopted with its
+// capacity clipped, as in newSnapshot.
+func snapshotFromSegment(r *segment.Reader, globals []int) (*snapshot, error) {
 	n, baseN := r.N(), r.Meta().BaseN
 	if baseN < 0 || baseN > n {
 		return nil, fmt.Errorf("graphdim: corrupt segment: baseN %d outside [0,%d]", baseN, n)
@@ -388,25 +386,16 @@ func snapshotFromSegment(r *segment.Reader, rehydrate bool, globals []int) (*sna
 		return nil, err
 	}
 	dead, deadCount := r.Dead()
-	s := &snapshot{
+	return &snapshot{
 		db:        make([]*Graph, n),
 		dead:      dead,
 		deadCount: deadCount,
 		globals:   slices.Clip(globals),
+		seg:       newSegSource(r),
 		block:     blk,
 		baseN:     baseN,
 		baseDead:  deadBelow(dead, baseN),
-	}
-	if !rehydrate {
-		s.seg = newSegSource(r)
-		return s, nil
-	}
-	for i := range s.db {
-		if s.db[i], err = r.GraphAt(i); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	}, nil
 }
 
 // appended is the snapshot after an Add: gs, their vectors and (on a

@@ -408,9 +408,14 @@ func (ix *Index) writeShardImage(cdir string, i int, snap *snapshot) (string, er
 // that were committed — checkpointed or not — when the previous process
 // stopped, however it stopped. The opened store is durable: subsequent
 // writes log to dir (unless opt.WAL.Disabled). The options configure the
-// returned store exactly as NewStore does — the worker budget and memory
-// mode are runtime settings, not persisted state.
+// returned store exactly as NewStore does — the worker budget is a
+// runtime setting, not persisted state. Every shard file is checked
+// against its checksums as it opens, so a corrupt one fails the open by
+// name before any query is served.
 func OpenStore(dir string, opt StoreOptions) (*Store, error) {
+	if err := opt.checkMemory(); err != nil {
+		return nil, err
+	}
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("graphdim: open store: %w", err)
@@ -522,10 +527,10 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	errs := make([]error, cm.Shards)
 	_ = s.budget.ForContext(context.Background(), cm.Shards, func(i int) {
 		errs[i] = func() error {
-			// Open by path: a segment shard under MemoryAuto is
-			// mmapped in place rather than read through the heap.
+			// Open by path, so the shard is mapped in place rather
+			// than read through the heap.
 			globals := cm.ShardGlobals[i]
-			idx, err := openSegmentIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), s.memory, globals)
+			idx, err := openSegmentIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), globals)
 			if err != nil {
 				return err
 			}

@@ -131,7 +131,7 @@ func TestCollectionMapsOncePerDimensionSet(t *testing.T) {
 	}
 }
 
-// TestMappedSearchDecodesNothing: on a store reopened mapped (MemoryAuto),
+// TestMappedSearchDecodesNothing: on a store reopened mapped,
 // predicate-free mapped searches — unfiltered and dimension-filtered, over
 // shards that carry tombstones — rank straight from the mapped tiles and
 // leave every graph payload undecoded; a verified search then decodes exactly the

@@ -23,8 +23,8 @@ import (
 // small log segments, through random steps: adds, removes, searches with
 // every engine and filter kind, pipeline queries, checkpoints,
 // compactions, an add whose fsync fails, crashes (a close with no
-// checkpoint, some with a torn record) reopened mapped and on the heap
-// in turn, and a follower that bootstraps, catches up and restarts.
+// checkpoint, some with a torn record) and their reopens, and a follower
+// that bootstraps, catches up and restarts.
 //
 // The model is a flat Index that sees every acknowledged add and remove
 // and never compacts, crashes or shards. After every step the collection
@@ -84,7 +84,6 @@ type storeModel struct {
 	c        *Collection
 	shards   int
 	defaults SearchOptions
-	reopens  int
 
 	// The follower, nil until the first follow step; it never compacts,
 	// so fReclaimed is what its bootstrap image holds reclaimed.
@@ -263,7 +262,7 @@ func (m *storeModel) compact() {
 
 // crash closes the store without a checkpoint — all a kill -9 leaves is
 // the directory — sometimes tears a record onto the log's tail, and
-// reopens, alternating the memory modes.
+// reopens.
 func (m *storeModel) crash() {
 	stale := m.c.StaleRatios()
 	m.s.Close()
@@ -281,23 +280,21 @@ func (m *storeModel) crash() {
 	}
 }
 
-// reopen opens the store at dir, mapped and on the heap in turn, and
-// checks its collection before any query runs.
+// reopen opens the store at dir and checks its collection before any
+// query runs.
 func (m *storeModel) reopen(dir string, opt StoreOptions) (*Store, *Collection) {
-	m.reopens++
-	opt.Memory = [...]MemoryMode{MemoryAuto, MemoryHeap}[m.reopens%2]
 	s, err := OpenStore(dir, opt)
 	m.must(err)
 	c, _ := s.Collection("c")
-	m.checkOpened(c, opt.Memory)
+	m.checkOpened(c)
 	return s, c
 }
 
 // checkOpened checks what an open must establish: the one collection
-// with its shard count, defaults and dimension set; a heap open fully
-// rehydrated; a mapped open serving its base from the mapping with no
-// graph decoded yet; one vector store per shard.
-func (m *storeModel) checkOpened(c *Collection, mode MemoryMode) {
+// with its shard count, defaults and dimension set; each shard served
+// from a mapping wherever the platform can map, with no graph of its
+// segment decoded yet; one vector store per shard.
+func (m *storeModel) checkOpened(c *Collection) {
 	if got := c.store.Collections(); !reflect.DeepEqual(got, []string{"c"}) {
 		m.fatalf("the store holds collections %v", got)
 	}
@@ -309,8 +306,8 @@ func (m *storeModel) checkOpened(c *Collection, mode MemoryMode) {
 			m.fatalf("shard %d opened with another dimension set or weights", sh)
 		}
 		snap := ix.snap.Load()
-		if mapped := mode == MemoryAuto && segment.CanMap(); mapped != (snap.seg != nil && snap.seg.r.Mapped()) {
-			m.fatalf("shard %d opened in memory mode %d is served from a mapping: %v", sh, mode, !mapped)
+		if mapped := snap.seg != nil && snap.seg.r.Mapped(); mapped != segment.CanMap() {
+			m.fatalf("shard %d is served from a mapping: %v; the platform maps: %v", sh, mapped, segment.CanMap())
 		}
 		for i := 0; snap.seg != nil && i < len(snap.seg.graphs); i++ {
 			if snap.db[i] != nil {
@@ -337,7 +334,7 @@ func (m *storeModel) follow() {
 		if got := m.rep.AckSeq(); got != m.ckptSeq {
 			m.fatalf("bootstrapped follower acks %d, the checkpoint covers %d", got, m.ckptSeq)
 		}
-		m.checkOpened(m.fc, MemoryAuto)
+		m.checkOpened(m.fc)
 	case m.rng.Intn(3) == 0:
 		ack := m.rep.AckSeq()
 		m.fs.Close()

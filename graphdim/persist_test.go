@@ -10,25 +10,25 @@ import (
 
 // reopenAsCollection persists idx the one way an index persists — as a
 // single-shard collection created in a fresh store directory, which
-// checkpoints it — and returns that collection as OpenStore serves it in
-// mode. With one shard every global id is its local id, so the shard
+// checkpoints it — and returns that collection as OpenStore serves it.
+// With one shard every global id is its local id, so the shard
 // answers in idx's id space. The store runs without a write-ahead log:
 // later writes persist only through Checkpoint.
-func reopenAsCollection(t *testing.T, idx *Index, mode MemoryMode) *Collection {
+func reopenAsCollection(t *testing.T, idx *Index) *Collection {
 	t.Helper()
 	s, dir := newCheckpointStore(t)
 	if _, err := s.CreateFromIndex("c", idx, CollectionOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	return reopenCollection(t, dir, mode)
+	return reopenCollection(t, dir)
 }
 
-// reopenCollection opens the store at dir without a write-ahead log, in
-// mode, closed with the test, and returns its collection "c".
-func reopenCollection(t *testing.T, dir string, mode MemoryMode) *Collection {
+// reopenCollection opens the store at dir without a write-ahead log,
+// closed with the test, and returns its collection "c".
+func reopenCollection(t *testing.T, dir string) *Collection {
 	t.Helper()
-	re, err := OpenStore(dir, StoreOptions{Memory: mode, WAL: WALOptions{Disabled: true}})
+	re, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +41,14 @@ func reopenCollection(t *testing.T, dir string, mode MemoryMode) *Collection {
 }
 
 // openIndexFile writes data as an index file and opens it the way a store
-// opens a shard file, in mode.
-func openIndexFile(t *testing.T, data string, mode MemoryMode) error {
+// opens a shard file.
+func openIndexFile(t *testing.T, data string) error {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "index.gdx")
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := openSegmentIndex(path, mode, nil)
+	_, err := openSegmentIndex(path, nil)
 	return err
 }
 
@@ -58,10 +58,8 @@ func TestReadIndexRejectsNonIndexInput(t *testing.T) {
 		"text":      "hello world",
 		"bad magic": "GDIMIDX9everything-else",
 	} {
-		for _, mode := range []MemoryMode{MemoryAuto, MemoryHeap} {
-			if err := openIndexFile(t, data, mode); err == nil {
-				t.Errorf("%s (mode %d): accepted", name, mode)
-			}
+		if err := openIndexFile(t, data); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
@@ -79,28 +77,26 @@ func TestReadIndexNamesLegacyFormats(t *testing.T) {
 		"v1 indent":  {"\n {\n \"version\": 1\n}", "v1 JSON"},
 		"other json": {`{"version": 2}`, "v1 JSON"},
 	} {
-		for _, mode := range []MemoryMode{MemoryAuto, MemoryHeap} {
-			err := openIndexFile(t, tc.data, mode)
-			if err == nil {
-				t.Errorf("%s (mode %d): accepted", name, mode)
-				continue
+		err := openIndexFile(t, tc.data)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		msg := err.Error()
+		for _, want := range []string{"legacy " + tc.format, "previous release", "checkpoint"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: error %q does not mention %q", name, msg, want)
 			}
-			msg := err.Error()
-			for _, want := range []string{"legacy " + tc.format, "previous release", "checkpoint"} {
-				if !strings.Contains(msg, want) {
-					t.Errorf("%s (mode %d): error %q does not mention %q", name, mode, msg, want)
-				}
-			}
-			if strings.Contains(msg, "corrupt") {
-				t.Errorf("%s (mode %d): legacy file reported as corrupt: %q", name, mode, msg)
-			}
+		}
+		if strings.Contains(msg, "corrupt") {
+			t.Errorf("%s: legacy file reported as corrupt: %q", name, msg)
 		}
 	}
 }
 
 // TestOpenStoreNamesLegacyV4Store: a store whose shards an older release
-// checkpointed as v4 segments is refused in both memory modes with the
-// format's name and the upgrade path, not called corrupt.
+// checkpointed as v4 segments is refused with the format's name and the
+// upgrade path, not called corrupt.
 func TestOpenStoreNamesLegacyV4Store(t *testing.T) {
 	s, dir := newCheckpointStore(t)
 	idx, _ := equivBuild(t, rand.New(rand.NewSource(9)), 12)
@@ -122,18 +118,16 @@ func TestOpenStoreNamesLegacyV4Store(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, mode := range []MemoryMode{MemoryAuto, MemoryHeap} {
-		_, err := OpenStore(dir, StoreOptions{Memory: mode, WAL: WALOptions{Disabled: true}})
-		if err == nil {
-			t.Fatalf("mode %d: a v4 store opened", mode)
+	_, err = OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	if err == nil {
+		t.Fatal("a v4 store opened")
+	}
+	for _, want := range []string{"legacy v4", "previous release", "checkpoint"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
 		}
-		for _, want := range []string{"legacy v4", "previous release", "checkpoint"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("mode %d: error %q does not mention %q", mode, err, want)
-			}
-		}
-		if strings.Contains(err.Error(), "corrupt") {
-			t.Errorf("mode %d: v4 store reported as corrupt: %q", mode, err)
-		}
+	}
+	if strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("v4 store reported as corrupt: %q", err)
 	}
 }

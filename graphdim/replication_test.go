@@ -219,7 +219,7 @@ func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
 	// replays on top.
 	ack := rep.AckSeq()
 	fs.Close()
-	fs2, err := OpenStore(fdir, StoreOptions{Memory: MemoryAuto})
+	fs2, err := OpenStore(fdir, StoreOptions{})
 	if err != nil {
 		t.Fatalf("reopen follower: %v", err)
 	}

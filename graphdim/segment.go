@@ -3,13 +3,11 @@ package graphdim
 // This file bridges the collection layer to internal/segment, the on-disk
 // format: checkpoints stream each shard's snapshot out as a v5 segment
 // (writeSegment) — its vectors, tombstones and graphs, nothing derivable
-// from them — and opens serve a v5 segment back either mapped — the
-// tile section IS the scan block, graph payloads fault in lazily — or
-// fully rehydrated onto the heap (snapshotFromSegment). Zone maps are
-// rebuilt from the tiles, never read from the file. v5 is the one format
-// read: a shard file of an older generation is refused by name.
-// segSource is the per-open shared state a mapped snapshot chain hangs
-// onto: the reader plus a decode-once cache for faulted graphs.
+// from them — and opens serve a v5 segment back in place: the tile
+// section IS the scan block, and graph payloads are decoded on first
+// demand (snapshotFromSegment). Zone maps are rebuilt from the tiles,
+// never read from the file. v5 is the one format read: a shard file of an
+// older generation is refused by name.
 
 import (
 	"bytes"
@@ -93,14 +91,12 @@ func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
 // openSegmentIndex opens a shard file by path, serving it under globals,
 // the manifest's id table for the shard: the dimension set and codec
 // parameters come from the segment's meta section, the snapshot from its
-// data sections (see snapshotFromSegment). MemoryAuto asks for the
-// mapping; on platforms without mmap support segment.Open degrades to
-// reading the file into one heap buffer and the index still serves
-// through the same lazy segment path. MemoryHeap reads, checksums and
-// decodes the whole file — mode selects the serving strategy, never the
-// file format.
-func openSegmentIndex(path string, mode MemoryMode, globals []int) (*Index, error) {
-	r, err := segment.Open(path, segment.Options{Map: mode != MemoryHeap})
+// data sections (see snapshotFromSegment). The file is mapped where the
+// platform supports mmap and read into one heap buffer elsewhere; either
+// way segment.Open has verified its checksums, and the index serves
+// through the same lazy segment path.
+func openSegmentIndex(path string, globals []int) (*Index, error) {
+	r, err := segment.Open(path, segment.Options{Map: true})
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +105,7 @@ func openSegmentIndex(path string, mode MemoryMode, globals []int) (*Index, erro
 	if m.Metric > byte(Delta2) {
 		err = fmt.Errorf("graphdim: corrupt segment: unknown metric %d", m.Metric)
 	} else {
-		snap, err = snapshotFromSegment(r, mode == MemoryHeap, globals)
+		snap, err = snapshotFromSegment(r, globals)
 	}
 	if err != nil {
 		r.Close()

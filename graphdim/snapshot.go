@@ -161,13 +161,10 @@ func ExtractSnapshotTar(dir string, r io.Reader) (err error) {
 		for _, f := range cm.ShardFiles {
 			path := filepath.Join(dir, cm.Name, f)
 			sr, err := segment.Open(path, segment.Options{Map: true})
-			if err == nil {
-				err = sr.VerifyBody()
-				sr.Close()
-			}
 			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
+				return err
 			}
+			sr.Close()
 		}
 	}
 	for d := range dirs {

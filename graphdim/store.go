@@ -35,10 +35,8 @@ type Store struct {
 	// dir is the data directory of a durable store ("" = in-memory only);
 	// walOpt configures the per-collection write-ahead logs under it, and
 	// checkpoints counts completed Checkpoint calls. See durable.go.
-	// memory is how checkpointed segments are served (StoreOptions.Memory).
 	dir         string
 	walOpt      WALOptions
-	memory      MemoryMode
 	checkpoints atomic.Int64
 	// lock is the data directory's single-owner flock file, nil for
 	// in-memory and read-only (WAL-disabled) stores; released by Close.
@@ -71,29 +69,29 @@ type StoreOptions struct {
 	// CreateStore, OpenOrCreateStore); NewStore ignores it — a store
 	// without a data directory has nowhere to log.
 	WAL WALOptions
-	// Memory selects how a durable store serves checkpointed shard data:
-	// mapped read-only from segment files (the default where the
-	// platform supports it — vectors and graph payloads stay in the page
-	// cache and fault in on demand, so a collection can exceed RAM) or
-	// fully rehydrated onto the heap. See MemoryMode. NewStore ignores it.
-	// Checkpoints predating the v5 segment format do not load in any
-	// mode: the segment reader refuses them by name.
+	// Memory stays only because the benchmark harness sets it; a durable
+	// store has one way to open a checkpoint. Each shard segment is mapped
+	// read-only where the platform supports mmap (see segment.CanMap) and
+	// read into one heap buffer elsewhere, and either way its checksums
+	// are verified at open. MemoryAuto, the zero value, is the one value
+	// accepted: OpenStore and CreateStore refuse any other by name.
 	Memory MemoryMode
 }
 
-// MemoryMode selects heap vs mmap serving of checkpointed segments.
+// MemoryMode is the type of StoreOptions.Memory, kept with it for the
+// benchmark harness.
 type MemoryMode int
 
-const (
-	// MemoryAuto maps segment checkpoints read-only where the
-	// platform supports mmap (see segment.CanMap), the heap elsewhere —
-	// the default. It checks each segment's trailer, not its body crc.
-	MemoryAuto MemoryMode = iota
-	// MemoryHeap rehydrates every checkpoint onto the heap and verifies
-	// its body crc — the mode for a data directory on a filesystem with
-	// poor mmap semantics (some network mounts).
-	MemoryHeap
-)
+// MemoryAuto is the one MemoryMode (see StoreOptions.Memory).
+const MemoryAuto MemoryMode = 0
+
+// checkMemory refuses every StoreOptions.Memory value but MemoryAuto.
+func (opt StoreOptions) checkMemory() error {
+	if opt.Memory != MemoryAuto {
+		return fmt.Errorf("graphdim: StoreOptions.Memory %d is not MemoryAuto, the one mode", opt.Memory)
+	}
+	return nil
+}
 
 // NewStore returns an empty in-memory store. It runs no goroutines of its
 // own.
@@ -101,7 +99,6 @@ func NewStore(opt StoreOptions) *Store {
 	return &Store{
 		budget:      pool.NewBudget(opt.Workers),
 		walOpt:      opt.WAL,
-		memory:      opt.Memory,
 		collections: make(map[string]*Collection),
 		creating:    make(map[string]bool),
 	}

@@ -554,8 +554,8 @@ func TestOpenStoreRejectsCorruptManifests(t *testing.T) {
 
 // TestOpenStoreRefusesMixedDimensionSets: releases whose Compact re-selected
 // dimensions per shard could checkpoint a collection whose shards rank in
-// unrelated spaces. Such a directory must be refused by name in every
-// memory mode, never served.
+// unrelated spaces. Such a directory must be refused by name, never
+// served.
 func TestOpenStoreRefusesMixedDimensionSets(t *testing.T) {
 	db := storeTestDB(t, 24, 3)
 	s, dir := newCheckpointStore(t)
@@ -596,15 +596,13 @@ func TestOpenStoreRefusesMixedDimensionSets(t *testing.T) {
 	}
 
 	want := `collection "c": shard 1 holds a different dimension set than shard 0 — compacted by an earlier release; re-create the collection`
-	for _, mode := range []MemoryMode{MemoryAuto, MemoryHeap} {
-		re, err := OpenStore(dir, StoreOptions{Memory: mode, WAL: WALOptions{Disabled: true}})
-		if err == nil {
-			re.Close()
-			t.Fatalf("memory mode %d: OpenStore served a collection with two dimension sets", mode)
-		}
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("memory mode %d: OpenStore error %q, want it to say %q", mode, err, want)
-		}
+	re, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	if err == nil {
+		re.Close()
+		t.Fatal("OpenStore served a collection with two dimension sets")
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenStore error %q, want it to say %q", err, want)
 	}
 }
 

@@ -96,7 +96,7 @@ func TestReloadedPlusAddMatchesDirectAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reloaded := reopenAsCollection(t, built, MemoryAuto)
+	reloaded := reopenAsCollection(t, built)
 	if _, err := built.Add(extra...); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestStaleRatioAddThenRemoveCancels(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := reopenCollection(t, dir, MemoryAuto).StaleRatios()[0]; got != ratio() {
+	if got := reopenCollection(t, dir).StaleRatios()[0]; got != ratio() {
 		t.Errorf("StaleRatio changed across persistence: %v vs %v", got, ratio())
 	}
 }

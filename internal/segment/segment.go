@@ -4,7 +4,7 @@
 // endian), so a memory-mapped checkpoint IS the kernel's operand with
 // zero rehydration. Zed's microindex files are the model: sections
 // first, a fixed-size trailer of offsets last, so a reader parses the
-// tail and lazily touches only the pages a query needs.
+// tail and decodes only the sections a query needs.
 //
 // Layout (all integers little-endian):
 //
@@ -34,13 +34,12 @@
 // v2, v3, v4) are refused by name with the upgrade path, never called
 // corrupt.
 //
-// Integrity: the trailer carries its own crc, so a torn or truncated
-// file is rejected at open without reading the body. The body crc covers
-// everything before the trailer and is verified on the heap (copy) path,
-// which reads every byte anyway; a mapped open deliberately skips it —
-// checksumming would fault every page and defeat lazy loading — and
-// trusts the checkpoint discipline that produced the file (fsync before
-// the manifest references it). VerifyBody exists for auditing.
+// Integrity: every open reads each file once and checks it. NewReader
+// verifies the trailer's own crc, then the body crc over everything
+// before the trailer, so a torn, truncated or bit-flipped file is
+// refused before any section is served. On a mapped open the checksum
+// pass faults each page once; those pages stay file-backed and
+// reclaimable, so a store larger than RAM still opens.
 package segment
 
 import (
@@ -298,14 +297,10 @@ type Reader struct {
 
 	tilesOff, deadOff, gidxOff, graphsOff, graphsLen int64
 	trailerOff                                       int64
-	bodyCRC                                          uint32
 }
 
-// Open opens a v5 segment file. The trailer (and its crc) is
-// always verified, so a torn or truncated file fails here with a clear
-// error; with opt.Map the body is demand-paged and its crc is NOT
-// verified (see the package comment), otherwise the file is read into
-// the heap and fully checksummed.
+// Open opens a v5 segment file and checks it (see the package comment),
+// so a torn, truncated or corrupt file fails here with a clear error.
 func Open(path string, opt Options) (*Reader, error) {
 	data, mapped, closer, err := openBytes(path, opt.Map)
 	if err != nil {
@@ -318,16 +313,12 @@ func Open(path string, opt Options) (*Reader, error) {
 		}
 		return nil, fmt.Errorf("segment: open %s: %w", path, err)
 	}
-	if !mapped {
-		if err := r.VerifyBody(); err != nil {
-			return nil, fmt.Errorf("segment: open %s: %w", path, err)
-		}
-	}
 	return r, nil
 }
 
-// NewReader parses a segment held in data. mapped records how the bytes
-// are backed (for Mapped()); closer, if non-nil, releases them (Close).
+// NewReader parses a segment held in data after checking its trailer
+// and body checksums. mapped records how the bytes are backed (for
+// Mapped()); closer, if non-nil, releases them (Close).
 func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 	if legacy := legacyFormat(data); legacy != "" {
 		return nil, fmt.Errorf("legacy %s index file: this release reads only v5 segments; open it once with the previous release that reads it and checkpoint", legacy)
@@ -347,7 +338,9 @@ func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 	if got, want := crc32.Checksum(tr[:trailerSize-12], crcTable), binary.LittleEndian.Uint32(tr[trailerSize-12:]); got != want {
 		return nil, fmt.Errorf("torn trailer (crc %08x, computed %08x)", want, got)
 	}
-	r.bodyCRC = binary.LittleEndian.Uint32(tr[trailerSize-16:])
+	if want, got := binary.LittleEndian.Uint32(tr[trailerSize-16:]), crc32.Checksum(data[:r.trailerOff], crcTable); got != want {
+		return nil, fmt.Errorf("body checksum mismatch (file %08x, computed %08x)", want, got)
+	}
 	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(tr[i*8:]) }
 	off := func(i int) int64 { return int64(u64(i)) }
 	r.tilesOff, r.deadOff, r.gidxOff, r.graphsOff, r.graphsLen = off(0), off(1), off(2), off(3), off(4)
@@ -485,16 +478,6 @@ func (r *Reader) Close() error {
 	c := r.closer
 	r.closer = nil
 	return c()
-}
-
-// VerifyBody checksums everything before the trailer against the body
-// crc — the heap open does this automatically; for a mapped segment it
-// is an explicit (page-faulting) audit.
-func (r *Reader) VerifyBody() error {
-	if got := crc32.Checksum(r.data[:r.trailerOff], crcTable); got != r.bodyCRC {
-		return fmt.Errorf("body checksum mismatch (file %08x, computed %08x)", r.bodyCRC, got)
-	}
-	return nil
 }
 
 // aliasU64 reinterprets an 8-aligned little-endian section as []uint64

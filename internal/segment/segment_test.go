@@ -2,6 +2,8 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -93,14 +95,13 @@ func writeFixture(t *testing.T, fx *fixture) string {
 	return path
 }
 
-// openVerified is the open a heap load and a follower's bootstrap run:
-// the trailer checked by NewReader, then the body checksum.
-func openVerified(data []byte) (*Reader, error) {
-	r, err := NewReader(data, false, nil)
-	if err == nil {
-		err = r.VerifyBody()
-	}
-	return r, err
+// restamp recomputes data's body and trailer checksums in place, so a
+// test can hand the reader a deliberately changed body that the checksum
+// pass accepts.
+func restamp(data []byte) {
+	tr := data[len(data)-trailerSize:]
+	binary.LittleEndian.PutUint32(tr[trailerSize-16:], crc32.Checksum(data[:len(data)-trailerSize], crcTable))
+	binary.LittleEndian.PutUint32(tr[trailerSize-12:], crc32.Checksum(tr[:trailerSize-12], crcTable))
 }
 
 func checkReader(t *testing.T, fx *fixture, r *Reader) {
@@ -183,9 +184,6 @@ func checkReader(t *testing.T, fx *fixture, r *Reader) {
 	if post.N() != n || post.P() != p {
 		t.Fatalf("postings shape %d/%d", post.N(), post.P())
 	}
-	if err := r.VerifyBody(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSegmentRoundTrip(t *testing.T) {
@@ -265,24 +263,24 @@ func TestSegmentTornTrailer(t *testing.T) {
 	}
 }
 
-// TestSegmentVerifiedOpenRejectsEveryFlipAndCut flips every byte and cuts
-// at every length of a valid segment: the trailer and body checksums
-// together leave no position a verified open accepts.
+// TestSegmentVerifiedOpenRejectsEveryFlipAndCut flips every byte and cuts at
+// every length of a valid segment: the trailer and body checksums
+// together leave no position NewReader accepts.
 func TestSegmentVerifiedOpenRejectsEveryFlipAndCut(t *testing.T) {
 	valid := encodeFixture(t, buildFixture(t, 40, 70, 5))
-	if _, err := openVerified(valid); err != nil {
+	if _, err := NewReader(valid, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	corrupt := make([]byte, len(valid))
 	for pos := range valid {
 		copy(corrupt, valid)
 		corrupt[pos] ^= 0x40
-		if _, err := openVerified(corrupt); err == nil {
+		if _, err := NewReader(corrupt, false, nil); err == nil {
 			t.Fatalf("flipped byte %d of %d accepted", pos, len(valid))
 		}
 	}
 	for cut := 0; cut < len(valid); cut++ {
-		if _, err := openVerified(valid[:cut]); err == nil {
+		if _, err := NewReader(valid[:cut], false, nil); err == nil {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(valid))
 		}
 	}
@@ -329,8 +327,8 @@ func TestSegmentNamesLegacyFormats(t *testing.T) {
 	}
 }
 
-// TestSegmentBodyCorruption: a heap open checksums the body and rejects
-// a flipped bit; a mapped open (by design) does not read the body.
+// TestSegmentBodyCorruption: a flipped bit in the body fails the open by
+// its checksum, whether the file is mapped or read into memory.
 func TestSegmentBodyCorruption(t *testing.T) {
 	fx := buildFixture(t, 200, 64, 11)
 	path := writeFixture(t, fx)
@@ -342,25 +340,17 @@ func TestSegmentBodyCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path, Options{Map: false}); err == nil {
-		t.Fatal("heap open accepted corrupt body")
-	}
-	r, err := Open(path, Options{Map: true})
-	if err != nil && CanMap() {
-		t.Fatalf("mapped open should defer body validation: %v", err)
-	}
-	if r != nil {
-		if err := r.VerifyBody(); err == nil {
-			t.Fatal("VerifyBody missed the flipped bit")
+	for _, mmap := range []bool{false, true} {
+		if _, err := Open(path, Options{Map: mmap}); err == nil || !strings.Contains(err.Error(), "body checksum") {
+			t.Fatalf("map=%v: open of a corrupt body = %v, want a body checksum error", mmap, err)
 		}
-		r.Close()
 	}
 }
 
-// TestSegmentDeadDropsBitsPastN: a mapped open does not checksum the
-// body, so a dead section whose last byte carries a bit past n still
-// opens — and Dead drops that bit, so the id an Add appends there
-// starts live.
+// TestSegmentDeadDropsBitsPastN: a dead section whose last byte carries
+// a bit past n under valid checksums — which no writer of this package
+// produces — still opens, and Dead drops that bit, so the id an Add
+// appends there starts live.
 func TestSegmentDeadDropsBitsPastN(t *testing.T) {
 	const n = 203 // the last dead byte holds ids 200..202 and 5 spare bits
 	fx := buildFixture(t, n, 64, 13)
@@ -374,6 +364,7 @@ func TestSegmentDeadDropsBitsPastN(t *testing.T) {
 	}
 	want, wantCount := r.Dead()
 	data[r.deadOff+n/8] |= 1 << 7
+	restamp(data)
 	if r, err = NewReader(data, true, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,12 @@
 //
 // A frame whose checksum verifies was written whole, so one whose
 // payload does not decode — a retired or unknown record type, counts out
-// of domain — is not a torn tail. Open, LastSeqIn and every Stream
-// refuse the log by naming it and change no byte, instead of cutting it
-// off together with the acknowledged records behind it.
+// of domain — is not a torn tail, and neither is one whose sequence
+// jumps forward past records that are missing. Open, LastSeqIn and every
+// Stream refuse the log by naming it and change no byte, instead of
+// cutting it off together with the acknowledged records behind it. A
+// frame whose sequence steps back is a stale frame of a batch whose
+// write failed, and is cut like a torn tail.
 //
 // A Log assumes a single owner: one process, one *Log per directory.
 package wal
@@ -313,7 +316,9 @@ func Open(dir string, opt Options) (*Log, error) {
 // continuity from first, and returns the last intact sequence number
 // (first-1 if the segment holds none) plus the byte offset just past the
 // last intact record. A missing or short magic header counts as an empty
-// (torn) segment; an intact frame it cannot read is an error.
+// (torn) segment, and so does anything from a frame whose sequence steps
+// back; an intact frame it cannot read, or one whose sequence jumps
+// forward, is an error.
 func scanSegment(path string, first uint64) (lastSeq uint64, validEnd int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -346,7 +351,13 @@ func scanSegment(path string, first uint64) (lastSeq uint64, validEnd int64, err
 			// validEnd already at the file's end.)
 			return lastSeq, validEnd, nil
 		}
-		if rec.Seq != expect {
+		if rec.Seq > expect {
+			// An intact frame past a gap: records were lost in between,
+			// and cutting here would drop the acknowledged ones behind it.
+			return 0, 0, fmt.Errorf("%s: record %d where %d was expected: a gap in the log", filepath.Base(path), rec.Seq, expect)
+		}
+		if rec.Seq < expect {
+			// A stale frame of a batch whose write failed: a torn tail.
 			return lastSeq, validEnd, nil
 		}
 		expect++

@@ -413,6 +413,87 @@ func TestOpenRefusesIntactUnreadableRecord(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesForwardGap: an intact frame whose sequence jumps forward
+// (records 1, 3, 4) means record 2 is missing, not that the tail is torn.
+// Open and LastSeqIn refuse the log naming the expected and the found
+// sequence, and leave the segment byte for byte as it was. An intact
+// frame that steps back — a stale frame of a batch whose write failed —
+// is still cut like a torn tail, back to the records before it.
+func TestOpenRefusesForwardGap(t *testing.T) {
+	rec := func(seq uint64) Record {
+		return Record{Seq: seq, Type: TypeAdd, First: int(seq), Graphs: []*graph.Graph{testGraph(2, int(seq))}}
+	}
+	frames := func(seqs ...uint64) []byte {
+		seg := []byte(segMagic)
+		for _, seq := range seqs {
+			frame, err := EncodeFrame(rec(seq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg = append(seg, frame...)
+		}
+		return seg
+	}
+
+	t.Run("forward gap", func(t *testing.T) {
+		dir := t.TempDir()
+		seg := frames(1, 3, 4)
+		path := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := sha256.Sum256(seg)
+		for name, open := range map[string]func() error{
+			"Open": func() error {
+				l, err := Open(dir, Options{})
+				if err == nil {
+					l.Close()
+				}
+				return err
+			},
+			"LastSeqIn": func() error { _, err := LastSeqIn(dir); return err },
+		} {
+			if err := open(); err == nil || !strings.Contains(err.Error(), "record 3 where 2 was expected") {
+				t.Fatalf("%s = %v, want a refusal naming record 3 where 2 was expected", name, err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sha256.Sum256(after) != before {
+				t.Fatalf("%s changed the refused segment: %d bytes, was %d", name, len(after), len(seg))
+			}
+		}
+	})
+
+	t.Run("backward step", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(path, frames(1, 2, 3, 2, 3), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if seq, err := LastSeqIn(dir); err != nil || seq != 3 {
+			t.Fatalf("LastSeqIn = %d, %v; want 3", seq, err)
+		}
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l.LastSeq(); got != 3 {
+			t.Fatalf("LastSeq after the cut = %d, want 3", got)
+		}
+		assertRecords(t, collect(t, l, 0), []Record{rec(1), rec(2), rec(3)})
+		l.Close()
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := frames(1, 2, 3); !bytes.Equal(after, want) {
+			t.Fatalf("segment is %d bytes after the cut, want the %d-byte intact prefix", len(after), len(want))
+		}
+	})
+}
+
 func TestEncodeValidation(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{NoSync: true})

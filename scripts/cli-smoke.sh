@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # cli-smoke.sh drives the commands end to end over one store directory:
 # gen writes query graphs, dspm writes the store, gsearch (mapped and
-# verified engines) and gq read it, gserve serves it, takes three adds,
-# is killed with SIGKILL, comes back with the adds replayed from its
-# log, and shuts down cleanly on SIGTERM. The two library examples run
+# verified engines) and gq read it, a copy of it with one byte flipped
+# in a shard file's body is refused by gsearch with a body checksum
+# error while the original still answers, gserve serves it, takes three
+# adds, is killed with SIGKILL, comes back with the adds replayed from
+# its log, and shuts down cleanly on SIGTERM. The two library examples run
 # too: examples/quickstart must grow its collection to ids [60 61 62]
 # and find the first added graph at distance 0, and examples/store must
 # compact without moving its top-1 and reload. Any failed step fails the
@@ -45,6 +47,23 @@ grep -q 'verified engine' "$d/verified.txt"
 echo '{"stages":[{"filter":{"min_edges":1}},{"count":{}}]}' |
 	"$bin/gq" -pipeline - -store "$store" | tee "$d/count.json"
 grep -q '"count": 40' "$d/count.json"
+
+# A flipped byte in a shard file's body fails the open by its checksum;
+# the original store still answers.
+bad=$d/bad-store
+cp -r "$store" "$bad"
+shard=$(ls "$bad"/default/shard-*.gdx | head -n 1)
+off=$((($(wc -c < "$shard") - 80) / 2)) # mid-body: the last 80 bytes are the trailer
+byte=$(od -An -tu1 -j "$off" -N1 "$shard" | tr -d ' ')
+printf "\\$(printf %o $((byte ^ 1)))" | dd of="$shard" bs=1 seek="$off" conv=notrunc status=none
+if "$bin/gsearch" -store "$bad" -queries "$d/q.graphs" -k 3 > /dev/null 2> "$d/bad.err"; then
+	echo "gsearch served a store with a corrupt shard file" >&2
+	exit 1
+fi
+cat "$d/bad.err"
+grep -q 'body checksum' "$d/bad.err"
+"$bin/gsearch" -store "$store" -queries "$d/q.graphs" -k 3 > "$d/intact.txt"
+grep -q 'mapped engine' "$d/intact.txt"
 
 # start_gserve serves the store in the background, logging to $1, and
 # sets pid and addr once it listens.
