@@ -93,7 +93,9 @@ vet:
 # commands over one store directory: gen writes the queries, dspm
 # the store, gsearch (mapped and verified) and a gq count pipeline read
 # it, gserve serves /healthz, a search and three adds, is killed with
-# SIGKILL, must come back with the adds, and exits cleanly on SIGTERM
+# SIGKILL; gsearch must then open the stopped directory with the adds,
+# gserve must come back with them, gsearch must be refused naming the
+# lock while it runs, and gserve exits cleanly on SIGTERM
 # (scripts/cli-smoke.sh).
 cli:
 	bash scripts/cli-smoke.sh

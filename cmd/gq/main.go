@@ -14,9 +14,13 @@
 // ...]}. The result is printed as JSON on stdout: rows, count or
 // groups, plus execution stats (pushdown split, per-stage timings).
 // The pipeline fans out across the collection's shards and per-shard
-// partial aggregates merge to the unsharded answer. The store opens
-// read-only, so the directory may belong to a live gserve. Ctrl-C
-// cancels an in-flight pipeline promptly.
+// partial aggregates merge to the unsharded answer. gq opens the
+// directory as its one owner: a stopped store, cleanly shut down or
+// killed, answers with every acknowledged write (the log tail is
+// replayed), while the directory of a running gserve is refused as in
+// use by another process — query a live store through its server's
+// /query route, which takes the same documents. Ctrl-C cancels an
+// in-flight pipeline promptly.
 package main
 
 import (
@@ -38,7 +42,7 @@ func main() {
 	log.SetPrefix("gq: ")
 	var (
 		pipePath = flag.String("pipeline", "", `pipeline JSON file ("-" = stdin)`)
-		storeDir = flag.String("store", "store", "store directory (dspm -out, or a gserve -data directory)")
+		storeDir = flag.String("store", "store", "store directory (dspm -out, or a stopped gserve's -data directory)")
 		collName = flag.String("collection", "default", "collection to query inside -store")
 	)
 	flag.Parse()
@@ -62,9 +66,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Never a second owner of a live gserve's WAL: Disabled opens read
-	// the snapshot without touching the log (see gsearch).
-	store, err := graphdim.OpenStore(*storeDir, graphdim.StoreOptions{WAL: graphdim.WALOptions{Disabled: true}})
+	// gq owns the directory while it runs (see gsearch).
+	store, err := graphdim.OpenStore(*storeDir, graphdim.StoreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

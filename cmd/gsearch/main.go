@@ -11,9 +11,12 @@
 // scan, the default), verified (retrieve factor·k candidates, re-rank by
 // exact MCS), or exact (full MCS search; orders of magnitude slower, for
 // ground-truth comparison). Queries fan out across the collection's
-// shards; results are identical to an unsharded index. The store opens
-// read-only, so the directory may belong to a live gserve. Ctrl-C cancels
-// an in-flight query promptly.
+// shards; results are identical to an unsharded index. gsearch opens the
+// directory as its one owner: a stopped store, cleanly shut down or
+// killed, answers with every acknowledged write (the log tail is
+// replayed), while the directory of a running gserve is refused as in
+// use by another process — query a live store through its server.
+// Ctrl-C cancels an in-flight query promptly.
 package main
 
 import (
@@ -33,7 +36,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gsearch: ")
 	var (
-		storeDir = flag.String("store", "store", "store directory (dspm -out, or a gserve -data directory)")
+		storeDir = flag.String("store", "store", "store directory (dspm -out, or a stopped gserve's -data directory)")
 		collName = flag.String("collection", "default", "collection to query inside -store")
 		queries  = flag.String("queries", "", "query graphs file (text format)")
 		k        = flag.Int("k", 10, "number of results per query")
@@ -51,14 +54,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A query CLI must never become a second owner of the store's
-	// write-ahead log — the directory may belong to a live gserve.
-	// Disabled opens read the snapshot without touching the log, and
-	// refuse (with an explanation) if un-replayed records exist; let the
-	// serving process recover those. Racing a live checkpoint can fail
-	// transiently (superseded shard files swept mid-open) — loud, clean,
-	// and fixed by retrying.
-	store, err := graphdim.OpenStore(*storeDir, graphdim.StoreOptions{WAL: graphdim.WALOptions{Disabled: true}})
+	// The open takes the directory's lock and replays its log tail, so
+	// the answer covers every acknowledged write; it fails naming the
+	// lock while another process (a live gserve) owns the directory.
+	store, err := graphdim.OpenStore(*storeDir, graphdim.StoreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

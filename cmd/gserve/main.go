@@ -253,14 +253,13 @@ func (s *server) checkpointLoop(ctx context.Context, every time.Duration) {
 }
 
 // walDirty reports whether any collection has log records the last
-// checkpoint does not cover. Collections without a log (WAL disabled)
-// count as dirty — there is no cheap way to tell. An unpersisted Compact
-// is deliberately not counted: losing it to a crash costs the reclaimed
+// checkpoint does not cover. Only a store with a data directory asks:
+// every collection of it has a log. An unpersisted Compact is
+// deliberately not counted: losing it to a crash costs the reclaimed
 // slots back, never data and never a ranking.
 func (s *server) walDirty() bool {
 	for _, c := range s.collections() {
-		st := c.Stats()
-		if st.WAL == nil || st.WAL.LastSeq != st.WAL.CheckpointSeq {
+		if st := c.Stats().WAL; st.LastSeq != st.CheckpointSeq {
 			return true
 		}
 	}

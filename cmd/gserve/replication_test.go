@@ -239,8 +239,7 @@ func TestReplicationFollowerConvergesAndRedirects(t *testing.T) {
 		t.Fatalf("follower healthz = %v", health)
 	}
 	waitUntil(t, 10*time.Second, "primary to see the follower's ack", func() bool {
-		n, _, held := pc.WALRetention()
-		return held && n == 1
+		return pc.Stats().WAL.Retained == 1
 	})
 	var stats struct {
 		Replication *replicationStatsJSON `json:"replication"`

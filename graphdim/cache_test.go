@@ -233,6 +233,7 @@ func TestCacheSurvivesStoreReload(t *testing.T) {
 	if _, err := coll.Search(ctx, db[0], SearchOptions{K: 4}); err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
 	re, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -47,9 +47,10 @@ const lockFileName = "LOCK"
 // append the other's live log segments, exactly the acknowledged-write
 // loss the WAL exists to prevent. The lock dies with the process (flock
 // semantics; see flock_unix.go — non-unix platforms degrade to no
-// enforcement), so a kill -9 never strands it. Read-only opens
-// (WALOptions.Disabled) skip the lock: they may inspect a directory a
-// live server owns.
+// enforcement), so a kill -9 never strands it. Every open of a data
+// directory takes it — CreateStore, OpenStore and OpenOrCreateStore
+// alike — so a directory has one owner, and a live store is queried
+// through the process that owns it.
 func lockDataDir(dir string) (*os.File, error) {
 	f, err := os.OpenFile(filepath.Join(dir, lockFileName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -65,9 +66,6 @@ func lockDataDir(dir string) (*os.File, error) {
 // WALOptions configures the write-ahead log of a durable store (see
 // StoreOptions.WAL).
 type WALOptions struct {
-	// Disabled opens the store without a log: online writes are volatile
-	// until the next Checkpoint.
-	Disabled bool
 	// SyncObserver, when non-nil, is called after every completed log
 	// fsync with its duration and the records it committed (1 per Add or
 	// Remove, the mirrored batch on a follower) — the hook a server uses
@@ -119,14 +117,12 @@ func CreateStore(dir string, opt StoreOptions) (*Store, error) {
 	}
 	s := NewStore(opt)
 	s.dir = dir
-	if !opt.WAL.Disabled {
-		lock, err := lockDataDir(dir)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.lock = lock
+	lock, err := lockDataDir(dir)
+	if err != nil {
+		s.Close()
+		return nil, err
 	}
+	s.lock = lock
 	if err := s.checkpoint(nil); err != nil {
 		s.Close()
 		return nil, err
@@ -166,10 +162,10 @@ func (s *Store) Checkpoint() error {
 func (s *Store) Checkpoints() int64 { return s.checkpoints.Load() }
 
 // attachWAL opens (or creates) the collection's log under the store's
-// data directory. No-op on a non-durable store or when the WAL is
-// disabled.
-func (s *Store) attachWAL(c *Collection) error {
-	if s.dir == "" || s.walOpt.Disabled {
+// data directory, given the log position its checkpoint covers (0 for a
+// collection created in this process). No-op on a non-durable store.
+func (s *Store) attachWAL(c *Collection, checkpointed uint64) error {
+	if s.dir == "" {
 		return nil
 	}
 	o := s.walOpt.options()
@@ -177,33 +173,13 @@ func (s *Store) attachWAL(c *Collection) error {
 	// restarting at 1: a follower bootstrapped from a primary snapshot
 	// has a manifest position deep in the primary's sequence space and
 	// an empty local log, and the records it mirrors must land at their
-	// primary-assigned sequences. No-op when segments already exist, and
-	// for ordinary primaries walBase is 0 on the paths that create logs.
-	o.FirstSeq = c.walBase + 1
+	// primary-assigned sequences. No-op when segments already exist.
+	o.FirstSeq = checkpointed + 1
 	l, err := wal.Open(filepath.Join(s.dir, c.name, walDirName), o)
 	if err != nil {
 		return fmt.Errorf("graphdim: collection %q: %w", c.name, err)
 	}
 	c.wal = l
-	return nil
-}
-
-// verifyNoWALTail guards a WAL-disabled open of a durable directory: if
-// the collection's log holds acknowledged records beyond the checkpoint
-// at seq, opening without replay would silently drop them (and a later
-// WAL-enabled open would replay them over a diverged image), so the open
-// is refused instead.
-func (s *Store) verifyNoWALTail(name string, seq uint64) error {
-	// Read-only peek: a disabled open must not truncate torn tails or
-	// otherwise write — it may be inspecting a directory another
-	// process's live log owns, or a read-only mount.
-	last, err := wal.LastSeqIn(filepath.Join(s.dir, name, walDirName))
-	if err != nil {
-		return fmt.Errorf("graphdim: collection %q: %w", name, err)
-	}
-	if last > seq {
-		return fmt.Errorf("graphdim: collection %q has %d unreplayed wal records beyond the checkpoint; open without WALOptions.Disabled to recover them", name, last-seq)
-	}
 	return nil
 }
 

@@ -401,8 +401,9 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 
 // TestSaveInterrupted injects a write error into a checkpoint and
 // requires the directory to come back exactly as the previous successful
-// checkpoint left it: same manifest, same shard files, no debris — and
-// the next checkpoint to succeed.
+// checkpoint left it: same manifest, same shard files, no debris — with
+// the log still holding every acknowledged write — and the next
+// checkpoint to succeed.
 func TestSaveInterrupted(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	idx, db := equivBuild(t, rng, 30)
@@ -453,14 +454,16 @@ func TestSaveInterrupted(t *testing.T) {
 	if err != nil || string(manifestAfter) != string(manifestBefore) {
 		t.Fatalf("failed checkpoint disturbed the manifest (err %v)", err)
 	}
-	// ...and the directory must reopen to the pre-failure state.
-	re, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	// ...and a crash now must recover every acknowledged write: the
+	// previous checkpoint plus the log tail. The writer carries on, so
+	// the crash is a copy of its directory.
+	re, err := OpenStore(copyDataDir(t, dir), StoreOptions{})
 	if err != nil {
 		t.Fatalf("reopen after interrupted checkpoint: %v", err)
 	}
 	rc, _ := re.Collection("main")
-	if rc.Size() != len(db) {
-		t.Fatalf("recovered %d graphs, want the checkpointed %d", rc.Size(), len(db))
+	if rc.Size() != len(db)+len(extra) {
+		t.Fatalf("recovered %d graphs, want the acknowledged %d", rc.Size(), len(db)+len(extra))
 	}
 	re.Close()
 
@@ -469,7 +472,8 @@ func TestSaveInterrupted(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after recovery: %v", err)
 	}
-	re2, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	s.Close()
+	re2, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,6 +481,9 @@ func TestSaveInterrupted(t *testing.T) {
 	rc2, _ := re2.Collection("main")
 	if rc2.Size() != len(db)+len(extra) {
 		t.Fatalf("post-recovery checkpoint lost writes: %d graphs, want %d", rc2.Size(), len(db)+len(extra))
+	}
+	if w := rc2.Stats().WAL; w.CheckpointSeq != w.LastSeq {
+		t.Fatalf("post-recovery checkpoint covers record %d, the log holds %d", w.CheckpointSeq, w.LastSeq)
 	}
 }
 
@@ -496,7 +503,7 @@ func TestCrashDebrisIsSwept(t *testing.T) {
 	os.WriteFile(debrisManifest, []byte("{half a manifest"), 0o644)
 	os.WriteFile(debrisShard, []byte("torn shard bytes"), 0o644)
 
-	re, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	re, err := OpenStore(copyDataDir(t, dir), StoreOptions{})
 	if err != nil {
 		t.Fatalf("open over crash debris: %v", err)
 	}
@@ -713,69 +720,11 @@ func TestOpenOrCreateStore(t *testing.T) {
 	}
 }
 
-// TestDisabledOpenRefusesUnreplayedTail: opening a durable directory
-// with the WAL disabled must not silently drop acknowledged records the
-// checkpoint does not cover.
-func TestDisabledOpenRefusesUnreplayedTail(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	idx, _ := equivBuild(t, rng, 30)
-	ctx := context.Background()
-	dir := t.TempDir()
-	s, err := CreateStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.CreateFromIndex("d", idx, CollectionOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := dataset.Synthetic(dataset.SynthConfig{N: 2, AvgEdges: 9, Labels: 5, Seed: 29})
-	if _, err := c.Add(ctx, extra...); err != nil {
-		t.Fatal(err)
-	}
-	s.Close() // tail record exists, no checkpoint
-
-	if _, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}}); err == nil {
-		t.Fatal("disabled open over an unreplayed tail succeeded")
-	}
-
-	// Recover properly, checkpoint, and the disabled open is fine — and
-	// its own checkpoints must preserve wal_seq rather than reset it.
-	re, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	re.Close()
-	rd, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
-	if err != nil {
-		t.Fatalf("disabled open after full checkpoint: %v", err)
-	}
-	if err := rd.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	rd.Close()
-	// Re-enabling the WAL replays nothing stale: the store still holds
-	// exactly one copy of everything.
-	final, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer final.Close()
-	fc, _ := final.Collection("d")
-	if got, want := fc.Size(), 30+len(extra); got != want {
-		t.Fatalf("size %d after disabled round-trip, want %d", got, want)
-	}
-}
-
 // TestOpenStoreRefusesUnreadableWALRecord: an intact log record this
 // release cannot read — an older release's partial-add amendment (type
-// 3) or an unknown type — fails crash replay, and a WAL-disabled open,
-// by naming it. The log stays byte for byte as it was, acknowledged add
-// behind the record included, so a release that reads it can still
-// recover the store.
+// 3) or an unknown type — fails crash replay by naming it. The log
+// stays byte for byte as it was, acknowledged add behind the record
+// included, so a release that reads it can still recover the store.
 func TestOpenStoreRefusesUnreadableWALRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	idx, _ := equivBuild(t, rng, 20)
@@ -832,20 +781,18 @@ func TestOpenStoreRefusesUnreadableWALRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, opt := range []StoreOptions{{}, {WAL: WALOptions{Disabled: true}}} {
-				if s, err := OpenStore(dir, opt); err == nil {
-					s.Close()
-					t.Fatalf("OpenStore(%+v) opened a log holding an unreadable record", opt)
-				} else if !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("OpenStore(%+v) = %v, want it to say %q", opt, err, tc.want)
-				}
-				after, err := os.ReadFile(segs[0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sha256.Sum256(after) != sha256.Sum256(before) {
-					t.Fatalf("OpenStore(%+v) changed the log: %d bytes, was %d", opt, len(after), len(before))
-				}
+			if s, err := OpenStore(dir, StoreOptions{}); err == nil {
+				s.Close()
+				t.Fatal("OpenStore opened a log holding an unreadable record")
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenStore = %v, want it to say %q", err, tc.want)
+			}
+			after, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sha256.Sum256(after) != sha256.Sum256(before) {
+				t.Fatalf("OpenStore changed the log: %d bytes, was %d", len(after), len(before))
 			}
 		})
 	}
@@ -915,28 +862,59 @@ func TestCheckpointConcurrentWithWrites(t *testing.T) {
 }
 
 // TestDataDirSingleOwner: two live stores on one data directory would
-// corrupt each other's logs, so the second open must fail — while
-// read-only (WAL-disabled) opens stay allowed alongside a live owner.
+// corrupt each other's logs, so every open takes the directory's lock:
+// while the owner lives a second open fails naming it, and once the owner
+// closes the next one serves every write it acknowledged — checkpointed
+// or only logged.
 func TestDataDirSingleOwner(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	idx, db := equivBuild(t, rng, 20)
+	pool := dataset.Synthetic(dataset.SynthConfig{N: 4, AvgEdges: 9, Labels: 5, Seed: 41})
+	ctx := context.Background()
 	dir := t.TempDir()
 	s, err := CreateStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(dir, StoreOptions{}); err == nil {
-		t.Fatal("second owner of the data directory was admitted")
-	}
-	// A read-only open may inspect the live directory.
-	ro, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	c, err := s.CreateFromIndex("c", idx, CollectionOptions{Shards: 2})
 	if err != nil {
-		t.Fatalf("read-only open alongside the owner: %v", err)
+		t.Fatal(err)
 	}
-	ro.Close()
-	// Close releases the lock; the next owner gets in.
+	for name, open := range map[string]func() (*Store, error){
+		"OpenStore":         func() (*Store, error) { return OpenStore(dir, StoreOptions{}) },
+		"OpenOrCreateStore": func() (*Store, error) { return OpenOrCreateStore(dir, StoreOptions{}) },
+	} {
+		if second, err := open(); err == nil {
+			second.Close()
+			t.Fatalf("%s admitted a second owner of the data directory", name)
+		} else if !strings.Contains(err.Error(), "in use by another process") {
+			t.Fatalf("%s = %v, want it to name the lock", name, err)
+		}
+	}
+
+	// Add, Checkpoint, Add, Close: the reopen serves both batches.
+	if _, err := c.Add(ctx, pool[:2]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Add(ctx, pool[2:]...); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
-	s2, err := OpenStore(dir, StoreOptions{})
+	re, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatalf("open after the owner closed: %v", err)
 	}
-	s2.Close()
+	defer re.Close()
+	rc, _ := re.Collection("c")
+	if got, want := rc.Size(), len(db)+len(pool); got != want {
+		t.Fatalf("reopen serves %d graphs, want %d", got, want)
+	}
+	for i, g := range pool {
+		if got, ok := rc.Graph(len(db) + i); !ok || got.String() != g.String() {
+			t.Fatalf("acknowledged id %d lost or corrupted across the reopen", len(db)+i)
+		}
+	}
 }

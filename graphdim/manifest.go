@@ -222,20 +222,12 @@ func (s *Store) checkpointLocked(extra *Collection) (err error) {
 			images[i] = sh.snap.Load()
 		}
 		cm.NextID = int(c.nextID.Load())
-		if c.wal != nil {
-			// The settled watermark, not the raw log tail: on a follower
-			// whose apply failed the tail holds mirrored records not yet
-			// in shard state, so a snapshot claiming to cover them would
-			// skip them on reopen. Otherwise the two agree here (addMu is
-			// held, no writer is mid-batch).
-			cm.WALSeq = c.applied.Load()
-		} else {
-			// No log (WAL disabled): keep the loaded position — segments
-			// up to it may still exist on disk, and a lower wal_seq would
-			// make a later WAL-enabled open replay records this snapshot
-			// already contains.
-			cm.WALSeq = c.walBase
-		}
+		// The settled watermark, not the raw log tail: on a follower
+		// whose apply failed the tail holds mirrored records not yet in
+		// shard state, so a snapshot claiming to cover them would skip
+		// them on reopen. Otherwise the two agree here (addMu is held, no
+		// writer is mid-batch).
+		cm.WALSeq = c.applied.Load()
 		c.addMu.Unlock()
 		errs := make([]error, len(c.shards))
 		_ = s.budget.ForContext(context.Background(), len(c.shards), func(i int) {
@@ -406,12 +398,12 @@ func (ix *Index) writeShardImage(cdir string, i int, snap *snapshot) (string, er
 // then replaying each collection's write-ahead-log tail over its
 // checkpointed state, so the store comes back holding exactly the writes
 // that were committed — checkpointed or not — when the previous process
-// stopped, however it stopped. The opened store is durable: subsequent
-// writes log to dir (unless opt.WAL.Disabled). The options configure the
-// returned store exactly as NewStore does — the worker budget is a
-// runtime setting, not persisted state. Every shard file is checked
-// against its checksums as it opens, so a corrupt one fails the open by
-// name before any query is served.
+// stopped, however it stopped. The opened store is durable and owns dir
+// until Close: its writes log there, and any other open of dir fails
+// while it lasts. The options configure the returned store exactly as
+// NewStore does — the worker budget is a runtime setting, not persisted
+// state. Every shard file is checked against its checksums as it opens,
+// so a corrupt one fails the open by name before any query is served.
 func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 	if err := opt.checkMemory(); err != nil {
 		return nil, err
@@ -433,36 +425,29 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 
 	s := NewStore(opt)
 	s.dir = dir
-	if !opt.WAL.Disabled {
-		// Single-owner guard, taken before any log is opened (and
-		// possibly torn-tail truncated): a second process must fail here,
-		// not corrupt the first one's live segments.
-		lock, err := lockDataDir(dir)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.lock = lock
+	// Single-owner guard, taken before any log is opened (and possibly
+	// torn-tail truncated): a second process must fail here, not corrupt
+	// the first one's live segments.
+	lock, err := lockDataDir(dir)
+	if err != nil {
+		s.Close()
+		return nil, err
 	}
+	s.lock = lock
 	for _, cm := range man.Collections {
 		c, err := s.loadCollection(dir, cm)
 		if err == nil {
-			c.walBase = cm.WALSeq
-			if s.walOpt.Disabled {
-				// No log will attach, so nothing would replay: refuse if
-				// the directory holds acknowledged records beyond the
-				// checkpoint rather than silently dropping them.
-				err = s.verifyNoWALTail(c.name, cm.WALSeq)
-			} else if err = s.attachWAL(c); err == nil && c.wal != nil {
-				// Recover the log tail: committed records the checkpoint
-				// does not cover. attachWAL also truncates any torn record
-				// a crash left behind the last committed one, and
-				// re-seeding the checkpoint position both fixes the stats
-				// and reclaims segments a crash between manifest swap and
-				// truncation left behind.
-				if err = c.replayWAL(cm.WALSeq); err == nil {
-					err = c.wal.Checkpoint(cm.WALSeq)
-				}
+			err = s.attachWAL(c, cm.WALSeq)
+		}
+		if err == nil {
+			// Recover the log tail: committed records the checkpoint does
+			// not cover. attachWAL also truncates any torn record a crash
+			// left behind the last committed one, and re-seeding the
+			// checkpoint position both fixes the stats and reclaims
+			// segments a crash between manifest swap and truncation left
+			// behind.
+			if err = c.replayWAL(cm.WALSeq); err == nil {
+				err = c.wal.Checkpoint(cm.WALSeq)
 			}
 		}
 		if err != nil {

@@ -12,8 +12,7 @@ import (
 // single-shard collection created in a fresh store directory, which
 // checkpoints it — and returns that collection as OpenStore serves it.
 // With one shard every global id is its local id, so the shard
-// answers in idx's id space. The store runs without a write-ahead log:
-// later writes persist only through Checkpoint.
+// answers in idx's id space.
 func reopenAsCollection(t *testing.T, idx *Index) *Collection {
 	t.Helper()
 	s, dir := newCheckpointStore(t)
@@ -24,11 +23,11 @@ func reopenAsCollection(t *testing.T, idx *Index) *Collection {
 	return reopenCollection(t, dir)
 }
 
-// reopenCollection opens the store at dir without a write-ahead log,
-// closed with the test, and returns its collection "c".
+// reopenCollection opens the store at dir, closed with the test, and
+// returns its collection "c".
 func reopenCollection(t *testing.T, dir string) *Collection {
 	t.Helper()
-	re, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	re, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestOpenStoreNamesLegacyV4Store(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err = OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	_, err = OpenStore(dir, StoreOptions{})
 	if err == nil {
 		t.Fatal("a v4 store opened")
 	}

@@ -75,17 +75,6 @@ func (c *Collection) WALUnretain(follower string) {
 	}
 }
 
-// WALRetention reports the retention holds pinning this collection's
-// log: how many followers are registered and the lowest acknowledged
-// sequence among them (ok false when there are none). For stats.
-func (c *Collection) WALRetention() (followers int, minAcked uint64, ok bool) {
-	if c.wal == nil {
-		return 0, 0, false
-	}
-	st := c.wal.Stats()
-	return st.Retained, st.RetainSeq, st.Retained > 0
-}
-
 // LastWALSeq returns the newest record's sequence in the collection's
 // log (zero without one) — with AppliedSeq, the primary-side lag
 // coordinates a replication endpoint reports.

@@ -295,8 +295,8 @@ func TestPrimaryRetainsSegmentsForFollowers(t *testing.T) {
 	if n != len(extra) {
 		t.Fatalf("streamed %d records after checkpoint, want %d", n, len(extra))
 	}
-	if followers, minAcked, ok := pc.WALRetention(); !ok || followers != 1 || minAcked != hold {
-		t.Fatalf("retention reports %d/%d/%v", followers, minAcked, ok)
+	if w := pc.Stats().WAL; w.Retained != 1 || w.RetainSeq != hold {
+		t.Fatalf("retention reports %d followers, min acked %d", w.Retained, w.RetainSeq)
 	}
 	// Releasing the hold lets the next checkpoint reclaim: the stream
 	// position then reports truncation.

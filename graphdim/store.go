@@ -1,11 +1,12 @@
 package graphdim
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,8 +39,8 @@ type Store struct {
 	dir         string
 	walOpt      WALOptions
 	checkpoints atomic.Int64
-	// lock is the data directory's single-owner flock file, nil for
-	// in-memory and read-only (WAL-disabled) stores; released by Close.
+	// lock is the data directory's single-owner flock file, nil for an
+	// in-memory store; released by Close.
 	lock *os.File
 
 	mu          sync.RWMutex
@@ -231,11 +232,6 @@ type Collection struct {
 	// addMu before any shard publishes, so an acknowledged write is on
 	// disk before it is observable. See durable.go.
 	wal *wal.Log
-	// walBase is the log position the loaded checkpoint covered, carried
-	// so checkpoints on a WAL-disabled open preserve it instead of resetting
-	// wal_seq below segments still on disk (which a later WAL-enabled
-	// open would then wrongly replay).
-	walBase uint64
 
 	// Everything above is what a Search loads; the words below are written
 	// by every Add and Remove. A cache line of padding keeps a writer from
@@ -348,7 +344,7 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	// can therefore never observe the fresh (not yet manifested)
 	// directory and unlink its live segment.
 	s.saveMu.Lock()
-	if err := s.attachWAL(c); err != nil {
+	if err := s.attachWAL(c, 0); err != nil {
 		s.saveMu.Unlock()
 		return nil, err
 	}
@@ -618,50 +614,25 @@ type shardOut struct {
 	err error
 }
 
-// shardCursor is one entry of the k-way merge heap: a position in a
-// shard's (already sorted) ranked list.
-type shardCursor struct {
-	out *shardOut
-	pos int
-}
-
-type mergeHeap []shardCursor
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	a, b := h[i].out.res.Results[h[i].pos], h[j].out.res.Results[h[j].pos]
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
-	}
-	return a.ID < b.ID
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(shardCursor)) }
-func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// mergeTopK k-way-merges the per-shard ranked lists — each already sorted
-// ascending by (score, global id) — into the global top k with the same
-// order, via a heap of shard cursors.
+// mergeTopK merges the per-shard ranked lists into the global top k,
+// ordered ascending by (score, global id). Each list holds at most k rows,
+// so one sort of their concatenation is cheap. The result is never nil.
 func mergeTopK(outs []shardOut, k int) []Result {
-	h := make(mergeHeap, 0, len(outs))
+	n := 0
 	for i := range outs {
-		if len(outs[i].res.Results) > 0 {
-			h = append(h, shardCursor{out: &outs[i], pos: 0})
-		}
+		n += len(outs[i].res.Results)
 	}
-	heap.Init(&h)
-	merged := make([]Result, 0, k)
-	for len(h) > 0 && len(merged) < k {
-		cur := h[0]
-		merged = append(merged, cur.out.res.Results[cur.pos])
-		if cur.pos+1 < len(cur.out.res.Results) {
-			h[0].pos++
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
+	merged := make([]Result, 0, n)
+	for i := range outs {
+		merged = append(merged, outs[i].res.Results...)
 	}
-	return merged
+	slices.SortFunc(merged, func(a, b Result) int {
+		if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return merged[:min(k, len(merged))]
 }
 
 // Add maps new graphs into the collection: each graph gets the next global

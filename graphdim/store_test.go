@@ -2,6 +2,7 @@ package graphdim
 
 import (
 	"context"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -34,19 +35,50 @@ func newTestStore(t *testing.T) *Store {
 	return s
 }
 
-// newCheckpointStore creates a store in a fresh data directory with its
-// write-ahead log disabled, closed with the test: writes persist only
-// when a checkpoint runs (Checkpoint, or the one every create and drop
-// runs), so a reopen shows exactly what the last checkpoint captured.
+// newCheckpointStore creates a durable store in a fresh data directory,
+// closed with the test. The store owns the directory until it closes, and
+// a reopen replays its log: it serves every acknowledged write, whether
+// or not a checkpoint covered it. A test that reopens while the store
+// keeps writing opens copyDataDir's copy instead.
 func newCheckpointStore(t *testing.T) (*Store, string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
-	s, err := CreateStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	s, err := CreateStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
 	return s, dir
+}
+
+// copyDataDir copies the data directory dir file by file and returns the
+// copy's path: what a kill of dir's still-open owner leaves on disk, short
+// of losing the OS cache. A data directory has one owner, so a test that
+// inspects the disk while its writer carries on opens a copy.
+func copyDataDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := filepath.Join(t.TempDir(), "copy")
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatalf("copying %s: %v", dir, err)
+	}
+	return dst
 }
 
 func sameResults(t *testing.T, label string, got, want []Result) {
@@ -436,80 +468,13 @@ func TestStoreCompactionConcurrentSearch(t *testing.T) {
 	}
 }
 
-// TestStorePersistence round-trips a multi-collection store through
-// Checkpoint/OpenStore and checks the loaded store answers identically.
-func TestStorePersistence(t *testing.T) {
-	db := storeTestDB(t, 24, 33)
-	opt := storeTestOptions()
-	s, dir := newCheckpointStore(t)
-	ctx := context.Background()
-	c1, err := s.Create(ctx, "alpha", db, CollectionOptions{Shards: 3, Build: opt, Defaults: SearchOptions{K: 7, Engine: EngineVerified, VerifyFactor: 2}})
-	if err != nil {
-		t.Fatalf("Create alpha: %v", err)
-	}
-	if _, err := s.Create(ctx, "beta", db[:12], CollectionOptions{Build: opt}); err != nil {
-		t.Fatalf("Create beta: %v", err)
-	}
-	// Leave alpha with adds and tombstones so base/stale state persists.
-	ids, err := c1.Add(ctx, storeTestDB(t, 5, 321)...)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if err := c1.Remove(1, ids[2]); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	loaded, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
-	}
-	defer loaded.Close()
-
-	if got, want := loaded.Collections(), []string{"alpha", "beta"}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Collections() = %v, want %v", got, want)
-	}
-	l1, ok := loaded.Collection("alpha")
-	if !ok {
-		t.Fatal("alpha missing after load")
-	}
-	if l1.Shards() != 3 || l1.Size() != c1.Size() {
-		t.Fatalf("loaded alpha: %d shards size %d, want 3 shards size %d", l1.Shards(), l1.Size(), c1.Size())
-	}
-	for _, q := range []*Graph{db[2], db[19]} {
-		want, err := c1.Search(ctx, q, c1.Defaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := l1.Search(ctx, q, l1.Defaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Searching with Defaults() exercises the persisted defaults too.
-		if got.Engine != EngineVerified || len(got.Results) != len(want.Results) {
-			t.Fatalf("loaded search: engine %v, %d results; want %v, %d", got.Engine, len(got.Results), want.Engine, len(want.Results))
-		}
-		sameResults(t, "persisted", got.Results, want.Results)
-	}
-	// The stale state survived: adding the same ratio of graphs keeps
-	// working and ids continue from the persisted next_id.
-	newIDs, err := l1.Add(ctx, storeTestDB(t, 2, 999)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if newIDs[0] != c1.Stats().NextID {
-		t.Fatalf("loaded store assigned id %d, want %d", newIDs[0], c1.Stats().NextID)
-	}
-}
-
 func TestOpenStoreRejectsCorruptManifests(t *testing.T) {
 	db := storeTestDB(t, 12, 3)
 	s, dir := newCheckpointStore(t)
 	if _, err := s.Create(context.Background(), "c", db, CollectionOptions{Shards: 2, Build: storeTestOptions()}); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
+	s.Close() // release the directory to the opens below
 	manifest := filepath.Join(dir, manifestName)
 	good, err := os.ReadFile(manifest)
 	if err != nil {
@@ -563,7 +528,8 @@ func TestOpenStoreRefusesMixedDimensionSets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if re, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}}); err != nil {
+	s.Close() // release the directory to the opens below
+	if re, err := OpenStore(dir, StoreOptions{}); err != nil {
 		t.Fatalf("OpenStore of the untouched directory: %v", err)
 	} else {
 		re.Close()
@@ -596,7 +562,7 @@ func TestOpenStoreRefusesMixedDimensionSets(t *testing.T) {
 	}
 
 	want := `collection "c": shard 1 holds a different dimension set than shard 0 — compacted by an earlier release; re-create the collection`
-	re, err := OpenStore(dir, StoreOptions{WAL: WALOptions{Disabled: true}})
+	re, err := OpenStore(dir, StoreOptions{})
 	if err == nil {
 		re.Close()
 		t.Fatal("OpenStore served a collection with two dimension sets")
@@ -633,6 +599,7 @@ func TestStoreResaveNeverCorruptsPreviousGeneration(t *testing.T) {
 	if len(files) != 2 {
 		t.Fatalf("found %d shard files after the second checkpoint, want 2: %v", len(files), files)
 	}
+	s.Close()
 	loaded, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatalf("OpenStore after the second checkpoint: %v", err)
@@ -641,6 +608,10 @@ func TestStoreResaveNeverCorruptsPreviousGeneration(t *testing.T) {
 	lc, _ := loaded.Collection("c")
 	if lc.Size() != coll.Size() {
 		t.Fatalf("loaded size %d, want %d", lc.Size(), coll.Size())
+	}
+	// The contents came from the checkpoint, not from replaying the log.
+	if w := lc.Stats().WAL; w.CheckpointSeq != w.LastSeq {
+		t.Fatalf("reopen replayed records %d..%d past the checkpoint", w.CheckpointSeq+1, w.LastSeq)
 	}
 }
 
@@ -714,6 +685,7 @@ func TestCollectionDefaultsPersistOrAreRefused(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
 	loaded, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -796,7 +768,10 @@ func TestSaveSweepsDroppedCollections(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "gone")); !os.IsNotExist(err) {
 		t.Fatalf("dropped collection directory still on disk (stat err: %v)", err)
 	}
-	if _, err := OpenStore(dir, StoreOptions{}); err != nil {
+	s.Close()
+	re, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
 		t.Fatalf("OpenStore after drop: %v", err)
 	}
+	re.Close()
 }

@@ -290,6 +290,7 @@ func TestStaleRatioAddThenRemoveCancels(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
 	if got := reopenCollection(t, dir).StaleRatios()[0]; got != ratio() {
 		t.Errorf("StaleRatio changed across persistence: %v vs %v", got, ratio())
 	}

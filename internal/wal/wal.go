@@ -38,11 +38,11 @@
 // A frame whose checksum verifies was written whole, so one whose
 // payload does not decode — a retired or unknown record type, counts out
 // of domain — is not a torn tail, and neither is one whose sequence
-// jumps forward past records that are missing. Open, LastSeqIn and every
-// Stream refuse the log by naming it and change no byte, instead of
-// cutting it off together with the acknowledged records behind it. A
-// frame whose sequence steps back is a stale frame of a batch whose
-// write failed, and is cut like a torn tail.
+// jumps forward past records that are missing. Open and every Stream
+// refuse the log by naming it and change no byte, instead of cutting it
+// off together with the acknowledged records behind it. A frame whose
+// sequence steps back is a stale frame of a batch whose write failed, and
+// is cut like a torn tail.
 //
 // A Log assumes a single owner: one process, one *Log per directory.
 package wal
@@ -681,36 +681,6 @@ func SyncDir(dir string) {
 		d.Sync()
 		d.Close()
 	}
-}
-
-// LastSeqIn reports the last committed sequence number of the log at
-// dir without opening it for writing: segments are only read, torn
-// tails are only skipped (never truncated), and an intact frame it
-// cannot read is refused as Open refuses it, so it is safe against a
-// concurrent live owner of the log and on read-only media. A missing
-// directory reports 0.
-func LastSeqIn(dir string) (uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("wal: peek %s: %w", dir, err)
-	}
-	last, found := uint64(0), false
-	for _, e := range entries {
-		if first, ok := parseSegName(e.Name()); ok && !e.IsDir() && (!found || first > last) {
-			last, found = first, true
-		}
-	}
-	if !found {
-		return 0, nil
-	}
-	seq, _, err := scanSegment(filepath.Join(dir, segName(last)), last)
-	if err != nil {
-		return 0, fmt.Errorf("wal: peek %s: %w", dir, err)
-	}
-	return seq, nil
 }
 
 // ---- record framing ----

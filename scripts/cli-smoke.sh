@@ -4,8 +4,12 @@
 # verified engines) and gq read it, a copy of it with one byte flipped
 # in a shard file's body is refused by gsearch with a body checksum
 # error while the original still answers, gserve serves it, takes three
-# adds, is killed with SIGKILL, comes back with the adds replayed from
-# its log, and shuts down cleanly on SIGTERM. The two library examples run
+# adds and is killed with SIGKILL. The killed directory has no owner, so
+# gsearch opens it, replays the log and answers over all 43 graphs; gserve
+# then comes back with the adds replayed too, and while it runs gsearch is
+# refused naming the directory's lock (one owner per data directory) and
+# the server keeps answering. gserve shuts down cleanly on SIGTERM. The
+# two library examples run
 # too: examples/quickstart must grow its collection to ids [60 61 62]
 # and find the first added graph at distance 0, and examples/store must
 # compact without moving its top-1 and reload. Any failed step fails the
@@ -89,13 +93,29 @@ code=$(curl -s -o "$d/add.json" -w '%{http_code}' --data-binary @"$d/q.graphs" \
 	"http://$addr/v1/collections/default/add")
 [ "$code" = 200 ] || { cat "$d/add.json"; echo "add answered $code" >&2; exit 1; }
 
-# A crash: the three adds exist only in the write-ahead log.
+# A crash: the three adds exist only in the write-ahead log. gsearch
+# opens the stopped directory as its owner and replays them.
 kill -KILL "$pid"
 wait "$pid" 2>/dev/null || true
+"$bin/gsearch" -store "$store" -queries "$d/q.graphs" -k 3 > /dev/null 2> "$d/killed.err" || true
+cat "$d/killed.err"
+grep -q ' 43 graphs' "$d/killed.err" ||
+	{ echo "gsearch on the killed directory lost acknowledged adds" >&2; exit 1; }
 start_gserve "$d/gserve.log"
 curl -s "http://$addr/v1/collections/default" | tee "$d/stats.json"
 grep -Eq '"next_id": ?43[,}]' "$d/stats.json" && grep -Eq '"graphs": ?43[,}]' "$d/stats.json" ||
 	{ echo "the restarted gserve lost acknowledged adds" >&2; exit 1; }
+
+# The live directory has one owner: gsearch is refused naming the lock,
+# and the server keeps answering.
+if "$bin/gsearch" -store "$store" -queries "$d/q.graphs" -k 3 > /dev/null 2> "$d/live.err"; then
+	echo "gsearch opened a directory a live gserve owns" >&2
+	exit 1
+fi
+cat "$d/live.err"
+grep -q 'in use by another process' "$d/live.err"
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/healthz")
+[ "$code" = 200 ] || { echo "/healthz answered $code beside a refused gsearch" >&2; exit 1; }
 
 kill -TERM "$pid"
 status=0
