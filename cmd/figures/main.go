@@ -107,10 +107,16 @@ func runFig1(w io.Writer, ds *experiments.Dataset) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeFig1(w, res, p, ds.Index.P)
+	writeFig1(w, res, p, ds.Index.P, ds.Exact)
 }
 
-func writeFig1(w io.Writer, res *experiments.Fig1Result, p, m int) {
+// writeExact closes a table: the line stating how much of the MCS truth
+// behind it was proven exact, then a blank line.
+func writeExact(w io.Writer, e experiments.Exactness) {
+	fmt.Fprintf(w, "%v\n\n", e)
+}
+
+func writeFig1(w io.Writer, res *experiments.Fig1Result, p, m int, e experiments.Exactness) {
 	fmt.Fprintf(w, "== Fig 1: dissimilarity/distance distributions (DSPM p=%d, Original p=%d) ==\n", p, m)
 	printHist := func(name string, h experiments.Histogram) {
 		fmt.Fprintf(w, "%-12s", name)
@@ -129,8 +135,9 @@ func writeFig1(w io.Writer, res *experiments.Fig1Result, p, m int) {
 	printHist("delta", res.DeltaQ)
 	printHist("DSPM", res.DSPMQ)
 	printHist("Original", res.OriginalQ)
-	fmt.Fprintf(w, "EMD(DSPM, delta)=%.4f  EMD(Original, delta)=%.4f\n\n",
+	fmt.Fprintf(w, "EMD(DSPM, delta)=%.4f  EMD(Original, delta)=%.4f\n",
 		res.DSPMQ.EMD(res.DeltaQ), res.OriginalQ.EMD(res.DeltaQ))
+	writeExact(w, e)
 }
 
 func runFig2(w io.Writer, ds *experiments.Dataset, seed int64) {
@@ -145,14 +152,14 @@ func runFig2(w io.Writer, ds *experiments.Dataset, seed int64) {
 	for _, pt := range pts {
 		fmt.Fprintf(w, "%8d %12.1f %12.1f\n", pt.P, pt.DSPMScore, pt.SampleScore)
 	}
-	fmt.Fprintln(w)
+	writeExact(w, ds.Exact)
 }
 
 func runFig4(w io.Writer, ds *experiments.Dataset, seed int64) {
 	ks := defaultKs(len(ds.DB))
 	series := experiments.FigQuality(ds, experiments.StandardAlgorithms(seed), experiments.CappedP(ds), ks, true)
 	experiments.WriteSeries(w, "Fig 4: real dataset, relative to fingerprint benchmark", series, ks)
-	fmt.Fprintln(w)
+	writeExact(w, ds.Exact)
 }
 
 func runFig5(w io.Writer, base experiments.Config, seed int64) {
@@ -165,7 +172,7 @@ func runFig5(w io.Writer, base experiments.Config, seed int64) {
 	series := experiments.FigQuality(ds, experiments.StandardAlgorithms(seed), experiments.DefaultP(ds.Index.P), ks, false)
 	experiments.RelativeToBest(series, ks)
 	experiments.WriteSeries(w, "Fig 5: synthetic dataset, relative to best", series, ks)
-	fmt.Fprintln(w)
+	writeExact(w, ds.Exact)
 }
 
 func runFig6(w io.Writer, base experiments.Config, seed int64) {
@@ -184,7 +191,9 @@ func writeFig6(w io.Writer, rows []experiments.Fig6Row, k int) {
 		fmt.Fprintf(w, " %16s", s.Name)
 	}
 	fmt.Fprintln(w)
+	var e experiments.Exactness
 	for _, row := range rows {
+		e = e.Plus(row.Exact)
 		label := fmt.Sprintf("edges=%d", row.Edges)
 		if row.Edges == 0 {
 			label = fmt.Sprintf("density=%.1f", row.Density)
@@ -199,7 +208,7 @@ func writeFig6(w io.Writer, rows []experiments.Fig6Row, k int) {
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
+	writeExact(w, e)
 }
 
 func baseOr(v, d int) int {
@@ -232,10 +241,10 @@ func runFig7(w io.Writer, ds *experiments.Dataset) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeFig7(w, res, p, ds.Index.P)
+	writeFig7(w, res, p, ds.Index.P, ds.Exact)
 }
 
-func writeFig7(w io.Writer, res *experiments.Fig7Result, p, m int) {
+func writeFig7(w io.Writer, res *experiments.Fig7Result, p, m int, e experiments.Exactness) {
 	fmt.Fprintf(w, "== Fig 7: query time by |V(q)| (DSPM p=%d, Original p=%d) ==\n", p, m)
 	fmt.Fprintf(w, "%8s %12s %12s %12s\n", "|V(q)|", "DSPM", "Original", "Exact")
 	for b := range res.Buckets {
@@ -244,7 +253,7 @@ func writeFig7(w io.Writer, res *experiments.Fig7Result, p, m int) {
 			res.Original[b].Round(time.Microsecond),
 			res.Exact[b].Round(time.Millisecond))
 	}
-	fmt.Fprintln(w)
+	writeExact(w, e)
 }
 
 func runFig8(w io.Writer, ds *experiments.Dataset, seed int64) {
@@ -255,17 +264,17 @@ func runFig8(w io.Writer, ds *experiments.Dataset, seed int64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeFig8(w, pts, p)
+	writeFig8(w, pts, p, ds.Exact)
 }
 
-func writeFig8(w io.Writer, pts []experiments.Fig8Point, p int) {
+func writeFig8(w io.Writer, pts []experiments.Fig8Point, p int, e experiments.Exactness) {
 	fmt.Fprintf(w, "== Fig 8: DSPMap approximation quality vs partition size (DSPMap and DSPM p=%d) ==\n", p)
 	fmt.Fprintf(w, "%8s %14s %14s %14s %14s\n", "b", "DSPMap prec", "DSPM prec", "DSPMap index", "DSPM index")
 	for _, pt := range pts {
 		fmt.Fprintf(w, "%8d %14.3f %14.3f %14v %14v\n", pt.B, pt.DSPMapPrec, pt.DSPMPrec,
 			pt.DSPMapIndexing.Round(time.Millisecond), pt.DSPMIndexing.Round(time.Millisecond))
 	}
-	fmt.Fprintln(w)
+	writeExact(w, e)
 }
 
 func runFig9(w io.Writer, base experiments.Config, seed int64) {
@@ -282,7 +291,9 @@ func runFig9(w io.Writer, base experiments.Config, seed int64) {
 
 func writeFig9(w io.Writer, pts []experiments.Fig9Point) {
 	fmt.Fprintln(w, "== Fig 9: scalability with |DG| ==")
+	var e experiments.Exactness
 	for _, pt := range pts {
+		e = e.Plus(pt.Exact)
 		fmt.Fprintf(w, "|DG|=%d  DSPMap query=%v  exact query=%v\n",
 			pt.N, pt.DSPMapQuery.Round(time.Microsecond), pt.ExactQuery.Round(time.Millisecond))
 		for _, name := range experiments.SortedAlgoNames(pt.Precision) {
@@ -290,5 +301,5 @@ func writeFig9(w io.Writer, pts []experiments.Fig9Point) {
 				name, pt.DimsByAlgo[name], pt.Precision[name], pt.IndexingByAlgo[name].Round(time.Millisecond))
 		}
 	}
-	fmt.Fprintln(w)
+	writeExact(w, e)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,9 +73,9 @@ func TestEveryTableStatesP(t *testing.T) {
 		IndexingByAlgo: map[string]time.Duration{},
 		DimsByAlgo:     map[string]int{"DSPMap": 7, "NDFS": 13},
 	}})
-	writeFig1(&buf, &experiments.Fig1Result{}, 7, 31)
-	writeFig7(&buf, &experiments.Fig7Result{}, 7, 31)
-	writeFig8(&buf, nil, 7)
+	writeFig1(&buf, &experiments.Fig1Result{}, 7, 31, experiments.Exactness{})
+	writeFig7(&buf, &experiments.Fig7Result{}, 7, 31, experiments.Exactness{})
+	writeFig8(&buf, nil, 7, experiments.Exactness{})
 	for _, want := range []*regexp.Regexp{
 		regexp.MustCompile(`(?m)^algorithm +p +indexing`),
 		regexp.MustCompile(`(?m)^DSPM +7 `),
@@ -89,5 +90,27 @@ func TestEveryTableStatesP(t *testing.T) {
 		if !want.Match(buf.Bytes()) {
 			t.Errorf("no line matches %s in:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestEveryTableStatesExactness holds every table to close with the share
+// of its MCS truth proven exact — truth pairs and δ-matrix pairs — summed
+// over the data sets of a figure that builds several.
+func TestEveryTableStatesExactness(t *testing.T) {
+	e := experiments.Exactness{TruthPairs: 6000, TruthExact: 1056, DeltaPairs: 10, DeltaExact: 10}
+	series := []experiments.AlgoSeries{{Name: "DSPM", Selected: make([]int, 7), ByK: map[int]experiments.Quality{2: {}}}}
+	var buf bytes.Buffer
+	writeFig1(&buf, &experiments.Fig1Result{}, 7, 31, e)
+	writeFig6(&buf, []experiments.Fig6Row{{Edges: 12, Series: series, Exact: e}, {Edges: 16, Series: series, Exact: e}}, 2)
+	writeFig7(&buf, &experiments.Fig7Result{}, 7, 31, e)
+	writeFig8(&buf, nil, 7, e)
+	writeFig9(&buf, []experiments.Fig9Point{{N: 60, Exact: e}})
+	const one = "MCS proven exact: truth pairs 17.6% (1056 of 6000), δ-matrix pairs 100.0% (10 of 10)\n\n"
+	const two = "MCS proven exact: truth pairs 17.6% (2112 of 12000), δ-matrix pairs 100.0% (20 of 20)\n\n"
+	if got, want := strings.Count(buf.String(), one), 4; got != want {
+		t.Errorf("%d tables close with %q, want %d:\n%s", got, one, want, buf.String())
+	}
+	if !strings.Contains(buf.String(), two) {
+		t.Errorf("Fig 6 does not close with the sum over its rows %q:\n%s", two, buf.String())
 	}
 }

@@ -278,12 +278,21 @@ type snapshot struct {
 	// exactly the segment's dead section read as little-endian words.
 	dead      []uint64
 	deadCount int
-	// globals[id] is the collection-global id of graph id, strictly
-	// ascending — ids are placed and appended in increasing global order
-	// and a repack preserves the order — which keeps a shard's tie-break
-	// (ascending local id) consistent with the collection's (ascending
-	// global id). nil on a stand-alone Index: its ids are the only ids.
+	// globals[id] is the collection-global id of graph id: the rank every
+	// engine breaks a shard's ties by (order), so a shard ranks exactly as
+	// the collection does whatever order its lanes are in. Each id appears
+	// once and only on the shard it places on. subset clusters the lanes it
+	// writes (so the table is not sorted), and appended ids take the next
+	// lanes in ascending global order — each above every id the shard
+	// holds. nil on a stand-alone Index: its ids are the only ids.
 	globals []int
+	// byGlobal lists the lanes in ascending global id, the table localOf
+	// searches; zoneMin[zi] is the least global id in zone zi
+	// (vecspace.ZoneMinima), the flat scan's second key for ordering zones.
+	// Both derive from globals wherever it changes — in full where a
+	// snapshot is born, in O(appended) by appended — and are nil with it.
+	byGlobal []int32
+	zoneMin  []int
 	// seg, when non-nil, is the mapped segment the base of this snapshot
 	// is served from — shared, with its decoded-graph cache, across every
 	// snapshot descended from the same open.
@@ -324,15 +333,60 @@ func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []uint6
 	if dead == nil {
 		dead = make([]uint64, deadWords(len(db)))
 	}
-	return &snapshot{
+	s := &snapshot{
 		db:        slices.Clip(db),
 		dead:      slices.Clip(dead),
 		deadCount: deadBelow(dead, len(db)),
-		globals:   slices.Clip(globals),
 		block:     vecspace.Pack(vectors, p),
 		baseN:     baseN,
 		baseDead:  deadBelow(dead, baseN),
 	}
+	s.setGlobals(globals)
+	return s
+}
+
+// setGlobals installs the id table of a newborn snapshot, with its
+// capacity clipped, and derives its inverse and its zone minima.
+func (s *snapshot) setGlobals(globals []int) {
+	if globals == nil {
+		return
+	}
+	s.globals = slices.Clip(globals)
+	s.zoneMin = vecspace.ZoneMinima(nil, 0, globals)
+	s.byGlobal = lanesByGlobal(globals)
+}
+
+// lanesByGlobal returns the lanes of globals (non-negative ids) in
+// ascending global id, equal ids in lane order: an LSD radix sort, one
+// stable counting pass per byte of the largest id. Every open and every
+// rewrite of a shard pays for it, and on a 20,000-lane shard it takes a
+// tenth of the time a comparison sort of packed (id, lane) keys took.
+func lanesByGlobal(globals []int) []int32 {
+	lanes := make([]int32, len(globals))
+	for lane := range lanes {
+		lanes[lane] = int32(lane)
+	}
+	top := 0
+	for _, g := range globals {
+		top = max(top, g)
+	}
+	next := make([]int32, len(globals))
+	for shift := 0; top>>shift > 0; shift += 8 {
+		var starts [257]int
+		for _, lane := range lanes {
+			starts[globals[lane]>>shift&0xff+1]++
+		}
+		for b := 1; b < len(starts); b++ {
+			starts[b] += starts[b-1]
+		}
+		for _, lane := range lanes {
+			b := globals[lane] >> shift & 0xff
+			next[starts[b]] = lane
+			starts[b]++
+		}
+		lanes, next = next, lanes
+	}
+	return lanes
 }
 
 // deadWords is the length of the tombstone bitset of n ids.
@@ -374,8 +428,8 @@ func (s *snapshot) staleRatio() float64 {
 // zone map derived from those tiles, and the snapshot keeps nil graph
 // placeholders that fault payloads in through the reader. globals is the
 // manifest's id table for a shard file, nil for a plain index; the
-// caller checks it against the segment's extent. It is adopted with its
-// capacity clipped, as in newSnapshot.
+// caller checks its ids are in range and checks it against the segment's
+// extent. It is adopted as in newSnapshot.
 func snapshotFromSegment(r *segment.Reader, globals []int) (*snapshot, error) {
 	n, baseN := r.N(), r.Meta().BaseN
 	if baseN < 0 || baseN > n {
@@ -386,16 +440,17 @@ func snapshotFromSegment(r *segment.Reader, globals []int) (*snapshot, error) {
 		return nil, err
 	}
 	dead, deadCount := r.Dead()
-	return &snapshot{
+	s := &snapshot{
 		db:        make([]*Graph, n),
 		dead:      dead,
 		deadCount: deadCount,
-		globals:   slices.Clip(globals),
 		seg:       newSegSource(r),
 		block:     blk,
 		baseN:     baseN,
 		baseDead:  deadBelow(dead, baseN),
-	}, nil
+	}
+	s.setGlobals(globals)
+	return s, nil
 }
 
 // appended is the snapshot after an Add: gs, their vectors and (on a
@@ -406,8 +461,10 @@ func snapshotFromSegment(r *segment.Reader, globals []int) (*snapshot, error) {
 // on every publish. The new ids are the highest yet, so the block fills
 // the next lanes and every label list stays sorted. All of it needs the
 // linear snapshot chain Index.mu enforces: only the newest snapshot is
-// ever appended to. The label index is extended only if a filtered query
-// already paid to build it.
+// ever appended to. The new global ids ascend and exceed every id the
+// shard holds, so their lanes extend byGlobal in order and only the zones
+// they fill need new minima. The label index is extended only if a
+// filtered query already paid to build it.
 func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []int) *snapshot {
 	dead := s.dead
 	for len(dead) < deadWords(len(s.db)+len(gs)) {
@@ -424,6 +481,11 @@ func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []i
 	}
 	if globals != nil {
 		next.globals = append(s.globals, globals...)
+		next.byGlobal = s.byGlobal
+		for lane := len(s.db); lane < len(next.db); lane++ {
+			next.byGlobal = append(next.byGlobal, int32(lane))
+		}
+		next.zoneMin = vecspace.ZoneMinima(s.zoneMin, len(s.db), next.globals)
 	}
 	if l := s.labels.Load(); l != nil {
 		next.labels.Store(l.Append(gs))
@@ -441,6 +503,8 @@ func (s *snapshot) tombstoned(ids []int) *snapshot {
 		dead:      slices.Clone(s.dead),
 		deadCount: s.deadCount + len(ids),
 		globals:   s.globals,
+		byGlobal:  s.byGlobal,
+		zoneMin:   s.zoneMin,
 		seg:       s.seg,
 		block:     s.block,
 		baseN:     s.baseN,
@@ -459,35 +523,45 @@ func (s *snapshot) tombstoned(ids []int) *snapshot {
 // subset is a fresh heap snapshot over exactly the given ids of s
 // (ascending): their graphs (a mapped payload is faulted onto the heap),
 // their existing block vectors, tombstone bits and global ids — no VF2, no
-// mining, no selection. Staleness bookkeeping carries over: ids below
-// s.baseN predate the dimension selection, and since ids ascend they are
-// exactly the subset's leading entries. It fails only on a mapped payload
-// that no longer decodes.
+// mining, no selection — with the lanes clustered. The ids below s.baseN
+// (which predate the dimension selection, and lead since ids ascend) stay
+// a prefix, so staleness bookkeeping carries over; the prefix and the
+// rest are each stored in vecspace.ClusterOrder, so a zone summarizes
+// similar vectors and its lower bound prunes it from more queries. The
+// lanes' order never shows in a result: every engine ranks ties by global
+// id (order). It fails only on a mapped payload that no longer decodes.
 func (s *snapshot) subset(ids []int) (*snapshot, error) {
-	db := make([]*Graph, len(ids))
 	vecs := make([]*vecspace.BitVector, len(ids))
+	for i, id := range ids {
+		vecs[i] = s.block.Vector(id)
+	}
+	baseN := sort.SearchInts(ids, s.baseN)
+	order := vecspace.ClusterOrder(vecs[:baseN])
+	for _, i := range vecspace.ClusterOrder(vecs[baseN:]) {
+		order = append(order, baseN+i)
+	}
+
+	db := make([]*Graph, len(ids))
+	vectors := make([]*vecspace.BitVector, len(ids))
 	dead := make([]uint64, deadWords(len(ids)))
 	globals := make([]int, len(ids))
-	baseN := 0
-	for i, id := range ids {
+	for lane, i := range order {
+		id := ids[i]
 		g, err := s.graphAt(id)
 		if err != nil {
 			return nil, err
 		}
-		db[i], vecs[i], globals[i] = g, s.block.Vector(id), s.global(id)
+		db[lane], vectors[lane], globals[lane] = g, vecs[i], s.global(id)
 		if s.isDead(id) {
-			dead[i/64] |= 1 << (i % 64)
-		}
-		if id < s.baseN {
-			baseN++
+			dead[lane/64] |= 1 << (lane % 64)
 		}
 	}
-	return newSnapshot(db, vecs, s.block.P(), dead, baseN, globals), nil
+	return newSnapshot(db, vectors, s.block.P(), dead, baseN, globals), nil
 }
 
 // repacked is s without its tombstoned slots — what Compact publishes.
-// Every live graph keeps its vector and its rank among the ascending
-// global ids, so no ranking any engine returns can change.
+// Every live graph keeps its vector and its global id, the rank its ties
+// break by, so no ranking any engine returns can change.
 func (s *snapshot) repacked() (*snapshot, error) {
 	live := make([]int, 0, len(s.db)-s.deadCount)
 	for id := range s.db {
@@ -515,10 +589,17 @@ func (s *snapshot) localOf(g int) int {
 		}
 		return g
 	}
-	if i := sort.SearchInts(s.globals, g); i < len(s.globals) && s.globals[i] == g {
-		return i
+	i := sort.Search(len(s.byGlobal), func(i int) bool { return s.globals[s.byGlobal[i]] >= g })
+	if i < len(s.byGlobal) && s.globals[s.byGlobal[i]] == g {
+		return int(s.byGlobal[i])
 	}
 	return -1
+}
+
+// order is the tie order of every engine over this snapshot: by global
+// id, which on a stand-alone Index is the id itself.
+func (s *snapshot) order() topk.Order {
+	return topk.Order{Rank: s.globals, ZoneMin: s.zoneMin}
 }
 
 // limits states what a scan of this snapshot may score, as the data the
@@ -538,12 +619,17 @@ func (s *snapshot) limits(admit topk.Alive) topk.Limits {
 // Collection.Graph resolves graphs through. It fails only on a
 // mapped payload that no longer decodes (the segment file was corrupted
 // after its checkpoint; open validates the trailer), so a corrupt payload
-// fails the query, not the process.
+// fails the query, not the process. The error names the graph by its
+// global id; the segment's own message names its lane.
 func (s *snapshot) graphAt(id int) (*Graph, error) {
 	if g := s.db[id]; g != nil || s.seg == nil {
 		return g, nil
 	}
-	return s.seg.graphAt(id)
+	g, err := s.seg.graphAt(id)
+	if err != nil {
+		return nil, fmt.Errorf("graphdim: graph %d: %w", s.global(id), err)
+	}
+	return g, nil
 }
 
 // labelIndex returns the label pushdown index, building it on first

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,7 +52,9 @@ type collectionManifest struct {
 	// are never truncated or overwritten — a crash mid-checkpoint leaves the
 	// previous generation fully intact.
 	ShardFiles []string `json:"shard_files"`
-	// ShardGlobals[i] is shard i's strictly ascending local→global table.
+	// ShardGlobals[i] is shard i's local→global table: each of its ids
+	// once, each placing on shard i, in the shard's lane order (clustered
+	// where a Compact or split rewrote the shard, so not sorted).
 	ShardGlobals [][]int `json:"shard_globals"`
 	// WALSeq is the write-ahead-log sequence number this snapshot covers:
 	// every logged record with a sequence <= WALSeq is already reflected
@@ -479,6 +482,10 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	if len(cm.ShardGlobals) != cm.Shards {
 		return nil, fmt.Errorf("%d id tables for %d shards", len(cm.ShardGlobals), cm.Shards)
 	}
+	// A global id is the rank a scan packs into 32 bits (topk.Order).
+	if cm.NextID < 0 || cm.NextID > math.MaxUint32 {
+		return nil, fmt.Errorf("next id %d outside [0,2^32)", cm.NextID)
+	}
 	if len(cm.ShardFiles) != cm.Shards {
 		return nil, fmt.Errorf("%d shard files for %d shards", len(cm.ShardFiles), cm.Shards)
 	}
@@ -515,22 +522,26 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 			// Open by path, so the shard is mapped in place rather
 			// than read through the heap.
 			globals := cm.ShardGlobals[i]
+			for _, g := range globals {
+				if g < 0 || g >= cm.NextID {
+					return fmt.Errorf("shard %d: id %d outside [0,%d)", i, g, cm.NextID)
+				}
+				if placeID(g, cm.Shards) != i {
+					return fmt.Errorf("shard %d: id %d places on shard %d", i, g, placeID(g, cm.Shards))
+				}
+			}
 			idx, err := openSegmentIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), globals)
 			if err != nil {
 				return err
 			}
-			if n := len(idx.snap.Load().db); len(globals) != n {
+			snap := idx.snap.Load()
+			if n := len(snap.db); len(globals) != n {
 				return fmt.Errorf("shard %d: %d ids in manifest for %d graphs", i, len(globals), n)
 			}
-			for j, g := range globals {
-				if g < 0 || g >= cm.NextID {
-					return fmt.Errorf("shard %d: id %d outside [0,%d)", i, g, cm.NextID)
-				}
-				if j > 0 && globals[j-1] >= g {
-					return fmt.Errorf("shard %d: id table not strictly ascending at %d", i, j)
-				}
-				if placeID(g, cm.Shards) != i {
-					return fmt.Errorf("shard %d: id %d places on shard %d", i, g, placeID(g, cm.Shards))
+			// byGlobal sorts the table: a repeated id sits beside its twin.
+			for j := 1; j < len(snap.byGlobal); j++ {
+				if g := globals[snap.byGlobal[j]]; g == globals[snap.byGlobal[j-1]] {
+					return fmt.Errorf("shard %d: id %d appears twice in its id table", i, g)
 				}
 			}
 			c.shards[i] = idx

@@ -240,8 +240,8 @@ func TestCollectionSearchNilQuery(t *testing.T) {
 // through Collection.Graph to that same graph; an id Compact has already
 // reclaimed is held to the writers' own record of what they added under it.
 // No id appears twice in one result, and every snapshot a reader can load
-// is coherent on its own: equal-length columns, a strictly ascending id
-// table, every id on the shard it places on. Run under -race (make race).
+// is coherent on its own: equal-length columns, an id table holding each
+// id once, every id on the shard it places on. Run under -race (make race).
 func TestReadersSeeOneShardState(t *testing.T) {
 	const shards = 3
 	db := dataset.Chemical(dataset.ChemConfig{N: 24, MinVertices: 8, MaxVertices: 12, Seed: 41})
@@ -423,9 +423,16 @@ func TestReadersSeeOneShardState(t *testing.T) {
 				sh, n, len(snap.globals), len(snap.dead), snap.block.N())
 			return
 		}
-		for local, g := range snap.globals {
-			if placeID(g, shards) != sh || (local > 0 && snap.globals[local-1] >= g) {
-				t.Errorf("shard %d: id table entry %d = %d is misplaced or out of order", sh, local, g)
+		// Each id once, on its shard: the lanes are clustered, so the table
+		// is not sorted, but its inverse lists every lane in ascending id.
+		if len(snap.byGlobal) != n {
+			t.Errorf("shard %d: inverse id table of %d lanes for %d ids", sh, len(snap.byGlobal), n)
+			return
+		}
+		for j, local := range snap.byGlobal {
+			g := snap.globals[local]
+			if placeID(g, shards) != sh || (j > 0 && snap.globals[snap.byGlobal[j-1]] >= g) {
+				t.Errorf("shard %d: id table entry %d = %d is misplaced or repeated", sh, local, g)
 				return
 			}
 		}

@@ -205,10 +205,10 @@ type SearchResult struct {
 	// Engine is the engine that produced Results.
 	Engine Engine
 	// Candidates is how many graphs the final ranking stage scored: for
-	// the mapped engine the ids offered to its top-K heap (the admitted
-	// ids whose distance beat the heap's worst when the kernel reached
-	// them — a small fraction of the collection once the heap is full),
-	// the admitted scan size for EngineExact, and the number of MCS
+	// the mapped engine the ids put in its top-K heap (the admitted ids
+	// that beat the heap's worst, by distance and then id, when the scan
+	// reached them — a small fraction of the collection once the heap is
+	// full), the admitted scan size for EngineExact, and the number of MCS
 	// verifications for EngineVerified. A Collection reports the sum over
 	// its shards, and each shard verifies its own min(VerifyFactor·K,
 	// MaxCandidates) candidates — 60, not 30, for K=10 at factor 3 on two
@@ -362,16 +362,16 @@ func (ix *Index) searchMapped(ctx context.Context, s *snapshot, q *Graph, qv *ve
 	)
 	switch opt.Engine {
 	case EngineMapped:
-		ranking, candidates, err = topk.MappedScan(ctx, s.block, qv, lim, opt.K, scr)
+		ranking, candidates, err = topk.MappedScan(ctx, s.block, qv, lim, s.order(), opt.K, scr)
 	case EngineVerified:
 		factor := opt.VerifyFactor
 		if factor == 0 {
 			factor = 3
 		}
 		ranking, candidates, err = topk.VerifiedContext(ctx, s.graphAt, s.block, q, qv,
-			opt.K, factor, opt.MaxCandidates, metric, ix.mcsOpt, lim, scr)
+			opt.K, factor, opt.MaxCandidates, metric, ix.mcsOpt, lim, s.order(), scr)
 	case EngineExact:
-		ranking, err = topk.ExactContext(ctx, len(s.db), s.graphAt, q, metric, ix.mcsOpt, lim)
+		ranking, err = topk.ExactContext(ctx, len(s.db), s.graphAt, q, metric, ix.mcsOpt, lim, s.order())
 		candidates = len(ranking)
 	}
 	if graphErr != nil {

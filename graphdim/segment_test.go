@@ -3,12 +3,14 @@ package graphdim
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -234,12 +236,23 @@ func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
 
 	// Overwrite the leading vertex-count varint of graph `victim` with a
 	// count no graph may have, so graph.ReadBinary refuses the payload.
+	// The shard's lanes are clustered: the manifest's id table says which
+	// lane holds the victim.
 	const victim = 7
+	manData, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man storeManifest
+	if err := json.Unmarshal(manData, &man); err != nil {
+		t.Fatal(err)
+	}
+	lane := slices.Index(man.Collections[0].ShardGlobals[0], victim)
 	r, err := segment.NewReader(data, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := r.GraphBytes(victim)
+	blob, err := r.GraphBytes(lane)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +317,7 @@ func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
 			return err
 		},
 	}
-	want := fmt.Sprintf("corrupt graph %d", victim)
+	want := fmt.Sprintf("graph %d: segment: corrupt graph %d", victim, lane)
 	for name, run := range cases {
 		err := run()
 		if err == nil || !strings.Contains(err.Error(), want) {

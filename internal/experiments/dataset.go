@@ -12,7 +12,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/fingerprint"
@@ -107,6 +109,39 @@ type Dataset struct {
 
 	ExactRankings []topk.Ranking // per query, full exact ranking of DB
 	FPRankings    []topk.Ranking // per query, Tanimoto benchmark ranking
+
+	// Exact counts the MCS searches behind ExactRankings and Delta that
+	// finished within MCSOpt's budget.
+	Exact Exactness
+}
+
+// Exactness counts how many of the budgeted MCS searches behind a
+// dataset's ground truth were proven exact (mcs.Result.Exact) rather than
+// stopped at the budget, where the dissimilarity is only an upper bound.
+type Exactness struct {
+	TruthPairs, TruthExact int // (query, database graph) pairs of ExactRankings
+	DeltaPairs, DeltaExact int // database pairs i < j of Delta
+}
+
+// Plus returns the counts of e and o together, for a figure built over
+// several datasets.
+func (e Exactness) Plus(o Exactness) Exactness {
+	return Exactness{
+		TruthPairs: e.TruthPairs + o.TruthPairs, TruthExact: e.TruthExact + o.TruthExact,
+		DeltaPairs: e.DeltaPairs + o.DeltaPairs, DeltaExact: e.DeltaExact + o.DeltaExact,
+	}
+}
+
+// String is the line cmd/figures prints under each table.
+func (e Exactness) String() string {
+	share := func(exact, pairs int) string {
+		if pairs == 0 {
+			return "none"
+		}
+		return fmt.Sprintf("%.1f%% (%d of %d)", 100*float64(exact)/float64(pairs), exact, pairs)
+	}
+	return fmt.Sprintf("MCS proven exact: truth pairs %s, δ-matrix pairs %s",
+		share(e.TruthExact, e.TruthPairs), share(e.DeltaExact, e.DeltaPairs))
 }
 
 // BuildChemical constructs the "real dataset" surrogate: chemical-like
@@ -171,18 +206,64 @@ func assemble(name string, db, queries []*graph.Graph, cfg Config) (*Dataset, er
 	return ds, nil
 }
 
-// parallelDelta computes the symmetric δ matrix over DB with the
-// dataset's worker pool.
-func (ds *Dataset) parallelDelta() [][]float64 {
-	return ds.Metric.MatrixWorkers(ds.DB, ds.MCSOpt, ds.Workers)
+// dissimilarity is ds.Metric.DissimilarityBudget(a, b, ds.MCSOpt) — the
+// same search, the same value — and whether the search proved it exact.
+func (ds *Dataset) dissimilarity(a, b *graph.Graph) (float64, bool) {
+	r := mcs.Compute(a, b, ds.MCSOpt)
+	return ds.Metric.FromMCS(r.Edges, a.M(), b.M()), r.Exact
 }
 
-// parallelExactRankings computes the ground-truth ranking per query.
+// parallelDelta computes the symmetric δ matrix over DB with the
+// dataset's worker pool — mcs.Metric.MatrixWorkers' matrix — and counts
+// its exact pairs into ds.Exact.
+func (ds *Dataset) parallelDelta() [][]float64 {
+	n := len(ds.DB)
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+	}
+	exact := make([]int, n)
+	pool.For(ds.Workers, n, func(i int) {
+		for j := i + 1; j < n; j++ {
+			var ok bool
+			if d[i][j], ok = ds.dissimilarity(ds.DB[i], ds.DB[j]); ok {
+				exact[i]++
+			}
+		}
+	})
+	for i := range d {
+		for j := 0; j < i; j++ {
+			d[i][j] = d[j][i]
+		}
+		ds.Exact.DeltaExact += exact[i]
+	}
+	ds.Exact.DeltaPairs = n * (n - 1) / 2
+	return d
+}
+
+// parallelExactRankings computes the ground-truth ranking per query —
+// topk.Exact's ranking, ties by id — and counts its exact pairs into
+// ds.Exact.
 func (ds *Dataset) parallelExactRankings() []topk.Ranking {
 	out := make([]topk.Ranking, len(ds.Queries))
+	exact := make([]int, len(ds.Queries))
 	pool.For(ds.Workers, len(ds.Queries), func(qi int) {
-		out[qi] = topk.Exact(ds.DB, ds.Queries[qi], ds.Metric, ds.MCSOpt)
+		r := make(topk.Ranking, len(ds.DB))
+		for id, g := range ds.DB {
+			var ok bool
+			r[id].ID = id
+			if r[id].Score, ok = ds.dissimilarity(ds.Queries[qi], g); ok {
+				exact[qi]++
+			}
+		}
+		// Stable over ascending ids: ties stay in id order.
+		slices.SortStableFunc(r, func(a, b topk.Item) int { return cmp.Compare(a.Score, b.Score) })
+		out[qi] = r
 	})
+	for _, e := range exact {
+		ds.Exact.TruthExact += e
+	}
+	ds.Exact.TruthPairs = len(ds.Queries) * len(ds.DB)
 	return out
 }
 

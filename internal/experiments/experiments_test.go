@@ -3,11 +3,14 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/mcs"
+	"repro/internal/topk"
 )
 
 // tiny returns a fast-to-build harness configuration for integration
@@ -621,4 +624,39 @@ func TestFig6Shape(t *testing.T) {
 	if mean["DSPM"] >= mean["Original"] {
 		t.Errorf("DSPM's mean precision %.3f is not below Original's %.3f", mean["DSPM"], mean["Original"])
 	}
+}
+
+// TestDatasetCountsExactTruth: counting which MCS searches finished
+// changes no figure value — the δ matrix and the exact rankings are the
+// ones mcs.Metric.MatrixWorkers and topk.Exact compute — and the counts
+// are those of mcs.Compute over every pair.
+func TestDatasetCountsExactTruth(t *testing.T) {
+	ds := chemDS(t)
+	if want := ds.Metric.MatrixWorkers(ds.DB, ds.MCSOpt, ds.Workers); !reflect.DeepEqual(ds.Delta, want) {
+		t.Fatal("the δ matrix differs from mcs.Metric.MatrixWorkers'")
+	}
+	var want Exactness
+	for qi, q := range ds.Queries {
+		if r := topk.Exact(ds.DB, q, ds.Metric, ds.MCSOpt); !reflect.DeepEqual(ds.ExactRankings[qi], r) {
+			t.Fatalf("query %d: the exact ranking differs from topk.Exact's", qi)
+		}
+		for _, g := range ds.DB {
+			want.TruthPairs++
+			if mcs.Compute(q, g, ds.MCSOpt).Exact {
+				want.TruthExact++
+			}
+		}
+	}
+	for i := range ds.DB {
+		for j := i + 1; j < len(ds.DB); j++ {
+			want.DeltaPairs++
+			if mcs.Compute(ds.DB[i], ds.DB[j], ds.MCSOpt).Exact {
+				want.DeltaExact++
+			}
+		}
+	}
+	if ds.Exact != want {
+		t.Fatalf("Exact = %+v, want %+v", ds.Exact, want)
+	}
+	t.Log(ds.Exact)
 }

@@ -366,6 +366,7 @@ type Fig9Point struct {
 	ExactQuery     time.Duration
 	IndexingByAlgo map[string]time.Duration
 	DimsByAlgo     map[string]int // features each algorithm selected
+	Exact          Exactness      // of the dataset built at this size
 }
 
 // Fig9 reproduces Fig. 9 (scalability): for each database size build a
@@ -390,6 +391,7 @@ func Fig9(sizes []int, base Config, algos []Algorithm, p, k int, seed int64) ([]
 			Precision:      map[string]float64{},
 			IndexingByAlgo: map[string]time.Duration{},
 			DimsByAlgo:     map[string]int{},
+			Exact:          ds.Exact,
 		}
 		bench := BenchmarkQuality(ds, k)
 
@@ -437,6 +439,7 @@ type Fig6Row struct {
 	Density    float64
 	Candidates int
 	Series     []AlgoSeries
+	Exact      Exactness // of the row's data set
 }
 
 // Fig6 reproduces Fig. 6: for average edge counts 12, 16 and 20, then
@@ -458,6 +461,7 @@ func Fig6(base Config, algos []Algorithm, k int) ([]Fig6Row, error) {
 			return nil, err
 		}
 		rows[i].Candidates = ds.Index.P
+		rows[i].Exact = ds.Exact
 		rows[i].Series = FigQuality(ds, algos, DefaultP(ds.Index.P), []int{k}, false)
 		RelativeToBest(rows[i].Series, []int{k})
 	}

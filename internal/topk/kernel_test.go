@@ -198,7 +198,7 @@ func TestKernelTopKEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := MappedScan(ctx, blocks["chained"], q, lim, k, s)
+			got, _, err := MappedScan(ctx, blocks["chained"], q, lim, Order{}, k, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func TestKernelTopKEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := MappedScan(ctx, blocks["fresh"], q, Limits{Skip: skip, Pred: alive}, k, s)
+		got, _, err := MappedScan(ctx, blocks["fresh"], q, Limits{Skip: skip, Pred: alive}, Order{}, k, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,8 +259,8 @@ func TestKernelVerifiedBlockEquivalence(t *testing.T) {
 		for i := range ref {
 			ref[i].Score = metric.DissimilarityBudget(q, db[ref[i].ID], opt)
 		}
-		sortItems(ref)
-		got, gotN, err := VerifiedContext(ctx, SliceGraphs(db), blk, q, qv, k, factor, 0, metric, opt, Limits{}, s)
+		Order{}.sort(ref)
+		got, gotN, err := VerifiedContext(ctx, SliceGraphs(db), blk, q, qv, k, factor, 0, metric, opt, Limits{}, Order{}, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestScanLimits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, scored, err := MappedScan(ctx, blk, q, lim, k, s)
+		got, scored, err := MappedScan(ctx, blk, q, lim, Order{}, k, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestScanLimits(t *testing.T) {
 		_, verified, err := VerifiedContext(ctx, func(id int) (*graph.Graph, error) {
 			resolved = append(resolved, id)
 			return tinyGraph, nil
-		}, blk, tinyGraph, q, k, 1, 0, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim, s)
+		}, blk, tinyGraph, q, k, 1, 0, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim, Order{}, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestScanLimits(t *testing.T) {
 
 		// And the exact engine's range.
 		ex, err := ExactContext(ctx, n, func(id int) (*graph.Graph, error) { return tinyGraph, nil },
-			tinyGraph, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim)
+			tinyGraph, mcs.Delta2, mcs.Options{MaxNodes: 10}, lim, Order{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -21,9 +22,9 @@ import (
 // loaded back, each lane branches on a []bool tombstone and on the
 // predicate, and each live lane is packed and offered to pushK, which
 // rejects almost all of them once the heap is full. It returns the k best
-// packed keys, sorted.
+// heap entries, sorted.
 func referenceScan(blk *vecspace.Block, qv *vecspace.BitVector, dead []bool, pred Alive, k int,
-	dists []int32, keys []uint64) []uint64 {
+	dists []int32, keys []entry) []entry {
 	blk.HammingInto(qv, dists)
 	keys = keys[:0]
 	for id, d := range dists[:blk.N()] {
@@ -33,9 +34,9 @@ func referenceScan(blk *vecspace.Block, qv *vecspace.BitVector, dead []bool, pre
 		if pred != nil && !pred(id) {
 			continue
 		}
-		keys = pushK(keys, k, uint64(d)<<32|uint64(id))
+		keys = pushK(keys, k, entry{key: uint64(d)<<32 | uint64(id), id: id})
 	}
-	slices.Sort(keys)
+	slices.SortFunc(keys, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
 	return keys
 }
 
@@ -84,63 +85,96 @@ func chemCorpus(tb testing.TB) (*vecspace.Block, []*vecspace.BitVector) {
 }
 
 // BenchmarkMappedScan is the flat top-k scan (K = 10) over the 40,000-lane
-// chem corpus, with no tombstones and with 1% of ids dead. Every
-// iteration runs one query through both legs: fused is MappedScan, the
-// threshold in the kernel and the tombstones a bitset; reference is
-// referenceScan, the shape it replaced. It reports each leg's ns per lane
-// and their ratio — compare the ratio, which one run measures on one
-// host, not the absolute ns/lane, which moves with the host. The fused
-// leg runs on the block's zone map as every Search does; the reference
-// has none to use, so on queries whose zones skip, part of the ratio is
-// the zone map's.
+// chem corpus at p = 64 — the shape of bench's scan_dense — with no
+// tombstones and with 1% of ids dead, on two layouts of the same vectors:
+// unclustered keeps them in id order, as a stand-alone Index stores them;
+// clustered stores them in vecspace.ClusterOrder and ranks each lane by
+// its id, as a collection's shard does once a split or Compact has
+// rewritten it. Every iteration runs one query through both legs: fused
+// is MappedScan on the layout, reference is referenceScan, the shape the
+// fused scan replaced, always over the unclustered block. It reports each
+// leg's ns per lane, their ratio — compare the ratio, which one run
+// measures on one host, not the absolute ns/lane, which moves with the
+// host — and zones-visited-%, the share of zones the fused leg streamed
+// through the kernel (the rest its zone map ruled out).
 func BenchmarkMappedScan(b *testing.B) {
 	blk, queries := chemCorpus(b)
 	n := blk.N()
 	ctx := context.Background()
-	for _, pct := range []int{0, 1} {
-		b.Run(fmt.Sprintf("dead=%d%%", pct), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(int64(pct)))
-			bitset, bools := make([]uint64, (n+63)/64), make([]bool, n)
-			for i := 0; i < n*pct/100; i++ {
-				id := rng.Intn(n)
-				bitset[id/64] |= 1 << (id % 64)
-				bools[id] = true
-			}
-			lim := Limits{Skip: bitset}
-			if pct == 0 {
-				lim, bools = Limits{}, nil
-			}
-			s := NewScratch()
-			defer s.Release()
-			dists, keys := make([]int32, n), make([]uint64, 0, 10)
-			for _, qv := range queries {
-				got, _, err := MappedScan(ctx, blk, qv, lim, 10, s)
-				if err != nil {
-					b.Fatal(err)
+	vecs := blk.Unpack()
+	order := vecspace.ClusterOrder(vecs)
+	clustered := make([]*vecspace.BitVector, n)
+	rank := make([]int, n)
+	for lane, id := range order {
+		clustered[lane], rank[lane] = vecs[id], id
+	}
+	layouts := []struct {
+		name string
+		blk  *vecspace.Block
+		ord  Order
+		lane []int // lane of each id
+	}{
+		{"unclustered", blk, Order{}, nil},
+		{"clustered", vecspace.Pack(clustered, blk.P()), Order{Rank: rank, ZoneMin: vecspace.ZoneMinima(nil, 0, rank)}, make([]int, n)},
+	}
+	for lane, id := range order {
+		layouts[1].lane[id] = lane
+	}
+	for _, layout := range layouts {
+		for _, pct := range []int{0, 1} {
+			b.Run(fmt.Sprintf("%s/dead=%d%%", layout.name, pct), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(int64(pct)))
+				bitset, bools := make([]uint64, (n+63)/64), make([]bool, n)
+				laneSkip := make([]uint64, (n+63)/64)
+				for i := 0; i < n*pct/100; i++ {
+					id := rng.Intn(n)
+					bitset[id/64] |= 1 << (id % 64)
+					bools[id] = true
+					lane := id
+					if layout.lane != nil {
+						lane = layout.lane[id]
+					}
+					laneSkip[lane/64] |= 1 << (lane % 64)
 				}
-				keys = referenceScan(blk, qv, bools, nil, 10, dists, keys)
-				for i, key := range keys {
-					if got[i].ID != int(uint32(key)) {
-						b.Fatalf("fused result %d is id %d, reference %d", i, got[i].ID, uint32(key))
+				lim := Limits{Skip: laneSkip}
+				if pct == 0 {
+					lim, bools = Limits{}, nil
+				}
+				s := NewScratch()
+				defer s.Release()
+				dists, keys := make([]int32, n), make([]entry, 0, 10)
+				for _, qv := range queries {
+					got, _, err := MappedScan(ctx, layout.blk, qv, lim, layout.ord, 10, s)
+					if err != nil {
+						b.Fatal(err)
+					}
+					keys = referenceScan(blk, qv, bools, nil, 10, dists, keys)
+					for i, e := range keys {
+						if id := int(layout.ord.rank(got[i].ID)); id != e.id {
+							b.Fatalf("fused result %d is id %d, reference %d", i, id, e.id)
+						}
 					}
 				}
-			}
-			var fused, reference time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qv := queries[i%len(queries)]
-				t0 := time.Now()
-				MappedScan(ctx, blk, qv, lim, 10, s)
-				t1 := time.Now()
-				keys = referenceScan(blk, qv, bools, nil, 10, dists, keys)
-				fused += t1.Sub(t0)
-				reference += time.Since(t1)
-			}
-			lanes := float64(b.N) * float64(n)
-			b.ReportMetric(float64(fused.Nanoseconds())/lanes, "fused-ns/lane")
-			b.ReportMetric(float64(reference.Nanoseconds())/lanes, "reference-ns/lane")
-			b.ReportMetric(float64(fused)/float64(reference), "fused/reference")
-		})
+				var fused, reference time.Duration
+				visited := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					qv := queries[i%len(queries)]
+					t0 := time.Now()
+					MappedScan(ctx, layout.blk, qv, lim, layout.ord, 10, s)
+					t1 := time.Now()
+					keys = referenceScan(blk, qv, bools, nil, 10, dists, keys)
+					fused += t1.Sub(t0)
+					reference += time.Since(t1)
+					visited += s.visited
+				}
+				lanes := float64(b.N) * float64(n)
+				b.ReportMetric(float64(fused.Nanoseconds())/lanes, "fused-ns/lane")
+				b.ReportMetric(float64(reference.Nanoseconds())/lanes, "reference-ns/lane")
+				b.ReportMetric(float64(fused)/float64(reference), "fused/reference")
+				b.ReportMetric(100*float64(visited)/float64(b.N*len(s.zones)), "zones-visited-%")
+			})
+		}
 	}
 }
 
@@ -162,7 +196,7 @@ func TestPredicateAskedOnlyOfSurvivors(t *testing.T) {
 			lim.Skip = randDead(rng, n, 10)
 		}
 		skipped := func(id int) bool { return lim.Skip != nil && lim.Skip[id/64]&(1<<(id%64)) != 0 }
-		got, scored, err := MappedScan(context.Background(), blk, q, lim, k, nil)
+		got, scored, err := MappedScan(context.Background(), blk, q, lim, Order{}, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,16 +226,31 @@ func TestPredicateAskedOnlyOfSurvivors(t *testing.T) {
 }
 
 // FuzzMappedScan: the flat MappedScan over any vector set, tombstone
-// bitset, predicate and k returns exactly the first k entries of
-// MappedContext's ranking, distances included. Vectors are p bits each of
-// data; id i is dead when bit i%8 of deadBits[i/8] is set; mod > 1 refuses
-// ids divisible by it.
+// bitset, predicate, k and tie order returns exactly the first k entries
+// of MappedContext's ranking re-sorted by (score, rank), distances
+// included. Vectors are p bits each of data; id i is dead when bit i%8 of
+// deadBits[i/8] is set; mod > 1 refuses ids divisible by it; perm, when
+// non-zero, seeds a random lane→rank permutation (as a clustered shard's
+// global ids), and otherwise every id is its own rank. At small p most
+// vectors tie, so the heap's root ties lanes in later zones and later
+// tiles whose ranks are smaller: the seeds at p ≤ 3 over several zones
+// fail if a lane tying the root is not admitted, or if zones are ordered
+// or stopped at by their first lane instead of their least rank.
 func FuzzMappedScan(f *testing.F) {
-	f.Add([]byte{}, []byte{}, uint8(0), uint8(3), uint64(0), uint64(0), uint8(0))
-	f.Add([]byte{0x5a, 0xa5, 0xff, 0x00, 0x13}, []byte{0x01}, uint8(3), uint8(2), uint64(5), uint64(0), uint8(0))
-	f.Add(make([]byte, 300), []byte{0xff, 0xff, 0x0f}, uint8(1), uint8(10), uint64(1), uint64(0), uint8(3))
-	f.Add(make([]byte, 1024), []byte{0, 0xff, 0, 0xff}, uint8(64), uint8(1), uint64(0xf0f0), uint64(3), uint8(2))
-	f.Fuzz(func(t *testing.T, data, deadBits []byte, pRaw, kRaw uint8, q0, q1 uint64, mod uint8) {
+	f.Add([]byte{}, []byte{}, uint8(0), uint8(3), uint64(0), uint64(0), uint8(0), int64(0))
+	f.Add([]byte{0x5a, 0xa5, 0xff, 0x00, 0x13}, []byte{0x01}, uint8(3), uint8(2), uint64(5), uint64(0), uint8(0), int64(0))
+	f.Add(make([]byte, 300), []byte{0xff, 0xff, 0x0f}, uint8(1), uint8(10), uint64(1), uint64(0), uint8(3), int64(0))
+	f.Add(make([]byte, 1024), []byte{0, 0xff, 0, 0xff}, uint8(64), uint8(1), uint64(0xf0f0), uint64(3), uint8(2), int64(0))
+	// Duplicate-heavy, several zones, ranks permuted.
+	dense := make([]byte, 250)
+	for i := range dense {
+		dense[i] = byte(i*37 + i/7)
+	}
+	f.Add(dense, []byte{}, uint8(1), uint8(10), uint64(1), uint64(0), uint8(0), int64(1))
+	f.Add(dense, []byte{0x10, 0x02}, uint8(2), uint8(25), uint64(2), uint64(0), uint8(3), int64(2))
+	f.Add(make([]byte, 250), []byte{}, uint8(0), uint8(40), uint64(0), uint64(0), uint8(0), int64(3))
+	f.Add(dense, []byte{0, 0, 0x80}, uint8(2), uint8(7), uint64(5), uint64(0), uint8(5), int64(4))
+	f.Fuzz(func(t *testing.T, data, deadBits []byte, pRaw, kRaw uint8, q0, q1 uint64, mod uint8, perm int64) {
 		p := int(pRaw)%128 + 1
 		n := min(len(data)*8/p, 2000)
 		vecs := make([]*vecspace.BitVector, n)
@@ -232,16 +281,22 @@ func FuzzMappedScan(f *testing.F) {
 		if mod > 1 {
 			lim.Pred = func(id int) bool { return id%int(mod) != 0 }
 		}
+		var ord Order
+		if perm != 0 {
+			ord.Rank = rand.New(rand.NewSource(perm)).Perm(n)
+			ord.ZoneMin = vecspace.ZoneMinima(nil, 0, ord.Rank)
+		}
 		k := int(kRaw)
 		ref, _, err := MappedContext(context.Background(), vecs, q, lim.Admits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := MappedScan(context.Background(), vecspace.Pack(vecs, p), q, lim, k, nil)
+		ord.sort(ref)
+		got, _, err := MappedScan(context.Background(), vecspace.Pack(vecs, p), q, lim, ord, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertRankingPrefix(t, fmt.Sprintf("n=%d p=%d k=%d", n, p, k), got, ref, k)
+		assertRankingPrefix(t, fmt.Sprintf("n=%d p=%d k=%d perm=%d", n, p, k, perm), got, ref, k)
 	})
 }
 
@@ -285,7 +340,7 @@ func BenchmarkZoneSkip(b *testing.B) {
 	} {
 		b.Run(fmt.Sprintf("%s/n=%d", bc.name, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := MappedScan(ctx, bc.blk, q, Limits{}, 10, s); err != nil {
+				if _, _, err := MappedScan(ctx, bc.blk, q, Limits{}, Order{}, 10, s); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,6 +8,7 @@
 package topk
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -26,8 +27,9 @@ type Item struct {
 }
 
 // Ranking is a full similarity ranking of the database for one query,
-// most similar first. Ties are broken by ascending database id so that
-// every engine is deterministic.
+// most similar first. Ties are broken by ascending rank (see Order; the
+// database id unless the caller ranks ids otherwise) so that every engine
+// is deterministic.
 type Ranking []Item
 
 // TopK returns the first k ids of the ranking.
@@ -52,12 +54,43 @@ func (r Ranking) RankOf(id int) int {
 	return len(r) + 1
 }
 
-// sortItems orders items ascending by score (ties by id). Ids are
+// Order is how the engines break ties between equal scores: the lower
+// rank ranks first. Rank[id] is id's rank, and the zero Order ranks every
+// id by itself. A collection's shard ranks its lanes by their global ids,
+// so its top-k is a prefix of the collection's whatever order the lanes
+// are stored in. Ranks are distinct and below 2^32 (they share a packed
+// key with the Hamming count; see scratch.go).
+type Order struct {
+	Rank []int
+	// ZoneMin[zi] is the least rank among the ids of zone zi (the
+	// vecspace.ZoneSpan ids from zi·ZoneSpan), the flat scan's second key
+	// when it orders zones. It is derived where the ranks change, never
+	// per query (vecspace.ZoneMinima), and is set exactly when Rank is.
+	ZoneMin []int
+}
+
+// rank returns id's rank.
+func (o Order) rank(id int) uint64 {
+	if o.Rank == nil {
+		return uint64(id)
+	}
+	return uint64(o.Rank[id])
+}
+
+// zoneMin returns the least rank in zone zi.
+func (o Order) zoneMin(zi int) uint64 {
+	if o.ZoneMin == nil {
+		return uint64(zi * vecspace.ZoneSpan)
+	}
+	return uint64(o.ZoneMin[zi])
+}
+
+// sort orders items ascending by score, ties by rank. Ranks are
 // distinct, so the comparator is a strict total order and every correct
 // sort yields the same permutation — the engines stay deterministic.
 // slices.SortFunc rather than sort.Slice keeps the hot path free of the
 // reflection-based swapper (and its per-call allocations).
-func sortItems(items []Item) {
+func (o Order) sort(items []Item) {
 	slices.SortFunc(items, func(a, b Item) int {
 		if a.Score != b.Score {
 			if a.Score < b.Score {
@@ -65,7 +98,7 @@ func sortItems(items []Item) {
 			}
 			return 1
 		}
-		return a.ID - b.ID // ids are non-negative: no overflow
+		return cmp.Compare(o.rank(a.ID), o.rank(b.ID))
 	})
 }
 
@@ -105,16 +138,16 @@ func (l Limits) Admits(id int) bool {
 // the ground-truth engine. opt bounds each MCS search (Options{} = fully
 // exact).
 func Exact(db []*graph.Graph, q *graph.Graph, metric mcs.Metric, opt mcs.Options) Ranking {
-	r, _ := ExactContext(context.Background(), len(db), SliceGraphs(db), q, metric, opt, Limits{})
+	r, _ := ExactContext(context.Background(), len(db), SliceGraphs(db), q, metric, opt, Limits{}, Order{})
 	return r
 }
 
 // ExactContext is Exact over database ids [0, n) resolved through
 // graphAt (see GraphAt — a mapped store decodes payloads on demand),
-// restricted to the ids lim admits, with cancellation checked before
-// each MCS search (the expensive unit).
+// restricted to the ids lim admits and ranked with ties in ord, with
+// cancellation checked before each MCS search (the expensive unit).
 func ExactContext(ctx context.Context, n int, graphAt GraphAt, q *graph.Graph, metric mcs.Metric,
-	opt mcs.Options, lim Limits) (Ranking, error) {
+	opt mcs.Options, lim Limits, ord Order) (Ranking, error) {
 	items := make([]Item, 0, n)
 	for i := 0; i < n; i++ {
 		if !lim.Admits(i) {
@@ -129,7 +162,7 @@ func ExactContext(ctx context.Context, n int, graphAt GraphAt, q *graph.Graph, m
 		}
 		items = append(items, Item{ID: i, Score: metric.DissimilarityBudget(q, g, opt)})
 	}
-	sortItems(items)
+	ord.sort(items)
 	return items, nil
 }
 
@@ -178,7 +211,7 @@ func MappedContext(ctx context.Context, dbVectors []*vecspace.BitVector, qv *vec
 		}
 		items = append(items, Item{ID: i, Score: qv.Distance(v)})
 	}
-	sortItems(items)
+	Order{}.sort(items)
 	return items, len(items), nil
 }
 
@@ -193,33 +226,34 @@ func MappedTopKContext(ctx context.Context, dbVectors []*vecspace.BitVector, blk
 	if blk == nil {
 		blk = vecspace.Pack(dbVectors, qv.Len())
 	}
-	return MappedScan(ctx, blk, qv, Limits{Pred: alive}, k, s)
+	return MappedScan(ctx, blk, qv, Limits{Pred: alive}, Order{}, k, s)
 }
 
 // MappedScan is the top-k scan every Search runs: exactly the first k
-// entries of MappedContext's ranking over the ids lim admits, computed
-// from the SoA block. It streams the block through the popcount kernel
-// with the heap's threshold fused in (Block.HammingBelow): a lane leaves
-// the kernel only
-// if it is live and its count is below bound — the heap's worst count —
-// and only then is the predicate asked and the k best kept in a bounded
-// heap. Nothing materializes, let alone sorts, the full ranking. Results
-// are bit-identical to MappedContext's first k entries, distances
+// entries of the ranking MappedContext would return over the ids lim
+// admits with ties broken in ord, computed from the SoA block. Nothing
+// materializes, let alone sorts, the full ranking. The scan visits zones
+// (vecspace.ZoneSpan ids each) best first, in ascending (LowerBound, least
+// rank) order, and stops at the first zone that cannot hold a lane the
+// bounded heap would keep (see threshold). Inside a zone it streams the
+// tiles through the popcount kernel with the heap's threshold fused in
+// (Block.HammingBelow): a lane leaves the kernel only if it is live and
+// its count is below the threshold, and only a lane whose packed key
+// (hamming<<32 | rank) beats the heap's worst is put to the predicate and
+// kept. Results are bit-identical to MappedContext's ordering, distances
 // included: the kernel computes the very same integer Hamming counts, the
-// same sqrt(hamming/p) expression scores them, the packed-key selection
-// order (hamming, id) equals the flat sort's (score, id) order (see
-// scratch.go), and every lane or zone the threshold drops is one the heap
-// would reject (see bound).
+// same sqrt(hamming/p) expression scores them, and the packed-key order
+// (hamming, rank) equals the (score, rank) order (see scratch.go).
 //
-// blk is the vector store; the scan covers ids [0, blk.N()).
-// s may be nil (buffers are then allocated per call); when non-nil the
-// returned Ranking aliases s and is valid only until its next use or
-// Release. The second return value is the number of ids offered to the
-// heap: admitted ids that the threshold and the zone map did not rule
-// out — at most MappedContext's count, and on a large scan a small
-// fraction of it; the rankings are identical regardless.
+// blk is the vector store; the scan covers ids [0, blk.N()). s may be nil
+// (buffers are then allocated per call); when non-nil the returned
+// Ranking aliases s and is valid only until its next use or Release. The
+// second return value is the number of ids put in the heap: admitted ids
+// that beat its worst when the scan reached them — on a large scan a
+// small fraction of MappedContext's count; the rankings are identical
+// regardless.
 func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector, lim Limits,
-	k int, s *Scratch) (Ranking, int, error) {
+	ord Order, k int, s *Scratch) (Ranking, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -233,68 +267,126 @@ func MappedScan(ctx context.Context, blk *vecspace.Block, qv *vecspace.BitVector
 	n := blk.N()
 	k = min(k, n)
 	pred := lim.Pred
-	keys := s.keys[:0]
+	heap := s.heap[:0]
 	scored := 0
-	// The kernel hands over only the lanes that can enter the heap (see
-	// bound); the predicate is asked about those alone.
+	var zmin uint64 // least rank of the zone being scanned
+	// The kernel hands over only the lanes below the threshold; the
+	// predicate is asked only about those whose key the heap would keep.
 	offer := func(id int, count int32) int32 {
-		if pred == nil || pred(id) {
+		key := uint64(count)<<32 | ord.rank(id)
+		if (len(heap) < k || key < heap[0].key) && (pred == nil || pred(id)) {
 			scored++
-			keys = pushK(keys, k, uint64(count)<<32|uint64(id))
+			heap = pushK(heap, k, entry{key: key, id: id})
 		}
-		return bound(keys, k)
+		return threshold(heap, k, zmin)
 	}
-	// One zone (vecspace.ZoneSpan ids) at a time, so the zone map can
-	// prove whole zones irrelevant before a single tile is touched.
-	zones := blk.Zones()
-	qw, qOnes := qv.Words(), qv.Ones()
-	thr := int32(math.MaxInt32)
-	for lo := 0; lo < n; lo += vecspace.ZoneSpan {
-		zi := lo / vecspace.ZoneSpan
-		if zi%zoneCtxStride == 0 {
+	// Zones go best first, in ascending key: lower bound, then least rank.
+	// zonesByBound groups them by bound, each group in zone order; a
+	// group is sorted by least rank only when the scan reaches it, and
+	// only when the ranks are permuted (otherwise zone order is rank
+	// order).
+	zones := s.zonesByBound(blk, qv, ord)
+	visited, sorted := 0, 0 // zones[:sorted] are in key order
+	for i := range zones {
+		if i%zoneCtxStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, 0, err
 			}
 		}
-		if zones != nil && zones.LowerBound(qOnes, qw, zi) >= int(thr) {
-			continue
+		if i == sorted {
+			sorted = i + 1
+			for sorted < len(zones) && zones[sorted].key>>32 == zones[i].key>>32 {
+				sorted++
+			}
+			if ord.ZoneMin != nil {
+				slices.SortFunc(zones[i:sorted], func(a, b zone) int { return cmp.Compare(a.key, b.key) })
+			}
 		}
-		thr = blk.HammingBelow(qv, lo, lo+vecspace.ZoneSpan, lim.Skip, thr, offer)
+		z := zones[i]
+		// Every lane of this zone, and of every zone after it, packs a key
+		// at or above the zone's: none beats a full heap's worst.
+		if len(heap) == k && z.key >= heap[0].key {
+			break
+		}
+		zmin = uint64(uint32(z.key))
+		lo := z.zi * vecspace.ZoneSpan
+		blk.HammingBelow(qv, lo, lo+vecspace.ZoneSpan, lim.Skip, threshold(heap, k, zmin), offer)
+		visited++
 	}
-	s.keys = keys
-	slices.Sort(keys)
+	s.heap, s.visited = heap, visited
+	slices.SortFunc(heap, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
 	p := float64(qv.Len())
 	out := s.out[:0]
-	for _, key := range keys {
+	for _, e := range heap {
 		score := 0.0
 		if p > 0 {
-			score = math.Sqrt(float64(key>>32) / p)
+			score = math.Sqrt(float64(e.key>>32) / p)
 		}
-		out = append(out, Item{ID: int(uint32(key)), Score: score})
+		out = append(out, Item{ID: e.id, Score: score})
 	}
 	s.out = out
 	return out, scored, nil
 }
 
-// bound is the scan's threshold: an id visited from here on can enter
-// the heap only with a Hamming count below it — every id (MaxInt32) while
-// the heap has room, then the root's count. Why that is exact: with the
-// heap full, a candidate enters only when its packed key (hamming<<32 |
-// id) is strictly below the root's. The scan visits ids ascending, so
-// the candidate's id exceeds every id in the heap; with a count equal to
-// the root's it packs a key above the root — a rejected tie — and with a
-// greater count it is rejected outright. So the lanes HammingBelow masks
-// (count >= bound) and the zones the scan skips (LowerBound >= bound: no
-// member has a smaller count) are lanes pushK would reject; dropping
-// them changes no result, only the work done and the count of ids
-// offered. Every lane the flat scan does offer is one pushK accepts
-// unless the predicate refuses it, so the predicate — on a mapped store,
-// a payload decode — is asked only about ids that would enter the heap.
-func bound(keys []uint64, k int) int32 {
-	if len(keys) < k {
+// zonesByBound returns blk's zones keyed LowerBound<<32 | least rank,
+// grouped by ascending bound with a counting sort (a bound is at most
+// 2p), each group in zone order. Without a zone map every bound is 0.
+// The slice is s's.
+func (s *Scratch) zonesByBound(blk *vecspace.Block, qv *vecspace.BitVector, ord Order) []zone {
+	zm := blk.Zones()
+	qw, qOnes := qv.Words(), qv.Ones()
+	nz := (blk.N() + vecspace.ZoneSpan - 1) / vecspace.ZoneSpan
+	bounds, maxBound := s.bounds[:0], int32(0)
+	for zi := 0; zi < nz; zi++ {
+		lb := int32(0)
+		if zm != nil {
+			lb = int32(zm.LowerBound(qOnes, qw, zi))
+		}
+		bounds = append(bounds, lb)
+		maxBound = max(maxBound, lb)
+	}
+	// starts[b] is where the zones of bound b begin, then where the next
+	// one goes.
+	starts := slices.Grow(s.starts[:0], int(maxBound)+2)[:maxBound+2]
+	clear(starts)
+	for _, lb := range bounds {
+		starts[lb+1]++
+	}
+	for b := 1; b < len(starts); b++ {
+		starts[b] += starts[b-1]
+	}
+	zones := slices.Grow(s.zones[:0], nz)[:nz]
+	for zi, lb := range bounds {
+		zones[starts[lb]] = zone{key: uint64(lb)<<32 | ord.zoneMin(zi), zi: zi}
+		starts[lb]++
+	}
+	s.zones, s.bounds, s.starts = zones, bounds, starts
+	return zones
+}
+
+// threshold is the count below which a lane of the zone being scanned —
+// whose least rank is zmin — can still enter the heap: every count
+// (MaxInt32) while the heap has room, then the root's count, plus one
+// when the zone may hold a lane ranked before the root. Why that is
+// exact: with the heap full, a lane enters only when its key (hamming<<32
+// | rank) is strictly below the root's. Zones are not visited in rank
+// order, so a lane whose count equals the root's enters when its rank is
+// the smaller — which no lane of a zone whose least rank is above the
+// root's can have. So the lanes HammingBelow masks (count >= threshold)
+// and the zones the scan stops at (their key, LowerBound<<32 | least
+// rank, at or above the root's; no lane packs a smaller key) are lanes
+// pushK would reject; dropping them changes no result, only the work
+// done and the count of ids put in the heap.
+func threshold(heap []entry, k int, zmin uint64) int32 {
+	if len(heap) < k {
 		return math.MaxInt32
 	}
-	return int32(keys[0] >> 32)
+	root := heap[0].key
+	t := int32(root >> 32)
+	if zmin < uint64(uint32(root)) {
+		t++
+	}
+	return t
 }
 
 const mappedCtxStride = 4096
@@ -312,6 +404,6 @@ func Tanimoto(dbFP []*vecspace.BitVector, qFP *vecspace.BitVector, sim func(a, b
 	for i, v := range dbFP {
 		items[i] = Item{ID: i, Score: 1 - sim(qFP, v)}
 	}
-	sortItems(items)
+	Order{}.sort(items)
 	return items
 }

@@ -27,7 +27,7 @@ func TestExactSelfQueryFirst(t *testing.T) {
 
 func TestRankingDeterministicTieBreak(t *testing.T) {
 	items := Ranking{{2, 0.5}, {0, 0.5}, {1, 0.1}}
-	sortItems(items)
+	Order{}.sort(items)
 	if items[0].ID != 1 || items[1].ID != 0 || items[2].ID != 2 {
 		t.Fatalf("tie break wrong: %v", items)
 	}

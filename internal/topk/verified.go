@@ -17,7 +17,7 @@ import (
 // EXPERIMENTS.md.
 func Verified(db []*graph.Graph, dbVectors []*vecspace.BitVector, q *graph.Graph, qv *vecspace.BitVector,
 	k, factor int, metric mcs.Metric, opt mcs.Options) Ranking {
-	r, _, _ := VerifiedContext(context.Background(), SliceGraphs(db), vecspace.Pack(dbVectors, qv.Len()), q, qv, k, factor, 0, metric, opt, Limits{}, nil)
+	r, _, _ := VerifiedContext(context.Background(), SliceGraphs(db), vecspace.Pack(dbVectors, qv.Len()), q, qv, k, factor, 0, metric, opt, Limits{}, Order{}, nil)
 	return r
 }
 
@@ -34,8 +34,9 @@ func SliceGraphs(db []*graph.Graph) GraphAt {
 }
 
 // VerifiedContext is Verified with cancellation, the scan limits of the
-// retrieval stage, an optional cap on the number of candidates verified
-// (maxCandidates <= 0 means uncapped). blk is the vector store the
+// retrieval stage, the order ties rank in (both stages: the candidates
+// retrieved and the verified ranking cut to k), and an optional cap on
+// the number of candidates verified (maxCandidates <= 0 means uncapped). blk is the vector store the
 // retrieval stage scans; s, when non-nil, is the retrieval stage's
 // scratch arena (see MappedScan). The candidate count factor·k is computed in
 // 64-bit arithmetic and clamped to the in-bound database size, so a
@@ -45,7 +46,7 @@ func SliceGraphs(db []*graph.Graph) GraphAt {
 // of candidates verified with an MCS search.
 func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, q *graph.Graph,
 	qv *vecspace.BitVector, k, factor, maxCandidates int, metric mcs.Metric, opt mcs.Options,
-	lim Limits, s *Scratch) (Ranking, int, error) {
+	lim Limits, ord Order, s *Scratch) (Ranking, int, error) {
 	if k <= 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
@@ -67,7 +68,7 @@ func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, 
 	if want > n {
 		want = n
 	}
-	retrieved, _, err := MappedScan(ctx, blk, qv, lim, int(want), s)
+	retrieved, _, err := MappedScan(ctx, blk, qv, lim, ord, int(want), s)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -86,7 +87,7 @@ func VerifiedContext(ctx context.Context, graphAt GraphAt, blk *vecspace.Block, 
 		}
 		items[i] = Item{ID: id, Score: metric.DissimilarityBudget(q, g, opt)}
 	}
-	sortItems(items)
+	ord.sort(items)
 	if len(items) > k {
 		items = items[:k]
 	}

@@ -136,7 +136,7 @@ func TestVerifiedContextMaxCandidatesAndAlive(t *testing.T) {
 	// maxCandidates caps the verified set below factor·k: with the
 	// degenerate vectors retrieval is id-ordered, so capping at 2 must
 	// verify exactly ids {0,1}.
-	got, verified, err := VerifiedContext(context.Background(), SliceGraphs(db), blk, q, qv, 3, 4, 2, metric, opt, Limits{}, nil)
+	got, verified, err := VerifiedContext(context.Background(), SliceGraphs(db), blk, q, qv, 3, 4, 2, metric, opt, Limits{}, Order{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestVerifiedContextMaxCandidatesAndAlive(t *testing.T) {
 
 	// alive filters ids out of retrieval entirely.
 	alive := func(id int) bool { return id%2 == 0 }
-	got, _, err = VerifiedContext(context.Background(), SliceGraphs(db), blk, q, qv, len(db), 1, 0, metric, opt, Limits{Pred: alive}, nil)
+	got, _, err = VerifiedContext(context.Background(), SliceGraphs(db), blk, q, qv, len(db), 1, 0, metric, opt, Limits{Pred: alive}, Order{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestVerifiedContextMaxCandidatesAndAlive(t *testing.T) {
 	// A cancelled context aborts with its error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := VerifiedContext(ctx, SliceGraphs(db), blk, q, qv, 3, 2, 0, metric, opt, Limits{}, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := VerifiedContext(ctx, SliceGraphs(db), blk, q, qv, 3, 2, 0, metric, opt, Limits{}, Order{}, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled VerifiedContext err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,10 @@
 package vecspace
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // ZoneSpan is the number of consecutive ids a zone summarizes. It is a
 // multiple of the tile width (DefaultBlockWidth), so a zone is always a
@@ -15,8 +19,9 @@ const ZoneSpan = 256
 // count of its vectors and the bitwise OR of their words (the
 // dimension-presence summary). From those three facts LowerBound proves
 // a floor on the Hamming distance between a query and *every* vector in
-// the zone, so a bounded top-k scan whose current worst is already at or
-// below the floor can skip the zone without touching a tile.
+// the zone, so a bounded top-k scan can visit zones best first and skip
+// every zone whose floor its current worst already beats, without
+// touching a tile (topk.MappedScan, which also breaks ties).
 //
 // The map is derived, never authoritative: it is always built from the
 // tiles (deriveZones) and never stored. Like the Block it annotates, a
@@ -125,4 +130,55 @@ func deriveZones(b *Block, prev *ZoneMap, prevN int) *ZoneMap {
 		z.min[zi], z.max[zi] = mn, mx
 	}
 	return z
+}
+
+// ZoneMinima returns the least of ranks over each zone of len(ranks)
+// lanes: the second key by which a best-first scan orders zones
+// (topk.Order.ZoneMin). prev holds the minima over ranks[:prevN] (nil
+// when prevN is 0); the zones wholly below prevN are copied from it and
+// only the rest are computed, so extending a block by m lanes costs
+// O(m + ZoneSpan) plus one copied int per zone — never a pass over the
+// ranks already summarized.
+func ZoneMinima(prev []int, prevN int, ranks []int) []int {
+	nz := (len(ranks) + ZoneSpan - 1) / ZoneSpan
+	out := make([]int, nz)
+	shared := min(prevN/ZoneSpan, nz)
+	copy(out, prev[:shared])
+	for zi := shared; zi < nz; zi++ {
+		out[zi] = slices.Min(ranks[zi*ZoneSpan : min((zi+1)*ZoneSpan, len(ranks))])
+	}
+	return out
+}
+
+// ClusterOrder returns the order in which to store vecs so that zones
+// summarize similar vectors: the indexes of vecs stably sorted by ones
+// count, then by word 0 bit-reversed. Dimensions are stored most
+// informative first, so the reversed word puts dimension 0 in the key's
+// top bit, and equal keys group vectors sharing their leading
+// dimensions. Zones of such vectors have narrow ones ranges and sparse
+// OR summaries, so LowerBound rules more of them out.
+func ClusterOrder(vecs []*BitVector) []int {
+	type lane struct {
+		ones int
+		head uint64
+		i    int
+	}
+	lanes := make([]lane, len(vecs))
+	for i, v := range vecs {
+		lanes[i] = lane{ones: v.Ones(), i: i}
+		if len(v.bits) > 0 {
+			lanes[i].head = bits.Reverse64(v.bits[0])
+		}
+	}
+	slices.SortStableFunc(lanes, func(a, b lane) int {
+		if a.ones != b.ones {
+			return a.ones - b.ones
+		}
+		return cmp.Compare(a.head, b.head)
+	})
+	order := make([]int, len(lanes))
+	for j, l := range lanes {
+		order[j] = l.i
+	}
+	return order
 }
