@@ -68,8 +68,9 @@ race:
 # parser (which refuses every frame no encoder writes, the retired type-3
 # amendment among them), the pipeline document parser (whose accepted documents plan
 # or fail with a stage error, and survive a JSON round trip), the filter
-# compiler against a brute-force evaluation, and the wire graph shape
-# the search stage and the ingest endpoint share.
+# compiler against a brute-force evaluation, the wire graph shape
+# the search stage and the ingest endpoint share, and the presized binary
+# graph decoder against the AddVertex/AddEdge loop.
 # `go test` alone runs only their seed corpora. The segment decoder's
 # inputs are kilobytes long, so its minimization is capped at 200 runs
 # per new input: the default 60 s would spend most of FUZZTIME there.
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphSpec$$' -fuzztime $(FUZZTIME) ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/graph
 
 vet:
 	$(GO) vet ./...

@@ -255,7 +255,9 @@ func (s *Store) checkpointLocked(extra *Collection) (err error) {
 		man.Collections = append(man.Collections, cm)
 	}
 
-	data, err := json.MarshalIndent(&man, "", " ")
+	// Compact: the id tables are most of the manifest, and indenting puts
+	// every id on a line of its own.
+	data, err := json.Marshal(&man)
 	if err != nil {
 		return fmt.Errorf("graphdim: checkpoint: %w", err)
 	}

@@ -483,7 +483,7 @@ func TestOpenStoreRejectsCorruptManifests(t *testing.T) {
 
 	for name, corrupt := range map[string]string{
 		"bad placement": strings.Replace(string(good), placementSplitMix64, "modulo", 1),
-		"bad version":   strings.Replace(string(good), `"version": 1`, `"version": 99`, 1),
+		"bad version":   strings.Replace(string(good), `"version":1`, `"version":99`, 1),
 		"not json":      "{",
 	} {
 		if err := os.WriteFile(manifest, []byte(corrupt), 0o644); err != nil {
@@ -495,7 +495,7 @@ func TestOpenStoreRejectsCorruptManifests(t *testing.T) {
 	}
 	// An earlier release's manifest, whose build block no longer
 	// persists, still opens.
-	old := strings.Replace(string(good), `"shards": 2,`, `"shards": 2, "build": {"workers": 3, "tau": 0.2},`, 1)
+	old := strings.Replace(string(good), `"shards":2,`, `"shards":2,"build":{"workers":3,"tau":0.2},`, 1)
 	if err := os.WriteFile(manifest, []byte(old), 0o644); err != nil || old == string(good) {
 		t.Fatalf("writing a manifest with a build block: %v", err)
 	}

@@ -75,13 +75,8 @@ func (g *Graph) AddVertex(l Label) int {
 // AddEdge inserts an undirected edge {u,v} with label l. It reports an
 // error for self-loops, out-of-range endpoints, or duplicate edges.
 func (g *Graph) AddEdge(u, v int, l Label) error {
-	switch {
-	case u == v:
-		return fmt.Errorf("graph: self-loop on vertex %d", u)
-	case u < 0 || u >= len(g.labels):
-		return fmt.Errorf("graph: vertex %d out of range [0,%d)", u, len(g.labels))
-	case v < 0 || v >= len(g.labels):
-		return fmt.Errorf("graph: vertex %d out of range [0,%d)", v, len(g.labels))
+	if err := checkEndpoints(u, v, len(g.labels)); err != nil {
+		return err
 	}
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
@@ -116,6 +111,19 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 // Neighbors returns the incident half-edges of v. The returned slice is
 // owned by the graph and must not be modified.
 func (g *Graph) Neighbors(v int) []Half { return g.adj[v] }
+
+// checkEndpoints refuses a self-loop or an endpoint outside [0,n).
+func checkEndpoints(u, v, n int) error {
+	switch {
+	case u == v:
+		return fmt.Errorf("graph: self-loop on vertex %d", u)
+	case u < 0 || u >= n:
+		return fmt.Errorf("graph: vertex %d out of range [0,%d)", u, n)
+	case v < 0 || v >= n:
+		return fmt.Errorf("graph: vertex %d out of range [0,%d)", v, n)
+	}
+	return nil
+}
 
 // HasEdge reports whether an edge {u,v} exists (any label).
 func (g *Graph) HasEdge(u, v int) bool {

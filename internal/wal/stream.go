@@ -86,7 +86,8 @@ func (s *Stream) Next(upper uint64) (rec Record, ok bool, err error) {
 				s.fetched = segs[i].size
 			}
 		}
-		rec, err := readRecord(s.cr)
+		// Records before the resume point are only checked.
+		rec, err := readRecord(s.cr, s.next)
 		if err == io.EOF {
 			// Clean end of this segment's committed bytes while a wanted
 			// record is committed: the record lives in the next segment.
@@ -194,7 +195,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // Next decodes one record frame. A clean end of input before the first
 // byte returns io.EOF; anything else that fails mid-frame is an error.
 func (fr *FrameReader) Next() (Record, error) {
-	return readRecord(fr.cr)
+	return readRecord(fr.cr, 0)
 }
 
 // ReadByte reads one raw byte (an envelope tag).

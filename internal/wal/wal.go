@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -85,6 +86,9 @@ const (
 	// maxPayload bounds a record's declared payload length so a corrupt
 	// frame cannot force a huge allocation before its checksum is seen.
 	maxPayload = 1 << 30
+
+	// scratchPayload bounds the payload buffer a reader keeps for reuse.
+	scratchPayload = 1 << 20
 
 	// maxID bounds decoded id values: far above any reachable id space,
 	// low enough that id arithmetic cannot overflow int64.
@@ -341,7 +345,8 @@ func scanSegment(path string, first uint64) (lastSeq uint64, validEnd int64, err
 	validEnd = int64(len(segMagic))
 	expect := first
 	for {
-		rec, err := readRecord(cr)
+		// Records are only checked here: Replay decodes the ones it needs.
+		rec, err := readRecord(cr, math.MaxUint64)
 		if errors.Is(err, errRefused) {
 			return 0, 0, fmt.Errorf("%s: %w", filepath.Base(path), err)
 		}
@@ -756,11 +761,16 @@ func putAscending(put func(uint64), ids []int) error {
 // crcReader counts and checksums the bytes the decoder consumes. The
 // checksum restarts per record (readRecord resets it), so the trailing
 // checksum bytes of one record hashing into the next record's sum does
-// not matter.
+// not matter. It also holds readRecord's scratch: a payload buffer of
+// at most scratchPayload bytes, reused record to record (a decoded record
+// keeps no reference to it), and the graph decoder that checks payloads
+// it is not asked to keep.
 type crcReader struct {
-	br  *bufio.Reader
-	sum uint32
-	n   int64
+	br      *bufio.Reader
+	sum     uint32
+	n       int64
+	payload []byte
+	check   graph.Decoder
 }
 
 func (c *crcReader) Read(p []byte) (int, error) {
@@ -785,8 +795,10 @@ func (c *crcReader) ReadByte() (byte, error) {
 // mismatch — returns an error the caller treats as a torn tail or
 // corruption depending on position; a verified frame whose payload does
 // not decode returns an error wrapping errRefused, which no caller
-// truncates.
-func readRecord(cr *crcReader) (Record, error) {
+// truncates. The graphs of a record whose sequence is below keepFrom are
+// checked, not kept: the record is refused exactly as a kept one would
+// be, but it comes back without its graphs.
+func readRecord(cr *crcReader, keepFrom uint64) (Record, error) {
 	cr.sum = 0
 	seq, err := binary.ReadUvarint(cr)
 	if err != nil {
@@ -809,7 +821,16 @@ func readRecord(cr *crcReader) (Record, error) {
 	if plen > maxPayload {
 		return Record{}, fmt.Errorf("payload length %d exceeds limit", plen)
 	}
-	payload := make([]byte, plen)
+	payload := cr.payload[:0]
+	if uint64(cap(payload)) < plen {
+		payload = make([]byte, plen)
+		// A larger payload is garbage after its record, so a
+		// long-lived reader never pins one large batch's buffer.
+		if plen <= scratchPayload {
+			cr.payload = payload
+		}
+	}
+	payload = payload[:plen]
 	if _, err := io.ReadFull(cr, payload); err != nil {
 		return Record{}, fmt.Errorf("reading payload: %w", graph.NoEOF(err))
 	}
@@ -822,13 +843,20 @@ func readRecord(cr *crcReader) (Record, error) {
 		return Record{}, fmt.Errorf("record %d: checksum mismatch (file %08x, computed %08x)", seq, got, want)
 	}
 	rec := Record{Seq: seq, Type: Type(t)}
-	if err := decodePayload(&rec, payload); err != nil {
+	var check *graph.Decoder
+	if seq < keepFrom {
+		check = &cr.check
+	}
+	if err := decodePayload(&rec, payload, check); err != nil {
 		return Record{}, fmt.Errorf("record %d: %w: %w", seq, errRefused, err)
 	}
 	return rec, nil
 }
 
-func decodePayload(rec *Record, payload []byte) error {
+// decodePayload decodes payload into rec. With a non-nil check it only
+// checks an Add's graphs: they are decoded into check's scratch and not
+// kept.
+func decodePayload(rec *Record, payload []byte, check *graph.Decoder) error {
 	br := bytes.NewReader(payload)
 	// Counts size allocations and are bounded tightly; ids are values —
 	// a production store outgrows 1<<27 ids long before it outgrows the
@@ -862,13 +890,20 @@ func decodePayload(rec *Record, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		rec.Graphs = make([]*graph.Graph, 0, min(count, 1<<16))
+		if check == nil {
+			rec.Graphs = make([]*graph.Graph, 0, min(count, 1<<16))
+		}
 		for i := 0; i < count; i++ {
-			g, err := graph.ReadBinary(br)
+			if check != nil {
+				err = check.Check(br)
+			} else {
+				var g *graph.Graph
+				g, err = graph.ReadBinary(br)
+				rec.Graphs = append(rec.Graphs, g)
+			}
 			if err != nil {
 				return fmt.Errorf("graph %d: %w", i, err)
 			}
-			rec.Graphs = append(rec.Graphs, g)
 		}
 	case TypeRemove:
 		count, err := getSome("id count")

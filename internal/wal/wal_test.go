@@ -405,6 +405,56 @@ func TestOpenRefusesIntactUnreadableRecord(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesRepeatedEdgeRecord: Open checks the graphs of the
+// records it scans without keeping them, and that check must refuse what
+// Replay's decode refuses. An intact Add frame whose graph repeats an
+// edge — with its endpoints reversed, or under a second label — is refused by
+// name, and the segment is left byte for byte as it was.
+func TestOpenRefusesRepeatedEdgeRecord(t *testing.T) {
+	for name, edges := range map[string][]byte{
+		"reversed endpoints": {0, 1, 0, 1, 0, 0},
+		"ascending label":    {0, 1, 2, 0, 1, 4},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// first id 2, one graph: two vertices, two edges.
+			payload := append([]byte{2, 1, 2, 0, 0, 2}, edges...)
+			seg := append([]byte(segMagic), rawFrame(1, byte(TypeAdd), testAddPayload(t))...)
+			seg = append(seg, rawFrame(2, byte(TypeAdd), payload)...)
+			dir := t.TempDir()
+			path := filepath.Join(dir, segName(1))
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(dir, Options{})
+			if err == nil {
+				l.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "record 2") || !strings.Contains(err.Error(), "duplicate edge {") {
+				t.Fatalf("open = %v, want a refusal of record 2 naming the duplicate edge", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, seg) {
+				t.Fatalf("the refused segment changed: %d bytes, was %d", len(after), len(seg))
+			}
+		})
+	}
+}
+
+// testAddPayload is the payload of a valid Add record of one graph.
+func testAddPayload(t *testing.T) []byte {
+	t.Helper()
+	frame, err := EncodeFrame(Record{Seq: 1, Type: TypeAdd, First: 1, Graphs: []*graph.Graph{testGraph(3, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Skip the frame header (seq, type, length) and the trailing CRC.
+	plen, n := binary.Uvarint(frame[2:])
+	return frame[2+n : 2+n+int(plen)]
+}
+
 // TestOpenRefusesForwardGap: an intact frame whose sequence jumps forward
 // (records 1, 3, 4) means record 2 is missing, not that the tail is torn.
 // Open refuses the log naming the expected and the found sequence, and
