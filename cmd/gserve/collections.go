@@ -36,6 +36,10 @@ func (s *server) handleCreate(cl *call) {
 		s.fail(w, http.StatusBadRequest, "name parameter is required")
 		return
 	}
+	if q.Has("k") {
+		s.fail(w, http.StatusBadRequest, "k is a per-request search parameter, not a collection option (the server default is -k)")
+		return
+	}
 	opt := graphdim.CollectionOptions{}
 	var cacheBytes int
 	intParam := func(key string, dst *int) bool {
@@ -52,8 +56,7 @@ func (s *server) handleCreate(cl *call) {
 		return true
 	}
 	if !intParam("shards", &opt.Shards) || !intParam("dimensions", &opt.Build.Dimensions) ||
-		!intParam("k", &opt.Defaults.K) || !intParam("cache_entries", &opt.Cache.MaxEntries) ||
-		!intParam("cache_bytes", &cacheBytes) {
+		!intParam("cache_entries", &opt.Cache.MaxEntries) || !intParam("cache_bytes", &cacheBytes) {
 		return
 	}
 	opt.Cache.MaxBytes = int64(cacheBytes)

@@ -29,12 +29,14 @@
 //	GET    /v1/collections                   list collections
 //	POST   /v1/collections?name=N&shards=S   create a collection from the
 //	       graphs in the body; optional build knobs: dimensions, tau,
-//	       algorithm (dspm | dspmap), k (default result count),
-//	       cache_entries and cache_bytes (query-result cache bounds)
+//	       algorithm (dspm | dspmap), cache_entries and cache_bytes
+//	       (query-result cache bounds); k is refused: it is a search
+//	       knob, defaulting to -k
 //	GET    /v1/collections/{name}            the collection's stats
 //	DELETE /v1/collections/{name}            drop a collection
 //	POST   /v1/collections/{name}/search     query graphs in the body; knobs:
-//	       k, engine (mapped | verified | exact), factor, maxcand
+//	       k (default -k), engine (mapped | verified | exact), factor,
+//	       maxcand
 //	POST   /v1/collections/{name}/query      run a JSON pipeline
 //	       {"stages":[...]} of filter → search → aggregate stages (see
 //	       internal/pipeline; cmd/gq runs the same documents offline)

@@ -170,6 +170,7 @@ func TestErrorsAreJSON(t *testing.T) {
 		{"v1 add wrong method", http.MethodGet, "/v1/collections/default/add", "", http.StatusMethodNotAllowed},
 		{"v1 collections wrong method", http.MethodDelete, "/v1/collections", "", http.StatusMethodNotAllowed},
 		{"v1 create without name", http.MethodPost, "/v1/collections", "t # 0\nv 0 1\n", http.StatusBadRequest},
+		{"v1 create with k", http.MethodPost, "/v1/collections?name=mols&k=3", "t # 0\nv 0 1\n", http.StatusBadRequest},
 		{"v1 unknown collection", http.MethodPost, "/v1/collections/ghost/search", "t # 0\nv 0 1\n", http.StatusNotFound},
 		{"v1 unknown action", http.MethodPost, "/v1/collections/default/explode", "", http.StatusNotFound},
 		{"v1 stats wrong method", http.MethodPost, "/v1/collections/default/stats", "", http.StatusMethodNotAllowed},
@@ -462,7 +463,7 @@ func TestV1CollectionLifecycle(t *testing.T) {
 	if err := graphdim.WriteGraphs(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/collections?name=mols&shards=2&dimensions=10&tau=0.25&k=3", "text/plain", &buf)
+	resp, err := http.Post(ts.URL+"/v1/collections?name=mols&shards=2&dimensions=10&tau=0.25", "text/plain", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +509,7 @@ func TestV1CollectionLifecycle(t *testing.T) {
 		t.Fatalf("list = %+v", list.Collections)
 	}
 
-	// Search uses the collection's default k=3 when none is given.
+	// Search without k returns the server's -k (10) results.
 	var qbuf bytes.Buffer
 	if err := graphdim.WriteGraphs(&qbuf, db[:1]); err != nil {
 		t.Fatal(err)
@@ -522,7 +523,7 @@ func TestV1CollectionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || sout.Collection != "mols" || sout.K != 3 || len(sout.Results[0]) != 3 {
+	if resp.StatusCode != http.StatusOK || sout.Collection != "mols" || sout.K != 10 || len(sout.Results[0]) != 10 {
 		t.Fatalf("search on created collection: %+v", sout)
 	}
 
@@ -720,7 +721,7 @@ func TestV1GoldenSession(t *testing.T) {
 	}
 
 	// 1. Create with a 32-entry cache across 2 shards.
-	resp, data := post("/v1/collections?name=golden&shards=2&dimensions=10&tau=0.25&k=4&cache_entries=32&cache_bytes=1048576", graphsText(db))
+	resp, data := post("/v1/collections?name=golden&shards=2&dimensions=10&tau=0.25&cache_entries=32&cache_bytes=1048576", graphsText(db))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d: %s", resp.StatusCode, data)
 	}

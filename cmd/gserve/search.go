@@ -41,17 +41,11 @@ type searchResponse struct {
 	Matched []int `json:"matched_dimensions"`
 }
 
-// parseSearchOptions resolves the effective per-query options: the
-// collection's defaults (falling back to the server-wide -k), overridden
-// by any knobs present in the URL. Collection.Search takes options as
-// given, so the handler — which knows which parameters were spelled out —
-// is where defaults apply: ?engine=mapped works even on a collection
-// whose default engine is not mapped.
-func (s *server) parseSearchOptions(r *http.Request, c *graphdim.Collection) (graphdim.SearchOptions, error) {
-	opt := c.Defaults()
-	if opt.K == 0 {
-		opt.K = s.defaultK
-	}
+// parseSearchOptions resolves the effective per-query options from the
+// knobs present in the URL alone: k falls back to the server-wide -k, the
+// rest to the library defaults.
+func (s *server) parseSearchOptions(r *http.Request) (graphdim.SearchOptions, error) {
+	opt := graphdim.SearchOptions{K: s.defaultK}
 	q := r.URL.Query()
 	if v := q.Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -103,7 +97,7 @@ func (s *server) readGraphs(w http.ResponseWriter, r *http.Request) ([]*graphdim
 func (s *server) handleSearch(cl *call) {
 	w, r, c := cl.w, cl.r, cl.c
 	start := time.Now()
-	opt, err := s.parseSearchOptions(r, c)
+	opt, err := s.parseSearchOptions(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return

@@ -33,7 +33,8 @@ type ReplicaApplier struct {
 }
 
 // Replica returns the collection's replication applier. The collection
-// must have a write-ahead log (a durable, WAL-enabled open).
+// must have a write-ahead log, which every durable open has: a durable
+// store always logs.
 func (c *Collection) Replica() (*ReplicaApplier, error) {
 	if c.wal == nil {
 		return nil, fmt.Errorf("graphdim: collection %q has no write-ahead log; a follower store must be opened durable", c.name)

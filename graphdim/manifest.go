@@ -16,10 +16,10 @@ import (
 // A store directory is the one persisted form of an index, and
 // Checkpoint (with the create, drop and CreateStore calls that run one)
 // is the one thing that writes it: a store.json manifest naming every
-// collection, its shard layout, default-search options and cache bounds,
-// and the local→global id table of each shard, next to one segment
-// file per shard (<dir>/<collection>/shard-NNNN-*.gdx). Shard files carry
-// no ids of their own — the manifest's tables are authoritative.
+// collection, its shard layout and cache bounds, and the local→global id
+// table of each shard, next to one segment file per shard
+// (<dir>/<collection>/shard-NNNN-*.gdx). Shard files carry no ids of
+// their own — the manifest's tables are authoritative.
 
 const (
 	manifestName    = "store.json"
@@ -38,10 +38,9 @@ type storeManifest struct {
 }
 
 type collectionManifest struct {
-	Name     string           `json:"name"`
-	Shards   int              `json:"shards"`
-	NextID   int              `json:"next_id"`
-	Defaults defaultsManifest `json:"defaults"`
+	Name   string `json:"name"`
+	Shards int    `json:"shards"`
+	NextID int    `json:"next_id"`
 	// Cache persists the collection's query-cache bounds; the cache
 	// contents themselves are runtime state and never persist (a loaded
 	// store starts cold, all shard generations at zero).
@@ -67,46 +66,6 @@ type collectionManifest struct {
 type cacheManifest struct {
 	MaxEntries int   `json:"max_entries,omitempty"`
 	MaxBytes   int64 `json:"max_bytes,omitempty"`
-}
-
-// defaultsManifest mirrors the scalar fields of SearchOptions, the only
-// ones CollectionOptions.validate lets a collection default.
-type defaultsManifest struct {
-	K             int    `json:"k,omitempty"`
-	Engine        string `json:"engine,omitempty"`
-	VerifyFactor  int    `json:"verify_factor,omitempty"`
-	MaxCandidates int    `json:"max_candidates,omitempty"`
-	Metric        int    `json:"metric,omitempty"`
-}
-
-func toDefaultsManifest(o SearchOptions) defaultsManifest {
-	m := defaultsManifest{
-		K:             o.K,
-		VerifyFactor:  o.VerifyFactor,
-		MaxCandidates: o.MaxCandidates,
-		Metric:        int(o.Metric),
-	}
-	if o.Engine != EngineMapped {
-		m.Engine = o.Engine.String()
-	}
-	return m
-}
-
-func (m defaultsManifest) options() (SearchOptions, error) {
-	o := SearchOptions{
-		K:             m.K,
-		VerifyFactor:  m.VerifyFactor,
-		MaxCandidates: m.MaxCandidates,
-		Metric:        MetricChoice(m.Metric),
-	}
-	if m.Engine != "" {
-		e, err := ParseEngine(m.Engine)
-		if err != nil {
-			return o, err
-		}
-		o.Engine = e
-	}
-	return o, nil
 }
 
 // installManifest atomically replaces dir's manifest with data: a temp
@@ -202,7 +161,6 @@ func (s *Store) checkpointLocked(extra *Collection) (err error) {
 		cm := collectionManifest{
 			Name:         c.name,
 			Shards:       len(c.shards),
-			Defaults:     toDefaultsManifest(c.defaults),
 			Cache:        cacheManifest{MaxEntries: c.cacheOpt.MaxEntries, MaxBytes: c.cacheOpt.MaxBytes},
 			ShardFiles:   make([]string, len(c.shards)),
 			ShardGlobals: make([][]int, len(c.shards)),
@@ -498,21 +456,16 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 			return nil, fmt.Errorf("shard %d: invalid file name %q", i, f)
 		}
 	}
-	defaults, err := cm.Defaults.options()
-	if err != nil {
-		return nil, err
-	}
 	cacheOpt := CacheOptions{MaxEntries: cm.Cache.MaxEntries, MaxBytes: cm.Cache.MaxBytes}
 	// Same domain checks as create time, so a hand-edited manifest fails
 	// at open rather than as confusing per-query errors later.
-	if err := (CollectionOptions{Shards: cm.Shards, Defaults: defaults, Cache: cacheOpt}).validate(); err != nil {
+	if err := (CollectionOptions{Shards: cm.Shards, Cache: cacheOpt}).validate(); err != nil {
 		return nil, err
 	}
 
 	c := &Collection{
 		store:    s,
 		name:     cm.Name,
-		defaults: defaults,
 		shards:   make([]*Index, cm.Shards),
 		cacheOpt: cacheOpt,
 		cache:    newQueryCache(cacheOpt),

@@ -83,7 +83,6 @@ type storeModel struct {
 	s        *Store
 	c        *Collection
 	shards   int
-	defaults SearchOptions
 
 	// The follower, nil until the first follow step; it never compacts,
 	// so fReclaimed is what its bootstrap image holds reclaimed.
@@ -110,7 +109,6 @@ func newStoreModel(t *testing.T, seed int64) *storeModel {
 		ckptReclaimed: map[int]bool{},
 		dir:           t.TempDir(),
 		shards:        1 + rng.Intn(3),
-		defaults:      SearchOptions{K: 5, Engine: EngineVerified, VerifyFactor: 2},
 		pool:          dataset.Synthetic(dataset.SynthConfig{N: storeModelSteps, AvgEdges: 9, Labels: 5, Seed: rng.Int63()}),
 		checked:       map[*Graph]int{},
 	}
@@ -132,7 +130,7 @@ func newStoreModel(t *testing.T, seed int64) *storeModel {
 			m.fs.Close()
 		}
 	})
-	m.c, err = m.s.CreateFromIndex("c", model, CollectionOptions{Shards: m.shards, Cache: CacheOptions{MaxEntries: 64}, Defaults: m.defaults})
+	m.c, err = m.s.CreateFromIndex("c", model, CollectionOptions{Shards: m.shards, Cache: CacheOptions{MaxEntries: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,15 +289,15 @@ func (m *storeModel) reopen(dir string, opt StoreOptions) (*Store, *Collection) 
 }
 
 // checkOpened checks what an open must establish: the one collection
-// with its shard count, defaults and dimension set; each shard served
+// with its shard count and dimension set; each shard served
 // from a mapping wherever the platform can map, with no graph of its
 // segment decoded yet; one vector store per shard.
 func (m *storeModel) checkOpened(c *Collection) {
 	if got := c.store.Collections(); !reflect.DeepEqual(got, []string{"c"}) {
 		m.fatalf("the store holds collections %v", got)
 	}
-	if c.Shards() != m.shards || !reflect.DeepEqual(c.Defaults(), m.defaults) {
-		m.fatalf("opened with %d shards and defaults %+v, created with %d and %+v", c.Shards(), c.Defaults(), m.shards, m.defaults)
+	if c.Shards() != m.shards {
+		m.fatalf("opened with %d shards, created with %d", c.Shards(), m.shards)
 	}
 	for sh, ix := range c.shards {
 		if ix.dims != m.model.dims || !reflect.DeepEqual(ix.weights, m.model.weights) {

@@ -160,13 +160,6 @@ type CollectionOptions struct {
 	// Add/Remove/Compact invalidates affected entries for free. The zero
 	// value disables caching. See CacheOptions.
 	Cache CacheOptions
-	// Defaults are the collection's recommended search options, persisted
-	// with it and returned by Collection.Defaults. Collection.Search does
-	// not apply them: a frontend starts from them and overrides what a
-	// request spells out (gserve does, falling back to its -k while K is
-	// zero). Only the scalar fields persist — K, Engine, VerifyFactor,
-	// MaxCandidates and Metric — so Create refuses Filters and Predicate.
-	Defaults SearchOptions
 }
 
 func (o CollectionOptions) validate() error {
@@ -179,25 +172,7 @@ func (o CollectionOptions) validate() error {
 	if err := o.Build.Validate(); err != nil {
 		return err
 	}
-	if err := o.Cache.validate(); err != nil {
-		return err
-	}
-	// Defaults are a partial SearchOptions: K may stay zero ("no
-	// collection default"), but every set field must be in domain.
-	d := o.Defaults
-	if d.K < 0 {
-		return fmt.Errorf("graphdim: Defaults.K must be >= 0, got %d", d.K)
-	}
-	if d.Filters != nil {
-		return fmt.Errorf("graphdim: Defaults.Filters cannot be a collection default (it does not persist)")
-	}
-	if d.Predicate != nil {
-		return fmt.Errorf("graphdim: Defaults.Predicate cannot be a collection default (it does not persist)")
-	}
-	if d.K == 0 {
-		d.K = 1 // satisfy the full validator for the remaining fields
-	}
-	return d.Validate()
+	return o.Cache.validate()
 }
 
 func (o CollectionOptions) shards() int {
@@ -216,9 +191,8 @@ const maxShards = 1024
 // of the collection, across Checkpoint/OpenStore and across Compact; the hash
 // placement of an id never changes.
 type Collection struct {
-	store    *Store
-	name     string
-	defaults SearchOptions
+	store *Store
+	name  string
 	// shards[i] is the index over the graphs whose global ids place on
 	// shard i. Each is one published snapshot (graphs, vectors,
 	// tombstones, local→global id table), one writer lock and one
@@ -308,7 +282,6 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	c := &Collection{
 		store:    s,
 		name:     name,
-		defaults: opt.Defaults,
 		shards:   make([]*Index, nsh),
 		cacheOpt: opt.Cache,
 		cache:    newQueryCache(opt.Cache),
@@ -444,10 +417,6 @@ func (c *Collection) Name() string { return c.name }
 // Shards returns the number of shards.
 func (c *Collection) Shards() int { return len(c.shards) }
 
-// Defaults returns the collection's recommended search options (see
-// CollectionOptions.Defaults); Search does not apply them.
-func (c *Collection) Defaults() SearchOptions { return c.defaults }
-
 // Size returns the number of live (searchable) graphs across all shards.
 func (c *Collection) Size() int {
 	n := 0
@@ -494,11 +463,9 @@ func (c *Collection) resolve(id int) (*snapshot, int) {
 // graphs returns — identical ids and identical scores — before and after
 // any Compact.
 //
-// SearchOptions is taken as given: the collection's Defaults are the
-// caller's to apply (gserve does). The Predicate, like the returned
-// Results, sees global ids. The result's Matched bitset is the query's
-// vector over the collection's dimensions — the one vector every shard
-// scanned with.
+// The Predicate, like the returned Results, sees global ids. The
+// result's Matched bitset is the query's vector over the collection's
+// dimensions — the one vector every shard scanned with.
 func (c *Collection) Search(ctx context.Context, q *Graph, opt SearchOptions) (*SearchResult, error) {
 	start := time.Now()
 	if q == nil {
@@ -896,7 +863,7 @@ type CollectionStats struct {
 	// has no cache.
 	Cache *CacheStats `json:"cache,omitempty"`
 	// WAL holds the write-ahead log's counters, nil when the store is
-	// not durable (or the WAL is disabled).
+	// not durable; a durable store always has a log.
 	WAL *WALStats `json:"wal,omitempty"`
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/pipeline"
 )
 
 // storeTestDB is a small synthetic database that mines reliably even when
@@ -161,114 +160,6 @@ func TestStoreShardedEquivalence(t *testing.T) {
 
 func nameForShards(n int) string {
 	return "eq-" + string(rune('a'+n))
-}
-
-// TestStoreEquivalenceAfterUpdates extends the equivalence through Add,
-// Remove, Compact and a further Add applied identically to both sides (the
-// flat index has no Compact — a reclaim must be invisible to rankings).
-func TestStoreEquivalenceAfterUpdates(t *testing.T) {
-	db := storeTestDB(t, 30, 5)
-	opt := storeTestOptions()
-	flat, err := Build(db, opt)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	s := newTestStore(t)
-	ctx := context.Background()
-	coll, err := s.Create(ctx, "upd", db, CollectionOptions{Shards: 3, Build: opt})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-
-	addBoth := func(gs []*Graph) []int {
-		t.Helper()
-		flatIDs, err := flat.Add(gs...)
-		if err != nil {
-			t.Fatalf("flat Add: %v", err)
-		}
-		collIDs, err := coll.Add(ctx, gs...)
-		if err != nil {
-			t.Fatalf("collection Add: %v", err)
-		}
-		for i := range flatIDs {
-			if flatIDs[i] != collIDs[i] {
-				t.Fatalf("Add ids diverge at %d: flat %d, collection %d", i, flatIDs[i], collIDs[i])
-			}
-		}
-		return collIDs
-	}
-	extra := storeTestDB(t, 8, 123)
-	collIDs := addBoth(extra)
-	removed := []int{2, 9, collIDs[1], collIDs[5]}
-	if err := flat.removeGlobal(removed); err != nil {
-		t.Fatalf("flat Remove: %v", err)
-	}
-	if err := coll.Remove(removed...); err != nil {
-		t.Fatalf("collection Remove: %v", err)
-	}
-
-	queries := []*Graph{db[0], extra[2], extra[5]}
-	check := func(label string) {
-		t.Helper()
-		for _, q := range queries {
-			for _, sopt := range []SearchOptions{
-				{K: 10},
-				{K: 50, Engine: EngineExact},
-				{K: 10, Engine: EngineVerified, VerifyFactor: 100},
-			} {
-				want, err := flat.Search(ctx, q, sopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := coll.Search(ctx, q, sopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, label+"/"+got.Engine.String(), got.Results, want.Results)
-			}
-			// Removed ids never come back.
-			res, err := coll.Search(ctx, q, SearchOptions{K: coll.Size() + 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range res.Results {
-				for _, dead := range removed {
-					if r.ID == dead {
-						t.Fatalf("%s: removed id %d returned by Search", label, dead)
-					}
-				}
-			}
-		}
-	}
-	check("after updates")
-
-	// Graph resolves live and tombstoned ids, and rejects unknown ones.
-	if g, ok := coll.Graph(removed[0]); !ok || g == nil {
-		t.Fatalf("Graph(%d) (tombstoned) not addressable", removed[0])
-	}
-	if _, ok := coll.Graph(coll.Stats().NextID + 3); ok {
-		t.Fatal("Graph beyond the id space resolved")
-	}
-	if _, ok := coll.Graph(-1); ok {
-		t.Fatal("Graph(-1) resolved")
-	}
-
-	if _, err := coll.Compact(ctx); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	check("after compact")
-	for _, id := range removed {
-		if _, ok := coll.Graph(id); ok {
-			t.Fatalf("Graph(%d) resolves after its slot was reclaimed", id)
-		}
-	}
-	if g, ok := coll.Graph(collIDs[0]); !ok || g != extra[0] {
-		t.Fatalf("live id %d lost its graph across Compact", collIDs[0])
-	}
-	more := storeTestDB(t, 6, 321)
-	queries = append(queries, more[0])
-	addBoth(more)
-	check("add after compact")
 }
 
 // TestStoreCompaction checks what Compact is: it reclaims tombstoned slots
@@ -645,58 +536,6 @@ func TestStoreCollectionLifecycle(t *testing.T) {
 	}
 	if _, ok := s.Collection("a"); ok {
 		t.Fatal("collection still reachable after Drop")
-	}
-}
-
-// TestCollectionDefaultsPersistOrAreRefused: a collection's defaults are
-// what its manifest can carry. Filters and Predicate do not persist, so
-// Create refuses them by name rather than let a reopen change what the
-// defaults say; the scalar fields round-trip a checkpoint and a reopen.
-// Search takes its options as given: the defaults are not overlaid.
-func TestCollectionDefaultsPersistOrAreRefused(t *testing.T) {
-	db := storeTestDB(t, 14, 15)
-	s, dir := newCheckpointStore(t)
-	ctx := context.Background()
-	for field, d := range map[string]SearchOptions{
-		"Defaults.Filters":   {K: 4, Filters: []*pipeline.Filter{{MinVertices: 2}}},
-		"Defaults.Predicate": {K: 4, Predicate: func(int, *Graph) bool { return true }},
-	} {
-		_, err := s.Create(ctx, "refused", db, CollectionOptions{Build: storeTestOptions(), Defaults: d})
-		if err == nil || !strings.Contains(err.Error(), field) {
-			t.Fatalf("Create with %s: err %v, want a refusal naming the field", field, err)
-		}
-	}
-
-	defaults := SearchOptions{K: 4, Engine: EngineVerified, VerifyFactor: 2, MaxCandidates: 5, Metric: MetricDelta1}
-	coll, err := s.Create(ctx, "d", db, CollectionOptions{Shards: 2, Build: storeTestOptions(), Defaults: defaults})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if _, err := coll.Search(ctx, db[0], SearchOptions{}); err == nil {
-		t.Fatal("Search with zero options succeeded: the defaults' K was overlaid")
-	}
-	res, err := coll.Search(ctx, db[0], SearchOptions{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != EngineMapped || len(res.Results) != 2 {
-		t.Fatalf("explicit options: engine %v with %d results, want mapped with 2", res.Engine, len(res.Results))
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	loaded, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	lc, ok := loaded.Collection("d")
-	if !ok {
-		t.Fatal("collection lost on reopen")
-	}
-	if got := lc.Defaults(); !reflect.DeepEqual(got, defaults) {
-		t.Fatalf("reopened defaults %+v, created with %+v", got, defaults)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -458,16 +459,37 @@ func TestFig7Buckets(t *testing.T) {
 	}
 }
 
+// minOfRuns calls run three times and returns, position by position, the
+// least of the durations it reports. The Fig. 7–9 gates compare two
+// timed sides of one figure; each run times both in turn, so the sides
+// interleave across the runs, and a side's minimum is its run least
+// disturbed by the rest of a loaded process. The gates' bounds stay the
+// figures' own.
+func minOfRuns(run func() []time.Duration) []time.Duration {
+	least := run()
+	for range 2 {
+		for i, d := range run() {
+			least[i] = min(least[i], d)
+		}
+	}
+	return least
+}
+
 // TestFig7Shape holds the paper's Fig. 7 claim at harness scale: in every
 // query-size bucket that holds a query, answering it in DSPM's mapped
 // space — VF2 mapping plus the scan — is at least 10× faster than
 // ranking the database by exact (budgeted) MCS.
 func TestFig7Shape(t *testing.T) {
 	ds := chemDS(t)
-	res, err := Fig7(ds, ds.Index.P/4, []int{10, 14, 18, 21}, 2)
-	if err != nil {
-		t.Fatalf("Fig7: %v", err)
-	}
+	var res *Fig7Result
+	times := minOfRuns(func() []time.Duration {
+		var err error
+		if res, err = Fig7(ds, ds.Index.P/4, []int{10, 14, 18, 21}, 2); err != nil {
+			t.Fatalf("Fig7: %v", err)
+		}
+		return slices.Concat(res.DSPM, res.Exact)
+	})
+	res.DSPM, res.Exact = times[:len(res.DSPM)], times[len(res.DSPM):]
 	buckets := 0
 	for b, name := range res.Buckets {
 		if res.Exact[b] == 0 {
@@ -496,10 +518,15 @@ func TestFig7Shape(t *testing.T) {
 func TestFig8Shape(t *testing.T) {
 	ds := chemDS(t)
 	n := len(ds.DB)
-	pts, err := Fig8(ds, 10, 4, []int{n / 8, n / 6, n / 4, n / 3, n / 2}, 1)
-	if err != nil {
-		t.Fatalf("Fig8: %v", err)
-	}
+	var pts []Fig8Point
+	times := minOfRuns(func() []time.Duration {
+		var err error
+		if pts, err = Fig8(ds, 10, 4, []int{n / 8, n / 6, n / 4, n / 3, n / 2}, 1); err != nil {
+			t.Fatalf("Fig8: %v", err)
+		}
+		return []time.Duration{pts[0].DSPMapIndexing, pts[0].DSPMIndexing}
+	})
+	pts[0].DSPMapIndexing, pts[0].DSPMIndexing = times[0], times[1]
 	mean := 0.0
 	for _, pt := range pts {
 		t.Logf("b=%d: DSPMap %.3f in %v, DSPM %.3f in %v", pt.B, pt.DSPMapPrec, pt.DSPMapIndexing, pt.DSPMPrec, pt.DSPMIndexing)
@@ -519,14 +546,24 @@ func TestFig8Shape(t *testing.T) {
 func TestFig9Shape(t *testing.T) {
 	cfg := tiny()
 	algos := []Algorithm{DSPMAlgorithm(core.Config{}), timedSelector(baselines.Original{})}
-	pts, err := Fig9([]int{30, 60, 90}, cfg, algos, 10, 3, 1)
-	if err != nil {
-		t.Fatalf("Fig9: %v", err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("Fig9 returned %d points, want 3", len(pts))
-	}
-	for _, pt := range pts {
+	var pts []Fig9Point
+	times := minOfRuns(func() []time.Duration {
+		var err error
+		if pts, err = Fig9([]int{30, 60, 90}, cfg, algos, 10, 3, 1); err != nil {
+			t.Fatalf("Fig9: %v", err)
+		}
+		if len(pts) != 3 {
+			t.Fatalf("Fig9 returned %d points, want 3", len(pts))
+		}
+		var ts []time.Duration
+		for _, pt := range pts {
+			ts = append(ts, pt.IndexingByAlgo["DSPMap"], pt.IndexingByAlgo["DSPM"], pt.DSPMapQuery, pt.ExactQuery)
+		}
+		return ts
+	})
+	for i, pt := range pts {
+		pt.IndexingByAlgo["DSPMap"], pt.IndexingByAlgo["DSPM"] = times[4*i], times[4*i+1]
+		pt.DSPMapQuery, pt.ExactQuery = times[4*i+2], times[4*i+3]
 		t.Logf("|DG|=%d: DSPMap query %v, exact %v; indexing DSPMap %v, DSPM %v; precision DSPMap %.3f, DSPM %.3f, Original %.3f",
 			pt.N, pt.DSPMapQuery, pt.ExactQuery, pt.IndexingByAlgo["DSPMap"], pt.IndexingByAlgo["DSPM"],
 			pt.Precision["DSPMap"], pt.Precision["DSPM"], pt.Precision["Original"])

@@ -39,13 +39,14 @@ type Config struct {
 	// not impose a response timeout (the tail stream is unbounded).
 	Client *http.Client
 
-	// MinBackoff/MaxBackoff bound the jittered reconnect delay.
-	// Defaults: 100ms and 5s.
-	MinBackoff time.Duration
-	MaxBackoff time.Duration
-	// BatchMax caps how many records are buffered before Apply is
-	// called mid-stream. Default 64.
-	BatchMax int
+	// The rest are hooks for this package's tests, unexported so callers
+	// cannot reach them; zero selects the default. minBackoff and
+	// maxBackoff bound the jittered reconnect delay (100ms and 5s);
+	// batchMax caps how many records are buffered before Apply is called
+	// mid-stream (64).
+	minBackoff time.Duration
+	maxBackoff time.Duration
+	batchMax   int
 }
 
 // Status is a point-in-time snapshot of a Tailer, for metrics and
@@ -84,14 +85,14 @@ func NewTailer(cfg Config) (*Tailer, error) {
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
 	}
-	if cfg.MinBackoff <= 0 {
-		cfg.MinBackoff = 100 * time.Millisecond
+	if cfg.minBackoff <= 0 {
+		cfg.minBackoff = 100 * time.Millisecond
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
+	if cfg.maxBackoff <= 0 {
+		cfg.maxBackoff = 5 * time.Second
 	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 64
+	if cfg.batchMax <= 0 {
+		cfg.batchMax = 64
 	}
 	return &Tailer{cfg: cfg}, nil
 }
@@ -112,7 +113,7 @@ func (t *Tailer) Status() Status {
 // ctx.Err().
 func (t *Tailer) Run(ctx context.Context) error {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	backoff := t.cfg.MinBackoff
+	backoff := t.cfg.minBackoff
 	for {
 		madeProgress, err := t.tailOnce(ctx)
 		if ctx.Err() != nil {
@@ -134,7 +135,7 @@ func (t *Tailer) Run(ctx context.Context) error {
 			}
 		})
 		if madeProgress {
-			backoff = t.cfg.MinBackoff
+			backoff = t.cfg.minBackoff
 		}
 		// Jittered exponential backoff: sleep in [backoff/2, backoff).
 		delay := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
@@ -143,8 +144,8 @@ func (t *Tailer) Run(ctx context.Context) error {
 			return ctx.Err()
 		case <-time.After(delay):
 		}
-		if backoff *= 2; backoff > t.cfg.MaxBackoff {
-			backoff = t.cfg.MaxBackoff
+		if backoff *= 2; backoff > t.cfg.maxBackoff {
+			backoff = t.cfg.maxBackoff
 		}
 	}
 }
@@ -235,7 +236,7 @@ func (t *Tailer) tailOnce(ctx context.Context) (progress bool, err error) {
 					st.LastProgress = time.Now()
 				})
 			}
-			if len(batch) >= t.cfg.BatchMax {
+			if len(batch) >= t.cfg.batchMax {
 				if err := flush(); err != nil {
 					return progress, err
 				}

@@ -236,7 +236,7 @@ func TestTailerStreamsAppliesAndAcks(t *testing.T) {
 	app := &memApplier{}
 	tl, err := NewTailer(Config{
 		PrimaryURL: srv.URL, Collection: "c", FollowerID: "f1", Applier: app,
-		MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, BatchMax: 3,
+		minBackoff: time.Millisecond, maxBackoff: 5 * time.Millisecond, batchMax: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +355,7 @@ func TestTailerRetriesAfterApplyFailure(t *testing.T) {
 	app := &memApplier{failOn: 3}
 	tl, err := NewTailer(Config{
 		PrimaryURL: srv.URL, Collection: "c", FollowerID: "f1", Applier: app,
-		MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, BatchMax: 1,
+		minBackoff: time.Millisecond, maxBackoff: 5 * time.Millisecond, batchMax: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +420,7 @@ func TestTailerStopsAtUnreadableRecord(t *testing.T) {
 	app := &memApplier{}
 	tl, err := NewTailer(Config{
 		PrimaryURL: srv.URL, Collection: "c", FollowerID: "f1", Applier: app,
-		MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
+		minBackoff: time.Millisecond, maxBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
