@@ -90,6 +90,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -152,11 +153,25 @@ func main() {
 		// The production path: open (or initialize) the durable store.
 		// OpenStore replays each collection's WAL tail, so writes the
 		// previous process acknowledged are back — checkpointed or not.
+		t0 := time.Now()
 		store, err = graphdim.OpenOrCreateStore(*data, storeOpts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("opened store %s: %d collections %v", *data, len(store.Collections()), store.Collections())
+		opened := time.Since(t0)
+		m.storeOpenSeconds = opened.Seconds()
+		// A collection's replayed records are its log tail past its
+		// checkpoint, which the open has just applied.
+		names := store.Collections()
+		replayed := make([]string, 0, len(names))
+		for _, name := range names {
+			c, _ := store.Collection(name)
+			if st := c.Stats().WAL; st != nil {
+				replayed = append(replayed, fmt.Sprintf("%s=%d", name, st.LastSeq-st.CheckpointSeq))
+			}
+		}
+		log.Printf("opened store %s in %v: %d collections %v, log records replayed %v",
+			*data, opened.Round(time.Microsecond), len(names), names, replayed)
 	} else {
 		store = graphdim.NewStore(storeOpts)
 		log.Printf("no -data directory: online writes are volatile and lost on restart")

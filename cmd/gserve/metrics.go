@@ -25,6 +25,10 @@ type serverMetrics struct {
 
 	mu      sync.Mutex
 	latency map[[2]string]*metrics.Histogram // {series, label value} → latency, ns
+
+	// storeOpenSeconds is the wall time of the startup OpenOrCreateStore,
+	// 0 without -data. main sets it before the server starts.
+	storeOpenSeconds float64
 }
 
 func newServerMetrics() *serverMetrics {
@@ -38,6 +42,9 @@ func newServerMetrics() *serverMetrics {
 		"time spent inside one WAL fsync", m.fsync, 1e-9)
 	m.reg.Summary("gserve_wal_group_commit_records", "",
 		"records committed per WAL fsync (1 for a primary's append, the mirrored batch on a follower)", m.syncRecords, 1)
+	m.reg.Gauge("gserve_store_open_seconds", "",
+		"wall time of the startup store open, log replay included (0 without -data)",
+		func() float64 { return m.storeOpenSeconds })
 	return m
 }
 

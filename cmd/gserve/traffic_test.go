@@ -532,6 +532,7 @@ func TestMetricsEndpointShape(t *testing.T) {
 		`gserve_http_requests_total{code="200",endpoint="add"}`,
 		`gserve_http_requests_total{code="200",endpoint="search"}`,
 		`gserve_http_requests_total{code="429",endpoint="search"}`,
+		`gserve_store_open_seconds`,
 		`gserve_wal_fsync_duration_seconds_count`,
 		`gserve_wal_fsync_duration_seconds_sum`,
 		`gserve_wal_fsync_duration_seconds{quantile="0.5"}`,
@@ -557,6 +558,7 @@ func TestMetricsEndpointShape(t *testing.T) {
 		`gserve_admission_rejected_total{collection="default",lane="read"}`: 1,
 		`gserve_http_request_duration_seconds_count{endpoint="search"}`:     3,
 		`gserve_http_request_duration_seconds_count{endpoint="add"}`:        1,
+		`gserve_store_open_seconds`:                                         0, // no -data
 	}
 	for name, wantV := range checks {
 		if values[name] != wantV {

@@ -13,7 +13,7 @@
 // Collection.Remove without re-running DSPM, a Compact that reclaims
 // tombstoned slots without changing a ranking while readers keep
 // serving, and the one persisted
-// form of an index: a store directory (a manifest plus one v5 segment
+// form of an index: a store directory (a manifest plus one v6 segment
 // file per shard) that only Checkpoint writes and OpenStore serves.
 // Stores opened against a data directory (OpenStore, CreateStore,
 // OpenOrCreateStore) are durable: adds and removes are write-ahead

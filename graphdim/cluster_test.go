@@ -1,8 +1,9 @@
 package graphdim
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/segment"
 )
 
 // TestClusteredTiesRankLikeUnclustered: a split and a Compact store a
@@ -120,7 +122,8 @@ func TestClusteredTiesRankLikeUnclustered(t *testing.T) {
 // ids in lane order, which a split or Compact clusters, so an open does
 // not require it sorted. It requires each id once, on the shard it places
 // on: a table that repeats an id, or holds an id of another shard, is
-// refused by name.
+// refused by name. The table is the segment's ids section; each bad one
+// is written there under restamped checksums, so the file itself opens.
 func TestOpenStoreChecksIDTables(t *testing.T) {
 	s, dir := newCheckpointStore(t)
 	ix, _ := equivBuild(t, rand.New(rand.NewSource(5)), 60)
@@ -131,16 +134,24 @@ func TestOpenStoreChecksIDTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	path := filepath.Join(dir, manifestName)
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	paths := make([]string, 2)
+	good := make([][]byte, 2)
+	tables := make([][]int, 2)
+	for i := range paths {
+		files, err := filepath.Glob(filepath.Join(dir, "c", fmt.Sprintf("shard-%04d-*.gdx", i)))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("shard %d files: %v %v", i, files, err)
+		}
+		paths[i] = files[0]
+		if good[i], err = os.ReadFile(files[0]); err != nil {
+			t.Fatal(err)
+		}
+		r, err := segment.NewReader(good[i], false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i], _ = r.IDs()
 	}
-	var man storeManifest
-	if err := json.Unmarshal(good, &man); err != nil {
-		t.Fatal(err)
-	}
-	tables := man.Collections[0].ShardGlobals
 	if slices.IsSorted(tables[0]) && slices.IsSorted(tables[1]) {
 		t.Fatalf("id tables %v are in id order: the split did not cluster them", tables)
 	}
@@ -150,29 +161,28 @@ func TestOpenStoreChecksIDTables(t *testing.T) {
 		re.Close()
 	}
 
+	// idsSection returns where shard 0's ids section starts in data.
+	idsSection := func(data []byte) int {
+		tr := data[len(data)-segmentTrailerSize:]
+		return int(binary.LittleEndian.Uint64(tr[5*8:]))
+	}
 	for name, c := range map[string]struct {
-		edit func(tables [][]int)
-		want string
+		lane, id int
+		want     string
 	}{
 		"repeated id": {
-			func(tables [][]int) { tables[0][2] = tables[0][0] },
+			2, tables[0][0],
 			fmt.Sprintf("shard 0: id %d appears twice in its id table", tables[0][0]),
 		},
 		"id of another shard": {
-			func(tables [][]int) { tables[0][1] = tables[1][0] },
+			1, tables[1][0],
 			fmt.Sprintf("shard 0: id %d places on shard 1", tables[1][0]),
 		},
 	} {
-		var bad storeManifest
-		if err := json.Unmarshal(good, &bad); err != nil {
-			t.Fatal(err)
-		}
-		c.edit(bad.Collections[0].ShardGlobals)
-		data, err := json.Marshal(bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		bad := bytes.Clone(good[0])
+		binary.LittleEndian.PutUint32(bad[idsSection(bad)+4*c.lane:], uint32(c.id))
+		restampSegment(bad)
+		if err := os.WriteFile(paths[0], bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		re, err := OpenStore(dir, StoreOptions{})

@@ -184,13 +184,19 @@ func (s *Store) attachWAL(c *Collection, checkpointed uint64) error {
 }
 
 // replayWAL applies the log tail after seq onto the collection's
-// just-loaded checkpoint state, through the applier a follower also
-// drives. Replay is deterministic — the VF2 mapping depends only on the
-// graph and the dimension set — so the recovered state is bit-identical
-// to the pre-crash committed state.
+// just-loaded checkpoint state as one batch, through the applier a
+// follower also drives. Replay is deterministic — the VF2 mapping depends
+// only on the graph and the dimension set — so the recovered state is
+// bit-identical to the pre-crash committed state.
 func (c *Collection) replayWAL(seq uint64) error {
-	ctx := context.Background()
-	if err := c.wal.Replay(seq, func(rec wal.Record) error { return c.apply(ctx, rec) }); err != nil {
+	var recs []wal.Record
+	if err := c.wal.Replay(seq, func(rec wal.Record) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		return err
+	}
+	if err := c.apply(context.Background(), recs...); err != nil {
 		return err
 	}
 	// Everything in the log is now reflected in shard state, so the
@@ -199,28 +205,82 @@ func (c *Collection) replayWAL(seq uint64) error {
 	return nil
 }
 
-// apply lands one logged record in shard state — the one applier, for
-// crash replay and for a follower's stream alike — and advances the
-// applied watermark to it. A logged add always lands in full: once its
+// shardBatch is one shard's share of a batch of logged records: the graphs
+// it gains, with their global ids, and the global ids it tombstones.
+type shardBatch struct {
+	graphs  []*Graph
+	ids     []int
+	removed []int
+}
+
+// apply lands logged records in shard state as one batch — the one
+// applier, for crash replay and for a follower's stream alike — and
+// advances the applied watermark to the last of them. It checks the
+// whole batch before it maps a graph: an add must start at the next id,
+// and a remove must name ids assigned before its own record and not
+// removed since, so an invalid log is refused by the record at fault and
+// no shard publishes any of it. Then every added graph is mapped in one
+// fan-out under the store budget, and each shard publishes once: its new
+// lanes, then its tombstones. A logged add always lands in full: once its
 // record is appended, Collection.Add cannot fail.
-func (c *Collection) apply(ctx context.Context, rec wal.Record) error {
-	switch rec.Type {
-	case wal.TypeAdd:
-		vecs, err := c.mapBatch(ctx, rec.Graphs)
-		if err != nil {
-			return fmt.Errorf("graphdim: replaying add batch at id %d: %w", rec.First, err)
-		}
-		c.applyAdd(rec.First, rec.Graphs, vecs)
-		if next := int64(rec.First + len(rec.Graphs)); next > c.nextID.Load() {
-			c.nextID.Store(next)
-		}
-	case wal.TypeRemove:
-		if err := c.applyRemove(rec.IDs); err != nil {
-			return fmt.Errorf("graphdim: replaying wal record %d: %w", rec.Seq, err)
-		}
-	default:
-		return fmt.Errorf("graphdim: wal record %d has unknown type %d", rec.Seq, rec.Type)
+func (c *Collection) apply(ctx context.Context, recs ...wal.Record) error {
+	if len(recs) == 0 {
+		return nil
 	}
-	c.applied.Store(rec.Seq)
+	plan := make([]shardBatch, len(c.shards))
+	snaps := make([]*snapshot, len(c.shards))
+	for i, sh := range c.shards {
+		snaps[i] = sh.snap.Load()
+	}
+	// The batch's adds assign the ids [first, next), in log order.
+	first := c.nextID.Load()
+	next := first
+	removed := make(map[int]bool)
+	for _, rec := range recs {
+		switch rec.Type {
+		case wal.TypeAdd:
+			if int64(rec.First) != next {
+				return fmt.Errorf("graphdim: replaying wal record %d: add at id %d, the next id is %d", rec.Seq, rec.First, next)
+			}
+			for i, g := range rec.Graphs {
+				id := rec.First + i
+				sb := &plan[placeID(id, len(c.shards))]
+				sb.graphs, sb.ids = append(sb.graphs, g), append(sb.ids, id)
+			}
+			next += int64(len(rec.Graphs))
+		case wal.TypeRemove:
+			for _, id := range rec.IDs {
+				sh := placeID(id, len(c.shards))
+				local := snaps[sh].localOf(id)
+				switch {
+				case local < 0 && (int64(id) < first || int64(id) >= next):
+					return fmt.Errorf("graphdim: replaying wal record %d: remove on shard %d: id %d not in store", rec.Seq, sh, id)
+				case removed[id] || local >= 0 && snaps[sh].isDead(local):
+					return fmt.Errorf("graphdim: replaying wal record %d: remove on shard %d: id %d already removed", rec.Seq, sh, id)
+				}
+				removed[id] = true
+				plan[sh].removed = append(plan[sh].removed, id)
+			}
+		default:
+			return fmt.Errorf("graphdim: wal record %d has unknown type %d", rec.Seq, rec.Type)
+		}
+	}
+	// One fan-out maps every added graph, each shard's share contiguous.
+	var graphs []*Graph
+	for _, sb := range plan {
+		graphs = append(graphs, sb.graphs...)
+	}
+	vecs, err := c.mapBatch(ctx, graphs)
+	if err != nil {
+		return fmt.Errorf("graphdim: replaying %d logged graphs: %w", len(graphs), err)
+	}
+	for i, sb := range plan {
+		if len(sb.ids)+len(sb.removed) > 0 {
+			c.shards[i].publish(sb, vecs[:len(sb.graphs)])
+		}
+		vecs = vecs[len(sb.graphs):]
+	}
+	c.nextID.Store(next)
+	c.applied.Store(recs[len(recs)-1].Seq)
 	return nil
 }

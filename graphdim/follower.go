@@ -19,9 +19,9 @@ import (
 // applied, AckSeq (what the follower tells the primary it can truncate)
 // is the mirrored tail, and a restart is just a normal OpenStore — the
 // local checkpoint plus local log replay reconstruct exactly the
-// mirrored prefix, wherever the kill landed. Every record applies as it
-// arrives, so the applied watermark (AppliedSeq) reaches the mirrored
-// tail when Apply returns.
+// mirrored prefix, wherever the kill landed. Each batch applies as one,
+// so the applied watermark (AppliedSeq) reaches the mirrored tail when
+// Apply returns.
 //
 // Methods are not safe for concurrent use with each other — one tailer
 // goroutine drives the applier — but coexist with searches, checkpoints
@@ -43,12 +43,12 @@ func (c *Collection) Replica() (*ReplicaApplier, error) {
 }
 
 // Apply mirrors recs into the local log and replays them into shard
-// state. Records must continue the mirrored sequence exactly (the
-// stream's resume-after-AckSeq contract). After a replay failure the
-// applier is poisoned: the mirrored log is ahead of shard state in a
-// way only a restart (which replays the log from the checkpoint)
-// reconciles, so every later call fails fast rather than applying
-// records out of order.
+// state as one batch. Records must continue the mirrored sequence
+// exactly (the stream's resume-after-AckSeq contract). A batch the
+// applier refuses publishes none of its records, and poisons the
+// applier: the mirrored log is ahead of shard state in a way only a
+// restart (which replays the log from the checkpoint) reconciles, so
+// every later call fails fast rather than applying records out of order.
 func (r *ReplicaApplier) Apply(ctx context.Context, recs []wal.Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -64,11 +64,9 @@ func (r *ReplicaApplier) Apply(ctx context.Context, recs []wal.Record) error {
 		// the tailer may retry the same batch.
 		return fmt.Errorf("graphdim: mirroring wal records: %w", err)
 	}
-	for _, rec := range recs {
-		if err := c.apply(ctx, rec); err != nil {
-			r.broken = err
-			return err
-		}
+	if err := c.apply(ctx, recs...); err != nil {
+		r.broken = err
+		return err
 	}
 	return nil
 }

@@ -427,9 +427,9 @@ func (s *snapshot) staleRatio() float64 {
 // tile section (aliased in place when the reader is a mapping), with its
 // zone map derived from those tiles, and the snapshot keeps nil graph
 // placeholders that fault payloads in through the reader. globals is the
-// manifest's id table for a shard file, nil for a plain index; the
-// caller checks its ids are in range and checks it against the segment's
-// extent. It is adopted as in newSnapshot.
+// shard's id table — the segment's own, or its manifest's for a v5 file;
+// the caller checks its ids are in range and checks it against the
+// segment's extent. It is adopted as in newSnapshot.
 func snapshotFromSegment(r *segment.Reader, globals []int) (*snapshot, error) {
 	n, baseN := r.N(), r.Meta().BaseN
 	if baseN < 0 || baseN > n {

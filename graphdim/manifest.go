@@ -10,16 +10,19 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/segment"
 	"repro/internal/wal"
 )
 
 // A store directory is the one persisted form of an index, and
 // Checkpoint (with the create, drop and CreateStore calls that run one)
 // is the one thing that writes it: a store.json manifest naming every
-// collection, its shard layout and cache bounds, and the local→global id
-// table of each shard, next to one segment file per shard
-// (<dir>/<collection>/shard-NNNN-*.gdx). Shard files carry no ids of
-// their own — the manifest's tables are authoritative.
+// collection, its shard layout and cache bounds, next to one segment file
+// per shard (<dir>/<collection>/shard-NNNN-*.gdx) that carries the
+// shard's local→global id table in its ids section. Manifests of earlier
+// releases held those tables instead, beside v5 shard files that have
+// none; such a store opens, and its next checkpoint moves the tables
+// into the segments.
 
 const (
 	manifestName    = "store.json"
@@ -51,10 +54,11 @@ type collectionManifest struct {
 	// are never truncated or overwritten — a crash mid-checkpoint leaves the
 	// previous generation fully intact.
 	ShardFiles []string `json:"shard_files"`
-	// ShardGlobals[i] is shard i's local→global table: each of its ids
-	// once, each placing on shard i, in the shard's lane order (clustered
-	// where a Compact or split rewrote the shard, so not sorted).
-	ShardGlobals [][]int `json:"shard_globals"`
+	// ShardGlobals[i] is shard i's local→global table, as a manifest of
+	// an earlier release wrote it beside v5 shard files; a checkpoint
+	// writes none, as each v6 segment holds its own table (see
+	// loadCollection).
+	ShardGlobals [][]int `json:"shard_globals,omitempty"`
 	// WALSeq is the write-ahead-log sequence number this snapshot covers:
 	// every logged record with a sequence <= WALSeq is already reflected
 	// in the shard files, so opening the store replays only the records
@@ -159,11 +163,10 @@ func (s *Store) checkpointLocked(extra *Collection) (err error) {
 			return fmt.Errorf("graphdim: checkpoint: %w", err)
 		}
 		cm := collectionManifest{
-			Name:         c.name,
-			Shards:       len(c.shards),
-			Cache:        cacheManifest{MaxEntries: c.cacheOpt.MaxEntries, MaxBytes: c.cacheOpt.MaxBytes},
-			ShardFiles:   make([]string, len(c.shards)),
-			ShardGlobals: make([][]int, len(c.shards)),
+			Name:       c.name,
+			Shards:     len(c.shards),
+			Cache:      cacheManifest{MaxEntries: c.cacheOpt.MaxEntries, MaxBytes: c.cacheOpt.MaxBytes},
+			ShardFiles: make([]string, len(c.shards)),
 		}
 		// The writer lock is held only while the per-shard snapshot
 		// pointers are captured — O(shards), not for the (slow) encode
@@ -193,9 +196,6 @@ func (s *Store) checkpointLocked(extra *Collection) (err error) {
 		errs := make([]error, len(c.shards))
 		_ = s.budget.ForContext(context.Background(), len(c.shards), func(i int) {
 			cm.ShardFiles[i], errs[i] = c.shards[i].writeShardImage(cdir, i, images[i])
-			// A copy, as the table always was: an empty one persists as
-			// null, a loaded one as the list it was read from.
-			cm.ShardGlobals[i] = append([]int(nil), images[i].globals...)
 		})
 		// Collect every file the fan-out created before acting on any
 		// error: the cleanup must see them all, or a failed checkpoint
@@ -213,8 +213,6 @@ func (s *Store) checkpointLocked(extra *Collection) (err error) {
 		man.Collections = append(man.Collections, cm)
 	}
 
-	// Compact: the id tables are most of the manifest, and indenting puts
-	// every id on a line of its own.
 	data, err := json.Marshal(&man)
 	if err != nil {
 		return fmt.Errorf("graphdim: checkpoint: %w", err)
@@ -439,7 +437,9 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	if cm.Shards < 1 || cm.Shards > maxShards {
 		return nil, fmt.Errorf("shard count %d outside [1,%d]", cm.Shards, maxShards)
 	}
-	if len(cm.ShardGlobals) != cm.Shards {
+	// A manifest holds every shard's id table (an earlier release's, over
+	// v5 shard files) or none.
+	if cm.ShardGlobals != nil && len(cm.ShardGlobals) != cm.Shards {
 		return nil, fmt.Errorf("%d id tables for %d shards", len(cm.ShardGlobals), cm.Shards)
 	}
 	// A global id is the rank a scan packs into 32 bits (topk.Order).
@@ -473,35 +473,7 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	c.nextID.Store(int64(cm.NextID))
 	errs := make([]error, cm.Shards)
 	_ = s.budget.ForContext(context.Background(), cm.Shards, func(i int) {
-		errs[i] = func() error {
-			// Open by path, so the shard is mapped in place rather
-			// than read through the heap.
-			globals := cm.ShardGlobals[i]
-			for _, g := range globals {
-				if g < 0 || g >= cm.NextID {
-					return fmt.Errorf("shard %d: id %d outside [0,%d)", i, g, cm.NextID)
-				}
-				if placeID(g, cm.Shards) != i {
-					return fmt.Errorf("shard %d: id %d places on shard %d", i, g, placeID(g, cm.Shards))
-				}
-			}
-			idx, err := openSegmentIndex(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), globals)
-			if err != nil {
-				return err
-			}
-			snap := idx.snap.Load()
-			if n := len(snap.db); len(globals) != n {
-				return fmt.Errorf("shard %d: %d ids in manifest for %d graphs", i, len(globals), n)
-			}
-			// byGlobal sorts the table: a repeated id sits beside its twin.
-			for j := 1; j < len(snap.byGlobal); j++ {
-				if g := globals[snap.byGlobal[j]]; g == globals[snap.byGlobal[j-1]] {
-					return fmt.Errorf("shard %d: id %d appears twice in its id table", i, g)
-				}
-			}
-			c.shards[i] = idx
-			return nil
-		}()
+		c.shards[i], errs[i] = openShard(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), i, cm.ShardGlobals)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -518,5 +490,62 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 			return nil, fmt.Errorf("shard %d holds a different dimension set than shard 0 — compacted by an earlier release; re-create the collection", i+1)
 		}
 	}
+	for i, sh := range c.shards {
+		if err := checkIDTable(sh.snap.Load(), i, cm.Shards, cm.NextID); err != nil {
+			return nil, err
+		}
+	}
 	return c, nil
+}
+
+// openShard opens shard i's file by path, so it is mapped in place rather
+// than read through the heap, and serves it under its id table: a v6
+// segment's own, or a v5 file's from tables, the manifest's. A v6 file
+// under a manifest that holds tables, or a v5 file under one that does
+// not, is refused.
+func openShard(path string, i int, tables [][]int) (*Index, error) {
+	r, err := segment.Open(path, segment.Options{Map: true})
+	if err != nil {
+		return nil, err
+	}
+	globals, own := r.IDs()
+	switch {
+	case own && tables != nil:
+		err = fmt.Errorf("shard %d: the manifest holds an id table for a v6 segment, which carries its own", i)
+	case !own && tables == nil:
+		err = fmt.Errorf("shard %d: a v5 segment, and no id table for it in the manifest", i)
+	case !own:
+		globals = tables[i]
+	}
+	if err != nil {
+		r.Close()
+		return nil, err
+	}
+	return indexFromSegment(r, globals)
+}
+
+// checkIDTable checks shard i's id table, as snap serves it: one id per
+// lane, each below next, each placing on shard i, none twice. The table
+// is in lane order, which a split or Compact clusters, so it need not be
+// sorted.
+func checkIDTable(snap *snapshot, i, shards, next int) error {
+	globals := snap.globals
+	if n := len(snap.db); len(globals) != n {
+		return fmt.Errorf("shard %d: %d ids in its id table for %d graphs", i, len(globals), n)
+	}
+	for _, g := range globals {
+		if g < 0 || g >= next {
+			return fmt.Errorf("shard %d: id %d outside [0,%d)", i, g, next)
+		}
+		if placeID(g, shards) != i {
+			return fmt.Errorf("shard %d: id %d places on shard %d", i, g, placeID(g, shards))
+		}
+	}
+	// byGlobal sorts the table: a repeated id sits beside its twin.
+	for j := 1; j < len(snap.byGlobal); j++ {
+		if g := globals[snap.byGlobal[j]]; g == globals[snap.byGlobal[j-1]] {
+			return fmt.Errorf("shard %d: id %d appears twice in its id table", i, g)
+		}
+	}
+	return nil
 }

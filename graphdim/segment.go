@@ -1,13 +1,14 @@
 package graphdim
 
 // This file bridges the collection layer to internal/segment, the on-disk
-// format: checkpoints stream each shard's snapshot out as a v5 segment
-// (writeSegment) — its vectors, tombstones and graphs, nothing derivable
-// from them — and opens serve a v5 segment back in place: the tile
-// section IS the scan block, and graph payloads are decoded on first
-// demand (snapshotFromSegment). Zone maps are rebuilt from the tiles,
-// never read from the file. v5 is the one format read: a shard file of an
-// older generation is refused by name.
+// format: checkpoints stream each shard's snapshot out as a v6 segment
+// (writeSegment) — its vectors, tombstones, graphs and lane→global id
+// table, nothing derivable from them — and opens serve a segment back in
+// place: the tile section IS the scan block, and graph payloads are
+// decoded on first demand (snapshotFromSegment). Zone maps are rebuilt
+// from the tiles, never read from the file. A v5 shard file, written by
+// an earlier release, opens too, under the id table its manifest holds;
+// a shard file of an older generation is refused by name.
 
 import (
 	"bytes"
@@ -53,7 +54,7 @@ func (ss *segSource) graphAt(id int) (*Graph, error) {
 	return ss.graphs[id].Load(), nil
 }
 
-// writeSegment streams snapshot s as a v5 segment. The tile section is
+// writeSegment streams snapshot s as a v6 segment. The tile section is
 // written in exactly the layout the scan kernel consumes, so a later
 // mapped open serves queries from the file bytes with zero rehydration.
 // When s itself is served from a mapped segment, unmodified graph
@@ -74,6 +75,14 @@ func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
 		return append([]byte(nil), buf.Bytes()...), nil
 	}
 
+	ids := s.globals
+	if ids == nil {
+		// A stand-alone index: each id is its own global id.
+		ids = make([]int, len(s.db))
+		for i := range ids {
+			ids[i] = i
+		}
+	}
 	return segment.Write(w, segment.Payload{
 		Meta: segment.Meta{
 			Metric:    byte(ix.metric),
@@ -84,24 +93,20 @@ func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
 		},
 		Block: s.block,
 		Dead:  s.dead,
+		IDs:   ids,
 		Graph: graphBytes,
 	})
 }
 
-// openSegmentIndex opens a shard file by path, serving it under globals,
-// the manifest's id table for the shard: the dimension set and codec
-// parameters come from the segment's meta section, the snapshot from its
-// data sections (see snapshotFromSegment). The file is mapped where the
-// platform supports mmap and read into one heap buffer elsewhere; either
-// way segment.Open has verified its checksums, and the index serves
-// through the same lazy segment path.
-func openSegmentIndex(path string, globals []int) (*Index, error) {
-	r, err := segment.Open(path, segment.Options{Map: true})
-	if err != nil {
-		return nil, err
-	}
+// indexFromSegment serves an opened segment — mapped or read into one
+// heap buffer, its checksums verified by segment.Open — as an index under
+// globals, the shard's id table (see snapshotFromSegment): the dimension
+// set and codec parameters come from the segment's meta section. On error
+// r is closed.
+func indexFromSegment(r *segment.Reader, globals []int) (*Index, error) {
 	m := r.Meta()
 	var snap *snapshot
+	var err error
 	if m.Metric > byte(Delta2) {
 		err = fmt.Errorf("graphdim: corrupt segment: unknown metric %d", m.Metric)
 	} else {

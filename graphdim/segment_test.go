@@ -3,7 +3,6 @@ package graphdim
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -24,6 +23,19 @@ import (
 func snapSeg(c *Collection, shard int) (*snapshot, *segSource) {
 	s := c.shards[shard].snap.Load()
 	return s, s.seg
+}
+
+// openSegmentIndex opens a segment file by path as an index served under
+// globals, or under the segment's own id table when globals is nil.
+func openSegmentIndex(path string, globals []int) (*Index, error) {
+	r, err := segment.Open(path, segment.Options{Map: true})
+	if err != nil {
+		return nil, err
+	}
+	if globals == nil {
+		globals, _ = r.IDs()
+	}
+	return indexFromSegment(r, globals)
 }
 
 // checkpointedShard builds a 1-shard collection of n graphs in a fresh
@@ -55,9 +67,9 @@ func checkpointedShard(t *testing.T, n int) (db []*Graph, dir, path string, data
 	return db, dir, shards[0], data
 }
 
-// segmentTrailerSize is the v5 segment trailer's length; its last 16
+// segmentTrailerSize is the v6 segment trailer's length; its last 16
 // bytes are the body crc, the trailer crc and the trailer magic.
-const segmentTrailerSize = 80
+const segmentTrailerSize = 88
 
 // restampSegment recomputes a segment's body and trailer checksums in
 // place, so a deliberately changed body passes the open's checksum pass.
@@ -236,22 +248,15 @@ func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
 
 	// Overwrite the leading vertex-count varint of graph `victim` with a
 	// count no graph may have, so graph.ReadBinary refuses the payload.
-	// The shard's lanes are clustered: the manifest's id table says which
+	// The shard's lanes are clustered: the segment's id table says which
 	// lane holds the victim.
 	const victim = 7
-	manData, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var man storeManifest
-	if err := json.Unmarshal(manData, &man); err != nil {
-		t.Fatal(err)
-	}
-	lane := slices.Index(man.Collections[0].ShardGlobals[0], victim)
 	r, err := segment.NewReader(data, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ids, _ := r.IDs()
+	lane := slices.Index(ids, victim)
 	blob, err := r.GraphBytes(lane)
 	if err != nil {
 		t.Fatal(err)

@@ -687,9 +687,9 @@ func (c *Collection) mapBatch(ctx context.Context, gs []*Graph) ([]*vecspace.Bit
 	return mapBatch(ctx, c.shards[0].mapper, gs, c.store.budget.ForContext)
 }
 
-// applyAdd lands one logged add batch on the shards — the one way an Add,
-// crash replay and a follower publish graphs — and returns its global
-// ids. gs[i] carries global id first+i and is already mapped to vecs[i]
+// applyAdd lands an Add's logged batch on the shards and returns its
+// global ids (crash replay and a follower land logged records through
+// Collection.apply). gs[i] carries global id first+i and is already mapped to vecs[i]
 // (see mapBatch). Each shard publishes its share atomically; no VF2 runs
 // here and nothing can fail.
 func (c *Collection) applyAdd(first int, gs []*Graph, vecs []*vecspace.BitVector) []int {
@@ -711,8 +711,8 @@ func (c *Collection) applyAdd(first int, gs []*Graph, vecs []*vecspace.BitVector
 	return ids
 }
 
-// applyRemove tombstones global ids on the shards they place on — the
-// one way a Remove, crash replay and a follower publish removals.
+// applyRemove tombstones global ids on the shards they place on — a
+// Remove's half after its validation.
 func (c *Collection) applyRemove(ids []int) error {
 	for sh, part := range partition(ids, len(c.shards)) {
 		if len(part) == 0 {

@@ -75,6 +75,30 @@ func (ix *Index) add(gs []*Graph, vecs []*vecspace.BitVector, globals []int) int
 	return len(cur.db)
 }
 
+// publish lands a shard's share of a batch of logged records (see
+// Collection.apply) as one snapshot and one generation: its graphs,
+// mapped to vecs, take the next lanes under their global ids, then its
+// removed ids are tombstoned — ids the batch checked are live, some
+// perhaps just appended. A reclaim never drops a live id, so each still
+// resolves under the writer lock.
+func (ix *Index) publish(sb shardBatch, vecs []*vecspace.BitVector) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	next := ix.snap.Load()
+	if len(sb.graphs) > 0 {
+		next = next.appended(sb.graphs, vecs, sb.ids)
+	}
+	if len(sb.removed) > 0 {
+		locals := make([]int, len(sb.removed))
+		for i, g := range sb.removed {
+			locals[i] = next.localOf(g)
+		}
+		next = next.tombstoned(locals)
+	}
+	ix.snap.Store(next)
+	ix.gen.Add(1)
+}
+
 // removeGlobal tombstones the given collection-global ids (on a
 // stand-alone index, its own ids) — a shard's half of Collection.Remove.
 // The translation happens under the writer lock, so no reclaim can

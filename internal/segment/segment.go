@@ -1,4 +1,4 @@
-// Package segment implements the v5 on-disk index segment: an immutable,
+// Package segment implements the v6 on-disk index segment: an immutable,
 // trailer-indexed file whose vector section is laid out exactly as the
 // scan kernel's SoA input (vecspace.Block tiles, word-major, little-
 // endian), so a memory-mapped checkpoint IS the kernel's operand with
@@ -8,7 +8,7 @@
 //
 // Layout (all integers little-endian):
 //
-//	magic     8 bytes "GDIMIDX5"
+//	magic     8 bytes "GDIMIDX6"
 //	meta      metric byte, MCS budget uvarint, p uvarint, p × (weight
 //	          float64 + feature graph in internal/graph's binary codec),
 //	          n uvarint, baseN uvarint — the whole-index scalars, decoded
@@ -20,9 +20,12 @@
 //	gidx      (n+1) × uint64 — graph payload offset table, blob i spans
 //	          [gidx[i], gidx[i+1]) of the graphs section (lazy faulting)
 //	graphs    concatenated graph blobs (internal/graph binary codec)
-//	trailer   fixed 80 bytes: the tiles/dead/gidx/graphs offsets, the
-//	          graphs length, n, p, baseN (uint64 each), body crc32,
-//	          trailer crc32, "GDSEG5TR"
+//	ids       n × uint32, 4-byte aligned — the lane→global id table: the
+//	          collection-global id of each lane of a shard (a stand-alone
+//	          index writes its own ids, 0..n-1)
+//	trailer   fixed 88 bytes: the tiles/dead/gidx/graphs offsets, the
+//	          graphs length, the ids offset, n, p, baseN (uint64 each),
+//	          body crc32, trailer crc32, "GDSEG6TR"
 //
 // A segment stores only what cannot be derived. The zone map that bounds
 // a scan is a function of the tiles, and the reader's Block derives it;
@@ -30,9 +33,13 @@
 // label lists on first demand — so no file can hold skip metadata that
 // disagrees with its own vectors.
 //
-// v5 is the one format read: files of the retired generations (v1 JSON,
-// v2, v3, v4) are refused by name with the upgrade path, never called
-// corrupt.
+// v6 is the format written. v5 — the same file without the ids section,
+// under "GDIMIDX5" with an 80-byte trailer that has no ids offset and
+// ends "GDSEG5TR" — still opens, without an id table (its store's
+// manifest held the tables); it is the one path for stores written by
+// earlier releases, and a checkpoint rewrites such a shard as v6. Files
+// of the retired generations (v1 JSON, v2, v3, v4) are refused by name
+// with the upgrade path, never called corrupt.
 //
 // Integrity: every open reads each file once and checks it. NewReader
 // verifies the trailer's own crc, then the body crc over everything
@@ -58,12 +65,16 @@ import (
 	"repro/internal/vecspace"
 )
 
-// Magic is the v5 file magic, the one format Write produces.
-const Magic = "GDIMIDX5"
+// Magic is the v6 file magic, the one format Write produces.
+const Magic = "GDIMIDX6"
 
 const (
-	trailerMagic = "GDSEG5TR"
-	trailerSize  = 80
+	trailerMagic = "GDSEG6TR"
+	trailerSize  = 88
+	// The v5 magics and trailer, read but never written.
+	magicV5        = "GDIMIDX5"
+	trailerMagicV5 = "GDSEG5TR"
+	trailerSizeV5  = 80
 	// width is the one tile width the kernel runs.
 	width = vecspace.DefaultBlockWidth
 	// maxElems bounds decoded counts before any allocation, shared with
@@ -91,9 +102,10 @@ type Meta struct {
 }
 
 // Payload is everything Write serializes. Block supplies n, p and the
-// tiles; Graph returns the encoded blob of graph i (a writer holding a
-// source segment returns the raw bytes — graphs are immutable, so a
-// checkpoint never re-encodes the mapped base). Dead is the tombstone
+// tiles; IDs holds the n lane→global ids, each in [0, 2^32); Graph
+// returns the encoded blob of graph i (a writer holding a source segment
+// returns the raw bytes — graphs are immutable, so a checkpoint never
+// re-encodes the mapped base). Dead is the tombstone
 // bitset, id i at bit i%64 of word i/64 — the dead section's bit order
 // read as little-endian words — with ceil(n/64) words and no bit set at
 // or past n.
@@ -101,6 +113,7 @@ type Payload struct {
 	Meta  Meta
 	Block *vecspace.Block
 	Dead  []uint64
+	IDs   []int
 	Graph func(i int) ([]byte, error)
 }
 
@@ -120,10 +133,10 @@ func (c *countCRCWriter) Write(p []byte) (int, error) {
 
 var pad8 [8]byte
 
-// align8 pads the stream to the next 8-byte boundary.
-func (c *countCRCWriter) align8() error {
-	if rem := c.n % 8; rem != 0 {
-		_, err := c.Write(pad8[:8-rem])
+// align pads the stream to the next multiple of to (at most 8) bytes.
+func (c *countCRCWriter) align(to int64) error {
+	if rem := c.n % to; rem != 0 {
+		_, err := c.Write(pad8[:to-rem])
 		return err
 	}
 	return nil
@@ -149,14 +162,21 @@ func (c *countCRCWriter) uvarint(x uint64) error {
 	return err
 }
 
-// Write streams a v5 segment to w. The encoding is sequential (offsets
+// Write streams a v6 segment to w. The encoding is sequential (offsets
 // are recorded as sections stream out and land in the trailer), so w can
 // be a plain *os.File with no seeking.
 func Write(w io.Writer, pl Payload) (err error) {
 	blk := pl.Block
 	n, p, words := blk.N(), blk.P(), blk.Words()
-	if len(pl.Dead) != (n+63)/64 {
-		return fmt.Errorf("segment: payload lengths disagree with block (n=%d dead=%d)", n, len(pl.Dead))
+	if len(pl.Dead) != (n+63)/64 || len(pl.IDs) != n {
+		return fmt.Errorf("segment: payload lengths disagree with block (n=%d dead=%d ids=%d)", n, len(pl.Dead), len(pl.IDs))
+	}
+	ids := make([]byte, 4*n)
+	for i, id := range pl.IDs {
+		if id < 0 || id > math.MaxUint32 {
+			return fmt.Errorf("segment: id %d of lane %d outside [0,2^32)", id, i)
+		}
+		binary.LittleEndian.PutUint32(ids[4*i:], uint32(id))
 	}
 	cw := &countCRCWriter{w: w}
 	fail := func(err error) error { return fmt.Errorf("segment: encode: %w", err) }
@@ -192,7 +212,7 @@ func Write(w io.Writer, pl Payload) (err error) {
 	}
 
 	// tiles
-	if err := cw.align8(); err != nil {
+	if err := cw.align(8); err != nil {
 		return fail(err)
 	}
 	tilesOff := cw.n
@@ -219,7 +239,7 @@ func Write(w io.Writer, pl Payload) (err error) {
 
 	// graph offset table + payload: blobs are collected first so the
 	// table can stream before them without seeking.
-	if err := cw.align8(); err != nil {
+	if err := cw.align(8); err != nil {
 		return fail(err)
 	}
 	gidxOff := cw.n
@@ -247,13 +267,22 @@ func Write(w io.Writer, pl Payload) (err error) {
 	}
 	graphsLen := cw.n - graphsOff
 
+	// ids
+	if err := cw.align(4); err != nil {
+		return fail(err)
+	}
+	idsOff := cw.n
+	if _, err := cw.Write(ids); err != nil {
+		return fail(err)
+	}
+
 	// trailer: the body crc is latched before the trailer bytes start,
 	// the trailer crc before its own field.
 	bodyCRC := cw.sum
 	trailerStart := cw.n
 	cw.sum = 0
 	for _, x := range []int64{tilesOff, deadOff, gidxOff, graphsOff, graphsLen,
-		int64(n), int64(p), int64(m.BaseN)} {
+		idsOff, int64(n), int64(p), int64(m.BaseN)} {
 		if err := cw.u64(uint64(x)); err != nil {
 			return fail(err)
 		}
@@ -296,10 +325,12 @@ type Reader struct {
 	words int
 
 	tilesOff, deadOff, gidxOff, graphsOff, graphsLen int64
-	trailerOff                                       int64
+	// idsOff is the ids section's offset, -1 in a v5 file.
+	idsOff     int64
+	trailerOff int64
 }
 
-// Open opens a v5 segment file and checks it (see the package comment),
+// Open opens a v6 or v5 segment file and checks it (see the package comment),
 // so a torn, truncated or corrupt file fails here with a clear error.
 func Open(path string, opt Options) (*Reader, error) {
 	data, mapped, closer, err := openBytes(path, opt.Map)
@@ -321,30 +352,43 @@ func Open(path string, opt Options) (*Reader, error) {
 // Mapped()); closer, if non-nil, releases them (Close).
 func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 	if legacy := legacyFormat(data); legacy != "" {
-		return nil, fmt.Errorf("legacy %s index file: this release reads only v5 segments; open it once with the previous release that reads it and checkpoint", legacy)
+		return nil, fmt.Errorf("legacy %s index file: this release reads only v5 and v6 segments; open it once with the previous release that reads it and checkpoint", legacy)
 	}
-	if len(data) < len(Magic)+trailerSize {
+	if len(data) < len(Magic) {
 		return nil, fmt.Errorf("truncated segment (%d bytes)", len(data))
 	}
-	if string(data[:len(Magic)]) != Magic {
+	// offsets is how many section offsets (and lengths) the trailer
+	// holds before n, p and baseN: v5 has no ids offset.
+	size, tmagic, offsets := trailerSize, trailerMagic, 6
+	switch string(data[:len(Magic)]) {
+	case Magic:
+	case magicV5:
+		size, tmagic, offsets = trailerSizeV5, trailerMagicV5, 5
+	default:
 		return nil, fmt.Errorf("bad magic %q", data[:len(Magic)])
 	}
-	r := &Reader{data: data, mapped: mapped, closer: closer}
-	r.trailerOff = int64(len(data) - trailerSize)
-	tr := data[r.trailerOff:]
-	if string(tr[trailerSize-8:]) != trailerMagic {
-		return nil, fmt.Errorf("torn trailer (bad trailer magic %q)", tr[trailerSize-8:])
+	if len(data) < len(Magic)+size {
+		return nil, fmt.Errorf("truncated segment (%d bytes)", len(data))
 	}
-	if got, want := crc32.Checksum(tr[:trailerSize-12], crcTable), binary.LittleEndian.Uint32(tr[trailerSize-12:]); got != want {
+	r := &Reader{data: data, mapped: mapped, closer: closer, idsOff: -1}
+	r.trailerOff = int64(len(data) - size)
+	tr := data[r.trailerOff:]
+	if string(tr[size-8:]) != tmagic {
+		return nil, fmt.Errorf("torn trailer (bad trailer magic %q)", tr[size-8:])
+	}
+	if got, want := crc32.Checksum(tr[:size-12], crcTable), binary.LittleEndian.Uint32(tr[size-12:]); got != want {
 		return nil, fmt.Errorf("torn trailer (crc %08x, computed %08x)", want, got)
 	}
-	if want, got := binary.LittleEndian.Uint32(tr[trailerSize-16:]), crc32.Checksum(data[:r.trailerOff], crcTable); got != want {
+	if want, got := binary.LittleEndian.Uint32(tr[size-16:]), crc32.Checksum(data[:r.trailerOff], crcTable); got != want {
 		return nil, fmt.Errorf("body checksum mismatch (file %08x, computed %08x)", want, got)
 	}
 	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(tr[i*8:]) }
 	off := func(i int) int64 { return int64(u64(i)) }
 	r.tilesOff, r.deadOff, r.gidxOff, r.graphsOff, r.graphsLen = off(0), off(1), off(2), off(3), off(4)
-	n, p, baseN := u64(5), u64(6), u64(7)
+	if offsets == 6 {
+		r.idsOff = off(5)
+	}
+	n, p, baseN := u64(offsets), u64(offsets+1), u64(offsets+2)
 	if n > maxElems || p > maxElems {
 		return nil, fmt.Errorf("corrupt trailer: n=%d p=%d", n, p)
 	}
@@ -359,14 +403,18 @@ func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 	// size its scalars imply, so no accessor can slice out of bounds.
 	nt := (r.n + width - 1) / width
 	stride := int64(r.words * width * 8)
-	secs := []struct {
+	type section struct {
 		name     string
 		off, len int64
-	}{
+	}
+	secs := []section{
 		{"tiles", r.tilesOff, int64(nt) * stride},
 		{"dead", r.deadOff, int64((r.n + 7) / 8)},
 		{"gidx", r.gidxOff, int64(r.n+1) * 8},
 		{"graphs", r.graphsOff, r.graphsLen},
+	}
+	if r.idsOff >= 0 {
+		secs = append(secs, section{"ids", r.idsOff, int64(r.n) * 4})
 	}
 	for _, s := range secs {
 		if s.off < int64(len(Magic)) || s.off > r.trailerOff || s.len < 0 || s.len > r.trailerOff-s.off {
@@ -377,6 +425,9 @@ func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 		if off%8 != 0 {
 			return nil, fmt.Errorf("corrupt trailer: misaligned section offset %d", off)
 		}
+	}
+	if r.idsOff%4 > 0 {
+		return nil, fmt.Errorf("corrupt trailer: misaligned section offset %d", r.idsOff)
 	}
 
 	if err := r.decodeMeta(); err != nil {
@@ -525,6 +576,20 @@ func (r *Reader) Dead() ([]uint64, int) {
 		count += bits.OnesCount64(w)
 	}
 	return out, count
+}
+
+// IDs decodes the ids section: the global id of each lane. ok is false
+// for a v5 file, which has no such section.
+func (r *Reader) IDs() (ids []int, ok bool) {
+	if r.idsOff < 0 {
+		return nil, false
+	}
+	b := r.data[r.idsOff : r.idsOff+int64(r.n)*4]
+	ids = make([]int, r.n)
+	for i := range ids {
+		ids[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return ids, true
 }
 
 // GraphBytes returns graph i's encoded blob — a subslice of the segment,

@@ -16,7 +16,8 @@ import (
 )
 
 // buildFixture assembles a deterministic segment payload: n random
-// vectors of dimension p and one small graph per id.
+// vectors of dimension p, one small graph per id, and an id table of
+// distinct ids in no order, the largest 2^32-1.
 type fixture struct {
 	pl    Payload
 	vecs  []*vecspace.BitVector
@@ -56,6 +57,10 @@ func buildFixture(t testing.TB, n, p int, seed int64) *fixture {
 		}
 		blobs[i] = buf.Bytes()
 	}
+	ids := make([]int, n)
+	for i, j := range rng.Perm(n) {
+		ids[i] = 1<<32 - 1 - 3*j
+	}
 	features := make([]*graph.Graph, p)
 	weights := make([]float64, p)
 	for r := range features {
@@ -69,6 +74,7 @@ func buildFixture(t testing.TB, n, p int, seed int64) *fixture {
 			Meta:  Meta{Metric: 2, MCSBudget: 12345, Weights: weights, Features: features, BaseN: n / 2},
 			Block: vecspace.Pack(vecs, p),
 			Dead:  dead,
+			IDs:   ids,
 			Graph: func(i int) ([]byte, error) { return blobs[i], nil },
 		},
 		vecs:  vecs,
@@ -84,6 +90,24 @@ func encodeFixture(t testing.TB, fx *fixture) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// downgradeV5 rewrites a v6 segment as the v5 file of the same content:
+// the v5 magic, no ids section, and the v5 trailer, which has no ids
+// offset.
+func downgradeV5(t testing.TB, v6 []byte) []byte {
+	t.Helper()
+	r, err := NewReader(v6, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(magicV5), v6[len(Magic):r.graphsOff+r.graphsLen]...)
+	body := crc32.Checksum(out, crcTable)
+	tr := v6[r.trailerOff:]
+	trailer := append(bytes.Clone(tr[:5*8]), tr[6*8:9*8]...) // all but the ids offset
+	trailer = binary.LittleEndian.AppendUint32(trailer, body)
+	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.Checksum(trailer, crcTable))
+	return append(append(out, trailer...), trailerMagicV5...)
 }
 
 func writeFixture(t *testing.T, fx *fixture) string {
@@ -184,6 +208,31 @@ func checkReader(t *testing.T, fx *fixture, r *Reader) {
 	if post.N() != n || post.P() != p {
 		t.Fatalf("postings shape %d/%d", post.N(), post.P())
 	}
+	// A v6 file returns the table it was written with; a v5 file has none.
+	ids, ok := r.IDs()
+	if v6 := string(r.data[:len(Magic)]) == Magic; ok != v6 || v6 && !slices.Equal(ids, fx.pl.IDs) || !v6 && ids != nil {
+		t.Fatalf("ids %v (ok %v), want %v", ids, ok, fx.pl.IDs)
+	}
+}
+
+// TestSegmentOpensV5: a v5 file, the format earlier releases wrote, opens
+// with every section but the ids section, which it does not have, and
+// refuses each of its corruptions as a v6 file does.
+func TestSegmentOpensV5(t *testing.T) {
+	fx := buildFixture(t, 90, 70, 9)
+	v5 := downgradeV5(t, encodeFixture(t, fx))
+	r, err := NewReader(v5, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReader(t, fx, r)
+	for pos := range v5 {
+		corrupt := bytes.Clone(v5)
+		corrupt[pos] ^= 0x40
+		if _, err := NewReader(corrupt, false, nil); err == nil {
+			t.Fatalf("flipped byte %d of a v5 file accepted", pos)
+		}
+	}
 }
 
 func TestSegmentRoundTrip(t *testing.T) {
@@ -264,12 +313,17 @@ func TestSegmentTornTrailer(t *testing.T) {
 }
 
 // TestSegmentVerifiedOpenRejectsEveryFlipAndCut flips every byte and cuts at
-// every length of a valid segment: the trailer and body checksums
-// together leave no position NewReader accepts.
+// every length of a valid segment, its id table included: the trailer and
+// body checksums together leave no position NewReader accepts.
 func TestSegmentVerifiedOpenRejectsEveryFlipAndCut(t *testing.T) {
 	valid := encodeFixture(t, buildFixture(t, 40, 70, 5))
-	if _, err := NewReader(valid, false, nil); err != nil {
+	r, err := NewReader(valid, false, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Every section is flipped, the ids section too.
+	if r.idsOff < int64(len(Magic)) || r.idsOff+4*int64(r.N()) != r.trailerOff {
+		t.Fatalf("ids section at %d for %d ids, trailer at %d", r.idsOff, r.N(), r.trailerOff)
 	}
 	corrupt := make([]byte, len(valid))
 	for pos := range valid {
