@@ -35,7 +35,7 @@ func addBase(tb testing.TB, n int) *Index {
 	for i := range db {
 		db[i], vecs[i] = small.db[i%len(small.db)], small.block.Vector(i%len(small.db))
 	}
-	return addBaseIndex.fork(newSnapshot(db, vecs, small.block.P(), nil, n, nil))
+	return addBaseIndex.fork(newSnapshot(db, vecs, small.block.P()))
 }
 
 // addBatch is the 8-graph batch every Add measurement adds.

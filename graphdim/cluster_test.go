@@ -14,7 +14,10 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/pipeline"
+	"repro/internal/posting"
 	"repro/internal/segment"
+	"repro/internal/vecspace"
 )
 
 // TestClusteredTiesRankLikeUnclustered: a split and a Compact store a
@@ -220,5 +223,154 @@ func TestLanesByGlobalSorts(t *testing.T) {
 				t.Fatalf("top %d, n %d: lanes %v, want %v", top, n, got, want)
 			}
 		}
+	}
+}
+
+// inClusterOrder reports whether lanes [from, n) of s are stored in
+// vecspace.ClusterOrder: the stable sort leaves them where they are.
+func inClusterOrder(s *snapshot, from int) bool {
+	vecs := make([]*vecspace.BitVector, 0, len(s.db)-from)
+	for lane := from; lane < len(s.db); lane++ {
+		vecs = append(vecs, s.block.Vector(lane))
+	}
+	for i, j := range vecspace.ClusterOrder(vecs) {
+		if i != j {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCheckpointClustersAppendedLanes: a checkpoint stores the lanes Add
+// appended since the last rewrite in vecspace.ClusterOrder, in the live
+// shard and in its segment file, and changes nothing a reader can see: the
+// tombstones, the generations, the label index's answers and every
+// ranking — on a tie-heavy collection whose top-k is cut by global id,
+// with label filters and with predicates over global ids — are as they
+// were. A checkpoint with nothing appended since re-sorts
+// nothing.
+func TestCheckpointClustersAppendedLanes(t *testing.T) {
+	ctx := context.Background()
+	sample := dataset.Chemical(dataset.ChemConfig{N: 30, MinVertices: 4, MaxVertices: 8, Seed: 3})
+	rest := dataset.Chemical(dataset.ChemConfig{N: 1200, MinVertices: 4, MaxVertices: 8, Seed: 4})
+	ix, err := Build(sample, Options{Dimensions: 6, Tau: 0.2, MaxPatternEdges: 3, MCSBudget: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Add(rest[:600]...); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := CreateStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	c, err := s.CreateFromIndex("c", ix, CollectionOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 600; lo < len(rest); lo += 50 {
+		if _, err := c.Add(ctx, rest[lo:lo+50]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var gone []int
+	for id := 5; id < len(sample)+len(rest); id += 9 {
+		gone = append(gone, id)
+	}
+	if err := c.Remove(gone...); err != nil {
+		t.Fatal(err)
+	}
+
+	queries := []*Graph{sample[0], rest[10], rest[700], rest[1100], sample[9]}
+	opts := []SearchOptions{
+		{K: 10}, {K: 150}, {K: 400},
+		{K: 10, Engine: EngineVerified, VerifyFactor: 3},
+		{K: 10, Engine: EngineExact},
+		{K: 30, Filters: []*pipeline.Filter{{VertexLabels: []pipeline.LabelCount{{Label: 1, MinCount: 2}}}}},
+		{K: 10, Predicate: func(id int, _ *Graph) bool { return id < 300 }},
+		{K: 10, Engine: EngineExact, Predicate: func(id int, _ *Graph) bool { return id%3 == 0 }},
+	}
+	answers := func(label string) [][]Result {
+		t.Helper()
+		var out [][]Result
+		for qi, q := range queries {
+			for _, opt := range opts {
+				res, err := c.Search(ctx, q, opt)
+				if err != nil {
+					t.Fatalf("%s: query %d: %v", label, qi, err)
+				}
+				out = append(out, res.Results)
+			}
+		}
+		return out
+	}
+	want := answers("before")
+	gens := c.generations()
+	deads := make([]int, len(c.shards))
+	for i, sh := range c.shards {
+		snap := sh.snap.Load()
+		deads[i] = snap.deadCount
+		if snap.labels.Load() == nil {
+			t.Fatalf("shard %d: the label-filtered searches built no label index", i)
+		}
+		if snap.sorted == len(snap.db) || inClusterOrder(snap, snap.baseN) {
+			t.Fatalf("shard %d: lanes [%d,%d) are sorted before any checkpoint; the test shows nothing", i, snap.sorted, len(snap.db))
+		}
+	}
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pinned := make([]*snapshot, len(c.shards))
+	for i, sh := range c.shards {
+		snap := sh.snap.Load()
+		pinned[i] = snap
+		if snap.sorted != len(snap.db) || !inClusterOrder(snap, snap.baseN) {
+			t.Fatalf("shard %d: after a checkpoint the lanes past baseN %d are not in ClusterOrder", i, snap.baseN)
+		}
+		if snap.deadCount != deads[i] || deadBelow(snap.dead, len(snap.db)) != deads[i] {
+			t.Fatalf("shard %d: %d tombstones after the checkpoint, %d before", i, snap.deadCount, deads[i])
+		}
+		if err := checkIDTable(snap, i, len(c.shards), int(c.nextID.Load())); err != nil {
+			t.Fatal(err)
+		}
+		db := make([]*Graph, len(snap.db))
+		for lane := range db {
+			db[lane], _ = snap.graphAt(lane)
+		}
+		if got := snap.labels.Load(); !reflect.DeepEqual(got, posting.LabelsFromGraphs(db)) {
+			t.Fatalf("shard %d: the label index does not follow the lanes it indexes", i)
+		}
+	}
+	if got := c.generations(); !slices.Equal(got, gens) {
+		t.Fatalf("the checkpoint's re-sort moved the generations %v to %v", gens, got)
+	}
+	if got := answers("after the checkpoint"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the checkpoint's re-sort changed a ranking")
+	}
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range c.shards {
+		if sh.snap.Load() != pinned[i] {
+			t.Fatalf("shard %d: a checkpoint with nothing appended since the last one published a snapshot", i)
+		}
+	}
+
+	s.Close()
+	if s, err = OpenStore(dir, StoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	c, _ = s.Collection("c")
+	for i, sh := range c.shards {
+		if snap := sh.snap.Load(); !inClusterOrder(snap, snap.baseN) {
+			t.Fatalf("shard %d: the segment file's lanes past baseN are not in ClusterOrder", i)
+		}
+	}
+	if got := answers("reopened"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the reopened store ranks differently")
 	}
 }

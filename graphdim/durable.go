@@ -215,18 +215,35 @@ type shardBatch struct {
 
 // apply lands logged records in shard state as one batch — the one
 // applier, for crash replay and for a follower's stream alike — and
-// advances the applied watermark to the last of them. It checks the
-// whole batch before it maps a graph: an add must start at the next id,
-// and a remove must name ids assigned before its own record and not
-// removed since, so an invalid log is refused by the record at fault and
-// no shard publishes any of it. Then every added graph is mapped in one
-// fan-out under the store budget, and each shard publishes once: its new
-// lanes, then its tombstones. A logged add always lands in full: once its
-// record is appended, Collection.Add cannot fail.
+// advances the applied watermark to the last of them: check, then commit.
+// An invalid log is refused by the record at fault and no shard publishes
+// any of it. A logged add always lands in full: once its record is
+// appended, Collection.Add cannot fail.
 func (c *Collection) apply(ctx context.Context, recs ...wal.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	b, err := c.check(recs)
+	if err != nil {
+		return err
+	}
+	return c.commit(ctx, b)
+}
+
+// logBatch is a checked batch of logged records: each shard's share, the
+// next id after its adds, and the sequence of its last record.
+type logBatch struct {
+	plan []shardBatch
+	next int64
+	seq  uint64
+}
+
+// check plans recs (non-empty) as one batch without mapping a graph or
+// touching any state: an add must start at the next id, and a remove must
+// name ids assigned before its own record and not removed since, each
+// record checked in log order. The caller holds addMu, so the plan stays
+// valid until commit.
+func (c *Collection) check(recs []wal.Record) (logBatch, error) {
 	plan := make([]shardBatch, len(c.shards))
 	snaps := make([]*snapshot, len(c.shards))
 	for i, sh := range c.shards {
@@ -240,7 +257,7 @@ func (c *Collection) apply(ctx context.Context, recs ...wal.Record) error {
 		switch rec.Type {
 		case wal.TypeAdd:
 			if int64(rec.First) != next {
-				return fmt.Errorf("graphdim: replaying wal record %d: add at id %d, the next id is %d", rec.Seq, rec.First, next)
+				return logBatch{}, fmt.Errorf("graphdim: replaying wal record %d: add at id %d, the next id is %d", rec.Seq, rec.First, next)
 			}
 			for i, g := range rec.Graphs {
 				id := rec.First + i
@@ -254,33 +271,41 @@ func (c *Collection) apply(ctx context.Context, recs ...wal.Record) error {
 				local := snaps[sh].localOf(id)
 				switch {
 				case local < 0 && (int64(id) < first || int64(id) >= next):
-					return fmt.Errorf("graphdim: replaying wal record %d: remove on shard %d: id %d not in store", rec.Seq, sh, id)
+					return logBatch{}, fmt.Errorf("graphdim: replaying wal record %d: remove on shard %d: id %d not in store", rec.Seq, sh, id)
 				case removed[id] || local >= 0 && snaps[sh].isDead(local):
-					return fmt.Errorf("graphdim: replaying wal record %d: remove on shard %d: id %d already removed", rec.Seq, sh, id)
+					return logBatch{}, fmt.Errorf("graphdim: replaying wal record %d: remove on shard %d: id %d already removed", rec.Seq, sh, id)
 				}
 				removed[id] = true
 				plan[sh].removed = append(plan[sh].removed, id)
 			}
 		default:
-			return fmt.Errorf("graphdim: wal record %d has unknown type %d", rec.Seq, rec.Type)
+			return logBatch{}, fmt.Errorf("graphdim: wal record %d has unknown type %d", rec.Seq, rec.Type)
 		}
 	}
+	return logBatch{plan: plan, next: next, seq: recs[len(recs)-1].Seq}, nil
+}
+
+// commit lands a checked batch: every added graph is mapped in one
+// fan-out under the store budget, then each shard publishes once — its
+// new lanes, then its tombstones. Only a cancelled ctx fails it, before
+// any shard publishes.
+func (c *Collection) commit(ctx context.Context, b logBatch) error {
 	// One fan-out maps every added graph, each shard's share contiguous.
 	var graphs []*Graph
-	for _, sb := range plan {
+	for _, sb := range b.plan {
 		graphs = append(graphs, sb.graphs...)
 	}
 	vecs, err := c.mapBatch(ctx, graphs)
 	if err != nil {
 		return fmt.Errorf("graphdim: replaying %d logged graphs: %w", len(graphs), err)
 	}
-	for i, sb := range plan {
+	for i, sb := range b.plan {
 		if len(sb.ids)+len(sb.removed) > 0 {
 			c.shards[i].publish(sb, vecs[:len(sb.graphs)])
 		}
 		vecs = vecs[len(sb.graphs):]
 	}
-	c.nextID.Store(next)
-	c.applied.Store(recs[len(recs)-1].Seq)
+	c.nextID.Store(b.next)
+	c.applied.Store(b.seq)
 	return nil
 }

@@ -261,9 +261,9 @@ func (o Options) withDefaults(n int) Options {
 // streams), the tombstone set and, for a shard of a collection, the table
 // naming each graph's collection-global id. Updates never mutate a
 // published snapshot: the writer, serialized by Index.mu, derives the next
-// one through a transition below (appended, tombstoned, repacked) and
-// swaps it in, so any number of readers proceed lock-free and none ever
-// sees a graph without its vector, its tombstone bit or its id. The
+// one through a transition below (appended, tombstoned, repacked,
+// resorted) and swaps it in, so any number of readers proceed lock-free
+// and none ever sees a graph without its vector, its tombstone bit or its id. The
 // constructors and transitions in this file are the only code that names
 // the columns together.
 type snapshot struct {
@@ -321,28 +321,27 @@ type snapshot struct {
 	// baseN. staleRatio derives from both.
 	baseN    int
 	baseDead int
+	// sorted counts the leading lanes in the order the snapshot's last
+	// rewrite left them: subset clusters every lane it writes, and a
+	// segment's lanes are served as the checkpoint wrote them. The lanes
+	// appended after it are Add's, in id order, until resorted clusters
+	// them.
+	sorted int
 }
 
-// newSnapshot is the from-vectors constructor: it packs the block. db,
-// vectors and globals (nil on a stand-alone index) are aligned by id,
-// dead is their tombstone bitset (nil: none dead); p is the
-// dimensionality. db, dead and globals are adopted with their capacity
-// clipped, so appended never writes into a caller's spare capacity
-// (Build hands over the caller's own db).
-func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int, dead []uint64, baseN int, globals []int) *snapshot {
-	if dead == nil {
-		dead = make([]uint64, deadWords(len(db)))
+// newSnapshot is a stand-alone index's snapshot: db, every graph live and
+// part of the build, with vectors (aligned by id, of dimension p) packed
+// as its block, each lane its own id. db is adopted with its capacity
+// clipped, so appended never writes into a caller's spare capacity (Build
+// hands over the caller's own db).
+func newSnapshot(db []*Graph, vectors []*vecspace.BitVector, p int) *snapshot {
+	return &snapshot{
+		db:     slices.Clip(db),
+		dead:   make([]uint64, deadWords(len(db))),
+		block:  vecspace.Pack(vectors, p),
+		baseN:  len(db),
+		sorted: len(db),
 	}
-	s := &snapshot{
-		db:        slices.Clip(db),
-		dead:      slices.Clip(dead),
-		deadCount: deadBelow(dead, len(db)),
-		block:     vecspace.Pack(vectors, p),
-		baseN:     baseN,
-		baseDead:  deadBelow(dead, baseN),
-	}
-	s.setGlobals(globals)
-	return s
 }
 
 // setGlobals installs the id table of a newborn snapshot, with its
@@ -448,6 +447,7 @@ func snapshotFromSegment(r *segment.Reader, globals []int) (*snapshot, error) {
 		block:     blk,
 		baseN:     baseN,
 		baseDead:  deadBelow(dead, baseN),
+		sorted:    n,
 	}
 	s.setGlobals(globals)
 	return s, nil
@@ -478,6 +478,7 @@ func (s *snapshot) appended(gs []*Graph, vecs []*vecspace.BitVector, globals []i
 		block:     s.block.Append(vecs),
 		baseN:     s.baseN,
 		baseDead:  s.baseDead,
+		sorted:    s.sorted,
 	}
 	if globals != nil {
 		next.globals = append(s.globals, globals...)
@@ -509,6 +510,7 @@ func (s *snapshot) tombstoned(ids []int) *snapshot {
 		block:     s.block,
 		baseN:     s.baseN,
 		baseDead:  s.baseDead,
+		sorted:    s.sorted,
 	}
 	next.labels.Store(s.labels.Load())
 	for _, id := range ids {
@@ -520,43 +522,73 @@ func (s *snapshot) tombstoned(ids []int) *snapshot {
 	return next
 }
 
-// subset is a fresh heap snapshot over exactly the given ids of s
-// (ascending): their graphs (a mapped payload is faulted onto the heap),
+// subset is a snapshot over exactly the given ids of s (ascending), with
 // their existing block vectors, tombstone bits and global ids — no VF2, no
-// mining, no selection — with the lanes clustered. The ids below s.baseN
-// (which predate the dimension selection, and lead since ids ascend) stay
-// a prefix, so staleness bookkeeping carries over; the prefix and the
-// rest are each stored in vecspace.ClusterOrder, so a zone summarizes
-// similar vectors and its lower bound prunes it from more queries. The
-// lanes' order never shows in a result: every engine ranks ties by global
-// id (order). It fails only on a mapped payload that no longer decodes.
-func (s *snapshot) subset(ids []int) (*snapshot, error) {
-	vecs := make([]*vecspace.BitVector, len(ids))
-	for i, id := range ids {
+// mining, no selection — and its lanes clustered: the split, Compact and
+// a checkpoint's resorted all rewrite a shard through it. The first keep
+// ids must be s's lanes [0, keep); they stay where they are, sharing their
+// tiles, graph slots and, when keep > 0, s's mapped segment. Every other
+// graph is taken onto the heap (a mapped payload is faulted in). The ids
+// below s.baseN (which predate the dimension selection, and lead since
+// ids ascend) stay a prefix, so staleness bookkeeping carries over; the
+// moved lanes of the prefix and of the rest are each stored in
+// vecspace.ClusterOrder, so a zone summarizes similar vectors and its
+// lower bound prunes it from more queries. The lanes' order never shows
+// in a result: every engine ranks ties by global id (order). It fails
+// only on a mapped payload that no longer decodes.
+func (s *snapshot) subset(ids []int, keep int) (*snapshot, error) {
+	n := len(ids)
+	baseN := sort.SearchInts(ids, s.baseN)
+	cut := max(keep, baseN) - keep
+	vecs := make([]*vecspace.BitVector, n-keep)
+	for i, id := range ids[keep:] {
 		vecs[i] = s.block.Vector(id)
 	}
-	baseN := sort.SearchInts(ids, s.baseN)
-	order := vecspace.ClusterOrder(vecs[:baseN])
-	for _, i := range vecspace.ClusterOrder(vecs[baseN:]) {
-		order = append(order, baseN+i)
+	order := vecspace.ClusterOrder(vecs[:cut])
+	for _, i := range vecspace.ClusterOrder(vecs[cut:]) {
+		order = append(order, cut+i)
 	}
 
-	db := make([]*Graph, len(ids))
-	vectors := make([]*vecspace.BitVector, len(ids))
-	dead := make([]uint64, deadWords(len(ids)))
-	globals := make([]int, len(ids))
-	for lane, i := range order {
-		id := ids[i]
+	db := make([]*Graph, n)
+	dead := make([]uint64, deadWords(n))
+	globals := make([]int, n)
+	copy(db, s.db[:keep])
+	copy(dead, s.dead[:deadWords(keep)])
+	if keep%64 != 0 {
+		dead[keep/64] &= 1<<(keep%64) - 1
+	}
+	copy(globals, s.globals[:keep])
+	moved := make([]*vecspace.BitVector, len(order))
+	for j, i := range order {
+		lane, id := keep+j, ids[keep+i]
 		g, err := s.graphAt(id)
 		if err != nil {
 			return nil, err
 		}
-		db[lane], vectors[lane], globals[lane] = g, vecs[i], s.global(id)
+		db[lane], moved[j], globals[lane] = g, vecs[i], s.global(id)
 		if s.isDead(id) {
 			dead[lane/64] |= 1 << (lane % 64)
 		}
 	}
-	return newSnapshot(db, vectors, s.block.P(), dead, baseN, globals), nil
+	next := &snapshot{
+		db:        db,
+		dead:      dead,
+		deadCount: deadBelow(dead, n),
+		block:     s.block.Prefix(keep).Append(moved),
+		baseN:     baseN,
+		baseDead:  deadBelow(dead, baseN),
+		sorted:    n,
+	}
+	next.setGlobals(globals)
+	if keep > 0 {
+		next.seg = s.seg
+		// A label index already paid for keeps its prefix; the moved
+		// lanes' graphs are on the heap.
+		if l := s.labels.Load(); l != nil {
+			next.labels.Store(l.Prefix(keep).Append(db[keep:]))
+		}
+	}
+	return next, nil
 }
 
 // repacked is s without its tombstoned slots — what Compact publishes.
@@ -569,7 +601,30 @@ func (s *snapshot) repacked() (*snapshot, error) {
 			live = append(live, id)
 		}
 	}
-	return s.subset(live)
+	return s.subset(live, 0)
+}
+
+// resorted is s with the lanes Add appended since its last rewrite
+// clustered again — what a checkpoint publishes and writes — or nil when
+// there are none, or when s is a stand-alone index's (its lanes are its
+// ids). Only heap lanes move: those past the segment a mapped s is served
+// from, so no payload is faulted in, and otherwise those past baseN, so
+// all the added lanes form one clustered run. Tombstones and global ids
+// move with their lanes, so every ranking, stat and cached result stays
+// as it was.
+func (s *snapshot) resorted() (*snapshot, error) {
+	if s.sorted == len(s.db) || s.globals == nil {
+		return nil, nil
+	}
+	keep := s.baseN
+	if s.seg != nil {
+		keep = s.seg.r.N()
+	}
+	all := make([]int, len(s.db))
+	for id := range all {
+		all[id] = id
+	}
+	return s.subset(all, keep)
 }
 
 // global translates an id of this snapshot to the collection-global id.
@@ -685,12 +740,13 @@ type Index struct {
 	mcsOpt  mcs.Options
 	workers int // Add's mapping fan-out bound; always >= 1
 
-	// mu is the one writer lock: add, removeLocked and reclaim derive the
-	// next snapshot and swap it in under it.
+	// mu is the one writer lock: add, removeLocked, reclaim and resort
+	// derive the next snapshot and swap it in under it.
 	mu   sync.Mutex
 	snap atomic.Pointer[snapshot]
 	// gen counts publishes: add, removeLocked and reclaim bump it once,
-	// after storing their snapshot and before returning; it starts at 0
+	// after storing their snapshot and before returning (resort's publish
+	// changes nothing a read can observe, and moves it not); it starts at 0
 	// and is not persisted. That ordering is the query cache's fence (see
 	// CacheOptions): two equal reads with an operation between them
 	// guarantee the operation saw every write committed before the first
@@ -870,7 +926,7 @@ func BuildContext(ctx context.Context, db []*Graph, opt Options) (*Index, error)
 	report(StageVectors, sub.N, sub.N)
 
 	return newIndex(features, weights, opt.Metric, mcsOpt, opt.Workers,
-		newSnapshot(db, vectors, len(features), nil, len(db), nil)), nil
+		newSnapshot(db, vectors, len(features))), nil
 }
 
 // Dimensions returns the selected subgraph dimensions, most informative

@@ -1,6 +1,7 @@
 package graphdim
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -106,8 +107,9 @@ func shardPattern(shard int) string {
 
 // checkpoint persists the whole store under its data directory: one
 // freshly named segment file per shard, written in parallel under the
-// store budget, then the manifest — written last and atomically (temp
-// file + rename) — recording per collection the WAL sequence its shard
+// store budget after the shard's lanes appended since its last rewrite
+// are clustered (Index.resort), then the manifest — written last and
+// atomically (temp file + rename) — recording per collection the WAL sequence its shard
 // files cover; after the swap the fully replayed log segments are
 // deleted. Files referenced by an existing manifest are never truncated
 // or overwritten, so a crash or error at any point leaves the previous
@@ -195,7 +197,12 @@ func (s *Store) checkpointLocked(extra *Collection) (err error) {
 		c.addMu.Unlock()
 		errs := make([]error, len(c.shards))
 		_ = s.budget.ForContext(context.Background(), len(c.shards), func(i int) {
-			cm.ShardFiles[i], errs[i] = c.shards[i].writeShardImage(cdir, i, images[i])
+			img, err := c.shards[i].resort(images[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			cm.ShardFiles[i], errs[i] = c.shards[i].writeShardImage(cdir, i, img)
 		})
 		// Collect every file the fan-out created before acting on any
 		// error: the cleanup must see them all, or a failed checkpoint
@@ -334,7 +341,14 @@ func (ix *Index) writeShardImage(cdir string, i int, snap *snapshot) (string, er
 		return "", err
 	}
 	name := filepath.Base(f.Name())
-	if err := ix.writeSegment(f, snap); err != nil {
+	// The segment writer issues a write per offset and per payload; the
+	// buffer turns those into large writes.
+	bw := bufio.NewWriterSize(f, 256<<10)
+	err = ix.writeSegment(bw, snap)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return "", err
@@ -352,6 +366,27 @@ func (ix *Index) writeShardImage(cdir string, i int, snap *snapshot) (string, er
 		return "", err
 	}
 	return name, nil
+}
+
+// resort clusters the lanes Add appended to pinned, a snapshot of ix
+// the caller pinned, and returns the snapshot to checkpoint: pinned
+// itself when there was nothing to sort. The sort runs on the immutable
+// pinned snapshot outside every lock; the result is published only if ix
+// still serves pinned — a write since then keeps the shard as it is, and
+// the next checkpoint sorts it. The publish moves no generation: the
+// sorted snapshot holds the same graphs, ids and tombstones, so no result,
+// cache entry or freshness token it could serve differs.
+func (ix *Index) resort(pinned *snapshot) (*snapshot, error) {
+	next, err := pinned.resorted()
+	if err != nil || next == nil {
+		return pinned, err
+	}
+	ix.mu.Lock()
+	if ix.snap.Load() == pinned {
+		ix.snap.Store(next)
+	}
+	ix.mu.Unlock()
+	return next, nil
 }
 
 // OpenStore loads a store directory its last checkpoint installed,

@@ -445,3 +445,108 @@ func TestReadersSeeOneShardState(t *testing.T) {
 		t.Fatalf("writers did nothing to race: %d adds, %d shard compactions", adds.Load(), compactions.Load())
 	}
 }
+
+// TestCheckpointOfMappedShardDecodesNothing: on a reopened store the
+// checkpoint's re-sort moves only the heap lanes Add appended after the
+// mapped segment's, so it decodes no graph payload: the segment's lanes
+// keep their graph slots and the mapping, and the copied payloads are
+// written verbatim. The live shard and the rankings come out clustered
+// and unchanged.
+func TestCheckpointOfMappedShardDecodesNothing(t *testing.T) {
+	if !segment.CanMap() {
+		t.Skip("no mmap on this platform")
+	}
+	rng := rand.New(rand.NewSource(equivSeed(t)))
+	idx, db := equivBuild(t, rng, 90)
+	ctx := context.Background()
+	dir := t.TempDir()
+	s, err := CreateStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.CreateFromIndex("c", idx, CollectionOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The segments hold added lanes too, past baseN: only the lanes
+	// appended after the reopen are the heap's.
+	extra := dataset.Synthetic(dataset.SynthConfig{N: 56, AvgEdges: 9, Labels: 5, Seed: rng.Int63()})
+	if _, err := c.Add(ctx, extra[40:]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if s, err = OpenStore(dir, StoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, _ = s.Collection("c")
+	for lo := 0; lo < 40; lo += 8 {
+		if _, err := c.Add(ctx, extra[lo:lo+8]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Remove(2, len(db)+3, len(db)+20); err != nil {
+		t.Fatal(err)
+	}
+	queries := append(db[:6:6], extra[:4]...)
+	want := make([][]Result, len(queries))
+	for i, q := range queries {
+		res, err := c.Search(ctx, q, SearchOptions{K: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Results
+	}
+	// decoded counts the segment lanes whose payload has been decoded or
+	// whose slot holds a graph.
+	decoded := func() int {
+		n := 0
+		for sh := range c.shards {
+			snap, seg := snapSeg(c, sh)
+			if seg == nil {
+				t.Fatalf("shard %d is no longer served from its mapped segment", sh)
+			}
+			for i := range seg.graphs {
+				if seg.graphs[i].Load() != nil || snap.db[i] != nil {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if n := decoded(); n != 0 {
+		t.Fatalf("%d payloads decoded before the checkpoint", n)
+	}
+	segs := make([]*segSource, len(c.shards))
+	for sh := range c.shards {
+		_, segs[sh] = snapSeg(c, sh)
+	}
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := decoded(); n != 0 {
+		t.Fatalf("the checkpoint decoded %d graph payloads, want none", n)
+	}
+	for sh := range c.shards {
+		snap, seg := snapSeg(c, sh)
+		if snap.baseN >= seg.r.N() {
+			t.Fatalf("shard %d: its segment holds no added lanes; the test shows nothing", sh)
+		}
+		if seg != segs[sh] || snap.sorted != len(snap.db) || !inClusterOrder(snap, seg.r.N()) {
+			t.Fatalf("shard %d: the checkpoint did not publish its appended lanes clustered over the same mapping", sh)
+		}
+	}
+	for i, q := range queries {
+		res, err := c.Search(ctx, q, SearchOptions{K: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Results, want[i]) {
+			t.Fatalf("query %d after the checkpoint:\n got %v\nwant %v", i, res.Results, want[i])
+		}
+	}
+}

@@ -70,7 +70,8 @@ func TestReplayPublishesOncePerShard(t *testing.T) {
 // assigns, repeats an id removed earlier in the tail, or whose add
 // assigns an id again, is refused by OpenStore naming the record; a
 // follower handed the same records as one batch refuses them too,
-// publishes none of them, keeps its applied position and is poisoned.
+// mirrors and publishes none of them, keeps its applied position and
+// refuses them again when they are handed to it again.
 func TestReplayChecksRecordsInLogOrder(t *testing.T) {
 	ctx := context.Background()
 	idx, db := equivBuild(t, rand.New(rand.NewSource(4)), 24)
@@ -166,7 +167,7 @@ func TestReplayChecksRecordsInLogOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before, applied := c.Stats(), rep.AppliedSeq()
+			before, applied, acked := c.Stats(), rep.AppliedSeq(), rep.AckSeq()
 			if err := rep.Apply(ctx, row.recs); err == nil || !strings.Contains(err.Error(), row.want) {
 				t.Fatalf("follower = %v, want a refusal containing %q", err, row.want)
 			}
@@ -178,8 +179,11 @@ func TestReplayChecksRecordsInLogOrder(t *testing.T) {
 				t.Fatalf("a refused batch published: NextID %d→%d, live %d→%d, generations %v→%v",
 					before.NextID, after.NextID, before.Live, after.Live, before.Generations, after.Generations)
 			}
-			if err := rep.Apply(ctx, row.recs[:1]); err == nil || !strings.Contains(err.Error(), "needs restart") {
-				t.Fatalf("a refused batch must poison the applier, Apply = %v", err)
+			if got := rep.AckSeq(); got != acked {
+				t.Fatalf("a refused batch was mirrored: the log's tail moved from %d to %d", acked, got)
+			}
+			if err := rep.Apply(ctx, row.recs); err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("a refused batch must be refused again, not poison the applier: Apply = %v", err)
 			}
 		})
 	}

@@ -343,3 +343,68 @@ func TestFreshnessCoordinates(t *testing.T) {
 		t.Fatalf("idle primary: LastWALSeq %d != AppliedSeq %d", pc.LastWALSeq(), applied2)
 	}
 }
+
+// TestFollowerSurvivesARefusedBatch: a batch the applier refuses — an
+// add, then a remove of an id never assigned — is checked before it is
+// mirrored, so it never reaches the follower's own log. The follower
+// still closes and reopens from its directory, and it converges with the
+// primary once a valid batch arrives.
+func TestFollowerSurvivesARefusedBatch(t *testing.T) {
+	idx, _ := equivBuild(t, rand.New(rand.NewSource(73)), 30)
+	ctx := context.Background()
+	ps, err := CreateStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	pc, err := ps.CreateFromIndex("c", idx, CollectionOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, _, rep, fdir := bootstrapFollower(t, ps, "c")
+	extra := dataset.Synthetic(dataset.SynthConfig{N: 5, AvgEdges: 9, Labels: 5, Seed: 98})
+	if _, err := pc.Add(ctx, extra[:2]...); err != nil {
+		t.Fatal(err)
+	}
+	st, err := pc.StreamWAL(rep.AckSeq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	add, ok, err := st.Next(pc.AppliedSeq())
+	st.Close()
+	if err != nil || !ok {
+		t.Fatalf("stream: %v, %v", ok, err)
+	}
+	never := int(pc.Stats().NextID) + 7
+	bad := []wal.Record{add, {Seq: add.Seq + 1, Type: wal.TypeRemove, IDs: []int{never}}}
+	acked := rep.AckSeq()
+	if err := rep.Apply(ctx, bad); err == nil || !strings.Contains(err.Error(), "not in store") {
+		t.Fatalf("Apply = %v, want the remove of id %d refused", err, never)
+	}
+	if got := rep.AckSeq(); got != acked {
+		t.Fatalf("a refused batch was mirrored: the log's tail moved from %d to %d", acked, got)
+	}
+	fs.Close()
+
+	fs, err = OpenStore(fdir, StoreOptions{})
+	if err != nil {
+		t.Fatalf("reopen after a refused batch: %v", err)
+	}
+	defer fs.Close()
+	fc, _ := fs.Collection("c")
+	if rep, err = fc.Replica(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pc.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.Add(ctx, extra[2:]...); err != nil {
+		t.Fatal(err)
+	}
+	if n := pump(t, pc, rep); n != 3 {
+		t.Fatalf("pump shipped %d records, want the add, the remove and the add since the bootstrap", n)
+	}
+	queries := dataset.Synthetic(dataset.SynthConfig{N: 8, AvgEdges: 6, Labels: 5, Seed: 8})
+	assertSameSearch(t, "follower after a refused batch", fc, pc, queries)
+	assertSameContent(t, "follower after a refused batch", fc, pc)
+}

@@ -288,7 +288,7 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	}
 	c.nextID.Store(int64(len(snap.db)))
 	for i, ids := range partition(all, nsh) {
-		part, err := snap.subset(ids) // empty for a shard no id places on
+		part, err := snap.subset(ids, 0) // empty for a shard no id places on
 		if err != nil {
 			return nil, err
 		}

@@ -203,7 +203,7 @@ func CanonFilters(fs []*Filter, dst []byte) []byte {
 // a dimension or ones predicate; Labels may be nil, and label predicates
 // then fall back to residual per-graph evaluation. Labels, when set,
 // covers exactly the ids [0, N). Post is read by nothing: the benchmark
-// harness still sets it, and ROADMAP 3(a) deletes it.
+// harness still sets it, and ROADMAP 4(b) deletes it.
 type Catalog struct {
 	N      int
 	Block  *vecspace.Block
@@ -322,7 +322,7 @@ func Compile(fs []*Filter, cat Catalog) (*Compiled, error) {
 // CompileFilters is Compile plus Keep listed as sorted IDs, with
 // Restricted telling "no pushdown" (IDs nil, scan everything) from
 // "pushdown matched nothing" (IDs empty). Only the benchmark harness
-// calls it; ROADMAP 3(a) deletes it.
+// calls it; ROADMAP 4(b) deletes it.
 func CompileFilters(fs []*Filter, cat Catalog) (*Compiled, error) {
 	c, err := Compile(fs, cat)
 	if err != nil || c.Keep == nil {

@@ -1,6 +1,8 @@
 package posting
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -77,6 +79,25 @@ func (l *LabelIndex) Append(gs []*graph.Graph) *LabelIndex {
 		appendCounts(next.edge, ec, id)
 	}
 	return next
+}
+
+// Prefix returns the index of the graphs with ids [0, n): each list cut
+// before its first id >= n, sharing the receiver's arrays with their
+// capacity clipped, so an Append to the prefix copies rather than write
+// where the receiver's chain appends.
+func (l *LabelIndex) Prefix(n int) *LabelIndex {
+	return &LabelIndex{n: n, vertex: prefixLists(l.vertex, n), edge: prefixLists(l.edge, n)}
+}
+
+func prefixLists(m map[graph.Label]*labelList, n int) map[graph.Label]*labelList {
+	out := make(map[graph.Label]*labelList, len(m))
+	for lab, ll := range m {
+		k, _ := slices.BinarySearch(ll.ids, int32(n))
+		if k > 0 {
+			out[lab] = &labelList{ids: ll.ids[:k:k], counts: ll.counts[:k:k]}
+		}
+	}
+	return out
 }
 
 func appendCounts(m map[graph.Label]*labelList, counts map[graph.Label]int32, id int32) {

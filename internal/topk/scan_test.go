@@ -86,39 +86,62 @@ func chemCorpus(tb testing.TB) (*vecspace.Block, []*vecspace.BitVector) {
 
 // BenchmarkMappedScan is the flat top-k scan (K = 10) over the 40,000-lane
 // chem corpus at p = 64 — the shape of bench's scan_dense — with no
-// tombstones and with 1% of ids dead, on two layouts of the same vectors:
-// unclustered keeps them in id order, as a stand-alone Index stores them;
-// clustered stores them in vecspace.ClusterOrder and ranks each lane by
-// its id, as a collection's shard does once a split or Compact has
-// rewritten it. Every iteration runs one query through both legs: fused
-// is MappedScan on the layout, reference is referenceScan, the shape the
-// fused scan replaced, always over the unclustered block. It reports each
-// leg's ns per lane, their ratio — compare the ratio, which one run
-// measures on one host, not the absolute ns/lane, which moves with the
-// host — and zones-visited-%, the share of zones the fused leg streamed
-// through the kernel (the rest its zone map ruled out).
+// tombstones and with 1% of ids dead, on four layouts of the same vectors,
+// each lane ranked by its id: unclustered keeps them in id order, as a
+// stand-alone Index stores them; clustered stores them in
+// vecspace.ClusterOrder, as a collection's shard does once a split or
+// Compact has rewritten it; appended clusters the first three quarters and
+// leaves the last quarter in id order, as a shard holds the lanes Add
+// appended since its last rewrite; and appended-resorted is that shard
+// after a checkpoint has clustered those lanes as a run of their own.
+// Every iteration runs one query through both legs: fused is MappedScan on
+// the layout, reference is referenceScan, the shape the fused scan
+// replaced, always over the unclustered block. It reports each leg's ns
+// per lane, their ratio — compare the ratio, which one run measures on one
+// host, not the absolute ns/lane, which moves with the host — and
+// zones-visited-%, the share of zones the fused leg streamed through the
+// kernel (the rest its zone map ruled out).
 func BenchmarkMappedScan(b *testing.B) {
 	blk, queries := chemCorpus(b)
 	n := blk.N()
 	ctx := context.Background()
 	vecs := blk.Unpack()
-	order := vecspace.ClusterOrder(vecs)
-	clustered := make([]*vecspace.BitVector, n)
-	rank := make([]int, n)
-	for lane, id := range order {
-		clustered[lane], rank[lane] = vecs[id], id
+	base := n * 3 / 4
+	// run lists the ids [lo, hi) in vecspace.ClusterOrder.
+	run := func(lo, hi int) []int {
+		order := vecspace.ClusterOrder(vecs[lo:hi])
+		for i := range order {
+			order[i] += lo
+		}
+		return order
 	}
-	layouts := []struct {
+	idOrder := make([]int, n-base)
+	for i := range idOrder {
+		idOrder[i] = base + i
+	}
+	type layout struct {
 		name string
 		blk  *vecspace.Block
 		ord  Order
 		lane []int // lane of each id
-	}{
-		{"unclustered", blk, Order{}, nil},
-		{"clustered", vecspace.Pack(clustered, blk.P()), Order{Rank: rank, ZoneMin: vecspace.ZoneMinima(nil, 0, rank)}, make([]int, n)},
 	}
-	for lane, id := range order {
-		layouts[1].lane[id] = lane
+	// stored lays the ids out in lane order (order[lane] is the id).
+	stored := func(name string, order []int) layout {
+		l := layout{name: name, lane: make([]int, n)}
+		lanes := make([]*vecspace.BitVector, n)
+		rank := make([]int, n)
+		for lane, id := range order {
+			lanes[lane], rank[lane], l.lane[id] = vecs[id], id, lane
+		}
+		l.blk = vecspace.Pack(lanes, blk.P())
+		l.ord = Order{Rank: rank, ZoneMin: vecspace.ZoneMinima(nil, 0, rank)}
+		return l
+	}
+	layouts := []layout{
+		{"unclustered", blk, Order{}, nil},
+		stored("clustered", vecspace.ClusterOrder(vecs)),
+		stored("appended", append(run(0, base), idOrder...)),
+		stored("appended-resorted", append(run(0, base), run(base, n)...)),
 	}
 	for _, layout := range layouts {
 		for _, pct := range []int{0, 1} {

@@ -146,6 +146,25 @@ func (b *Block) Append(vecs []*BitVector) *Block {
 	return next
 }
 
+// Prefix returns a Block of b's first n vectors, ids [0, n). Every full
+// tile below n is shared — a mapped one stays mapped — and the trailing
+// partial tile, if any, is copied with its lanes from n on cleared, so
+// Appending to the prefix never writes a tile b's readers see. The zones
+// wholly below n are shared facts too.
+func (b *Block) Prefix(n int) *Block {
+	nt := (n + width - 1) / width
+	next := &Block{n: n, p: b.p, words: b.words, tiles: slices.Clip(b.tiles[:nt])}
+	if rem := n % width; rem != 0 {
+		last := slices.Clone(b.tiles[nt-1])
+		for w := 0; w < b.words; w++ {
+			clear(last[w*width+rem : (w+1)*width])
+		}
+		next.tiles = append(next.tiles[:nt-1:nt-1], last)
+	}
+	next.zones = deriveZones(next, b.zones, n)
+	return next
+}
+
 // Vector unpacks vector id back into its AoS form — the inverse of Pack
 // for one id.
 func (b *Block) Vector(id int) *BitVector {

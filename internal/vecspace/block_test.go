@@ -3,6 +3,7 @@ package vecspace
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -174,4 +175,29 @@ func TestBlockPanics(t *testing.T) {
 	assertPanics("unaligned lo", func() {
 		b.HammingBelow(NewBitVector(64), 3, 20, nil, math.MaxInt32, func(int, int32) int32 { return 0 })
 	})
+}
+
+// TestBlockPrefixThenAppend: a prefix of a block with vectors appended to
+// it equals a fresh pack of the same vectors, zone map included, shares
+// the receiver's full tiles below the cut, and leaves the receiver as it
+// was.
+func TestBlockPrefixThenAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const p = 70
+	all := randVectors(rng, 3*ZoneSpan+20, p)
+	more := randVectors(rng, ZoneSpan+7, p)
+	for _, k := range []int{0, 1, width - 1, width, ZoneSpan - 3, ZoneSpan, 2*ZoneSpan + 5, len(all)} {
+		old := Pack(all, p)
+		next := old.Prefix(k).Append(more)
+		fresh := Pack(append(append([]*BitVector(nil), all[:k]...), more...), p)
+		if next.N() != fresh.N() || !reflect.DeepEqual(next.tiles, fresh.tiles) || !reflect.DeepEqual(next.zones, fresh.zones) {
+			t.Fatalf("k=%d: Prefix then Append differs from a fresh pack", k)
+		}
+		assertSameVectors(t, "receiver after Prefix", old.Unpack(), all)
+		for tidx := 0; tidx < k/width; tidx++ {
+			if &old.tiles[tidx][0] != &next.tiles[tidx][0] {
+				t.Fatalf("k=%d: full tile %d was copied, not shared", k, tidx)
+			}
+		}
+	}
 }
