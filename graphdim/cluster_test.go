@@ -153,7 +153,7 @@ func TestOpenStoreChecksIDTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables[i], _ = r.IDs()
+		tables[i] = r.IDs()
 	}
 	if slices.IsSorted(tables[0]) && slices.IsSorted(tables[1]) {
 		t.Fatalf("id tables %v are in id order: the split did not cluster them", tables)

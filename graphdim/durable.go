@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/vecspace"
 	"repro/internal/wal"
 )
 
@@ -213,12 +214,12 @@ type shardBatch struct {
 	removed []int
 }
 
-// apply lands logged records in shard state as one batch — the one
-// applier, for crash replay and for a follower's stream alike — and
-// advances the applied watermark to the last of them: check, then commit.
-// An invalid log is refused by the record at fault and no shard publishes
-// any of it. A logged add always lands in full: once its record is
-// appended, Collection.Add cannot fail.
+// apply lands logged records in shard state as one batch — crash replay's
+// and a follower's entry to the one applier every write lands through —
+// and advances the applied watermark to the last of them: check, then
+// mapAndCommit. An invalid log is refused by the record at fault and no
+// shard publishes any of it. A logged add always lands in full: once its
+// record is appended, Collection.Add cannot fail.
 func (c *Collection) apply(ctx context.Context, recs ...wal.Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -227,15 +228,17 @@ func (c *Collection) apply(ctx context.Context, recs ...wal.Record) error {
 	if err != nil {
 		return err
 	}
-	return c.commit(ctx, b)
+	return c.mapAndCommit(ctx, b)
 }
 
-// logBatch is a checked batch of logged records: each shard's share, the
-// next id after its adds, and the sequence of its last record.
+// logBatch is a checked batch of records: each shard's share, the graphs
+// its adds assign the ids [first, next) in id order, and the sequence of
+// its last record (0 for a live write not yet logged).
 type logBatch struct {
-	plan []shardBatch
-	next int64
-	seq  uint64
+	plan        []shardBatch
+	graphs      []*Graph
+	first, next int64
+	seq         uint64
 }
 
 // check plans recs (non-empty) as one batch without mapping a graph or
@@ -244,68 +247,83 @@ type logBatch struct {
 // record checked in log order. The caller holds addMu, so the plan stays
 // valid until commit.
 func (c *Collection) check(recs []wal.Record) (logBatch, error) {
-	plan := make([]shardBatch, len(c.shards))
 	snaps := make([]*snapshot, len(c.shards))
 	for i, sh := range c.shards {
 		snaps[i] = sh.snap.Load()
 	}
-	// The batch's adds assign the ids [first, next), in log order.
-	first := c.nextID.Load()
-	next := first
+	b := logBatch{plan: make([]shardBatch, len(c.shards)), first: c.nextID.Load(), seq: recs[len(recs)-1].Seq}
+	b.next = b.first
 	removed := make(map[int]bool)
 	for _, rec := range recs {
 		switch rec.Type {
 		case wal.TypeAdd:
-			if int64(rec.First) != next {
-				return logBatch{}, fmt.Errorf("graphdim: replaying wal record %d: add at id %d, the next id is %d", rec.Seq, rec.First, next)
+			if int64(rec.First) != b.next {
+				return logBatch{}, fmt.Errorf("graphdim: replaying wal record %d: add at id %d, the next id is %d", rec.Seq, rec.First, b.next)
 			}
 			for i, g := range rec.Graphs {
 				id := rec.First + i
-				sb := &plan[placeID(id, len(c.shards))]
+				sb := &b.plan[placeID(id, len(c.shards))]
 				sb.graphs, sb.ids = append(sb.graphs, g), append(sb.ids, id)
 			}
-			next += int64(len(rec.Graphs))
+			b.graphs = append(b.graphs, rec.Graphs...)
+			b.next += int64(len(rec.Graphs))
 		case wal.TypeRemove:
 			for _, id := range rec.IDs {
 				sh := placeID(id, len(c.shards))
 				local := snaps[sh].localOf(id)
 				switch {
-				case local < 0 && (int64(id) < first || int64(id) >= next):
-					return logBatch{}, fmt.Errorf("graphdim: replaying wal record %d: remove on shard %d: id %d not in store", rec.Seq, sh, id)
+				case local < 0 && (int64(id) < b.first || int64(id) >= b.next):
+					return logBatch{}, refusal(rec.Seq, sh, id, "not in store")
 				case removed[id] || local >= 0 && snaps[sh].isDead(local):
-					return logBatch{}, fmt.Errorf("graphdim: replaying wal record %d: remove on shard %d: id %d already removed", rec.Seq, sh, id)
+					return logBatch{}, refusal(rec.Seq, sh, id, "already removed")
 				}
 				removed[id] = true
-				plan[sh].removed = append(plan[sh].removed, id)
+				b.plan[sh].removed = append(b.plan[sh].removed, id)
 			}
 		default:
 			return logBatch{}, fmt.Errorf("graphdim: wal record %d has unknown type %d", rec.Seq, rec.Type)
 		}
 	}
-	return logBatch{plan: plan, next: next, seq: recs[len(recs)-1].Seq}, nil
+	return b, nil
 }
 
-// commit lands a checked batch: every added graph is mapped in one
-// fan-out under the store budget, then each shard publishes once — its
-// new lanes, then its tombstones. Only a cancelled ctx fails it, before
+// refusal is check's error for a remove of id on shard sh: a logged
+// record names its sequence and the shard, a live write's record — no log
+// holds it yet, so its sequence is 0 — the id and the reason alone.
+func refusal(seq uint64, sh, id int, reason string) error {
+	if seq == 0 {
+		return fmt.Errorf("graphdim: id %d %s", id, reason)
+	}
+	return fmt.Errorf("graphdim: replaying wal record %d: remove on shard %d: id %d %s", seq, sh, id, reason)
+}
+
+// mapAndCommit maps a checked batch's added graphs in one fan-out under
+// the store budget, then commits it. Only a cancelled ctx fails it, before
 // any shard publishes.
-func (c *Collection) commit(ctx context.Context, b logBatch) error {
-	// One fan-out maps every added graph, each shard's share contiguous.
-	var graphs []*Graph
-	for _, sb := range b.plan {
-		graphs = append(graphs, sb.graphs...)
-	}
-	vecs, err := c.mapBatch(ctx, graphs)
+func (c *Collection) mapAndCommit(ctx context.Context, b logBatch) error {
+	vecs, err := c.mapBatch(ctx, b.graphs)
 	if err != nil {
-		return fmt.Errorf("graphdim: replaying %d logged graphs: %w", len(graphs), err)
+		return fmt.Errorf("graphdim: replaying %d logged graphs: %w", len(b.graphs), err)
 	}
+	c.commit(b, vecs)
+	return nil
+}
+
+// commit lands a checked batch whose added graphs are mapped to vecs, in
+// id order: each shard publishes once — its new lanes, then its
+// tombstones — and the next id and the applied watermark advance. No VF2
+// runs here and nothing can fail.
+func (c *Collection) commit(b logBatch, vecs []*vecspace.BitVector) {
 	for i, sb := range b.plan {
-		if len(sb.ids)+len(sb.removed) > 0 {
-			c.shards[i].publish(sb, vecs[:len(sb.graphs)])
+		if len(sb.ids)+len(sb.removed) == 0 {
+			continue
 		}
-		vecs = vecs[len(sb.graphs):]
+		share := make([]*vecspace.BitVector, len(sb.ids))
+		for j, id := range sb.ids {
+			share[j] = vecs[int64(id)-b.first]
+		}
+		c.shards[i].publish(sb, share)
 	}
 	c.nextID.Store(b.next)
 	c.applied.Store(b.seq)
-	return nil
 }

@@ -11,9 +11,9 @@ import (
 // records a primary streams (internal/repl's Tailer feeds it), mirrors
 // them into the collection's own write-ahead log at their
 // primary-assigned sequences, and replays them into shard state through
-// the very applier crash recovery runs (Collection.check and commit) —
-// so a follower's state for any acknowledged prefix is bit-identical to a
-// primary that recovered the same log.
+// the very applier crash recovery runs (Collection.check, then
+// mapAndCommit) — so a follower's state for any acknowledged prefix is
+// bit-identical to a primary that recovered the same log.
 //
 // A batch is checked before it is mirrored, so the log never holds a
 // record its replay would refuse, and mirrored before it is applied: a
@@ -73,7 +73,7 @@ func (r *ReplicaApplier) Apply(ctx context.Context, recs []wal.Record) error {
 		// the tailer may retry the same batch.
 		return fmt.Errorf("graphdim: mirroring wal records: %w", err)
 	}
-	if err := c.commit(ctx, b); err != nil {
+	if err := c.mapAndCommit(ctx, b); err != nil {
 		r.broken = err
 		return err
 	}

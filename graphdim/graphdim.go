@@ -425,11 +425,9 @@ func (s *snapshot) staleRatio() float64 {
 // snapshotFromSegment adopts an opened segment: block is the segment's
 // tile section (aliased in place when the reader is a mapping), with its
 // zone map derived from those tiles, and the snapshot keeps nil graph
-// placeholders that fault payloads in through the reader. globals is the
-// shard's id table — the segment's own, or its manifest's for a v5 file;
-// the caller checks its ids are in range and checks it against the
-// segment's extent. It is adopted as in newSnapshot.
-func snapshotFromSegment(r *segment.Reader, globals []int) (*snapshot, error) {
+// placeholders that fault payloads in through the reader. The id table is
+// the segment's own; the caller checks its ids are in range.
+func snapshotFromSegment(r *segment.Reader) (*snapshot, error) {
 	n, baseN := r.N(), r.Meta().BaseN
 	if baseN < 0 || baseN > n {
 		return nil, fmt.Errorf("graphdim: corrupt segment: baseN %d outside [0,%d]", baseN, n)
@@ -449,7 +447,7 @@ func snapshotFromSegment(r *segment.Reader, globals []int) (*snapshot, error) {
 		baseDead:  deadBelow(dead, baseN),
 		sorted:    n,
 	}
-	s.setGlobals(globals)
+	s.setGlobals(r.IDs())
 	return s, nil
 }
 
@@ -740,11 +738,11 @@ type Index struct {
 	mcsOpt  mcs.Options
 	workers int // Add's mapping fan-out bound; always >= 1
 
-	// mu is the one writer lock: add, removeLocked, reclaim and resort
-	// derive the next snapshot and swap it in under it.
+	// mu is the one writer lock: publish, reclaim and resort derive the
+	// next snapshot and swap it in under it.
 	mu   sync.Mutex
 	snap atomic.Pointer[snapshot]
-	// gen counts publishes: add, removeLocked and reclaim bump it once,
+	// gen counts publishes: publish and reclaim bump it once,
 	// after storing their snapshot and before returning (resort's publish
 	// changes nothing a read can observe, and moves it not); it starts at 0
 	// and is not persisted. That ordering is the query cache's fence (see

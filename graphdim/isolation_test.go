@@ -247,7 +247,7 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opened.add(gs, vecs, []int{last + 1, last + 2, last + 3, last + 4})
+		opened.publish(shardBatch{graphs: gs, ids: []int{last + 1, last + 2, last + 3, last + 4}}, vecs)
 		if spare := full[len(ids):]; !slices.Equal(spare, []int{-1, -1, -1, -1}) {
 			t.Fatalf("an add wrote %v into the spare capacity of the id table given to the open", spare)
 		}

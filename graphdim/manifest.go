@@ -21,9 +21,8 @@ import (
 // collection, its shard layout and cache bounds, next to one segment file
 // per shard (<dir>/<collection>/shard-NNNN-*.gdx) that carries the
 // shard's local→global id table in its ids section. Manifests of earlier
-// releases held those tables instead, beside v5 shard files that have
-// none; such a store opens, and its next checkpoint moves the tables
-// into the segments.
+// releases held those tables instead, beside v5 shard files; the open
+// ignores the manifest's tables and refuses the v5 files by name.
 
 const (
 	manifestName    = "store.json"
@@ -55,11 +54,6 @@ type collectionManifest struct {
 	// are never truncated or overwritten — a crash mid-checkpoint leaves the
 	// previous generation fully intact.
 	ShardFiles []string `json:"shard_files"`
-	// ShardGlobals[i] is shard i's local→global table, as a manifest of
-	// an earlier release wrote it beside v5 shard files; a checkpoint
-	// writes none, as each v6 segment holds its own table (see
-	// loadCollection).
-	ShardGlobals [][]int `json:"shard_globals,omitempty"`
 	// WALSeq is the write-ahead-log sequence number this snapshot covers:
 	// every logged record with a sequence <= WALSeq is already reflected
 	// in the shard files, so opening the store replays only the records
@@ -472,11 +466,6 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	if cm.Shards < 1 || cm.Shards > maxShards {
 		return nil, fmt.Errorf("shard count %d outside [1,%d]", cm.Shards, maxShards)
 	}
-	// A manifest holds every shard's id table (an earlier release's, over
-	// v5 shard files) or none.
-	if cm.ShardGlobals != nil && len(cm.ShardGlobals) != cm.Shards {
-		return nil, fmt.Errorf("%d id tables for %d shards", len(cm.ShardGlobals), cm.Shards)
-	}
 	// A global id is the rank a scan packs into 32 bits (topk.Order).
 	if cm.NextID < 0 || cm.NextID > math.MaxUint32 {
 		return nil, fmt.Errorf("next id %d outside [0,2^32)", cm.NextID)
@@ -508,7 +497,13 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 	c.nextID.Store(int64(cm.NextID))
 	errs := make([]error, cm.Shards)
 	_ = s.budget.ForContext(context.Background(), cm.Shards, func(i int) {
-		c.shards[i], errs[i] = openShard(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), i, cm.ShardGlobals)
+		// By path, so the shard is mapped in place rather than read
+		// through the heap; it serves under its segment's id table.
+		r, err := segment.Open(filepath.Join(dir, cm.Name, cm.ShardFiles[i]), segment.Options{Map: true})
+		if err == nil {
+			c.shards[i], err = indexFromSegment(r)
+		}
+		errs[i] = err
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -531,32 +526,6 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 		}
 	}
 	return c, nil
-}
-
-// openShard opens shard i's file by path, so it is mapped in place rather
-// than read through the heap, and serves it under its id table: a v6
-// segment's own, or a v5 file's from tables, the manifest's. A v6 file
-// under a manifest that holds tables, or a v5 file under one that does
-// not, is refused.
-func openShard(path string, i int, tables [][]int) (*Index, error) {
-	r, err := segment.Open(path, segment.Options{Map: true})
-	if err != nil {
-		return nil, err
-	}
-	globals, own := r.IDs()
-	switch {
-	case own && tables != nil:
-		err = fmt.Errorf("shard %d: the manifest holds an id table for a v6 segment, which carries its own", i)
-	case !own && tables == nil:
-		err = fmt.Errorf("shard %d: a v5 segment, and no id table for it in the manifest", i)
-	case !own:
-		globals = tables[i]
-	}
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	return indexFromSegment(r, globals)
 }
 
 // checkIDTable checks shard i's id table, as snap serves it: one id per

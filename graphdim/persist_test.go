@@ -1,6 +1,8 @@
 package graphdim
 
 import (
+	"bytes"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -128,5 +130,58 @@ func TestOpenStoreNamesLegacyV4Store(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "corrupt") {
 		t.Errorf("v4 store reported as corrupt: %q", err)
+	}
+}
+
+// TestOpenStoreNamesLegacyV5Store: a store the previous release wrote —
+// v5 shard files, their id tables in store.json, a log tail past the
+// checkpoint (testdata/v5store) — is refused naming the shard file, the
+// format and the upgrade path, and the refused open leaves every file of
+// the store as it was.
+func TestOpenStoreNamesLegacyV5Store(t *testing.T) {
+	fixture := filepath.Join("testdata", "v5store")
+	dir := copyDataDir(t, fixture)
+	s, err := OpenStore(dir, StoreOptions{})
+	if err == nil {
+		s.Close()
+		t.Fatal("a v5 store opened")
+	}
+	for _, want := range []string{filepath.Join(dir, "c", "shard-0000-"), "legacy v5", "previous release", "checkpoint"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("v5 store reported as corrupt: %q", err)
+	}
+	files := 0
+	err = filepath.WalkDir(fixture, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(fixture, path)
+		if err != nil {
+			return err
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		got, err := os.ReadFile(filepath.Join(dir, rel))
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("the refused open changed %s", rel)
+		}
+		files++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two shards, the manifest and at least one log segment.
+	if files < 4 {
+		t.Fatalf("compared %d files of the fixture", files)
 	}
 }

@@ -6,9 +6,8 @@ package graphdim
 // table, nothing derivable from them — and opens serve a segment back in
 // place: the tile section IS the scan block, and graph payloads are
 // decoded on first demand (snapshotFromSegment). Zone maps are rebuilt
-// from the tiles, never read from the file. A v5 shard file, written by
-// an earlier release, opens too, under the id table its manifest holds;
-// a shard file of an older generation is refused by name.
+// from the tiles, never read from the file. A shard file of an older
+// generation is refused by name.
 
 import (
 	"bytes"
@@ -100,17 +99,17 @@ func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
 
 // indexFromSegment serves an opened segment — mapped or read into one
 // heap buffer, its checksums verified by segment.Open — as an index under
-// globals, the shard's id table (see snapshotFromSegment): the dimension
-// set and codec parameters come from the segment's meta section. On error
-// r is closed.
-func indexFromSegment(r *segment.Reader, globals []int) (*Index, error) {
+// the segment's own id table (see snapshotFromSegment): the dimension set
+// and codec parameters come from the segment's meta section. On error r
+// is closed.
+func indexFromSegment(r *segment.Reader) (*Index, error) {
 	m := r.Meta()
 	var snap *snapshot
 	var err error
 	if m.Metric > byte(Delta2) {
 		err = fmt.Errorf("graphdim: corrupt segment: unknown metric %d", m.Metric)
 	} else {
-		snap, err = snapshotFromSegment(r, globals)
+		snap, err = snapshotFromSegment(r)
 	}
 	if err != nil {
 		r.Close()

@@ -26,16 +26,17 @@ func snapSeg(c *Collection, shard int) (*snapshot, *segSource) {
 }
 
 // openSegmentIndex opens a segment file by path as an index served under
-// globals, or under the segment's own id table when globals is nil.
+// the segment's own id table, or under globals when they are given.
 func openSegmentIndex(path string, globals []int) (*Index, error) {
 	r, err := segment.Open(path, segment.Options{Map: true})
 	if err != nil {
 		return nil, err
 	}
-	if globals == nil {
-		globals, _ = r.IDs()
+	ix, err := indexFromSegment(r)
+	if err == nil && globals != nil {
+		ix.snap.Load().setGlobals(globals)
 	}
-	return indexFromSegment(r, globals)
+	return ix, err
 }
 
 // checkpointedShard builds a 1-shard collection of n graphs in a fresh
@@ -255,7 +256,7 @@ func TestCorruptMappedPayloadFailsTheQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _ := r.IDs()
+	ids := r.IDs()
 	lane := slices.Index(ids, victim)
 	blob, err := r.GraphBytes(lane)
 	if err != nil {

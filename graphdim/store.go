@@ -217,11 +217,11 @@ type Collection struct {
 	// never block behind a long Add or checkpoint holding the writer lock.
 	nextID atomic.Int64
 	// applied is the settled watermark: the highest WAL sequence that is
-	// visible in shard state. On a primary it trails LastSeq only while a
-	// writer holds addMu (an add batch between its append and its
-	// publish), and a replication stream ships only records at or below
-	// it, so no follower applies a write before the primary shows it. On
-	// a follower the replica applier advances it record by record.
+	// visible in shard state, set by commit. On a primary it trails
+	// LastSeq only while a writer holds addMu (a write between its append
+	// and its commit), and a replication stream ships only records at or
+	// below it, so no follower applies a write before the primary shows
+	// it. On a follower the replica applier advances it once per batch.
 	// Written under addMu; atomic for lock-free readers (freshness tokens,
 	// checkpoints, stats).
 	applied atomic.Uint64
@@ -605,9 +605,11 @@ func mergeTopK(outs []shardOut, k int) []Result {
 // Add maps new graphs into the collection: each graph gets the next global
 // id and lands on the shard its id hashes to. The batch is mapped once,
 // with the collection's one mapper and under the store budget, before
-// any shard is touched; the shards then only publish. The returned ids
-// align with gs. Writers are serialized collection-wide; readers are
-// never blocked (each shard publishes copy-on-write state).
+// any shard is touched; the shards then only publish, through the applier
+// crash replay and followers land logged records with (Collection.check,
+// then commit). The returned ids align with gs. Writers are serialized
+// collection-wide; readers are never blocked (each shard publishes
+// copy-on-write state).
 //
 // On a durable store the batch is appended to the collection's
 // write-ahead log — and fsynced — before any shard publishes. The append
@@ -642,20 +644,36 @@ func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 	defer func() { <-mapped }()
 	c.addMu.Lock()
 	defer c.addMu.Unlock()
-	defer c.settleApplied()
-
-	first := int(c.nextID.Load())
-	// Write-ahead: the batch must be durable before any shard state it
-	// produces can be observed.
-	if c.wal != nil {
-		if _, err := c.wal.Append(wal.Record{Type: wal.TypeAdd, First: first, Graphs: gs}); err != nil {
-			return nil, fmt.Errorf("graphdim: wal append: %w", err)
-		}
+	rec := wal.Record{Type: wal.TypeAdd, First: int(c.nextID.Load()), Graphs: gs}
+	b, err := c.admit(rec)
+	if err != nil {
+		return nil, err
 	}
 	<-mapped
-	ids := c.applyAdd(first, gs, vecs)
-	c.nextID.Add(int64(len(gs)))
+	c.commit(b, vecs)
+	ids := make([]int, len(gs))
+	for i := range ids {
+		ids[i] = rec.First + i
+	}
 	return ids, nil
+}
+
+// admit checks a live write's record as a batch of its own and, on a
+// durable store, appends it to the log — write-ahead, so it is on disk
+// before any shard state it produces can be observed. A refused record
+// reaches neither the log nor the shards; an appended one then commits in
+// full, as nothing after its check can fail. The caller holds addMu.
+func (c *Collection) admit(rec wal.Record) (logBatch, error) {
+	b, err := c.check([]wal.Record{rec})
+	if err != nil {
+		return logBatch{}, err
+	}
+	if c.wal != nil {
+		if b.seq, err = c.wal.Append(rec); err != nil {
+			return logBatch{}, fmt.Errorf("graphdim: wal append: %w", err)
+		}
+	}
+	return b, nil
 }
 
 // placeID maps a global id to its shard. The hash is SplitMix64 — cheap,
@@ -687,91 +705,22 @@ func (c *Collection) mapBatch(ctx context.Context, gs []*Graph) ([]*vecspace.Bit
 	return mapBatch(ctx, c.shards[0].mapper, gs, c.store.budget.ForContext)
 }
 
-// applyAdd lands an Add's logged batch on the shards and returns its
-// global ids (crash replay and a follower land logged records through
-// Collection.apply). gs[i] carries global id first+i and is already mapped to vecs[i]
-// (see mapBatch). Each shard publishes its share atomically; no VF2 runs
-// here and nothing can fail.
-func (c *Collection) applyAdd(first int, gs []*Graph, vecs []*vecspace.BitVector) []int {
-	ids := make([]int, len(gs))
-	for i := range ids {
-		ids[i] = first + i
-	}
-	for sh, part := range partition(ids, len(c.shards)) {
-		if len(part) == 0 {
-			continue
-		}
-		share := make([]*Graph, len(part))
-		shareVecs := make([]*vecspace.BitVector, len(part))
-		for j, id := range part {
-			share[j], shareVecs[j] = gs[id-first], vecs[id-first]
-		}
-		c.shards[sh].add(share, shareVecs, part)
-	}
-	return ids
-}
-
-// applyRemove tombstones global ids on the shards they place on — a
-// Remove's half after its validation.
-func (c *Collection) applyRemove(ids []int) error {
-	for sh, part := range partition(ids, len(c.shards)) {
-		if len(part) == 0 {
-			continue
-		}
-		if err := c.shards[sh].removeGlobal(part); err != nil {
-			return fmt.Errorf("graphdim: remove on shard %d: %w", sh, err)
-		}
-	}
-	return nil
-}
-
-// settleApplied advances the settled watermark to the log tail; called
-// under addMu as a writer's final act, when every appended record is
-// visible in shard state. No-op without a log.
-func (c *Collection) settleApplied() {
-	if c.wal != nil {
-		c.applied.Store(c.wal.LastSeq())
-	}
-}
-
-// Remove tombstones the given global ids. Validation and application
-// happen per shard under the writer locks; an unknown or already-removed
-// id fails the whole call with no shard modified.
+// Remove tombstones the given global ids. An unknown or already-removed
+// id fails the whole call with nothing logged and no shard modified.
 func (c *Collection) Remove(ids ...int) error {
 	if len(ids) == 0 {
 		return nil
 	}
 	c.addMu.Lock()
 	defer c.addMu.Unlock()
-	defer c.settleApplied()
-	// Validate everything before touching anything: writers are serialized
-	// by addMu and a reclaim never drops a live id, so a positive pre-check
-	// cannot be invalidated before the apply below.
-	seen := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		if id < 0 || int64(id) >= c.nextID.Load() {
-			return fmt.Errorf("graphdim: id %d out of range [0,%d)", id, c.nextID.Load())
-		}
-		s, local := c.resolve(id)
-		if local < 0 {
-			return fmt.Errorf("graphdim: id %d not in store", id)
-		}
-		if s.isDead(local) || seen[id] {
-			return fmt.Errorf("graphdim: id %d already removed", id)
-		}
-		seen[id] = true
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	b, err := c.admit(wal.Record{Type: wal.TypeRemove, IDs: sorted})
+	if err != nil {
+		return err
 	}
-	// Write-ahead, after validation (a rejected batch must leave no
-	// record) and before any shard tombstones: post-validation the apply
-	// below cannot fail, so log record and committed state agree.
-	if c.wal != nil {
-		sorted := append([]int(nil), ids...)
-		sort.Ints(sorted)
-		if _, err := c.wal.Append(wal.Record{Type: wal.TypeRemove, IDs: sorted}); err != nil {
-			return fmt.Errorf("graphdim: wal append: %w", err)
-		}
-	}
-	return c.applyRemove(ids)
+	c.commit(b, nil)
+	return nil
 }
 
 // StaleRatios reports, per shard, how far the collection has drifted from

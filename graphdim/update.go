@@ -35,7 +35,7 @@ func (ix *Index) Add(gs ...*Graph) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	first := ix.add(gs, vecs, nil)
+	first := ix.publish(shardBatch{graphs: gs}, vecs)
 	ids := make([]int, len(gs))
 	for i := range ids {
 		ids[i] = first + i
@@ -62,29 +62,19 @@ func mapBatch(ctx context.Context, m *vecspace.Mapper, gs []*Graph, fan func(con
 	return vecs, nil
 }
 
-// add publishes gs, already mapped to vecs, as the next ids — with their
-// collection-global ids when ix is a shard, under globals == nil when it
-// stands alone — and returns the first id assigned. It is all a write
-// does under the writer lock: snapshot.appended, then the swap.
-func (ix *Index) add(gs []*Graph, vecs []*vecspace.BitVector, globals []int) int {
+// publish lands a shard's share of a checked batch (see Collection.check)
+// as one snapshot and one generation, and returns the first lane its
+// graphs take: its graphs, mapped to vecs, take the next lanes under their
+// global ids (a stand-alone index's Add passes none, and each lane is its
+// own id), then its removed ids are tombstoned — ids the batch checked are
+// live, some perhaps just appended. A reclaim never drops a live id, so
+// each still resolves under the writer lock. It is all a write does under
+// the writer lock.
+func (ix *Index) publish(sb shardBatch, vecs []*vecspace.BitVector) int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	cur := ix.snap.Load()
-	ix.snap.Store(cur.appended(gs, vecs, globals))
-	ix.gen.Add(1)
-	return len(cur.db)
-}
-
-// publish lands a shard's share of a batch of logged records (see
-// Collection.apply) as one snapshot and one generation: its graphs,
-// mapped to vecs, take the next lanes under their global ids, then its
-// removed ids are tombstoned — ids the batch checked are live, some
-// perhaps just appended. A reclaim never drops a live id, so each still
-// resolves under the writer lock.
-func (ix *Index) publish(sb shardBatch, vecs []*vecspace.BitVector) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	next := ix.snap.Load()
+	next := cur
 	if len(sb.graphs) > 0 {
 		next = next.appended(sb.graphs, vecs, sb.ids)
 	}
@@ -97,41 +87,7 @@ func (ix *Index) publish(sb shardBatch, vecs []*vecspace.BitVector) {
 	}
 	ix.snap.Store(next)
 	ix.gen.Add(1)
-}
-
-// removeGlobal tombstones the given collection-global ids (on a
-// stand-alone index, its own ids) — a shard's half of Collection.Remove.
-// The translation happens under the writer lock, so no reclaim can
-// renumber the shard between the lookup and the publish.
-func (ix *Index) removeGlobal(globals []int) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	cur := ix.snap.Load()
-	ids := make([]int, len(globals))
-	for i, g := range globals {
-		if ids[i] = cur.localOf(g); ids[i] < 0 {
-			return fmt.Errorf("graphdim: id %d not in store", g)
-		}
-	}
-	return ix.removeLocked(cur, ids)
-}
-
-// removeLocked validates ids against cur, the current snapshot, and
-// publishes cur.tombstoned(ids); ix.mu is held.
-func (ix *Index) removeLocked(cur *snapshot, ids []int) error {
-	seen := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		if id < 0 || id >= len(cur.db) {
-			return fmt.Errorf("graphdim: id %d out of range [0,%d)", id, len(cur.db))
-		}
-		if cur.isDead(id) || seen[id] {
-			return fmt.Errorf("graphdim: id %d already removed", id)
-		}
-		seen[id] = true
-	}
-	ix.snap.Store(cur.tombstoned(ids))
-	ix.gen.Add(1)
-	return nil
+	return len(cur.db)
 }
 
 // reclaim drops the tombstoned slots — Collection.Compact's per-shard

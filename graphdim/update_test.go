@@ -3,9 +3,12 @@ package graphdim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -151,9 +154,32 @@ func tombstones(c *Collection) int {
 	return n
 }
 
+// TestRemoveTombstones runs on an in-memory collection and on a durable
+// one, whose refused Removes must also leave the log as it was.
 func TestRemoveTombstones(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "in memory", true: "durable"}[durable], func(t *testing.T) {
+			testRemoveTombstones(t, durable)
+		})
+	}
+}
+
+func testRemoveTombstones(t *testing.T, durable bool) {
 	idx, db := buildSmall(t, DSPM)
 	c := serveIndex(t, idx, 2)
+	if durable {
+		s, _ := newCheckpointStore(t)
+		var err error
+		if c, err = s.CreateFromIndex("c", idx, CollectionOptions{Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appends := func() int64 {
+		if st := c.Stats().WAL; st != nil {
+			return st.Appends
+		}
+		return 0
+	}
 	n := c.Size()
 	isRemoved := func(id int) bool {
 		s, local := c.resolve(id)
@@ -192,27 +218,51 @@ func TestRemoveTombstones(t *testing.T) {
 		}
 	}
 
-	// Validation: out of range, double remove, atomicity.
-	if err := c.Remove(n); err == nil {
-		t.Error("out-of-range Remove accepted")
-	}
-	if err := c.Remove(-1); err == nil {
-		t.Error("negative Remove accepted")
-	}
-	if err := c.Remove(3); err == nil {
-		t.Error("double Remove accepted")
-	}
-	if err := c.Remove(5, 5); err == nil {
-		t.Error("duplicate ids in one Remove accepted")
-	}
-	if err := c.Remove(6, 3); err == nil {
-		t.Error("batch with already-removed id accepted")
+	// Validation: out of range, double remove, atomicity. A refusal names
+	// the id at fault and no log record, logs nothing and publishes
+	// nothing.
+	for _, tc := range []struct {
+		name string
+		ids  []int
+		bad  int
+	}{
+		{"out-of-range Remove", []int{n}, n},
+		{"negative Remove", []int{-1}, -1},
+		{"double Remove", []int{3}, 3},
+		{"duplicate ids in one Remove", []int{5, 5}, 5},
+		{"batch with already-removed id", []int{6, 3}, 3},
+	} {
+		logged, gens := appends(), c.generations()
+		err := c.Remove(tc.ids...)
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("id %d ", tc.bad)) || strings.Contains(msg, "wal record") {
+			t.Errorf("%s: error %q, want one naming id %d and no log record", tc.name, msg, tc.bad)
+		}
+		if got := appends(); got != logged {
+			t.Errorf("%s: the log took %d appends", tc.name, got-logged)
+		}
+		if got := c.generations(); !slices.Equal(got, gens) {
+			t.Errorf("%s: generations moved from %v to %v", tc.name, gens, got)
+		}
 	}
 	if tombstones(c) != 2 || isRemoved(6) {
 		t.Error("failed Remove was not atomic")
 	}
 	if err := c.Remove(); err != nil {
 		t.Errorf("empty Remove = %v", err)
+	}
+	logged := appends()
+	if err := c.Remove(6); err != nil {
+		t.Fatalf("a valid Remove after the refusals: %v", err)
+	}
+	if !isRemoved(6) || tombstones(c) != 3 {
+		t.Error("the valid Remove did not land")
+	}
+	if want := logged + map[bool]int64{false: 0, true: 1}[durable]; appends() != want {
+		t.Errorf("the valid Remove left %d appends, want %d", appends(), want)
 	}
 }
 
@@ -397,4 +447,40 @@ func TestAddContextCancelled(t *testing.T) {
 	if after := c.Stats(); after.NextID != before.NextID || !reflect.DeepEqual(after.Generations, before.Generations) {
 		t.Error("cancelled Add published graphs")
 	}
+}
+
+// removeGlobal tombstones the given collection-global ids (on a
+// stand-alone index, its own ids) on one index directly, outside any
+// collection's log — how the model and the equivalence suites remove.
+// The translation happens under the writer lock, so no reclaim can
+// renumber the shard between the lookup and the publish.
+func (ix *Index) removeGlobal(globals []int) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	cur := ix.snap.Load()
+	ids := make([]int, len(globals))
+	for i, g := range globals {
+		if ids[i] = cur.localOf(g); ids[i] < 0 {
+			return fmt.Errorf("graphdim: id %d not in store", g)
+		}
+	}
+	return ix.removeLocked(cur, ids)
+}
+
+// removeLocked validates ids against cur, the current snapshot, and
+// publishes cur.tombstoned(ids); ix.mu is held.
+func (ix *Index) removeLocked(cur *snapshot, ids []int) error {
+	seen := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		if id < 0 || id >= len(cur.db) {
+			return fmt.Errorf("graphdim: id %d out of range [0,%d)", id, len(cur.db))
+		}
+		if cur.isDead(id) || seen[id] {
+			return fmt.Errorf("graphdim: id %d already removed", id)
+		}
+		seen[id] = true
+	}
+	ix.snap.Store(cur.tombstoned(ids))
+	ix.gen.Add(1)
+	return nil
 }

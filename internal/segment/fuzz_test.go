@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// retiredMagics are the binary generations before v5.
-var retiredMagics = []string{"GDIMIDX2", "GDIMIDX3", "GDIMIDX4"}
+// retiredMagics are the binary generations before v6.
+var retiredMagics = []string{"GDIMIDX2", "GDIMIDX3", "GDIMIDX4", "GDIMIDX5"}
 
 // FuzzReader throws arbitrary bytes at the segment decoder: NewReader
 // must return an error or a reader — never panic, hang, or allocate
@@ -15,16 +15,14 @@ var retiredMagics = []string{"GDIMIDX2", "GDIMIDX3", "GDIMIDX4"}
 // allow — for every input. An input that NewReader accepts, checksums
 // included, must decode through every accessor and every GraphAt, and
 // re-encode through Write to exactly its own bytes: the canonical v6
-// encoding is a fixed point. An accepted v5 input re-encodes to the v6
-// file of the same content, which downgrades to exactly the input. An
-// input that starts with a retired generation's magic must be refused as
-// "legacy". The seed corpus is a valid v6 segment (tombstones, two words
-// per vector), its v5 form, systematic truncations and bit flips of the
-// v6 one, and that segment under each retired magic.
+// encoding is a fixed point. An input that starts with a retired
+// generation's magic must be refused as "legacy". The seed corpus is a
+// valid v6 segment (tombstones, two words per vector), systematic
+// truncations and bit flips of it, and that segment under each retired
+// magic.
 func FuzzReader(f *testing.F) {
 	valid := encodeFixture(f, buildFixture(f, 40, 70, 17))
 	f.Add(valid)
-	f.Add(downgradeV5(f, valid))
 	// Truncations at structural boundaries (magic, meta, trailer) and
 	// random depths.
 	for _, cut := range []int{0, 4, 8, 9, 16, len(valid) / 3, len(valid) / 2, len(valid) - trailerSize, len(valid) - 5, len(valid) - 1} {
@@ -55,11 +53,7 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := reencode(t, r)
-		if bytes.HasPrefix(data, []byte(magicV5)) {
-			enc = downgradeV5(t, enc)
-		}
-		if !bytes.Equal(enc, data) {
+		if !bytes.Equal(reencode(t, r), data) {
 			t.Fatal("decode→encode is not a fixed point")
 		}
 	})
@@ -85,12 +79,8 @@ func reencode(t *testing.T, r *Reader) []byte {
 			t.Fatalf("GraphAt of a verified segment: %v", err)
 		}
 	}
-	ids, ok := r.IDs()
-	if !ok {
-		ids = make([]int, r.N()) // a v5 file has none; downgradeV5 drops them
-	}
 	var buf bytes.Buffer
-	if err := Write(&buf, Payload{Meta: r.Meta(), Block: blk, Dead: dead, IDs: ids, Graph: r.GraphBytes}); err != nil {
+	if err := Write(&buf, Payload{Meta: r.Meta(), Block: blk, Dead: dead, IDs: r.IDs(), Graph: r.GraphBytes}); err != nil {
 		t.Fatalf("re-encoding a verified segment: %v", err)
 	}
 	return buf.Bytes()

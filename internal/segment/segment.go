@@ -33,13 +33,9 @@
 // label lists on first demand — so no file can hold skip metadata that
 // disagrees with its own vectors.
 //
-// v6 is the format written. v5 — the same file without the ids section,
-// under "GDIMIDX5" with an 80-byte trailer that has no ids offset and
-// ends "GDSEG5TR" — still opens, without an id table (its store's
-// manifest held the tables); it is the one path for stores written by
-// earlier releases, and a checkpoint rewrites such a shard as v6. Files
-// of the retired generations (v1 JSON, v2, v3, v4) are refused by name
-// with the upgrade path, never called corrupt.
+// v6 is the one format written and the one read. Files of the retired
+// generations (v1 JSON, v2, v3, v4, v5) are refused by name with the
+// upgrade path, never called corrupt.
 //
 // Integrity: every open reads each file once and checks it. NewReader
 // verifies the trailer's own crc, then the body crc over everything
@@ -71,10 +67,6 @@ const Magic = "GDIMIDX6"
 const (
 	trailerMagic = "GDSEG6TR"
 	trailerSize  = 88
-	// The v5 magics and trailer, read but never written.
-	magicV5        = "GDIMIDX5"
-	trailerMagicV5 = "GDSEG5TR"
-	trailerSizeV5  = 80
 	// width is the one tile width the kernel runs.
 	width = vecspace.DefaultBlockWidth
 	// maxElems bounds decoded counts before any allocation, shared with
@@ -324,13 +316,10 @@ type Reader struct {
 	n, p  int
 	words int
 
-	tilesOff, deadOff, gidxOff, graphsOff, graphsLen int64
-	// idsOff is the ids section's offset, -1 in a v5 file.
-	idsOff     int64
-	trailerOff int64
+	tilesOff, deadOff, gidxOff, graphsOff, graphsLen, idsOff, trailerOff int64
 }
 
-// Open opens a v6 or v5 segment file and checks it (see the package comment),
+// Open opens a v6 segment file and checks it (see the package comment),
 // so a torn, truncated or corrupt file fails here with a clear error.
 func Open(path string, opt Options) (*Reader, error) {
 	data, mapped, closer, err := openBytes(path, opt.Map)
@@ -352,43 +341,33 @@ func Open(path string, opt Options) (*Reader, error) {
 // Mapped()); closer, if non-nil, releases them (Close).
 func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 	if legacy := legacyFormat(data); legacy != "" {
-		return nil, fmt.Errorf("legacy %s index file: this release reads only v5 and v6 segments; open it once with the previous release that reads it and checkpoint", legacy)
+		return nil, fmt.Errorf("legacy %s index file: this release reads only v6 segments; open it once with the previous release that reads it and checkpoint", legacy)
 	}
 	if len(data) < len(Magic) {
 		return nil, fmt.Errorf("truncated segment (%d bytes)", len(data))
 	}
-	// offsets is how many section offsets (and lengths) the trailer
-	// holds before n, p and baseN: v5 has no ids offset.
-	size, tmagic, offsets := trailerSize, trailerMagic, 6
-	switch string(data[:len(Magic)]) {
-	case Magic:
-	case magicV5:
-		size, tmagic, offsets = trailerSizeV5, trailerMagicV5, 5
-	default:
+	if string(data[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("bad magic %q", data[:len(Magic)])
 	}
-	if len(data) < len(Magic)+size {
+	if len(data) < len(Magic)+trailerSize {
 		return nil, fmt.Errorf("truncated segment (%d bytes)", len(data))
 	}
-	r := &Reader{data: data, mapped: mapped, closer: closer, idsOff: -1}
-	r.trailerOff = int64(len(data) - size)
+	r := &Reader{data: data, mapped: mapped, closer: closer}
+	r.trailerOff = int64(len(data) - trailerSize)
 	tr := data[r.trailerOff:]
-	if string(tr[size-8:]) != tmagic {
-		return nil, fmt.Errorf("torn trailer (bad trailer magic %q)", tr[size-8:])
+	if string(tr[trailerSize-8:]) != trailerMagic {
+		return nil, fmt.Errorf("torn trailer (bad trailer magic %q)", tr[trailerSize-8:])
 	}
-	if got, want := crc32.Checksum(tr[:size-12], crcTable), binary.LittleEndian.Uint32(tr[size-12:]); got != want {
+	if got, want := crc32.Checksum(tr[:trailerSize-12], crcTable), binary.LittleEndian.Uint32(tr[trailerSize-12:]); got != want {
 		return nil, fmt.Errorf("torn trailer (crc %08x, computed %08x)", want, got)
 	}
-	if want, got := binary.LittleEndian.Uint32(tr[size-16:]), crc32.Checksum(data[:r.trailerOff], crcTable); got != want {
+	if want, got := binary.LittleEndian.Uint32(tr[trailerSize-16:]), crc32.Checksum(data[:r.trailerOff], crcTable); got != want {
 		return nil, fmt.Errorf("body checksum mismatch (file %08x, computed %08x)", want, got)
 	}
 	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(tr[i*8:]) }
 	off := func(i int) int64 { return int64(u64(i)) }
-	r.tilesOff, r.deadOff, r.gidxOff, r.graphsOff, r.graphsLen = off(0), off(1), off(2), off(3), off(4)
-	if offsets == 6 {
-		r.idsOff = off(5)
-	}
-	n, p, baseN := u64(offsets), u64(offsets+1), u64(offsets+2)
+	r.tilesOff, r.deadOff, r.gidxOff, r.graphsOff, r.graphsLen, r.idsOff = off(0), off(1), off(2), off(3), off(4), off(5)
+	n, p, baseN := u64(6), u64(7), u64(8)
 	if n > maxElems || p > maxElems {
 		return nil, fmt.Errorf("corrupt trailer: n=%d p=%d", n, p)
 	}
@@ -407,16 +386,13 @@ func NewReader(data []byte, mapped bool, closer func() error) (*Reader, error) {
 		name     string
 		off, len int64
 	}
-	secs := []section{
+	for _, s := range []section{
 		{"tiles", r.tilesOff, int64(nt) * stride},
 		{"dead", r.deadOff, int64((r.n + 7) / 8)},
 		{"gidx", r.gidxOff, int64(r.n+1) * 8},
 		{"graphs", r.graphsOff, r.graphsLen},
-	}
-	if r.idsOff >= 0 {
-		secs = append(secs, section{"ids", r.idsOff, int64(r.n) * 4})
-	}
-	for _, s := range secs {
+		{"ids", r.idsOff, int64(r.n) * 4},
+	} {
 		if s.off < int64(len(Magic)) || s.off > r.trailerOff || s.len < 0 || s.len > r.trailerOff-s.off {
 			return nil, fmt.Errorf("corrupt trailer: %s section [%d,+%d) outside file", s.name, s.off, s.len)
 		}
@@ -447,6 +423,8 @@ func legacyFormat(data []byte) string {
 		return "v3 binary"
 	case bytes.HasPrefix(data, []byte("GDIMIDX4")):
 		return "v4 binary"
+	case bytes.HasPrefix(data, []byte("GDIMIDX5")):
+		return "v5 binary"
 	case bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")):
 		return "v1 JSON"
 	}
@@ -578,18 +556,14 @@ func (r *Reader) Dead() ([]uint64, int) {
 	return out, count
 }
 
-// IDs decodes the ids section: the global id of each lane. ok is false
-// for a v5 file, which has no such section.
-func (r *Reader) IDs() (ids []int, ok bool) {
-	if r.idsOff < 0 {
-		return nil, false
-	}
+// IDs decodes the ids section: the global id of each lane.
+func (r *Reader) IDs() []int {
 	b := r.data[r.idsOff : r.idsOff+int64(r.n)*4]
-	ids = make([]int, r.n)
+	ids := make([]int, r.n)
 	for i := range ids {
 		ids[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	return ids, true
+	return ids
 }
 
 // GraphBytes returns graph i's encoded blob — a subslice of the segment,

@@ -92,24 +92,6 @@ func encodeFixture(t testing.TB, fx *fixture) []byte {
 	return buf.Bytes()
 }
 
-// downgradeV5 rewrites a v6 segment as the v5 file of the same content:
-// the v5 magic, no ids section, and the v5 trailer, which has no ids
-// offset.
-func downgradeV5(t testing.TB, v6 []byte) []byte {
-	t.Helper()
-	r, err := NewReader(v6, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := append([]byte(magicV5), v6[len(Magic):r.graphsOff+r.graphsLen]...)
-	body := crc32.Checksum(out, crcTable)
-	tr := v6[r.trailerOff:]
-	trailer := append(bytes.Clone(tr[:5*8]), tr[6*8:9*8]...) // all but the ids offset
-	trailer = binary.LittleEndian.AppendUint32(trailer, body)
-	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.Checksum(trailer, crcTable))
-	return append(append(out, trailer...), trailerMagicV5...)
-}
-
 func writeFixture(t *testing.T, fx *fixture) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seg.gdx")
@@ -208,30 +190,8 @@ func checkReader(t *testing.T, fx *fixture, r *Reader) {
 	if post.N() != n || post.P() != p {
 		t.Fatalf("postings shape %d/%d", post.N(), post.P())
 	}
-	// A v6 file returns the table it was written with; a v5 file has none.
-	ids, ok := r.IDs()
-	if v6 := string(r.data[:len(Magic)]) == Magic; ok != v6 || v6 && !slices.Equal(ids, fx.pl.IDs) || !v6 && ids != nil {
-		t.Fatalf("ids %v (ok %v), want %v", ids, ok, fx.pl.IDs)
-	}
-}
-
-// TestSegmentOpensV5: a v5 file, the format earlier releases wrote, opens
-// with every section but the ids section, which it does not have, and
-// refuses each of its corruptions as a v6 file does.
-func TestSegmentOpensV5(t *testing.T) {
-	fx := buildFixture(t, 90, 70, 9)
-	v5 := downgradeV5(t, encodeFixture(t, fx))
-	r, err := NewReader(v5, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReader(t, fx, r)
-	for pos := range v5 {
-		corrupt := bytes.Clone(v5)
-		corrupt[pos] ^= 0x40
-		if _, err := NewReader(corrupt, false, nil); err == nil {
-			t.Fatalf("flipped byte %d of a v5 file accepted", pos)
-		}
+	if ids := r.IDs(); !slices.Equal(ids, fx.pl.IDs) {
+		t.Fatalf("ids %v, want %v", ids, fx.pl.IDs)
 	}
 }
 
@@ -351,6 +311,8 @@ func TestSegmentNamesLegacyFormats(t *testing.T) {
 		"v3 magic":   {"GDIMIDX3", "v3 binary"},
 		"v4":         {"GDIMIDX4\x00\x10payload", "v4 binary"},
 		"v4 magic":   {"GDIMIDX4", "v4 binary"},
+		"v5":         {"GDIMIDX5\x00\x10payload", "v5 binary"},
+		"v5 magic":   {"GDIMIDX5", "v5 binary"},
 		"v1":         {`{"version":1,"metric":0,"features":[],"db":[]}`, "v1 JSON"},
 		"v1 indent":  {"\n {\n \"version\": 1\n}", "v1 JSON"},
 		"other json": {`{"version": 2}`, "v1 JSON"},

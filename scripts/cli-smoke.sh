@@ -3,7 +3,9 @@
 # gen writes query graphs, dspm writes the store, gsearch (mapped and
 # verified engines) and gq read it, a copy of it with one byte flipped
 # in a shard file's body is refused by gsearch with a body checksum
-# error while the original still answers, gserve serves it, takes three
+# error while the original still answers, a copy of the v5 store the
+# previous release wrote (graphdim/testdata/v5store) is refused by
+# gsearch naming v5 and left byte-identical, gserve serves it, takes three
 # adds and is killed with SIGKILL. The killed directory has no owner, so
 # gsearch opens it, replays the log and answers over all 43 graphs; gserve
 # then comes back with the adds replayed too, and while it runs gsearch is
@@ -57,7 +59,7 @@ grep -q '"count": 40' "$d/count.json"
 bad=$d/bad-store
 cp -r "$store" "$bad"
 shard=$(ls "$bad"/default/shard-*.gdx | head -n 1)
-off=$((($(wc -c < "$shard") - 80) / 2)) # mid-body: the last 80 bytes are the trailer
+off=$((($(wc -c < "$shard") - 88) / 2)) # mid-body: the last 88 bytes are the trailer
 byte=$(od -An -tu1 -j "$off" -N1 "$shard" | tr -d ' ')
 printf "\\$(printf %o $((byte ^ 1)))" | dd of="$shard" bs=1 seek="$off" conv=notrunc status=none
 if "$bin/gsearch" -store "$bad" -queries "$d/q.graphs" -k 3 > /dev/null 2> "$d/bad.err"; then
@@ -68,6 +70,22 @@ cat "$d/bad.err"
 grep -q 'body checksum' "$d/bad.err"
 "$bin/gsearch" -store "$store" -queries "$d/q.graphs" -k 3 > "$d/intact.txt"
 grep -q 'mapped engine' "$d/intact.txt"
+
+# A store of v5 shard files, which only the previous release reads, is
+# refused naming the format, and the refused open changes none of its
+# files.
+fixture=graphdim/testdata/v5store
+v5=$d/v5-store
+cp -r "$fixture" "$v5"
+if "$bin/gsearch" -store "$v5" -queries "$d/q.graphs" -k 3 > /dev/null 2> "$d/v5.err"; then
+	echo "gsearch served a v5 store" >&2
+	exit 1
+fi
+cat "$d/v5.err"
+grep -q 'v5' "$d/v5.err"
+for f in "$fixture"/store.json "$fixture"/c/shard-*.gdx; do
+	cmp "$f" "$v5/${f#"$fixture"/}"
+done
 
 # start_gserve serves the store in the background, logging to $1, and
 # sets pid and addr once it listens.
