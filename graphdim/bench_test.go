@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
@@ -60,6 +61,32 @@ func BenchmarkBuildWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+	// DSPMap on bench's selection sample (TestDSPMapSelectionGolden's
+	// inputs): select-ms is the dimension-selection stage alone, from the
+	// StageDSPM edge to the StageVectors edge, as bench/ times it.
+	sample := benchSelectionSample()
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("dspmap/workers=%d", workers), func(b *testing.B) {
+			var sel time.Duration
+			for i := 0; i < b.N; i++ {
+				opt := benchSelectionOptions(workers)
+				var start time.Time
+				opt.Progress = func(stage BuildStage, _, _ int) {
+					switch {
+					case stage == StageDSPM && start.IsZero():
+						start = time.Now()
+					case stage == StageVectors && !start.IsZero():
+						sel += time.Since(start)
+						start = time.Time{}
+					}
+				}
+				if _, err := Build(sample, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sel.Microseconds())/1e3/float64(b.N), "select-ms")
 		})
 	}
 }

@@ -176,14 +176,12 @@ type Options struct {
 	// Iterations caps DSPM's majorization loop; zero means 30.
 	Iterations int
 	// Workers bounds the worker pools used by the offline build path
-	// (gSpan mining, the DSPM pairwise MCS matrix, vector
+	// (gSpan mining, the DSPM pairwise MCS matrix, DSPMap's partition
+	// and overlap sub-runs with their lazy dissimilarities, vector
 	// materialization) and inherited by the index for Add's mapping.
 	// Zero or negative means one worker per CPU. Build output is
 	// identical for every worker count — parallelism changes only
-	// wall-clock time. Note the DSPMap algorithm evaluates its
-	// dissimilarities lazily inside sequential partition passes, so
-	// Workers accelerates only its mining and vector stages; the
-	// MCS-dominated stage Workers speeds up most is DSPM's matrix.
+	// wall-clock time.
 	Workers int
 	// Progress, when non-nil, is called as the build advances: at the
 	// start of each stage with (stage, 0, total) and at its end with
@@ -894,9 +892,10 @@ func BuildContext(ctx context.Context, db []*Graph, opt Options) (*Index, error)
 		}
 		report(StageDSPM, 0, 0)
 		res, err = core.DSPMapContext(ctx, idx, dis, core.MapConfig{
-			Core: core.Config{P: p, MaxIter: opt.Iterations},
-			B:    opt.PartitionSize,
-			Seed: opt.Seed,
+			Core:    core.Config{P: p, MaxIter: opt.Iterations},
+			B:       opt.PartitionSize,
+			Seed:    opt.Seed,
+			Workers: opt.Workers,
 		})
 		if err != nil {
 			if ctx.Err() != nil {

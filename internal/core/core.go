@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/vecspace"
@@ -103,11 +104,11 @@ func DSPMContext(ctx context.Context, idx *vecspace.Index, delta [][]float64, cf
 		return nil, fmt.Errorf("core: P=%d out of range (0, %d]", cfg.P, m)
 	}
 
-	s := &state{idx: idx, delta: delta, cfg: cfg, n: n, m: m}
-	s.c = make([]float64, m)
+	s := newState(idx, delta, cfg)
 	for r := range s.c {
 		s.c[r] = 1 / math.Sqrt(float64(m))
 	}
+	s.fillDist()
 
 	res := &Result{}
 	prev := math.Inf(1)
@@ -118,7 +119,8 @@ func DSPMContext(ctx context.Context, idx *vecspace.Index, delta [][]float64, cf
 			return nil, err
 		}
 		xbar := s.updateXbar()
-		s.c = s.updateC(xbar)
+		s.c, s.spare = s.updateC(xbar), s.c
+		s.fillDist()
 		prev, cur = cur, s.computeObj()
 		res.Objectives = append(res.Objectives, cur)
 		res.Iterations = k
@@ -152,7 +154,7 @@ func TopWeights(c []float64, p int) []int {
 }
 
 // state carries one DSPM run. The configuration z of Algorithm 1 is not
-// materialized: z_ir = y_ir * c_r, so the inverted lists plus c determine
+// materialized: z_ir = y_ir * c_r, so the feature sets plus c determine
 // it implicitly.
 type state struct {
 	idx   *vecspace.Index
@@ -160,17 +162,78 @@ type state struct {
 	cfg   Config
 	n, m  int
 	c     []float64
+	// spare is the weight buffer updateC fills; it swaps with c.
+	spare []float64
+
+	// words is ⌈m/64⌉; graph i's feature set Y_i is packed into
+	// feats[i*words : (i+1)*words], bit r set when g_i contains f_r.
+	words int
+	feats []uint64
+	// c2[r] = c[r]², and dist holds d(z_i, z_j) for every pair i < j in
+	// row-major upper-triangle order; fillDist refreshes both whenever c
+	// changes, so computeObj and the next updateXbar share one pass.
+	c2   []float64
+	dist []float64
+	// b (n×n, row-major) and xbar (n×m) are updateXbar's buffers, reused
+	// across iterations.
+	b    []float64
+	xbar [][]float64
 }
 
-// pairDistance computes d(z_i, z_j) = sqrt(Σ_{r: y_ir≠y_jr} c_r^2) by
-// walking the symmetric difference of the graphs' feature lists
-// (Algorithm 4's inner loop).
-func (s *state) pairDistance(i, j int) float64 {
-	sum := 0.0
-	s.idx.SymmetricDifferenceFeatures(i, j, func(r int) {
-		sum += s.c[r] * s.c[r]
-	})
-	return math.Sqrt(sum)
+func newState(idx *vecspace.Index, delta [][]float64, cfg Config) *state {
+	n, m := idx.N, idx.P
+	s := &state{idx: idx, delta: delta, cfg: cfg, n: n, m: m}
+	s.words = (m + 63) / 64
+	s.feats = make([]uint64, n*s.words)
+	for i, list := range idx.IG {
+		row := s.feats[i*s.words:]
+		for _, r := range list {
+			row[r>>6] |= 1 << (r & 63)
+		}
+	}
+	s.c = make([]float64, m)
+	s.spare = make([]float64, m)
+	s.c2 = make([]float64, m)
+	s.dist = make([]float64, n*(n-1)/2)
+	s.b = make([]float64, n*n)
+	flat := make([]float64, n*m)
+	s.xbar = make([][]float64, n)
+	for i := range s.xbar {
+		s.xbar[i] = flat[i*m : (i+1)*m : (i+1)*m]
+	}
+	return s
+}
+
+// has reports y_ir: whether graph i contains feature r.
+func (s *state) has(i, r int) bool {
+	return s.feats[i*s.words+r>>6]>>(r&63)&1 != 0
+}
+
+// fillDist computes d(z_i, z_j) = sqrt(Σ_{r: y_ir≠y_jr} c_r²) for every
+// pair under the current c (Algorithm 4's inner loop). The XOR of the two
+// packed feature sets is the symmetric difference; its set bits are
+// visited in ascending r — the order a merge walk of the two sorted
+// feature lists adds in — so every distance is bit-identical to that walk.
+func (s *state) fillDist() {
+	for r, cr := range s.c {
+		s.c2[r] = cr * cr
+	}
+	w, k := s.words, 0
+	for i := 0; i < s.n; i++ {
+		fi := s.feats[i*w : (i+1)*w]
+		for j := i + 1; j < s.n; j++ {
+			fj := s.feats[j*w : (j+1)*w]
+			sum := 0.0
+			for x, word := range fi {
+				c2 := s.c2[x*64:]
+				for diff := word ^ fj[x]; diff != 0; diff &= diff - 1 {
+					sum += c2[bits.TrailingZeros64(diff)]
+				}
+			}
+			s.dist[k] = math.Sqrt(sum)
+			k++
+		}
+	}
 }
 
 // pairDistanceDense computes the same distance by scanning all m features.
@@ -198,13 +261,13 @@ func memberSet(list []int, m int) []bool {
 // ordered pairs (the paper's double sum), i.e. twice the i<j sum.
 func (s *state) computeObj() float64 {
 	e := 0.0
+	k := 0
 	for i := 0; i < s.n; i++ {
 		for j := i + 1; j < s.n; j++ {
-			var d float64
+			d := s.dist[k]
+			k++
 			if s.cfg.DenseObjective {
 				d = s.pairDistanceDense(i, j)
-			} else {
-				d = s.pairDistance(i, j)
 			}
 			diff := d - s.delta[i][j]
 			e += 2 * diff * diff
@@ -215,47 +278,46 @@ func (s *state) computeObj() float64 {
 
 // updateXbar is Algorithm 3: x̄_ir = (1/n) Σ_k b_ik z_kr with the Guttman
 // transform weights b of Eq. (8); the sum only ranges over g_k ∈ IF_r
-// because z_kr = 0 elsewhere.
+// because z_kr = 0 elsewhere. It reads the distances fillDist left for
+// the current c and returns its reused xbar buffer.
 func (s *state) updateXbar() [][]float64 {
 	n := s.n
 	// b matrix (Eq. 8).
-	b := make([][]float64, n)
-	for i := range b {
-		b[i] = make([]float64, n)
-	}
+	b := s.b
+	k := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := s.pairDistance(i, j)
+			d := s.dist[k]
+			k++
 			var v float64
 			if d != 0 {
 				v = -s.delta[i][j] / d
 			}
-			b[i][j] = v
-			b[j][i] = v
+			b[i*n+j] = v
+			b[j*n+i] = v
 		}
 	}
 	for i := 0; i < n; i++ {
+		row := b[i*n : (i+1)*n]
 		diag := 0.0
 		for j := 0; j < n; j++ {
 			if j != i {
-				diag -= b[i][j]
+				diag -= row[j]
 			}
 		}
-		b[i][i] = diag
+		row[i] = diag
 	}
 
-	xbar := make([][]float64, n)
-	for i := range xbar {
-		xbar[i] = make([]float64, s.m)
-	}
+	xbar := s.xbar
 	if s.cfg.DenseXbar {
 		// Ablation: ignore the IF lists and walk every graph for every
 		// feature, multiplying by z_kr (mostly zero).
 		for i := 0; i < n; i++ {
+			row := b[i*n : (i+1)*n]
 			for r := 0; r < s.m; r++ {
 				sum := 0.0
 				for k := 0; k < n; k++ {
-					sum += b[i][k] * s.z(k, r)
+					sum += row[k] * s.z(k, r)
 				}
 				xbar[i][r] = sum / float64(n)
 			}
@@ -267,12 +329,15 @@ func (s *state) updateXbar() [][]float64 {
 	for r := 0; r < s.m; r++ {
 		cr := s.c[r]
 		if cr == 0 {
+			for i := 0; i < n; i++ {
+				xbar[i][r] = 0
+			}
 			continue
 		}
 		list := s.idx.IF[r]
 		for i := 0; i < n; i++ {
 			sum := 0.0
-			bi := b[i]
+			bi := b[i*n : (i+1)*n]
 			for _, k := range list {
 				sum += bi[k]
 			}
@@ -293,14 +358,14 @@ func (s *state) z(k, r int) float64 {
 }
 
 // updateC computes the next weight vector. The default path is Algorithm 2
-// (the simplified Eq. (9) of Theorem 5.1); the naive path evaluates Eq.
-// (7) directly over all graph pairs.
+// (the simplified Eq. (9) of Theorem 5.1), written into s.spare; the naive
+// path evaluates Eq. (7) directly over all graph pairs.
 func (s *state) updateC(xbar [][]float64) []float64 {
 	if s.cfg.NaiveUpdateC {
 		return s.updateCNaive(xbar)
 	}
 	n := s.n
-	c := make([]float64, s.m)
+	c := s.spare
 	for r := 0; r < s.m; r++ {
 		sup := len(s.idx.IF[r])
 		if sup == 0 || sup == n {
@@ -310,11 +375,10 @@ func (s *state) updateC(xbar [][]float64) []float64 {
 			continue
 		}
 		denom := float64(sup) * float64(n-sup)
-		inIF := memberSet(s.idx.IF[r], n)
 		num := 0.0
 		for i := 0; i < n; i++ {
 			y := 0.0
-			if inIF[i] {
+			if s.has(i, r) {
 				y = 1
 			}
 			num += xbar[i][r] * (float64(n)*y - float64(sup))

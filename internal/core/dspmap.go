@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/pool"
 	"repro/internal/vecspace"
 )
 
@@ -13,6 +14,9 @@ import (
 // indices on demand. DSPMap only ever evaluates it within partitions and
 // merge samples, which is the source of its scalability: the full n×n
 // matrix is never materialized (Theorem 5.3's O(b(b+m')) memory).
+// DSPMap runs its sub-problems on up to MapConfig.Workers goroutines, so
+// a Dissim is called from several goroutines at once and must be safe
+// for that.
 type Dissim func(i, j int) float64
 
 // MapConfig controls a DSPMap run.
@@ -30,6 +34,12 @@ type MapConfig struct {
 	// partitioning with a uniformly random one — exposed for the ablation
 	// bench that quantifies the value of grouping similar graphs.
 	RandomPartition bool
+	// Workers bounds how many DSPM sub-runs (partitions and overlap
+	// samples) run at once; zero or negative means one per CPU. The
+	// result is bit-identical for every value. Core.OnIteration, if set,
+	// is called from the sub-runs' goroutines, concurrently when Workers
+	// is above one.
+	Workers int
 }
 
 // DSPMap runs Algorithm 5: partition the database into ⌈n/b⌉ parts of
@@ -41,8 +51,8 @@ func DSPMap(idx *vecspace.Index, dis Dissim, cfg MapConfig) (*Result, error) {
 }
 
 // DSPMapContext is DSPMap with cancellation: ctx is checked between
-// dissimilarity evaluations (the dominant cost) and between the recursive
-// combine steps, and a cancelled run returns (nil, ctx.Err()).
+// dissimilarity evaluations (the dominant cost) and before each DSPM
+// sub-run, and a cancelled run returns (nil, ctx.Err()).
 func DSPMapContext(ctx context.Context, idx *vecspace.Index, dis Dissim, cfg MapConfig) (*Result, error) {
 	if cfg.B < 2 {
 		return nil, fmt.Errorf("core: DSPMap partition size B=%d, want >= 2", cfg.B)
@@ -56,6 +66,7 @@ func DSPMapContext(ctx context.Context, idx *vecspace.Index, dis Dissim, cfg Map
 	if cfg.SampleSize == 0 {
 		cfg.SampleSize = 20
 	}
+	cfg.Workers = pool.DefaultWorkers(cfg.Workers)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	d := &dspmap{ctx: ctx, idx: idx, dis: dis, cfg: cfg, rng: rng}
@@ -76,8 +87,8 @@ func DSPMapContext(ctx context.Context, idx *vecspace.Index, dis Dissim, cfg Map
 	}
 	c := d.computeC(parts)
 	if err := ctx.Err(); err != nil {
-		// A cancelled run unwinds through computeC with zeroed partial
-		// weights; discard them.
+		// A cancelled run leaves skipped or zeroed sub-runs; discard the
+		// partial weights.
 		return nil, err
 	}
 
@@ -238,30 +249,67 @@ func (d *dspmap) moveFarthest(src, dst *[]int, k int, centers []int) {
 	*src = keep
 }
 
+// combine is one node of Algorithm 6's recursion: a partition at a leaf,
+// or the overlap sample bridging two halves, whose weight vector is
+// summed with the halves'.
+type combine struct {
+	ids         []int     // the graphs of this node's DSPM sub-run
+	left, right *combine  // nil at a leaf
+	c           []float64 // the sub-run's weights over all m features
+}
+
 // computeC is Algorithm 6: recursively compute the weight vector of the
 // left and right halves of the partition list, run DSPM on an overlap
-// sample bridging the halves, and sum the three vectors.
+// sample bridging the halves, and sum the three vectors. The sub-runs
+// are independent, so it plans the recursion first (drawing the rng in
+// the recursive order: left half, right half, then this node's sample),
+// runs every sub-run on the worker pool, and sums in tree order — the
+// weights are bit-identical to a sequential recursion. It returns nil if
+// ctx ends during the run.
 func (d *dspmap) computeC(parts [][]int) []float64 {
+	var runs []*combine
+	root := d.plan(parts, &runs)
+	if err := pool.ForContext(d.ctx, d.cfg.Workers, len(runs), func(i int) {
+		runs[i].c = d.runDSPM(runs[i].ids)
+	}); err != nil {
+		return nil
+	}
+	return root.sum()
+}
+
+// plan builds parts' combine tree and appends its nodes to runs.
+func (d *dspmap) plan(parts [][]int, runs *[]*combine) *combine {
 	if len(parts) == 1 {
-		return d.runDSPM(parts[0])
+		leaf := &combine{ids: parts[0]}
+		*runs = append(*runs, leaf)
+		return leaf
 	}
 	mid := (len(parts) + 1) / 2
-	cl := d.computeC(parts[:mid])
-	cr := d.computeC(parts[mid:])
+	left := d.plan(parts[:mid], runs)
+	right := d.plan(parts[mid:], runs)
 
 	// Overlap: b graphs sampled from one random part of each half.
 	pl := parts[d.rng.Intn(mid)]
 	pr := parts[mid+d.rng.Intn(len(parts)-mid)]
-	pool := append(append([]int(nil), pl...), pr...)
-	d.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if len(pool) > d.cfg.B {
-		pool = pool[:d.cfg.B]
+	sample := append(append([]int(nil), pl...), pr...)
+	d.rng.Shuffle(len(sample), func(i, j int) { sample[i], sample[j] = sample[j], sample[i] })
+	if len(sample) > d.cfg.B {
+		sample = sample[:d.cfg.B]
 	}
-	co := d.runDSPM(pool)
+	node := &combine{ids: sample, left: left, right: right}
+	*runs = append(*runs, node)
+	return node
+}
 
-	c := make([]float64, d.idx.P)
+// sum returns c_l + c_r + c_o over the subtree rooted at n.
+func (n *combine) sum() []float64 {
+	if n.left == nil {
+		return n.c
+	}
+	cl, cr := n.left.sum(), n.right.sum()
+	c := make([]float64, len(n.c))
 	for r := range c {
-		c[r] = cl[r] + cr[r] + co[r]
+		c[r] = cl[r] + cr[r] + n.c[r]
 	}
 	return c
 }
@@ -274,37 +322,35 @@ func (d *dspmap) runDSPM(ids []int) []float64 {
 	if len(ids) < 2 || d.ctx.Err() != nil {
 		return c
 	}
-	pos := make(map[int]int, len(ids))
-	for localI, id := range ids {
-		pos[id] = localI
-	}
-	// Local feature set and inverted lists.
-	var feats []int
-	localIF := make([][]int, 0)
-	for r := 0; r < d.idx.P; r++ {
-		var lst []int
-		for _, g := range d.idx.IF[r] {
-			if li, ok := pos[g]; ok {
-				lst = append(lst, li)
-			}
+	// F': the features some graph of ids contains, ascending, and each
+	// one's local index plus one (zero marks a feature outside F').
+	localOf := make([]int, d.idx.P)
+	for _, id := range ids {
+		for _, r := range d.idx.IG[id] {
+			localOf[r] = 1
 		}
-		if len(lst) > 0 {
+	}
+	var feats []int
+	for r, in := range localOf {
+		if in != 0 {
 			feats = append(feats, r)
-			sort.Ints(lst)
-			localIF = append(localIF, lst)
+			localOf[r] = len(feats)
 		}
 	}
 	if len(feats) == 0 {
 		return c
 	}
-	local := &vecspace.Index{N: len(ids), P: len(feats), IF: localIF, IG: make([][]int, len(ids))}
-	for lr, lst := range localIF {
-		for _, li := range lst {
-			local.IG[li] = append(local.IG[li], lr)
+	// Local inverted lists. IG lists ascend, and the renumbering keeps
+	// their order, so every local list comes out sorted.
+	local := &vecspace.Index{N: len(ids), P: len(feats), IF: make([][]int, len(feats)), IG: make([][]int, len(ids))}
+	for li, id := range ids {
+		list := make([]int, len(d.idx.IG[id]))
+		for x, r := range d.idx.IG[id] {
+			lr := localOf[r] - 1
+			list[x] = lr
+			local.IF[lr] = append(local.IF[lr], li)
 		}
-	}
-	for i := range local.IG {
-		sort.Ints(local.IG[i])
+		local.IG[li] = list
 	}
 	delta := make([][]float64, len(ids))
 	for i := range delta {

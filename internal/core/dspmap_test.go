@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/vecspace"
@@ -153,6 +154,7 @@ func TestDSPMapLazyDissimilarityScope(t *testing.T) {
 	idx, delta := randomProblem(r, n, 10)
 	type pair struct{ i, j int }
 	asked := map[pair]bool{}
+	var mu sync.Mutex // DSPMap's sub-runs call dis concurrently
 	dis := func(i, j int) float64 {
 		if i == j {
 			t.Errorf("dissimilarity asked for identical pair %d", i)
@@ -161,7 +163,9 @@ func TestDSPMapLazyDissimilarityScope(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
+		mu.Lock()
 		asked[pair{a, b}] = true
+		mu.Unlock()
 		return delta[i][j]
 	}
 	if _, err := DSPMap(idx, dis, MapConfig{B: 10, Core: Config{P: 3, MaxIter: 5}, Seed: 7}); err != nil {

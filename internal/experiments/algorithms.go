@@ -101,7 +101,8 @@ func DSPMAlgorithm(cfg core.Config) Algorithm {
 // DSPMapAlgorithm wraps core.DSPMap with partition size b. Unlike DSPM it
 // evaluates dissimilarities lazily inside partitions, which is what makes
 // it scale; its indexing time therefore includes those MCS computations
-// only.
+// only. Its sub-runs run on one worker: DSPM's indexing time is serial
+// too, so Figs. 8 and 9 compare algorithms, not core counts.
 func DSPMapAlgorithm(b int, seed int64, cfg core.Config) Algorithm {
 	return Algorithm{
 		Name: "DSPMap",
@@ -115,7 +116,7 @@ func DSPMapAlgorithm(b int, seed int64, cfg core.Config) Algorithm {
 				return ds.Metric.DissimilarityBudget(ds.DB[i], ds.DB[j], ds.MCSOpt)
 			}
 			start := time.Now()
-			res, err := core.DSPMap(ds.Index, dis, core.MapConfig{Core: c, B: b, Seed: seed})
+			res, err := core.DSPMap(ds.Index, dis, core.MapConfig{Core: c, B: b, Seed: seed, Workers: 1})
 			if err != nil {
 				return nil, 0, err
 			}

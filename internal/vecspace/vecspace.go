@@ -343,33 +343,6 @@ func (idx *Index) Vector(i int) *BitVector {
 	return v
 }
 
-// SymmetricDifferenceFeatures calls fn for every feature contained in
-// exactly one of graphs i and j — the iteration pattern of Algorithm 4
-// (Computeobj walks IGi ∪ IGj − IGi ∩ IGj).
-func (idx *Index) SymmetricDifferenceFeatures(i, j int, fn func(r int)) {
-	a, b := idx.IG[i], idx.IG[j]
-	x, y := 0, 0
-	for x < len(a) && y < len(b) {
-		switch {
-		case a[x] == b[y]:
-			x++
-			y++
-		case a[x] < b[y]:
-			fn(a[x])
-			x++
-		default:
-			fn(b[y])
-			y++
-		}
-	}
-	for ; x < len(a); x++ {
-		fn(a[x])
-	}
-	for ; y < len(b); y++ {
-		fn(b[y])
-	}
-}
-
 // JaccardCorrelation returns the correlation score between features r and
 // s, defined as the Jaccard coefficient of their support sets
 // |sup(r) ∩ sup(s)| / |sup(r) ∪ sup(s)| (Fig. 2; Cheng et al. [35]).

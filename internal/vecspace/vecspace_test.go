@@ -177,31 +177,6 @@ func TestBuildIndexFromVectorsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSymmetricDifferenceFeatures(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n, p := 2+r.Intn(8), 1+r.Intn(20)
-		vs := make([]*BitVector, n)
-		for i := range vs {
-			vs[i] = randomVec(r, p)
-		}
-		idx := BuildIndexFromVectors(vs)
-		i, j := r.Intn(n), r.Intn(n)
-		got := map[int]bool{}
-		idx.SymmetricDifferenceFeatures(i, j, func(r int) { got[r] = true })
-		for r2 := 0; r2 < p; r2++ {
-			want := vs[i].Get(r2) != vs[j].Get(r2)
-			if got[r2] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestJaccardCorrelation(t *testing.T) {
 	feats := []*gspan.Feature{
 		{Support: []int{0, 1, 2}},
