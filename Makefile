@@ -53,10 +53,12 @@ cover:
 # the scan kernel (copy-on-write block appends under readers, pooled
 # scratch arenas), the mmap segment layer (shared decoded-graph caches,
 # finalizer unmap), the VF2 matcher (compiled patterns shared by every
-# query and Add, one scratch per caller), and the MCS solver (arenas
-# pooled across the fan-out's goroutines and the δ matrix's workers).
+# query and Add, one scratch per caller), the MCS solver (arenas
+# pooled across the fan-out's goroutines and the δ matrix's workers),
+# DSPM (DSPMap's sub-problems on the build's worker pool) and gSpan
+# (root subtrees mined in parallel).
 race:
-	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/... ./internal/subiso/... ./internal/mcs/...
+	$(GO) test -race -count=1 ./graphdim/... ./cmd/gserve/... ./internal/pipeline/... ./internal/pool/... ./internal/wal/... ./internal/repl/... ./internal/topk/... ./internal/vecspace/... ./internal/segment/... ./internal/subiso/... ./internal/mcs/... ./internal/core/... ./internal/gspan/...
 
 # fuzz runs each native fuzz target for $(FUZZTIME), one at a time (go
 # test -fuzz takes one target per package run): the segment decoder

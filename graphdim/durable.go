@@ -135,7 +135,7 @@ func CreateStore(dir string, opt StoreOptions) (*Store, error) {
 // if the directory holds no manifest — the open-or-create entry point a
 // serving process wants at startup. Only a missing manifest triggers the
 // create branch: a manifest that opens with errors (a missing shard
-// file, say) is a broken store and reports as exactly that.
+// file, say) is a damaged store and reports as exactly that.
 func OpenOrCreateStore(dir string, opt StoreOptions) (*Store, error) {
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); errors.Is(err, fs.ErrNotExist) {
 		return CreateStore(dir, opt)
@@ -185,10 +185,10 @@ func (s *Store) attachWAL(c *Collection, checkpointed uint64) error {
 }
 
 // replayWAL applies the log tail after seq onto the collection's
-// just-loaded checkpoint state as one batch, through the applier a
-// follower also drives. Replay is deterministic — the VF2 mapping depends
-// only on the graph and the dimension set — so the recovered state is
-// bit-identical to the pre-crash committed state.
+// just-loaded checkpoint state as one batch, landed the way every write
+// lands (apply: check, the mapping, commit). Replay is deterministic —
+// the VF2 mapping depends only on the graph and the dimension set — so
+// the recovered state is bit-identical to the pre-crash committed state.
 func (c *Collection) replayWAL(seq uint64) error {
 	var recs []wal.Record
 	if err := c.wal.Replay(seq, func(rec wal.Record) error {
@@ -214,21 +214,26 @@ type shardBatch struct {
 	removed []int
 }
 
-// apply lands logged records in shard state as one batch — crash replay's
-// and a follower's entry to the one applier every write lands through —
-// and advances the applied watermark to the last of them: check, then
-// mapAndCommit. An invalid log is refused by the record at fault and no
-// shard publishes any of it. A logged add always lands in full: once its
-// record is appended, Collection.Add cannot fail.
+// apply lands logged records in shard state as one batch — crash
+// replay's entry to the one way every write lands — and advances the
+// applied watermark to the last of them: check, then the mapping, then
+// commit. An invalid log is refused by the record at fault and no shard
+// publishes any of it; a context already done refuses the batch before
+// its check, as it does Add's and a follower's. Nothing after the check
+// can fail.
 func (c *Collection) apply(ctx context.Context, recs ...wal.Record) error {
 	if len(recs) == 0 {
 		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	b, err := c.check(recs)
 	if err != nil {
 		return err
 	}
-	return c.mapAndCommit(ctx, b)
+	c.commit(b, c.mapBatch(b.graphs)())
+	return nil
 }
 
 // logBatch is a checked batch of records: each shard's share, the graphs
@@ -295,18 +300,6 @@ func refusal(seq uint64, sh, id int, reason string) error {
 		return fmt.Errorf("graphdim: id %d %s", id, reason)
 	}
 	return fmt.Errorf("graphdim: replaying wal record %d: remove on shard %d: id %d %s", seq, sh, id, reason)
-}
-
-// mapAndCommit maps a checked batch's added graphs in one fan-out under
-// the store budget, then commits it. Only a cancelled ctx fails it, before
-// any shard publishes.
-func (c *Collection) mapAndCommit(ctx context.Context, b logBatch) error {
-	vecs, err := c.mapBatch(ctx, b.graphs)
-	if err != nil {
-		return fmt.Errorf("graphdim: replaying %d logged graphs: %w", len(b.graphs), err)
-	}
-	c.commit(b, vecs)
-	return nil
 }
 
 // commit lands a checked batch whose added graphs are mapped to vecs, in

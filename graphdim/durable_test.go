@@ -240,8 +240,8 @@ func mapping() bool {
 }
 
 // TestLoggedAddLands: the write-ahead append is the commit point of a
-// durable Add. A context cancelled at the batch's first mapping check and
-// again once its record has synced stops nothing: Add returns the batch's
+// durable Add. A context cancelled once its record has synced stops
+// nothing (the mapping never sees it): Add returns the batch's
 // ids, the log holds the one add record, the shards publish, and a reopen
 // ranks like a store that took the batch uncancelled. A failed append commits nothing: no shard publishes,
 // nextID stays, and Add returns only after its mapping ran to the end.
@@ -280,7 +280,7 @@ func TestLoggedAddLands(t *testing.T) {
 	first := int(c.nextID.Load())
 	gens := c.generations()
 
-	ctx := &mapCountCtx{Context: cctx, cancel: cancel}
+	ctx := cctx
 	cancelNow.Store(true)
 	ids, err := c.Add(ctx, batch...)
 	cancelNow.Store(false)
@@ -560,136 +560,6 @@ func TestDurableDropDoesNotResurrect(t *testing.T) {
 	if _, ok := re.Collection("keep"); !ok {
 		t.Fatal("surviving collection lost")
 	}
-}
-
-// TestCompactionCoordinatesWithRecovery: Compact writes nothing to the log
-// and needs nothing from it. A reclaim lost to a crash (no checkpoint since)
-// and a reclaim persisted by a checkpoint both recover to a store that
-// ranks bit-identically — mapped, verified and exact — to a single-shard
-// replica that saw the same writes and never compacted or crashed.
-func TestCompactionCoordinatesWithRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	idx, db := equivBuild(t, rng, 30)
-	pool := dataset.Synthetic(dataset.SynthConfig{N: 12, AvgEdges: 9, Labels: 5, Seed: 23})
-	ctx := context.Background()
-	dir := t.TempDir()
-	s, err := CreateStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.CreateFromIndex("c", idx, CollectionOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replicaStore := NewStore(StoreOptions{})
-	defer replicaStore.Close()
-	replica, err := replicaStore.CreateFromIndex("c", idx, CollectionOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := func(label string, got *Collection) {
-		t.Helper()
-		if g, w := got.Size(), replica.Size(); g != w {
-			t.Fatalf("%s: %d live graphs, want %d", label, g, w)
-		}
-		if g, w := got.Stats().NextID, replica.Stats().NextID; g != w {
-			t.Fatalf("%s: NextID %d, want %d", label, g, w)
-		}
-		for _, q := range []*Graph{db[3], pool[5], pool[11]} {
-			for _, sopt := range []SearchOptions{
-				{K: 8},
-				{K: 8, Engine: EngineVerified, VerifyFactor: 100},
-				{K: 8, Engine: EngineExact},
-			} {
-				g, err := got.Search(ctx, q, sopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w, err := replica.Search(ctx, q, sopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(g.Results, w.Results) {
-					t.Fatalf("%s: %s ranking diverges:\ngot:     %v\nreplica: %v", label, sopt.Engine, g.Results, w.Results)
-				}
-			}
-		}
-	}
-	both := func(c *Collection, f func(*Collection) error) {
-		t.Helper()
-		for _, x := range []*Collection{c, replica} {
-			if err := f(x); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	add := func(gs []*Graph) func(*Collection) error {
-		return func(x *Collection) error { _, err := x.Add(ctx, gs...); return err }
-	}
-
-	ids, err := c.Add(ctx, pool[:4]...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := add(pool[:4])(replica); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-checkpoint tail: a remove, a reclaim (in memory only — it must
-	// not touch the log), more adds.
-	both(c, func(x *Collection) error { return x.Remove(ids[1], 7) })
-	appends := c.Stats().WAL.Appends
-	if n, err := c.Compact(ctx); err != nil || n == 0 {
-		t.Fatalf("Compact repacked %d shards, err %v", n, err)
-	}
-	if got := c.Stats().WAL.Appends; got != appends {
-		t.Fatalf("Compact appended %d wal records", got-appends)
-	}
-	both(c, add(pool[4:7]))
-	same("compacted, before the crash", c)
-
-	s.Close() // crash: no checkpoint since the reclaim — it is simply lost
-	re, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatalf("reopen after compact+crash: %v", err)
-	}
-	rc, _ := re.Collection("c")
-	same("recovered after compact+crash", rc)
-	if _, ok := rc.Graph(7); !ok {
-		t.Fatal("the crash should have reverted the reclaim: id 7 is a tombstone in the checkpoint image")
-	}
-
-	// Second life: this time the reclaim is checkpointed, so the segment
-	// files hold only live graphs and the replayed tail lands on them.
-	both(rc, func(x *Collection) error { return x.Remove(ids[2], 12) })
-	if n, err := rc.Compact(ctx); err != nil || n == 0 {
-		t.Fatalf("Compact repacked %d shards, err %v", n, err)
-	}
-	if err := re.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	both(rc, add(pool[7:10]))
-	both(rc, func(x *Collection) error { return x.Remove(3) })
-	re.Close() // crash again
-	re2, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatalf("reopen after compact+checkpoint+crash: %v", err)
-	}
-	defer re2.Close()
-	rc2, _ := re2.Collection("c")
-	same("recovered over a compacted checkpoint", rc2)
-	for _, id := range []int{7, 12, ids[1], ids[2]} {
-		if _, ok := rc2.Graph(id); ok {
-			t.Fatalf("reclaimed id %d resolves after reopening a compacted checkpoint", id)
-		}
-	}
-	// A reclaim of a mapped shard faults its live graphs onto the heap.
-	if n, err := rc2.Compact(ctx); err != nil || n == 0 {
-		t.Fatalf("Compact after reopen repacked %d shards, err %v", n, err)
-	}
-	same("compacted again after reopen", rc2)
 }
 
 func TestOpenOrCreateStore(t *testing.T) {

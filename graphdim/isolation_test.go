@@ -236,10 +236,7 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 		path := filepath.Join(dir, name)
 		ids := sh.snap.Load().globals
 		gs := pool[:4]
-		vecs, err := c.mapBatch(ctx, gs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		vecs := c.mapBatch(gs)()
 		last := ids[len(ids)-1]
 		// The table handed to the open has spare capacity marked -1.
 		full := append(slices.Clone(ids), -1, -1, -1, -1)

@@ -182,11 +182,6 @@ func (s *Store) checkpointLocked(extra *Collection) (err error) {
 			images[i] = sh.snap.Load()
 		}
 		cm.NextID = int(c.nextID.Load())
-		// The settled watermark, not the raw log tail: on a follower
-		// whose apply failed the tail holds mirrored records not yet in
-		// shard state, so a snapshot claiming to cover them would skip
-		// them on reopen. Otherwise the two agree here (addMu is held, no
-		// writer is mid-batch).
 		cm.WALSeq = c.applied.Load()
 		c.addMu.Unlock()
 		errs := make([]error, len(c.shards))
@@ -459,26 +454,37 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, error) {
+// check refuses a collection entry before anything it names is opened: a
+// name outside the grammar, a shard count outside [1, maxShards] or unlike
+// the shard files listed, a next id outside the 32-bit rank range, or a
+// shard file that is not a bare basename — so a hand-edited or hostile
+// manifest cannot reach outside its collection's directory. The store's
+// open and a snapshot's extract both run it.
+func (cm collectionManifest) check() error {
 	if !collectionName.MatchString(cm.Name) {
-		return nil, fmt.Errorf("invalid name")
+		return fmt.Errorf("invalid name")
 	}
 	if cm.Shards < 1 || cm.Shards > maxShards {
-		return nil, fmt.Errorf("shard count %d outside [1,%d]", cm.Shards, maxShards)
+		return fmt.Errorf("shard count %d outside [1,%d]", cm.Shards, maxShards)
 	}
 	// A global id is the rank a scan packs into 32 bits (topk.Order).
 	if cm.NextID < 0 || cm.NextID > math.MaxUint32 {
-		return nil, fmt.Errorf("next id %d outside [0,2^32)", cm.NextID)
+		return fmt.Errorf("next id %d outside [0,2^32)", cm.NextID)
 	}
 	if len(cm.ShardFiles) != cm.Shards {
-		return nil, fmt.Errorf("%d shard files for %d shards", len(cm.ShardFiles), cm.Shards)
+		return fmt.Errorf("%d shard files for %d shards", len(cm.ShardFiles), cm.Shards)
 	}
 	for i, f := range cm.ShardFiles {
-		// Basenames only: a hand-edited manifest must not escape the
-		// collection directory.
 		if f == "" || f != filepath.Base(f) {
-			return nil, fmt.Errorf("shard %d: invalid file name %q", i, f)
+			return fmt.Errorf("shard %d: invalid file name %q", i, f)
 		}
+	}
+	return nil
+}
+
+func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, error) {
+	if err := cm.check(); err != nil {
+		return nil, err
 	}
 	cacheOpt := CacheOptions{MaxEntries: cm.Cache.MaxEntries, MaxBytes: cm.Cache.MaxBytes}
 	// Same domain checks as create time, so a hand-edited manifest fails

@@ -21,12 +21,10 @@ import (
 // that is never cancelled, count ÷ p is the number of times a search
 // mapped its query. Checks from anywhere else (the scan's stride, the
 // worker budget) are not counted, so the tally is exact without any
-// counter in the program. With cancel set, the first check cancels the
-// context through it: the mapping, and only the mapping, fails.
+// counter in the program.
 type mapCountCtx struct {
 	context.Context
 	checks atomic.Int64
-	cancel context.CancelFunc
 }
 
 func (c *mapCountCtx) Err() error {
@@ -34,9 +32,7 @@ func (c *mapCountCtx) Err() error {
 	if runtime.Callers(2, pc[:]) == 1 {
 		f, _ := runtime.CallersFrames(pc[:]).Next()
 		if strings.HasSuffix(f.Function, "vecspace.(*Mapper).MapContext") {
-			if c.checks.Add(1) == 1 && c.cancel != nil {
-				c.cancel()
-			}
+			c.checks.Add(1)
 		}
 	}
 	return c.Context.Err()

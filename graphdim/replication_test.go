@@ -1,12 +1,16 @@
 package graphdim
 
 import (
+	"archive/tar"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -152,101 +156,92 @@ func TestExtractSnapshotTarIsAllOrNothing(t *testing.T) {
 	})
 }
 
-func TestFollowerConvergesAndSurvivesRestart(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	idx, _ := equivBuild(t, rng, 40)
-	ctx := context.Background()
+// TestExtractSnapshotTarChecksTheManifest: an archive whose manifest
+// names a collection or shard file outside the target directory, or a
+// shard file the archive never delivered, is refused by the manifest
+// rule before any shard opens, and leaves no store behind — even when a
+// valid segment already sits under the missing file's name.
+func TestExtractSnapshotTarChecksTheManifest(t *testing.T) {
+	idx, _ := equivBuild(t, rand.New(rand.NewSource(77)), 20)
 	pdir := t.TempDir()
 	ps, err := CreateStore(pdir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	pc, err := ps.CreateFromIndex("c", idx, CollectionOptions{Shards: 3})
+	if _, err := ps.CreateFromIndex("c", idx, CollectionOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(pdir, manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	fs, fc, rep, fdir := bootstrapFollower(t, ps, "c")
-	if got, want := rep.AckSeq(), pc.AppliedSeq(); got != want {
-		t.Fatalf("bootstrapped follower acks %d, primary applied is %d", got, want)
-	}
-
-	// A mixed write history: adds around removes.
-	extra := dataset.Synthetic(dataset.SynthConfig{N: 9, AvgEdges: 9, Labels: 5, Seed: 99})
-	ids, err := pc.Add(ctx, extra[:6]...)
-	if err != nil {
+	var man storeManifest
+	if err := json.Unmarshal(valid, &man); err != nil {
 		t.Fatal(err)
 	}
-	if err := pc.Remove(ids[1], ids[4]); err != nil {
-		t.Fatal(err)
+	// manifestOnly archives man with no shard file beside it.
+	manifestOnly := func(man storeManifest) []byte {
+		data, err := json.Marshal(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		tw := tar.NewWriter(&buf)
+		if err := tw.WriteHeader(&tar.Header{Name: manifestName, Mode: 0o644, Size: int64(len(data))}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	// Compact the primary only. A reclaim is not a logged event and does
-	// not need to be: the follower keeps the tombstones and must rank
-	// identically all the same.
-	if n, err := pc.Compact(ctx); err != nil || n == 0 {
-		t.Fatalf("primary Compact = (%d, %v)", n, err)
+	edited := func(edit func(*collectionManifest)) storeManifest {
+		m := man
+		m.Collections = []collectionManifest{man.Collections[0]}
+		m.Collections[0].ShardFiles = slices.Clone(man.Collections[0].ShardFiles)
+		edit(&m.Collections[0])
+		return m
 	}
-	if _, err := pc.Add(ctx, extra[6:]...); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name, want string
+		man        storeManifest
+		preplace   bool
+	}{
+		{"collection name escapes", "invalid name", edited(func(cm *collectionManifest) { cm.Name = "../../escape" }), false},
+		{"shard file escapes", "invalid file name", edited(func(cm *collectionManifest) { cm.ShardFiles[0] = "../../../../etc/passwd" }), false},
+		{"shard file not delivered", "not in the archive", man, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "follower")
+			if tc.preplace {
+				// Valid segments under the names the manifest gives, left
+				// by something other than this archive.
+				if err := os.MkdirAll(filepath.Join(dir, "c"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range man.Collections[0].ShardFiles {
+					data, err := os.ReadFile(filepath.Join(pdir, "c", f))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(filepath.Join(dir, "c", f), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			err := ExtractSnapshotTar(dir, bytes.NewReader(manifestOnly(tc.man)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ExtractSnapshotTar = %v, want the manifest refused (%q)", err, tc.want)
+			}
+			if _, err := os.Stat(filepath.Join(dir, manifestName)); !os.IsNotExist(err) {
+				t.Fatalf("a refused extract left %s behind (stat err %v)", manifestName, err)
+			}
+		})
 	}
-
-	if n := pump(t, pc, rep); n == 0 {
-		t.Fatal("pump shipped nothing")
-	}
-	if got, want := rep.AppliedSeq(), pc.AppliedSeq(); got != want {
-		t.Fatalf("follower applied %d, primary %d", got, want)
-	}
-	queries := dataset.Synthetic(dataset.SynthConfig{N: 12, AvgEdges: 6, Labels: 5, Seed: 7})
-	assertSameSearch(t, "caught-up follower of a compacted primary", fc, pc, queries)
-	assertSameContent(t, "caught-up follower of a compacted primary", fc, pc)
-	if _, ok := pc.Graph(ids[1]); ok {
-		t.Fatalf("primary still resolves reclaimed id %d", ids[1])
-	}
-	if _, ok := fc.Graph(ids[1]); !ok {
-		t.Fatalf("follower lost tombstoned id %d without compacting", ids[1])
-	}
-
-	// NextID converges too, so later assignments can never collide.
-	if got, want := fc.Stats().NextID, pc.Stats().NextID; got != want {
-		t.Fatalf("follower NextID %d, primary %d", got, want)
-	}
-
-	// Restart the follower: the mirrored log replays over the local
-	// checkpoint and the applier resumes exactly where the mirror ends.
-	// Reopen mapped: a restarted follower serves its checkpointed base
-	// straight from the shipped segment files while the mirrored log tail
-	// replays on top.
-	ack := rep.AckSeq()
-	fs.Close()
-	fs2, err := OpenStore(fdir, StoreOptions{})
-	if err != nil {
-		t.Fatalf("reopen follower: %v", err)
-	}
-	defer fs2.Close()
-	fc2, _ := fs2.Collection("c")
-	rep2, err := fc2.Replica()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.AckSeq() != ack {
-		t.Fatalf("restarted follower acks %d, want %d", rep2.AckSeq(), ack)
-	}
-	assertSameSearch(t, "restarted follower", fc2, pc, queries)
-
-	// And it keeps following, through another primary-only compaction.
-	if err := pc.Remove(3, ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := pc.Compact(ctx); err != nil || n == 0 {
-		t.Fatalf("primary Compact = (%d, %v)", n, err)
-	}
-	if _, err := pc.Add(ctx, queries[:3]...); err != nil {
-		t.Fatal(err)
-	}
-	pump(t, pc, rep2)
-	assertSameSearch(t, "follower after restart catch-up", fc2, pc, queries)
-	assertSameContent(t, "follower after restart catch-up", fc2, pc)
 }
 
 func TestPrimaryRetainsSegmentsForFollowers(t *testing.T) {
@@ -407,4 +402,94 @@ func TestFollowerSurvivesARefusedBatch(t *testing.T) {
 	queries := dataset.Synthetic(dataset.SynthConfig{N: 8, AvgEdges: 6, Labels: 5, Seed: 8})
 	assertSameSearch(t, "follower after a refused batch", fc, pc, queries)
 	assertSameContent(t, "follower after a refused batch", fc, pc)
+}
+
+// TestFollowerLandsOrRefusesACancelledBatch: a valid batch handed to the
+// applier with a context already done is either refused with nothing
+// mirrored or lands in full — never mirrored but unapplied. Either way
+// the next batch applies, and a restart reopens to the same state.
+func TestFollowerLandsOrRefusesACancelledBatch(t *testing.T) {
+	idx, _ := equivBuild(t, rand.New(rand.NewSource(76)), 30)
+	ctx := context.Background()
+	ps, err := CreateStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	pc, err := ps.CreateFromIndex("c", idx, CollectionOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, fc, rep, fdir := bootstrapFollower(t, ps, "c")
+	extra := dataset.Synthetic(dataset.SynthConfig{N: 4, AvgEdges: 9, Labels: 5, Seed: 97})
+	if _, err := pc.Add(ctx, extra[:2]...); err != nil {
+		t.Fatal(err)
+	}
+	st, err := pc.StreamWAL(rep.AckSeq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	add, ok, err := st.Next(pc.AppliedSeq())
+	st.Close()
+	if err != nil || !ok {
+		t.Fatalf("stream: %v, %v", ok, err)
+	}
+	queries := append(dataset.Synthetic(dataset.SynthConfig{N: 6, AvgEdges: 6, Labels: 5, Seed: 9}), extra...)
+	sameRankings := func(label string, got *Collection) {
+		t.Helper()
+		assertSameContent(t, label, got, pc)
+		assertSameSearch(t, label, got, pc, queries)
+		opt := SearchOptions{K: 10, Engine: EngineVerified, VerifyFactor: 100}
+		for qi, q := range queries {
+			g, err := got.Search(ctx, q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := pc.Search(ctx, q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g.Results, w.Results) {
+				t.Fatalf("%s: verified query %d diverges:\nfollower: %v\nprimary:  %v", label, qi, g.Results, w.Results)
+			}
+		}
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	acked := rep.AckSeq()
+	if err := rep.Apply(cctx, []wal.Record{add}); err != nil {
+		if got := rep.AckSeq(); got != acked {
+			t.Fatalf("Apply = %v, yet the batch was mirrored: the log's tail moved from %d to %d", err, acked, got)
+		}
+		if got := rep.AppliedSeq(); got != acked {
+			t.Fatalf("Apply = %v, yet the follower applied through %d", err, got)
+		}
+	} else {
+		if rep.AckSeq() != add.Seq || rep.AppliedSeq() != add.Seq {
+			t.Fatalf("a landed batch left AckSeq %d and AppliedSeq %d, want both at %d", rep.AckSeq(), rep.AppliedSeq(), add.Seq)
+		}
+		sameRankings("a cancelled batch that landed", fc)
+	}
+
+	if err := pc.Remove(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.Add(ctx, extra[2:]...); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, pc, rep)
+	if got, want := rep.AckSeq(), pc.AppliedSeq(); got != want || rep.AppliedSeq() != want {
+		t.Fatalf("follower acks %d and applied %d, the primary applied %d", got, rep.AppliedSeq(), want)
+	}
+	sameRankings("the next batch", fc)
+	fs.Close()
+
+	fs, err = OpenStore(fdir, StoreOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer fs.Close()
+	fc, _ = fs.Collection("c")
+	sameRankings("reopened", fc)
 }

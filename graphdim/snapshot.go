@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/segment"
@@ -102,8 +103,10 @@ func tarStream(tw *tar.Writer, name, path string) error {
 // installed last, once every shard file it names has arrived whole,
 // fsynced, and passed its body checksum (a mapped open never reads the
 // body); on any error the files this call wrote are removed, so the next
-// attempt starts clean. Entry names are confined to dir — a hostile
-// archive cannot escape it.
+// attempt starts clean. Entry names are confined to dir, and the
+// manifest passes the store's own collection checks and names only shard
+// files this archive delivered — a hostile archive can neither escape dir
+// nor adopt a file already there.
 func ExtractSnapshotTar(dir string, r io.Reader) (err error) {
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
 		return fmt.Errorf("graphdim: extract snapshot: %s already holds a store", dir)
@@ -158,8 +161,14 @@ func ExtractSnapshotTar(dir string, r io.Reader) (err error) {
 		return fmt.Errorf("decode manifest: %w", err)
 	}
 	for _, cm := range man.Collections {
-		for _, f := range cm.ShardFiles {
+		if err := cm.check(); err != nil {
+			return fmt.Errorf("collection %q: %w", cm.Name, err)
+		}
+		for i, f := range cm.ShardFiles {
 			path := filepath.Join(dir, cm.Name, f)
+			if !slices.Contains(written, path) {
+				return fmt.Errorf("collection %q: shard %d: %s is not in the archive", cm.Name, i, f)
+			}
 			sr, err := segment.Open(path, segment.Options{Map: true})
 			if err != nil {
 				return err

@@ -457,7 +457,7 @@ func (c *Collection) resolve(id int) (*snapshot, int) {
 // mapped onto the dimensions once, the scan fans out to every shard in
 // parallel (drawing workers from the store budget), each shard ranks its
 // slice of the database, and the per-shard top-k lists merge into one
-// globally ranked result with ties broken by ascending global id. Every
+// globally ranked result with ties settled by ascending global id. Every
 // shard holds the collection's one dimension set, so the merged
 // mapped/exact result is exactly the one an unsharded Index over the same
 // graphs returns — identical ids and identical scores — before and after
@@ -604,22 +604,21 @@ func mergeTopK(outs []shardOut, k int) []Result {
 
 // Add maps new graphs into the collection: each graph gets the next global
 // id and lands on the shard its id hashes to. The batch is mapped once,
-// with the collection's one mapper and under the store budget, before
-// any shard is touched; the shards then only publish, through the applier
-// crash replay and followers land logged records with (Collection.check,
-// then commit). The returned ids align with gs. Writers are serialized
-// collection-wide; readers are never blocked (each shard publishes
-// copy-on-write state).
+// with the collection's one mapper and under the store budget; the shards
+// then only publish, the way every writer lands a batch (Collection.check,
+// the log write, then commit). The returned ids align with gs. Writers are
+// serialized collection-wide; readers are never blocked (each shard
+// publishes copy-on-write state).
 //
 // On a durable store the batch is appended to the collection's
 // write-ahead log — and fsynced — before any shard publishes. The append
-// is the commit point: a context that is dead before it commits nothing,
-// a failed append commits nothing, and once the append returns the batch
-// lands in full and Add returns its ids. The mapping runs while the
-// batch waits for the writer lock and its record syncs, so a durable Add
-// waits for the slower of the two, not their sum; it ignores
-// cancellation, so nothing can stop a logged batch from landing. Add
-// never returns while its mapping is still running.
+// is the commit point: a context that is dead before Add starts commits
+// nothing, a failed append commits nothing, and once the append returns
+// the batch lands in full and Add returns its ids. The mapping starts
+// before Add takes the writer lock and ignores cancellation, so a durable
+// Add waits for the slower of the mapping and the append, not their sum,
+// and nothing can stop a logged batch from landing. Add never returns
+// while its mapping is still running.
 func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 	for i, g := range gs {
 		if g == nil {
@@ -632,24 +631,15 @@ func (c *Collection) Add(ctx context.Context, gs ...*Graph) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var vecs []*vecspace.BitVector
-	mapped := make(chan struct{})
-	go func() {
-		defer close(mapped)
-		// Only cancellation fails a mapping.
-		vecs, _ = c.mapBatch(context.WithoutCancel(ctx), gs)
-	}()
-	// Deferred first, so it runs last: an Add whose append fails still
-	// waits for its mapping, after releasing the lock.
-	defer func() { <-mapped }()
+	mapped := c.mapBatch(gs)
 	c.addMu.Lock()
 	defer c.addMu.Unlock()
 	rec := wal.Record{Type: wal.TypeAdd, First: int(c.nextID.Load()), Graphs: gs}
 	b, err := c.admit(rec)
+	vecs := mapped()
 	if err != nil {
 		return nil, err
 	}
-	<-mapped
 	c.commit(b, vecs)
 	ids := make([]int, len(gs))
 	for i := range ids {
@@ -698,11 +688,14 @@ func partition(ids []int, shards int) [][]int {
 	return parts
 }
 
-// mapBatch maps an add batch once, with the collection's one mapper
-// (every shard holds the same dimension set), fanning the graphs out
-// under the store budget. It is all-or-nothing.
-func (c *Collection) mapBatch(ctx context.Context, gs []*Graph) ([]*vecspace.BitVector, error) {
-	return mapBatch(ctx, c.shards[0].mapper, gs, c.store.budget.ForContext)
+// mapBatch starts mapping an add batch once, with the collection's one
+// mapper (every shard holds the same dimension set), fanning the graphs
+// out under the store budget; the returned wait yields the vectors.
+func (c *Collection) mapBatch(gs []*Graph) func() []*vecspace.BitVector {
+	return mapBatch(c.shards[0].mapper, gs, func(n int, fn func(int)) {
+		// A context that never ends: every graph maps, and nothing fails.
+		_ = c.store.budget.ForContext(context.Background(), n, fn)
+	})
 }
 
 // Remove tombstones the given global ids. An unknown or already-removed

@@ -1,7 +1,6 @@
 package graphdim
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/pool"
@@ -29,12 +28,7 @@ func (ix *Index) Add(gs ...*Graph) ([]int, error) {
 	if len(gs) == 0 {
 		return nil, nil
 	}
-	vecs, err := mapBatch(context.TODO(), ix.mapper, gs, func(ctx context.Context, n int, fn func(int)) error {
-		return pool.ForContext(ctx, ix.workers, n, fn)
-	})
-	if err != nil {
-		return nil, err
-	}
+	vecs := mapBatch(ix.mapper, gs, func(n int, fn func(int)) { pool.For(ix.workers, n, fn) })()
 	first := ix.publish(shardBatch{graphs: gs}, vecs)
 	ids := make([]int, len(gs))
 	for i := range ids {
@@ -43,23 +37,23 @@ func (ix *Index) Add(gs ...*Graph) ([]int, error) {
 	return ids, nil
 }
 
-// mapBatch maps gs onto m's dimensions, one graph per task of fan (a
-// worker pool, or the store budget), all-or-nothing: a cancelled ctx fails
-// the whole batch.
-func mapBatch(ctx context.Context, m *vecspace.Mapper, gs []*Graph, fan func(context.Context, int, func(int)) error) ([]*vecspace.BitVector, error) {
+// mapBatch starts mapping gs onto m's dimensions, one graph per task of
+// fan (the build's worker pool, or the store budget), and returns a wait
+// that yields their vectors. The mapping depends only on the graph and
+// the dimension set, so it takes no context and cannot fail: a writer
+// starts it beside its log write and awaits it before commit, and a
+// logged batch always has its vectors.
+func mapBatch(m *vecspace.Mapper, gs []*Graph, fan func(n int, fn func(int))) func() []*vecspace.BitVector {
 	vecs := make([]*vecspace.BitVector, len(gs))
-	errs := make([]error, len(gs))
-	if err := fan(ctx, len(gs), func(i int) {
-		vecs[i], errs[i] = m.MapContext(ctx, gs[i])
-	}); err != nil {
-		return nil, err
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fan(len(gs), func(i int) { vecs[i] = m.Map(gs[i]) })
+	}()
+	return func() []*vecspace.BitVector {
+		<-done
+		return vecs
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return vecs, nil
 }
 
 // publish lands a shard's share of a checked batch (see Collection.check)
